@@ -127,18 +127,8 @@ def cmd_reason(args) -> int:
             graceful=True,
         )
     engine = None
-    if (
-        tracer is not None
-        or governor is not None
-        or args.workers
-        or args.no_columnar
-    ):
-        engine = Engine(
-            tracer=tracer,
-            governor=governor,
-            workers=args.workers,
-            columnar=not args.no_columnar,
-        )
+    if tracer is not None or governor is not None:
+        engine = Engine(tracer=tracer, governor=governor)
     checkpoint = None
     if args.resume and not args.checkpoint:
         raise KGModelError("--resume requires --checkpoint DIR")
@@ -250,7 +240,7 @@ def cmd_update(args) -> int:
     materializer = IntensionalMaterializer()
     report = materializer.materialize(
         schema, data, sigma, instance_oid=args.instance_oid,
-        retain=True, track_support=args.track_support,
+        retain=True,
     )
     if report.truncated:
         print(
@@ -517,9 +507,7 @@ def cmd_serve(args) -> int:
             }
 
     print("materializing base state ...", flush=True)
-    state = ServeState(
-        program_text, inputs, columnar=not args.no_columnar
-    )
+    state = ServeState(program_text, inputs)
     snap = state.snapshot
     print(
         f"materialized {snap.total_facts()} facts over "
@@ -645,20 +633,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(requires --checkpoint)",
     )
     p.add_argument(
-        "--workers", default=None, type=int, metavar="N",
-        help="partition-parallel chase with N workers (results are "
-             "bit-identical to serial; strata with existential heads "
-             "run serially)",
-    )
-    p.add_argument(
-        "--no-columnar", action="store_true",
-        help="use the original tuple-set fact storage instead of the "
-             "columnar (dictionary-encoded) backend",
-    )
-    p.add_argument(
         "--max-resident-facts", default=None, type=int, metavar="N",
         help="spill cold relations to sqlite3-backed column pages when "
-             "more than N facts are resident (columnar backend only)",
+             "more than N facts are resident",
     )
     p.set_defaults(func=cmd_reason)
 
@@ -685,11 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--instance-oid", default=1, type=int)
-    p.add_argument(
-        "--track-support", action="store_true",
-        help="record derivation support during the chase so deletions can "
-             "walk exact support sets instead of over-deleting",
-    )
     p.set_defaults(func=cmd_update)
 
     p = sub.add_parser(
@@ -845,10 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--readonly", action="store_true",
         help="reject POST /delta",
-    )
-    p.add_argument(
-        "--no-columnar", action="store_true",
-        help="tuple fact storage instead of the columnar backend",
     )
     p.add_argument(
         "--feed", default=None, metavar="FEED.JSONL",

@@ -15,7 +15,7 @@ positions even before any construct of that label exists.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.core.schema import SuperSchema
 from repro.errors import SchemaError
@@ -90,9 +90,9 @@ class GraphDictionary:
     """A named dictionary of schemas stored as one property graph."""
 
     def __init__(self, name: str = "super-model-dictionary",
-                 columnar: Optional[bool] = None):
-        # The dictionary graph is the registry-scale store; it defaults
-        # to the columnar backend (REPRO_GRAPH_BACKEND overrides).
+                 columnar: bool = True):
+        # The dictionary graph is the registry-scale store, so it is
+        # columnar; ``columnar=False`` is the differential tests' oracle.
         self.graph = make_graph(name, columnar=columnar)
         self._schema_names: Dict[Any, str] = {}
 

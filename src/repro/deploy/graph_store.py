@@ -61,7 +61,7 @@ class GraphStore:
     """An in-memory graph database enforcing a PG-model schema."""
 
     def __init__(self, name: str = "graph-store", tracer: Optional[Tracer] = None,
-                 columnar: Optional[bool] = None):
+                 columnar: bool = True):
         self.name = name
         self.tracer = tracer
         self.graph = make_graph(name, columnar=columnar)

@@ -232,7 +232,7 @@ def _split_capital(rng: random.Random, parts: int, dispersed: float) -> List[flo
 
 def generate_shareholding_graph(
     config: Optional[ShareholdingConfig] = None,
-    columnar: Optional[bool] = None,
+    columnar: bool = True,
 ):
     """The flat Section 2.1 shareholding graph: OWNS edges with
     percentages between shareholder nodes."""
@@ -250,7 +250,7 @@ def generate_shareholding_graph(
 
 def generate_company_kg(
     config: Optional[ShareholdingConfig] = None,
-    columnar: Optional[bool] = None,
+    columnar: bool = True,
 ):
     """A typed Company KG instance conforming to the Figure 4 schema.
 

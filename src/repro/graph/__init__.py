@@ -8,41 +8,24 @@ Two interchangeable backing stores implement the same graph API:
 * :class:`ColumnarPropertyGraph` — interned code columns + int-indexed
   adjacency with lazy views (the production store at registry scale).
 
-:func:`make_graph` selects between them; the default is columnar and
-can be overridden per call or process-wide with the
-``REPRO_GRAPH_BACKEND`` environment variable (``object`` | ``columnar``).
+:func:`make_graph` builds the columnar store; only differential tests
+pass ``columnar=False`` to get the oracle.
 """
 
-import os
-from typing import Optional, Union
+from typing import Union
 
 from repro.graph.property_graph import Edge, Node, PropertyGraph
 from repro.graph.columnar_graph import ColumnarPropertyGraph, EdgeView, NodeView
 from repro.graph.statistics import GraphStatistics, PAPER_STATISTICS, summarize
 from repro.graph.powerlaw import PowerLawFit, fit_power_law
 
-#: Environment override for the default graph backend.
-GRAPH_BACKEND_ENV = "REPRO_GRAPH_BACKEND"
-
 #: Either backing store (they are duck-type equivalent, no common base).
 AnyPropertyGraph = Union[PropertyGraph, ColumnarPropertyGraph]
 
 
-def default_graph_backend() -> bool:
-    """True when the columnar backend is the process default."""
-    return os.environ.get(GRAPH_BACKEND_ENV, "columnar").lower() != "object"
-
-
-def make_graph(name: str = "graph",
-               columnar: Optional[bool] = None) -> AnyPropertyGraph:
-    """Construct a property graph on the selected backing store.
-
-    ``columnar=None`` defers to :func:`default_graph_backend` (columnar
-    unless ``REPRO_GRAPH_BACKEND=object``); pass an explicit bool to pin
-    a backend — differential tests pin both and compare.
-    """
-    if columnar is None:
-        columnar = default_graph_backend()
+def make_graph(name: str = "graph", columnar: bool = True) -> AnyPropertyGraph:
+    """Construct a property graph: columnar in production, the object
+    store (``columnar=False``) as the differential tests' oracle."""
     if columnar:
         return ColumnarPropertyGraph(name)
     return PropertyGraph(name)
@@ -56,8 +39,6 @@ __all__ = [
     "PropertyGraph",
     "ColumnarPropertyGraph",
     "AnyPropertyGraph",
-    "GRAPH_BACKEND_ENV",
-    "default_graph_backend",
     "make_graph",
     "GraphStatistics",
     "PAPER_STATISTICS",

@@ -207,8 +207,6 @@ class ServeState:
         program,
         inputs: Optional[Mapping[str, Iterable[Fact]]] = None,
         *,
-        columnar: bool = True,
-        use_plans: bool = True,
         check_wardedness: bool = True,
         metrics: Optional[ServeMetrics] = None,
         engine: Optional[Engine] = None,
@@ -217,13 +215,10 @@ class ServeState:
             program = parse_program(program)
         self.program: Program = program
         self.metrics = metrics or ServeMetrics()
-        self.engine = engine or Engine(
-            columnar=columnar,
-            use_plans=use_plans,
-            check_wardedness=check_wardedness,
-        )
+        self.engine = engine or Engine(check_wardedness=check_wardedness)
+        # Magic queries must run on the backend the retained state uses.
         self.evaluator = GoalDirectedEvaluator(
-            program, columnar=columnar, use_plans=use_plans
+            program, columnar=self.engine.columnar
         )
         self._write_lock = threading.Lock()
         self._listeners: List[Any] = []

@@ -184,13 +184,12 @@ class IntensionalMaterializer:
         self,
         engine: Optional[Engine] = None,
         tracer: Optional[Tracer] = None,
-        workers: Optional[int] = None,
     ):
-        # A caller-supplied engine keeps its own tracer (and its own
-        # worker default); an implicit one joins the materializer's trace
-        # so engine spans nest under the phase spans.
+        # A caller-supplied engine keeps its own tracer; an implicit one
+        # joins the materializer's trace so engine spans nest under the
+        # phase spans.
         self.tracer = tracer or NullTracer()
-        self.engine = engine or Engine(tracer=tracer, workers=workers)
+        self.engine = engine or Engine(tracer=tracer)
         self._compile_cache: Dict[Tuple[str, int, Any], _CompiledViews] = {}
         self._retained: Optional[RetainedMaterialization] = None
 
@@ -248,7 +247,6 @@ class IntensionalMaterializer:
         strict: bool = False,
         checkpoint=None,
         retain: bool = False,
-        track_support: bool = False,
     ) -> MaterializationReport:
         """Materialize the intensional component ``sigma`` over ``data``.
 
@@ -266,14 +264,11 @@ class IntensionalMaterializer:
 
         ``retain=True`` keeps the three chase states alive so later
         registry changes can be applied with :meth:`update` instead of
-        re-running from scratch; ``track_support=True`` additionally
-        records bounded support sets during the reason phase, making
-        deletions cheaper at ~2x fact memory (both off by default — the
-        from-scratch path pays nothing).
+        re-running from scratch (off by default — the from-scratch path
+        pays nothing).
         """
         report = MaterializationReport(instance=None)  # filled below
         tracer = self.tracer
-        retain = retain or track_support
 
         resume_from: Optional[str] = None
         if checkpoint is not None:
@@ -356,8 +351,7 @@ class IntensionalMaterializer:
                 }
                 result_sigma = self.engine.run(
                     compiled.program, database=staged_db,
-                    retain_state=retain, track_support=track_support,
-                    copy_database=retain,
+                    retain_state=retain, copy_database=retain,
                 )
                 report.reason_stats = result_sigma.stats
                 self._merge_status(report, result_sigma)

@@ -95,8 +95,8 @@ class ValueInterner:
 
     Shared by every relation of a database (and by its copies), so codes
     are comparable across relations and snapshots.  Append-only: codes
-    are never reused or renumbered, which makes sharing safe without
-    locks — parallel workers only read, and the master interns on commit.
+    are never reused or renumbered, so a code handed out once stays
+    valid in every relation, copy and frozen snapshot that shares it.
     """
 
     __slots__ = ("values", "eq", "_codes", "_eqcodes", "_eq_np", "nan_codes")

@@ -211,14 +211,6 @@ class Engine:
         graceful mode a tripped budget ends the run early with a partial
         database and ``status == "budget_exceeded"``; in strict mode it
         raises :class:`~repro.errors.ResourceLimitError`.
-    workers:
-        Default worker count for :meth:`run`.  ``None`` or ``1`` keeps
-        the serial chase; ``N > 1`` routes parallel-safe strata through
-        :class:`~repro.vadalog.parallel.ParallelChase` (outputs stay
-        bit-identical to the serial engine).  Requires ``use_plans``.
-    parallel_backend:
-        Force the parallel backend (``"process"``, ``"thread"`` or
-        ``"serial"``); ``None`` auto-selects.
     """
 
     def __init__(
@@ -230,8 +222,6 @@ class Engine:
         use_plans: bool = True,
         tracer: Optional[Tracer] = None,
         governor: Optional[ResourceGovernor] = None,
-        workers: Optional[int] = None,
-        parallel_backend: Optional[str] = None,
         columnar: bool = True,
     ):
         self.max_iterations = max_iterations
@@ -241,8 +231,6 @@ class Engine:
         self.use_plans = use_plans
         self.tracer = tracer
         self.governor = governor
-        self.workers = workers
-        self.parallel_backend = parallel_backend
         # Columnar (dictionary-encoded) fact storage with batch-at-a-time
         # plan execution; ``columnar=False`` keeps the original tuple-set
         # backend and tuple-at-a-time executor as a differential oracle.
@@ -250,12 +238,10 @@ class Engine:
         # Rule -> RulePlans; rules are frozen dataclasses, so structurally
         # equal rules (across programs) share one compiled plan bundle.
         self._plan_cache: Dict[Any, RulePlans] = {}
-        # Transient sinks, set only while a retaining run (or an
+        # Transient sink, set only while a retaining run (or an
         # incremental boundary recompute) is in flight; None keeps the
         # default hot path branchless beyond one cheap comparison.
         self._retain_sink: Optional[Any] = None
-        self._support_sink: Optional[Any] = None
-        self._support_templates: Dict[Any, Optional[Tuple[Any, ...]]] = {}
 
     # ------------------------------------------------------------------
     def run(
@@ -263,9 +249,7 @@ class Engine:
         program: Program,
         database: Optional[Database] = None,
         inputs: Optional[Dict[str, Iterable[Sequence[Any]]]] = None,
-        workers: Optional[int] = None,
         retain_state: bool = False,
-        track_support: bool = False,
         copy_database: bool = True,
     ) -> EvaluationResult:
         """Saturate ``database`` (copied) with ``program`` and return it.
@@ -276,19 +260,11 @@ class Engine:
         backend mismatch still converts (the conversion is itself a fresh
         database).
 
-        ``workers`` overrides the engine-level default for this run; any
-        value above 1 evaluates parallel-safe strata with partitioned
-        fan-out (see :mod:`repro.vadalog.parallel`).
-
         ``retain_state`` keeps the evaluation state — per-stratum fact
         partitions, the extensional snapshot, saturated aggregate
         accumulators, null/Skolem factories — on ``result.state`` so
         :meth:`apply_delta` can propagate later insertions and deletions
-        without re-running the chase.  Retention forces the serial chase
-        (parallel replicas do not share the retained accumulators).
-        ``track_support`` additionally records bounded support sets per
-        derived fact, letting the delete/re-derive pass walk recorded
-        supports instead of re-joining; it implies ``retain_state``.
+        without re-running the chase.
         """
         start = time.perf_counter()
         tracer = self.tracer
@@ -297,7 +273,6 @@ class Engine:
         if self.check_wardedness:
             check_warded(program).raise_if_violated()
 
-        retain_state = retain_state or track_support
         if database is None:
             db = Database(columnar=self.columnar)
         elif database.columnar != self.columnar:
@@ -331,7 +306,7 @@ class Engine:
 
         state = None
         if retain_state:
-            from repro.vadalog.incremental import MaterializedState, SupportIndex
+            from repro.vadalog.incremental import MaterializedState
 
             state = MaterializedState(
                 program=program,
@@ -345,19 +320,6 @@ class Engine:
                 predicate: set(db.relation(predicate))
                 for predicate in db.predicates()
             }
-            if track_support:
-                state.support = SupportIndex()
-
-        effective_workers = self.workers if workers is None else workers
-        if state is not None:
-            effective_workers = None
-        parallel = None
-        if effective_workers is not None and effective_workers > 1 and self.use_plans:
-            from repro.vadalog.parallel import ParallelChase
-
-            parallel = ParallelChase(
-                self, effective_workers, backend=self.parallel_backend
-            )
 
         if governor is not None:
             governor.begin()
@@ -368,7 +330,6 @@ class Engine:
                 "engine.run",
                 rules=len(program.rules),
                 strata=len(strata),
-                workers=effective_workers or 1,
             )
             if tracer is not None
             else None
@@ -376,12 +337,8 @@ class Engine:
         try:
             if state is not None:
                 self._retain_sink = state
-                self._support_sink = state.support
             for index, stratum in enumerate(strata):
-                if parallel is not None:
-                    parallel.evaluate_stratum(stratum, index, db, stats, nulls, skolems)
-                else:
-                    self._evaluate_stratum(stratum, index, db, stats, nulls, skolems)
+                self._evaluate_stratum(stratum, index, db, stats, nulls, skolems)
                 if state is not None:
                     state.per_stratum.append({
                         predicate: frozenset(db.relation(predicate))
@@ -426,9 +383,6 @@ class Engine:
                 )
         finally:
             self._retain_sink = None
-            self._support_sink = None
-            if parallel is not None:
-                parallel.close()
             stats.elapsed_seconds = time.perf_counter() - start
             if root is not None:
                 root.set(
@@ -628,11 +582,6 @@ class Engine:
                     recursive_predicates
                     and rule.body_predicates() & recursive_predicates
                 )
-                recorder = (
-                    self._support_template(rule)
-                    if self._support_sink is not None
-                    else None
-                )
                 if plans is not None:
                     if plans.is_aggregate:
                         matches = self._aggregate_matches_plan(
@@ -645,10 +594,10 @@ class Engine:
                     elif db.columnar:
                         # Full evaluation of a simple rule: try the
                         # whole-plan vectorized join first.  Probe
-                        # recording and support tracking need per-match
-                        # substitutions, so they stay on the batch path.
+                        # recording needs per-match substitutions, so it
+                        # stays on the batch path.
                         vectorized = None
-                        if probe is None and recorder is None:
+                        if probe is None:
                             vectorized = vectorized_rule_matches(plans, db)
                         if vectorized is not None:
                             firings, head_facts = vectorized
@@ -670,24 +619,12 @@ class Engine:
                                 )
                     else:
                         matches = execute_plan(plans.body_plan(), db, probe=probe)
-                    if recorder is None:
-                        for substitution in matches:
-                            stats.rule_firings += 1
-                            for predicate, fact in plans.instantiate_head(
-                                substitution, db, stats, nulls, skolems, self.max_nulls
-                            ):
-                                pending.append((predicate, fact))
-                    else:
-                        for substitution in matches:
-                            stats.rule_firings += 1
-                            start = len(pending)
-                            for predicate, fact in plans.instantiate_head(
-                                substitution, db, stats, nulls, skolems, self.max_nulls
-                            ):
-                                pending.append((predicate, fact))
-                            self._record_supports(
-                                recorder, substitution, pending, start
-                            )
+                    for substitution in matches:
+                        stats.rule_firings += 1
+                        for predicate, fact in plans.instantiate_head(
+                            substitution, db, stats, nulls, skolems, self.max_nulls
+                        ):
+                            pending.append((predicate, fact))
                 else:
                     if rule.has_aggregate():
                         matches = self._aggregate_matches(
@@ -699,24 +636,12 @@ class Engine:
                         )
                     else:
                         matches = self._match_body(list(rule.body), db, {})
-                    if recorder is None:
-                        for substitution in matches:
-                            stats.rule_firings += 1
-                            for predicate, fact in self._instantiate_head(
-                                rule, substitution, db, stats, nulls, skolems
-                            ):
-                                pending.append((predicate, fact))
-                    else:
-                        for substitution in matches:
-                            stats.rule_firings += 1
-                            start = len(pending)
-                            for predicate, fact in self._instantiate_head(
-                                rule, substitution, db, stats, nulls, skolems
-                            ):
-                                pending.append((predicate, fact))
-                            self._record_supports(
-                                recorder, substitution, pending, start
-                            )
+                    for substitution in matches:
+                        stats.rule_firings += 1
+                        for predicate, fact in self._instantiate_head(
+                            rule, substitution, db, stats, nulls, skolems
+                        ):
+                            pending.append((predicate, fact))
             finally:
                 if span is not None:
                     firings = stats.rule_firings - before_firings
@@ -792,69 +717,6 @@ class Engine:
             self.tracer.count("engine.facts_derived", added)
             self.tracer.count("engine.dedup_hits", len(pending) - added)
         pending.clear()
-
-    # ------------------------------------------------------------------
-    # Support recording (track_support=True)
-    # ------------------------------------------------------------------
-    def _support_template(self, rule: Rule) -> Optional[Tuple[Any, ...]]:
-        """Resolver for a rule's ground positive body atoms, or None.
-
-        Supports are recordable only when the body atoms can be fully
-        reconstructed from a match substitution: non-aggregate,
-        non-existential rules with no anonymous variables in positive
-        atoms.  Other rules fall back to join-based over-deletion (or a
-        boundary recompute) at delete time.
-        """
-        cached = self._support_templates.get(rule, _UNSET)
-        if cached is not _UNSET:
-            return cached
-        template: Optional[Tuple[Any, ...]] = None
-        if not rule.has_aggregate() and not rule.existential_variables():
-            atoms: List[Tuple[str, Tuple[Tuple[bool, Any], ...]]] = []
-            ok = True
-            for literal in rule.body:
-                if not isinstance(literal, Atom):
-                    continue
-                ops: List[Tuple[bool, Any]] = []
-                for term in literal.terms:
-                    if is_variable(term):
-                        if term.name == "_":
-                            ok = False
-                            break
-                        ops.append((True, term))
-                    else:
-                        ops.append((False, term))
-                if not ok:
-                    break
-                atoms.append((literal.predicate, tuple(ops)))
-            if ok and atoms:
-                template = tuple(atoms)
-        self._support_templates[rule] = template
-        return template
-
-    def _record_supports(
-        self,
-        recorder: Tuple[Any, ...],
-        substitution: Substitution,
-        pending: List[Tuple[str, Fact]],
-        start: int,
-    ) -> None:
-        """Record one support (the instantiated positive body) per head fact."""
-        if len(pending) == start:
-            return
-        sink = self._support_sink
-        body_key = tuple(
-            (
-                predicate,
-                tuple(
-                    substitution[payload] if is_var else payload
-                    for is_var, payload in ops
-                ),
-            )
-            for predicate, ops in recorder
-        )
-        for item in pending[start:]:
-            sink.record(item, body_key)
 
     # ------------------------------------------------------------------
     # Compiled-plan evaluation paths
@@ -1334,7 +1196,6 @@ class Engine:
 
 
 _UNBOUND = object()
-_UNSET = object()
 
 
 def _hashable(value: Any) -> Any:

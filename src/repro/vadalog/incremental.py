@@ -20,20 +20,15 @@ change:
   removed facts are temporarily re-added so the closure joins see the
   *old* world), then each over-deleted fact gets a goal-directed
   re-derivation attempt through :meth:`RulePlans.rederive_plan`, and
-  survivors cascade through the normal insertion pass.  With
-  ``track_support=True`` the over-deletion walk follows recorded
-  support sets instead of re-joining (bounded memory: at most
-  :data:`SupportIndex.MAX_SUPPORTS` supports per fact — the walk may
-  over-mark when a support was evicted, which re-derivation corrects).
+  survivors cascade through the normal insertion pass.
 
 - **Non-maintainable strata** — negation over changed predicates,
   deletions reaching aggregate or existential rules, non-monotone
   aggregates, existential heads whose writers fail the safety gate —
   **recompute from their stratum boundary**: the stratum's derived
   predicates reset to the post-update extensional baseline and the
-  engine's own ``_evaluate_stratum`` re-runs, mirroring the
-  serial-barrier precedent in :mod:`repro.vadalog.parallel`.  The
-  before/after diff then feeds downstream strata as an ordinary delta.
+  engine's own ``_evaluate_stratum`` re-runs.  The before/after diff
+  then feeds downstream strata as an ordinary delta.
 
 Labeled nulls minted during maintenance continue the retained
 :class:`NullFactory` counter, so incremental ordinals differ from a
@@ -44,7 +39,6 @@ differential battery canonicalizes nulls before comparing).
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -88,58 +82,11 @@ from repro.vadalog.stratify import Stratum
 from repro.vadalog.terms import SkolemValue, Variable
 
 Substitution = Dict[Variable, Any]
-FactKey = Tuple[str, Fact]
 
 
 # ---------------------------------------------------------------------------
 # Retained state
 # ---------------------------------------------------------------------------
-
-
-class SupportIndex:
-    """Bounded per-fact support sets recorded during the chase.
-
-    A *support* of a derived fact is one instantiation of the positive
-    body that produced it.  The index keeps at most
-    :data:`MAX_SUPPORTS` supports per fact plus an inverted dependents
-    map, so the deletion walk can follow ``removed fact -> facts it
-    supported`` without re-running joins.  Eviction (supports beyond
-    the bound) only ever causes *over*-marking — a fact whose surviving
-    support was evicted gets marked, and the re-derivation pass brings
-    it back — never under-deletion.
-    """
-
-    MAX_SUPPORTS = 4
-
-    __slots__ = ("supports", "dependents")
-
-    def __init__(self) -> None:
-        self.supports: Dict[FactKey, List[Tuple[FactKey, ...]]] = {}
-        self.dependents: Dict[FactKey, Set[FactKey]] = {}
-
-    def record(self, head: FactKey, body: Tuple[FactKey, ...]) -> None:
-        entries = self.supports.setdefault(head, [])
-        if len(entries) >= self.MAX_SUPPORTS or body in entries:
-            return
-        entries.append(body)
-        for member in body:
-            self.dependents.setdefault(member, set()).add(head)
-
-    def discard(self, head: FactKey) -> None:
-        """Drop every recorded support of ``head`` (it has been deleted)."""
-        entries = self.supports.pop(head, None)
-        if not entries:
-            return
-        for body in entries:
-            for member in body:
-                deps = self.dependents.get(member)
-                if deps is not None:
-                    deps.discard(head)
-                    if not deps:
-                        del self.dependents[member]
-
-    def total_supports(self) -> int:
-        return sum(len(entries) for entries in self.supports.values())
 
 
 @dataclass
@@ -162,7 +109,7 @@ class MaterializedState:
 
     __slots__ = (
         "program", "working", "strata", "database", "nulls", "skolems",
-        "edb", "per_stratum", "aggregates", "support", "engine",
+        "edb", "per_stratum", "aggregates", "engine",
         "updates_applied",
     )
 
@@ -184,7 +131,6 @@ class MaterializedState:
         self.edb: Dict[str, Set[Fact]] = {}
         self.per_stratum: List[Dict[str, FrozenSet[Fact]]] = []
         self.aggregates: Dict[Rule, _AggregateState] = {}
-        self.support: Optional[SupportIndex] = None
         self.engine: Any = None
         self.updates_applied = 0
 
@@ -632,7 +578,6 @@ def _insertion_pass(
     added_now: Dict[str, Set[Fact]],
 ) -> None:
     """Semi-naive rounds seeded from ``seeds`` until no new facts appear."""
-    support_sink = state.support
     delta = {
         predicate: set(facts) for predicate, facts in seeds.items() if facts
     }
@@ -661,30 +606,13 @@ def _insertion_pass(
                 matches = _aggregate_delta_matches(engine, state, plans, db, delta)
             else:
                 matches = _delta_matches(plans, db, delta)
-            recorder = (
-                engine._support_template(rule) if support_sink is not None else None
-            )
-            if recorder is None:
-                for substitution in matches:
-                    stats.rule_firings += 1
-                    for predicate, fact in plans.instantiate_head(
-                        substitution, db, stats, state.nulls, state.skolems,
-                        engine.max_nulls,
-                    ):
-                        pending.append((predicate, fact))
-            else:
-                for substitution in matches:
-                    stats.rule_firings += 1
-                    start = len(pending)
-                    for predicate, fact in plans.instantiate_head(
-                        substitution, db, stats, state.nulls, state.skolems,
-                        engine.max_nulls,
-                    ):
-                        pending.append((predicate, fact))
-                    if len(pending) > start:
-                        _record_supports(
-                            support_sink, recorder, substitution, pending, start
-                        )
+            for substitution in matches:
+                stats.rule_firings += 1
+                for predicate, fact in plans.instantiate_head(
+                    substitution, db, stats, state.nulls, state.skolems,
+                    engine.max_nulls,
+                ):
+                    pending.append((predicate, fact))
         new_facts: Dict[str, Set[Fact]] = {}
         for predicate, fact in pending:
             if db.add(predicate, fact):
@@ -692,27 +620,6 @@ def _insertion_pass(
                 new_facts.setdefault(predicate, set()).add(fact)
                 added_now.setdefault(predicate, set()).add(fact)
         delta = new_facts
-
-
-def _record_supports(
-    sink: SupportIndex,
-    recorder: Tuple[Any, ...],
-    substitution: Substitution,
-    pending: List[Tuple[str, Fact]],
-    start: int,
-) -> None:
-    body_key = tuple(
-        (
-            predicate,
-            tuple(
-                substitution[payload] if is_var else payload
-                for is_var, payload in ops
-            ),
-        )
-        for predicate, ops in recorder
-    )
-    for item in pending[start:]:
-        sink.record(item, body_key)
 
 
 # ---------------------------------------------------------------------------
@@ -770,29 +677,17 @@ def _unify_head_fact(
 
 
 def _rederivable(
-    engine: Any,
-    state: MaterializedState,
     db: Database,
-    goal_rules: List[Tuple[Rule, RulePlans, int]],
+    goal_rules: List[Tuple[RulePlans, int]],
     fact: Fact,
-    stats: Any,
 ) -> bool:
     """Does any rule still derive ``fact`` in the current database?"""
-    support_sink = state.support
-    for rule, plans, head_index in goal_rules:
+    for plans, head_index in goal_rules:
         base = _unify_head_fact(plans, head_index, fact)
         if base is None:
             continue
         plan = plans.rederive_plan(head_index)
-        for substitution in execute_plan(plan, db, dict(base)):
-            if support_sink is not None:
-                recorder = engine._support_template(rule)
-                if recorder is not None:
-                    predicate = plans.head_ops[head_index][0]
-                    _record_supports(
-                        support_sink, recorder, substitution,
-                        [(predicate, fact)], 0,
-                    )
+        for _ in execute_plan(plan, db, dict(base)):
             return True
     return False
 
@@ -852,55 +747,6 @@ def _overdelete_joins(
     return marked
 
 
-def _overdelete_supports(
-    state: MaterializedState,
-    stratum: Stratum,
-    db: Database,
-    removed_seeds: Dict[str, Set[Fact]],
-) -> Dict[str, Set[Fact]]:
-    """Support-walk over-deletion: mark the full downward closure.
-
-    Every dependent transitively reachable through recorded supports is
-    over-deleted, exactly like textbook DRed — facts with a surviving
-    alternative derivation come back in the re-derivation pass.  Do NOT
-    skip a dependent because one of its other recorded supports still
-    looks live: under cyclic support (recursive strata) two doomed facts
-    can hold each other's supports live while the walk runs, and neither
-    ever gets marked (zombie cycles).  Over-marking is always corrected
-    by re-derivation; under-marking is not correctable.
-    """
-    support = state.support
-    assert support is not None
-    stratum_heads = _head_predicates(stratum.rules)
-    marked: Dict[str, Set[Fact]] = {}
-    queue = deque(
-        (predicate, fact)
-        for predicate, facts in removed_seeds.items()
-        for fact in facts
-    )
-    seen: Set[FactKey] = set(queue)
-    while queue:
-        key = queue.popleft()
-        dependents = support.dependents.get(key)
-        if not dependents:
-            continue
-        for dependent in list(dependents):
-            predicate, fact = dependent
-            if dependent in seen or predicate not in stratum_heads:
-                continue
-            if not db.has(predicate, fact):
-                continue
-            if fact in state.edb.get(predicate, ()):
-                continue
-            seen.add(dependent)
-            marked.setdefault(predicate, set()).add(fact)
-            db.relation(predicate).remove(fact)
-            queue.append(dependent)
-    # The join variant removes marked facts afterwards; this walk removes
-    # them inline, so there is nothing left to remove here.
-    return marked
-
-
 def _deletion_pass(
     engine: Any,
     state: MaterializedState,
@@ -913,40 +759,24 @@ def _deletion_pass(
     result: DeltaResult,
 ) -> Dict[str, Set[Fact]]:
     """DRed one stratum; returns the re-derived facts (insertion seeds)."""
-    support = state.support
-    use_supports = support is not None and all(
-        engine._support_template(rule) is not None for rule in stratum.rules
-    )
-    if use_supports:
-        marked = _overdelete_supports(state, stratum, db, removed_seeds)
-    else:
-        marked = _overdelete_joins(
-            engine, state, stratum, db, removed_seeds, stats
-        )
-        for predicate, facts in marked.items():
-            relation = db.relation(predicate)
-            for fact in facts:
-                relation.remove(fact)
-    overdeleted = sum(len(facts) for facts in marked.values())
-    result.overdeleted += overdeleted
+    marked = _overdelete_joins(engine, state, stratum, db, removed_seeds, stats)
     for predicate, facts in marked.items():
+        relation = db.relation(predicate)
+        for fact in facts:
+            relation.remove(fact)
         removed_now.setdefault(predicate, set()).update(facts)
-        if support is not None:
-            for fact in facts:
-                support.discard((predicate, fact))
+    result.overdeleted += sum(len(facts) for facts in marked.values())
 
     # Re-derivation candidates: every over-deleted fact, plus incoming
     # removed facts this stratum's rules could still derive (an upstream
     # retraction does not retract an independently derivable fact).
-    goal_rules: Dict[str, List[Tuple[Rule, RulePlans, int]]] = {}
+    goal_rules: Dict[str, List[Tuple[RulePlans, int]]] = {}
     for rule in stratum.rules:
         if rule.has_aggregate() or rule.existential_variables():
             continue  # unreachable in a deletion-safe stratum; defensive
         plans = engine._plans_for(rule, stats)
         for head_index, (predicate, _) in enumerate(plans.head_ops):
-            goal_rules.setdefault(predicate, []).append(
-                (rule, plans, head_index)
-            )
+            goal_rules.setdefault(predicate, []).append((plans, head_index))
     candidates: Dict[str, Set[Fact]] = {}
     for predicate, facts in marked.items():
         candidates.setdefault(predicate, set()).update(facts)
@@ -962,7 +792,7 @@ def _deletion_pass(
         for fact in facts:
             if db.has(predicate, fact):
                 continue
-            if _rederivable(engine, state, db, rules_for, fact, stats):
+            if _rederivable(db, rules_for, fact):
                 db.add(predicate, fact)
                 stats.facts_derived += 1
                 rederived.setdefault(predicate, set()).add(fact)
@@ -990,9 +820,8 @@ def _recompute_stratum(
 
     Every predicate this stratum's rules write resets to the
     post-update extensional baseline, then the engine's own stratum
-    evaluator re-runs against the already-updated upstream state — the
-    same semantics boundary the parallel executor's serial barrier
-    draws.  The before/after diff becomes the downstream delta.
+    evaluator re-runs against the already-updated upstream state.  The
+    before/after diff becomes the downstream delta.
     """
     stratum_heads = _head_predicates(stratum.rules)
     before = {
@@ -1000,18 +829,13 @@ def _recompute_stratum(
     }
     for predicate in stratum_heads:
         db.reset(predicate, state.edb.get(predicate, set()))
-        if state.support is not None:
-            for fact in before[predicate]:
-                state.support.discard((predicate, fact))
     engine._retain_sink = state
-    engine._support_sink = state.support
     try:
         engine._evaluate_stratum(
             stratum, index, db, stats, state.nulls, state.skolems
         )
     finally:
         engine._retain_sink = None
-        engine._support_sink = None
     for predicate in stratum_heads:
         after = set(db.relation(predicate))
         gained = after - before[predicate]
@@ -1142,8 +966,6 @@ def apply_delta(
                 relation.remove(fact)
                 if edb_facts:
                     edb_facts.discard(fact)
-                if state.support is not None:
-                    state.support.discard((predicate, fact))
         applied_add: Dict[str, Set[Fact]] = {}
         for predicate, facts in pending_add.items():
             edb_bucket = state.edb.setdefault(predicate, set())

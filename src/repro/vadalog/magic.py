@@ -658,13 +658,11 @@ class GoalDirectedEvaluator:
         program: Program,
         *,
         columnar: bool = True,
-        use_plans: bool = True,
         max_iterations: int = 10_000,
         max_nulls: int = 1_000_000,
     ):
         self.program = program
         self.columnar = columnar
-        self.use_plans = use_plans
         self.max_iterations = max_iterations
         self.max_nulls = max_nulls
         self._rewrites: Dict[Tuple[str, str], MagicProgram] = {}
@@ -672,15 +670,14 @@ class GoalDirectedEvaluator:
 
     # -- internals ----------------------------------------------------
 
-    def _engine(self, governor=None, tracer=None, columnar=None) -> Engine:
+    def _engine(self, governor=None, tracer=None) -> Engine:
         engine = Engine(
             max_iterations=self.max_iterations,
             max_nulls=self.max_nulls,
             check_wardedness=False,
-            use_plans=self.use_plans,
             governor=governor,
             tracer=tracer,
-            columnar=self.columnar if columnar is None else columnar,
+            columnar=self.columnar,
         )
         # Share compiled plans across requests: dict get/set are atomic
         # under the GIL and plans for structurally-equal rules are

@@ -489,7 +489,6 @@ def execute_plan(
     initial: Optional[Substitution] = None,
     excludes: Optional[Dict[int, Set[Fact]]] = None,
     probe: Optional[ProbeStats] = None,
-    first_candidates: Optional[Iterable[Fact]] = None,
 ) -> Iterator[Substitution]:
     """All substitutions satisfying the compiled body conjunction.
 
@@ -501,13 +500,6 @@ def execute_plan(
     facts scanned / facts that unified) keyed by the step's original
     body position and predicate.  The un-probed loop is kept branch-free
     so tracing disabled costs nothing on the hot path.
-
-    ``first_candidates``, when given, replaces the first step's index
-    probe with the supplied facts: the partition-parallel executor
-    splits step 0's relation into chunks and runs this plan once per
-    chunk, so the union over chunks is exactly the unrestricted result
-    (every candidate still goes through the step's full
-    verify/bind/check/filter pipeline).
     """
     subst: Substitution = dict(initial) if initial else {}
     prefix_bound: List[Variable] = []
@@ -520,9 +512,7 @@ def execute_plan(
         yield dict(subst)
         return
     if probe is not None:
-        yield from _execute_plan_probed(
-            plan, db, subst, excludes, probe, first_candidates
-        )
+        yield from _execute_plan_probed(plan, db, subst, excludes, probe)
         return
     iterators: List[Optional[Iterator[Fact]]] = [None] * n
     undos: List[Optional[List[Variable]]] = [None] * n
@@ -531,10 +521,7 @@ def execute_plan(
         step = steps[depth]
         iterator = iterators[depth]
         if iterator is None:
-            if depth == 0 and first_candidates is not None:
-                iterator = iter(first_candidates)
-            else:
-                iterator = step.candidates(db, subst, excludes)
+            iterator = step.candidates(db, subst, excludes)
             iterators[depth] = iterator
         undo: Optional[List[Variable]] = None
         for fact in iterator:
@@ -564,7 +551,6 @@ def _execute_plan_probed(
     subst: Substitution,
     excludes: Optional[Dict[int, Set[Fact]]],
     probe: ProbeStats,
-    first_candidates: Optional[Iterable[Fact]] = None,
 ) -> Iterator[Substitution]:
     """The instrumented twin of the main execution loop.
 
@@ -590,10 +576,7 @@ def _execute_plan_probed(
         counter = counters[depth]
         iterator = iterators[depth]
         if iterator is None:
-            if depth == 0 and first_candidates is not None:
-                iterator = iter(first_candidates)
-            else:
-                iterator = step.candidates(db, subst, excludes)
+            iterator = step.candidates(db, subst, excludes)
             iterators[depth] = iterator
         undo: Optional[List[Variable]] = None
         for fact in iterator:
@@ -1411,31 +1394,6 @@ def vectorized_rule_matches(
 # ---------------------------------------------------------------------------
 # Delta binding (semi-naive evaluation)
 # ---------------------------------------------------------------------------
-
-
-def delta_partition_positions(plans: "RulePlans", index: int) -> Tuple[int, ...]:
-    """Delta-atom positions forming the join key of the compiled plan.
-
-    For semi-naive evaluation of body occurrence ``index``, the rest
-    plan's first step probes its relation on the variables the delta
-    atom bound — the plan's chosen join key.  Partitioning the delta
-    facts on exactly those positions sends every fact to the partition
-    that owns its join-key value, which is what makes hash-partitioned
-    fan-out balanced for key-skew-free data.  Falls back to all binding
-    positions when the rest plan starts with an unconstrained scan (a
-    cross product), and to position 0 for an all-constant delta atom.
-    """
-    binder = plans.delta_binder(index)
-    rest = plans.delta_plan(index)
-    join_vars: Set[Variable] = set()
-    if rest.steps:
-        join_vars = {
-            payload for is_var, payload in rest.steps[0].key_parts if is_var
-        }
-    positions = tuple(pos for pos, var in binder.bind if var in join_vars)
-    if not positions:
-        positions = tuple(pos for pos, _ in binder.bind)
-    return positions or (0,)
 
 
 class DeltaBinder:

@@ -100,24 +100,6 @@ class TestMixedTypeContributions:
         )
         assert len(result.facts("out")) == 1
 
-    def test_merge_is_partition_order_independent(self):
-        # The parallel executor merges partial accumulators; associativity
-        # plus commutativity of the resolution makes the partitioning
-        # invisible.
-        contributions = [(("a",), 5), (("b",), 2), (("a",), 3), (("c",), 9)]
-        whole = GroupAccumulator("min")
-        for contributor, value in contributions:
-            whole.contribute(("g",), contributor, value)
-        left, right = GroupAccumulator("min"), GroupAccumulator("min")
-        for i, (contributor, value) in enumerate(contributions):
-            (left if i % 2 else right).contribute(("g",), contributor, value)
-        left.merge(right)
-        assert dict(whole.results()) == dict(left.results())
-
-        restored = GroupAccumulator("min")
-        restored.load_state(whole.state())
-        assert dict(restored.results()) == dict(whole.results())
-
 
 class TestProductMonotonicity:
     def test_prod_is_not_monotonic(self):

@@ -127,6 +127,23 @@ class TestCLI:
         payload = json.loads(capsys.readouterr().out)
         assert any(e["label"] == "CONTROLS" for e in payload["edges"])
 
+    @pytest.mark.parametrize("command, flag", [
+        ("reason", ["--workers", "2"]),
+        ("reason", ["--no-columnar"]),
+        ("serve", ["--no-columnar"]),
+        ("update", ["--track-support"]),
+    ])
+    def test_no_flag_selects_an_execution_path(self, workspace, capsys,
+                                               command, flag):
+        positionals = [] if command == "serve" else [
+            str(workspace / "mini.gsl"), str(workspace / "data.json"),
+            str(workspace / "rules.metalog"),
+        ]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *positionals, *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_stats(self, capsys):
         assert main(["stats", "--companies", "120", "--seed", "1"]) == 0
         out = capsys.readouterr().out

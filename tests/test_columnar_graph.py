@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.core.dictionary import GraphDictionary
 from repro.deploy import (
     GraphStore,
     RelationalEngine,
@@ -24,13 +25,7 @@ from repro.deploy import (
 from repro.errors import DeploymentError, GraphError
 from repro.finkg import ShareholdingConfig, generate_company_kg, programs
 from repro.finkg.company_schema import company_super_schema
-from repro.graph import (
-    GRAPH_BACKEND_ENV,
-    ColumnarPropertyGraph,
-    PropertyGraph,
-    default_graph_backend,
-    make_graph,
-)
+from repro.graph import ColumnarPropertyGraph, PropertyGraph, make_graph
 from repro.metalog import (
     GraphCatalog,
     compile_metalog,
@@ -426,10 +421,25 @@ class TestServeColumnEpochs:
     INPUTS = {"e": [("a", "b"), ("b", "c"), ("x", "y")]}
 
     def test_blocks_equal_frozenset_oracle(self):
-        col = ServeState(TC, inputs=self.INPUTS, check_wardedness=False,
-                         columnar=True)
-        obj = ServeState(TC, inputs=self.INPUTS, check_wardedness=False,
-                         columnar=False)
+        col = ServeState(TC, inputs=self.INPUTS, check_wardedness=False)
+        obj = ServeState(
+            TC, inputs=self.INPUTS,
+            engine=Engine(columnar=False, check_wardedness=False),
+        )
+        for state in (col, obj):
+            # Magic queries run on the backend of the retained state.
+            assert state.evaluator.columnar == state.engine.columnar
+            handlers = ServiceHandlers(state)
+            answers = [
+                handlers.handle(
+                    "GET", "/query", {"q": 'tc("a", Y)?', "engine": mode}
+                )
+                for mode in ("snapshot", "magic")
+            ]
+            assert [status for status, _ in answers] == [200, 200]
+            assert sorted(answers[0][1]["answers"]) == sorted(
+                answers[1][1]["answers"]
+            ) == [["a", "b"], ["a", "c"]]
         snap_col, snap_obj = col.snapshot, obj.snapshot
         assert set(snap_col.facts) == set(snap_obj.facts)
         for predicate, expected in snap_obj.facts.items():
@@ -477,13 +487,11 @@ class TestServeColumnEpochs:
         assert ("x", "y") not in state.snapshot.facts["tc"]
 
     def test_torn_epoch_battery_on_column_blocks(self):
-        """The test_serve concurrency battery, pinned to columnar=True
-        with a block-type assertion: 10 readers, 24 deltas, exact
-        per-epoch answers."""
+        """The test_serve concurrency battery with a block-type
+        assertion: 10 readers, 24 deltas, exact per-epoch answers."""
         readers_n, deltas_n, base = 10, 24, 4
         edges = [(f"a{i}", f"a{i+1}") for i in range(base)]
-        state = ServeState(TC, inputs={"e": edges}, check_wardedness=False,
-                           columnar=True)
+        state = ServeState(TC, inputs={"e": edges}, check_wardedness=False)
         assert isinstance(state.snapshot.facts["tc"], FrozenColumnBlock)
         handlers = ServiceHandlers(state)
         expected = {
@@ -537,19 +545,16 @@ class TestServeColumnEpochs:
 
 
 class TestBackendFactory:
-    def test_default_is_columnar(self, monkeypatch):
-        monkeypatch.delenv(GRAPH_BACKEND_ENV, raising=False)
-        assert default_graph_backend() is True
-        assert isinstance(make_graph("g"), ColumnarPropertyGraph)
-
-    def test_env_selects_object_backend(self, monkeypatch):
-        monkeypatch.setenv(GRAPH_BACKEND_ENV, "object")
-        assert default_graph_backend() is False
-        assert isinstance(make_graph("g"), PropertyGraph)
-        # An explicit argument still wins over the environment.
-        assert isinstance(
-            make_graph("g", columnar=True), ColumnarPropertyGraph
-        )
+    def test_environment_cannot_change_the_execution_path(self, monkeypatch):
+        monkeypatch.setenv("REPRO_GRAPH_BACKEND", "object")
+        config = ShareholdingConfig(companies=20, seed=3)
+        for graph in (
+            make_graph(),
+            GraphDictionary().graph,
+            GraphStore().graph,
+            generate_company_kg(config),
+        ):
+            assert isinstance(graph, ColumnarPropertyGraph)
 
     def test_generator_respects_flag(self):
         config = ShareholdingConfig(companies=20, seed=3)

@@ -68,15 +68,12 @@ def _mutated_inputs(inputs, added, removed):
     return {p: sorted(facts, key=repr) for p, facts in mutated.items()}
 
 
-def delta_differential(text, predicates, inputs, rng, kind, use_plans=True,
-                       track_support=False):
+def delta_differential(text, predicates, inputs, rng, kind, use_plans=True):
     """Retained run + apply_delta must equal a from-scratch oracle, up to
     labeled-null renaming, after each of two chained updates."""
     program = parse_program(text)
     engine = Engine(use_plans=use_plans)
-    result = engine.run(
-        program, inputs=inputs, retain_state=True, track_support=track_support
-    )
+    result = engine.run(program, inputs=inputs, retain_state=True)
     templates = {
         p: sorted(facts, key=repr)[0] for p, facts in inputs.items() if facts
     }
@@ -94,9 +91,12 @@ def delta_differential(text, predicates, inputs, rng, kind, use_plans=True,
 
 class TestEngineDeltaDifferential:
     @pytest.mark.parametrize("use_plans", [True, False])
-    @pytest.mark.parametrize("seed", range(14))
-    def test_recursion(self, seed, use_plans):
-        rng = random.Random(5000 + seed)
+    @pytest.mark.parametrize(
+        "base,seed",
+        [(5000, s) for s in range(14)] + [(8000, s) for s in range(6)],
+    )
+    def test_recursion(self, base, seed, use_plans):
+        rng = random.Random(base + seed)
         text, predicates, inputs = _recursion_case(rng)
         delta_differential(
             text, predicates, inputs, rng, KINDS[seed % 3], use_plans=use_plans
@@ -118,14 +118,6 @@ class TestEngineDeltaDifferential:
         text, predicates, inputs = _existential_case(rng)
         delta_differential(
             text, predicates, inputs, rng, KINDS[seed % 3], use_plans=use_plans
-        )
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_track_support_variant(self, seed):
-        rng = random.Random(8000 + seed)
-        text, predicates, inputs = _recursion_case(rng)
-        delta_differential(
-            text, predicates, inputs, rng, KINDS[seed % 3], track_support=True
         )
 
 
