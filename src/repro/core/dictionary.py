@@ -96,14 +96,14 @@ class GraphDictionary:
         self.graph = make_graph(name, columnar=columnar)
         self._schema_names: Dict[Any, str] = {}
 
-    def store(self, schema: SuperSchema, bulk: bool = True) -> Any:
+    def store(self, schema: SuperSchema) -> Any:
         """Serialize a super-schema into the dictionary; returns its OID."""
         if schema.schema_oid in self._schema_names:
             raise SchemaError(
                 f"schema OID {schema.schema_oid!r} already stored in "
                 f"{self.graph.name!r}"
             )
-        schema.to_dictionary(self.graph, bulk=bulk)
+        schema.to_dictionary(self.graph)
         self._schema_names[schema.schema_oid] = schema.name
         return schema.schema_oid
 

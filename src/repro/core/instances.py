@@ -16,12 +16,164 @@ Algorithm 2.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Set, Tuple
 
+from repro.core.oid import construct_oid
 from repro.core.schema import SuperSchema
 from repro.errors import SchemaError
 from repro.graph import make_graph
 from repro.graph.property_graph import ABSENT, PropertyGraph
+
+Fact = Tuple[Any, ...]
+
+
+# ---------------------------------------------------------------------------
+# The Figure 9 encoding of one plain element
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class EncodedConstructs:
+    """The ``I_SM_*`` constructs of some plain elements, both as
+    dictionary-graph elements and as the staging facts
+    ``graph_to_database`` extracts from them."""
+
+    facts: Dict[str, Set[Fact]] = field(default_factory=dict)
+    #: ``(oid, label, properties)`` dictionary-graph nodes.
+    graph_nodes: List[Tuple[str, str, Dict[str, Any]]] = field(default_factory=list)
+    #: ``(edge_id, source, target, label, properties)`` graph edges.
+    graph_edges: List[Tuple[str, str, str, str, Dict[str, Any]]] = field(
+        default_factory=list
+    )
+
+    def _fact(self, label: str, fact: Fact) -> None:
+        self.facts.setdefault(label, set()).add(fact)
+
+    def node(self, oid: str, label: str, **properties: Any) -> None:
+        self.graph_nodes.append((oid, label, properties))
+        if label == "I_SM_Attribute":
+            third = properties.get("value")
+        else:
+            third = properties.get("sourceOID")
+        self._fact(label, (oid, properties.get("instanceOID"), third))
+
+    def edge(
+        self, edge_id: str, source: str, target: str, label: str, ioid: Any
+    ) -> None:
+        self.graph_edges.append(
+            (edge_id, source, target, label, {"instanceOID": ioid})
+        )
+        self._fact(label, (edge_id, source, target, ioid))
+
+    def merge(self, other: "EncodedConstructs") -> None:
+        for label, facts in other.facts.items():
+            self.facts.setdefault(label, set()).update(facts)
+        self.graph_nodes.extend(other.graph_nodes)
+        self.graph_edges.extend(other.graph_edges)
+
+
+def instance_iid(instance_oid: Any, kind: str, *parts: Any) -> str:
+    """The deterministic OID of an instance construct — recomputable
+    from the element id alone."""
+    return construct_oid(instance_oid, f"i-{kind}", *parts)
+
+
+def encode_node(
+    schema: SuperSchema,
+    instance_oid: Any,
+    node_id: Any,
+    type_name: str,
+    properties: Dict[str, Any],
+) -> EncodedConstructs:
+    """Encode one plain node as its ``I_SM_*`` constructs.
+
+    Raises :class:`~repro.errors.SchemaError` for an unknown type.
+    Properties the schema does not model are skipped.
+    """
+    sm_node = schema.get_node(type_name)
+    out = EncodedConstructs()
+    node_iid = instance_iid(instance_oid, "node", node_id)
+    out.node(
+        node_iid, "I_SM_Node", instanceOID=instance_oid, sourceOID=node_id
+    )
+    out.edge(
+        f"{node_iid}-[SM_REFERENCES]->{sm_node.oid}",
+        node_iid, sm_node.oid, "SM_REFERENCES", instance_oid,
+    )
+    attributes = {a.name: a for a in schema.inherited_attributes(sm_node)}
+    for name, value in properties.items():
+        attribute = attributes.get(name)
+        if attribute is None:
+            continue
+        attr_iid = instance_iid(instance_oid, "nattr", node_id, name)
+        out.node(
+            attr_iid, "I_SM_Attribute", instanceOID=instance_oid, value=value
+        )
+        out.edge(
+            f"{attr_iid}-[SM_REFERENCES]->{attribute.oid}",
+            attr_iid, attribute.oid, "SM_REFERENCES", instance_oid,
+        )
+        out.edge(
+            f"{node_iid}-[I_SM_HAS_NODE_PROPERTY]->{attr_iid}",
+            node_iid, attr_iid, "I_SM_HAS_NODE_PROPERTY", instance_oid,
+        )
+    return out
+
+
+def encode_edge(
+    schema: SuperSchema,
+    instance_oid: Any,
+    edge_id: Any,
+    source: Any,
+    target: Any,
+    type_name: str,
+    properties: Dict[str, Any],
+) -> EncodedConstructs:
+    """Encode one plain edge as its ``I_SM_*`` constructs.
+
+    The endpoint ``I_SM_Node`` OIDs are recomputed from the endpoint
+    ids (they are deterministic), so the endpoints need not be encoded
+    by the same call.
+    """
+    sm_edge = schema.get_edge(type_name)
+    out = EncodedConstructs()
+    edge_iid = instance_iid(instance_oid, "edge", edge_id)
+    source_iid = instance_iid(instance_oid, "node", source)
+    target_iid = instance_iid(instance_oid, "node", target)
+    out.node(
+        edge_iid, "I_SM_Edge", instanceOID=instance_oid, sourceOID=edge_id
+    )
+    out.edge(
+        f"{edge_iid}-[SM_REFERENCES]->{sm_edge.oid}",
+        edge_iid, sm_edge.oid, "SM_REFERENCES", instance_oid,
+    )
+    out.edge(
+        f"{edge_iid}-[I_SM_FROM]", edge_iid, source_iid, "I_SM_FROM",
+        instance_oid,
+    )
+    out.edge(
+        f"{edge_iid}-[I_SM_TO]", edge_iid, target_iid, "I_SM_TO",
+        instance_oid,
+    )
+    attributes = {a.name: a for a in sm_edge.attributes}
+    for name, value in properties.items():
+        attribute = attributes.get(name)
+        if attribute is None:
+            continue
+        attr_iid = instance_iid(instance_oid, "eattr", edge_id, name)
+        out.node(
+            attr_iid, "I_SM_Attribute", instanceOID=instance_oid, value=value
+        )
+        out.edge(
+            f"{attr_iid}-[SM_REFERENCES]->{attribute.oid}",
+            attr_iid, attribute.oid, "SM_REFERENCES", instance_oid,
+        )
+        out.edge(
+            f"{edge_iid}-[I_SM_HAS_EDGE_PROPERTY]->{attr_iid}",
+            edge_iid, attr_iid, "I_SM_HAS_EDGE_PROPERTY", instance_oid,
+        )
+    return out
 
 
 class SuperInstance:
@@ -77,107 +229,36 @@ class SuperInstance:
 
         ``bulk=True`` (the default) encodes label-at-a-time through the
         graph's column accessors — the registry-scale load path of
-        Algorithm 2 — while ``bulk=False`` keeps the per-object loop as
-        a differential oracle.  Both produce the same dictionary
-        content; only graph insertion order differs (per-label vs
-        interleaved).
+        Algorithm 2 — while ``bulk=False`` writes each element's
+        :func:`encode_node` / :func:`encode_edge` result, the encoder
+        single-element updates use, as a differential oracle.  Both
+        produce the same dictionary content; only graph insertion order
+        differs.
         """
         if bulk:
             return self._to_dictionary_bulk(graph)
         ioid = self.instance_oid
         schema = self.schema
 
-        # OIDs are inlined f-strings below — same shape construct_oid
-        # would produce (``{ioid}:i-node:{id}``), minus a call per fact.
-        def reference(source: str, target: str) -> None:
-            # Edge ids embed the (fresh) source node id, so no duplicate
-            # probe is needed: re-encoding an instance raises in add_node
-            # before any edge could repeat.
-            graph.add_edge(
-                source, target, "SM_REFERENCES",
-                edge_id=f"{source}-[SM_REFERENCES]->{target}",
-                instanceOID=ioid,
-            )
+        def write(encoded: EncodedConstructs) -> None:
+            for oid, label, properties in encoded.graph_nodes:
+                graph.add_node(oid, label, **properties)
+            for edge_id, source, target, label, properties in encoded.graph_edges:
+                graph.add_edge(source, target, label, edge_id=edge_id, **properties)
 
-        def attach(owner_iid: str, label: str, attr_iid: str) -> None:
-            graph.add_edge(
-                owner_iid, attr_iid, label,
-                edge_id=f"{owner_iid}-[{label}]->{attr_iid}",
-                instanceOID=ioid,
-            )
-
-        # Per-label caches: schema lookups and inherited-attribute maps
-        # are identical for every node/edge of the same label, and the
-        # registry has millions of instances over a handful of labels.
-        node_attr_cache: Dict[str, Any] = {}
-        edge_attr_cache: Dict[str, Any] = {}
-        node_iids: Dict[Any, str] = {}
-        add_node = graph.add_node
-        add_edge = graph.add_edge
+        # Nodes first: an I_SM_FROM / I_SM_TO edge needs both endpoints'
+        # I_SM_Node constructs in the graph.
         for node in self.data.nodes():
-            label = node.label
-            if label is None:
-                continue
-            cached = node_attr_cache.get(label)
-            if cached is None:
-                sm_node = schema.get_node(label)
-                cached = node_attr_cache[label] = (
-                    sm_node.oid,
-                    {a.name: a for a in schema.inherited_attributes(sm_node)},
-                )
-            label_oid, attributes = cached
-            node_iid = f"{ioid}:i-node:{node.id}"
-            node_iids[node.id] = node_iid
-            add_node(
-                node_iid, "I_SM_Node", instanceOID=ioid, sourceOID=node.id
-            )
-            reference(node_iid, label_oid)
-            for name, value in node.properties.items():
-                attribute = attributes.get(name)
-                if attribute is None:
-                    continue  # property not modeled by the schema
-                attr_iid = f"{ioid}:i-nattr:{node.id}:{name}"
-                add_node(
-                    attr_iid, "I_SM_Attribute", instanceOID=ioid, value=value
-                )
-                reference(attr_iid, attribute.oid)
-                attach(node_iid, "I_SM_HAS_NODE_PROPERTY", attr_iid)
-
+            if node.label is not None:
+                write(encode_node(
+                    schema, ioid, node.id, node.label, node.properties
+                ))
         for edge in self.data.edges():
-            label = edge.label
-            if label is None:
-                continue
-            cached = edge_attr_cache.get(label)
-            if cached is None:
-                sm_edge = schema.get_edge(label)
-                cached = edge_attr_cache[label] = (
-                    sm_edge.oid,
-                    {a.name: a for a in sm_edge.attributes},
-                )
-            label_oid, attributes = cached
-            edge_iid = f"{ioid}:i-edge:{edge.id}"
-            add_node(
-                edge_iid, "I_SM_Edge", instanceOID=ioid, sourceOID=edge.id
-            )
-            reference(edge_iid, label_oid)
-            add_edge(
-                edge_iid, node_iids[edge.source], "I_SM_FROM",
-                edge_id=f"{edge_iid}-[I_SM_FROM]", instanceOID=ioid,
-            )
-            add_edge(
-                edge_iid, node_iids[edge.target], "I_SM_TO",
-                edge_id=f"{edge_iid}-[I_SM_TO]", instanceOID=ioid,
-            )
-            for name, value in edge.properties.items():
-                attribute = attributes.get(name)
-                if attribute is None:
-                    continue
-                attr_iid = f"{ioid}:i-eattr:{edge.id}:{name}"
-                add_node(
-                    attr_iid, "I_SM_Attribute", instanceOID=ioid, value=value
-                )
-                reference(attr_iid, attribute.oid)
-                attach(edge_iid, "I_SM_HAS_EDGE_PROPERTY", attr_iid)
+            if edge.label is not None:
+                write(encode_edge(
+                    schema, ioid, edge.id, edge.source, edge.target,
+                    edge.label, edge.properties,
+                ))
         return graph
 
     def _to_dictionary_bulk(self, graph: PropertyGraph) -> PropertyGraph:

@@ -293,20 +293,14 @@ class SuperSchema:
     # ------------------------------------------------------------------
     # Graph-dictionary serialization
     # ------------------------------------------------------------------
-    def to_dictionary(
-        self, graph: Optional[PropertyGraph] = None, bulk: bool = True
-    ) -> PropertyGraph:
+    def to_dictionary(self, graph: Optional[PropertyGraph] = None) -> PropertyGraph:
         """Serialize this super-schema into a graph dictionary.
 
-        ``bulk=True`` (the default) collects every construct family into
-        column lists and writes them with one ``add_nodes_bulk`` /
-        ``add_edges_bulk`` call per label; ``bulk=False`` keeps the
-        per-object loop as a differential oracle.  Both produce the same
-        dictionary content (node/edge sets, labels, properties).
+        One element at a time: a schema is design-sized (tens of
+        constructs, PAPER.md Fig. 4), so there is nothing for a
+        column-wise writer to amortize.
         """
         graph = graph if graph is not None else PropertyGraph("super-model-dictionary")
-        if bulk:
-            return self._to_dictionary_bulk(graph)
         soid = self.schema_oid
 
         def link(source: str, target: str, label: str) -> None:
@@ -381,130 +375,6 @@ class SuperSchema:
             for child in generalization.children:
                 link(generalization.oid, child.oid, "SM_CHILD")
 
-        return graph
-
-    def _to_dictionary_bulk(self, graph: PropertyGraph) -> PropertyGraph:
-        """Column-wise serialization core of :meth:`to_dictionary`.
-
-        Rows are collected per construct family and written label-at-a-
-        time; links dedup on their deterministic edge id (first mention
-        wins, matching the per-object ``has_edge`` guard).
-        """
-        soid = self.schema_oid
-        self.ensure_attribute_oids()
-
-        # label -> edge_id -> (source, target); insertion-ordered dedup.
-        links: Dict[str, Dict[str, Tuple[str, str]]] = {}
-
-        def link(source: str, target: str, label: str) -> None:
-            links.setdefault(label, {}).setdefault(
-                f"{source}-[{label}]->{target}", (source, target)
-            )
-
-        attr_rows: List[Tuple[str, str, str, bool, bool, bool]] = []
-        modifier_rows: Dict[str, List[Tuple[str, str]]] = {}
-
-        def collect_attribute(owner_oid: str, attribute: SMAttribute,
-                              link_label: str, owner_name: str) -> None:
-            attr_rows.append((
-                attribute.oid, attribute.name, attribute.data_type,
-                attribute.is_optional, attribute.is_id,
-                attribute.is_intensional,
-            ))
-            link(owner_oid, attribute.oid, link_label)
-            for i, modifier in enumerate(attribute.modifiers):
-                modifier_oid = construct_oid(
-                    soid, "mod", owner_name, attribute.name, i
-                )
-                modifier_rows.setdefault(modifier.kind, []).append(
-                    (modifier_oid, json.dumps(modifier.payload(), default=str))
-                )
-                link(attribute.oid, modifier_oid, "SM_HAS_MODIFIER")
-
-        node_rows: List[Tuple[str, bool]] = []
-        # type_oid -> name; a dict because an edge type sharing a node
-        # type's name maps to the same SM_Type node (the per-object path
-        # guards this with has_node).
-        type_rows: Dict[str, str] = {}
-        for node in self.nodes:
-            node_rows.append((node.oid, node.is_intensional))
-            type_oid = construct_oid(soid, "type", node.type_name)
-            type_rows.setdefault(type_oid, node.type_name)
-            link(node.oid, type_oid, "SM_HAS_NODE_TYPE")
-            for attribute in node.attributes:
-                collect_attribute(node.oid, attribute, "SM_HAS_NODE_PROPERTY",
-                                  node.type_name)
-
-        edge_rows: List[Tuple[str, bool, bool, bool, bool, bool]] = []
-        for edge in self.edges:
-            edge_rows.append((
-                edge.oid, edge.is_intensional,
-                edge.is_opt1, edge.is_fun1, edge.is_opt2, edge.is_fun2,
-            ))
-            type_oid = construct_oid(soid, "type", edge.type_name)
-            type_rows.setdefault(type_oid, edge.type_name)
-            link(edge.oid, type_oid, "SM_HAS_EDGE_TYPE")
-            link(edge.oid, edge.source.oid, "SM_FROM")
-            link(edge.oid, edge.target.oid, "SM_TO")
-            for attribute in edge.attributes:
-                collect_attribute(edge.oid, attribute, "SM_HAS_EDGE_PROPERTY",
-                                  edge.type_name)
-
-        gen_rows: List[Tuple[str, bool, bool]] = []
-        for generalization in self.generalizations:
-            gen_rows.append((
-                generalization.oid,
-                generalization.is_total, generalization.is_disjoint,
-            ))
-            link(generalization.oid, generalization.parent.oid, "SM_PARENT")
-            for child in generalization.children:
-                link(generalization.oid, child.oid, "SM_CHILD")
-
-        constants = {"schemaOID": soid}
-        if node_rows:
-            cols = list(zip(*node_rows))
-            graph.add_nodes_bulk(
-                "SM_Node", list(cols[0]), ("isIntensional",),
-                [list(cols[1])], constants=constants,
-            )
-        if type_rows:
-            graph.add_nodes_bulk(
-                "SM_Type", list(type_rows), ("name",),
-                [list(type_rows.values())], constants=constants,
-            )
-        if attr_rows:
-            cols = list(zip(*attr_rows))
-            graph.add_nodes_bulk(
-                "SM_Attribute", list(cols[0]),
-                ("name", "type", "isOpt", "isId", "isIntensional"),
-                [list(c) for c in cols[1:]], constants=constants,
-            )
-        for kind, rows in modifier_rows.items():
-            cols = list(zip(*rows))
-            graph.add_nodes_bulk(
-                kind, list(cols[0]), ("payload",), [list(cols[1])],
-                constants=constants,
-            )
-        if edge_rows:
-            cols = list(zip(*edge_rows))
-            graph.add_nodes_bulk(
-                "SM_Edge", list(cols[0]),
-                ("isIntensional", "isOpt1", "isFun1", "isOpt2", "isFun2"),
-                [list(c) for c in cols[1:]], constants=constants,
-            )
-        if gen_rows:
-            cols = list(zip(*gen_rows))
-            graph.add_nodes_bulk(
-                "SM_Generalization", list(cols[0]),
-                ("isTotal", "isDisjoint"),
-                [list(c) for c in cols[1:]], constants=constants,
-            )
-        for label, rows in links.items():
-            sources = [pair[0] for pair in rows.values()]
-            targets = [pair[1] for pair in rows.values()]
-            graph.add_edges_bulk(
-                label, list(rows), sources, targets, constants=constants,
-            )
         return graph
 
     @classmethod

@@ -70,14 +70,6 @@ class CSVDataset:
             writer.writerow(["" if v is None else v for v in row])
         return buffer.getvalue()
 
-    def render_all(self) -> Dict[str, str]:
-        """Every file rendered, keyed by ``<name>.csv``."""
-        if self._schema is None:
-            raise DeploymentError("no schema deployed")
-        return {
-            f"{name}.csv": self.render(name) for name in sorted(self._schema.files)
-        }
-
     def load_text(self, file_name: str, text: str) -> int:
         """Parse CSV text into a file; the header must match the schema."""
         header = self._header(file_name)

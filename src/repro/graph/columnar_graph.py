@@ -46,7 +46,7 @@ from bisect import bisect_left
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import DeploymentError, GraphError
-from repro.graph.property_graph import ABSENT, PropertyGraph
+from repro.graph.property_graph import ABSENT
 from repro.vadalog.columnar import ValueInterner
 
 __all__ = ["ColumnarPropertyGraph", "NodeView", "EdgeView"]
@@ -1390,16 +1390,6 @@ class ColumnarPropertyGraph:
         clone._auto_id = self._auto_id
         clone._mutation_epoch = self._mutation_epoch
         return clone
-
-    def to_object_graph(self, name: Optional[str] = None) -> PropertyGraph:
-        """Materialize an object-backed twin (differential harnesses)."""
-        graph = PropertyGraph(name or self.name)
-        for node in self.nodes():
-            graph.add_node(node.id, node.label, **node.properties)
-        for edge in self.edges():
-            graph.add_edge(edge.source, edge.target, edge.label,
-                           edge_id=edge.id, **edge.properties)
-        return graph
 
     def to_networkx(self):
         """Export to a :class:`networkx.MultiDiGraph` for analysis interop."""

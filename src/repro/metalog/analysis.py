@@ -102,14 +102,6 @@ class GraphCatalog:
                                 )
 
     # ------------------------------------------------------------------
-    def node_arity(self, label: str) -> int:
-        """Relational arity of a node label: oid + properties."""
-        return 1 + len(self.node_properties.get(label, []))
-
-    def edge_arity(self, label: str) -> int:
-        """Relational arity of an edge label: oid + src + tgt + properties."""
-        return 3 + len(self.edge_properties.get(label, []))
-
     def node_position(self, label: str, attribute: str) -> int:
         """Position of ``attribute`` in the node facts of ``label``."""
         try:
@@ -192,19 +184,6 @@ def _rule_keys(rule: MetaRule) -> Tuple[Set[LabelKey], Set[LabelKey]]:
                         if edge.label:
                             target.add((edge.label, _selector_of(edge.attributes)))
     return body, head
-
-
-def label_dependency_edges(program: MetaProgram) -> Set[Tuple[str, str]]:
-    """Edges body-label -> head-label of the rule dependency graph
-    (selector-blind; kept for coarse summaries)."""
-    edges: Set[Tuple[str, str]] = set()
-    for rule in program.rules:
-        sources = rule.body_node_labels() | rule.body_edge_labels()
-        targets = rule.head_node_labels() | rule.head_edge_labels()
-        for source in sources:
-            for target in targets:
-                edges.add((source, target))
-    return edges
 
 
 def is_recursive(program: MetaProgram) -> bool:

@@ -746,17 +746,20 @@ def run_on_graph(
     if tracer is None and engine is not None:
         tracer = engine.tracer
     obs = tracer or NullTracer()
+    if engine is None:
+        engine = Engine(tracer=tracer)
     compiled = compile_metalog(program, catalog, tracer=tracer)
     with obs.span("mtv.extract") as extract_span:
+        # Extract straight into the engine's backend; a mismatch would
+        # be converted wholesale by ``Engine.run``.
         database = graph_to_database(
             graph,
             compiled.catalog,
             node_labels=compiled.input_node_labels,
             edge_labels=compiled.input_edge_labels,
+            columnar=engine.columnar,
         )
         extract_span.set(relations=len(database.predicates()))
-    if engine is None:
-        engine = Engine(tracer=tracer)
     result = engine.run(compiled.program, database=database)
     with obs.span("mtv.materialize") as mat_span:
         target = graph if inplace else graph.copy()

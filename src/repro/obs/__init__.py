@@ -3,9 +3,9 @@
 The paper's industrial setting (Section 6) runs MetaLog programs through
 the chase over central-bank-scale financial graphs.  Wardedness bounds
 the asymptotic cost, but a production deployment still needs to *see*
-what the engine does (which stratum, which rule, how many derivations,
-how selective each join probe is) and to *bound* what a single run may
-consume.  This package provides both, with no third-party dependencies:
+what the engine does (which stratum, which rule, how many derivations)
+and to *bound* what a single run may consume.  This package provides
+both, with no third-party dependencies:
 
 - :mod:`repro.obs.tracer` — a :class:`Tracer` protocol with span /
   counter / event APIs, a zero-cost :class:`NullTracer`, and an
@@ -13,7 +13,7 @@ consume.  This package provides both, with no third-party dependencies:
 - :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of monotonic
   counters and fixed-bucket histograms;
 - :mod:`repro.obs.export` — a JSON/JSONL exporter for traces plus a
-  schema validator (used by the CI bench smoke job);
+  schema validator;
 - :mod:`repro.obs.governor` — a :class:`ResourceGovernor` enforcing
   wall-clock, fact-count, null, and per-stratum iteration budgets, with
   a graceful-degradation mode that lets the engine return partial

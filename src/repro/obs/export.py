@@ -16,8 +16,7 @@ line is one record of type ``span``, ``event``, ``counter``, or
 monotonic origin, not wall-clock epoch); durations are end - start.
 Spans are exported in start order so a consumer can rebuild the tree by
 ``parent`` without sorting.  :func:`validate_trace_record` and
-:func:`validate_trace_file` enforce exactly this schema — the CI bench
-smoke job runs the latter over a freshly produced profile.
+:func:`validate_trace_file` enforce exactly this schema.
 """
 
 from __future__ import annotations

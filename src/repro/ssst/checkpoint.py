@@ -28,6 +28,7 @@ import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import CheckpointError
+from repro.graph import make_graph
 from repro.graph.property_graph import PropertyGraph
 from repro.obs.tracer import NullTracer, Tracer
 from repro.vadalog.database import Database
@@ -151,7 +152,9 @@ def graph_payload(graph: PropertyGraph) -> Dict[str, Any]:
 
 
 def restore_graph(payload: Dict[str, Any]) -> PropertyGraph:
-    graph = PropertyGraph(payload.get("name", "graph"))
+    # The production store, so a resumed run continues on the same
+    # graph backend a fresh run builds.
+    graph = make_graph(payload.get("name", "graph"))
     for node in payload["nodes"]:
         graph.add_node(
             decode_value(node["id"]),

@@ -5,30 +5,26 @@ scratch whenever the source registry changes.  This module provides the
 model-level half of the alternative: a registry delta (companies,
 persons, stakes added or removed from the plain data graph) is encoded
 into the exact ``I_SM_*`` instance-construct facts the load phase would
-have produced for those elements — mirroring
-:meth:`repro.core.instances.SuperInstance.to_dictionary`, whose OIDs are
-deterministic functions of the element ids — and then pushed through the
-three retained chase states (load, reason, flush views) with
+have produced for those elements — by the per-element encoder of
+:mod:`repro.core.instances`, whose OIDs are deterministic functions of
+the element ids — and then pushed through the three retained chase
+states (load, reason, flush views) with
 :meth:`repro.vadalog.engine.Engine.apply_delta` instead of re-running
 any of them.
 
-Only :class:`RegistryDelta` / :class:`UpdateReport` and the fact
-encoding live here; the orchestration is
+Only :class:`RegistryDelta` / :class:`UpdateReport` live here; the
+orchestration is
 :meth:`repro.ssst.materializer.IntensionalMaterializer.update`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.oid import construct_oid
-from repro.core.schema import SuperSchema
 from repro.deploy.delta import FlushDelta
 from repro.errors import SchemaError
 from repro.vadalog.incremental import DeltaResult
-
-Fact = Tuple[Any, ...]
 
 #: ``(node_id, type_name, properties)``
 NodeSpec = Tuple[Any, str, Dict[str, Any]]
@@ -128,152 +124,3 @@ class UpdateReport:
             "reason": self.delta_reason.elapsed_seconds if self.delta_reason else 0.0,
             "flush": self.delta_flush.elapsed_seconds if self.delta_flush else 0.0,
         }
-
-
-# ---------------------------------------------------------------------------
-# I_SM_* fact encoding (mirrors SuperInstance.to_dictionary)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class EncodedConstructs:
-    """The staging facts and dictionary-graph elements of some registry
-    elements — the same encoding ``to_dictionary`` + ``graph_to_database``
-    produce, computed directly for a delta."""
-
-    facts: Dict[str, Set[Fact]] = field(default_factory=dict)
-    #: ``(oid, label, properties)`` dictionary-graph nodes.
-    graph_nodes: List[Tuple[str, str, Dict[str, Any]]] = field(default_factory=list)
-    #: ``(edge_id, source, target, label, properties)`` graph edges.
-    graph_edges: List[Tuple[str, str, str, str, Dict[str, Any]]] = field(
-        default_factory=list
-    )
-
-    def _fact(self, label: str, fact: Fact) -> None:
-        self.facts.setdefault(label, set()).add(fact)
-
-    def node(self, oid: str, label: str, **properties: Any) -> None:
-        self.graph_nodes.append((oid, label, properties))
-        if label == "I_SM_Attribute":
-            third = properties.get("value")
-        else:
-            third = properties.get("sourceOID")
-        self._fact(label, (oid, properties.get("instanceOID"), third))
-
-    def edge(
-        self, edge_id: str, source: str, target: str, label: str, ioid: Any
-    ) -> None:
-        self.graph_edges.append(
-            (edge_id, source, target, label, {"instanceOID": ioid})
-        )
-        self._fact(label, (edge_id, source, target, ioid))
-
-    def merge(self, other: "EncodedConstructs") -> None:
-        for label, facts in other.facts.items():
-            self.facts.setdefault(label, set()).update(facts)
-        self.graph_nodes.extend(other.graph_nodes)
-        self.graph_edges.extend(other.graph_edges)
-
-
-def instance_iid(instance_oid: Any, kind: str, *parts: Any) -> str:
-    """The deterministic OID ``to_dictionary`` mints for an instance
-    construct — recomputable from the element id alone."""
-    return construct_oid(instance_oid, f"i-{kind}", *parts)
-
-
-def encode_node(
-    schema: SuperSchema,
-    instance_oid: Any,
-    node_id: Any,
-    type_name: str,
-    properties: Dict[str, Any],
-) -> EncodedConstructs:
-    """Encode one plain node as its ``I_SM_*`` constructs.
-
-    Raises :class:`~repro.errors.SchemaError` for an unknown type.
-    Properties the schema does not model are skipped, exactly as the
-    full load path does.
-    """
-    sm_node = schema.get_node(type_name)
-    out = EncodedConstructs()
-    node_iid = instance_iid(instance_oid, "node", node_id)
-    out.node(
-        node_iid, "I_SM_Node", instanceOID=instance_oid, sourceOID=node_id
-    )
-    out.edge(
-        f"{node_iid}-[SM_REFERENCES]->{sm_node.oid}",
-        node_iid, sm_node.oid, "SM_REFERENCES", instance_oid,
-    )
-    attributes = {a.name: a for a in schema.inherited_attributes(sm_node)}
-    for name, value in properties.items():
-        attribute = attributes.get(name)
-        if attribute is None:
-            continue
-        attr_iid = instance_iid(instance_oid, "nattr", node_id, name)
-        out.node(
-            attr_iid, "I_SM_Attribute", instanceOID=instance_oid, value=value
-        )
-        out.edge(
-            f"{attr_iid}-[SM_REFERENCES]->{attribute.oid}",
-            attr_iid, attribute.oid, "SM_REFERENCES", instance_oid,
-        )
-        out.edge(
-            f"{node_iid}-[I_SM_HAS_NODE_PROPERTY]->{attr_iid}",
-            node_iid, attr_iid, "I_SM_HAS_NODE_PROPERTY", instance_oid,
-        )
-    return out
-
-
-def encode_edge(
-    schema: SuperSchema,
-    instance_oid: Any,
-    edge_id: Any,
-    source: Any,
-    target: Any,
-    type_name: str,
-    properties: Dict[str, Any],
-) -> EncodedConstructs:
-    """Encode one plain edge as its ``I_SM_*`` constructs.
-
-    The endpoint ``I_SM_Node`` OIDs are recomputed from the endpoint
-    ids (they are deterministic), so the endpoints need not be part of
-    the same delta.
-    """
-    sm_edge = schema.get_edge(type_name)
-    out = EncodedConstructs()
-    edge_iid = instance_iid(instance_oid, "edge", edge_id)
-    source_iid = instance_iid(instance_oid, "node", source)
-    target_iid = instance_iid(instance_oid, "node", target)
-    out.node(
-        edge_iid, "I_SM_Edge", instanceOID=instance_oid, sourceOID=edge_id
-    )
-    out.edge(
-        f"{edge_iid}-[SM_REFERENCES]->{sm_edge.oid}",
-        edge_iid, sm_edge.oid, "SM_REFERENCES", instance_oid,
-    )
-    out.edge(
-        f"{edge_iid}-[I_SM_FROM]", edge_iid, source_iid, "I_SM_FROM",
-        instance_oid,
-    )
-    out.edge(
-        f"{edge_iid}-[I_SM_TO]", edge_iid, target_iid, "I_SM_TO",
-        instance_oid,
-    )
-    attributes = {a.name: a for a in sm_edge.attributes}
-    for name, value in properties.items():
-        attribute = attributes.get(name)
-        if attribute is None:
-            continue
-        attr_iid = instance_iid(instance_oid, "eattr", edge_id, name)
-        out.node(
-            attr_iid, "I_SM_Attribute", instanceOID=instance_oid, value=value
-        )
-        out.edge(
-            f"{attr_iid}-[SM_REFERENCES]->{attribute.oid}",
-            attr_iid, attribute.oid, "SM_REFERENCES", instance_oid,
-        )
-        out.edge(
-            f"{edge_iid}-[I_SM_HAS_EDGE_PROPERTY]->{attr_iid}",
-            edge_iid, attr_iid, "I_SM_HAS_EDGE_PROPERTY", instance_oid,
-        )
-    return out

@@ -30,10 +30,15 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.dictionary import GraphDictionary, dictionary_catalog
-from repro.core.instances import SuperInstance
+from repro.core.instances import (
+    EncodedConstructs,
+    SuperInstance,
+    encode_edge,
+    encode_node,
+)
 from repro.core.schema import SuperSchema
 from repro.deploy.delta import FlushDelta
 from repro.errors import EvaluationError, SchemaError
@@ -42,13 +47,7 @@ from repro.metalog.ast import MetaProgram
 from repro.metalog.mtv import compile_metalog, graph_to_database
 from repro.obs.governor import STATUS_FIXPOINT, BudgetExceeded
 from repro.obs.tracer import NullTracer, Tracer
-from repro.ssst.incremental import (
-    EncodedConstructs,
-    RegistryDelta,
-    UpdateReport,
-    encode_edge,
-    encode_node,
-)
+from repro.ssst.incremental import RegistryDelta, UpdateReport
 from repro.ssst.views import catalog_from_super_schema, input_views, output_views
 from repro.vadalog.database import Database
 from repro.vadalog.engine import Engine, EvaluationResult, EvaluationStats
@@ -628,47 +627,21 @@ class IntensionalMaterializer:
         """Apply the flush-state's net I_SM_* changes to the dictionary
         graph — the incremental counterpart of ``_flush_instance_facts``,
         touching only what changed.  Returns ``(flushed, dropped)``."""
-        flushed = 0
-        dropped = 0
+        removed = 0
         for label in _INSTANCE_EDGE_LABELS:
             for fact in delta_flush.removed.get(label, ()):
                 if graph.has_edge(fact[0]):
                     graph.remove_edge(fact[0])
-                    flushed += 1
+                    removed += 1
         for label in _INSTANCE_NODE_LABELS:
             for fact in delta_flush.removed.get(label, ()):
                 if graph.has_node(fact[0]):
                     graph.remove_node(fact[0])
-                    flushed += 1
-        for label in _INSTANCE_NODE_LABELS:
-            for fact in sorted(
-                delta_flush.added.get(label, ()), key=fact_sort_key
-            ):
-                oid, inst, third = fact
-                if graph.has_node(oid):
-                    continue
-                properties: Dict[str, Any] = {"instanceOID": inst}
-                if label == "I_SM_Attribute":
-                    properties["value"] = third
-                elif third is not None:
-                    properties["sourceOID"] = third
-                graph.add_node(oid, label, **properties)
-                flushed += 1
-        for label in _INSTANCE_EDGE_LABELS:
-            for fact in sorted(
-                delta_flush.added.get(label, ()), key=fact_sort_key
-            ):
-                oid, source, target, inst = fact
-                if graph.has_edge(oid):
-                    continue
-                if not graph.has_node(source) or not graph.has_node(target):
-                    dropped += 1
-                    continue
-                graph.add_edge(
-                    source, target, label, edge_id=oid, instanceOID=inst
-                )
-                flushed += 1
-        return flushed, dropped
+                    removed += 1
+        added, dropped = _write_instance_facts(
+            graph, lambda label: delta_flush.added.get(label, ())
+        )
+        return removed + added, dropped
 
     @staticmethod
     def _merge_status(report: MaterializationReport, result) -> None:
@@ -676,6 +649,44 @@ class IntensionalMaterializer:
         if result.status != STATUS_FIXPOINT and not report.truncated:
             report.status = result.status
             report.violation = result.violation
+
+
+def _write_instance_facts(
+    graph: PropertyGraph, facts_of: Callable[[str], Iterable[Tuple[Any, ...]]]
+) -> "tuple[int, int]":
+    """Write the ``I_SM_*`` facts ``facts_of(label)`` yields into the
+    dictionary graph, one element at a time, nodes before edges, each
+    label in :func:`~repro.vadalog.terms.fact_sort_key` order.
+
+    Facts whose OID the graph already holds are skipped; an edge with an
+    endpoint the graph lacks is counted, not written.  Returns
+    ``(added, dropped)``.
+    """
+    added = 0
+    dropped = 0
+    for label in _INSTANCE_NODE_LABELS:
+        for oid, inst, third in sorted(facts_of(label), key=fact_sort_key):
+            if graph.has_node(oid):
+                continue
+            properties: Dict[str, Any] = {"instanceOID": inst}
+            if label == "I_SM_Attribute":
+                properties["value"] = third
+            elif third is not None:
+                properties["sourceOID"] = third
+            graph.add_node(oid, label, **properties)
+            added += 1
+    for label in _INSTANCE_EDGE_LABELS:
+        for oid, source, target, inst in sorted(
+            facts_of(label), key=fact_sort_key
+        ):
+            if graph.has_edge(oid):
+                continue
+            if not graph.has_node(source) or not graph.has_node(target):
+                dropped += 1
+                continue
+            graph.add_edge(source, target, label, edge_id=oid, instanceOID=inst)
+            added += 1
+    return added, dropped
 
 
 def _flush_instance_facts(
@@ -697,34 +708,10 @@ def _flush_instance_facts(
     program never materialized) — callers surface the latter instead of
     losing facts silently.
     """
+    if not bulk:
+        return _write_instance_facts(graph, database.facts)
     added = 0
     dropped = 0
-    if not bulk:
-        for label in _INSTANCE_NODE_LABELS:
-            for fact in sorted(database.facts(label), key=fact_sort_key):
-                oid, inst, third = fact
-                if graph.has_node(oid):
-                    continue
-                properties: Dict[str, Any] = {"instanceOID": inst}
-                if label == "I_SM_Attribute":
-                    properties["value"] = third
-                elif third is not None:
-                    properties["sourceOID"] = third
-                graph.add_node(oid, label, **properties)
-                added += 1
-        for label in _INSTANCE_EDGE_LABELS:
-            for fact in sorted(database.facts(label), key=fact_sort_key):
-                oid, source, target, inst = fact
-                if graph.has_edge(oid):
-                    continue
-                if not graph.has_node(source) or not graph.has_node(target):
-                    dropped += 1
-                    continue
-                graph.add_edge(
-                    source, target, label, edge_id=oid, instanceOID=inst
-                )
-                added += 1
-        return added, dropped
 
     # Most facts were loaded in phase 1 and already exist in the graph:
     # drop them *before* sorting so the deterministic order is paid only

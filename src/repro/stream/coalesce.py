@@ -119,17 +119,6 @@ class DeltaCoalescer:
             self._order.append(key)
         return slot
 
-    def pending_exists(self, key: Key) -> bool:
-        """Will this key exist after the window applies?"""
-        slot = self._slots.get(key)
-        if slot is None:
-            return bool(self._exists(key))
-        if slot.net == _ADD or slot.net == _REPLACE:
-            return True
-        if slot.net == _REMOVE:
-            return False
-        return slot.base_exists
-
     def _reject(self, record: FeedRecord, reason: str) -> None:
         if self.strict:
             self._rejections.append((record, reason))

@@ -17,7 +17,7 @@ column-wise:
   parallel ``array`` buffers (FNV-1a row hash, row id) ordered by hash,
   probed with ``bisect`` (~16 bytes/row), plus a small dict overlay for
   rows inserted since the last rebuild.  Rebuilds are amortized
-  geometrically and vectorize over numpy when it is available;
+  geometrically and vectorized over numpy;
 * indexes map encoded keys to row-id lists, so buckets hold ints rather
   than fact references;
 * deletion tombstones rows (probes skip dead rows) and compaction runs
@@ -58,10 +58,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
 
 from repro.errors import EvaluationError
 
-try:  # vectorized bulk paths; every code path has a pure-Python fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
+import numpy as _np
 
 Fact = Tuple[Any, ...]
 
@@ -349,10 +346,6 @@ class ColumnarRelation:
             out.append(code)
         return tuple(out)
 
-    def _row_eq_key(self, row: int) -> Tuple[int, ...]:
-        eq = self._interner.eq
-        return tuple([eq[col[row]] for col in self._cols])
-
     def decode_row(self, row: int) -> Fact:
         values = self._interner.values
         return tuple([values[col[row]] for col in self._cols])
@@ -388,11 +381,7 @@ class ColumnarRelation:
         return -1
 
     def _rebuild_table(self) -> None:
-        """Re-sort all live rows by hash and drop the overlay.
-
-        Vectorized over numpy when available; the pure-Python path keeps
-        the backend importable without it.
-        """
+        """Re-sort all live rows by hash and drop the overlay."""
         self._overlay = {}
         self._overlay_count = 0
         n = self._nrows
@@ -400,37 +389,22 @@ class ColumnarRelation:
             self._ht_sorted = array("Q")
             self._ht_sorted_rows = array("q")
             return
-        if _np is not None:
-            hashes = self._row_hashes_np()
-            if self._ndead:
-                keep = _np.frombuffer(bytes(self._live), dtype=_np.uint8).nonzero()[0]
-                hashes = hashes[keep]
-            else:
-                keep = _np.arange(n, dtype=_np.int64)
-            order = _np.argsort(hashes, kind="stable")
-            sorted_h = array("Q")
-            sorted_h.frombytes(hashes[order].tobytes())
-            sorted_rows = array("q")
-            sorted_rows.frombytes(keep[order].astype(_np.int64).tobytes())
-            self._ht_sorted = sorted_h
-            self._ht_sorted_rows = sorted_rows
-            return
-        eq = self._interner.eq
-        cols = self._cols
-        live = self._live
-        pairs = []
-        for row in range(n):
-            if live[row]:
-                h = _FNV_OFFSET
-                for col in cols:
-                    h = ((h ^ eq[col[row]]) * _FNV_PRIME) & _U64
-                pairs.append((h, row))
-        pairs.sort()
-        self._ht_sorted = array("Q", [h for h, _ in pairs])
-        self._ht_sorted_rows = array("q", [row for _, row in pairs])
+        hashes = self._row_hashes_np()
+        if self._ndead:
+            keep = _np.frombuffer(bytes(self._live), dtype=_np.uint8).nonzero()[0]
+            hashes = hashes[keep]
+        else:
+            keep = _np.arange(n, dtype=_np.int64)
+        order = _np.argsort(hashes, kind="stable")
+        sorted_h = array("Q")
+        sorted_h.frombytes(hashes[order].tobytes())
+        sorted_rows = array("q")
+        sorted_rows.frombytes(keep[order].astype(_np.int64).tobytes())
+        self._ht_sorted = sorted_h
+        self._ht_sorted_rows = sorted_rows
 
     def _row_hashes_np(self) -> Any:
-        """uint64 FNV-1a hash per row (vectorized; requires numpy)."""
+        """uint64 FNV-1a hash per row (vectorized)."""
         eq_np = self._interner.eq_array()
         prime = _np.uint64(_FNV_PRIME)
         hashes = _np.full(self._nrows, _FNV_OFFSET, dtype=_np.uint64)
@@ -517,8 +491,8 @@ class ColumnarRelation:
         """Insert many facts; returns the number of new ones.
 
         Large batches take the vectorized bulk path (see
-        :meth:`_bulk_insert`); small ones or numpy-free environments
-        fall back to per-fact :meth:`add`.
+        :meth:`_bulk_insert`); small ones fall back to per-fact
+        :meth:`add`.
         """
         if self._spilled:
             self._ensure_resident()
@@ -557,8 +531,8 @@ class ColumnarRelation:
         The column-wise twin of :meth:`add_many`: callers that already
         hold their data as columns (the graph/dictionary extraction
         layer) skip the transpose entirely and feed the vectorized
-        insert core directly.  Small batches and numpy-free environments
-        fall back to the per-fact path.
+        insert core directly.  Small batches fall back to the per-fact
+        path.
         """
         if self._spilled:
             self._ensure_resident()
@@ -580,7 +554,7 @@ class ColumnarRelation:
                 )
         if not count:
             return 0
-        if _np is not None and count >= 64:
+        if count >= 64:
             keep = self._bulk_insert_cols(col_list, count)
             if keep is not None:
                 return int(keep.sum())
@@ -594,10 +568,10 @@ class ColumnarRelation:
     def _bulk_insert(self, fact_list: List[Any]) -> Optional[Any]:
         """Vectorized insert; returns the kept-row bool mask.
 
-        Returns ``None`` when the batch is too small or numpy is
-        unavailable — the caller falls back to per-fact :meth:`add`.
+        Returns ``None`` when the batch is too small — the caller falls
+        back to per-fact :meth:`add`.
         """
-        if _np is None or len(fact_list) < 64:
+        if len(fact_list) < 64:
             return None
         arity = self._arity
         if arity is None:
@@ -896,7 +870,7 @@ class ColumnarRelation:
     def _ensure_index(self, position: int) -> Dict[int, List[int]]:
         index = self._indexes.get(position)
         if index is None:
-            if _np is not None and self._nrows >= 4096:
+            if self._nrows >= 4096:
                 index = self._np_index((position,))
             else:
                 index = {}
@@ -919,7 +893,7 @@ class ColumnarRelation:
     ) -> Dict[Tuple[int, ...], List[int]]:
         index = self._composite.get(positions)
         if index is None:
-            if _np is not None and self._nrows >= 4096:
+            if self._nrows >= 4096:
                 index = self._np_index(positions, tuple_keys=True)
             else:
                 index = {}

@@ -291,17 +291,6 @@ class Database:
             return False
         return relation.remove(tuple(fact))
 
-    def remove_all(self, predicate: str, facts: Iterable[Iterable[Any]]) -> int:
-        """Delete many facts; returns the number actually present."""
-        relation = self._relations.get(predicate)
-        if relation is None:
-            return 0
-        removed = 0
-        for fact in facts:
-            if relation.remove(tuple(fact)):
-                removed += 1
-        return removed
-
     def reset(self, predicate: str, facts: Iterable[Iterable[Any]]) -> None:
         """Replace the extension of ``predicate`` wholesale."""
         self.relation(predicate).reset(facts)

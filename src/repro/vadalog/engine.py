@@ -203,9 +203,9 @@ class Engine:
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer`.  When set, every run
         emits a root span, one span per stratum, one span per rule
-        invocation (with firing counts and join-probe statistics), and
-        derivation/dedup/null counters.  ``None`` (default) skips all
-        instrumentation on the hot path.
+        invocation (with firing counts), and derivation/dedup/null
+        counters.  A tracer observes the run; it never changes which
+        executor a rule takes.
     governor:
         Optional :class:`~repro.obs.governor.ResourceGovernor`.  In
         graceful mode a tripped budget ends the run early with a partial
@@ -563,7 +563,6 @@ class Engine:
         pending: List[Tuple[str, Fact]] = []
         for rule_index, rule in enumerate(rules):
             span = None
-            probe: Optional[Dict[Tuple[int, str], List[int]]] = None
             before_firings = stats.rule_firings
             before_pending = len(pending)
             before_nulls = stats.nulls_created
@@ -573,7 +572,6 @@ class Engine:
                     label=rule.label or f"r{rule_index}",
                     rule=str(rule),
                 )
-                probe = {}
             try:
                 plans: Optional[RulePlans] = None
                 if self.use_plans:
@@ -585,20 +583,16 @@ class Engine:
                 if plans is not None:
                     if plans.is_aggregate:
                         matches = self._aggregate_matches_plan(
-                            plans, db, probe, recursive=in_recursion
+                            plans, db, recursive=in_recursion
                         )
                     elif delta is not None and recursive_predicates:
                         matches = self._semi_naive_matches_plan(
-                            plans, db, delta, recursive_predicates, probe
+                            plans, db, delta, recursive_predicates
                         )
                     elif db.columnar:
                         # Full evaluation of a simple rule: try the
-                        # whole-plan vectorized join first.  Probe
-                        # recording needs per-match substitutions, so it
-                        # stays on the batch path.
-                        vectorized = None
-                        if probe is None:
-                            vectorized = vectorized_rule_matches(plans, db)
+                        # whole-plan vectorized join first.
+                        vectorized = vectorized_rule_matches(plans, db)
                         if vectorized is not None:
                             firings, head_facts = vectorized
                             stats.rule_firings += firings
@@ -608,17 +602,13 @@ class Engine:
                             # Complex heads (Skolems, existentials) need
                             # per-match work, but the join itself can
                             # still run vectorized.
-                            matches = None
-                            if probe is None:
-                                matches = vectorized_body_substitutions(
-                                    plans.body_plan(), db
-                                )
+                            matches = vectorized_body_substitutions(
+                                plans.body_plan(), db
+                            )
                             if matches is None:
-                                matches = execute_plan_batch(
-                                    plans.body_plan(), db, probe=probe
-                                )
+                                matches = execute_plan_batch(plans.body_plan(), db)
                     else:
-                        matches = execute_plan(plans.body_plan(), db, probe=probe)
+                        matches = execute_plan(plans.body_plan(), db)
                     for substitution in matches:
                         stats.rule_firings += 1
                         for predicate, fact in plans.instantiate_head(
@@ -648,24 +638,6 @@ class Engine:
                     produced = len(pending) - before_pending
                     invented = stats.nulls_created - before_nulls
                     span.set(firings=firings, produced=produced, nulls=invented)
-                    if probe:
-                        span.set(probe={
-                            f"{predicate}@{position}": {
-                                "candidates": counters[0],
-                                "matches": counters[1],
-                            }
-                            for (position, predicate), counters in sorted(
-                                probe.items()
-                            )
-                        })
-                        tracer.count(
-                            "plan.candidates_scanned",
-                            sum(c[0] for c in probe.values()),
-                        )
-                        tracer.count(
-                            "plan.facts_matched",
-                            sum(c[1] for c in probe.values()),
-                        )
                     tracer.count("engine.rule_firings", firings)
                     if invented:
                         tracer.count("engine.nulls_created", invented)
@@ -735,7 +707,6 @@ class Engine:
         db: Database,
         delta: Dict[str, Set[Fact]],
         recursive_predicates: Set[str],
-        probe: Optional[Dict[Tuple[int, str], List[int]]] = None,
     ) -> Iterator[Substitution]:
         """Semi-naive matching via the old/delta/full occurrence partition.
 
@@ -780,7 +751,6 @@ class Engine:
                         bases=bases,
                         base_vars=tuple(var for _, var in binder.bind),
                         excludes=excludes if excludes else None,
-                        probe=probe,
                     )
                 continue
             for fact in delta_facts:
@@ -788,14 +758,13 @@ class Engine:
                 if base is None:
                     continue
                 yield from execute_plan(
-                    rest_plan, db, base, excludes if excludes else None, probe
+                    rest_plan, db, base, excludes if excludes else None
                 )
 
     def _aggregate_matches_plan(
         self,
         plans: RulePlans,
         db: Database,
-        probe: Optional[Dict[Tuple[int, str], List[int]]] = None,
         recursive: bool = False,
     ) -> Iterator[Substitution]:
         aggregate = plans.aggregate_plan()
@@ -808,10 +777,10 @@ class Engine:
         witnesses: Dict[Tuple[Any, ...], Substitution] = {}
         if db.columnar:
             pre_matches: Iterator[Substitution] = execute_plan_batch(
-                aggregate.pre_plan, db, probe=probe
+                aggregate.pre_plan, db
             )
         else:
-            pre_matches = execute_plan(aggregate.pre_plan, db, probe=probe)
+            pre_matches = execute_plan(aggregate.pre_plan, db)
         for substitution in pre_matches:
             group = tuple(
                 _hashable(substitution.get(v)) for v in group_vars

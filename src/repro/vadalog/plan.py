@@ -53,10 +53,7 @@ from repro.vadalog.terms import SkolemFunctor, Variable
 
 from itertools import repeat as _repeat
 
-try:  # the vectorized full-plan executor needs numpy; scalar paths do not
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
+import numpy as _np
 
 Substitution = Dict[Variable, Any]
 
@@ -478,28 +475,17 @@ def compile_body(
 # ---------------------------------------------------------------------------
 
 
-#: Per-step probe statistics: ``(body position, predicate) -> [candidates
-#: scanned, facts matched]``, accumulated across plan executions.
-ProbeStats = Dict[Tuple[int, str], List[int]]
-
-
 def execute_plan(
     plan: BodyPlan,
     db: Database,
     initial: Optional[Substitution] = None,
     excludes: Optional[Dict[int, Set[Fact]]] = None,
-    probe: Optional[ProbeStats] = None,
 ) -> Iterator[Substitution]:
     """All substitutions satisfying the compiled body conjunction.
 
     ``excludes`` maps original body-literal indexes to fact sets the
     corresponding atom step must skip (the "old facts only" restriction
     of semi-naive evaluation).  Yielded dicts are fresh copies.
-
-    ``probe``, when given, collects per-step join statistics (candidate
-    facts scanned / facts that unified) keyed by the step's original
-    body position and predicate.  The un-probed loop is kept branch-free
-    so tracing disabled costs nothing on the hot path.
     """
     subst: Substitution = dict(initial) if initial else {}
     prefix_bound: List[Variable] = []
@@ -511,9 +497,6 @@ def execute_plan(
     if n == 0:
         yield dict(subst)
         return
-    if probe is not None:
-        yield from _execute_plan_probed(plan, db, subst, excludes, probe)
-        return
     iterators: List[Optional[Iterator[Fact]]] = [None] * n
     undos: List[Optional[List[Variable]]] = [None] * n
     depth = 0
@@ -527,63 +510,6 @@ def execute_plan(
         for fact in iterator:
             undo = step.try_fact(fact, subst, db)
             if undo is not None:
-                break
-        if undo is None:
-            iterators[depth] = None
-            depth -= 1
-            if depth < 0:
-                return
-            for var in undos[depth]:
-                del subst[var]
-        else:
-            undos[depth] = undo
-            if depth == n - 1:
-                yield dict(subst)
-                for var in undo:
-                    del subst[var]
-            else:
-                depth += 1
-
-
-def _execute_plan_probed(
-    plan: BodyPlan,
-    db: Database,
-    subst: Substitution,
-    excludes: Optional[Dict[int, Set[Fact]]],
-    probe: ProbeStats,
-) -> Iterator[Substitution]:
-    """The instrumented twin of the main execution loop.
-
-    Counts, per atom step, how many candidate facts the index probe
-    yielded and how many survived unification + filters — the join
-    selectivity a profile reader needs to spot a bad plan.
-    """
-    steps = plan.steps
-    n = len(steps)
-    counters = []
-    for step in steps:
-        key = (step.orig_index, step.predicate)
-        counter = probe.get(key)
-        if counter is None:
-            counter = [0, 0]
-            probe[key] = counter
-        counters.append(counter)
-    iterators: List[Optional[Iterator[Fact]]] = [None] * n
-    undos: List[Optional[List[Variable]]] = [None] * n
-    depth = 0
-    while True:
-        step = steps[depth]
-        counter = counters[depth]
-        iterator = iterators[depth]
-        if iterator is None:
-            iterator = step.candidates(db, subst, excludes)
-            iterators[depth] = iterator
-        undo: Optional[List[Variable]] = None
-        for fact in iterator:
-            counter[0] += 1
-            undo = step.try_fact(fact, subst, db)
-            if undo is not None:
-                counter[1] += 1
                 break
         if undo is None:
             iterators[depth] = None
@@ -722,7 +648,6 @@ def execute_plan_batch(
     bases: Optional[Iterable[Substitution]] = None,
     base_vars: Tuple[Variable, ...] = (),
     excludes: Optional[Dict[int, Set[Fact]]] = None,
-    probe: Optional[ProbeStats] = None,
 ) -> Iterator[Substitution]:
     """Batch twin of :func:`execute_plan` for columnar databases.
 
@@ -800,17 +725,6 @@ def execute_plan_batch(
             len(value_of),
         )
 
-    if probe is None:
-        counters: List[List[int]] = [_COUNTER_SINK] * n
-    else:
-        counters = []
-        for bstep in steps:
-            key = (bstep.orig_index, bstep.predicate)
-            counter = probe.get(key)
-            if counter is None:
-                counter = [0, 0]
-                probe[key] = counter
-            counters.append(counter)
     if excludes:
         excluded_sets = [excludes.get(b.orig_index) for b in steps]
     else:
@@ -865,7 +779,6 @@ def execute_plan_batch(
                     codes,
                     view,
                     value_of,
-                    counters[depth],
                     excluded_sets[depth],
                     db,
                     slot_of,
@@ -898,10 +811,6 @@ def execute_plan_batch(
                     depth += 1
 
 
-_EMPTY_ROWS: Tuple[int, ...] = ()
-_COUNTER_SINK = [0, 0]  # shared throwaway when no ProbeStats is attached
-
-
 def _step_matches(
     bstep: _BatchStep,
     relation: Any,
@@ -909,7 +818,6 @@ def _step_matches(
     codes: List[Optional[int]],
     view: _RegView,
     value_of: List[Any],
-    counter: List[int],
     excluded: Optional[Set[Fact]],
     db: Database,
     slot_of: Dict[Variable, int],
@@ -970,7 +878,6 @@ def _step_matches(
     for row in rows_iter:
         if excluded is not None and decode(row) in excluded:
             continue
-        counter[0] += 1
         if verify:
             ok = True
             for pos, expected in verify:
@@ -1013,7 +920,6 @@ def _step_matches(
                 vals[slot] = _ABSENT
                 codes[slot] = None
             continue
-        counter[1] += 1
         yield undo
 
 
@@ -1040,7 +946,7 @@ def execute_plan_vectorized(
     values never match anything, including themselves.
     """
     interner = db._interner
-    if _np is None or interner is None:
+    if interner is None:
         return None
     program = _batch_program(plan, ())
     steps = program.steps

@@ -209,12 +209,3 @@ def fact_sort_key(fact: Any) -> Tuple[Tuple[Any, ...], ...]:
     storage backends and Python processes.
     """
     return tuple(value_sort_key(term) for term in fact)
-
-
-def format_term(term: Any) -> str:
-    """Human-readable rendering of any term."""
-    if isinstance(term, (Variable, Null, SkolemValue)):
-        return repr(term)
-    if isinstance(term, str):
-        return f"\"{term}\""
-    return repr(term)

@@ -202,14 +202,8 @@ class TestBulkMaterialize:
 
 
 class TestBulkSchemaDictionary:
-    def test_schema_bulk_matches_per_object(self, company_schema):
-        fast = company_schema.to_dictionary(PropertyGraph("f"), bulk=True)
-        slow = company_schema.to_dictionary(PropertyGraph("s"), bulk=False)
-        assert node_snapshot(fast) == node_snapshot(slow)
-        assert edge_snapshot(fast) == edge_snapshot(slow)
-
     def test_round_trip_preserves_modifiers(self, company_schema):
-        graph = company_schema.to_dictionary(PropertyGraph("d"), bulk=True)
+        graph = company_schema.to_dictionary(PropertyGraph("d"))
         loaded = SuperSchema.from_dictionary(
             graph, company_schema.schema_oid
         )
@@ -218,7 +212,7 @@ class TestBulkSchemaDictionary:
         assert "SM_EnumAttributeModifier" in kinds
 
     def test_multityped_construct_resolves_by_marker(self, company_schema):
-        graph = company_schema.to_dictionary(PropertyGraph("d"), bulk=True)
+        graph = company_schema.to_dictionary(PropertyGraph("d"))
         soid = company_schema.schema_oid
         # Simulate an SSST intermediate schema: the Business construct
         # also carries an ancestor type named "AAncestor" (sorts first).

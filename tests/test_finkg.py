@@ -186,6 +186,25 @@ class TestIntegratedOwnership:
         for key, value in exact.items():
             assert series[key] == pytest.approx(value)
 
+    def test_series_truncation_error_decays_geometrically(self):
+        # E-ABL (d): on a mostly-acyclic registry the unrolled series
+        # converges fast enough that the default depth (6) is safe.
+        stakes = stakes_as_tuples(generate_shareholding_data(
+            ShareholdingConfig(companies=400, seed=31, cycle_probability=0.0)
+        ))
+        converged = integrated_ownership_series(stakes, depth=48)
+        errors = []
+        for depth in (2, 4, 6, 8):
+            series = integrated_ownership_series(stakes, depth=depth)
+            errors.append(max(
+                abs(value - series.get(key, 0.0))
+                for key, value in converged.items()
+            ))
+        assert all(
+            later < earlier / 10 for earlier, later in zip(errors, errors[1:])
+        )
+        assert errors[2] < 1e-3 and errors[3] < 1e-4
+
     def test_metalog_unrolling_matches_series(self):
         config = ShareholdingConfig(companies=50, seed=23, cycle_probability=0.0)
         graph = generate_shareholding_graph(config)

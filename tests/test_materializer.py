@@ -3,9 +3,14 @@
 import pytest
 
 from repro.core.dictionary import GraphDictionary
+from repro.graph import ColumnarPropertyGraph
 from repro.metalog import parse_metalog
 from repro.finkg import programs
-from repro.ssst import IntensionalMaterializer, catalog_from_super_schema
+from repro.ssst import (
+    IntensionalMaterializer,
+    MaterializationCheckpoint,
+    catalog_from_super_schema,
+)
 from repro.ssst.views import input_views, output_views
 from repro.vadalog.terms import SkolemValue
 
@@ -186,3 +191,33 @@ class TestDictionaryReuse:
         )
         assert dictionary.graph.node_count > nodes_after_first
         assert dictionary.schema_oids() == [123]
+
+    def test_resumed_run_stays_on_the_production_graph_store(
+        self, company_schema, owns_instance, tmp_path
+    ):
+        """A resume replaces ``dictionary.graph`` with the checkpointed
+        one: it must be the store a fresh run builds, not the oracle."""
+        sigma = parse_metalog(programs.CONTROL_PROGRAM)
+
+        def run(checkpoint):
+            dictionary = GraphDictionary()
+            report = IntensionalMaterializer().materialize(
+                company_schema, owns_instance, sigma, instance_oid=9,
+                dictionary=dictionary, checkpoint=checkpoint,
+            )
+            graph = report.instance.data
+            return report, dictionary, (
+                sorted((str(n.id), n.label, sorted(n.properties.items()))
+                       for n in graph.nodes()),
+                sorted((str(e.source), str(e.target), e.label,
+                        sorted(e.properties.items()))
+                       for e in graph.edges()),
+            )
+
+        _, fresh_dictionary, uninterrupted = run(None)
+        run(MaterializationCheckpoint(str(tmp_path)))
+        report, dictionary, resumed = run(MaterializationCheckpoint(str(tmp_path)))
+        assert report.resumed_from == "reason"
+        assert type(fresh_dictionary.graph) is ColumnarPropertyGraph
+        assert type(dictionary.graph) is ColumnarPropertyGraph
+        assert resumed == uninterrupted

@@ -17,6 +17,7 @@ from repro.metalog import (
 from repro.metalog.analysis import validate
 from repro.metalog.ast import PathEdge, PathSeq, PathStar, PathAlt, EdgeAtom
 from repro.vadalog.ast import SkolemTerm
+from repro.vadalog.engine import Engine
 from repro.vadalog.terms import Variable
 
 
@@ -230,6 +231,29 @@ class TestEndToEnd:
             inplace=True,
         )
         assert len(list(ownership_graph.edges("SELF"))) == 3
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_run_on_graph_extracts_into_the_engine_backend(
+        self, ownership_graph, monkeypatch, columnar
+    ):
+        """The extracted database is built on the engine's backend, so
+        ``Engine.run`` never converts it wholesale."""
+        handed = []
+        run = Engine.run
+
+        def recording(self, program, database=None, **kwargs):
+            handed.append((database.columnar, self.columnar))
+            return run(self, program, database=database, **kwargs)
+
+        monkeypatch.setattr(Engine, "run", recording)
+        engine = None if columnar else Engine(columnar=False)
+        outcome = run_on_graph(
+            parse_metalog("(x: Business) -> exists c : (x)[c: SELF](x)."),
+            ownership_graph,
+            engine=engine,
+        )
+        assert handed == [(columnar, columnar)]
+        assert outcome.new_edges == 3
 
     def test_derived_node_with_attributes(self, ownership_graph):
         outcome = run_on_graph(

@@ -1,6 +1,7 @@
 """Observability layer: tracer spans, metrics, JSONL export/validation,
 the resource governor, and their wiring through the engine and CLI."""
 
+import dataclasses
 import io
 import json
 
@@ -354,6 +355,64 @@ class TestEngineWiring:
         assert set(with_tracer.facts("tc")) == set(without.facts("tc"))
         assert without.status == STATUS_FIXPOINT
         assert not without.truncated
+
+    def test_tracer_does_not_choose_the_executor(self, monkeypatch):
+        """A tracer observes the run: the pure-join rule goes through
+        the vectorized executor traced and untraced alike."""
+        import repro.vadalog.engine as engine_module
+
+        calls = []
+        vectorized = engine_module.vectorized_rule_matches
+
+        def counting(plans, db):
+            fired = vectorized(plans, db)
+            calls.append(fired is not None)
+            return fired
+
+        monkeypatch.setattr(engine_module, "vectorized_rule_matches", counting)
+        program = parse_program("e(X, Y), e(Y, Z) -> two(X, Z).")
+        runs = []
+        for tracer in (RecordingTracer(), None):
+            calls.clear()
+            result = Engine(tracer=tracer).run(program, inputs=_CHAIN)
+            assert calls == [True]
+            stats = dataclasses.asdict(result.stats)
+            del stats["elapsed_seconds"]
+            runs.append((stats, result.facts("two")))
+            if tracer is not None:
+                (rule_span,) = tracer.find_spans("engine.rule")
+                assert rule_span.attrs["firings"] == len(_CHAIN["e"]) - 1
+                assert "probe" not in rule_span.attrs
+        assert runs[0] == runs[1]
+
+    def test_metalog_pipeline_joins_the_engine_trace(self):
+        """A traced engine handed to the MetaLog pipeline yields one
+        closed, schema-valid trace covering compile, extract, chase and
+        write-back."""
+        from repro.finkg.control import (
+            controls_pairs_from_graph,
+            run_control_metalog,
+        )
+        from repro.finkg.generator import (
+            ShareholdingConfig,
+            generate_shareholding_graph,
+        )
+
+        graph = generate_shareholding_graph(
+            ShareholdingConfig(companies=60, seed=7)
+        )
+        tracer = RecordingTracer()
+        outcome = run_control_metalog(
+            graph, node_label="Company", engine=Engine(tracer=tracer)
+        )
+        assert controls_pairs_from_graph(outcome.graph)
+        assert not tracer.open_spans()
+        assert {
+            "mtv.compile", "mtv.extract", "engine.run", "engine.stratum",
+            "engine.rule", "mtv.materialize",
+        } <= {span.name for span in tracer.spans}
+        for record in trace_records(tracer):
+            assert validate_trace_record(record) == []
 
     def test_graceful_fact_budget_yields_partial_results(self):
         governor = ResourceGovernor(max_facts=50)

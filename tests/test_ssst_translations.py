@@ -137,6 +137,13 @@ class TestChildEdgesStrategy:
             1 for r in schema.relationship_classes if r.name == "IS_A"
         )
         assert is_a_count == 6  # one per generalization member
+        # E-ABL (a): the 11 declared relationships plus IS_A, where the
+        # multi-label tactic copies relationships down the hierarchy.
+        assert len(schema.relationship_classes) == 11 + 6
+        multi_label = SSST().translate(
+            company_super_schema(), "property-graph"
+        ).target_schema
+        assert len(multi_label.relationship_classes) == 47
 
 
 class TestFigure8RelationalTranslation:
