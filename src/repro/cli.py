@@ -157,8 +157,8 @@ def cmd_reason(args) -> int:
     print("derived:", report.derived_counts, file=sys.stderr)
     if report.flush_dropped_edges:
         print(
-            f"warning: {report.flush_dropped_edges} derived edge(s) dropped "
-            "at flush (endpoint missing from the dictionary graph)",
+            f"warning: {report.flush_dropped_edges} I_SM_* link fact(s) "
+            "dropped at flush (source or target is no instance construct)",
             file=sys.stderr,
         )
     print(
@@ -259,7 +259,7 @@ def cmd_update(args) -> int:
         "update phases:",
         {k: f"{v:.3f}s" for k, v in outcome.phase_breakdown().items()},
         f"(strata recomputed: {outcome.strata_recomputed},"
-        f" dictionary elements flushed: {outcome.flushed})",
+        f" I_SM_* facts changed: {outcome.flushed})",
         file=sys.stderr,
     )
     if outcome.flush_delta is not None:

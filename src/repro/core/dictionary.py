@@ -4,7 +4,10 @@ Section 2.2: "KGModel stores super-schemas and schemas into graph
 dictionaries, associated to the super-model and to each of the models."
 A :class:`GraphDictionary` wraps one property graph that can hold many
 super-schemas (selected by ``schemaOID``), the intermediate schemas the
-SSST produces, the target-model schemas, and instance-level constructs.
+SSST produces and the target-model schemas.  Instance-level constructs
+can be rendered into it (Figure 9,
+:meth:`~repro.core.instances.SuperInstance.to_dictionary`); Algorithm 2
+keeps them as the ``I_SM_*`` relations of its staging database instead.
 
 Because the SSST's MetaLog mappings run over this graph through MTV, the
 dictionary also fixes the *catalog* (attribute order per construct
@@ -91,8 +94,8 @@ class GraphDictionary:
 
     def __init__(self, name: str = "super-model-dictionary",
                  columnar: bool = True):
-        # The dictionary graph is the registry-scale store, so it is
-        # columnar; ``columnar=False`` is the differential tests' oracle.
+        # The production graph store; ``columnar=False`` is the
+        # differential tests' oracle.
         self.graph = make_graph(name, columnar=columnar)
         self._schema_names: Dict[Any, str] = {}
 
@@ -106,15 +109,6 @@ class GraphDictionary:
         schema.to_dictionary(self.graph)
         self._schema_names[schema.schema_oid] = schema.name
         return schema.schema_oid
-
-    def register(self, schema: SuperSchema) -> None:
-        """Record a schema as present without serializing it again.
-
-        Used when the dictionary graph was restored from a checkpoint:
-        the schema's constructs are already in the graph, so
-        :meth:`store` would fail on duplicate OIDs.
-        """
-        self._schema_names.setdefault(schema.schema_oid, schema.name)
 
     def load(self, schema_oid: Any) -> SuperSchema:
         """Parse a super-schema back from the dictionary."""

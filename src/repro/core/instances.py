@@ -8,172 +8,393 @@ respective super-construct by a SM_References edge.  In general, instance
 super-constructs only have the implicit OID attributes and instanceOID
 ... except for I_SM_Attribute, which holds a value attribute."
 
-:class:`SuperInstance` wraps a plain typed property graph (nodes labeled
-with the schema's type names) and converts it to/from the ``I_SM_*``
-encoding inside a dictionary graph — the load/flush halves of
-Algorithm 2.
+The ``I_SM_*`` encoding is a set of relations in the fact layout of
+:data:`~repro.core.dictionary.INSTANCE_NODE_PROPERTIES` /
+``INSTANCE_EDGE_PROPERTIES`` (``I_SM_Node(oid, instanceOID, sourceOID)``,
+``I_SM_Attribute(oid, instanceOID, value)``, link facts
+``label(oid, src, tgt, instanceOID)``).  This module is its codec:
+:func:`encode_instance` turns plain typed elements into columns of those
+relations and hands them to a sink, :func:`decode_instance` reads the
+columns back from a source into a plain typed property graph.
+Algorithm 2 uses the staging database of the chase as sink and source
+(the relations *are* the instance level of the dictionary);
+:class:`SuperInstance` renders the same columns into, and reads them
+from, a dictionary graph — the Figure 9 picture.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
-from repro.core.oid import construct_oid
+from repro.core.dictionary import (
+    INSTANCE_EDGE_PROPERTIES,
+    INSTANCE_NODE_PROPERTIES,
+)
 from repro.core.schema import SuperSchema
 from repro.errors import SchemaError
 from repro.graph import make_graph
 from repro.graph.property_graph import ABSENT, PropertyGraph
+from repro.vadalog.terms import fact_sort_key
 
 Fact = Tuple[Any, ...]
+Columns = List[List[Any]]
+#: ``sink(label, columns)`` receives one batch of facts of one relation.
+ColumnSink = Callable[[str, Columns], Any]
+#: ``source(label)`` returns a relation's columns, ``None`` when empty.
+ColumnSource = Callable[[str], Optional[Columns]]
+
+#: The construct relations first: a link is checked against their OIDs.
+INSTANCE_LABELS: Tuple[str, ...] = (
+    *INSTANCE_NODE_PROPERTIES, *INSTANCE_EDGE_PROPERTIES
+)
 
 
 # ---------------------------------------------------------------------------
-# The Figure 9 encoding of one plain element
+# Encoder: plain typed elements -> I_SM_* columns (Algorithm 2, line 4)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EncodedConstructs:
-    """The ``I_SM_*`` constructs of some plain elements, both as
-    dictionary-graph elements and as the staging facts
-    ``graph_to_database`` extracts from them."""
+def encode_instance(
+    schema: SuperSchema, instance_oid: Any, data: PropertyGraph, sink: ColumnSink
+) -> None:
+    """Encode the typed elements of ``data`` as ``I_SM_*`` facts.
 
-    facts: Dict[str, Set[Fact]] = field(default_factory=dict)
-    #: ``(oid, label, properties)`` dictionary-graph nodes.
-    graph_nodes: List[Tuple[str, str, Dict[str, Any]]] = field(default_factory=list)
-    #: ``(edge_id, source, target, label, properties)`` graph edges.
-    graph_edges: List[Tuple[str, str, str, str, Dict[str, Any]]] = field(
-        default_factory=list
-    )
+    One ``nodes_table`` / ``edges_table`` call per data label pulls the
+    elements out as columns and one ``sink`` call per construct family
+    hands the encoding on, so nothing larger than one label's columns is
+    alive at a time.  Construct OIDs are deterministic functions of the
+    element ids, so the endpoints of an edge need not be encoded by the
+    same call.  The ``ABSENT`` sentinel keeps a stored ``None`` (encoded
+    as an ``I_SM_Attribute`` with ``value=None``) apart from a missing
+    property (encoded as nothing); properties the schema does not model
+    are skipped.  Raises :class:`~repro.errors.SchemaError` for a label
+    that is not a type of the schema.
+    """
+    ioid = instance_oid
 
-    def _fact(self, label: str, fact: Fact) -> None:
-        self.facts.setdefault(label, set()).add(fact)
+    def references(sources: List[str], target: Any) -> None:
+        sink("SM_REFERENCES", [
+            [f"{s}-[SM_REFERENCES]->{target}" for s in sources],
+            sources, [target] * len(sources), [ioid] * len(sources),
+        ])
 
-    def node(self, oid: str, label: str, **properties: Any) -> None:
-        self.graph_nodes.append((oid, label, properties))
-        if label == "I_SM_Attribute":
-            third = properties.get("value")
-        else:
-            third = properties.get("sourceOID")
-        self._fact(label, (oid, properties.get("instanceOID"), third))
-
-    def edge(
-        self, edge_id: str, source: str, target: str, label: str, ioid: Any
+    def attributes(
+        owners: List[str], ids: List[Any], kind: str, attach_label: str,
+        by_name: Dict[str, Any], columns: List[List[Any]],
     ) -> None:
-        self.graph_edges.append(
-            (edge_id, source, target, label, {"instanceOID": ioid})
+        for name, column in zip(by_name, columns):
+            present = [i for i, v in enumerate(column) if v is not ABSENT]
+            if not present:
+                continue
+            attr_iids = [f"{ioid}:i-{kind}:{ids[i]}:{name}" for i in present]
+            attr_owners = [owners[i] for i in present]
+            stamp = [ioid] * len(present)
+            sink("I_SM_Attribute",
+                 [attr_iids, stamp, [column[i] for i in present]])
+            references(attr_iids, by_name[name].oid)
+            sink(attach_label, [
+                [f"{o}-[{attach_label}]->{a}"
+                 for o, a in zip(attr_owners, attr_iids)],
+                attr_owners, attr_iids, stamp,
+            ])
+
+    for label in sorted(data.node_labels()):
+        sm_node = schema.get_node(label)
+        by_name = {a.name: a for a in schema.inherited_attributes(sm_node)}
+        ids, columns = data.nodes_table(label, tuple(by_name), default=ABSENT)
+        if not ids:
+            continue
+        node_iids = [f"{ioid}:i-node:{nid}" for nid in ids]
+        sink("I_SM_Node", [node_iids, [ioid] * len(ids), list(ids)])
+        references(node_iids, sm_node.oid)
+        attributes(node_iids, ids, "nattr", "I_SM_HAS_NODE_PROPERTY",
+                   by_name, columns)
+
+    for label in sorted(data.edge_labels()):
+        sm_edge = schema.get_edge(label)
+        by_name = {a.name: a for a in sm_edge.attributes}
+        ids, sources, targets, columns = data.edges_table(
+            label, tuple(by_name), default=ABSENT
         )
-        self._fact(label, (edge_id, source, target, ioid))
+        if not ids:
+            continue
+        edge_iids = [f"{ioid}:i-edge:{eid}" for eid in ids]
+        stamp = [ioid] * len(ids)
+        sink("I_SM_Edge", [edge_iids, stamp, list(ids)])
+        references(edge_iids, sm_edge.oid)
+        sink("I_SM_FROM", [
+            [f"{eiid}-[I_SM_FROM]" for eiid in edge_iids], edge_iids,
+            [f"{ioid}:i-node:{s}" for s in sources], stamp,
+        ])
+        sink("I_SM_TO", [
+            [f"{eiid}-[I_SM_TO]" for eiid in edge_iids], edge_iids,
+            [f"{ioid}:i-node:{t}" for t in targets], stamp,
+        ])
+        attributes(edge_iids, ids, "eattr", "I_SM_HAS_EDGE_PROPERTY",
+                   by_name, columns)
 
-    def merge(self, other: "EncodedConstructs") -> None:
-        for label, facts in other.facts.items():
-            self.facts.setdefault(label, set()).update(facts)
-        self.graph_nodes.extend(other.graph_nodes)
-        self.graph_edges.extend(other.graph_edges)
 
-
-def instance_iid(instance_oid: Any, kind: str, *parts: Any) -> str:
-    """The deterministic OID of an instance construct — recomputable
-    from the element id alone."""
-    return construct_oid(instance_oid, f"i-{kind}", *parts)
-
-
-def encode_node(
+def encode_records(
     schema: SuperSchema,
     instance_oid: Any,
-    node_id: Any,
-    type_name: str,
-    properties: Dict[str, Any],
-) -> EncodedConstructs:
-    """Encode one plain node as its ``I_SM_*`` constructs.
+    nodes: Iterable[Tuple[Any, Optional[str], Dict[str, Any]]],
+    edges: Iterable[Tuple[Any, Any, Any, Optional[str], Dict[str, Any]]],
+) -> Dict[str, List[Fact]]:
+    """The ``I_SM_*`` facts of ``(id, type, properties)`` node records
+    and ``(id, source, target, type, properties)`` edge records — what
+    :func:`encode_instance` yields for them as part of any graph, since
+    an element's encoding depends on nothing but the element."""
+    scratch = PropertyGraph("records")
+    for node_id, type_name, properties in nodes:
+        scratch.add_node(node_id, type_name, **properties)
+    for edge_id, source, target, type_name, properties in edges:
+        for endpoint in (source, target):
+            if not scratch.has_node(endpoint):
+                scratch.add_node(endpoint)  # unlabeled: a stub, not encoded
+        scratch.add_edge(source, target, type_name, edge_id=edge_id, **properties)
+    facts: Dict[str, List[Fact]] = {}
+    encode_instance(
+        schema, instance_oid, scratch,
+        lambda label, columns: facts.setdefault(label, []).extend(zip(*columns)),
+    )
+    return facts
 
-    Raises :class:`~repro.errors.SchemaError` for an unknown type.
-    Properties the schema does not model are skipped.
+
+# ---------------------------------------------------------------------------
+# Decoder: I_SM_* columns -> plain typed graph (Algorithm 2, line 9)
+# ---------------------------------------------------------------------------
+
+#: Which facts of a relation were loaded (encoded from the source data)
+#: rather than derived: the first ``n`` rows, or the facts in a set.
+LoadedMark = Union[int, Collection[Fact]]
+
+
+def _schema_constructs(schema: SuperSchema) -> Tuple[Dict[Any, str], ...]:
+    """Node type, edge type and attribute name by construct OID: what an
+    ``SM_REFERENCES`` link can point at."""
+    constructs = (*schema.nodes, *schema.edges)
+    return (
+        {n.oid: n.type_name for n in schema.nodes},
+        {e.oid: e.type_name for e in schema.edges},
+        {a.oid: a.name for c in constructs for a in c.attributes},
+    )
+
+
+def _in_dictionary_order(columns: Columns, mark: LoadedMark) -> List[Fact]:
+    """The rows with the loaded ones first, as stored, and the derived
+    ones after them in :func:`~repro.vadalog.terms.fact_sort_key` order
+    — the same in every process, whatever order the chase derived in."""
+    rows = list(zip(*columns))
+    if isinstance(mark, int):
+        loaded, derived = rows[:mark], rows[mark:]
+    else:
+        loaded = [row for row in rows if row in mark]
+        derived = [row for row in rows if row not in mark]
+    derived.sort(key=fact_sort_key)
+    return loaded + derived
+
+
+def instance_facts(
+    source: ColumnSource,
+    loaded: Mapping[str, LoadedMark],
+    schema: SuperSchema,
+) -> Tuple[Dict[str, Columns], int, int]:
+    """Settle which ``I_SM_*`` facts of a chase database make up the
+    instance: their columns per relation, how many of them are derived,
+    and how many link facts were dropped.
+
+    Per OID a loaded fact wins over a derived one (V_O emits
+    ``I_SM_Node(c, ioid, None)`` for every fact Sigma derives about an
+    existing node ``c``), otherwise the first derived fact in
+    ``fact_sort_key`` order; a link whose source or target is neither an
+    instance construct nor a construct of ``schema`` is dropped and
+    counted.  Rows compete only where an OID (or, for the decoder's
+    first/last-link-wins maps, a link source) repeats, so a relation
+    without repeats is passed through in stored order and ``loaded`` is
+    not consulted for it.
     """
-    sm_node = schema.get_node(type_name)
-    out = EncodedConstructs()
-    node_iid = instance_iid(instance_oid, "node", node_id)
-    out.node(
-        node_iid, "I_SM_Node", instanceOID=instance_oid, sourceOID=node_id
-    )
-    out.edge(
-        f"{node_iid}-[SM_REFERENCES]->{sm_node.oid}",
-        node_iid, sm_node.oid, "SM_REFERENCES", instance_oid,
-    )
-    attributes = {a.name: a for a in schema.inherited_attributes(sm_node)}
-    for name, value in properties.items():
-        attribute = attributes.get(name)
-        if attribute is None:
+    held: Dict[str, Columns] = {}
+    added = dropped = 0
+    present = set().union(*_schema_constructs(schema))
+    for label in INSTANCE_LABELS:
+        columns = source(label)
+        if columns is None:
             continue
-        attr_iid = instance_iid(instance_oid, "nattr", node_id, name)
-        out.node(
-            attr_iid, "I_SM_Attribute", instanceOID=instance_oid, value=value
+        mark = loaded.get(label, 0)
+        n_loaded = mark if isinstance(mark, int) else len(mark)
+        size = len(columns[0])
+        is_link = label in INSTANCE_EDGE_PROPERTIES
+        contested = size > n_loaded and (
+            len(set(columns[0])) != size
+            or (is_link and len(set(columns[1])) != size)
         )
-        out.edge(
-            f"{attr_iid}-[SM_REFERENCES]->{attribute.oid}",
-            attr_iid, attribute.oid, "SM_REFERENCES", instance_oid,
+        dangling = is_link and not (
+            present.issuperset(columns[1]) and present.issuperset(columns[2])
         )
-        out.edge(
-            f"{node_iid}-[I_SM_HAS_NODE_PROPERTY]->{attr_iid}",
-            node_iid, attr_iid, "I_SM_HAS_NODE_PROPERTY", instance_oid,
-        )
-    return out
+        if contested or dangling:
+            rows = (
+                _in_dictionary_order(columns, mark) if contested
+                else zip(*columns)
+            )
+            kept: List[Fact] = []
+            seen = set()
+            for row in rows:
+                if row[0] in seen:
+                    continue
+                if dangling and not (row[1] in present and row[2] in present):
+                    dropped += 1
+                    continue
+                seen.add(row[0])
+                kept.append(row)
+            if not kept:
+                continue
+            columns = [list(column) for column in zip(*kept)]
+        if not is_link:
+            present.update(columns[0])
+        held[label] = columns
+        added += len(columns[0]) - n_loaded
+    return held, added, dropped
 
 
-def encode_edge(
+def decode_instance(
     schema: SuperSchema,
     instance_oid: Any,
-    edge_id: Any,
-    source: Any,
-    target: Any,
-    type_name: str,
-    properties: Dict[str, Any],
-) -> EncodedConstructs:
-    """Encode one plain edge as its ``I_SM_*`` constructs.
+    source: ColumnSource,
+    name: str = "instance",
+) -> "SuperInstance":
+    """Decode the ``I_SM_*`` constructs of ``instance_oid`` back into a
+    plain typed property graph.
 
-    The endpoint ``I_SM_Node`` OIDs are recomputed from the endpoint
-    ids (they are deterministic), so the endpoints need not be encoded
-    by the same call.
+    Nodes and edges come out in ``str`` order of their construct OIDs.
+    A construct's type is its first ``SM_REFERENCES`` link, an edge's
+    ends its last ``I_SM_FROM`` / ``I_SM_TO`` link, and an owner's
+    attributes follow its ``I_SM_HAS_*_PROPERTY`` links in source order.
+    A derived construct (no ``sourceOID``) keeps its invented OID.
     """
-    sm_edge = schema.get_edge(type_name)
-    out = EncodedConstructs()
-    edge_iid = instance_iid(instance_oid, "edge", edge_id)
-    source_iid = instance_iid(instance_oid, "node", source)
-    target_iid = instance_iid(instance_oid, "node", target)
-    out.node(
-        edge_iid, "I_SM_Edge", instanceOID=instance_oid, sourceOID=edge_id
+    node_type_by_oid, edge_type_by_oid, attribute_name_by_oid = (
+        _schema_constructs(schema)
     )
-    out.edge(
-        f"{edge_iid}-[SM_REFERENCES]->{sm_edge.oid}",
-        edge_iid, sm_edge.oid, "SM_REFERENCES", instance_oid,
-    )
-    out.edge(
-        f"{edge_iid}-[I_SM_FROM]", edge_iid, source_iid, "I_SM_FROM",
-        instance_oid,
-    )
-    out.edge(
-        f"{edge_iid}-[I_SM_TO]", edge_iid, target_iid, "I_SM_TO",
-        instance_oid,
-    )
-    attributes = {a.name: a for a in sm_edge.attributes}
-    for name, value in properties.items():
-        attribute = attributes.get(name)
-        if attribute is None:
+
+    def links(label: str) -> Iterable[Tuple[Any, Any]]:
+        columns = source(label)
+        return zip(columns[1], columns[2]) if columns else ()
+
+    def constructs(label: str) -> List[Tuple[Any, Any]]:
+        """``(oid, sourceOID or value)`` of this instance's constructs."""
+        columns = source(label)
+        if not columns:
+            return []
+        return [
+            (oid, third) for oid, ioid, third in zip(*columns)
+            if ioid == instance_oid
+        ]
+
+    def by_oid(label: str) -> List[Tuple[Any, Any]]:
+        return sorted(constructs(label), key=lambda row: str(row[0]))
+
+    refs: Dict[Any, Any] = {}
+    for construct, target in links("SM_REFERENCES"):
+        if construct not in refs:
+            refs[construct] = target
+    values = dict(constructs("I_SM_Attribute"))
+
+    def attributes_of(label: str) -> Dict[Any, Dict[str, Any]]:
+        by_owner: Dict[Any, Dict[str, Any]] = {}
+        for owner, attr_iid in links(label):
+            attr_name = attribute_name_by_oid.get(refs.get(attr_iid))
+            if attr_name is not None and attr_iid in values:
+                by_owner.setdefault(owner, {})[attr_name] = values[attr_iid]
+        return by_owner
+
+    data = make_graph(name)
+    plain_id_by_iid: Dict[Any, Any] = {}
+    attributes = attributes_of("I_SM_HAS_NODE_PROPERTY")
+    for iid, plain_id in by_oid("I_SM_Node"):
+        type_name = node_type_by_oid.get(refs.get(iid))
+        if type_name is None:
             continue
-        attr_iid = instance_iid(instance_oid, "eattr", edge_id, name)
-        out.node(
-            attr_iid, "I_SM_Attribute", instanceOID=instance_oid, value=value
+        if plain_id is None:
+            plain_id = iid
+        plain_id_by_iid[iid] = plain_id
+        data.add_node(plain_id, type_name, **attributes.get(iid, {}))
+    from_map = dict(links("I_SM_FROM"))
+    to_map = dict(links("I_SM_TO"))
+    attributes = attributes_of("I_SM_HAS_EDGE_PROPERTY")
+    for iid, plain_id in by_oid("I_SM_Edge"):
+        type_name = edge_type_by_oid.get(refs.get(iid))
+        source_id = plain_id_by_iid.get(from_map.get(iid))
+        target_id = plain_id_by_iid.get(to_map.get(iid))
+        if type_name is None or source_id is None or target_id is None:
+            continue
+        data.add_edge(
+            source_id, target_id, type_name,
+            edge_id=iid if plain_id is None else plain_id,
+            **attributes.get(iid, {}),
         )
-        out.edge(
-            f"{attr_iid}-[SM_REFERENCES]->{attribute.oid}",
-            attr_iid, attribute.oid, "SM_REFERENCES", instance_oid,
+    return SuperInstance(schema, instance_oid, data)
+
+
+def decode_relations(
+    schema: SuperSchema,
+    instance_oid: Any,
+    source: ColumnSource,
+    loaded: Mapping[str, LoadedMark],
+    name: str,
+) -> "Tuple[SuperInstance, int, int]":
+    """The instance the ``I_SM_*`` relations of a chase database hold,
+    with the derived-fact and dropped-link counts of
+    :func:`instance_facts`."""
+    held, added, dropped = instance_facts(source, loaded, schema)
+    return decode_instance(schema, instance_oid, held.get, name), added, dropped
+
+
+# ---------------------------------------------------------------------------
+# The Figure 9 rendering: the same columns as dictionary-graph elements
+# ---------------------------------------------------------------------------
+
+
+def _graph_sink(graph: PropertyGraph) -> ColumnSink:
+    def sink(label: str, columns: Columns) -> None:
+        names = INSTANCE_NODE_PROPERTIES.get(label)
+        if names is not None:
+            # A stored None is a real attribute value; a construct
+            # without sourceOID simply lacks the property.
+            graph.add_nodes_bulk(
+                label, columns[0], tuple(names), columns[1:],
+                keep_none=label == "I_SM_Attribute",
+            )
+        else:
+            graph.add_edges_bulk(
+                label, columns[0], columns[1], columns[2],
+                tuple(INSTANCE_EDGE_PROPERTIES[label]), columns[3:],
+            )
+
+    return sink
+
+
+def _graph_source(graph: PropertyGraph) -> ColumnSource:
+    def source(label: str) -> Optional[Columns]:
+        names = INSTANCE_NODE_PROPERTIES.get(label)
+        if names is not None:
+            ids, columns = graph.nodes_table(label, names)
+            return [ids, *columns] if ids else None
+        ids, sources, targets, columns = graph.edges_table(
+            label, INSTANCE_EDGE_PROPERTIES[label]
         )
-        out.edge(
-            f"{edge_iid}-[I_SM_HAS_EDGE_PROPERTY]->{attr_iid}",
-            edge_iid, attr_iid, "I_SM_HAS_EDGE_PROPERTY", instance_oid,
-        )
-    return out
+        return [ids, sources, targets, *columns] if ids else None
+
+    return source
 
 
 class SuperInstance:
@@ -216,168 +437,17 @@ class SuperInstance:
                     )
         return cls(schema, instance_oid, graph)
 
-    # ------------------------------------------------------------------
-    # Load: plain graph -> I_SM_* constructs (Algorithm 2, line 4)
-    # ------------------------------------------------------------------
-    def to_dictionary(
-        self, graph: PropertyGraph, bulk: bool = True
-    ) -> PropertyGraph:
-        """Encode this instance as ``I_SM_*`` constructs in ``graph``.
+    def to_dictionary(self, graph: PropertyGraph) -> PropertyGraph:
+        """Write this instance's ``I_SM_*`` constructs into ``graph``.
 
         The schema must already be serialized in the same graph (its
         construct OIDs are the ``SM_REFERENCES`` targets).
-
-        ``bulk=True`` (the default) encodes label-at-a-time through the
-        graph's column accessors — the registry-scale load path of
-        Algorithm 2 — while ``bulk=False`` writes each element's
-        :func:`encode_node` / :func:`encode_edge` result, the encoder
-        single-element updates use, as a differential oracle.  Both
-        produce the same dictionary content; only graph insertion order
-        differs.
         """
-        if bulk:
-            return self._to_dictionary_bulk(graph)
-        ioid = self.instance_oid
-        schema = self.schema
-
-        def write(encoded: EncodedConstructs) -> None:
-            for oid, label, properties in encoded.graph_nodes:
-                graph.add_node(oid, label, **properties)
-            for edge_id, source, target, label, properties in encoded.graph_edges:
-                graph.add_edge(source, target, label, edge_id=edge_id, **properties)
-
-        # Nodes first: an I_SM_FROM / I_SM_TO edge needs both endpoints'
-        # I_SM_Node constructs in the graph.
-        for node in self.data.nodes():
-            if node.label is not None:
-                write(encode_node(
-                    schema, ioid, node.id, node.label, node.properties
-                ))
-        for edge in self.data.edges():
-            if edge.label is not None:
-                write(encode_edge(
-                    schema, ioid, edge.id, edge.source, edge.target,
-                    edge.label, edge.properties,
-                ))
+        encode_instance(
+            self.schema, self.instance_oid, self.data, _graph_sink(graph)
+        )
         return graph
 
-    def _to_dictionary_bulk(self, graph: PropertyGraph) -> PropertyGraph:
-        """Column-wise encoding core of :meth:`to_dictionary`.
-
-        One :meth:`~repro.graph.property_graph.PropertyGraph.nodes_table`
-        / ``edges_table`` call per data label pulls the instance out as
-        columns, and one ``add_nodes_bulk`` / ``add_edges_bulk`` call
-        per construct family writes the ``I_SM_*`` encoding back — no
-        per-element property-dict iteration survives.  The ``ABSENT``
-        sentinel keeps the per-object semantics exact: a property whose
-        stored value is ``None`` still encodes as an ``I_SM_Attribute``
-        with ``value=None``, while a property missing from the element
-        produces nothing.
-        """
-        ioid = self.instance_oid
-        schema = self.schema
-        data = self.data
-        constants = {"instanceOID": ioid}
-
-        def emit_references(sources: List[str], targets: List[str]) -> None:
-            graph.add_edges_bulk(
-                "SM_REFERENCES",
-                [f"{s}-[SM_REFERENCES]->{t}" for s, t in zip(sources, targets)],
-                sources, targets, constants=constants,
-            )
-
-        def emit_attributes(
-            owner_iids: List[str], attr_iids: List[str], values: List[Any],
-            attr_oid: str, attach_label: str,
-        ) -> None:
-            # ``keep_none=True``: a stored None is a real attribute value
-            # here (the ABSENT filter already removed missing ones).
-            graph.add_nodes_bulk(
-                "I_SM_Attribute", attr_iids, ("value",), [values],
-                constants=constants, keep_none=True,
-            )
-            emit_references(attr_iids, [attr_oid] * len(attr_iids))
-            graph.add_edges_bulk(
-                attach_label,
-                [f"{o}-[{attach_label}]->{a}"
-                 for o, a in zip(owner_iids, attr_iids)],
-                owner_iids, attr_iids, constants=constants,
-            )
-
-        for label in sorted(data.node_labels()):
-            sm_node = schema.get_node(label)
-            attributes = {
-                a.name: a for a in schema.inherited_attributes(sm_node)
-            }
-            names = tuple(attributes)
-            ids, columns = data.nodes_table(label, names, default=ABSENT)
-            if not ids:
-                continue
-            node_iids = [f"{ioid}:i-node:{nid}" for nid in ids]
-            graph.add_nodes_bulk(
-                "I_SM_Node", node_iids, ("sourceOID",), [list(ids)],
-                constants=constants,
-            )
-            emit_references(node_iids, [sm_node.oid] * len(node_iids))
-            for name, column in zip(names, columns):
-                present = [
-                    i for i, value in enumerate(column) if value is not ABSENT
-                ]
-                if not present:
-                    continue
-                emit_attributes(
-                    [node_iids[i] for i in present],
-                    [f"{ioid}:i-nattr:{ids[i]}:{name}" for i in present],
-                    [column[i] for i in present],
-                    attributes[name].oid, "I_SM_HAS_NODE_PROPERTY",
-                )
-
-        for label in sorted(data.edge_labels()):
-            sm_edge = schema.get_edge(label)
-            attributes = {a.name: a for a in sm_edge.attributes}
-            names = tuple(attributes)
-            ids, sources, targets, columns = data.edges_table(
-                label, names, default=ABSENT
-            )
-            if not ids:
-                continue
-            edge_iids = [f"{ioid}:i-edge:{eid}" for eid in ids]
-            graph.add_nodes_bulk(
-                "I_SM_Edge", edge_iids, ("sourceOID",), [list(ids)],
-                constants=constants,
-            )
-            emit_references(edge_iids, [sm_edge.oid] * len(edge_iids))
-            graph.add_edges_bulk(
-                "I_SM_FROM",
-                [f"{eiid}-[I_SM_FROM]" for eiid in edge_iids],
-                edge_iids,
-                [f"{ioid}:i-node:{s}" for s in sources],
-                constants=constants,
-            )
-            graph.add_edges_bulk(
-                "I_SM_TO",
-                [f"{eiid}-[I_SM_TO]" for eiid in edge_iids],
-                edge_iids,
-                [f"{ioid}:i-node:{t}" for t in targets],
-                constants=constants,
-            )
-            for name, column in zip(names, columns):
-                present = [
-                    i for i, value in enumerate(column) if value is not ABSENT
-                ]
-                if not present:
-                    continue
-                emit_attributes(
-                    [edge_iids[i] for i in present],
-                    [f"{ioid}:i-eattr:{ids[i]}:{name}" for i in present],
-                    [column[i] for i in present],
-                    attributes[name].oid, "I_SM_HAS_EDGE_PROPERTY",
-                )
-        return graph
-
-    # ------------------------------------------------------------------
-    # Flush: I_SM_* constructs -> plain graph (Algorithm 2, line 9)
-    # ------------------------------------------------------------------
     @classmethod
     def from_dictionary(
         cls,
@@ -386,100 +456,9 @@ class SuperInstance:
         instance_oid: Any,
         name: str = "instance",
     ) -> "SuperInstance":
-        """Decode the ``I_SM_*`` constructs of ``instance_oid`` back into a
-        plain typed property graph."""
-        node_type_by_oid = {n.oid: n.type_name for n in schema.nodes}
-        edge_type_by_oid = {e.oid: e.type_name for e in schema.edges}
-        attribute_name_by_oid: Dict[Any, str] = {}
-        for node in schema.nodes:
-            for attribute in node.attributes:
-                attribute_name_by_oid[attribute.oid] = attribute.name
-        for edge in schema.edges:
-            for attribute in edge.attributes:
-                attribute_name_by_oid[attribute.oid] = attribute.name
-
-        # Link maps are built once with one bulk edges_table pass per
-        # label instead of a filtered out_edges scan per construct.  Per
-        # owner, bucket order equals out-edge insertion order, so the
-        # decoded property dicts match the per-construct scans exactly.
-        refs: Dict[Any, Any] = {}
-        _, sources, targets, _ = graph.edges_table("SM_REFERENCES")
-        for source, target in zip(sources, targets):
-            if source not in refs:  # first reference wins, as before
-                refs[source] = target
-
-        def link_map(label: str, last_wins: bool) -> Dict[Any, Any]:
-            mapping: Dict[Any, Any] = {}
-            _, sources, targets, _ = graph.edges_table(label)
-            if last_wins:
-                mapping.update(zip(sources, targets))
-            else:
-                for source, target in zip(sources, targets):
-                    mapping.setdefault(source, []).append(target)
-            return mapping
-
-        node_prop_links = link_map("I_SM_HAS_NODE_PROPERTY", last_wins=False)
-        edge_prop_links = link_map("I_SM_HAS_EDGE_PROPERTY", last_wins=False)
-
-        def attributes_of(iid: Any, links: Dict[Any, Any]) -> Dict[str, Any]:
-            values: Dict[str, Any] = {}
-            for attr_iid in links.get(iid, ()):
-                attr_node = graph.node(attr_iid)
-                if attr_node.get("instanceOID") != instance_oid:
-                    continue
-                attr_name = attribute_name_by_oid.get(refs.get(attr_iid))
-                if attr_name is not None:
-                    values[attr_name] = attr_node.get("value")
-            return values
-
-        data = make_graph(name)
-        plain_id_by_iid: Dict[Any, Any] = {}
-        node_ids, node_cols = graph.nodes_table(
-            "I_SM_Node", ("instanceOID", "sourceOID")
-        )
-        node_ioids, node_sources = node_cols
-        for i in sorted(range(len(node_ids)), key=lambda j: str(node_ids[j])):
-            if node_ioids[i] != instance_oid:
-                continue
-            iid = node_ids[i]
-            type_name = node_type_by_oid.get(refs.get(iid))
-            if type_name is None:
-                continue
-            plain_id = node_sources[i]
-            if plain_id is None:
-                plain_id = iid  # derived node: keep the invented OID
-            plain_id_by_iid[iid] = plain_id
-            data.add_node(
-                plain_id, type_name,
-                **attributes_of(iid, node_prop_links),
-            )
-        from_map = link_map("I_SM_FROM", last_wins=True)
-        to_map = link_map("I_SM_TO", last_wins=True)
-        edge_ids, edge_cols = graph.nodes_table(
-            "I_SM_Edge", ("instanceOID", "sourceOID")
-        )
-        edge_ioids, edge_sources = edge_cols
-        for i in sorted(range(len(edge_ids)), key=lambda j: str(edge_ids[j])):
-            if edge_ioids[i] != instance_oid:
-                continue
-            iid = edge_ids[i]
-            type_name = edge_type_by_oid.get(refs.get(iid))
-            if type_name is None:
-                continue
-            source = plain_id_by_iid.get(from_map.get(iid))
-            target = plain_id_by_iid.get(to_map.get(iid))
-            if source is None or target is None:
-                continue
-            if not data.has_node(source) or not data.has_node(target):
-                continue
-            plain_edge_id = edge_sources[i]
-            if plain_edge_id is None:
-                plain_edge_id = iid
-            data.add_edge(
-                source, target, type_name, edge_id=plain_edge_id,
-                **attributes_of(iid, edge_prop_links),
-            )
-        return cls(schema, instance_oid, data)
+        """Read the ``I_SM_*`` constructs of ``instance_oid`` in ``graph``
+        back into a plain typed property graph."""
+        return decode_instance(schema, instance_oid, _graph_source(graph), name)
 
     def __repr__(self) -> str:
         return (

@@ -9,11 +9,12 @@ late in a run wastes almost the entire investment.
 :class:`MaterializationCheckpoint` is a directory-backed store that the
 :class:`~repro.ssst.materializer.IntensionalMaterializer` writes after
 each phase that reached fixpoint, and reads back on the next run to skip
-every phase already completed.  Each phase snapshot captures the two
-mutable artifacts of the pipeline at that point — the staging
-:class:`~repro.vadalog.database.Database` and the dictionary
-:class:`~repro.graph.property_graph.PropertyGraph` — encoded as JSON via
-a value codec that round-trips labeled nulls and Skolem values.
+every phase already completed.  Each phase snapshot captures the one
+mutable artifact of the pipeline at that point — the staging
+:class:`~repro.vadalog.database.Database`, whose ``I_SM_*`` relations
+are the instance — encoded as JSON via a value codec that round-trips
+labeled nulls and Skolem values.  (The dictionary graph holds schemas
+only, and the schema is an input the fingerprint already binds.)
 
 A checkpoint is bound to its inputs by a fingerprint (schema, data,
 program, instance OID): resuming against different inputs silently
@@ -35,12 +36,12 @@ from repro.vadalog.database import Database
 from repro.vadalog.terms import Null, SkolemValue
 
 #: Phases eligible for checkpointing, in pipeline order.  Flush is never
-#: checkpointed: it is cheap and idempotent (existing OIDs are skipped),
-#: so re-running it is the simplest way to guarantee a complete store.
+#: checkpointed: it is cheap and only reads the reason phase's result,
+#: so re-running it is the simplest way to guarantee a complete instance.
 PHASES: Tuple[str, ...] = ("load", "reason")
 
 _MANIFEST = "manifest.json"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -108,7 +109,11 @@ def database_payload(database: Database) -> Dict[str, Any]:
 
 
 def restore_database(payload: Dict[str, Any]) -> Database:
-    database = Database()
+    """The database on the backend the engine runs on, each relation's
+    rows in the payload's canonical order: the instance decoder reads
+    the ``I_SM_*`` relations in row order, so a resumed run must not
+    inherit one from ``set`` iteration."""
+    database = Database(columnar=True)
     for predicate, entry in payload.items():
         relation = database.relation(predicate)
         relation.arity = entry["arity"]
@@ -152,8 +157,8 @@ def graph_payload(graph: PropertyGraph) -> Dict[str, Any]:
 
 
 def restore_graph(payload: Dict[str, Any]) -> PropertyGraph:
-    # The production store, so a resumed run continues on the same
-    # graph backend a fresh run builds.
+    # The production store, so a restored registry is on the backend a
+    # fresh one is built on.
     graph = make_graph(payload.get("name", "graph"))
     for node in payload["nodes"]:
         graph.add_node(
@@ -205,7 +210,7 @@ class MaterializationCheckpoint:
         checkpoint.begin(run_fingerprint(schema, data, sigma, oid))
         phase = checkpoint.resume_phase()       # None, "load", or "reason"
         ...
-        checkpoint.save_phase("load", database=db, graph=dictionary.graph)
+        checkpoint.save_phase("load", database=db)
 
     Phase files are written to a temporary name and atomically renamed;
     the manifest is updated last, so a crash mid-save leaves the previous
@@ -267,7 +272,6 @@ class MaterializationCheckpoint:
         self,
         phase: str,
         database: Database,
-        graph: PropertyGraph,
         meta: Optional[Dict[str, Any]] = None,
     ) -> None:
         if phase not in PHASES:
@@ -277,7 +281,6 @@ class MaterializationCheckpoint:
         payload = {
             "phase": phase,
             "database": database_payload(database),
-            "graph": graph_payload(graph),
             "meta": meta or {},
         }
         path = self._phase_path(phase)
@@ -291,7 +294,7 @@ class MaterializationCheckpoint:
         self._write_manifest()
         self.tracer.count("deploy.checkpoint_saved", 1)
 
-    def load_phase(self, phase: str) -> Tuple[Database, PropertyGraph, Dict[str, Any]]:
+    def load_phase(self, phase: str) -> Tuple[Database, Dict[str, Any]]:
         if not self.has_phase(phase):
             raise CheckpointError(f"no checkpoint for phase {phase!r}")
         try:
@@ -302,9 +305,8 @@ class MaterializationCheckpoint:
                 f"unreadable checkpoint for phase {phase!r}: {exc}"
             ) from exc
         database = restore_database(payload["database"])
-        graph = restore_graph(payload["graph"])
         self.tracer.count("deploy.checkpoint_restored", 1)
-        return database, graph, payload.get("meta", {})
+        return database, payload.get("meta", {})
 
     # -- internals -----------------------------------------------------
     def _phase_path(self, phase: str) -> str:

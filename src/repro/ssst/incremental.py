@@ -5,7 +5,7 @@ scratch whenever the source registry changes.  This module provides the
 model-level half of the alternative: a registry delta (companies,
 persons, stakes added or removed from the plain data graph) is encoded
 into the exact ``I_SM_*`` instance-construct facts the load phase would
-have produced for those elements — by the per-element encoder of
+have produced for those elements — by the same encoder of
 :mod:`repro.core.instances`, whose OIDs are deterministic functions of
 the element ids — and then pushed through the three retained chase
 states (load, reason, flush views) with
@@ -102,8 +102,9 @@ class UpdateReport:
     #: Plain-graph difference of the enriched instance — what a deployed
     #: store needs to catch up (``store.apply_flush_delta``).
     flush_delta: Optional[FlushDelta] = None
-    #: Dictionary-graph elements added/removed by the delta flush.
+    #: Net ``I_SM_*`` fact changes (added + removed) in ``delta_flush``.
     flushed: int = 0
+    #: ``I_SM_*`` link facts the decoder dropped (a missing end).
     flush_dropped_edges: int = 0
     #: Chase-maintenance time only (the paper's "reasoning" phase).
     engine_seconds: float = 0.0

@@ -30,20 +30,23 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.dictionary import GraphDictionary, dictionary_catalog
+from repro.core.dictionary import GraphDictionary
 from repro.core.instances import (
-    EncodedConstructs,
+    INSTANCE_LABELS,
+    LoadedMark,
     SuperInstance,
-    encode_edge,
-    encode_node,
+    decode_relations,
+    encode_instance,
+    encode_records,
 )
 from repro.core.schema import SuperSchema
 from repro.deploy.delta import FlushDelta
 from repro.errors import EvaluationError, SchemaError
 from repro.graph.property_graph import PropertyGraph
 from repro.metalog.ast import MetaProgram
+# graph_to_database: unused here, but kgbench/trace.py wraps this binding.
 from repro.metalog.mtv import compile_metalog, graph_to_database
 from repro.obs.governor import STATUS_FIXPOINT, BudgetExceeded
 from repro.obs.tracer import NullTracer, Tracer
@@ -51,14 +54,6 @@ from repro.ssst.incremental import RegistryDelta, UpdateReport
 from repro.ssst.views import catalog_from_super_schema, input_views, output_views
 from repro.vadalog.database import Database
 from repro.vadalog.engine import Engine, EvaluationResult, EvaluationStats
-from repro.vadalog.terms import fact_sort_key
-
-#: Instance-construct labels extracted from the dictionary for phase 1.
-_INSTANCE_NODE_LABELS = ("I_SM_Node", "I_SM_Edge", "I_SM_Attribute")
-_INSTANCE_EDGE_LABELS = (
-    "SM_REFERENCES", "I_SM_FROM", "I_SM_TO",
-    "I_SM_HAS_NODE_PROPERTY", "I_SM_HAS_EDGE_PROPERTY",
-)
 
 
 @dataclass
@@ -82,8 +77,8 @@ class MaterializationReport:
     reason_stats: Optional[EvaluationStats] = None
     status: str = STATUS_FIXPOINT
     violation: Optional[BudgetExceeded] = None
-    #: Derived I_SM_* edges dropped at flush because an endpoint never
-    #: made it into the dictionary graph (a lossy program, not a bug in
+    #: I_SM_* link facts dropped at flush because their source or target
+    #: is no construct of the instance (a lossy program, not a bug in
     #: the flush) — surfaced instead of silently discarded.
     flush_dropped_edges: int = 0
     #: Name of the checkpointed phase this run resumed from, if any.
@@ -130,15 +125,14 @@ class RetainedMaterialization:
     Built by ``materialize(..., retain=True)``: the three chase results
     (each carrying a retained
     :class:`~repro.vadalog.incremental.MaterializedState`), the source
-    and dictionary graphs they were loaded from, and the current
-    enriched plain graph (for computing deploy-level flush deltas).
+    graph they were loaded from, and the current enriched plain graph
+    (for computing deploy-level flush deltas).
     """
 
     schema: SuperSchema
     sigma: MetaProgram
     instance_oid: Any
     data: PropertyGraph
-    dictionary: GraphDictionary
     result_load: EvaluationResult
     result_reason: EvaluationResult
     result_flush: EvaluationResult
@@ -155,7 +149,7 @@ def _deferred_full_gc():
     """Defer full (gen-2) garbage collections for a registry-scale run.
 
     A from-scratch materialization allocates millions of long-lived
-    containers (the dictionary graph, the chase extension); with the
+    containers (the chase extension, the enriched graph); with the
     default thresholds CPython re-scans that whole heap every few
     thousand surviving allocations, which measures as multiple seconds
     of pause time per 50k-company run.  Almost everything the chase
@@ -278,15 +272,18 @@ class IntensionalMaterializer:
 
         # ---------------- Phase 1: LOAD (lines 1-4) ----------------
         with tracer.span("materialize.load") as load_span:
-            if dictionary is None:
-                dictionary = GraphDictionary()
-
             # Lines 3, 5-6: MTV compilation and the views, memoized per
             # (program text, schema, instance OID) — the update loop and
             # repeated runs skip the translation entirely.
             views = self._compiled_views(schema, sigma, instance_oid)
             compiled, v_in, v_out = views.compiled, views.v_in, views.v_out
 
+            # Algorithm 2 reads the schema object, not the dictionary.
+            if (
+                dictionary is not None
+                and schema.schema_oid not in dictionary.schema_oids()
+            ):
+                dictionary.store(schema)
             if resume_from is not None:
                 if retain:
                     raise EvaluationError(
@@ -294,26 +291,24 @@ class IntensionalMaterializer:
                         "skipped phases leave no state to maintain — rerun "
                         "without --resume or without retain"
                     )
-                staged_db, dictionary.graph, phase_meta = checkpoint.load_phase(
-                    resume_from
-                )
-                dictionary.register(schema)
+                staged_db, phase_meta = checkpoint.load_phase(resume_from)
                 report.resumed_from = resume_from
                 load_span.set(resumed=True, phase=resume_from)
                 tracer.count("deploy.replay_skipped", 1)
             else:
-                if schema.schema_oid not in dictionary.schema_oids():
-                    dictionary.store(schema)
                 instance = SuperInstance.from_plain_graph(
                     schema, data, instance_oid, strict=strict
                 )
-                instance.to_dictionary(dictionary.graph)
-                staging = graph_to_database(
-                    dictionary.graph,
-                    dictionary_catalog(),
-                    node_labels=_INSTANCE_NODE_LABELS,
-                    edge_labels=_INSTANCE_EDGE_LABELS,
+                # The staging relations are the instance level of the
+                # dictionary: the registry is encoded straight into
+                # them, over the registry graph's value dictionary when
+                # it has one, so ids and values are interned once.
+                staging = Database(
                     columnar=self.engine.columnar,
+                    interner=getattr(data, "interner", None),
+                )
+                encode_instance(
+                    schema, instance_oid, instance.data, staging.add_columns
                 )
                 # Materialize V_I into the staging area (Section 6
                 # optimization).
@@ -329,9 +324,7 @@ class IntensionalMaterializer:
                 self._merge_status(report, result_in)
                 staged_db = result_in.database
                 if checkpoint is not None and not report.truncated:
-                    checkpoint.save_phase(
-                        "load", database=staged_db, graph=dictionary.graph
-                    )
+                    checkpoint.save_phase("load", database=staged_db)
         report.load_seconds = load_span.duration
 
         # ---------------- Phase 2: REASON (lines 7-8) ----------------
@@ -367,28 +360,33 @@ class IntensionalMaterializer:
                     checkpoint.save_phase(
                         "reason",
                         database=result_db,
-                        graph=dictionary.graph,
                         meta={"derived_counts": report.derived_counts},
                     )
         report.reason_seconds = reason_span.duration
 
         # ---------------- Phase 3: FLUSH (line 9) ----------------
-        # Never checkpointed: flushing is idempotent (existing OIDs are
-        # skipped), so re-running it always yields a complete store.
+        # Never checkpointed: it only reads the reason phase's result,
+        # so re-running it always yields the complete instance.
         with tracer.span("materialize.flush") as flush_span:
+            # V_O only appends, and a columnar relation keeps row order:
+            # the rows each I_SM_* relation holds now are the loaded
+            # ones.  (The tuple backend has no row order to count in.)
+            loaded: Dict[str, LoadedMark] = {
+                label: result_db.count(label) if self.engine.columnar
+                else result_db.facts(label)
+                for label in INSTANCE_LABELS
+            }
             result_out = self.engine.run(
                 v_out, database=result_db, retain_state=retain,
                 copy_database=retain,
             )
             self._merge_status(report, result_out)
-            added, dropped = _flush_instance_facts(
-                result_out.database, dictionary.graph
+            report.instance, added, dropped = decode_relations(
+                schema, instance_oid, result_out.database.columns, loaded,
+                f"{data.name}+derived",
             )
             report.flush_dropped_edges = dropped
             flush_span.set(added=added, dropped_edges=dropped)
-            report.instance = SuperInstance.from_dictionary(
-                dictionary.graph, schema, instance_oid, name=f"{data.name}+derived"
-            )
         report.flush_seconds = flush_span.duration
         if retain:
             # A budget-tripped run discards its engine state; there is
@@ -400,7 +398,6 @@ class IntensionalMaterializer:
                     sigma=sigma,
                     instance_oid=instance_oid,
                     data=data,
-                    dictionary=dictionary,
                     result_load=result_in,
                     result_reason=result_sigma,
                     result_flush=result_out,
@@ -415,21 +412,28 @@ class IntensionalMaterializer:
         """Apply a registry delta to a retained materialization.
 
         Requires a prior ``materialize(..., retain=True)``.  The plain
-        data graph and the dictionary graph are mutated in place; the
-        three retained chase states are maintained with
+        data graph is mutated in place; the three retained chase states
+        are maintained with
         :meth:`~repro.vadalog.engine.Engine.apply_delta` (each state's
-        net changes feed the next, exactly as the full phases chain);
-        finally only the *changed* ``I_SM_*`` facts are flushed into the
-        dictionary graph.  The returned report carries the refreshed
-        enriched instance plus a
-        :class:`~repro.deploy.delta.FlushDelta` for bringing deployed
-        stores up to date without a reload.
+        net changes feed the next, exactly as the full phases chain),
+        and the enriched instance is decoded from the flush state's
+        ``I_SM_*`` relations.  The returned report carries that
+        instance plus a :class:`~repro.deploy.delta.FlushDelta` for
+        bringing deployed stores up to date without a reload.
 
         The result is fact-set-identical (up to labeled-null renaming)
         to re-running :meth:`materialize` from scratch on the mutated
         registry — the differential tests pin this down; strata the
         safety analysis cannot maintain incrementally are recomputed
         from their boundary, never approximated.
+
+        A delta the registry rejects raises
+        :class:`~repro.errors.SchemaError` with nothing changed.  An
+        error after that point (a governor trip in the chase, say)
+        leaves the registry and the chase states half-updated, so the
+        retained materialization is dropped and the error re-raised:
+        the next ``update()`` asks for a fresh ``materialize()`` instead
+        of silently diverging from one.
         """
         retained = self._retained
         if retained is None:
@@ -446,7 +450,6 @@ class IntensionalMaterializer:
             schema = retained.schema
             data = retained.data
             ioid = retained.instance_oid
-            graph = retained.dictionary.graph
 
             removed_nodes, removed_edges = self._resolve_removals(data, delta)
             self._validate_additions(
@@ -459,67 +462,63 @@ class IntensionalMaterializer:
             # Encode both sides as the I_SM_* facts the load phase would
             # have produced (the OIDs are deterministic functions of the
             # element ids, so no chase run is needed to compute them).
-            removal = EncodedConstructs()
-            for record in removed_edges:
-                removal.merge(encode_edge(schema, ioid, *record))
-            for record in removed_nodes:
-                removal.merge(encode_node(schema, ioid, *record))
-            addition = EncodedConstructs()
-            for record in delta.add_nodes:
-                addition.merge(encode_node(schema, ioid, *record))
-            for record in delta.add_edges:
-                addition.merge(encode_edge(schema, ioid, *record))
+            removal = encode_records(schema, ioid, removed_nodes, removed_edges)
+            addition = encode_records(
+                schema, ioid, delta.add_nodes, delta.add_edges
+            )
 
-            # Mutate the registry graph (edges first: node removal would
-            # cascade them) and the dictionary's base constructs.
-            for edge_id, *_rest in removed_edges:
-                data.remove_edge(edge_id)
-            for node_id, *_rest in removed_nodes:
-                data.remove_node(node_id)
-            for node_id, type_name, properties in delta.add_nodes:
-                data.add_node(node_id, type_name, **properties)
-            for edge_id, source, target, type_name, properties in delta.add_edges:
-                data.add_edge(
-                    source, target, type_name, edge_id=edge_id, **properties
-                )
-            for edge_id, *_rest in removal.graph_edges:
-                if graph.has_edge(edge_id):
-                    graph.remove_edge(edge_id)
-            for oid, *_rest in removal.graph_nodes:
-                if graph.has_node(oid):
-                    graph.remove_node(oid)
-            for oid, label, properties in addition.graph_nodes:
-                if not graph.has_node(oid):
-                    graph.add_node(oid, label, **properties)
-            for edge_id, source, target, label, properties in addition.graph_edges:
-                if not graph.has_edge(edge_id):
-                    graph.add_edge(
-                        source, target, label, edge_id=edge_id, **properties
+            try:
+                # Mutate the registry graph (edges first: node removal
+                # would cascade them).
+                for edge_id, *_rest in removed_edges:
+                    data.remove_edge(edge_id)
+                for node_id, *_rest in removed_nodes:
+                    data.remove_node(node_id)
+                for node_id, type_name, properties in delta.add_nodes:
+                    data.add_node(node_id, type_name, **properties)
+                for edge_id, source, target, type_name, properties in delta.add_edges:
+                    data.add_edge(
+                        source, target, type_name, edge_id=edge_id, **properties
                     )
 
-            # Chase maintenance: each state's net changes are the next
-            # state's extensional delta (load -> reason -> flush views).
-            engine = self.engine
-            delta_load = engine.apply_delta(
-                retained.result_load,
-                added=addition.facts, removed=removal.facts,
-            )
-            delta_reason = engine.apply_delta(
-                retained.result_reason,
-                added=delta_load.added, removed=delta_load.removed,
-            )
-            delta_flush = engine.apply_delta(
-                retained.result_flush,
-                added=delta_reason.added, removed=delta_reason.removed,
-            )
+                # Chase maintenance: each state's net changes are the
+                # next state's extensional delta (load -> reason ->
+                # flush views).  Net changes are sets; the encoded
+                # facts ride along as lists (those a state already
+                # holds are ignored) so that all three states append
+                # them in encoder order, the order a from-scratch load
+                # gives them and the decoder reads attributes in.
+                engine = self.engine
+                delta_load = engine.apply_delta(
+                    retained.result_load, added=addition, removed=removal,
+                )
+                delta_reason = engine.apply_delta(
+                    retained.result_reason,
+                    added={**delta_load.added, **addition},
+                    removed=delta_load.removed,
+                )
+                delta_flush = engine.apply_delta(
+                    retained.result_flush,
+                    added={**delta_reason.added, **addition},
+                    removed=delta_reason.removed,
+                )
 
-            flushed, dropped = self._flush_delta_facts(delta_flush, graph)
+                # The flush state's extensional I_SM_* facts are the
+                # loaded ones: only V_O derives into those relations.
+                instance, _, dropped = decode_relations(
+                    schema, ioid, retained.result_flush.database.columns,
+                    retained.result_flush.state.edb, f"{data.name}+derived",
+                )
+                flush_delta = FlushDelta.diff(retained.enriched, instance.data)
+            except BaseException:
+                self._retained = None
+                raise
+            flushed = sum(
+                len(changes.get(label, ()))
+                for changes in (delta_flush.added, delta_flush.removed)
+                for label in INSTANCE_LABELS
+            )
             tracer.count("incr.flushed_delta", flushed)
-
-            instance = SuperInstance.from_dictionary(
-                graph, schema, ioid, name=f"{data.name}+derived"
-            )
-            flush_delta = FlushDelta.diff(retained.enriched, instance.data)
             retained.enriched = instance.data
             retained.updates_applied += 1
             engine_seconds = (
@@ -568,11 +567,13 @@ class IntensionalMaterializer:
                 seen.add(edge_id)
                 edge_ids.append(edge_id)
         node_ids: List[Any] = []
+        seen_nodes: set = set()
         for node_id in delta.remove_nodes:
             if not data.has_node(node_id):
                 raise SchemaError(f"cannot remove unknown node {node_id!r}")
-            if node_id in set(node_ids):
+            if node_id in seen_nodes:
                 continue
+            seen_nodes.add(node_id)
             node_ids.append(node_id)
             for edge in list(data.out_edges(node_id)) + list(data.in_edges(node_id)):
                 if edge.id not in seen:
@@ -623,189 +624,8 @@ class IntensionalMaterializer:
                     )
 
     @staticmethod
-    def _flush_delta_facts(delta_flush, graph: PropertyGraph) -> "Tuple[int, int]":
-        """Apply the flush-state's net I_SM_* changes to the dictionary
-        graph — the incremental counterpart of ``_flush_instance_facts``,
-        touching only what changed.  Returns ``(flushed, dropped)``."""
-        removed = 0
-        for label in _INSTANCE_EDGE_LABELS:
-            for fact in delta_flush.removed.get(label, ()):
-                if graph.has_edge(fact[0]):
-                    graph.remove_edge(fact[0])
-                    removed += 1
-        for label in _INSTANCE_NODE_LABELS:
-            for fact in delta_flush.removed.get(label, ()):
-                if graph.has_node(fact[0]):
-                    graph.remove_node(fact[0])
-                    removed += 1
-        added, dropped = _write_instance_facts(
-            graph, lambda label: delta_flush.added.get(label, ())
-        )
-        return removed + added, dropped
-
-    @staticmethod
     def _merge_status(report: MaterializationReport, result) -> None:
         """Fold one phase's engine status into the report (first trip wins)."""
         if result.status != STATUS_FIXPOINT and not report.truncated:
             report.status = result.status
             report.violation = result.violation
-
-
-def _write_instance_facts(
-    graph: PropertyGraph, facts_of: Callable[[str], Iterable[Tuple[Any, ...]]]
-) -> "tuple[int, int]":
-    """Write the ``I_SM_*`` facts ``facts_of(label)`` yields into the
-    dictionary graph, one element at a time, nodes before edges, each
-    label in :func:`~repro.vadalog.terms.fact_sort_key` order.
-
-    Facts whose OID the graph already holds are skipped; an edge with an
-    endpoint the graph lacks is counted, not written.  Returns
-    ``(added, dropped)``.
-    """
-    added = 0
-    dropped = 0
-    for label in _INSTANCE_NODE_LABELS:
-        for oid, inst, third in sorted(facts_of(label), key=fact_sort_key):
-            if graph.has_node(oid):
-                continue
-            properties: Dict[str, Any] = {"instanceOID": inst}
-            if label == "I_SM_Attribute":
-                properties["value"] = third
-            elif third is not None:
-                properties["sourceOID"] = third
-            graph.add_node(oid, label, **properties)
-            added += 1
-    for label in _INSTANCE_EDGE_LABELS:
-        for oid, source, target, inst in sorted(
-            facts_of(label), key=fact_sort_key
-        ):
-            if graph.has_edge(oid):
-                continue
-            if not graph.has_node(source) or not graph.has_node(target):
-                dropped += 1
-                continue
-            graph.add_edge(source, target, label, edge_id=oid, instanceOID=inst)
-            added += 1
-    return added, dropped
-
-
-def _flush_instance_facts(
-    database: Database, graph: PropertyGraph, bulk: bool = True
-) -> "tuple[int, int]":
-    """Write new I_SM_* facts back into the dictionary graph.
-
-    Facts whose OID already exists in the graph are the ones loaded in
-    phase 1 and are skipped; only derived instance constructs are added,
-    in :func:`~repro.vadalog.terms.fact_sort_key` order so the flush is
-    deterministic across processes.  ``bulk=True`` (the default) writes
-    each label's fresh constructs through the column-wise
-    ``add_nodes_bulk`` / ``add_edges_bulk`` graph accessors; the
-    per-object path is kept as a differential oracle.
-
-    Returns ``(added, dropped)``: the number of new graph elements and
-    the number of derived edges dropped because an endpoint OID is
-    absent from the graph (output views referencing constructs the
-    program never materialized) — callers surface the latter instead of
-    losing facts silently.
-    """
-    if not bulk:
-        return _write_instance_facts(graph, database.facts)
-    added = 0
-    dropped = 0
-
-    # Most facts were loaded in phase 1 and already exist in the graph:
-    # drop them *before* sorting so the deterministic order is paid only
-    # for the fresh tail, not the full extension.  Reading decoded
-    # *columns* instead of fact tuples keeps the existing-OID filter on
-    # one column; per-fact tuples are built for the fresh tail only.
-    for label in _INSTANCE_NODE_LABELS:
-        cols = database.columns(label)
-        if cols is None:
-            continue
-        ids, insts, thirds = cols
-        existing = graph.existing_node_ids(ids)
-        by_oid: Dict[Any, Any] = {}
-        for row, oid in enumerate(ids):
-            if oid in existing:
-                continue
-            fact = (oid, insts[row], thirds[row])
-            prev = by_oid.get(oid)
-            if prev is None or fact_sort_key(fact) < fact_sort_key(prev):
-                # Duplicate OIDs are rare; the sort-first fact wins,
-                # exactly as in the sequential sorted loop.
-                by_oid[oid] = fact
-        if not by_oid:
-            continue
-        fresh = sorted(by_oid.values(), key=fact_sort_key)
-        columns = list(zip(*fresh))
-        if label == "I_SM_Attribute":
-            graph.add_nodes_bulk(
-                label,
-                list(columns[0]),
-                ("instanceOID", "value"),
-                [list(columns[1]), list(columns[2])],
-                keep_none=True,
-            )
-        else:
-            graph.add_nodes_bulk(
-                label,
-                list(columns[0]),
-                ("instanceOID", "sourceOID"),
-                [list(columns[1]), list(columns[2])],
-            )
-        added += len(fresh)
-    for label in _INSTANCE_EDGE_LABELS:
-        cols = database.columns(label)
-        if cols is None:
-            continue
-        ids, sources_col, targets_col, insts = cols
-        existing = graph.existing_edge_ids(ids)
-        candidates: Dict[Any, List[Any]] = {}
-        for row, oid in enumerate(ids):
-            if oid in existing:
-                continue
-            fact = (oid, sources_col[row], targets_col[row], insts[row])
-            candidates.setdefault(oid, []).append(fact)
-        fresh = []
-        leftovers = []
-        for cands in candidates.values():
-            if len(cands) > 1:
-                # Same OID more than once: the sort-first fact wins; the
-                # rest are only addable if the winner is dropped as
-                # dangling — retried below, in order.
-                cands.sort(key=fact_sort_key)
-                leftovers.extend(cands[1:])
-            fresh.append(cands[0])
-        fresh.sort(key=fact_sort_key)
-        leftovers.sort(key=fact_sort_key)
-        endpoints = {fact[1] for fact in fresh}
-        endpoints.update(fact[2] for fact in fresh)
-        present = graph.existing_node_ids(endpoints)
-        if len(present) != len(endpoints):
-            kept = [
-                fact for fact in fresh
-                if fact[1] in present and fact[2] in present
-            ]
-            dropped += len(fresh) - len(kept)
-            fresh = kept
-        if fresh:
-            columns = list(zip(*fresh))
-            graph.add_edges_bulk(
-                label,
-                list(columns[0]),
-                list(columns[1]),
-                list(columns[2]),
-                ("instanceOID",),
-                [list(columns[3])],
-            )
-            added += len(fresh)
-        for fact in leftovers:
-            oid, source, target, inst = fact
-            if graph.has_edge(oid):
-                continue
-            if not graph.has_node(source) or not graph.has_node(target):
-                dropped += 1
-                continue
-            graph.add_edge(source, target, label, edge_id=oid, instanceOID=inst)
-            added += 1
-    return added, dropped

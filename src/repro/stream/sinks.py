@@ -324,7 +324,11 @@ class MaterializerSink:
     (quarantining operations that would violate referential integrity),
     runs ``materializer.update``, and pushes the flush delta to each
     target through the retry policy.  The chase update itself is never
-    retried — it either applies atomically or raises before mutating.
+    retried: a delta the registry rejects raises before anything is
+    mutated, and an error past that point (a governor trip, say) makes
+    the materializer drop its retained state, so the next ``update()``
+    raises :class:`~repro.errors.EvaluationError` until the registry is
+    materialized again — it never continues from a half-applied delta.
     """
 
     mode = "registry"

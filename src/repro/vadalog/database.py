@@ -16,7 +16,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
 
 from repro.errors import EvaluationError
 from repro.vadalog.columnar import ColumnarRelation, SpillStore, ValueInterner
-from repro.vadalog.terms import values_equal
+from repro.vadalog.terms import fact_sort_key, values_equal
 
 Fact = Tuple[Any, ...]
 
@@ -303,8 +303,9 @@ class Database:
     def columns(self, predicate: str) -> Optional[List[List[Any]]]:
         """Decoded value columns of ``predicate``; None if empty/arity-0.
 
-        Columnar relations decode column-wise (no per-fact tuple);
-        the tuple backend transposes its extension.  Relations are
+        Columnar relations decode column-wise (no per-fact tuple), in
+        row order; the tuple backend, which has no row order, transposes
+        its extension in ``fact_sort_key`` order.  Relations are
         ``==``-level sets either way, so the columns carry no duplicate
         rows — only same-OID rows with different payloads.
         """
@@ -314,7 +315,7 @@ class Database:
         getter = getattr(relation, "value_columns", None)
         if getter is not None:
             return getter()
-        transposed = list(zip(*relation))
+        transposed = list(zip(*sorted(relation, key=fact_sort_key)))
         return [list(col) for col in transposed] if transposed else None
 
     def has(self, predicate: str, fact: Tuple[Any, ...]) -> bool:

@@ -135,7 +135,7 @@ class EvaluationResult:
     #: Retained evaluation state (``run(retain_state=True)`` only); the
     #: handle :meth:`Engine.apply_delta` propagates incremental updates
     #: through.  ``None`` for ordinary runs and for truncated runs, whose
-    #: partial per-stratum partitions would be unsound to update.
+    #: unsaturated strata would be unsound to update.
     state: Optional[Any] = None
 
     @property
@@ -163,12 +163,15 @@ class EvaluationResult:
         to reach into engine internals.
         """
         if self.state is not None:
-            return self.state.per_stratum_snapshot()
-        rules = [rule for rule in self.program.rules if rule.body]
-        working = Program(rules=rules, annotations=list(self.program.annotations))
+            strata = self.state.strata
+        else:
+            rules = [rule for rule in self.program.rules if rule.body]
+            strata = stratify(Program(
+                rules=rules, annotations=list(self.program.annotations)
+            ))
         snapshot: Dict[int, Dict[str, FrozenSet[Fact]]] = {}
         owned: Set[str] = set()
-        for index, stratum in enumerate(stratify(working)):
+        for index, stratum in enumerate(strata):
             snapshot[index] = {
                 predicate: frozenset(self.database.relation(predicate))
                 for predicate in sorted(stratum.predicates)
@@ -260,9 +263,9 @@ class Engine:
         backend mismatch still converts (the conversion is itself a fresh
         database).
 
-        ``retain_state`` keeps the evaluation state — per-stratum fact
-        partitions, the extensional snapshot, saturated aggregate
-        accumulators, null/Skolem factories — on ``result.state`` so
+        ``retain_state`` keeps the evaluation state — the stratification,
+        the extensional snapshot, saturated aggregate accumulators,
+        null/Skolem factories — on ``result.state`` so
         :meth:`apply_delta` can propagate later insertions and deletions
         without re-running the chase.
         """
@@ -339,11 +342,6 @@ class Engine:
                 self._retain_sink = state
             for index, stratum in enumerate(strata):
                 self._evaluate_stratum(stratum, index, db, stats, nulls, skolems)
-                if state is not None:
-                    state.per_stratum.append({
-                        predicate: frozenset(db.relation(predicate))
-                        for predicate in sorted(stratum.predicates)
-                    })
                 if (
                     governor is not None
                     and governor.max_resident_facts is not None
@@ -372,8 +370,8 @@ class Engine:
         except _BudgetStop as stop:
             status = STATUS_BUDGET_EXCEEDED
             violation = stop.violation
-            # A truncated run retains nothing: the partial per-stratum
-            # partitions would be unsound to update incrementally.
+            # A truncated run retains nothing: its unsaturated strata
+            # would be unsound to update incrementally.
             state = None
             if tracer is not None:
                 tracer.event(

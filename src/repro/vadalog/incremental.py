@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -102,14 +101,14 @@ class MaterializedState:
     """Everything :func:`apply_delta` needs to maintain a chase result.
 
     Built by :meth:`Engine.run` when ``retain_state=True``: the live
-    database, the stratification, the extensional snapshot, per-stratum
-    fact partitions (frozen), saturated aggregate accumulators, and the
-    null/Skolem factories (so maintenance continues their counters).
+    database, the stratification, the extensional snapshot, saturated
+    aggregate accumulators, and the null/Skolem factories (so
+    maintenance continues their counters).
     """
 
     __slots__ = (
         "program", "working", "strata", "database", "nulls", "skolems",
-        "edb", "per_stratum", "aggregates", "engine",
+        "edb", "aggregates", "engine",
         "updates_applied",
     )
 
@@ -129,7 +128,6 @@ class MaterializedState:
         self.nulls = nulls
         self.skolems = skolems
         self.edb: Dict[str, Set[Fact]] = {}
-        self.per_stratum: List[Dict[str, FrozenSet[Fact]]] = []
         self.aggregates: Dict[Rule, _AggregateState] = {}
         self.engine: Any = None
         self.updates_applied = 0
@@ -156,30 +154,6 @@ class MaterializedState:
             for group, base in witnesses.items()
         }
         self.aggregates[rule] = _AggregateState(accumulator, projected, group_tuple)
-
-    # -- snapshots -------------------------------------------------------
-    def per_stratum_snapshot(self) -> Dict[int, Dict[str, FrozenSet[Fact]]]:
-        """Stable per-stratum fact partitions (see the result API docs)."""
-        snapshot: Dict[int, Dict[str, FrozenSet[Fact]]] = {
-            index: dict(partition)
-            for index, partition in enumerate(self.per_stratum)
-        }
-        owned: Set[str] = set()
-        for stratum in self.strata:
-            owned.update(stratum.predicates)
-        snapshot[-1] = {
-            predicate: frozenset(self.database.relation(predicate))
-            for predicate in sorted(self.database.predicates())
-            if predicate not in owned
-        }
-        return snapshot
-
-    def refresh_stratum_snapshot(self, index: int) -> None:
-        if index < len(self.per_stratum):
-            self.per_stratum[index] = {
-                predicate: frozenset(self.database.relation(predicate))
-                for predicate in sorted(self.strata[index].predicates)
-            }
 
 
 # ---------------------------------------------------------------------------
@@ -853,13 +827,13 @@ def _recompute_stratum(
 
 def _normalize(
     delta: Optional[Dict[str, Iterable[Sequence[Any]]]]
-) -> Dict[str, Set[Fact]]:
-    normalized: Dict[str, Set[Fact]] = {}
-    for predicate, facts in (delta or {}).items():
-        bucket = normalized.setdefault(predicate, set())
-        for fact in facts:
-            bucket.add(tuple(fact))
-    return normalized
+) -> Dict[str, Dict[Fact, None]]:
+    """The requested facts per predicate, deduplicated in the order
+    given (a ``dict`` as an ordered set)."""
+    return {
+        predicate: dict.fromkeys(tuple(fact) for fact in facts)
+        for predicate, facts in (delta or {}).items()
+    }
 
 
 def _merge_net(
@@ -910,6 +884,10 @@ def apply_delta(
     Removals of facts that are not part of the extensional snapshot are
     ignored (counted in ``skipped_removals``): derived facts cannot be
     retracted, only their extensional premises can.
+
+    New extensional facts enter their relation in the order ``added``
+    lists them, so a caller that passes a sequence decides the row order
+    (a set leaves it to the hash seed).
     """
     state = getattr(result, "state", result)
     if not isinstance(state, MaterializedState):
@@ -941,7 +919,7 @@ def apply_delta(
     )
     try:
         # ---- extensional changes -------------------------------------
-        pending_add: Dict[str, Set[Fact]] = {}
+        requested_add: Dict[str, List[Fact]] = {}
         pending_remove: Dict[str, Set[Fact]] = {}
         for predicate, facts in remove_request.items():
             edb_facts = state.edb.get(predicate)
@@ -957,7 +935,7 @@ def apply_delta(
                     # Removed and re-added in one delta: a net no-op.
                     removed_bucket.discard(fact)
                 elif fact not in state.edb.get(predicate, ()):
-                    pending_add.setdefault(predicate, set()).add(fact)
+                    requested_add.setdefault(predicate, []).append(fact)
 
         for predicate, facts in pending_remove.items():
             edb_facts = state.edb.get(predicate)
@@ -966,19 +944,19 @@ def apply_delta(
                 relation.remove(fact)
                 if edb_facts:
                     edb_facts.discard(fact)
-        applied_add: Dict[str, Set[Fact]] = {}
-        for predicate, facts in pending_add.items():
+        pending_add: Dict[str, Set[Fact]] = {}
+        for predicate, facts in requested_add.items():
             edb_bucket = state.edb.setdefault(predicate, set())
             new: Set[Fact] = set()
             for fact in facts:
                 edb_bucket.add(fact)
                 if db.add(predicate, fact):
                     new.add(fact)
+            # Facts already derivable need no propagation, but still
+            # count as extensional now; only genuinely-new facts seed
+            # the chase.
             if new:
-                applied_add[predicate] = new
-        # Facts already derivable need no propagation, but still count
-        # as extensional now; only genuinely-new facts seed the chase.
-        pending_add = applied_add
+                pending_add[predicate] = new
 
         if not pending_add and not pending_remove:
             delta_result.strata_skipped = len(state.strata)
@@ -1052,8 +1030,6 @@ def apply_delta(
                 delta_result.strata_incremental += 1
             if added_now or removed_now:
                 _merge_net(pending_add, pending_remove, added_now, removed_now)
-            if (added_now or removed_now) and index < len(state.per_stratum):
-                state.refresh_stratum_snapshot(index)
             if governor is not None:
                 violation = governor.check(local)
                 if violation is not None:

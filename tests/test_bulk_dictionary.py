@@ -1,11 +1,14 @@
 """Bulk (column-wise) graph/dictionary boundary: differential tests.
 
 The columnar fast path moves ``graph_to_database`` /
-``materialize_into_graph`` and the ``to_dictionary`` encoders onto the
-bulk graph accessors (``nodes_table`` / ``add_nodes_bulk`` and friends).
-Every test here pins the bulk path against the per-object oracle
+``materialize_into_graph`` and the schema ``to_dictionary`` encoder onto
+the bulk graph accessors (``nodes_table`` / ``add_nodes_bulk`` and
+friends).  Those tests pin the bulk path against the per-object oracle
 (``bulk=False``) or against previously observed sequential semantics:
-same facts, same graphs, same deterministic order.
+same facts, same graphs, same deterministic order.  The instance codec
+(``repro.core.instances``) has one column-wise encoder and one decoder;
+its tests pin the encoding of a part against its share of the whole and
+the flush semantics of ``instance_facts``.
 """
 
 import random
@@ -13,7 +16,13 @@ import random
 import pytest
 
 from repro.core import GraphDictionary, SuperSchema
-from repro.core.instances import SuperInstance
+from repro.core.instances import (
+    SuperInstance,
+    _graph_sink,
+    encode_instance,
+    encode_records,
+    instance_facts,
+)
 from repro.core.oid import construct_oid
 from repro.graph.property_graph import ABSENT, GraphError, PropertyGraph
 from repro.metalog import (
@@ -23,7 +32,6 @@ from repro.metalog import (
     parse_metalog,
 )
 from repro.metalog.mtv import materialize_into_graph
-from repro.ssst.materializer import _flush_instance_facts
 from repro.vadalog.database import Database
 from repro.vadalog.engine import Engine
 
@@ -231,22 +239,6 @@ class TestBulkSchemaDictionary:
 
 
 class TestBulkInstanceDictionary:
-    def test_instance_bulk_matches_per_object(
-        self, company_schema, tiny_instance
-    ):
-        graphs = []
-        for bulk in (True, False):
-            dictionary = GraphDictionary()
-            dictionary.store(company_schema)
-            instance = SuperInstance.from_plain_graph(
-                company_schema, tiny_instance, 7
-            )
-            instance.to_dictionary(dictionary.graph, bulk=bulk)
-            graphs.append(dictionary.graph)
-        fast, slow = graphs
-        assert node_snapshot(fast) == node_snapshot(slow)
-        assert edge_snapshot(fast) == edge_snapshot(slow)
-
     def test_instance_round_trip_on_bulk_path(
         self, company_schema, tiny_instance
     ):
@@ -262,8 +254,39 @@ class TestBulkInstanceDictionary:
         assert node_snapshot(back.data) == node_snapshot(tiny_instance)
         assert edge_snapshot(back.data) == edge_snapshot(tiny_instance)
 
+        # Each element encoded alone (the way update() encodes a delta)
+        # yields exactly its share of the whole-graph encoding.
+        whole = set()
+        encode_instance(
+            company_schema, 7, tiny_instance,
+            lambda label, columns: whole.update(
+                (label, *row) for row in zip(*columns)
+            ),
+        )
+        records = [
+            ([(n.id, n.label, n.properties)], []) for n in tiny_instance.nodes()
+        ] + [
+            ([], [(e.id, e.source, e.target, e.label, e.properties)])
+            for e in tiny_instance.edges()
+        ]
+        parts = [
+            {
+                (label, *fact)
+                for label, facts in encode_records(
+                    company_schema, 7, nodes, edges
+                ).items()
+                for fact in facts
+            }
+            for nodes, edges in records
+        ]
+        assert set().union(*parts) == whole
+        assert sum(len(part) for part in parts) == len(whole)
+
 
 class TestBulkInstanceFlush:
+    """``instance_facts``: which I_SM_* facts of a flush-phase database
+    the instance consists of, rendered into a graph to look at them."""
+
     def _seed_database(self):
         database = Database()
         inst = 7
@@ -279,25 +302,33 @@ class TestBulkInstanceFlush:
         )  # dangling: target never materialized
         return database
 
-    def test_bulk_flush_matches_per_object(self):
-        counts = []
-        snapshots = []
-        for bulk in (True, False):
-            graph = PropertyGraph("dict")
-            counts.append(
-                _flush_instance_facts(self._seed_database(), graph, bulk=bulk)
-            )
-            snapshots.append((node_snapshot(graph), edge_snapshot(graph)))
-        assert counts[0] == counts[1] == (5, 1)
-        assert snapshots[0] == snapshots[1]
-        nodes, _edges = snapshots[0]
-        by_id = {entry[0]: dict(entry[2]) for entry in nodes}
+    @staticmethod
+    def _flush(database, graph, company_schema, loaded=None):
+        held, added, dropped = instance_facts(
+            database.columns, loaded or {}, company_schema
+        )
+        sink = _graph_sink(graph)
+        for label, columns in held.items():
+            sink(label, columns)
+        return added, dropped
+
+    def test_bulk_flush_matches_per_object(self, company_schema):
+        graph = PropertyGraph("dict")
+        counts = self._flush(self._seed_database(), graph, company_schema)
+        assert counts == (5, 1)
+        by_id = {entry[0]: dict(entry[2]) for entry in node_snapshot(graph)}
         assert by_id["at1"] == {"instanceOID": 7, "value": None}
         assert by_id["n1"] == {"instanceOID": 7, "sourceOID": "a"}
 
-    def test_existing_oids_are_skipped(self):
+    def test_existing_oids_are_skipped(self, company_schema):
         graph = PropertyGraph("dict")
-        graph.add_node("n1", "I_SM_Node", instanceOID=7, sourceOID="a")
-        added, dropped = _flush_instance_facts(self._seed_database(), graph)
+        database = self._seed_database()
+        # What V_O emits for a derived fact keyed by the loaded node n1.
+        database.add("I_SM_Node", ("n1", 7, None))
+        added, dropped = self._flush(
+            database, graph, company_schema,
+            loaded={"I_SM_Node": {("n1", 7, "a")}},
+        )
         assert graph.node_count == 4  # n1 not duplicated
+        assert graph.node("n1").get("sourceOID") == "a"  # the loaded one
         assert added == 4 and dropped == 1

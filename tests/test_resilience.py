@@ -683,16 +683,17 @@ class TestCheckpointedMaterialization:
 # ----------------------------------------------------------------------
 class TestFlushAccounting:
     def test_dropped_edges_are_counted(self):
-        from repro.ssst.materializer import _flush_instance_facts
+        from repro.core.instances import instance_facts
         from repro.vadalog.database import Database
 
         database = Database()
         database.add("I_SM_Node", ("n1", 1, None))
         database.add("I_SM_FROM", ("e1", "n1", "missing-endpoint", 1))
-        graph = PropertyGraph("dict")
-        added, dropped = _flush_instance_facts(database, graph)
+        held, added, dropped = instance_facts(
+            database.columns, {}, company_super_schema()
+        )
         assert added == 1 and dropped == 1
-        assert graph.has_node("n1") and not graph.has_edge("e1")
+        assert held["I_SM_Node"][0] == ["n1"] and "I_SM_FROM" not in held
 
     def test_report_surfaces_drop_count(self, company_schema, owns_instance):
         report = IntensionalMaterializer().materialize(
