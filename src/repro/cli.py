@@ -264,6 +264,13 @@ def cmd_update(args) -> int:
     )
     if outcome.flush_delta is not None:
         print("store delta:", outcome.flush_delta.summary(), file=sys.stderr)
+    if outcome.flush_dropped_edges:
+        print(
+            f"warning: {outcome.flush_dropped_edges} I_SM_* link fact(s) of "
+            "the updated constructs dropped (source or target is no "
+            "instance construct)",
+            file=sys.stderr,
+        )
     if args.output:
         save_graph(outcome.instance.data, args.output)
         print(f"enriched instance written to {args.output}", file=sys.stderr)

@@ -232,7 +232,11 @@ def instance_facts(
         if columns is None:
             continue
         mark = loaded.get(label, 0)
-        n_loaded = mark if isinstance(mark, int) else len(mark)
+        # A set marks facts the source need not hold all of, so it is
+        # counted over the rows that are there.
+        n_loaded = mark if isinstance(mark, int) else sum(
+            row in mark for row in zip(*columns)
+        )
         size = len(columns[0])
         is_link = label in INSTANCE_EDGE_PROPERTIES
         contested = size > n_loaded and (
@@ -357,6 +361,77 @@ def decode_relations(
     :func:`instance_facts`."""
     held, added, dropped = instance_facts(source, loaded, schema)
     return decode_instance(schema, instance_oid, held.get, name), added, dropped
+
+
+def delta_source(
+    changes: Iterable[Mapping[str, Collection[Fact]]],
+    matching: Callable[[str, int, Any], List[Fact]],
+) -> Tuple[ColumnSource, List[Any], List[Any]]:
+    """A source holding only the rows of the constructs a change to the
+    ``I_SM_*`` relations can reach, and the plain ids those nodes and
+    edges have or had.
+
+    ``changes`` are the added and the removed facts per relation;
+    ``matching(label, position, value)`` probes the relations as they
+    are now, in row order.  A change reaches the construct a changed row
+    is or hangs off (the source of a link, the owner of an attribute)
+    and every edge naming a node whose own row came or went.
+    The end nodes of reached edges ride along as context — no
+    attributes, not listed — so that :func:`decode_relations` over the
+    source yields the reached elements as the whole relations would.
+    """
+    changed: Dict[str, List[Fact]] = {
+        label: [row for side in changes for row in side.get(label, ())]
+        for label in INSTANCE_LABELS
+    }
+    reach = {
+        row[1 if label in INSTANCE_EDGE_PROPERTIES else 0]
+        for label, rows in changed.items() for row in rows
+    }
+    has_property = ("I_SM_HAS_NODE_PROPERTY", "I_SM_HAS_EDGE_PROPERTY")
+    ends = ("I_SM_FROM", "I_SM_TO")
+    for oid in list(reach):
+        reach.update(  # an attribute is decoded with its owner
+            row[1] for label in has_property for row in matching(label, 2, oid)
+        )
+    for node in changed["I_SM_Node"]:
+        reach.update(
+            row[1] for label in ends for row in matching(label, 2, node[0])
+        )
+    reached = sorted(reach, key=str)
+    rows: Dict[str, List[Fact]] = {}
+
+    def fetch(label: str, position: int, keys: Iterable[Any]) -> List[Fact]:
+        rows[label] = [
+            row for key in dict.fromkeys(keys)
+            for row in matching(label, position, key)
+        ]
+        return rows[label]
+
+    fetch("I_SM_Edge", 0, reached)
+    context = [
+        row[2] for label in ends for row in fetch(label, 1, reached)
+        if row[2] not in reach
+    ]
+    fetch("I_SM_Node", 0, (*reached, *context))
+    attributes = [
+        row[2] for label in has_property for row in fetch(label, 1, reached)
+    ]
+    fetch("I_SM_Attribute", 0, attributes)
+    fetch("SM_REFERENCES", 1, (*reached, *context, *attributes))
+
+    def plain_ids(label: str) -> List[Any]:
+        return sorted({
+            oid if plain is None else plain
+            for oid, _ioid, plain in (*rows[label], *changed[label])
+            if oid in reach
+        }, key=str)
+
+    held = {
+        label: [list(column) for column in zip(*facts)]
+        for label, facts in rows.items() if facts
+    }
+    return held.get, plain_ids("I_SM_Node"), plain_ids("I_SM_Edge")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ re-loading the whole instance into a deployed store would throw the
 saving away at the last hop.  A :class:`FlushDelta` is the difference
 between two enriched instances expressed at the plain-graph level —
 exactly what each store's ``apply_flush_delta`` method consumes to bring
-a previously loaded store up to date without a full reload.
+a previously loaded store up to date without a full reload.  ``update()``
+takes it over the elements its change reaches
+(:meth:`FlushDelta.between`) and patches its own enriched graph with it
+(:meth:`FlushDelta.apply_to`); the comparison of two whole graphs is
+what the tests hold that against.
 
 The records carry everything any backend needs to *undo* an element
 (the triple store must retract attribute triples, so removed/updated
@@ -25,7 +29,7 @@ PR 3 savepoint machinery appropriate to its mutation model:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.graph.property_graph import PropertyGraph
 
@@ -67,7 +71,21 @@ class FlushDelta:
 
     @classmethod
     def diff(cls, old: PropertyGraph, new: PropertyGraph) -> "FlushDelta":
-        """The delta that turns ``old`` into ``new``.
+        """``FlushDelta.diff(old, new)``: the delta that turns ``old``
+        into ``new``, every element of both compared (:meth:`between`
+        over all their ids)."""
+        return cls.between(
+            old, new,
+            dict.fromkeys(n.id for graph in (new, old) for n in graph.nodes()),
+            dict.fromkeys(e.id for graph in (new, old) for e in graph.edges()),
+        )
+
+    @classmethod
+    def between(
+        cls, old: PropertyGraph, new: PropertyGraph,
+        node_ids: Iterable[Any], edge_ids: Iterable[Any],
+    ) -> "FlushDelta":
+        """What turns the listed elements of ``old`` into those of ``new``.
 
         Elements are matched by id.  A node whose label changed is
         reported as removed + added (stores key constraints off the
@@ -76,55 +94,65 @@ class FlushDelta:
         edge's endpoints, label, or properties is removed + added.
         """
         delta = cls()
-        for node in new.nodes():
-            if not old.has_node(node.id):
-                delta.added_nodes.append(
-                    (node.id, node.label, dict(node.properties))
-                )
+        for node_id in node_ids:
+            before = node_record(old, node_id)
+            after = node_record(new, node_id)
+            if before and after and before[1] == after[1]:
+                if before[2] != after[2]:
+                    delta.updated_nodes.append((*after, before[2]))
                 continue
-            previous = old.node(node.id)
-            if previous.label != node.label:
-                delta.removed_nodes.append(
-                    (previous.id, previous.label, dict(previous.properties))
-                )
-                delta.added_nodes.append(
-                    (node.id, node.label, dict(node.properties))
-                )
-            elif previous.properties != node.properties:
-                delta.updated_nodes.append(
-                    (node.id, node.label,
-                     dict(node.properties), dict(previous.properties))
-                )
-        for node in old.nodes():
-            if not new.has_node(node.id):
-                delta.removed_nodes.append(
-                    (node.id, node.label, dict(node.properties))
-                )
-        for edge in new.edges():
-            if old.has_edge(edge.id):
-                previous = old.edge(edge.id)
-                if (
-                    previous.source == edge.source
-                    and previous.target == edge.target
-                    and previous.label == edge.label
-                    and previous.properties == edge.properties
-                ):
-                    continue
-                delta.removed_edges.append(
-                    (previous.id, previous.source, previous.target,
-                     previous.label, dict(previous.properties))
-                )
-            delta.added_edges.append(
-                (edge.id, edge.source, edge.target, edge.label,
-                 dict(edge.properties))
-            )
-        for edge in old.edges():
-            if not new.has_edge(edge.id):
-                delta.removed_edges.append(
-                    (edge.id, edge.source, edge.target, edge.label,
-                     dict(edge.properties))
-                )
+            if before:
+                delta.removed_nodes.append(before)
+            if after:
+                delta.added_nodes.append(after)
+        for edge_id in edge_ids:
+            before = edge_record(old, edge_id)
+            after = edge_record(new, edge_id)
+            if before != after:
+                if before:
+                    delta.removed_edges.append(before)
+                if after:
+                    delta.added_edges.append(after)
         return delta
+
+    def apply_to(self, graph: PropertyGraph) -> None:
+        """Patch ``graph``, the ``old`` this delta was taken from, into
+        its ``new``.  An edge a removed node takes along without being
+        listed is unchanged (the node is listed as added again under
+        another label), so it is put back."""
+        for record in self.removed_edges:
+            graph.remove_edge(record[0])
+        unchanged: Dict[Any, EdgeRecord] = {}
+        for node_id, _label, _properties in self.removed_nodes:
+            for edge in (*graph.out_edges(node_id), *graph.in_edges(node_id)):
+                unchanged[edge.id] = edge_record(graph, edge.id)
+            graph.remove_node(node_id)
+        for node_id, label, properties in self.added_nodes:
+            graph.add_node(node_id, label, **properties)
+        for node_id, _label, properties, _old in self.updated_nodes:
+            held = graph.node(node_id).properties
+            held.clear()
+            held.update(properties)
+        for edge_id, source, target, label, properties in (
+            *unchanged.values(), *self.added_edges
+        ):
+            graph.add_edge(source, target, label, edge_id=edge_id, **properties)
+
+
+def node_record(graph: PropertyGraph, node_id: Any) -> Optional[NodeRecord]:
+    """The node as a record of its current values; None when absent."""
+    if not graph.has_node(node_id):
+        return None
+    node = graph.node(node_id)
+    return (node.id, node.label, dict(node.properties))
+
+
+def edge_record(graph: PropertyGraph, edge_id: Any) -> Optional[EdgeRecord]:
+    """The edge as a record of its current values; None when absent."""
+    if not graph.has_edge(edge_id):
+        return None
+    edge = graph.edge(edge_id)
+    return (edge.id, edge.source, edge.target, edge.label, dict(edge.properties))
 
 
 @dataclass

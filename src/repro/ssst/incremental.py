@@ -94,7 +94,9 @@ class RegistryDelta:
 class UpdateReport:
     """Outcome of one :meth:`IntensionalMaterializer.update` call."""
 
-    instance: Any  # the refreshed enriched SuperInstance
+    #: The enriched SuperInstance over the retained, live graph: every
+    #: report of one materializer wraps the same graph, not a snapshot.
+    instance: Any
     #: Net engine changes per retained chase state, in order.
     delta_load: Optional[DeltaResult] = None
     delta_reason: Optional[DeltaResult] = None
@@ -104,11 +106,14 @@ class UpdateReport:
     flush_delta: Optional[FlushDelta] = None
     #: Net ``I_SM_*`` fact changes (added + removed) in ``delta_flush``.
     flushed: int = 0
-    #: ``I_SM_*`` link facts the decoder dropped (a missing end).
+    #: ``I_SM_*`` link facts the decoder dropped (a missing end) among
+    #: the constructs this update touched — not the whole instance's
+    #: count, which ``materialize()`` reports.
     flush_dropped_edges: int = 0
     #: Chase-maintenance time only (the paper's "reasoning" phase).
     engine_seconds: float = 0.0
-    #: Total wall time of the update, decode/diff included.
+    #: Total wall time of the update: validation, encoding, the chase,
+    #: the decode of the touched constructs and the patch.
     update_seconds: float = 0.0
 
     @property

@@ -38,11 +38,12 @@ from repro.core.instances import (
     LoadedMark,
     SuperInstance,
     decode_relations,
+    delta_source,
     encode_instance,
     encode_records,
 )
 from repro.core.schema import SuperSchema
-from repro.deploy.delta import FlushDelta
+from repro.deploy.delta import FlushDelta, edge_record, node_record
 from repro.errors import EvaluationError, SchemaError
 from repro.graph.property_graph import PropertyGraph
 from repro.metalog.ast import MetaProgram
@@ -125,8 +126,9 @@ class RetainedMaterialization:
     Built by ``materialize(..., retain=True)``: the three chase results
     (each carrying a retained
     :class:`~repro.vadalog.incremental.MaterializedState`), the source
-    graph they were loaded from, and the current enriched plain graph
-    (for computing deploy-level flush deltas).
+    graph they were loaded from, and the enriched plain graph, which
+    every ``update()`` patches in place (new elements come last, not in
+    ``str(oid)`` order).
     """
 
     schema: SuperSchema
@@ -415,11 +417,13 @@ class IntensionalMaterializer:
         data graph is mutated in place; the three retained chase states
         are maintained with
         :meth:`~repro.vadalog.engine.Engine.apply_delta` (each state's
-        net changes feed the next, exactly as the full phases chain),
-        and the enriched instance is decoded from the flush state's
-        ``I_SM_*`` relations.  The returned report carries that
-        instance plus a :class:`~repro.deploy.delta.FlushDelta` for
-        bringing deployed stores up to date without a reload.
+        net changes feed the next, exactly as the full phases chain).
+        Of the flush state's ``I_SM_*`` relations only the rows of the
+        constructs its net changes reach are decoded; what differs from
+        the enriched graph is the :class:`~repro.deploy.delta.FlushDelta`
+        (for bringing deployed stores up to date without a reload), and
+        the enriched graph is patched with it in place — the report's
+        ``instance`` wraps that one live graph.
 
         The result is fact-set-identical (up to labeled-null renaming)
         to re-running :meth:`materialize` from scratch on the mutated
@@ -468,18 +472,12 @@ class IntensionalMaterializer:
             )
 
             try:
-                # Mutate the registry graph (edges first: node removal
-                # would cascade them).
-                for edge_id, *_rest in removed_edges:
-                    data.remove_edge(edge_id)
-                for node_id, *_rest in removed_nodes:
-                    data.remove_node(node_id)
-                for node_id, type_name, properties in delta.add_nodes:
-                    data.add_node(node_id, type_name, **properties)
-                for edge_id, source, target, type_name, properties in delta.add_edges:
-                    data.add_edge(
-                        source, target, type_name, edge_id=edge_id, **properties
-                    )
+                # Mutate the registry graph: the delta's records are a
+                # plain-graph patch themselves.
+                FlushDelta(
+                    added_nodes=delta.add_nodes, added_edges=delta.add_edges,
+                    removed_nodes=removed_nodes, removed_edges=removed_edges,
+                ).apply_to(data)
 
                 # Chase maintenance: each state's net changes are the
                 # next state's extensional delta (load -> reason ->
@@ -503,13 +501,24 @@ class IntensionalMaterializer:
                     removed=delta_reason.removed,
                 )
 
-                # The flush state's extensional I_SM_* facts are the
-                # loaded ones: only V_O derives into those relations.
-                instance, _, dropped = decode_relations(
-                    schema, ioid, retained.result_flush.database.columns,
-                    retained.result_flush.state.edb, f"{data.name}+derived",
+                # Decode what the flush state's net changes can reach,
+                # and no more: those constructs' rows through the one
+                # decoder, set against the same elements of the enriched
+                # graph, which is then patched in place.  The flush
+                # state's extensional I_SM_* facts are the loaded ones:
+                # only V_O derives into those relations.
+                flush = retained.result_flush
+                source, node_ids, edge_ids = delta_source(
+                    (delta_flush.added, delta_flush.removed),
+                    flush.database.matching,
                 )
-                flush_delta = FlushDelta.diff(retained.enriched, instance.data)
+                touched, _, dropped = decode_relations(
+                    schema, ioid, source, flush.state.edb, "touched"
+                )
+                flush_delta = FlushDelta.between(
+                    retained.enriched, touched.data, node_ids, edge_ids
+                )
+                flush_delta.apply_to(retained.enriched)
             except BaseException:
                 self._retained = None
                 raise
@@ -519,31 +528,22 @@ class IntensionalMaterializer:
                 for label in INSTANCE_LABELS
             )
             tracer.count("incr.flushed_delta", flushed)
-            retained.enriched = instance.data
             retained.updates_applied += 1
-            engine_seconds = (
-                delta_load.elapsed_seconds
-                + delta_reason.elapsed_seconds
-                + delta_flush.elapsed_seconds
-            )
+            deltas = (delta_load, delta_reason, delta_flush)
             span.set(
                 flushed=flushed,
                 dropped_edges=dropped,
-                strata_recomputed=(
-                    delta_load.strata_recomputed
-                    + delta_reason.strata_recomputed
-                    + delta_flush.strata_recomputed
-                ),
+                strata_recomputed=sum(d.strata_recomputed for d in deltas),
             )
         return UpdateReport(
-            instance=instance,
+            instance=SuperInstance(schema, ioid, retained.enriched),
             delta_load=delta_load,
             delta_reason=delta_reason,
             delta_flush=delta_flush,
             flush_delta=flush_delta,
             flushed=flushed,
             flush_dropped_edges=dropped,
-            engine_seconds=engine_seconds,
+            engine_seconds=sum(d.elapsed_seconds for d in deltas),
             update_seconds=perf_counter() - start,
         )
 
@@ -558,66 +558,51 @@ class IntensionalMaterializer:
         Records capture the *current* labels and properties — the same
         values the load phase encoded — before anything is mutated.
         """
-        edge_ids: List[Any] = []
-        seen: set = set()
-        for edge_id in delta.remove_edges:
+        edge_ids = dict.fromkeys(delta.remove_edges)
+        for edge_id in edge_ids:
             if not data.has_edge(edge_id):
                 raise SchemaError(f"cannot remove unknown edge {edge_id!r}")
-            if edge_id not in seen:
-                seen.add(edge_id)
-                edge_ids.append(edge_id)
-        node_ids: List[Any] = []
-        seen_nodes: set = set()
-        for node_id in delta.remove_nodes:
+        node_ids = dict.fromkeys(delta.remove_nodes)
+        for node_id in node_ids:
             if not data.has_node(node_id):
                 raise SchemaError(f"cannot remove unknown node {node_id!r}")
-            if node_id in seen_nodes:
-                continue
-            seen_nodes.add(node_id)
-            node_ids.append(node_id)
-            for edge in list(data.out_edges(node_id)) + list(data.in_edges(node_id)):
-                if edge.id not in seen:
-                    seen.add(edge.id)
-                    edge_ids.append(edge.id)
-        removed_edges = []
-        for edge_id in edge_ids:
-            edge = data.edge(edge_id)
-            removed_edges.append(
-                (edge.id, edge.source, edge.target, edge.label,
-                 dict(edge.properties))
-            )
-        removed_nodes = []
-        for node_id in node_ids:
-            node = data.node(node_id)
-            removed_nodes.append((node.id, node.label, dict(node.properties)))
-        return removed_nodes, removed_edges
+            edge_ids.update(dict.fromkeys(
+                edge.id
+                for edge in (*data.out_edges(node_id), *data.in_edges(node_id))
+            ))
+        return (
+            [node_record(data, node_id) for node_id in node_ids],
+            [edge_record(data, edge_id) for edge_id in edge_ids],
+        )
 
     @staticmethod
     def _validate_additions(
         data: PropertyGraph,
         delta: RegistryDelta,
         removed_node_ids: set,
-        removed_edge_ids: Optional[set] = None,
+        removed_edge_ids: set,
     ) -> None:
-        added_node_ids = {record[0] for record in delta.add_nodes}
-        removed_edge_ids = removed_edge_ids or set()
-        for node_id, _type_name, _properties in delta.add_nodes:
-            if data.has_node(node_id) and node_id not in removed_node_ids:
-                raise SchemaError(
-                    f"cannot add node {node_id!r}: it already exists "
-                    "(remove it in the same delta to replace it)"
-                )
+        added: Dict[str, set] = {"node": set(), "edge": set()}
+        for kind, records, exists, removed in (
+            ("node", delta.add_nodes, data.has_node, removed_node_ids),
+            ("edge", delta.add_edges, data.has_edge, removed_edge_ids),
+        ):
+            for new_id, *_rest in records:
+                if new_id in added[kind]:
+                    raise SchemaError(
+                        f"{kind} {new_id!r} is added twice in one delta"
+                    )
+                added[kind].add(new_id)
+                if exists(new_id) and new_id not in removed:
+                    raise SchemaError(
+                        f"cannot add {kind} {new_id!r}: it already exists "
+                        "(remove it in the same delta to replace it)"
+                    )
         for edge_id, source, target, _type_name, _properties in delta.add_edges:
-            if data.has_edge(edge_id) and edge_id not in removed_edge_ids:
-                raise SchemaError(
-                    f"cannot add edge {edge_id!r}: it already exists "
-                    "(remove it in the same delta to replace it)"
-                )
             for endpoint in (source, target):
-                present = (
-                    data.has_node(endpoint) and endpoint not in removed_node_ids
-                ) or endpoint in added_node_ids
-                if not present:
+                if endpoint not in added["node"] and (
+                    endpoint in removed_node_ids or not data.has_node(endpoint)
+                ):
                     raise SchemaError(
                         f"edge {edge_id!r} references missing node "
                         f"{endpoint!r}"

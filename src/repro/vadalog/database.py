@@ -318,6 +318,18 @@ class Database:
         transposed = list(zip(*sorted(relation, key=fact_sort_key)))
         return [list(col) for col in transposed] if transposed else None
 
+    def matching(self, predicate: str, position: int, value: Any) -> List[Fact]:
+        """The facts of ``predicate`` holding ``value`` at ``position``,
+        in the order :meth:`columns` lists them — an index probe, not a
+        scan."""
+        relation = self._relations.get(predicate)
+        if relation is None:
+            return []
+        facts = list(relation.lookup([(position, value)]))
+        if not self.columnar:
+            facts.sort(key=fact_sort_key)
+        return facts
+
     def has(self, predicate: str, fact: Tuple[Any, ...]) -> bool:
         relation = self._relations.get(predicate)
         return relation is not None and fact in relation

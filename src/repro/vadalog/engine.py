@@ -323,6 +323,7 @@ class Engine:
                 predicate: set(db.relation(predicate))
                 for predicate in db.predicates()
             }
+            nulls.minted = {}  # remembered for null-stable recomputes
 
         if governor is not None:
             governor.begin()
@@ -1122,10 +1123,7 @@ class Engine:
                     limit=self.max_nulls,
                     stats=stats,
                 )
-            assignment = {
-                variable: nulls.fresh(variable.name)
-                for variable in remaining_existential
-            }
+            assignment = nulls.assign(resolved_heads, remaining_existential)
             stats.nulls_created += len(assignment)
             for predicate, terms in resolved_heads:
                 yield predicate, tuple(

@@ -33,7 +33,16 @@ change:
 Labeled nulls minted during maintenance continue the retained
 :class:`NullFactory` counter, so incremental ordinals differ from a
 from-scratch run; results are equal **up to null renaming** (the
-differential battery canonicalizes nulls before comparing).
+differential battery canonicalizes nulls before comparing).  A
+recomputed stratum gives an existential head it derives again the nulls
+that head had: the before/after diff is then the net change (not the
+whole stratum under new names), derived ids survive updates, and the
+value dictionary stops growing with churn.  The renaming stays
+injective because a remembered assignment belongs to one firing (rule
+head pattern) of this state, is taken back by at most one firing of the
+same pattern per recompute, and is forgotten when none does; every
+other null is fresh.  Delta facts are joined in ``fact_sort_key`` order
+so that the ordinals do not depend on the hash seed.
 """
 
 from __future__ import annotations
@@ -78,7 +87,7 @@ from repro.vadalog.plan import (
     values_equal,
 )
 from repro.vadalog.stratify import Stratum
-from repro.vadalog.terms import SkolemValue, Variable
+from repro.vadalog.terms import SkolemValue, Variable, fact_sort_key
 
 Substitution = Dict[Variable, Any]
 
@@ -454,7 +463,7 @@ def _delta_matches(
             earlier_delta = delta.get(body[earlier].predicate)
             if earlier_delta:
                 excludes[earlier] = earlier_delta
-        for fact in delta_facts:
+        for fact in sorted(delta_facts, key=fact_sort_key):
             base = binder.match(fact)
             if base is None:
                 continue
@@ -483,7 +492,7 @@ def _aggregate_delta_matches(
     accumulator = retained.accumulator
     call = plan.call
     group_vars = plan.group_vars
-    touched: Set[Tuple[Any, ...]] = set()
+    touched: Dict[Tuple[Any, ...], None] = {}  # in first-touch order
     delta_indexes = [
         i
         for i, literal in enumerate(plan.pre)
@@ -498,7 +507,7 @@ def _aggregate_delta_matches(
             earlier_delta = delta.get(plan.pre[earlier].predicate)
             if earlier_delta:
                 excludes[earlier] = earlier_delta
-        for fact in delta_facts:
+        for fact in sorted(delta_facts, key=fact_sort_key):
             base = binder.match(fact)
             if base is None:
                 continue
@@ -528,7 +537,7 @@ def _aggregate_delta_matches(
                     group,
                     {v: substitution[v] for v in group_vars if v in substitution},
                 )
-                touched.add(group)
+                touched[group] = None
 
     groups = accumulator.state()
     for group in touched:
@@ -794,22 +803,26 @@ def _recompute_stratum(
 
     Every predicate this stratum's rules write resets to the
     post-update extensional baseline, then the engine's own stratum
-    evaluator re-runs against the already-updated upstream state.  The
-    before/after diff becomes the downstream delta.
+    evaluator re-runs against the already-updated upstream state.  An
+    existential head that is derived again takes back the nulls it had
+    (:class:`~repro.vadalog.terms.NullFactory`), so the before/after
+    diff is the net change and becomes the downstream delta.
     """
     stratum_heads = _head_predicates(stratum.rules)
     before = {
         predicate: set(db.relation(predicate)) for predicate in stratum_heads
     }
+    nulls = state.nulls
     for predicate in stratum_heads:
         db.reset(predicate, state.edb.get(predicate, set()))
+        if predicate in nulls.minted:
+            nulls.reclaim[predicate] = nulls.minted.pop(predicate)
     engine._retain_sink = state
     try:
-        engine._evaluate_stratum(
-            stratum, index, db, stats, state.nulls, state.skolems
-        )
+        engine._evaluate_stratum(stratum, index, db, stats, nulls, state.skolems)
     finally:
         engine._retain_sink = None
+        nulls.reclaim = {}  # unclaimed: the firing is gone, so are its nulls
     for predicate in stratum_heads:
         after = set(db.relation(predicate))
         gained = after - before[predicate]

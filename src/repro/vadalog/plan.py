@@ -1605,10 +1605,7 @@ class RulePlans:
                     limit=max_nulls,
                     stats=stats,
                 )
-            assignment = {
-                variable: nulls.fresh(variable.name)
-                for variable in self.existentials
-            }
+            assignment = nulls.assign(resolved, self.existentials)
             stats.nulls_created += len(assignment)
             for predicate, terms in resolved:
                 yield predicate, tuple(

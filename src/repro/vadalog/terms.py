@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,40 @@ class Null:
 
 
 class NullFactory:
-    """Produces fresh labeled nulls, one counter per evaluation."""
+    """Produces fresh labeled nulls, one counter per evaluation.
+
+    The factory of a retained state (``minted`` is a dict) also keeps
+    the assignment every existential firing got, by first head predicate
+    and resolved head pattern.  A stratum recompute moves its heads'
+    entries to ``reclaim``, where a firing that re-derives a pattern
+    takes back the nulls it had; each entry is taken at most once and
+    everything else is fresh, so no null ever names two firings.
+    """
 
     def __init__(self):
         self._counter = itertools.count(1)
+        self.minted: Optional[Dict[str, Dict[Any, List[Dict[Any, Null]]]]] = None
+        self.reclaim: Dict[str, Dict[Any, List[Dict[Any, Null]]]] = {}
 
     def fresh(self, label: str = "z") -> Null:
         return Null(label, next(self._counter))
+
+    def assign(
+        self, heads: Sequence[Tuple[str, Sequence[Any]]], variables: Iterable[Any]
+    ) -> Dict[Any, Null]:
+        """The nulls of one firing whose resolved head atoms ``heads``
+        leave the existential ``variables`` open."""
+        if self.minted is None:
+            return {v: self.fresh(v.name) for v in variables}
+        predicate = heads[0][0]
+        pattern = tuple((name, *terms) for name, terms in heads)
+        held = self.reclaim.get(predicate, {}).get(pattern)
+        assignment = (
+            held.pop() if held else {v: self.fresh(v.name) for v in variables}
+        )
+        self.minted.setdefault(predicate, {}).setdefault(
+            pattern, []).append(assignment)
+        return assignment
 
 
 @dataclass(frozen=True)

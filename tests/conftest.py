@@ -83,3 +83,89 @@ def simple_digraph():
     ]:
         graph.add_edge(source, target, "E")
     return graph
+
+
+# ----------------------------------------------------------------------
+# update(): the whole-instance diff is the oracle
+# ----------------------------------------------------------------------
+FLUSH_DELTA_LISTS = (
+    "added_nodes", "added_edges", "updated_nodes", "removed_nodes",
+    "removed_edges",
+)
+
+
+def flush_delta_records(delta):
+    """A ``FlushDelta`` as per-list sorted records (property order and
+    record order do not count)."""
+    def canon(record):
+        return repr(tuple(
+            sorted(part.items()) if isinstance(part, dict) else part
+            for part in record
+        ))
+
+    return {
+        name: sorted(canon(record) for record in getattr(delta, name))
+        for name in FLUSH_DELTA_LISTS
+    }
+
+
+def diff_is_the_oracle(materializer):
+    """Hold every later ``materializer.update()`` against the oracle.
+
+    Before the call the enriched graph is copied; after it the whole
+    instance is decoded from the flush relations.  The emitted
+    ``FlushDelta`` must equal ``FlushDelta.diff(copy, whole)`` record
+    for record, and the patched enriched graph must equal the whole
+    decode.  During the call itself no whole relation of the flush
+    database may be read and ``FlushDelta.diff`` may not run.
+    Returns ``materializer``.
+    """
+    from unittest import mock
+
+    from repro.core.instances import decode_relations
+    from repro.deploy.delta import FlushDelta
+    from repro.vadalog.columnar import ColumnarRelation
+    from repro.vadalog.database import Database
+
+    real_update = materializer.update
+    real_columns = Database.columns
+    real_value_columns = ColumnarRelation.value_columns
+
+    def checked_update(delta):
+        retained = materializer.retained
+        if retained is None:
+            return real_update(delta)
+        flush_db = retained.result_flush.database
+        before = retained.enriched.copy()
+
+        def columns(self, predicate):
+            assert self is not flush_db, f"whole read of {predicate}"
+            return real_columns(self, predicate)
+
+        def value_columns(self):
+            assert not any(
+                self is held for held in flush_db._relations.values()
+            ), f"whole read of {self.name}"
+            return real_value_columns(self)
+
+        def no_diff(*_args, **_kwargs):
+            raise AssertionError("FlushDelta.diff called by update()")
+
+        with mock.patch.object(Database, "columns", columns), \
+                mock.patch.object(ColumnarRelation, "value_columns",
+                                  value_columns), \
+                mock.patch.object(FlushDelta, "diff", no_diff):
+            report = real_update(delta)
+        assert report.instance.data is retained.enriched
+        whole, _, _ = decode_relations(
+            retained.schema, retained.instance_oid, flush_db.columns,
+            retained.result_flush.state.edb, "whole",
+        )
+        assert flush_delta_records(report.flush_delta) == flush_delta_records(
+            FlushDelta.diff(before, whole.data)
+        )
+        assert not FlushDelta.diff(retained.enriched, whole.data).changed()
+        return report
+
+    materializer.update = checked_update
+    return materializer

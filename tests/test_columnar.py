@@ -18,7 +18,11 @@ from tests.test_engine_plans import (
     _existential_case,
     _recursion_case,
 )
-from tests.test_incremental import _mutation, _mutated_inputs
+from tests.test_incremental import (
+    _mutated_inputs,
+    _mutation,
+    _null_occurrences,
+)
 
 # ---------------------------------------------------------------------------
 # Value interner
@@ -372,6 +376,10 @@ def columnar_delta_differential(text, predicates, inputs, rng, kind):
                 f"columnar delta vs oracle mismatch on {predicate} "
                 f"(round {round_no})"
             )
+        for retained in (col, tup):
+            assert _null_occurrences(retained, predicates) == (
+                _null_occurrences(oracle, predicates)
+            ), f"the null renaming is not injective (round {round_no})"
 
 
 KINDS = ("insert", "delete", "mixed")

@@ -14,7 +14,9 @@ from repro.metalog import parse_metalog
 from repro.models.relational import Column, ForeignKey, RelationalSchema, Table
 from repro.ssst import SSST, IntensionalMaterializer, RegistryDelta
 from repro.vadalog import Engine, parse_program
+from repro.vadalog.terms import Null
 
+from tests.conftest import diff_is_the_oracle
 from tests.test_engine_plans import (
     _aggregate_case,
     _canon,
@@ -68,6 +70,24 @@ def _mutated_inputs(inputs, added, removed):
     return {p: sorted(facts, key=repr) for p, facts in mutated.items()}
 
 
+def _null_occurrences(result, predicates):
+    """Per labeled null, every place it occurs in (itself marked, other
+    nulls blanked), as a sorted list over the nulls.  Two runs agree on
+    it exactly when one renames into the other null by null — a null
+    standing in for two of the other run's would show both their places.
+    """
+    places = {}
+    for predicate in predicates:
+        for fact in result.facts(predicate):
+            for null in {t for t in fact if isinstance(t, Null)}:
+                places.setdefault(null, []).append(repr((predicate, tuple(
+                    ("<self>" if t == null else "<null>")
+                    if isinstance(t, Null) else t
+                    for t in fact
+                ))))
+    return sorted(sorted(occurrences) for occurrences in places.values())
+
+
 def delta_differential(text, predicates, inputs, rng, kind, use_plans=True):
     """Retained run + apply_delta must equal a from-scratch oracle, up to
     labeled-null renaming, after each of two chained updates."""
@@ -87,6 +107,9 @@ def delta_differential(text, predicates, inputs, rng, kind, use_plans=True):
             assert _canon(result.facts(predicate)) == _canon(
                 oracle.facts(predicate)
             ), f"{kind} mismatch on {predicate} (round {_round})"
+        assert _null_occurrences(result, predicates) == _null_occurrences(
+            oracle, predicates
+        ), f"{kind}: the null renaming is not injective (round {_round})"
 
 
 class TestEngineDeltaDifferential:
@@ -191,6 +214,54 @@ class TestDRedEdgeCases:
 
 
 # ---------------------------------------------------------------------------
+# A recomputed stratum keeps the nulls of the heads it derives again
+# ---------------------------------------------------------------------------
+
+
+class TestNullStableRecompute:
+    PROGRAM = "r(X, Y) -> q(X, Z).\nq(X, Z) -> s(Z)."
+
+    @pytest.mark.parametrize("use_plans", [True, False])
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_net_delta_and_one_firing_per_assignment(self, use_plans, columnar):
+        engine = Engine(use_plans=use_plans, columnar=columnar)
+        result = engine.run(
+            parse_program(self.PROGRAM),
+            inputs={"r": [("a", 1), ("a", 2), ("b", 1), ("c", 1)]},
+            retain_state=True,
+        )
+        # Both r(a, _) fire in one round: the pattern q(a, Z) holds twice.
+        first = set(result.facts("q"))
+        assert len(first) == 4
+        (gone,) = (fact for fact in first if fact[0] == "b")
+        delta = engine.apply_delta(result, removed={"r": [("b", 1)]})
+        assert delta.strata_recomputed >= 1
+        assert set(result.facts("q")) == first - {gone}  # same nulls
+        assert delta.removed == {
+            "r": {("b", 1)}, "q": {gone}, "s": {(gone[1],)}}
+        assert not delta.added
+        # One of the two q(a, Z) firings goes: one of their nulls stays,
+        # the other is forgotten; what is new is a fresh ordinal.
+        delta = engine.apply_delta(
+            result, added={"r": [("d", 1)]}, removed={"r": [("a", 1)]}
+        )
+        now = set(result.facts("q"))
+        assert len(now & first) == 2 and len(now) == 3
+        assert {fact[0] for fact in delta.removed["q"]} == {"a"}
+        ((_, fresh),) = delta.added["q"]
+        assert fresh.ordinal == 5
+        remembered = [
+            null
+            for assignments in result.state.nulls.minted["q"].values()
+            for assignment in assignments
+            for null in assignment.values()
+        ]
+        assert sorted(remembered, key=repr) == sorted(
+            (fact[1] for fact in now), key=repr)
+        assert not result.state.nulls.reclaim
+
+
+# ---------------------------------------------------------------------------
 # EvaluationResult.per_stratum_facts
 # ---------------------------------------------------------------------------
 
@@ -264,7 +335,7 @@ def _control_sigma():
 
 @pytest.fixture()
 def retained(company_schema, owns_instance):
-    materializer = IntensionalMaterializer()
+    materializer = diff_is_the_oracle(IntensionalMaterializer())
     report = materializer.materialize(
         company_schema, owns_instance, _control_sigma(),
         instance_oid=9, retain=True,

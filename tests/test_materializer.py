@@ -13,20 +13,26 @@ import repro.core.instances as codec
 import repro.ssst.materializer as materializer_module
 from repro.core.dictionary import GraphDictionary
 from repro.core.instances import SuperInstance
+from repro.deploy.graph_store import GraphStore
+from repro.deploy.loaders import load_graph_store
 from repro.errors import EvaluationError, ResourceLimitError, SchemaError
 from repro.finkg import generator, programs
+from repro.finkg.control import control_pairs, stakes_from_graph
 from repro.graph import ColumnarPropertyGraph, make_graph
 from repro.graph.property_graph import PropertyGraph
 from repro.metalog import parse_metalog
 from repro.obs import ResourceGovernor
 from repro.ssst import (
+    SSST,
     IntensionalMaterializer,
     MaterializationCheckpoint,
     catalog_from_super_schema,
 )
 from repro.ssst.incremental import RegistryDelta
 from repro.ssst.views import input_views, output_views
-from repro.vadalog.terms import SkolemValue
+from repro.vadalog.engine import Engine
+from repro.vadalog.terms import Null, SkolemValue
+from tests.conftest import diff_is_the_oracle
 
 
 @pytest.fixture()
@@ -296,16 +302,33 @@ def with_extra_people(data):
     return data
 
 
-#: Recorded at the commit before the dictionary-graph round trip was
-#: removed (PR 17), with the graph-mediated flush and decode.
+#: The fresh run ([0]) was recorded at the commit before the
+#: dictionary-graph round trip was removed (PR 17), with the
+#: graph-mediated flush and decode.  The six updates were re-recorded
+#: when update() began to patch the enriched graph in place and to keep
+#: the nulls of re-derived heads (PR 19): derived edges keep their ids
+#: and new elements come in patch order.  Each step is also held against
+#: a from-scratch run, up to null renaming and element order, below.
 GOLDEN_CONTROL = [
     "4ffb63bdda5622e5d5cd63cbd3aa0ebd0b320090d92b974bf3f16d712c487711",
-    "b204d9fb88493cdf4a269352b47744b54625888e1018e6cce8c3aa2d0cf007c6",
-    "7cbf66d37e6dca2e9fe7e7eef9f52538fadbd2ab97b395256a98b6019ae78789",
-    "91febd0cff632ae34bd8c1ae1283b0ae626b129ab839582e6aea0483a16e33c5",
-    "d353ac53e1ad56db7366bf4c365ba42c8c1bfb77912d16df4ea1eabceb1250d5",
-    "abd6bd1c7b72bf19087166aae9b20defd5fe0202d73d76c6188fc9324d065c3f",
-    "6d66cd047ed30d5595797a1535c04344732616225edd7b3351d0140157d4e5a5",
+    "5e6bb6c7c3921e05b2c476f6683a7d36642b0edb71925448113f2a29873fc5e2",
+    "eedc5647aff84f5aa3140aa68433ef8d7646241aa0dcd363eaf9b0fe52426a2e",
+    "0bdd51366bd8bfd6168bb2f69a26f7192461190adc16ad68f6c86fb9063b2a6e",
+    "ebf7524655c5248916dedb76d08fbb347499926e65846a16858e7d21c5cf9c9d",
+    "93c0baeb9accd4860cfc6b82b6dcf40d9e3f854eb36b7d79ce3d39c6d4bb6100",
+    "7817bcb38def96135fcee5e93d5328405f696e8b63e01432c55b03ce15c4edf2",
+]
+#: sha256 of ``up_to_nulls_and_order`` at the same seven steps: the same
+#: at the parent of PR 19 and after it, so the re-recorded digests above
+#: differ from the parent's in null names and element order only.
+GOLDEN_CONTROL_UP_TO_NULLS = [
+    "ed7f9fbcdc7bd6d4255984e01aa8fe9f3822fcdcac07ae12a075eaeaed2f4251",
+    "a76dff88b4067cc27310ac3539443c91a090f2f757efdb50a60c5e53e9197f14",
+    "913cdf4df9748dcc4770ed09c6c335236c9dfec4046d440640730f4af16b2788",
+    "f002c7dbab4fddbc7aafb72d51159b9affcf114f30097876d8bc56d912c5ce08",
+    "497848406e0ad041a125054cb3b0b8381735b9fbf36fad6faab62c0866653a1a",
+    "a6c0ae530d158a2b58300ec4220a3a52c8e6fd8c1121513f1a19a3fc0871709b",
+    "5105a783d485cc568db518ba485988677ea6b89351029e74a2feda231432d886",
 ]
 GOLDEN_CHAINS = {
     # A derived attribute on a loaded node: the loaded construct wins.
@@ -323,6 +346,21 @@ GOLDEN_CHAINS = {
 GRAPH_WRITERS = (
     "add_nodes_bulk", "add_edges_bulk", "existing_node_ids", "existing_edge_ids",
 )
+
+
+def up_to_nulls_and_order(graph):
+    """Every element of ``graph`` with invented ids blanked, sorted."""
+    def plain(value):
+        return "_" if isinstance(value, (Null, SkolemValue)) else value
+
+    return sorted(
+        repr((plain(n.id), n.label, sorted(n.properties.items())))
+        for n in graph.nodes()
+    ), sorted(
+        repr((plain(e.id), plain(e.source), plain(e.target), e.label,
+              sorted(e.properties.items())))
+        for e in graph.edges()
+    )
 
 
 def forbid_graph_bulk_access(monkeypatch):
@@ -347,12 +385,18 @@ def assert_schemas_only(dictionary, schema_nodes):
 class TestInstanceRelations:
     def test_golden_digests_fresh_run_and_six_updates(self, company_schema):
         data, registry = kgbench_registry(500, 42)
-        materializer = IntensionalMaterializer()
+        sigma = parse_metalog(programs.CONTROL_PROGRAM)
+        materializer = diff_is_the_oracle(IntensionalMaterializer())
         report = materializer.materialize(
-            company_schema, registry, parse_metalog(programs.CONTROL_PROGRAM),
-            instance_oid=9, retain=True,
+            company_schema, registry, sigma, instance_oid=9, retain=True,
         )
+        def renamed(graph):
+            return hashlib.sha256(
+                repr(up_to_nulls_and_order(graph)).encode()
+            ).hexdigest()
+
         digests = [order_sensitive_digest(report.instance.data)]
+        renamed_digests = [renamed(report.instance.data)]
         taken = {(s.owner, s.company) for s in data.stakes}
         rng = random.Random(42)
         businesses = sorted(data.companies)
@@ -376,6 +420,12 @@ class TestInstanceRelations:
             update = materializer.update(delta)
             assert update.instance.data is materializer.retained.enriched
             digests.append(order_sensitive_digest(update.instance.data))
+            renamed_digests.append(renamed(update.instance.data))
+            scratch = IntensionalMaterializer().materialize(
+                company_schema, registry.copy(), sigma, instance_oid=9,
+            )
+            assert renamed_digests[-1] == renamed(scratch.instance.data)
+        assert renamed_digests == GOLDEN_CONTROL_UP_TO_NULLS
         assert digests == GOLDEN_CONTROL
 
     @pytest.mark.parametrize("program", sorted(GOLDEN_CHAINS))
@@ -412,7 +462,7 @@ class TestInstanceRelations:
         dictionary.store(company_schema)
         schema_nodes = dictionary.graph.node_count
         forbid_graph_bulk_access(monkeypatch)
-        materializer = IntensionalMaterializer()
+        materializer = diff_is_the_oracle(IntensionalMaterializer())
         if program == "CONTROL_PROGRAM":
             data = owns_instance
         else:
@@ -463,6 +513,7 @@ class TestInstanceRelations:
         SuperInstance.from_dictionary(dictionary.graph, company_schema, 7)
         assert calls == {"encode_instance": 1, "decode_instance": 1}
 
+        # No oracle here: its whole decode would be counted as well.
         materializer = IntensionalMaterializer()
         materializer.materialize(
             company_schema, owns_instance,
@@ -481,7 +532,7 @@ class TestInstanceRelations:
     ):
         """An update that dies between the registry mutation and the
         last chase state leaves nothing to continue from."""
-        materializer = IntensionalMaterializer()
+        materializer = diff_is_the_oracle(IntensionalMaterializer())
         materializer.materialize(
             company_schema, owns_instance,
             parse_metalog(programs.CONTROL_PROGRAM), instance_oid=9,
@@ -503,6 +554,39 @@ class TestInstanceRelations:
         materializer.engine.governor = None
         with pytest.raises(EvaluationError, match="prior materialize"):
             materializer.update(RegistryDelta(remove_edges=["o9"]))
+
+    @pytest.mark.parametrize("kind", ["add_edges", "add_nodes"])
+    def test_an_id_added_twice_is_a_schema_error(
+        self, company_schema, owns_instance, kind
+    ):
+        """One delta naming a new id twice is rejected like any other
+        delta the registry cannot take (a stream quarantines the batch
+        on ``SchemaError``), not by a ``GraphError`` out of the encoder."""
+        materializer = diff_is_the_oracle(IntensionalMaterializer())
+        materializer.materialize(
+            company_schema, owns_instance,
+            parse_metalog(programs.CONTROL_PROGRAM), instance_oid=9,
+            retain=True,
+        )
+        retained = materializer.retained
+        registry = order_sensitive_digest(owns_instance)
+        enriched = order_sensitive_digest(retained.enriched)
+        if kind == "add_edges":
+            delta = RegistryDelta(add_edges=[
+                ("d1", "B1", "B2", "OWNS", {"percentage": 0.1}),
+                ("d1", "B1", "B3", "OWNS", {"percentage": 0.2}),
+            ])
+        else:
+            delta = RegistryDelta(add_nodes=[
+                ("d1", "Business", {"fiscalCode": "FCd1"}),
+                ("d1", "Business", {"fiscalCode": "FCd2"}),
+            ])
+        with pytest.raises(SchemaError, match="'d1'.*twice"):
+            materializer.update(delta)
+        assert materializer.retained is retained
+        assert retained.updates_applied == 0
+        assert order_sensitive_digest(owns_instance) == registry
+        assert order_sensitive_digest(retained.enriched) == enriched
 
     def test_resumed_run_is_hash_seed_independent(self, tmp_path):
         """A resumed run decodes relations restored from a checkpoint;
@@ -539,3 +623,289 @@ class TestInstanceRelations:
             )
             digests.append(done.stdout.strip())
         assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+# ----------------------------------------------------------------------
+# update() decodes what the delta reaches; the whole diff is its oracle
+# ----------------------------------------------------------------------
+BUSINESS = {"legalNature": "spa", "shareholdingCapital": 10.0}
+
+
+@pytest.fixture(params=[True, False], ids=["columnar", "tuples"])
+def checked(request):
+    """A materializer on either engine backend whose every update() is
+    held against ``FlushDelta.diff`` over whole decodes."""
+    return diff_is_the_oracle(
+        IntensionalMaterializer(engine=Engine(columnar=request.param))
+    )
+
+
+def retained_over_owns(materializer, schema, data, program):
+    """``program`` retained over ``data`` with its OWNS edges derived."""
+    owns = IntensionalMaterializer().materialize(
+        schema, data, parse_metalog(programs.OWNS_PROGRAM), instance_oid=21,
+    ).instance.data
+    materializer.materialize(
+        schema, owns, parse_metalog(getattr(programs, program)),
+        instance_oid=22, retain=True,
+    )
+    return owns
+
+
+class TestDeltaDecode:
+    def test_control_chain_on_both_backends(self, company_schema, checked):
+        _, registry = kgbench_registry(60, 7)
+        checked.materialize(
+            company_schema, registry, parse_metalog(programs.CONTROL_PROGRAM),
+            instance_oid=9, retain=True,
+        )
+        owner, target = sorted(
+            n.id for n in registry.nodes("Business")
+        )[:2]
+        added = checked.update(RegistryDelta(add_edges=[
+            ("x1", owner, target, "OWNS", {"percentage": 0.9}),
+        ]))
+        assert ("x1", owner, target, "OWNS", {"percentage": 0.9}) in (
+            added.flush_delta.added_edges
+        )
+        removed = checked.update(RegistryDelta(remove_edges=["x1"]))
+        assert [e[0] for e in removed.flush_delta.removed_edges if e[3] == "OWNS"] == ["x1"]
+        assert not removed.flush_delta.added_edges
+
+    def test_derived_attribute_on_a_loaded_node_is_an_update(
+        self, company_schema, tiny_instance, checked
+    ):
+        """V_O's ``I_SM_Node(c, ioid, None)`` must lose to the loaded
+        row of the same construct, or B3 comes out twice."""
+        retained_over_owns(
+            checked, company_schema, with_extra_people(tiny_instance),
+            "STAKEHOLDERS_PROGRAM",
+        )
+        report = checked.update(RegistryDelta(add_edges=[
+            ("o9", "p2", "B3", "OWNS", {"percentage": 0.1}),
+        ]))
+        ((node_id, label, new, old),) = report.flush_delta.updated_nodes
+        assert (node_id, label) == ("B3", "Business")
+        assert (old["numberOfStakeholders"], new["numberOfStakeholders"]) == (2, 3)
+        assert new["businessName"] == "B3 SpA"  # loaded attributes kept
+        assert not report.flush_delta.added_nodes
+        report = checked.update(RegistryDelta(remove_edges=["o9"]))
+        assert report.flush_delta.updated_nodes[0][2]["numberOfStakeholders"] == 2
+        # The first stakeholder of a business: the attribute appears.
+        report = checked.update(RegistryDelta(
+            add_nodes=[("B9", "Business", {
+                "fiscalCode": "FCB9", "businessName": "B9 SpA", **BUSINESS})],
+            add_edges=[("o10", "p3", "B9", "OWNS", {"percentage": 0.2})],
+        ))
+        assert report.instance.data.node("B9")["numberOfStakeholders"] == 1
+        assert not report.flush_delta.updated_nodes
+
+    def test_derived_nodes_come_and_go_with_their_edges(
+        self, company_schema, tiny_instance, checked
+    ):
+        retained_over_owns(
+            checked, company_schema, with_extra_people(tiny_instance),
+            "FAMILY_PROGRAM",
+        )
+        enriched = checked.retained.enriched
+        assert {f["familyName"] for f in enriched.nodes("Family")} == {
+            "Rossi", "Greco"}
+        # The last Greco: the family node goes, and its membership edge.
+        report = checked.update(RegistryDelta(remove_nodes=["p3"]))
+        gone = {n[2].get("familyName") for n in report.flush_delta.removed_nodes
+                if n[1] == "Family"}
+        assert gone == {"Greco"}
+        assert {e[3] for e in report.flush_delta.removed_edges} == {
+            "BELONGS_TO_FAMILY"}
+        # One of two Rossis: the family stays, the relatedness goes.
+        report = checked.update(RegistryDelta(remove_nodes=["p2"]))
+        assert not [n for n in report.flush_delta.removed_nodes if n[1] == "Family"]
+        assert {e[3] for e in report.flush_delta.removed_edges} == {
+            "BELONGS_TO_FAMILY", "IS_RELATED_TO"}
+        # A new surname: a derived node with attributes appears.
+        report = checked.update(RegistryDelta(add_nodes=[(
+            "p4", "PhysicalPerson",
+            {"fiscalCode": "FCp4", "name": "Di Bruno", "surname": "Bruno",
+             "gender": "female"},
+        )]))
+        (family,) = [n for n in report.flush_delta.added_nodes if n[1] == "Family"]
+        assert family[2] == {"familyId": "Bruno", "familyName": "Bruno"}
+
+    def test_node_with_incident_edges_added_and_removed(
+        self, company_schema, owns_instance, checked
+    ):
+        checked.materialize(
+            company_schema, owns_instance,
+            parse_metalog(programs.CONTROL_PROGRAM), instance_oid=9,
+            retain=True,
+        )
+        report = checked.update(RegistryDelta(
+            add_nodes=[("B4", "Business", {
+                "fiscalCode": "FCB4", "businessName": "B4 SpA", **BUSINESS})],
+            add_edges=[
+                ("o4", "B3", "B4", "OWNS", {"percentage": 0.9}),
+                ("o5", "B4", "B1", "OWNS", {"percentage": 0.1}),
+            ],
+        ))
+        assert [n[0] for n in report.flush_delta.added_nodes] == ["B4"]
+        # B2 holds and is held: its stakes and every control through it go.
+        report = checked.update(RegistryDelta(remove_nodes=["B2"]))
+        assert [n[0] for n in report.flush_delta.removed_nodes] == ["B2"]
+        assert not any(
+            "B2" in (e.source, e.target)
+            for e in checked.retained.enriched.edges()
+        )
+
+    def test_replacing_an_element_in_one_delta(
+        self, company_schema, owns_instance, checked
+    ):
+        checked.materialize(
+            company_schema, owns_instance,
+            parse_metalog(programs.CONTROL_PROGRAM), instance_oid=9,
+            retain=True,
+        )
+        stake = next(e for e in owns_instance.edges("OWNS")
+                     if (e.source, e.target) == ("B2", "B3"))
+        report = checked.update(RegistryDelta(
+            remove_edges=[stake.id],
+            add_edges=[(stake.id, "B2", "B3", "OWNS", {"percentage": 0.7})],
+        ))
+        # An edge is an immutable record: removed and added again.
+        assert (stake.id, "B2", "B3", "OWNS", {"percentage": 0.3}) in (
+            report.flush_delta.removed_edges)
+        assert (stake.id, "B2", "B3", "OWNS", {"percentage": 0.7}) in (
+            report.flush_delta.added_edges)
+        # A node replaced under another type keeps the stakes the same
+        # delta puts back; its label change is removed + added.
+        stakes = [
+            (e.id, e.source, e.target, e.label, dict(e.properties))
+            for e in owns_instance.edges("OWNS") if "B3" in (e.source, e.target)
+        ]
+        report = checked.update(RegistryDelta(
+            remove_nodes=["B3"],
+            add_nodes=[("B3", "PublicListedCompany", {
+                "fiscalCode": "FCB3", "businessName": "B3 SpA", **BUSINESS,
+                "stockExchange": "MIL"})],
+            add_edges=stakes,
+        ))
+        assert [n[:2] for n in report.flush_delta.removed_nodes] == [
+            ("B3", "Business")]
+        assert [n[:2] for n in report.flush_delta.added_nodes] == [
+            ("B3", "PublicListedCompany")]
+        enriched = checked.retained.enriched
+        assert {e.id for e in enriched.edges("OWNS")} >= {s[0] for s in stakes}
+
+    def test_stored_none_property_round_trips(
+        self, company_schema, owns_instance, checked
+    ):
+        checked.materialize(
+            company_schema, owns_instance,
+            parse_metalog(programs.CONTROL_PROGRAM), instance_oid=9,
+            retain=True,
+        )
+        person = {"fiscalCode": "FCp9", "name": "No Surname", "surname": None,
+                  "gender": "male"}
+        report = checked.update(RegistryDelta(
+            add_nodes=[("p9", "PhysicalPerson", person)],
+        ))
+        assert report.flush_delta.added_nodes == [
+            ("p9", "PhysicalPerson", person)]
+        assert checked.retained.enriched.node("p9").properties["surname"] is None
+        report = checked.update(RegistryDelta(remove_nodes=["p9"]))
+        assert report.flush_delta.removed_nodes == [
+            ("p9", "PhysicalPerson", person)]
+
+
+# ----------------------------------------------------------------------
+# A recomputed stratum keeps the nulls of what it derives again
+# ----------------------------------------------------------------------
+class TestNullStability:
+    @pytest.fixture()
+    def control_500(self, company_schema):
+        data, registry = kgbench_registry(500, 42)
+        materializer = diff_is_the_oracle(IntensionalMaterializer())
+        report = materializer.materialize(
+            company_schema, registry, parse_metalog(programs.CONTROL_PROGRAM),
+            instance_oid=9, retain=True,
+        )
+        return data, registry, materializer, report
+
+    def test_one_removed_stake_changes_what_it_changes(
+        self, company_schema, control_500
+    ):
+        _, registry, materializer, report = control_500
+        store = GraphStore()
+        store.deploy(
+            SSST().translate(company_schema, "property-graph").target_schema
+        )
+        load_graph_store(company_schema, report.instance.data, store)
+        businesses = {n.id for n in registry.nodes("Business")}
+
+        def baseline():
+            return control_pairs([
+                s for s in stakes_from_graph(registry)
+                if s[0] in businesses and s[1] in businesses
+            ])
+
+        def pairs(facts):
+            """``(x, y)`` of ``CONTROLS(c, x, y)`` facts, as plain ids."""
+            return {
+                tuple(oid.split(":i-node:")[1] for oid in fact[1:3])
+                for fact in facts
+            }
+
+        def edge_ids(graph):
+            return {
+                (e.source, e.target): e.id for e in graph.edges("CONTROLS")
+            }
+
+        stake = next(
+            e for e in registry.edges("OWNS")
+            if e["percentage"] > 0.5 and {e.source, e.target} <= businesses
+        )
+        enriched = materializer.retained.enriched
+        before = baseline()
+        ids_before = edge_ids(store.graph), edge_ids(enriched)
+        update = materializer.update(RegistryDelta(remove_edges=[stake.id]))
+        store.apply_flush_delta(update.flush_delta, schema=company_schema)
+        after = baseline()
+        assert (stake.source, stake.target) in before - after
+        reason = update.delta_reason
+        assert pairs(reason.removed.get("CONTROLS", ())) == before - after
+        assert pairs(reason.added.get("CONTROLS", ())) == after - before
+        # Every other derived edge keeps its id: the store's own in the
+        # deployed store, its labeled null in the enriched graph.
+        for graph, held in zip((store.graph, enriched), ids_before):
+            assert len(held) > 500
+            assert edge_ids(graph) == {
+                pair: edge_id for pair, edge_id in held.items()
+                if pair not in before - after
+            }
+        assert update.flushed < 64
+
+    def test_value_dictionary_grows_with_the_delta_not_the_stratum(
+        self, control_500
+    ):
+        data, registry, materializer, _ = control_500
+        retained = materializer.retained
+        interner = registry.interner
+        for state in ("result_load", "result_reason", "result_flush"):
+            assert getattr(retained, state).database._interner is interner
+        taken = {(s.owner, s.company) for s in data.stakes}
+        rng = random.Random(1)
+        businesses = sorted(data.companies)
+        sizes = []
+        for pair in range(20):
+            while True:
+                owner, target = rng.sample(businesses, 2)
+                if (owner, target) not in taken:
+                    break
+            materializer.update(RegistryDelta(add_edges=[
+                (f"churn-{pair}", owner, target, "OWNS", {"percentage": 0.6}),
+            ]))
+            materializer.update(RegistryDelta(remove_edges=[f"churn-{pair}"]))
+            sizes.append(len(interner))
+        # A pair's own new values: the stake's id, its construct OIDs
+        # and those of the controls it brings (a dozen or two).  One
+        # renamed CONTROLS stratum would be over 2,000 a pair.
+        assert sizes[-1] - sizes[0] <= 19 * 32

@@ -702,6 +702,50 @@ class TestFlushAccounting:
         )
         assert report.flush_dropped_edges == 0  # healthy program drops nothing
 
+    def test_update_counts_the_drops_of_what_it_touched(
+        self, company_schema, owns_instance
+    ):
+        """A stake in an untyped node has no target construct: its
+        ``I_SM_TO`` link is dropped, the edge with it, and the update
+        that brought it says so — later updates answer for their own
+        constructs only."""
+        from repro.ssst import RegistryDelta
+        from tests.conftest import diff_is_the_oracle
+
+        materializer = diff_is_the_oracle(IntensionalMaterializer())
+        materializer.materialize(
+            company_schema, owns_instance,
+            parse_metalog(programs.CONTROL_PROGRAM), instance_oid=9,
+            retain=True,
+        )
+        update = materializer.update(RegistryDelta(
+            add_nodes=[("ghost", None, {})],
+            add_edges=[("og", "B1", "ghost", "OWNS", {"percentage": 0.9})],
+        ))
+        assert update.flush_dropped_edges == 1
+        assert not update.flush_delta.changed()
+        assert not update.instance.data.has_edge("og")
+        update = materializer.update(RegistryDelta(
+            add_edges=[("o9", "B3", "B1", "OWNS", {"percentage": 0.1})],
+        ))
+        assert update.flush_dropped_edges == 0
+        assert update.instance.data.has_edge("o9")
+        # The node gets a type while the stake's own facts stay as they
+        # are (removed and put back in one delta): the node's row
+        # appearing is what brings the edge in.
+        update = materializer.update(RegistryDelta(
+            remove_nodes=["ghost"],
+            add_nodes=[("ghost", "Business", {
+                "fiscalCode": "FCG", "businessName": "Ghost SpA",
+                "legalNature": "spa", "shareholdingCapital": 1.0})],
+            add_edges=[("og", "B1", "ghost", "OWNS", {"percentage": 0.9})],
+        ))
+        assert update.flush_dropped_edges == 0
+        assert ("og", "B1", "ghost", "OWNS", {"percentage": 0.9}) in (
+            update.flush_delta.added_edges)
+        assert ("B1", "ghost") in {
+            (e.source, e.target) for e in update.instance.data.edges("CONTROLS")}
+
 
 # ----------------------------------------------------------------------
 # Observability: the resilience layer reports what it did

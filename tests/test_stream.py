@@ -37,6 +37,8 @@ from repro.stream import (
     parse_record,
 )
 
+from tests.conftest import diff_is_the_oracle
+
 TC_PROGRAM = "e(X, Y) -> tc(X, Y).\ntc(X, Y), e(Y, Z) -> tc(X, Z)."
 
 
@@ -821,6 +823,7 @@ def make_registry_sink():
         parse_metalog(programs.CONTROL_PROGRAM),
         company_registry(),
         instance_oid=9,
+        materializer=diff_is_the_oracle(IntensionalMaterializer()),
         retry=RetryPolicy(max_attempts=4, sleep=lambda _s: None),
     )
     targets = make_targets()
@@ -895,6 +898,7 @@ class TestRegistryStreaming:
             parse_metalog(programs.CONTROL_PROGRAM),
             company_registry(),
             instance_oid=9,
+            materializer=diff_is_the_oracle(IntensionalMaterializer()),
         )
         store = GraphStore()
         store.deploy(
@@ -933,6 +937,7 @@ class TestRegistryStreaming:
             parse_metalog(programs.CONTROL_PROGRAM),
             company_registry(),
             instance_oid=9,
+            materializer=diff_is_the_oracle(IntensionalMaterializer()),
             retry=RetryPolicy(max_attempts=8, seed=3, sleep=lambda _s: None),
         )
         store = GraphStore()
