@@ -23,11 +23,17 @@ from repro.obs.governor import ResourceGovernor
 from repro.serve.cache import ResultCache
 from repro.serve.state import ServeState, StateSnapshot
 from repro.vadalog.magic import parse_query
-from repro.vadalog.terms import Null, SkolemValue, fact_sort_key
+from repro.vadalog.terms import Null, SkolemValue, fact_sort_key, is_variable
 
 __all__ = ["RequestError", "ServiceHandlers", "encode_value", "encode_fact"]
 
 _ENGINE_MODES = ("snapshot", "magic", "full")
+
+#: The paths ``_dispatch`` routes.  Any other is counted as ``unknown``:
+#: a raw path would mint a counter and a histogram per distinct URL.
+_ROUTED = frozenset(
+    "/healthz /schema /stats /query /neighborhood /path /delta".split()
+)
 
 
 class RequestError(Exception):
@@ -154,7 +160,7 @@ class ServiceHandlers:
     ) -> Tuple[int, Dict[str, Any]]:
         route = (method.upper(), path.rstrip("/") or "/")
         start = time.perf_counter()
-        endpoint = path.strip("/") or "root"
+        endpoint = route[1][1:] if route[1] in _ROUTED else "unknown"
         span = (
             self.tracer.span("serve.request", method=route[0], path=path)
             if self.tracer is not None
@@ -263,6 +269,15 @@ class ServiceHandlers:
         started = time.perf_counter()
         if mode == "snapshot":
             facts = snap.facts.get(query.predicate, frozenset())
+            # Column blocks probe an index for the candidates of the
+            # bound positions, the reference frozensets are scanned;
+            # ``matches`` filters either, so the answers are the scan's.
+            probe = getattr(facts, "matching", None)
+            if probe is not None:
+                facts = probe([
+                    (i, t) for i, t in enumerate(query.terms)
+                    if not is_variable(t)
+                ])
             answers = sorted(
                 (fact for fact in facts if query.matches(fact)),
                 key=fact_sort_key,
@@ -294,9 +309,11 @@ class ServiceHandlers:
         if result.get("engine_stats") is not None:
             payload["engine_stats"] = result["engine_stats"]
         if result["status"] != "fixpoint":
+            # Not cached: a budget trips on the moment, not the query.
             payload["error"] = "resource budget exceeded; partial result"
             status = 503
-        self.cache.put(snap.epoch, cache_key, (status, payload))
+        else:
+            self.cache.put(snap.epoch, cache_key, (status, payload))
         self.metrics.observe(f"serve.query_ms.{mode}", elapsed_ms)
         return status, payload
 
@@ -317,7 +334,10 @@ class ServiceHandlers:
             else self.state.evaluator.full_answer
         )
         try:
-            answer = evaluate(query, inputs=snap.edb, governor=governor)
+            answer = evaluate(
+                query, database=self.state.edb_database(snap),
+                governor=governor,
+            )
         except ResourceLimitError as exc:  # strict governors only
             raise RequestError(503, str(exc)) from None
         stats = answer.stats

@@ -15,12 +15,9 @@ are atomic in CPython, so readers grab a coherent epoch with
 Zero-copy epochs
 ----------------
 
-Freezing used to build one frozenset per predicate — O(total facts)
-tuple boxing on *every* epoch, which dominated delta latency once the
-model outgrew the delta.  Columnar relations now freeze into
-:class:`FrozenColumnBlock` views instead, which is sound because of
-three append-only invariants of the storage layer
-(:mod:`repro.vadalog.columnar`):
+Columnar relations freeze into :class:`FrozenColumnBlock` views, not
+per-fact tuples, which is sound because of three append-only invariants
+of the storage layer (:mod:`repro.vadalog.columnar`):
 
 - appends extend the code columns *in place*; a block pins the row
   count at freeze time (``islice``) so later appends stay invisible;
@@ -34,8 +31,15 @@ three append-only invariants of the storage layer
 The relation's monotonic ``_version`` counter keys a copy-on-write
 cache: predicates untouched by a delta reuse the previous epoch's
 block outright, so freeze cost tracks the delta, not the model.  The
-tuple (non-columnar) backend still freezes to frozensets and acts as
-the differential oracle.
+tuple backend freezes to frozensets and is the differential oracle.
+
+The extensional slice freezes as *relations*: ``snapshot.edb[p]`` is a
+frozen ``relation.copy()`` over the retained interner, re-made only for
+predicates a delta names.  Engine-backed queries read those in place
+(:meth:`ServeState.edb_database`), re-interning and copying nothing; a
+frozen relation refuses every write, so a stray one is a typed error,
+not a torn epoch.  What request threads and the writer both append to
+is the interner, whose miss path is locked.
 
 Metrics are shared across threads, so unlike the engine-internal
 :class:`~repro.obs.metrics.MetricsRegistry` (lockless by design, single
@@ -57,14 +61,13 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Set,
     Tuple,
 )
 
 from repro.obs.metrics import MetricsRegistry
 from repro.vadalog.ast import Program
-from repro.vadalog.columnar import ColumnarRelation
-from repro.vadalog.database import Fact
+from repro.vadalog.columnar import ColumnarRelation, bucket_index
+from repro.vadalog.database import Database, Fact, Relation
 from repro.vadalog.engine import Engine, EvaluationResult
 from repro.vadalog.magic import GoalDirectedEvaluator
 from repro.vadalog.parser import parse_program
@@ -120,13 +123,13 @@ class FrozenColumnBlock(_AbstractSet):
 
     Subclasses :class:`collections.abc.Set`, so ``block == {...}``
     comparisons against literal sets/frozensets behave exactly like the
-    frozensets these blocks replaced.  Membership is a linear scan —
-    snapshot queries filter by iteration, so nothing hot needs hashed
-    probes; avoid comparing two large blocks directly (convert one to
-    a set first).
+    frozensets these blocks replaced.  Membership is a linear scan;
+    avoid comparing two large blocks directly (convert one to a set
+    first).  Bound queries do not scan: :meth:`matching` probes a
+    per-position bucket index, built on first use.
     """
 
-    __slots__ = ("_cols", "_nrows", "_count", "_live", "_values")
+    __slots__ = ("_cols", "_nrows", "_count", "_live", "_interner", "_index")
 
     def __init__(self, relation: ColumnarRelation):
         relation._ensure_resident()
@@ -138,7 +141,9 @@ class FrozenColumnBlock(_AbstractSet):
             if relation._ndead
             else None
         )
-        self._values = relation._interner.values
+        self._interner = relation._interner
+        #: position -> eq code -> ascending row ids, built on first use.
+        self._index: Dict[int, Dict[int, List[int]]] = {}
 
     @classmethod
     def _from_iterable(cls, iterable):
@@ -152,7 +157,7 @@ class FrozenColumnBlock(_AbstractSet):
         cols = self._cols
         if not cols:  # arity-0 (propositional) extension
             return iter([()] * self._count)
-        getitem = self._values.__getitem__
+        getitem = self._interner.values.__getitem__
         rows = _islice(zip(*[map(getitem, col) for col in cols]), self._nrows)
         if self._live is not None:
             return _compress(rows, self._live)
@@ -160,6 +165,32 @@ class FrozenColumnBlock(_AbstractSet):
 
     def __contains__(self, fact) -> bool:
         return any(row == fact for row in self)
+
+    def matching(self, bound: Iterable[Tuple[int, Any]]) -> Iterable[Fact]:
+        """A superset of the facts ``==`` to ``value`` at every
+        ``(position, value)`` of ``bound`` — the smallest bucket among
+        those positions, everything when nothing is bound — for callers
+        to filter exactly as they would filter a scan."""
+        best: Optional[List[int]] = None
+        for position, value in bound:
+            code = self._interner.probe_eq(value)
+            if code is None or position >= len(self._cols):
+                return ()
+            index = self._index.get(position)
+            if index is None:
+                # A slice: the writer appends to the shared column, and
+                # numpy must not hold a buffer that grows.
+                index = self._index[position] = bucket_index(
+                    [self._cols[position][: self._nrows]],
+                    self._live, self._interner.eq_array(),
+                )
+            bucket = index.get(code, ())
+            if best is None or len(bucket) < len(best):
+                best = bucket
+        if best is None:
+            return self
+        values = self._interner.values
+        return [tuple([values[col[row]] for col in self._cols]) for row in best]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         arity = len(self._cols)
@@ -173,15 +204,14 @@ class StateSnapshot:
     ``facts`` holds every predicate of the model (extensional and
     derived) as immutable fact sets — :class:`FrozenColumnBlock` views
     for columnar relations, plain frozensets for the tuple backend;
-    ``edb`` holds the extensional slice as plain tuples, ready to be
-    fed to a private per-request engine run (``inputs=`` builds a fresh
-    database, sharing no storage — safe under concurrency, unlike
-    handing the live columnar relations to another thread).
+    ``edb`` holds the extensional slice as frozen relations (iterable,
+    sized, O(1) ``in``) that an engine run reads in place — see
+    :meth:`ServeState.edb_database`.
     """
 
     epoch: int
     facts: Mapping[str, AbstractSet[Fact]]
-    edb: Mapping[str, Tuple[Fact, ...]]
+    edb: Mapping[str, Relation]
     created_at: float = field(default_factory=time.time)
 
     def predicates(self) -> List[str]:
@@ -244,9 +274,7 @@ class ServeState:
 
     # -- snapshot construction (writer thread only) -------------------
 
-    def _freeze(
-        self, epoch: int, touched: Optional[Set[str]] = None
-    ) -> StateSnapshot:
+    def _freeze(self, epoch: int, touched: AbstractSet[str] = frozenset()):
         db = self._result.database
         cache = self._block_cache
         facts: Dict[str, AbstractSet[Fact]] = {}
@@ -269,37 +297,26 @@ class ServeState:
             # spilled relation bumps it.
             cache[predicate] = (relation, relation._version, block)
             facts[predicate] = block
-        prev = self._snapshot
-        state = self._result.state
-        if state is not None:
-            if prev is not None and touched is not None:
-                # Delta freeze: only re-tuple the extensional buckets
-                # the delta named; everything else aliases the previous
-                # epoch's tuples (buckets are writer-private and only
-                # mutated for touched predicates).
-                prev_edb = prev.edb
-                edb = {
-                    predicate: (
-                        prev_edb[predicate]
-                        if predicate not in touched and predicate in prev_edb
-                        else tuple(bucket)
-                    )
-                    for predicate, bucket in state.edb.items()
-                    if bucket
-                }
-            else:
-                edb = {
-                    predicate: tuple(bucket)
-                    for predicate, bucket in state.edb.items()
-                    if bucket
-                }
-        else:  # pragma: no cover - retained runs always carry state
-            idb = self.program.idb_predicates()
-            edb = {
-                predicate: tuple(bucket)
-                for predicate, bucket in facts.items()
-                if predicate not in idb
-            }
+        prev_edb = self._snapshot.edb if self._snapshot is not None else {}
+        idb = self.program.idb_predicates()
+        state = self._result.state  # None after a truncated base run
+        buckets = state.edb if state is not None else {
+            p: f for p, f in facts.items() if p not in idb
+        }
+        edb: Dict[str, Relation] = {}
+        for predicate, bucket in buckets.items():
+            if predicate in prev_edb and predicate not in touched:
+                # Buckets are writer-private and only mutated for the
+                # predicates a delta names: alias the previous epoch's.
+                edb[predicate] = prev_edb[predicate]
+            elif bucket:
+                relation = db.relation(predicate).copy()
+                if predicate in idb:
+                    # Facts supplied for a derived predicate: the live
+                    # relation holds derived rows too, the bucket none.
+                    relation.reset(bucket)
+                edb[predicate] = relation.freeze()
+        self.metrics.set_gauge("serve.interner_codes", len(db._interner or ()))
         return StateSnapshot(epoch=epoch, facts=facts, edb=edb)
 
     # -- reader API ---------------------------------------------------
@@ -308,6 +325,16 @@ class ServeState:
     def snapshot(self) -> StateSnapshot:
         """The current epoch; a single atomic attribute read."""
         return self._snapshot
+
+    def edb_database(self, snapshot: StateSnapshot) -> Database:
+        """``snapshot``'s extensional slice as the ``database=`` of an
+        engine run: the epoch's frozen relations themselves, over the
+        retained interner (one small dict per request)."""
+        live = self._result.database
+        base = Database(columnar=live.columnar, interner=live._interner)
+        for predicate, relation in snapshot.edb.items():
+            base.share(predicate, relation)
+        return base
 
     # -- writer API ---------------------------------------------------
 

@@ -563,8 +563,6 @@ class ServeStateSink:
         self._inputs = inputs
         self.tracer = tracer or NullTracer()
         self.batches_applied = 0
-        self._edb_cache_epoch: Optional[int] = None
-        self._edb_cache: set = set()
         self._idb: Optional[set] = None
 
     # -- lifecycle -----------------------------------------------------
@@ -631,19 +629,8 @@ class ServeStateSink:
             self.state = ServeState(self._program, inputs=self._inputs)
 
     # -- coalescer oracle ----------------------------------------------
-    def _edb_index(self) -> set:
-        snapshot = self.state.snapshot
-        if self._edb_cache_epoch != snapshot.epoch:
-            self._edb_cache = {
-                (predicate, fact)
-                for predicate, bucket in snapshot.edb.items()
-                for fact in bucket
-            }
-            self._edb_cache_epoch = snapshot.epoch
-        return self._edb_cache
-
     def exists(self, key: Tuple[Any, ...]) -> bool:
-        return (key[1], tuple(key[2])) in self._edb_index()
+        return tuple(key[2]) in self.state.snapshot.edb.get(key[1], ())
 
     def validate(self, record: FeedRecord) -> Optional[str]:
         if record.op not in FACT_OPS:

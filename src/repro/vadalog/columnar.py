@@ -51,10 +51,11 @@ from __future__ import annotations
 import os
 import sqlite3
 import tempfile
+import threading
 from bisect import bisect_left
 from array import array
 from itertools import compress as _compress, islice as _islice
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError
 
@@ -94,9 +95,15 @@ class ValueInterner:
     are comparable across relations and snapshots.  Append-only: codes
     are never reused or renumbered, so a code handed out once stays
     valid in every relation, copy and frozen snapshot that shares it.
+
+    Threads may share one interner (``kgmodel serve``: request threads
+    intern query constants and derived values, the writer delta facts):
+    hits are lock-free, misses take ``_lock``.
     """
 
-    __slots__ = ("values", "eq", "_codes", "_eqcodes", "_eq_np", "nan_codes")
+    __slots__ = (
+        "values", "eq", "_codes", "_eqcodes", "_eq_np", "nan_codes", "_lock",
+    )
 
     def __init__(self) -> None:
         self.values: List[Any] = []  # code -> first-seen exact value
@@ -109,7 +116,9 @@ class ValueInterner:
         self._eq_np: Any = None  # cached numpy mirror of ``eq``
         # Codes of NaN values: never values_equal anything, including
         # themselves — vectorized joins mask these out explicitly.
-        self.nan_codes: Set[int] = set()
+        # Replaced, never mutated, so a reader can iterate the one it holds.
+        self.nan_codes: FrozenSet[int] = frozenset()
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self.values)
@@ -127,20 +136,19 @@ class ValueInterner:
         """Intern ``value``; returns its exact code."""
         key = self._key(value)
         code = self._codes.get(key)
-        if code is not None:
-            return code
-        code = len(self.values)
-        self._codes[key] = code
-        self.values.append(value)
-        if value != value:  # NaN
-            self.nan_codes.add(code)
-        if isinstance(value, (bool, int, float)) and value in (0, 1):
-            # The 0/1 family spans types: True==1==1.0.  All members map
-            # to one eq class anchored at the first member interned.
-            rep = self._eqcodes.setdefault(bool(value), code)
-            self.eq.append(rep)
-        else:
-            self.eq.append(code)
+        if code is None:
+            with self._lock:
+                code = self._codes.get(key)  # another thread may have won
+                if code is None:
+                    code = len(self.values)
+                    self.values.append(value)
+                    if value != value:  # NaN
+                        self.nan_codes = self.nan_codes | {code}
+                    if isinstance(value, (bool, int, float)) and value in (0, 1):
+                        self.eq.append(self._eqcodes.setdefault(bool(value), code))
+                    else:
+                        self.eq.append(code)
+                    self._codes[key] = code  # published last, as below
         return code
 
     def probe(self, value: Any) -> Optional[int]:
@@ -150,43 +158,49 @@ class ValueInterner:
     def encode_fill(self, col_vals: List[Any], raw: List[Any]) -> List[Any]:
         """Fill the ``None`` slots of a bulk-probe result in place.
 
-        ``raw[i] is None`` means ``col_vals[i]`` missed the code dict;
-        this is :meth:`encode` unrolled over the misses (bulk loads
-        intern millions of first-seen constants, and the per-call
-        dispatch of ``encode`` dominates there).
+        ``raw[i] is None`` means ``col_vals[i]`` missed the code dict.
+        :meth:`encode` unrolled over the misses, under one lock for the
+        whole column (bulk loads intern millions of first-seen values);
+        a code is published in ``_codes`` only once ``values``/``eq``
+        hold it, because whoever finds it there indexes both at once.
         """
         codes = self._codes
         codes_get = codes.get
         values = self.values
         eq_append = self.eq.append
         eqcodes_setdefault = self._eqcodes.setdefault
-        nan_add = self.nan_codes.add
-        for i, code in enumerate(raw):
-            if code is None:
-                v = col_vals[i]
-                key = (_BOOL, v) if v.__class__ is bool else v
-                code = codes_get(key)
+        with self._lock:
+            for i, code in enumerate(raw):
                 if code is None:
-                    code = len(values)
-                    codes[key] = code
-                    values.append(v)
-                    if v.__class__ is str:  # dominant case: plain eq class
-                        eq_append(code)
-                    else:
-                        if v != v:  # NaN
-                            nan_add(code)
-                        if isinstance(v, (bool, int, float)) and v in (0, 1):
-                            eq_append(eqcodes_setdefault(bool(v), code))
-                        else:
+                    v = col_vals[i]
+                    key = (_BOOL, v) if v.__class__ is bool else v
+                    code = codes_get(key)
+                    if code is None:
+                        code = len(values)
+                        values.append(v)
+                        if v.__class__ is str:  # dominant: plain eq class
                             eq_append(code)
-                raw[i] = code
+                        else:
+                            if v != v:  # NaN
+                                self.nan_codes = self.nan_codes | {code}
+                            if isinstance(v, (bool, int, float)) and v in (0, 1):
+                                # The 0/1 family spans types (True==1==1.0):
+                                # one eq class, anchored at its first member.
+                                eq_append(eqcodes_setdefault(bool(v), code))
+                            else:
+                                eq_append(code)
+                        codes[key] = code
+                    raw[i] = code
         return raw
 
     def eq_array(self) -> Any:
         """Cached ``uint64`` numpy mirror of :attr:`eq` (refreshed lazily)."""
         arr = self._eq_np
         if arr is None or len(arr) != len(self.eq):
-            arr = _np.asarray(self.eq, dtype=_np.int64).astype(_np.uint64)
+            # Mirror a slice: numpy may drop the GIL while it holds the
+            # exported buffer, and an ``append`` by another thread to an
+            # exporting array raises ``BufferError``.
+            arr = _np.asarray(self.eq[:], dtype=_np.int64).astype(_np.uint64)
             self._eq_np = arr
         return arr
 
@@ -211,6 +225,62 @@ def _fnv(codes: Iterable[int]) -> int:
     for code in codes:
         h = ((h ^ code) * _FNV_PRIME) & _U64
     return h
+
+
+def refuse_write(self, *args: Any, **kwargs: Any) -> Any:
+    """Every mutator of a frozen relation (both backends)."""
+    raise EvaluationError(
+        f"relation {self.name!r} is frozen: readers share it, nobody writes it"
+    )
+
+
+def bucket_index(
+    cols: Sequence[array], live: Optional[bytes], eq_np: Any,
+    tuple_keys: bool = False,
+) -> Dict[Any, List[int]]:
+    """Vectorized bucket build: eq key of ``cols`` -> ascending row ids.
+
+    Stable-sorts the live rows (``live`` is the mask, ``None`` when all
+    are) by eq key and splits on key boundaries, so buckets keep
+    ascending row order exactly like a per-row loop.  The columns must
+    not grow meanwhile: numpy holds their buffers.
+    """
+    if live is None:
+        live_idx = _np.arange(len(cols[0]), dtype=_np.int64)
+    else:
+        live_idx = _np.frombuffer(live, dtype=_np.uint8).nonzero()[0]
+    key_cols = [
+        eq_np[_np.asarray(col, dtype=_np.int64)[live_idx]] for col in cols
+    ]
+    if len(key_cols) == 1:
+        order = _np.argsort(key_cols[0], kind="stable")
+    else:
+        # lexsort: primary key last, stable — within-group row order
+        # stays ascending.
+        order = _np.lexsort(tuple(reversed(key_cols)))
+    rows_sorted = live_idx[order]
+    sorted_cols = [col[order] for col in key_cols]
+    if len(rows_sorted) == 0:
+        return {}
+    change = _np.zeros(len(rows_sorted), dtype=bool)
+    for col in sorted_cols:
+        change[1:] |= col[1:] != col[:-1]
+    bounds = change.nonzero()[0].tolist()
+    bounds.append(len(rows_sorted))
+    rows_list = rows_sorted.tolist()
+    key_lists = [col.tolist() for col in sorted_cols]
+    index: Dict[Any, List[int]] = {}
+    prev = 0
+    if tuple_keys:
+        for bound in bounds:
+            index[tuple([kl[prev] for kl in key_lists])] = rows_list[prev:bound]
+            prev = bound
+    else:
+        keys = key_lists[0]
+        for bound in bounds:
+            index[keys[prev]] = rows_list[prev:bound]
+            prev = bound
+    return index
 
 
 class ColumnarRelation:
@@ -605,22 +675,17 @@ class ColumnarRelation:
         arity = self._arity
         interner = self._interner
         codes_get = interner._codes.get
-        encode = interner.encode
-        # Column-wise encode, with a per-value fallback only for columns
-        # that contain bools (tagged dict keys) or still-unseen values.
+        # Column-wise encode; bools (tagged dict keys) and still-unseen
+        # values are left to one ``encode_fill`` call per column.
         code_cols: List[List[int]] = []
         for col_vals in val_cols:
             if any(v.__class__ is bool for v in col_vals):
-                code_cols.append(
-                    [
-                        encode(v)
-                        if v.__class__ is bool or codes_get(v) is None
-                        else codes_get(v)
-                        for v in col_vals
-                    ]
-                )
-                continue
-            raw = list(map(codes_get, col_vals))
+                raw = [
+                    None if v.__class__ is bool else codes_get(v)
+                    for v in col_vals
+                ]
+            else:
+                raw = list(map(codes_get, col_vals))
             if None in raw:
                 raw = interner.encode_fill(col_vals, raw)
             code_cols.append(raw)
@@ -824,6 +889,16 @@ class ColumnarRelation:
         self._version += 1
         self._npcache = None
 
+    def freeze(self) -> "ColumnarRelation":
+        """Make this relation read-only, for good; returns it.  Every
+        mutator then raises, so threads may share it: only its lazy
+        caches (indexes, numpy mirrors) are ever assigned again, each
+        built locally and published by one assignment — two first
+        readers at worst build the same cache twice."""
+        self._ensure_resident()
+        self.__class__ = _FrozenColumnarRelation
+        return self
+
     def copy(self, interner: Optional[ValueInterner] = None) -> "ColumnarRelation":
         """A fresh relation with the same facts; indexes rebuild lazily."""
         self._ensure_resident()
@@ -870,22 +945,7 @@ class ColumnarRelation:
     def _ensure_index(self, position: int) -> Dict[int, List[int]]:
         index = self._indexes.get(position)
         if index is None:
-            if self._nrows >= 4096:
-                index = self._np_index((position,))
-            else:
-                index = {}
-                eq = self._interner.eq
-                col = self._cols[position]
-                live = self._live
-                for row in range(self._nrows):
-                    if live[row]:
-                        key = eq[col[row]]
-                        bucket = index.get(key)
-                        if bucket is None:
-                            index[key] = [row]
-                        else:
-                            bucket.append(row)
-            self._indexes[position] = index
+            index = self._indexes[position] = self._build_index((position,))
         return index
 
     def _ensure_composite(
@@ -893,64 +953,38 @@ class ColumnarRelation:
     ) -> Dict[Tuple[int, ...], List[int]]:
         index = self._composite.get(positions)
         if index is None:
-            if self._nrows >= 4096:
-                index = self._np_index(positions, tuple_keys=True)
-            else:
-                index = {}
-                eq = self._interner.eq
-                cols = [self._cols[p] for p in positions]
-                live = self._live
-                for row in range(self._nrows):
-                    if live[row]:
-                        key = tuple([eq[col[row]] for col in cols])
-                        bucket = index.get(key)
-                        if bucket is None:
-                            index[key] = [row]
-                        else:
-                            bucket.append(row)
-            self._composite[positions] = index
+            index = self._composite[positions] = self._build_index(
+                positions, tuple_keys=True
+            )
         return index
 
-    def _np_index(
+    def _build_index(
         self, positions: Tuple[int, ...], tuple_keys: bool = False
     ) -> Dict[Any, List[int]]:
-        """Vectorized bucket build: stable sort live rows by eq key and
-        split on key boundaries.  Bucket contents keep ascending row
-        order, exactly like the per-row loop."""
-        eq_np = self._interner.eq_array()
-        live_idx = _np.frombuffer(bytes(self._live), dtype=_np.uint8).nonzero()[0]
-        key_cols = [
-            eq_np[_np.asarray(self._cols[p], dtype=_np.int64)[live_idx]]
-            for p in positions
-        ]
-        if len(key_cols) == 1:
-            order = _np.argsort(key_cols[0], kind="stable")
-        else:
-            # lexsort: primary key last, stable — within-group row order
-            # stays ascending.
-            order = _np.lexsort(tuple(reversed(key_cols)))
-        rows_sorted = live_idx[order]
-        sorted_cols = [col[order] for col in key_cols]
-        if len(rows_sorted) == 0:
-            return {}
-        change = _np.zeros(len(rows_sorted), dtype=bool)
-        for col in sorted_cols:
-            change[1:] |= col[1:] != col[:-1]
-        bounds = change.nonzero()[0].tolist()
-        bounds.append(len(rows_sorted))
-        rows_list = rows_sorted.tolist()
-        key_lists = [col.tolist() for col in sorted_cols]
+        """Eq key at ``positions`` -> ascending live row ids."""
+        cols = [self._cols[p] for p in positions]
+        if self._nrows >= 4096:
+            return bucket_index(
+                cols,
+                bytes(self._live) if self._ndead else None,
+                self._interner.eq_array(),
+                tuple_keys,
+            )
         index: Dict[Any, List[int]] = {}
-        prev = 0
-        if tuple_keys:
-            for bound in bounds:
-                index[tuple([kl[prev] for kl in key_lists])] = rows_list[prev:bound]
-                prev = bound
-        else:
-            keys = key_lists[0]
-            for bound in bounds:
-                index[keys[prev]] = rows_list[prev:bound]
-                prev = bound
+        eq = self._interner.eq
+        live = self._live
+        first = cols[0]
+        for row in range(self._nrows):
+            if live[row]:
+                if tuple_keys:
+                    key = tuple([eq[col[row]] for col in cols])
+                else:
+                    key = eq[first[row]]
+                bucket = index.get(key)
+                if bucket is None:
+                    index[key] = [row]
+                else:
+                    bucket.append(row)
         return index
 
     # -- vectorized join support (execute_plan_vectorized) ---------------
@@ -1148,6 +1182,12 @@ class ColumnarRelation:
         self._cols = cols
         self._version += 1
         self._rebuild_table()
+
+
+class _FrozenColumnarRelation(ColumnarRelation):
+    __slots__ = ()
+    add = add_many = add_many_report = add_columns = refuse_write
+    remove = reset = compact = spill = refuse_write
 
 
 class SpillStore:

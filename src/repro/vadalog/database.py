@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import EvaluationError
-from repro.vadalog.columnar import ColumnarRelation, SpillStore, ValueInterner
+from repro.vadalog.columnar import ColumnarRelation, SpillStore, ValueInterner, refuse_write
 from repro.vadalog.terms import fact_sort_key, values_equal
 
 Fact = Tuple[Any, ...]
@@ -40,6 +40,12 @@ class Relation:
         # lazily per position combination (the access paths of compiled
         # join plans).
         self._composite: Dict[Tuple[int, ...], Dict[Tuple[Any, ...], Dict[Fact, None]]] = {}
+
+    def freeze(self) -> "Relation":
+        """Make this relation read-only, for good; returns it (the
+        contract of :meth:`ColumnarRelation.freeze`)."""
+        self.__class__ = _FrozenRelation
+        return self
 
     def __len__(self) -> int:
         return len(self._facts)
@@ -208,6 +214,11 @@ class Relation:
                 yield fact
 
 
+class _FrozenRelation(Relation):
+    __slots__ = ()
+    add = add_many = remove = reset = refuse_write
+
+
 class Database:
     """A set of relations, keyed by predicate name.
 
@@ -239,6 +250,32 @@ class Database:
         )
         self._spill_path = spill_path
         self._store: Optional[SpillStore] = None
+        #: Predicates whose relation is another owner's object (see
+        #: :meth:`share`): read here, never compacted or spilled here.
+        self._borrowed: Set[str] = set()
+
+    def share(self, predicate: str, relation: Relation) -> None:
+        """Install ``relation`` — the object, not a copy, on this
+        database's backend and interner — as ``predicate``'s extension."""
+        self._relations[predicate] = relation
+        self._borrowed.add(predicate)
+
+    def layer(self, written: Set[str]) -> "Database":
+        """A database to run a program over this one without mutating
+        it: private copies of the ``written`` predicates, this one's own
+        relation objects, shared, for the rest — and its append-only
+        interner, so codes stay comparable and nothing is re-encoded."""
+        clone = Database(self.columnar, self._spill_path, self._interner)
+        for name, relation in self._relations.items():
+            if name in written:
+                clone._relations[name] = relation.copy()
+            else:
+                clone.share(name, relation)
+        return clone
+
+    def _owned(self) -> List[Relation]:
+        borrowed = self._borrowed
+        return [r for n, r in self._relations.items() if n not in borrowed]
 
     def relation(self, predicate: str) -> Relation:
         """Return (creating on demand) the relation for ``predicate``."""
@@ -345,14 +382,7 @@ class Database:
         return sum(len(rel) for rel in self._relations.values())
 
     def copy(self) -> "Database":
-        clone = Database(columnar=self.columnar, spill_path=self._spill_path)
-        if self.columnar:
-            # Copies share the append-only interner: codes stay
-            # comparable across snapshots and no re-encoding happens.
-            clone._interner = self._interner
-        for name, relation in self._relations.items():
-            clone._relations[name] = relation.copy()
-        return clone
+        return self.layer(set(self._relations))
 
     def to_backend(self, columnar: bool) -> "Database":
         """A copy of this database on the requested backend.
@@ -375,7 +405,7 @@ class Database:
             return None
         if self._store is None:
             self._store = SpillStore(self._spill_path)
-            for relation in self._relations.values():
+            for relation in self._owned():
                 relation.attach_store(self._store)
         return self._store
 
@@ -392,9 +422,9 @@ class Database:
     ) -> List[str]:
         """Spill cold relations until ≤ ``budget`` facts stay resident.
 
-        Relations named in ``keep`` (needed by upcoming strata) are never
-        spilled.  Largest-first eviction; returns the spilled names.
-        Tuple-backend databases are a no-op.
+        Relations named in ``keep`` (needed by upcoming strata) and
+        borrowed ones are never spilled.  Largest-first eviction; returns
+        the spilled names.  Tuple-backend databases are a no-op.
         """
         if not self.columnar or budget < 0:
             return []
@@ -408,8 +438,8 @@ class Database:
         victims = sorted(
             (
                 rel
-                for name, rel in self._relations.items()
-                if name not in keep_set and not rel.spilled and len(rel)
+                for rel in self._owned()
+                if rel.name not in keep_set and not rel.spilled and len(rel)
             ),
             key=len,
             reverse=True,
@@ -423,14 +453,14 @@ class Database:
         return spilled
 
     def compact(self) -> None:
-        """Reclaim tombstoned rows in every columnar relation.
+        """Reclaim tombstoned rows in every columnar relation it owns.
 
         Only call at safe points: compaction renumbers row ids, which
         invalidates any in-flight index iteration.
         """
         if not self.columnar:
             return
-        for relation in self._relations.values():
+        for relation in self._owned():
             if not relation.spilled:
                 relation.compact()
 

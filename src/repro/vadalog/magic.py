@@ -707,11 +707,22 @@ class GoalDirectedEvaluator:
         governor,
         tracer,
     ) -> EvaluationResult:
+        """The one way a program runs here: in place, over a layer of
+        ``database`` — private copies of just the predicates the run can
+        write (every rule head, fact rules and the magic seed included,
+        plus the ``inputs`` keys), the caller's own relation objects for
+        the rest — so the cost follows what is derived, not what is read.
+        """
         engine = self._engine(governor=governor, tracer=tracer)
+        if database is not None:
+            database = database.layer(
+                program.idb_predicates() | set(inputs or ())
+            )
         return engine.run(
             program,
             database=database,
             inputs=dict(inputs) if inputs else None,
+            copy_database=False,
         )
 
     # -- public API ---------------------------------------------------
@@ -729,9 +740,9 @@ class GoalDirectedEvaluator:
 
         ``database``/``inputs`` must hold extensional facts only (the
         same contract as :meth:`Engine.run`); the database is never
-        mutated.  Pass ``inputs`` (plain fact iterables) from concurrent
-        callers — each run then builds a private database and shares no
-        mutable storage.
+        mutated, and may be shared by concurrent callers as long as
+        nobody writes it meanwhile (see :meth:`_run`).  ``inputs`` are
+        added to that run's private layer.
         """
         query = self._coerce(query)
         rewrite = self.rewrite(query)

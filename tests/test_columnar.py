@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro.errors import EvaluationError
 from repro.obs import RecordingTracer, ResourceGovernor
 from repro.vadalog import Engine, parse_program
 from repro.vadalog.columnar import ColumnarRelation, SpillStore, ValueInterner
@@ -77,6 +78,66 @@ class TestValueInterner:
         assert len(set(codes)) == 5
         for code in codes:
             assert itn.eq[code] == code
+
+    def test_concurrent_misses_hand_out_one_code_per_value(self):
+        """Eight threads interning overlapping values (singly and by
+        column): one code per value, and a code indexes ``values`` and
+        ``eq`` the moment any thread holds it."""
+        import sys
+        import threading
+
+        itn = ValueInterner()
+        errors = []
+        results = [None] * 8
+
+        def worker(index):
+            rng = random.Random(index)
+            seen = {}
+            try:
+                for step in range(400):
+                    batch = [
+                        rng.choice([f"v{rng.randrange(6000)}",
+                                    rng.randrange(300), True, 1.0, None])
+                        for _ in range(50)
+                    ]
+                    if step % 2:
+                        raw = [itn._codes.get(itn._key(v)) for v in batch]
+                        codes = itn.encode_fill(batch, raw)
+                    else:
+                        codes = [itn.encode(v) for v in batch]
+                    for value, code in zip(batch, codes):
+                        held = itn.values[code]
+                        if held != value or (held is True) != (value is True):
+                            errors.append((value, code, held))
+                        if itn.eq[code] > code:
+                            errors.append(("eq", value, code))
+                        seen[itn._key(value)] = code
+                    itn.eq_array()  # mirrors while others append
+            except Exception as exc:  # a BufferError, an IndexError...
+                errors.append(repr(exc))
+            results[index] = seen
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,), daemon=True)
+                for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [], errors[:3]
+        merged = {}
+        for seen in results:
+            for key, code in seen.items():
+                assert merged.setdefault(key, code) == code, key
+        assert len(itn.values) == len(itn.eq) == len(itn._codes)
+        assert sorted(merged.values()) == list(range(len(itn)))
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +553,37 @@ class TestSpill:
         ]
         assert events, "expected at least one spill event"
         spilling.database.close()
+
+    def test_a_layer_never_compacts_or_spills_what_it_borrows(self):
+        from repro.vadalog.magic import GoalDirectedEvaluator
+
+        text = "e(X, Y) -> tc(X, Y).\ntc(X, Y), e(Y, Z) -> tc(X, Z)."
+        edges = [(f"n{i}", f"n{i + 1}") for i in range(200)]
+        shared = Database(columnar=True)
+        shared.add_all("e", edges + [("dead", "row")])
+        shared.remove("e", ("dead", "row"))  # a tombstone to compact away
+        relation = shared.relation("e")
+        version = relation._version
+        evaluator = GoalDirectedEvaluator(parse_program(text))
+        for ask in (evaluator.answer, evaluator.full_answer):
+            answer = ask(
+                'tc("n190", Y)?', database=shared,
+                governor=ResourceGovernor(max_resident_facts=10),
+            )
+            assert len(answer.facts) == 10
+        assert not relation.spilled and relation.has_dead_rows
+        assert relation._version == version
+        assert shared.relation("e") is relation and shared.count("tc") == 0
+        # Frozen, it is shared the same way and refuses the write paths.
+        relation.freeze()
+        assert len(evaluator.answer('tc("n190", Y)?', database=shared).facts) == 10
+        with pytest.raises(EvaluationError):
+            shared.add("e", ("late", "row"))
+        # ``inputs=`` for a shared predicate land in a private copy.
+        extended = evaluator.answer(
+            'tc("n190", Y)?', database=shared, inputs={"e": [("n200", "z")]}
+        )
+        assert len(extended.facts) == 11 and len(relation) == 200
 
     def test_spill_store_page_round_trip(self):
         store = SpillStore()

@@ -475,6 +475,58 @@ class TestServeColumnEpochs:
         assert new.facts["tc"] is not old.facts["tc"]
         assert new.edb["e"] is not old.edb["e"]
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_block_probe_equals_block_scan(self, seed):
+        """``matching`` hands back candidates, ``Query.matches`` decides:
+        for any pattern the probed answers are the scanned answers."""
+        import random
+
+        from repro.vadalog.columnar import ColumnarRelation
+        from repro.vadalog.magic import Query
+        from repro.vadalog.terms import Variable, fact_sort_key
+
+        rng = random.Random(seed)
+        nan = float("nan")
+        pool = [0, 1, 1.0, True, False, None, nan, "a", "b", "c", 2, 2.5,
+                "1", -1] + [f"v{i}" for i in range(rng.randrange(3, 40))]
+        arity = rng.randrange(1, 4)
+        # Big enough, now and then, for the lazy indexes' numpy build.
+        rows = rng.choice([5, 60, 300, 5000])
+        relation = ColumnarRelation("p")
+        relation.add_many([
+            tuple(rng.choice(pool) for _ in range(arity)) for _ in range(rows)
+        ])
+        if seed % 3:  # tombstones: the block copies the live mask
+            for fact in rng.sample(sorted(relation, key=repr), len(relation) // 3):
+                relation.remove(fact)
+        block = FrozenColumnBlock(relation)
+        frozen = sorted(block, key=fact_sort_key)
+        # The live relation moves on; the block's pinned rows do not.
+        relation.add_many([
+            tuple(rng.choice(pool + ["late"]) for _ in range(arity))
+            for _ in range(100)
+        ])
+        relation.remove(next(iter(relation)))
+        assert sorted(block, key=fact_sort_key) == frozen
+        constants = pool + ["never-interned", 3.75, "late"]
+        for _ in range(120):
+            bound_at = {
+                i for i in range(arity) if rng.random() < 0.5
+            }
+            names = [Variable(rng.choice("XY")) for _ in range(arity)]
+            terms = tuple(
+                rng.choice(constants) if i in bound_at else names[i]
+                for i in range(arity)
+            )
+            query = Query("p", terms)
+            bound = [(i, terms[i]) for i in sorted(bound_at)]
+            probed = sorted(
+                filter(query.matches, block.matching(bound)), key=fact_sort_key
+            )
+            scanned = sorted(filter(query.matches, block), key=fact_sort_key)
+            assert repr(probed) == repr(scanned), query
+        assert block.matching([(arity, "a")]) == ()  # no such position
+
     def test_old_epoch_survives_tombstoning_removal(self):
         state = ServeState(TC, inputs=self.INPUTS, check_wardedness=False)
         old = state.snapshot

@@ -4,11 +4,13 @@
 unsound-stratum fallback cases."""
 
 import random
+import threading
 
 import pytest
 
 from repro.errors import KGModelError, VadalogError
 from repro.vadalog import Engine, parse_program
+from repro.vadalog.database import Database
 from repro.vadalog.magic import (
     GoalDirectedEvaluator,
     Query,
@@ -252,7 +254,7 @@ def goal_differential(text, predicates, columnar, rng, **inputs):
     program = parse_program(text)
     evaluator = GoalDirectedEvaluator(program, columnar=columnar)
     full = Engine(columnar=columnar).run(program, inputs=inputs)
-    checked = 0
+    cases = []
     for predicate in predicates:
         answers = full.facts(predicate)
         arity = len(next(iter(answers))) if answers else 2
@@ -262,8 +264,34 @@ def goal_differential(text, predicates, columnar, rng, **inputs):
             assert _canon(got.facts) == _canon(expected), (
                 f"{query} [{got.mode}]"
             )
-            checked += 1
-    assert checked
+            cases.append((query, expected))
+    assert cases
+    # Second pass: every query of the program against one shared
+    # database, read in place by two threads at once.
+    shared = Database(columnar=columnar)
+    for predicate, facts in inputs.items():
+        shared.add_all(predicate, facts)
+    before = {p: shared.facts(p) for p in shared.predicates()}
+    failures = []
+
+    def ask_all():
+        try:
+            for query, expected in cases:
+                for ask in (evaluator.answer, evaluator.full_answer):
+                    got = ask(query, database=shared)
+                    if _canon(got.facts) != _canon(expected):
+                        failures.append(f"{query} [{got.mode}]")
+        except Exception as exc:
+            failures.append(repr(exc))
+
+    threads = [threading.Thread(target=ask_all, daemon=True) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert {p: shared.facts(p) for p in shared.predicates()} == before
     return evaluator
 
 

@@ -647,3 +647,298 @@ class TestDeltaValidation:
         before = handlers.state.snapshot.epoch
         self.post_delta(handlers, {"added": {"e": [["a", "b", "c"]]}})
         assert handlers.state.snapshot.epoch == before
+
+
+# ---------------------------------------------------------------------------
+# One frozen EDB per epoch: requests read it in place and never write it
+# ---------------------------------------------------------------------------
+
+
+def registry_inputs(companies, seed=7):
+    """``kgmodel serve --demo-companies``'s registry (its program is
+    ``CONTROL``): the company ids and the extensional facts."""
+    from repro.cli import demo_serve_inputs
+
+    program, inputs = demo_serve_inputs(companies, seed)
+    assert program.split() == CONTROL.split()
+    return [c for (c,) in inputs["company"]], inputs
+
+
+def control_state(inputs, columnar):
+    return ServeState(
+        CONTROL, inputs, engine=Engine(columnar=columnar)
+    )
+
+
+def ask(handlers, subject, engine):
+    status, payload = get(
+        handlers, "/query", q=f'controls("{subject}", B)?', engine=engine
+    )
+    assert status == 200, payload
+    return payload
+
+
+def frozen_rows(snap):
+    return {
+        predicate: (sorted(relation, key=repr), len(relation),
+                    getattr(relation, "_version", None))
+        for predicate, relation in snap.edb.items()
+    }
+
+
+def cache_keys(snap):
+    """Key sets of every lazy index a query may build on an epoch."""
+    keys = {
+        predicate: (set(relation._indexes), set(relation._composite))
+        for predicate, relation in snap.edb.items()
+    }
+    for predicate, block in snap.facts.items():
+        if hasattr(block, "_index"):
+            keys["block:" + predicate] = set(block._index)
+    return keys
+
+
+BACKENDS = pytest.mark.parametrize("columnar", [True, False])
+
+
+class TestFrozenEdb:
+    @BACKENDS
+    def test_a_warm_query_touches_nothing_the_size_of_the_model(
+        self, columnar, monkeypatch
+    ):
+        from repro.vadalog.columnar import ColumnarRelation
+        from repro.vadalog.database import Relation
+
+        companies, inputs = registry_inputs(500)
+        state = control_state(inputs, columnar)
+        handlers = ServiceHandlers(state, cache=ResultCache(0))
+        warm, subject = companies[3], companies[11]
+        for engine in ("magic", "snapshot"):
+            ask(handlers, warm, engine)
+        snap = state.snapshot
+        built = cache_keys(snap)
+
+        calls = []
+        for cls in (ColumnarRelation, Relation):
+            for name in ("add_many", "add_columns", "copy"):
+                def counted(self, *args, _real=getattr(cls, name), _name=name):
+                    result = _real(self, *args)
+                    calls.append((_name, self.name, len(self)))
+                    return result
+                monkeypatch.setattr(cls, name, counted)
+        magic = ask(handlers, subject, "magic")
+        snapshot = ask(handlers, subject, "snapshot")
+        assert magic["answers"] == snapshot["answers"]
+        assert magic["answer_count"] >= 1
+        assert all(rows <= magic["answer_count"] for _, _, rows in calls), calls
+        assert state.snapshot is snap
+        assert cache_keys(snap) == built
+
+    @BACKENDS
+    def test_queries_leave_the_epoch_as_it_was(self, columnar):
+        from repro.errors import EvaluationError
+
+        program = (
+            TC + '\ne("k", "a").\nlabel("a", "start").\n'
+            "tc(X, Y), label(X, L) -> named(L, Y)."
+        )
+        edges = [(f"n{i}", f"n{i + 1}") for i in range(30)] + [("a", "n0")]
+        state = ServeState(
+            program,
+            # e has a fact rule besides its supplied facts, and tc is
+            # supplied facts although rules derive it (mixed EDB/IDB).
+            {"e": edges, "tc": [("z", "w")], "label": [("n3", "mid")]},
+            check_wardedness=False, engine=Engine(columnar=columnar),
+        )
+        handlers = ServiceHandlers(state, cache=ResultCache(0))
+        snap = state.snapshot
+        assert set(snap.edb["tc"]) == {("z", "w")}
+        assert ("k", "a") in snap.edb["e"] and len(snap.edb["e"]) == 32
+        before = frozen_rows(snap)
+        texts = (
+            ['tc("n%d", Y)?' % i for i in range(30)]
+            + ['tc(X, "n%d")?' % i for i in range(30)]
+            + ['tc("ghost%d", Y)?' % i for i in range(20)]  # absent constants
+            + ['e("n%d", Y)?' % i for i in range(10)]  # extensional-ish
+            + ['label(X, "mid")?', 'label("a", L)?', 'named("start", Y)?',
+               'named(L, "n9")?', 'tc("z", Y)?', 'tc("k", Y)?',
+               "tc(X, X)?", 'tc("n1", 1.5)?', "tc(true, Y)?", 'e("k", Y)?']
+        )
+        # Isolation only: the rewrite does not read facts supplied for a
+        # derived predicate, so on this program magic answers may differ
+        # from the model's (as they did before; see CHANGES.md, PR 20).
+        for text in texts * 2:  # 200 queries
+            assert get(handlers, "/query", q=text, engine="magic")[0] == 200
+        assert get(handlers, "/query", q='tc("k", Y)?')[1]["answer_count"] == 32
+        assert get(handlers, "/query", q="tc(X, Y)?", engine="full")[0] == 200
+        assert frozen_rows(snap) == before
+        for relation in snap.edb.values():
+            with pytest.raises(EvaluationError):
+                relation.add(("q", "q"))
+            with pytest.raises(EvaluationError):
+                relation.remove(next(iter(relation)))
+            with pytest.raises(EvaluationError):
+                relation.reset([])
+            if columnar:
+                with pytest.raises(EvaluationError):
+                    relation.compact()
+                with pytest.raises(EvaluationError):
+                    relation.spill()
+        assert frozen_rows(snap) == before
+
+    @BACKENDS
+    def test_an_old_epoch_answers_as_the_old_epoch(self, columnar, monkeypatch):
+        companies, inputs = registry_inputs(120)
+        state = control_state(inputs, columnar)
+        handlers = ServiceHandlers(state, cache=ResultCache(0))
+        held = state.snapshot
+        subjects = companies[:25]
+        old = {
+            (subject, engine): ask(handlers, subject, engine)["answers"]
+            for subject in subjects
+            for engine in ("magic", "snapshot")
+        }
+        # A stake that hands companies[0] a company it did not control,
+        # then the removal of original stakes (tombstones in place).
+        target = next(
+            c for c in companies[1:]
+            if [companies[0], c] not in old[companies[0], "snapshot"]
+        )
+        state.apply_delta(added={"own": [(companies[0], target, 0.9)]})
+        state.apply_delta(removed={"own": inputs["own"][:40]})
+        assert state.snapshot.epoch == 2
+        new = ask(handlers, companies[0], "magic")
+        assert new["answers"] == ask(handlers, companies[0], "snapshot")["answers"]
+        assert new["answers"] != old[companies[0], "magic"]
+        monkeypatch.setattr(
+            ServeState, "snapshot", property(lambda self: held)
+        )
+        for (subject, engine), answers in old.items():
+            payload = ask(handlers, subject, engine)
+            assert payload["epoch"] == 0
+            assert payload["answers"] == answers, (subject, engine)
+
+    def test_truncated_answers_are_not_cached(self):
+        handlers = ServiceHandlers(make_state())
+        for _ in range(2):
+            status, payload = get(
+                handlers, "/query", q="tc(X, Y)?", engine="full", max_facts=1
+            )
+            assert status == 503
+            assert not payload["cached"]  # computed again, not replayed
+        # A complete answer still round-trips through the cache.
+        _, first = get(handlers, "/query", q="tc(X, Y)?", engine="full")
+        status, second = get(handlers, "/query", q="tc(X, Y)?", engine="full")
+        assert status == 200
+        assert not first["cached"] and second["cached"]
+        assert second["answers"] == first["answers"]
+
+    def test_unknown_paths_share_one_metric_name(self):
+        handlers = ServiceHandlers(make_state())
+        for i in range(3):
+            assert get(handlers, f"/nope{i}")[0] == 404
+        assert handlers.handle("POST", "/nope/deeper", {}, {})[0] == 404
+        get(handlers, "/healthz")
+        metrics = get(handlers, "/stats")[1]["metrics"]
+        requests = {
+            name: value for name, value in metrics["counters"].items()
+            if name.startswith("serve.requests.")
+        }
+        assert requests == {
+            "serve.requests.unknown": 4, "serve.requests.healthz": 1,
+        }
+        assert [
+            name for name in metrics["histograms"]
+            if name.startswith("serve.latency_ms.")
+        ] == ["serve.latency_ms.healthz", "serve.latency_ms.unknown"]
+
+    def test_interner_size_is_published_per_epoch(self):
+        state = make_state()
+        handlers = ServiceHandlers(state)
+        at_zero = state.metrics.snapshot()["counters"]["serve.interner_codes"]
+        assert at_zero >= 5  # a, b, c, x, y
+        # A never-seen query constant is interned for good (one code)...
+        get(handlers, "/query", q='tc("ghost", Y)?', engine="magic")
+        state.apply_delta(added={"e": [("c", "d")]})
+        counters = get(handlers, "/stats")[1]["metrics"]["counters"]
+        # ...and the next epoch's gauge shows it beside the delta's "d".
+        assert counters["serve.interner_codes"] >= at_zero + 2
+
+    def test_both_engines_agree_under_a_racing_writer(self):
+        """Six readers mixing snapshot and magic queries (never-seen
+        constants among them) against 40 add/remove deltas: every
+        (subject, epoch) is answered identically by both engines, and
+        the final model is the worklist baseline's."""
+        import random
+        import sys
+
+        from repro.finkg.control import control_pairs
+
+        companies, inputs = registry_inputs(400, seed=11)
+        state = control_state(inputs, True)
+        handlers = ServiceHandlers(state, cache=ResultCache(64))
+        live = set(inputs["own"])
+        rng = random.Random(5)
+        subjects = rng.sample(companies, 40) + ["ghost-a", "ghost-b"]
+        answers = {}  # (subject, epoch) -> answers, whichever engine first
+        errors = []
+        stop = threading.Event()
+
+        def reader(index):
+            draw = random.Random(index)
+            count = 0
+            while not stop.is_set() or count < 20:
+                subject = draw.choice(subjects)
+                if draw.random() < 0.05:
+                    subject = f"ghost-{index}-{count}"
+                engine = ("snapshot", "magic")[draw.randrange(2)]
+                status, payload = handlers.handle(
+                    "GET", "/query",
+                    {"q": f'controls("{subject}", B)?', "engine": engine},
+                )
+                if status != 200:
+                    errors.append((subject, engine, status, payload))
+                    return
+                key = (subject, payload["epoch"])
+                seen = answers.setdefault(key, payload["answers"])
+                if seen != payload["answers"]:
+                    errors.append((key, engine, seen, payload["answers"]))
+                    return
+                count += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(i,), daemon=True)
+                for i in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            added = []
+            for i in range(40):
+                if i % 4 == 3:
+                    fact = added.pop(0) if i % 8 == 3 else rng.choice(sorted(live))
+                    live.discard(fact)
+                    body = {"removed": {"own": [list(fact)]}}
+                else:
+                    owner, target = rng.sample(companies, 2)
+                    fact = (owner, target, 0.5 + (i % 40) / 100.0)
+                    added.append(fact)
+                    live.add(fact)
+                    body = {"added": {"own": [list(fact)]}}
+                assert handlers.handle("POST", "/delta", {}, body)[0] == 200
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [], errors[:2]
+        assert len({epoch for _, epoch in answers}) >= 3
+        members = set(companies)
+        expected = control_pairs(
+            [s for s in live if s[0] in members and s[1] in members]
+        )
+        final = {f for f in state.snapshot.facts["controls"] if f[0] != f[1]}
+        assert final == expected

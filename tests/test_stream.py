@@ -438,6 +438,26 @@ def serve_sink():
 
 
 class TestServeStreaming:
+    def test_exists_probes_the_current_epochs_edb(self):
+        sink = ServeStateSink(
+            program=TC_PROGRAM, inputs={"e": [("a", "b"), (1, "one")]}
+        )
+        sink.bootstrap()
+        assert sink.exists(("fact", "e", ("a", "b")))
+        assert sink.exists(("fact", "e", ["a", "b"]))
+        assert not sink.exists(("fact", "e", ("b", "a")))
+        assert not sink.exists(("fact", "e", ("a", "never-seen")))
+        assert not sink.exists(("fact", "nope", ("a", "b")))
+        assert not sink.exists(("fact", "tc", ("a", "b")))  # derived
+        # ``==``-level membership, as the set of tuples it replaces.
+        assert sink.exists(("fact", "e", (1.0, "one")))
+        assert sink.exists(("fact", "e", (True, "one")))
+        sink.state.apply_delta(
+            added={"e": [("b", "c")]}, removed={"e": [("a", "b")]}
+        )
+        assert sink.exists(("fact", "e", ("b", "c")))
+        assert not sink.exists(("fact", "e", ("a", "b")))
+
     def test_epoch_advances_once_per_batch(self, tmp_path):
         sink = serve_sink()
         feed = fact_feed([
