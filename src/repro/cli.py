@@ -262,6 +262,11 @@ def cmd_update(args) -> int:
         f" I_SM_* facts changed: {outcome.flushed})",
         file=sys.stderr,
     )
+    for phase, stratum, rule, reason in outcome.recompute_reasons:
+        print(
+            f"  recomputed: {phase} stratum {stratum}, rule {rule}: {reason}",
+            file=sys.stderr,
+        )
     if outcome.flush_delta is not None:
         print("store delta:", outcome.flush_delta.summary(), file=sys.stderr)
     if outcome.flush_dropped_edges:

@@ -8,18 +8,30 @@ rule terminator and the path-concatenation operator in MetaLog).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+import re
+from typing import List, NamedTuple, Optional
 
 from repro.errors import ParseError
 
-#: Multi-character punctuation, longest-match-first.
-_MULTI_PUNCT = ["->", "==", "!=", "<=", ">=", "<-"]
-_SINGLE_PUNCT = set("()[]{},.;:<>=+-*/%@#|!?~")
+#: One token, or the blank or comment before it.  Multi-character
+#: punctuation comes first; ``%`` opens a comment wherever it stands; a
+#: dot belongs to a number only between digits, so the rule terminator
+#: after a number stays punctuation; a string's closing quote is
+#: optional here so that a string left open is reported where it breaks.
+_SCAN = re.compile(
+    r"""(?P<SKIP>[ \t\r]+|(?:%|//)[^\n]*)
+    |(?P<NEWLINE>\n)
+    |"(?P<STRING>(?:[^"\\\n]|\\[\s\S])*)"?
+    |(?P<NUMBER>\d+(?:\.\d+)?)
+    |(?P<IDENT>[^\W\d]\w*)
+    |(?P<PUNCT>->|==|!=|<=|>=|<-|[()\[\]{},.;:<>=+\-*/@\#|!?~])""",
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPED = {"n": "\n", "t": "\t"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with its source position (1-based)."""
 
     kind: str  # IDENT | NUMBER | STRING | PUNCT | EOF
@@ -35,101 +47,38 @@ def tokenize(text: str) -> List[Token]:
     """Tokenize ``text`` and return the token list, ending with EOF."""
     tokens: List[Token] = []
     line = 1
-    column = 1
+    line_start = 0
     i = 0
     n = len(text)
-
-    def error(message: str) -> ParseError:
-        return ParseError(message, line, column)
-
+    scan = _SCAN.match
     while i < n:
-        ch = text[i]
-        # Whitespace
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if ch == "\n":
-            i += 1
+        match = scan(text, i)
+        if match is None:
+            raise ParseError(
+                f"unexpected character {text[i]!r}", line, i - line_start + 1
+            )
+        kind = match.lastgroup
+        end = match.end()
+        if kind == "NEWLINE":
             line += 1
-            column = 1
-            continue
-        # Comments: % ... or // ...
-        if ch == "%" or text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        # Strings
-        if ch == '"':
-            start_line, start_col = line, column
-            i += 1
-            column += 1
-            buf = []
-            while i < n and text[i] != '"':
-                c = text[i]
-                if c == "\\" and i + 1 < n:
-                    escape = text[i + 1]
-                    buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(escape, escape))
-                    i += 2
-                    column += 2
-                    continue
-                if c == "\n":
-                    raise error("unterminated string literal")
-                buf.append(c)
-                i += 1
-                column += 1
-            if i >= n:
-                raise error("unterminated string literal")
-            i += 1  # closing quote
-            column += 1
-            tokens.append(Token("STRING", "".join(buf), start_line, start_col))
-            continue
-        # Numbers (integers and decimals). A leading digit is required; a
-        # dot is consumed only when followed by a digit, so the rule
-        # terminator after a number still lexes as punctuation.
-        if ch.isdigit():
-            start_line, start_col = line, column
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            is_float = False
-            if j < n - 1 and text[j] == "." and text[j + 1].isdigit():
-                is_float = True
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            literal = text[i:j]
-            value = float(literal) if is_float else int(literal)
-            column += j - i
-            i = j
-            tokens.append(Token("NUMBER", value, start_line, start_col))
-            continue
-        # Identifiers
-        if ch.isalpha() or ch == "_":
-            start_line, start_col = line, column
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            column += j - i
-            i = j
-            tokens.append(Token("IDENT", word, start_line, start_col))
-            continue
-        # Punctuation
-        matched = None
-        for punct in _MULTI_PUNCT:
-            if text.startswith(punct, i):
-                matched = punct
-                break
-        if matched is None and ch in _SINGLE_PUNCT:
-            matched = ch
-        if matched is None:
-            raise error(f"unexpected character {ch!r}")
-        tokens.append(Token("PUNCT", matched, line, column))
-        i += len(matched)
-        column += len(matched)
-
-    tokens.append(Token("EOF", None, line, column))
+            line_start = end
+        elif kind != "SKIP":
+            value = match.group(kind)
+            if kind == "NUMBER":
+                value = float(value) if "." in value else int(value)
+            elif kind == "STRING":
+                if end == match.end(kind):  # no closing quote
+                    end += text.startswith("\\", end)  # a last, lone backslash
+                    raise ParseError(
+                        "unterminated string literal", line, end - line_start + 1
+                    )
+                if "\\" in value:
+                    value = _ESCAPE.sub(
+                        lambda m: _ESCAPED.get(m.group(1), m.group(1)), value
+                    )
+            tokens.append(Token(kind, value, line, i - line_start + 1))
+        i = end
+    tokens.append(Token("EOF", None, line, i - line_start + 1))
     return tokens
 
 

@@ -538,5 +538,8 @@ class ServiceHandlers:
                 "incremental": delta.strata_incremental,
                 "recomputed": delta.strata_recomputed,
             },
+            "recompute_reasons": [
+                list(entry) for entry in delta.recompute_reasons
+            ],
             "elapsed_seconds": delta.elapsed_seconds,
         }

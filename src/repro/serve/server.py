@@ -13,7 +13,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
-from urllib.parse import parse_qsl, urlsplit
+from urllib.parse import parse_qsl
 
 from repro.serve.handlers import ServiceHandlers
 
@@ -41,11 +41,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _run(self, method: str, body=None) -> None:
-        parts = urlsplit(self.path)
-        params = dict(parse_qsl(parts.query))
+        # The request target is in origin form: a path and, after the
+        # first "?", a query.
+        path, _, query = self.path.partition("?")
+        params = dict(parse_qsl(query))
         try:
             status, payload = self.handlers.handle(
-                method, parts.path, params, body
+                method, path, params, body
             )
         except Exception as exc:  # defensive: a handler bug must not
             status, payload = 500, {"error": f"internal error: {exc}"}

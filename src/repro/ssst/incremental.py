@@ -124,6 +124,21 @@ class UpdateReport:
             if d is not None
         )
 
+    @property
+    def recompute_reasons(self) -> List[Tuple[str, int, str, str]]:
+        """``(phase, stratum index, rule label, reason)`` of every
+        stratum a chase state recomputed instead of maintaining."""
+        return [
+            (phase, *entry)
+            for phase, delta in (
+                ("load", self.delta_load),
+                ("reason", self.delta_reason),
+                ("flush", self.delta_flush),
+            )
+            if delta is not None
+            for entry in delta.recompute_reasons
+        ]
+
     def phase_breakdown(self) -> Dict[str, float]:
         return {
             "load": self.delta_load.elapsed_seconds if self.delta_load else 0.0,

@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Any,
+    Container,
     Dict,
     FrozenSet,
     Iterable,
@@ -70,7 +71,7 @@ from repro.vadalog.ast import (
 )
 from repro.vadalog.database import Database, Fact
 from repro.vadalog.engine import Engine, EvaluationResult, EvaluationStats
-from repro.vadalog.parser import parse_program
+from repro.vadalog.parser import parse_atom
 from repro.vadalog.stratify import stratify
 from repro.vadalog.terms import (
     ANONYMOUS,
@@ -166,18 +167,9 @@ def parse_query(text: str) -> Query:
     if stripped.endswith("."):
         raise VadalogError(f"not a query (trailing '.'): {text!r}")
     try:
-        program = parse_program(stripped + ".")
+        atom = parse_atom(stripped)
     except KGModelError as exc:
         raise VadalogError(f"cannot parse query {text!r}: {exc}") from exc
-    if len(program.rules) != 1 or program.rules[0].body:
-        raise VadalogError(f"a query must be a single atom: {text!r}")
-    head = program.rules[0].head
-    if len(head) != 1:
-        raise VadalogError(f"a query must be a single atom: {text!r}")
-    atom = head[0]
-    for term in atom.terms:
-        if isinstance(term, SkolemTerm):
-            raise VadalogError(f"Skolem terms not allowed in queries: {text!r}")
     return Query(atom.predicate, atom.terms)
 
 
@@ -216,6 +208,10 @@ class MagicProgram:
     #: The *normalized* adornment (bound positions may have degraded to
     #: free, e.g. aggregate results); the seed projects onto its ``b``s.
     seed_adornment: Optional[str] = None
+    #: Per adorned predicate, its source predicate and the rule that
+    #: brings *supplied* facts of it under the adorned name: part of the
+    #: program only where there are such facts (:meth:`program_for`).
+    bridges: Tuple[Tuple[str, Rule], ...] = ()
 
     def seed_rule(self, query: Query) -> Optional[Rule]:
         """The magic seed fact for a concrete query's constants.
@@ -234,8 +230,12 @@ class MagicProgram:
         )
         return Rule(body=(), head=(Atom(self.seed_predicate, terms),))
 
-    def program_for(self, query: Query) -> Program:
-        """The evaluable program for a query sharing this adornment."""
+    def program_for(self, query: Query, supplied: Container[str]) -> Program:
+        """The evaluable program for a query sharing this adornment.
+
+        ``supplied`` names the derived predicates the caller holds facts
+        for: only those are bridged.
+        """
         if query.predicate != self.query.predicate or (
             query.adornment() != self.query.adornment()
         ):
@@ -243,6 +243,9 @@ class MagicProgram:
                 f"rewrite for {self.query} cannot answer {query}"
             )
         rules = list(self.rules)
+        rules.extend(
+            rule for predicate, rule in self.bridges if predicate in supplied
+        )
         seed = self.seed_rule(query)
         if seed is not None:
             rules.append(seed)
@@ -349,6 +352,7 @@ class _Rewriter:
         whole = Program(rules=self.rules)
         self.full, self.full_reasons = _full_predicates(whole)
         self.adorned: List[Rule] = []
+        self.bridges: List[Tuple[str, Rule]] = []
         self.magic: List[Rule] = []
         self.cone: Set[str] = set()
         self._cone_rules: List[Rule] = []
@@ -529,6 +533,25 @@ class _Rewriter:
             Rule(body=tuple(new_body), head=(adorned_head,), label=label)
         )
 
+    def bridge_rule(self, predicate: str, adornment: str) -> Rule:
+        """``magic__p@ad(bound...), p(V...) -> p@ad(V...)``: the demanded
+        facts a caller *supplied* for a derived predicate, which sit
+        under its own name and which no rewritten rule reads."""
+        head_atom = next(
+            a for a in self.defs[predicate][0].head if a.predicate == predicate
+        )
+        variables = tuple(
+            Variable(f"V{index}") for index in range(len(head_atom.terms))
+        )
+        magic_atom = Atom(
+            _magic_name(predicate, adornment),
+            tuple(v for v, char in zip(variables, adornment) if char == "b"),
+        )
+        return Rule(
+            body=(magic_atom, Atom(predicate, variables)),
+            head=(Atom(_adorned_name(predicate, adornment), variables),),
+        )
+
     # -- driver -------------------------------------------------------
 
     def run(self) -> MagicProgram:
@@ -576,6 +599,9 @@ class _Rewriter:
             predicate, adornment = self._queue.pop()
             for rule in self.defs.get(predicate, ()):
                 self.rewrite_rule(rule, predicate, adornment)
+            self.bridges.append(
+                (predicate, self.bridge_rule(predicate, adornment))
+            )
 
         rules = self.adorned + self.magic + self._cone_rules
         seed_predicate = _magic_name(query.predicate, adorned)
@@ -590,12 +616,13 @@ class _Rewriter:
             fallback_reasons=tuple(fallback_reasons),
             cone_predicates=frozenset(self.cone),
             seed_adornment=adorned,
+            bridges=tuple(self.bridges),
         )
         # Magic predicates can, in corner cases, entangle strata the
         # original program kept apart; re-stratify and fall back rather
-        # than trust an unstratifiable rewrite.
+        # than trust an unstratifiable rewrite (every bridge in).
         try:
-            probe = candidate.program_for(query)
+            probe = candidate.program_for(query, self.defs)
             probe = Program(rules=[r for r in probe.rules if r.body])
             stratify(probe)
         except VadalogError as exc:
@@ -765,8 +792,14 @@ class GoalDirectedEvaluator:
                 rewrite=rewrite,
             )
 
+        supplied = {
+            predicate
+            for predicate, _ in rewrite.bridges
+            if (database is not None and database.count(predicate))
+            or (inputs and predicate in inputs)
+        }
         result = self._run(
-            rewrite.program_for(query),
+            rewrite.program_for(query, supplied),
             database=database,
             inputs=inputs,
             governor=governor,

@@ -78,6 +78,16 @@ def parse_rule(text: str) -> Rule:
     return program.rules[0]
 
 
+def parse_atom(text: str) -> Atom:
+    """Parse a single atom as a rule body would hold it (no Skolem
+    terms): the syntax of a query."""
+    stream = TokenStream.from_text(text)
+    atom = _Parser(stream).atom(allow_skolem=False)
+    if not stream.at_eof():
+        raise stream.error("expected a single atom")
+    return atom
+
+
 class _Parser:
     def __init__(self, stream: TokenStream):
         self.stream = stream

@@ -1353,7 +1353,7 @@ class AggregatePlan:
 
     __slots__ = (
         "assignment", "call", "target", "pre", "pre_plan", "post", "group_vars",
-        "_pre_delta", "_pre_binders",
+        "_pre_delta", "_pre_binders", "_group",
     )
 
     def __init__(self, rule: Rule):
@@ -1384,6 +1384,15 @@ class AggregatePlan:
         ))
         self._pre_delta: Dict[int, BodyPlan] = {}
         self._pre_binders: Dict[int, DeltaBinder] = {}
+        self._group: Optional[BodyPlan] = None
+
+    def group_plan(self) -> BodyPlan:
+        """Pre-body plan with the group variables bound: the matches
+        that contribute to one group, for rebuilding its bucket after
+        a retraction."""
+        if self._group is None:
+            self._group = compile_body(self.pre, self.group_vars)
+        return self._group
 
     def pre_delta_binder(self, index: int) -> DeltaBinder:
         """Delta binder for the ``index``-th pre-body literal (an Atom)."""
@@ -1434,11 +1443,12 @@ class RulePlans:
         self.rule = rule
         self.is_aggregate = rule.has_aggregate()
         self._body: Optional[BodyPlan] = None
-        self._delta: Dict[int, BodyPlan] = {}
+        # By atom index; by (index, whole) for a negated literal.
+        self._delta: Dict[Any, BodyPlan] = {}
         self._binders: Dict[int, DeltaBinder] = {}
         self._aggregate: Optional[AggregatePlan] = None
         self._head_check: Optional[BodyPlan] = None
-        self._rederive: Dict[int, BodyPlan] = {}
+        self._rederive: Dict[Optional[int], BodyPlan] = {}
 
         body_vars = rule.body_variables()
         head_ops: List[Tuple[str, Tuple[Tuple[int, Any], ...]]] = []
@@ -1477,9 +1487,15 @@ class RulePlans:
         return self._body
 
     def delta_binder(self, index: int) -> DeltaBinder:
+        """Binder for the ``index``-th body literal, an atom or a
+        negated one (a changed fact of the negated predicate then binds
+        the key the negation is evaluated for)."""
         binder = self._binders.get(index)
         if binder is None:
-            binder = DeltaBinder(self.rule.body[index])
+            literal = self.rule.body[index]
+            binder = DeltaBinder(
+                literal.atom if isinstance(literal, NegatedAtom) else literal
+            )
             self._binders[index] = binder
         return binder
 
@@ -1495,28 +1511,58 @@ class RulePlans:
             self._delta[index] = plan
         return plan
 
+    def negation_plan(self, index: int, whole: bool) -> BodyPlan:
+        """Body plan with the variables of the negated atom at ``index``
+        bound by a changed fact of its predicate.
+
+        ``whole`` keeps every literal, the negated one included: run on
+        the new database it decides whether the body holds for that key
+        (``not p(X, _)`` stays false while another ``p(x, _)`` is left).
+        Otherwise every negated literal is dropped, which gives a
+        superset of the matches the body had before the change whatever
+        the negated predicates hold now.
+        """
+        plan = self._delta.get((index, whole))
+        if plan is None:
+            body = self.rule.body
+            bound = {v for v in body[index].atom.variables() if v.name != "_"}
+            kept = [
+                i for i, literal in enumerate(body)
+                if whole or not isinstance(literal, NegatedAtom)
+            ]
+            plan = compile_body([body[i] for i in kept], bound, kept)
+            self._delta[(index, whole)] = plan
+        return plan
+
     def aggregate_plan(self) -> AggregatePlan:
         if self._aggregate is None:
             self._aggregate = AggregatePlan(self.rule)
         return self._aggregate
 
-    def rederive_bound_vars(self, head_index: int) -> Tuple[Variable, ...]:
-        """Body variables recoverable from a ground fact of head ``head_index``:
-        the atom's frontier variables plus its Skolem argument variables."""
-        _, slots = self.head_ops[head_index]
+    def rederive_bound_vars(
+        self, head_index: Optional[int] = None
+    ) -> Tuple[Variable, ...]:
+        """Body variables recoverable from a ground fact of head ``head_index``
+        (``None``: from the facts of all head atoms, one whole firing):
+        the frontier variables plus the Skolem argument variables."""
+        heads = (
+            self.head_ops if head_index is None else (self.head_ops[head_index],)
+        )
         placeholders = {ph: arg_ops for ph, _, arg_ops in self.placeholders}
         bound: Set[Variable] = set()
-        for kind, payload in slots:
-            if kind == _K_VAR:
-                bound.add(payload)
-            elif kind == _K_SKOLEM:
-                for is_var, argument in placeholders[payload]:
-                    if is_var and argument.name != "_":
-                        bound.add(argument)
+        for _, slots in heads:
+            for kind, payload in slots:
+                if kind == _K_VAR:
+                    bound.add(payload)
+                elif kind == _K_SKOLEM:
+                    for is_var, argument in placeholders[payload]:
+                        if is_var and argument.name != "_":
+                            bound.add(argument)
         return tuple(sorted(bound, key=lambda v: v.name))
 
-    def rederive_plan(self, head_index: int) -> BodyPlan:
-        """Goal-directed body plan for re-deriving one head fact.
+    def rederive_plan(self, head_index: Optional[int] = None) -> BodyPlan:
+        """Goal-directed body plan for re-deriving one head fact, or
+        (``None``) one firing from the pattern of all its head facts.
 
         Compiled with the recoverable head variables *pre-bound*, because
         :func:`execute_plan` must not be handed initial bindings a plan
@@ -1546,16 +1592,11 @@ class RulePlans:
         return self._head_check
 
     # -- the chase step -------------------------------------------------
-    def instantiate_head(
-        self,
-        substitution: Substitution,
-        db: Database,
-        stats: Any,
-        nulls: Any,
-        skolems: Dict[str, SkolemFunctor],
-        max_nulls: int,
-    ) -> Iterator[Tuple[str, Fact]]:
-        """Resolve the head under ``substitution`` (the chase step)."""
+    def resolve_head(
+        self, substitution: Substitution, skolems: Dict[str, SkolemFunctor]
+    ) -> Tuple[List[Tuple[str, List[Any]]], Dict[Variable, Any]]:
+        """The head atoms under ``substitution`` with existential
+        variables left in place, and the Skolem values by placeholder."""
         skolem_values: Dict[Variable, Any] = {}
         for placeholder, functor_name, arg_ops in self.placeholders:
             functor = skolems.get(functor_name)
@@ -1584,9 +1625,22 @@ class RulePlans:
                     terms.append(substitution[payload])
                 elif kind == _K_SKOLEM:
                     terms.append(skolem_values[payload])
-                else:  # _K_EXIST — resolved below
+                else:  # _K_EXIST — left for the caller
                     terms.append(payload)
             resolved.append((predicate, terms))
+        return resolved, skolem_values
+
+    def instantiate_head(
+        self,
+        substitution: Substitution,
+        db: Database,
+        stats: Any,
+        nulls: Any,
+        skolems: Dict[str, SkolemFunctor],
+        max_nulls: int,
+    ) -> Iterator[Tuple[str, Fact]]:
+        """Resolve the head under ``substitution`` (the chase step)."""
+        resolved, skolem_values = self.resolve_head(substitution, skolems)
 
         if self.existentials:
             # Restricted chase: skip when the head conjunction is already

@@ -54,9 +54,10 @@ class NullFactory:
     The factory of a retained state (``minted`` is a dict) also keeps
     the assignment every existential firing got, by first head predicate
     and resolved head pattern.  A stratum recompute moves its heads'
-    entries to ``reclaim``, where a firing that re-derives a pattern
-    takes back the nulls it had; each entry is taken at most once and
-    everything else is fresh, so no null ever names two firings.
+    entries to ``reclaim``, as DRed does with a firing it over-deleted
+    and could not put back at once; there a firing that re-derives a
+    pattern takes back the nulls it had.  Each entry is taken at most
+    once and everything else is fresh, so no null ever names two firings.
     """
 
     def __init__(self):
@@ -67,6 +68,14 @@ class NullFactory:
     def fresh(self, label: str = "z") -> Null:
         return Null(label, next(self._counter))
 
+    @staticmethod
+    def pattern(
+        heads: Sequence[Tuple[str, Sequence[Any]]]
+    ) -> Tuple[str, Tuple[Tuple[Any, ...], ...]]:
+        """The two keys ``minted`` and ``reclaim`` file a firing under:
+        its first head predicate, and its resolved head atoms."""
+        return heads[0][0], tuple((name, *terms) for name, terms in heads)
+
     def assign(
         self, heads: Sequence[Tuple[str, Sequence[Any]]], variables: Iterable[Any]
     ) -> Dict[Any, Null]:
@@ -74,8 +83,7 @@ class NullFactory:
         leave the existential ``variables`` open."""
         if self.minted is None:
             return {v: self.fresh(v.name) for v in variables}
-        predicate = heads[0][0]
-        pattern = tuple((name, *terms) for name, terms in heads)
+        predicate, pattern = self.pattern(heads)
         held = self.reclaim.get(predicate, {}).get(pattern)
         assignment = (
             held.pop() if held else {v: self.fresh(v.name) for v in variables}

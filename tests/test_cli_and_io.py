@@ -119,6 +119,33 @@ class TestCLI:
         }
         assert controls == {("A", "B"), ("A", "C")}
 
+    def test_update_says_what_it_recomputed(self, workspace, capsys, monkeypatch):
+        data = load_graph(str(workspace / "data.json"))
+        (stake,) = (e.id for e in data.edges("OWNS")
+                    if (e.source, e.target) == ("A", "B"))
+        argv = [
+            "update", str(workspace / "mini.gsl"), str(workspace / "data.json"),
+            str(workspace / "rules.metalog"), "--remove", str(stake),
+            "-o", str(workspace / "updated.json"),
+        ]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "strata recomputed: 0," in err and "\n  recomputed: " not in err
+        updated = load_graph(str(workspace / "updated.json"))
+        assert all(e.source == e.target for e in updated.edges("CONTROLS"))
+        # A stratum the engine had to recompute is named, with its reason.
+        from repro.vadalog import incremental
+
+        monkeypatch.setattr(
+            incremental, "_existential_safe", lambda *args: False)
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "strata recomputed: 1," in err
+        assert (
+            "  recomputed: reason stratum 0, rule r1: "
+            "existential writer refused by the gate"
+        ) in err
+
     def test_reason_to_stdout(self, workspace, capsys):
         assert main([
             "reason", str(workspace / "mini.gsl"), str(workspace / "data.json"),

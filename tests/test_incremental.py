@@ -13,7 +13,9 @@ from repro.graph.property_graph import PropertyGraph
 from repro.metalog import parse_metalog
 from repro.models.relational import Column, ForeignKey, RelationalSchema, Table
 from repro.ssst import SSST, IntensionalMaterializer, RegistryDelta
+from repro.obs import RecordingTracer
 from repro.vadalog import Engine, parse_program
+from repro.vadalog.incremental import RECOMPUTE_REASONS
 from repro.vadalog.terms import Null
 
 from tests.conftest import diff_is_the_oracle
@@ -88,9 +90,12 @@ def _null_occurrences(result, predicates):
     return sorted(sorted(occurrences) for occurrences in places.values())
 
 
-def delta_differential(text, predicates, inputs, rng, kind, use_plans=True):
+def delta_differential(
+    text, predicates, inputs, rng, kind, use_plans=True, maintained=False
+):
     """Retained run + apply_delta must equal a from-scratch oracle, up to
-    labeled-null renaming, after each of two chained updates."""
+    labeled-null renaming, after each of six chained updates;
+    ``maintained`` programs without recomputing a stratum."""
     program = parse_program(text)
     engine = Engine(use_plans=use_plans)
     result = engine.run(program, inputs=inputs, retain_state=True)
@@ -98,9 +103,11 @@ def delta_differential(text, predicates, inputs, rng, kind, use_plans=True):
         p: sorted(facts, key=repr)[0] for p, facts in inputs.items() if facts
     }
     current = inputs
-    for _round in range(2):
+    for _round in range(6):
         added, removed = _mutation(rng, current, templates, kind)
-        engine.apply_delta(result, added=added, removed=removed)
+        delta = engine.apply_delta(result, added=added, removed=removed)
+        if maintained:
+            assert not delta.recompute_reasons
         current = _mutated_inputs(current, added, removed)
         oracle = Engine(use_plans=False).run(program, inputs=current)
         for predicate in predicates:
@@ -131,7 +138,9 @@ class TestEngineDeltaDifferential:
         rng = random.Random(6000 + seed)
         text, predicates, inputs = _aggregate_case(rng)
         delta_differential(
-            text, predicates, inputs, rng, KINDS[seed % 3], use_plans=use_plans
+            text, predicates, inputs, rng, KINDS[seed % 3], use_plans=use_plans,
+            # msum control and mcount; mmax has its target in the head.
+            maintained=predicates != ["strong"],
         )
 
     @pytest.mark.parametrize("use_plans", [True, False])
@@ -211,6 +220,361 @@ class TestDRedEdgeCases:
         result = engine.run(program, inputs={"e": [("a", "b")]})
         with pytest.raises(EvaluationError, match="retain_state"):
             engine.apply_delta(result, added={"e": [("b", "c")]})
+
+
+# ---------------------------------------------------------------------------
+# Removals through a monotone aggregate and its existential head
+# ---------------------------------------------------------------------------
+
+ENGINES = pytest.mark.parametrize(
+    "use_plans,columnar",
+    [(True, True), (True, False), (False, True), (False, False)],
+)
+
+CONTROL = (
+    "company(X) -> controls(X, X).\n"
+    "controls(X, Z), own(Z, Y, W), V = msum(W, <Z>), V > 0.5 -> controls(X, Y)."
+)
+#: The same program as MTV compiles it: an existential edge id.
+CONTROL_IDS = (
+    "company(X) -> controls(C, X, X).\n"
+    "controls(_, X, Z), own(Z, Y, W), V = msum(W, <Z>), V > 0.5"
+    " -> controls(C, X, Y)."
+)
+
+
+def _live_patterns(result):
+    minted = result.state.nulls.minted
+    return {
+        (predicate, pattern): len(assignments)
+        for predicate, patterns in minted.items()
+        for pattern, assignments in patterns.items()
+    }
+
+
+class _Maintained:
+    """A retained run that is held, after every delta, against a
+    from-scratch retained run of the same engine: facts up to nulls, an
+    injective renaming, the accumulators, the remembered firings — and
+    no stratum recomputed."""
+
+    def __init__(self, text, use_plans, columnar, **inputs):
+        self.program = parse_program(text)
+        self.backend = dict(use_plans=use_plans, columnar=columnar)
+        self.inputs = {p: list(facts) for p, facts in inputs.items()}
+        self.engine = Engine(**self.backend)
+        self.result = self.engine.run(
+            self.program, inputs=self.inputs, retain_state=True
+        )
+        self.predicates = sorted(self.program.idb_predicates())
+
+    def facts(self, predicate="controls"):
+        return set(self.result.facts(predicate))
+
+    def pairs(self):
+        return {fact[-2:] for fact in self.facts() if fact[-2] != fact[-1]}
+
+    def step(self, added=None, removed=None):
+        delta = self.engine.apply_delta(self.result, added=added, removed=removed)
+        assert delta.strata_recomputed == 0, delta.recompute_reasons
+        self.inputs = _mutated_inputs(self.inputs, added or {}, removed or {})
+        oracle = Engine(**self.backend).run(
+            self.program, inputs=self.inputs, retain_state=True
+        )
+        for predicate in self.predicates:
+            assert _canon(self.result.facts(predicate)) == _canon(
+                oracle.facts(predicate)
+            )
+        assert _null_occurrences(self.result, self.predicates) == (
+            _null_occurrences(oracle, self.predicates)
+        )
+        state = self.result.state
+        assert set(state.aggregates) == set(oracle.state.aggregates)
+        for rule, expected in oracle.state.aggregates.items():
+            held = state.aggregates[rule]
+            assert held.accumulator.state() == expected.accumulator.state()
+            assert set(held.witnesses) == set(expected.witnesses)
+        # One remembered assignment per live pattern, nothing else.
+        assert _live_patterns(self.result) == _live_patterns(oracle)
+        assert set(_live_patterns(self.result).values()) <= {1}
+        assert not state.nulls.reclaim
+        return delta
+
+
+@ENGINES
+@pytest.mark.parametrize("text", [CONTROL, CONTROL_IDS])
+class TestAggregateRetraction:
+    def test_cyclic_ghost(self, text, use_plans, columnar):
+        """Group (x, a) still sums 0.6 through b once x's own stake is
+        gone — but b is only x's through a: the accumulator is no
+        support count, the head goes whatever value remains."""
+        run = _Maintained(
+            text, use_plans, columnar,
+            company=[("x",), ("a",), ("b",)],
+            own=[("x", "a", 0.6), ("a", "b", 0.6), ("b", "a", 0.6)],
+        )
+        assert run.pairs() == {("x", "a"), ("x", "b"), ("a", "b"), ("b", "a")}
+        delta = run.step(removed={"own": [("x", "a", 0.6)]})
+        assert run.pairs() == {("a", "b"), ("b", "a")}
+        assert delta.overdeleted == 2 and delta.rederived == 0
+
+    def test_parallel_stakes(self, text, use_plans, columnar):
+        """Two stakes of z in y collide on contributor z; the smaller
+        takes the place of the larger when that one is removed."""
+        run = _Maintained(
+            text, use_plans, columnar,
+            company=[("z",), ("w",), ("y",)],
+            own=[("z", "y", 0.7), ("z", "y", 0.2), ("z", "w", 0.6),
+                 ("w", "y", 0.35)],
+        )
+        (rule,) = run.result.state.aggregates
+        buckets = run.result.state.aggregates[rule].accumulator.state()
+        assert buckets[("z", "y")] == {("z",): 0.7, ("w",): 0.35}
+        before = run.facts()
+        delta = run.step(removed={"own": [("z", "y", 0.7)]})
+        assert buckets[("z", "y")] == {("z",): 0.2, ("w",): 0.35}
+        assert run.facts() == before  # 0.55: put back, the same fact
+        assert delta.rederived >= 1 and "controls" not in delta.removed
+        run.step(removed={"own": [("w", "y", 0.35)]})
+        assert ("z", "y") not in run.pairs()
+        assert buckets[("z", "y")] == {("z",): 0.2}
+
+    def test_remove_then_re_add(self, text, use_plans, columnar):
+        """What a removal spares keeps its facts, nulls included — the
+        re-derived ones too; what it takes comes back on re-adding,
+        under fresh nulls, and nothing of it is remembered meanwhile."""
+        run = _Maintained(
+            text, use_plans, columnar,
+            company=[("a",), ("b",), ("c",), ("d",)],
+            own=[("a", "b", 0.6), ("b", "c", 0.3), ("a", "c", 0.3),
+                 ("a", "c", 0.25), ("c", "d", 0.9)],
+        )
+        before = run.facts()
+        # a holds c by 0.3 + 0.3 and, without the larger direct stake,
+        # still by 0.25 + 0.3: over-deleted and put back, and (a, d)
+        # comes back with it through the cascade, under its old null.
+        delta = run.step(removed={"own": [("a", "c", 0.3)]})
+        assert run.facts() == before
+        assert delta.overdeleted == 2 and delta.rederived == 1
+        assert delta.removed == {"own": {("a", "c", 0.3)}} and not delta.added
+        delta = run.step(removed={"own": [("b", "c", 0.3)]})
+        spared = run.facts()
+        assert spared < before
+        assert {f[-2:] for f in before - spared} == {("a", "c"), ("a", "d")}
+        run.step(added={"own": [("b", "c", 0.3), ("a", "c", 0.3)]})
+        assert spared < run.facts()
+        assert _canon(run.facts()) == _canon(before)
+        known = {t for fact in before for t in fact if isinstance(t, Null)}
+        back = {t for fact in run.facts() - spared for t in fact
+                if isinstance(t, Null)}
+        assert not back & known
+
+    def test_removing_a_seed(self, text, use_plans, columnar):
+        """controls(a, a) is the seed's; the cycle through b re-derives
+        it only from itself."""
+        run = _Maintained(
+            text, use_plans, columnar,
+            company=[("x",), ("a",), ("b",)],
+            own=[("x", "a", 0.6), ("a", "b", 0.6), ("b", "a", 0.6)],
+        )
+        run.step(removed={"company": [("a",)]})
+        assert {f[-2:] for f in run.facts()} == {
+            ("x", "x"), ("x", "a"), ("x", "b"),
+            ("b", "b"), ("b", "a"), ("b", "b")}
+        run.step(added={"company": [("a",)]}, removed={"company": [("x",)]})
+        assert run.pairs() == {("a", "b"), ("b", "a")}
+
+    def test_one_delta_adds_to_and_removes_from_a_group(
+        self, text, use_plans, columnar
+    ):
+        run = _Maintained(
+            text, use_plans, columnar,
+            company=[("a",), ("b",), ("c",), ("d",)],
+            own=[("a", "b", 0.6), ("a", "c", 0.3), ("b", "c", 0.3),
+                 ("c", "d", 0.7)],
+        )
+        before = run.facts()
+        # (a, c) loses b's 0.3 and gains a direct 0.25: 0.55, still held.
+        run.step(
+            added={"own": [("a", "c", 0.25), ("a", "c", 0.1)]},
+            removed={"own": [("a", "c", 0.3)]},
+        )
+        assert run.facts() == before
+        # ... loses that and gains too little: gone, and (a, d) with it.
+        run.step(
+            added={"own": [("a", "c", 0.15)]},
+            removed={"own": [("a", "c", 0.25)]},
+        )
+        assert {f[-2:] for f in before - run.facts()} == {("a", "c"), ("a", "d")}
+
+
+# ---------------------------------------------------------------------------
+# Negation maintained by key
+# ---------------------------------------------------------------------------
+
+#: (program, arity of each extensional predicate, derived predicates)
+NEGATION_PROGRAMS = {
+    # The default-value pair of V_I (ssst/views.py).
+    "default-pair": (
+        "base(K), attr(K, V) -> val(K, V).\n"
+        "base(K), attr(K, V) -> has(K).\n"
+        'base(K), not has(K) -> val(K, "none").',
+        {"base": 1, "attr": 2}, ["val", "has"]),
+    "anonymous-in-negation": (
+        "a(X), not p(X, _) -> q(X).", {"a": 1, "p": 2}, ["q"]),
+    "two-negated-atoms": (
+        "a(X), b(Y), not p(X, Y), not q(Y, _) -> r(X, Y).\n"
+        "r(X, Y), not a(Y) -> w(X).",
+        {"a": 1, "b": 1, "p": 2, "q": 2}, ["r", "w"]),
+    "second-rule-same-head": (
+        "a(X), not p(X) -> r(X).\nb(X) -> r(X).",
+        {"a": 1, "p": 1, "b": 1}, ["r"]),
+    "constants-and-repeats": (
+        "e(X, Y), not f(X, X) -> r(X, Y).\n"
+        'e(X, Y), not f(Y, "n1") -> s(X, Y).',
+        {"e": 2, "f": 2}, ["r", "s"]),
+    "skolem-head": (
+        "a(X), not p(X) -> r(#f(X), X).\nr(F, X) -> via(F).",
+        {"a": 1, "p": 1}, ["r", "via"]),
+    "negated-closure": (
+        "e(X, Y) -> tc(X, Y).\ntc(X, Y), e(Y, Z) -> tc(X, Z).\n"
+        "node(X), node(Y), not tc(X, Y) -> unreach(X, Y).",
+        {"e": 2, "node": 1}, ["tc", "unreach"]),
+    "chain-of-defaults": (
+        "a(X), not p(X) -> r(X).\nr(X), not q(X) -> s(X).\n"
+        "s(X), not b(X) -> t(X).",
+        {"a": 1, "p": 1, "q": 1, "b": 1}, ["r", "s", "t"]),
+}
+
+
+class TestNegationByKey:
+    @ENGINES
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("name", sorted(NEGATION_PROGRAMS))
+    def test_battery(self, name, seed, use_plans, columnar):
+        """Every extensional predicate, the negated ones included, gains
+        and loses facts in one delta; six chained deltas."""
+        text, arities, predicates = NEGATION_PROGRAMS[name]
+        rng = random.Random(9000 + seed)
+        names = [f"n{i}" for i in range(rng.randrange(2, 6))]
+
+        def fact(arity):
+            return tuple(rng.choice(names) for _ in range(arity))
+
+        current = {
+            p: {fact(arity) for _ in range(rng.randrange(0, 8))}
+            for p, arity in arities.items()
+        }
+        program = parse_program(text)
+        engine = Engine(use_plans=use_plans, columnar=columnar)
+        result = engine.run(
+            program, retain_state=True,
+            inputs={p: sorted(facts) for p, facts in current.items()},
+        )
+        for _round in range(6):
+            added, removed = {}, {}
+            for p, arity in arities.items():
+                if rng.random() < 0.6:
+                    fresh = {fact(arity) for _ in range(rng.randrange(1, 3))}
+                    if fresh - current[p]:
+                        added[p] = sorted(fresh - current[p])
+                if rng.random() < 0.6 and current[p]:
+                    removed[p] = rng.sample(
+                        sorted(current[p]), min(len(current[p]), 2))
+            delta = engine.apply_delta(result, added=added, removed=removed)
+            assert delta.strata_recomputed == 0, delta.recompute_reasons
+            for p in arities:
+                current[p] = (current[p] - set(removed.get(p, ()))) | set(
+                    added.get(p, ()))
+            oracle = Engine(use_plans=False, columnar=columnar).run(
+                program, inputs={p: sorted(f) for p, f in current.items()})
+            for predicate in predicates:
+                assert _canon(result.facts(predicate)) == _canon(
+                    oracle.facts(predicate)), (name, predicate, _round)
+
+    def test_another_fact_keeps_the_negation_false(self):
+        """``not p(X, _)``: losing p(a, 1) derives nothing while p(a, 2)
+        is there — the body on the new database is the arbiter."""
+        engine = Engine()
+        result = engine.run(
+            parse_program("a(X), not p(X, _) -> q(X)."), retain_state=True,
+            inputs={"a": [("a",), ("b",)], "p": [("a", 1), ("a", 2)]},
+        )
+        assert result.facts("q") == {("b",)}
+        delta = engine.apply_delta(result, removed={"p": [("a", 1)]})
+        assert result.facts("q") == {("b",)} and "q" not in delta.added
+        delta = engine.apply_delta(result, removed={"p": [("a", 2)]})
+        assert delta.added["q"] == {("a",)} and delta.strata_recomputed == 0
+        delta = engine.apply_delta(
+            result, added={"p": [("b", 7), ("a", 3)]}, removed={"a": [("b",)]}
+        )
+        assert not result.facts("q") and delta.strata_recomputed == 0
+
+
+# ---------------------------------------------------------------------------
+# What is still recomputed says so
+# ---------------------------------------------------------------------------
+
+
+class TestRecomputeReasons:
+    @pytest.mark.parametrize("text,inputs,delta,reason", [
+        ("own(Z, Y, W), V = mmax(W, <Z>), V > 0.4 -> strong(Y, V).",
+         {"own": [("a", "b", 0.6)]}, {"removed": {"own": [("a", "b", 0.6)]}},
+         "aggregate target in the head"),
+        ("own(Z, Y, W), C = mcount(W, <Z>), C < 3 -> few(Y).",
+         {"own": [("a", "b", 0.6)]}, {"added": {"own": [("c", "b", 0.1)]}},
+         "post-condition is not a lower bound"),
+        ("own(Z, Y, W), V = min(W, <Z>), V > 0.1 -> low(Y).",
+         {"own": [("a", "b", 0.6)]}, {"added": {"own": [("c", "b", 0.3)]}},
+         "non-monotone aggregate"),
+        ("e(X, Y), not blocked(Y) -> r(X, Y).\n"
+         "r(X, Y), e(Y, Z), not blocked(Z) -> r(X, Z).",
+         {"e": [("a", "b"), ("b", "c")], "blocked": [("z",)]},
+         {"added": {"blocked": [("c",)]}}, "negation in a recursive stratum"),
+        ("a(X), not p(X) -> q(X, Z).",
+         {"a": [("a",)], "p": [("b",)]}, {"added": {"p": [("a",)]}},
+         "negation beside an aggregate or an existential head"),
+        # A writer without a full named frontier (TestNullStableRecompute).
+        ("r(X, Y) -> q(X, Z).\nq(X, Z) -> s(Z).",
+         {"r": [("a", 1), ("a", 2)]}, {"removed": {"r": [("a", 1)]}},
+         "existential writer refused by the gate"),
+    ])
+    def test_reason_names_the_rule(self, text, inputs, delta, reason):
+        tracer = RecordingTracer()
+        engine = Engine(tracer=tracer)
+        program = parse_program(text)
+        result = engine.run(program, inputs=inputs, retain_state=True)
+        outcome = engine.apply_delta(result, **delta)
+        assert reason in RECOMPUTE_REASONS
+        assert [entry[1:] for entry in outcome.recompute_reasons] == [
+            ("r0", reason)]
+        assert outcome.strata_recomputed == 1
+        assert tracer.metrics.counters()["incr.strata_recomputed"] == 1
+        current = _mutated_inputs(
+            inputs, delta.get("added", {}), delta.get("removed", {}))
+        oracle = Engine().run(program, inputs=current)
+        for predicate in program.idb_predicates():
+            assert _canon(result.facts(predicate)) == _canon(
+                oracle.facts(predicate))
+
+    def test_dred_span_counts_its_own_stratum(self):
+        """Two strata over-delete in one update; each span reports what
+        its stratum did, not the running total."""
+        tracer = RecordingTracer()
+        engine = Engine(tracer=tracer)
+        result = engine.run(
+            parse_program("e(X, Y) -> p(X, Y).\np(X, Y) -> q(X).\nf(X) -> q(X)."),
+            inputs={"e": [("a", "b"), ("a", "c")], "f": [("a",)]},
+            retain_state=True,
+        )
+        tracer.clear()
+        delta = engine.apply_delta(
+            result, removed={"e": [("a", "b"), ("a", "c")]})
+        spans = tracer.find_spans("incr.dred")
+        assert [
+            (s.attrs["overdeleted"], s.attrs["rederived"]) for s in spans
+        ] == [(2, 0), (1, 1)]
+        assert (delta.overdeleted, delta.rederived) == (3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +792,44 @@ class TestMaterializerUpdate:
             _reference(_owns_graph()).instance.data
         )
         assert materializer.retained.updates_applied == 2
+
+    def test_views_and_control_are_maintained_not_recomputed(self, retained):
+        """V_I's negation defaults by key, the control stratum by DRed:
+        no stratum of the three chase states is recomputed, and the
+        result is a from-scratch materialize up to nulls."""
+        materializer, _report = retained
+        expected = _owns_graph()
+
+        def stake(graph, source, target):
+            (edge,) = (e for e in graph.edges("OWNS")
+                       if (e.source, e.target) == (source, target))
+            return edge.id
+
+        steps = [
+            # One OWNS edge: B3 now holds B1, closing a cycle.
+            (RegistryDelta(add_edges=[
+                ("o9", "B3", "B1", "OWNS", {"percentage": 0.7})]),
+             lambda: expected.add_edge(
+                 "B3", "B1", "OWNS", percentage=0.7, edge_id="o9")),
+            # One removal: B1 loses B2, and B3 with it.
+            (RegistryDelta(remove_edges=[
+                stake(materializer.retained.data, "B1", "B2")]),
+             lambda: expected.remove_edge(stake(expected, "B1", "B2"))),
+            # One Business with three of its six attributes missing.
+            (RegistryDelta(add_nodes=[("B4", "Business", {
+                "fiscalCode": "FCB4", "businessName": "B4 SpA",
+                "legalNature": "spa"})]),
+             lambda: expected.add_node(
+                 "B4", "Business", fiscalCode="FCB4", businessName="B4 SpA",
+                 legalNature="spa")),
+        ]
+        for delta, mutate in steps:
+            outcome = materializer.update(delta)
+            assert outcome.strata_recomputed == 0, outcome.recompute_reasons
+            mutate()
+            assert _canon_graph(outcome.instance.data) == _canon_graph(
+                _reference(expected).instance.data
+            )
 
     def test_update_requires_retained_run(self, company_schema, owns_instance):
         materializer = IntensionalMaterializer()

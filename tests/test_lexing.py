@@ -62,6 +62,18 @@ class TestErrors:
         with pytest.raises(ParseError):
             tokenize("a \x01 b")
 
+    @pytest.mark.parametrize("text, line, column", [
+        ('p("ab', 1, 6),          # the text ends inside the string
+        ('p("ab\nc")', 1, 6),     # ... or the line does
+        ('p("ab\\', 1, 7),        # ... or it ends on a lone backslash
+        ('a.\n  "x\\"y', 2, 8),   # an escaped quote does not close it
+        ("p(a)\n & q", 2, 2),
+    ])
+    def test_errors_say_where(self, text, line, column):
+        with pytest.raises(ParseError) as excinfo:
+            tokenize(text)
+        assert (excinfo.value.line, excinfo.value.column) == (line, column)
+
 
 class TestTokenStream:
     def test_accept_and_expect(self):

@@ -363,6 +363,39 @@ class TestDemandRestriction:
         assert {"Y": "b"} in answer.bindings()
         assert {"Y": "c"} in answer.bindings()
 
+    @pytest.mark.parametrize("columnar", [True, False])
+    @pytest.mark.parametrize("inputs,expected", [
+        # e has a fact rule besides its supplied facts ...
+        ({"e": [("a", "b")]}, {("k", "a"), ("k", "b")}),
+        # ... and tc is supplied facts although rules derive it.
+        ({"tc": [("k", "z")], "e": [("z", "q")]},
+         {("k", "a"), ("k", "z"), ("k", "q")}),
+    ])
+    def test_facts_supplied_for_a_derived_predicate_count(
+        self, inputs, expected, columnar
+    ):
+        program = parse_program('e("k", "a").\n' + TC)
+        evaluator = GoalDirectedEvaluator(program, columnar=columnar)
+        for text in ('tc("k", Y)?', 'tc(X, "q")?', 'e("k", Y)?', 'tc("z", Y)?'):
+            answer = evaluator.answer(text, inputs=inputs)
+            assert answer.mode == "magic"
+            assert answer.facts == evaluator.full_answer(text, inputs=inputs).facts
+        assert evaluator.answer('tc("k", Y)?', inputs=inputs).facts == expected
+        # One bridging rule per adorned predicate, in the program only
+        # where the caller holds facts for its source.
+        query = parse_query('tc("k", Y)?')
+        rewrite = evaluator.rewrite(query)
+        assert {p: str(rule) for p, rule in rewrite.bridges} == {
+            "tc": "magic__tc@bf(V0), tc(V0, V1) -> tc@bf(V0, V1).",
+            "e": "magic__e@bf(V0), e(V0, V1) -> e@bf(V0, V1).",
+        }
+        bridged = {rule for _, rule in rewrite.bridges}
+        assert bridged & set(rewrite.program_for(query, {"e"}).rules) == {
+            rule for p, rule in rewrite.bridges if p == "e"}
+        assert not bridged & set(rewrite.program_for(query, set()).rules)
+        plain = evaluator.answer(query, inputs={"up": [("a", "b")]})
+        assert plain.facts == {("k", "a")}
+
     def test_database_not_mutated(self):
         from repro.vadalog import Database
 

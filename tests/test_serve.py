@@ -317,6 +317,20 @@ class TestHandlers:
         # c->d extends three closure paths (a->d, b->d, c->d).
         assert payload["added"] == {"e": 1, "tc": 3}
         assert sum(payload["strata"].values()) >= 1
+        assert payload["recompute_reasons"] == []
+
+    def test_delta_names_the_rule_that_forced_a_recompute(self):
+        state = ServeState(
+            "own(Z, Y, W), V = mmax(W, <Z>), V > 0.4 -> strong(Y, V).",
+            inputs={"own": [("a", "b", 0.6), ("c", "b", 0.5)]},
+        )
+        status, payload = ServiceHandlers(state).handle(
+            "POST", "/delta", {}, {"removed": {"own": [["a", "b", 0.6]]}}
+        )
+        assert status == 200 and payload["strata"]["recomputed"] == 1
+        assert payload["recompute_reasons"] == [
+            [0, "r0", "aggregate target in the head"]]
+        assert set(state.snapshot.facts["strong"]) == {("b", 0.5)}
 
     def test_stats_exposes_cache_and_metrics(self):
         handlers = ServiceHandlers(make_state())
@@ -764,11 +778,11 @@ class TestFrozenEdb:
                'named(L, "n9")?', 'tc("z", Y)?', 'tc("k", Y)?',
                "tc(X, X)?", 'tc("n1", 1.5)?', "tc(true, Y)?", 'e("k", Y)?']
         )
-        # Isolation only: the rewrite does not read facts supplied for a
-        # derived predicate, so on this program magic answers may differ
-        # from the model's (as they did before; see CHANGES.md, PR 20).
         for text in texts * 2:  # 200 queries
-            assert get(handlers, "/query", q=text, engine="magic")[0] == 200
+            status, magic = get(handlers, "/query", q=text, engine="magic")
+            assert status == 200
+            full = get(handlers, "/query", q=text, engine="full")[1]
+            assert magic["answers"] == full["answers"], text
         assert get(handlers, "/query", q='tc("k", Y)?')[1]["answer_count"] == 32
         assert get(handlers, "/query", q="tc(X, Y)?", engine="full")[0] == 200
         assert frozen_rows(snap) == before
