@@ -337,6 +337,8 @@ def cmd_load(args) -> int:
         quarantine=quarantine,
     )
     print(report.summary(), file=sys.stderr)
+    for reason, records in getattr(report, "per_record", {}).items():
+        print(f"  per record: {records} record(s): {reason}", file=sys.stderr)
     if args.quarantine:
         quarantine.save(args.quarantine)
         print(

@@ -24,6 +24,8 @@ from, a dictionary graph — the Figure 9 picture.
 
 from __future__ import annotations
 
+from itertools import compress, groupby, repeat
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -280,71 +282,164 @@ def decode_instance(
     """Decode the ``I_SM_*`` constructs of ``instance_oid`` back into a
     plain typed property graph.
 
-    Nodes and edges come out in ``str`` order of their construct OIDs.
+    Nodes, then edges, come out in ``str`` order of their construct
+    OIDs.  That sequence is written one maximal run of equal type at a
+    time, each run as id, endpoint and per-attribute columns through one
+    ``add_nodes_bulk`` / ``add_edges_bulk`` call: construct OIDs sort
+    type by type when ids do, so an instance is a handful of runs, and a
+    fully interleaved one degrades to runs of one.
+
     A construct's type is its first ``SM_REFERENCES`` link, an edge's
-    ends its last ``I_SM_FROM`` / ``I_SM_TO`` link, and an owner's
-    attributes follow its ``I_SM_HAS_*_PROPERTY`` links in source order.
-    A derived construct (no ``sourceOID``) keeps its invented OID.
+    ends its last ``I_SM_FROM`` / ``I_SM_TO`` link.  The
+    ``I_SM_HAS_*_PROPERTY`` links are grouped by attribute name, the
+    last link of an owner and name winning; a run's columns come in the
+    order its elements first show each name, an owner without a link
+    leaving the cell :data:`ABSENT` — so a stored ``None`` stays a value
+    and a missing property stays missing.  A derived construct (no
+    ``sourceOID``) keeps its invented OID.
     """
     node_type_by_oid, edge_type_by_oid, attribute_name_by_oid = (
         _schema_constructs(schema)
     )
 
-    def links(label: str) -> Iterable[Tuple[Any, Any]]:
+    def links(label: str) -> Tuple[List[Any], List[Any]]:
         columns = source(label)
-        return zip(columns[1], columns[2]) if columns else ()
+        return (columns[1], columns[2]) if columns else ([], [])
 
-    def constructs(label: str) -> List[Tuple[Any, Any]]:
-        """``(oid, sourceOID or value)`` of this instance's constructs."""
+    def constructs(label: str) -> Tuple[List[Any], List[Any]]:
+        """OIDs and ``sourceOID`` / ``value`` of this instance's
+        constructs."""
         columns = source(label)
         if not columns:
-            return []
-        return [
-            (oid, third) for oid, ioid, third in zip(*columns)
-            if ioid == instance_oid
+            return [], []
+        oids, ioids, thirds = columns
+        if ioids.count(instance_oid) != len(ioids):
+            mine = [ioid == instance_oid for ioid in ioids]
+            return list(compress(oids, mine)), list(compress(thirds, mine))
+        return oids, thirds
+
+    construct_column, target_column = links("SM_REFERENCES")
+    refs = dict(zip(reversed(construct_column), reversed(target_column)))
+    values = dict(zip(*constructs("I_SM_Attribute")))
+
+    def attributes_of(
+        label: str,
+    ) -> Tuple[Dict[str, Dict[Any, int]], List[Any]]:
+        """Per attribute name, in first-link order, the link each owner
+        shows it by, and the value every link shows.  An owner's first
+        link to a name keeps its place, its last one gives the value."""
+        owners, attr_iids = links(label)
+        cells = list(map(values.get, attr_iids, repeat(ABSENT)))
+        link_by_name: Dict[str, Dict[Any, int]] = {}
+        for link, (owner, attr_name, value) in enumerate(zip(
+            owners,
+            map(attribute_name_by_oid.get, map(refs.get, attr_iids)),
+            cells,
+        )):
+            if attr_name is not None and value is not ABSENT:
+                first = link_by_name.setdefault(attr_name, {}).setdefault(
+                    owner, link
+                )
+                if first != link:
+                    cells[first] = value
+        cells.append(ABSENT)  # the cell of an owner without a link
+        return link_by_name, cells
+
+    def by_oid(label: str, type_by_oid: Dict[Any, str]) -> Tuple[List[Any], ...]:
+        """Type, construct OID and plain id of the constructs of a known
+        type, in ``str`` order of construct OID."""
+        iids, plain_ids = constructs(label)
+        order = sorted(range(len(iids)), key=list(map(str, iids)).__getitem__)
+        iids = [iids[i] for i in order]
+        ids = [
+            iid if plain_ids[i] is None else plain_ids[i]
+            for iid, i in zip(iids, order)
         ]
+        types = list(map(type_by_oid.get, map(refs.get, iids)))
+        return keep([type_name is not None for type_name in types],
+                    types, iids, ids)
 
-    def by_oid(label: str) -> List[Tuple[Any, Any]]:
-        return sorted(constructs(label), key=lambda row: str(row[0]))
+    def keep(mask: List[bool], *columns: List[Any]) -> Tuple[List[Any], ...]:
+        return tuple(list(compress(column, mask)) for column in columns)
 
-    refs: Dict[Any, Any] = {}
-    for construct, target in links("SM_REFERENCES"):
-        if construct not in refs:
-            refs[construct] = target
-    values = dict(constructs("I_SM_Attribute"))
+    def runs(types: List[Any]) -> Iterable[Tuple[Any, slice]]:
+        start = 0
+        for type_name, run in groupby(types):
+            stop = start + len(list(run))
+            yield type_name, slice(start, stop)
+            start = stop
 
-    def attributes_of(label: str) -> Dict[Any, Dict[str, Any]]:
-        by_owner: Dict[Any, Dict[str, Any]] = {}
-        for owner, attr_iid in links(label):
-            attr_name = attribute_name_by_oid.get(refs.get(attr_iid))
-            if attr_name is not None and attr_iid in values:
-                by_owner.setdefault(owner, {})[attr_name] = values[attr_iid]
-        return by_owner
+    def run_columns(
+        attributes: Tuple[Dict[str, Dict[Any, int]], List[Any]],
+        iids: List[Any],
+    ) -> Tuple[Tuple[str, ...], List[List[Any]]]:
+        """The attribute columns of one run, in the order its elements
+        first show each name: by element, then by that element's links."""
+        link_by_name, cells = attributes
+        no_link = len(cells) - 1
+        shown = []
+        for attr_name, link_by_owner in link_by_name.items():
+            run_links = list(map(link_by_owner.get, iids, repeat(no_link)))
+            first = next(
+                (at for at in enumerate(run_links) if at[1] != no_link), None
+            )
+            if first is not None:
+                shown.append((first, attr_name, run_links))
+        shown.sort(key=itemgetter(0))
+        return (
+            tuple(attr_name for _, attr_name, _ in shown),
+            [list(map(cells.__getitem__, run_links)) for _, _, run_links in shown],
+        )
+
+    def properties_of(
+        attributes: Tuple[Dict[str, Dict[Any, int]], List[Any]], iid: Any
+    ) -> Dict[str, Any]:
+        """The attributes of one element, in the order of its links."""
+        link_by_name, cells = attributes
+        return {
+            attr_name: cells[link] for link, attr_name in sorted(
+                (link_by_owner[iid], attr_name)
+                for attr_name, link_by_owner in link_by_name.items()
+                if iid in link_by_owner
+            )
+        }
 
     data = make_graph(name)
-    plain_id_by_iid: Dict[Any, Any] = {}
     attributes = attributes_of("I_SM_HAS_NODE_PROPERTY")
-    for iid, plain_id in by_oid("I_SM_Node"):
-        type_name = node_type_by_oid.get(refs.get(iid))
-        if type_name is None:
+    types, iids, ids = by_oid("I_SM_Node", node_type_by_oid)
+    plain_id_by_iid = dict(zip(iids, ids))
+    for type_name, run in runs(types):
+        if run.stop - run.start == 1:  # a run of one is that element
+            data.add_node(
+                ids[run.start], type_name,
+                **properties_of(attributes, iids[run.start]),
+            )
             continue
-        if plain_id is None:
-            plain_id = iid
-        plain_id_by_iid[iid] = plain_id
-        data.add_node(plain_id, type_name, **attributes.get(iid, {}))
-    from_map = dict(links("I_SM_FROM"))
-    to_map = dict(links("I_SM_TO"))
+        names, columns = run_columns(attributes, iids[run])
+        data.add_nodes_bulk(type_name, ids[run], names, columns, keep_none=True)
+
+    from_map = dict(zip(*links("I_SM_FROM")))
+    to_map = dict(zip(*links("I_SM_TO")))
     attributes = attributes_of("I_SM_HAS_EDGE_PROPERTY")
-    for iid, plain_id in by_oid("I_SM_Edge"):
-        type_name = edge_type_by_oid.get(refs.get(iid))
-        source_id = plain_id_by_iid.get(from_map.get(iid))
-        target_id = plain_id_by_iid.get(to_map.get(iid))
-        if type_name is None or source_id is None or target_id is None:
+    types, iids, ids = by_oid("I_SM_Edge", edge_type_by_oid)
+    sources = list(map(plain_id_by_iid.get, map(from_map.get, iids)))
+    targets = list(map(plain_id_by_iid.get, map(to_map.get, iids)))
+    types, iids, ids, sources, targets = keep(
+        [s is not None and t is not None for s, t in zip(sources, targets)],
+        types, iids, ids, sources, targets,
+    )
+    for type_name, run in runs(types):
+        if run.stop - run.start == 1:
+            at = run.start
+            data.add_edge(
+                sources[at], targets[at], type_name, edge_id=ids[at],
+                **properties_of(attributes, iids[at]),
+            )
             continue
-        data.add_edge(
-            source_id, target_id, type_name,
-            edge_id=iid if plain_id is None else plain_id,
-            **attributes.get(iid, {}),
+        names, columns = run_columns(attributes, iids[run])
+        data.add_edges_bulk(
+            type_name, ids[run], sources[run], targets[run], names, columns,
+            keep_none=True,
         )
     return SuperInstance(schema, instance_oid, data)
 

@@ -18,12 +18,19 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from itertools import repeat
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.deploy.delta import DeltaFlushReport, FlushDelta
 from repro.errors import DeploymentError, GraphError, IntegrityError, ModelError
 from repro.graph import make_graph
-from repro.graph.property_graph import Edge, Node, PropertyGraph
+from repro.graph.property_graph import (
+    ABSENT,
+    Edge,
+    Node,
+    PropertyGraph,
+    property_rows,
+)
 from repro.metalog.analysis import GraphCatalog
 from repro.models.property_graph import PGSchema
 from repro.obs.tracer import Tracer
@@ -57,6 +64,10 @@ class StructuralSavepoint:
     labels_mark: int
 
 
+#: The label set of a node the store does not hold.
+_NO_LABELS: frozenset = frozenset()
+
+
 class GraphStore:
     """An in-memory graph database enforcing a PG-model schema."""
 
@@ -69,7 +80,7 @@ class GraphStore:
         self._node_properties: Dict[str, Dict[str, Any]] = {}
         self._relationships: Dict[str, List[Tuple[Set[str], Set[str], Dict[str, Any]]]] = {}
         self._unique: Dict[Tuple[str, str], Dict[Any, Any]] = {}
-        self._labels_by_node: Dict[Any, Set[str]] = {}
+        self._labels_by_node: Dict[Any, frozenset] = {}
 
     # ------------------------------------------------------------------
     # Savepoint protocol (savepoint / rollback_to / release)
@@ -144,6 +155,61 @@ class GraphStore:
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
+    def _declared_properties(self, labels: List[str]) -> Dict[str, Any]:
+        """The properties the schema declares for a node with ``labels``;
+        raises :class:`~repro.errors.IntegrityError` for a label outside
+        the schema, or none at all."""
+        if not labels:
+            raise IntegrityError("a node needs at least one label")
+        declared: Dict[str, Any] = {}
+        if self._schema is not None:
+            for label in labels:
+                if label not in self._node_properties:
+                    raise IntegrityError(f"label {label!r} is not in the schema")
+                declared.update(self._node_properties[label])
+        return declared
+
+    def _check_node(
+        self,
+        labels: List[str],
+        properties: Dict[str, Any],
+        taken: Optional[Dict[Tuple[str, str], Set[Any]]] = None,
+    ) -> None:
+        """Raise :class:`~repro.errors.IntegrityError` when a node with
+        these labels and properties would violate the schema.  ``taken``
+        holds, per unique constraint, the values of the earlier rows of
+        a batch that is not in the index yet."""
+        declared = self._declared_properties(labels)
+        if self._schema is None:
+            return
+        for name in properties:
+            if name not in declared:
+                raise IntegrityError(
+                    f"property {name!r} not declared for labels {labels}"
+                )
+        for name, prop in declared.items():
+            if prop.optional or prop.intensional:
+                continue  # intensional values appear after reasoning
+            if name not in properties:
+                raise IntegrityError(
+                    f"mandatory property {name!r} missing for {labels}"
+                )
+        for key, index in self._unique_for(labels, properties):
+            value = properties[key[1]]
+            if value in index or (taken and value in taken[key]):
+                raise IntegrityError(
+                    f"unique constraint on {key[0]}.{key[1]} "
+                    f"violated by {value!r}"
+                )
+
+    def _unique_for(self, labels, names) -> List[Tuple[Tuple[str, str], Dict]]:
+        """The unique constraints, with their indexes, that bind a node
+        with ``labels`` carrying the properties ``names``."""
+        return [
+            (key, index) for key, index in self._unique.items()
+            if key[0] in labels and key[1] in names
+        ]
+
     def create_node(
         self, node_id: Any, labels, **properties: Any
     ) -> Node:
@@ -151,74 +217,159 @@ class GraphStore:
         if isinstance(labels, str):
             labels = [labels]
         labels = list(labels)
-        if not labels:
-            raise IntegrityError("a node needs at least one label")
-        if self._schema is not None:
-            for label in labels:
-                if label not in self._node_properties:
-                    raise IntegrityError(f"label {label!r} is not in the schema")
-            declared: Dict[str, Any] = {}
-            for label in labels:
-                declared.update(self._node_properties[label])
-            for name in properties:
-                if name not in declared:
-                    raise IntegrityError(
-                        f"property {name!r} not declared for labels {labels}"
-                    )
-            for name, prop in declared.items():
-                if prop.optional or prop.intensional:
-                    continue  # intensional values appear after reasoning
-                if name not in properties:
-                    raise IntegrityError(
-                        f"mandatory property {name!r} missing for {labels}"
-                    )
-            for (label, prop_name), index in self._unique.items():
-                if label in labels and prop_name in properties:
-                    value = properties[prop_name]
-                    if value in index:
-                        raise IntegrityError(
-                            f"unique constraint on {label}.{prop_name} "
-                            f"violated by {value!r}"
-                        )
+        self._check_node(labels, properties)
         node = self.graph.add_node(node_id, labels[0], **properties)
-        self._labels_by_node[node.id] = set(labels)
-        for (label, prop_name), index in self._unique.items():
-            if label in labels and prop_name in properties:
-                index[properties[prop_name]] = node.id
+        self._labels_by_node[node.id] = frozenset(labels)
+        for (_label, prop_name), index in self._unique_for(labels, properties):
+            index[properties[prop_name]] = node.id
         if self.tracer is not None:
             self.tracer.count("deploy.nodes_written", 1)
         return node
+
+    def create_nodes(
+        self,
+        labels: List[str],
+        ids: List[Any],
+        names: Tuple[str, ...] = (),
+        columns: Iterable[List[Any]] = (),
+    ) -> int:
+        """Create the nodes ``ids``, all with the same ``labels``, from
+        one aligned value column per property name (an
+        :data:`~repro.graph.property_graph.ABSENT` cell: not set).
+
+        Every check of :meth:`create_node` runs, a column at a time; the
+        first row that fails one raises what :meth:`create_node` would
+        have raised for it, with the store unchanged.  Then one bulk
+        add, one label-set and one index update.  Returns ``len(ids)``.
+        """
+        labels = list(labels)
+        column_of = dict(zip(names, columns))
+        declared = self._declared_properties(labels)
+        uniques = self._unique_for(labels, names)
+        if self._schema is not None and ids:
+            clear = all(name in declared for name in names) and all(
+                name in column_of and ABSENT not in column_of[name]
+                for name, prop in declared.items()
+                if not (prop.optional or prop.intensional)
+            )
+            for (_label, prop_name), index in uniques:
+                values = [v for v in column_of[prop_name] if v is not ABSENT]
+                clear = clear and len(set(values)) == len(values) and (
+                    index.keys().isdisjoint(values)
+                )
+            if not clear:
+                # Row by row, to raise for the first offender exactly
+                # what the per-record path raises.  Rows that lack an
+                # undeclared or a unique property pass, so the scan may
+                # also end without finding one.
+                taken = {key: set() for key, _index in uniques}
+                for properties in property_rows(
+                    len(ids), names, column_of.values()
+                ):
+                    self._check_node(labels, properties, taken)
+                    for key in taken:
+                        if key[1] in properties:
+                            taken[key].add(properties[key[1]])
+        self.graph.add_nodes_bulk(
+            labels[0], ids, names, column_of.values(), keep_none=True
+        )
+        self._labels_by_node.update(zip(ids, repeat(frozenset(labels))))
+        for (_label, prop_name), index in uniques:
+            index.update(
+                (value, node_id)
+                for value, node_id in zip(column_of[prop_name], ids)
+                if value is not ABSENT
+            )
+        if self.tracer is not None:
+            self.tracer.count("deploy.nodes_written", len(ids))
+        return len(ids)
+
+    def _relationship_variant(
+        self, name: str, source_labels, target_labels
+    ) -> Dict[str, Any]:
+        """The declared properties of the first variant of relationship
+        ``name`` allowed between nodes with these label sets."""
+        candidates = self._relationships.get(name)
+        if not candidates:
+            raise IntegrityError(f"relationship {name!r} is not in the schema")
+        for allowed_source, allowed_target, declared in candidates:
+            if (not allowed_source or source_labels & allowed_source) and (
+                not allowed_target or target_labels & allowed_target
+            ):
+                return declared
+        raise IntegrityError(
+            f"relationship {name!r} not allowed between "
+            f"{sorted(source_labels)} and {sorted(target_labels)}"
+        )
+
+    def _check_relationship(
+        self, source: Any, target: Any, name: str, properties: Iterable[str]
+    ) -> None:
+        labels_of = self._labels_by_node.get
+        declared = self._relationship_variant(
+            name, labels_of(source, _NO_LABELS), labels_of(target, _NO_LABELS)
+        )
+        for prop_name in properties:
+            if prop_name not in declared:
+                raise IntegrityError(
+                    f"property {prop_name!r} not declared on {name!r}"
+                )
 
     def create_relationship(
         self, source: Any, target: Any, name: str, **properties: Any
     ) -> Edge:
         if self._schema is not None:
-            candidates = self._relationships.get(name)
-            if not candidates:
-                raise IntegrityError(f"relationship {name!r} is not in the schema")
-            source_labels = self._labels_by_node.get(source, set())
-            target_labels = self._labels_by_node.get(target, set())
-            matched = None
-            for allowed_source, allowed_target, declared in candidates:
-                if (not allowed_source or source_labels & allowed_source) and (
-                    not allowed_target or target_labels & allowed_target
-                ):
-                    matched = declared
-                    break
-            if matched is None:
-                raise IntegrityError(
-                    f"relationship {name!r} not allowed between "
-                    f"{sorted(source_labels)} and {sorted(target_labels)}"
-                )
-            for prop_name in properties:
-                if prop_name not in matched:
-                    raise IntegrityError(
-                        f"property {prop_name!r} not declared on {name!r}"
-                    )
+            self._check_relationship(source, target, name, properties)
         edge = self.graph.add_edge(source, target, name, **properties)
         if self.tracer is not None:
             self.tracer.count("deploy.relationships_written", 1)
         return edge
+
+    def create_relationships(
+        self,
+        name: str,
+        sources: List[Any],
+        targets: List[Any],
+        names: Tuple[str, ...] = (),
+        columns: Iterable[List[Any]] = (),
+    ) -> int:
+        """Create one ``name`` relationship per ``(source, target)`` row,
+        with generated ids, from one aligned value column per property
+        name (an ``ABSENT`` cell: not set).
+
+        The checks of :meth:`create_relationship` run once per distinct
+        pair of endpoint label sets; the first row that fails one raises
+        what :meth:`create_relationship` would have raised for it, with
+        the store unchanged.  Returns ``len(sources)``.
+        """
+        columns = list(columns)
+        if self._schema is not None and sources:
+            labels_of = self._labels_by_node.get
+            ends = set(zip(
+                map(labels_of, sources, repeat(_NO_LABELS)),
+                map(labels_of, targets, repeat(_NO_LABELS)),
+            ))
+            try:
+                clear = all(
+                    declared.keys() >= set(names) for declared in (
+                        self._relationship_variant(name, *pair) for pair in ends
+                    )
+                )
+            except IntegrityError:
+                clear = False
+            if not clear:  # row by row, for the first offender's error
+                for row, (source, target) in enumerate(zip(sources, targets)):
+                    self._check_relationship(source, target, name, [
+                        prop_name for prop_name, column in zip(names, columns)
+                        if column[row] is not ABSENT
+                    ])
+        self.graph.add_edges_bulk(
+            name, self.graph.fresh_edge_ids(len(sources)), sources, targets,
+            names, columns, keep_none=True,
+        )
+        if self.tracer is not None:
+            self.tracer.count("deploy.relationships_written", len(sources))
+        return len(sources)
 
     def delete_relationship(
         self,

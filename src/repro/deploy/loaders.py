@@ -11,6 +11,15 @@ idempotent*:
   super-schema (unknown/missing labels are counted and quarantined, no
   longer silently dropped), then applied in batches under store
   savepoints;
+- **one write per label** — the graph loader stages and validates per
+  label, not per element (schema membership, the ancestor labels and
+  the property constraints are functions of the label), reads each
+  label as columns and writes it with one bulk call of the store.  The
+  per-record path remains for what it exists for — a store that already
+  holds some of the records (replay), a retrying policy or a
+  fault-injecting store (faults are per mutation), and the graceful
+  re-run of a label group whose bulk write was refused — and is chosen
+  from the store's state and the outcome, never by a switch;
 - **retry with backoff** — a transient failure
   (:class:`~repro.errors.TransientDeploymentError`, e.g. from a
   :class:`~repro.deploy.resilience.FaultInjector`) rolls the in-flight
@@ -46,7 +55,7 @@ from repro.deploy.resilience import (
     no_retry,
 )
 from repro.errors import DeploymentError, GraphError, IntegrityError
-from repro.graph.property_graph import PropertyGraph
+from repro.graph.property_graph import ABSENT, PropertyGraph, property_rows
 from repro.obs.tracer import Tracer
 
 #: Default number of records per transactional batch.
@@ -76,13 +85,6 @@ class _Batcher:
         self.retries = 0
         self.rollbacks = 0
         self.rejections: List[Rejection] = []
-
-    @property
-    def single_shot(self) -> bool:
-        """True when the policy never retries — apply callbacks then call
-        the store directly instead of paying the closure-per-mutation
-        cost of :meth:`mutate` (the fault-free fast path)."""
-        return self.policy.max_attempts == 1
 
     def mutate(self, operation):
         """Run one store mutation under the retry policy.
@@ -143,16 +145,11 @@ def _describe(record: Tuple[Any, ...]) -> Dict[str, Any]:
     """A JSON-able description of a staged record for quarantine files."""
     kind = record[0]
     if kind == "node":
-        _, node, labels = record
-        return {"id": node.id, "label": node.label, "labels": labels}
+        _, node_id, labels, _properties = record
+        return {"id": node_id, "label": labels[0], "labels": labels}
     if kind == "edge":
-        edge = record[1]
-        return {
-            "id": edge.id,
-            "source": edge.source,
-            "target": edge.target,
-            "label": edge.label,
-        }
+        _, edge_id, source, target, label, _properties, _replay = record
+        return {"id": edge_id, "source": source, "target": target, "label": label}
     if kind == "triples":
         _, subject, triples = record
         return {"subject": subject, "triples": [list(t) for t in triples]}
@@ -166,6 +163,31 @@ def _chunks(records: List[Any], size: int) -> List[List[Any]]:
 # ----------------------------------------------------------------------
 # Graph store
 # ----------------------------------------------------------------------
+#: Why a label group went through the per-record path.
+REPLAY = "replay"
+RETRY_POLICY = "retry-policy"
+INTEGRITY_FALLBACK = "integrity-fallback"
+
+
+def _reject_unknown_label(
+    quarantine: QuarantineReport, kind: str, element: Any
+) -> None:
+    """Quarantine a node or edge whose label is not a type of the schema."""
+    record = {"id": element.id, "label": element.label}
+    if kind == "edge":
+        record = {
+            "id": element.id, "source": element.source,
+            "target": element.target, "label": element.label,
+        }
+    quarantine.reject(
+        kind, record, f"label {element.label!r} is not in the schema"
+    )
+
+
+def _replay_key(source, target, label, properties) -> Tuple[Any, ...]:
+    return (source, target, label, tuple(sorted(properties.items())))
+
+
 def load_graph_store(
     schema: SuperSchema,
     data: PropertyGraph,
@@ -183,6 +205,25 @@ def load_graph_store(
     instance-level counterpart of the multi-label strategy's type
     accumulation).  Returns a :class:`~repro.deploy.resilience.LoadReport`
     (unpacks as the historical ``(nodes, relationships)`` pair).
+
+    The instance is read one label at a time, as columns, node labels
+    first.  A label group is written by one ``store.create_nodes`` /
+    ``create_relationships`` call — one batch, whatever ``batch_size`` —
+    unless its records have to go one by one, in batches of
+    ``batch_size``, after the bulk groups of their kind:
+
+    - ``replay``: the store already holds nodes of the group or, for an
+      edge group, any edge, so records are matched against it;
+    - ``retry-policy``: ``policy`` retries, or the store (a
+      :class:`~repro.deploy.resilience.FaultInjector`) offers no bulk
+      writer — a fault is injected and retried per mutation;
+    - ``integrity-fallback``: ``mode="graceful"`` and the bulk write of
+      the group was refused, so the group is re-run to quarantine the
+      offenders and load the rest.
+
+    The report says which ran (``bulk_groups`` / ``bulk_rows`` /
+    ``per_record``), as do the ``deploy.load_bulk_rows`` /
+    ``deploy.load_per_record`` counters.
     """
     _check_mode(mode)
     policy = policy if policy is not None else no_retry()
@@ -192,108 +233,140 @@ def load_graph_store(
         report.quarantine = quarantine
     span = tracer.span("deploy.flush", store=store.name) if tracer else nullcontext()
     with span:
-        # ---- stage: validate against the super-schema -----------------
-        node_records: List[Tuple[str, Any, List[str]]] = []
-        labels_by_type: Dict[str, List[str]] = {}
-        for node in data.nodes():
-            if node.label is None or not schema.has_node(node.label):
-                report.skipped_nodes += 1
-                report.quarantine.reject(
-                    "node",
-                    {"id": node.id, "label": node.label},
-                    f"label {node.label!r} is not in the schema",
-                )
-                continue
-            labels = labels_by_type.get(node.label)
-            if labels is None:
-                sm_node = schema.get_node(node.label)
+        graph = store.graph
+        batcher = _Batcher(store, mode, policy, tracer)
+        per_mutation = policy.max_attempts > 1 or not hasattr(store, "create_nodes")
+        # Replay detection compares edge multiplicities against what the
+        # store already holds: a fresh load builds no replay key at all.
+        existing_multiplicity: Dict[Tuple[Any, ...], int] = {}
+        for held in graph.edges():
+            key = _replay_key(held.source, held.target, held.label, held.properties)
+            existing_multiplicity[key] = existing_multiplicity.get(key, 0) + 1
+        edge_multiplicity: Dict[Tuple[Any, ...], int] = {}
+
+        def node_groups():
+            """``(size, held, bulk write, records)`` per node label."""
+            for label in data.node_labels():
+                if not schema.has_node(label):
+                    continue
+                sm_node = schema.get_node(label)
                 labels = [sm_node.type_name] + [
                     a.type_name for a in schema.ancestors_of(sm_node)
                 ]
-                labels_by_type[node.label] = labels
-            node_records.append(("node", node, labels))
-        edge_records: List[Tuple[str, Any, int, Tuple]] = []
-        edge_multiplicity: Dict[Tuple[Any, Any, Any, Tuple], int] = {}
-        for edge in data.edges():
-            if edge.label is None or not schema.has_edge(edge.label):
-                report.skipped_edges += 1
-                report.quarantine.reject(
-                    "edge",
-                    {
-                        "id": edge.id, "source": edge.source,
-                        "target": edge.target, "label": edge.label,
-                    },
-                    f"label {edge.label!r} is not in the schema",
+                names = tuple(data.node_property_names(label))
+                ids, columns = data.nodes_table(label, names, default=ABSENT)
+                yield (
+                    len(ids),
+                    graph.existing_node_ids(ids),
+                    lambda: store.create_nodes(labels, ids, names, columns),
+                    lambda: (
+                        ("node", node_id, labels, properties)
+                        for node_id, properties in zip(
+                            ids, property_rows(len(ids), names, columns)
+                        )
+                    ),
                 )
-                continue
-            key = (
-                edge.source, edge.target, edge.label,
-                tuple(sorted(edge.properties.items())),
-            )
-            ordinal = edge_multiplicity.get(key, 0)
-            edge_multiplicity[key] = ordinal + 1
-            edge_records.append(("edge", edge, ordinal, key))
 
-        # ---- apply: transactional batches, idempotent replay ----------
-        graph = store.graph
-        # Replay detection compares multiplicities against what the store
-        # already holds; indexed once up front so a fresh load (the common
-        # case: empty store, empty index) pays nothing per edge.
-        existing_multiplicity: Dict[Tuple[Any, Any, Any, Tuple], int] = {}
-        for candidate in graph.edges():
-            key = (
-                candidate.source, candidate.target, candidate.label,
-                tuple(sorted(candidate.properties.items())),
-            )
-            existing_multiplicity[key] = existing_multiplicity.get(key, 0) + 1
+        def edge_groups():
+            for label in data.edge_labels():
+                if not schema.has_edge(label):
+                    continue
+                names = tuple(data.edge_property_names(label))
+                ids, sources, targets, columns = data.edges_table(
+                    label, names, default=ABSENT
+                )
 
-        batcher = _Batcher(store, mode, policy, tracer)
-        single_shot = batcher.single_shot
+                def records():
+                    for edge_id, source, target, properties in zip(
+                        ids, sources, targets,
+                        property_rows(len(ids), names, columns),
+                    ):
+                        replay = None
+                        if existing_multiplicity:
+                            key = _replay_key(source, target, label, properties)
+                            replay = (key, edge_multiplicity.get(key, 0))
+                            edge_multiplicity[key] = replay[1] + 1
+                        yield ("edge", edge_id, source, target, label,
+                               properties, replay)
+
+                yield (
+                    len(ids),
+                    existing_multiplicity,
+                    lambda: store.create_relationships(
+                        label, sources, targets, names, columns
+                    ),
+                    records,
+                )
+
+        def replay_skipped(counts: Dict[str, int]) -> None:
+            counts["replayed"] = counts.get("replayed", 0) + 1
+            if tracer is not None:
+                tracer.count("deploy.replay_skipped", 1)
 
         def apply_node(record, counts: Dict[str, int], mutate) -> None:
-            _, node, labels = record
-            if graph.has_node(node.id):
-                counts["replayed"] = counts.get("replayed", 0) + 1
-                if tracer is not None:
-                    tracer.count("deploy.replay_skipped", 1)
+            _, node_id, labels, properties = record
+            if graph.has_node(node_id):
+                replay_skipped(counts)
                 return
-            if single_shot:
-                store.create_node(node.id, labels, **node.properties)
-            else:
-                mutate(
-                    lambda: store.create_node(node.id, labels, **node.properties)
-                )
-            counts["nodes"] = counts.get("nodes", 0) + 1
+            mutate(lambda: store.create_node(node_id, labels, **properties))
+            counts["written"] = counts.get("written", 0) + 1
 
         def apply_edge(record, counts: Dict[str, int], mutate) -> None:
-            _, edge, ordinal, key = record
-            if existing_multiplicity.get(key, 0) > ordinal:
-                counts["replayed"] = counts.get("replayed", 0) + 1
-                if tracer is not None:
-                    tracer.count("deploy.replay_skipped", 1)
+            _, _edge_id, source, target, label, properties, replay = record
+            if replay and existing_multiplicity.get(replay[0], 0) > replay[1]:
+                replay_skipped(counts)
                 return
-            if single_shot:
-                store.create_relationship(
-                    edge.source, edge.target, edge.label, **edge.properties
+            mutate(
+                lambda: store.create_relationship(
+                    source, target, label, **properties
                 )
-            else:
-                mutate(
-                    lambda: store.create_relationship(
-                        edge.source, edge.target, edge.label, **edge.properties
-                    )
-                )
-            counts["edges"] = counts.get("edges", 0) + 1
+            )
+            counts["written"] = counts.get("written", 0) + 1
+
+        def load(
+            kind: str, groups, apply_record, elements, total: int
+        ) -> Tuple[int, int]:
+            """Write every group of one kind, in bulk where it can be, and
+            quarantine the elements no group holds (no label, or one
+            outside the schema).  Returns how many of each."""
+            staged = written = 0
+            pending: List[Tuple[Any, ...]] = []
+            for size, held, bulk_write, records in groups:
+                staged += size
+                reason = RETRY_POLICY if per_mutation else REPLAY if held else None
+                if reason is None:
+                    try:
+                        written += bulk_write()
+                    except (IntegrityError, GraphError):
+                        if mode != GRACEFUL:
+                            raise
+                        reason = INTEGRITY_FALLBACK
+                    else:
+                        batcher.batches += 1
+                        report.bulk_groups += 1
+                        report.bulk_rows += size
+                        continue
+                pending.extend(records())
+                report.per_record[reason] = report.per_record.get(reason, 0) + size
+            for batch in _chunks(pending, batch_size):
+                counts = batcher.run(batch, apply_record)
+                written += counts.get("written", 0)
+                report.replayed += counts.get("replayed", 0)
+            if staged != total:
+                in_schema = schema.has_node if kind == "node" else schema.has_edge
+                for element in elements():
+                    if element.label is None or not in_schema(element.label):
+                        _reject_unknown_label(report.quarantine, kind, element)
+            return written, total - staged
 
         load_savepoint = store.savepoint()
         try:
-            for batch in _chunks(node_records, batch_size):
-                counts = batcher.run(batch, apply_node)
-                report.nodes += counts.get("nodes", 0)
-                report.replayed += counts.get("replayed", 0)
-            for batch in _chunks(edge_records, batch_size):
-                counts = batcher.run(batch, apply_edge)
-                report.edges += counts.get("edges", 0)
-                report.replayed += counts.get("replayed", 0)
+            report.nodes, report.skipped_nodes = load(
+                "node", node_groups(), apply_node, data.nodes, data.node_count
+            )
+            report.edges, report.skipped_edges = load(
+                "edge", edge_groups(), apply_edge, data.edges, data.edge_count
+            )
         except (IntegrityError, GraphError):
             # Strict mode: an integrity violation anywhere voids the
             # whole load — committed batches included — before raising.
@@ -308,6 +381,8 @@ def load_graph_store(
         report.rollbacks = batcher.rollbacks
         report.quarantine.extend(batcher.rejections)
         if tracer:
+            tracer.count("deploy.load_bulk_rows", report.bulk_rows)
+            tracer.count("deploy.load_per_record", sum(report.per_record.values()))
             span.set(
                 nodes=report.nodes,
                 relationships=report.edges,
@@ -316,6 +391,8 @@ def load_graph_store(
                 replayed=report.replayed,
                 batches=report.batches,
                 retries=report.retries,
+                bulk_rows=report.bulk_rows,
+                per_record=dict(report.per_record),
             )
     return report
 
@@ -349,18 +426,19 @@ def load_triple_store(
     with span:
         # ---- stage -----------------------------------------------------
         records: List[Tuple[str, Any, List[Tuple[Any, str, Any]]]] = []
+        declared_by_label: Dict[str, Any] = {}
         for node in data.nodes():
             if node.label is None or not schema.has_node(node.label):
                 skipped_nodes += 1
-                report_quarantine.reject(
-                    "node",
-                    {"id": node.id, "label": node.label},
-                    f"label {node.label!r} is not in the schema",
-                )
+                _reject_unknown_label(report_quarantine, "node", node)
                 continue
             triples: List[Tuple[Any, str, Any]] = [(node.id, "rdf:type", node.label)]
-            sm_node = schema.get_node(node.label)
-            declared = {a.name for a in schema.inherited_attributes(sm_node)}
+            declared = declared_by_label.get(node.label)
+            if declared is None:
+                declared = declared_by_label[node.label] = {
+                    a.name for a in
+                    schema.inherited_attributes(schema.get_node(node.label))
+                }
             for name, value in node.properties.items():
                 if name in declared and value is not None:
                     triples.append((node.id, name, value))
@@ -368,14 +446,7 @@ def load_triple_store(
         for edge in data.edges():
             if edge.label is None or not schema.has_edge(edge.label):
                 skipped_edges += 1
-                report_quarantine.reject(
-                    "edge",
-                    {
-                        "id": edge.id, "source": edge.source,
-                        "target": edge.target, "label": edge.label,
-                    },
-                    f"label {edge.label!r} is not in the schema",
-                )
+                _reject_unknown_label(report_quarantine, "edge", edge)
                 continue
             records.append(
                 ("triples", edge.source, [(edge.source, edge.label, edge.target)])

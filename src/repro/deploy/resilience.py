@@ -24,7 +24,9 @@ targets:
 
 Everything is observable through the usual tracer counters:
 ``deploy.retries``, ``deploy.rollbacks``, ``deploy.quarantined``,
-``deploy.replay_skipped``, and ``deploy.faults_injected``.
+``deploy.replay_skipped``, ``deploy.faults_injected``, and, for which
+path a graph load took, ``deploy.load_bulk_rows`` /
+``deploy.load_per_record``.
 """
 
 from __future__ import annotations
@@ -186,6 +188,11 @@ class FaultInjector:
         }
     )
 
+    #: Faults are per mutation, so the wrapper offers the per-record
+    #: mutators only: a loader that finds no bulk writer on its store
+    #: loads record by record.
+    _BULK_WRITERS = frozenset({"create_nodes", "create_relationships"})
+
     def __init__(
         self,
         store: Any,
@@ -237,6 +244,8 @@ class FaultInjector:
             )
 
     def __getattr__(self, name: str) -> Any:
+        if name in self._BULK_WRITERS:
+            raise AttributeError(name)
         attribute = getattr(self.store, name)
         if name not in self._MUTATORS or not callable(attribute):
             return attribute
@@ -335,6 +344,16 @@ class LoadReport:
     rollbacks: int = 0
     quarantine: QuarantineReport = field(default_factory=QuarantineReport)
     mode: str = STRICT
+    #: Label groups written by one bulk call each, and the records in
+    #: them.
+    bulk_groups: int = 0
+    bulk_rows: int = 0
+    #: Records that went through the per-record path, by why: ``replay``
+    #: (the store already held records of the group), ``retry-policy``
+    #: (a retrying policy or a fault-injecting store: faults are per
+    #: mutation) or ``integrity-fallback`` (a graceful load re-running a
+    #: group whose bulk write was refused, to quarantine the offenders).
+    per_record: Dict[str, int] = field(default_factory=dict)
 
     def __iter__(self):
         return iter((self.nodes, self.edges))
@@ -356,6 +375,8 @@ class LoadReport:
             f"replayed={self.replayed}",
             f"batches={self.batches}",
             f"retries={self.retries}",
+            f"bulk={self.bulk_rows}",
+            f"per-record={sum(self.per_record.values())}",
         ]
         return f"load[{self.mode}]: " + " ".join(parts)
 

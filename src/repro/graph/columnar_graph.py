@@ -46,7 +46,7 @@ from bisect import bisect_left
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import DeploymentError, GraphError
-from repro.graph.property_graph import ABSENT
+from repro.graph.property_graph import ABSENT, first_repeat
 from repro.vadalog.columnar import ValueInterner
 
 __all__ = ["ColumnarPropertyGraph", "NodeView", "EdgeView"]
@@ -92,10 +92,7 @@ class _Table:
             index = len(self.names)
             self.name_index[name] = index
             self.names.append(name)
-            column = array(_IDX, bytes(_IDX_BYTES * len(self.rows)))
-            if self.rows:  # bytes() zero-fills; absent is -1
-                for i in range(len(self.rows)):
-                    column[i] = _ABSENT_CODE
+            column = array(_IDX, [_ABSENT_CODE]) * len(self.rows)
             self.cols.append(column)
             return column
         return self.cols[index]
@@ -145,7 +142,7 @@ class _OidIndex:
     referenced by a relation is indexed once, not twice.
     """
 
-    __slots__ = ("_interner", "_codes", "_ids", "_overlay", "_size")
+    __slots__ = ("_interner", "_codes", "_ids", "_overlay", "_size", "_dead")
 
     def __init__(self, interner: ValueInterner) -> None:
         self._interner = interner
@@ -153,6 +150,7 @@ class _OidIndex:
         self._ids = array(_IDX)  # parallel dense ids; -1 = deleted
         self._overlay: Dict[int, int] = {}  # code -> id since last merge
         self._size = 0
+        self._dead = 0  # tombstoned slots of the sorted arrays
 
     def _slot(self, code: int) -> int:
         codes = self._codes
@@ -194,12 +192,31 @@ class _OidIndex:
         if pos >= 0:
             if self._ids[pos] < 0:
                 self._size += 1
+                self._dead -= 1
             self._ids[pos] = dense
             return
         overlay[code] = dense
         self._size += 1
+        self._maybe_merge()
+
+    def _maybe_merge(self) -> None:
+        overlay = self._overlay
         if len(overlay) >= 1024 and 3 * len(overlay) >= len(self._codes):
             self._merge()
+
+    def extend(self, oids: List[Any], base: int) -> None:
+        """Index ``oids`` as the dense ids from ``base`` on.  None of
+        them may be indexed already (the bulk adders check first)."""
+        if self._dead:  # a re-added OID takes its tombstoned slot back
+            for offset, oid in enumerate(oids):
+                self[oid] = base + offset
+            return
+        # No tombstones: an OID that is not indexed has no slot in the
+        # sorted arrays either, so the whole batch is overlay entries.
+        codes = self._interner.encode_column(oids)
+        self._overlay.update(zip(codes, range(base, base + len(codes))))
+        self._size += len(codes)
+        self._maybe_merge()
 
     def __delitem__(self, oid: Any) -> None:
         code = self._interner.probe(oid)
@@ -212,6 +229,7 @@ class _OidIndex:
             if pos >= 0 and self._ids[pos] >= 0:
                 self._ids[pos] = -1
                 self._size -= 1
+                self._dead += 1
                 return
         raise KeyError(oid)
 
@@ -227,7 +245,14 @@ class _OidIndex:
 
     def intersection(self, oids: Iterable[Any]) -> set:
         """The subset of ``oids`` present in the index (deduplicated)."""
-        return {oid for oid in set(oids) if oid in self}
+        oids = list(oids)
+        codes = self._interner.probe_column(oids)
+        if codes.count(None) == len(codes):
+            return set()  # none was ever interned, let alone indexed
+        return {
+            oid for oid, code in zip(oids, codes)
+            if code is not None and oid in self
+        }
 
     def copy(self) -> "_OidIndex":
         clone = _OidIndex(self._interner)
@@ -235,6 +260,7 @@ class _OidIndex:
         clone._ids = array(_IDX, self._ids)
         clone._overlay = dict(self._overlay)
         clone._size = self._size
+        clone._dead = self._dead
         return clone
 
     def _merge(self) -> None:
@@ -267,6 +293,7 @@ class _OidIndex:
         self._codes = merged_codes
         self._ids = merged_ids
         self._overlay = {}
+        self._dead = 0
 
 
 class _PropsDict(dict):
@@ -632,6 +659,17 @@ class ColumnarPropertyGraph:
             if (candidate not in self._node_index
                     and candidate not in self._edge_index):
                 return candidate
+
+    def fresh_edge_ids(self, count: int) -> List[str]:
+        """The OIDs ``count`` :meth:`add_edge` calls without an
+        ``edge_id`` would generate, for a bulk add."""
+        first = self._auto_id
+        candidates = [f"e{number}" for number in range(first, first + count)]
+        if (self._node_index.intersection(candidates)
+                or self._edge_index.intersection(candidates)):
+            return [self._fresh_id("e") for _ in range(count)]
+        self._auto_id += count
+        return candidates
 
     # ------------------------------------------------------------------
     # Insertion marks (structural savepoints)
@@ -1177,26 +1215,81 @@ class ColumnarPropertyGraph:
                 )
         return ids, sources, targets, columns
 
+    def _table_names(self, table: Optional[_Table], live: bytearray,
+                     dead: int) -> List[str]:
+        if table is None:
+            return []
+        _elements, positions = self._live_table_rows(table, live, dead)
+        return [
+            name for name, column in zip(table.names, table.cols)
+            if any(
+                code != _ABSENT_CODE for code in
+                (column if positions is None else map(column.__getitem__,
+                                                      positions))
+            )
+        ]
+
+    def node_property_names(self, label: str) -> List[str]:
+        """The property names set on some node with ``label``, in
+        column order: the ``names`` for which :meth:`nodes_table` has a
+        cell to show."""
+        code = self._label_index.get(label)
+        return self._table_names(
+            self._node_tables.get(code), self._node_live, self._node_dead
+        )
+
+    def edge_property_names(self, label: str) -> List[str]:
+        """The property names set on some edge with ``label``."""
+        code = self._label_index.get(label)
+        return self._table_names(
+            self._edge_tables.get(code), self._edge_live, self._edge_dead
+        )
+
+    def _cell_codes(self, cells: List[Any],
+                    keep_none: bool) -> Optional[List[int]]:
+        """One code per cell, :data:`_ABSENT_CODE` for a cell to leave
+        unset: an :data:`ABSENT` one and, unless ``keep_none``, a
+        ``None`` one.  ``None`` when every cell is left unset."""
+        unset = [
+            i for i, value in enumerate(cells)
+            if value is ABSENT or (value is None and not keep_none)
+        ]
+        if unset:
+            if len(unset) == len(cells):
+                return None
+            # Stand-ins the column encode interns anyway, so that the
+            # sentinel never reaches the (append-only) dictionary.
+            cells = list(cells)
+            skipped = set(unset)
+            filler = next(
+                value for i, value in enumerate(cells) if i not in skipped
+            )
+            for i in unset:
+                cells[i] = filler
+        try:
+            codes = self._interner.encode_column(cells)
+        except TypeError:  # an unhashable value: box it, cell by cell
+            codes = [self._encode(value) for value in cells]
+        for i in unset:
+            codes[i] = _ABSENT_CODE
+        return codes
+
     def _encode_into(self, table: _Table, base_row: int, count: int,
                      names: Tuple[str, ...], columns: Iterable[List[Any]],
                      constants: Optional[Dict[str, Any]],
                      keep_none: bool) -> None:
-        encode = self._encode
-        for name, column_values in zip(names, columns):
+        """Fill the ``count`` rows from ``base_row`` on, which are the
+        table's last and still all-absent."""
+        for name, cells in zip(names, columns):
             column = table.col(name)
-            if keep_none:
-                for offset, value in enumerate(column_values):
-                    column[base_row + offset] = encode(value)
-            else:
-                for offset, value in enumerate(column_values):
-                    if value is not None:
-                        column[base_row + offset] = encode(value)
+            codes = self._cell_codes(cells, keep_none)
+            if codes is not None:
+                column[base_row:] = array(_IDX, codes)
         if constants:
             for name, value in constants.items():
-                column = table.col(name)
-                code = encode(value)
-                for offset in range(count):
-                    column[base_row + offset] = code
+                table.col(name)[base_row:] = array(
+                    _IDX, [self._encode(value)]
+                ) * count
 
     def add_nodes_bulk(
         self,
@@ -1217,16 +1310,15 @@ class ColumnarPropertyGraph:
             bad = sorted(clash, key=str)[0]
             raise GraphError(f"node {bad!r} already exists in {self.name!r}")
         if len(seen) != len(ids):
-            dup = [i for i in ids if ids.count(i) > 1]
             raise GraphError(
-                f"duplicate node OID {dup[0]!r} in bulk add to {self.name!r}"
+                f"duplicate node OID {first_repeat(ids)!r} in bulk add to "
+                f"{self.name!r}"
             )
         count = len(ids)
         base_nid = len(self._node_oids)
         label_code = self._label_code(label)
         self._node_oids.extend(ids)
-        for offset, node_id in enumerate(ids):
-            index[node_id] = base_nid + offset
+        index.extend(ids, base_nid)
         self._node_label.extend([label_code] * count)
         self._node_live.extend(b"\x01" * count)
         minus_ones = array(_IDX, [-1]) * count
@@ -1267,11 +1359,12 @@ class ColumnarPropertyGraph:
         if not ids:
             return
         index = self._edge_index
-        node_index = self._node_index
-        missing = {
-            oid for oid in set(sources).union(targets)
-            if oid not in node_index
+        # One index probe per distinct endpoint, not two per edge.
+        nid_of = {
+            oid: self._node_index.get(oid)
+            for oid in set(sources).union(targets)
         }
+        missing = [oid for oid, nid in nid_of.items() if nid is None]
         if missing:
             bad = sorted(missing, key=str)[0]
             raise GraphError(f"unknown source node {bad!r} in {self.name!r}")
@@ -1281,20 +1374,19 @@ class ColumnarPropertyGraph:
             bad = sorted(clash, key=str)[0]
             raise GraphError(f"edge {bad!r} already exists in {self.name!r}")
         if len(seen) != len(ids):
-            dup = [i for i in ids if ids.count(i) > 1]
             raise GraphError(
-                f"duplicate edge OID {dup[0]!r} in bulk add to {self.name!r}"
+                f"duplicate edge OID {first_repeat(ids)!r} in bulk add to "
+                f"{self.name!r}"
             )
         count = len(ids)
         base_eid = len(self._edge_oids)
         label_code = self._label_code(label)
         self._edge_oids.extend(ids)
-        for offset, edge_id in enumerate(ids):
-            index[edge_id] = base_eid + offset
+        index.extend(ids, base_eid)
         self._edge_label.extend([label_code] * count)
         self._edge_live.extend(b"\x01" * count)
-        src_nids = array(_IDX, [node_index[source] for source in sources])
-        dst_nids = array(_IDX, [node_index[target] for target in targets])
+        src_nids = array(_IDX, map(nid_of.__getitem__, sources))
+        dst_nids = array(_IDX, map(nid_of.__getitem__, targets))
         self._edge_src.extend(src_nids)
         self._edge_dst.extend(dst_nids)
         out_next, out_prev = self._out_next, self._out_prev

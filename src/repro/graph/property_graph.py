@@ -29,6 +29,36 @@ from repro.errors import DeploymentError, GraphError
 ABSENT = object()
 
 
+def first_repeat(ids: Iterable[Any]) -> Any:
+    """The first element of ``ids`` that occurred before it, or None."""
+    seen: Set[Any] = set()
+    for element in ids:
+        if element in seen:
+            return element
+        seen.add(element)
+    return None
+
+
+def property_rows(
+    count: int,
+    names: Tuple[str, ...],
+    columns: Iterable[List[Any]],
+    keep_none: bool = True,
+) -> Iterator[Dict[str, Any]]:
+    """One properties dict per row of the ``count``-row ``columns``,
+    leaving out an :data:`ABSENT` cell and, unless ``keep_none``, a
+    ``None`` one."""
+    if not names:
+        return ({} for _ in range(count))
+    return (
+        {
+            name: value for name, value in zip(names, row)
+            if value is not ABSENT and (keep_none or value is not None)
+        }
+        for row in zip(*columns)
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class Node:
     """A node of a property graph.
@@ -163,6 +193,11 @@ class PropertyGraph:
             self._auto_id += 1
             if candidate not in self._nodes and candidate not in self._edges:
                 return candidate
+
+    def fresh_edge_ids(self, count: int) -> List[str]:
+        """The OIDs ``count`` :meth:`add_edge` calls without an
+        ``edge_id`` would generate, for a bulk add."""
+        return [self._fresh_id("e") for _ in range(count)]
 
     # ------------------------------------------------------------------
     # Insertion marks (structural savepoints)
@@ -472,6 +507,20 @@ class PropertyGraph:
         columns = [[e.properties.get(name, default) for e in edges] for name in names]
         return ids, sources, targets, columns
 
+    def node_property_names(self, label: str) -> List[str]:
+        """The property names set on some node with ``label``, in the
+        order they first occur: the ``names`` for which
+        :meth:`nodes_table` has a cell to show."""
+        return list(dict.fromkeys(
+            name for node in self.nodes(label) for name in node.properties
+        ))
+
+    def edge_property_names(self, label: str) -> List[str]:
+        """The property names set on some edge with ``label``."""
+        return list(dict.fromkeys(
+            name for edge in self.edges(label) for name in edge.properties
+        ))
+
     def add_nodes_bulk(
         self,
         label: Optional[str],
@@ -484,10 +533,11 @@ class PropertyGraph:
         """Add many nodes with one shared label in a single column pass.
 
         ``columns`` provides one aligned value list per name in ``names``;
-        ``None`` cells are dropped unless ``keep_none`` (matching the
-        per-object convention that an unassigned property is absent, not
-        ``None``).  ``constants`` adds the same extra properties to every
-        node.  All OIDs must be fresh — duplicates raise
+        an :data:`ABSENT` cell leaves the property unset, and so does a
+        ``None`` cell unless ``keep_none`` (matching the per-object
+        convention that an unassigned property is absent, not ``None``).
+        ``constants`` adds the same extra properties to every node.  All
+        OIDs must be fresh — duplicates raise
         :class:`~repro.errors.GraphError` with the store unchanged, the
         same contract as :meth:`add_node`.
         """
@@ -502,21 +552,11 @@ class PropertyGraph:
                 f"node {bad!r} already exists in {self.name!r}"
             )
         if len(seen) != len(ids):
-            dup = [i for i in ids if ids.count(i) > 1]
             raise GraphError(
-                f"duplicate node OID {dup[0]!r} in bulk add to {self.name!r}"
+                f"duplicate node OID {first_repeat(ids)!r} in bulk add to "
+                f"{self.name!r}"
             )
-        if names:
-            rows = zip(*columns)
-            if keep_none:
-                prop_iter = (dict(zip(names, row)) for row in rows)
-            else:
-                prop_iter = (
-                    {n: v for n, v in zip(names, row) if v is not None}
-                    for row in rows
-                )
-        else:
-            prop_iter = ({} for _ in ids)
+        prop_iter = property_rows(len(ids), names, columns, keep_none)
         out, inn = self._out, self._in
         if constants:
             const = dict(constants)
@@ -568,21 +608,11 @@ class PropertyGraph:
                 f"edge {bad!r} already exists in {self.name!r}"
             )
         if len(seen) != len(ids):
-            dup = [i for i in ids if ids.count(i) > 1]
             raise GraphError(
-                f"duplicate edge OID {dup[0]!r} in bulk add to {self.name!r}"
+                f"duplicate edge OID {first_repeat(ids)!r} in bulk add to "
+                f"{self.name!r}"
             )
-        if names:
-            rows = zip(*columns)
-            if keep_none:
-                prop_iter = (dict(zip(names, row)) for row in rows)
-            else:
-                prop_iter = (
-                    {n: v for n, v in zip(names, row) if v is not None}
-                    for row in rows
-                )
-        else:
-            prop_iter = ({} for _ in ids)
+        prop_iter = property_rows(len(ids), names, columns, keep_none)
         out, inn = self._out, self._in
         if constants:
             const = dict(constants)

@@ -155,7 +155,26 @@ class ValueInterner:
         """Exact code of ``value`` if interned, else None (no insert)."""
         return self._codes.get(self._key(value))
 
-    def encode_fill(self, col_vals: List[Any], raw: List[Any]) -> List[Any]:
+    def probe_column(self, col_vals: Sequence[Any]) -> List[Optional[int]]:
+        """:meth:`probe` over a whole column: one C-speed ``map`` over
+        the code dict (bools, whose dict keys are tagged, apart)."""
+        codes_get = self._codes.get
+        if bool in set(map(type, col_vals)):
+            return [
+                codes_get((_BOOL, v)) if v.__class__ is bool else codes_get(v)
+                for v in col_vals
+            ]
+        return list(map(codes_get, col_vals))
+
+    def encode_column(self, col_vals: Sequence[Any]) -> List[int]:
+        """:meth:`encode` over a whole column: a bulk probe, and one
+        :meth:`encode_fill` call for the values it did not find."""
+        raw = self.probe_column(col_vals)
+        if None in raw:
+            raw = self.encode_fill(col_vals, raw)
+        return raw
+
+    def encode_fill(self, col_vals: Sequence[Any], raw: List[Any]) -> List[Any]:
         """Fill the ``None`` slots of a bulk-probe result in place.
 
         ``raw[i] is None`` means ``col_vals[i]`` missed the code dict.
@@ -674,21 +693,7 @@ class ColumnarRelation:
             return None
         arity = self._arity
         interner = self._interner
-        codes_get = interner._codes.get
-        # Column-wise encode; bools (tagged dict keys) and still-unseen
-        # values are left to one ``encode_fill`` call per column.
-        code_cols: List[List[int]] = []
-        for col_vals in val_cols:
-            if any(v.__class__ is bool for v in col_vals):
-                raw = [
-                    None if v.__class__ is bool else codes_get(v)
-                    for v in col_vals
-                ]
-            else:
-                raw = list(map(codes_get, col_vals))
-            if None in raw:
-                raw = interner.encode_fill(col_vals, raw)
-            code_cols.append(raw)
+        code_cols = [interner.encode_column(col_vals) for col_vals in val_cols]
         exact = _np.asarray(code_cols, dtype=_np.int32).T
         eq_np = interner.eq_array()
         prime = _np.uint64(_FNV_PRIME)

@@ -12,8 +12,11 @@ from repro.core import (
     supermodel_table,
 )
 from repro.core.dictionary import GraphDictionary, dictionary_catalog
+from repro.core.instances import decode_instance, encode_instance
 from repro.errors import ParseError, SchemaError
-from repro.graph.property_graph import PropertyGraph
+from repro.graph import make_graph
+from repro.graph.property_graph import ABSENT, PropertyGraph
+from repro.vadalog.database import Database
 
 
 class TestRendering:
@@ -169,6 +172,39 @@ class TestInstances:
         back = SuperInstance.from_dictionary(dictionary.graph, company_schema, 7)
         assert back.data.node("b").get("mood") is None
         assert back.data.node("b").get("fiscalCode") == "X"
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_stored_none_next_to_a_missing_property_in_one_run(
+        self, company_schema, columnar
+    ):
+        """One run of the decoder writes a stored ``None`` as a value
+        and leaves a missing property missing, on nodes and edges."""
+        data = make_graph("nones", columnar=columnar)
+        for node_id, website in (("b1", None), ("b2", ABSENT), ("b3", "w")):
+            data.add_node(
+                node_id, "Business", fiscalCode=node_id, businessName=node_id,
+                legalNature="spa", shareholdingCapital=1.0,
+                **({} if website is ABSENT else {"website": website}),
+            )
+        data.add_edge("b1", "b2", "OWNS", edge_id="o1", percentage=None)
+        data.add_edge("b2", "b3", "OWNS", edge_id="o2")
+        data.add_edge("b1", "b3", "OWNS", edge_id="o3", percentage=0.5)
+        company_schema.ensure_attribute_oids()
+        database = Database(columnar=columnar)
+        encode_instance(company_schema, 5, data, database.add_columns)
+        back = decode_instance(company_schema, 5, database.columns).data
+        assert [n.id for n in back.nodes()] == ["b1", "b2", "b3"]  # one run
+        for graph in (data, back):
+            assert graph.node("b1").properties["website"] is None
+            assert "website" not in graph.node("b2").properties
+            assert graph.node("b3")["website"] == "w"
+            assert graph.edge("o1").properties == {"percentage": None}
+            assert graph.edge("o2").properties == {}
+            assert graph.edge("o3").properties == {"percentage": 0.5}
+        names = list(back.node("b1").properties)  # in link order
+        assert list(back.node("b2").properties) == [
+            name for name in names if name != "website"
+        ]
 
     def test_two_instances_coexist(self, company_schema):
         dictionary = GraphDictionary()

@@ -3,22 +3,32 @@
 import pytest
 
 from repro.deploy import (
+    GRACEFUL,
+    STRICT,
     CSVDataset,
     GraphStore,
     RelationalEngine,
+    RetryPolicy,
     TripleStore,
     generate_cypher_constraints,
     generate_ddl,
     generate_label_documentation,
     generate_rdfs,
+    graph_store_state,
     load_graph_store,
     load_triple_store,
     parse_ddl,
 )
 from repro.errors import DeploymentError, IntegrityError
+from repro.finkg import programs
+from repro.graph import make_graph
+from repro.graph.property_graph import ABSENT
+from repro.metalog import parse_metalog
 from repro.models.relational import Column, ForeignKey, RelationalSchema, Table
 from repro.finkg.company_schema import company_super_schema
-from repro.ssst import SSST
+from repro.ssst import SSST, IntensionalMaterializer
+from tests.test_materializer import kgbench_registry, with_extra_people
+from tests.test_resilience import deployed_graph_store
 
 
 @pytest.fixture()
@@ -306,3 +316,314 @@ class TestCSVModel:
         other.deploy(csv_schema)
         other.load_text("Person", text)
         assert other.rows("Person")[0]["RESIDES_placeId"] is None
+
+
+# ----------------------------------------------------------------------
+# Bulk load == per-record load (the per-record path is the reference)
+# ----------------------------------------------------------------------
+def per_record_policy():
+    """A retrying policy: the loader then writes record by record."""
+    return RetryPolicy(max_attempts=2, sleep=lambda _seconds: None)
+
+
+def on_backend(graph, columnar):
+    """``graph`` rebuilt, element by element, on the other backend."""
+    clone = make_graph(graph.name, columnar=columnar)
+    for node in graph.nodes():
+        clone.add_node(node.id, node.label, **node.properties)
+    for edge in graph.edges():
+        clone.add_edge(
+            edge.source, edge.target, edge.label, edge_id=edge.id,
+            **edge.properties,
+        )
+    return clone
+
+
+def load_both_ways(schema, data, mode=STRICT, prepare=lambda store: None):
+    """``(outcome, store)`` of a bulk and of a per-record load of
+    ``data`` into equally prepared stores; an outcome is the report or
+    the exception raised."""
+    results = []
+    for policy in (None, per_record_policy()):
+        store = deployed_graph_store()
+        prepare(store)
+        before = graph_store_state(store)
+        try:
+            outcome = load_graph_store(
+                schema, data, store, mode=mode, policy=policy
+            )
+        except Exception as exc:  # compared below, never swallowed
+            outcome = exc
+            assert graph_store_state(store) == before  # pristine
+        results.append((outcome, store))
+    return results
+
+
+def assert_same_load(bulk, reference, expect_bulk=True):
+    (bulk_report, bulk_store), (report, store) = bulk, reference
+    assert graph_store_state(bulk_store) == graph_store_state(store)
+    for counter in ("nodes", "edges", "skipped_nodes", "skipped_edges",
+                    "quarantined", "replayed"):
+        assert getattr(bulk_report, counter) == getattr(report, counter), counter
+    rejections = [
+        sorted(
+            (r.kind, str(r.record["id"]), r.reason)
+            for r in outcome.quarantine.rejections
+        )
+        for outcome in (bulk_report, report)
+    ]
+    assert rejections[0] == rejections[1]
+    total = report.nodes + report.edges + report.replayed + (
+        report.quarantined - report.skipped
+    )
+    assert report.per_record == {"retry-policy": total} and not report.bulk_rows
+    if expect_bulk:
+        assert not bulk_report.per_record
+        assert bulk_report.bulk_rows == bulk_report.nodes + bulk_report.edges
+
+
+def enriched(schema, data, *program_names):
+    materializer = IntensionalMaterializer()
+    for oid, name in enumerate(program_names, start=21):
+        data = materializer.materialize(
+            schema, data, parse_metalog(getattr(programs, name)),
+            instance_oid=oid,
+        ).instance.data
+    return data
+
+
+class TestBulkLoadEqualsPerRecord:
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_kgbench_registry_at_500(self, company_schema, columnar):
+        _, registry = kgbench_registry(500, 42)
+        data = on_backend(
+            enriched(company_schema, registry, "CONTROL_PROGRAM"), columnar
+        )
+        bulk, reference = load_both_ways(company_schema, data)
+        assert_same_load(bulk, reference)
+        assert bulk[0].bulk_groups == 4  # two node types, two edge types
+        assert bulk[0].edges == data.edge_count > registry.edge_count
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    @pytest.mark.parametrize("chain", [
+        ("OWNS_PROGRAM",),
+        ("OWNS_PROGRAM", "CONTROL_PROGRAM"),
+        ("OWNS_PROGRAM", "STAKEHOLDERS_PROGRAM"),
+        ("OWNS_PROGRAM", "FAMILY_PROGRAM"),
+    ], ids=lambda chain: chain[-1])
+    def test_paper_programs(self, company_schema, tiny_instance, chain, columnar):
+        data = on_backend(
+            enriched(company_schema, with_extra_people(tiny_instance), *chain),
+            columnar,
+        )
+        bulk, reference = load_both_ways(company_schema, data)
+        assert_same_load(bulk, reference)
+        assert bulk[0].nodes == data.node_count
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_interleaved_unlabeled_and_unknown_labels(
+        self, company_schema, columnar
+    ):
+        data = make_graph("mixed", columnar=columnar)
+        for i in range(12):
+            if i % 3 == 0:
+                data.add_node(
+                    f"n{i}", "Business", fiscalCode=f"FC{i}",
+                    businessName=f"B{i}", legalNature="spa",
+                    shareholdingCapital=float(i),
+                    **({"website": None} if i % 2 else {}),
+                )
+            elif i % 3 == 1:
+                data.add_node(
+                    f"n{i}", "PhysicalPerson", fiscalCode=f"FC{i}",
+                    name=f"N{i}", gender="female",
+                    **({"surname": f"S{i}"} if i % 2 else {}),
+                )
+            else:
+                data.add_node(f"n{i}", "Martian" if i % 2 else None, antenna=i)
+        for i in range(0, 9, 3):
+            data.add_edge(f"n{i + 1}", f"n{i}", "OWNS", percentage=0.5)
+            data.add_edge(f"n{i}", f"n{i + 3}", "OWNS")  # no percentage
+            data.add_edge(f"n{i + 1}", f"n{i}", "OWNS", percentage=0.5)  # twin
+            data.add_edge(f"n{i + 1}", f"n{i}", "WARPS" if i % 2 else None)
+        for mode in (STRICT, GRACEFUL):
+            bulk, reference = load_both_ways(company_schema, data, mode=mode)
+            assert_same_load(bulk, reference)
+            assert bulk[0].skipped_nodes == 4 and bulk[0].skipped_edges == 3
+            assert bulk[1].graph.node("n3")["website"] is None  # stored None
+            assert "website" not in bulk[1].graph.node("n0").properties
+
+    # -- one case per integrity rule -----------------------------------
+    @staticmethod
+    def business(node_id, **changes):
+        properties = dict(
+            fiscalCode=f"FC-{node_id}", businessName=f"{node_id} SpA",
+            legalNature="spa", shareholdingCapital=1.0,
+        )
+        properties.update(changes)
+        return node_id, "Business", {
+            k: v for k, v in properties.items() if v is not ABSENT
+        }
+
+    def dirty(self, case):
+        """A graph breaking one integrity rule at ``B2``/its edge, the
+        loader's schema, and what the store holds beforehand."""
+        schema = company_super_schema()
+        nodes = [self.business("B0"), self.business("B1"),
+                 self.business("B2"), self.business("B3")]
+        edges = [("B0", "B1", "OWNS", {"percentage": 0.6}),
+                 ("B1", "B2", "OWNS", {"percentage": 0.7}),
+                 ("B2", "B3", "OWNS", {"percentage": 0.8})]
+        prepare = lambda store: None  # noqa: E731
+        if case == "unknown label":
+            # A type of the loader's schema the store was not deployed with.
+            schema.node("Spaceship").attribute("hull", "string", is_id=True)
+            nodes[2] = ("B2", "Spaceship", {"hull": "h"})
+            edges = edges[:1]
+        elif case == "undeclared property":
+            nodes[2] = self.business("B2", favouriteColor="blue")
+        elif case == "missing mandatory":
+            nodes[2] = self.business("B2", legalNature=ABSENT)
+        elif case == "duplicate unique in the batch":
+            nodes[2] = self.business("B2", fiscalCode="FC-B0")
+        elif case == "duplicate unique against the store":
+            def prepare(store):
+                self.hold(store, "old", fiscalCode="FC-B2")
+        elif case == "disallowed endpoints":
+            nodes.append(("pl", "Place", dict(
+                placeId="PL", street="s", city="c", postalCode="p")))
+            edges[1] = ("pl", "B2", "OWNS", {"percentage": 0.7})
+        elif case == "undeclared relationship property":
+            edges[1] = ("B1", "B2", "OWNS", {"percentage": 0.7, "colour": "red"})
+        data = make_graph(case)
+        for node_id, label, properties in nodes:
+            data.add_node(node_id, label, **properties)
+        for source, target, label, properties in edges:
+            data.add_edge(source, target, label, **properties)
+        return schema, data, prepare
+
+    def hold(self, store, node_id, **changes):
+        """Put a business into ``store`` before the load."""
+        _, _, properties = self.business(node_id, **changes)
+        store.create_node(
+            node_id, ["Business", "LegalPerson", "Person"], **properties
+        )
+
+    CASES = [
+        "unknown label", "undeclared property", "missing mandatory",
+        "duplicate unique in the batch", "duplicate unique against the store",
+        "disallowed endpoints", "undeclared relationship property",
+    ]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_strict_failure_is_the_per_record_one(self, case):
+        schema, data, prepare = self.dirty(case)
+        (bulk_error, _), (error, _) = load_both_ways(
+            schema, data, prepare=prepare
+        )
+        assert type(bulk_error) is type(error) is IntegrityError
+        assert str(bulk_error) == str(error)  # same rule, same offender
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_graceful_quarantine_is_the_per_record_one(self, case):
+        schema, data, prepare = self.dirty(case)
+        bulk, reference = load_both_ways(
+            schema, data, mode=GRACEFUL, prepare=prepare
+        )
+        assert_same_load(bulk, reference, expect_bulk=False)
+        report = bulk[0]
+        assert report.quarantined >= 1
+        # A refused group went record by record, the others in bulk: the
+        # Spaceship alone; the three stakes; or the four businesses and,
+        # B2 being quarantined, the stakes that name it.
+        refused = (
+            1 if case == "unknown label"
+            else 3 if "relationship" in case or "endpoints" in case
+            else 7
+        )
+        assert report.per_record == {"integrity-fallback": refused}
+        assert report.bulk_rows == data.node_count + data.edge_count - refused
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_first_offender_row_by_row(self, case):
+        """``create_nodes`` / ``create_relationships`` refuse exactly the
+        prefix of rows ``create_node`` / ``create_relationship`` refuse,
+        with the same error, and leave the store unchanged."""
+        schema, data, prepare = self.dirty(case)
+        store, bulk_store = deployed_graph_store(), deployed_graph_store()
+        for target in (store, bulk_store):
+            prepare(target)
+        ancestors = {"Business": ["Business", "LegalPerson", "Person"]}
+        errors = []
+        for label in data.node_labels():
+            labels = ancestors.get(label, [label])
+            names = tuple(data.node_property_names(label))
+            ids, columns = data.nodes_table(label, names, default=ABSENT)
+            rows = list(zip(ids, zip(*columns)))
+            written = 0
+            try:
+                for node_id, row in rows:
+                    store.create_node(node_id, labels, **{
+                        n: v for n, v in zip(names, row) if v is not ABSENT
+                    })
+                    written += 1
+            except IntegrityError as exc:
+                errors.append(str(exc))
+                before = graph_store_state(bulk_store)
+                with pytest.raises(IntegrityError) as caught:
+                    bulk_store.create_nodes(
+                        labels, ids[:written + 1], names,
+                        [column[:written + 1] for column in columns],
+                    )
+                assert str(caught.value) == str(exc)
+                assert graph_store_state(bulk_store) == before
+                ids, columns = ids[:written], [c[:written] for c in columns]
+            if written:  # a label outside the schema is refused even empty
+                assert bulk_store.create_nodes(
+                    labels, ids, names, columns
+                ) == written
+        for label in data.edge_labels():
+            names = tuple(data.edge_property_names(label))
+            _, sources, targets, columns = data.edges_table(
+                label, names, default=ABSENT
+            )
+            written = 0
+            try:
+                for source, target, row in zip(sources, targets, zip(*columns)):
+                    store.create_relationship(source, target, label, **{
+                        n: v for n, v in zip(names, row) if v is not ABSENT
+                    })
+                    written += 1
+            except IntegrityError as exc:
+                errors.append(str(exc))
+                with pytest.raises(IntegrityError) as caught:
+                    bulk_store.create_relationships(
+                        label, sources[:written + 1], targets[:written + 1],
+                        names, [column[:written + 1] for column in columns],
+                    )
+                assert str(caught.value) == str(exc)
+                sources, targets = sources[:written], targets[:written]
+                columns = [c[:written] for c in columns]
+            assert bulk_store.create_relationships(
+                label, sources, targets, names, columns
+            ) == written
+        assert len(errors) >= 1
+        assert graph_store_state(bulk_store) == graph_store_state(store)
+
+    def test_stale_mark_is_still_refused(self, company_schema):
+        """A delete that interleaves with a failing load makes the
+        rollback refuse the stale savepoint, on either path."""
+        _, data, _ = self.dirty("undeclared relationship property")
+        for policy in (None, per_record_policy()):
+            store = deployed_graph_store()
+            self.hold(store, "old")
+            writer = "create_nodes" if policy is None else "create_node"
+            real = getattr(store, writer)
+
+            def deleting(*args, _real=real, _store=store, **kwargs):
+                _store.delete_node("old")
+                return _real(*args, **kwargs)
+
+            setattr(store, writer, deleting)
+            with pytest.raises(DeploymentError, match="stale insertion mark"):
+                load_graph_store(company_schema, data, store, policy=policy)

@@ -363,13 +363,14 @@ def up_to_nulls_and_order(graph):
     )
 
 
-def forbid_graph_bulk_access(monkeypatch):
-    def forbidden(self, *args, **kwargs):
-        raise AssertionError(f"bulk/probe access to {self!r}")
+def forbid_graph_bulk_access(monkeypatch, graph):
+    """No bulk write to, or OID probe of, this ``graph`` object (the
+    decoded instance is written in bulk: that one is a plain graph)."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"bulk/probe access to {graph!r}")
 
-    for graph_class in (ColumnarPropertyGraph, PropertyGraph):
-        for name in GRAPH_WRITERS:
-            monkeypatch.setattr(graph_class, name, forbidden)
+    for name in GRAPH_WRITERS:
+        monkeypatch.setattr(graph, name, forbidden)
 
 
 def assert_schemas_only(dictionary, schema_nodes):
@@ -461,7 +462,7 @@ class TestInstanceRelations:
         dictionary = GraphDictionary()
         dictionary.store(company_schema)
         schema_nodes = dictionary.graph.node_count
-        forbid_graph_bulk_access(monkeypatch)
+        forbid_graph_bulk_access(monkeypatch, dictionary.graph)
         materializer = diff_is_the_oracle(IntensionalMaterializer())
         if program == "CONTROL_PROGRAM":
             data = owns_instance

@@ -459,6 +459,86 @@ class TestCrashReplay:
 
 
 # ----------------------------------------------------------------------
+# Which load path ran, and why (bulk -> per-record is a counted seam)
+# ----------------------------------------------------------------------
+class TestLoadPathIsReported:
+    def counters(self, store):
+        return store.tracer.metrics.counters()
+
+    def test_fresh_load_is_all_bulk(self, company_schema, small_kg):
+        store = deployed_graph_store(tracer=RecordingTracer())
+        report = load_graph_store(company_schema, small_kg, store)
+        written = small_kg.node_count + small_kg.edge_count
+        assert report.per_record == {}
+        assert report.bulk_rows == written == report.nodes + report.edges
+        assert report.bulk_groups == report.batches == len(
+            small_kg.node_labels() + small_kg.edge_labels()
+        )
+        counters = self.counters(store)
+        assert counters["deploy.load_bulk_rows"] == written
+        assert counters.get("deploy.load_per_record", 0) == 0
+        assert counters["deploy.nodes_written"] == small_kg.node_count
+        assert counters["deploy.relationships_written"] == small_kg.edge_count
+        assert "bulk=%d per-record=0" % written in report.summary()
+
+    def test_replay_goes_per_record_for_the_groups_it_touches(
+        self, company_schema, tiny_instance
+    ):
+        store = deployed_graph_store(tracer=RecordingTracer())
+        businesses = tiny_instance.copy()
+        for node in list(businesses.nodes()):
+            if node.label != "Business":
+                businesses.remove_node(node.id)
+        load_graph_store(company_schema, businesses, store)
+        report = load_graph_store(company_schema, tiny_instance, store)
+        # The businesses are matched one by one; the other node labels
+        # are new to the store and go in bulk; no edge was held.
+        assert report.per_record == {"replay": businesses.node_count}
+        assert report.replayed == businesses.node_count
+        assert report.bulk_rows == (
+            tiny_instance.node_count + tiny_instance.edge_count
+            - businesses.node_count
+        )
+        assert self.counters(store)["deploy.load_per_record"] == (
+            businesses.node_count
+        )
+        again = load_graph_store(company_schema, tiny_instance, store)
+        assert again.per_record == {
+            "replay": tiny_instance.node_count + tiny_instance.edge_count
+        }
+        assert again.bulk_rows == 0 and again.nodes == again.edges == 0
+
+    def test_fault_injection_and_retrying_policies_go_per_record(
+        self, company_schema, tiny_instance
+    ):
+        total = tiny_instance.node_count + tiny_instance.edge_count
+        injector = FaultInjector(deployed_graph_store())
+        assert not hasattr(injector, "create_nodes")
+        assert not hasattr(injector, "create_relationships")
+        for store, policy in (
+            (injector, None),
+            (deployed_graph_store(), RetryPolicy(sleep=lambda _s: None)),
+        ):
+            report = load_graph_store(
+                company_schema, tiny_instance, store, policy=policy
+            )
+            assert report.per_record == {"retry-policy": total}
+            assert report.bulk_groups == 0
+        assert injector.mutations_applied == total  # one fault point each
+
+    def test_integrity_fallback_is_counted(self, company_schema, tiny_instance):
+        dirty = tiny_instance.copy()
+        dirty.add_node("B4", "Business", fiscalCode="FCB1",  # dup unique
+                       businessName="Eve SpA", legalNature="spa",
+                       shareholdingCapital=1.0)
+        store = deployed_graph_store()
+        report = load_graph_store(company_schema, dirty, store, mode=GRACEFUL)
+        assert report.per_record == {"integrity-fallback": 4}  # the businesses
+        assert report.quarantined == 1
+        assert report.bulk_rows == dirty.node_count + dirty.edge_count - 4
+
+
+# ----------------------------------------------------------------------
 # Transactional relational write-back
 # ----------------------------------------------------------------------
 class TestRelationalSigma:
