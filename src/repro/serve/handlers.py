@@ -364,6 +364,16 @@ class ServiceHandlers:
             )
         return facts
 
+    @staticmethod
+    def _neighbors(facts, position: int, node) -> List[Any]:
+        """The other end of every edge of ``facts`` with ``node`` at
+        ``position``, in scan order: a column block probes its index (the
+        request costs its frontier, not the model), the reference
+        frozensets are scanned."""
+        probe = getattr(facts, "matching", None)
+        edges = facts if probe is None else probe([(position, node)])
+        return [fact[1 - position] for fact in edges if fact[position] == node]
+
     def neighborhood(self, params):
         node = params.get("node")
         predicate = params.get("predicate")
@@ -379,12 +389,6 @@ class ServiceHandlers:
         snap = self.state.snapshot
         facts = self._edges(snap, predicate)
 
-        forward: Dict[Any, List[Any]] = {}
-        backward: Dict[Any, List[Any]] = {}
-        for fact in facts:
-            forward.setdefault(fact[0], []).append(fact[1])
-            backward.setdefault(fact[1], []).append(fact[0])
-
         layers: List[List[Any]] = [[node]]
         seen = {node}
         edges: List[List[Any]] = []
@@ -394,9 +398,9 @@ class ServiceHandlers:
             for current in layers[-1]:
                 neighbors: List[Any] = []
                 if direction in ("out", "both"):
-                    neighbors += forward.get(current, ())
+                    neighbors += self._neighbors(facts, 0, current)
                 if direction in ("in", "both"):
-                    neighbors += backward.get(current, ())
+                    neighbors += self._neighbors(facts, 1, current)
                 for neighbor in neighbors:
                     edges.append(
                         [encode_value(current), encode_value(neighbor)]
@@ -442,9 +446,6 @@ class ServiceHandlers:
         )
         snap = self.state.snapshot
         facts = self._edges(snap, predicate)
-        forward: Dict[Any, List[Any]] = {}
-        for fact in facts:
-            forward.setdefault(fact[0], []).append(fact[1])
 
         parents: Dict[Any, Any] = {source: None}
         frontier = [source]
@@ -455,7 +456,7 @@ class ServiceHandlers:
                 break
             next_frontier: List[Any] = []
             for current in frontier:
-                for neighbor in forward.get(current, ()):
+                for neighbor in self._neighbors(facts, 0, current):
                     if neighbor in parents:
                         continue
                     parents[neighbor] = current

@@ -33,6 +33,27 @@ cache: predicates untouched by a delta reuse the previous epoch's
 block outright, so freeze cost tracks the delta, not the model.  The
 tuple backend freezes to frozensets and is the differential oracle.
 
+A view that is re-made takes its predecessor's indexes along
+(:func:`~repro.vadalog.columnar.carry_indexes`: a shallow ``dict`` copy
+per index, patched with the rows appended since), under four more:
+
+- *published views are never mutated*: only the writer, before
+  publication, fills a new view's indexes; buckets are copy-on-write,
+  and the writer reads the older view's index dict in one atomic
+  ``list(d.items())``, since a reader may be publishing a lazily built
+  position into it;
+- *same numbering or no carry*: a block carries only if its column
+  objects are its predecessor's (whatever renumbers replaces them, the
+  invariant above), a frozen copy — its columns are its own — only if
+  both hold the relation's ``_numbering`` mark, which ``compact()``,
+  ``reset()`` and rehydration replace; facts supplied for a derived
+  predicate are ``reset`` into their copy and never carry;
+- *buckets may name dead rows*, as a maintained index's do: the engine
+  checks ``live_rows``, :meth:`FrozenColumnBlock.matching` its own mask;
+- *chain breaks are counted*: where nothing could be carried, or nobody
+  had asked, the first reader builds the index and ``serve.index_built``
+  moves; ``serve.index_carried`` counts the indexes handed on.
+
 The extensional slice freezes as *relations*: ``snapshot.edb[p]`` is a
 frozen ``relation.copy()`` over the retained interner, re-made only for
 predicates a delta names.  Engine-backed queries read those in place
@@ -66,7 +87,11 @@ from typing import (
 
 from repro.obs.metrics import MetricsRegistry
 from repro.vadalog.ast import Program
-from repro.vadalog.columnar import ColumnarRelation, bucket_index
+from repro.vadalog.columnar import (
+    ColumnarRelation,
+    bucket_index,
+    carry_indexes,
+)
 from repro.vadalog.database import Database, Fact, Relation
 from repro.vadalog.engine import Engine, EvaluationResult
 from repro.vadalog.magic import GoalDirectedEvaluator
@@ -129,7 +154,10 @@ class FrozenColumnBlock(_AbstractSet):
     per-position bucket index, built on first use.
     """
 
-    __slots__ = ("_cols", "_nrows", "_count", "_live", "_interner", "_index")
+    __slots__ = (
+        "_cols", "_nrows", "_count", "_live", "_interner", "_index",
+        "_on_index_built",
+    )
 
     def __init__(self, relation: ColumnarRelation):
         relation._ensure_resident()
@@ -142,8 +170,23 @@ class FrozenColumnBlock(_AbstractSet):
             else None
         )
         self._interner = relation._interner
-        #: position -> eq code -> ascending row ids, built on first use.
+        #: position -> eq code -> ascending row ids: built on first use,
+        #: or carried (:meth:`carry`; dead rows among them).
         self._index: Dict[int, Dict[int, List[int]]] = {}
+        self._on_index_built: Optional[Any] = None  # as the relation's
+
+    def carry(self, previous: "FrozenColumnBlock") -> int:
+        """Take over the indexes of ``previous``; returns how many.
+        Writer only, before publication.  None unless both blocks view
+        the same column objects, i.e. number their rows alike."""
+        if len(previous._cols) != len(self._cols) or any(
+            old is not new for old, new in zip(previous._cols, self._cols)
+        ):
+            return 0
+        return carry_indexes(
+            previous._index, self._index, self._cols, self._interner.eq,
+            previous._nrows, self._nrows,
+        )
 
     @classmethod
     def _from_iterable(cls, iterable):
@@ -178,6 +221,8 @@ class FrozenColumnBlock(_AbstractSet):
                 return ()
             index = self._index.get(position)
             if index is None:
+                if self._on_index_built is not None:
+                    self._on_index_built()
                 # A slice: the writer appends to the shared column, and
                 # numpy must not hold a buffer that grows.
                 index = self._index[position] = bucket_index(
@@ -190,7 +235,11 @@ class FrozenColumnBlock(_AbstractSet):
         if best is None:
             return self
         values = self._interner.values
-        return [tuple([values[col[row]] for col in self._cols]) for row in best]
+        live = self._live
+        return [
+            tuple([values[col[row]] for col in self._cols]) for row in best
+            if live is None or live[row]
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         arity = len(self._cols)
@@ -271,12 +320,14 @@ class ServeState:
             "serve.materialize_ms", (time.perf_counter() - start) * 1000.0
         )
         self.metrics.set_gauge("serve.epoch", 0)
+        self.metrics.inc("serve.index_built", 0)  # on /stats before the first
 
     # -- snapshot construction (writer thread only) -------------------
 
     def _freeze(self, epoch: int, touched: AbstractSet[str] = frozenset()):
         db = self._result.database
         cache = self._block_cache
+        carried = 0  # indexes handed on from the previous epoch's views
         facts: Dict[str, AbstractSet[Fact]] = {}
         for predicate in db.predicates():
             relation = db.relation(predicate)
@@ -293,6 +344,9 @@ class ServeState:
                 facts[predicate] = entry[2]
                 continue
             block = FrozenColumnBlock(relation)
+            block._on_index_built = self._index_built
+            if entry is not None:
+                carried += block.carry(entry[2])
             # Read the version *after* construction: rehydrating a
             # spilled relation bumps it.
             cache[predicate] = (relation, relation._version, block)
@@ -315,9 +369,18 @@ class ServeState:
                     # Facts supplied for a derived predicate: the live
                     # relation holds derived rows too, the bucket none.
                     relation.reset(bucket)
+                if isinstance(relation, ColumnarRelation):
+                    relation._on_index_built = self._index_built
+                    if predicate in prev_edb:  # (nothing after a ``reset``)
+                        carried += relation.carry_indexes(prev_edb[predicate])
                 edb[predicate] = relation.freeze()
         self.metrics.set_gauge("serve.interner_codes", len(db._interner or ()))
+        self.metrics.inc("serve.index_carried", carried)
         return StateSnapshot(epoch=epoch, facts=facts, edb=edb)
+
+    def _index_built(self) -> None:
+        """A frozen view's first reader built an index from scratch."""
+        self.metrics.inc("serve.index_built")
 
     # -- reader API ---------------------------------------------------
 

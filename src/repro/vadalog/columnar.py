@@ -302,6 +302,30 @@ def bucket_index(
     return index
 
 
+def carry_indexes(
+    source: Dict[Any, Dict[Any, List[int]]], target: Dict[Any, Any],
+    cols: Sequence[array], eq: array, start: int, stop: int,
+) -> int:
+    """Hand the indexes of a frozen view (``source``: position(s) -> eq
+    key -> rows) on to the next view of the same rows plus rows
+    ``start..stop-1`` (``target``); returns how many.  Each is a shallow
+    copy: the bucket of an appended row is *replaced*, never grown, so a
+    reader iterating the older view's bucket sees it as it was."""
+    # One atomic read: a reader of the older view may be publishing a
+    # position it built lazily into ``source`` right now.
+    built = list(source.items())
+    for positions, index in built:
+        carried = target[positions] = dict(index)
+        for row in range(start, stop):
+            if positions.__class__ is tuple:
+                key = tuple([eq[cols[p][row]] for p in positions])
+            else:
+                key = eq[cols[positions][row]]
+            bucket = carried.get(key)
+            carried[key] = [row] if bucket is None else bucket + [row]
+    return len(built)
+
+
 class ColumnarRelation:
     """Columnar extension of one predicate, behind the ``Relation`` API."""
 
@@ -323,6 +347,8 @@ class ColumnarRelation:
         "_spilled",
         "_version",
         "_npcache",
+        "_numbering",
+        "_on_index_built",
     )
 
     def __init__(
@@ -354,6 +380,11 @@ class ColumnarRelation:
         # vectorized join path (columns / sorted join keys per key shape).
         self._version = 0
         self._npcache: Optional[Dict[str, Any]] = None
+        # Replaced whenever rows are renumbered, inherited by :meth:`copy`:
+        # copies holding one mark number the rows they share alike.
+        self._numbering = object()
+        #: Called once per index built from scratch, when set.
+        self._on_index_built: Optional[Any] = None
 
     # -- arity is assigned post-construction by loaders ------------------
     @property
@@ -552,11 +583,9 @@ class ColumnarRelation:
         self._live.append(1)
         self._nrows = row + 1
         self._version += 1
+        # Copy-on-write: :meth:`copy` shares the overlay's buckets.
         bucket = self._overlay.get(h)
-        if bucket is None:
-            self._overlay[h] = [row]
-        else:
-            bucket.append(row)
+        self._overlay[h] = [row] if bucket is None else bucket + [row]
         self._overlay_count += 1
         self._maybe_rebuild()
         if self._indexes:
@@ -758,10 +787,8 @@ class ColumnarRelation:
             overlay = self._overlay
             for offset, h in enumerate(hashes.tolist()):
                 bucket = overlay.get(h)
-                if bucket is None:
-                    overlay[h] = [first_row + offset]
-                else:
-                    bucket.append(first_row + offset)
+                row = first_row + offset
+                overlay[h] = [row] if bucket is None else bucket + [row]
             self._overlay_count += added
         if self._indexes or self._composite:
             eq_cols = [eq_np[exact[:, j]].tolist() for j in range(arity)]
@@ -893,6 +920,7 @@ class ColumnarRelation:
         self._spilled = False
         self._version += 1
         self._npcache = None
+        self._numbering = object()
 
     def freeze(self) -> "ColumnarRelation":
         """Make this relation read-only, for good; returns it.  Every
@@ -905,7 +933,9 @@ class ColumnarRelation:
         return self
 
     def copy(self, interner: Optional[ValueInterner] = None) -> "ColumnarRelation":
-        """A fresh relation with the same facts; indexes rebuild lazily."""
+        """A fresh relation with the same facts; its indexes are built on
+        first use or taken from an earlier copy (:meth:`carry_indexes`),
+        the row-table overlay's buckets shared copy-on-write."""
         self._ensure_resident()
         clone = ColumnarRelation(
             self.name,
@@ -921,9 +951,21 @@ class ColumnarRelation:
         clone._ndead = self._ndead
         clone._ht_sorted = self._ht_sorted[:]
         clone._ht_sorted_rows = self._ht_sorted_rows[:]
-        clone._overlay = {h: list(b) for h, b in self._overlay.items()}
+        clone._overlay = dict(self._overlay)
         clone._overlay_count = self._overlay_count
+        clone._numbering = self._numbering
         return clone
+
+    def carry_indexes(self, previous: "ColumnarRelation") -> int:
+        """Take over the indexes ``previous`` — an earlier copy of the
+        relation this one was copied from — has built; returns how many.
+        None when rows were renumbered in between."""
+        if previous._numbering is not self._numbering:
+            return 0
+        since = (self._cols, self._interner.eq, previous._nrows, self._nrows)
+        return carry_indexes(
+            previous._indexes, self._indexes, *since
+        ) + carry_indexes(previous._composite, self._composite, *since)
 
     def compact(self) -> None:
         """Drop tombstoned rows and stale buckets (engine safe points only).
@@ -944,6 +986,7 @@ class ColumnarRelation:
         self._composite = {}
         self._version += 1
         self._npcache = None
+        self._numbering = object()
         self._rebuild_table()
 
     # -- indexes -----------------------------------------------------------
@@ -967,6 +1010,8 @@ class ColumnarRelation:
         self, positions: Tuple[int, ...], tuple_keys: bool = False
     ) -> Dict[Any, List[int]]:
         """Eq key at ``positions`` -> ascending live row ids."""
+        if self._on_index_built is not None:
+            self._on_index_built()
         cols = [self._cols[p] for p in positions]
         if self._nrows >= 4096:
             return bucket_index(
@@ -1186,6 +1231,7 @@ class ColumnarRelation:
         self._spilled = False
         self._cols = cols
         self._version += 1
+        self._numbering = object()
         self._rebuild_table()
 
 

@@ -254,6 +254,7 @@ class Engine:
         inputs: Optional[Dict[str, Iterable[Sequence[Any]]]] = None,
         retain_state: bool = False,
         copy_database: bool = True,
+        strata: Optional[List[Stratum]] = None,
     ) -> EvaluationResult:
         """Saturate ``database`` (copied) with ``program`` and return it.
 
@@ -268,6 +269,10 @@ class Engine:
         null/Skolem factories — on ``result.state`` so
         :meth:`apply_delta` can propagate later insertions and deletions
         without re-running the chase.
+
+        ``strata`` is ``stratify`` of ``program``'s rules that have a
+        body, from a caller that runs one program many times (a cached
+        query rewrite); a run only reads it.
         """
         start = time.perf_counter()
         tracer = self.tracer
@@ -304,7 +309,8 @@ class Engine:
                 rules.append(rule)
 
         working = Program(rules=rules, annotations=list(program.annotations))
-        strata = stratify(working)
+        if strata is None:
+            strata = stratify(working)
         stats.strata = len(strata)
 
         state = None

@@ -45,7 +45,7 @@ program.  The full chase remains available as the differential oracle
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Container,
@@ -72,7 +72,7 @@ from repro.vadalog.ast import (
 from repro.vadalog.database import Database, Fact
 from repro.vadalog.engine import Engine, EvaluationResult, EvaluationStats
 from repro.vadalog.parser import parse_atom
-from repro.vadalog.stratify import stratify
+from repro.vadalog.stratify import Stratum, stratify
 from repro.vadalog.terms import (
     ANONYMOUS,
     Variable,
@@ -212,6 +212,10 @@ class MagicProgram:
     #: brings *supplied* facts of it under the adorned name: part of the
     #: program only where there are such facts (:meth:`program_for`).
     bridges: Tuple[Tuple[str, Rule], ...] = ()
+    #: :meth:`strata_for`'s results, per set of bridged predicates.
+    _strata: Dict[FrozenSet[str], List[Stratum]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def seed_rule(self, query: Query) -> Optional[Rule]:
         """The magic seed fact for a concrete query's constants.
@@ -250,6 +254,19 @@ class MagicProgram:
         if seed is not None:
             rules.append(seed)
         return Program(rules=rules)
+
+    def strata_for(self, program: Program, supplied: Container[str]) -> List[Stratum]:
+        """The stratification of ``program = program_for(query,
+        supplied)``, computed once: it depends on the rules and bridges,
+        not on the seed fact, which is all that differs between two
+        queries of one adornment."""
+        key = frozenset(p for p, _ in self.bridges if p in supplied)
+        strata = self._strata.get(key)
+        if strata is None:
+            strata = self._strata[key] = stratify(
+                Program(rules=[rule for rule in program.rules if rule.body])
+            )
+        return strata
 
 
 def _full_predicates(program: Program) -> Tuple[Set[str], List[str]]:
@@ -733,6 +750,7 @@ class GoalDirectedEvaluator:
         inputs: Optional[Mapping[str, Iterable[Fact]]],
         governor,
         tracer,
+        strata: Optional[List[Stratum]] = None,
     ) -> EvaluationResult:
         """The one way a program runs here: in place, over a layer of
         ``database`` — private copies of just the predicates the run can
@@ -750,6 +768,7 @@ class GoalDirectedEvaluator:
             database=database,
             inputs=dict(inputs) if inputs else None,
             copy_database=False,
+            strata=strata,
         )
 
     # -- public API ---------------------------------------------------
@@ -775,10 +794,16 @@ class GoalDirectedEvaluator:
         rewrite = self.rewrite(query)
 
         if not rewrite.rules and rewrite.seed_predicate is None:
-            # Pure EDB query: filter without running the engine.
+            # Pure EDB query: probe the bound positions (``lookup`` is
+            # as strict as ``matches``), without running the engine.
             facts: Set[Fact] = set()
-            if database is not None:
-                facts |= set(database.facts(query.predicate))
+            if database is not None and database.count(query.predicate):
+                relation = database.relation(query.predicate)
+                if relation.arity == query.arity:
+                    facts.update(relation.lookup([
+                        (i, t) for i, t in enumerate(query.terms)
+                        if not is_variable(t)
+                    ]))
             if inputs:
                 facts |= {
                     tuple(f) for f in inputs.get(query.predicate, ())
@@ -798,12 +823,14 @@ class GoalDirectedEvaluator:
             if (database is not None and database.count(predicate))
             or (inputs and predicate in inputs)
         }
+        program = rewrite.program_for(query, supplied)
         result = self._run(
-            rewrite.program_for(query, supplied),
+            program,
             database=database,
             inputs=inputs,
             governor=governor,
             tracer=tracer,
+            strata=rewrite.strata_for(program, supplied),
         )
         answers = frozenset(
             fact

@@ -591,3 +591,192 @@ class TestSpill:
         store.write("r", 2, cols)
         assert [list(col) for col in store.read("r", 2)] == cols
         store.close()
+
+
+# ---------------------------------------------------------------------------
+# Copies that share structure: copy-on-write overlay, carried indexes
+# ---------------------------------------------------------------------------
+
+
+def _live_index(relation, positions):
+    """``relation``'s index over ``positions`` as it stands, restricted
+    to live rows (a carried index may name tombstoned ones)."""
+    single = len(positions) == 1
+    index = (
+        relation._indexes[positions[0]] if single
+        else relation._composite[positions]
+    )
+    live = relation.live_rows
+    kept = {key: [r for r in rows if live[r]] for key, rows in index.items()}
+    return {key: rows for key, rows in kept.items() if rows}
+
+
+def _scratch_index(relation, positions):
+    return relation._build_index(positions, tuple_keys=len(positions) > 1)
+
+
+def _index_contents(relation):
+    """Every built index of ``relation``, buckets as tuples."""
+    return {
+        shape: {key: tuple(rows) for key, rows in index.items()}
+        for store in (relation._indexes, relation._composite)
+        for shape, index in store.items()
+    }
+
+
+class TestSharedStructureCopies:
+    def test_copy_never_sees_a_later_overlay_row(self, monkeypatch):
+        from repro.vadalog import columnar
+
+        # Every row hashes alike: one overlay bucket holds them all.
+        monkeypatch.setattr(columnar, "_FNV_PRIME", 0)
+        rel = ColumnarRelation("p", interner=ValueInterner())
+        for i in range(3):
+            rel.add((f"a{i}", i))
+        assert len(rel._overlay) == 1
+        clone = rel.copy()
+        bucket = next(iter(clone._overlay.values()))
+        rel.add(("late", 9))  # collides into the bucket the copy shares
+        assert ("late", 9) in rel and ("late", 9) not in clone
+        assert clone._find(0, clone._probe_eqrow(("late", 9))) == -1
+        assert bucket == [0, 1, 2] and sorted(clone) == sorted(
+            (f"a{i}", i) for i in range(3)
+        )
+        # Remove + re-add on the original: the copy keeps its own row,
+        # a copy cut in between never sees the re-added one.
+        rel.remove(("a1", 1))
+        between = rel.copy()
+        rel.add(("a1", 1))
+        assert ("a1", 1) in rel and ("a1", 1) in clone
+        assert ("a1", 1) not in between
+        assert between._find(0, between._probe_eqrow(("a1", 1))) == -1
+        with pytest.raises(EvaluationError):
+            between.freeze().add(("a1", 1))
+
+    def test_copy_never_sees_a_later_bulk_row(self):
+        rel = ColumnarRelation("p", interner=ValueInterner())
+        rel.add_many([(i, i + 1) for i in range(5000)])
+        rel.add_many([(i, -i) for i in range(100)])  # lands in the overlay
+        assert rel._overlay_count == 100
+        clone = rel.copy()
+        shared = dict(clone._overlay)
+        rel.add_many([(i, -i - 1) for i in range(100)])
+        assert rel._overlay_count == 200 and clone._overlay_count == 100
+        assert clone._overlay == shared and len(clone) == 5100
+        assert (7, -8) in rel and (7, -8) not in clone and (7, -7) in clone
+
+    def test_copy_walks_no_overlay_bucket(self):
+        import sys
+
+        rel = ColumnarRelation("p", interner=ValueInterner())
+        rel.add_many([(i, i + 1) for i in range(5000)])
+        for i in range(800):
+            rel.add((i, -i))
+        assert len(rel._overlay) >= 700
+        events = []
+
+        def count(frame, event, arg):
+            events.append(event)
+            return count
+
+        sys.settrace(count)
+        try:
+            clone = rel.copy()
+        finally:
+            sys.settrace(None)
+        # Lines run are a count, not a time: a Python loop over the
+        # overlay runs one or more per bucket (each jump back is one).
+        assert len(events) < 100, len(events)
+        assert clone._overlay == rel._overlay and sorted(clone) == sorted(rel)
+
+    def test_carry_reads_the_older_view_in_one_step(self):
+        """A reader may publish a lazily built position into the older
+        view's index dict while the writer hands its indexes on."""
+        from array import array
+
+        from repro.vadalog.columnar import carry_indexes
+
+        source, target = {}, {}
+
+        class Published(dict):
+            def __iter__(self):  # takes ``dict(index)`` off its C fast path
+                return super().__iter__()
+
+            def keys(self):  # runs inside ``dict(index)``, mid-carry
+                source[1] = {7: [0]}
+                return super().keys()
+
+        source[0] = Published({5: [0]})
+        cols = [array("i", [5, 5]), array("i", [7, 7])]
+        assert carry_indexes(source, target, cols, array("i", range(8)), 1, 2) == 1
+        assert target == {0: {5: [0, 1]}} and source[0] == {5: [0]}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_carried_indexes_equal_indexes_built_from_scratch(self, seed):
+        """A chain of frozen copies of one live relation, each taking its
+        predecessor's indexes along: restricted to live rows a carried
+        index is the one built from scratch, the predecessor's is left
+        as it was, and whatever renumbers the rows breaks the chain."""
+        rng = random.Random(seed)
+        db = Database(columnar=True)
+        live = db.relation("own")
+        # Past 4096 rows: the vectorized build is the reference.
+        live.add_many([
+            (f"c{rng.randrange(900)}", f"c{i}", rng.random())
+            for i in range(4500)
+        ])
+        shapes = [(0,), (1,), (0, 1)]
+        previous = live.copy().freeze()
+        carried_total = 0
+        removed = []
+        for step in range(40):
+            for positions in shapes:
+                if rng.random() < 0.4:  # a first reader of ``previous``
+                    list(previous.lookup_key(
+                        positions, tuple("c1" for _ in positions)
+                    ))
+            kind = rng.choice(["add", "add", "remove", "readd", "compact", "spill"])
+            renumbered = False
+            if kind == "add":
+                for _ in range(rng.randrange(1, 4)):
+                    live.add((f"c{rng.randrange(900)}", f"n{step}", rng.random()))
+            elif kind == "remove":
+                fact = live.decode_row(rng.choice(list(live.all_rows())))
+                assert live.remove(fact)
+                removed.append(fact)
+            elif kind == "readd" and removed:
+                live.add(removed.pop())
+            elif kind == "compact":
+                renumbered = live.has_dead_rows
+                live.compact()
+            elif kind == "spill":
+                live.attach_store(db._ensure_store())
+                renumbered = bool(live.spill())
+            before = _index_contents(previous)
+            held = (dict(previous._indexes), dict(previous._composite))
+            clone = live.copy()
+            carried = clone.carry_indexes(previous)
+            clone.freeze()
+            if renumbered:
+                assert carried == 0 and not clone._indexes and not clone._composite
+            else:
+                assert carried == len(held[0]) + len(held[1])
+                carried_total += carried
+            for positions in shapes:
+                built = (
+                    positions[0] in clone._indexes if len(positions) == 1
+                    else positions in clone._composite
+                )
+                if built:
+                    assert _live_index(clone, positions) == _scratch_index(
+                        clone, positions
+                    ), (step, kind, positions)
+            # The predecessor — a published view — is as it was.
+            assert _index_contents(previous) == before
+            for old, now in zip(held, (previous._indexes, previous._composite)):
+                assert all(now[key] is index for key, index in old.items())
+            if step % 8 == 0:
+                assert sorted(clone, key=repr) == sorted(live, key=repr)
+            previous = clone
+        assert carried_total > 0
+        db.close()

@@ -405,3 +405,71 @@ class TestDemandRestriction:
         evaluator.answer('tc("a", Y)?', database=db)
         assert set(db.predicates()) == {"e"}
         assert db.count("e") == 2
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_a_pure_edb_query_probes_and_answers_as_the_scan(
+        self, columnar, monkeypatch
+    ):
+        nan = float("nan")
+        facts = [("a", 1), ("a", 1.0), ("a", True), ("b", 2), ("b", nan),
+                 (1, "a"), (True, "a"), ("c", "c")] + [
+            (f"n{i}", i) for i in range(200)
+        ]
+        db = Database(columnar=columnar)
+        db.add_all("e", facts)
+        db.add_all("wide", [("a", "b", "c")])
+        stored = sorted(db.facts("e"), key=repr)
+        evaluator = GoalDirectedEvaluator(parse_program(TC), columnar=columnar)
+        # A probe, not a copy of the relation.
+        monkeypatch.setattr(
+            Database, "facts",
+            lambda self, predicate: pytest.fail("scanned " + predicate),
+        )
+        for text in ('e("a", Y)?', 'e("a", 1)?', 'e("a", true)?', 'e(1, Y)?',
+                     'e(true, Y)?', 'e(X, 2)?', 'e("n7", 7)?', 'e("n7", 8)?',
+                     'e("ghost", Y)?', 'e(X, X)?', 'e(X, Y)?', 'e("a", Y, Z)?',
+                     'wide("a", Y)?', 'nothing("a", Y)?'):
+            query = parse_query(text)
+            answer = evaluator.answer(query, database=db)
+            assert answer.mode == "edb"
+            source = stored if query.predicate == "e" else [("a", "b", "c")]
+            assert sorted(answer.facts, key=repr) == [
+                f for f in source
+                if query.predicate != "nothing" and query.matches(f)
+            ], text
+        assert set(db.predicates()) == {"e", "wide"}  # none created by asking
+        extra = evaluator.answer(
+            'e("a", Y)?', database=db, inputs={"e": [("a", "late")]}
+        )
+        assert ("a", "late") in extra.facts and len(extra.facts) >= 2
+
+    def test_a_cached_rewrite_is_stratified_once(self, monkeypatch):
+        from repro.vadalog import engine, magic
+
+        calls = []
+        for module in (engine, magic):
+            monkeypatch.setattr(
+                module, "stratify",
+                lambda program, _real=module.stratify: (
+                    calls.append(len(program.rules)), _real(program)
+                )[1],
+            )
+        evaluator = GoalDirectedEvaluator(parse_program(TC))
+        edges = {"e": [(f"n{i}", f"n{i + 1}") for i in range(12)]}
+        first = evaluator.answer('tc("n0", Y)?', inputs=edges)
+        assert len(first.facts) == 12
+        assert evaluator.answer('tc("n9", Y)?', inputs=edges).facts == {
+            ("n9", "n10"), ("n9", "n11"), ("n9", "n12")
+        }
+        stratified = len(calls)
+        for i in range(12):  # same adornment, other constants
+            evaluator.answer(f'tc("n{i}", Y)?', inputs=edges)
+        assert len(calls) == stratified
+        # Facts supplied for the derived predicate add its bridge: other
+        # rules, stratified once more, and cached beside the first.
+        supplied = dict(edges, tc=[("n0", "zz")])
+        assert ("n0", "zz") in evaluator.answer('tc("n0", Y)?', inputs=supplied).facts
+        assert len(calls) == stratified + 1
+        evaluator.answer('tc("n3", Y)?', inputs=supplied)
+        evaluator.answer('tc("n3", Y)?', inputs=edges)
+        assert len(calls) == stratified + 1

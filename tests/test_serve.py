@@ -523,6 +523,94 @@ class TestConcurrencyBattery:
             thread.join(timeout=30)
         assert errors == []
 
+    def test_lazy_index_builds_race_the_freeze(self):
+        """Readers that are the first to probe a position of epoch N —
+        publishing an index into the views the writer is reading to
+        freeze N+1 — while the writer also compacts (so that positions
+        keep being built, not only carried): no ``dictionary changed
+        size``, and every probe answers as the scan of its own epoch."""
+        import sys
+
+        edges = [(f"a{i}", f"a{i+1}") for i in range(self.BASE)]
+        side = [(f"s{i}", f"t{i % 7}") for i in range(40)]
+        state = ServeState(
+            TC, inputs={"e": edges + side}, check_wardedness=False
+        )
+        handlers = ServiceHandlers(state, cache=ResultCache(0))
+        stop = threading.Event()
+        errors = []
+        reads = [0] * self.READERS
+
+        def reader(index):
+            constants = ["a0", "a2", "t3", f"s{index}", "ghost"]
+            try:
+                while not stop.is_set() or reads[index] < 5:
+                    snap = state.snapshot
+                    for predicate in ("tc", "e"):
+                        block = snap.facts[predicate]
+                        for position in (index % 2, 1 - index % 2):
+                            value = constants[reads[index] % len(constants)]
+                            probed = sorted(
+                                f for f in block.matching([(position, value)])
+                                if f[position] == value
+                            )
+                            if probed != sorted(
+                                f for f in block if f[position] == value
+                            ):
+                                errors.append((index, "torn", snap.epoch))
+                                return
+                    edb = snap.edb["e"]
+                    for bound in ([(1, "t3")], [(0, "a0")], [(0, "s1"), (1, "t1")]):
+                        if sorted(edb.lookup(bound)) != sorted(
+                            f for f in edb if all(f[p] == v for p, v in bound)
+                        ):
+                            errors.append((index, "edb", snap.epoch))
+                            return
+                    status, payload = handlers.handle(
+                        "GET", "/query", {"q": 'tc("a0", Y)?', "engine": "magic"}
+                    )
+                    if status != 200 or sorted(payload["answers"]) != sorted(
+                        [["a0", f"a{i}"]
+                         for i in range(1, self.BASE + (payload["epoch"] + 1) // 2 + 1)]
+                    ):
+                        errors.append((index, "magic", status, payload))
+                        return
+                    reads[index] += 1
+            except Exception as exc:  # e.g. RuntimeError: dictionary changed size
+                errors.append((index, repr(exc)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(i,), daemon=True)
+                for i in range(self.READERS)
+            ]
+            for thread in threads:
+                thread.start()
+            for i in range(self.DELTAS):
+                # Odd epochs extend the chain; even ones drop a side edge
+                # and, every other time, compact: the chain of carried
+                # indexes breaks and first readers rebuild.
+                state.apply_delta(added={"e": [
+                    (f"a{self.BASE + i}", f"a{self.BASE + i + 1}")
+                ]})
+                state.apply_delta(removed={"e": [side[i]]})
+                if i % 2:
+                    state._result.database.compact()
+                time.sleep(0.002)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [], errors[:3]
+        assert all(count >= 5 for count in reads)
+        counters = state.metrics.snapshot()["counters"]
+        assert counters["serve.index_built"] >= 10  # chains broke, and were
+        assert counters["serve.index_carried"] >= 10  # picked up again
+
 
 # ---------------------------------------------------------------------------
 # Keep-alive connection reuse + /delta validation
@@ -712,6 +800,21 @@ def cache_keys(snap):
     return keys
 
 
+def built_indexes(snap):
+    """``(label, shape) -> (view, index)`` for every index built on (or
+    carried to) an epoch's column blocks and frozen relations."""
+    found = {}
+    for predicate, block in snap.facts.items():
+        for position, index in list(getattr(block, "_index", {}).items()):
+            found["block:" + predicate, (position,)] = (block, index)
+    for predicate, relation in snap.edb.items():
+        for position, index in list(relation._indexes.items()):
+            found["edb:" + predicate, (position,)] = (relation, index)
+        for positions, index in list(relation._composite.items()):
+            found["edb:" + predicate, positions] = (relation, index)
+    return found
+
+
 BACKENDS = pytest.mark.parametrize("columnar", [True, False])
 
 
@@ -802,6 +905,8 @@ class TestFrozenEdb:
 
     @BACKENDS
     def test_an_old_epoch_answers_as_the_old_epoch(self, columnar, monkeypatch):
+        import copy
+
         companies, inputs = registry_inputs(120)
         state = control_state(inputs, columnar)
         handlers = ServiceHandlers(state, cache=ResultCache(0))
@@ -812,6 +917,13 @@ class TestFrozenEdb:
             for subject in subjects
             for engine in ("magic", "snapshot")
         }
+        held_indexes = {
+            key: index for key, (_, index) in built_indexes(held).items()
+        }
+        held_contents = copy.deepcopy(held_indexes)
+        held_buckets = {key: dict(index) for key, index in held_indexes.items()}
+        assert ("edb:own", (0,)) in held_indexes
+        assert not columnar or ("block:controls", (0,)) in held_indexes
         # A stake that hands companies[0] a company it did not control,
         # then the removal of original stakes (tombstones in place).
         target = next(
@@ -824,6 +936,15 @@ class TestFrozenEdb:
         new = ask(handlers, companies[0], "magic")
         assert new["answers"] == ask(handlers, companies[0], "snapshot")["answers"]
         assert new["answers"] != old[companies[0], "magic"]
+        # Later epochs take the held epoch's indexes along and patch
+        # them (re-added stakes, new rows under old keys) copy-on-write.
+        for i, fact in enumerate(inputs["own"][:8]):
+            state.apply_delta(
+                added={"own": [fact, (companies[i % 3], companies[30 + i], 0.7)]}
+            )
+            for engine in ("magic", "snapshot"):
+                ask(handlers, companies[i % 3], engine)
+        assert state.snapshot.epoch == 10
         monkeypatch.setattr(
             ServeState, "snapshot", property(lambda self: held)
         )
@@ -831,6 +952,11 @@ class TestFrozenEdb:
             payload = ask(handlers, subject, engine)
             assert payload["epoch"] == 0
             assert payload["answers"] == answers, (subject, engine)
+        # The held epoch's index objects are the ones it had, unchanged.
+        now = built_indexes(held)
+        for key, index in held_indexes.items():
+            assert now[key][1] is index and index == held_contents[key], key
+            assert all(index[k] is b for k, b in held_buckets[key].items())
 
     def test_truncated_answers_are_not_cached(self):
         handlers = ServiceHandlers(make_state())
@@ -956,3 +1082,316 @@ class TestFrozenEdb:
         )
         final = {f for f in state.snapshot.facts["controls"] if f[0] != f[1]}
         assert final == expected
+
+
+# ---------------------------------------------------------------------------
+# Indexes carried from one epoch's frozen views to the next
+# ---------------------------------------------------------------------------
+
+
+def index_from_scratch(view, shape):
+    """``bucket_index`` over the view's own rows and live mask (called
+    directly: the views' build hooks count only what readers build)."""
+    from repro.vadalog.columnar import bucket_index
+
+    if hasattr(view, "carry_indexes"):
+        nrows = view._nrows
+        live = bytes(view._live) if view._ndead else None
+    else:
+        nrows, live = view._nrows, view._live
+    return bucket_index(
+        [view._cols[p][:nrows] for p in shape], live,
+        view._interner.eq_array(), tuple_keys=len(shape) > 1,
+    )
+
+
+def live_part(view, index):
+    live = view._live
+    kept = {
+        key: [r for r in rows if live is None or live[r]]
+        for key, rows in index.items()
+    }
+    return {key: rows for key, rows in kept.items() if rows}
+
+
+def index_counters(state):
+    counters = state.metrics.snapshot()["counters"]
+    return (
+        counters.get("serve.index_built", 0),
+        counters.get("serve.index_carried", 0),
+    )
+
+
+class TestEpochIndexes:
+    COMPANIES = 5000  # past 4096 rows: the vectorized build is the one used
+
+    def test_chained_epochs_answer_as_indexes_built_from_scratch(self, seed=0):
+        """≥50 deltas of every kind that touches a frozen view — adds,
+        removals, remove-then-re-add, a compaction, a spill and its
+        rehydration, facts supplied for a derived predicate: after each
+        epoch every carried index is, on live rows, the one built from
+        scratch, ``matching`` is the scan, and magic ≡ snapshot ≡ the
+        tuple backend."""
+        import random
+
+        rng = random.Random(seed)
+        companies, inputs = registry_inputs(self.COMPANIES)
+        supplied = [(companies[5], companies[6]), (companies[7], companies[8])]
+        inputs = dict(inputs, controls=supplied[:1])
+        state = control_state(inputs, True)
+        oracle = control_state(inputs, False)
+        handlers = ServiceHandlers(state, cache=ResultCache(0))
+        live_own = list(inputs["own"])
+        removed, breaks = [], 0
+        kinds = ["add"] * 4 + ["remove"] * 3 + ["readd"] * 2 + [
+            "compact", "spill", "supplied",
+        ]
+        for step in range(56):
+            kind = kinds[step] if step < len(kinds) else rng.choice(kinds)
+            added, gone = {}, {}
+            database = state._result.database
+            if kind == "remove" or (kind == "readd" and not removed):
+                fact = live_own.pop(rng.randrange(len(live_own)))
+                removed.append(fact)
+                gone = {"own": [fact]}
+            elif kind == "readd":
+                fact = removed.pop()
+                live_own.append(fact)
+                added = {"own": [fact]}
+            elif kind == "supplied":
+                fact = supplied[1]
+                if fact in oracle.snapshot.edb["controls"]:
+                    gone = {"controls": [fact]}
+                else:
+                    added = {"controls": [fact]}
+            else:
+                if kind == "compact":
+                    breaks += database.relation("own").has_dead_rows
+                    database.compact()
+                elif kind == "spill":
+                    database._ensure_store()
+                    victim = database.relation(rng.choice(["own", "controls"]))
+                    breaks += bool(victim.spill())
+                stakes = [
+                    (rng.choice(companies), rng.choice(companies),
+                     round(rng.uniform(0.2, 0.95), 3))
+                    for _ in range(rng.randrange(1, 4))
+                ]
+                live_own.extend(stakes)
+                added = {"own": stakes}
+            for target in (state, oracle):
+                target.apply_delta(added=added or None, removed=gone or None)
+            snap = state.snapshot
+            assert snap.epoch == step + 1 == oracle.snapshot.epoch
+
+            subjects = [f[0] for facts in (added, gone) for f in facts.get("own", ())]
+            subjects += [companies[5], companies[7], rng.choice(companies)]
+            for subject in subjects:
+                answers = ask(handlers, subject, "snapshot")["answers"]
+                assert answers == ask(handlers, subject, "magic")["answers"]
+                assert sorted(map(tuple, answers)) == sorted(
+                    f for f in oracle.snapshot.facts["controls"]
+                    if f[0] == subject
+                )
+            for label in ("controls", "own"):
+                block, subject = snap.facts[label], subjects[0]
+                assert sorted(
+                    f for f in block.matching([(0, subject)]) if f[0] == subject
+                ) == sorted(f for f in block if f[0] == subject)
+            if step % 14 == 0:
+                assert set(snap.facts["controls"]) == oracle.snapshot.facts["controls"]
+                assert set(snap.edb["own"]) == set(oracle.snapshot.edb["own"])
+            found = built_indexes(snap)
+            assert ("block:controls", (0,)) in found
+            assert ("edb:own", (0,)) in found
+            for (label, shape), (view, index) in found.items():
+                assert live_part(view, index) == index_from_scratch(
+                    view, shape
+                ), (step, kind, label, shape)
+        built, carried = index_counters(state)
+        assert carried >= 100
+        # Every break of the chain was paid for by a first reader, once.
+        assert breaks >= 2 and built >= breaks
+        database.close()
+
+    def test_an_epoch_re_indexes_nothing_it_did_not_change(self, monkeypatch):
+        """After one warm query per engine (and the writer's first add
+        and removal, which index its *live* relations, maintained in
+        place from then on), 20 deltas with queries in between build no
+        index over anything the size of the model: the counters say so,
+        and so do the build functions themselves."""
+        from repro.serve import state as serve_state
+        from repro.vadalog import columnar
+
+        companies, inputs = registry_inputs(self.COMPANIES)
+        state = control_state(inputs, True)
+        handlers = ServiceHandlers(state, cache=ResultCache(0))
+        state.apply_delta(added={"own": [(companies[1], companies[2], 0.9)]})
+        state.apply_delta(removed={"own": [inputs["own"][0]]})
+        for engine in ("magic", "snapshot"):
+            ask(handlers, companies[3], engine)
+        builds = []
+
+        def counted_bucket_index(cols, *args, _real=columnar.bucket_index, **kw):
+            builds.append(("bucket_index", len(cols[0])))
+            return _real(cols, *args, **kw)
+
+        def counted_build(self, *args, _real=columnar.ColumnarRelation._build_index, **kw):
+            builds.append((self.name, self._nrows))
+            return _real(self, *args, **kw)
+
+        monkeypatch.setattr(columnar, "bucket_index", counted_bucket_index)
+        monkeypatch.setattr(serve_state, "bucket_index", counted_bucket_index)
+        monkeypatch.setattr(columnar.ColumnarRelation, "_build_index", counted_build)
+        built, carried = index_counters(state)
+        own = inputs["own"]
+        for i in range(20):
+            if i % 4 == 3:
+                state.apply_delta(removed={"own": [own[i]]})
+            else:
+                state.apply_delta(added={
+                    "own": [(companies[10 + i], companies[40 + i], 0.8)]
+                })
+            magic = ask(handlers, companies[10 + i], "magic")
+            assert magic["answers"] == ask(
+                handlers, companies[10 + i], "snapshot"
+            )["answers"]
+            assert magic["epoch"] == i + 3
+        assert [b for b in builds if b[1] >= 1000] == []
+        after_built, after_carried = index_counters(state)
+        assert after_built == built
+        # ``own``'s frozen copy every epoch, ``controls``' block in those
+        # that changed it (an unchanged block is the same object).
+        assert after_carried >= carried + 20
+        counters = get(handlers, "/stats")[1]["metrics"]["counters"]
+        assert counters["serve.index_carried"] == after_carried
+        assert counters["serve.index_built"] == after_built
+
+    def test_a_compaction_is_one_rebuild_and_is_counted(self):
+        companies, inputs = registry_inputs(300)
+        state = control_state(inputs, True)
+        handlers = ServiceHandlers(state, cache=ResultCache(0))
+        subject = companies[4]
+        state.apply_delta(removed={"own": inputs["own"][:5]})
+        for engine in ("magic", "snapshot"):
+            ask(handlers, subject, engine)
+        built, _ = index_counters(state)
+        state._result.database.compact()
+        state.apply_delta(added={"own": [(subject, companies[9], 0.7)]})
+        assert built_indexes(state.snapshot) == {}  # renumbered: no carry
+        for _ in range(3):
+            for engine in ("magic", "snapshot"):
+                ask(handlers, subject, engine)
+        rebuilt, _ = index_counters(state)
+        assert rebuilt == built + len(built_indexes(state.snapshot)) > built
+        state.apply_delta(added={"own": [(subject, companies[11], 0.7)]})
+        for engine in ("magic", "snapshot"):
+            ask(handlers, subject, engine)
+        assert index_counters(state)[0] == rebuilt  # the chain holds again
+
+    def test_supplied_facts_for_a_derived_predicate_never_carry(self):
+        companies, inputs = registry_inputs(200)
+        inputs = dict(inputs, controls=[(companies[1], companies[2])])
+        state = control_state(inputs, True)
+        list(state.snapshot.edb["controls"].lookup([(0, companies[1])]))
+        assert ("edb:controls", (0,)) in built_indexes(state.snapshot)
+        state.apply_delta(added={"controls": [(companies[1], companies[3])]})
+        # ``reset`` into the copy renumbers: its first reader builds.
+        assert ("edb:controls", (0,)) not in built_indexes(state.snapshot)
+        assert sorted(
+            state.snapshot.edb["controls"].lookup([(0, companies[1])])
+        ) == [(companies[1], companies[2]), (companies[1], companies[3])]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @BACKENDS
+    def test_traversals_answer_as_the_whole_predicate_scan_did(
+        self, columnar, seed
+    ):
+        """/neighborhood and /path probe per frontier node; the payloads
+        are, byte for byte, those of the adjacency dicts they used to
+        build from a scan of the whole predicate."""
+        import random
+
+        rng = random.Random(seed)
+        nodes = [f"n{i}" for i in range(60)]
+        edges = sorted({
+            (rng.choice(nodes), rng.choice(nodes)) for _ in range(150)
+        })
+        state = ServeState(
+            TC, {"e": edges}, check_wardedness=False,
+            engine=Engine(columnar=columnar),
+        )
+        handlers = ServiceHandlers(state)
+        gone = rng.sample(edges, 10)
+        state.apply_delta(removed={"e": gone})
+        state.apply_delta(added={"e": gone[:4] + [("n1", "zz")]})
+
+        def adjacency(predicate):
+            forward, backward = {}, {}
+            for fact in state.snapshot.facts[predicate]:
+                forward.setdefault(fact[0], []).append(fact[1])
+                backward.setdefault(fact[1], []).append(fact[0])
+            return forward, backward
+
+        def scanned_neighborhood(predicate, node, depth, direction):
+            forward, backward = adjacency(predicate)
+            layers, seen, found = [[node]], {node}, []
+            for _ in range(depth):
+                frontier = []
+                for current in layers[-1]:
+                    neighbors = []
+                    if direction in ("out", "both"):
+                        neighbors += forward.get(current, ())
+                    if direction in ("in", "both"):
+                        neighbors += backward.get(current, ())
+                    for neighbor in neighbors:
+                        found.append([current, neighbor])
+                        if neighbor not in seen:
+                            seen.add(neighbor)
+                            frontier.append(neighbor)
+                if not frontier:
+                    break
+                layers.append(frontier)
+            return layers, found, len(seen)
+
+        def scanned_path(source, target):
+            forward, _ = adjacency("e")
+            parents, frontier = {source: None}, [source]
+            while frontier and target not in parents:
+                reached = []
+                for current in frontier:
+                    for neighbor in forward.get(current, ()):
+                        if neighbor not in parents:
+                            parents[neighbor] = current
+                            reached.append(neighbor)
+                            if neighbor == target:
+                                break
+                    if target in parents:
+                        break
+                frontier = reached
+            if target not in parents:
+                return None
+            path = [target]
+            while path[-1] != source:
+                path.append(parents[path[-1]])
+            return path[::-1]
+
+        for node in rng.sample(nodes, 12) + ["zz", "ghost"]:
+            for direction in ("out", "in", "both"):
+                for predicate, depth in (("e", 3), ("tc", 1)):
+                    status, payload = get(
+                        handlers, "/neighborhood", node=node,
+                        predicate=predicate, depth=depth, direction=direction,
+                    )
+                    assert status == 200
+                    assert json.dumps(
+                        [payload["layers"], payload["edges"], payload["visited"]]
+                    ) == json.dumps(list(
+                        scanned_neighborhood(predicate, node, depth, direction)
+                    )), (node, direction, predicate)
+            other = rng.choice(nodes)
+            status, payload = get(
+                handlers, "/path", **{"from": node, "to": other, "predicate": "e"}
+            )
+            assert status == 200
+            assert payload["path"] == scanned_path(node, other), (node, other)
