@@ -428,12 +428,11 @@ def cmd_stream(args) -> int:
         quarantine=quarantine,
     )
     try:
-        report = stream.run(resume=args.resume)
+        stream.run(resume=args.resume)
     except KeyboardInterrupt:
         stream.stop()
-        report = stream.report
         print("\ninterrupted; stream state is checkpointed", file=sys.stderr)
-    print(json.dumps(report.to_json(), indent=2))
+    print(json.dumps(stream.stats_summary(), indent=2))
     if args.quarantine:
         quarantine.save(args.quarantine)
         print(

@@ -236,6 +236,7 @@ class ServiceHandlers:
             "uptime_seconds": time.time() - self.started_at,
             "cache": self.cache.stats(),
             "metrics": self.metrics.snapshot(),
+            "store": self.state.store_rows(),
         }
         if self.stream is not None:
             payload["stream"] = self.stream.stats_summary()

@@ -382,6 +382,11 @@ class ServeState:
         """A frozen view's first reader built an index from scratch."""
         self.metrics.inc("serve.index_built")
 
+    def store_rows(self) -> Dict[str, int]:
+        """Live and tombstoned rows of the retained database."""
+        db = self._result.database
+        return {"live_rows": db.total_facts(), "dead_rows": db.dead_rows()}
+
     # -- reader API ---------------------------------------------------
 
     @property

@@ -286,7 +286,7 @@ class MaterializationCheckpoint:
         path = self._phase_path(phase)
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+            handle.write(json.dumps(payload))  # the C encoder, same bytes
         os.replace(tmp, path)
         self._manifest.setdefault("phases", {})[phase] = {
             "file": os.path.basename(path)

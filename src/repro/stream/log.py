@@ -5,7 +5,9 @@ after ack*:
 
 1. Every raw feed record is appended to the :class:`DeltaLog` —
    CRC32-framed JSON lines in segment files, flushed and ``fsync``'d
-   before the pipeline considers the record received.
+   before the pipeline considers the record received: one poll is one
+   *group commit*, its frames written in order and synced from its last
+   append, so a backlog pays a sync per poll, a trickle one per record.
 2. Batches are applied to the sink; only then is their highest log
    offset *acknowledged*.
 3. The :class:`StreamCheckpoint` periodically persists the acked
@@ -19,10 +21,15 @@ exact bytes that arrived, replay re-parses the same input — a record
 quarantined before the crash is quarantined identically after it, and
 the final state is bit-identical to a clean run over the same feed.
 
-Torn tails are expected: a crash can interrupt an append after the
-write but before the fsync completes.  Opening the log validates every
-record (CRC + JSON + monotone offsets) and truncates a torn tail *of
-the last segment only*; corruption anywhere else means lost
+Torn tails are expected: a crash can interrupt a poll's group after
+some of its writes but before the fsync completes.  What survives is a
+prefix of what was written — whole frames, then at most one torn one —
+and none of the group was applied, acknowledged or checkpointed, so
+losing its tail loses nothing: ``last_position`` is recomputed from the
+frames that survived and the feed is re-read from there.  Opening the
+log validates every record (CRC + JSON + monotone offsets) and
+truncates a torn tail *of the last segment only* (a segment is synced
+before the next one opens); corruption anywhere else means lost
 acknowledged history and raises :class:`~repro.errors.StreamError`.
 """
 
@@ -211,34 +218,30 @@ class DeltaLog:
 
     # -- append --------------------------------------------------------
     def _open_segment(self) -> IO[str]:
-        if (
-            self._handle is None
-            or self._segment_path is None
-            or self._segment_count >= self.segment_records
-        ):
+        if self._segment_path is None or self._segment_count >= self.segment_records:
             if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-            if (
-                self._segment_path is None
-                or self._segment_count >= self.segment_records
-            ):
-                name = f"{_SEGMENT_PREFIX}{self.next_offset:012d}{_SEGMENT_SUFFIX}"
-                self._segment_path = os.path.join(self.directory, name)
-                self._segment_count = 0
+                self._sync()  # a group may straddle the rotation
+                self.close()
+            name = f"{_SEGMENT_PREFIX}{self.next_offset:012d}{_SEGMENT_SUFFIX}"
+            self._segment_path = os.path.join(self.directory, name)
+            self._segment_count = 0
+        if self._handle is None:
             self._handle = open(self._segment_path, "a", encoding="utf-8")
         return self._handle
 
-    def append(self, position: int, text: str) -> LogRecord:
-        """Durably persist one raw feed record; returns its log record."""
-        record = LogRecord(
-            offset=self.next_offset, position=position, text=text
-        )
-        handle = self._open_segment()
-        handle.write(_frame(record) + "\n")
-        handle.flush()
+    def _sync(self) -> None:
+        self._handle.flush()
         if self.fsync:
-            os.fsync(handle.fileno())
+            os.fsync(self._handle.fileno())
+
+    def append(self, position: int, text: str, *, sync: bool = True) -> LogRecord:
+        """Persist one raw feed record; returns its log record.  It is
+        durable, with every frame written before it, once an append with
+        ``sync`` returns: a group passes False for all but its last."""
+        record = LogRecord(self.next_offset, position, text)
+        self._open_segment().write(_frame(record) + "\n")
+        if sync:
+            self._sync()
         self.next_offset += 1
         self.last_position = max(self.last_position, position)
         self._segment_count += 1
@@ -345,7 +348,7 @@ class StreamCheckpoint:
         }
         tmp = self.path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+            handle.write(json.dumps(payload))  # the C encoder, same bytes
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.path)

@@ -1,10 +1,10 @@
 """The durable streaming pipeline: feed -> log -> coalesce -> sink.
 
 One :class:`DeltaStream` pulls change records from a feed source,
-makes each record durable *before* applying it (append to the
-CRC-framed :class:`~repro.stream.log.DeltaLog`, fsync), coalesces a
-batch window of records into net operations, applies them through a
-sink, and only then acknowledges the batch.  A
+makes each poll's records durable *before* applying any of them (append
+to the CRC-framed :class:`~repro.stream.log.DeltaLog`, one fsync per
+poll), coalesces a batch window of records into net operations, applies
+them through a sink, and only then acknowledges the batch.  A
 :class:`~repro.stream.log.StreamCheckpoint` persists the sink state
 together with the acknowledged log offset, so after a crash —
 mid-batch, mid-fsync, anywhere — ``run(resume=True)`` restores the
@@ -230,6 +230,7 @@ class DeltaStream:
         summary["source"] = getattr(self.source, "name", "feed")
         summary["source_position"] = self._last_position
         summary["log_next_offset"] = self.log.next_offset
+        summary.update(self.sink.store_rows())
         return summary
 
     # ------------------------------------------------------------------
@@ -334,7 +335,10 @@ class DeltaStream:
             self._max_seq = seq
 
     def _pump(self) -> int:
+        """One poll: filter it, then log what it accepted as one group,
+        a write per record and one fsync, issued from the last append."""
         raws = self.source.poll()
+        accepted: List[Tuple[Any, FeedRecord]] = []
         for raw in raws:
             self.report.records_seen += 1
             self._last_position = raw.position
@@ -352,7 +356,11 @@ class DeltaStream:
             if reason is not None:
                 self._reject(record.key[0], record.payload, reason)
                 continue
-            entry = self.log.append(raw.position, raw.text)
+            accepted.append((raw, record))
+        for index, (raw, record) in enumerate(accepted, 1):
+            entry = self.log.append(
+                raw.position, raw.text, sync=index == len(accepted)
+            )
             self._pending.append((entry.offset, record, self._clock()))
         if raws:
             self.tracer.observe("stream.feed_lag_records", len(self._pending))

@@ -386,6 +386,13 @@ class MaterializerSink:
     def state_payload(self) -> Dict[str, Any]:
         return {"registry": graph_payload(self.data)}
 
+    def store_rows(self) -> Dict[str, int]:
+        """Live and tombstoned rows of the three retained databases."""
+        kept = self.materializer.retained
+        runs = (kept.result_load, kept.result_reason, kept.result_flush) if kept else ()
+        return {"live_rows": sum(r.database.total_facts() for r in runs),
+                "dead_rows": sum(r.database.dead_rows() for r in runs)}
+
     def restore(self, payload: Dict[str, Any]) -> None:
         try:
             self.data = restore_graph(payload["registry"])
@@ -570,6 +577,9 @@ class ServeStateSink:
         return json.dumps(
             {"mode": self.mode, "program": str(self._program)}, sort_keys=True
         )
+
+    def store_rows(self) -> Dict[str, int]:
+        return self.state.store_rows() if self.state is not None else {}
 
     def state_payload(self) -> Dict[str, Any]:
         snapshot = self.state.snapshot

@@ -54,7 +54,7 @@ import tempfile
 import threading
 from bisect import bisect_left
 from array import array
-from itertools import compress as _compress, islice as _islice
+from itertools import chain as _chain, compress as _compress, islice as _islice
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError
@@ -302,6 +302,13 @@ def bucket_index(
     return index
 
 
+def _row_key(positions: Any, cols: Sequence[array], eq: array, row: int) -> Any:
+    """The eq key an index over ``positions`` files ``row`` under."""
+    if positions.__class__ is tuple:
+        return tuple([eq[cols[p][row]] for p in positions])
+    return eq[cols[positions][row]]
+
+
 def carry_indexes(
     source: Dict[Any, Dict[Any, List[int]]], target: Dict[Any, Any],
     cols: Sequence[array], eq: array, start: int, stop: int,
@@ -317,10 +324,7 @@ def carry_indexes(
     for positions, index in built:
         carried = target[positions] = dict(index)
         for row in range(start, stop):
-            if positions.__class__ is tuple:
-                key = tuple([eq[cols[p][row]] for p in positions])
-            else:
-                key = eq[cols[positions][row]]
+            key = _row_key(positions, cols, eq, row)
             bucket = carried.get(key)
             carried[key] = [row] if bucket is None else bucket + [row]
     return len(built)
@@ -348,6 +352,7 @@ class ColumnarRelation:
         "_version",
         "_npcache",
         "_numbering",
+        "_graves",
         "_on_index_built",
     )
 
@@ -383,6 +388,9 @@ class ColumnarRelation:
         # Replaced whenever rows are renumbered, inherited by :meth:`copy`:
         # copies holding one mark number the rows they share alike.
         self._numbering = object()
+        # Replaced whenever the row table may have forgotten a tombstoned
+        # row (or rows are renumbered): graves older than it are void.
+        self._graves = object()
         #: Called once per index built from scratch, when set.
         self._on_index_built: Optional[Any] = None
 
@@ -502,6 +510,7 @@ class ColumnarRelation:
 
     def _rebuild_table(self) -> None:
         """Re-sort all live rows by hash and drop the overlay."""
+        self._graves = object()
         self._overlay = {}
         self._overlay_count = 0
         n = self._nrows
@@ -888,18 +897,59 @@ class ColumnarRelation:
         at engine safe points.  This keeps every maintenance step O(1)
         — the tuple backend paid an O(bucket) ``list.remove`` here.
         """
+        return self._tombstone(fact) >= 0
+
+    def _tombstone(self, fact: Fact) -> int:
         if self._spilled:
             self._ensure_resident()
         eqrow = self._probe_eqrow(tuple(fact))
         if eqrow is None:
-            return False
+            return -1
         row = self._find(_fnv(eqrow), eqrow)
-        if row < 0:
-            return False
-        self._live[row] = 0
-        self._ndead += 1
+        if row >= 0:
+            self._flip(row, 0)
+        return row
+
+    def _flip(self, row: int, live: int) -> None:
+        self._live[row] = live
+        self._ndead += 1 - 2 * live
         self._version += 1
+
+    def bury(self, fact: Fact) -> Optional[Tuple[Any, int, int]]:
+        """:meth:`remove`, returning the *grave* that :meth:`unbury`
+        needs to show the fact again by setting its row's live byte —
+        no hashing, no new row.  None when there is nothing to revive:
+        the fact was absent, or the row holds another member of its
+        ``==`` class (``True`` for ``1``) than an ``add`` would store."""
+        row = self._tombstone(fact)
+        probe = self._interner.probe
+        if row < 0 or any(c[row] != probe(v) for c, v in zip(self._cols, fact)):
+            return None
+        return self._graves, row, len(self._indexes) + len(self._composite)
+
+    def unbury(self, grave: Tuple[Any, int, int]) -> bool:
+        """Revive a buried row, until :meth:`rebury`; False — the caller
+        adds the fact instead — once the row table has forgotten it.
+        Call with no index iterator alive."""
+        mark, row, built = grave
+        if mark is not self._graves or self._live[row]:
+            return False
+        if built != len(self._indexes) + len(self._composite):
+            # An index built while the row was dead does not name it.
+            eq = self._interner.eq
+            for positions, buckets in _chain(
+                self._indexes.items(), self._composite.items()
+            ):
+                key = _row_key(positions, self._cols, eq, row)
+                bucket = buckets.setdefault(key, [])
+                at = bisect_left(bucket, row)
+                if bucket[at:at + 1] != [row]:
+                    bucket.insert(at, row)
+        self._flip(row, 1)
         return True
+
+    def rebury(self, grave: Tuple[Any, int, int]) -> None:
+        self._flip(grave[1], 0)
 
     def reset(self, facts: Iterable[Iterable[Any]]) -> None:
         """Replace the whole extension; indexes rebuild lazily."""
@@ -920,7 +970,7 @@ class ColumnarRelation:
         self._spilled = False
         self._version += 1
         self._npcache = None
-        self._numbering = object()
+        self._numbering = self._graves = object()
 
     def freeze(self) -> "ColumnarRelation":
         """Make this relation read-only, for good; returns it.  Every
@@ -1124,6 +1174,10 @@ class ColumnarRelation:
     def has_dead_rows(self) -> bool:
         return self._ndead > 0
 
+    @property
+    def dead_rows(self) -> int:
+        return self._ndead
+
     def all_rows(self) -> Iterator[int]:
         self._ensure_resident()
         live = self._live
@@ -1238,7 +1292,7 @@ class ColumnarRelation:
 class _FrozenColumnarRelation(ColumnarRelation):
     __slots__ = ()
     add = add_many = add_many_report = add_columns = refuse_write
-    remove = reset = compact = spill = refuse_write
+    remove = bury = unbury = rebury = reset = compact = spill = refuse_write
 
 
 class SpillStore:

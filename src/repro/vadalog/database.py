@@ -142,6 +142,10 @@ class Relation:
                     del index2[key]
         return True
 
+    def bury(self, fact: Fact) -> None:
+        """:meth:`remove`: no row to revive here, so no grave."""
+        self.remove(fact)
+
     def reset(self, facts: Iterable[Iterable[Any]]) -> None:
         """Replace the whole extension; indexes rebuild lazily."""
         self._facts = {tuple(fact) for fact in facts}
@@ -463,6 +467,10 @@ class Database:
         for relation in self._owned():
             if not relation.spilled:
                 relation.compact()
+
+    def dead_rows(self) -> int:
+        """Tombstoned rows its own columnar relations still hold."""
+        return sum(r.dead_rows for r in self._owned()) if self.columnar else 0
 
     def close(self) -> None:
         """Release the spill store (if one was opened)."""

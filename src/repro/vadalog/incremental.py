@@ -17,8 +17,9 @@ change:
 
 - **Deletions** run DRed (delete/re-derive): the downward closure of
   the retracted facts is over-deleted with the same join plans (the
-  removed facts are temporarily re-added so the closure joins see the
-  *old* world), then each over-deleted fact gets a goal-directed
+  closure joins see the *old* world: the rows the removed facts left
+  tombstoned are live for their duration — a byte set and cleared per
+  fact, no new row), then each over-deleted fact gets a goal-directed
   re-derivation attempt through :meth:`RulePlans.rederive_plan` — by
   every rule that writes its predicate — and survivors cascade through
   the normal insertion pass.  A **monotone aggregate** takes part
@@ -146,7 +147,7 @@ class MaterializedState:
     __slots__ = (
         "program", "working", "strata", "database", "nulls", "skolems",
         "edb", "aggregates", "engine",
-        "updates_applied",
+        "updates_applied", "joined",
     )
 
     def __init__(
@@ -168,6 +169,10 @@ class MaterializedState:
         self.aggregates: Dict[Rule, _AggregateState] = {}
         self.engine: Any = None
         self.updates_applied = 0
+        #: What some stratum reads or writes: a delta on it is joined.
+        self.joined: Set[str] = set()
+        for stratum in self.strata:
+            self.joined.update(*_stratum_reads(stratum), _head_predicates(stratum.rules))
 
     # -- hooks called by the engine -------------------------------------
     def store_aggregate(
@@ -533,19 +538,26 @@ def _classify_stratum(
 # ---------------------------------------------------------------------------
 
 
-#: Changed facts per predicate, each set a ``dict`` in join order.
-Changes = Dict[str, Dict[Fact, None]]
+#: Changed facts per predicate, each set a ``dict`` in join order; a
+#: removed fact maps to the grave its relation's ``bury`` returned.
+Changes = Dict[str, Dict[Fact, Any]]
 
 
-def _ordered(changes: Dict[str, Iterable[Fact]]) -> Changes:
-    """The non-empty fact sets of ``changes`` in ``fact_sort_key`` order.
+def _ordered(
+    changes: Dict[str, Iterable[Fact]], joined: Optional[Set[str]] = None
+) -> Changes:
+    """The non-empty fact sets of ``changes`` in ``fact_sort_key`` order
+    (only those of the predicates ``joined``, when given).
 
     Delta facts are joined in that order, so that neither the ordinals
     of the nulls they mint nor the row order of what they derive depends
     on the hash seed; sorted once per round, not once per rule.
     """
     return {
-        predicate: dict.fromkeys(sorted(facts, key=fact_sort_key))
+        predicate: dict.fromkeys(
+            sorted(facts, key=fact_sort_key)
+            if joined is None or predicate in joined else facts
+        )
         for predicate, facts in changes.items()
         if facts
     }
@@ -913,9 +925,12 @@ def _overdelete_joins(
 ]:
     """Downward closure of the removed facts through this stratum's rules.
 
-    The removed seeds are temporarily re-added so the closure joins see
-    the *old* world (a derivation needing two removed facts must still
-    find both); new facts already inserted this update can only add
+    The closure joins see the *old* world (a derivation needing two
+    removed facts must still find both): while they run the removed
+    seeds are live again, by ``unbury`` of the row each left — re-added
+    and buried anew only where the relation forgot the row.  No seed is
+    in its relation (the net cancels a fact derived again), so none
+    shows twice.  New facts already inserted this update can only add
     matches, i.e. extra over-deletion that re-derivation corrects.
     Facts a negated predicate gained (``negated_gains``) retract, like a
     removal, the matches of the keys they name.
@@ -928,14 +943,16 @@ def _overdelete_joins(
     among them, and the touched groups per aggregate rule.
     """
     read, _ = _stratum_reads(stratum)
-    restore: List[Tuple[str, Fact]] = []
-    for predicate, facts in removed_seeds.items():
+    shown: List[Tuple[Any, Dict[Fact, Any], Fact, Any]] = []
+    for predicate, graves in removed_seeds.items():
         if predicate not in read:
             continue  # a head-only seed: a candidate, joined by nothing
         relation = db.relation(predicate)
-        for fact in facts:
-            if relation.add(fact):
-                restore.append((predicate, fact))
+        for fact, grave in graves.items():
+            if grave is not None and relation.unbury(grave):
+                shown.append((relation, graves, fact, grave))
+            elif relation.add(fact):
+                shown.append((relation, graves, fact, None))
     marked: Dict[str, Set[Fact]] = {}
     firings: Dict[Firing, None] = {}
     touched: Dict[Rule, Dict[Tuple[Any, ...], None]] = {}
@@ -982,8 +999,11 @@ def _overdelete_joins(
                 marked.setdefault(predicate, set()).update(facts)
             frontier = _ordered(found)
     finally:
-        for predicate, fact in restore:
-            db.relation(predicate).remove(fact)
+        for relation, graves, fact, grave in shown:
+            if grave is None:
+                graves[fact] = relation.bury(fact)  # later strata flip it
+            else:
+                relation.rebury(grave)
     return marked, firings, touched
 
 
@@ -1019,7 +1039,7 @@ def _deletion_pass(
     negated_gains: Changes,
     stats: Any,
     added_now: Dict[str, Set[Fact]],
-    removed_now: Dict[str, Set[Fact]],
+    removed_now: Changes,
     result: DeltaResult,
 ) -> Dict[str, Set[Fact]]:
     """DRed one stratum; returns the re-derived facts (insertion seeds).
@@ -1034,9 +1054,9 @@ def _deletion_pass(
     )
     for predicate, facts in marked.items():
         relation = db.relation(predicate)
+        graves = removed_now.setdefault(predicate, {})
         for fact in facts:
-            relation.remove(fact)
-        removed_now.setdefault(predicate, set()).update(facts)
+            graves[fact] = relation.bury(fact)
     result.overdeleted += sum(len(facts) for facts in marked.values())
     nulls = state.nulls
     held = {
@@ -1107,7 +1127,7 @@ def _recompute_stratum(
     db: Database,
     stats: Any,
     added_now: Dict[str, Set[Fact]],
-    removed_now: Dict[str, Set[Fact]],
+    removed_now: Changes,
 ) -> None:
     """Re-run one stratum from its boundary (the non-monotone fallback).
 
@@ -1140,7 +1160,7 @@ def _recompute_stratum(
         if gained:
             added_now.setdefault(predicate, set()).update(gained)
         if lost:
-            removed_now.setdefault(predicate, set()).update(lost)
+            removed_now.setdefault(predicate, {}).update(dict.fromkeys(lost))
 
 
 # ---------------------------------------------------------------------------
@@ -1159,41 +1179,46 @@ def _normalize(
     }
 
 
-def _restrict(
-    changes: Dict[str, Set[Fact]], predicates: Set[str]
-) -> Dict[str, Set[Fact]]:
-    return {p: facts for p, facts in changes.items() if p in predicates}
+def _restrict(changes: Changes, predicates: Set[str]) -> Changes:
+    """The non-empty buckets of ``predicates`` — the objects, in the
+    order they are in: a stratum joins them as they are."""
+    return {p: facts for p, facts in changes.items() if facts and p in predicates}
 
 
 def _merge_net(
-    pending_add: Dict[str, Set[Fact]],
-    pending_remove: Dict[str, Set[Fact]],
+    pending_add: Changes,
+    pending_remove: Changes,
     gained: Dict[str, Set[Fact]],
-    lost: Dict[str, Set[Fact]],
+    lost: Changes,
+    joined: Set[str],
 ) -> None:
-    """Fold one stratum's net changes into the running per-update net.
+    """Fold one stratum's net changes into the running per-update net,
+    a bucket some stratum joins (``joined``) re-sorted when it grows
+    (``_ordered``'s order): a delta is sorted once, not once per reader.
 
     A fact that reappears after being removed (or vanishes after being
     added) earlier in the same update cancels out — downstream strata
     and the caller only ever see net changes relative to the pre-update
     state.
     """
-    for predicate, facts in lost.items():
-        added_bucket = pending_add.get(predicate)
-        removed_bucket = pending_remove.setdefault(predicate, set())
-        for fact in facts:
-            if added_bucket and fact in added_bucket:
-                added_bucket.discard(fact)
-            else:
-                removed_bucket.add(fact)
-    for predicate, facts in gained.items():
-        removed_bucket = pending_remove.get(predicate)
-        added_bucket = pending_add.setdefault(predicate, set())
-        for fact in facts:
-            if removed_bucket and fact in removed_bucket:
-                removed_bucket.discard(fact)
-            else:
-                added_bucket.add(fact)
+    for mine, theirs, changes in (
+        (pending_remove, pending_add, lost),
+        (pending_add, pending_remove,
+         {p: dict.fromkeys(facts) for p, facts in gained.items()}),
+    ):
+        for predicate, facts in changes.items():
+            cancelled = theirs.get(predicate, {})
+            bucket = mine.setdefault(predicate, {})
+            size = len(bucket)
+            for fact, grave in facts.items():
+                if fact in cancelled:
+                    del cancelled[fact]
+                else:
+                    bucket[fact] = grave
+            if len(bucket) > size and predicate in joined:
+                mine[predicate] = {
+                    fact: bucket[fact] for fact in sorted(bucket, key=fact_sort_key)
+                }
 
 
 def apply_delta(
@@ -1249,16 +1274,13 @@ def apply_delta(
     try:
         # ---- extensional changes -------------------------------------
         requested_add: Dict[str, List[Fact]] = {}
-        pending_remove: Dict[str, Set[Fact]] = {}
+        requested_remove: Dict[str, Set[Fact]] = {}
         for predicate, facts in remove_request.items():
-            edb_facts = state.edb.get(predicate)
-            for fact in facts:
-                if edb_facts and fact in edb_facts:
-                    pending_remove.setdefault(predicate, set()).add(fact)
-                else:
-                    delta_result.skipped_removals += 1
+            edb_facts = state.edb.get(predicate, ())
+            held = requested_remove[predicate] = {f for f in facts if f in edb_facts}
+            delta_result.skipped_removals += len(facts) - len(held)
         for predicate, facts in add_request.items():
-            removed_bucket = pending_remove.get(predicate)
+            removed_bucket = requested_remove.get(predicate)
             for fact in facts:
                 if removed_bucket and fact in removed_bucket:
                     # Removed and re-added in one delta: a net no-op.
@@ -1266,26 +1288,23 @@ def apply_delta(
                 elif fact not in state.edb.get(predicate, ()):
                     requested_add.setdefault(predicate, []).append(fact)
 
-        for predicate, facts in pending_remove.items():
-            edb_facts = state.edb.get(predicate)
+        # The running net: what some stratum joins is sorted here, and
+        # in ``_merge_net`` as it grows.
+        joined = state.joined
+        pending_remove = _ordered(requested_remove, joined)
+        for predicate, graves in pending_remove.items():
             relation = db.relation(predicate)
-            for fact in facts:
-                relation.remove(fact)
-                if edb_facts:
-                    edb_facts.discard(fact)
-        pending_add: Dict[str, Set[Fact]] = {}
+            for fact in graves:
+                graves[fact] = relation.bury(fact)
+            state.edb[predicate].difference_update(graves)
+        new_facts: Dict[str, Set[Fact]] = {}
         for predicate, facts in requested_add.items():
-            edb_bucket = state.edb.setdefault(predicate, set())
-            new: Set[Fact] = set()
-            for fact in facts:
-                edb_bucket.add(fact)
-                if db.add(predicate, fact):
-                    new.add(fact)
+            state.edb.setdefault(predicate, set()).update(facts)
             # Facts already derivable need no propagation, but still
             # count as extensional now; only genuinely-new facts seed
             # the chase.
-            if new:
-                pending_add[predicate] = new
+            new_facts[predicate] = {f for f in facts if db.add(predicate, f)}
+        pending_add = _ordered(new_facts, joined)
 
         if not pending_add and not pending_remove:
             delta_result.strata_skipped = len(state.strata)
@@ -1302,7 +1321,7 @@ def apply_delta(
                 delta_result.strata_skipped += 1
                 continue
             added_now: Dict[str, Set[Fact]] = {}
-            removed_now: Dict[str, Set[Fact]] = {}
+            removed_now: Changes = {}
             if mode == _RECOMPUTE:
                 try:
                     _recompute_stratum(
@@ -1322,11 +1341,11 @@ def apply_delta(
                 pos_reads, neg_reads = _stratum_reads(stratum)
                 # A fact a negated predicate gained retracts like a
                 # removal, one it lost derives like an addition.
-                removal_seeds = _ordered(_restrict(
+                removal_seeds = _restrict(
                     pending_remove,
                     pos_reads | _head_predicates(stratum.rules),
-                ))
-                negated_gains = _ordered(_restrict(pending_add, neg_reads))
+                )
+                negated_gains = _restrict(pending_add, neg_reads)
                 rederived: Dict[str, Set[Fact]] = {}
                 try:
                     if removal_seeds or negated_gains:
@@ -1350,11 +1369,13 @@ def apply_delta(
                                 )
                                 dred_span.__exit__(None, None, None)
                     seeds = _restrict(pending_add, pos_reads)
-                    for predicate, facts in rederived.items():
-                        seeds[predicate] = seeds.get(predicate, set()) | facts
+                    seeds.update(_ordered({
+                        predicate: facts.union(seeds.get(predicate, ()))
+                        for predicate, facts in rederived.items()
+                    }))
                     _insertion_pass(
-                        engine, state, stratum, db, _ordered(seeds),
-                        _ordered(_restrict(pending_remove, neg_reads)),
+                        engine, state, stratum, db, seeds,
+                        _restrict(pending_remove, neg_reads),
                         local, added_now,
                     )
                 finally:
@@ -1362,7 +1383,9 @@ def apply_delta(
                     state.nulls.reclaim = {}
                 delta_result.strata_incremental += 1
             if added_now or removed_now:
-                _merge_net(pending_add, pending_remove, added_now, removed_now)
+                _merge_net(
+                    pending_add, pending_remove, added_now, removed_now, joined
+                )
             if governor is not None:
                 violation = governor.check(local)
                 if violation is not None:
@@ -1373,12 +1396,8 @@ def apply_delta(
                         stats=local,
                     )
 
-        delta_result.added = {
-            p: facts for p, facts in pending_add.items() if facts
-        }
-        delta_result.removed = {
-            p: facts for p, facts in pending_remove.items() if facts
-        }
+        delta_result.added = {p: set(f) for p, f in pending_add.items() if f}
+        delta_result.removed = {p: set(f) for p, f in pending_remove.items() if f}
         return delta_result
     finally:
         delta_result.elapsed_seconds = time.perf_counter() - start

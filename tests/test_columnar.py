@@ -228,6 +228,99 @@ class TestColumnarRelationFacade:
         assert len(rel) == 0
 
 
+class TestUnbury:
+    """DRed's old world: ``bury`` leaves a grave, ``unbury`` sets the
+    row's live byte again instead of re-inserting the fact."""
+
+    @staticmethod
+    def relation():
+        rel = ColumnarRelation("p", interner=ValueInterner())
+        rel.add_many([(f"a{i}", f"b{i % 3}", i) for i in range(9)])
+        return rel
+
+    def test_a_row_buried_before_its_indexes_were_built_is_seen_once(self):
+        rel = self.relation()
+        fact = ("a4", "b1", 4)
+        grave = rel.bury(fact)
+        assert grave is not None and fact not in rel and len(rel) == 8
+        # Both indexes are built while the row is dead: neither names it.
+        assert list(rel.lookup([(1, "b1")])) == [("a1", "b1", 1), ("a7", "b1", 7)]
+        assert list(rel.lookup_key((0, 1), ("a4", "b1"))) == []
+        rows = rel._nrows
+        assert rel.unbury(grave)
+        assert rel._nrows == rows and len(rel) == 9 and fact in rel
+        assert list(rel).count(fact) == 1
+        assert list(rel.lookup([(1, "b1")])) == [
+            ("a1", "b1", 1), fact, ("a7", "b1", 7)
+        ]
+        assert list(rel.lookup_key((0, 1), ("a4", "b1"))) == [fact]
+        assert list(rel.lookup_key((0,), ("a4",))) == [fact]  # built live
+        # What a from-scratch build holds, bucket for bucket.
+        for positions in ((1,), (0, 1), (0,)):
+            assert _live_index(rel, positions) == _scratch_index(rel, positions)
+        rel.unbury(grave)  # idempotent: the row is live
+        assert list(rel).count(fact) == 1
+        rel.rebury(grave)
+        assert fact not in rel and len(rel) == 8
+        assert list(rel.lookup_key((0, 1), ("a4", "b1"))) == []
+
+    def test_row_order_survives_unbury_and_rebury(self):
+        rel = self.relation()
+        before = list(rel)
+        graves = [rel.bury(fact) for fact in before[2:5]]
+        assert all(rel.unbury(grave) for grave in graves)
+        assert list(rel) == before and rel._nrows == 9
+        for grave in graves:
+            rel.rebury(grave)
+        assert list(rel) == before[:2] + before[5:]
+        assert rel.dead_rows == 3
+
+    @pytest.mark.parametrize("forget", ["compact", "_rebuild_table", "reset"])
+    def test_a_forgotten_row_is_refused_and_a_plain_add_takes_over(self, forget):
+        rel = self.relation()
+        fact = ("a4", "b1", 4)
+        grave = rel.bury(fact)
+        if forget == "reset":
+            rel.reset([f for f in self.relation() if f != fact])
+        else:
+            getattr(rel, forget)()
+        assert not rel.unbury(grave)
+        assert fact not in rel
+        assert rel.add(fact) and list(rel).count(fact) == 1
+        # The new row has a grave of its own.
+        assert rel.unbury(rel.bury(fact)) and fact in rel
+
+    def test_members_of_one_eq_class_are_not_revived_into_each_other(self):
+        for stored, asked in ((True, 1), (1, True), (True, 1.0), (1.0, True)):
+            rel = ColumnarRelation("p", interner=ValueInterner())
+            rel.add(("x", stored))
+            rel._interner.encode(asked)
+            assert rel.bury(("x", asked)) is None  # removed, no grave
+            assert len(rel) == 0
+            assert rel.add(("x", asked))
+            (fact,) = rel
+            assert fact[1] is asked or type(fact[1]) is type(asked)
+        # 1 and 1.0 are one value to the chase (one exact code).
+        rel = ColumnarRelation("p", interner=ValueInterner())
+        rel.add(("x", 1))
+        assert rel.unbury(rel.bury(("x", 1.0)))
+        assert rel.bury(("x", 2)) is None  # absent
+
+    def test_the_tuple_backend_keeps_no_grave(self):
+        rel = Relation("p")
+        rel.add(("a", "b"))
+        assert rel.bury(("a", "b")) is None and len(rel) == 0
+
+    def test_a_frozen_relation_refuses(self):
+        rel = self.relation()
+        grave = rel.bury(("a4", "b1", 4))
+        rel.freeze()
+        for call in (lambda: rel.unbury(grave), lambda: rel.rebury(grave),
+                     lambda: rel.bury(("a1", "b1", 1))):
+            with pytest.raises(EvaluationError):
+                call()
+
+
 class TestLookupSemanticEquality:
     """Regression (satellite): ``lookup`` must not equate 1/1.0/True."""
 

@@ -831,6 +831,72 @@ class TestMaterializerUpdate:
                 _reference(expected).instance.data
             )
 
+    def test_the_old_world_appends_no_row(self, retained, monkeypatch):
+        """40 chained remove / re-add / replace deltas, by count: every
+        row the three retained databases grow by is a fact the net delta
+        added or an over-deleted one that came back — the old world of
+        the over-deletion joins costs a byte per seed, no row and no
+        tombstone — and the result is a from-scratch materialize."""
+        from repro.vadalog import incremental
+
+        materializer, _report = retained
+        kept = materializer.retained
+        results = (kept.result_load, kept.result_reason, kept.result_flush)
+
+        def rows(database):
+            return sum(r._nrows for r in database._relations.values())
+
+        real_joins = incremental._overdelete_joins
+
+        def joins(engine, state, stratum, db, *rest):
+            before = rows(db), db.dead_rows()
+            try:
+                return real_joins(engine, state, stratum, db, *rest)
+            finally:
+                assert (rows(db), db.dead_rows()) == before
+
+        monkeypatch.setattr(incremental, "_overdelete_joins", joins)
+
+        expected = _owns_graph()
+        rng = random.Random(7)
+        names = ("B1", "B2", "B3")
+        pairs = [(a, b) for a in names for b in names if a != b]
+        revived = 0
+        for step in range(40):
+            pair = rng.choice(pairs)
+            held = [e.id for e in expected.edges("OWNS")
+                    if (e.source, e.target) == pair]
+            remove = [e.id for e in kept.data.edges("OWNS")
+                      if (e.source, e.target) == pair]
+            add = []
+            if not held or step % 3:  # re-add, or replace in one delta
+                share = rng.choice((0.2, 0.35, 0.55, 0.7))
+                add = [(f"s{step}", *pair, "OWNS", {"percentage": share})]
+            starts = [rows(result.database) for result in results]
+            outcome = materializer.update(
+                RegistryDelta(add_edges=add, remove_edges=remove)
+            )
+            assert outcome.strata_recomputed == 0, outcome.recompute_reasons
+            deltas = (
+                outcome.delta_load, outcome.delta_reason, outcome.delta_flush
+            )
+            for result, start, delta in zip(results, starts, deltas):
+                grown = rows(result.database) - start
+                # (An over-deleted fact that comes back takes a new row.)
+                assert 0 <= grown - delta.total_added <= delta.overdeleted
+            revived += sum(delta.overdeleted for delta in deltas)
+            for edge_id in held:
+                expected.remove_edge(edge_id)
+            for edge_id, source, target, label, properties in add:
+                expected.add_edge(
+                    source, target, label, edge_id=edge_id, **properties
+                )
+            if step % 8 == 7:
+                assert _canon_graph(outcome.instance.data) == _canon_graph(
+                    _reference(expected).instance.data
+                )
+        assert revived  # the deltas did over-delete: the joins ran
+
     def test_update_requires_retained_run(self, company_schema, owns_instance):
         materializer = IntensionalMaterializer()
         materializer.materialize(

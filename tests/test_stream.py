@@ -4,6 +4,7 @@ coalescing, both sinks, backpressure, and the crash/resume differential
 battery (a resumed stream must be bit-identical, on every deployed
 backend, to a clean batch run over the final registry)."""
 
+import io
 import json
 import os
 
@@ -309,6 +310,11 @@ class TestStreamCheckpoint:
         assert payload["acked_offset"] == 9
         assert payload["source_position"] == 123
         assert payload["state"] == {"k": [1, 2]}
+        # ``json.dumps`` (the C encoder) writes what ``json.dump`` wrote.
+        streamed = io.StringIO()
+        json.dump(payload, streamed)
+        with open(checkpoint.path, encoding="utf-8") as handle:
+            assert handle.read() == streamed.getvalue()
 
     def test_fingerprint_mismatch_raises(self, tmp_path):
         checkpoint = StreamCheckpoint(str(tmp_path))
@@ -322,6 +328,193 @@ class TestStreamCheckpoint:
     def test_missing_checkpoint_raises(self, tmp_path):
         with pytest.raises(StreamError):
             StreamCheckpoint(str(tmp_path)).load("fp")
+
+
+# ---------------------------------------------------------------------------
+# Group commit: one fsync per poll, still log before apply
+# ---------------------------------------------------------------------------
+
+class SmallPolls(GeneratorFeed):
+    """A feed that hands over at most ``size`` records per poll."""
+
+    def __init__(self, records, size):
+        super().__init__(records)
+        self.size = size
+
+    def poll(self, max_records=256):
+        return super().poll(min(max_records, self.size))
+
+
+class Crash(Exception):
+    pass
+
+
+def segment_files(directory):
+    return sorted(
+        os.path.join(str(directory), name)
+        for name in os.listdir(str(directory)) if name.endswith(".log")
+    )
+
+
+class TestGroupCommit:
+    @pytest.fixture()
+    def fsyncs(self, monkeypatch):
+        """Every ``os.fsync`` the log module issues, as ``(inode, size)``
+        of the file at that moment (checkpoints sync through it too)."""
+        import repro.stream.log as log_module
+
+        calls = []
+
+        def fsync(fd):
+            status = os.fstat(fd)
+            calls.append((status.st_ino, status.st_size))
+
+        monkeypatch.setattr(log_module.os, "fsync", fsync)
+        return calls
+
+    def test_a_backlog_syncs_once_per_poll_and_before_every_apply(
+        self, tmp_path, fsyncs, monkeypatch
+    ):
+        log_dir = tmp_path / "log"
+        sink = serve_sink()
+        feed = fact_feed(
+            [(i + 1, "assert", "e", (f"n{i}", f"n{i + 1}")) for i in range(512)]
+        )
+        events = []
+        real_append, real_poll, real_apply = (
+            DeltaLog.append, feed.poll, sink.apply
+        )
+
+        def append(self, *args, **kwargs):
+            before = len(fsyncs)
+            entry = real_append(self, *args, **kwargs)
+            events.append(("append", len(fsyncs) - before))
+            return entry
+
+        def poll(*args, **kwargs):
+            raws = real_poll(*args, **kwargs)
+            if raws:
+                events.append(("poll", len(raws)))
+            return raws
+
+        def apply(batch, quarantine):
+            events.append(("apply", 0))
+            return real_apply(batch, quarantine)
+
+        monkeypatch.setattr(DeltaLog, "append", append)
+        feed.poll, sink.apply = poll, apply
+        report = DeltaStream(feed, sink, str(log_dir), batch_window=64).run()
+        assert report.batches_applied == 8 and report.records_seen == 512
+
+        polls = [count for kind, count in events if kind == "poll"]
+        synced = [count for kind, count in events if kind == "append"]
+        assert len(synced) == 512 and sum(synced) == len(polls) == 2
+        # Nothing is applied while a written frame is still unsynced.
+        unsynced = 0
+        for kind, count in events:
+            if kind == "append":
+                unsynced = 0 if count else unsynced + 1
+            elif kind == "apply":
+                assert unsynced == 0
+        # Every log sync saw the whole group in the file.
+        (segment,) = segment_files(log_dir)
+        inode = os.stat(segment).st_ino
+        sizes = [size for ino, size in fsyncs if ino == inode]
+        assert len(sizes) == 2 and sizes[-1] == os.path.getsize(segment)
+
+    def test_fsync_false_still_means_none(self, tmp_path, fsyncs):
+        log = DeltaLog(str(tmp_path), segment_records=3, fsync=False)
+        for i in range(8):
+            log.append(i + 1, f"record-{i}", sync=i == 7)
+        log.close()
+        assert fsyncs == []
+        assert DeltaLog(str(tmp_path), fsync=False).next_offset == 8
+
+    def test_a_rotation_inside_a_group_syncs_the_segment_it_closes(
+        self, tmp_path, fsyncs
+    ):
+        log = DeltaLog(str(tmp_path), segment_records=3)
+        for i in range(8):  # one poll of 8: only the last append syncs
+            log.append(i + 1, f"record-{i}", sync=i == 7)
+        log.close()
+        segments = segment_files(tmp_path)
+        assert len(segments) == 3
+        # In segment order, each once, each with all its frames written.
+        assert fsyncs == [
+            (os.stat(path).st_ino, os.path.getsize(path)) for path in segments
+        ]
+        reopened = DeltaLog(str(tmp_path), segment_records=3)
+        assert reopened.next_offset == 8 and reopened.last_position == 8
+        assert [r.offset for r in reopened.replay()] == list(range(8))
+
+    def test_a_group_cut_in_the_middle_recovers_to_its_last_whole_frame(
+        self, tmp_path
+    ):
+        log = DeltaLog(str(tmp_path), fsync=False)
+        log.append(1, "record-0")
+        for i in range(1, 6):
+            log.append(i + 1, f"record-{i}", sync=i == 5)
+        log.close()
+        (path,) = segment_files(tmp_path)
+        with open(path, "rb") as handle:
+            frames = handle.read().splitlines(keepends=True)
+        with open(path, "wb") as handle:  # frames 0-2 and half of frame 3
+            handle.write(b"".join(frames[:3]) + frames[3][: len(frames[3]) // 2])
+        recovered = DeltaLog(str(tmp_path), fsync=False)
+        assert recovered.next_offset == 3 and recovered.last_position == 3
+        assert [r.text for r in recovered.replay()] == [
+            "record-0", "record-1", "record-2"
+        ]
+        recovered.append(4, "record-3b")
+        assert [r.offset for r in recovered.replay()] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("written", [0, 1])
+    def test_crash_between_the_writes_and_the_sync_resumes_bit_identical(
+        self, tmp_path, monkeypatch, written
+    ):
+        """The second poll dies after ``written`` of its two writes and
+        before its sync: none of it was applied, resume re-reads what the
+        log does not hold, and every record is applied exactly once."""
+        log_dir = str(tmp_path / "log")
+        crashed_sink, _ = make_registry_sink()
+        real_append = DeltaLog.append
+        appends = []
+
+        def append(self, position, text, **kwargs):
+            if len(appends) == 4 + written:
+                raise Crash("between a group's writes and its sync")
+            appends.append(position)
+            return real_append(self, position, text, **kwargs)
+
+        monkeypatch.setattr(DeltaLog, "append", append)
+        stream = DeltaStream(
+            SmallPolls(REGISTRY_CHANGES, 4), crashed_sink, log_dir,
+            batch_window=2, fsync=False, checkpoint_every=1,
+        )
+        with pytest.raises(Crash):
+            stream.run()
+        assert stream.report.batches_applied == 2  # the first poll, whole
+        monkeypatch.setattr(DeltaLog, "append", real_append)
+
+        resumed_sink, targets = make_registry_sink()
+        applied = []
+        real_apply = resumed_sink.apply
+
+        def apply(batch, quarantine):
+            applied.extend(key for _net, key, _payload in batch.operations)
+            return real_apply(batch, quarantine)
+
+        resumed_sink.apply = apply
+        report = DeltaStream(
+            SmallPolls(REGISTRY_CHANGES, 4), resumed_sink, log_dir,
+            batch_window=2, fsync=False,
+        ).run(resume=True)
+        # The written, unsynced frame survived the crash here (a prefix
+        # of what was written): replayed, not re-read.
+        assert report.replayed_records == written
+        assert report.records_seen == 2 - written
+        assert len(applied) == len(set(applied)) == 2
+        assert backend_states(*targets) == reference_states()
 
 
 # ---------------------------------------------------------------------------
