@@ -56,14 +56,16 @@ def test_sec6_control_materialization(benchmark, companies):
     assert second.derived_counts["CONTROLS"] > 0
 
 
-def test_sec6_reasoning_dominates_on_deep_chains(benchmark):
-    """The paper's regime (reasoning ~91% of the total) appears when the
-    control closure is deep relative to the instance size.
+def test_sec6_deep_chain_reasons_once_per_control_pair(benchmark):
+    """The paper's regime is the one where the control closure is deep
+    relative to the instance: a majority-ownership chain of length n
+    yields a quadratic closure over a linear-size instance.
 
-    The flat synthetic registry has shallow control cascades, so at
-    laptop scale loading dominates; a majority-ownership chain of length
-    n yields a quadratic control closure over a linear-size instance —
-    and reasoning takes over, matching the Section 6 proportions.
+    The phase shares are printed for comparison with Section 6's ~91%
+    of reasoning; what is asserted is structural: the closure has
+    n(n+1)/2 pairs and the chase derives it semi-naively, with a
+    bounded number of rule firings per derived ``CONTROLS`` fact (the
+    naive per-round recomputation of the aggregate took 53).
     """
     from repro.graph.property_graph import PropertyGraph
 
@@ -85,15 +87,17 @@ def test_sec6_reasoning_dominates_on_deep_chains(benchmark):
 
     report = benchmark.pedantic(run_pipeline, rounds=1, iterations=1)
     total = report.total_seconds
-    reason_share = report.reason_seconds / total
+    controls = report.derived_counts["CONTROLS"]
+    firings = report.reason_stats.rule_firings
     banner(f"Section 6 — deep-chain regime (n={n}: quadratic closure)")
     print(f"  load   {report.load_seconds:8.2f}s "
           f"({100 * report.load_seconds / total:5.1f}%)")
-    print(f"  reason {report.reason_seconds:8.2f}s ({100 * reason_share:5.1f}%)"
-          f"   [paper: ~91%]")
+    print(f"  reason {report.reason_seconds:8.2f}s "
+          f"({100 * report.reason_seconds / total:5.1f}%)   [paper: ~91%]")
     print(f"  flush  {report.flush_seconds:8.2f}s "
           f"({100 * report.flush_seconds / total:5.1f}%)")
-    print(f"  derived CONTROLS: {report.derived_counts['CONTROLS']}")
+    print(f"  derived CONTROLS: {controls}, rule firings: {firings} "
+          f"({firings / controls:.2f} per fact)")
     # n*(n+1)/2 control pairs including the self-loops.
-    assert report.derived_counts["CONTROLS"] == n * (n + 1) // 2
-    assert reason_share > 0.5  # reasoning dominates, as in the paper
+    assert controls == n * (n + 1) // 2
+    assert firings <= 3 * controls

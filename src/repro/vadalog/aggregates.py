@@ -139,7 +139,9 @@ def aggregate(function: str, contributions: Dict[Tuple[Any, ...], Any]) -> Any:
 class GroupAccumulator:
     """Accumulates contributor -> value maps per group key.
 
-    One instance is used per aggregate-carrying rule evaluation round.
+    One instance serves an aggregate rule for a whole stratum evaluation
+    (every round contributes into it) and, in a retained run, every
+    later update.
 
     ``recursive=True`` marks an accumulator feeding a recursive stratum's
     fixpoint: there, conditionally monotone functions (``mprod``) have

@@ -25,20 +25,23 @@ _EMPTY: Tuple[Fact, ...] = ()
 
 
 class Relation:
-    """The extension of a single predicate, with positional indexes."""
+    """The extension of a single predicate, with positional indexes.
+
+    Facts and index buckets are insertion-ordered (``dict`` as an
+    ordered set), so a join enumerates candidates in the order they were
+    added — never in an order the hash seed picks.
+    """
 
     __slots__ = ("name", "arity", "_facts", "_indexes", "_composite")
 
     def __init__(self, name: str, arity: Optional[int] = None):
         self.name = name
         self.arity = arity
-        self._facts: Set[Fact] = set()
-        # position -> value -> set of facts; built lazily per position.
-        self._indexes: Dict[int, Dict[Any, Set[Fact]]] = {}
-        # (positions...) -> value tuple -> insertion-ordered fact dict
-        # (an ordered set: O(1) delete, list-like iteration order); built
-        # lazily per position combination (the access paths of compiled
-        # join plans).
+        self._facts: Dict[Fact, None] = {}
+        # position -> value -> facts; built lazily per position.
+        self._indexes: Dict[int, Dict[Any, Dict[Fact, None]]] = {}
+        # (positions...) -> value tuple -> facts; built lazily per
+        # position combination (the access paths of compiled join plans).
         self._composite: Dict[Tuple[int, ...], Dict[Tuple[Any, ...], Dict[Fact, None]]] = {}
 
     def freeze(self) -> "Relation":
@@ -67,9 +70,9 @@ class Relation:
             )
         if fact in self._facts:
             return False
-        self._facts.add(fact)
+        self._facts[fact] = None
         for position, index in self._indexes.items():
-            index.setdefault(fact[position], set()).add(fact)
+            index.setdefault(fact[position], {})[fact] = None
         for positions, index2 in self._composite.items():
             key = tuple(fact[p] for p in positions)
             index2.setdefault(key, {})[fact] = None
@@ -79,7 +82,7 @@ class Relation:
         """Insert many facts; returns the number of new ones.
 
         When no index has been built yet (the common bulk-load case) the
-        facts go straight into the backing set with a single arity check
+        facts go straight into the backing dict with a single arity check
         per fact and no per-fact index maintenance.
         """
         if self._indexes or self._composite:
@@ -100,7 +103,7 @@ class Relation:
                     f"arity mismatch for {self.name!r}: expected {arity}, "
                     f"got {len(tup)}"
                 )
-            backing.add(tup)
+            backing[tup] = None
         return len(backing) - before
 
     def add_columns(self, cols: Sequence[Sequence[Any]]) -> int:
@@ -124,19 +127,17 @@ class Relation:
         fact = tuple(fact)
         if fact not in self._facts:
             return False
-        self._facts.discard(fact)
+        del self._facts[fact]
         for position, index in self._indexes.items():
             bucket = index.get(fact[position])
             if bucket is not None:
-                bucket.discard(fact)
+                bucket.pop(fact, None)
                 if not bucket:
                     del index[fact[position]]
         for positions, index2 in self._composite.items():
             key = tuple(fact[p] for p in positions)
             bucket = index2.get(key)
             if bucket is not None:
-                # Ordered-dict buckets make this O(1); the old list-backed
-                # buckets paid an O(n) ``list.remove`` per DRed deletion.
                 bucket.pop(fact, None)
                 if not bucket:
                     del index2[key]
@@ -148,22 +149,22 @@ class Relation:
 
     def reset(self, facts: Iterable[Iterable[Any]]) -> None:
         """Replace the whole extension; indexes rebuild lazily."""
-        self._facts = {tuple(fact) for fact in facts}
+        self._facts = dict.fromkeys(tuple(fact) for fact in facts)
         self._indexes = {}
         self._composite = {}
 
     def copy(self) -> "Relation":
         """A fresh relation with the same facts; indexes rebuild lazily."""
         clone = Relation(self.name, self.arity)
-        clone._facts = set(self._facts)
+        clone._facts = dict(self._facts)
         return clone
 
-    def _ensure_index(self, position: int) -> Dict[Any, Set[Fact]]:
+    def _ensure_index(self, position: int) -> Dict[Any, Dict[Fact, None]]:
         index = self._indexes.get(position)
         if index is None:
             index = {}
             for fact in self._facts:
-                index.setdefault(fact[position], set()).add(fact)
+                index.setdefault(fact[position], {})[fact] = None
             self._indexes[position] = index
         return index
 
@@ -205,7 +206,7 @@ class Relation:
             yield from self._facts
             return
         # Pick the constraint with the smallest candidate set.
-        best_candidates: Optional[Set[Fact]] = None
+        best_candidates: Optional[Dict[Fact, None]] = None
         for position, value in bound:
             index = self._ensure_index(position)
             candidates = index.get(value)

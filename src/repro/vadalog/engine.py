@@ -12,10 +12,14 @@ The engine implements the reasoning semantics of Section 4:
 - **Linker Skolem functors.** Head terms ``#sk(x, y)`` produce interned
   :class:`~repro.vadalog.terms.SkolemValue` objects — injective,
   deterministic, range-disjoint, exactly the Section 4 requirements.
-- **Stratified negation** and **aggregation** with monotonic in-stratum
-  recomputation (see :mod:`repro.vadalog.aggregates`).
-- **Semi-naive evaluation** for pure positive recursive rules, with naive
-  recomputation for aggregate rules.
+- **Stratified negation** and **monotonic aggregation** (see
+  :mod:`repro.vadalog.aggregates`).
+- **Semi-naive evaluation** of recursive strata: after the first round,
+  a rule joins only the previous round's new facts, taken in
+  ``fact_sort_key`` order, and an aggregate rule contributes only their
+  matches into the accumulator its first round built, re-emitting the
+  groups they touch.  ``Engine(semi_naive=False)`` re-runs every round
+  whole — the naive reference, aggregates included.
 
 Rule bodies are evaluated through compiled join plans
 (:mod:`repro.vadalog.plan`): the join order, index probes, and binding
@@ -35,8 +39,8 @@ Typical use::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import EvaluationError, ResourceLimitError, VadalogError
 from repro.obs.governor import (
@@ -46,31 +50,28 @@ from repro.obs.governor import (
     ResourceGovernor,
 )
 from repro.obs.tracer import Tracer
-from repro.vadalog.aggregates import CANONICAL, GroupAccumulator, is_monotonic
 from repro.vadalog.ast import (
-    AggregateCall,
     Assignment,
     Atom,
-    BinOp,
     Condition,
     Expression,
-    FunctionCall,
     NegatedAtom,
     Program,
     Rule,
     SkolemTerm,
-    TermExpr,
 )
 from repro.vadalog.database import Database, Fact
 from repro.vadalog.plan import (
-    BUILTIN_FUNCTIONS,
+    AggregatePlan,
+    AggregateState,
+    Changes,
     RulePlans,
-    apply_binop as _apply_binop,
+    _hashable,
     check_condition as _plan_check_condition,
     evaluate_expression as _plan_evaluate,
     execute_plan,
     execute_plan_batch,
-    find_aggregate as _find_aggregate,
+    ordered_delta,
     vectorized_body_substitutions,
     vectorized_rule_matches,
     values_equal as _values_equal,
@@ -241,10 +242,6 @@ class Engine:
         # Rule -> RulePlans; rules are frozen dataclasses, so structurally
         # equal rules (across programs) share one compiled plan bundle.
         self._plan_cache: Dict[Any, RulePlans] = {}
-        # Transient sink, set only while a retaining run (or an
-        # incremental boundary recompute) is in flight; None keeps the
-        # default hot path branchless beyond one cheap comparison.
-        self._retain_sink: Optional[Any] = None
 
     # ------------------------------------------------------------------
     def run(
@@ -314,6 +311,7 @@ class Engine:
         stats.strata = len(strata)
 
         state = None
+        aggregates: Dict[Rule, AggregateState] = {}
         if retain_state:
             from repro.vadalog.incremental import MaterializedState
 
@@ -325,6 +323,7 @@ class Engine:
                 nulls=nulls,
                 skolems=skolems,
             )
+            aggregates = state.aggregates
             state.edb = {
                 predicate: set(db.relation(predicate))
                 for predicate in db.predicates()
@@ -345,10 +344,10 @@ class Engine:
             else None
         )
         try:
-            if state is not None:
-                self._retain_sink = state
             for index, stratum in enumerate(strata):
-                self._evaluate_stratum(stratum, index, db, stats, nulls, skolems)
+                self._evaluate_stratum(
+                    stratum, index, db, stats, nulls, skolems, aggregates
+                )
                 if (
                     governor is not None
                     and governor.max_resident_facts is not None
@@ -387,7 +386,6 @@ class Engine:
                     detail=str(stop.violation),
                 )
         finally:
-            self._retain_sink = None
             stats.elapsed_seconds = time.perf_counter() - start
             if root is not None:
                 root.set(
@@ -471,7 +469,11 @@ class Engine:
         stats: EvaluationStats,
         nulls: NullFactory,
         skolems: Dict[str, SkolemFunctor],
+        aggregates: Dict[Rule, AggregateState],
     ) -> None:
+        """Saturate one stratum; ``aggregates`` receives the state of
+        every aggregate rule it evaluates (the one the run used, for a
+        retaining caller to keep)."""
         tracer = self.tracer
         governor = self.governor
         span = (
@@ -487,7 +489,9 @@ class Engine:
         iterations = 0
         try:
             if not stratum.recursive:
-                self._fire_rules(stratum.rules, db, stats, nulls, skolems, None)
+                self._fire_rules(
+                    stratum.rules, db, stats, nulls, skolems, aggregates, None
+                )
                 # A non-recursive stratum still needs a second pass when a
                 # rule both reads and writes predicates local to the stratum
                 # (this cannot happen by construction, but the invariant is
@@ -500,18 +504,18 @@ class Engine:
 
             # Recursive stratum: iterate to fixpoint.
             recursive_predicates = stratum.predicates
-            delta: Optional[Dict[str, Set[Fact]]] = None
+            delta: Optional[Changes] = None
             for iteration in range(self.max_iterations):
                 stats.iterations += 1
                 iterations = iteration + 1
                 new_delta = self._fire_rules(
-                    stratum.rules, db, stats, nulls, skolems,
-                    delta if (self.semi_naive and iteration > 0) else None,
-                    recursive_predicates=recursive_predicates,
+                    stratum.rules, db, stats, nulls, skolems, aggregates,
+                    delta, recursive_predicates=recursive_predicates,
                 )
                 if not any(new_delta.values()):
                     return
-                delta = new_delta
+                if self.semi_naive:
+                    delta = ordered_delta(new_delta)
                 if governor is not None:
                     violation = governor.check(stats)
                     if violation is None and (
@@ -558,10 +562,18 @@ class Engine:
         stats: EvaluationStats,
         nulls: NullFactory,
         skolems: Dict[str, SkolemFunctor],
-        delta: Optional[Dict[str, Set[Fact]]],
+        aggregates: Dict[Rule, AggregateState],
+        delta: Optional[Changes],
         recursive_predicates: Optional[Set[str]] = None,
     ) -> Dict[str, Set[Fact]]:
-        """Fire every rule once; returns the per-predicate new facts."""
+        """Fire every rule once; returns the per-predicate new facts.
+
+        ``delta`` is ``None`` in a stratum's first round (and in every
+        round of a naive run): each rule then joins its whole body and an
+        aggregate rule starts a fresh state in ``aggregates``.  Otherwise
+        it holds the previous round's new facts, and only matches using
+        one of them fire.
+        """
         tracer = self.tracer
         governor = self.governor
         new_facts: Dict[str, Set[Fact]] = {}
@@ -587,13 +599,21 @@ class Engine:
                 )
                 if plans is not None:
                     if plans.is_aggregate:
-                        matches = self._aggregate_matches_plan(
-                            plans, db, recursive=in_recursion
-                        )
-                    elif delta is not None and recursive_predicates:
-                        matches = self._semi_naive_matches_plan(
-                            plans, db, delta, recursive_predicates
-                        )
+                        plan = plans.aggregate_plan()
+                        if delta is not None:
+                            contributions = plan.delta_matches(db, delta)
+                        else:
+                            aggregates[rule] = AggregateState(
+                                plan.call.function, recursive=in_recursion
+                            )
+                            contributions = (
+                                execute_plan_batch(plan.pre_plan, db)
+                                if db.columnar
+                                else execute_plan(plan.pre_plan, db)
+                            )
+                        matches = plan.evaluate(aggregates[rule], contributions)
+                    elif delta is not None:
+                        matches = plans.delta_matches(db, delta)
                     elif db.columnar:
                         # Full evaluation of a simple rule: try the
                         # whole-plan vectorized join first.
@@ -623,7 +643,7 @@ class Engine:
                 else:
                     if rule.has_aggregate():
                         matches = self._aggregate_matches(
-                            rule, db, recursive=in_recursion
+                            rule, db, aggregates, recursive=in_recursion
                         )
                     elif delta is not None and recursive_predicates:
                         matches = self._semi_naive_matches(
@@ -705,122 +725,6 @@ class Engine:
             self._plan_cache[rule] = plans
             stats.plans_compiled += 1
         return plans
-
-    def _semi_naive_matches_plan(
-        self,
-        plans: RulePlans,
-        db: Database,
-        delta: Dict[str, Set[Fact]],
-        recursive_predicates: Set[str],
-    ) -> Iterator[Substitution]:
-        """Semi-naive matching via the old/delta/full occurrence partition.
-
-        For the k-th recursive occurrence chosen as the delta atom, every
-        earlier recursive occurrence is restricted to pre-delta ("old")
-        facts and every later one sees the full relation — an exact
-        partition of the new matches, with no dedup bookkeeping.
-        """
-        body = plans.rule.body
-        recursive_indexes = [
-            i
-            for i, literal in enumerate(body)
-            if isinstance(literal, Atom) and literal.predicate in recursive_predicates
-        ]
-        if not recursive_indexes:
-            # The rule does not read the stratum's own predicates: firing it
-            # once in the first round was enough; nothing new can match.
-            return
-        for k, index in enumerate(recursive_indexes):
-            delta_facts = delta.get(body[index].predicate)
-            if not delta_facts:
-                continue
-            binder = plans.delta_binder(index)
-            rest_plan = plans.delta_plan(index)
-            excludes: Dict[int, Set[Fact]] = {}
-            for earlier in recursive_indexes[:k]:
-                earlier_delta = delta.get(body[earlier].predicate)
-                if earlier_delta:
-                    excludes[earlier] = earlier_delta
-            if db.columnar:
-                # Batch-at-a-time: bind the whole delta partition up
-                # front and run the rest plan once over all the bases.
-                bases = [
-                    base
-                    for base in (binder.match(fact) for fact in delta_facts)
-                    if base is not None
-                ]
-                if bases:
-                    yield from execute_plan_batch(
-                        rest_plan,
-                        db,
-                        bases=bases,
-                        base_vars=tuple(var for _, var in binder.bind),
-                        excludes=excludes if excludes else None,
-                    )
-                continue
-            for fact in delta_facts:
-                base = binder.match(fact)
-                if base is None:
-                    continue
-                yield from execute_plan(
-                    rest_plan, db, base, excludes if excludes else None
-                )
-
-    def _aggregate_matches_plan(
-        self,
-        plans: RulePlans,
-        db: Database,
-        recursive: bool = False,
-    ) -> Iterator[Substitution]:
-        aggregate = plans.aggregate_plan()
-        call = aggregate.call
-        target = aggregate.target
-        group_vars = aggregate.group_vars
-        accumulator = GroupAccumulator(call.function, recursive=recursive)
-        # Remember one full substitution per group so non-head variables
-        # used by Skolem terms keep a witness binding.
-        witnesses: Dict[Tuple[Any, ...], Substitution] = {}
-        if db.columnar:
-            pre_matches: Iterator[Substitution] = execute_plan_batch(
-                aggregate.pre_plan, db
-            )
-        else:
-            pre_matches = execute_plan(aggregate.pre_plan, db)
-        for substitution in pre_matches:
-            group = tuple(
-                _hashable(substitution.get(v)) for v in group_vars
-            )
-            if call.contributors:
-                contributor = tuple(
-                    _hashable(substitution.get(v)) for v in call.contributors
-                )
-            else:
-                contributor = tuple(
-                    sorted(
-                        ((v.name, _hashable(val)) for v, val in substitution.items()),
-                        key=lambda item: item[0],
-                    )
-                )
-            value = self._evaluate(call.value, substitution)
-            accumulator.contribute(group, contributor, value)
-            witnesses.setdefault(group, substitution)
-
-        if self._retain_sink is not None:
-            # Each fixpoint iteration overwrites the entry, so the final
-            # (saturated) accumulator is what the retained state keeps —
-            # captured for free from the naive in-stratum recomputation.
-            self._retain_sink.store_aggregate(
-                plans.rule, accumulator, witnesses, group_vars
-            )
-
-        for group, value in accumulator.results():
-            base = witnesses[group]
-            substitution = {v: base[v] for v in group_vars if v in base}
-            substitution[target] = self._evaluate(
-                aggregate.assignment.expression, base, aggregate_value=value
-            )
-            if all(self._check_condition(c, substitution) for c in aggregate.post):
-                yield substitution
 
     def _semi_naive_matches(
         self,
@@ -999,70 +903,19 @@ class Engine:
     # Aggregates
     # ------------------------------------------------------------------
     def _aggregate_matches(
-        self, rule: Rule, db: Database, recursive: bool = False
+        self,
+        rule: Rule,
+        db: Database,
+        aggregates: Dict[Rule, AggregateState],
+        recursive: bool = False,
     ) -> Iterator[Substitution]:
-        aggregate_assignment = next(a for a in rule.assignments() if a.is_aggregate)
-        call = _find_aggregate(aggregate_assignment.expression)
-        target = aggregate_assignment.target
-
-        pre: List[Any] = []
-        post: List[Condition] = []
-        for literal in rule.body:
-            if literal is aggregate_assignment:
-                continue
-            if isinstance(literal, Condition) and target in literal.variables():
-                post.append(literal)
-            elif isinstance(literal, Assignment) and target in literal.expression.variables():
-                raise EvaluationError(
-                    f"assignment depending on aggregate target in {rule}"
-                )
-            else:
-                pre.append(literal)
-
-        group_vars = sorted(
-            (v for v in rule.head_variables()
-             if v != target and v.name != "_" and v not in rule.existential_variables()),
-            key=lambda v: v.name,
+        """The naive aggregate: every round contributes the whole
+        pre-body, matched by the interpreter, into a fresh state."""
+        plan = AggregatePlan(rule)
+        state = aggregates[rule] = AggregateState(
+            plan.call.function, recursive=recursive
         )
-        accumulator = GroupAccumulator(call.function, recursive=recursive)
-        # Remember one full substitution per group so non-head variables
-        # used by Skolem terms keep a witness binding.
-        witnesses: Dict[Tuple[Any, ...], Substitution] = {}
-        for substitution in self._match_body(pre, db, {}):
-            group = tuple(
-                _hashable(substitution.get(v)) for v in group_vars
-            )
-            if call.contributors:
-                contributor = tuple(
-                    _hashable(substitution.get(v)) for v in call.contributors
-                )
-            else:
-                contributor = tuple(
-                    sorted(
-                        ((v.name, _hashable(val)) for v, val in substitution.items()),
-                        key=lambda item: item[0],
-                    )
-                )
-            value = self._evaluate(call.value, substitution)
-            accumulator.contribute(group, contributor, value)
-            witnesses.setdefault(group, substitution)
-
-        if self._retain_sink is not None:
-            self._retain_sink.store_aggregate(
-                rule, accumulator, witnesses, tuple(group_vars)
-            )
-
-        for group, value in accumulator.results():
-            base = dict(witnesses[group])
-            substitution = {v: base[v] for v in group_vars if v in base}
-            # Evaluate the full assignment expression with the aggregate
-            # replaced by its computed value (supports e.g. V = msum(W,<Z>)
-            # wrapped in arithmetic).
-            substitution[target] = self._evaluate(
-                aggregate_assignment.expression, base, aggregate_value=value
-            )
-            if all(self._check_condition(c, substitution) for c in post):
-                yield substitution
+        return plan.evaluate(state, self._match_body(list(plan.pre), db, {}))
 
     # ------------------------------------------------------------------
     # Head instantiation (the chase step)
@@ -1167,12 +1020,3 @@ class Engine:
 
 
 _UNBOUND = object()
-
-
-def _hashable(value: Any) -> Any:
-    """Make lists/dicts usable in group keys (rare, but defensive)."""
-    if isinstance(value, list):
-        return tuple(_hashable(v) for v in value)
-    if isinstance(value, dict):
-        return tuple(sorted((k, _hashable(v)) for k, v in value.items()))
-    return value

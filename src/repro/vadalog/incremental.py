@@ -5,13 +5,15 @@ registry refresh (Section 6).  This module maintains a saturated chase
 result under extensional *deltas* instead, in time proportional to the
 change:
 
-- **Insertions** propagate stratum-by-stratum with the semi-naive delta
-  plans of :mod:`repro.vadalog.plan`, generalized from "recursive
-  predicates" to "changed predicates": for the k-th changed body
+- **Insertions** propagate stratum-by-stratum through the delta join
+  the engine's recursive rounds use
+  (:func:`~repro.vadalog.plan.delta_matches`), over the *changed*
+  predicates instead of a round's new facts: for the k-th changed body
   occurrence chosen as the delta atom, earlier changed occurrences are
   restricted to old facts and later ones see the full relation — an
-  exact partition of the new matches.  Monotone aggregate rules reuse
-  the **saturated accumulator** retained from the base run: new
+  exact partition of the new matches.  Monotone aggregate rules
+  continue the **accumulator the base run built**
+  (:meth:`~repro.vadalog.plan.AggregatePlan.evaluate`): new
   contributions are delta-joined into it and only touched groups are
   re-emitted, so a single new stake updates ``msum`` in O(|delta|).
 
@@ -89,14 +91,10 @@ from typing import (
 )
 
 from repro.errors import EvaluationError, ResourceLimitError
-from repro.vadalog.engine import EvaluationStats, _BudgetStop, _hashable
-from repro.vadalog.aggregates import GroupAccumulator, aggregate, is_monotonic
+from repro.vadalog.engine import EvaluationStats, _BudgetStop
+from repro.vadalog.aggregates import is_monotonic
 from repro.vadalog.ast import (
-    AggregateCall,
-    Atom,
-    BinOp,
     Condition,
-    FunctionCall,
     NegatedAtom,
     Program,
     Rule,
@@ -108,11 +106,12 @@ from repro.vadalog.plan import (
     _K_EXIST,
     _K_SKOLEM,
     _K_VAR,
-    AggregatePlan,
+    AggregateState,
+    Changes,
     RulePlans,
-    check_condition,
-    evaluate_expression,
     execute_plan,
+    expression_vars_outside_aggregate,
+    ordered_delta,
     values_equal,
 )
 from repro.vadalog.stratify import Stratum
@@ -124,15 +123,6 @@ Substitution = Dict[Variable, Any]
 # ---------------------------------------------------------------------------
 # Retained state
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _AggregateState:
-    """The saturated accumulator of one aggregate rule after a run."""
-
-    accumulator: GroupAccumulator
-    witnesses: Dict[Tuple[Any, ...], Substitution]
-    group_vars: Tuple[Variable, ...]
 
 
 class MaterializedState:
@@ -166,36 +156,15 @@ class MaterializedState:
         self.nulls = nulls
         self.skolems = skolems
         self.edb: Dict[str, Set[Fact]] = {}
-        self.aggregates: Dict[Rule, _AggregateState] = {}
+        #: The state of every aggregate rule, as the run (or the last
+        #: recompute of its stratum) left it; maintained in place.
+        self.aggregates: Dict[Rule, AggregateState] = {}
         self.engine: Any = None
         self.updates_applied = 0
         #: What some stratum reads or writes: a delta on it is joined.
         self.joined: Set[str] = set()
         for stratum in self.strata:
             self.joined.update(*_stratum_reads(stratum), _head_predicates(stratum.rules))
-
-    # -- hooks called by the engine -------------------------------------
-    def store_aggregate(
-        self,
-        rule: Rule,
-        accumulator: GroupAccumulator,
-        witnesses: Dict[Tuple[Any, ...], Substitution],
-        group_vars: Sequence[Variable],
-    ) -> None:
-        """Keep the saturated accumulator of ``rule`` (last iteration wins).
-
-        Witnesses are projected to the group variables: the insertion
-        gate only admits aggregate rules whose head and conditions need
-        nothing beyond ``group_vars`` and the target, so full
-        substitutions would retain arbitrarily many bindings for no
-        benefit (bounded memory).
-        """
-        group_tuple = tuple(group_vars)
-        projected = {
-            group: {v: base[v] for v in group_tuple if v in base}
-            for group, base in witnesses.items()
-        }
-        self.aggregates[rule] = _AggregateState(accumulator, projected, group_tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -293,24 +262,6 @@ def _stratum_reads(stratum: Stratum) -> Tuple[Set[str], Set[str]]:
     return pos_reads, neg_reads
 
 
-def _expression_vars_outside_aggregate(expression: Any) -> Set[Variable]:
-    """Variables an expression needs besides the aggregate's own value."""
-    if isinstance(expression, AggregateCall):
-        return set()
-    if isinstance(expression, BinOp):
-        return _expression_vars_outside_aggregate(
-            expression.left
-        ) | _expression_vars_outside_aggregate(expression.right)
-    if isinstance(expression, FunctionCall):
-        out: Set[Variable] = set()
-        for argument in expression.arguments:
-            out |= _expression_vars_outside_aggregate(argument)
-        return out
-    if isinstance(expression, TermExpr):
-        return set(expression.variables())
-    return set(expression.variables()) if hasattr(expression, "variables") else set()
-
-
 def _post_condition_is_lower_bound(
     condition: Condition, target: Variable, group_vars: Set[Variable]
 ) -> bool:
@@ -347,25 +298,19 @@ def _aggregate_refusal(
     accumulator (``None``: it can).
 
     Requirements: a monotone function; the target confined to post
-    conditions that are lower-bound gates; head variables and Skolem
-    arguments covered by the group variables (the retained witnesses
-    are projected to them); and a retained saturated accumulator from
-    the base run.  ``removals`` further needs every head atom to name
-    the whole group, so that an over-deleted head fact finds the bucket
-    that may re-derive it.
+    conditions that are lower-bound gates; head variables, Skolem
+    arguments and the assignment covered by the group variables (so a
+    group's witness is its group binding, whichever match gave it); and
+    a retained saturated accumulator from the base run.  ``removals``
+    further needs every head atom to name the whole group, so that an
+    over-deleted head fact finds the bucket that may re-derive it.
     """
-    retained = state.aggregates.get(rule)
-    if retained is None:
+    if rule not in state.aggregates:
         return _NO_ACCUMULATOR
     plans = engine._plans_for(rule, stats)
-    try:
-        plan = plans.aggregate_plan()
-    except EvaluationError:
-        return _NO_ACCUMULATOR
+    plan = plans.aggregate_plan()
     if not is_monotonic(plan.call.function):
         return _NON_MONOTONE
-    if retained.group_vars != plan.group_vars:
-        return _NO_ACCUMULATOR
     group_vars = set(plan.group_vars)
     target = plan.target
     for _, slots in plans.head_ops:
@@ -376,7 +321,7 @@ def _aggregate_refusal(
         for is_var, argument in arg_ops:
             if is_var and (argument == target or argument not in group_vars):
                 return _TARGET_IN_HEAD
-    if not _expression_vars_outside_aggregate(plan.assignment.expression) <= group_vars:
+    if not expression_vars_outside_aggregate(plan.assignment.expression) <= group_vars:
         return _TARGET_IN_HEAD
     for condition in plan.post:
         if not _post_condition_is_lower_bound(condition, target, group_vars):
@@ -538,86 +483,6 @@ def _classify_stratum(
 # ---------------------------------------------------------------------------
 
 
-#: Changed facts per predicate, each set a ``dict`` in join order; a
-#: removed fact maps to the grave its relation's ``bury`` returned.
-Changes = Dict[str, Dict[Fact, Any]]
-
-
-def _ordered(
-    changes: Dict[str, Iterable[Fact]], joined: Optional[Set[str]] = None
-) -> Changes:
-    """The non-empty fact sets of ``changes`` in ``fact_sort_key`` order
-    (only those of the predicates ``joined``, when given).
-
-    Delta facts are joined in that order, so that neither the ordinals
-    of the nulls they mint nor the row order of what they derive depends
-    on the hash seed; sorted once per round, not once per rule.
-    """
-    return {
-        predicate: dict.fromkeys(
-            sorted(facts, key=fact_sort_key)
-            if joined is None or predicate in joined else facts
-        )
-        for predicate, facts in changes.items()
-        if facts
-    }
-
-
-def _delta_matches(
-    body: Sequence[Any],
-    binder_of: Any,
-    plan_of: Any,
-    db: Database,
-    delta: Changes,
-) -> Iterator[Substitution]:
-    """Matches of ``body`` using >= 1 delta fact, over *changed* predicates.
-
-    Generalizes :meth:`Engine._semi_naive_matches_plan` from the
-    recursive predicates of a stratum to an arbitrary changed set, with
-    the same exact old/delta/full occurrence partition.  ``binder_of``
-    and ``plan_of`` give the delta binder and the rest-of-body plan of
-    one occurrence: :class:`RulePlans` has them for a rule body,
-    :class:`AggregatePlan` for the contribution body of an aggregate.
-    """
-    delta_indexes = [
-        i
-        for i, literal in enumerate(body)
-        if isinstance(literal, Atom) and delta.get(literal.predicate)
-    ]
-    for k, index in enumerate(delta_indexes):
-        delta_facts = delta[body[index].predicate]
-        binder = binder_of(index)
-        rest_plan = plan_of(index)
-        excludes: Dict[int, Dict[Fact, None]] = {}
-        for earlier in delta_indexes[:k]:
-            earlier_delta = delta.get(body[earlier].predicate)
-            if earlier_delta:
-                excludes[earlier] = earlier_delta
-        for fact in delta_facts:
-            base = binder.match(fact)
-            if base is None:
-                continue
-            yield from execute_plan(
-                rest_plan, db, base, excludes if excludes else None
-            )
-
-
-def _rule_delta_matches(
-    plans: RulePlans, db: Database, delta: Changes
-) -> Iterator[Substitution]:
-    return _delta_matches(
-        plans.rule.body, plans.delta_binder, plans.delta_plan, db, delta
-    )
-
-
-def _contribution_delta_matches(
-    plan: AggregatePlan, db: Database, delta: Changes
-) -> Iterator[Substitution]:
-    return _delta_matches(
-        plan.pre, plan.pre_delta_binder, plan.pre_delta_plan, db, delta
-    )
-
-
 def _negation_matches(
     plans: RulePlans, db: Database, changes: Changes, whole: bool
 ) -> Iterator[Substitution]:
@@ -635,77 +500,6 @@ def _negation_matches(
             base = binder.match(fact)
             if base is not None:
                 yield from execute_plan(plan, db, base)
-
-
-def _contribution(
-    plan: AggregatePlan, substitution: Substitution
-) -> Tuple[Tuple[Any, ...], Tuple[Any, ...], Any]:
-    """``(group, contributor, value)`` of one contribution-body match,
-    keyed exactly as the engine keys them, so a repeated contribution
-    collides (and resolves) just as a full recomputation would."""
-    call = plan.call
-    group = tuple(_hashable(substitution.get(v)) for v in plan.group_vars)
-    if call.contributors:
-        contributor = tuple(
-            _hashable(substitution.get(v)) for v in call.contributors
-        )
-    else:
-        contributor = tuple(
-            sorted(
-                ((v.name, _hashable(value)) for v, value in substitution.items()),
-                key=lambda item: item[0],
-            )
-        )
-    return group, contributor, evaluate_expression(call.value, substitution)
-
-
-def _emission(
-    plan: AggregatePlan, retained: _AggregateState, group: Tuple[Any, ...]
-) -> Optional[Substitution]:
-    """The head substitution of ``group`` when the value its bucket
-    holds passes the post-conditions, else ``None``."""
-    accumulator = retained.accumulator
-    bucket = accumulator.state().get(group)
-    if not bucket:
-        return None
-    base = retained.witnesses[group]
-    substitution = {v: base[v] for v in plan.group_vars if v in base}
-    substitution[plan.target] = evaluate_expression(
-        plan.assignment.expression,
-        base,
-        aggregate_value=aggregate(accumulator.function, bucket),
-    )
-    if all(check_condition(c, substitution) for c in plan.post):
-        return substitution
-    return None
-
-
-def _aggregate_delta_matches(
-    state: MaterializedState,
-    plans: RulePlans,
-    db: Database,
-    delta: Changes,
-) -> Iterator[Substitution]:
-    """Delta-join new contributions into the retained accumulator.
-
-    Only groups touched by a new contribution are re-emitted; untouched
-    groups' head facts are already in the database.
-    """
-    plan = plans.aggregate_plan()
-    retained = state.aggregates[plans.rule]
-    touched: Dict[Tuple[Any, ...], None] = {}  # in first-touch order
-    for substitution in _contribution_delta_matches(plan, db, delta):
-        group, contributor, value = _contribution(plan, substitution)
-        retained.accumulator.contribute(group, contributor, value)
-        retained.witnesses.setdefault(
-            group,
-            {v: substitution[v] for v in plan.group_vars if v in substitution},
-        )
-        touched[group] = None
-    for group in touched:
-        substitution = _emission(plan, retained, group)
-        if substitution is not None:
-            yield substitution
 
 
 def _insertion_pass(
@@ -740,15 +534,12 @@ def _insertion_pass(
         for rule in stratum.rules:
             plans = engine._plans_for(rule, stats)
             if plans.is_aggregate:
-                if not any(
-                    delta.get(literal.predicate)
-                    for literal in plans.aggregate_plan().pre
-                    if isinstance(literal, Atom)
-                ):
-                    continue
-                matches = _aggregate_delta_matches(state, plans, db, delta)
+                plan = plans.aggregate_plan()
+                matches = plan.evaluate(
+                    state.aggregates[rule], plan.delta_matches(db, delta)
+                )
             else:
-                matches = _rule_delta_matches(plans, db, delta)
+                matches = plans.delta_matches(db, delta)
                 if negated_losses:
                     matches = chain(matches, _negation_matches(
                         plans, db, negated_losses, whole=True
@@ -767,7 +558,7 @@ def _insertion_pass(
                 stats.facts_derived += 1
                 new_facts.setdefault(predicate, set()).add(fact)
                 added_now.setdefault(predicate, set()).add(fact)
-        delta = _ordered(new_facts)
+        delta = ordered_delta(new_facts)
 
 
 # ---------------------------------------------------------------------------
@@ -905,8 +696,9 @@ def _derives(
         return False
     if plans.is_aggregate:
         plan = plans.aggregate_plan()
-        group = tuple(_hashable(base.get(v)) for v in plan.group_vars)
-        return _emission(plan, state.aggregates[plans.rule], group) is not None
+        return plan.emission(
+            state.aggregates[plans.rule], plan.group_of(base)
+        ) is not None
     for _ in execute_plan(plans.rederive_plan(head_index), db, base):
         return True
     return False
@@ -966,18 +758,16 @@ def _overdelete_joins(
                 if plans.is_aggregate:
                     plan = plans.aggregate_plan()
                     groups = touched.setdefault(rule, {})
-                    for substitution in _contribution_delta_matches(
-                        plan, db, frontier
-                    ):
-                        group = _contribution(plan, substitution)[0]
+                    for substitution in plan.delta_matches(db, frontier):
+                        group = plan.group_of(substitution)
                         if group in groups:
                             continue
                         groups[group] = None
-                        emitted = _emission(plan, state.aggregates[rule], group)
+                        emitted = plan.emission(state.aggregates[rule], group)
                         if emitted is not None:
                             heads += _held_heads(plans, emitted, state, firings)
                 else:
-                    matches = _rule_delta_matches(plans, db, frontier)
+                    matches = plans.delta_matches(db, frontier)
                     if negated_gains:
                         matches = chain(matches, _negation_matches(
                             plans, db, negated_gains, whole=False
@@ -997,7 +787,7 @@ def _overdelete_joins(
             negated_gains = {}
             for predicate, facts in found.items():
                 marked.setdefault(predicate, set()).update(facts)
-            frontier = _ordered(found)
+            frontier = ordered_delta(found)
     finally:
         for relation, graves, fact, grave in shown:
             if grave is None:
@@ -1025,7 +815,7 @@ def _rebuild_groups(
             continue  # only ever matched through a fact of this update
         buckets.pop(group, None)
         for substitution in execute_plan(plan.group_plan(), db, witness):
-            retained.accumulator.contribute(*_contribution(plan, substitution))
+            retained.accumulator.contribute(*plan.contribution(substitution))
         if group not in buckets:
             del retained.witnesses[group]
 
@@ -1101,7 +891,7 @@ def _deletion_pass(
                 put_back(predicate, fact)
         else:
             nulls.reclaim.setdefault(firing[0], {})[firing[1]] = assignments
-    for predicate, facts in _ordered(candidates).items():
+    for predicate, facts in ordered_delta(candidates).items():
         for fact in facts:
             if not db.has(predicate, fact) and any(
                 _derives(
@@ -1147,11 +937,11 @@ def _recompute_stratum(
         db.reset(predicate, state.edb.get(predicate, set()))
         if predicate in nulls.minted:
             nulls.reclaim[predicate] = nulls.minted.pop(predicate)
-    engine._retain_sink = state
     try:
-        engine._evaluate_stratum(stratum, index, db, stats, nulls, state.skolems)
+        engine._evaluate_stratum(
+            stratum, index, db, stats, nulls, state.skolems, state.aggregates
+        )
     finally:
-        engine._retain_sink = None
         nulls.reclaim = {}  # unclaimed: the firing is gone, so are its nulls
     for predicate in stratum_heads:
         after = set(db.relation(predicate))
@@ -1194,7 +984,7 @@ def _merge_net(
 ) -> None:
     """Fold one stratum's net changes into the running per-update net,
     a bucket some stratum joins (``joined``) re-sorted when it grows
-    (``_ordered``'s order): a delta is sorted once, not once per reader.
+    (``ordered_delta``'s order): a delta is sorted once, not once per reader.
 
     A fact that reappears after being removed (or vanishes after being
     added) earlier in the same update cancels out — downstream strata
@@ -1291,7 +1081,7 @@ def apply_delta(
         # The running net: what some stratum joins is sorted here, and
         # in ``_merge_net`` as it grows.
         joined = state.joined
-        pending_remove = _ordered(requested_remove, joined)
+        pending_remove = ordered_delta(requested_remove, joined)
         for predicate, graves in pending_remove.items():
             relation = db.relation(predicate)
             for fact in graves:
@@ -1304,7 +1094,7 @@ def apply_delta(
             # count as extensional now; only genuinely-new facts seed
             # the chase.
             new_facts[predicate] = {f for f in facts if db.add(predicate, f)}
-        pending_add = _ordered(new_facts, joined)
+        pending_add = ordered_delta(new_facts, joined)
 
         if not pending_add and not pending_remove:
             delta_result.strata_skipped = len(state.strata)
@@ -1369,7 +1159,7 @@ def apply_delta(
                                 )
                                 dred_span.__exit__(None, None, None)
                     seeds = _restrict(pending_add, pos_reads)
-                    seeds.update(_ordered({
+                    seeds.update(ordered_delta({
                         predicate: facts.union(seeds.get(predicate, ()))
                         for predicate, facts in rederived.items()
                     }))

@@ -26,6 +26,10 @@ compiled head template (constants / frontier variables / Skolem slots /
 existential slots), the cached head-satisfaction plan used by the
 restricted chase, the per-occurrence delta plans for semi-naive
 evaluation, and the aggregate pre-body plan.
+
+:func:`delta_matches` is the one semi-naive delta join, shared by a
+recursive stratum's later rounds and by incremental maintenance, and
+:meth:`AggregatePlan.evaluate` the one aggregate evaluator.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import EvaluationError, ResourceLimitError
+from repro.vadalog.aggregates import GroupAccumulator, aggregate
 from repro.vadalog.ast import (
     AggregateCall,
     Assignment,
@@ -49,7 +54,7 @@ from repro.vadalog.ast import (
 from repro.vadalog.columnar import _FNV_OFFSET as _FNV_OFFSET_NP
 from repro.vadalog.columnar import _FNV_PRIME as _FNV_PRIME_NP
 from repro.vadalog.database import Database, Fact
-from repro.vadalog.terms import SkolemFunctor, Variable
+from repro.vadalog.terms import SkolemFunctor, Variable, fact_sort_key
 
 from itertools import repeat as _repeat
 
@@ -1343,17 +1348,142 @@ class DeltaBinder:
         return subst
 
 
+#: Changed facts per predicate, each set a ``dict`` in join order; a
+#: removed fact maps to the grave its relation's ``bury`` returned.
+Changes = Dict[str, Dict[Fact, Any]]
+
+
+def ordered_delta(
+    changes: Dict[str, Iterable[Fact]], joined: Optional[Set[str]] = None
+) -> Changes:
+    """The non-empty fact sets of ``changes`` in ``fact_sort_key`` order
+    (only those of the predicates ``joined``, when given).
+
+    Delta facts are joined in that order, so that neither the ordinals
+    of the nulls they mint nor the row order of what they derive depends
+    on the hash seed; sorted once per round, not once per rule.
+    """
+    return {
+        predicate: dict.fromkeys(
+            sorted(facts, key=fact_sort_key)
+            if joined is None or predicate in joined else facts
+        )
+        for predicate, facts in changes.items()
+        if facts
+    }
+
+
+def delta_matches(
+    body: Sequence[Any],
+    binder_of: Callable[[int], DeltaBinder],
+    plan_of: Callable[[int], BodyPlan],
+    db: Database,
+    delta: Changes,
+) -> Iterator[Substitution]:
+    """Matches of ``body`` that use at least one fact of ``delta``.
+
+    The semi-naive partition over the changed predicates (a recursive
+    stratum's last round, or an update's net changes): for the k-th
+    changed body occurrence chosen as the delta atom, earlier changed
+    occurrences are restricted to old facts and later ones see the full
+    relation — an exact partition of the new matches, with no dedup
+    bookkeeping.  ``binder_of`` and ``plan_of`` give the delta binder
+    and the rest-of-body plan of one occurrence.  On a columnar database
+    the rest plan runs once over the bound bases of a partition of more
+    than one fact (:func:`execute_plan_batch`), otherwise once per base.
+    """
+    delta_indexes = [
+        i
+        for i, literal in enumerate(body)
+        if isinstance(literal, Atom) and delta.get(literal.predicate)
+    ]
+    for k, index in enumerate(delta_indexes):
+        binder = binder_of(index)
+        rest_plan = plan_of(index)
+        excludes = {
+            earlier: delta[body[earlier].predicate]
+            for earlier in delta_indexes[:k]
+        } or None
+        bases = [
+            base
+            for base in map(binder.match, delta[body[index].predicate])
+            if base is not None
+        ]
+        # One base does not repay the batch program's per-call set-up
+        # (an update's delta is mostly one fact per predicate).
+        if db.columnar and len(bases) > 1:
+            yield from execute_plan_batch(
+                rest_plan,
+                db,
+                bases=bases,
+                base_vars=tuple(var for _, var in binder.bind),
+                excludes=excludes,
+            )
+            continue
+        for base in bases:
+            yield from execute_plan(rest_plan, db, base, excludes)
+
+
 # ---------------------------------------------------------------------------
 # Aggregates
 # ---------------------------------------------------------------------------
 
 
+def _hashable(value: Any) -> Any:
+    """Make lists/dicts usable in group keys (rare, but defensive)."""
+    if isinstance(value, list):
+        return tuple(_hashable(v) for v in value)
+    if isinstance(value, dict):
+        return tuple(sorted((k, _hashable(v)) for k, v in value.items()))
+    return value
+
+
+def expression_vars_outside_aggregate(expression: Any) -> Set[Variable]:
+    """Variables an expression needs besides the aggregate's own value."""
+    if isinstance(expression, AggregateCall):
+        return set()
+    if isinstance(expression, BinOp):
+        return expression_vars_outside_aggregate(
+            expression.left
+        ) | expression_vars_outside_aggregate(expression.right)
+    if isinstance(expression, FunctionCall):
+        out: Set[Variable] = set()
+        for argument in expression.arguments:
+            out |= expression_vars_outside_aggregate(argument)
+        return out
+    if isinstance(expression, TermExpr):
+        return set(expression.variables())
+    return set(expression.variables()) if hasattr(expression, "variables") else set()
+
+
+class AggregateState:
+    """What evaluating one aggregate rule accumulates: the contributor
+    values per group, and per group the first match's binding of the
+    plan's ``witness_vars``.  A stratum evaluation builds it and a
+    retained run keeps it, for :func:`~repro.vadalog.incremental.apply_delta`
+    to maintain."""
+
+    __slots__ = ("accumulator", "witnesses")
+
+    def __init__(self, function: str, recursive: bool = False):
+        self.accumulator = GroupAccumulator(function, recursive=recursive)
+        self.witnesses: Dict[Tuple[Any, ...], Substitution] = {}
+
+
 class AggregatePlan:
-    """Compiled aggregate rule: pre-body plan + grouping metadata."""
+    """Compiled aggregate rule: pre-body plan, grouping metadata, and the
+    one evaluator of its contributions and emissions.
+
+    A stratum evaluation contributes the whole pre-body into a fresh
+    :class:`AggregateState` in its first round and only the matches of
+    each later round's new facts afterwards; an update contributes the
+    matches of its net changes.  Contributor-keyed collisions resolve
+    per function, so the buckets equal the naive recomputation's.
+    """
 
     __slots__ = (
         "assignment", "call", "target", "pre", "pre_plan", "post", "group_vars",
-        "_pre_delta", "_pre_binders", "_group",
+        "witness_vars", "_pre_delta", "_pre_binders", "_group",
     )
 
     def __init__(self, rule: Rule):
@@ -1382,9 +1512,91 @@ class AggregatePlan:
              and v not in rule.existential_variables()),
             key=lambda v: v.name,
         ))
+        # What an emission reads of a group's first match: the group,
+        # plus what the assignment reads besides the aggregate (the
+        # post-conditions see only the group and the target).
+        extra = expression_vars_outside_aggregate(self.assignment.expression)
+        self.witness_vars = self.group_vars + tuple(
+            sorted(extra - set(self.group_vars), key=lambda v: v.name)
+        )
         self._pre_delta: Dict[int, BodyPlan] = {}
         self._pre_binders: Dict[int, DeltaBinder] = {}
         self._group: Optional[BodyPlan] = None
+
+    def group_of(self, substitution: Substitution) -> Tuple[Any, ...]:
+        return tuple(_hashable(substitution.get(v)) for v in self.group_vars)
+
+    def contribution(
+        self, substitution: Substitution
+    ) -> Tuple[Tuple[Any, ...], Tuple[Any, ...], Any]:
+        """``(group, contributor, value)`` of one contribution-body match."""
+        call = self.call
+        if call.contributors:
+            contributor = tuple(
+                _hashable(substitution.get(v)) for v in call.contributors
+            )
+        else:
+            contributor = tuple(
+                sorted(
+                    ((v.name, _hashable(value)) for v, value in substitution.items()),
+                    key=lambda item: item[0],
+                )
+            )
+        return (
+            self.group_of(substitution),
+            contributor,
+            evaluate_expression(call.value, substitution),
+        )
+
+    def emission(
+        self, state: AggregateState, group: Tuple[Any, ...]
+    ) -> Optional[Substitution]:
+        """The head substitution of ``group`` when the value its bucket
+        holds passes the post-conditions, else ``None``."""
+        accumulator = state.accumulator
+        bucket = accumulator.state().get(group)
+        if not bucket:
+            return None
+        base = state.witnesses[group]
+        substitution = {v: base[v] for v in self.group_vars if v in base}
+        substitution[self.target] = evaluate_expression(
+            self.assignment.expression,
+            base,
+            aggregate_value=aggregate(accumulator.function, bucket),
+        )
+        if all(check_condition(c, substitution) for c in self.post):
+            return substitution
+        return None
+
+    def evaluate(
+        self, state: AggregateState, matches: Iterable[Substitution]
+    ) -> Iterator[Substitution]:
+        """Contribute ``matches`` into ``state``, then yield the emission
+        of every group they touched, in first-touch order (a group no
+        match touched has nothing new to emit)."""
+        accumulator = state.accumulator
+        witnesses = state.witnesses
+        touched: Dict[Tuple[Any, ...], None] = {}
+        for substitution in matches:
+            group, contributor, value = self.contribution(substitution)
+            accumulator.contribute(group, contributor, value)
+            if group not in witnesses:
+                witnesses[group] = {
+                    v: substitution[v]
+                    for v in self.witness_vars
+                    if v in substitution
+                }
+            touched[group] = None
+        for group in touched:
+            emitted = self.emission(state, group)
+            if emitted is not None:
+                yield emitted
+
+    def delta_matches(self, db: Database, delta: Changes) -> Iterator[Substitution]:
+        """Contribution-body matches that use a fact of ``delta``."""
+        return delta_matches(
+            self.pre, self.pre_delta_binder, self.pre_delta_plan, db, delta
+        )
 
     def group_plan(self) -> BodyPlan:
         """Pre-body plan with the group variables bound: the matches
@@ -1405,9 +1617,8 @@ class AggregatePlan:
     def pre_delta_plan(self, index: int) -> BodyPlan:
         """Rest-of-pre plan with the ``index``-th atom's variables bound.
 
-        The incremental maintainer joins each new delta fact of one pre
-        occurrence against the rest of the aggregate's contribution body
-        — the semi-naive partition over *changed* predicates, mirroring
+        Each delta fact of one pre occurrence is joined against the rest
+        of the aggregate's contribution body — mirroring
         :meth:`RulePlans.delta_plan` but scoped to the pre body (the rule
         body proper contains the aggregate assignment, which must never
         appear in a join plan).
@@ -1510,6 +1721,12 @@ class RulePlans:
             plan = compile_body(rest, bound, indexes)
             self._delta[index] = plan
         return plan
+
+    def delta_matches(self, db: Database, delta: Changes) -> Iterator[Substitution]:
+        """Body matches that use a fact of ``delta``."""
+        return delta_matches(
+            self.rule.body, self.delta_binder, self.delta_plan, db, delta
+        )
 
     def negation_plan(self, index: int, whole: bool) -> BodyPlan:
         """Body plan with the variables of the negated atom at ``index``

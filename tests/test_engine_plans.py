@@ -2,7 +2,10 @@
 matcher, plan-compilation unit tests, composite-index tests, and the
 graph fast paths that ride along in the same change."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -271,6 +274,49 @@ class TestRandomizedDifferential:
     def test_existential_skolem(self, seed):
         text, predicates, inputs = _existential_case(random.Random(3000 + seed))
         differential(text, predicates, **inputs)
+
+
+#: A recursive stratum with an existential head: which firing of a
+#: ``(X, Z)`` pattern mints its null, and with which ordinal, is decided
+#: by the order the rounds join their new facts in.
+SEEN = "e(X, Y) -> tc(X, Y).\ntc(X, Y), e(Y, Z) -> tc(X, Z), seen(X, Z, N)."
+
+
+def seen_nulls(columnar):
+    """The ``seen`` facts of one batch run over a 12-node graph, in the
+    relation's order, with the ordinal of each null."""
+    edges = [(f"n{i}", f"n{(i * 5 + 3) % 12}") for i in range(12)]
+    edges += [(f"n{i}", f"n{(i + 1) % 12}") for i in range(12)]
+    result = Engine(columnar=columnar).run(
+        parse_program(SEEN), inputs={"e": edges}
+    )
+    return [(x, z, null.ordinal) for x, z, null in result.database.relation("seen")]
+
+
+def test_batch_nulls_are_hash_seed_independent():
+    """A batch run's labeled nulls must not depend on ``set`` iteration
+    order: the same ``seen`` facts, nulls and row order under every
+    ``PYTHONHASHSEED``, on both backends."""
+    script = (
+        "from tests.test_engine_plans import seen_nulls\n"
+        "print(seen_nulls(True))\n"
+        "print(seen_nulls(False))\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    outputs = []
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [root, os.path.join(root, "src"), env.get("PYTHONPATH", "")]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(done.stdout.split("\n")[:2])
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == [repr(seen_nulls(True)), repr(seen_nulls(False))]
+    assert seen_nulls(True)
 
 
 # ---------------------------------------------------------------------------
