@@ -182,9 +182,9 @@ def encode_records(
 LoadedMark = Union[int, Collection[Fact]]
 
 
-def _schema_constructs(schema: SuperSchema) -> Tuple[Dict[Any, str], ...]:
+def schema_constructs(schema: SuperSchema) -> Tuple[Dict[Any, str], ...]:
     """Node type, edge type and attribute name by construct OID: what an
-    ``SM_REFERENCES`` link can point at."""
+    ``SM_REFERENCES`` link can point at (the decoder's ``constructs``)."""
     constructs = (*schema.nodes, *schema.edges)
     return (
         {n.oid: n.type_name for n in schema.nodes},
@@ -211,6 +211,7 @@ def instance_facts(
     source: ColumnSource,
     loaded: Mapping[str, LoadedMark],
     schema: SuperSchema,
+    constructs: Optional[Tuple[Dict[Any, str], ...]] = None,
 ) -> Tuple[Dict[str, Columns], int, int]:
     """Settle which ``I_SM_*`` facts of a chase database make up the
     instance: their columns per relation, how many of them are derived,
@@ -228,7 +229,7 @@ def instance_facts(
     """
     held: Dict[str, Columns] = {}
     added = dropped = 0
-    present = set().union(*_schema_constructs(schema))
+    present = set().union(*(constructs or schema_constructs(schema)))
     for label in INSTANCE_LABELS:
         columns = source(label)
         if columns is None:
@@ -278,6 +279,7 @@ def decode_instance(
     instance_oid: Any,
     source: ColumnSource,
     name: str = "instance",
+    constructs: Optional[Tuple[Dict[Any, str], ...]] = None,
 ) -> "SuperInstance":
     """Decode the ``I_SM_*`` constructs of ``instance_oid`` back into a
     plain typed property graph.
@@ -299,7 +301,7 @@ def decode_instance(
     ``sourceOID``) keeps its invented OID.
     """
     node_type_by_oid, edge_type_by_oid, attribute_name_by_oid = (
-        _schema_constructs(schema)
+        constructs or schema_constructs(schema)
     )
 
     def links(label: str) -> Tuple[List[Any], List[Any]]:
@@ -450,30 +452,34 @@ def decode_relations(
     source: ColumnSource,
     loaded: Mapping[str, LoadedMark],
     name: str,
+    constructs: Optional[Tuple[Dict[Any, str], ...]] = None,
 ) -> "Tuple[SuperInstance, int, int]":
     """The instance the ``I_SM_*`` relations of a chase database hold,
     with the derived-fact and dropped-link counts of
     :func:`instance_facts`."""
-    held, added, dropped = instance_facts(source, loaded, schema)
-    return decode_instance(schema, instance_oid, held.get, name), added, dropped
+    constructs = constructs or schema_constructs(schema)
+    held, added, dropped = instance_facts(source, loaded, schema, constructs)
+    instance = decode_instance(schema, instance_oid, held.get, name, constructs)
+    return instance, added, dropped
 
 
 def delta_source(
     changes: Iterable[Mapping[str, Collection[Fact]]],
-    matching: Callable[[str, int, Any], List[Fact]],
+    matching: Callable[[str, int, Iterable[Any]], List[Fact]],
 ) -> Tuple[ColumnSource, List[Any], List[Any]]:
     """A source holding only the rows of the constructs a change to the
     ``I_SM_*`` relations can reach, and the plain ids those nodes and
     edges have or had.
 
     ``changes`` are the added and the removed facts per relation;
-    ``matching(label, position, value)`` probes the relations as they
-    are now, in row order.  A change reaches the construct a changed row
-    is or hangs off (the source of a link, the owner of an attribute)
-    and every edge naming a node whose own row came or went.
-    The end nodes of reached edges ride along as context — no
-    attributes, not listed — so that :func:`decode_relations` over the
-    source yields the reached elements as the whole relations would.
+    ``matching(label, position, values)`` probes the relations as they
+    are now, value by value in row order, once per label and position.
+    A change reaches the construct a changed row is or hangs off (the
+    source of a link, the owner of an attribute) and every edge naming
+    a node whose own row came or went.  The end nodes of reached edges
+    ride along as context — no attributes, not listed — so that
+    :func:`decode_relations` over the source yields the reached
+    elements as the whole relations would.
     """
     changed: Dict[str, List[Fact]] = {
         label: [row for side in changes for row in side.get(label, ())]
@@ -485,22 +491,16 @@ def delta_source(
     }
     has_property = ("I_SM_HAS_NODE_PROPERTY", "I_SM_HAS_EDGE_PROPERTY")
     ends = ("I_SM_FROM", "I_SM_TO")
-    for oid in list(reach):
-        reach.update(  # an attribute is decoded with its owner
-            row[1] for label in has_property for row in matching(label, 2, oid)
-        )
-    for node in changed["I_SM_Node"]:
-        reach.update(
-            row[1] for label in ends for row in matching(label, 2, node[0])
-        )
+    owned, nodes = list(reach), [node[0] for node in changed["I_SM_Node"]]
+    for label in has_property:  # an attribute is decoded with its owner
+        reach.update(row[1] for row in matching(label, 2, owned))
+    for label in ends:
+        reach.update(row[1] for row in matching(label, 2, nodes))
     reached = sorted(reach, key=str)
     rows: Dict[str, List[Fact]] = {}
 
     def fetch(label: str, position: int, keys: Iterable[Any]) -> List[Fact]:
-        rows[label] = [
-            row for key in dict.fromkeys(keys)
-            for row in matching(label, position, key)
-        ]
+        rows[label] = matching(label, position, dict.fromkeys(keys))
         return rows[label]
 
     fetch("I_SM_Edge", 0, reached)

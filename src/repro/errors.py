@@ -76,6 +76,10 @@ class SchemaError(KGModelError):
     """Ill-formed super-schema or schema (validation failure)."""
 
 
+class ConfigError(KGModelError, ValueError):
+    """A configuration value outside its domain (an empty registry...)."""
+
+
 class ModelError(KGModelError):
     """Unknown target model, construct, or mapping strategy."""
 

@@ -33,6 +33,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import ConfigError
 from repro.graph import make_graph
 
 #: Plausible Italian surnames for the family-detection programs.
@@ -70,6 +71,12 @@ class ShareholdingConfig:
     #: Fraction of capital left unassigned (dispersed ownership).
     dispersed: float = 0.05
     seed: int = 42
+
+    def __post_init__(self) -> None:
+        if self.companies < 1:
+            raise ConfigError(
+                f"a registry needs at least one company, not {self.companies}"
+            )
 
 
 @dataclass

@@ -30,7 +30,7 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.dictionary import GraphDictionary
 from repro.core.instances import (
@@ -41,6 +41,7 @@ from repro.core.instances import (
     delta_source,
     encode_instance,
     encode_records,
+    schema_constructs,
 )
 from repro.core.schema import SuperSchema
 from repro.deploy.delta import FlushDelta, edge_record, node_record
@@ -128,22 +129,30 @@ class RetainedMaterialization:
     :class:`~repro.vadalog.incremental.MaterializedState`), the source
     graph they were loaded from, and the enriched plain graph, which
     every ``update()`` patches in place (new elements come last, not in
-    ``str(oid)`` order).
+    ``str(oid)`` order).  The reason and flush states hold the relations
+    ``reason_holds`` / ``flush_holds`` name; ``constructs`` are the schema's.
     """
 
     schema: SuperSchema
-    sigma: MetaProgram
     instance_oid: Any
     data: PropertyGraph
     result_load: EvaluationResult
     result_reason: EvaluationResult
     result_flush: EvaluationResult
     enriched: PropertyGraph
+    reason_holds: FrozenSet[str]
+    flush_holds: FrozenSet[str]
+    constructs: Tuple[Dict[Any, str], ...]
     updates_applied: int = 0
 
 
 #: Compile-cache entries kept per materializer (oldest evicted first).
 _COMPILE_CACHE_LIMIT = 8
+
+
+def _held(predicates: FrozenSet[str], *changes: Dict[str, Any]) -> Dict[str, Any]:
+    """The changes to ``predicates``, a later mapping's bucket winning."""
+    return {p: f for bucket in changes for p, f in bucket.items() if p in predicates}
 
 
 @contextmanager
@@ -260,11 +269,17 @@ class IntensionalMaterializer:
         ``retain=True`` keeps the three chase states alive so later
         registry changes can be applied with :meth:`update` instead of
         re-running from scratch (off by default — the from-scratch path
-        pays nothing).
+        pays nothing); Sigma's and V_O's states copy only the relations
+        they read or write (and the decoder's), so none is checkpointed.
         """
         report = MaterializationReport(instance=None)  # filled below
         tracer = self.tracer
 
+        if retain and checkpoint is not None:
+            raise EvaluationError(
+                "retain=True cannot be checkpointed: the retained states "
+                "hold only what each program reads — pass one of the two"
+            )
         resume_from: Optional[str] = None
         if checkpoint is not None:
             from repro.ssst.checkpoint import run_fingerprint
@@ -279,6 +294,7 @@ class IntensionalMaterializer:
             # repeated runs skip the translation entirely.
             views = self._compiled_views(schema, sigma, instance_oid)
             compiled, v_in, v_out = views.compiled, views.v_in, views.v_out
+            reason_holds = compiled.program.predicates()
 
             # Algorithm 2 reads the schema object, not the dictionary.
             if (
@@ -287,12 +303,6 @@ class IntensionalMaterializer:
             ):
                 dictionary.store(schema)
             if resume_from is not None:
-                if retain:
-                    raise EvaluationError(
-                        "retain=True cannot resume from a checkpoint: the "
-                        "skipped phases leave no state to maintain — rerun "
-                        "without --resume or without retain"
-                    )
                 staged_db, phase_meta = checkpoint.load_phase(resume_from)
                 report.resumed_from = resume_from
                 load_span.set(resumed=True, phase=resume_from)
@@ -314,14 +324,14 @@ class IntensionalMaterializer:
                 )
                 # Materialize V_I into the staging area (Section 6
                 # optimization).
-                # The staging database is materializer-owned: let
-                # every phase evaluate in place instead of copying the
-                # full extension per run.  With ``retain=True`` the
-                # three phase results must stay distinct snapshots (the
-                # delta-chase baselines), so copies are kept.
+                # The staging database is materializer-owned: every
+                # phase evaluates in place.  With ``retain=True`` the
+                # three phase results stay distinct snapshots (the
+                # delta-chase baselines): the later two run over copies
+                # of the relations they read or write.
                 result_in = self.engine.run(
                     v_in, database=staging, retain_state=retain,
-                    copy_database=retain,
+                    copy_database=False,
                 )
                 self._merge_status(report, result_in)
                 staged_db = result_in.database
@@ -344,8 +354,9 @@ class IntensionalMaterializer:
                     )
                 }
                 result_sigma = self.engine.run(
-                    compiled.program, database=staged_db,
-                    retain_state=retain, copy_database=retain,
+                    compiled.program,
+                    database=staged_db.slice(reason_holds) if retain else staged_db,
+                    retain_state=retain, copy_database=False,
                 )
                 report.reason_stats = result_sigma.stats
                 self._merge_status(report, result_sigma)
@@ -370,17 +381,22 @@ class IntensionalMaterializer:
         # Never checkpointed: it only reads the reason phase's result,
         # so re-running it always yields the complete instance.
         with tracer.span("materialize.flush") as flush_span:
+            # Retained: each relation as the last phase holding it left it.
+            flush_holds = {*INSTANCE_LABELS, *v_out.predicates()}
+            flush_db = result_db.slice(
+                flush_holds, staged_db.slice(flush_holds - reason_holds)
+            ) if retain else result_db
             # V_O only appends, and a columnar relation keeps row order:
             # the rows each I_SM_* relation holds now are the loaded
             # ones.  (The tuple backend has no row order to count in.)
             loaded: Dict[str, LoadedMark] = {
-                label: result_db.count(label) if self.engine.columnar
-                else result_db.facts(label)
+                label: flush_db.count(label) if self.engine.columnar
+                else flush_db.facts(label)
                 for label in INSTANCE_LABELS
             }
             result_out = self.engine.run(
-                v_out, database=result_db, retain_state=retain,
-                copy_database=retain,
+                v_out, database=flush_db, retain_state=retain,
+                copy_database=False,
             )
             self._merge_status(report, result_out)
             report.instance, added, dropped = decode_relations(
@@ -397,13 +413,15 @@ class IntensionalMaterializer:
             if not report.truncated:
                 self._retained = RetainedMaterialization(
                     schema=schema,
-                    sigma=sigma,
                     instance_oid=instance_oid,
                     data=data,
                     result_load=result_in,
                     result_reason=result_sigma,
                     result_flush=result_out,
                     enriched=report.instance.data,
+                    reason_holds=frozenset(reason_holds),
+                    flush_holds=frozenset(flush_holds),
+                    constructs=schema_constructs(schema),
                 )
         return report
 
@@ -480,25 +498,25 @@ class IntensionalMaterializer:
                 ).apply_to(data)
 
                 # Chase maintenance: each state's net changes are the
-                # next state's extensional delta (load -> reason ->
-                # flush views).  Net changes are sets; the encoded
-                # facts ride along as lists (those a state already
-                # holds are ignored) so that all three states append
-                # them in encoder order, the order a from-scratch load
-                # gives them and the decoder reads attributes in.
+                # next states' extensional delta (load -> reason -> flush
+                # views) on the relations each holds.  Net changes are
+                # sets; the encoded facts ride along as lists (those a
+                # state already holds are ignored), so the states append
+                # them in encoder order: a fresh load's, the decoder's.
                 engine = self.engine
                 delta_load = engine.apply_delta(
                     retained.result_load, added=addition, removed=removal,
                 )
+                added, removed = {**delta_load.added, **addition}, delta_load.removed
                 delta_reason = engine.apply_delta(
                     retained.result_reason,
-                    added={**delta_load.added, **addition},
-                    removed=delta_load.removed,
+                    added=_held(retained.reason_holds, added),
+                    removed=_held(retained.reason_holds, removed),
                 )
                 delta_flush = engine.apply_delta(
                     retained.result_flush,
-                    added={**delta_reason.added, **addition},
-                    removed=delta_reason.removed,
+                    added=_held(retained.flush_holds, added, delta_reason.added),
+                    removed=_held(retained.flush_holds, removed, delta_reason.removed),
                 )
 
                 # Decode what the flush state's net changes can reach,
@@ -513,7 +531,8 @@ class IntensionalMaterializer:
                     flush.database.matching,
                 )
                 touched, _, dropped = decode_relations(
-                    schema, ioid, source, flush.state.edb, "touched"
+                    schema, ioid, source, flush.state.edb, "touched",
+                    retained.constructs,
                 )
                 flush_delta = FlushDelta.between(
                     retained.enriched, touched.data, node_ids, edge_ids

@@ -278,6 +278,18 @@ class Database:
                 clone.share(name, relation)
         return clone
 
+    def slice(
+        self, predicates: Iterable[str], base: Optional["Database"] = None
+    ) -> "Database":
+        """Private copies of the relations of ``predicates`` it holds, put
+        in ``base`` or in a new database on its backend and interner."""
+        clone = base or Database(self.columnar, self._spill_path, self._interner)
+        for name in predicates:
+            relation = self._relations.get(name)
+            if relation is not None:
+                clone._relations[name] = relation.copy()
+        return clone
+
     def _owned(self) -> List[Relation]:
         borrowed = self._borrowed
         return [r for n, r in self._relations.items() if n not in borrowed]
@@ -360,17 +372,17 @@ class Database:
         transposed = list(zip(*sorted(relation, key=fact_sort_key)))
         return [list(col) for col in transposed] if transposed else None
 
-    def matching(self, predicate: str, position: int, value: Any) -> List[Fact]:
-        """The facts of ``predicate`` holding ``value`` at ``position``,
-        in the order :meth:`columns` lists them — an index probe, not a
-        scan."""
+    def matching(self, predicate: str, position: int, values: Iterable[Any]) -> List[Fact]:
+        """The facts of ``predicate`` holding one of ``values`` at
+        ``position``: value by value, each value's in the order
+        :meth:`columns` lists them — index probes, not a scan."""
         relation = self._relations.get(predicate)
         if relation is None:
             return []
-        facts = list(relation.lookup([(position, value)]))
+        found = (list(relation.lookup([(position, v)])) for v in values)
         if not self.columnar:
-            facts.sort(key=fact_sort_key)
-        return facts
+            found = (sorted(facts, key=fact_sort_key) for facts in found)
+        return [fact for facts in found for fact in facts]
 
     def has(self, predicate: str, fact: Tuple[Any, ...]) -> bool:
         relation = self._relations.get(predicate)

@@ -404,8 +404,6 @@ class Engine:
             violation=violation,
             state=state,
         )
-        if state is not None:
-            state.engine = self
         return result
 
     # ------------------------------------------------------------------

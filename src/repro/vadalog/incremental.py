@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from typing import (
     Any,
@@ -131,13 +132,13 @@ class MaterializedState:
     Built by :meth:`Engine.run` when ``retain_state=True``: the live
     database, the stratification, the extensional snapshot, saturated
     aggregate accumulators, and the null/Skolem factories (so
-    maintenance continues their counters).
+    maintenance continues their counters), and, from the first update
+    on, the :class:`StratumPlan` of every stratum.
     """
 
     __slots__ = (
         "program", "working", "strata", "database", "nulls", "skolems",
-        "edb", "aggregates", "engine",
-        "updates_applied", "joined",
+        "edb", "aggregates", "joined", "plans",
     )
 
     def __init__(
@@ -159,12 +160,17 @@ class MaterializedState:
         #: The state of every aggregate rule, as the run (or the last
         #: recompute of its stratum) left it; maintained in place.
         self.aggregates: Dict[Rule, AggregateState] = {}
-        self.engine: Any = None
-        self.updates_applied = 0
         #: What some stratum reads or writes: a delta on it is joined.
         self.joined: Set[str] = set()
-        for stratum in self.strata:
-            self.joined.update(*_stratum_reads(stratum), _head_predicates(stratum.rules))
+        self.plans: Optional[List[StratumPlan]] = None
+
+    def stratum_plans(self, engine: Any) -> "List[StratumPlan]":
+        """Every stratum's maintenance plan, compiled by the first update."""
+        if self.plans is None:
+            plans_for = partial(engine._plans_for, stats=EvaluationStats())
+            self.plans = [StratumPlan(self, s, plans_for) for s in self.strata]
+            self.joined.update(*(plan.reach for plan in self.plans))
+        return self.plans
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +220,6 @@ class DeltaResult:
 # Safety classification
 # ---------------------------------------------------------------------------
 
-_SKIP = "skip"
 _INCREMENTAL = "incremental"
 _RECOMPUTE = "recompute"
 
@@ -240,26 +245,64 @@ RECOMPUTE_REASONS = (
 )
 
 
-def _positive_reads(rule: Rule) -> Set[str]:
-    return {atom.predicate for atom in rule.body_atoms()}
+class RulePlan:
+    """One rule as maintenance reads it, compiled once per retained state
+    (an update hashes no :class:`Rule`), with what the rules alone decide
+    of its refusals, without and with a deletion pass."""
+
+    __slots__ = (
+        "plans", "label", "reads", "negated", "heads", "existential",
+        "aggregate", "refusals", "gates", "written",
+    )
+
+    def __init__(self, state: MaterializedState, stratum: Stratum, index: int,
+                 rule: Rule, plans_for: Any):
+        plans = self.plans = plans_for(rule)
+        self.label = rule.label or f"r{index}"
+        self.reads = frozenset(atom.predicate for atom in rule.body_atoms())
+        self.negated = frozenset(n.atom.predicate for n in rule.negated_atoms())
+        self.heads = frozenset(rule.head_predicates())
+        self.existential = bool(rule.existential_variables())
+        self.aggregate: Optional[AggregateState] = state.aggregates.get(rule)
+        self.refusals = [
+            _aggregate_refusal(plans_for, state, rule, removals)
+            for removals in (False, True)
+        ] if plans.is_aggregate else None
+        self.written = {
+            p for p, slots in plans.head_ops if any(k == _K_EXIST for k, _ in slots)
+        }
+        self.gates = [
+            not self.existential
+            or _existential_gate(plans_for, state, stratum, rule, removals)
+            for removals in (False, True)
+        ]
 
 
-def _negated_reads(rule: Rule) -> Set[str]:
-    return {negated.atom.predicate for negated in rule.negated_atoms()}
+class StratumPlan:
+    """One stratum as maintenance reads it: its rules, the writers of each
+    head predicate, and its read and head sets, whose union ``reach`` a
+    change must meet for the stratum to be classified at all."""
 
+    __slots__ = (
+        "stratum", "rules", "reads", "negated", "heads", "retracts", "reach", "writers",
+    )
 
-def _head_predicates(rules: Iterable[Rule]) -> Set[str]:
-    return {atom.predicate for rule in rules for atom in rule.head}
-
-
-def _stratum_reads(stratum: Stratum) -> Tuple[Set[str], Set[str]]:
-    """The predicates the stratum's rules read positively / negated."""
-    pos_reads: Set[str] = set()
-    neg_reads: Set[str] = set()
-    for rule in stratum.rules:
-        pos_reads |= _positive_reads(rule)
-        neg_reads |= _negated_reads(rule)
-    return pos_reads, neg_reads
+    def __init__(self, state: MaterializedState, stratum: Stratum, plans_for: Any):
+        self.stratum = stratum
+        self.rules = [
+            RulePlan(state, stratum, index, rule, plans_for)
+            for index, rule in enumerate(stratum.rules)
+        ]
+        self.reads, self.negated, self.heads = (
+            frozenset().union(*(getattr(rule, name) for rule in self.rules))
+            for name in ("reads", "negated", "heads")
+        )
+        self.retracts = self.reads | self.heads  # what a removal seeds DRed by
+        self.reach = self.retracts | self.negated | stratum.predicates
+        self.writers: Dict[str, List[Tuple[RulePlan, int]]] = {}
+        for rule in self.rules:
+            for head_index, (predicate, _) in enumerate(rule.plans.head_ops):
+                self.writers.setdefault(predicate, []).append((rule, head_index))
 
 
 def _post_condition_is_lower_bound(
@@ -292,7 +335,7 @@ def _post_condition_is_lower_bound(
 
 
 def _aggregate_refusal(
-    engine: Any, state: MaterializedState, rule: Rule, removals: bool, stats: Any
+    plans_for: Any, state: MaterializedState, rule: Rule, removals: bool
 ) -> Optional[str]:
     """Why this aggregate rule cannot be maintained through its retained
     accumulator (``None``: it can).
@@ -307,7 +350,7 @@ def _aggregate_refusal(
     """
     if rule not in state.aggregates:
         return _NO_ACCUMULATOR
-    plans = engine._plans_for(rule, stats)
+    plans = plans_for(rule)
     plan = plans.aggregate_plan()
     if not is_monotonic(plan.call.function):
         return _NON_MONOTONE
@@ -346,14 +389,56 @@ def _existential_signature(plans: RulePlans) -> Tuple[Any, ...]:
     )
 
 
-def _existential_safe(
-    engine: Any,
-    state: MaterializedState,
-    stratum: Stratum,
-    rule: Rule,
-    changed: Set[str],
+def _existential_gate(
+    plans_for: Any, state: MaterializedState, stratum: Stratum, rule: Rule,
     removals: bool,
-    stats: Any,
+) -> bool:
+    """The half of the existential gate the rules decide: conditions
+    (2)-(5) of :func:`_existential_safe`."""
+    plans = plans_for(rule)
+    signature = _existential_signature(plans)
+    existential_preds: Dict[str, Set[int]] = {}
+    for predicate, slots in plans.head_ops:
+        positions = {
+            position for position, (kind, _) in enumerate(slots) if kind == _K_EXIST
+        }
+        if positions:
+            existential_preds.setdefault(predicate, set()).update(positions)
+    for predicate, positions in existential_preds.items():
+        round_zero = 0
+        recursive_writers = 0
+        for writer in state.working.rules:
+            if predicate not in writer.head_predicates():
+                continue
+            writer_plans = plans_for(writer)
+            for w_predicate, slots in writer_plans.head_ops:
+                if w_predicate != predicate:
+                    continue
+                for position in positions:
+                    if position >= len(slots) or slots[position][0] != _K_EXIST:
+                        return False
+            if removals and _existential_signature(writer_plans) != signature:
+                return False
+            if writer.has_aggregate():
+                if _aggregate_refusal(plans_for, state, writer, removals):
+                    return False
+            else:
+                named_body = {
+                    v for v in writer.body_variables() if v.name != "_"
+                }
+                if not named_body <= set(writer_plans.rederive_bound_vars()):
+                    return False
+            if any(a.predicate in stratum.predicates for a in writer.body_atoms()):
+                recursive_writers += 1
+            else:
+                round_zero += 1
+        if round_zero > 1 or recursive_writers > 1:
+            return False
+    return True
+
+
+def _existential_safe(
+    state: MaterializedState, rule: RulePlan, changed: Set[str], removals: bool
 ) -> bool:
     """Gate for propagating changes through an existential head.
 
@@ -372,109 +457,57 @@ def _existential_safe(
     Under (1)-(3) a pattern holds one fact exactly while some writer
     has a firing for it, which is what DRed needs of a removal; it
     looks the fact up by the pattern, so ``removals`` also needs (5)
-    all writers to share one existential signature.
+    all writers to share one existential signature.  (2)-(5) are the
+    rules' to decide, once (``RulePlan.gates``); (1) is the update's.
     """
-    plans = engine._plans_for(rule, stats)
-    signature = _existential_signature(plans)
-    existential_preds: Dict[str, Set[int]] = {}
-    for index, (predicate, slots) in enumerate(plans.head_ops):
-        positions = {
-            position for position, (kind, _) in enumerate(slots) if kind == _K_EXIST
-        }
-        if positions:
-            existential_preds.setdefault(predicate, set()).update(positions)
-    for predicate, positions in existential_preds.items():
-        if state.edb.get(predicate) or predicate in changed:
-            return False
-        writers = [
-            other
-            for other in state.working.rules
-            if any(atom.predicate == predicate for atom in other.head)
-        ]
-        round_zero = 0
-        recursive_writers = 0
-        for writer in writers:
-            writer_plans = engine._plans_for(writer, stats)
-            for w_predicate, slots in writer_plans.head_ops:
-                if w_predicate != predicate:
-                    continue
-                for position in positions:
-                    if position >= len(slots) or slots[position][0] != _K_EXIST:
-                        return False
-            if removals and _existential_signature(writer_plans) != signature:
-                return False
-            if writer.has_aggregate():
-                if _aggregate_refusal(engine, state, writer, removals, stats):
-                    return False
-            else:
-                named_body = {
-                    v for v in writer.body_variables() if v.name != "_"
-                }
-                if not named_body <= set(writer_plans.rederive_bound_vars()):
-                    return False
-            if _positive_reads(writer) & stratum.predicates:
-                recursive_writers += 1
-            else:
-                round_zero += 1
-        if round_zero > 1 or recursive_writers > 1:
-            return False
-    return True
+    return rule.gates[removals] and not any(
+        state.edb.get(predicate) or predicate in changed
+        for predicate in rule.written
+    )
 
 
 def _classify_stratum(
-    engine: Any,
     state: MaterializedState,
-    stratum: Stratum,
+    plan: StratumPlan,
     add_keys: Set[str],
     rm_keys: Set[str],
-    stats: Any,
 ) -> Tuple[str, Optional[Tuple[str, str]]]:
-    """How to bring one stratum up to date: the mode and, for a
-    recompute, the ``(rule label, reason)`` that forced it."""
+    """How to bring a stratum the changed predicates reach up to date:
+    the mode and, for a recompute, the ``(rule label, reason)`` that
+    forced it.  What the rules alone decide is read off ``plan``."""
     changed = add_keys | rm_keys
-    stratum_heads = _head_predicates(stratum.rules)
-    pos_reads, neg_reads = _stratum_reads(stratum)
-    touched = (pos_reads | neg_reads | stratum_heads | stratum.predicates) & changed
-    if not touched:
-        return _SKIP, None
+    stratum = plan.stratum
 
     # Once anything enters a recursive stratum, its own predicates count
     # as changed for gating (the delta cascades through them).
-    effective = set(changed)
-    if stratum.recursive:
-        effective |= stratum.predicates
+    effective = changed | stratum.predicates if stratum.recursive else changed
 
     # Will a deletion pass run?  It cascades through a recursive stratum,
     # and its re-derivation tries every writer of an over-deleted
     # predicate (an aggregate rule through its buckets), so every rule
     # it could reach has to take removals.
-    deletes = bool(rm_keys & (pos_reads | stratum_heads) or add_keys & neg_reads)
+    deletes = bool(rm_keys & plan.retracts or add_keys & plan.negated)
 
-    for rule_index, rule in enumerate(stratum.rules):
-        label = rule.label or f"r{rule_index}"
-        if _negated_reads(rule) & effective:
+    for rule in plan.rules:
+        if not rule.negated.isdisjoint(effective):
             # Maintained by key (the changed facts of the negated
             # predicate seed the passes) where nothing cascades and a
             # head fact is its own identity.
             if stratum.recursive:
-                return _RECOMPUTE, (label, _NEGATION_IN_RECURSION)
-            if rule.has_aggregate() or rule.existential_variables():
-                return _RECOMPUTE, (label, _NEGATION_BESIDE_INVENTION)
-        rule_reads = _positive_reads(rule)
-        rule_heads = {atom.predicate for atom in rule.head}
-        rule_affected = bool(rule_reads & effective) or bool(rule_heads & changed)
-        if rule.has_aggregate() and (rule_affected or deletes):
-            refusal = _aggregate_refusal(engine, state, rule, deletes, stats)
+                return _RECOMPUTE, (rule.label, _NEGATION_IN_RECURSION)
+            if rule.plans.is_aggregate or rule.existential:
+                return _RECOMPUTE, (rule.label, _NEGATION_BESIDE_INVENTION)
+        affected = bool(rule.reads & effective or rule.heads & changed)
+        if rule.plans.is_aggregate and (affected or deletes):
+            refusal = rule.refusals[deletes]
             if refusal:
-                return _RECOMPUTE, (label, refusal)
+                return _RECOMPUTE, (rule.label, refusal)
         if (
-            rule_affected
-            and rule.existential_variables()
-            and not _existential_safe(
-                engine, state, stratum, rule, changed, deletes, stats
-            )
+            affected
+            and rule.existential
+            and not _existential_safe(state, rule, changed, deletes)
         ):
-            return _RECOMPUTE, (label, _EXISTENTIAL_GATE)
+            return _RECOMPUTE, (rule.label, _EXISTENTIAL_GATE)
     return _INCREMENTAL, None
 
 
@@ -505,7 +538,7 @@ def _negation_matches(
 def _insertion_pass(
     engine: Any,
     state: MaterializedState,
-    stratum: Stratum,
+    stratum: StratumPlan,
     db: Database,
     seeds: Changes,
     negated_losses: Changes,
@@ -523,8 +556,8 @@ def _insertion_pass(
         rounds += 1
         if rounds > engine.max_iterations:
             raise ResourceLimitError(
-                f"incremental pass over {sorted(stratum.predicates)} did not "
-                f"reach a fixpoint within {engine.max_iterations} rounds",
+                f"incremental pass over {sorted(stratum.stratum.predicates)} "
+                f"did not reach a fixpoint within {engine.max_iterations} rounds",
                 resource="iterations",
                 limit=engine.max_iterations,
                 stats=stats,
@@ -532,12 +565,12 @@ def _insertion_pass(
         stats.iterations += 1
         pending: List[Tuple[str, Fact]] = []
         for rule in stratum.rules:
-            plans = engine._plans_for(rule, stats)
+            if rule.reads.isdisjoint(delta) and rule.negated.isdisjoint(negated_losses):
+                continue
+            plans = rule.plans
             if plans.is_aggregate:
                 plan = plans.aggregate_plan()
-                matches = plan.evaluate(
-                    state.aggregates[rule], plan.delta_matches(db, delta)
-                )
+                matches = plan.evaluate(rule.aggregate, plan.delta_matches(db, delta))
             else:
                 matches = plans.delta_matches(db, delta)
                 if negated_losses:
@@ -680,9 +713,8 @@ def _unify_firing(plans: RulePlans, firing: Firing) -> Optional[Substitution]:
 
 
 def _derives(
-    state: MaterializedState,
     db: Database,
-    plans: RulePlans,
+    rule: RulePlan,
     head_index: Optional[int],
     base: Optional[Substitution],
 ) -> bool:
@@ -694,11 +726,10 @@ def _derives(
     """
     if base is None:
         return False
+    plans = rule.plans
     if plans.is_aggregate:
         plan = plans.aggregate_plan()
-        return plan.emission(
-            state.aggregates[plans.rule], plan.group_of(base)
-        ) is not None
+        return plan.emission(rule.aggregate, plan.group_of(base)) is not None
     for _ in execute_plan(plans.rederive_plan(head_index), db, base):
         return True
     return False
@@ -707,13 +738,14 @@ def _derives(
 def _overdelete_joins(
     engine: Any,
     state: MaterializedState,
-    stratum: Stratum,
+    stratum: StratumPlan,
     db: Database,
     removed_seeds: Changes,
     negated_gains: Changes,
     stats: Any,
 ) -> Tuple[
-    Dict[str, Set[Fact]], Dict[Firing, None], Dict[Rule, Dict[Tuple[Any, ...], None]]
+    Dict[str, Set[Fact]], Dict[Firing, None],
+    Dict[RulePlan, Dict[Tuple[Any, ...], None]],
 ]:
     """Downward closure of the removed facts through this stratum's rules.
 
@@ -734,10 +766,9 @@ def _overdelete_joins(
     support count.  Returns the marked facts, the existential firings
     among them, and the touched groups per aggregate rule.
     """
-    read, _ = _stratum_reads(stratum)
     shown: List[Tuple[Any, Dict[Fact, Any], Fact, Any]] = []
     for predicate, graves in removed_seeds.items():
-        if predicate not in read:
+        if predicate not in stratum.reads:
             continue  # a head-only seed: a candidate, joined by nothing
         relation = db.relation(predicate)
         for fact, grave in graves.items():
@@ -747,13 +778,17 @@ def _overdelete_joins(
                 shown.append((relation, graves, fact, None))
     marked: Dict[str, Set[Fact]] = {}
     firings: Dict[Firing, None] = {}
-    touched: Dict[Rule, Dict[Tuple[Any, ...], None]] = {}
+    touched: Dict[RulePlan, Dict[Tuple[Any, ...], None]] = {}
     try:
         frontier = removed_seeds
         while frontier or negated_gains:
             found: Dict[str, Set[Fact]] = {}
             for rule in stratum.rules:
-                plans = engine._plans_for(rule, stats)
+                if rule.reads.isdisjoint(frontier) and rule.negated.isdisjoint(
+                    negated_gains
+                ):
+                    continue
+                plans = rule.plans
                 heads: List[Tuple[str, Fact]] = []
                 if plans.is_aggregate:
                     plan = plans.aggregate_plan()
@@ -763,7 +798,7 @@ def _overdelete_joins(
                         if group in groups:
                             continue
                         groups[group] = None
-                        emitted = plan.emission(state.aggregates[rule], group)
+                        emitted = plan.emission(rule.aggregate, group)
                         if emitted is not None:
                             heads += _held_heads(plans, emitted, state, firings)
                 else:
@@ -798,16 +833,13 @@ def _overdelete_joins(
 
 
 def _rebuild_groups(
-    state: MaterializedState,
-    plans: RulePlans,
-    db: Database,
-    groups: Iterable[Tuple[Any, ...]],
+    rule: RulePlan, db: Database, groups: Iterable[Tuple[Any, ...]]
 ) -> None:
     """Refill the buckets of ``groups`` from the matches that survive,
     by the contribution body joined with the group bound; a group
     nothing contributes to any more leaves the state."""
-    plan = plans.aggregate_plan()
-    retained = state.aggregates[plans.rule]
+    plan = rule.plans.aggregate_plan()
+    retained = rule.aggregate
     buckets = retained.accumulator.state()
     for group in groups:
         witness = retained.witnesses.get(group)
@@ -823,7 +855,7 @@ def _rebuild_groups(
 def _deletion_pass(
     engine: Any,
     state: MaterializedState,
-    stratum: Stratum,
+    stratum: StratumPlan,
     db: Database,
     removed_seeds: Changes,
     negated_gains: Changes,
@@ -853,17 +885,13 @@ def _deletion_pass(
         firing: nulls.minted[firing[0]].pop(firing[1]) for firing in firings
     }
     for rule, groups in touched.items():
-        _rebuild_groups(state, engine._plans_for(rule, stats), db, groups)
+        _rebuild_groups(rule, db, groups)
 
     # Re-derivation candidates: every over-deleted fact, plus incoming
     # removed facts this stratum's rules could still derive (an upstream
     # retraction does not retract an independently derivable fact).
     # Every writer of the predicate is tried.
-    writers: Dict[str, List[Tuple[RulePlans, int]]] = {}
-    for rule in stratum.rules:
-        plans = engine._plans_for(rule, stats)
-        for head_index, (predicate, _) in enumerate(plans.head_ops):
-            writers.setdefault(predicate, []).append((plans, head_index))
+    writers = stratum.writers
     candidates: Dict[str, Set[Fact]] = {}
     for predicate, facts in marked.items():
         candidates.setdefault(predicate, set()).update(facts)
@@ -882,9 +910,9 @@ def _deletion_pass(
 
     for firing, assignments in held.items():
         if any(
-            _derives(state, db, plans, None, _unify_firing(plans, firing))
-            for plans, head_index in writers[firing[0]]
-            if head_index == 0 and plans.existentials
+            _derives(db, rule, None, _unify_firing(rule.plans, firing))
+            for rule, head_index in writers[firing[0]]
+            if head_index == 0 and rule.plans.existentials
         ):
             nulls.minted[firing[0]][firing[1]] = assignments
             for predicate, fact in _firing_facts(firing, assignments):
@@ -895,10 +923,10 @@ def _deletion_pass(
         for fact in facts:
             if not db.has(predicate, fact) and any(
                 _derives(
-                    state, db, plans, head_index,
-                    _unify_head_fact(plans, head_index, fact),
+                    db, rule, head_index,
+                    _unify_head_fact(rule.plans, head_index, fact),
                 )
-                for plans, head_index in writers.get(predicate, ())
+                for rule, head_index in writers.get(predicate, ())
             ):
                 put_back(predicate, fact)
     return rederived
@@ -912,7 +940,7 @@ def _deletion_pass(
 def _recompute_stratum(
     engine: Any,
     state: MaterializedState,
-    stratum: Stratum,
+    stratum: StratumPlan,
     index: int,
     db: Database,
     stats: Any,
@@ -928,22 +956,25 @@ def _recompute_stratum(
     (:class:`~repro.vadalog.terms.NullFactory`), so the before/after
     diff is the net change and becomes the downstream delta.
     """
-    stratum_heads = _head_predicates(stratum.rules)
     before = {
-        predicate: set(db.relation(predicate)) for predicate in stratum_heads
+        predicate: set(db.relation(predicate)) for predicate in stratum.heads
     }
     nulls = state.nulls
-    for predicate in stratum_heads:
+    for predicate in stratum.heads:
         db.reset(predicate, state.edb.get(predicate, set()))
         if predicate in nulls.minted:
             nulls.reclaim[predicate] = nulls.minted.pop(predicate)
     try:
         engine._evaluate_stratum(
-            stratum, index, db, stats, nulls, state.skolems, state.aggregates
+            stratum.stratum, index, db, stats, nulls, state.skolems,
+            state.aggregates,
         )
     finally:
         nulls.reclaim = {}  # unclaimed: the firing is gone, so are its nulls
-    for predicate in stratum_heads:
+        for rule in stratum.rules:
+            if rule.plans.is_aggregate:
+                rule.aggregate = state.aggregates.get(rule.plans.rule)
+    for predicate in stratum.heads:
         after = set(db.relation(predicate))
         gained = after - before[predicate]
         lost = before[predicate] - after
@@ -1080,6 +1111,7 @@ def apply_delta(
 
         # The running net: what some stratum joins is sorted here, and
         # in ``_merge_net`` as it grows.
+        plans = state.stratum_plans(engine)
         joined = state.joined
         pending_remove = ordered_delta(requested_remove, joined)
         for predicate, graves in pending_remove.items():
@@ -1097,19 +1129,18 @@ def apply_delta(
         pending_add = ordered_delta(new_facts, joined)
 
         if not pending_add and not pending_remove:
-            delta_result.strata_skipped = len(state.strata)
+            delta_result.strata_skipped = len(plans)
             return delta_result
 
         # ---- stratum-by-stratum maintenance --------------------------
-        for index, stratum in enumerate(state.strata):
-            add_keys = {p for p, facts in pending_add.items() if facts}
-            rm_keys = {p for p, facts in pending_remove.items() if facts}
-            mode, refusal = _classify_stratum(
-                engine, state, stratum, add_keys, rm_keys, local
-            )
-            if mode == _SKIP:
+        add_keys = {p for p, facts in pending_add.items() if facts}
+        rm_keys = {p for p, facts in pending_remove.items() if facts}
+        changed = add_keys | rm_keys
+        for index, stratum in enumerate(plans):
+            if stratum.reach.isdisjoint(changed):
                 delta_result.strata_skipped += 1
                 continue
+            mode, refusal = _classify_stratum(state, stratum, add_keys, rm_keys)
             added_now: Dict[str, Set[Fact]] = {}
             removed_now: Changes = {}
             if mode == _RECOMPUTE:
@@ -1128,14 +1159,10 @@ def apply_delta(
                     ) from stop
                 delta_result.recompute_reasons.append((index, *refusal))
             else:
-                pos_reads, neg_reads = _stratum_reads(stratum)
                 # A fact a negated predicate gained retracts like a
                 # removal, one it lost derives like an addition.
-                removal_seeds = _restrict(
-                    pending_remove,
-                    pos_reads | _head_predicates(stratum.rules),
-                )
-                negated_gains = _restrict(pending_add, neg_reads)
+                removal_seeds = _restrict(pending_remove, stratum.retracts)
+                negated_gains = _restrict(pending_add, stratum.negated)
                 rederived: Dict[str, Set[Fact]] = {}
                 try:
                     if removal_seeds or negated_gains:
@@ -1158,14 +1185,14 @@ def apply_delta(
                                     rederived=delta_result.rederived - before[1],
                                 )
                                 dred_span.__exit__(None, None, None)
-                    seeds = _restrict(pending_add, pos_reads)
+                    seeds = _restrict(pending_add, stratum.reads)
                     seeds.update(ordered_delta({
                         predicate: facts.union(seeds.get(predicate, ()))
                         for predicate, facts in rederived.items()
                     }))
                     _insertion_pass(
                         engine, state, stratum, db, seeds,
-                        _restrict(pending_remove, neg_reads),
+                        _restrict(pending_remove, stratum.negated),
                         local, added_now,
                     )
                 finally:
@@ -1176,6 +1203,9 @@ def apply_delta(
                 _merge_net(
                     pending_add, pending_remove, added_now, removed_now, joined
                 )
+                add_keys = {p for p, facts in pending_add.items() if facts}
+                rm_keys = {p for p, facts in pending_remove.items() if facts}
+                changed = add_keys | rm_keys
             if governor is not None:
                 violation = governor.check(local)
                 if violation is not None:
@@ -1191,7 +1221,6 @@ def apply_delta(
         return delta_result
     finally:
         delta_result.elapsed_seconds = time.perf_counter() - start
-        state.updates_applied += 1
         if stats is not None:
             stats.rule_firings += local.rule_firings
             stats.facts_derived += local.facts_derived

@@ -176,5 +176,25 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "avg_clustering" in out and "paper" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--companies", "0"],
+        ["stats", "--companies", "-3"],
+        ["serve", "--demo-companies", "0", "--port", "0"],
+    ])
+    def test_an_empty_registry_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: a registry needs at least one company"
+        ), captured.err
+        assert not captured.out
+
+    def test_the_generator_refuses_an_empty_registry(self):
+        from repro.finkg import ShareholdingConfig
+
+        with pytest.raises(ValueError, match="at least one company"):
+            ShareholdingConfig(companies=0)
+        assert ShareholdingConfig(companies=1).companies == 1
+
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent.gsl"]) == 2

@@ -2,6 +2,7 @@
 DRed edge cases, materializer updates, and store delta-flush appliers."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -14,8 +15,16 @@ from repro.metalog import parse_metalog
 from repro.models.relational import Column, ForeignKey, RelationalSchema, Table
 from repro.ssst import SSST, IntensionalMaterializer, RegistryDelta
 from repro.obs import RecordingTracer
-from repro.vadalog import Engine, parse_program
-from repro.vadalog.incremental import RECOMPUTE_REASONS
+from repro.vadalog import Engine, incremental, parse_program
+from repro.vadalog.ast import Rule
+from repro.vadalog.engine import EvaluationStats
+from repro.vadalog.incremental import (
+    RECOMPUTE_REASONS,
+    _aggregate_refusal,
+    _classify_stratum,
+    _existential_signature,
+)
+from repro.vadalog.plan import _K_EXIST
 from repro.vadalog.terms import Null
 
 from tests.conftest import diff_is_the_oracle
@@ -25,6 +34,7 @@ from tests.test_engine_plans import (
     _existential_case,
     _recursion_case,
 )
+from tests.test_materializer import kgbench_registry
 
 KINDS = ("insert", "delete", "mixed")
 
@@ -575,6 +585,241 @@ class TestRecomputeReasons:
             (s.attrs["overdeleted"], s.attrs["rederived"]) for s in spans
         ] == [(2, 0), (1, 1)]
         assert (delta.overdeleted, delta.rederived) == (3, 1)
+
+
+# ---------------------------------------------------------------------------
+# The compiled maintenance plan decides what the rule text decides
+# ---------------------------------------------------------------------------
+
+# The reference: the classification as it was re-derived from the rule
+# text on every update before each retained state compiled its plan.
+
+
+def _reads(rule):
+    return {atom.predicate for atom in rule.body_atoms()}
+
+
+def _negated(rule):
+    return {negated.atom.predicate for negated in rule.negated_atoms()}
+
+
+def _reference_existential_safe(engine, state, stratum, rule, changed,
+                                removals, stats):
+    plans_for = partial(engine._plans_for, stats=stats)
+    plans = plans_for(rule)
+    signature = _existential_signature(plans)
+    existential_preds = {}
+    for predicate, slots in plans.head_ops:
+        positions = {
+            position for position, (kind, _) in enumerate(slots)
+            if kind == _K_EXIST
+        }
+        if positions:
+            existential_preds.setdefault(predicate, set()).update(positions)
+    for predicate, positions in existential_preds.items():
+        if state.edb.get(predicate) or predicate in changed:
+            return False
+        writers = [
+            other for other in state.working.rules
+            if any(atom.predicate == predicate for atom in other.head)
+        ]
+        round_zero = recursive_writers = 0
+        for writer in writers:
+            writer_plans = plans_for(writer)
+            for w_predicate, slots in writer_plans.head_ops:
+                if w_predicate != predicate:
+                    continue
+                for position in positions:
+                    if position >= len(slots) or slots[position][0] != _K_EXIST:
+                        return False
+            if removals and _existential_signature(writer_plans) != signature:
+                return False
+            if writer.has_aggregate():
+                if _aggregate_refusal(plans_for, state, writer, removals):
+                    return False
+            else:
+                named_body = {v for v in writer.body_variables() if v.name != "_"}
+                if not named_body <= set(writer_plans.rederive_bound_vars()):
+                    return False
+            if _reads(writer) & stratum.predicates:
+                recursive_writers += 1
+            else:
+                round_zero += 1
+        if round_zero > 1 or recursive_writers > 1:
+            return False
+    return True
+
+
+def reference_classification(engine, state, stratum, add_keys, rm_keys):
+    stats = EvaluationStats()
+    changed = add_keys | rm_keys
+    heads = {atom.predicate for rule in stratum.rules for atom in rule.head}
+    pos_reads = set().union(*map(_reads, stratum.rules))
+    neg_reads = set().union(*map(_negated, stratum.rules))
+    if not (pos_reads | neg_reads | heads | stratum.predicates) & changed:
+        return "skip", None
+    effective = set(changed)
+    if stratum.recursive:
+        effective |= stratum.predicates
+    deletes = bool(rm_keys & (pos_reads | heads) or add_keys & neg_reads)
+    for rule_index, rule in enumerate(stratum.rules):
+        label = rule.label or f"r{rule_index}"
+        if _negated(rule) & effective:
+            if stratum.recursive:
+                return "recompute", (label, "negation in a recursive stratum")
+            if rule.has_aggregate() or rule.existential_variables():
+                return "recompute", (
+                    label, "negation beside an aggregate or an existential head")
+        affected = bool(_reads(rule) & effective) or bool(
+            {atom.predicate for atom in rule.head} & changed)
+        if rule.has_aggregate() and (affected or deletes):
+            refusal = _aggregate_refusal(
+                partial(engine._plans_for, stats=stats), state, rule, deletes)
+            if refusal:
+                return "recompute", (label, refusal)
+        if affected and rule.existential_variables() and not (
+            _reference_existential_safe(
+                engine, state, stratum, rule, changed, deletes, stats)
+        ):
+            return "recompute", (label, "existential writer refused by the gate")
+    return "incremental", None
+
+
+def planned_classification(state, plan, add_keys, rm_keys):
+    """What ``apply_delta`` does with one stratum: skip it unclassified
+    when the change misses its reach, else read the plan."""
+    if plan.reach.isdisjoint(add_keys | rm_keys):
+        return "skip", None
+    return _classify_stratum(state, plan, add_keys, rm_keys)
+
+
+#: The 52 seeded programs of ``tests.test_engine_plans``.
+SEEDED_PROGRAMS = (
+    [(_recursion_case, 1000 + seed) for seed in range(20)]
+    + [(_aggregate_case, 2000 + seed) for seed in range(16)]
+    + [(_existential_case, 3000 + seed) for seed in range(16)]
+)
+#: The control and negation-by-key shapes, and a program for each
+#: recompute reason the seeded programs never give.
+REFUSED_PROGRAMS = [
+    CONTROL, CONTROL_IDS,
+    "r(X, Y) -> q(X, Z).\nq(X, Z) -> s(Z).",
+    "own(Z, Y, W), C = mcount(W, <Z>), C < 3 -> few(Y).",
+    "own(Z, Y, W), V = min(W, <Z>), V > 0.1 -> low(Y).",
+    "e(X, Y), not blocked(Y) -> r(X, Y).\n"
+    "r(X, Y), e(Y, Z), not blocked(Z) -> r(X, Z).",
+    "a(X), not p(X) -> q(X, Z).",
+    "own(Z, Y, W), V = msum(W, <Z>), V > 0.5 -> major(Y, C), tag(C).",
+] + [text for text, _, _ in NEGATION_PROGRAMS.values()]
+
+
+def _chained_counters(text, inputs, rng):
+    """The counters six chained random deltas report."""
+    engine = Engine()
+    result = engine.run(parse_program(text), inputs=inputs, retain_state=True)
+    templates = {
+        p: sorted(facts, key=repr)[0] for p, facts in inputs.items() if facts
+    }
+    current, counters = inputs, []
+    for round_ in range(6):
+        added, removed = _mutation(rng, current, templates, KINDS[round_ % 3])
+        delta = engine.apply_delta(result, added=added, removed=removed)
+        counters.append((
+            delta.strata_skipped, delta.strata_incremental,
+            delta.recompute_reasons,
+        ))
+        current = _mutated_inputs(current, added, removed)
+    return counters
+
+
+class TestCompiledMaintenancePlan:
+    def test_the_plan_classifies_as_the_rule_text_does(self):
+        seen = set()
+        programs = [
+            (text, inputs)
+            for case, seed in SEEDED_PROGRAMS
+            for text, _, inputs in [case(random.Random(seed))]
+        ] + [(text, {}) for text in REFUSED_PROGRAMS]
+        rng = random.Random(26)
+        for text, inputs in programs:
+            program = parse_program(text)
+            engine = Engine()
+            state = engine.run(program, inputs=inputs, retain_state=True).state
+            plans = state.stratum_plans(engine)
+            predicates = sorted(program.predicates())
+            for _ in range(40):
+                add_keys = {p for p in predicates if rng.random() < 0.3}
+                rm_keys = {p for p in predicates if rng.random() < 0.3}
+                for plan in plans:
+                    planned = planned_classification(
+                        state, plan, add_keys, rm_keys)
+                    assert planned == reference_classification(
+                        engine, state, plan.stratum, add_keys, rm_keys
+                    ), (text, add_keys, rm_keys)
+                    seen.add(planned[0] if planned[1] is None else planned[1][1])
+        # Every mode, and every reason but the one no complete run can
+        # give (every aggregate rule it evaluated has an accumulator).
+        reasons = set(RECOMPUTE_REASONS) - {"no retained accumulator"}
+        assert seen >= {"skip", "incremental"} | reasons
+
+    @pytest.mark.parametrize("case,seed", SEEDED_PROGRAMS)
+    def test_the_batteries_count_as_the_rule_text_does(
+        self, case, seed, monkeypatch
+    ):
+        text, _, inputs = case(random.Random(seed))
+        planned = _chained_counters(text, inputs, random.Random(seed))
+
+        engine = Engine()  # compiles the rules' plans for the reference
+
+        def reference(state, plan, add_keys, rm_keys):
+            mode, refusal = reference_classification(
+                engine, state, plan.stratum, add_keys, rm_keys)
+            assert mode != "skip"  # apply_delta skips by reach first
+            return mode, refusal
+
+        monkeypatch.setattr(incremental, "_classify_stratum", reference)
+        assert planned == _chained_counters(text, inputs, random.Random(seed))
+
+    def test_an_update_hashes_no_rule(self, company_schema, monkeypatch):
+        """After the first update has compiled the three plans, twenty
+        single-stake updates of the paper's program hash no ``Rule``."""
+        data, registry = kgbench_registry(150, 42)
+        materializer = IntensionalMaterializer()
+        materializer.materialize(
+            company_schema, registry, _control_sigma(), instance_oid=9,
+            retain=True,
+        )
+        rng = random.Random(5)
+        businesses = sorted(data.companies)
+        taken = {(s.owner, s.company) for s in data.stakes}
+
+        def stake(index):
+            while True:
+                owner, target = rng.sample(businesses, 2)
+                if (owner, target) not in taken:
+                    taken.add((owner, target))
+                    return RegistryDelta(add_edges=[(
+                        f"h{index}", owner, target, "OWNS", {"percentage": 0.6}
+                    )])
+
+        materializer.update(stake(0))  # warm-up
+        hashed = []
+        real_hash = Rule.__hash__
+
+        def counting(rule):
+            hashed.append(rule)
+            return real_hash(rule)
+
+        monkeypatch.setattr(Rule, "__hash__", counting)
+        for index in range(1, 21):
+            report = materializer.update(
+                stake(index) if index % 2
+                else RegistryDelta(remove_edges=[f"h{index - 1}"])
+            )
+            assert report.strata_recomputed == 0
+        assert not hashed
+        assert len({*materializer.retained.result_reason.program.rules}) == 2
+        assert hashed  # the count is live
 
 
 # ---------------------------------------------------------------------------

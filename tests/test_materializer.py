@@ -820,17 +820,18 @@ class TestDeltaDecode:
 # ----------------------------------------------------------------------
 # A recomputed stratum keeps the nulls of what it derives again
 # ----------------------------------------------------------------------
-class TestNullStability:
-    @pytest.fixture()
-    def control_500(self, company_schema):
-        data, registry = kgbench_registry(500, 42)
-        materializer = diff_is_the_oracle(IntensionalMaterializer())
-        report = materializer.materialize(
-            company_schema, registry, parse_metalog(programs.CONTROL_PROGRAM),
-            instance_oid=9, retain=True,
-        )
-        return data, registry, materializer, report
+@pytest.fixture()
+def control_500(company_schema):
+    data, registry = kgbench_registry(500, 42)
+    materializer = diff_is_the_oracle(IntensionalMaterializer())
+    report = materializer.materialize(
+        company_schema, registry, parse_metalog(programs.CONTROL_PROGRAM),
+        instance_oid=9, retain=True,
+    )
+    return data, registry, materializer, report
 
+
+class TestNullStability:
     def test_one_removed_stake_changes_what_it_changes(
         self, company_schema, control_500
     ):
@@ -910,3 +911,95 @@ class TestNullStability:
         # and those of the controls it brings (a dozen or two).  One
         # renamed CONTROLS stratum would be over 2,000 a pair.
         assert sizes[-1] - sizes[0] <= 19 * 32
+
+
+# ----------------------------------------------------------------------
+# Each retained state holds what its program reads or writes
+# ----------------------------------------------------------------------
+def retained_databases(retained):
+    """The three retained databases, by state."""
+    return {
+        state: getattr(retained, state).database
+        for state in ("result_load", "result_reason", "result_flush")
+    }
+
+
+def up_to_nulls(database):
+    """Every relation's live facts, labeled nulls blanked (inside Skolem
+    values too), as multisets."""
+    def plain(value):
+        if isinstance(value, Null):
+            return "_"
+        if isinstance(value, SkolemValue):
+            return (value.functor, tuple(map(plain, value.arguments)))
+        return value
+
+    return {
+        predicate: Counter(
+            tuple(map(plain, fact)) for fact in database.facts(predicate)
+        )
+        for predicate in database.predicates()
+    }
+
+
+class TestRetainedStates:
+    def test_sigma_and_v_o_hold_only_what_they_read_or_write(
+        self, control_500
+    ):
+        retained = control_500[2].retained
+        databases = retained_databases(retained)
+        sigma = retained.result_reason.program.predicates()
+        v_out = retained.result_flush.program.predicates()
+        instance = set(codec.INSTANCE_LABELS)
+        assert set(databases["result_reason"]._relations) <= sigma
+        assert {"CONTROLS", "OWNS"} <= set(
+            databases["result_reason"].predicates()
+        )
+        flush = set(databases["result_flush"]._relations)
+        assert instance <= flush <= instance | v_out
+        # The staging database is V_I's state, its views included.
+        assert any(
+            p.startswith("vI_") for p in databases["result_load"].predicates()
+        )
+
+    def test_bootstrap_rows_are_under_twice_the_load_state(self, control_500):
+        databases = retained_databases(control_500[2].retained)
+        rows = {
+            state: database.total_facts()
+            for state, database in databases.items()
+        }
+        assert sum(rows.values()) < 2 * rows["result_load"], rows
+
+    def test_thirty_updates_leave_what_a_fresh_retained_run_holds(
+        self, company_schema, control_500
+    ):
+        data, registry, materializer, _ = control_500
+        rng = random.Random(26)
+        businesses = sorted(data.companies)
+        taken = {(s.owner, s.company) for s in data.stakes}
+        live = []
+        for step in range(30):
+            if live and step % 3 == 2:
+                gone = live.pop(rng.randrange(len(live)))
+                materializer.update(RegistryDelta(remove_edges=[gone]))
+                continue
+            while True:
+                owner, target = rng.sample(businesses, 2)
+                if (owner, target) not in taken:
+                    break
+            taken.add((owner, target))
+            live.append(f"slice-{step}")
+            materializer.update(RegistryDelta(add_edges=[(
+                live[-1], owner, target, "OWNS",
+                {"percentage": 0.45 + step / 100},
+            )]))
+        fresh = IntensionalMaterializer()
+        fresh.materialize(
+            company_schema, registry.copy(),
+            parse_metalog(programs.CONTROL_PROGRAM), instance_oid=9,
+            retain=True,
+        )
+        expected = retained_databases(fresh.retained)
+        held = retained_databases(materializer.retained)
+        for state, database in held.items():
+            assert up_to_nulls(database) == up_to_nulls(expected[state]), state
