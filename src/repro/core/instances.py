@@ -25,7 +25,6 @@ from, a dictionary graph — the Figure 9 picture.
 from __future__ import annotations
 
 from itertools import compress, groupby, repeat
-from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -34,10 +33,13 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Tuple,
     Union,
 )
+
+import numpy as np
 
 from repro.core.dictionary import (
     INSTANCE_EDGE_PROPERTIES,
@@ -45,8 +47,9 @@ from repro.core.dictionary import (
 )
 from repro.core.schema import SuperSchema
 from repro.errors import SchemaError
-from repro.graph import make_graph
+from repro.graph.columnar_graph import _BULK_ROWS, ColumnarPropertyGraph
 from repro.graph.property_graph import ABSENT, PropertyGraph
+from repro.vadalog.columnar import Codes, ValueInterner
 from repro.vadalog.terms import fact_sort_key
 
 Fact = Tuple[Any, ...]
@@ -182,6 +185,35 @@ def encode_records(
 LoadedMark = Union[int, Collection[Fact]]
 
 
+class CodedSource(NamedTuple):
+    """``I_SM_*`` relations as code columns: ``columns(label)`` returns a
+    relation's ``int32`` numpy code columns over ``interner`` in row
+    order, ``None`` when it is empty."""
+
+    interner: ValueInterner
+    columns: Callable[[str], Optional[List[Any]]]
+
+
+def coded(
+    source: Union[ColumnSource, CodedSource],
+    interner: Optional[ValueInterner] = None,
+) -> CodedSource:
+    """``source`` as code columns: a value source is encoded, in one
+    column pass, into ``interner`` or a fresh one."""
+    if isinstance(source, CodedSource):
+        return source
+    interner = interner if interner is not None else ValueInterner()
+    found = {label: source(label) for label in INSTANCE_LABELS}
+    found = {label: columns for label, columns in found.items() if columns}
+    cells = [cell for columns in found.values() for column in columns for cell in column]
+    codes = interner.encode_column(cells)
+    held, start = {}, 0
+    for label, columns in found.items():
+        held[label] = [codes[start + len(c) * i:start + len(c) * (i + 1)] for i, c in enumerate(columns)]
+        start += len(columns[0]) * len(columns)
+    return CodedSource(interner, held.get)
+
+
 def schema_constructs(schema: SuperSchema) -> Tuple[Dict[Any, str], ...]:
     """Node type, edge type and attribute name by construct OID: what an
     ``SM_REFERENCES`` link can point at (the decoder's ``constructs``)."""
@@ -193,29 +225,128 @@ def schema_constructs(schema: SuperSchema) -> Tuple[Dict[Any, str], ...]:
     )
 
 
-def _in_dictionary_order(columns: Columns, mark: LoadedMark) -> List[Fact]:
-    """The rows with the loaded ones first, as stored, and the derived
-    ones after them in :func:`~repro.vadalog.terms.fact_sort_key` order
-    — the same in every process, whatever order the chase derived in."""
-    rows = list(zip(*columns))
-    if isinstance(mark, int):
-        loaded, derived = rows[:mark], rows[mark:]
-    else:
-        loaded = [row for row in rows if row in mark]
-        derived = [row for row in rows if row not in mark]
-    derived.sort(key=fact_sort_key)
-    return loaded + derived
+def _eq_codes(interner: ValueInterner, oids: List[Any]) -> set:
+    """The eq codes of those of ``oids`` whose ``==`` class is interned."""
+    if not {0, 1}.isdisjoint(oids):  # 0 or 1 may be interned by another type
+        return {code for code in map(interner.probe_eq, oids) if code is not None}
+    codes = interner.probe_column(oids)
+    return set(interner.eq_array()[codes[codes >= 0]].tolist())
+
+
+def _rows(values: List[Any], columns: List[Any]) -> List[Fact]:
+    """The value tuples of code columns."""
+    return list(zip(*[map(values.__getitem__, c.tolist()) for c in columns]))
+
+
+def _map(keys: Any, values: Any, last: bool = False) -> Callable[[Any], Any]:
+    """``dict(zip(keys, values)).get`` for numpy ints — the first value of
+    a repeated key wins, or the last — as a function from a numpy array
+    of keys to their values, -1 where absent: a dict for a few keys,
+    sorted arrays probed by ``searchsorted`` (16 bytes a key) for many."""
+    if len(keys) < _BULK_ROWS:
+        pairs = list(zip(keys.tolist(), values.tolist()))
+        table = dict(pairs if last else reversed(pairs))
+        return lambda wanted: np.fromiter(
+            map(table.get, wanted.tolist(), repeat(-1)), np.int64, len(wanted)
+        )
+    if last:
+        keys, values = keys[::-1], values[::-1]
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = keys[1:] != keys[:-1]
+    keys, values = keys[head], values[order[head]]
+
+    def get(wanted: Any) -> Any:
+        at = np.minimum(keys.searchsorted(wanted), len(keys) - 1)
+        return np.where(keys[at] == wanted, values[at], -1)
+
+    return get
+
+
+def _settle(
+    source: CodedSource,
+    loaded: Mapping[str, LoadedMark],
+    schema: SuperSchema,
+    constructs: Optional[Tuple[Dict[Any, str], ...]],
+) -> Tuple[Dict[str, List[Any]], int, int]:
+    """:func:`instance_facts` on code columns: OIDs compare by eq code
+    (Python ``==``, so ``True`` is ``1``), values are decoded only to
+    tell loaded facts by a set mark and to order contested rows."""
+    interner = source.interner
+    values = interner.values
+    eq = interner.eq_array()
+    held: Dict[str, List[Any]] = {}
+    added = dropped = 0
+    present = _eq_codes(
+        interner, list(set().union(*(constructs or schema_constructs(schema))))
+    )
+    for label in INSTANCE_LABELS:
+        columns = source.columns(label)
+        if columns is None:
+            continue
+        size = len(columns[0])
+        mark = loaded.get(label, 0)
+        if isinstance(mark, int):
+            n_loaded, is_loaded = mark, None
+        else:
+            # A set marks facts the source need not hold all of, so it
+            # is counted over the rows that are there.
+            is_loaded = list(map(mark.__contains__, _rows(values, columns)))
+            n_loaded = sum(is_loaded)
+        keys = eq[columns[0]].tolist()
+        is_link = label in INSTANCE_EDGE_PROPERTIES
+        contested = size > n_loaded and (
+            len(set(keys)) != size
+            or (is_link and len(set(eq[columns[1]].tolist())) != size)
+        )
+        ends = [eq[column].tolist() for column in columns[1:3]] if is_link else []
+        dangling = is_link and not (
+            present.issuperset(ends[0]) and present.issuperset(ends[1])
+        )
+        if contested or dangling:
+            # The loaded rows first, as stored, then the derived ones in
+            # fact_sort_key order — the same in every process, whatever
+            # order the chase derived in; per OID the first row wins.
+            order: Iterable[int] = range(size)
+            if contested:
+                if is_loaded is None:
+                    is_loaded = [True] * n_loaded + [False] * (size - n_loaded)
+                rows = _rows(values, columns)
+                order = [i for i in order if is_loaded[i]] + sorted(
+                    (i for i in order if not is_loaded[i]),
+                    key=lambda i: fact_sort_key(rows[i]),
+                )
+            kept: List[int] = []
+            seen = set()
+            for i in order:
+                if keys[i] in seen:
+                    continue
+                if dangling and not (ends[0][i] in present and ends[1][i] in present):
+                    dropped += 1
+                    continue
+                seen.add(keys[i])
+                kept.append(i)
+            if not kept:
+                continue
+            columns = [column[kept] for column in columns]
+            keys = [keys[i] for i in kept]
+        if not is_link:
+            present.update(keys)
+        held[label] = columns
+        added += len(columns[0]) - n_loaded
+    return held, added, dropped
 
 
 def instance_facts(
-    source: ColumnSource,
+    source: Union[ColumnSource, CodedSource],
     loaded: Mapping[str, LoadedMark],
     schema: SuperSchema,
     constructs: Optional[Tuple[Dict[Any, str], ...]] = None,
 ) -> Tuple[Dict[str, Columns], int, int]:
     """Settle which ``I_SM_*`` facts of a chase database make up the
-    instance: their columns per relation, how many of them are derived,
-    and how many link facts were dropped.
+    instance: their value columns per relation, how many of them are
+    derived, and how many link facts were dropped.
 
     Per OID a loaded fact wins over a derived one (V_O emits
     ``I_SM_Node(c, ioid, None)`` for every fact Sigma derives about an
@@ -227,222 +358,205 @@ def instance_facts(
     without repeats is passed through in stored order and ``loaded`` is
     not consulted for it.
     """
-    held: Dict[str, Columns] = {}
-    added = dropped = 0
-    present = set().union(*(constructs or schema_constructs(schema)))
-    for label in INSTANCE_LABELS:
-        columns = source(label)
-        if columns is None:
-            continue
-        mark = loaded.get(label, 0)
-        # A set marks facts the source need not hold all of, so it is
-        # counted over the rows that are there.
-        n_loaded = mark if isinstance(mark, int) else sum(
-            row in mark for row in zip(*columns)
-        )
-        size = len(columns[0])
-        is_link = label in INSTANCE_EDGE_PROPERTIES
-        contested = size > n_loaded and (
-            len(set(columns[0])) != size
-            or (is_link and len(set(columns[1])) != size)
-        )
-        dangling = is_link and not (
-            present.issuperset(columns[1]) and present.issuperset(columns[2])
-        )
-        if contested or dangling:
-            rows = (
-                _in_dictionary_order(columns, mark) if contested
-                else zip(*columns)
-            )
-            kept: List[Fact] = []
-            seen = set()
-            for row in rows:
-                if row[0] in seen:
-                    continue
-                if dangling and not (row[1] in present and row[2] in present):
-                    dropped += 1
-                    continue
-                seen.add(row[0])
-                kept.append(row)
-            if not kept:
-                continue
-            columns = [list(column) for column in zip(*kept)]
-        if not is_link:
-            present.update(columns[0])
-        held[label] = columns
-        added += len(columns[0]) - n_loaded
-    return held, added, dropped
+    source = coded(source)
+    held, added, dropped = _settle(source, loaded, schema, constructs)
+    values = source.interner.values
+    return {
+        label: [list(map(values.__getitem__, c.tolist())) for c in columns]
+        for label, columns in held.items()
+    }, added, dropped
+
+
+def _merged(orders: List[List[int]]) -> Optional[List[int]]:
+    """One sequence holding every list of ``orders`` as a subsequence
+    (first come, first placed), or None when two of them disagree."""
+    pending = list(dict.fromkeys(name for order in orders for name in order))
+    before: Dict[int, set] = {name: set() for name in pending}
+    for order in orders:
+        for earlier, later in zip(order, order[1:]):
+            before[later].add(earlier)
+    merged: List[int] = []
+    while pending:
+        ready = next((n for n in pending if before[n].issubset(merged)), None)
+        if ready is None:
+            return None
+        merged.append(ready)
+        pending.remove(ready)
+    return merged
 
 
 def decode_instance(
     schema: SuperSchema,
     instance_oid: Any,
-    source: ColumnSource,
+    source: Union[ColumnSource, CodedSource],
     name: str = "instance",
     constructs: Optional[Tuple[Dict[Any, str], ...]] = None,
 ) -> "SuperInstance":
     """Decode the ``I_SM_*`` constructs of ``instance_oid`` back into a
-    plain typed property graph.
+    plain typed property graph over the source's interner (a value
+    source is encoded into a fresh one first, see :func:`coded`).
 
     Nodes, then edges, come out in ``str`` order of their construct
-    OIDs.  That sequence is written one maximal run of equal type at a
-    time, each run as id, endpoint and per-attribute columns through one
-    ``add_nodes_bulk`` / ``add_edges_bulk`` call: construct OIDs sort
-    type by type when ids do, so an instance is a handful of runs, and a
-    fully interleaved one degrades to runs of one.
+    OIDs, written by one ``add_nodes_bulk`` / ``add_edges_bulk`` call
+    each, one label per element, as id, endpoint and per-attribute
+    :class:`~repro.vadalog.columnar.Codes` columns: only the construct
+    OIDs, for their order, are decoded (fewer than 64 elements — a
+    delta's — go one ``add_node`` / ``add_edge`` each, which leaves the
+    same graph).
 
     A construct's type is its first ``SM_REFERENCES`` link, an edge's
     ends its last ``I_SM_FROM`` / ``I_SM_TO`` link.  The
     ``I_SM_HAS_*_PROPERTY`` links are grouped by attribute name, the
-    last link of an owner and name winning; a run's columns come in the
-    order its elements first show each name, an owner without a link
-    leaving the cell :data:`ABSENT` — so a stored ``None`` stays a value
-    and a missing property stays missing.  A derived construct (no
-    ``sourceOID``) keeps its invented OID.
+    last link of an owner and name winning; a type's columns come in the
+    order its elements first show each name (by element, then by that
+    element's links), an owner without a link leaving the cell unset —
+    so a stored ``None`` stays a value and a missing property stays
+    missing.  Should two types order their names differently, the
+    elements are written one run of equal type at a time.  A derived
+    construct (no ``sourceOID``) keeps its invented OID.
     """
-    node_type_by_oid, edge_type_by_oid, attribute_name_by_oid = (
-        constructs or schema_constructs(schema)
-    )
+    source = coded(source)
+    interner = source.interner
+    values = interner.values
+    eq = interner.eq_array().view(np.int64)
+    none = interner.probe(None)
+    ioid = interner.probe_eq(instance_oid)
+    empty = np.empty(0, dtype=np.int32)
 
-    def links(label: str) -> Tuple[List[Any], List[Any]]:
-        columns = source(label)
-        return (columns[1], columns[2]) if columns else ([], [])
-
-    def constructs(label: str) -> Tuple[List[Any], List[Any]]:
-        """OIDs and ``sourceOID`` / ``value`` of this instance's
-        constructs."""
-        columns = source(label)
+    def links(label: str) -> Tuple[Any, Any]:
+        columns = source.columns(label)
         if not columns:
-            return [], []
+            return empty, empty
+        return eq[columns[1]], eq[columns[2]]
+
+    def mine(label: str) -> Tuple[Any, Any]:
+        """OIDs and ``sourceOID`` / ``value`` codes of this instance's
+        constructs."""
+        columns = source.columns(label)
+        if not columns:
+            return empty, empty
         oids, ioids, thirds = columns
-        if ioids.count(instance_oid) != len(ioids):
-            mine = [ioid == instance_oid for ioid in ioids]
-            return list(compress(oids, mine)), list(compress(thirds, mine))
-        return oids, thirds
+        here = eq[ioids] == (-1 if ioid is None else ioid)
+        return (oids, thirds) if here.all() else (oids[here], thirds[here])
 
-    construct_column, target_column = links("SM_REFERENCES")
-    refs = dict(zip(reversed(construct_column), reversed(target_column)))
-    values = dict(zip(*constructs("I_SM_Attribute")))
-
-    def attributes_of(
-        label: str,
-    ) -> Tuple[Dict[str, Dict[Any, int]], List[Any]]:
-        """Per attribute name, in first-link order, the link each owner
-        shows it by, and the value every link shows.  An owner's first
-        link to a name keeps its place, its last one gives the value."""
-        owners, attr_iids = links(label)
-        cells = list(map(values.get, attr_iids, repeat(ABSENT)))
-        link_by_name: Dict[str, Dict[Any, int]] = {}
-        for link, (owner, attr_name, value) in enumerate(zip(
-            owners,
-            map(attribute_name_by_oid.get, map(refs.get, attr_iids)),
-            cells,
-        )):
-            if attr_name is not None and value is not ABSENT:
-                first = link_by_name.setdefault(attr_name, {}).setdefault(
-                    owner, link
-                )
-                if first != link:
-                    cells[first] = value
-        cells.append(ABSENT)  # the cell of an owner without a link
-        return link_by_name, cells
-
-    def by_oid(label: str, type_by_oid: Dict[Any, str]) -> Tuple[List[Any], ...]:
-        """Type, construct OID and plain id of the constructs of a known
-        type, in ``str`` order of construct OID."""
-        iids, plain_ids = constructs(label)
-        order = sorted(range(len(iids)), key=list(map(str, iids)).__getitem__)
-        iids = [iids[i] for i in order]
-        ids = [
-            iid if plain_ids[i] is None else plain_ids[i]
-            for iid, i in zip(iids, order)
-        ]
-        types = list(map(type_by_oid.get, map(refs.get, iids)))
-        return keep([type_name is not None for type_name in types],
-                    types, iids, ids)
-
-    def keep(mask: List[bool], *columns: List[Any]) -> Tuple[List[Any], ...]:
-        return tuple(list(compress(column, mask)) for column in columns)
-
-    def runs(types: List[Any]) -> Iterable[Tuple[Any, slice]]:
-        start = 0
-        for type_name, run in groupby(types):
-            stop = start + len(list(run))
-            yield type_name, slice(start, stop)
-            start = stop
-
-    def run_columns(
-        attributes: Tuple[Dict[str, Dict[Any, int]], List[Any]],
-        iids: List[Any],
-    ) -> Tuple[Tuple[str, ...], List[List[Any]]]:
-        """The attribute columns of one run, in the order its elements
-        first show each name: by element, then by that element's links."""
-        link_by_name, cells = attributes
-        no_link = len(cells) - 1
-        shown = []
-        for attr_name, link_by_owner in link_by_name.items():
-            run_links = list(map(link_by_owner.get, iids, repeat(no_link)))
-            first = next(
-                (at for at in enumerate(run_links) if at[1] != no_link), None
-            )
-            if first is not None:
-                shown.append((first, attr_name, run_links))
-        shown.sort(key=itemgetter(0))
-        return (
-            tuple(attr_name for _, attr_name, _ in shown),
-            [list(map(cells.__getitem__, run_links)) for _, _, run_links in shown],
-        )
-
-    def properties_of(
-        attributes: Tuple[Dict[str, Dict[Any, int]], List[Any]], iid: Any
-    ) -> Dict[str, Any]:
-        """The attributes of one element, in the order of its links."""
-        link_by_name, cells = attributes
-        return {
-            attr_name: cells[link] for link, attr_name in sorted(
-                (link_by_owner[iid], attr_name)
-                for attr_name, link_by_owner in link_by_name.items()
-                if iid in link_by_owner
-            )
-        }
-
-    data = make_graph(name)
-    attributes = attributes_of("I_SM_HAS_NODE_PROPERTY")
-    types, iids, ids = by_oid("I_SM_Node", node_type_by_oid)
-    plain_id_by_iid = dict(zip(iids, ids))
-    for type_name, run in runs(types):
-        if run.stop - run.start == 1:  # a run of one is that element
-            data.add_node(
-                ids[run.start], type_name,
-                **properties_of(attributes, iids[run.start]),
-            )
-            continue
-        names, columns = run_columns(attributes, iids[run])
-        data.add_nodes_bulk(type_name, ids[run], names, columns, keep_none=True)
-
-    from_map = dict(zip(*links("I_SM_FROM")))
-    to_map = dict(zip(*links("I_SM_TO")))
-    attributes = attributes_of("I_SM_HAS_EDGE_PROPERTY")
-    types, iids, ids = by_oid("I_SM_Edge", edge_type_by_oid)
-    sources = list(map(plain_id_by_iid.get, map(from_map.get, iids)))
-    targets = list(map(plain_id_by_iid.get, map(to_map.get, iids)))
-    types, iids, ids, sources, targets = keep(
-        [s is not None and t is not None for s, t in zip(sources, targets)],
-        types, iids, ids, sources, targets,
+    construct, target = links("SM_REFERENCES")
+    refs = _map(construct, target)
+    # The construct maps, on the eq codes the references point at.
+    node_type_of, edge_type_of, attribute_name_of = (
+        {code: by_oid[values[code]] for code in set(target.tolist())
+         if values[code] in by_oid}
+        for by_oid in constructs or schema_constructs(schema)
     )
-    for type_name, run in runs(types):
-        if run.stop - run.start == 1:
-            at = run.start
-            data.add_edge(
-                sources[at], targets[at], type_name, edge_id=ids[at],
-                **properties_of(attributes, iids[at]),
-            )
-            continue
-        names, columns = run_columns(attributes, iids[run])
-        data.add_edges_bulk(
-            type_name, ids[run], sources[run], targets[run], names, columns,
-            keep_none=True,
+    del construct, target
+    attribute_names = sorted(set(attribute_name_of.values()))
+    attribute_index = {
+        code: attribute_names.index(attr) for code, attr in attribute_name_of.items()
+    }
+    width = max(len(attribute_names), 1)
+    attribute_iids, attribute_values = mine("I_SM_Attribute")
+    value_of = _map(eq[attribute_iids], attribute_values, last=True)
+
+    def attributes_of(label: str) -> Tuple[Any, ...]:
+        """Per owner and attribute name shown: the owner's eq code, the
+        name, the first link showing it and the last link's value."""
+        owners, attr_iids = links(label)
+        cells = value_of(attr_iids)
+        named = np.fromiter(
+            map(attribute_index.get, refs(attr_iids).tolist(), repeat(-1)),
+            np.int64, len(attr_iids),
         )
+        shown = np.flatnonzero((named >= 0) & (cells >= 0))
+        pairs = owners[shown] * width + named[shown]
+        order = pairs.argsort(kind="stable")
+        pairs, shown = pairs[order], shown[order]
+        head = np.ones(len(pairs), dtype=bool)
+        head[1:] = pairs[1:] != pairs[:-1]
+        tail = np.ones(len(pairs), dtype=bool)
+        tail[:-1] = head[1:]
+        return (pairs[head] // width, pairs[head] % width, shown[head],
+                cells[shown[tail]])
+
+    def by_oid(label: str, type_of: Dict[int, str]) -> Tuple[Any, ...]:
+        """Type, construct OID eq code and plain id code of the
+        constructs of a known type, in ``str`` order of construct OID."""
+        iids, plain = mine(label)
+        text = list(map(str, map(values.__getitem__, iids.tolist())))
+        order = sorted(range(len(text)), key=text.__getitem__)
+        iids, plain = iids[order], plain[order]
+        ids = plain if none is None else np.where(plain == none, iids, plain)
+        iids = eq[iids]
+        types = list(map(type_of.get, refs(iids).tolist()))
+        typed = np.array([type_name is not None for type_name in types], dtype=bool)
+        return list(compress(types, typed)), iids[typed], ids[typed]
+
+    def write(add, types, iids, ids, attributes, *ends) -> None:
+        """Write the elements with their attributes as code columns."""
+        owners, named, first, cells = attributes
+        at = _map(iids, np.arange(len(iids)))(owners)
+        here = at >= 0
+        at, named, first, cells = at[here], named[here], first[here], cells[here]
+        if len(types) < _BULK_ROWS:
+            # A few elements: one add_node / add_edge each, which leaves
+            # the columns the bulk write would — names by first element,
+            # then link — for less than its fixed cost.
+            shown: List[Dict[str, Any]] = [{} for _ in types]
+            for _link, element, attr, cell in sorted(zip(
+                first.tolist(), at.tolist(), named.tolist(), cells.tolist()
+            )):
+                shown[element][attribute_names[attr]] = values[cell]
+            for element, (type_name, properties) in enumerate(zip(types, shown)):
+                oid, *points = (values[int(c[element])] for c in (ids, *ends))
+                if points:
+                    data.add_edge(*points, type_name, edge_id=oid, **properties)
+                else:
+                    data.add_node(oid, type_name, **properties)
+            return
+        # Per type, its names in the order its elements first show them.
+        kind_of = {type_name: i for i, type_name in enumerate(dict.fromkeys(types))}
+        kinds = np.fromiter(map(kind_of.__getitem__, types), np.int64, len(types))
+        orders: Dict[int, List[int]] = {}
+        if len(at):
+            ranked = np.lexsort((first, at))
+            kind_names = kinds[at[ranked]] * width + named[ranked]
+            _, firsts = np.unique(kind_names, return_index=True)
+            for pair in kind_names[np.sort(firsts)].tolist():
+                orders.setdefault(pair // width, []).append(pair % width)
+        merged = _merged(list(orders.values()))
+        spans = [(0, len(types), merged)]
+        if merged is None:  # two types disagree: one run of a type a write
+            spans, start = [], 0
+            for type_name, run in groupby(types):
+                stop = start + len(list(run))
+                spans.append((start, stop, orders.get(kind_of[type_name], [])))
+                start = stop
+        columns = {}
+        for attr in {attr for _, _, attrs in spans for attr in attrs}:
+            column = columns[attr] = np.full(len(types), -1, dtype=np.int32)
+            chosen = named == attr
+            column[at[chosen]] = cells[chosen]
+        for start, stop, attrs in spans:
+            add(
+                types[start:stop],
+                *(c[start:stop].astype(np.int32).view(Codes) for c in (ids, *ends)),
+                tuple(attribute_names[attr] for attr in attrs),
+                [columns[attr][start:stop].view(Codes) for attr in attrs],
+                keep_none=True,
+            )
+
+    data = ColumnarPropertyGraph(name, interner=interner)
+    types, iids, ids = by_oid("I_SM_Node", node_type_of)
+    write(data.add_nodes_bulk, types, iids, ids,
+          attributes_of("I_SM_HAS_NODE_PROPERTY"))
+    plain = _map(iids, ids, last=True)
+    types, iids, ids = by_oid("I_SM_Edge", edge_type_of)
+    ends = [
+        plain(_map(*links(label), last=True)(iids))
+        for label in ("I_SM_FROM", "I_SM_TO")
+    ]
+    both = (ends[0] >= 0) & (ends[1] >= 0)
+    write(data.add_edges_bulk, list(compress(types, both.tolist())),
+          iids[both], ids[both], attributes_of("I_SM_HAS_EDGE_PROPERTY"),
+          ends[0][both], ends[1][both])
     return SuperInstance(schema, instance_oid, data)
 
 
@@ -453,13 +567,19 @@ def decode_relations(
     loaded: Mapping[str, LoadedMark],
     name: str,
     constructs: Optional[Tuple[Dict[Any, str], ...]] = None,
+    interner: Optional[ValueInterner] = None,
 ) -> "Tuple[SuperInstance, int, int]":
     """The instance the ``I_SM_*`` relations of a chase database hold,
     with the derived-fact and dropped-link counts of
-    :func:`instance_facts`."""
+    :func:`instance_facts`; a value source is encoded into ``interner``
+    (the database's, when its values came from there) or a fresh one."""
     constructs = constructs or schema_constructs(schema)
-    held, added, dropped = instance_facts(source, loaded, schema, constructs)
-    instance = decode_instance(schema, instance_oid, held.get, name, constructs)
+    source = coded(source, interner)
+    held, added, dropped = _settle(source, loaded, schema, constructs)
+    instance = decode_instance(
+        schema, instance_oid, CodedSource(source.interner, held.get), name,
+        constructs,
+    )
     return instance, added, dropped
 
 

@@ -34,6 +34,7 @@ from repro.graph.property_graph import (
 from repro.metalog.analysis import GraphCatalog
 from repro.models.property_graph import PGSchema
 from repro.obs.tracer import Tracer
+from repro.vadalog.columnar import Codes
 
 _NODE_QUERY_RE = re.compile(r"^\(\s*\w*\s*:\s*(\w+)\s*\)\s*return\s+\w+$", re.IGNORECASE)
 _EDGE_QUERY_RE = re.compile(
@@ -66,6 +67,13 @@ class StructuralSavepoint:
 
 #: The label set of a node the store does not hold.
 _NO_LABELS: frozenset = frozenset()
+
+
+def _unset(column: Any) -> bool:
+    """Whether a value or code column has an unset cell."""
+    return bool((column == -1).any()) if isinstance(column, Codes) else (
+        ABSENT in column
+    )
 
 
 class GraphStore:
@@ -229,13 +237,17 @@ class GraphStore:
     def create_nodes(
         self,
         labels: List[str],
-        ids: List[Any],
+        ids: Any,
         names: Tuple[str, ...] = (),
-        columns: Iterable[List[Any]] = (),
+        columns: Iterable[Any] = (),
     ) -> int:
         """Create the nodes ``ids``, all with the same ``labels``, from
         one aligned value column per property name (an
-        :data:`~repro.graph.property_graph.ABSENT` cell: not set).
+        :data:`~repro.graph.property_graph.ABSENT` cell: not set).  Ids
+        and columns may instead be
+        :class:`~repro.vadalog.columnar.Codes` of the store graph's
+        interner (-1: not set); only unique-constrained columns are
+        decoded, for their indexes.
 
         Every check of :meth:`create_node` runs, a column at a time; the
         first row that fails one raises what :meth:`create_node` would
@@ -246,14 +258,18 @@ class GraphStore:
         column_of = dict(zip(names, columns))
         declared = self._declared_properties(labels)
         uniques = self._unique_for(labels, names)
-        if self._schema is not None and ids:
+        unique_values = {
+            prop_name: self._values(column_of[prop_name])
+            for (_label, prop_name), _index in uniques
+        }
+        if self._schema is not None and len(ids):
             clear = all(name in declared for name in names) and all(
-                name in column_of and ABSENT not in column_of[name]
+                name in column_of and not _unset(column_of[name])
                 for name, prop in declared.items()
                 if not (prop.optional or prop.intensional)
             )
             for (_label, prop_name), index in uniques:
-                values = [v for v in column_of[prop_name] if v is not ABSENT]
+                values = [v for v in unique_values[prop_name] if v is not ABSENT]
                 clear = clear and len(set(values)) == len(values) and (
                     index.keys().isdisjoint(values)
                 )
@@ -264,7 +280,7 @@ class GraphStore:
                 # also end without finding one.
                 taken = {key: set() for key, _index in uniques}
                 for properties in property_rows(
-                    len(ids), names, column_of.values()
+                    len(ids), names, map(self._values, column_of.values())
                 ):
                     self._check_node(labels, properties, taken)
                     for key in taken:
@@ -273,16 +289,21 @@ class GraphStore:
         self.graph.add_nodes_bulk(
             labels[0], ids, names, column_of.values(), keep_none=True
         )
-        self._labels_by_node.update(zip(ids, repeat(frozenset(labels))))
+        node_ids = self._values(ids)
+        self._labels_by_node.update(zip(node_ids, repeat(frozenset(labels))))
         for (_label, prop_name), index in uniques:
             index.update(
                 (value, node_id)
-                for value, node_id in zip(column_of[prop_name], ids)
+                for value, node_id in zip(unique_values[prop_name], node_ids)
                 if value is not ABSENT
             )
         if self.tracer is not None:
             self.tracer.count("deploy.nodes_written", len(ids))
         return len(ids)
+
+    def _values(self, column: Any) -> List[Any]:
+        """A value column as it is, a code column decoded."""
+        return self.graph.values_of(column) if isinstance(column, Codes) else column
 
     def _relationship_variant(
         self, name: str, source_labels, target_labels
@@ -328,14 +349,15 @@ class GraphStore:
     def create_relationships(
         self,
         name: str,
-        sources: List[Any],
-        targets: List[Any],
+        sources: Any,
+        targets: Any,
         names: Tuple[str, ...] = (),
-        columns: Iterable[List[Any]] = (),
+        columns: Iterable[Any] = (),
     ) -> int:
         """Create one ``name`` relationship per ``(source, target)`` row,
         with generated ids, from one aligned value column per property
-        name (an ``ABSENT`` cell: not set).
+        name (an ``ABSENT`` cell: not set) — or code columns, as for
+        :meth:`create_nodes`.
 
         The checks of :meth:`create_relationship` run once per distinct
         pair of endpoint label sets; the first row that fails one raises
@@ -343,11 +365,11 @@ class GraphStore:
         the store unchanged.  Returns ``len(sources)``.
         """
         columns = list(columns)
-        if self._schema is not None and sources:
+        if self._schema is not None and len(sources):
             labels_of = self._labels_by_node.get
             ends = set(zip(
-                map(labels_of, sources, repeat(_NO_LABELS)),
-                map(labels_of, targets, repeat(_NO_LABELS)),
+                map(labels_of, self._values(sources), repeat(_NO_LABELS)),
+                map(labels_of, self._values(targets), repeat(_NO_LABELS)),
             ))
             try:
                 clear = all(
@@ -358,11 +380,11 @@ class GraphStore:
             except IntegrityError:
                 clear = False
             if not clear:  # row by row, for the first offender's error
-                for row, (source, target) in enumerate(zip(sources, targets)):
-                    self._check_relationship(source, target, name, [
-                        prop_name for prop_name, column in zip(names, columns)
-                        if column[row] is not ABSENT
-                    ])
+                rows = zip(self._values(sources), self._values(targets),
+                           property_rows(len(sources), names,
+                                         map(self._values, columns)))
+                for source, target, properties in rows:
+                    self._check_relationship(source, target, name, properties)
         self.graph.add_edges_bulk(
             name, self.graph.fresh_edge_ids(len(sources)), sources, targets,
             names, columns, keep_none=True,

@@ -41,6 +41,7 @@ Returned reports stay unpack-compatible with the historical returns
 from __future__ import annotations
 
 from contextlib import nullcontext
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.schema import SuperSchema
@@ -184,6 +185,13 @@ def _reject_unknown_label(
     )
 
 
+def _rows(table: Tuple[Any, ...], names: Tuple[str, ...]) -> Tuple[Any, ...]:
+    """A ``nodes_table`` / ``edges_table`` result with its value
+    columns as one properties dict per row."""
+    *ends, columns = table
+    return (*ends, property_rows(len(ends[0]), names, columns))
+
+
 def _replay_key(source, target, label, properties) -> Tuple[Any, ...]:
     return (source, target, label, tuple(sorted(properties.items())))
 
@@ -244,6 +252,18 @@ def load_graph_store(
             existing_multiplicity[key] = existing_multiplicity.get(key, 0) + 1
         edge_multiplicity: Dict[Tuple[Any, ...], int] = {}
 
+        # Into a graph on the data's value dictionary — an empty store's
+        # takes it over — label tables cross as code columns.
+        coded = not per_mutation and getattr(
+            graph, "share_codes", lambda _data: False
+        )(data)
+        node_table = data.node_code_table if coded else partial(
+            data.nodes_table, default=ABSENT
+        )
+        edge_table = data.edge_code_table if coded else partial(
+            data.edges_table, default=ABSENT
+        )
+
         def node_groups():
             """``(size, held, bulk write, records)`` per node label."""
             for label in data.node_labels():
@@ -254,16 +274,17 @@ def load_graph_store(
                     a.type_name for a in schema.ancestors_of(sm_node)
                 ]
                 names = tuple(data.node_property_names(label))
-                ids, columns = data.nodes_table(label, names, default=ABSENT)
+                ids, columns = node_table(label, names)
                 yield (
                     len(ids),
                     graph.existing_node_ids(ids),
                     lambda: store.create_nodes(labels, ids, names, columns),
                     lambda: (
                         ("node", node_id, labels, properties)
-                        for node_id, properties in zip(
-                            ids, property_rows(len(ids), names, columns)
-                        )
+                        for node_id, properties in zip(*_rows(
+                            data.nodes_table(label, names, default=ABSENT),
+                            names,
+                        ))
                     ),
                 )
 
@@ -272,15 +293,12 @@ def load_graph_store(
                 if not schema.has_edge(label):
                     continue
                 names = tuple(data.edge_property_names(label))
-                ids, sources, targets, columns = data.edges_table(
-                    label, names, default=ABSENT
-                )
+                ids, sources, targets, columns = edge_table(label, names)
 
                 def records():
-                    for edge_id, source, target, properties in zip(
-                        ids, sources, targets,
-                        property_rows(len(ids), names, columns),
-                    ):
+                    for edge_id, source, target, properties in zip(*_rows(
+                        data.edges_table(label, names, default=ABSENT), names,
+                    )):
                         replay = None
                         if existing_multiplicity:
                             key = _replay_key(source, target, label, properties)

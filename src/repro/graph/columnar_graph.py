@@ -43,11 +43,15 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from itertools import compress, repeat
+from operator import is_
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import DeploymentError, GraphError
 from repro.graph.property_graph import ABSENT, first_repeat
-from repro.vadalog.columnar import ValueInterner
+from repro.vadalog.columnar import Codes, ValueInterner, merge_sorted
 
 __all__ = ["ColumnarPropertyGraph", "NodeView", "EdgeView"]
 
@@ -67,6 +71,10 @@ _ABSENT_CODE = -1
 #: Label code for unlabeled elements (they still need a property table).
 _NO_LABEL = -1
 
+#: Fewer rows than this, and a bulk write links adjacency chains with
+#: the scalar loop: a handful of numpy calls cost more than a short loop.
+_BULK_ROWS = 64
+
 
 class _Table:
     """Property matrix of one label: member ids + one code column per name.
@@ -80,7 +88,7 @@ class _Table:
     __slots__ = ("rows", "names", "name_index", "cols")
 
     def __init__(self) -> None:
-        self.rows: List[int] = []
+        self.rows = array(_IDX)
         self.names: List[str] = []
         self.name_index: Dict[str, int] = {}
         self.cols: List[array] = []
@@ -113,7 +121,7 @@ class _Table:
 
     def copy(self) -> "_Table":
         clone = _Table()
-        clone.rows = list(self.rows)
+        clone.rows = array(_IDX, self.rows)
         clone.names = list(self.names)
         clone.name_index = dict(self.name_index)
         clone.cols = [array(_IDX, column) for column in self.cols]
@@ -161,17 +169,35 @@ class _OidIndex:
 
     def get(self, oid: Any, default: Optional[int] = None) -> Optional[int]:
         code = self._interner.probe(oid)
-        if code is None:
-            return default
+        dense = -1 if code is None else self._dense(code)
+        return default if dense < 0 else dense
+
+    def _dense(self, code: int) -> int:
+        """The dense id of an interner code, -1 if it is not indexed."""
         dense = self._overlay.get(code)
         if dense is not None:
             return dense
         pos = self._slot(code)
-        if pos >= 0:
-            dense = self._ids[pos]
-            if dense >= 0:
-                return dense
-        return default
+        return self._ids[pos] if pos >= 0 else -1
+
+    def lookup(self, codes: Any) -> Any:
+        """:meth:`get` over a numpy array of codes: the dense ids, -1
+        where a code is not indexed (or not a code at all)."""
+        if len(codes) < _BULK_ROWS:
+            return np.fromiter(map(self._dense, codes.tolist()), np.int64, len(codes))
+        found = np.full(len(codes), -1, dtype=np.int64)
+        if len(self._codes):
+            table = np.frombuffer(self._codes, dtype=np.int32)
+            pos = np.minimum(np.searchsorted(table, codes), len(table) - 1)
+            hit = table[pos] == codes
+            found[hit] = np.frombuffer(self._ids, dtype=np.int32)[pos[hit]]
+        if self._overlay:
+            over = np.fromiter(
+                map(self._overlay.get, codes.tolist(), repeat(-1)),
+                np.int64, len(codes),
+            )
+            found = np.where(over >= 0, over, found)
+        return found
 
     def __contains__(self, oid: Any) -> bool:
         return self.get(oid) is not None
@@ -182,40 +208,45 @@ class _OidIndex:
             raise KeyError(oid)
         return dense
 
-    def __setitem__(self, oid: Any, dense: int) -> None:
+    def put(self, oid: Any, dense: int) -> int:
+        """Index ``oid`` as ``dense``; returns its code."""
         code = self._interner.encode(oid)
         overlay = self._overlay
         if code in overlay:
             overlay[code] = dense
-            return
+            return code
         pos = self._slot(code)
         if pos >= 0:
             if self._ids[pos] < 0:
                 self._size += 1
                 self._dead -= 1
             self._ids[pos] = dense
-            return
+            return code
         overlay[code] = dense
         self._size += 1
         self._maybe_merge()
+        return code
 
     def _maybe_merge(self) -> None:
         overlay = self._overlay
         if len(overlay) >= 1024 and 3 * len(overlay) >= len(self._codes):
             self._merge()
 
-    def extend(self, oids: List[Any], base: int) -> None:
-        """Index ``oids`` as the dense ids from ``base`` on.  None of
-        them may be indexed already (the bulk adders check first)."""
-        if self._dead:  # a re-added OID takes its tombstoned slot back
-            for offset, oid in enumerate(oids):
-                self[oid] = base + offset
-            return
-        # No tombstones: an OID that is not indexed has no slot in the
-        # sorted arrays either, so the whole batch is overlay entries.
-        codes = self._interner.encode_column(oids)
-        self._overlay.update(zip(codes, range(base, base + len(codes))))
+    def extend(self, codes: Any, base: int) -> None:
+        """Index the OIDs of the numpy array ``codes`` as the dense ids
+        from ``base`` on.  None of them may be indexed already (the bulk
+        adders check first): one a tombstoned slot holds takes it back,
+        the others join the overlay."""
+        dense = np.arange(base, base + len(codes))
         self._size += len(codes)
+        if self._dead:
+            table = np.frombuffer(self._codes, dtype=np.int32)
+            pos = np.minimum(np.searchsorted(table, codes), len(table) - 1)
+            back = table[pos] == codes
+            np.frombuffer(self._ids, dtype=np.int32)[pos[back]] = dense[back]
+            self._dead -= int(back.sum())
+            codes, dense = codes[~back], dense[~back]
+        self._overlay.update(zip(codes.tolist(), dense.tolist()))
         self._maybe_merge()
 
     def __delitem__(self, oid: Any) -> None:
@@ -244,15 +275,15 @@ class _OidIndex:
         return self._size
 
     def intersection(self, oids: Iterable[Any]) -> set:
-        """The subset of ``oids`` present in the index (deduplicated)."""
-        oids = list(oids)
-        codes = self._interner.probe_column(oids)
-        if codes.count(None) == len(codes):
-            return set()  # none was ever interned, let alone indexed
-        return {
-            oid for oid, code in zip(oids, codes)
-            if code is not None and oid in self
-        }
+        """The subset of ``oids`` present in the index (deduplicated);
+        :class:`~repro.vadalog.columnar.Codes` give their values."""
+        if isinstance(oids, Codes):
+            codes = np.asarray(oids)
+            oids = list(map(self._interner.values.__getitem__, codes.tolist()))
+        else:
+            oids = list(oids)
+            codes = self._interner.probe_column(oids)
+        return set(compress(oids, (self.lookup(codes) >= 0).tolist()))
 
     def copy(self) -> "_OidIndex":
         clone = _OidIndex(self._interner)
@@ -267,31 +298,21 @@ class _OidIndex:
         """Fold the overlay into the sorted arrays; drop tombstones.
 
         Overlay codes are never present in the sorted arrays (inserts
-        probe the table first), so this is a duplicate-free two-pointer
-        merge, O(table + overlay).
+        probe the table first), so the sorted overlay slots in at
+        ``searchsorted`` positions: O(table + overlay) in numpy.
         """
-        pairs = sorted(self._overlay.items())
-        old_codes = self._codes
-        old_ids = self._ids
-        merged_codes = array(_IDX)
-        merged_ids = array(_IDX)
-        pos = 0
-        total = len(old_codes)
-        for code, dense in pairs:
-            while pos < total and old_codes[pos] < code:
-                if old_ids[pos] >= 0:
-                    merged_codes.append(old_codes[pos])
-                    merged_ids.append(old_ids[pos])
-                pos += 1
-            merged_codes.append(code)
-            merged_ids.append(dense)
-        while pos < total:
-            if old_ids[pos] >= 0:
-                merged_codes.append(old_codes[pos])
-                merged_ids.append(old_ids[pos])
-            pos += 1
-        self._codes = merged_codes
-        self._ids = merged_ids
+        count = len(self._overlay)
+        new_codes = np.fromiter(self._overlay.keys(), np.int32, count)
+        new_ids = np.fromiter(self._overlay.values(), np.int32, count)
+        order = np.argsort(new_codes)
+        old_codes = np.frombuffer(self._codes, dtype=np.int32)
+        old_ids = np.frombuffer(self._ids, dtype=np.int32)
+        live = old_ids >= 0
+        merged_codes, merged_ids = merge_sorted(
+            old_codes[live], old_ids[live], new_codes[order], new_ids[order]
+        )
+        self._codes = array(_IDX, merged_codes.tobytes())
+        self._ids = array(_IDX, merged_ids.tobytes())
         self._overlay = {}
         self._dead = 0
 
@@ -479,6 +500,7 @@ class ColumnarPropertyGraph:
         self._label_index: Dict[str, int] = {}
         # Node store.
         self._node_oids: List[Any] = []
+        self._node_codes = array(_IDX)  # interner code of each OID
         self._node_index = _OidIndex(self._interner)
         self._node_label = array(_IDX)
         self._node_live = bytearray()
@@ -488,6 +510,7 @@ class ColumnarPropertyGraph:
         self._node_label_count: Dict[int, int] = {}
         # Edge store (incidence function mu as two nid columns).
         self._edge_oids: List[Any] = []
+        self._edge_codes = array(_IDX)
         self._edge_index = _OidIndex(self._interner)
         self._edge_label = array(_IDX)
         self._edge_live = bytearray()
@@ -520,6 +543,22 @@ class ColumnarPropertyGraph:
         share with an extraction :class:`~repro.vadalog.database.Database`
         (values present on either side are then stored once)."""
         return self._interner
+
+    def share_codes(self, other: Any) -> bool:
+        """Whether code columns of the graph ``other`` can be written
+        into this one as they are: both on one interner and no value of
+        ``other`` boxed.  An empty graph first takes ``other``'s
+        interner over — it has issued no code yet."""
+        interner = getattr(other, "interner", None)
+        if interner is None or other._boxed:
+            return False
+        if interner is not self._interner and not (
+            self._node_oids or self._edge_oids or self._boxed
+        ):
+            self._interner = interner
+            self._node_index = _OidIndex(interner)
+            self._edge_index = _OidIndex(interner)
+        return interner is self._interner
 
     def _encode(self, value: Any) -> int:
         try:
@@ -564,7 +603,7 @@ class ColumnarPropertyGraph:
                      properties: Dict[str, Any]) -> int:
         nid = len(self._node_oids)
         self._node_oids.append(node_id)
-        self._node_index[node_id] = nid
+        self._node_codes.append(self._node_index.put(node_id, nid))
         self._node_label.append(label_code)
         self._node_live.append(1)
         self._out_head.append(-1)
@@ -614,30 +653,15 @@ class ColumnarPropertyGraph:
                      label_code: int, properties: Dict[str, Any]) -> int:
         eid = len(self._edge_oids)
         self._edge_oids.append(edge_id)
-        self._edge_index[edge_id] = eid
+        self._edge_codes.append(self._edge_index.put(edge_id, eid))
         self._edge_label.append(label_code)
         self._edge_live.append(1)
         self._edge_src.append(src)
         self._edge_dst.append(dst)
-        # Tail-append into both chains keeps insertion-order iteration.
-        tail = self._out_tail[src]
-        self._out_next.append(-1)
-        self._out_prev.append(tail)
-        if tail == -1:
-            self._out_head[src] = eid
-        else:
-            self._out_next[tail] = eid
-        self._out_tail[src] = eid
-        self._out_deg[src] += 1
-        tail = self._in_tail[dst]
-        self._in_next.append(-1)
-        self._in_prev.append(tail)
-        if tail == -1:
-            self._in_head[dst] = eid
-        else:
-            self._in_next[tail] = eid
-        self._in_tail[dst] = eid
-        self._in_deg[dst] += 1
+        self._link(self._out_head, self._out_tail, self._out_deg,
+                   self._out_next, self._out_prev, [src], eid)
+        self._link(self._in_head, self._in_tail, self._in_deg,
+                   self._in_next, self._in_prev, [dst], eid)
         table = self._edge_tables.get(label_code)
         if table is None:
             table = self._edge_tables[label_code] = _Table()
@@ -705,6 +729,7 @@ class ColumnarPropertyGraph:
             self._edge_label_count[label_code] -= 1
             del self._edge_index[self._edge_oids[eid]]
             self._edge_oids.pop()
+            self._edge_codes.pop()
             self._edge_label.pop()
             self._edge_live.pop()
             self._edge_row.pop()
@@ -722,6 +747,7 @@ class ColumnarPropertyGraph:
             self._node_label_count[label_code] -= 1
             del self._node_index[self._node_oids[nid]]
             self._node_oids.pop()
+            self._node_codes.pop()
             self._node_label.pop()
             self._node_live.pop()
             self._node_row.pop()
@@ -1124,28 +1150,55 @@ class ColumnarPropertyGraph:
     # Bulk (columnar) accessors — columns in, columns out
     # ------------------------------------------------------------------
     def _live_table_rows(self, table: _Table, live: bytearray,
-                         dead: int) -> Tuple[List[int], Optional[List[int]]]:
+                         dead: int) -> Tuple[Any, Optional[Any]]:
         """``(elements, positions)``; positions is None when all rows live."""
         rows = table.rows
-        if not dead or all(live[element] for element in rows):
+        if not dead:
             return rows, None
-        elements, positions = [], []
-        for position, element in enumerate(rows):
-            if live[element]:
-                elements.append(element)
-                positions.append(position)
-        return elements, positions
+        elements = np.frombuffer(rows, dtype=np.int32)
+        alive = np.frombuffer(bytes(live), dtype=np.bool_)[elements]
+        if alive.all():
+            return rows, None
+        positions = np.flatnonzero(alive)
+        return elements[positions].tolist(), positions
 
-    def _decode_column(self, column: array,
-                       positions: Optional[List[int]], default: Any) -> List[Any]:
+    def _decode_column(self, codes: Any, default: Any) -> List[Any]:
+        """The values of a numpy code column, ``default`` for an unset
+        cell: one C-speed ``map`` unless some cell is unset or boxed."""
         values = self._interner.values
+        if not len(codes) or codes.min() >= 0:
+            return list(map(values.__getitem__, codes.tolist()))
         boxed = self._boxed
-        cells = column if positions is None else [column[p] for p in positions]
         return [
             values[code] if code >= 0
             else (default if code == _ABSENT_CODE else boxed[-2 - code])
-            for code in cells
+            for code in codes.tolist()
         ]
+
+    def values_of(self, codes: Any) -> List[Any]:
+        """The values of a :class:`~repro.vadalog.columnar.Codes`
+        column, :data:`ABSENT` for an unset cell."""
+        return self._decode_column(np.asarray(codes), ABSENT)
+
+    def _table_columns(self, table: _Table, positions: Optional[Any],
+                       names: List[str]) -> List[Any]:
+        """Numpy code columns of ``names`` (all unset where the table has
+        no such column) over the table rows at ``positions``."""
+        count = len(table.rows) if positions is None else len(positions)
+        columns = []
+        for name in names:
+            index = table.name_index.get(name)
+            if index is None:
+                columns.append(np.full(count, _ABSENT_CODE, dtype=np.int32))
+                continue
+            codes = np.frombuffer(table.cols[index], dtype=np.int32)
+            columns.append(codes.copy() if positions is None else codes[positions])
+        return columns
+
+    def _table(self, tables: Dict[int, _Table], label: str) -> Optional[_Table]:
+        code = self._label_index.get(label)
+        table = tables.get(code) if code is not None else None
+        return table if table is not None and len(table.rows) else None
 
     def nodes_table(
         self,
@@ -1159,27 +1212,17 @@ class ColumnarPropertyGraph:
         straight from the property matrix, no view or dict per node.
         """
         names = list(names)
-        code = self._label_index.get(label)
-        table = self._node_tables.get(code) if code is not None else None
-        if table is None or not table.rows:
+        table = self._table(self._node_tables, label)
+        if table is None:
             return [], [[] for _ in names]
         elements, positions = self._live_table_rows(
             table, self._node_live, self._node_dead
         )
-        if not elements:
-            return [], [[] for _ in names]
-        oids = self._node_oids
-        ids = [oids[nid] for nid in elements]
-        columns = []
-        for name in names:
-            index = table.name_index.get(name)
-            if index is None:
-                columns.append([default] * len(ids))
-            else:
-                columns.append(
-                    self._decode_column(table.cols[index], positions, default)
-                )
-        return ids, columns
+        ids = list(map(self._node_oids.__getitem__, elements))
+        return ids, [
+            self._decode_column(codes, default)
+            for codes in self._table_columns(table, positions, names)
+        ]
 
     def edges_table(
         self,
@@ -1189,31 +1232,57 @@ class ColumnarPropertyGraph:
     ) -> Tuple[List[Any], List[Any], List[Any], List[List[Any]]]:
         """Return ``(ids, sources, targets, columns)`` for ``label`` edges."""
         names = list(names)
-        code = self._label_index.get(label)
-        table = self._edge_tables.get(code) if code is not None else None
-        if table is None or not table.rows:
+        table = self._table(self._edge_tables, label)
+        if table is None:
             return [], [], [], [[] for _ in names]
         elements, positions = self._live_table_rows(
             table, self._edge_live, self._edge_dead
         )
-        if not elements:
-            return [], [], [], [[] for _ in names]
-        oids = self._node_oids
-        edge_oids = self._edge_oids
-        src, dst = self._edge_src, self._edge_dst
-        ids = [edge_oids[eid] for eid in elements]
-        sources = [oids[src[eid]] for eid in elements]
-        targets = [oids[dst[eid]] for eid in elements]
-        columns = []
-        for name in names:
-            index = table.name_index.get(name)
-            if index is None:
-                columns.append([default] * len(ids))
-            else:
-                columns.append(
-                    self._decode_column(table.cols[index], positions, default)
-                )
-        return ids, sources, targets, columns
+        oid_of = self._node_oids.__getitem__
+        ids = list(map(self._edge_oids.__getitem__, elements))
+        sources = list(map(oid_of, map(self._edge_src.__getitem__, elements)))
+        targets = list(map(oid_of, map(self._edge_dst.__getitem__, elements)))
+        return ids, sources, targets, [
+            self._decode_column(codes, default)
+            for codes in self._table_columns(table, positions, names)
+        ]
+
+    def node_code_table(
+        self, label: str, names: Iterable[str] = ()
+    ) -> Tuple[Any, List[Any]]:
+        """:meth:`nodes_table` as :class:`~repro.vadalog.columnar.Codes`
+        of this graph's interner, -1 for an unset cell: nothing decoded."""
+        ids, _, _, columns = self._code_table(
+            self._node_tables, self._node_live, self._node_dead,
+            self._node_codes, label, list(names),
+        )
+        return ids, columns
+
+    def edge_code_table(
+        self, label: str, names: Iterable[str] = ()
+    ) -> Tuple[Any, Any, Any, List[Any]]:
+        """:meth:`edges_table` as code columns (see :meth:`node_code_table`)."""
+        return self._code_table(
+            self._edge_tables, self._edge_live, self._edge_dead,
+            self._edge_codes, label, list(names),
+        )
+
+    def _code_table(self, tables, live, dead, codes_of, label, names):
+        table = self._table(tables, label)
+        if table is None:
+            elements, positions = np.empty(0, dtype=np.int64), None
+            columns = [np.empty(0, dtype=np.int32) for _ in names]
+        else:
+            elements, positions = self._live_table_rows(table, live, dead)
+            elements = np.asarray(elements, dtype=np.int64)
+            columns = self._table_columns(table, positions, names)
+        node_codes = np.frombuffer(self._node_codes, dtype=np.int32)
+        ends = [
+            node_codes[np.frombuffer(nids, dtype=np.int32)[elements]].view(Codes)
+            for nids in (self._edge_src, self._edge_dst)
+        ] if tables is self._edge_tables else [None, None]
+        ids = np.frombuffer(codes_of, dtype=np.int32)[elements].view(Codes)
+        return ids, ends[0], ends[1], [column.view(Codes) for column in columns]
 
     def _table_names(self, table: Optional[_Table], live: bytearray,
                      dead: int) -> List[str]:
@@ -1221,12 +1290,10 @@ class ColumnarPropertyGraph:
             return []
         _elements, positions = self._live_table_rows(table, live, dead)
         return [
-            name for name, column in zip(table.names, table.cols)
-            if any(
-                code != _ABSENT_CODE for code in
-                (column if positions is None else map(column.__getitem__,
-                                                      positions))
+            name for name, codes in zip(
+                table.names, self._table_columns(table, positions, table.names)
             )
+            if (codes != _ABSENT_CODE).any()
         ]
 
     def node_property_names(self, label: str) -> List[str]:
@@ -1245,81 +1312,196 @@ class ColumnarPropertyGraph:
             self._edge_tables.get(code), self._edge_live, self._edge_dead
         )
 
-    def _cell_codes(self, cells: List[Any],
-                    keep_none: bool) -> Optional[List[int]]:
-        """One code per cell, :data:`_ABSENT_CODE` for a cell to leave
-        unset: an :data:`ABSENT` one and, unless ``keep_none``, a
-        ``None`` one.  ``None`` when every cell is left unset."""
-        unset = [
-            i for i, value in enumerate(cells)
-            if value is ABSENT or (value is None and not keep_none)
-        ]
-        if unset:
-            if len(unset) == len(cells):
-                return None
-            # Stand-ins the column encode interns anyway, so that the
-            # sentinel never reaches the (append-only) dictionary.
-            cells = list(cells)
-            skipped = set(unset)
-            filler = next(
-                value for i, value in enumerate(cells) if i not in skipped
-            )
-            for i in unset:
-                cells[i] = filler
-        try:
-            codes = self._interner.encode_column(cells)
-        except TypeError:  # an unhashable value: box it, cell by cell
-            codes = [self._encode(value) for value in cells]
-        for i in unset:
-            codes[i] = _ABSENT_CODE
+    def _cell_codes(self, cells: Any, at: Optional[Any],
+                    keep_none: bool) -> Any:
+        """The codes of one column's cells (those at positions ``at``,
+        or all): :data:`_ABSENT_CODE` for a cell to leave unset, an
+        :data:`ABSENT` one and, unless ``keep_none``, a ``None`` one.
+        A :class:`~repro.vadalog.columnar.Codes` column is its codes."""
+        if isinstance(cells, Codes):
+            codes = np.asarray(cells, dtype=np.int32)
+            return codes if at is None else codes[at]
+        if at is not None:
+            cells = list(map(cells.__getitem__, at.tolist()))
+        count = len(cells)
+        unset = np.fromiter(map(is_, cells, repeat(ABSENT)), bool, count)
+        if not keep_none:
+            unset |= np.fromiter(map(is_, cells, repeat(None)), bool, count)
+        codes = np.full(count, _ABSENT_CODE, dtype=np.int32)
+        present = np.flatnonzero(~unset)
+        if len(present):
+            if len(present) != count:
+                cells = list(compress(cells, (~unset).tolist()))
+            try:
+                codes[present] = self._interner.encode_column(cells)
+            except TypeError:  # an unhashable value: box it, cell by cell
+                codes[present] = [self._encode(value) for value in cells]
         return codes
 
-    def _encode_into(self, table: _Table, base_row: int, count: int,
-                     names: Tuple[str, ...], columns: Iterable[List[Any]],
-                     constants: Optional[Dict[str, Any]],
-                     keep_none: bool) -> None:
-        """Fill the ``count`` rows from ``base_row`` on, which are the
-        table's last and still all-absent."""
-        for name, cells in zip(names, columns):
-            column = table.col(name)
-            codes = self._cell_codes(cells, keep_none)
-            if codes is not None:
-                column[base_row:] = array(_IDX, codes)
-        if constants:
-            for name, value in constants.items():
-                table.col(name)[base_row:] = array(
-                    _IDX, [self._encode(value)]
-                ) * count
+    def _fill_tables(self, tables: Dict[int, _Table],
+                     label_count: Dict[int, int], label: Any, base: int,
+                     count: int, names: Iterable[str],
+                     columns: Iterable[Any], constants: Optional[Dict[str, Any]],
+                     keep_none: bool) -> Tuple[Any, Any]:
+        """Append the elements ``base..base+count-1`` to the property
+        tables of their labels — ``label`` for all, or one per element
+        — and set their cells.  Returns each element's row in its table
+        and its label code, as ``int32`` arrays.  With one label per
+        element, a table gets a column for the names its own elements
+        set, in ``names`` order."""
+        names, columns = tuple(names), list(columns)
+        per_element = not (label is None or isinstance(label, str))
+        if per_element:
+            code_of = {name: self._label_code(name) for name in dict.fromkeys(label)}
+            labels = np.fromiter(map(code_of.__getitem__, label), np.int32, count)
+            groups = [
+                (code, np.flatnonzero(labels == code) if len(code_of) > 1 else None)
+                for code in code_of.values()
+            ]
+        else:
+            groups = [(self._label_code(label), None)]
+            labels = np.full(count, groups[0][0], dtype=np.int32)
+        rows = np.empty(count, dtype=np.int32)
+        for code, at in groups:
+            table = tables.get(code)
+            if table is None:
+                table = tables[code] = _Table()
+            size = count if at is None else len(at)
+            elements = np.arange(base, base + count) if at is None else at + base
+            base_row = len(table.rows)
+            table.rows.frombytes(elements.astype(np.int32).tobytes())
+            absent = array(_IDX, [_ABSENT_CODE]) * size
+            for column in table.cols:
+                column.extend(absent)
+            here = np.arange(base_row, base_row + size, dtype=np.int32)
+            if at is None:
+                rows = here
+            else:
+                rows[at] = here
+            label_count[code] = label_count.get(code, 0) + size
+            for name, cells in zip(names, columns):
+                codes = self._cell_codes(cells, at, keep_none)
+                if per_element and not (codes != _ABSENT_CODE).any():
+                    continue
+                table.col(name)[base_row:] = array(_IDX, codes.tobytes())
+            if constants:
+                for name, value in constants.items():
+                    table.col(name)[base_row:] = array(
+                        _IDX, [self._encode(value)]
+                    ) * size
+        return rows, labels
+
+    def _new_ids(self, ids: Any, index: _OidIndex, kind: str) -> Any:
+        """The codes of ``ids`` (values or :class:`Codes`), raising what
+        one ``add_node`` / ``add_edge`` per id would for an id already
+        indexed or repeated — checked before any value is interned."""
+        coded = isinstance(ids, Codes)
+        values = (
+            list(map(self._interner.values.__getitem__, np.asarray(ids).tolist()))
+            if coded else ids
+        )
+        clash = (
+            set(compress(values, (index.lookup(np.asarray(ids)) >= 0).tolist()))
+            if coded else index.intersection(set(ids))
+        )
+        if clash:
+            bad = sorted(clash, key=str)[0]
+            raise GraphError(f"{kind} {bad!r} already exists in {self.name!r}")
+        if len(set(values)) != len(values):
+            raise GraphError(
+                f"duplicate {kind} OID {first_repeat(values)!r} in bulk add "
+                f"to {self.name!r}"
+            )
+        if coded:
+            return np.asarray(ids, dtype=np.int32), values
+        return self._interner.encode_column(ids), list(ids)
+
+    def _endpoints(self, sources: Any, targets: Any) -> List[Any]:
+        """The nids of the ``sources`` and ``targets`` columns (values or
+        :class:`Codes`); raises what ``add_edge`` would for a missing one."""
+        ends = [
+            self._node_index.lookup(
+                np.asarray(column) if isinstance(column, Codes)
+                else self._interner.probe_column(column)
+            )
+            for column in (sources, targets)
+        ]
+        if (ends[0] < 0).any() or (ends[1] < 0).any():
+            missing: set = set()
+            for column, nids in zip((sources, targets), ends):
+                if isinstance(column, Codes):
+                    column = self.values_of(column)
+                missing.update(compress(column, (nids < 0).tolist()))
+            bad = sorted(missing, key=str)[0]
+            raise GraphError(f"unknown source node {bad!r} in {self.name!r}")
+        return ends
+
+    @staticmethod
+    def _link(head: array, tail: array, deg: array, after: array,
+              before: array, ends: Any, base: int) -> None:
+        """Append the edges ``base, base+1, ...`` (end node ``ends[i]``
+        for edge ``base+i``) to the tails of their nodes' chains — the
+        out-chains or the in-chains — in edge order, as one
+        ``add_edge`` per edge does."""
+        count = len(ends)
+        if count < _BULK_ROWS:
+            for eid, nid in enumerate(ends if type(ends) is list else ends.tolist(), base):
+                last = tail[nid]
+                after.append(-1)
+                before.append(last)
+                if last == -1:
+                    head[nid] = eid
+                else:
+                    after[last] = eid
+                tail[nid] = eid
+                deg[nid] += 1
+            return
+        order = np.argsort(ends, kind="stable")
+        nodes, eids = ends[order], order + base
+        first = np.ones(count, dtype=bool)
+        first[1:] = nodes[1:] != nodes[:-1]
+        last = np.append(first[1:], True)
+        starts, runs = eids[first], nodes[first]
+        tails = np.frombuffer(tail, dtype=np.int32)
+        old = tails[runs].astype(np.int64)
+        tails[runs] = eids[last]
+        np.frombuffer(head, dtype=np.int32)[runs[old == -1]] = starts[old == -1]
+        np.frombuffer(deg, dtype=np.int32)[runs] += np.diff(
+            np.append(np.flatnonzero(first), count)
+        ).astype(np.int32)
+        del tails
+        linked = np.empty(count, dtype=np.int32)  # next, in edge order
+        linked[order] = np.where(last, -1, np.roll(eids, -1))
+        after.frombytes(linked.tobytes())
+        linked[order] = np.where(first, 0, np.roll(eids, 1))
+        linked[order[first]] = old
+        before.frombytes(linked.tobytes())
+        np.frombuffer(after, dtype=np.int32)[old[old != -1]] = starts[old != -1]
 
     def add_nodes_bulk(
         self,
-        label: Optional[str],
-        ids: List[Any],
+        label: Any,
+        ids: Any,
         names: Tuple[str, ...] = (),
-        columns: Iterable[List[Any]] = (),
+        columns: Iterable[Any] = (),
         constants: Optional[Dict[str, Any]] = None,
         keep_none: bool = False,
     ) -> None:
-        """Add many nodes with one shared label in a single column pass."""
-        if not ids:
+        """Add many nodes in a single column pass.
+
+        ``label`` is every node's label, or a sequence of one label per
+        node (the nodes keep their order, each label's table holding
+        its own).  ``ids`` and any of ``columns`` may be
+        :class:`~repro.vadalog.columnar.Codes` of this graph's interner
+        instead of values: stored as they are, -1 an unset cell."""
+        if not len(ids):
             return
-        index = self._node_index
-        seen = set(ids)
-        clash = index.intersection(seen)
-        if clash:
-            bad = sorted(clash, key=str)[0]
-            raise GraphError(f"node {bad!r} already exists in {self.name!r}")
-        if len(seen) != len(ids):
-            raise GraphError(
-                f"duplicate node OID {first_repeat(ids)!r} in bulk add to "
-                f"{self.name!r}"
-            )
-        count = len(ids)
-        base_nid = len(self._node_oids)
-        label_code = self._label_code(label)
-        self._node_oids.extend(ids)
-        index.extend(ids, base_nid)
-        self._node_label.extend([label_code] * count)
+        codes, oids = self._new_ids(ids, self._node_index, "node")
+        count = len(codes)
+        base = len(self._node_oids)
+        self._node_oids.extend(oids)
+        self._node_codes.frombytes(codes.tobytes())
+        self._node_index.extend(codes, base)
         self._node_live.extend(b"\x01" * count)
         minus_ones = array(_IDX, [-1]) * count
         zeros = array(_IDX, bytes(_IDX_BYTES * count))
@@ -1329,107 +1511,50 @@ class ColumnarPropertyGraph:
         self._in_head.extend(minus_ones)
         self._in_tail.extend(minus_ones)
         self._in_deg.extend(zeros)
-        table = self._node_tables.get(label_code)
-        if table is None:
-            table = self._node_tables[label_code] = _Table()
-        base_row = len(table.rows)
-        table.rows.extend(range(base_nid, base_nid + count))
-        absent = array(_IDX, [_ABSENT_CODE]) * count
-        for column in table.cols:
-            column.extend(absent)
-        self._node_row.extend(range(base_row, base_row + count))
-        self._node_label_count[label_code] = (
-            self._node_label_count.get(label_code, 0) + count
+        rows, labels = self._fill_tables(
+            self._node_tables, self._node_label_count, label, base, count,
+            names, columns, constants, keep_none,
         )
-        self._encode_into(table, base_row, count, tuple(names), columns,
-                          constants, keep_none)
+        self._node_label.frombytes(labels.tobytes())
+        self._node_row.frombytes(rows.tobytes())
 
     def add_edges_bulk(
         self,
-        label: Optional[str],
-        ids: List[Any],
-        sources: List[Any],
-        targets: List[Any],
+        label: Any,
+        ids: Any,
+        sources: Any,
+        targets: Any,
         names: Tuple[str, ...] = (),
-        columns: Iterable[List[Any]] = (),
+        columns: Iterable[Any] = (),
         constants: Optional[Dict[str, Any]] = None,
         keep_none: bool = False,
     ) -> None:
-        """Add many edges with one shared label in a single column pass."""
-        if not ids:
+        """Add many edges in a single column pass; ``label``, ``ids``
+        and ``columns`` as for :meth:`add_nodes_bulk`, and the endpoint
+        columns values or codes too.  The adjacency chains are linked
+        column-wise."""
+        if not len(ids):
             return
-        index = self._edge_index
-        # One index probe per distinct endpoint, not two per edge.
-        nid_of = {
-            oid: self._node_index.get(oid)
-            for oid in set(sources).union(targets)
-        }
-        missing = [oid for oid, nid in nid_of.items() if nid is None]
-        if missing:
-            bad = sorted(missing, key=str)[0]
-            raise GraphError(f"unknown source node {bad!r} in {self.name!r}")
-        seen = set(ids)
-        clash = index.intersection(seen)
-        if clash:
-            bad = sorted(clash, key=str)[0]
-            raise GraphError(f"edge {bad!r} already exists in {self.name!r}")
-        if len(seen) != len(ids):
-            raise GraphError(
-                f"duplicate edge OID {first_repeat(ids)!r} in bulk add to "
-                f"{self.name!r}"
-            )
-        count = len(ids)
-        base_eid = len(self._edge_oids)
-        label_code = self._label_code(label)
-        self._edge_oids.extend(ids)
-        index.extend(ids, base_eid)
-        self._edge_label.extend([label_code] * count)
+        src, dst = self._endpoints(sources, targets)
+        codes, oids = self._new_ids(ids, self._edge_index, "edge")
+        count = len(codes)
+        base = len(self._edge_oids)
+        self._edge_oids.extend(oids)
+        self._edge_codes.frombytes(codes.tobytes())
+        self._edge_index.extend(codes, base)
         self._edge_live.extend(b"\x01" * count)
-        src_nids = array(_IDX, map(nid_of.__getitem__, sources))
-        dst_nids = array(_IDX, map(nid_of.__getitem__, targets))
-        self._edge_src.extend(src_nids)
-        self._edge_dst.extend(dst_nids)
-        out_next, out_prev = self._out_next, self._out_prev
-        in_next, in_prev = self._in_next, self._in_prev
-        out_head, out_tail = self._out_head, self._out_tail
-        in_head, in_tail = self._in_head, self._in_tail
-        out_deg, in_deg = self._out_deg, self._in_deg
-        for offset in range(count):
-            eid = base_eid + offset
-            src = src_nids[offset]
-            tail = out_tail[src]
-            out_next.append(-1)
-            out_prev.append(tail)
-            if tail == -1:
-                out_head[src] = eid
-            else:
-                out_next[tail] = eid
-            out_tail[src] = eid
-            out_deg[src] += 1
-            dst = dst_nids[offset]
-            tail = in_tail[dst]
-            in_next.append(-1)
-            in_prev.append(tail)
-            if tail == -1:
-                in_head[dst] = eid
-            else:
-                in_next[tail] = eid
-            in_tail[dst] = eid
-            in_deg[dst] += 1
-        table = self._edge_tables.get(label_code)
-        if table is None:
-            table = self._edge_tables[label_code] = _Table()
-        base_row = len(table.rows)
-        table.rows.extend(range(base_eid, base_eid + count))
-        absent = array(_IDX, [_ABSENT_CODE]) * count
-        for column in table.cols:
-            column.extend(absent)
-        self._edge_row.extend(range(base_row, base_row + count))
-        self._edge_label_count[label_code] = (
-            self._edge_label_count.get(label_code, 0) + count
+        self._edge_src.frombytes(src.astype(np.int32).tobytes())
+        self._edge_dst.frombytes(dst.astype(np.int32).tobytes())
+        self._link(self._out_head, self._out_tail, self._out_deg,
+                   self._out_next, self._out_prev, src, base)
+        self._link(self._in_head, self._in_tail, self._in_deg,
+                   self._in_next, self._in_prev, dst, base)
+        rows, labels = self._fill_tables(
+            self._edge_tables, self._edge_label_count, label, base, count,
+            names, columns, constants, keep_none,
         )
-        self._encode_into(table, base_row, count, tuple(names), columns,
-                          constants, keep_none)
+        self._edge_label.frombytes(labels.tobytes())
+        self._edge_row.frombytes(rows.tobytes())
 
     def existing_node_ids(self, ids: Iterable[Any]) -> set:
         return self._node_index.intersection(ids)
@@ -1448,6 +1573,7 @@ class ColumnarPropertyGraph:
         clone._labels = list(self._labels)
         clone._label_index = dict(self._label_index)
         clone._node_oids = list(self._node_oids)
+        clone._node_codes = array(_IDX, self._node_codes)
         clone._node_index = self._node_index.copy()
         clone._node_label = array(_IDX, self._node_label)
         clone._node_live = bytearray(self._node_live)
@@ -1458,6 +1584,7 @@ class ColumnarPropertyGraph:
         }
         clone._node_label_count = dict(self._node_label_count)
         clone._edge_oids = list(self._edge_oids)
+        clone._edge_codes = array(_IDX, self._edge_codes)
         clone._edge_index = self._edge_index.copy()
         clone._edge_label = array(_IDX, self._edge_label)
         clone._edge_live = bytearray(self._edge_live)

@@ -35,6 +35,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 from repro.core.dictionary import GraphDictionary
 from repro.core.instances import (
     INSTANCE_LABELS,
+    CodedSource,
     LoadedMark,
     SuperInstance,
     decode_relations,
@@ -165,9 +166,9 @@ def _deferred_full_gc():
     thousand surviving allocations, which measures as multiple seconds
     of pause time per 50k-company run.  Almost everything the chase
     frees is acyclic and dies by refcount, so full cycles are deferred
-    — not disabled — while young-generation collection keeps running.
-    One full collection on exit picks up whatever cyclic garbage the
-    run produced; thresholds are always restored.
+    — not disabled — while young-generation collection keeps running;
+    thresholds are always restored.  No full collection runs on exit:
+    it found nothing to free after a run at 1k to 5k companies.
     """
     if not gc.isenabled():  # caller manages GC — stay out of the way
         yield
@@ -178,7 +179,6 @@ def _deferred_full_gc():
         yield
     finally:
         gc.set_threshold(gen0, gen1, gen2)
-        gc.collect()
 
 
 class IntensionalMaterializer:
@@ -399,9 +399,14 @@ class IntensionalMaterializer:
                 copy_database=False,
             )
             self._merge_status(report, result_out)
+            # The decoded graph shares the chase's value dictionary (the
+            # registry's) and adopts its code columns: nothing decoded.
+            flushed_db = result_out.database
             report.instance, added, dropped = decode_relations(
-                schema, instance_oid, result_out.database.columns, loaded,
-                f"{data.name}+derived",
+                schema, instance_oid,
+                CodedSource(flushed_db.interner, flushed_db.code_columns)
+                if flushed_db.columnar else flushed_db.columns,
+                loaded, f"{data.name}+derived",
             )
             report.flush_dropped_edges = dropped
             flush_span.set(added=added, dropped_edges=dropped)
@@ -532,7 +537,7 @@ class IntensionalMaterializer:
                 )
                 touched, _, dropped = decode_relations(
                     schema, ioid, source, flush.state.edb, "touched",
-                    retained.constructs,
+                    retained.constructs, flush.database.interner,
                 )
                 flush_delta = FlushDelta.between(
                     retained.enriched, touched.data, node_ids, edge_ids

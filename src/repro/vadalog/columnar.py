@@ -16,7 +16,7 @@ column-wise:
 * row membership/dedup goes through a sorted-hash row table: two
   parallel ``array`` buffers (FNV-1a row hash, row id) ordered by hash,
   probed with ``bisect`` (~16 bytes/row), plus a small dict overlay for
-  rows inserted since the last rebuild.  Rebuilds are amortized
+  rows inserted since the last merge.  Merges are amortized
   geometrically and vectorized over numpy;
 * indexes map encoded keys to row-id lists, so buckets hold ints rather
   than fact references;
@@ -54,7 +54,8 @@ import tempfile
 import threading
 from bisect import bisect_left
 from array import array
-from itertools import chain as _chain, compress as _compress, islice as _islice
+from itertools import chain as _chain, compress as _compress, islice as _islice, repeat as _repeat
+from operator import is_ as _is
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError
@@ -71,8 +72,8 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
 
-#: Overlay size that triggers a row-table rebuild (amortized with the
-#: relative bound in :meth:`ColumnarRelation._maybe_rebuild`).
+#: Overlay size that triggers a row-table merge (amortized with the
+#: relative bound in :meth:`ColumnarRelation._maybe_merge`).
 _OVERLAY_LIMIT = 1024
 
 #: Typecode of the relation code columns: C ``int``, 4 bytes per code
@@ -140,87 +141,109 @@ class ValueInterner:
             with self._lock:
                 code = self._codes.get(key)  # another thread may have won
                 if code is None:
-                    code = len(self.values)
-                    self.values.append(value)
-                    if value != value:  # NaN
-                        self.nan_codes = self.nan_codes | {code}
-                    if isinstance(value, (bool, int, float)) and value in (0, 1):
-                        self.eq.append(self._eqcodes.setdefault(bool(value), code))
-                    else:
-                        self.eq.append(code)
-                    self._codes[key] = code  # published last, as below
+                    code = self._add(value, key)
+        return code
+
+    def _add(self, value: Any, key: Any) -> int:
+        """A new code for ``value`` (lock held, ``key`` not interned)."""
+        code = len(self.values)
+        self.values.append(value)
+        if value != value:  # NaN
+            self.nan_codes = self.nan_codes | {code}
+        if isinstance(value, (bool, int, float)) and value in (0, 1):
+            # The 0/1 family spans types (True==1==1.0): one eq class,
+            # anchored at its first member.
+            self.eq.append(self._eqcodes.setdefault(bool(value), code))
+        else:
+            self.eq.append(code)
+        self._codes[key] = code  # published last, as in encode_fill
         return code
 
     def probe(self, value: Any) -> Optional[int]:
         """Exact code of ``value`` if interned, else None (no insert)."""
         return self._codes.get(self._key(value))
 
-    def probe_column(self, col_vals: Sequence[Any]) -> List[Optional[int]]:
+    def probe_column(self, col_vals: Sequence[Any]) -> Any:
         """:meth:`probe` over a whole column: one C-speed ``map`` over
-        the code dict (bools, whose dict keys are tagged, apart)."""
-        codes_get = self._codes.get
+        the code dict (bools, whose dict keys are tagged, apart) into an
+        ``int64`` numpy array, -1 where a value is not interned."""
+        keys = col_vals
         if bool in set(map(type, col_vals)):
-            return [
-                codes_get((_BOOL, v)) if v.__class__ is bool else codes_get(v)
-                for v in col_vals
-            ]
-        return list(map(codes_get, col_vals))
+            keys = [(_BOOL, v) if v.__class__ is bool else v for v in col_vals]
+        return _np.fromiter(
+            map(self._codes.get, keys, _repeat(-1)), _np.int64, len(col_vals)
+        )
 
-    def encode_column(self, col_vals: Sequence[Any]) -> List[int]:
-        """:meth:`encode` over a whole column: a bulk probe, and one
-        :meth:`encode_fill` call for the values it did not find."""
-        raw = self.probe_column(col_vals)
-        if None in raw:
-            raw = self.encode_fill(col_vals, raw)
-        return raw
+    def encode_column(self, col_vals: Sequence[Any]) -> Any:
+        """:meth:`encode` over a whole column, as an ``int32`` numpy
+        array: a bulk probe, and one :meth:`encode_fill` call for the
+        values it did not find."""
+        codes = self.probe_column(col_vals)
+        miss = (codes < 0).nonzero()[0]
+        if len(miss):
+            misses = list(map(col_vals.__getitem__, miss.tolist()))
+            codes[miss] = self.encode_fill(misses, [None] * len(misses))
+        return codes.astype(_np.int32)
 
     def encode_fill(self, col_vals: Sequence[Any], raw: List[Any]) -> List[Any]:
         """Fill the ``None`` slots of a bulk-probe result in place.
 
         ``raw[i] is None`` means ``col_vals[i]`` missed the code dict.
-        :meth:`encode` unrolled over the misses, under one lock for the
-        whole column (bulk loads intern millions of first-seen values);
-        a code is published in ``_codes`` only once ``values``/``eq``
-        hold it, because whoever finds it there indexes both at once.
+        Everything happens under one lock for the whole column (bulk
+        loads intern millions of first-seen values), and a code is
+        published in ``_codes`` only once ``values``/``eq`` hold it,
+        because whoever finds it there indexes both at once.  Misses
+        that are all plain ``str`` (the bulk of a registry: ids, OIDs,
+        names) are interned in bulk, each its own ``eq`` class; any
+        other mix goes value by value through :meth:`_add`.
         """
+        every = raw.count(None) == len(raw)
+        misses = list(col_vals) if every else list(
+            _compress(col_vals, map(_is, raw, _repeat(None)))
+        )
         codes = self._codes
-        codes_get = codes.get
-        values = self.values
-        eq_append = self.eq.append
-        eqcodes_setdefault = self._eqcodes.setdefault
         with self._lock:
-            for i, code in enumerate(raw):
-                if code is None:
-                    v = col_vals[i]
+            if set(map(type, misses)) == {str}:
+                fresh: Any = dict.fromkeys(misses)
+                if not codes.keys().isdisjoint(fresh):  # another thread won
+                    fresh = [v for v in fresh if v not in codes]
+                base = len(self.values)
+                self.values.extend(fresh)
+                self.eq.extend(range(base, base + len(fresh)))
+                codes.update(zip(fresh, range(base, base + len(fresh))))
+                found = list(map(codes.__getitem__, misses))
+            else:
+                found = []
+                for v in misses:
                     key = (_BOOL, v) if v.__class__ is bool else v
-                    code = codes_get(key)
-                    if code is None:
-                        code = len(values)
-                        values.append(v)
-                        if v.__class__ is str:  # dominant: plain eq class
-                            eq_append(code)
-                        else:
-                            if v != v:  # NaN
-                                self.nan_codes = self.nan_codes | {code}
-                            if isinstance(v, (bool, int, float)) and v in (0, 1):
-                                # The 0/1 family spans types (True==1==1.0):
-                                # one eq class, anchored at its first member.
-                                eq_append(eqcodes_setdefault(bool(v), code))
-                            else:
-                                eq_append(code)
-                        codes[key] = code
-                    raw[i] = code
+                    code = codes.get(key)
+                    found.append(self._add(v, key) if code is None else code)
+        if every:
+            return found
+        filled = iter(found)
+        for i, code in enumerate(raw):
+            if code is None:
+                raw[i] = next(filled)
         return raw
 
     def eq_array(self) -> Any:
-        """Cached ``uint64`` numpy mirror of :attr:`eq` (refreshed lazily)."""
+        """Cached ``uint64`` numpy mirror of :attr:`eq`, refreshed lazily
+        by the codes issued since: a view of a buffer with room to
+        grow, whose filled cells never change (eq codes are final), so
+        an older view stays valid while a newer one is handed out."""
         arr = self._eq_np
-        if arr is None or len(arr) != len(self.eq):
+        count = len(self.eq)
+        if arr is None or len(arr) != count:
+            have = 0 if arr is None else len(arr)
+            buffer = arr.base if arr is not None and arr.base is not None else arr
+            if buffer is None or len(buffer) < count:
+                buffer = _np.empty(count + (count >> 2) + 1024, dtype=_np.uint64)
+                buffer[:have] = arr if have else ()
             # Mirror a slice: numpy may drop the GIL while it holds the
             # exported buffer, and an ``append`` by another thread to an
             # exporting array raises ``BufferError``.
-            arr = _np.asarray(self.eq[:], dtype=_np.int64).astype(_np.uint64)
-            self._eq_np = arr
+            buffer[have:count] = _np.frombuffer(self.eq[have:count], dtype=_np.int32)
+            arr = self._eq_np = buffer[:count]
         return arr
 
     def probe_eq(self, value: Any) -> Optional[int]:
@@ -231,6 +254,13 @@ class ValueInterner:
         if isinstance(value, (bool, int, float)) and value in (0, 1):
             return self._eqcodes.get(bool(value))
         return None
+
+
+class Codes(_np.ndarray):
+    """A column of one interner's codes (``int32``, -1 an unset cell),
+    passed where a writer takes values: a writer on the same interner
+    stores it as it is, nothing decoded or probed.  Made with
+    ``array.view(Codes)``, which copies nothing."""
 
 
 def _fnv(codes: Iterable[int]) -> int:
@@ -330,6 +360,43 @@ def carry_indexes(
     return len(built)
 
 
+def merge_sorted(keys: Any, rows: Any, new_keys: Any, new_rows: Any) -> Tuple[Any, Any]:
+    """The sorted numpy ``new_keys`` (and their ``new_rows``) slotted into
+    the sorted ``keys`` (``rows``) after their equals: what one stable
+    sort of both gives when every new row follows every old one."""
+    at = _np.searchsorted(keys, new_keys, side="right") + _np.arange(len(new_keys))
+    old_at = _np.ones(len(keys) + len(new_keys), dtype=bool)
+    old_at[at] = False
+    merged_keys = _np.empty(len(old_at), dtype=keys.dtype)
+    merged_rows = _np.empty(len(old_at), dtype=rows.dtype)
+    merged_keys[at], merged_rows[at] = new_keys, new_rows
+    merged_keys[old_at], merged_rows[old_at] = keys, rows
+    return merged_keys, merged_rows
+
+
+def _file_rows(
+    buckets: Dict[Any, List[int]], keys: List[Any], first_row: int,
+    shared: bool = False,
+) -> None:
+    """File rows ``first_row``, ``first_row + 1``, ... under ``keys``, one
+    key a row, in ``buckets`` (key -> ascending rows): one C-speed update
+    when the keys are distinct and all new, else key by key, a
+    ``shared`` bucket (the overlay's, which :meth:`ColumnarRelation.copy`
+    shares) replaced instead of grown."""
+    rows = range(first_row, first_row + len(keys))
+    if len(set(keys)) == len(keys) and buckets.keys().isdisjoint(keys):
+        buckets.update(zip(keys, map(list, zip(rows))))
+        return
+    for key, row in zip(keys, rows):
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [row]
+        elif shared:
+            buckets[key] = bucket + [row]
+        else:
+            bucket.append(row)
+
+
 class ColumnarRelation:
     """Columnar extension of one predicate, behind the ``Relation`` API."""
 
@@ -371,7 +438,7 @@ class ColumnarRelation:
         self._nrows = 0
         self._live = bytearray()
         self._ndead = 0
-        # Sorted-hash row table + overlay of rows since the last rebuild.
+        # Sorted-hash row table + overlay of rows since the last merge.
         self._ht_sorted = array("Q")
         self._ht_sorted_rows = array("q")
         self._overlay: Dict[int, List[int]] = {}
@@ -434,26 +501,26 @@ class ColumnarRelation:
         return rows
 
     def value_columns(self) -> Optional[List[List[Any]]]:
-        """Decoded value columns of the live extension; None for arity-0.
-
-        The column-wise twin of :meth:`__iter__`: each column is one
-        C-speed ``map`` over the interner's value list, and no per-row
-        tuple is ever built.  Write-back paths that filter on a single
-        position (the flush intersects OIDs against the graph before
-        touching anything else) read this instead of materializing the
-        whole extension as tuples.
-        """
-        self._ensure_resident()
-        cols = self._cols
-        if not cols:
-            return None
-        nrows = self._nrows
+        """Decoded value columns of the live extension; None for arity-0:
+        the column-wise twin of :meth:`__iter__`, one C-speed ``map``
+        over the interner's value list per column."""
+        cols = self.code_columns()
         getitem = self._interner.values.__getitem__
+        return None if cols is None else [
+            list(map(getitem, col.tolist())) for col in cols
+        ]
+
+    def code_columns(self) -> Optional[List[Any]]:
+        """``int32`` numpy code columns of the live extension, in row
+        order; None for arity-0 — for a reader on the same interner."""
+        self._ensure_resident()
+        if not self._cols:
+            return None
+        cols = [_np.array(col, dtype=_np.int32) for col in self._cols]
         if self._ndead:
-            live = self._live
-            keep = [row for row in range(nrows) if live[row]]
-            return [[getitem(col[row]) for row in keep] for col in cols]
-        return [list(map(getitem, _islice(col, nrows))) for col in cols]
+            live = _np.frombuffer(bytes(self._live), dtype=_np.bool_)
+            cols = [col[live] for col in cols]
+        return cols
 
     def __contains__(self, fact: Fact) -> bool:
         self._ensure_resident()
@@ -509,7 +576,8 @@ class ColumnarRelation:
         return -1
 
     def _rebuild_table(self) -> None:
-        """Re-sort all live rows by hash and drop the overlay."""
+        """Re-sort all live rows by hash and drop the overlay: once rows
+        are renumbered (compaction, rehydration); else :meth:`_merge_table`."""
         self._graves = object()
         self._overlay = {}
         self._overlay_count = 0
@@ -532,21 +600,53 @@ class ColumnarRelation:
         self._ht_sorted = sorted_h
         self._ht_sorted_rows = sorted_rows
 
-    def _row_hashes_np(self) -> Any:
-        """uint64 FNV-1a hash per row (vectorized)."""
+    def _merge_table(self) -> None:
+        """Fold the rows added since the last merge (the overlay's: the
+        last ``_overlay_count``) into the sorted table and drop the
+        overlay — the table :meth:`_rebuild_table` builds, live rows
+        sorted by hash, ties in row order, in O(table + new rows): the
+        new rows are hashed and sorted alone, and every one of them
+        follows every row already in the table.  Dead rows leave the
+        table, so graves taken before it are void."""
+        start = self._nrows - self._overlay_count
+        self._graves = object()
+        self._overlay = {}
+        self._overlay_count = 0
+        if self._arity is None:
+            return
+        old_h = _np.frombuffer(self._ht_sorted, dtype=_np.uint64)
+        old_rows = _np.frombuffer(self._ht_sorted_rows, dtype=_np.int64)
+        new_h = self._row_hashes_np(start)
+        new_rows = _np.arange(start, self._nrows, dtype=_np.int64)
+        if self._ndead:
+            live = _np.frombuffer(bytes(self._live), dtype=_np.bool_)
+            old_live = live[old_rows]
+            old_h, old_rows = old_h[old_live], old_rows[old_live]
+            new_live = live[start:]
+            new_h, new_rows = new_h[new_live], new_rows[new_live]
+        order = _np.argsort(new_h, kind="stable")
+        merged_h, merged_rows = merge_sorted(
+            old_h, old_rows, new_h[order], new_rows[order]
+        )
+        del old_h, old_rows
+        self._ht_sorted = array("Q", merged_h.tobytes())
+        self._ht_sorted_rows = array("q", merged_rows.tobytes())
+
+    def _row_hashes_np(self, start: int = 0) -> Any:
+        """uint64 FNV-1a hash per row from ``start`` on (vectorized)."""
         eq_np = self._interner.eq_array()
         prime = _np.uint64(_FNV_PRIME)
-        hashes = _np.full(self._nrows, _FNV_OFFSET, dtype=_np.uint64)
+        hashes = _np.full(self._nrows - start, _FNV_OFFSET, dtype=_np.uint64)
         for col in self._cols:
-            codes = _np.asarray(col, dtype=_np.int64)
+            codes = _np.frombuffer(col, dtype=_np.int32)[start:self._nrows]
             hashes = (hashes ^ eq_np[codes]) * prime
         return hashes
 
-    def _maybe_rebuild(self) -> None:
+    def _maybe_merge(self) -> None:
         if self._overlay_count >= _OVERLAY_LIMIT and (
             3 * self._overlay_count >= len(self._ht_sorted)
         ):
-            self._rebuild_table()
+            self._merge_table()
 
     # -- mutation ---------------------------------------------------------
     def add(self, fact: Fact) -> bool:
@@ -555,7 +655,7 @@ class ColumnarRelation:
         Value interning takes an inlined dict-hit fast path — only
         unseen values (and bools, whose dict key is tagged) go through
         :meth:`ValueInterner.encode`.  New rows land in the overlay dict;
-        the sorted row table absorbs them at the next amortized rebuild.
+        the sorted row table absorbs them at the next amortized merge.
         """
         if self._spilled:
             self._ensure_resident()
@@ -596,7 +696,7 @@ class ColumnarRelation:
         bucket = self._overlay.get(h)
         self._overlay[h] = [row] if bucket is None else bucket + [row]
         self._overlay_count += 1
-        self._maybe_rebuild()
+        self._maybe_merge()
         if self._indexes:
             for position, index in self._indexes.items():
                 ibucket = index.get(eqrow[position])
@@ -704,12 +804,12 @@ class ColumnarRelation:
         if arity is None:
             arity = len(fact_list[0])
             self.arity = arity
-        for fact in fact_list:
-            if len(fact) != arity:
-                raise EvaluationError(
-                    f"arity mismatch for {self.name!r}: expected {arity}, "
-                    f"got {len(fact)}"
-                )
+        if set(map(len, fact_list)) != {arity}:
+            bad = next(len(fact) for fact in fact_list if len(fact) != arity)
+            raise EvaluationError(
+                f"arity mismatch for {self.name!r}: expected {arity}, "
+                f"got {bad}"
+            )
         if not arity:
             return None  # propositional facts: per-fact path
         return self._bulk_insert_cols(list(zip(*fact_list)), len(fact_list))
@@ -722,22 +822,21 @@ class ColumnarRelation:
         Encodes whole columns (one C-speed ``map`` over the interner
         dict per column), dedups on vectorized FNV-1a row hashes
         (suspect hashes are verified exactly, so collisions stay
-        correct), extends the columns in one shot, and maintains the
-        sorted row table, overlay, any built indexes, and — when it is
-        current — the numpy mirror cache including its sorted join keys
-        (see :meth:`_npcache_append`).
+        correct), extends the code columns by buffer, and maintains the
+        sorted row table (merged, see :meth:`_merge_table`), overlay,
+        any built indexes, and — when it is current — the numpy mirror
+        cache including its sorted join keys (see
+        :meth:`_npcache_append`).
         """
         if not val_cols:
             return None
-        arity = self._arity
         interner = self._interner
-        code_cols = [interner.encode_column(col_vals) for col_vals in val_cols]
-        exact = _np.asarray(code_cols, dtype=_np.int32).T
+        codes = [interner.encode_column(col_vals) for col_vals in val_cols]
         eq_np = interner.eq_array()
         prime = _np.uint64(_FNV_PRIME)
         hashes = _np.full(nfacts, _FNV_OFFSET, dtype=_np.uint64)
-        for j in range(arity):
-            hashes = (hashes ^ eq_np[exact[:, j]]) * prime
+        for col in codes:
+            hashes = (hashes ^ eq_np[col]) * prime
         # Candidate duplicates: repeated hash within the batch, or hash
         # present in the sorted table or the overlay.
         _, inverse, counts = _np.unique(
@@ -749,6 +848,7 @@ class ColumnarRelation:
             pos = _np.searchsorted(table, hashes)
             pos_c = _np.minimum(pos, len(table) - 1)
             suspect_mask |= table[pos_c] == hashes
+            del table
         if self._overlay:
             overlay_keys = _np.fromiter(
                 self._overlay.keys(), dtype=_np.uint64, count=len(self._overlay)
@@ -762,7 +862,7 @@ class ColumnarRelation:
             seen: Dict[Tuple[int, ...], None] = {}
             hashes_list = hashes.tolist()
             for i in suspect.tolist():
-                eqrow = tuple([eq[c] for c in exact[i].tolist()])
+                eqrow = tuple([eq[int(col[i])] for col in codes])
                 if eqrow in seen or self._find(hashes_list[i], eqrow) >= 0:
                     keep[i] = False
                 else:
@@ -772,61 +872,39 @@ class ColumnarRelation:
             return keep
         first_row = self._nrows
         if added != nfacts:
-            exact = exact[keep]
+            codes = [col[keep] for col in codes]
             hashes = hashes[keep]
-            for j, col in enumerate(self._cols):
-                col.extend(exact[:, j].tolist())
-        else:
-            # All rows kept: extend straight from the probed code lists
-            # (skips an array->list round-trip per column).
-            for j, col in enumerate(self._cols):
-                col.extend(code_cols[j])
+        for col, new in zip(self._cols, codes):
+            col.frombytes(new.tobytes())
         self._live.extend(b"\x01" * added)
         self._nrows += added
         cache = self._npcache
         prev_version = self._version
         self._version += 1
-        # Row-table maintenance: big batches re-sort once; small ones
-        # land in the overlay like per-fact adds.
-        if added >= _OVERLAY_LIMIT or 3 * (
-            self._overlay_count + added
-        ) >= len(self._ht_sorted):
-            self._rebuild_table()
+        self._overlay_count += added
+        # Row-table maintenance: big batches merge into the sorted table;
+        # small ones land in the overlay like per-fact adds.
+        if added >= _OVERLAY_LIMIT or 3 * self._overlay_count >= len(
+            self._ht_sorted
+        ):
+            self._merge_table()
         else:
-            overlay = self._overlay
-            for offset, h in enumerate(hashes.tolist()):
-                bucket = overlay.get(h)
-                row = first_row + offset
-                overlay[h] = [row] if bucket is None else bucket + [row]
-            self._overlay_count += added
+            _file_rows(self._overlay, hashes.tolist(), first_row, True)
         if self._indexes or self._composite:
-            eq_cols = [eq_np[exact[:, j]].tolist() for j in range(arity)]
+            eq_cols = [eq_np[col].tolist() for col in codes]
             for position, index in self._indexes.items():
-                ibucket_get = index.get
-                col_keys = eq_cols[position]
-                for offset in range(added):
-                    key = col_keys[offset]
-                    ibucket = ibucket_get(key)
-                    if ibucket is None:
-                        index[key] = [first_row + offset]
-                    else:
-                        ibucket.append(first_row + offset)
+                _file_rows(index, eq_cols[position], first_row)
             for positions, index2 in self._composite.items():
-                key_cols = [eq_cols[p] for p in positions]
-                cbucket_get = index2.get
-                for offset in range(added):
-                    key = tuple([kc[offset] for kc in key_cols])
-                    cbucket = cbucket_get(key)
-                    if cbucket is None:
-                        index2[key] = [first_row + offset]
-                    else:
-                        cbucket.append(first_row + offset)
-        self._npcache_append(cache, prev_version, exact, first_row, added)
+                _file_rows(
+                    index2, list(zip(*[eq_cols[p] for p in positions])),
+                    first_row,
+                )
+        self._npcache_append(cache, prev_version, codes, first_row, added)
         return keep
 
     def _npcache_append(
         self, cache: Optional[Dict[str, Any]], prev_version: int,
-        exact: Any, first_row: int, added: int,
+        new_cols: List[Any], first_row: int, added: int,
     ) -> None:
         """Extend the numpy mirror cache instead of invalidating it.
 
@@ -848,9 +926,6 @@ class ColumnarRelation:
         """
         if cache is None or cache["version"] != prev_version:
             return
-        new_cols = [
-            _np.ascontiguousarray(exact[:, j]) for j in range(exact.shape[1])
-        ]
         cache["cols"] = [
             _np.concatenate((old, new))
             for old, new in zip(cache["cols"], new_cols)
@@ -861,7 +936,6 @@ class ColumnarRelation:
         if keys_cache:
             prime = _np.uint64(_FNV_PRIME)
             merged: Dict[Tuple[int, ...], Tuple[Any, Any]] = {}
-            offsets = _np.arange(added)
             for positions, (skeys, srows) in keys_cache.items():
                 if len(positions) == 1:
                     nk = new_cols[positions[0]]
@@ -872,20 +946,9 @@ class ColumnarRelation:
                             nk ^ new_cols[position].astype(_np.uint64)
                         ) * prime
                 norder = _np.argsort(nk, kind="stable")
-                nk = nk[norder]
-                nrows_sorted = new_rows[norder]
-                idx_new = _np.searchsorted(skeys, nk, side="right") + offsets
-                total = len(skeys) + added
-                mkeys = _np.empty(total, dtype=skeys.dtype)
-                mrows = _np.empty(total, dtype=srows.dtype)
-                new_mask = _np.zeros(total, dtype=bool)
-                new_mask[idx_new] = True
-                mkeys[idx_new] = nk
-                mrows[idx_new] = nrows_sorted
-                old_mask = ~new_mask
-                mkeys[old_mask] = skeys
-                mrows[old_mask] = srows
-                merged[positions] = (mkeys, mrows)
+                merged[positions] = merge_sorted(
+                    skeys, srows, nk[norder], new_rows[norder]
+                )
             cache["keys"] = merged
         cache["version"] = self._version
 

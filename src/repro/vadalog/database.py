@@ -372,6 +372,19 @@ class Database:
         transposed = list(zip(*sorted(relation, key=fact_sort_key)))
         return [list(col) for col in transposed] if transposed else None
 
+    @property
+    def interner(self) -> Optional[ValueInterner]:
+        """The value dictionary of a columnar database (None on tuples)."""
+        return self._interner
+
+    def code_columns(self, predicate: str) -> Optional[List[Any]]:
+        """:meth:`columns` of a columnar database as ``int32`` numpy
+        code columns over :attr:`interner`; None if empty/arity-0."""
+        relation = self._relations.get(predicate)
+        if relation is None or not len(relation):
+            return None
+        return relation.code_columns()
+
     def matching(self, predicate: str, position: int, values: Iterable[Any]) -> List[Fact]:
         """The facts of ``predicate`` holding one of ``values`` at
         ``position``: value by value, each value's in the order

@@ -873,3 +873,104 @@ class TestSharedStructureCopies:
             previous = clone
         assert carried_total > 0
         db.close()
+
+
+class TestRowTableMerge:
+    """A bulk insert merges its rows (and the overlay's) into the sorted
+    row table: the table a from-scratch ``_rebuild_table`` gives, live
+    rows sorted by hash, ties in row order."""
+
+    @staticmethod
+    def checked(monkeypatch):
+        """Hold every merge against a rebuild of a copy; count them."""
+        merges = []
+        real = ColumnarRelation._merge_table
+
+        def merge(self):
+            real(self)
+            scratch = self.copy()
+            scratch._rebuild_table()
+            assert self._ht_sorted == scratch._ht_sorted
+            assert self._ht_sorted_rows == scratch._ht_sorted_rows
+            assert not self._overlay and not self._overlay_count
+            merges.append(len(self._ht_sorted))
+
+        monkeypatch.setattr(ColumnarRelation, "_merge_table", merge)
+        return merges
+
+    @pytest.mark.parametrize("collide", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_randomized_inserts_removals_and_overlay(
+        self, monkeypatch, collide, seed
+    ):
+        from repro.vadalog import columnar
+
+        if collide:  # every row hashes alike: ties decide the order
+            monkeypatch.setattr(columnar, "_FNV_PRIME", 0)
+        merges = self.checked(monkeypatch)
+        rng = random.Random(seed)
+        small, big = (40, 300) if collide else (400, 3000)
+        rel = ColumnarRelation("p", interner=ValueInterner())
+        oracle = set()
+        for _step in range(14):
+            kind = rng.random()
+            if kind < 0.35:  # bulk, on both sides of the overlay limit
+                size = rng.choice([64, 100, small, big])
+                batch = [
+                    (f"v{rng.randrange(4 * big)}", rng.choice([1, 1.0, True, 2]))
+                    for _ in range(size)
+                ]
+                rel.add_many(batch)
+                oracle.update(batch)
+            elif kind < 0.6:  # per fact, enough to fill the overlay
+                for _ in range(rng.choice([5, small])):
+                    fact = (f"v{rng.randrange(4 * big)}", rng.randrange(3))
+                    rel.add(fact)
+                    oracle.add(fact)
+            else:  # dead rows, some added back
+                gone = rng.sample(sorted(oracle, key=repr), min(len(oracle), small // 2))
+                for fact in gone:
+                    assert rel.remove(fact)
+                    oracle.discard(fact)
+                for fact in gone[::3]:
+                    rel.add(fact)
+                    oracle.add(fact)
+        assert merges and set(rel) == oracle and len(rel) == len(oracle)
+        # The overlay left over files only rows since the last merge.
+        assert sorted(
+            row for bucket in rel._overlay.values() for row in bucket
+        ) == list(range(rel._nrows - rel._overlay_count, rel._nrows))
+
+    def test_a_grave_before_a_big_bulk_insert_is_void_after_it(self):
+        rel = ColumnarRelation("p", interner=ValueInterner())
+        rel.add_many([(f"a{i}", i) for i in range(3000)])
+        grave = rel.bury(("a7", 7))
+        rel.add_many([(f"b{i}", i) for i in range(100)])  # the overlay
+        assert rel.unbury(grave)
+        grave = rel.bury(("a7", 7))
+        rel.add_many([(f"c{i}", i) for i in range(2000)])  # a merge
+        assert not rel.unbury(grave)
+        assert ("a7", 7) not in rel and len(rel) == 5099
+        assert rel.add(("a7", 7)) and list(rel).count(("a7", 7)) == 1
+
+    def test_materialize_never_rebuilds_a_row_table(
+        self, monkeypatch, company_schema
+    ):
+        from repro.finkg import programs
+        from repro.metalog import parse_metalog
+        from repro.ssst.materializer import IntensionalMaterializer
+        from tests.test_materializer import kgbench_registry
+
+        _data, registry = kgbench_registry(200, 42)
+        rebuilds = []
+        real = ColumnarRelation._rebuild_table
+        monkeypatch.setattr(
+            ColumnarRelation, "_rebuild_table",
+            lambda self: (rebuilds.append(self.name), real(self))[1],
+        )
+        report = IntensionalMaterializer().materialize(
+            company_schema, registry,
+            parse_metalog(programs.CONTROL_PROGRAM), instance_oid=9,
+        )
+        assert report.instance.data.edge_count > registry.edge_count
+        assert rebuilds == []

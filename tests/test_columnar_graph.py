@@ -12,6 +12,7 @@ import math
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.dictionary import GraphDictionary
@@ -26,6 +27,7 @@ from repro.errors import DeploymentError, GraphError
 from repro.finkg import ShareholdingConfig, generate_company_kg, programs
 from repro.finkg.company_schema import company_super_schema
 from repro.graph import ColumnarPropertyGraph, PropertyGraph, make_graph
+from repro.graph.property_graph import ABSENT as ABSENT_CELL
 from repro.metalog import (
     GraphCatalog,
     compile_metalog,
@@ -617,3 +619,143 @@ class TestBackendFactory:
             generate_company_kg(config, columnar=True),
             ColumnarPropertyGraph,
         )
+
+
+class TestBulkKernels:
+    """The bulk writers' column kernels equal one ``add_node`` /
+    ``add_edge`` per element: on the object oracle's observable state,
+    and on the columnar graph's own chains, degrees and tables."""
+
+    NODES = [f"n{i}" for i in range(40)]
+    LABELS = ("OWNS", "KNOWS", "CONTROLS")
+    STRUCTURE = (
+        "_out_head", "_out_tail", "_out_next", "_out_prev", "_out_deg",
+        "_in_head", "_in_tail", "_in_next", "_in_prev", "_in_deg",
+        "_edge_src", "_edge_dst", "_edge_label", "_edge_row",
+    )
+
+    def rows(self, batch, seed):
+        import random
+
+        rng = random.Random(seed)
+        return [
+            (f"e{i}", rng.choice(self.NODES), rng.choice(self.NODES),
+             rng.choice(self.LABELS), rng.choice([0.5, None, 1, True]))
+            for i in range(batch)
+        ]
+
+    def prefix(self, graph):
+        """Nodes, and edges that leave some chains a tail to link to."""
+        for node in self.NODES:
+            graph.add_node(node, "N")
+        graph.add_edge("n0", "n1", "OWNS", edge_id="pre0", w=0.25)
+        graph.add_edge("n1", "n1", "KNOWS", edge_id="pre1")
+
+    def per_element(self, graph, rows):
+        self.prefix(graph)
+        for edge_id, source, target, label, weight in rows:
+            properties = {} if weight is None else {"w": weight}
+            graph.add_edge(source, target, label, edge_id=edge_id, **properties)
+        return graph
+
+    @pytest.mark.parametrize("batch", [1, 63, 64, 1000])
+    @pytest.mark.parametrize("coded", [False, True])
+    def test_edges_with_a_label_per_row(self, batch, coded):
+        from repro.vadalog.columnar import Codes
+
+        rows = self.rows(batch, batch)
+        oracle = self.per_element(PropertyGraph("g"), rows)
+        scalar = self.per_element(ColumnarPropertyGraph("g"), rows)
+        bulk = ColumnarPropertyGraph("g")
+        self.prefix(bulk)
+        ids, sources, targets, labels, weights = map(list, zip(*rows))
+        weights = [ABSENT_CELL if w is None else w for w in weights]
+        columns = [ids, sources, targets, weights]
+        if coded:
+            interner = bulk.interner
+            columns = [
+                np.array([-1 if v is ABSENT_CELL else interner.encode(v)
+                          for v in column], dtype=np.int32).view(Codes)
+                for column in columns
+            ]
+        ids, sources, targets, weights = columns
+        bulk.add_edges_bulk(labels, ids, sources, targets, ("w",), [weights])
+        assert snapshot(bulk) == snapshot(oracle) == snapshot(scalar)
+        for name in self.STRUCTURE:
+            assert getattr(bulk, name) == getattr(scalar, name), name
+        assert {
+            code: (table.rows, table.names)
+            for code, table in bulk._edge_tables.items()
+        } == {
+            code: (table.rows, table.names)
+            for code, table in scalar._edge_tables.items()
+        }
+
+    def test_rollback_after_a_bulk_add(self):
+        rows = self.rows(300, 7)
+        ids, sources, targets, _labels, _weights = map(list, zip(*rows))
+
+        def script(graph):
+            graph.add_nodes_bulk("N", self.NODES)
+            mark = graph.insertion_mark()
+            graph.add_edges_bulk("E", ids, sources, targets, ("w",),
+                                 [list(range(300))])
+            graph.add_nodes_bulk("M", [f"m{i}" for i in range(100)])
+            assert graph.rollback_to_mark(mark) == 400
+            graph.add_edges_bulk("E", ids[:70], sources[:70], targets[:70])
+            graph.add_edge("n3", "n4", "E", edge_id="late")
+
+        run_pair(script)
+
+    def test_deletes_then_bulk_readds_over_tombstoned_slots(self):
+        ids = [f"n{i}" for i in range(3000)]
+
+        def script(graph):
+            graph.add_nodes_bulk("N", ids)
+            graph.add_edges_bulk(
+                "E", [f"e{i}" for i in range(2999)], ids[:-1], ids[1:]
+            )
+            for node_id in ids[::7]:
+                graph.remove_node(node_id)
+            graph.add_nodes_bulk("N", ids[::7] + ["fresh"], ("k",),
+                                 [list(range(430))])
+            graph.add_edges_bulk(
+                "E", [f"e{i}" for i in range(0, 2999, 7)],
+                ids[:-1:7], ids[1::7],
+            )
+            return [graph.has_node(n) for n in ids]
+
+        _oracle, columnar, (expected, found) = run_pair(script)
+        assert expected == found and all(found)
+        assert columnar._node_index._dead == 0
+
+    def test_batched_get_and_intersection(self):
+        import random
+
+        from repro.graph.columnar_graph import _OidIndex
+        from repro.vadalog.columnar import ValueInterner
+
+        rng = random.Random(11)
+        interner = ValueInterner()
+        index, oracle, dense = _OidIndex(interner), {}, 0
+        for _step in range(40):
+            batch = [f"o{rng.randrange(6000)}"
+                     for _ in range(rng.choice([1, 50, 700, 2500]))]
+            fresh = [oid for oid in dict.fromkeys(batch) if oid not in oracle]
+            index.extend(interner.encode_column(fresh), dense)
+            oracle.update(zip(fresh, range(dense, dense + len(fresh))))
+            dense += len(fresh)
+            for oid in rng.sample(sorted(oracle), min(len(oracle), 60)):
+                del index[oid]
+                del oracle[oid]
+            probe = rng.sample(sorted(oracle), min(len(oracle), 100)) + [
+                f"o{rng.randrange(9000)}" for _ in range(100)
+            ] + ["never-interned", 3, True]
+            assert index.lookup(interner.probe_column(probe)).tolist() == [
+                oracle.get(oid, -1) for oid in probe
+            ]
+            assert index.intersection(probe) == {o for o in probe if o in oracle}
+            assert [index.get(oid) for oid in probe] == [
+                oracle.get(oid) for oid in probe
+            ]
+            assert len(index) == len(oracle)

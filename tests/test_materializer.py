@@ -1003,3 +1003,112 @@ class TestRetainedStates:
         held = retained_databases(materializer.retained)
         for state, database in held.items():
             assert up_to_nulls(database) == up_to_nulls(expected[state]), state
+
+
+def deployed_store(schema, columnar=True):
+    store = GraphStore(columnar=columnar)
+    store.deploy(SSST().translate(schema, "property-graph").target_schema)
+    return store
+
+
+class TestOneDictionary:
+    """Algorithm 2 keeps one value dictionary from the registry to an
+    empty store, and codes cross it only where values would be equal."""
+
+    def test_registry_instance_and_store_share_one_interner(
+        self, company_schema
+    ):
+        _data, registry = kgbench_registry(200, 42)
+        report = IntensionalMaterializer().materialize(
+            company_schema, registry,
+            parse_metalog(programs.CONTROL_PROGRAM), instance_oid=9,
+        )
+        store = deployed_store(company_schema)
+        load = load_graph_store(company_schema, report.instance.data, store)
+        assert load.bulk_rows == load.nodes + load.edges > 0
+        assert registry.interner is report.instance.data.interner
+        assert store.graph.interner is registry.interner
+        # A store that already holds something keeps its own.
+        other = deployed_store(company_schema)
+        other.create_node("X", ["Person"], fiscalCode="FC-X")
+        load_graph_store(company_schema, report.instance.data, other)
+        assert other.graph.interner is not registry.interner
+
+    def test_repeated_materializations_intern_nothing_new(
+        self, company_schema
+    ):
+        _data, registry = kgbench_registry(200, 42)
+        sigma = parse_metalog(programs.CONTROL_PROGRAM)
+        sizes = []
+        for _ in range(3):
+            copy = registry.copy()
+            report = IntensionalMaterializer().materialize(
+                company_schema, copy, sigma, instance_oid=9,
+            )
+            load_graph_store(
+                company_schema, report.instance.data,
+                deployed_store(company_schema),
+            )
+            sizes.append(len(copy.interner))
+        assert copy.interner is registry.interner
+        assert sizes[0] == sizes[1] == sizes[2], sizes
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_codes_decode_and_load_as_values_do(self, company_schema, seed):
+        """Stored ``None`` next to a missing property, NaN, and ``1`` /
+        ``1.0`` / ``True`` cells: the code path (columnar chase, shared
+        interner, empty columnar store) and the value path (tuple chase,
+        a fresh interner, object store) deploy the same state."""
+        from repro.deploy.resilience import graph_store_state
+
+        rng = random.Random(seed)
+        odd = [None, float("nan"), 1, 1.0, True, 0, False, 2.5, "1"]
+        registry = make_graph("registry")
+        people, businesses = [f"P{i}" for i in range(30)], [f"B{i}" for i in range(40)]
+        for pid in people:
+            properties = {"fiscalCode": f"FC-{pid}", "name": rng.choice(odd),
+                          "gender": rng.choice(["f", True, 1])}
+            if rng.random() < 0.6:
+                properties["surname"] = rng.choice(odd)
+            registry.add_node(pid, "PhysicalPerson", **properties)
+        for bid in businesses:
+            properties = {
+                "fiscalCode": f"FC-{bid}", "businessName": rng.choice(odd),
+                "legalNature": rng.choice(["spa", 1.0]),
+                "shareholdingCapital": rng.choice(odd),
+            }
+            if rng.random() < 0.5:
+                properties["website"] = rng.choice(odd)
+            registry.add_node(bid, "Business", **properties)
+        for index in range(150):
+            registry.add_edge(
+                rng.choice(people + businesses), rng.choice(businesses), "OWNS",
+                edge_id=f"s{index}", percentage=rng.choice([0.3, 0.6, 1, True]),
+            )
+        sigma = parse_metalog(programs.CONTROL_PROGRAM)
+        states = []
+        for columnar in (True, False):
+            report = IntensionalMaterializer(
+                engine=Engine(columnar=columnar)
+            ).materialize(company_schema, registry.copy(), sigma, instance_oid=9)
+            store = deployed_store(company_schema, columnar=columnar)
+            load_graph_store(company_schema, report.instance.data, store)
+            assert (getattr(store.graph, "interner", None)
+                    is report.instance.data.interner) is columnar
+            states.append(graph_store_state(store))
+        assert states[0] == states[1]
+        assert any(edge[2] == "CONTROLS" for edge in states[0][1])
+
+    def test_no_cyclic_garbage_after_a_retained_run(self, company_schema):
+        """The materializer no longer collects on exit: a retained run
+        at 1,000 companies leaves no cycle to collect."""
+        import gc
+
+        _data, registry = kgbench_registry(1000, 42)
+        sigma = parse_metalog(programs.CONTROL_PROGRAM)
+        gc.collect()
+        materializer = IntensionalMaterializer()
+        materializer.materialize(
+            company_schema, registry, sigma, instance_oid=9, retain=True,
+        )
+        assert gc.collect() == 0
