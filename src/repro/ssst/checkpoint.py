@@ -26,11 +26,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from itertools import compress, count, repeat
+from operator import is_
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import CheckpointError
 from repro.graph import make_graph
-from repro.graph.property_graph import PropertyGraph
+from repro.graph.property_graph import ABSENT, PropertyGraph
 from repro.obs.tracer import NullTracer, Tracer
 from repro.vadalog.database import Database
 from repro.vadalog.terms import Null, SkolemValue
@@ -123,58 +125,115 @@ def restore_database(payload: Dict[str, Any]) -> Database:
     return database
 
 
+#: What a JSON column holds as it is; any other cell goes through the
+#: value codec.
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+
+def _encoded(values: List[Any]) -> List[Any]:
+    """A column of values as JSON, cell by cell only when some cell is
+    not a JSON scalar."""
+    if _PLAIN.issuperset(map(type, values)):
+        return values
+    return [encode_value(value) for value in values]
+
+
+def _decoded(values: List[Any]) -> List[Any]:
+    """Inverse of :func:`_encoded`."""
+    if _PLAIN.issuperset(map(type, values)):
+        return values
+    return [decode_value(value) for value in values]
+
+
+def _label_payload(label: str, ids: List[Any], names: List[str],
+                   columns: List[List[Any]]) -> Dict[str, Any]:
+    """One label's table: its ids and, per property, the column with the
+    rows where the property is unset (``None`` in the column)."""
+    properties = []
+    for name, values in zip(names, columns):
+        unset = list(compress(count(), map(is_, values, repeat(ABSENT))))
+        if unset:
+            values = [None if value is ABSENT else value for value in values]
+        properties.append([name, _encoded(values), unset])
+    return {"label": label, "ids": _encoded(ids), "properties": properties}
+
+
+def _property_columns(properties: List[Any]) -> Tuple[Tuple[str, ...], List[List[Any]]]:
+    """Inverse of the property part of :func:`_label_payload`: names and
+    value columns, :data:`ABSENT` in an unset cell."""
+    columns = []
+    for _, values, unset in properties:
+        values = _decoded(values)
+        if unset:
+            values = list(values)
+            for row in unset:
+                values[row] = ABSENT
+        columns.append(values)
+    return tuple(name for name, _, _ in properties), columns
+
+
 def graph_payload(graph: PropertyGraph) -> Dict[str, Any]:
-    """Serialize a property graph, deterministically ordered."""
-    nodes = sorted(
-        (
-            {
-                "id": encode_value(node.id),
-                "label": node.label,
-                "properties": {
-                    k: encode_value(v) for k, v in node.properties.items()
-                },
-            }
-            for node in graph.nodes()
-        ),
-        key=lambda n: _canonical(n["id"]),
-    )
-    edges = sorted(
-        (
-            {
-                "id": encode_value(edge.id),
-                "source": encode_value(edge.source),
-                "target": encode_value(edge.target),
-                "label": edge.label,
-                "properties": {
-                    k: encode_value(v) for k, v in edge.properties.items()
-                },
-            }
-            for edge in graph.edges()
-        ),
-        key=lambda e: _canonical(e["id"]),
-    )
+    """Serialize a property graph column-wise, label by label in label
+    order: each label's ids (an edge's endpoints too) and one column per
+    property name, in row order, read through ``nodes_table`` /
+    ``edges_table`` — no element is visited one by one.  A stored
+    ``None`` is a value; an unset cell is listed by row.  An unlabeled
+    element has no label table, so a graph holding one is refused."""
+    nodes, edges = [], []
+    for label in graph.node_labels():
+        names = graph.node_property_names(label)
+        ids, columns = graph.nodes_table(label, names, ABSENT)
+        nodes.append(_label_payload(label, ids, names, columns))
+    for label in graph.edge_labels():
+        names = graph.edge_property_names(label)
+        ids, sources, targets, columns = graph.edges_table(label, names, ABSENT)
+        entry = _label_payload(label, ids, names, columns)
+        entry.update(sources=_encoded(sources), targets=_encoded(targets))
+        edges.append(entry)
+    if (sum(len(entry["ids"]) for entry in nodes) != graph.node_count
+            or sum(len(entry["ids"]) for entry in edges) != graph.edge_count):
+        raise CheckpointError(
+            f"graph {graph.name!r} holds an unlabeled element, which has no "
+            "column-wise snapshot"
+        )
     return {"name": graph.name, "nodes": nodes, "edges": edges}
 
 
 def restore_graph(payload: Dict[str, Any]) -> PropertyGraph:
-    # The production store, so a restored registry is on the backend a
-    # fresh one is built on.
+    """Inverse of :func:`graph_payload`: one bulk add per label, each
+    label's rows in the payload's order, on the production store (a
+    restored registry is on the backend a fresh one is built on)."""
     graph = make_graph(payload.get("name", "graph"))
-    for node in payload["nodes"]:
-        graph.add_node(
-            decode_value(node["id"]),
-            node["label"],
-            **{k: decode_value(v) for k, v in node["properties"].items()},
+    for entry in payload["nodes"]:
+        names, columns = _property_columns(entry["properties"])
+        graph.add_nodes_bulk(
+            entry["label"], _decoded(entry["ids"]), names, columns, keep_none=True
         )
-    for edge in payload["edges"]:
-        graph.add_edge(
-            decode_value(edge["source"]),
-            decode_value(edge["target"]),
-            edge["label"],
-            edge_id=decode_value(edge["id"]),
-            **{k: decode_value(v) for k, v in edge["properties"].items()},
+    for entry in payload["edges"]:
+        names, columns = _property_columns(entry["properties"])
+        graph.add_edges_bulk(
+            entry["label"], _decoded(entry["ids"]), _decoded(entry["sources"]),
+            _decoded(entry["targets"]), names, columns, keep_none=True,
         )
     return graph
+
+
+def write_durably(path: str, text: str) -> None:
+    """Replace the file at ``path`` by ``text`` so that a crash or a
+    power loss after this returns cannot bring its old version back:
+    the bytes are synced before the rename, and the directory after it
+    (a rename is durable only once its directory is)."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.write(text)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    directory = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def run_fingerprint(schema, data: PropertyGraph, sigma, instance_oid: Any) -> str:
@@ -212,9 +271,9 @@ class MaterializationCheckpoint:
         ...
         checkpoint.save_phase("load", database=db)
 
-    Phase files are written to a temporary name and atomically renamed;
-    the manifest is updated last, so a crash mid-save leaves the previous
-    consistent state intact.
+    Phase files are written to a temporary name and atomically renamed
+    (:func:`write_durably`); the manifest is updated last, so a crash
+    mid-save leaves the previous consistent state intact.
     """
 
     def __init__(self, directory: str, tracer: Optional[Tracer] = None):
@@ -284,10 +343,7 @@ class MaterializationCheckpoint:
             "meta": meta or {},
         }
         path = self._phase_path(phase)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload))  # the C encoder, same bytes
-        os.replace(tmp, path)
+        write_durably(path, json.dumps(payload))
         self._manifest.setdefault("phases", {})[phase] = {
             "file": os.path.basename(path)
         }
@@ -313,11 +369,10 @@ class MaterializationCheckpoint:
         return os.path.join(self.directory, f"phase-{phase}.json")
 
     def _write_manifest(self) -> None:
-        path = os.path.join(self.directory, _MANIFEST)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(self._manifest, handle, indent=2, sort_keys=True)
-        os.replace(tmp, path)
+        write_durably(
+            os.path.join(self.directory, _MANIFEST),
+            json.dumps(self._manifest, indent=2, sort_keys=True),
+        )
 
     def _read_manifest(self) -> Dict[str, Any]:
         path = os.path.join(self.directory, _MANIFEST)

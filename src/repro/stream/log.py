@@ -12,7 +12,8 @@ after ack*:
    offset *acknowledged*.
 3. The :class:`StreamCheckpoint` periodically persists the acked
    offset, the feed cursor, and the sink's state payload (encoded with
-   the :mod:`repro.ssst.checkpoint` codec).
+   the :mod:`repro.ssst.checkpoint` codec), its file and directory
+   synced before any segment it makes redundant is compacted away.
 
 After a crash, resume restores the checkpointed sink state, replays the
 log suffix ``offset > acked`` through the normal batch path, and seeks
@@ -43,13 +44,15 @@ from typing import Any, Dict, IO, Iterator, List, Optional
 
 from repro.errors import StreamError
 from repro.obs.tracer import NullTracer, Tracer
+from repro.ssst.checkpoint import write_durably
 
 __all__ = ["LogRecord", "DeltaLog", "StreamCheckpoint"]
 
 _SEGMENT_PREFIX = "segment-"
 _SEGMENT_SUFFIX = ".log"
 _CHECKPOINT_FILE = "checkpoint.json"
-_CHECKPOINT_VERSION = 1
+#: 2: the registry snapshot is column-wise (``ssst.checkpoint.graph_payload``).
+_CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -346,12 +349,9 @@ class StreamCheckpoint:
             "batches_applied": batches_applied,
             "state": state,
         }
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload))  # the C encoder, same bytes
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
+        # Durable before it returns, directory included: a compaction
+        # deletes the segments this checkpoint no longer needs.
+        write_durably(self.path, json.dumps(payload))
 
     def load(self, fingerprint: str) -> Dict[str, Any]:
         try:

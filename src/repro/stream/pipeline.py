@@ -33,6 +33,7 @@ import hashlib
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.deploy.resilience import QuarantineReport
@@ -213,9 +214,11 @@ class DeltaStream:
         self._stopped = False
 
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def fingerprint(self) -> str:
-        """Binds log + checkpoint to the sink's immutable inputs."""
+        """Binds log + checkpoint to the sink's immutable inputs; hashed
+        once per stream, by ``run`` or ``_resume``, since by contract
+        those inputs do not change."""
         material = self.sink.fingerprint_material()
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 

@@ -387,15 +387,14 @@ class Database:
 
     def matching(self, predicate: str, position: int, values: Iterable[Any]) -> List[Fact]:
         """The facts of ``predicate`` holding one of ``values`` at
-        ``position``: value by value, each value's in the order
-        :meth:`columns` lists them — index probes, not a scan."""
+        ``position``: value by value, each value's in row order — index
+        probes, not a scan."""
         relation = self._relations.get(predicate)
         if relation is None:
             return []
-        found = (list(relation.lookup([(position, v)])) for v in values)
-        if not self.columnar:
-            found = (sorted(facts, key=fact_sort_key) for facts in found)
-        return [fact for facts in found for fact in facts]
+        return [
+            fact for value in values for fact in relation.lookup([(position, value)])
+        ]
 
     def has(self, predicate: str, fact: Tuple[Any, ...]) -> bool:
         relation = self._relations.get(predicate)

@@ -15,8 +15,8 @@ The engine implements the reasoning semantics of Section 4:
 - **Stratified negation** and **monotonic aggregation** (see
   :mod:`repro.vadalog.aggregates`).
 - **Semi-naive evaluation** of recursive strata: after the first round,
-  a rule joins only the previous round's new facts, taken in
-  ``fact_sort_key`` order, and an aggregate rule contributes only their
+  a rule joins only the previous round's new facts, taken in the order
+  their relations appended them, and an aggregate rule contributes only their
   matches into the accumulator its first round built, re-emitting the
   groups they touch.  ``Engine(semi_naive=False)`` re-runs every round
   whole — the naive reference, aggregates included.
@@ -71,7 +71,6 @@ from repro.vadalog.plan import (
     evaluate_expression as _plan_evaluate,
     execute_plan,
     execute_plan_batch,
-    ordered_delta,
     vectorized_body_substitutions,
     vectorized_rule_matches,
     values_equal as _values_equal,
@@ -513,7 +512,7 @@ class Engine:
                 if not any(new_delta.values()):
                     return
                 if self.semi_naive:
-                    delta = ordered_delta(new_delta)
+                    delta = new_delta
                 if governor is not None:
                     violation = governor.check(stats)
                     if violation is None and (
@@ -563,8 +562,9 @@ class Engine:
         aggregates: Dict[Rule, AggregateState],
         delta: Optional[Changes],
         recursive_predicates: Optional[Set[str]] = None,
-    ) -> Dict[str, Set[Fact]]:
-        """Fire every rule once; returns the per-predicate new facts.
+    ) -> Changes:
+        """Fire every rule once; returns the per-predicate new facts, in
+        the order their relations appended them.
 
         ``delta`` is ``None`` in a stratum's first round (and in every
         round of a naive run): each rule then joins its whole body and an
@@ -574,7 +574,7 @@ class Engine:
         """
         tracer = self.tracer
         governor = self.governor
-        new_facts: Dict[str, Set[Fact]] = {}
+        new_facts: Changes = {}
         pending: List[Tuple[str, Fact]] = []
         for rule_index, rule in enumerate(rules):
             span = None
@@ -681,7 +681,7 @@ class Engine:
         pending: List[Tuple[str, Fact]],
         db: Database,
         stats: EvaluationStats,
-        new_facts: Dict[str, Set[Fact]],
+        new_facts: Changes,
     ) -> None:
         """Deduplicating insert of the derived facts into the database."""
         added = 0
@@ -701,12 +701,12 @@ class Engine:
                 new = db.add_all_report(predicate, facts)
                 if new:
                     added += len(new)
-                    new_facts.setdefault(predicate, set()).update(new)
+                    new_facts.setdefault(predicate, {}).update(dict.fromkeys(new))
         else:
             for predicate, fact in pending:
                 if db.add(predicate, fact):
                     added += 1
-                    new_facts.setdefault(predicate, set()).add(fact)
+                    new_facts.setdefault(predicate, {})[fact] = None
         stats.facts_derived += added
         if self.tracer is not None and pending:
             self.tracer.count("engine.facts_derived", added)
@@ -728,7 +728,7 @@ class Engine:
         self,
         rule: Rule,
         db: Database,
-        delta: Dict[str, Set[Fact]],
+        delta: Changes,
         recursive_predicates: Set[str],
     ) -> Iterator[Substitution]:
         """Require at least one recursive body atom to match a delta fact."""

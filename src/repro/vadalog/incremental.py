@@ -69,8 +69,11 @@ dictionary stops growing with churn.  The renaming stays injective
 because a remembered assignment belongs to one firing (rule head
 pattern) of this state, is taken back by at most one firing of the same
 pattern per update, and is forgotten when none does; every other null
-is fresh.  Delta facts are joined in ``fact_sort_key`` order so that
-the ordinals do not depend on the hash seed.
+is fresh.  Delta facts are joined in row order — a new fact where its
+relation appended it, a removed one where it was buried — so that the
+ordinals do not depend on the hash seed, and no delta is sorted by
+value; only a caller's ``set``, which has no order to give, is taken in
+``fact_sort_key`` order.
 """
 
 from __future__ import annotations
@@ -84,6 +87,7 @@ from typing import (
     Dict,
     Iterable,
     Iterator,
+    KeysView,
     List,
     Optional,
     Sequence,
@@ -112,7 +116,6 @@ from repro.vadalog.plan import (
     RulePlans,
     execute_plan,
     expression_vars_outside_aggregate,
-    ordered_delta,
     values_equal,
 )
 from repro.vadalog.stratify import Stratum
@@ -138,7 +141,7 @@ class MaterializedState:
 
     __slots__ = (
         "program", "working", "strata", "database", "nulls", "skolems",
-        "edb", "aggregates", "joined", "plans",
+        "edb", "aggregates", "plans",
     )
 
     def __init__(
@@ -160,8 +163,6 @@ class MaterializedState:
         #: The state of every aggregate rule, as the run (or the last
         #: recompute of its stratum) left it; maintained in place.
         self.aggregates: Dict[Rule, AggregateState] = {}
-        #: What some stratum reads or writes: a delta on it is joined.
-        self.joined: Set[str] = set()
         self.plans: Optional[List[StratumPlan]] = None
 
     def stratum_plans(self, engine: Any) -> "List[StratumPlan]":
@@ -169,7 +170,6 @@ class MaterializedState:
         if self.plans is None:
             plans_for = partial(engine._plans_for, stats=EvaluationStats())
             self.plans = [StratumPlan(self, s, plans_for) for s in self.strata]
-            self.joined.update(*(plan.reach for plan in self.plans))
         return self.plans
 
 
@@ -185,10 +185,12 @@ class DeltaResult:
     ``added``/``removed`` include the applied extensional changes, so a
     caller chaining materialized states (the SSST materializer runs
     three) can feed one state's net changes directly into the next.
+    Each is an ordered set (a ``dict``'s keys) in row order, the order
+    the next state then appends and joins them in.
     """
 
-    added: Dict[str, Set[Fact]] = field(default_factory=dict)
-    removed: Dict[str, Set[Fact]] = field(default_factory=dict)
+    added: Dict[str, KeysView[Fact]] = field(default_factory=dict)
+    removed: Dict[str, KeysView[Fact]] = field(default_factory=dict)
     strata_skipped: int = 0
     strata_incremental: int = 0
     #: One ``(stratum index, rule label, reason)`` per recomputed
@@ -543,7 +545,7 @@ def _insertion_pass(
     seeds: Changes,
     negated_losses: Changes,
     stats: Any,
-    added_now: Dict[str, Set[Fact]],
+    added_now: Changes,
 ) -> None:
     """Semi-naive rounds seeded from ``seeds`` until no new facts appear.
 
@@ -585,13 +587,12 @@ def _insertion_pass(
                 ):
                     pending.append((predicate, fact))
         negated_losses = {}
-        new_facts: Dict[str, Set[Fact]] = {}
+        delta = {}
         for predicate, fact in pending:
             if db.add(predicate, fact):
                 stats.facts_derived += 1
-                new_facts.setdefault(predicate, set()).add(fact)
-                added_now.setdefault(predicate, set()).add(fact)
-        delta = ordered_delta(new_facts)
+                delta.setdefault(predicate, {})[fact] = None
+                added_now.setdefault(predicate, {})[fact] = None
 
 
 # ---------------------------------------------------------------------------
@@ -743,10 +744,7 @@ def _overdelete_joins(
     removed_seeds: Changes,
     negated_gains: Changes,
     stats: Any,
-) -> Tuple[
-    Dict[str, Set[Fact]], Dict[Firing, None],
-    Dict[RulePlan, Dict[Tuple[Any, ...], None]],
-]:
+) -> Tuple[Changes, Dict[Firing, None], Dict[RulePlan, Dict[Tuple[Any, ...], None]]]:
     """Downward closure of the removed facts through this stratum's rules.
 
     The closure joins see the *old* world (a derivation needing two
@@ -776,13 +774,13 @@ def _overdelete_joins(
                 shown.append((relation, graves, fact, grave))
             elif relation.add(fact):
                 shown.append((relation, graves, fact, None))
-    marked: Dict[str, Set[Fact]] = {}
+    marked: Changes = {}
     firings: Dict[Firing, None] = {}
     touched: Dict[RulePlan, Dict[Tuple[Any, ...], None]] = {}
     try:
         frontier = removed_seeds
         while frontier or negated_gains:
-            found: Dict[str, Set[Fact]] = {}
+            found: Changes = {}
             for rule in stratum.rules:
                 if rule.reads.isdisjoint(frontier) and rule.negated.isdisjoint(
                     negated_gains
@@ -818,11 +816,11 @@ def _overdelete_joins(
                         continue
                     if fact in removed_seeds.get(predicate, ()):
                         continue
-                    found.setdefault(predicate, set()).add(fact)
+                    found.setdefault(predicate, {})[fact] = None
             negated_gains = {}
             for predicate, facts in found.items():
-                marked.setdefault(predicate, set()).update(facts)
-            frontier = ordered_delta(found)
+                marked.setdefault(predicate, {}).update(facts)
+            frontier = found
     finally:
         for relation, graves, fact, grave in shown:
             if grave is None:
@@ -860,10 +858,10 @@ def _deletion_pass(
     removed_seeds: Changes,
     negated_gains: Changes,
     stats: Any,
-    added_now: Dict[str, Set[Fact]],
+    added_now: Changes,
     removed_now: Changes,
     result: DeltaResult,
-) -> Dict[str, Set[Fact]]:
+) -> Changes:
     """DRed one stratum; returns the re-derived facts (insertion seeds).
 
     An over-deleted existential firing that some writer still derives
@@ -892,21 +890,21 @@ def _deletion_pass(
     # retraction does not retract an independently derivable fact).
     # Every writer of the predicate is tried.
     writers = stratum.writers
-    candidates: Dict[str, Set[Fact]] = {}
+    candidates: Changes = {}
     for predicate, facts in marked.items():
-        candidates.setdefault(predicate, set()).update(facts)
+        candidates.setdefault(predicate, {}).update(facts)
     for predicate, facts in removed_seeds.items():
         if predicate in writers:
-            candidates.setdefault(predicate, set()).update(facts)
+            candidates.setdefault(predicate, {}).update(facts)
 
-    rederived: Dict[str, Set[Fact]] = {}
+    rederived: Changes = {}
 
     def put_back(predicate: str, fact: Fact) -> None:
         if db.add(predicate, fact):
             stats.facts_derived += 1
             result.rederived += 1
-            rederived.setdefault(predicate, set()).add(fact)
-            added_now.setdefault(predicate, set()).add(fact)
+            rederived.setdefault(predicate, {})[fact] = None
+            added_now.setdefault(predicate, {})[fact] = None
 
     for firing, assignments in held.items():
         if any(
@@ -919,7 +917,7 @@ def _deletion_pass(
                 put_back(predicate, fact)
         else:
             nulls.reclaim.setdefault(firing[0], {})[firing[1]] = assignments
-    for predicate, facts in ordered_delta(candidates).items():
+    for predicate, facts in candidates.items():
         for fact in facts:
             if not db.has(predicate, fact) and any(
                 _derives(
@@ -944,7 +942,7 @@ def _recompute_stratum(
     index: int,
     db: Database,
     stats: Any,
-    added_now: Dict[str, Set[Fact]],
+    added_now: Changes,
     removed_now: Changes,
 ) -> None:
     """Re-run one stratum from its boundary (the non-monotone fallback).
@@ -954,10 +952,12 @@ def _recompute_stratum(
     evaluator re-runs against the already-updated upstream state.  An
     existential head that is derived again takes back the nulls it had
     (:class:`~repro.vadalog.terms.NullFactory`), so the before/after
-    diff is the net change and becomes the downstream delta.
+    diff — each side in its rows' order — is the net change and becomes
+    the downstream delta.
     """
     before = {
-        predicate: set(db.relation(predicate)) for predicate in stratum.heads
+        predicate: dict.fromkeys(db.relation(predicate))
+        for predicate in stratum.heads
     }
     nulls = state.nulls
     for predicate in stratum.heads:
@@ -975,13 +975,13 @@ def _recompute_stratum(
             if rule.plans.is_aggregate:
                 rule.aggregate = state.aggregates.get(rule.plans.rule)
     for predicate in stratum.heads:
-        after = set(db.relation(predicate))
-        gained = after - before[predicate]
-        lost = before[predicate] - after
+        after = dict.fromkeys(db.relation(predicate))
+        gained = {fact: None for fact in after if fact not in before[predicate]}
+        lost = {fact: None for fact in before[predicate] if fact not in after}
         if gained:
-            added_now.setdefault(predicate, set()).update(gained)
+            added_now.setdefault(predicate, {}).update(gained)
         if lost:
-            removed_now.setdefault(predicate, {}).update(dict.fromkeys(lost))
+            removed_now.setdefault(predicate, {}).update(lost)
 
 
 # ---------------------------------------------------------------------------
@@ -993,9 +993,13 @@ def _normalize(
     delta: Optional[Dict[str, Iterable[Sequence[Any]]]]
 ) -> Dict[str, Dict[Fact, None]]:
     """The requested facts per predicate, deduplicated in the order
-    given (a ``dict`` as an ordered set)."""
+    given (a ``dict`` as an ordered set); a ``set``, which has no order
+    to give and whose facts have no row yet, in ``fact_sort_key`` order."""
     return {
-        predicate: dict.fromkeys(tuple(fact) for fact in facts)
+        predicate: dict.fromkeys(
+            sorted(map(tuple, facts), key=fact_sort_key)
+            if isinstance(facts, (set, frozenset)) else map(tuple, facts)
+        )
         for predicate, facts in (delta or {}).items()
     }
 
@@ -1009,13 +1013,11 @@ def _restrict(changes: Changes, predicates: Set[str]) -> Changes:
 def _merge_net(
     pending_add: Changes,
     pending_remove: Changes,
-    gained: Dict[str, Set[Fact]],
+    gained: Changes,
     lost: Changes,
-    joined: Set[str],
 ) -> None:
     """Fold one stratum's net changes into the running per-update net,
-    a bucket some stratum joins (``joined``) re-sorted when it grows
-    (``ordered_delta``'s order): a delta is sorted once, not once per reader.
+    each bucket growing in the order its facts came.
 
     A fact that reappears after being removed (or vanishes after being
     added) earlier in the same update cancels out — downstream strata
@@ -1024,22 +1026,16 @@ def _merge_net(
     """
     for mine, theirs, changes in (
         (pending_remove, pending_add, lost),
-        (pending_add, pending_remove,
-         {p: dict.fromkeys(facts) for p, facts in gained.items()}),
+        (pending_add, pending_remove, gained),
     ):
         for predicate, facts in changes.items():
             cancelled = theirs.get(predicate, {})
             bucket = mine.setdefault(predicate, {})
-            size = len(bucket)
             for fact, grave in facts.items():
                 if fact in cancelled:
                     del cancelled[fact]
                 else:
                     bucket[fact] = grave
-            if len(bucket) > size and predicate in joined:
-                mine[predicate] = {
-                    fact: bucket[fact] for fact in sorted(bucket, key=fact_sort_key)
-                }
 
 
 def apply_delta(
@@ -1095,38 +1091,40 @@ def apply_delta(
     try:
         # ---- extensional changes -------------------------------------
         requested_add: Dict[str, List[Fact]] = {}
-        requested_remove: Dict[str, Set[Fact]] = {}
+        requested_remove: Changes = {}
         for predicate, facts in remove_request.items():
             edb_facts = state.edb.get(predicate, ())
-            held = requested_remove[predicate] = {f for f in facts if f in edb_facts}
+            held = requested_remove[predicate] = {
+                f: None for f in facts if f in edb_facts
+            }
             delta_result.skipped_removals += len(facts) - len(held)
         for predicate, facts in add_request.items():
             removed_bucket = requested_remove.get(predicate)
             for fact in facts:
                 if removed_bucket and fact in removed_bucket:
                     # Removed and re-added in one delta: a net no-op.
-                    removed_bucket.discard(fact)
+                    del removed_bucket[fact]
                 elif fact not in state.edb.get(predicate, ()):
                     requested_add.setdefault(predicate, []).append(fact)
 
-        # The running net: what some stratum joins is sorted here, and
-        # in ``_merge_net`` as it grows.
+        # The running net, in row order: the removals as they are
+        # buried, the additions as their relations append them.
         plans = state.stratum_plans(engine)
-        joined = state.joined
-        pending_remove = ordered_delta(requested_remove, joined)
+        pending_remove = {p: graves for p, graves in requested_remove.items() if graves}
         for predicate, graves in pending_remove.items():
             relation = db.relation(predicate)
             for fact in graves:
                 graves[fact] = relation.bury(fact)
             state.edb[predicate].difference_update(graves)
-        new_facts: Dict[str, Set[Fact]] = {}
+        pending_add: Changes = {}
         for predicate, facts in requested_add.items():
             state.edb.setdefault(predicate, set()).update(facts)
             # Facts already derivable need no propagation, but still
             # count as extensional now; only genuinely-new facts seed
             # the chase.
-            new_facts[predicate] = {f for f in facts if db.add(predicate, f)}
-        pending_add = ordered_delta(new_facts, joined)
+            new = {f: None for f in facts if db.add(predicate, f)}
+            if new:
+                pending_add[predicate] = new
 
         if not pending_add and not pending_remove:
             delta_result.strata_skipped = len(plans)
@@ -1141,7 +1139,7 @@ def apply_delta(
                 delta_result.strata_skipped += 1
                 continue
             mode, refusal = _classify_stratum(state, stratum, add_keys, rm_keys)
-            added_now: Dict[str, Set[Fact]] = {}
+            added_now: Changes = {}
             removed_now: Changes = {}
             if mode == _RECOMPUTE:
                 try:
@@ -1163,7 +1161,7 @@ def apply_delta(
                 # removal, one it lost derives like an addition.
                 removal_seeds = _restrict(pending_remove, stratum.retracts)
                 negated_gains = _restrict(pending_add, stratum.negated)
-                rederived: Dict[str, Set[Fact]] = {}
+                rederived: Changes = {}
                 try:
                     if removal_seeds or negated_gains:
                         before = delta_result.overdeleted, delta_result.rederived
@@ -1186,10 +1184,8 @@ def apply_delta(
                                 )
                                 dred_span.__exit__(None, None, None)
                     seeds = _restrict(pending_add, stratum.reads)
-                    seeds.update(ordered_delta({
-                        predicate: facts.union(seeds.get(predicate, ()))
-                        for predicate, facts in rederived.items()
-                    }))
+                    for predicate, facts in rederived.items():
+                        seeds[predicate] = {**seeds.get(predicate, {}), **facts}
                     _insertion_pass(
                         engine, state, stratum, db, seeds,
                         _restrict(pending_remove, stratum.negated),
@@ -1200,9 +1196,7 @@ def apply_delta(
                     state.nulls.reclaim = {}
                 delta_result.strata_incremental += 1
             if added_now or removed_now:
-                _merge_net(
-                    pending_add, pending_remove, added_now, removed_now, joined
-                )
+                _merge_net(pending_add, pending_remove, added_now, removed_now)
                 add_keys = {p for p, facts in pending_add.items() if facts}
                 rm_keys = {p for p, facts in pending_remove.items() if facts}
                 changed = add_keys | rm_keys
@@ -1216,8 +1210,8 @@ def apply_delta(
                         stats=local,
                     )
 
-        delta_result.added = {p: set(f) for p, f in pending_add.items() if f}
-        delta_result.removed = {p: set(f) for p, f in pending_remove.items() if f}
+        delta_result.added = {p: f.keys() for p, f in pending_add.items() if f}
+        delta_result.removed = {p: f.keys() for p, f in pending_remove.items() if f}
         return delta_result
     finally:
         delta_result.elapsed_seconds = time.perf_counter() - start

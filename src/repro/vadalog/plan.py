@@ -54,7 +54,7 @@ from repro.vadalog.ast import (
 from repro.vadalog.columnar import _FNV_OFFSET as _FNV_OFFSET_NP
 from repro.vadalog.columnar import _FNV_PRIME as _FNV_PRIME_NP
 from repro.vadalog.database import Database, Fact
-from repro.vadalog.terms import SkolemFunctor, Variable, fact_sort_key
+from repro.vadalog.terms import SkolemFunctor, Variable
 
 from itertools import repeat as _repeat
 
@@ -1348,29 +1348,13 @@ class DeltaBinder:
         return subst
 
 
-#: Changed facts per predicate, each set a ``dict`` in join order; a
-#: removed fact maps to the grave its relation's ``bury`` returned.
+#: Changed facts per predicate, each set a ``dict`` in row order: a new
+#: fact where its relation appended it, a removed one where it was
+#: buried, mapped to the grave its relation's ``bury`` returned.  Delta
+#: facts are joined in that order, so neither the ordinals of the nulls
+#: they mint nor the row order of what they derive depends on the hash
+#: seed, and no delta is sorted by value.
 Changes = Dict[str, Dict[Fact, Any]]
-
-
-def ordered_delta(
-    changes: Dict[str, Iterable[Fact]], joined: Optional[Set[str]] = None
-) -> Changes:
-    """The non-empty fact sets of ``changes`` in ``fact_sort_key`` order
-    (only those of the predicates ``joined``, when given).
-
-    Delta facts are joined in that order, so that neither the ordinals
-    of the nulls they mint nor the row order of what they derive depends
-    on the hash seed; sorted once per round, not once per rule.
-    """
-    return {
-        predicate: dict.fromkeys(
-            sorted(facts, key=fact_sort_key)
-            if joined is None or predicate in joined else facts
-        )
-        for predicate, facts in changes.items()
-        if facts
-    }
 
 
 def delta_matches(
