@@ -2,6 +2,7 @@
 DRed edge cases, materializer updates, and store delta-flush appliers."""
 
 import random
+import sys
 from functools import partial
 
 import pytest
@@ -15,7 +16,7 @@ from repro.metalog import parse_metalog
 from repro.models.relational import Column, ForeignKey, RelationalSchema, Table
 from repro.ssst import SSST, IntensionalMaterializer, RegistryDelta
 from repro.obs import RecordingTracer
-from repro.vadalog import Engine, incremental, parse_program
+from repro.vadalog import Engine, incremental, parse_program, terms
 from repro.vadalog.ast import Rule
 from repro.vadalog.engine import EvaluationStats
 from repro.vadalog.incremental import (
@@ -782,7 +783,8 @@ class TestCompiledMaintenancePlan:
 
     def test_an_update_hashes_no_rule(self, company_schema, monkeypatch):
         """After the first update has compiled the three plans, twenty
-        single-stake updates of the paper's program hash no ``Rule``."""
+        single-stake updates of the paper's program hash no ``Rule`` and
+        sort no fact by value: every delta is joined in row order."""
         data, registry = kgbench_registry(150, 42)
         materializer = IntensionalMaterializer()
         materializer.materialize(
@@ -811,15 +813,26 @@ class TestCompiledMaintenancePlan:
             return real_hash(rule)
 
         monkeypatch.setattr(Rule, "__hash__", counting)
+        sorted_facts = []
+        real_key = terms.fact_sort_key
+
+        def counting_key(fact):
+            sorted_facts.append(fact)
+            return real_key(fact)
+
+        for module in list(sys.modules.values()):  # every binding of it
+            if getattr(module, "__dict__", {}).get("fact_sort_key") is real_key:
+                monkeypatch.setattr(module, "fact_sort_key", counting_key)
         for index in range(1, 21):
             report = materializer.update(
                 stake(index) if index % 2
                 else RegistryDelta(remove_edges=[f"h{index - 1}"])
             )
             assert report.strata_recomputed == 0
-        assert not hashed
+        assert not hashed and not sorted_facts
         assert len({*materializer.retained.result_reason.program.rules}) == 2
-        assert hashed  # the count is live
+        assert sorted([("b",), ("a",)], key=terms.fact_sort_key)
+        assert hashed and sorted_facts  # the counts are live
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,49 @@ def up_to_nulls_and_order(graph):
     )
 
 
+def renamed(graph):
+    return hashlib.sha256(repr(up_to_nulls_and_order(graph)).encode()).hexdigest()
+
+
+def control_chain(schema, each=lambda registry, graph: None):
+    """The golden chain: a fresh run of the control program at 500
+    companies, seed 42, and six single-stake updates, each held against
+    the whole decode.  Returns the order-sensitive and the up-to-nulls
+    digest of every step; ``each(registry, graph)`` sees every update."""
+    data, registry = kgbench_registry(500, 42)
+    sigma = parse_metalog(programs.CONTROL_PROGRAM)
+    materializer = diff_is_the_oracle(IntensionalMaterializer())
+    report = materializer.materialize(
+        schema, registry, sigma, instance_oid=9, retain=True,
+    )
+    digests = [order_sensitive_digest(report.instance.data)]
+    renamed_digests = [renamed(report.instance.data)]
+    taken = {(s.owner, s.company) for s in data.stakes}
+    rng = random.Random(42)
+    businesses = sorted(data.companies)
+    live = []
+    for step, kind in enumerate(("add", "add", "remove", "add", "add", "remove")):
+        if kind == "add":
+            while True:
+                owner, target = rng.sample(businesses, 2)
+                if (owner, target) not in taken:
+                    break
+            taken.add((owner, target))
+            live.append(f"churn-{step}")
+            delta = RegistryDelta(add_edges=[(
+                live[-1], owner, target, "OWNS",
+                {"percentage": 0.5 + step / 100.0},
+            )])
+        else:
+            delta = RegistryDelta(remove_edges=[live.pop(0)])
+        update = materializer.update(delta)
+        assert update.instance.data is materializer.retained.enriched
+        digests.append(order_sensitive_digest(update.instance.data))
+        renamed_digests.append(renamed(update.instance.data))
+        each(registry, update.instance.data)
+    return digests, renamed_digests
+
+
 def forbid_graph_bulk_access(monkeypatch, graph):
     """No bulk write to, or OID probe of, this ``graph`` object (the
     decoded instance is written in bulk: that one is a plain graph)."""
@@ -385,49 +428,42 @@ def assert_schemas_only(dictionary, schema_nodes):
 
 class TestInstanceRelations:
     def test_golden_digests_fresh_run_and_six_updates(self, company_schema):
-        data, registry = kgbench_registry(500, 42)
         sigma = parse_metalog(programs.CONTROL_PROGRAM)
-        materializer = diff_is_the_oracle(IntensionalMaterializer())
-        report = materializer.materialize(
-            company_schema, registry, sigma, instance_oid=9, retain=True,
-        )
-        def renamed(graph):
-            return hashlib.sha256(
-                repr(up_to_nulls_and_order(graph)).encode()
-            ).hexdigest()
 
-        digests = [order_sensitive_digest(report.instance.data)]
-        renamed_digests = [renamed(report.instance.data)]
-        taken = {(s.owner, s.company) for s in data.stakes}
-        rng = random.Random(42)
-        businesses = sorted(data.companies)
-        live = []
-        for step, kind in enumerate(
-            ("add", "add", "remove", "add", "add", "remove")
-        ):
-            if kind == "add":
-                while True:
-                    owner, target = rng.sample(businesses, 2)
-                    if (owner, target) not in taken:
-                        break
-                taken.add((owner, target))
-                live.append(f"churn-{step}")
-                delta = RegistryDelta(add_edges=[(
-                    live[-1], owner, target, "OWNS",
-                    {"percentage": 0.5 + step / 100.0},
-                )])
-            else:
-                delta = RegistryDelta(remove_edges=[live.pop(0)])
-            update = materializer.update(delta)
-            assert update.instance.data is materializer.retained.enriched
-            digests.append(order_sensitive_digest(update.instance.data))
-            renamed_digests.append(renamed(update.instance.data))
+        def as_from_scratch(registry, graph):
             scratch = IntensionalMaterializer().materialize(
                 company_schema, registry.copy(), sigma, instance_oid=9,
             )
-            assert renamed_digests[-1] == renamed(scratch.instance.data)
+            assert renamed(graph) == renamed(scratch.instance.data)
+
+        digests, renamed_digests = control_chain(company_schema, as_from_scratch)
         assert renamed_digests == GOLDEN_CONTROL_UP_TO_NULLS
         assert digests == GOLDEN_CONTROL
+
+    def test_six_updates_are_hash_seed_independent(self):
+        """The golden chain, nulls and element order included, under
+        three ``PYTHONHASHSEED``s: every delta is joined in row order,
+        none in ``set`` order (the incremental twin of
+        ``test_batch_nulls_are_hash_seed_independent``)."""
+        script = (
+            "from repro.finkg.company_schema import company_super_schema\n"
+            "from tests.test_materializer import control_chain\n"
+            "print(control_chain(company_super_schema()))\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        outputs = []
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [root, os.path.join(root, "src"), env.get("PYTHONPATH", "")]
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(done.stdout.strip())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == repr((GOLDEN_CONTROL, GOLDEN_CONTROL_UP_TO_NULLS))
 
     @pytest.mark.parametrize("program", sorted(GOLDEN_CHAINS))
     def test_golden_digests_program_chains(

@@ -7,6 +7,8 @@ through fake sleeps, so nothing here ever waits on a real clock.
 """
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -637,6 +639,20 @@ class TestCheckpointCodec:
 
         with pytest.raises(CheckpointError):
             encode_value(object())
+
+    def test_a_saved_phase_is_durable(self, tmp_path, monkeypatch):
+        """The phase file and the manifest are each synced before their
+        rename and the directory after it."""
+        from repro.vadalog.database import Database
+
+        checkpoint = MaterializationCheckpoint(str(tmp_path))
+        checkpoint.begin("fp")
+        synced = []
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        )
+        checkpoint.save_phase("load", database=Database())
+        assert synced == [False, True, False, True]
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,8 @@ backend, to a clean batch run over the final registry)."""
 import io
 import json
 import os
+import random
+import stat
 
 import pytest
 
@@ -19,11 +21,13 @@ from repro.deploy.triple_store import TripleStore
 from repro.errors import ResourceLimitError, SchemaError, StreamError
 from repro.finkg import programs
 from repro.finkg.company_schema import company_super_schema
-from repro.graph.property_graph import PropertyGraph
+from repro.graph import make_graph
+from repro.graph.property_graph import ABSENT, PropertyGraph
 from repro.metalog import parse_metalog
 from repro.obs.governor import ResourceGovernor
 from repro.obs.tracer import RecordingTracer
 from repro.ssst import SSST, IntensionalMaterializer
+from repro.ssst.checkpoint import graph_payload, restore_graph
 from repro.ssst.inverse import graph_instance_to_relational
 from repro.stream import (
     DeltaCoalescer,
@@ -39,6 +43,7 @@ from repro.stream import (
 )
 
 from tests.conftest import diff_is_the_oracle
+from tests.test_materializer import kgbench_registry
 
 TC_PROGRAM = "e(X, Y) -> tc(X, Y).\ntc(X, Y), e(Y, Z) -> tc(X, Z)."
 
@@ -1253,3 +1258,173 @@ class TestRegistryStreaming:
         ).run()
         assert report.records_quarantined == 0
         assert sink.data.edge("stake-0").get("percentage") == 0.9
+
+
+# ---------------------------------------------------------------------------
+# The registry snapshot: column-wise, durable before the log is compacted
+# ---------------------------------------------------------------------------
+
+
+def random_registry(rng):
+    """Two node and two edge labels with int, str and tuple ids, a stored
+    ``None`` next to a missing cell, NaN, ``1`` / ``1.0`` / ``True`` and a
+    tuple in one column, and some elements removed again."""
+    graph = make_graph("random")
+    cells = [None, float("nan"), 1, 1.0, True, "x", -2.5, ("t", 1), ABSENT]
+
+    def properties():
+        chosen = {name: rng.choice(cells) for name in ("a", "b", "c")}
+        return {name: value for name, value in chosen.items() if value is not ABSENT}
+
+    ids = []
+    for i in range(rng.randint(4, 30)):
+        ids.append(rng.choice([i, f"n{i}", ("n", i)]))
+        graph.add_node(ids[-1], rng.choice(["Person", "Business"]), **properties())
+    for j in range(rng.randint(0, 40)):
+        graph.add_edge(
+            rng.choice(ids), rng.choice(ids), rng.choice(["OWNS", "KNOWS"]),
+            edge_id=rng.choice([j + 1000, f"e{j}", ("e", j)]), **properties(),
+        )
+    for edge in list(graph.edges())[::5]:
+        graph.remove_edge(edge.id)
+    return graph
+
+
+def label_tables(graph, names_of):
+    """Every label's table, ``ABSENT`` in an unset cell, as the store's
+    value dictionary tells values apart: ``1`` and ``1.0`` are one value
+    (whichever it met first), ``True`` is another, NaN equals NaN."""
+    def exact(column):
+        return repr([float(v) if type(v) in (int, float) else v for v in column])
+
+    return [
+        [exact(column) for column in (ids, *columns)]
+        for ids, columns in (
+            graph.nodes_table(label, names_of(label, "node"), ABSENT)
+            for label in graph.node_labels()
+        )
+    ] + [
+        [exact(column) for column in (ids, sources, targets, *columns)]
+        for ids, sources, targets, columns in (
+            graph.edges_table(label, names_of(label, "edge"), ABSENT)
+            for label in graph.edge_labels()
+        )
+    ]
+
+
+class TestRegistrySnapshot:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_restore_equals_the_live_graph_per_label_in_row_order(self, seed):
+        graph = random_registry(random.Random(seed))
+        payload = graph_payload(graph)
+        restored = restore_graph(json.loads(json.dumps(payload)))
+
+        def names_of(label, kind):
+            return getattr(graph, f"{kind}_property_names")(label)
+
+        assert label_tables(restored, names_of) == label_tables(graph, names_of)
+        assert (restored.node_count, restored.edge_count) == (
+            graph.node_count, graph.edge_count)
+
+    def test_a_snapshot_does_not_walk_the_registry(self, monkeypatch):
+        _, registry = kgbench_registry(60, 7)
+        sink = MaterializerSink(
+            company_super_schema(), parse_metalog(programs.CONTROL_PROGRAM),
+            registry, instance_oid=9,
+        )
+
+        def walk(*args, **kwargs):
+            raise AssertionError("a checkpoint visited the registry element by element")
+
+        monkeypatch.setattr(registry, "nodes", walk)
+        monkeypatch.setattr(registry, "edges", walk)
+        restored = restore_graph(sink.state_payload()["registry"])
+        assert (restored.node_count, restored.edge_count) == (
+            registry.node_count, registry.edge_count)
+
+    def test_a_version_1_checkpoint_is_refused_by_its_version(self, tmp_path):
+        checkpoint = StreamCheckpoint(str(tmp_path))
+        with open(checkpoint.path, "w", encoding="utf-8") as handle:
+            json.dump({"version": 1, "fingerprint": "fp", "state": {}}, handle)
+        with pytest.raises(StreamError, match="version 1 is not supported"):
+            checkpoint.load("fp")
+
+    def test_a_resumed_streams_next_checkpoint_is_byte_identical(self, tmp_path):
+        def checkpoint_after(log_dir, *runs):
+            for resume, max_batches in runs:
+                sink = MaterializerSink(
+                    company_super_schema(),
+                    parse_metalog(programs.CONTROL_PROGRAM),
+                    company_registry(), instance_oid=9,
+                )
+                DeltaStream(
+                    GeneratorFeed(REGISTRY_CHANGES), sink, log_dir,
+                    batch_window=2, fsync=False, checkpoint_every=1,
+                    max_batches=max_batches,
+                ).run(resume=resume)
+            with open(os.path.join(log_dir, "checkpoint.json"), "rb") as handle:
+                return handle.read()
+
+        straight = checkpoint_after(str(tmp_path / "straight"), (False, 2))
+        resumed = checkpoint_after(
+            str(tmp_path / "resumed"), (False, 1), (True, 2)
+        )
+        assert b'"batches_applied": 2' in straight
+        assert resumed == straight
+
+    def test_the_checkpoint_is_durable_before_a_segment_goes(
+        self, tmp_path, monkeypatch
+    ):
+        """Compaction deletes segments on the strength of the checkpoint's
+        rename, so the log directory is synced after the rename and before
+        the first unlink: else a power loss could bring the old checkpoint
+        back without the segments it needs."""
+        events = []
+        real_remove, real_replace = os.remove, os.replace
+
+        def fsync(fd):
+            events.append(("sync", stat.S_ISDIR(os.fstat(fd).st_mode)))
+
+        def replace(source, target):
+            events.append(("replace", os.path.basename(target)))
+            real_replace(source, target)
+
+        def remove(path):
+            events.append(("remove", os.path.basename(path)))
+            real_remove(path)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "remove", remove)
+        feed = fact_feed(
+            [(i + 1, "assert", "e", ("hub", f"n{i}")) for i in range(32)]
+        )
+        DeltaStream(
+            feed, serve_sink(), str(tmp_path / "log"), batch_window=4,
+            segment_records=4, checkpoint_every=2, compact_every=2, fsync=False,
+        ).run()
+        unlinks = [
+            index for index, event in enumerate(events)
+            if event[0] == "remove" and event[1].startswith("segment-")
+        ]
+        assert unlinks
+        for index in unlinks:
+            renamed = max(
+                at for at, event in enumerate(events[:index])
+                if event == ("replace", "checkpoint.json")
+            )
+            assert ("sync", True) in events[renamed:index]
+
+    def test_the_fingerprint_is_hashed_once_per_stream(self, tmp_path):
+        sink = serve_sink()
+        calls = []
+        real = sink.fingerprint_material
+        sink.fingerprint_material = lambda: calls.append(1) or real()
+        feed = fact_feed(
+            [(i + 1, "assert", "e", ("hub", f"n{i}")) for i in range(8)]
+        )
+        report = DeltaStream(
+            feed, sink, str(tmp_path / "log"), batch_window=2,
+            checkpoint_every=1, fsync=False,
+        ).run()
+        assert report.batches_applied == 4 and len(calls) == 1
