@@ -505,9 +505,12 @@ class IntensionalMaterializer:
                 # Chase maintenance: each state's net changes are the
                 # next states' extensional delta (load -> reason -> flush
                 # views) on the relations each holds.  Net changes are
-                # sets; the encoded facts ride along as lists (those a
-                # state already holds are ignored), so the states append
-                # them in encoder order: a fresh load's, the decoder's.
+                # ordered sets in the order the state's rows took them,
+                # and the encoded facts ride along as lists (those a
+                # state already holds are ignored), so every state
+                # appends in the order the one before it did — encoder
+                # order for the encoded facts: a fresh load's, the
+                # decoder's.
                 engine = self.engine
                 delta_load = engine.apply_delta(
                     retained.result_load, added=addition, removed=removal,
