@@ -4,8 +4,9 @@ Every scenario drives the resilient loaders through injected faults —
 transient errors, crashes, dirty records — and asserts the recovery
 invariant that matters for each: faulty loads converge on the clean
 state, crash replays are byte-identical, strict violations leave the
-store pristine, graceful loads quarantine exactly the dirty records,
-and an interrupted materialization resumes from its checkpoint to the
+store pristine, graceful loads quarantine exactly the dirty records, a
+flush delta a store refuses leaves no part of itself behind, and an
+interrupted materialization resumes from its checkpoint to the
 unbudgeted result.
 
 Standalone on purpose — no pytest-benchmark — so the CI job stays a
@@ -33,6 +34,7 @@ from repro.deploy import (
     GRACEFUL,
     CrashFault,
     FaultInjector,
+    FlushDelta,
     GraphStore,
     QuarantineReport,
     RetryPolicy,
@@ -190,6 +192,43 @@ def main() -> int:
         report.retries > 0
         and frozenset(store.triples()) == frozenset(clean_triples.triples()),
         f"{report.summary()}",
+    )
+
+    # -- a refused flush delta: removal and update undone too ----------
+    stake = next(iter(small.edges("HOLDS")))
+    renamed = next(n for n in small.nodes() if n.label == "Business")
+    refused = FlushDelta(
+        removed_edges=[(stake.id, stake.source, stake.target, stake.label,
+                        dict(stake.properties))],
+        updated_nodes=[(renamed.id, renamed.label,
+                        {**renamed.properties, "businessName": "Chaos SpA"},
+                        dict(renamed.properties))],
+        added_nodes=[("chaos-new", "Business", {
+            "fiscalCode": "FC-CHAOS", "businessName": "Chaos New SpA",
+            "legalNature": "spa", "shareholdingCapital": 1.0,
+        })],
+        # Undeclared in both schemas: the last insert is refused.
+        added_edges=[("chaos-warp", stake.source, "chaos-new", "WARPS", {})],
+    )
+    graph_target, triple_target = fresh_graph_store(), fresh_triple_store()
+    load_graph_store(schema, small, graph_target)
+    load_triple_store(schema, small, triple_target)
+
+    def target_states():
+        return graph_store_state(graph_target), frozenset(triple_target.triples())
+
+    before = target_states()
+    refusals = 0
+    for target in (graph_target, triple_target):
+        try:
+            target.apply_flush_delta(refused, schema=schema)
+        except IntegrityError:
+            refusals += 1
+    check(
+        "a flush delta refused on its last insert leaves every store as it was",
+        refusals == 2 and target_states() == before,
+        "edge removal + update + insert, then an undeclared relationship; "
+        "graph and triple stores",
     )
 
     # -- checkpointed materialization: interrupt, then resume ----------

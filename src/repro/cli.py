@@ -290,7 +290,6 @@ def cmd_load(args) -> int:
     from repro.deploy import (
         GRACEFUL,
         STRICT,
-        FaultInjector,
         GraphStore,
         QuarantineReport,
         RetryPolicy,
@@ -312,25 +311,11 @@ def cmd_load(args) -> int:
         store.deploy(SSST().translate(schema, "rdf").target_schema)
         loader = load_triple_store
 
-    target = store
-    if args.fault_rate or args.crash_after is not None:
-        target = FaultInjector(
-            store,
-            fault_rate=args.fault_rate,
-            crash_after=args.crash_after,
-            seed=args.fault_seed,
-        )
-        print(
-            f"fault injection: rate={args.fault_rate}"
-            f" crash_after={args.crash_after} seed={args.fault_seed}",
-            file=sys.stderr,
-        )
-
     quarantine = QuarantineReport()
     report = loader(
         schema,
         data,
-        target,
+        store,
         mode=GRACEFUL if args.graceful else STRICT,
         policy=RetryPolicy(max_attempts=args.retries, sleep=lambda _s: None),
         batch_size=args.batch_size,
@@ -352,21 +337,10 @@ def cmd_load(args) -> int:
 def cmd_stream(args) -> int:
     import json
 
-    from repro.deploy import (
-        FaultInjector,
-        GraphStore,
-        QuarantineReport,
-        RetryPolicy,
-        TripleStore,
-    )
+    from repro.deploy import GraphStore, QuarantineReport, RetryPolicy, TripleStore
     from repro.deploy.relational_engine import RelationalEngine
     from repro.obs import ResourceGovernor
-    from repro.stream import (
-        DeltaStream,
-        FeedFaultInjector,
-        JsonlFeed,
-        MaterializerSink,
-    )
+    from repro.stream import DeltaStream, JsonlFeed, MaterializerSink
 
     schema = parse_gsl(_read(args.schema))
     schema.validate()
@@ -377,7 +351,6 @@ def cmd_stream(args) -> int:
         schema, data=data, sigma=sigma, instance_oid=args.instance_oid,
         retry=RetryPolicy(max_attempts=args.retries),
     )
-    inject_store_faults = args.fault_rate or args.crash_after is not None
     for target_name in args.deploy or []:
         if target_name == "graph-store":
             store = GraphStore()
@@ -391,24 +364,8 @@ def cmd_stream(args) -> int:
             store = RelationalEngine()
             store.deploy(SSST().translate(schema, "relational").target_schema)
             attach = sink.attach_relational_engine
-        if inject_store_faults:
-            store = FaultInjector(
-                store, fault_rate=args.fault_rate,
-                crash_after=args.crash_after, seed=args.fault_seed,
-            )
         attach(store)
 
-    source = JsonlFeed(args.feed)
-    if args.torn_rate or args.duplicate_rate or args.reorder_rate:
-        source = FeedFaultInjector(
-            source, seed=args.fault_seed, torn_rate=args.torn_rate,
-            duplicate_rate=args.duplicate_rate, reorder_rate=args.reorder_rate,
-        )
-        print(
-            f"feed faults: torn={args.torn_rate} dup={args.duplicate_rate} "
-            f"reorder={args.reorder_rate} seed={args.fault_seed}",
-            file=sys.stderr,
-        )
     governor = None
     if args.budget_ms is not None:
         governor = ResourceGovernor(
@@ -418,7 +375,7 @@ def cmd_stream(args) -> int:
 
     quarantine = QuarantineReport()
     stream = DeltaStream(
-        source, sink, args.log_dir,
+        JsonlFeed(args.feed), sink, args.log_dir,
         governor=governor,
         batch_window=args.batch_window,
         checkpoint_every=args.checkpoint_every,
@@ -706,15 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries", default=5, type=int,
         help="max attempts per store mutation on transient faults",
     )
-    p.add_argument(
-        "--fault-rate", default=0.0, type=float,
-        help="inject transient faults at this per-mutation probability",
-    )
-    p.add_argument("--fault-seed", default=0, type=int)
-    p.add_argument(
-        "--crash-after", default=None, type=int,
-        help="inject a crash after N successful mutations",
-    )
     p.set_defaults(func=cmd_load)
 
     p = sub.add_parser(
@@ -774,27 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--retries", default=5, type=int,
         help="max attempts per target flush on transient faults",
-    )
-    p.add_argument(
-        "--fault-rate", default=0.0, type=float,
-        help="inject transient store faults at this per-mutation probability",
-    )
-    p.add_argument(
-        "--crash-after", default=None, type=int,
-        help="inject a store crash after N successful mutations",
-    )
-    p.add_argument("--fault-seed", default=0, type=int)
-    p.add_argument(
-        "--torn-rate", default=0.0, type=float,
-        help="inject torn (truncated) feed records at this probability",
-    )
-    p.add_argument(
-        "--duplicate-rate", default=0.0, type=float,
-        help="inject duplicated feed records at this probability",
-    )
-    p.add_argument(
-        "--reorder-rate", default=0.0, type=float,
-        help="inject adjacent feed-record swaps at this probability",
     )
     p.set_defaults(func=cmd_stream)
 

@@ -14,16 +14,11 @@ what the tests hold that against.
 
 The records carry everything any backend needs to *undo* an element
 (the triple store must retract attribute triples, so removed/updated
-records keep the old property values), and each backend reuses the
-PR 3 savepoint machinery appropriate to its mutation model:
-
-- :class:`~repro.deploy.graph_store.GraphStore` applies removals and
-  in-place property updates first, then guards the insert batch with a
-  structural savepoint (structural savepoints are insert-only, so the
-  destructive half runs *before* the watermark is taken);
-- :class:`~repro.deploy.relational_engine.RelationalEngine` and
-  :class:`~repro.deploy.triple_store.TripleStore` record undo closures
-  for deletions too, so their whole delta applies under one savepoint.
+records keep the old property values).  Every store journals the
+inverse of each mutation on its
+:class:`~repro.deploy.transactions.UndoLog`, so each applies a whole
+delta — removals, updates and inserts — under one savepoint: a delta
+the store refuses leaves it as it was.
 """
 
 from __future__ import annotations

@@ -17,12 +17,13 @@ the store's catalog.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from itertools import repeat
+from functools import partial
+from itertools import chain, repeat
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.deploy.delta import DeltaFlushReport, FlushDelta
-from repro.errors import DeploymentError, GraphError, IntegrityError, ModelError
+from repro.deploy.transactions import SavepointMixin, UndoLog, transaction
+from repro.errors import DeploymentError, IntegrityError, ModelError
 from repro.graph import make_graph
 from repro.graph.property_graph import (
     ABSENT,
@@ -44,27 +45,6 @@ _EDGE_QUERY_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class StructuralSavepoint:
-    """A size watermark over the store's insertion-ordered state.
-
-    The graph store only ever *inserts* (nodes, edges, unique-index
-    entries), so a savepoint needs no per-mutation undo journal: rolling
-    back pops each structure down to its recorded size.  Savepoints cost
-    O(1) to open and nest trivially — an inner rollback restores a later
-    watermark, the outer one an earlier watermark.
-
-    The insert-only assumption is *checked*, not trusted: the graph mark
-    embeds the underlying graph's mutation epoch, so if anything deleted
-    from the graph behind the store's back, ``rollback_to`` raises
-    :class:`~repro.errors.DeploymentError` instead of corrupting state.
-    """
-
-    graph_mark: Tuple[int, int, int]
-    unique_marks: Tuple[Tuple[Tuple[str, str], int], ...]
-    labels_mark: int
-
-
 #: The label set of a node the store does not hold.
 _NO_LABELS: frozenset = frozenset()
 
@@ -76,8 +56,17 @@ def _unset(column: Any) -> bool:
     )
 
 
-class GraphStore:
-    """An in-memory graph database enforcing a PG-model schema."""
+class GraphStore(SavepointMixin):
+    """An in-memory graph database enforcing a PG-model schema.
+
+    Every mutator journals its inverse on the store's
+    :class:`~repro.deploy.transactions.UndoLog` while a savepoint is
+    open; an inverse writes through the graph's public add/remove API,
+    so rollback works the same on both graph classes.  After a rollback
+    the store holds the same elements, labels and index entries as
+    before (:func:`~repro.deploy.resilience.graph_store_state`), not
+    necessarily in the same order.
+    """
 
     def __init__(self, name: str = "graph-store", tracer: Optional[Tracer] = None,
                  columnar: bool = True):
@@ -89,31 +78,7 @@ class GraphStore:
         self._relationships: Dict[str, List[Tuple[Set[str], Set[str], Dict[str, Any]]]] = {}
         self._unique: Dict[Tuple[str, str], Dict[Any, Any]] = {}
         self._labels_by_node: Dict[Any, frozenset] = {}
-
-    # ------------------------------------------------------------------
-    # Savepoint protocol (savepoint / rollback_to / release)
-    # ------------------------------------------------------------------
-    def savepoint(self) -> StructuralSavepoint:
-        """Open a savepoint; pair with :meth:`rollback_to` / :meth:`release`."""
-        return StructuralSavepoint(
-            self.graph.insertion_mark(),
-            tuple((key, len(index)) for key, index in self._unique.items()),
-            len(self._labels_by_node),
-        )
-
-    def rollback_to(self, savepoint: StructuralSavepoint) -> int:
-        """Undo every mutation made since ``savepoint``."""
-        undone = self.graph.rollback_to_mark(savepoint.graph_mark)
-        while len(self._labels_by_node) > savepoint.labels_mark:
-            self._labels_by_node.popitem()
-        for key, mark in savepoint.unique_marks:
-            index = self._unique[key]
-            while len(index) > mark:
-                index.popitem()
-        return undone
-
-    def release(self, savepoint: StructuralSavepoint) -> None:
-        """Commit a savepoint — nothing accumulates, so this is free."""
+        self._undo = UndoLog()
 
     # ------------------------------------------------------------------
     # Schema deployment
@@ -230,6 +195,8 @@ class GraphStore:
         self._labels_by_node[node.id] = frozenset(labels)
         for (_label, prop_name), index in self._unique_for(labels, properties):
             index[properties[prop_name]] = node.id
+        if self._undo.active:
+            self._undo.record(partial(self._remove_nodes, [node.id]))
         if self.tracer is not None:
             self.tracer.count("deploy.nodes_written", 1)
         return node
@@ -297,6 +264,8 @@ class GraphStore:
                 for value, node_id in zip(unique_values[prop_name], node_ids)
                 if value is not ABSENT
             )
+        if self._undo.active:
+            self._undo.record(partial(self._remove_nodes, node_ids))
         if self.tracer is not None:
             self.tracer.count("deploy.nodes_written", len(ids))
         return len(ids)
@@ -342,6 +311,8 @@ class GraphStore:
         if self._schema is not None:
             self._check_relationship(source, target, name, properties)
         edge = self.graph.add_edge(source, target, name, **properties)
+        if self._undo.active:
+            self._undo.record(partial(self._remove_edges, [edge.id]))
         if self.tracer is not None:
             self.tracer.count("deploy.relationships_written", 1)
         return edge
@@ -385,10 +356,12 @@ class GraphStore:
                                          map(self._values, columns)))
                 for source, target, properties in rows:
                     self._check_relationship(source, target, name, properties)
+        edge_ids = self.graph.fresh_edge_ids(len(sources))
         self.graph.add_edges_bulk(
-            name, self.graph.fresh_edge_ids(len(sources)), sources, targets,
-            names, columns, keep_none=True,
+            name, edge_ids, sources, targets, names, columns, keep_none=True,
         )
+        if self._undo.active:
+            self._undo.record(partial(self._remove_edges, edge_ids))
         if self.tracer is not None:
             self.tracer.count("deploy.relationships_written", len(sources))
         return len(sources)
@@ -401,18 +374,17 @@ class GraphStore:
         properties: Optional[Dict[str, Any]] = None,
     ) -> bool:
         """Delete one relationship matching endpoints, label, and (when
-        given) properties; returns False when no match exists.
-
-        Deleting bumps the underlying graph's mutation epoch, so it must
-        not run between a structural savepoint and its rollback — the
-        delta-flush path therefore applies removals *before* opening the
-        insert savepoint.
-        """
+        given) properties; returns False when no match exists."""
         for edge in self.graph.out_edges(source, name):
             if edge.target != target:
                 continue
             if properties is not None and edge.properties != properties:
                 continue
+            if self._undo.active:
+                self._undo.record(partial(
+                    self._restore_edge, edge.id, source, target, name,
+                    dict(edge.properties),
+                ))
             self.graph.remove_edge(edge.id)
             if self.tracer is not None:
                 self.tracer.count("deploy.relationships_removed", 1)
@@ -424,14 +396,9 @@ class GraphStore:
         entries; returns False when the node is unknown."""
         if not self.graph.has_node(node_id):
             return False
-        node = self.graph.node(node_id)
-        labels = self._labels_by_node.pop(node_id, set())
-        for (label, prop_name), index in self._unique.items():
-            if label in labels and prop_name in node.properties:
-                value = node.properties[prop_name]
-                if index.get(value) == node_id:
-                    del index[value]
-        self.graph.remove_node(node_id)
+        if self._undo.active:
+            self._undo.record(self._node_restorer(node_id))
+        self._remove_nodes([node_id])
         if self.tracer is not None:
             self.tracer.count("deploy.nodes_removed", 1)
         return True
@@ -453,25 +420,93 @@ class GraphStore:
                         f"{sorted(labels)}"
                     )
         for (label, prop_name), index in self._unique.items():
-            if label not in labels:
-                continue
-            old_value = node.properties.get(prop_name)
             new_value = properties.get(prop_name)
-            if old_value == new_value:
-                continue
-            if new_value is not None and index.get(new_value) not in (
-                None, node_id
+            if (
+                label in labels and new_value is not None
+                and new_value != node.properties.get(prop_name)
+                and index.get(new_value) not in (None, node_id)
             ):
                 raise IntegrityError(
                     f"unique constraint on {label}.{prop_name} "
                     f"violated by {new_value!r}"
                 )
+        if self._undo.active:
+            self._undo.record(partial(
+                self._replace_properties, node_id, labels,
+                dict(node.properties),
+            ))
+        self._replace_properties(node_id, labels, properties)
+
+    # The inverses the mutators journal.  They write through the graph
+    # and the store's indexes directly: an inverse records nothing.
+    def _replace_properties(
+        self, node_id: Any, labels, properties: Dict[str, Any]
+    ) -> None:
+        held = self.graph.node(node_id).properties
+        for (label, prop_name), index in self._unique.items():
+            old_value = held.get(prop_name)
+            new_value = properties.get(prop_name)
+            if label not in labels or old_value == new_value:
+                continue
             if old_value is not None and index.get(old_value) == node_id:
                 del index[old_value]
             if new_value is not None:
                 index[new_value] = node_id
-        node.properties.clear()
-        node.properties.update(properties)
+        held.clear()
+        held.update(properties)
+
+    def _remove_nodes(self, node_ids: Iterable[Any]) -> None:
+        """Remove nodes with their incident edges, label sets and
+        unique-index entries."""
+        for node_id in node_ids:
+            held = self.graph.node(node_id).properties
+            labels = self._labels_by_node.pop(node_id, _NO_LABELS)
+            for (label, prop_name), index in self._unique.items():
+                if label in labels and prop_name in held:
+                    if index.get(held[prop_name]) == node_id:
+                        del index[held[prop_name]]
+            self.graph.remove_node(node_id)
+
+    def _remove_edges(self, edge_ids: Iterable[Any]) -> None:
+        for edge_id in edge_ids:
+            self.graph.remove_edge(edge_id)
+
+    def _restore_edge(self, edge_id: Any, source: Any, target: Any,
+                      label: str, properties: Dict[str, Any]) -> None:
+        self.graph.add_edge(source, target, label, edge_id).properties.update(
+            properties
+        )
+
+    def _node_restorer(self, node_id: Any):
+        """The inverse of deleting ``node_id`` as it is now: put back the
+        node, its incident edges (with their ids), its label set and its
+        unique-index entries."""
+        node = self.graph.node(node_id)
+        label, properties = node.label, dict(node.properties)
+        labels = self._labels_by_node.get(node_id)
+        entries = [
+            (index, properties[prop_name])
+            for (owner, prop_name), index in self._unique.items()
+            if labels and owner in labels and prop_name in properties
+            and index.get(properties[prop_name]) == node_id
+        ]
+        edges = {
+            edge.id: (edge.source, edge.target, edge.label, dict(edge.properties))
+            for edge in chain(
+                self.graph.out_edges(node_id), self.graph.in_edges(node_id)
+            )
+        }
+
+        def restore() -> None:
+            self.graph.add_node(node_id, label).properties.update(properties)
+            if labels is not None:
+                self._labels_by_node[node_id] = labels
+            for index, value in entries:
+                index[value] = node_id
+            for edge_id, edge in edges.items():
+                self._restore_edge(edge_id, *edge)
+
+        return restore
 
     def apply_flush_delta(
         self, delta: FlushDelta, schema: Any = None
@@ -481,31 +516,30 @@ class GraphStore:
 
         ``schema`` (a :class:`~repro.core.schema.SuperSchema`) enables
         the same multi-label tagging the full loader applies; without it
-        added nodes get their type name as the only label.  Removals and
-        in-place updates run first — structural savepoints assume
-        insert-only mutation, so the insert batch alone is guarded: an
-        integrity violation rolls the inserts back and re-raises, while
-        the destructive half (which cannot violate integrity) stays.
+        added nodes get their type name as the only label.  Removals,
+        in-place updates and inserts run in that order under one
+        savepoint: any exception — an integrity violation, a transient
+        fault — rolls the whole delta back and re-raises, so a refused
+        delta leaves the store as it was.
         """
         report = DeltaFlushReport()
-        for edge_id, source, target, label, properties in delta.removed_edges:
-            if self.delete_relationship(source, target, label, properties):
-                report.edges_removed += 1
-            else:
-                report.skipped += 1
-        for node_id, _label, _properties in delta.removed_nodes:
-            if self.delete_node(node_id):
-                report.nodes_removed += 1
-            else:
-                report.skipped += 1
-        for node_id, _label, properties, _old in delta.updated_nodes:
-            if not self.graph.has_node(node_id):
-                report.skipped += 1
-                continue
-            self.update_node_properties(node_id, properties)
-            report.nodes_updated += 1
-        savepoint = self.savepoint()
-        try:
+        with transaction(self):
+            for _edge_id, source, target, label, properties in delta.removed_edges:
+                if self.delete_relationship(source, target, label, properties):
+                    report.edges_removed += 1
+                else:
+                    report.skipped += 1
+            for node_id, _label, _properties in delta.removed_nodes:
+                if self.delete_node(node_id):
+                    report.nodes_removed += 1
+                else:
+                    report.skipped += 1
+            for node_id, _label, properties, _old in delta.updated_nodes:
+                if not self.graph.has_node(node_id):
+                    report.skipped += 1
+                    continue
+                self.update_node_properties(node_id, properties)
+                report.nodes_updated += 1
             for node_id, label, properties in delta.added_nodes:
                 if self.graph.has_node(node_id):
                     report.skipped += 1
@@ -521,16 +555,6 @@ class GraphStore:
             for _edge_id, source, target, label, properties in delta.added_edges:
                 self.create_relationship(source, target, label, **properties)
                 report.edges_added += 1
-        except (DeploymentError, GraphError):
-            # DeploymentError covers IntegrityError *and* the transient
-            # class: an injected/transient fault mid-insert must roll the
-            # partial batch back too, or a retry replays onto dirty state.
-            self.rollback_to(savepoint)
-            if self.tracer is not None:
-                self.tracer.count("deploy.rollbacks", 1)
-            raise
-        finally:
-            self.release(savepoint)
         if self.tracer is not None:
             self.tracer.count("incr.flushed_delta", report.applied)
         return report

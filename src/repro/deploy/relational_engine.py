@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.deploy.transactions import SavepointMixin, UndoLog
+from repro.deploy.transactions import SavepointMixin, UndoLog, transaction
 from repro.errors import DeploymentError, IntegrityError
 from repro.models.relational import Column, ForeignKey, RelationalSchema, Table
 from repro.obs.tracer import Tracer
@@ -228,12 +228,11 @@ class RelationalEngine(SavepointMixin):
         Removals run first (so a changed row expressed as remove+insert
         does not trip its own primary key), then the inserts — all under
         one savepoint: both mutation kinds are undo-logged, so any
-        constraint violation rolls the whole delta back.  Returns
+        exception rolls the whole delta back.  Returns
         ``{"inserted": n, "deleted": m}``.
         """
         counts = {"inserted": 0, "deleted": 0}
-        savepoint = self.savepoint()
-        try:
+        with transaction(self):
             for table_name, rows in (removed or {}).items():
                 for row in rows:
                     counts["deleted"] += self.delete(table_name, **row)
@@ -241,13 +240,6 @@ class RelationalEngine(SavepointMixin):
                 for row in rows:
                     self.insert(table_name, **row)
                     counts["inserted"] += 1
-        except (IntegrityError, DeploymentError):
-            self.rollback_to(savepoint)
-            if self.tracer is not None:
-                self.tracer.count("deploy.rollbacks", 1)
-            raise
-        finally:
-            self.release(savepoint)
         if self.tracer is not None:
             self.tracer.count(
                 "incr.flushed_delta", counts["inserted"] + counts["deleted"]

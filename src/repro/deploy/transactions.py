@@ -3,11 +3,16 @@
 The paper's deployment story (Section 5) assumes targets that accept a
 load atomically or reject it cleanly; our stores mutate record by
 record, so without help a mid-load failure strands a half-written
-instance.  This module provides the shared primitive that fixes that: an
+instance.  This module provides the one primitive all three stores
+(:class:`~repro.deploy.graph_store.GraphStore`,
+:class:`~repro.deploy.triple_store.TripleStore`,
+:class:`~repro.deploy.relational_engine.RelationalEngine`) use: an
 :class:`UndoLog` of closures.  Each store records, for every successful
-mutation, a callable that undoes it — but only while at least one
-savepoint is open, so steady-state writes outside a transaction cost a
-single attribute check.
+mutation — insert, bulk write, delete or update — a callable that undoes
+it, but only while at least one savepoint is open, so steady-state
+writes outside a transaction cost a single attribute check.  An undo
+closure must not record anything itself: it writes through the store's
+private helpers, never its journaled mutators.
 
 Savepoints nest: an inner rollback leaves the outer savepoint intact,
 and the log is truncated only when the outermost savepoint is released.
@@ -15,19 +20,6 @@ and the log is truncated only when the outermost savepoint is released.
 any exception, always release) as a context manager usable with any
 object exposing the three-method savepoint protocol
 (``savepoint`` / ``rollback_to`` / ``release``).
-
-The undo log suits stores whose mutations have side effects beyond
-simple insertion (RDFS entailment in the triple store, index/foreign-key
-bookkeeping in the relational engine).  The graph store instead
-implements the same three-method protocol with size watermarks over its
-insertion-ordered state (:class:`~repro.deploy.graph_store.StructuralSavepoint`)
-— O(1) savepoints with zero per-mutation cost on the load fast path.
-Structural savepoints assume insert-only mutation between mark and
-rollback; the underlying graph enforces the assumption with a mutation
-epoch and raises :class:`~repro.errors.DeploymentError` on a stale mark,
-so an interleaved deletion surfaces as a clean transaction failure
-instead of silent store corruption.  Stores that legitimately delete
-inside transactions must use the :class:`UndoLog` protocol instead.
 """
 
 from __future__ import annotations
@@ -122,13 +114,17 @@ def transaction(store) -> Iterator[Savepoint]:
 
     On a clean exit the savepoint is released (mutations kept); on any
     exception every mutation made inside the block is rolled back before
-    the exception propagates.
+    the exception propagates, and ``deploy.rollbacks`` is counted on the
+    store's ``tracer`` when it has one.
     """
     savepoint = store.savepoint()
     try:
         yield savepoint
     except BaseException:
         store.rollback_to(savepoint)
+        tracer = getattr(store, "tracer", None)
+        if tracer is not None:
+            tracer.count("deploy.rollbacks", 1)
         raise
     finally:
         store.release(savepoint)

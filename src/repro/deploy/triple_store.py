@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.deploy.transactions import SavepointMixin, UndoLog
+from repro.deploy.transactions import SavepointMixin, UndoLog, transaction
 from repro.errors import DeploymentError, IntegrityError
 from repro.models.rdf import RDFSchema
 from repro.obs.tracer import Tracer
@@ -158,8 +158,8 @@ class TripleStore(SavepointMixin):
         them behind would make a stream-maintained store drift from a
         full reload.  Assertions
         and retractions are both undo-logged, so the whole delta applies
-        under one savepoint: any integrity violation rolls everything
-        back.  ``schema`` (a super-schema) filters node properties to
+        under one savepoint: any exception rolls everything back.
+        ``schema`` (a super-schema) filters node properties to
         the declared attributes, mirroring the full loader; edge
         properties are dropped as in the full loader (no reification).
         """
@@ -187,8 +187,7 @@ class TripleStore(SavepointMixin):
             return triples
 
         report = DeltaFlushReport()
-        savepoint = self.savepoint()
-        try:
+        with transaction(self):
             for node_id, label, properties in delta.removed_nodes:
                 hits = sum(
                     self.retract(s, p, o)
@@ -218,13 +217,6 @@ class TripleStore(SavepointMixin):
             for _eid, source, target, label, _props in delta.added_edges:
                 self.add(source, label, target)
                 report.edges_added += 1
-        except (IntegrityError, DeploymentError):
-            self.rollback_to(savepoint)
-            if self.tracer is not None:
-                self.tracer.count("deploy.rollbacks", 1)
-            raise
-        finally:
-            self.release(savepoint)
         if self.tracer is not None:
             self.tracer.count("incr.flushed_delta", report.applied)
         return report

@@ -49,7 +49,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import DeploymentError, GraphError
+from repro.errors import GraphError
 from repro.graph.property_graph import ABSENT, first_repeat
 from repro.vadalog.columnar import Codes, ValueInterner, merge_sorted
 
@@ -111,13 +111,6 @@ class _Table:
         for column in self.cols:
             column.append(_ABSENT_CODE)
         return row
-
-    def pop_row(self, element: int) -> None:
-        """Drop the last row (rollback path; rows append in id order)."""
-        assert self.rows and self.rows[-1] == element
-        self.rows.pop()
-        for column in self.cols:
-            column.pop()
 
     def copy(self) -> "_Table":
         clone = _Table()
@@ -532,7 +525,6 @@ class ColumnarPropertyGraph:
         self._in_next = array(_IDX)
         self._in_prev = array(_IDX)
         self._auto_id = 1
-        self._mutation_epoch = 0
 
     # ------------------------------------------------------------------
     # Value and label encoding
@@ -696,71 +688,6 @@ class ColumnarPropertyGraph:
         return candidates
 
     # ------------------------------------------------------------------
-    # Insertion marks (structural savepoints)
-    # ------------------------------------------------------------------
-    def insertion_mark(self) -> Tuple[int, int, int]:
-        """Capture an allocation watermark; same contract as the oracle.
-
-        The mark is only valid while every mutation since it is an
-        insertion; the embedded epoch makes that checked, not trusted
-        (deletions bump :attr:`_mutation_epoch`).  Rollback truncates
-        the append-only arrays back to the watermark, so it is O(undone)
-        like the oracle's popitem loop.
-        """
-        return (len(self._node_oids), len(self._edge_oids),
-                self._mutation_epoch)
-
-    def rollback_to_mark(self, mark: Tuple[int, int, int]) -> int:
-        node_mark, edge_mark, epoch = mark
-        if epoch != self._mutation_epoch:
-            raise DeploymentError(
-                f"stale insertion mark for graph {self.name!r}: "
-                f"{self._mutation_epoch - epoch} deletion(s) interleaved "
-                f"since the mark was taken; a structural rollback would "
-                f"remove the wrong elements (use an undo-log transaction "
-                f"when deletions can occur)"
-            )
-        undone = 0
-        while len(self._edge_oids) > edge_mark:
-            eid = len(self._edge_oids) - 1
-            self._unlink_edge(eid)
-            label_code = self._edge_label[eid]
-            self._edge_tables[label_code].pop_row(eid)
-            self._edge_label_count[label_code] -= 1
-            del self._edge_index[self._edge_oids[eid]]
-            self._edge_oids.pop()
-            self._edge_codes.pop()
-            self._edge_label.pop()
-            self._edge_live.pop()
-            self._edge_row.pop()
-            self._edge_src.pop()
-            self._edge_dst.pop()
-            self._out_next.pop()
-            self._out_prev.pop()
-            self._in_next.pop()
-            self._in_prev.pop()
-            undone += 1
-        while len(self._node_oids) > node_mark:
-            nid = len(self._node_oids) - 1
-            label_code = self._node_label[nid]
-            self._node_tables[label_code].pop_row(nid)
-            self._node_label_count[label_code] -= 1
-            del self._node_index[self._node_oids[nid]]
-            self._node_oids.pop()
-            self._node_codes.pop()
-            self._node_label.pop()
-            self._node_live.pop()
-            self._node_row.pop()
-            self._out_head.pop()
-            self._out_tail.pop()
-            self._out_deg.pop()
-            self._in_head.pop()
-            self._in_tail.pop()
-            self._in_deg.pop()
-            undone += 1
-        return undone
-
-    # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def set_node_property(self, node_id: Any, name: str, value: Any) -> None:
@@ -800,7 +727,6 @@ class ColumnarPropertyGraph:
         eid = self._edge_index.pop(edge_id, None)
         if eid is None:
             raise GraphError(f"unknown edge {edge_id!r} in {self.name!r}")
-        self._mutation_epoch += 1
         self._unlink_edge(eid)
         self._edge_live[eid] = 0
         self._edge_dead += 1
@@ -823,7 +749,6 @@ class ColumnarPropertyGraph:
         for eid in incident:
             if self._edge_live[eid]:
                 self.remove_edge(edge_oids[eid])
-        self._mutation_epoch += 1
         del self._node_index[node_id]
         self._node_live[nid] = 0
         self._node_dead += 1
@@ -1607,7 +1532,6 @@ class ColumnarPropertyGraph:
         clone._in_next = array(_IDX, self._in_next)
         clone._in_prev = array(_IDX, self._in_prev)
         clone._auto_id = self._auto_id
-        clone._mutation_epoch = self._mutation_epoch
         return clone
 
     def to_networkx(self):

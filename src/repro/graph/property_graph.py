@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.errors import DeploymentError, GraphError
+from repro.errors import GraphError
 
 #: Sentinel distinguishing "property absent on the element" from a stored
 #: ``None`` value in the bulk table accessors (``nodes_table``/``edges_table``).
@@ -127,10 +127,6 @@ class PropertyGraph:
         self._nodes_by_label: Dict[str, Dict[Any, None]] = {}
         self._edges_by_label: Dict[str, Dict[Any, None]] = {}
         self._auto_id = 1
-        # Bumped by every deletion; insertion marks embed the epoch at
-        # capture time so a popitem rollback can detect that the
-        # "tail == post-mark additions" assumption has been broken.
-        self._mutation_epoch = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -200,63 +196,6 @@ class PropertyGraph:
         return [self._fresh_id("e") for _ in range(count)]
 
     # ------------------------------------------------------------------
-    # Insertion marks (structural savepoints)
-    # ------------------------------------------------------------------
-    def insertion_mark(self) -> Tuple[int, int, int]:
-        """Capture the ``(node_count, edge_count, mutation_epoch)`` watermark.
-
-        Valid for :meth:`rollback_to_mark` only while every mutation since
-        the mark is an *insertion* (``add_node`` / ``add_edge``): node and
-        edge dicts are insertion-ordered, so the tail past the watermark
-        is exactly the post-mark additions.  The deploy stores satisfy
-        this (they never remove during a load), which makes a savepoint
-        O(1) instead of one undo closure per mutation.
-
-        The embedded mutation epoch makes the assumption *checked* rather
-        than trusted: ``remove_node`` / ``remove_edge`` bump the graph's
-        epoch, so a mark taken before an interleaved deletion no longer
-        matches and :meth:`rollback_to_mark` refuses it instead of
-        silently popping unrelated elements.
-        """
-        return (len(self._nodes), len(self._edges), self._mutation_epoch)
-
-    def rollback_to_mark(self, mark: Tuple[int, int, int]) -> int:
-        """Remove everything inserted after :meth:`insertion_mark`.
-
-        Edges are popped before nodes so incidence stays total; returns
-        the number of elements removed.  Raises
-        :class:`~repro.errors.DeploymentError` when the mark is *stale* —
-        a deletion happened after it was taken, so the insertion-ordered
-        tail no longer corresponds to the post-mark additions and a
-        popitem rollback would corrupt the store.
-        """
-        node_mark, edge_mark, epoch = mark
-        if epoch != self._mutation_epoch:
-            raise DeploymentError(
-                f"stale insertion mark for graph {self.name!r}: "
-                f"{self._mutation_epoch - epoch} deletion(s) interleaved "
-                f"since the mark was taken; a structural rollback would "
-                f"remove the wrong elements (use an undo-log transaction "
-                f"when deletions can occur)"
-            )
-        undone = 0
-        while len(self._edges) > edge_mark:
-            edge_id, edge = self._edges.popitem()
-            self._out[edge.source].remove(edge_id)
-            self._in[edge.target].remove(edge_id)
-            if edge.label is not None:
-                self._edges_by_label[edge.label].pop(edge_id, None)
-            undone += 1
-        while len(self._nodes) > node_mark:
-            node_id, node = self._nodes.popitem()
-            del self._out[node_id]
-            del self._in[node_id]
-            if node.label is not None:
-                self._nodes_by_label[node.label].pop(node_id, None)
-            undone += 1
-        return undone
-
-    # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def set_node_property(self, node_id: Any, name: str, value: Any) -> None:
@@ -272,7 +211,6 @@ class PropertyGraph:
         edge = self._edges.pop(edge_id, None)
         if edge is None:
             raise GraphError(f"unknown edge {edge_id!r} in {self.name!r}")
-        self._mutation_epoch += 1
         self._out[edge.source].remove(edge_id)
         self._in[edge.target].remove(edge_id)
         if edge.label is not None:
@@ -285,7 +223,6 @@ class PropertyGraph:
         for edge_id in list(self._out[node_id]) + list(self._in[node_id]):
             if edge_id in self._edges:
                 self.remove_edge(edge_id)
-        self._mutation_epoch += 1
         node = self._nodes.pop(node_id)
         del self._out[node_id]
         del self._in[node_id]
@@ -674,7 +611,6 @@ class PropertyGraph:
             label: dict(ids) for label, ids in self._edges_by_label.items()
         }
         clone._auto_id = self._auto_id
-        clone._mutation_epoch = self._mutation_epoch
         return clone
 
     def to_networkx(self):

@@ -311,6 +311,7 @@ def reason_over_relational(
     result = reasoner.run(compiled.program, database=database)
 
     from repro.deploy.resilience import no_retry
+    from repro.deploy.transactions import transaction
     from repro.errors import IntegrityError
 
     policy = policy if policy is not None else no_retry()
@@ -336,9 +337,8 @@ def reason_over_relational(
             kept: List[Dict[str, Any]] = []
             for start in range(0, len(fresh_rows), batch_size):
                 batch = fresh_rows[start : start + batch_size]
-                savepoint = engine_db.savepoint()
                 batch_kept: List[Dict[str, Any]] = []
-                try:
+                with transaction(engine_db):
                     for row in batch:
                         values = {k: v for k, v in row.items() if v is not None}
                         try:
@@ -355,13 +355,6 @@ def reason_over_relational(
                                 tracer.count("deploy.quarantined", 1)
                             continue
                         batch_kept.append(row)
-                except BaseException:
-                    engine_db.rollback_to(savepoint)
-                    if tracer is not None:
-                        tracer.count("deploy.rollbacks", 1)
-                    raise
-                finally:
-                    engine_db.release(savepoint)
                 kept.extend(batch_kept)
             fresh_rows = kept
         derived[table_name] = fresh_rows

@@ -39,11 +39,10 @@ from repro.stream.log import DeltaLog, LogRecord, StreamCheckpoint
 from repro.stream.pipeline import DeltaStream, StreamReport
 from repro.stream.sinks import (
     ApplyResult,
-    GraphStoreTarget,
+    FlushDeltaTarget,
     MaterializerSink,
     RelationalEngineTarget,
     ServeStateSink,
-    TripleStoreTarget,
 )
 
 __all__ = [
@@ -55,8 +54,8 @@ __all__ = [
     "DeltaStream",
     "FeedFaultInjector",
     "FeedRecord",
+    "FlushDeltaTarget",
     "GeneratorFeed",
-    "GraphStoreTarget",
     "JsonlFeed",
     "LogRecord",
     "MaterializerSink",
@@ -66,5 +65,4 @@ __all__ = [
     "ServeStateSink",
     "StreamCheckpoint",
     "StreamReport",
-    "TripleStoreTarget",
 ]

@@ -43,10 +43,11 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.deploy.loaders import load_graph_store, load_triple_store
 from repro.deploy.resilience import QuarantineReport, RetryPolicy, no_retry
+from repro.deploy.transactions import transaction
 from repro.errors import SchemaError, StreamError
 from repro.graph.property_graph import PropertyGraph
 from repro.obs.tracer import NullTracer, Tracer
@@ -67,8 +68,7 @@ __all__ = [
     "ApplyResult",
     "MaterializerSink",
     "ServeStateSink",
-    "GraphStoreTarget",
-    "TripleStoreTarget",
+    "FlushDeltaTarget",
     "RelationalEngineTarget",
 ]
 
@@ -91,38 +91,19 @@ class ApplyResult:
 # ----------------------------------------------------------------------
 # Deployment targets for the registry sink
 # ----------------------------------------------------------------------
-class GraphStoreTarget:
-    """A deployed property-graph store kept current per batch."""
+class FlushDeltaTarget:
+    """A deployed store kept current per batch by its own
+    ``apply_flush_delta`` (the graph store and the triple store), fully
+    loaded by ``loader`` (:func:`~repro.deploy.loaders.load_graph_store`
+    or :func:`~repro.deploy.loaders.load_triple_store`)."""
 
-    def __init__(self, store: Any, schema: Any):
+    def __init__(self, store: Any, schema: Any, loader: Callable[..., Any]):
         self.store = store
         self.schema = schema
-
-    @property
-    def name(self) -> str:
-        return getattr(self.store, "name", "graph-store")
+        self.loader = loader
 
     def load_full(self, enriched: PropertyGraph) -> None:
-        load_graph_store(self.schema, enriched, self.store)
-
-    def apply(self, update: Any) -> None:
-        if update.flush_delta is not None and update.flush_delta.changed():
-            self.store.apply_flush_delta(update.flush_delta, schema=self.schema)
-
-
-class TripleStoreTarget:
-    """A deployed RDF triple store kept current per batch."""
-
-    def __init__(self, store: Any, schema: Any):
-        self.store = store
-        self.schema = schema
-
-    @property
-    def name(self) -> str:
-        return getattr(self.store, "name", "triple-store")
-
-    def load_full(self, enriched: PropertyGraph) -> None:
-        load_triple_store(self.schema, enriched, self.store)
+        self.loader(self.schema, enriched, self.store)
 
     def apply(self, update: Any) -> None:
         if update.flush_delta is not None and update.flush_delta.changed():
@@ -159,10 +140,6 @@ class RelationalEngineTarget:
         self._image: Dict[str, Counter] = {}
         #: (table, key) -> full row dict (every column, None default).
         self._row_of: Dict[Tuple[str, Tuple[Any, ...]], Dict[str, Any]] = {}
-
-    @property
-    def name(self) -> str:
-        return getattr(self.engine, "name", "rdbms")
 
     # -- row canonicalization ------------------------------------------
     def _columns(self, table: str) -> List[str]:
@@ -299,15 +276,8 @@ class RelationalEngineTarget:
                 dict(row_source[(table, key)]) for _ in range(count)
             )
 
-        savepoint = self.engine.savepoint()
-        try:
-            with self.engine.deferred():
-                self.engine.apply_flush_delta(added=added, removed=removed)
-        except Exception:
-            self.engine.rollback_to(savepoint)
-            raise
-        finally:
-            self.engine.release(savepoint)
+        with transaction(self.engine), self.engine.deferred():
+            self.engine.apply_flush_delta(added=added, removed=removed)
         self._image, self._row_of = new_image, new_row_of
 
 
@@ -355,13 +325,13 @@ class MaterializerSink:
         self.batches_applied = 0
 
     # -- targets -------------------------------------------------------
-    def attach_graph_store(self, store: Any) -> GraphStoreTarget:
-        target = GraphStoreTarget(store, self.schema)
+    def attach_graph_store(self, store: Any) -> FlushDeltaTarget:
+        target = FlushDeltaTarget(store, self.schema, load_graph_store)
         self.targets.append(target)
         return target
 
-    def attach_triple_store(self, store: Any) -> TripleStoreTarget:
-        target = TripleStoreTarget(store, self.schema)
+    def attach_triple_store(self, store: Any) -> FlushDeltaTarget:
+        target = FlushDeltaTarget(store, self.schema, load_triple_store)
         self.targets.append(target)
         return target
 
