@@ -1,4 +1,4 @@
-"""Regression tests for the aggregate-semantics and savepoint bug fixes.
+"""Regression tests for the aggregate-semantics bug fixes.
 
 Each test here encodes a behavior that was wrong (or crashed) before the
 fix it names; together they pin the corrected semantics:
@@ -13,9 +13,7 @@ fix it names; together they pin the corrected semantics:
   contribution, not a rebuild of every group per round — and its
   facts and retained buckets equal the naive references';
 - aggregate contributor lists must name variables, in both surface
-  syntaxes;
-- structural savepoint rollback detects interleaved deletions via the
-  graph's mutation epoch instead of silently removing wrong elements.
+  syntaxes.
 """
 
 import random
@@ -23,12 +21,10 @@ import random
 import pytest
 
 from repro.errors import (
-    DeploymentError,
     EvaluationError,
     ParseError,
     VadalogError,
 )
-from repro.graph.property_graph import PropertyGraph
 from repro.metalog.parser import parse_metalog_rule
 from repro.vadalog import Engine, parse_program
 from repro.vadalog.aggregates import (
@@ -288,59 +284,3 @@ class TestContributorValidation:
             " -> exists c : (x)[c: CONTROLS](y)."
         )
         assert rule is not None
-
-
-class TestStaleSavepointMark:
-    def _graph(self):
-        graph = PropertyGraph("g")
-        graph.add_node(1, "N")
-        graph.add_node(2, "N")
-        graph.add_edge(1, 2, "R")
-        return graph
-
-    def test_rollback_after_deletion_raises(self):
-        graph = self._graph()
-        mark = graph.insertion_mark()
-        graph.add_node(3, "N")
-        edge = graph.add_edge(2, 3, "R")
-        graph.remove_edge(edge.id)
-        # Before the fix this popped whichever edge happened to be last
-        # in insertion order — corrupting the pre-savepoint graph.
-        with pytest.raises(DeploymentError, match="stale insertion mark"):
-            graph.rollback_to_mark(mark)
-
-    def test_rollback_after_node_removal_raises(self):
-        graph = self._graph()
-        mark = graph.insertion_mark()
-        graph.add_node(3, "N")
-        graph.remove_node(3)
-        with pytest.raises(DeploymentError, match="stale insertion mark"):
-            graph.rollback_to_mark(mark)
-
-    def test_insert_only_rollback_still_works(self):
-        graph = self._graph()
-        mark = graph.insertion_mark()
-        graph.add_node(3, "N")
-        graph.add_edge(1, 3, "R")
-        graph.rollback_to_mark(mark)
-        assert graph.node_count == 2 and graph.edge_count == 1
-
-    def test_nested_savepoints_stay_valid_after_inner_rollback(self):
-        graph = self._graph()
-        outer = graph.insertion_mark()
-        graph.add_node(3, "N")
-        inner = graph.insertion_mark()
-        graph.add_node(4, "N")
-        graph.rollback_to_mark(inner)  # rollback itself must not bump epoch
-        graph.rollback_to_mark(outer)
-        assert graph.node_count == 2
-
-    def test_copy_carries_epoch(self):
-        graph = self._graph()
-        edge = next(iter(graph.edges()))
-        graph.remove_edge(edge.id)
-        clone = graph.copy()
-        mark = clone.insertion_mark()
-        clone.add_node(99, "N")
-        clone.rollback_to_mark(mark)
-        assert clone.node_count == graph.node_count

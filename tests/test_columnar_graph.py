@@ -20,10 +20,11 @@ from repro.deploy import (
     GraphStore,
     RelationalEngine,
     TripleStore,
+    graph_store_state,
     load_graph_store,
     load_triple_store,
 )
-from repro.errors import DeploymentError, GraphError
+from repro.errors import GraphError
 from repro.finkg import ShareholdingConfig, generate_company_kg, programs
 from repro.finkg.company_schema import company_super_schema
 from repro.graph import ColumnarPropertyGraph, PropertyGraph, make_graph
@@ -215,31 +216,26 @@ class TestApiParity:
         assert oracle_errors == columnar_errors
 
     def test_rollback_parity(self):
-        def script(graph):
-            build_mixed(graph)
-            mark = graph.insertion_mark()
-            graph.add_node("t1", "Tmp")
-            graph.add_node("t2", "Tmp")
-            graph.add_edge("t1", "t2", "TMP", edge_id="te")
-            graph.set_node_property("a", "age", 99)
-            return graph.rollback_to_mark(mark)
-
-        _, _, (oracle_undone, columnar_undone) = run_pair(script)
-        assert oracle_undone == columnar_undone == 3
-
-    def test_rollback_refuses_interleaved_deletions(self):
-        def script(graph):
-            build_mixed(graph)
-            mark = graph.insertion_mark()
-            graph.add_node("t1", "Tmp")
-            graph.remove_edge("e3")
-            with pytest.raises(DeploymentError) as excinfo:
-                graph.rollback_to_mark(mark)
-            return str(excinfo.value)
-
-        oracle = PropertyGraph("g")
-        columnar = ColumnarPropertyGraph("g")
-        assert script(oracle) == script(columnar)
+        """A store rollback undoes inserts, deletes and updates through
+        the graph's public API: both backends end as they began, and
+        observably identical."""
+        snapshots = []
+        for columnar in (False, True):
+            store = GraphStore(columnar=columnar)
+            build_mixed(store.graph)
+            before = graph_store_state(store)
+            savepoint = store.savepoint()
+            store.create_node("t1", ["Tmp"])
+            store.create_node("t2", ["Tmp"], w=1)
+            store.create_relationship("t1", "t2", "TMP")
+            store.delete_relationship("a", "b", "KNOWS")
+            store.delete_node("c")  # unhashable values, three edges
+            store.update_node_properties("a", {"name": "Eve"})
+            assert store.rollback_to(savepoint) == 6
+            store.release(savepoint)
+            assert graph_store_state(store) == before
+            snapshots.append(snapshot(store.graph))
+        assert snapshots[0] == snapshots[1]
 
     def test_copy_independence(self):
         def script(graph):
@@ -692,20 +688,36 @@ class TestBulkKernels:
         }
 
     def test_rollback_after_a_bulk_add(self):
+        """A store savepoint rolls a 300-edge and a 100-node bulk write
+        back (one undo entry each); the same node ids then load again,
+        and both backends end observably identical."""
         rows = self.rows(300, 7)
-        ids, sources, targets, _labels, _weights = map(list, zip(*rows))
-
-        def script(graph):
-            graph.add_nodes_bulk("N", self.NODES)
-            mark = graph.insertion_mark()
-            graph.add_edges_bulk("E", ids, sources, targets, ("w",),
-                                 [list(range(300))])
-            graph.add_nodes_bulk("M", [f"m{i}" for i in range(100)])
-            assert graph.rollback_to_mark(mark) == 400
-            graph.add_edges_bulk("E", ids[:70], sources[:70], targets[:70])
-            graph.add_edge("n3", "n4", "E", edge_id="late")
-
-        run_pair(script)
+        _ids, sources, targets, _labels, _weights = map(list, zip(*rows))
+        extra = [f"m{i}" for i in range(100)]
+        snapshots, states = [], []
+        for columnar in (False, True):
+            store = GraphStore(columnar=columnar)
+            store.create_nodes(["N"], self.NODES)
+            before = graph_store_state(store)
+            savepoint = store.savepoint()
+            store.create_relationships("E", sources, targets, ("w",),
+                                       [list(range(300))])
+            store.create_nodes(["M"], extra)
+            assert store.rollback_to(savepoint) == 2
+            store.release(savepoint)
+            assert graph_store_state(store) == before
+            store.create_nodes(["M"], extra)
+            store.create_relationships("E", sources[:70], targets[:70])
+            store.create_relationship("n3", "n4", "E")
+            snapshots.append(snapshot(store.graph))
+            states.append(graph_store_state(store))
+        assert snapshots[0] == snapshots[1]
+        fresh = GraphStore()
+        fresh.create_nodes(["N"], self.NODES)
+        fresh.create_nodes(["M"], extra)
+        fresh.create_relationships("E", sources[:70], targets[:70])
+        fresh.create_relationship("n3", "n4", "E")
+        assert states == [graph_store_state(fresh)] * 2
 
     def test_deletes_then_bulk_readds_over_tombstoned_slots(self):
         ids = [f"n{i}" for i in range(3000)]
