@@ -50,7 +50,10 @@ from repro.finkg.generator import ShareholdingConfig, generate_company_kg
 from repro.graph.property_graph import PropertyGraph
 from repro.metalog import parse_metalog
 from repro.obs import ResourceGovernor
-from repro.ssst import SSST, IntensionalMaterializer, MaterializationCheckpoint
+import repro.ssst.materializer as materializer_module
+from repro.ssst import (
+    SSST, IntensionalMaterializer, MaterializationCheckpoint, run_fingerprint,
+)
 from repro.stream import (
     DeltaStream,
     FeedFaultInjector,
@@ -244,12 +247,33 @@ def main() -> int:
         company_super_schema(), chain, sigma, instance_oid=9
     )
     directory = tempfile.mkdtemp(prefix="chaos_ckpt_")
+    # A budget trip in Sigma's chase saves nothing; a crash in the flush
+    # comes after the reason phase is saved, so the next run resumes.
     interrupted = IntensionalMaterializer(
         engine=Engine(governor=ResourceGovernor(max_facts=800, graceful=True))
     ).materialize(
         company_super_schema(), chain, sigma, instance_oid=9,
         checkpoint=MaterializationCheckpoint(directory),
     )
+    saved = MaterializationCheckpoint(directory)
+    saved.begin(run_fingerprint(company_super_schema(), chain, sigma, 9))
+    nothing_saved = not saved.completed_phases()
+    real_write = materializer_module.write_instance
+
+    def crash(*_args, **_kwargs):
+        raise RuntimeError("killed in the flush")
+
+    materializer_module.write_instance = crash
+    try:
+        IntensionalMaterializer().materialize(
+            company_super_schema(), chain, sigma, instance_oid=9,
+            checkpoint=MaterializationCheckpoint(directory),
+        )
+        crashed = False
+    except RuntimeError:
+        crashed = True
+    finally:
+        materializer_module.write_instance = real_write
     resumed = IntensionalMaterializer().materialize(
         company_super_schema(), chain, sigma, instance_oid=9,
         checkpoint=MaterializationCheckpoint(directory),
@@ -265,8 +289,8 @@ def main() -> int:
 
     check(
         "interrupted materialization resumes to the unbudgeted result",
-        interrupted.truncated
-        and resumed.resumed_from == "load"
+        interrupted.truncated and nothing_saved and crashed
+        and resumed.resumed_from == "reason"
         and not resumed.truncated
         and canon(resumed) == canon(baseline)
         and resumed.derived_counts == baseline.derived_counts,

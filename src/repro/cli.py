@@ -157,8 +157,8 @@ def cmd_reason(args) -> int:
     print("derived:", report.derived_counts, file=sys.stderr)
     if report.flush_dropped_edges:
         print(
-            f"warning: {report.flush_dropped_edges} I_SM_* link fact(s) "
-            "dropped at flush (source or target is no instance construct)",
+            f"warning: {report.flush_dropped_edges} derived edge end(s) "
+            "are no node of the instance: their edges were dropped",
             file=sys.stderr,
         )
     print(
@@ -271,9 +271,8 @@ def cmd_update(args) -> int:
         print("store delta:", outcome.flush_delta.summary(), file=sys.stderr)
     if outcome.flush_dropped_edges:
         print(
-            f"warning: {outcome.flush_dropped_edges} I_SM_* link fact(s) of "
-            "the updated constructs dropped (source or target is no "
-            "instance construct)",
+            f"warning: {outcome.flush_dropped_edges} derived edge end(s) "
+            "of the updated elements are no node: their edges were dropped",
             file=sys.stderr,
         )
     if args.output:

@@ -15,11 +15,12 @@ The ``I_SM_*`` encoding is a set of relations in the fact layout of
 ``label(oid, src, tgt, instanceOID)``).  This module is its codec:
 :func:`encode_instance` turns plain typed elements into columns of those
 relations and hands them to a sink, :func:`decode_instance` reads the
-columns back from a source into a plain typed property graph.
-Algorithm 2 uses the staging database of the chase as sink and source
-(the relations *are* the instance level of the dictionary);
+columns back from a source into a plain typed property graph;
 :class:`SuperInstance` renders the same columns into, and reads them
-from, a dictionary graph — the Figure 9 picture.
+from, a dictionary graph — the Figure 9 picture.  Algorithm 2's
+production path skips the encoding (its column maps read the label
+tables), but writes the instance with the decoder's own writer,
+:func:`write_elements`; the codec is the reference it is held to.
 """
 
 from __future__ import annotations
@@ -28,11 +29,8 @@ from itertools import compress, groupby, repeat
 from typing import (
     Any,
     Callable,
-    Collection,
     Dict,
-    Iterable,
     List,
-    Mapping,
     NamedTuple,
     Optional,
     Tuple,
@@ -50,7 +48,6 @@ from repro.errors import SchemaError
 from repro.graph.columnar_graph import _BULK_ROWS, ColumnarPropertyGraph
 from repro.graph.property_graph import ABSENT, PropertyGraph
 from repro.vadalog.columnar import Codes, ValueInterner
-from repro.vadalog.terms import fact_sort_key
 
 Fact = Tuple[Any, ...]
 Columns = List[List[Any]]
@@ -150,40 +147,9 @@ def encode_instance(
                    by_name, columns)
 
 
-def encode_records(
-    schema: SuperSchema,
-    instance_oid: Any,
-    nodes: Iterable[Tuple[Any, Optional[str], Dict[str, Any]]],
-    edges: Iterable[Tuple[Any, Any, Any, Optional[str], Dict[str, Any]]],
-) -> Dict[str, List[Fact]]:
-    """The ``I_SM_*`` facts of ``(id, type, properties)`` node records
-    and ``(id, source, target, type, properties)`` edge records — what
-    :func:`encode_instance` yields for them as part of any graph, since
-    an element's encoding depends on nothing but the element."""
-    scratch = PropertyGraph("records")
-    for node_id, type_name, properties in nodes:
-        scratch.add_node(node_id, type_name, **properties)
-    for edge_id, source, target, type_name, properties in edges:
-        for endpoint in (source, target):
-            if not scratch.has_node(endpoint):
-                scratch.add_node(endpoint)  # unlabeled: a stub, not encoded
-        scratch.add_edge(source, target, type_name, edge_id=edge_id, **properties)
-    facts: Dict[str, List[Fact]] = {}
-    encode_instance(
-        schema, instance_oid, scratch,
-        lambda label, columns: facts.setdefault(label, []).extend(zip(*columns)),
-    )
-    return facts
-
-
 # ---------------------------------------------------------------------------
 # Decoder: I_SM_* columns -> plain typed graph (Algorithm 2, line 9)
 # ---------------------------------------------------------------------------
-
-#: Which facts of a relation were loaded (encoded from the source data)
-#: rather than derived: the first ``n`` rows, or the facts in a set.
-LoadedMark = Union[int, Collection[Fact]]
-
 
 class CodedSource(NamedTuple):
     """``I_SM_*`` relations as code columns: ``columns(label)`` returns a
@@ -194,15 +160,12 @@ class CodedSource(NamedTuple):
     columns: Callable[[str], Optional[List[Any]]]
 
 
-def coded(
-    source: Union[ColumnSource, CodedSource],
-    interner: Optional[ValueInterner] = None,
-) -> CodedSource:
+def coded(source: Union[ColumnSource, CodedSource]) -> CodedSource:
     """``source`` as code columns: a value source is encoded, in one
-    column pass, into ``interner`` or a fresh one."""
+    column pass, into a fresh interner."""
     if isinstance(source, CodedSource):
         return source
-    interner = interner if interner is not None else ValueInterner()
+    interner = ValueInterner()
     found = {label: source(label) for label in INSTANCE_LABELS}
     found = {label: columns for label, columns in found.items() if columns}
     cells = [cell for columns in found.values() for column in columns for cell in column]
@@ -216,7 +179,7 @@ def coded(
 
 def schema_constructs(schema: SuperSchema) -> Tuple[Dict[Any, str], ...]:
     """Node type, edge type and attribute name by construct OID: what an
-    ``SM_REFERENCES`` link can point at (the decoder's ``constructs``)."""
+    ``SM_REFERENCES`` link can point at."""
     constructs = (*schema.nodes, *schema.edges)
     return (
         {n.oid: n.type_name for n in schema.nodes},
@@ -225,20 +188,7 @@ def schema_constructs(schema: SuperSchema) -> Tuple[Dict[Any, str], ...]:
     )
 
 
-def _eq_codes(interner: ValueInterner, oids: List[Any]) -> set:
-    """The eq codes of those of ``oids`` whose ``==`` class is interned."""
-    if not {0, 1}.isdisjoint(oids):  # 0 or 1 may be interned by another type
-        return {code for code in map(interner.probe_eq, oids) if code is not None}
-    codes = interner.probe_column(oids)
-    return set(interner.eq_array()[codes[codes >= 0]].tolist())
-
-
-def _rows(values: List[Any], columns: List[Any]) -> List[Fact]:
-    """The value tuples of code columns."""
-    return list(zip(*[map(values.__getitem__, c.tolist()) for c in columns]))
-
-
-def _map(keys: Any, values: Any, last: bool = False) -> Callable[[Any], Any]:
+def code_map(keys: Any, values: Any, last: bool = False) -> Callable[[Any], Any]:
     """``dict(zip(keys, values)).get`` for numpy ints — the first value of
     a repeated key wins, or the last — as a function from a numpy array
     of keys to their values, -1 where absent: a dict for a few keys,
@@ -264,109 +214,6 @@ def _map(keys: Any, values: Any, last: bool = False) -> Callable[[Any], Any]:
     return get
 
 
-def _settle(
-    source: CodedSource,
-    loaded: Mapping[str, LoadedMark],
-    schema: SuperSchema,
-    constructs: Optional[Tuple[Dict[Any, str], ...]],
-) -> Tuple[Dict[str, List[Any]], int, int]:
-    """:func:`instance_facts` on code columns: OIDs compare by eq code
-    (Python ``==``, so ``True`` is ``1``), values are decoded only to
-    tell loaded facts by a set mark and to order contested rows."""
-    interner = source.interner
-    values = interner.values
-    eq = interner.eq_array()
-    held: Dict[str, List[Any]] = {}
-    added = dropped = 0
-    present = _eq_codes(
-        interner, list(set().union(*(constructs or schema_constructs(schema))))
-    )
-    for label in INSTANCE_LABELS:
-        columns = source.columns(label)
-        if columns is None:
-            continue
-        size = len(columns[0])
-        mark = loaded.get(label, 0)
-        if isinstance(mark, int):
-            n_loaded, is_loaded = mark, None
-        else:
-            # A set marks facts the source need not hold all of, so it
-            # is counted over the rows that are there.
-            is_loaded = list(map(mark.__contains__, _rows(values, columns)))
-            n_loaded = sum(is_loaded)
-        keys = eq[columns[0]].tolist()
-        is_link = label in INSTANCE_EDGE_PROPERTIES
-        contested = size > n_loaded and (
-            len(set(keys)) != size
-            or (is_link and len(set(eq[columns[1]].tolist())) != size)
-        )
-        ends = [eq[column].tolist() for column in columns[1:3]] if is_link else []
-        dangling = is_link and not (
-            present.issuperset(ends[0]) and present.issuperset(ends[1])
-        )
-        if contested or dangling:
-            # The loaded rows first, as stored, then the derived ones in
-            # fact_sort_key order — the same in every process, whatever
-            # order the chase derived in; per OID the first row wins.
-            order: Iterable[int] = range(size)
-            if contested:
-                if is_loaded is None:
-                    is_loaded = [True] * n_loaded + [False] * (size - n_loaded)
-                rows = _rows(values, columns)
-                order = [i for i in order if is_loaded[i]] + sorted(
-                    (i for i in order if not is_loaded[i]),
-                    key=lambda i: fact_sort_key(rows[i]),
-                )
-            kept: List[int] = []
-            seen = set()
-            for i in order:
-                if keys[i] in seen:
-                    continue
-                if dangling and not (ends[0][i] in present and ends[1][i] in present):
-                    dropped += 1
-                    continue
-                seen.add(keys[i])
-                kept.append(i)
-            if not kept:
-                continue
-            columns = [column[kept] for column in columns]
-            keys = [keys[i] for i in kept]
-        if not is_link:
-            present.update(keys)
-        held[label] = columns
-        added += len(columns[0]) - n_loaded
-    return held, added, dropped
-
-
-def instance_facts(
-    source: Union[ColumnSource, CodedSource],
-    loaded: Mapping[str, LoadedMark],
-    schema: SuperSchema,
-    constructs: Optional[Tuple[Dict[Any, str], ...]] = None,
-) -> Tuple[Dict[str, Columns], int, int]:
-    """Settle which ``I_SM_*`` facts of a chase database make up the
-    instance: their value columns per relation, how many of them are
-    derived, and how many link facts were dropped.
-
-    Per OID a loaded fact wins over a derived one (V_O emits
-    ``I_SM_Node(c, ioid, None)`` for every fact Sigma derives about an
-    existing node ``c``), otherwise the first derived fact in
-    ``fact_sort_key`` order; a link whose source or target is neither an
-    instance construct nor a construct of ``schema`` is dropped and
-    counted.  Rows compete only where an OID (or, for the decoder's
-    first/last-link-wins maps, a link source) repeats, so a relation
-    without repeats is passed through in stored order and ``loaded`` is
-    not consulted for it.
-    """
-    source = coded(source)
-    held, added, dropped = _settle(source, loaded, schema, constructs)
-    values = source.interner.values
-    return {
-        label: [list(map(values.__getitem__, c.tolist())) for c in columns]
-        for label, columns in held.items()
-    }, added, dropped
-
-
 def _merged(orders: List[List[int]]) -> Optional[List[int]]:
     """One sequence holding every list of ``orders`` as a subsequence
     (first come, first placed), or None when two of them disagree."""
@@ -385,35 +232,105 @@ def _merged(orders: List[List[int]]) -> Optional[List[int]]:
     return merged
 
 
+def reduce_links(owners: Any, named: Any, ranks: Any, cells: Any, width: int) -> Tuple[Any, ...]:
+    """Attribute links, one per owner and attribute name shown: the
+    owner, the name, the rank of the first link showing it and the
+    value of the last one (ranks order the links of one owner)."""
+    pairs = owners * width + named
+    order = np.lexsort((ranks, pairs))
+    pairs, ranks, cells = pairs[order], ranks[order], cells[order]
+    head = np.ones(len(pairs), dtype=bool)
+    head[1:] = pairs[1:] != pairs[:-1]
+    tail = np.ones(len(pairs), dtype=bool)
+    tail[:-1] = head[1:]
+    return pairs[head] // width, pairs[head] % width, ranks[head], cells[tail]
+
+
+def write_elements(
+    graph: ColumnarPropertyGraph, add: Callable[..., Any], types: List[str],
+    ids: Any, ends: Tuple[Any, ...], attributes: Tuple[Any, ...],
+    attribute_names: List[str],
+) -> None:
+    """Write elements of one label each, in order, with their attributes
+    as code columns: ``ids`` / ``ends`` are code arrays, ``attributes``
+    (:func:`reduce_links` of links whose owners are element positions)
+    names each type's columns in the order its elements first show them
+    (by element, then by rank).  Should two types order their names
+    differently, the elements are written one run of equal type at a
+    time; fewer than 64 go one ``add_node`` / ``add_edge`` each, which
+    leaves the same graph."""
+    at, named, first, cells = attributes
+    values = graph.interner.values
+    if len(types) < _BULK_ROWS:
+        shown: List[Dict[str, Any]] = [{} for _ in types]
+        for _rank, element, attr, cell in sorted(zip(
+            first.tolist(), at.tolist(), named.tolist(), cells.tolist()
+        )):
+            shown[element][attribute_names[attr]] = values[cell]
+        for element, (type_name, properties) in enumerate(zip(types, shown)):
+            oid, *points = (values[int(c[element])] for c in (ids, *ends))
+            if points:
+                graph.add_edge(*points, type_name, edge_id=oid, **properties)
+            else:
+                graph.add_node(oid, type_name, **properties)
+        return
+    # Per type, its names in the order its elements first show them.
+    width = max(len(attribute_names), 1)
+    kind_of = {type_name: i for i, type_name in enumerate(dict.fromkeys(types))}
+    kinds = np.fromiter(map(kind_of.__getitem__, types), np.int64, len(types))
+    orders: Dict[int, List[int]] = {}
+    if len(at):
+        ranked = np.lexsort((first, at))
+        kind_names = kinds[at[ranked]] * width + named[ranked]
+        _, firsts = np.unique(kind_names, return_index=True)
+        for pair in kind_names[np.sort(firsts)].tolist():
+            orders.setdefault(pair // width, []).append(pair % width)
+    merged = _merged(list(orders.values()))
+    spans = [(0, len(types), merged)]
+    if merged is None:  # two types disagree: one run of a type a write
+        spans, start = [], 0
+        for type_name, run in groupby(types):
+            stop = start + len(list(run))
+            spans.append((start, stop, orders.get(kind_of[type_name], [])))
+            start = stop
+    columns = {}
+    for attr in {attr for _, _, attrs in spans for attr in attrs}:
+        column = columns[attr] = np.full(len(types), -1, dtype=np.int32)
+        chosen = named == attr
+        column[at[chosen]] = cells[chosen]
+    for start, stop, attrs in spans:
+        add(
+            types[start:stop],
+            *(c[start:stop].astype(np.int32).view(Codes) for c in (ids, *ends)),
+            tuple(attribute_names[attr] for attr in attrs),
+            [columns[attr][start:stop].view(Codes) for attr in attrs],
+            keep_none=True,
+        )
+
+
 def decode_instance(
     schema: SuperSchema,
     instance_oid: Any,
     source: Union[ColumnSource, CodedSource],
     name: str = "instance",
-    constructs: Optional[Tuple[Dict[Any, str], ...]] = None,
 ) -> "SuperInstance":
     """Decode the ``I_SM_*`` constructs of ``instance_oid`` back into a
     plain typed property graph over the source's interner (a value
     source is encoded into a fresh one first, see :func:`coded`).
 
     Nodes, then edges, come out in ``str`` order of their construct
-    OIDs, written by one ``add_nodes_bulk`` / ``add_edges_bulk`` call
-    each, one label per element, as id, endpoint and per-attribute
+    OIDs, written by :func:`write_elements`, one label per element, as
+    id, endpoint and per-attribute
     :class:`~repro.vadalog.columnar.Codes` columns: only the construct
-    OIDs, for their order, are decoded (fewer than 64 elements — a
-    delta's — go one ``add_node`` / ``add_edge`` each, which leaves the
-    same graph).
+    OIDs, for their order, are decoded.
 
     A construct's type is its first ``SM_REFERENCES`` link, an edge's
     ends its last ``I_SM_FROM`` / ``I_SM_TO`` link.  The
     ``I_SM_HAS_*_PROPERTY`` links are grouped by attribute name, the
-    last link of an owner and name winning; a type's columns come in the
-    order its elements first show each name (by element, then by that
-    element's links), an owner without a link leaving the cell unset —
-    so a stored ``None`` stays a value and a missing property stays
-    missing.  Should two types order their names differently, the
-    elements are written one run of equal type at a time.  A derived
-    construct (no ``sourceOID``) keeps its invented OID.
+    last link of an owner and name winning; an owner without a link
+    leaves the cell unset — so a stored ``None`` stays a value and a
+    missing property stays missing.  A derived construct (no
+    ``sourceOID``) keeps its invented OID.
     """
     source = coded(source)
     interner = source.interner
@@ -440,41 +357,34 @@ def decode_instance(
         return (oids, thirds) if here.all() else (oids[here], thirds[here])
 
     construct, target = links("SM_REFERENCES")
-    refs = _map(construct, target)
+    refs = code_map(construct, target)
     # The construct maps, on the eq codes the references point at.
     node_type_of, edge_type_of, attribute_name_of = (
         {code: by_oid[values[code]] for code in set(target.tolist())
          if values[code] in by_oid}
-        for by_oid in constructs or schema_constructs(schema)
+        for by_oid in schema_constructs(schema)
     )
     del construct, target
     attribute_names = sorted(set(attribute_name_of.values()))
     attribute_index = {
         code: attribute_names.index(attr) for code, attr in attribute_name_of.items()
     }
-    width = max(len(attribute_names), 1)
     attribute_iids, attribute_values = mine("I_SM_Attribute")
-    value_of = _map(eq[attribute_iids], attribute_values, last=True)
+    value_of = code_map(eq[attribute_iids], attribute_values, last=True)
 
-    def attributes_of(label: str) -> Tuple[Any, ...]:
-        """Per owner and attribute name shown: the owner's eq code, the
-        name, the first link showing it and the last link's value."""
+    def attributes_of(label: str, iids: Any) -> Tuple[Any, ...]:
+        """The links of ``label`` shown on the constructs ``iids``, by
+        construct position, reduced by :func:`reduce_links`."""
         owners, attr_iids = links(label)
         cells = value_of(attr_iids)
         named = np.fromiter(
             map(attribute_index.get, refs(attr_iids).tolist(), repeat(-1)),
             np.int64, len(attr_iids),
         )
-        shown = np.flatnonzero((named >= 0) & (cells >= 0))
-        pairs = owners[shown] * width + named[shown]
-        order = pairs.argsort(kind="stable")
-        pairs, shown = pairs[order], shown[order]
-        head = np.ones(len(pairs), dtype=bool)
-        head[1:] = pairs[1:] != pairs[:-1]
-        tail = np.ones(len(pairs), dtype=bool)
-        tail[:-1] = head[1:]
-        return (pairs[head] // width, pairs[head] % width, shown[head],
-                cells[shown[tail]])
+        at = code_map(iids, np.arange(len(iids)))(owners)
+        shown = np.flatnonzero((named >= 0) & (cells >= 0) & (at >= 0))
+        return reduce_links(at[shown], named[shown], shown, cells[shown],
+                            max(len(attribute_names), 1))
 
     def by_oid(label: str, type_of: Dict[int, str]) -> Tuple[Any, ...]:
         """Type, construct OID eq code and plain id code of the
@@ -489,164 +399,22 @@ def decode_instance(
         typed = np.array([type_name is not None for type_name in types], dtype=bool)
         return list(compress(types, typed)), iids[typed], ids[typed]
 
-    def write(add, types, iids, ids, attributes, *ends) -> None:
-        """Write the elements with their attributes as code columns."""
-        owners, named, first, cells = attributes
-        at = _map(iids, np.arange(len(iids)))(owners)
-        here = at >= 0
-        at, named, first, cells = at[here], named[here], first[here], cells[here]
-        if len(types) < _BULK_ROWS:
-            # A few elements: one add_node / add_edge each, which leaves
-            # the columns the bulk write would — names by first element,
-            # then link — for less than its fixed cost.
-            shown: List[Dict[str, Any]] = [{} for _ in types]
-            for _link, element, attr, cell in sorted(zip(
-                first.tolist(), at.tolist(), named.tolist(), cells.tolist()
-            )):
-                shown[element][attribute_names[attr]] = values[cell]
-            for element, (type_name, properties) in enumerate(zip(types, shown)):
-                oid, *points = (values[int(c[element])] for c in (ids, *ends))
-                if points:
-                    data.add_edge(*points, type_name, edge_id=oid, **properties)
-                else:
-                    data.add_node(oid, type_name, **properties)
-            return
-        # Per type, its names in the order its elements first show them.
-        kind_of = {type_name: i for i, type_name in enumerate(dict.fromkeys(types))}
-        kinds = np.fromiter(map(kind_of.__getitem__, types), np.int64, len(types))
-        orders: Dict[int, List[int]] = {}
-        if len(at):
-            ranked = np.lexsort((first, at))
-            kind_names = kinds[at[ranked]] * width + named[ranked]
-            _, firsts = np.unique(kind_names, return_index=True)
-            for pair in kind_names[np.sort(firsts)].tolist():
-                orders.setdefault(pair // width, []).append(pair % width)
-        merged = _merged(list(orders.values()))
-        spans = [(0, len(types), merged)]
-        if merged is None:  # two types disagree: one run of a type a write
-            spans, start = [], 0
-            for type_name, run in groupby(types):
-                stop = start + len(list(run))
-                spans.append((start, stop, orders.get(kind_of[type_name], [])))
-                start = stop
-        columns = {}
-        for attr in {attr for _, _, attrs in spans for attr in attrs}:
-            column = columns[attr] = np.full(len(types), -1, dtype=np.int32)
-            chosen = named == attr
-            column[at[chosen]] = cells[chosen]
-        for start, stop, attrs in spans:
-            add(
-                types[start:stop],
-                *(c[start:stop].astype(np.int32).view(Codes) for c in (ids, *ends)),
-                tuple(attribute_names[attr] for attr in attrs),
-                [columns[attr][start:stop].view(Codes) for attr in attrs],
-                keep_none=True,
-            )
-
     data = ColumnarPropertyGraph(name, interner=interner)
     types, iids, ids = by_oid("I_SM_Node", node_type_of)
-    write(data.add_nodes_bulk, types, iids, ids,
-          attributes_of("I_SM_HAS_NODE_PROPERTY"))
-    plain = _map(iids, ids, last=True)
+    write_elements(data, data.add_nodes_bulk, types, ids, (),
+                   attributes_of("I_SM_HAS_NODE_PROPERTY", iids), attribute_names)
+    plain = code_map(iids, ids, last=True)
     types, iids, ids = by_oid("I_SM_Edge", edge_type_of)
     ends = [
-        plain(_map(*links(label), last=True)(iids))
+        plain(code_map(*links(label), last=True)(iids))
         for label in ("I_SM_FROM", "I_SM_TO")
     ]
     both = (ends[0] >= 0) & (ends[1] >= 0)
-    write(data.add_edges_bulk, list(compress(types, both.tolist())),
-          iids[both], ids[both], attributes_of("I_SM_HAS_EDGE_PROPERTY"),
-          ends[0][both], ends[1][both])
+    iids = iids[both]
+    write_elements(data, data.add_edges_bulk, list(compress(types, both.tolist())),
+                   ids[both], (ends[0][both], ends[1][both]),
+                   attributes_of("I_SM_HAS_EDGE_PROPERTY", iids), attribute_names)
     return SuperInstance(schema, instance_oid, data)
-
-
-def decode_relations(
-    schema: SuperSchema,
-    instance_oid: Any,
-    source: ColumnSource,
-    loaded: Mapping[str, LoadedMark],
-    name: str,
-    constructs: Optional[Tuple[Dict[Any, str], ...]] = None,
-    interner: Optional[ValueInterner] = None,
-) -> "Tuple[SuperInstance, int, int]":
-    """The instance the ``I_SM_*`` relations of a chase database hold,
-    with the derived-fact and dropped-link counts of
-    :func:`instance_facts`; a value source is encoded into ``interner``
-    (the database's, when its values came from there) or a fresh one."""
-    constructs = constructs or schema_constructs(schema)
-    source = coded(source, interner)
-    held, added, dropped = _settle(source, loaded, schema, constructs)
-    instance = decode_instance(
-        schema, instance_oid, CodedSource(source.interner, held.get), name,
-        constructs,
-    )
-    return instance, added, dropped
-
-
-def delta_source(
-    changes: Iterable[Mapping[str, Collection[Fact]]],
-    matching: Callable[[str, int, Iterable[Any]], List[Fact]],
-) -> Tuple[ColumnSource, List[Any], List[Any]]:
-    """A source holding only the rows of the constructs a change to the
-    ``I_SM_*`` relations can reach, and the plain ids those nodes and
-    edges have or had.
-
-    ``changes`` are the added and the removed facts per relation;
-    ``matching(label, position, values)`` probes the relations as they
-    are now, value by value in row order, once per label and position.
-    A change reaches the construct a changed row is or hangs off (the
-    source of a link, the owner of an attribute) and every edge naming
-    a node whose own row came or went.  The end nodes of reached edges
-    ride along as context — no attributes, not listed — so that
-    :func:`decode_relations` over the source yields the reached
-    elements as the whole relations would.
-    """
-    changed: Dict[str, List[Fact]] = {
-        label: [row for side in changes for row in side.get(label, ())]
-        for label in INSTANCE_LABELS
-    }
-    reach = {
-        row[1 if label in INSTANCE_EDGE_PROPERTIES else 0]
-        for label, rows in changed.items() for row in rows
-    }
-    has_property = ("I_SM_HAS_NODE_PROPERTY", "I_SM_HAS_EDGE_PROPERTY")
-    ends = ("I_SM_FROM", "I_SM_TO")
-    owned, nodes = list(reach), [node[0] for node in changed["I_SM_Node"]]
-    for label in has_property:  # an attribute is decoded with its owner
-        reach.update(row[1] for row in matching(label, 2, owned))
-    for label in ends:
-        reach.update(row[1] for row in matching(label, 2, nodes))
-    reached = sorted(reach, key=str)
-    rows: Dict[str, List[Fact]] = {}
-
-    def fetch(label: str, position: int, keys: Iterable[Any]) -> List[Fact]:
-        rows[label] = matching(label, position, dict.fromkeys(keys))
-        return rows[label]
-
-    fetch("I_SM_Edge", 0, reached)
-    context = [
-        row[2] for label in ends for row in fetch(label, 1, reached)
-        if row[2] not in reach
-    ]
-    fetch("I_SM_Node", 0, (*reached, *context))
-    attributes = [
-        row[2] for label in has_property for row in fetch(label, 1, reached)
-    ]
-    fetch("I_SM_Attribute", 0, attributes)
-    fetch("SM_REFERENCES", 1, (*reached, *context, *attributes))
-
-    def plain_ids(label: str) -> List[Any]:
-        return sorted({
-            oid if plain is None else plain
-            for oid, _ioid, plain in (*rows[label], *changed[label])
-            if oid in reach
-        }, key=str)
-
-    held = {
-        label: [list(column) for column in zip(*facts)]
-        for label, facts in rows.items() if facts
-    }
-    return held.get, plain_ids("I_SM_Node"), plain_ids("I_SM_Edge")
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,19 @@
-"""Checkpointed materialization: persist completed chase phases.
+"""Checkpointed materialization: persist Sigma's chase result.
 
-Algorithm 2 runs as three chase invocations (load / reason / flush).
-The reasoning phase dominates wall-clock time — the paper reports ~160
-minutes of reasoning against ~15 minutes of load+flush for the Bank of
-Italy KG — so an interruption (budget trip, crash fault, operator kill)
-late in a run wastes almost the entire investment.
+Algorithm 2 runs as load / reason / flush, and only reasoning is a
+chase: the paper reports ~160 minutes of it against ~15 minutes of
+load+flush for the Bank of Italy KG, so an interruption (budget trip,
+crash fault, operator kill) after it wastes almost the entire
+investment.
 
 :class:`MaterializationCheckpoint` is a directory-backed store that the
-:class:`~repro.ssst.materializer.IntensionalMaterializer` writes after
-each phase that reached fixpoint, and reads back on the next run to skip
-every phase already completed.  Each phase snapshot captures the one
-mutable artifact of the pipeline at that point — the staging
-:class:`~repro.vadalog.database.Database`, whose ``I_SM_*`` relations
-are the instance — encoded as JSON via a value codec that round-trips
-labeled nulls and Skolem values.  (The dictionary graph holds schemas
-only, and the schema is an input the fingerprint already binds.)
+:class:`~repro.ssst.materializer.IntensionalMaterializer` writes once
+Sigma's chase reached fixpoint, and reads back on the next run to skip
+it.  The snapshot captures the one mutable artifact of the pipeline —
+Sigma's :class:`~repro.vadalog.database.Database` — encoded as JSON via
+a value codec that round-trips labeled nulls and Skolem values.  (The
+load and the flush only read the registry, an input the fingerprint
+binds, so neither is worth a snapshot.)
 
 A checkpoint is bound to its inputs by a fingerprint (schema, data,
 program, instance OID): resuming against different inputs silently
@@ -34,16 +33,17 @@ from repro.errors import CheckpointError
 from repro.graph import make_graph
 from repro.graph.property_graph import ABSENT, PropertyGraph
 from repro.obs.tracer import NullTracer, Tracer
+from repro.vadalog.columnar import ValueInterner
 from repro.vadalog.database import Database
 from repro.vadalog.terms import Null, SkolemValue
 
-#: Phases eligible for checkpointing, in pipeline order.  Flush is never
-#: checkpointed: it is cheap and only reads the reason phase's result,
-#: so re-running it is the simplest way to guarantee a complete instance.
-PHASES: Tuple[str, ...] = ("load", "reason")
+#: Phases eligible for checkpointing: Sigma's chase.  Load and flush
+#: only read the registry and that result, so re-running them is the
+#: simplest way to guarantee a complete instance.
+PHASES: Tuple[str, ...] = ("reason",)
 
 _MANIFEST = "manifest.json"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
 # ----------------------------------------------------------------------
@@ -110,12 +110,13 @@ def database_payload(database: Database) -> Dict[str, Any]:
     return payload
 
 
-def restore_database(payload: Dict[str, Any]) -> Database:
-    """The database on the backend the engine runs on, each relation's
-    rows in the payload's canonical order: the instance decoder reads
-    the ``I_SM_*`` relations in row order, so a resumed run must not
-    inherit one from ``set`` iteration."""
-    database = Database(columnar=True)
+def restore_database(
+    payload: Dict[str, Any], interner: Optional[ValueInterner] = None
+) -> Database:
+    """The database on the backend the engine runs on, over ``interner``
+    (a fresh one by default), each relation's rows in the payload's
+    canonical order, never in one ``set`` iteration picks."""
+    database = Database(columnar=True, interner=interner)
     for predicate, entry in payload.items():
         relation = database.relation(predicate)
         relation.arity = entry["arity"]
@@ -267,9 +268,9 @@ class MaterializationCheckpoint:
 
         checkpoint = MaterializationCheckpoint("out/ckpt")
         checkpoint.begin(run_fingerprint(schema, data, sigma, oid))
-        phase = checkpoint.resume_phase()       # None, "load", or "reason"
+        phase = checkpoint.resume_phase()       # None or "reason"
         ...
-        checkpoint.save_phase("load", database=db)
+        checkpoint.save_phase("reason", database=db)
 
     Phase files are written to a temporary name and atomically renamed
     (:func:`write_durably`); the manifest is updated last, so a crash
@@ -350,7 +351,9 @@ class MaterializationCheckpoint:
         self._write_manifest()
         self.tracer.count("deploy.checkpoint_saved", 1)
 
-    def load_phase(self, phase: str) -> Tuple[Database, Dict[str, Any]]:
+    def load_phase(
+        self, phase: str, interner: Optional[ValueInterner] = None
+    ) -> Tuple[Database, Dict[str, Any]]:
         if not self.has_phase(phase):
             raise CheckpointError(f"no checkpoint for phase {phase!r}")
         try:
@@ -360,7 +363,7 @@ class MaterializationCheckpoint:
             raise CheckpointError(
                 f"unreadable checkpoint for phase {phase!r}: {exc}"
             ) from exc
-        database = restore_database(payload["database"])
+        database = restore_database(payload["database"], interner)
         self.tracer.count("deploy.checkpoint_restored", 1)
         return database, payload.get("meta", {})
 

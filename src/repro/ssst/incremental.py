@@ -3,14 +3,12 @@
 The paper's deployment regime (Section 6) re-runs Algorithm 2 from
 scratch whenever the source registry changes.  This module provides the
 model-level half of the alternative: a registry delta (companies,
-persons, stakes added or removed from the plain data graph) is encoded
-into the exact ``I_SM_*`` instance-construct facts the load phase would
-have produced for those elements — by the same encoder of
-:mod:`repro.core.instances`, whose OIDs are deterministic functions of
-the element ids — and then pushed through the three retained chase
-states (load, reason, flush views) with
+persons, stakes added or removed from the plain data graph) becomes the
+facts of Sigma's input relations it adds and removes — V_I's view of
+the changed elements, through the compiled column maps — which are
+pushed through Sigma's retained chase state with
 :meth:`repro.vadalog.engine.Engine.apply_delta` instead of re-running
-any of them.
+the chase.
 
 Only :class:`RegistryDelta` / :class:`UpdateReport` live here; the
 orchestration is
@@ -97,17 +95,15 @@ class UpdateReport:
     #: The enriched SuperInstance over the retained, live graph: every
     #: report of one materializer wraps the same graph, not a snapshot.
     instance: Any
-    #: Net engine changes per retained chase state, in order.
-    delta_load: Optional[DeltaResult] = None
+    #: Net changes of Sigma's retained chase state.
     delta_reason: Optional[DeltaResult] = None
-    delta_flush: Optional[DeltaResult] = None
     #: Plain-graph difference of the enriched instance — what a deployed
     #: store needs to catch up (``store.apply_flush_delta``).
     flush_delta: Optional[FlushDelta] = None
-    #: Net ``I_SM_*`` fact changes (added + removed) in ``delta_flush``.
+    #: Net head-relation changes (added + removed) written out.
     flushed: int = 0
-    #: ``I_SM_*`` link facts the decoder dropped (a missing end) among
-    #: the constructs this update touched — not the whole instance's
+    #: Derived edge ends that are no node (the edge is dropped) among
+    #: the elements this update touched — not the whole instance's
     #: count, which ``materialize()`` reports.
     flush_dropped_edges: int = 0
     #: Chase-maintenance time only (the paper's "reasoning" phase).
@@ -118,30 +114,18 @@ class UpdateReport:
 
     @property
     def strata_recomputed(self) -> int:
-        return sum(
-            d.strata_recomputed
-            for d in (self.delta_load, self.delta_reason, self.delta_flush)
-            if d is not None
-        )
+        return self.delta_reason.strata_recomputed if self.delta_reason else 0
 
     @property
     def recompute_reasons(self) -> List[Tuple[str, int, str, str]]:
         """``(phase, stratum index, rule label, reason)`` of every
-        stratum a chase state recomputed instead of maintaining."""
+        stratum Sigma's state recomputed instead of maintaining."""
         return [
-            (phase, *entry)
-            for phase, delta in (
-                ("load", self.delta_load),
-                ("reason", self.delta_reason),
-                ("flush", self.delta_flush),
-            )
-            if delta is not None
-            for entry in delta.recompute_reasons
+            ("reason", *entry)
+            for entry in (self.delta_reason.recompute_reasons if self.delta_reason else ())
         ]
 
     def phase_breakdown(self) -> Dict[str, float]:
         return {
-            "load": self.delta_load.elapsed_seconds if self.delta_load else 0.0,
             "reason": self.delta_reason.elapsed_seconds if self.delta_reason else 0.0,
-            "flush": self.delta_flush.elapsed_seconds if self.delta_flush else 0.0,
         }

@@ -14,14 +14,29 @@
     8: I'     <- Reason(I, V(Sigma))
     9: D      <- Reason(I', V(M))            (materialize into D)
 
-Following the performance note of Section 6 ("we can build the instance
-I' incrementally, in a stratified way, by first applying V_I, and
-materializing the temporary result as a database instance in a staging
-area; then, the standard reasoning process can take place; finally, I'
-is stored back"), the three phases run as separate chase invocations and
-are timed individually — the load / reason / flush breakdown the paper
-reports (~160 min reasoning vs ~15 min load+flush for the Bank of Italy
-KG) is reproduced by the E-PERF benchmark on synthetic data.
+V_I and V_O are pivots "generated from a static analysis of Sigma"
+between the ``I_SM_*`` instance constructs and Sigma's type-level
+relations (:mod:`repro.ssst.views`).  The registry graph's label tables
+already hold those relations' columns, in the value dictionary the
+chase runs on, so production compiles the views into *column maps*
+(:class:`ColumnMaps`) and runs one chase, Sigma's:
+
+* load (lines 4-5): one ``Database.add_columns`` call per relation
+  Sigma reads, straight from the registry's label code tables — a
+  descendant label's rows join its ancestors' relations, projected onto
+  the inherited attributes, and an unset cell is the ``None`` code V_I's
+  negation default produces;
+* reason (lines 7-8): Sigma's chase, timed as the paper times it;
+* flush (line 9): the enriched graph is written in one column pass from
+  the registry's label tables and Sigma's head relations
+  (:func:`write_instance`).
+
+The V_I / V_O programs and the ``I_SM_*`` codec
+(:mod:`repro.core.instances`) stay as the reference the tests hold this
+path to: the Figure 9 rendering runs on them, and the enriched graph
+equals their decode element for element and in order.  The per-phase
+breakdown is the one the paper reports (~160 min reasoning against
+~15 min load+flush for the Bank of Italy KG), reproduced by E-PERF.
 """
 
 from __future__ import annotations
@@ -29,34 +44,30 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.dictionary import GraphDictionary
-from repro.core.instances import (
-    INSTANCE_LABELS,
-    CodedSource,
-    LoadedMark,
-    SuperInstance,
-    decode_relations,
-    delta_source,
-    encode_instance,
-    encode_records,
-    schema_constructs,
-)
+from repro.core.instances import SuperInstance, code_map, reduce_links, write_elements
 from repro.core.schema import SuperSchema
 from repro.deploy.delta import FlushDelta, edge_record, node_record
 from repro.errors import EvaluationError, SchemaError
-from repro.graph.property_graph import PropertyGraph
+from repro.graph.columnar_graph import ColumnarPropertyGraph
+from repro.graph.property_graph import ABSENT, PropertyGraph
 from repro.metalog.ast import MetaProgram
 # graph_to_database: unused here, but kgbench/trace.py wraps this binding.
 from repro.metalog.mtv import compile_metalog, graph_to_database
 from repro.obs.governor import STATUS_FIXPOINT, BudgetExceeded
 from repro.obs.tracer import NullTracer, Tracer
 from repro.ssst.incremental import RegistryDelta, UpdateReport
-from repro.ssst.views import catalog_from_super_schema, input_views, output_views
+from repro.ssst.views import catalog_from_super_schema
+from repro.vadalog.columnar import Codes
 from repro.vadalog.database import Database
 from repro.vadalog.engine import Engine, EvaluationResult, EvaluationStats
+from repro.vadalog.terms import value_sort_key
 
 
 @dataclass
@@ -67,9 +78,8 @@ class MaterializationReport:
     (``materialize.load`` / ``materialize.reason`` / ``materialize.flush``)
     — the report keeps its flat ``*_seconds`` fields for callers, but the
     spans are the source of truth and land in any exported trace.
-    ``status``/``violation`` carry the first budget trip from any of the
-    three chase invocations, so a governed run can be recognized as
-    truncated no matter which phase hit the limit.
+    ``status``/``violation`` carry a budget trip of Sigma's chase, so a
+    governed run can be recognized as truncated.
     """
 
     instance: SuperInstance  # the enriched instance (derived parts included)
@@ -80,9 +90,9 @@ class MaterializationReport:
     reason_stats: Optional[EvaluationStats] = None
     status: str = STATUS_FIXPOINT
     violation: Optional[BudgetExceeded] = None
-    #: I_SM_* link facts dropped at flush because their source or target
-    #: is no construct of the instance (a lossy program, not a bug in
-    #: the flush) — surfaced instead of silently discarded.
+    #: Ends of derived edges that are no node of the instance: such an
+    #: edge is dropped (a lossy program, not a bug in the flush), and
+    #: each missing end counted instead of silently discarded.
     flush_dropped_edges: int = 0
     #: Name of the checkpointed phase this run resumed from, if any.
     resumed_from: Optional[str] = None
@@ -103,57 +113,124 @@ class MaterializationReport:
         }
 
 
-@dataclass
-class _CompiledViews:
-    """One MTV compilation: the translated program plus both view sets.
+#: Per relation column after the id (and ends): the attribute it holds.
+Columns = Tuple[Optional[str], ...]
 
-    Cached per (program text, schema identity, instance OID) — repeated
-    ``materialize()``/``update()`` calls over the same inputs skip the
-    MetaLog-to-Vadalog translation and the view synthesis entirely.  The
-    entry keeps a strong reference to the schema so the identity key can
-    never alias a collected object.
+
+@dataclass
+class ColumnMaps:
+    """V_I and V_O of one MTV compilation, compiled into column maps.
+
+    ``inputs``: each relation Sigma reads, with the data labels whose
+    elements it holds (the label and its descendants: V_I's ``vI_base``
+    rules) and per label the attribute each column reads, None where
+    V_I's negation default always yields ``None``.  ``heads``: each
+    derived relation V_O writes back (labels the schema has) and the
+    attribute each column writes.  Cached per (program text, schema
+    identity, instance OID); the strong reference to the schema keeps
+    the identity key from aliasing a collected object.
     """
 
     schema: SuperSchema
-    sigma_catalog: Any
     compiled: Any
-    v_in: Any
-    v_out: Any
+    inputs: List[Tuple[str, bool, List[Tuple[str, Columns]]]]
+    heads: List[Tuple[str, bool, Columns]]
+    #: Every attribute name of the schema: the attribute index of a link.
+    attribute_names: List[str]
+    #: Rank of a derived ``(label, attribute)`` link among an element's
+    #: derived links: V_O's ``skOhas`` functor order.
+    head_ranks: Dict[Tuple[str, str], int]
+
+    @classmethod
+    def compile(cls, schema: SuperSchema, compiled: Any, catalog: Any) -> "ColumnMaps":
+        """The static analysis :func:`~repro.ssst.views.input_views` and
+        :func:`~repro.ssst.views.output_views` turn into rules."""
+        def owned(edge: bool, label: str) -> Dict[str, Any]:
+            attributes = (schema.get_edge(label).attributes if edge
+                          else schema.inherited_attributes(label))
+            return {a.name: a.oid for a in attributes}
+
+        inputs, heads = [], []
+        for edge, labels, has, members, properties in (
+            (False, compiled.input_node_labels, schema.has_node,
+             lambda label: [label, *(d.type_name for d in schema.descendants_of(label))],
+             catalog.node_properties),
+            (True, compiled.input_edge_labels, schema.has_edge, lambda label: [label],
+             catalog.edge_properties),
+        ):
+            for label in sorted(filter(has, labels)):
+                oids = owned(edge, label)
+                inputs.append((label, edge, [(member, tuple(
+                    name if name in oids and owned(edge, member).get(name) == oids[name]
+                    else None for name in properties.get(label, [])
+                )) for member in members(label)]))
+        for edge, labels, has, properties in (
+            (False, compiled.derived_node_labels, schema.has_node, catalog.node_properties),
+            (True, compiled.derived_edge_labels, schema.has_edge, catalog.edge_properties),
+        ):
+            for label in sorted(filter(has, labels)):
+                heads.append((label, edge, tuple(
+                    name if name in owned(edge, label) else None
+                    for name in properties.get(label, [])
+                )))
+        links = sorted((f"skOhas_{label}_{name}", (label, name))
+                       for label, _edge, columns in heads for name in columns if name)
+        return cls(
+            schema, compiled, inputs, heads,
+            sorted({a.name for c in (*schema.nodes, *schema.edges) for a in c.attributes}),
+            {pair: rank for rank, (_functor, pair) in enumerate(links)},
+        )
+
+    def modeled(self, edge: bool, type_name: str) -> Tuple[str, ...]:
+        """The attributes an element of ``type_name`` carries into the
+        instance, in the encoder's order; raises
+        :class:`~repro.errors.SchemaError` for a type the schema lacks."""
+        if edge:
+            return tuple(a.name for a in self.schema.get_edge(type_name).attributes)
+        return tuple(a.name for a in self.schema.inherited_attributes(type_name))
+
+    def facts(self, nodes: Sequence[Any], edges: Sequence[Any]) -> Dict[str, List[Any]]:
+        """The facts of Sigma's input relations ``(id, type, properties)``
+        node and ``(id, source, target, type, properties)`` edge records
+        hold — V_I's view of them; raises
+        :class:`~repro.errors.SchemaError` for a type the schema lacks."""
+        records = (nodes, edges)
+        for edge, record in ((e, r) for e in (0, 1) for r in records[e]):
+            if record[-2] is not None:
+                self.modeled(bool(edge), record[-2])
+        facts: Dict[str, List[Any]] = {}
+        for relation, edge, members in self.inputs:
+            for member, sources in members:
+                facts.setdefault(relation, []).extend(
+                    (*record[:-2], *(record[-1].get(s) if s else None for s in sources))
+                    for record in records[edge] if record[-2] == member
+                )
+        return facts
 
 
 @dataclass
 class RetainedMaterialization:
     """Everything ``update()`` needs to maintain a materialization.
 
-    Built by ``materialize(..., retain=True)``: the three chase results
-    (each carrying a retained
-    :class:`~repro.vadalog.incremental.MaterializedState`), the source
-    graph they were loaded from, and the enriched plain graph, which
-    every ``update()`` patches in place (new elements come last, not in
-    ``str(oid)`` order).  The reason and flush states hold the relations
-    ``reason_holds`` / ``flush_holds`` name; ``constructs`` are the schema's.
+    Built by ``materialize(..., retain=True)``: Sigma's chase result
+    (carrying a retained
+    :class:`~repro.vadalog.incremental.MaterializedState` over Sigma's
+    relations only), the registry graph it was loaded from, the column
+    maps, and the enriched graph, which every ``update()`` patches in
+    place (new elements come last, not in ``str(oid)`` order).
     """
 
     schema: SuperSchema
     instance_oid: Any
     data: PropertyGraph
-    result_load: EvaluationResult
-    result_reason: EvaluationResult
-    result_flush: EvaluationResult
+    result: EvaluationResult
     enriched: PropertyGraph
-    reason_holds: FrozenSet[str]
-    flush_holds: FrozenSet[str]
-    constructs: Tuple[Dict[Any, str], ...]
+    maps: ColumnMaps
     updates_applied: int = 0
 
 
 #: Compile-cache entries kept per materializer (oldest evicted first).
 _COMPILE_CACHE_LIMIT = 8
-
-
-def _held(predicates: FrozenSet[str], *changes: Dict[str, Any]) -> Dict[str, Any]:
-    """The changes to ``predicates``, a later mapping's bucket winning."""
-    return {p: f for bucket in changes for p, f in bucket.items() if p in predicates}
 
 
 @contextmanager
@@ -181,6 +258,276 @@ def _deferred_full_gc():
         gc.set_threshold(gen0, gen1, gen2)
 
 
+# ----------------------------------------------------------------------
+# The column maps at work: load Sigma's inputs, write the instance
+# ----------------------------------------------------------------------
+def _codes(interner: Any, values: Sequence[Any]) -> Any:
+    """The codes of a value column, -1 for an :data:`ABSENT` cell."""
+    codes = np.full(len(values), -1, dtype=np.int64)
+    present = [i for i, value in enumerate(values) if value is not ABSENT]
+    if present:
+        codes[present] = interner.encode_column([values[i] for i in present])
+    return codes
+
+
+def registry_rows(maps: ColumnMaps, data: PropertyGraph, graph: Any, edge: bool,
+                  ids: Optional[List[Any]] = None) -> List[Tuple[Any, ...]]:
+    """Per label of the registry's nodes or edges: the label, its
+    modeled attributes, and its id, end (None for nodes) and attribute
+    code columns over ``graph``'s interner, -1 an unset cell — the
+    registry's own when ``graph`` shares its codes, of every element,
+    or of those of ``ids`` that are there."""
+    interner, tables = graph.interner, []
+    if ids is None:
+        shared = graph.share_codes(data)
+        for label in (data.edge_labels() if edge else data.node_labels()):
+            names = maps.modeled(edge, label)
+            if shared:
+                table = (data.edge_code_table if edge else data.node_code_table)(label, names)
+            else:
+                table = (data.edges_table if edge else data.nodes_table)(
+                    label, names, default=ABSENT)
+                encode = partial(_codes, interner)
+                table = [*map(encode, table[:-1]), list(map(encode, table[-1]))]
+            tables.append((label, names, *(table if edge else (table[0], None, None, table[1]))))
+        return tables
+    grouped: Dict[str, List[Any]] = {}
+    for record in map(partial(edge_record if edge else node_record, data), ids):
+        if record is not None and record[-2] is not None:
+            grouped.setdefault(record[-2], []).append(record)
+    for label, records in sorted(grouped.items()):
+        names = maps.modeled(edge, label)
+        points = [_codes(interner, [r[i] for r in records]) for i in range(1 + 2 * edge)]
+        tables.append((label, names, *points, *([None] * (2 - 2 * edge)), [
+            _codes(interner, [r[-1].get(name, ABSENT) for r in records])
+            for name in names
+        ]))
+    return tables
+
+
+def load_inputs(maps: ColumnMaps, registry: Sequence[List[Tuple[Any, ...]]],
+                database: Database, interner: Any) -> None:
+    """Load Sigma's input relations from the registry's label tables
+    (:func:`registry_rows` of nodes and edges, over ``interner``, the
+    database's): one ``add_columns`` call a relation, the code columns
+    as they are — values on the tuple backend — an unset cell ``None``."""
+    tables = {(bool(edge), t[0]): t for edge in (0, 1) for t in registry[edge]}
+    none = interner.encode(None)
+    for relation, edge, members in maps.inputs:
+        parts = []
+        for label, names, ids, *ends, columns in filter(None, (
+            tables.get((edge, member)) for member, _ in members
+        )):
+            held = dict(zip(names, columns))
+            sources = dict(members)[label]
+            parts.append([ids, *(ends if edge else ()), *(
+                np.full(len(ids), -1) if s is None else held[s] for s in sources
+            )])
+        if not parts:
+            continue
+        columns = [np.concatenate(column) for column in zip(*parts)]
+        if database.columnar:
+            database.add_columns(relation, [
+                np.where(c < 0, none, c).astype(np.int32).view(Codes) for c in columns
+            ])
+        else:
+            values = interner.values
+            database.add_columns(relation, [
+                [None if code < 0 else values[code] for code in c.tolist()]
+                for c in columns
+            ])
+
+
+def _head_rows(maps: ColumnMaps, database: Database, graph: Any, edge: bool,
+               ids: Optional[List[Any]]) -> List[Tuple[int, List[Any]]]:
+    """Per head relation of one kind: its index in ``maps.heads`` and
+    its code columns over ``graph``'s interner — whole, or the rows of
+    the elements ``ids`` (index probes, no whole read)."""
+    interner, rows = graph.interner, []
+    for index, (label, is_edge, _columns) in enumerate(maps.heads):
+        if is_edge != edge:
+            continue
+        if ids is not None:
+            facts = database.matching(label, 0, ids)
+            columns = [interner.encode_column(list(c)) for c in zip(*facts)]
+        elif database.columnar and database.interner is interner:
+            columns = database.code_columns(label)
+        else:
+            columns = [interner.encode_column(c) for c in database.columns(label) or ()]
+        if columns:
+            rows.append((index, [np.asarray(c, dtype=np.int64) for c in columns]))
+    return rows
+
+
+def _joined(parts: List[Any]) -> Any:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+class _Elements:
+    """The nodes or the edges of an instance under construction, as the
+    decoder of V_O's relations would see them: per element its ``str``
+    order key (its construct OID), type, id and end codes, and the
+    attribute links shown on it (element, attribute, rank, value code)."""
+
+    def __init__(self, maps: ColumnMaps):
+        self.maps, self.keys, self.types = maps, [], []
+        self.columns: List[List[Any]] = [[], [], []]  # ids, sources, targets
+        self.links: List[List[Any]] = [[], [], [], []]
+
+    def add(self, types: List[str], keys: List[str], *columns: Any) -> Any:
+        """Append elements; returns their positions."""
+        for held, column in zip(self.columns, columns):
+            held.append(column)
+        self.types.extend(types)
+        self.keys.extend(keys)
+        return np.arange(len(self.types) - len(types), len(self.types))
+
+    def link(self, at: Any, name: str, rank: int, cells: Any) -> None:
+        """Links of ``name`` at ``rank`` on the elements ``at`` with a cell."""
+        shown = cells >= 0
+        for held, column in zip(self.links, (
+            at[shown], np.full(int(shown.sum()), self.maps.attribute_names.index(name)),
+            np.full(int(shown.sum()), rank), cells[shown],
+        )):
+            held.append(column)
+
+
+def _derive(elements: _Elements, values: List[Any], eq: Any, none: Optional[int],
+            heads: List[Tuple[int, List[Any]]], node_at: Any) -> int:
+    """Add what Sigma's head relations of one kind derive, by V_O's and
+    the decoder's rules (``instance_facts``); returns how many edge ends
+    are no node of the instance (their edges are dropped).
+
+    Per element id (``==``, so ``True`` is ``1``) a loaded element wins:
+    it keeps its label and an edge its ends, and derived attributes land
+    on it.  A derived-only element takes the smallest head label
+    deriving it; a derived edge each end from the largest label with an
+    end that is a node (``node_at``), per label the smallest such in
+    :func:`value_sort_key` order.  A derived ``None`` writes nothing; of
+    several values for one label, element and attribute the smallest
+    wins; a derived attribute ranks after the element's loaded ones and,
+    shown under several labels, the largest label's value wins.
+    """
+    if not heads:
+        return 0
+    maps, base, edge = elements.maps, len(elements.types), node_at is not None
+    which = np.concatenate([np.full(len(c[0]), i) for i, c in heads])
+    rows = [np.concatenate(parts) for parts in zip(*(c[:3] for _, c in heads))]
+    loaded = _joined(elements.columns[0])
+    at = code_map(eq[loaded], np.arange(len(loaded)))(eq[rows[0]])
+    new = np.flatnonzero(at < 0)
+    _, first, inverse = np.unique(eq[rows[0][new]], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    place = np.empty(len(order), dtype=np.int64)
+    place[order] = np.arange(len(order))
+    at[new] = base + place[inverse.reshape(-1)]
+    firsts, ends, dropped = new[first[order]], [], 0
+    if edge:
+        ends = [node_at(eq[points[firsts]]) for points in rows[1:]]
+        twice = np.bincount(at[new] - base, minlength=len(firsts)) > 1
+        dropped = sum(int((end[~twice] < 0).sum()) for end in ends)
+        for element in np.flatnonzero(twice).tolist():  # an id derived twice
+            mine = new[at[new] == base + element]
+            for end, points in zip(ends, rows[1:]):
+                end[element] = -1
+                for head in sorted(set(which[mine].tolist())):
+                    ranked = sorted(mine[which[mine] == head].tolist(),
+                                    key=lambda row: value_sort_key(values[points[row]]))
+                    hits = node_at(eq[points[ranked]])
+                    kept = np.flatnonzero(hits >= 0)
+                    dropped += int(kept[0]) if len(kept) else len(ranked)
+                    if len(kept):
+                        end[element] = hits[kept[0]]
+    elements.add([maps.heads[i][0] for i in which[firsts].tolist()],
+                 [str(values[code]) for code in rows[0][firsts].tolist()],
+                 rows[0][firsts], *ends)
+    start = 0
+    for index, columns in heads:
+        label, _edge, written = maps.heads[index]
+        mine = at[start:start + len(columns[0])]
+        start += len(columns[0])
+        contested = sorted(set(mine[np.bincount(mine)[mine] > 1].tolist()))
+        for name, column in zip(written, columns[3 if edge else 1:]):
+            if name is None:
+                continue
+            cells = np.where(column == (-1 if none is None else none), -1, column)
+            for element in contested:
+                rivals = np.flatnonzero(mine == element).tolist()
+                best = min((row for row in rivals if cells[row] >= 0), default=None,
+                           key=lambda row: value_sort_key(values[cells[row]]))
+                cells[rivals] = -1
+                if best is not None:
+                    cells[best] = column[best]
+            elements.link(mine, name, 1 << 20 | maps.head_ranks[label, name], cells)
+    return dropped
+
+
+def write_instance(maps: ColumnMaps, instance_oid: Any, data: PropertyGraph,
+                   database: Database, graph: ColumnarPropertyGraph,
+                   touched: Optional[Tuple[List[Any], List[Any]]] = None,
+                   registry: Optional[Sequence[List[Tuple[Any, ...]]]] = None,
+                   ) -> Tuple[int, int]:
+    """Write the instance the registry ``data`` and Sigma's ``database``
+    hold into the empty ``graph``, as the reference decode of V_O's
+    ``I_SM_*`` relations would: nodes, then edges, in ``str`` order of
+    their construct OIDs, one :func:`write_elements` pass each, the
+    registry's code columns taken as they are (``registry``, when its
+    :func:`registry_rows` are read already).  With ``touched`` —
+    ``(node ids, edge ids)`` — only those elements and the end nodes of
+    those edges are written.  Returns the number of derived elements
+    written and of edge ends missing (see :func:`_derive`)."""
+    interner = graph.interner
+    node_ids, edge_ids = touched or (None, None)
+    if registry is None:
+        registry = [None, registry_rows(maps, data, graph, True, edge_ids)]
+    edges = (registry[1], _head_rows(maps, database, graph, True, edge_ids))
+    if touched is not None:  # the ends of those edges are nodes to write
+        ends = [*(t[3:5] for t in edges[0]), *(c[1:3] for _, c in edges[1])]
+        node_ids = list(dict.fromkeys([*node_ids, *(
+            interner.values[code] for pair in ends for end in pair for code in end.tolist()
+        )]))
+    nodes = (registry[0] or registry_rows(maps, data, graph, False, node_ids),
+             _head_rows(maps, database, graph, False, node_ids))
+    eq, none = interner.eq_array().view(np.int64), interner.probe(None)
+    added = dropped = 0
+    node_at = None
+    for edge, (tables, heads) in enumerate((nodes, edges)):
+        side = _Elements(maps)
+        prefix = f"{instance_oid}:i-{'edge' if edge else 'node'}:"
+        for label, names, ids, sources, targets, columns in tables:
+            ends = [node_at(eq[points]) for points in (sources, targets)] if edge else []
+            if edge:  # a registry edge needs both ends in the instance
+                both = (ends[0] >= 0) & (ends[1] >= 0)
+                dropped += int((ends[0] < 0).sum() + (ends[1] < 0).sum())
+                ids, ends, columns = ids[both], [e[both] for e in ends], [c[both] for c in columns]
+            at = side.add([label] * len(ids), [
+                prefix + str(interner.values[code]) for code in ids.tolist()
+            ], ids, *ends)
+            for rank, (name, column) in enumerate(zip(names, columns)):
+                side.link(at, name, rank, np.asarray(column))
+        loaded = len(side.types)
+        dropped += _derive(side, interner.values, eq, none, heads, node_at)
+        columns = [_joined(parts) for parts in side.columns[:1 + 2 * edge]]
+        keep = np.logical_and.reduce([column >= 0 for column in columns])
+        added += int(keep[loaded:].sum())
+        order = [i for i in sorted(range(len(keep)), key=side.keys.__getitem__) if keep[i]]
+        place = np.full(len(keep), -1, dtype=np.int64)
+        place[order] = np.arange(len(order))
+        at, named, ranks, cells = map(_joined, side.links)
+        at = place[at]
+        shown = at >= 0
+        columns = [column[order] for column in columns]
+        write_elements(
+            graph, graph.add_edges_bulk if edge else graph.add_nodes_bulk,
+            [side.types[i] for i in order], columns[0], tuple(columns[1:]),
+            reduce_links(at[shown], named[shown], ranks[shown], cells[shown],
+                         len(maps.attribute_names) or 1),
+            maps.attribute_names,
+        )
+        node_at = code_map(eq[columns[0]], columns[0])
+    return added, dropped
+
+
 class IntensionalMaterializer:
     """Runs Algorithm 2 over a super-schema instance."""
 
@@ -194,7 +541,7 @@ class IntensionalMaterializer:
         # phase spans.
         self.tracer = tracer or NullTracer()
         self.engine = engine or Engine(tracer=tracer)
-        self._compile_cache: Dict[Tuple[str, int, Any], _CompiledViews] = {}
+        self._compile_cache: Dict[Tuple[str, int, Any], ColumnMaps] = {}
         self._retained: Optional[RetainedMaterialization] = None
 
     @property
@@ -202,10 +549,10 @@ class IntensionalMaterializer:
         """The state kept by the last ``materialize(..., retain=True)``."""
         return self._retained
 
-    def _compiled_views(
+    def _column_maps(
         self, schema: SuperSchema, sigma: MetaProgram, instance_oid: Any
-    ) -> _CompiledViews:
-        """MTV compilation + view synthesis, memoized.
+    ) -> ColumnMaps:
+        """MTV compilation + the views' column maps, memoized.
 
         The key uses the program's text and the schema's object identity:
         re-parsing either yields a fresh object and a clean miss, while
@@ -218,23 +565,8 @@ class IntensionalMaterializer:
         if entry is not None and entry.schema is schema:
             return entry
         schema.ensure_attribute_oids()
-        sigma_catalog = catalog_from_super_schema(schema)
-        compiled = compile_metalog(sigma, sigma_catalog)
-        v_in = input_views(
-            schema,
-            compiled.input_node_labels,
-            compiled.input_edge_labels,
-            instance_oid,
-            sigma_catalog,
-        )
-        v_out = output_views(
-            schema,
-            compiled.derived_node_labels,
-            compiled.derived_edge_labels,
-            instance_oid,
-            sigma_catalog,
-        )
-        entry = _CompiledViews(schema, sigma_catalog, compiled, v_in, v_out)
+        catalog = catalog_from_super_schema(schema)
+        entry = ColumnMaps.compile(schema, compile_metalog(sigma, catalog), catalog)
         while len(self._compile_cache) >= _COMPILE_CACHE_LIMIT:
             self._compile_cache.pop(next(iter(self._compile_cache)))
         self._compile_cache[key] = entry
@@ -257,177 +589,101 @@ class IntensionalMaterializer:
         ``data`` is a plain typed property graph conforming to
         ``schema`` (node labels are type names).  The result's
         ``instance`` holds the enriched plain graph, including the
-        derived nodes and edges.
+        derived nodes and edges, over the registry's value dictionary.
 
         ``checkpoint`` (a
         :class:`~repro.ssst.checkpoint.MaterializationCheckpoint`)
-        persists each phase that reaches fixpoint; passing the same
-        checkpoint again resumes from the last completed phase instead
-        of repeating it.  A checkpoint written for different inputs is
-        discarded, not resumed.
+        persists Sigma's result once it reaches fixpoint; passing the
+        same checkpoint again resumes from it instead of reasoning
+        again.  A checkpoint written for different inputs is discarded,
+        not resumed.
 
-        ``retain=True`` keeps the three chase states alive so later
+        ``retain=True`` keeps Sigma's chase state alive so later
         registry changes can be applied with :meth:`update` instead of
         re-running from scratch (off by default — the from-scratch path
-        pays nothing); Sigma's and V_O's states copy only the relations
-        they read or write (and the decoder's), so none is checkpointed.
+        pays nothing).
         """
         report = MaterializationReport(instance=None)  # filled below
         tracer = self.tracer
 
         if retain and checkpoint is not None:
             raise EvaluationError(
-                "retain=True cannot be checkpointed: the retained states "
-                "hold only what each program reads — pass one of the two"
+                "retain=True cannot be checkpointed: a resumed run has "
+                "no chase state to maintain — pass one of the two"
             )
-        resume_from: Optional[str] = None
+        resumed = False
         if checkpoint is not None:
             from repro.ssst.checkpoint import run_fingerprint
 
             checkpoint.begin(run_fingerprint(schema, data, sigma, instance_oid))
-            resume_from = checkpoint.resume_phase()
+            resumed = checkpoint.resume_phase() == "reason"
+        # The enriched graph, Sigma's database and the registry share
+        # one value dictionary: the registry's, when it has one.
+        graph = ColumnarPropertyGraph(
+            f"{data.name}+derived", interner=getattr(data, "interner", None)
+        )
 
-        # ---------------- Phase 1: LOAD (lines 1-4) ----------------
+        # ---------------- Phase 1: LOAD (lines 1-6) ----------------
         with tracer.span("materialize.load") as load_span:
-            # Lines 3, 5-6: MTV compilation and the views, memoized per
-            # (program text, schema, instance OID) — the update loop and
-            # repeated runs skip the translation entirely.
-            views = self._compiled_views(schema, sigma, instance_oid)
-            compiled, v_in, v_out = views.compiled, views.v_in, views.v_out
-            reason_holds = compiled.program.predicates()
-
+            # Lines 3, 5-7: MTV compilation and the views' column maps,
+            # memoized per (program text, schema, instance OID).
+            maps = self._column_maps(schema, sigma, instance_oid)
+            compiled = maps.compiled
             # Algorithm 2 reads the schema object, not the dictionary.
-            if (
-                dictionary is not None
-                and schema.schema_oid not in dictionary.schema_oids()
-            ):
+            if dictionary is not None and schema.schema_oid not in dictionary.schema_oids():
                 dictionary.store(schema)
-            if resume_from is not None:
-                staged_db, phase_meta = checkpoint.load_phase(resume_from)
-                report.resumed_from = resume_from
-                load_span.set(resumed=True, phase=resume_from)
-                tracer.count("deploy.replay_skipped", 1)
+            SuperInstance.from_plain_graph(schema, data, instance_oid, strict=strict)
+            registry = [registry_rows(maps, data, graph, edge) for edge in (False, True)]
+            if resumed:
+                database, meta = checkpoint.load_phase("reason", graph.interner)
+                report.resumed_from = "reason"
+                load_span.set(resumed=True, phase="reason")
             else:
-                instance = SuperInstance.from_plain_graph(
-                    schema, data, instance_oid, strict=strict
-                )
-                # The staging relations are the instance level of the
-                # dictionary: the registry is encoded straight into
-                # them, over the registry graph's value dictionary when
-                # it has one, so ids and values are interned once.
-                staging = Database(
-                    columnar=self.engine.columnar,
-                    interner=getattr(data, "interner", None),
-                )
-                encode_instance(
-                    schema, instance_oid, instance.data, staging.add_columns
-                )
-                # Materialize V_I into the staging area (Section 6
-                # optimization).
-                # The staging database is materializer-owned: every
-                # phase evaluates in place.  With ``retain=True`` the
-                # three phase results stay distinct snapshots (the
-                # delta-chase baselines): the later two run over copies
-                # of the relations they read or write.
-                result_in = self.engine.run(
-                    v_in, database=staging, retain_state=retain,
-                    copy_database=False,
-                )
-                self._merge_status(report, result_in)
-                staged_db = result_in.database
-                if checkpoint is not None and not report.truncated:
-                    checkpoint.save_phase("load", database=staged_db)
+                database = Database(columnar=self.engine.columnar, interner=graph.interner)
+                load_inputs(maps, registry, database, graph.interner)
         report.load_seconds = load_span.duration
 
         # ---------------- Phase 2: REASON (lines 7-8) ----------------
         with tracer.span("materialize.reason") as reason_span:
-            if resume_from == "reason":
-                report.derived_counts = dict(phase_meta.get("derived_counts", {}))
-                result_db = staged_db
+            if resumed:
+                report.derived_counts = dict(meta.get("derived_counts", {}))
                 reason_span.set(resumed=True)
                 tracer.count("deploy.replay_skipped", 1)
             else:
-                before = {
-                    label: staged_db.count(label)
-                    for label in sorted(
-                        compiled.derived_node_labels | compiled.derived_edge_labels
-                    )
-                }
-                result_sigma = self.engine.run(
-                    compiled.program,
-                    database=staged_db.slice(reason_holds) if retain else staged_db,
+                derived = sorted(compiled.derived_node_labels | compiled.derived_edge_labels)
+                before = {label: database.count(label) for label in derived}
+                result = self.engine.run(
+                    compiled.program, database=database,
                     retain_state=retain, copy_database=False,
                 )
-                report.reason_stats = result_sigma.stats
-                self._merge_status(report, result_sigma)
+                database = result.database
+                report.reason_stats = result.stats
+                if result.status != STATUS_FIXPOINT:
+                    report.status, report.violation = result.status, result.violation
                 report.derived_counts = {
-                    label: result_sigma.database.count(label) - before.get(label, 0)
-                    for label in before
+                    label: database.count(label) - before[label] for label in derived
                 }
-                reason_span.set(
-                    status=result_sigma.status,
-                    facts_derived=result_sigma.stats.facts_derived,
-                )
-                result_db = result_sigma.database
+                reason_span.set(status=result.status, facts_derived=result.stats.facts_derived)
                 if checkpoint is not None and not report.truncated:
-                    checkpoint.save_phase(
-                        "reason",
-                        database=result_db,
-                        meta={"derived_counts": report.derived_counts},
-                    )
+                    checkpoint.save_phase("reason", database=database,
+                                          meta={"derived_counts": report.derived_counts})
         report.reason_seconds = reason_span.duration
 
         # ---------------- Phase 3: FLUSH (line 9) ----------------
-        # Never checkpointed: it only reads the reason phase's result,
-        # so re-running it always yields the complete instance.
         with tracer.span("materialize.flush") as flush_span:
-            # Retained: each relation as the last phase holding it left it.
-            flush_holds = {*INSTANCE_LABELS, *v_out.predicates()}
-            flush_db = result_db.slice(
-                flush_holds, staged_db.slice(flush_holds - reason_holds)
-            ) if retain else result_db
-            # V_O only appends, and a columnar relation keeps row order:
-            # the rows each I_SM_* relation holds now are the loaded
-            # ones.  (The tuple backend has no row order to count in.)
-            loaded: Dict[str, LoadedMark] = {
-                label: flush_db.count(label) if self.engine.columnar
-                else flush_db.facts(label)
-                for label in INSTANCE_LABELS
-            }
-            result_out = self.engine.run(
-                v_out, database=flush_db, retain_state=retain,
-                copy_database=False,
-            )
-            self._merge_status(report, result_out)
-            # The decoded graph shares the chase's value dictionary (the
-            # registry's) and adopts its code columns: nothing decoded.
-            flushed_db = result_out.database
-            report.instance, added, dropped = decode_relations(
-                schema, instance_oid,
-                CodedSource(flushed_db.interner, flushed_db.code_columns)
-                if flushed_db.columnar else flushed_db.columns,
-                loaded, f"{data.name}+derived",
-            )
+            added, dropped = write_instance(maps, instance_oid, data, database, graph,
+                                            registry=registry)
+            report.instance = SuperInstance(schema, instance_oid, graph)
             report.flush_dropped_edges = dropped
             flush_span.set(added=added, dropped_edges=dropped)
         report.flush_seconds = flush_span.duration
         if retain:
             # A budget-tripped run discards its engine state; there is
             # nothing consistent to maintain, so retention is dropped.
-            self._retained = None
-            if not report.truncated:
-                self._retained = RetainedMaterialization(
-                    schema=schema,
-                    instance_oid=instance_oid,
-                    data=data,
-                    result_load=result_in,
-                    result_reason=result_sigma,
-                    result_flush=result_out,
-                    enriched=report.instance.data,
-                    reason_holds=frozenset(reason_holds),
-                    flush_holds=frozenset(flush_holds),
-                    constructs=schema_constructs(schema),
-                )
+            self._retained = None if report.truncated else RetainedMaterialization(
+                schema=schema, instance_oid=instance_oid, data=data,
+                result=result, enriched=graph, maps=maps,
+            )
         return report
 
     # ------------------------------------------------------------------
@@ -436,17 +692,18 @@ class IntensionalMaterializer:
     def update(self, delta: RegistryDelta) -> UpdateReport:
         """Apply a registry delta to a retained materialization.
 
-        Requires a prior ``materialize(..., retain=True)``.  The plain
-        data graph is mutated in place; the three retained chase states
-        are maintained with
-        :meth:`~repro.vadalog.engine.Engine.apply_delta` (each state's
-        net changes feed the next, exactly as the full phases chain).
-        Of the flush state's ``I_SM_*`` relations only the rows of the
-        constructs its net changes reach are decoded; what differs from
-        the enriched graph is the :class:`~repro.deploy.delta.FlushDelta`
-        (for bringing deployed stores up to date without a reload), and
-        the enriched graph is patched with it in place — the report's
-        ``instance`` wraps that one live graph.
+        Requires a prior ``materialize(..., retain=True)``.  The delta
+        becomes the facts of Sigma's input relations it adds and
+        removes, and one :meth:`~repro.vadalog.engine.Engine.apply_delta`
+        call maintains Sigma's state; the registry graph is mutated in
+        place.  The elements the delta or a changed head fact reaches —
+        and the derived edges naming a reached node — are written afresh
+        by :func:`write_instance`; what differs from the enriched graph
+        is the :class:`~repro.deploy.delta.FlushDelta` (for bringing
+        deployed stores up to date without a reload), and the enriched
+        graph is patched with it in place — the report's ``instance``
+        wraps that one live graph.  Once Sigma's database holds more
+        tombstoned rows than live ones it is compacted.
 
         The result is fact-set-identical (up to labeled-null renaming)
         to re-running :meth:`materialize` from scratch on the mutated
@@ -457,27 +714,21 @@ class IntensionalMaterializer:
         A delta the registry rejects raises
         :class:`~repro.errors.SchemaError` with nothing changed.  An
         error after that point (a governor trip in the chase, say)
-        leaves the registry and the chase states half-updated, so the
+        leaves the registry and the chase state half-updated, so the
         retained materialization is dropped and the error re-raised:
         the next ``update()`` asks for a fresh ``materialize()`` instead
         of silently diverging from one.
         """
         retained = self._retained
         if retained is None:
-            raise EvaluationError(
-                "update() needs a prior materialize(..., retain=True)"
-            )
+            raise EvaluationError("update() needs a prior materialize(..., retain=True)")
         start = perf_counter()
-        tracer = self.tracer
-        with tracer.span(
+        with self.tracer.span(
             "materialize.update",
             added=len(delta.add_nodes) + len(delta.add_edges),
             removed=len(delta.remove_nodes) + len(delta.remove_edges),
         ) as span:
-            schema = retained.schema
-            data = retained.data
-            ioid = retained.instance_oid
-
+            data, maps = retained.data, retained.maps
             removed_nodes, removed_edges = self._resolve_removals(data, delta)
             self._validate_additions(
                 data,
@@ -485,92 +736,62 @@ class IntensionalMaterializer:
                 {r[0] for r in removed_nodes},
                 {r[0] for r in removed_edges},
             )
-
-            # Encode both sides as the I_SM_* facts the load phase would
-            # have produced (the OIDs are deterministic functions of the
-            # element ids, so no chase run is needed to compute them).
-            removal = encode_records(schema, ioid, removed_nodes, removed_edges)
-            addition = encode_records(
-                schema, ioid, delta.add_nodes, delta.add_edges
-            )
-
+            # Sigma's input facts on both sides, V_I's view of them (a
+            # type the schema lacks is rejected before anything changes).
+            removed = maps.facts(removed_nodes, removed_edges)
+            added = maps.facts(delta.add_nodes, delta.add_edges)
+            database = retained.result.database
             try:
-                # Mutate the registry graph: the delta's records are a
-                # plain-graph patch themselves.
                 FlushDelta(
                     added_nodes=delta.add_nodes, added_edges=delta.add_edges,
                     removed_nodes=removed_nodes, removed_edges=removed_edges,
                 ).apply_to(data)
-
-                # Chase maintenance: each state's net changes are the
-                # next states' extensional delta (load -> reason -> flush
-                # views) on the relations each holds.  Net changes are
-                # ordered sets in the order the state's rows took them,
-                # and the encoded facts ride along as lists (those a
-                # state already holds are ignored), so every state
-                # appends in the order the one before it did — encoder
-                # order for the encoded facts: a fresh load's, the
-                # decoder's.
-                engine = self.engine
-                delta_load = engine.apply_delta(
-                    retained.result_load, added=addition, removed=removal,
+                sigma = self.engine.apply_delta(
+                    retained.result, added=added, removed=removed
                 )
-                added, removed = {**delta_load.added, **addition}, delta_load.removed
-                delta_reason = engine.apply_delta(
-                    retained.result_reason,
-                    added=_held(retained.reason_holds, added),
-                    removed=_held(retained.reason_holds, removed),
-                )
-                delta_flush = engine.apply_delta(
-                    retained.result_flush,
-                    added=_held(retained.flush_holds, added, delta_reason.added),
-                    removed=_held(retained.flush_holds, removed, delta_reason.removed),
-                )
-
-                # Decode what the flush state's net changes can reach,
-                # and no more: those constructs' rows through the one
-                # decoder, set against the same elements of the enriched
-                # graph, which is then patched in place.  The flush
-                # state's extensional I_SM_* facts are the loaded ones:
-                # only V_O derives into those relations.
-                flush = retained.result_flush
-                source, node_ids, edge_ids = delta_source(
-                    (delta_flush.added, delta_flush.removed),
-                    flush.database.matching,
-                )
-                touched, _, dropped = decode_relations(
-                    schema, ioid, source, flush.state.edb, "touched",
-                    retained.constructs, flush.database.interner,
-                )
+                # What the change reaches: the delta's elements, those
+                # of changed head facts and derived edges naming a
+                # reached node, written afresh and set against the
+                # enriched graph, which is then patched in place.
+                touched: List[Dict[Any, None]] = [
+                    dict.fromkeys(r[0] for r in (*removed_nodes, *delta.add_nodes)),
+                    dict.fromkeys(r[0] for r in (*removed_edges, *delta.add_edges)),
+                ]
+                flushed = 0
+                for label, edge, _columns in maps.heads:
+                    for changes in (sigma.added, sigma.removed):
+                        touched[edge].update(dict.fromkeys(f[0] for f in changes.get(label, ())))
+                        flushed += len(changes.get(label, ()))
+                nodes = list(touched[0])
+                for label, edge, _columns in maps.heads:
+                    for position in (1, 2) if edge and nodes else ():
+                        touched[1].update(dict.fromkeys(
+                            f[0] for f in database.matching(label, position, nodes)
+                        ))
+                after = ColumnarPropertyGraph("touched", interner=retained.enriched.interner)
+                _, dropped = write_instance(maps, retained.instance_oid, data, database,
+                                            after, (nodes, list(touched[1])))
                 flush_delta = FlushDelta.between(
-                    retained.enriched, touched.data, node_ids, edge_ids
+                    retained.enriched, after,
+                    sorted(touched[0], key=str), sorted(touched[1], key=str),
                 )
                 flush_delta.apply_to(retained.enriched)
             except BaseException:
                 self._retained = None
                 raise
-            flushed = sum(
-                len(changes.get(label, ()))
-                for changes in (delta_flush.added, delta_flush.removed)
-                for label in INSTANCE_LABELS
-            )
-            tracer.count("incr.flushed_delta", flushed)
+            if database.dead_rows() > database.total_facts():
+                database.compact()  # a safe point: no index iteration alive
+            self.tracer.count("incr.flushed_delta", flushed)
             retained.updates_applied += 1
-            deltas = (delta_load, delta_reason, delta_flush)
-            span.set(
-                flushed=flushed,
-                dropped_edges=dropped,
-                strata_recomputed=sum(d.strata_recomputed for d in deltas),
-            )
+            span.set(flushed=flushed, dropped_edges=dropped,
+                     strata_recomputed=sigma.strata_recomputed)
         return UpdateReport(
-            instance=SuperInstance(schema, ioid, retained.enriched),
-            delta_load=delta_load,
-            delta_reason=delta_reason,
-            delta_flush=delta_flush,
+            instance=SuperInstance(retained.schema, retained.instance_oid, retained.enriched),
+            delta_reason=sigma,
             flush_delta=flush_delta,
             flushed=flushed,
             flush_dropped_edges=dropped,
-            engine_seconds=sum(d.elapsed_seconds for d in deltas),
+            engine_seconds=sigma.elapsed_seconds,
             update_seconds=perf_counter() - start,
         )
 
@@ -583,7 +804,7 @@ class IntensionalMaterializer:
         Removing a node implies removing its incident edges (the
         registry cannot hold dangling stakes), so those are folded in.
         Records capture the *current* labels and properties — the same
-        values the load phase encoded — before anything is mutated.
+        values the load phase read — before anything is mutated.
         """
         edge_ids = dict.fromkeys(delta.remove_edges)
         for edge_id in edge_ids:
@@ -634,10 +855,3 @@ class IntensionalMaterializer:
                         f"edge {edge_id!r} references missing node "
                         f"{endpoint!r}"
                     )
-
-    @staticmethod
-    def _merge_status(report: MaterializationReport, result) -> None:
-        """Fold one phase's engine status into the report (first trip wins)."""
-        if result.status != STATUS_FIXPOINT and not report.truncated:
-            report.status = result.status
-            report.violation = result.violation

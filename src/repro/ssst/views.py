@@ -28,7 +28,11 @@ The views are plain Vadalog :class:`~repro.vadalog.ast.Rule` objects,
 built against the instance-construct fact layout fixed by
 :mod:`repro.core.dictionary` (``I_SM_Node(oid, instanceOID, sourceOID)``,
 ``I_SM_Attribute(oid, instanceOID, value)``, and arity-4 link facts
-``label(oid, src, tgt, instanceOID)``).
+``label(oid, src, tgt, instanceOID)``).  They are the reference:
+production runs the same static analysis compiled one level further,
+into column maps between the registry's label tables and Sigma's
+relations (:class:`~repro.ssst.materializer.ColumnMaps`), and the tests
+hold it to these programs.
 """
 
 from __future__ import annotations

@@ -42,13 +42,13 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.deploy.loaders import load_graph_store, load_triple_store
 from repro.deploy.resilience import QuarantineReport, RetryPolicy, no_retry
 from repro.deploy.transactions import transaction
-from repro.errors import SchemaError, StreamError
+from repro.errors import StreamError
 from repro.graph.property_graph import PropertyGraph
 from repro.obs.tracer import NullTracer, Tracer
 from repro.ssst.checkpoint import (
@@ -357,11 +357,11 @@ class MaterializerSink:
         return {"registry": graph_payload(self.data)}
 
     def store_rows(self) -> Dict[str, int]:
-        """Live and tombstoned rows of the three retained databases."""
+        """Live and tombstoned rows of the retained chase database."""
         kept = self.materializer.retained
-        runs = (kept.result_load, kept.result_reason, kept.result_flush) if kept else ()
-        return {"live_rows": sum(r.database.total_facts() for r in runs),
-                "dead_rows": sum(r.database.dead_rows() for r in runs)}
+        database = kept.result.database if kept else None
+        return {"live_rows": database.total_facts() if database else 0,
+                "dead_rows": database.dead_rows() if database else 0}
 
     def restore(self, payload: Dict[str, Any]) -> None:
         try:
@@ -485,11 +485,9 @@ class MaterializerSink:
             return result
         update = self.materializer.update(delta)
         result.engine_seconds = update.engine_seconds
-        for report in (update.delta_load, update.delta_reason, update.delta_flush):
-            if report is None:
-                continue
-            result.facts_added += sum(len(v) for v in report.added.values())
-            result.facts_removed += sum(len(v) for v in report.removed.values())
+        sigma = update.delta_reason
+        result.facts_added = sum(len(v) for v in sigma.added.values())
+        result.facts_removed = sum(len(v) for v in sigma.removed.values())
         if update.flush_delta is not None:
             result.flush_changes = update.flush_delta.total_changes
         for target in self.targets:

@@ -58,7 +58,7 @@ from itertools import chain as _chain, compress as _compress, islice as _islice,
 from operator import is_ as _is
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, ResourceLimitError
 
 import numpy as _np
 
@@ -78,15 +78,27 @@ _OVERLAY_LIMIT = 1024
 
 #: Typecode of the relation code columns: C ``int``, 4 bytes per code
 #: instead of a list slot's 8-byte pointer plus a boxed int.  Interner
-#: codes are dense indices into ``ValueInterner.values`` and stay far
-#: below 2**31; ``array('i')`` raises ``OverflowError`` rather than
-#: wrapping if that ever changes.
+#: codes are dense indices into ``ValueInterner.values``.
 _CODE = "i"
+
+#: Codes an interner may issue: every code column (``array('i')``, the
+#: ``int32`` numpy mirrors) holds one in 32 bits, so the interner
+#: refuses a value past this instead of letting a cast wrap it.
+CODE_CEILING = 2**31 - 1
 
 
 def _code_col() -> array:
     """A fresh, empty code column."""
     return array(_CODE)
+
+
+def _check_ceiling(codes: int) -> None:
+    """Refuse to issue ``codes`` codes if that passes :data:`CODE_CEILING`."""
+    if codes > CODE_CEILING:
+        raise ResourceLimitError(
+            f"value dictionary full: {codes} codes pass the int32 ceiling "
+            f"{CODE_CEILING}", resource="codes", limit=CODE_CEILING,
+        )
 
 
 class ValueInterner:
@@ -147,6 +159,7 @@ class ValueInterner:
     def _add(self, value: Any, key: Any) -> int:
         """A new code for ``value`` (lock held, ``key`` not interned)."""
         code = len(self.values)
+        _check_ceiling(code + 1)
         self.values.append(value)
         if value != value:  # NaN
             self.nan_codes = self.nan_codes | {code}
@@ -208,6 +221,7 @@ class ValueInterner:
                 if not codes.keys().isdisjoint(fresh):  # another thread won
                     fresh = [v for v in fresh if v not in codes]
                 base = len(self.values)
+                _check_ceiling(base + len(fresh))
                 self.values.extend(fresh)
                 self.eq.extend(range(base, base + len(fresh)))
                 codes.update(zip(fresh, range(base, base + len(fresh))))
@@ -758,12 +772,13 @@ class ColumnarRelation:
         The column-wise twin of :meth:`add_many`: callers that already
         hold their data as columns (the graph/dictionary extraction
         layer) skip the transpose entirely and feed the vectorized
-        insert core directly.  Small batches fall back to the per-fact
-        path.
+        insert core directly; a :class:`Codes` column of this relation's
+        interner is stored as it is.  Small batches fall back to the
+        per-fact path.
         """
         if self._spilled:
             self._ensure_resident()
-        col_list = [c if isinstance(c, list) else list(c) for c in cols]
+        col_list = [c if isinstance(c, (list, Codes)) else list(c) for c in cols]
         if self._arity is None:
             self.arity = len(col_list)
         elif len(col_list) != self._arity:
@@ -787,7 +802,11 @@ class ColumnarRelation:
                 return int(keep.sum())
         added = 0
         add = self.add
-        for fact in zip(*col_list):
+        values = self._interner.values
+        for fact in zip(*[
+            map(values.__getitem__, c.tolist()) if isinstance(c, Codes) else c
+            for c in col_list
+        ]):
             if add(fact):
                 added += 1
         return added
@@ -831,7 +850,11 @@ class ColumnarRelation:
         if not val_cols:
             return None
         interner = self._interner
-        codes = [interner.encode_column(col_vals) for col_vals in val_cols]
+        codes = [
+            _np.asarray(col_vals, dtype=_np.int32) if isinstance(col_vals, Codes)
+            else interner.encode_column(col_vals)
+            for col_vals in val_cols
+        ]
         eq_np = interner.eq_array()
         prime = _np.uint64(_FNV_PRIME)
         hashes = _np.full(nfacts, _FNV_OFFSET, dtype=_np.uint64)
@@ -1087,12 +1110,12 @@ class ColumnarRelation:
         """
         if not self._ndead:
             return
-        live = self._live
-        keep = [row for row in range(self._nrows) if live[row]]
+        keep = _np.frombuffer(bytes(self._live), dtype=_np.bool_)
         self._cols = [
-            array(_CODE, [col[row] for row in keep]) for col in self._cols
+            array(_CODE, _np.frombuffer(col, dtype=_np.int32)[keep].tobytes())
+            for col in self._cols
         ]
-        self._nrows = len(keep)
+        self._nrows = self._nrows - self._ndead
         self._live = bytearray(b"\x01" * self._nrows)
         self._ndead = 0
         self._indexes = {}

@@ -278,18 +278,6 @@ class Database:
                 clone.share(name, relation)
         return clone
 
-    def slice(
-        self, predicates: Iterable[str], base: Optional["Database"] = None
-    ) -> "Database":
-        """Private copies of the relations of ``predicates`` it holds, put
-        in ``base`` or in a new database on its backend and interner."""
-        clone = base or Database(self.columnar, self._spill_path, self._interner)
-        for name in predicates:
-            relation = self._relations.get(name)
-            if relation is not None:
-                clone._relations[name] = relation.copy()
-        return clone
-
     def _owned(self) -> List[Relation]:
         borrowed = self._borrowed
         return [r for n, r in self._relations.items() if n not in borrowed]

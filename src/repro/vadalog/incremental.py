@@ -55,7 +55,10 @@ change:
   then feeds downstream strata as an ordinary delta.  Every recompute
   is reported with the rule and the reason that forced it
   (``DeltaResult.recompute_reasons``, :data:`RECOMPUTE_REASONS`,
-  counter ``incr.strata_recomputed``).
+  counter ``incr.strata_recomputed``).  So is a maintainable stratum
+  whose DRed over-deletion passes half of its facts
+  (:data:`DEGENERATE_FLOOR`): rederiving them costs more than a
+  recompute.
 
 Labeled nulls minted during maintenance continue the retained
 :class:`NullFactory` counter, so incremental ordinals differ from a
@@ -195,7 +198,7 @@ class DeltaResult:
     strata_incremental: int = 0
     #: One ``(stratum index, rule label, reason)`` per recomputed
     #: stratum: the rule that forced it, and why, from
-    #: :data:`RECOMPUTE_REASONS`.
+    #: :data:`RECOMPUTE_REASONS` — or a DRed cascade through half of it.
     recompute_reasons: List[Tuple[int, str, str]] = field(default_factory=list)
     overdeleted: int = 0
     rederived: int = 0
@@ -245,6 +248,17 @@ RECOMPUTE_REASONS = (
     "removal through a head atom that does not name the whole group",
     "existential writer refused by the gate",
 )
+_DEGENERATE = "over-deletion reached half of the stratum"
+
+#: DRed gives a stratum up for a recompute once it over-deletes half of
+#: its facts, and this many: per fact it costs several recomputes (11.7 s
+#: through 42,586 facts of control; 2.6 s to derive 31,826 afresh), and
+#: below a few thousand either is milliseconds and DRed stays local.
+DEGENERATE_FLOOR = 4096
+
+
+class _Degenerate(Exception):
+    """Raised out of the over-deletion closure past the limit above."""
 
 
 class RulePlan:
@@ -777,6 +791,7 @@ def _overdelete_joins(
     marked: Changes = {}
     firings: Dict[Firing, None] = {}
     touched: Dict[RulePlan, Dict[Tuple[Any, ...], None]] = {}
+    limit = max(DEGENERATE_FLOOR, sum(db.count(p) for p in stratum.heads) // 2)
     try:
         frontier = removed_seeds
         while frontier or negated_gains:
@@ -820,6 +835,8 @@ def _overdelete_joins(
             negated_gains = {}
             for predicate, facts in found.items():
                 marked.setdefault(predicate, {}).update(facts)
+            if sum(map(len, marked.values())) > limit:
+                raise _Degenerate
             frontier = found
     finally:
         for relation, graves, fact, grave in shown:
@@ -1141,22 +1158,7 @@ def apply_delta(
             mode, refusal = _classify_stratum(state, stratum, add_keys, rm_keys)
             added_now: Changes = {}
             removed_now: Changes = {}
-            if mode == _RECOMPUTE:
-                try:
-                    _recompute_stratum(
-                        engine, state, stratum, index, db, local,
-                        added_now, removed_now,
-                    )
-                except _BudgetStop as stop:
-                    raise ResourceLimitError(
-                        f"governor budget exceeded during incremental "
-                        f"recompute of stratum {index}: {stop.violation}",
-                        resource=stop.violation.resource,
-                        limit=stop.violation.limit,
-                        stats=local,
-                    ) from stop
-                delta_result.recompute_reasons.append((index, *refusal))
-            else:
+            if mode != _RECOMPUTE:
                 # A fact a negated predicate gained retracts like a
                 # removal, one it lost derives like an addition.
                 removal_seeds = _restrict(pending_remove, stratum.retracts)
@@ -1191,10 +1193,27 @@ def apply_delta(
                         _restrict(pending_remove, stratum.negated),
                         local, added_now,
                     )
+                    delta_result.strata_incremental += 1
+                except _Degenerate:
+                    mode, refusal = _RECOMPUTE, (stratum.rules[0].label, _DEGENERATE)
                 finally:
                     # Firings nothing derived again: their nulls go.
                     state.nulls.reclaim = {}
-                delta_result.strata_incremental += 1
+            if mode == _RECOMPUTE:
+                try:
+                    _recompute_stratum(
+                        engine, state, stratum, index, db, local,
+                        added_now, removed_now,
+                    )
+                except _BudgetStop as stop:
+                    raise ResourceLimitError(
+                        f"governor budget exceeded during incremental "
+                        f"recompute of stratum {index}: {stop.violation}",
+                        resource=stop.violation.resource,
+                        limit=stop.violation.limit,
+                        stats=local,
+                    ) from stop
+                delta_result.recompute_reasons.append((index, *refusal))
             if added_now or removed_now:
                 _merge_net(pending_add, pending_remove, added_now, removed_now)
                 add_keys = {p for p, facts in pending_add.items() if facts}

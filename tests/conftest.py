@@ -113,58 +113,69 @@ def diff_is_the_oracle(materializer):
     """Hold every later ``materializer.update()`` against the oracle.
 
     Before the call the enriched graph is copied; after it the whole
-    instance is decoded from the flush relations.  The emitted
+    instance is written afresh from the registry and Sigma's retained
+    state (``write_instance`` without ``touched``).  The emitted
     ``FlushDelta`` must equal ``FlushDelta.diff(copy, whole)`` record
     for record, and the patched enriched graph must equal the whole
-    decode.  During the call itself no whole relation of the flush
-    database may be read and ``FlushDelta.diff`` may not run.
-    Returns ``materializer``.
+    instance.  During the call itself no whole relation of Sigma's
+    database may be read and ``FlushDelta.diff`` may not run.  Returns
+    ``materializer``.
     """
     from unittest import mock
 
-    from repro.core.instances import decode_relations
     from repro.deploy.delta import FlushDelta
+    from repro.graph import ColumnarPropertyGraph
+    from repro.ssst.materializer import write_instance
     from repro.vadalog.columnar import ColumnarRelation
     from repro.vadalog.database import Database
 
     real_update = materializer.update
-    real_columns = Database.columns
-    real_value_columns = ColumnarRelation.value_columns
+    real_columns = {
+        name: getattr(Database, name) for name in ("columns", "code_columns")
+    }
+    real_relation = {
+        name: getattr(ColumnarRelation, name)
+        for name in ("value_columns", "code_columns")
+    }
 
     def checked_update(delta):
         retained = materializer.retained
         if retained is None:
             return real_update(delta)
-        flush_db = retained.result_flush.database
+        sigma_db = retained.result.database
         before = retained.enriched.copy()
 
-        def columns(self, predicate):
-            assert self is not flush_db, f"whole read of {predicate}"
-            return real_columns(self, predicate)
+        def database_read(name):
+            def read(self, predicate):
+                assert self is not sigma_db, f"whole read of {predicate}"
+                return real_columns[name](self, predicate)
+            return read
 
-        def value_columns(self):
-            assert not any(
-                self is held for held in flush_db._relations.values()
-            ), f"whole read of {self.name}"
-            return real_value_columns(self)
+        def relation_read(name):
+            def read(self):
+                assert not any(
+                    self is held for held in sigma_db._relations.values()
+                ), f"whole read of {self.name}"
+                return real_relation[name](self)
+            return read
 
         def no_diff(*_args, **_kwargs):
             raise AssertionError("FlushDelta.diff called by update()")
 
-        with mock.patch.object(Database, "columns", columns), \
-                mock.patch.object(ColumnarRelation, "value_columns",
-                                  value_columns), \
-                mock.patch.object(FlushDelta, "diff", no_diff):
+        with mock.patch.multiple(
+            Database, **{name: database_read(name) for name in real_columns}
+        ), mock.patch.multiple(
+            ColumnarRelation, **{name: relation_read(name) for name in real_relation}
+        ), mock.patch.object(FlushDelta, "diff", no_diff):
             report = real_update(delta)
         assert report.instance.data is retained.enriched
-        whole, _, _ = decode_relations(
-            retained.schema, retained.instance_oid, flush_db.columns,
-            retained.result_flush.state.edb, "whole",
-        )
+        whole = ColumnarPropertyGraph("whole", interner=retained.enriched.interner)
+        write_instance(retained.maps, retained.instance_oid, retained.data,
+                       sigma_db, whole)
         assert flush_delta_records(report.flush_delta) == flush_delta_records(
-            FlushDelta.diff(before, whole.data)
+            FlushDelta.diff(before, whole)
         )
-        assert not FlushDelta.diff(retained.enriched, whole.data).changed()
+        assert not FlushDelta.diff(retained.enriched, whole).changed()
         return report
 
     materializer.update = checked_update

@@ -20,8 +20,6 @@ from repro.core.instances import (
     SuperInstance,
     _graph_sink,
     encode_instance,
-    encode_records,
-    instance_facts,
 )
 from repro.core.oid import construct_oid
 from repro.graph.property_graph import ABSENT, GraphError, PropertyGraph
@@ -34,6 +32,27 @@ from repro.metalog import (
 from repro.metalog.mtv import materialize_into_graph
 from repro.vadalog.database import Database
 from repro.vadalog.engine import Engine
+from tests.reference import instance_facts
+
+
+def encode_records(schema, instance_oid, nodes, edges):
+    """The ``I_SM_*`` facts of ``(id, type, properties)`` node records
+    and ``(id, source, target, type, properties)`` edge records: what
+    ``encode_instance`` yields for them as a graph of their own."""
+    scratch = PropertyGraph("records")
+    for node_id, type_name, properties in nodes:
+        scratch.add_node(node_id, type_name, **properties)
+    for edge_id, source, target, type_name, properties in edges:
+        for endpoint in (source, target):
+            if not scratch.has_node(endpoint):
+                scratch.add_node(endpoint)  # unlabeled: a stub, not encoded
+        scratch.add_edge(source, target, type_name, edge_id=edge_id, **properties)
+    facts = {}
+    encode_instance(
+        schema, instance_oid, scratch,
+        lambda label, columns: facts.setdefault(label, []).extend(zip(*columns)),
+    )
+    return facts
 
 
 def node_snapshot(graph):
@@ -254,8 +273,8 @@ class TestBulkInstanceDictionary:
         assert node_snapshot(back.data) == node_snapshot(tiny_instance)
         assert edge_snapshot(back.data) == edge_snapshot(tiny_instance)
 
-        # Each element encoded alone (the way update() encodes a delta)
-        # yields exactly its share of the whole-graph encoding.
+        # Each element encoded alone yields exactly its share of the
+        # whole-graph encoding.
         whole = set()
         encode_instance(
             company_schema, 7, tiny_instance,

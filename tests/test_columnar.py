@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, ResourceLimitError
 from repro.obs import RecordingTracer, ResourceGovernor
 from repro.vadalog import Engine, parse_program
 from repro.vadalog.columnar import ColumnarRelation, SpillStore, ValueInterner
@@ -143,6 +143,37 @@ class TestValueInterner:
 # ---------------------------------------------------------------------------
 # Relation facade parity + units
 # ---------------------------------------------------------------------------
+
+
+class TestCodeCeiling:
+    """Every path that mints a code refuses one past the int32 ceiling
+    instead of letting a cast wrap it."""
+
+    @pytest.fixture()
+    def full(self, monkeypatch):
+        from repro.vadalog import columnar
+
+        interner = ValueInterner()
+        interner.encode_column(["a", "b"])
+        monkeypatch.setattr(columnar, "CODE_CEILING", 3)
+        return interner
+
+    def test_one_value(self, full):
+        assert full.encode(3.5) == 2
+        with pytest.raises(ResourceLimitError, match="int32"):
+            full.encode("d")
+        assert full.encode("a") == 0 and len(full) == 3  # a hit mints nothing
+
+    @pytest.mark.parametrize("column", [["c", "d"], ["c", 4.5]])
+    def test_a_column(self, full, column):
+        with pytest.raises(ResourceLimitError) as raised:
+            full.encode_column(column)
+        assert raised.value.resource == "codes" and len(full) <= 3
+
+    def test_a_relation_insert(self, full):
+        relation = ColumnarRelation("r", interner=full)
+        with pytest.raises(ResourceLimitError):
+            relation.add_many([(f"v{i}",) for i in range(80)])
 
 
 def _both_backends():

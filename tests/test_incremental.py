@@ -830,7 +830,7 @@ class TestCompiledMaintenancePlan:
             )
             assert report.strata_recomputed == 0
         assert not hashed and not sorted_facts
-        assert len({*materializer.retained.result_reason.program.rules}) == 2
+        assert len({*materializer.retained.result.program.rules}) == 2
         assert sorted([("b",), ("a",)], key=terms.fact_sort_key)
         assert hashed and sorted_facts  # the counts are live
 
@@ -989,6 +989,41 @@ def _reference(data):
 
 
 class TestMaterializerUpdate:
+    @pytest.mark.parametrize("companies,recomputed", [(100, 1), (30, 0)])
+    def test_a_cascade_through_half_the_stratum_is_a_recompute(
+        self, company_schema, companies, recomputed
+    ):
+        """A majority ring: everyone controls everyone through it, so one
+        removed stake over-deletes the whole CONTROLS stratum.  Past
+        ``DEGENERATE_FLOOR`` facts that is a recompute, with its reason;
+        below it DRed.  Either way the result is a fresh run's, and the
+        control edges that stay keep their ids."""
+        ring = PropertyGraph("ring")
+        names = [f"R{i}" for i in range(companies)]
+        for name in names:
+            ring.add_node(name, "Business", fiscalCode=f"FC{name}", businessName=name,
+                          legalNature="spa", shareholdingCapital=1.0)
+        for i, name in enumerate(names):
+            ring.add_edge(name, names[(i + 1) % companies], "OWNS",
+                          edge_id=f"o{i}", percentage=0.6)
+        materializer = diff_is_the_oracle(IntensionalMaterializer())
+        materializer.materialize(
+            company_schema, ring, _control_sigma(), instance_oid=9, retain=True,
+        )
+        enriched = materializer.retained.enriched
+        ids = {(e.source, e.target): e.id for e in enriched.edges("CONTROLS")}
+        assert len(ids) == companies ** 2
+        outcome = materializer.update(RegistryDelta(remove_edges=["o0"]))
+        assert [entry[-1] for entry in outcome.recompute_reasons] == (
+            ["over-deletion reached half of the stratum"] * recomputed
+        )
+        assert _canon_graph(outcome.instance.data) == _canon_graph(
+            _reference(ring.copy()).instance.data
+        )
+        kept = {(e.source, e.target): e.id for e in enriched.edges("CONTROLS")}
+        assert len(kept) == companies * (companies + 1) // 2
+        assert all(ids[pair] == edge_id for pair, edge_id in kept.items())
+
     def test_insert_differential(self, retained, owns_instance):
         materializer, _report = retained
         delta = RegistryDelta(
@@ -1091,18 +1126,29 @@ class TestMaterializerUpdate:
 
     def test_the_old_world_appends_no_row(self, retained, monkeypatch):
         """40 chained remove / re-add / replace deltas, by count: every
-        row the three retained databases grow by is a fact the net delta
-        added or an over-deleted one that came back — the old world of
-        the over-deletion joins costs a byte per seed, no row and no
-        tombstone — and the result is a from-scratch materialize."""
+        row the retained database grows by is a fact the net delta added
+        or an over-deleted one that came back — the old world of the
+        over-deletion joins costs a byte per seed, no row and no
+        tombstone — and the result is a from-scratch materialize.  The
+        tombstones a compaction reclaims count as rows still held."""
         from repro.vadalog import incremental
 
         materializer, _report = retained
         kept = materializer.retained
-        results = (kept.result_load, kept.result_reason, kept.result_flush)
+        results = (kept.result,)
+        database, reclaimed = kept.result.database, [0]
+        real_compact = database.compact
+
+        def compact():
+            reclaimed[0] += database.dead_rows()
+            real_compact()
+
+        monkeypatch.setattr(database, "compact", compact)
 
         def rows(database):
-            return sum(r._nrows for r in database._relations.values())
+            return reclaimed[0] + sum(
+                r._nrows for r in database._relations.values()
+            )
 
         real_joins = incremental._overdelete_joins
 
@@ -1135,9 +1181,7 @@ class TestMaterializerUpdate:
                 RegistryDelta(add_edges=add, remove_edges=remove)
             )
             assert outcome.strata_recomputed == 0, outcome.recompute_reasons
-            deltas = (
-                outcome.delta_load, outcome.delta_reason, outcome.delta_flush
-            )
+            deltas = (outcome.delta_reason,)
             for result, start, delta in zip(results, starts, deltas):
                 grown = rows(result.database) - start
                 # (An over-deleted fact that comes back takes a new row.)

@@ -526,8 +526,10 @@ class TestInstanceRelations:
     def test_one_encoder_one_decoder(
         self, company_schema, owns_instance, monkeypatch
     ):
-        """The Figure 9 rendering, materialize() and update() all go
-        through ``encode_instance`` / ``decode_instance``."""
+        """The Figure 9 rendering goes through ``encode_instance`` /
+        ``decode_instance``; materialize() and update() through neither:
+        their column maps read the registry's label tables and write
+        the instance's."""
         calls = Counter()
         for name in ("encode_instance", "decode_instance"):
             real = getattr(codec, name)
@@ -537,9 +539,7 @@ class TestInstanceRelations:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(codec, name, counting)
-            if hasattr(materializer_module, name):  # bound by name there
-                assert getattr(materializer_module, name) is real
-                monkeypatch.setattr(materializer_module, name, counting)
+            assert not hasattr(materializer_module, name)
 
         dictionary = GraphDictionary()
         dictionary.store(company_schema)
@@ -550,19 +550,16 @@ class TestInstanceRelations:
         SuperInstance.from_dictionary(dictionary.graph, company_schema, 7)
         assert calls == {"encode_instance": 1, "decode_instance": 1}
 
-        # No oracle here: its whole decode would be counted as well.
-        materializer = IntensionalMaterializer()
+        materializer = diff_is_the_oracle(IntensionalMaterializer())
         materializer.materialize(
             company_schema, owns_instance,
             parse_metalog(programs.CONTROL_PROGRAM), instance_oid=9,
             retain=True,
         )
-        assert calls == {"encode_instance": 2, "decode_instance": 2}
         materializer.update(RegistryDelta(
             add_edges=[("o9", "B3", "B1", "OWNS", {"percentage": 0.1})],
         ))
-        # update() encodes the removed and the added records.
-        assert calls == {"encode_instance": 4, "decode_instance": 3}
+        assert calls == {"encode_instance": 1, "decode_instance": 1}
 
     def test_failed_update_drops_the_retained_state(
         self, company_schema, owns_instance
@@ -886,11 +883,8 @@ class TestNullStability:
             ])
 
         def pairs(facts):
-            """``(x, y)`` of ``CONTROLS(c, x, y)`` facts, as plain ids."""
-            return {
-                tuple(oid.split(":i-node:")[1] for oid in fact[1:3])
-                for fact in facts
-            }
+            """``(x, y)`` of ``CONTROLS(c, x, y)`` facts: plain ids."""
+            return {tuple(fact[1:3]) for fact in facts}
 
         def edge_ids(graph):
             return {
@@ -927,8 +921,7 @@ class TestNullStability:
         data, registry, materializer, _ = control_500
         retained = materializer.retained
         interner = registry.interner
-        for state in ("result_load", "result_reason", "result_flush"):
-            assert getattr(retained, state).database._interner is interner
+        assert retained.result.database.interner is interner
         taken = {(s.owner, s.company) for s in data.stakes}
         rng = random.Random(1)
         businesses = sorted(data.companies)
@@ -943,21 +936,18 @@ class TestNullStability:
             ]))
             materializer.update(RegistryDelta(remove_edges=[f"churn-{pair}"]))
             sizes.append(len(interner))
-        # A pair's own new values: the stake's id, its construct OIDs
-        # and those of the controls it brings (a dozen or two).  One
-        # renamed CONTROLS stratum would be over 2,000 a pair.
+        # A pair's own new values: the stake's id and the nulls of the
+        # controls it brings (a dozen or two).  One renamed CONTROLS
+        # stratum would be over 2,000 a pair.
         assert sizes[-1] - sizes[0] <= 19 * 32
 
 
 # ----------------------------------------------------------------------
-# Each retained state holds what its program reads or writes
+# The retained materialization is Sigma's chase state, nothing else
 # ----------------------------------------------------------------------
 def retained_databases(retained):
-    """The three retained databases, by state."""
-    return {
-        state: getattr(retained, state).database
-        for state in ("result_load", "result_reason", "result_flush")
-    }
+    """The retained chase databases, by state: Sigma's alone."""
+    return {"result": retained.result.database}
 
 
 def up_to_nulls(database):
@@ -979,32 +969,77 @@ def up_to_nulls(database):
 
 
 class TestRetainedStates:
-    def test_sigma_and_v_o_hold_only_what_they_read_or_write(
-        self, control_500
-    ):
+    def test_the_retained_state_is_sigmas_alone(self, control_500):
+        """One chase state, over Sigma's relations only: no ``I_SM_*``
+        staging relation and no view relation."""
         retained = control_500[2].retained
-        databases = retained_databases(retained)
-        sigma = retained.result_reason.program.predicates()
-        v_out = retained.result_flush.program.predicates()
-        instance = set(codec.INSTANCE_LABELS)
-        assert set(databases["result_reason"]._relations) <= sigma
-        assert {"CONTROLS", "OWNS"} <= set(
-            databases["result_reason"].predicates()
-        )
-        flush = set(databases["result_flush"]._relations)
-        assert instance <= flush <= instance | v_out
-        # The staging database is V_I's state, its views included.
-        assert any(
-            p.startswith("vI_") for p in databases["result_load"].predicates()
+        database = retained.result.database
+        assert set(database._relations) <= retained.result.program.predicates()
+        assert {"Business", "CONTROLS", "OWNS"} <= set(database.predicates())
+        assert not any(
+            name.startswith(("I_SM_", "SM_", "vI_")) for name in database._relations
         )
 
-    def test_bootstrap_rows_are_under_twice_the_load_state(self, control_500):
-        databases = retained_databases(control_500[2].retained)
-        rows = {
-            state: database.total_facts()
-            for state, database in databases.items()
+    def test_bootstrap_rows_are_the_registry_and_the_derived_facts(
+        self, control_500
+    ):
+        """Sigma's input relations hold one row per registry element of
+        their labels, and the rest is what Sigma derived."""
+        _data, registry, materializer, report = control_500
+        database = materializer.retained.result.database
+        rows = {p: database.count(p) for p in database.predicates()}
+        assert rows == {
+            "Business": sum(1 for _ in registry.nodes("Business")),
+            "OWNS": sum(1 for _ in registry.edges("OWNS")),
+            "CONTROLS": report.derived_counts["CONTROLS"],
         }
-        assert sum(rows.values()) < 2 * rows["result_load"], rows
+        assert database.dead_rows() == 0
+
+    def test_tombstones_are_compacted_at_the_end_of_an_update(
+        self, company_schema, monkeypatch
+    ):
+        """500 chained batches at 200 companies: Sigma's database never
+        holds more dead rows than live ones (without compaction they
+        pile up past them), and compaction changes nothing in the
+        result, which a fresh run matches."""
+        data, registry = kgbench_registry(200, 42)
+        sigma = parse_metalog(programs.CONTROL_PROGRAM)
+        businesses = sorted(data.companies)
+
+        def chain(compacting):
+            registry_now = registry.copy()
+            materializer = IntensionalMaterializer()
+            materializer.materialize(
+                company_schema, registry_now, sigma, instance_oid=9, retain=True,
+            )
+            database = materializer.retained.result.database
+            if not compacting:
+                monkeypatch.setattr(database, "compact", lambda: None)
+            rng, live, rows = random.Random(5), [], []
+            for step in range(500):
+                added = [
+                    (f"b{step}-{k}", *rng.sample(businesses, 2), "OWNS",
+                     {"percentage": rng.choice((0.2, 0.4, 0.6))})
+                    for k in range(2)
+                ]
+                removed = [live.pop(rng.randrange(len(live)))
+                           for _ in range(min(2, len(live)))]
+                live.extend(stake[0] for stake in added)
+                materializer.update(
+                    RegistryDelta(add_edges=added, remove_edges=removed)
+                )
+                rows.append((database.total_facts(), database.dead_rows()))
+            return registry_now, materializer.retained.enriched, rows
+
+        registry_now, compacted, rows = chain(True)
+        _, uncompacted, piled = chain(False)
+        assert all(dead <= live for live, dead in rows), max(rows, key=lambda r: r[1])
+        assert piled[-1][1] > piled[-1][0], piled[-1]
+        assert order_sensitive_digest(compacted) == order_sensitive_digest(uncompacted)
+        fresh = IntensionalMaterializer().materialize(
+            company_schema, registry_now.copy(), sigma, instance_oid=9,
+        )
+        assert renamed(compacted) == renamed(fresh.instance.data)
 
     def test_thirty_updates_leave_what_a_fresh_retained_run_holds(
         self, company_schema, control_500
@@ -1148,3 +1183,129 @@ class TestOneDictionary:
             company_schema, registry, sigma, instance_oid=9, retain=True,
         )
         assert gc.collect() == 0
+
+
+# ----------------------------------------------------------------------
+# Production's column maps against the reference V_I / Sigma / V_O
+# ----------------------------------------------------------------------
+ODD_CELLS = [None, float("nan"), 1, 1.0, True, 0, False, 2.5, "1"]
+
+
+def odd_registry(seed):
+    """A registry of stored ``None`` next to missing cells, NaN, ``1`` /
+    ``1.0`` / ``True`` cells, ``PublicListedCompany`` nodes under
+    ``Business``, an integer node id and a node and an edge sharing one."""
+    rng = random.Random(seed)
+    registry = make_graph("registry")
+    people = [f"P{i}" for i in range(20)]
+    businesses = [f"B{i}" for i in range(24)] + [7]
+    for pid in people:
+        properties = {"fiscalCode": f"FC-{pid}", "name": rng.choice(ODD_CELLS),
+                      "gender": rng.choice(["f", True, 1])}
+        if rng.random() < 0.7:
+            properties["surname"] = rng.choice(["Rossi", "Greco", None, 1, True])
+        registry.add_node(pid, "PhysicalPerson", **properties)
+    for bid in businesses:
+        listed = rng.random() < 0.3
+        properties = {"fiscalCode": f"FC-{bid}", "businessName": rng.choice(ODD_CELLS),
+                      "legalNature": rng.choice(["spa", 1.0]),
+                      "shareholdingCapital": rng.choice(ODD_CELLS)}
+        if rng.random() < 0.6:
+            properties["website"] = rng.choice(ODD_CELLS)
+        if listed:
+            properties.update(stockExchange=rng.choice(["MIL", None]),
+                              tickerSymbol=f"T{bid}")
+        registry.add_node(bid, "PublicListedCompany" if listed else "Business",
+                          **properties)
+    for index in range(90):
+        registry.add_edge(
+            rng.choice(people + businesses), rng.choice(businesses), "OWNS",
+            edge_id="B0" if index == 0 else f"s{index}",
+            percentage=rng.choice([0.3, 0.6, 0.55, 1, True]),
+        )
+    return businesses, registry
+
+
+def odd_deltas(seed, businesses):
+    """Chained registry deltas over :func:`odd_registry`: stakes come
+    and go, a node is added with odd cells and replaced, one removed."""
+    rng = random.Random(seed + 100)
+    yield RegistryDelta(add_edges=[("x1", "B1", "B2", "OWNS", {"percentage": 0.9})])
+    yield RegistryDelta(add_nodes=[("N1", "PublicListedCompany", {
+        **BUSINESS, "fiscalCode": "FC-N1", "businessName": None,
+        "numberOfStakeholders": 1.0, "stockExchange": "MIL", "tickerSymbol": "N",
+    })], add_edges=[("x2", "P1", "N1", "OWNS", {"percentage": True})])
+    yield RegistryDelta(remove_edges=["x1", "B0"])
+    yield RegistryDelta(remove_nodes=["N1"], add_nodes=[("N1", "Business", {
+        **BUSINESS, "fiscalCode": "FC-N1", "businessName": "N1",
+        "shareholdingCapital": float("nan"),
+    })], add_edges=[("x3", "N1", rng.choice(businesses), "OWNS", {"percentage": 0.7})])
+    yield RegistryDelta(remove_nodes=[rng.choice(businesses[:20])])
+
+
+def store_state(schema, graph):
+    from repro.deploy.resilience import graph_store_state
+
+    store = deployed_store(schema)
+    load_graph_store(schema, graph, store)
+    return graph_store_state(store)
+
+
+def differential_digests(schema, seed):
+    """Each program fresh and after each chained update: production
+    against the reference, order-sensitive when fresh and up to nulls
+    and element order after updates (a fresh reference run renames
+    nulls).  Returns production's order-sensitive digests."""
+    from tests.reference import reference_materialize
+
+    businesses, registry = odd_registry(seed)
+    control = IntensionalMaterializer().materialize(
+        schema, registry.copy(), parse_metalog(programs.CONTROL_PROGRAM), 9,
+    ).instance.data
+    digests = []
+    for program, data in (
+        ("CONTROL_PROGRAM", registry), ("STAKEHOLDERS_PROGRAM", registry),
+        ("FAMILY_PROGRAM", registry), ("GROUP_PROGRAM", control),
+    ):
+        sigma = parse_metalog(getattr(programs, program))
+        data = data.copy()
+        materializer = diff_is_the_oracle(IntensionalMaterializer())
+        report = materializer.materialize(schema, data, sigma, 9, retain=True)
+        expected, dropped = reference_materialize(schema, data.copy(), sigma, 9)
+        graph = report.instance.data
+        assert order_sensitive_digest(graph) == order_sensitive_digest(expected.data)
+        assert store_state(schema, graph) == store_state(schema, expected.data)
+        assert report.flush_dropped_edges == dropped
+        digests.append(order_sensitive_digest(graph))
+        for delta in odd_deltas(seed, businesses) if program != "GROUP_PROGRAM" else ():
+            graph = materializer.update(delta).instance.data
+            expected, _ = reference_materialize(schema, data.copy(), sigma, 9)
+            assert renamed(graph) == renamed(expected.data), program
+            assert store_state(schema, graph) == store_state(schema, expected.data)
+            digests.append(order_sensitive_digest(graph))
+    return digests
+
+
+class TestColumnMapsEqualTheReference:
+    @pytest.mark.parametrize("seed", range(2))
+    def test_production_equals_the_reference(self, company_schema, seed):
+        differential_digests(company_schema, seed)
+
+    def test_the_battery_is_hash_seed_independent(self):
+        script = (
+            "from repro.finkg.company_schema import company_super_schema\n"
+            "from tests.test_materializer import differential_digests\n"
+            "print(differential_digests(company_super_schema(), 0))\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [root, os.path.join(root, "src"), env.get("PYTHONPATH", "")]
+            )
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout)
+        assert outputs[0] == outputs[1] and outputs[0].count("'") == 2 * 19

@@ -8,6 +8,7 @@ through fake sleeps, so nothing here ever waits on a real clock.
 
 import json
 import os
+import shutil
 import stat
 
 import pytest
@@ -651,7 +652,7 @@ class TestCheckpointCodec:
         monkeypatch.setattr(
             os, "fsync", lambda fd: synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
         )
-        checkpoint.save_phase("load", database=Database())
+        checkpoint.save_phase("reason", database=Database())
         assert synced == [False, True, False, True]
 
 
@@ -690,7 +691,7 @@ class TestCheckpointedMaterialization:
                          directory=tmp_path / "ckpt")
         assert first.resumed_from is None
 
-        # Resume: neither the load chase nor the reasoning chase runs.
+        # Resume: Sigma's chase, the only one, does not run again.
         calls = []
         engine = Engine()
         original = engine.run
@@ -706,14 +707,19 @@ class TestCheckpointedMaterialization:
             checkpoint=MaterializationCheckpoint(str(tmp_path / "ckpt")),
         )
         assert resumed.resumed_from == "reason"
-        assert len(calls) == 1  # only the flush (v_out) chase
+        assert not calls
         assert self.canon(resumed) == self.canon(baseline)
         assert resumed.derived_counts == baseline.derived_counts
 
-    def test_interrupted_reason_resumes_from_load(self, company_schema,
-                                                  tmp_path):
-        # Long enough that the reasoning chase (quadratic CONTROLS closure)
-        # outweighs the load chase — only then can a budget separate them.
+    def test_interrupted_run_resumes_from_the_last_saved_phase(
+        self, company_schema, tmp_path, monkeypatch
+    ):
+        """A budget trip in Sigma's chase saves nothing, so the next run
+        reasons from scratch; a crash in the flush, after the reason
+        phase is saved, resumes from it.  Both end at the unbudgeted
+        result."""
+        import repro.ssst.materializer as materializer_module
+
         chain = PropertyGraph("chain")
         for i in range(45):
             chain.add_node(f"C{i}", "Business", fiscalCode=f"F{i}",
@@ -721,32 +727,31 @@ class TestCheckpointedMaterialization:
                            shareholdingCapital=1.0)
         for i in range(44):
             chain.add_edge(f"C{i}", f"C{i+1}", "OWNS", percentage=0.8)
-
         baseline = self.run(company_super_schema(), chain)
 
-        # Find a fact budget that completes the load chase but trips the
-        # reasoning chase (the window depends on engine internals, so scan).
         directory = tmp_path / "ckpt"
-        interrupted = None
-        for budget in (750, 800, 900):
-            import shutil
-            shutil.rmtree(directory, ignore_errors=True)
-            engine = Engine(governor=ResourceGovernor(max_facts=budget,
-                                                      graceful=True))
-            report = self.run(company_super_schema(), chain, engine=engine,
-                              directory=directory)
-            checkpoint = MaterializationCheckpoint(str(directory))
-            checkpoint.begin(self.fingerprint(chain))
-            if report.truncated and checkpoint.resume_phase() == "load":
-                interrupted = report
-                break
-        assert interrupted is not None, "no budget interrupted the reason phase"
+        engine = Engine(governor=ResourceGovernor(max_facts=800, graceful=True))
+        interrupted = self.run(company_super_schema(), chain, engine=engine,
+                               directory=directory)
+        checkpoint = MaterializationCheckpoint(str(directory))
+        checkpoint.begin(self.fingerprint(chain))
+        assert interrupted.truncated and checkpoint.completed_phases() == []
+        rerun = self.run(company_super_schema(), chain, directory=directory)
+        assert rerun.resumed_from is None and not rerun.truncated
 
+        def crash(*_args, **_kwargs):
+            raise RuntimeError("killed in the flush")
+
+        shutil.rmtree(directory)
+        with monkeypatch.context() as patch:
+            patch.setattr(materializer_module, "write_instance", crash)
+            with pytest.raises(RuntimeError, match="flush"):
+                self.run(company_super_schema(), chain, directory=directory)
         resumed = self.run(company_super_schema(), chain, directory=directory)
-        assert resumed.resumed_from == "load"
-        assert not resumed.truncated
-        assert self.canon(resumed) == self.canon(baseline)
-        assert resumed.derived_counts == baseline.derived_counts
+        assert resumed.resumed_from == "reason"
+        for report in (rerun, resumed):
+            assert self.canon(report) == self.canon(baseline)
+            assert report.derived_counts == baseline.derived_counts
 
     def fingerprint(self, data):
         from repro.ssst import run_fingerprint
@@ -779,7 +784,7 @@ class TestCheckpointedMaterialization:
 # ----------------------------------------------------------------------
 class TestFlushAccounting:
     def test_dropped_edges_are_counted(self):
-        from repro.core.instances import instance_facts
+        from tests.reference import instance_facts
         from repro.vadalog.database import Database
 
         database = Database()
