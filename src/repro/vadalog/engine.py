@@ -69,10 +69,9 @@ from repro.vadalog.plan import (
     _hashable,
     check_condition as _plan_check_condition,
     evaluate_expression as _plan_evaluate,
+    body_columns,
     execute_plan,
     execute_plan_batch,
-    vectorized_body_substitutions,
-    vectorized_rule_matches,
     values_equal as _values_equal,
 )
 from repro.vadalog.stratify import Stratum, stratify
@@ -93,6 +92,9 @@ class EvaluationStats:
 
     iterations: int = 0
     rule_firings: int = 0
+    #: The firings instantiated on code columns (a subset of
+    #: ``rule_firings``), not one substitution at a time.
+    columnar_firings: int = 0
     facts_derived: int = 0
     nulls_created: int = 0
     elapsed_seconds: float = 0.0
@@ -578,6 +580,7 @@ class Engine:
         pending: List[Tuple[str, Fact]] = []
         for rule_index, rule in enumerate(rules):
             span = None
+            path = "matches"
             before_firings = stats.rule_firings
             before_pending = len(pending)
             before_nulls = stats.nulls_created
@@ -596,40 +599,43 @@ class Engine:
                     and rule.body_predicates() & recursive_predicates
                 )
                 if plans is not None:
-                    if plans.is_aggregate:
+                    if plans.is_aggregate and delta is None:
+                        aggregates[rule] = AggregateState(
+                            plans.aggregate_plan().call.function,
+                            recursive=in_recursion,
+                        )
+                    state = aggregates.get(rule)
+                    columns = (
+                        plans.columns(db, delta, state) if db.columnar else None
+                    )
+                    fired = columns and plans.fire_columns(
+                        columns, db, stats, nulls, self.max_nulls
+                    )
+                    if fired is not None:
+                        path = "columns"
+                        pending.extend(fired)
+                        matches = ()
+                    elif columns is not None:
+                        matches = columns.substitutions()
+                    elif plans.is_aggregate:
                         plan = plans.aggregate_plan()
                         if delta is not None:
                             contributions = plan.delta_matches(db, delta)
+                        elif db.columnar:
+                            contributions = execute_plan_batch(plan.pre_plan, db)
                         else:
-                            aggregates[rule] = AggregateState(
-                                plan.call.function, recursive=in_recursion
-                            )
-                            contributions = (
-                                execute_plan_batch(plan.pre_plan, db)
-                                if db.columnar
-                                else execute_plan(plan.pre_plan, db)
-                            )
-                        matches = plan.evaluate(aggregates[rule], contributions)
+                            contributions = execute_plan(plan.pre_plan, db)
+                        matches = plan.evaluate(state, contributions)
                     elif delta is not None:
                         matches = plans.delta_matches(db, delta)
                     elif db.columnar:
-                        # Full evaluation of a simple rule: try the
-                        # whole-plan vectorized join first.
-                        vectorized = vectorized_rule_matches(plans, db)
-                        if vectorized is not None:
-                            firings, head_facts = vectorized
-                            stats.rule_firings += firings
-                            pending.extend(head_facts)
-                            matches = ()
-                        else:
-                            # Complex heads (Skolems, existentials) need
-                            # per-match work, but the join itself can
-                            # still run vectorized.
-                            matches = vectorized_body_substitutions(
-                                plans.body_plan(), db
-                            )
-                            if matches is None:
-                                matches = execute_plan_batch(plans.body_plan(), db)
+                        # A Skolem head fires per match, but the join
+                        # itself can still run vectorized.
+                        body = body_columns(plans.body_plan(), db)
+                        matches = (
+                            body.substitutions() if body is not None
+                            else execute_plan_batch(plans.body_plan(), db)
+                        )
                     else:
                         matches = execute_plan(plans.body_plan(), db)
                     for substitution in matches:
@@ -660,7 +666,10 @@ class Engine:
                     firings = stats.rule_firings - before_firings
                     produced = len(pending) - before_pending
                     invented = stats.nulls_created - before_nulls
-                    span.set(firings=firings, produced=produced, nulls=invented)
+                    span.set(
+                        firings=firings, produced=produced, nulls=invented,
+                        path=path,
+                    )
                     tracer.count("engine.rule_firings", firings)
                     if invented:
                         tracer.count("engine.nulls_created", invented)

@@ -1236,6 +1236,7 @@ def apply_delta(
         delta_result.elapsed_seconds = time.perf_counter() - start
         if stats is not None:
             stats.rule_firings += local.rule_firings
+            stats.columnar_firings += local.columnar_firings
             stats.facts_derived += local.facts_derived
             stats.iterations += local.iterations
             stats.nulls_created += local.nulls_created

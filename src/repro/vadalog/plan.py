@@ -30,6 +30,19 @@ evaluation, and the aggregate pre-body plan.
 :func:`delta_matches` is the one semi-naive delta join, shared by a
 recursive stratum's later rounds and by incremental maintenance, and
 :meth:`AggregatePlan.evaluate` the one aggregate evaluator.
+
+A rule fires on one of two paths.  On a columnar database, a rule whose
+body :func:`execute_plan_vectorized` takes (atom joins, negations) and
+whose head has no Skolem term fires on code columns:
+:meth:`RulePlans.columns` joins the whole body, or a delta of
+:data:`COLUMNAR_MIN_BASES` facts or more that one body atom reads, into a
+:class:`ColumnMatches`; an aggregate rule contributes those columns into
+its state (:meth:`AggregatePlan.evaluate_columns`); and
+:meth:`RulePlans.fire_columns` instantiates the head for every match at
+once, the restricted chase's check being one anti-join.  Every other
+firing is per match: a substitution dict each, through
+:meth:`RulePlans.instantiate_head`.  Both paths enumerate matches in the
+same order, so buckets, sums, null numbers and row order agree.
 """
 
 from __future__ import annotations
@@ -56,7 +69,8 @@ from repro.vadalog.columnar import _FNV_PRIME as _FNV_PRIME_NP
 from repro.vadalog.database import Database, Fact
 from repro.vadalog.terms import SkolemFunctor, Variable
 
-from itertools import repeat as _repeat
+from functools import partial
+from itertools import chain as _chain, count as _count, repeat as _repeat
 
 import numpy as _np
 
@@ -393,7 +407,7 @@ class BodyPlan:
         self.prefix = prefix
         self.steps = steps
         # (base variable tuple) -> _BatchProgram, built on first use by
-        # the columnar batch executor.
+        # the batch and the vectorized executors.
         self.batch_cache: Dict[Tuple[Variable, ...], Any] = {}
 
 
@@ -647,173 +661,95 @@ def _batch_program(plan: BodyPlan, base_vars: Tuple[Variable, ...]) -> _BatchPro
     return program
 
 
-def execute_plan_batch(
-    plan: BodyPlan,
-    db: Database,
-    bases: Optional[Iterable[Substitution]] = None,
-    base_vars: Tuple[Variable, ...] = (),
-    excludes: Optional[Dict[int, Set[Fact]]] = None,
-) -> Iterator[Substitution]:
+def execute_plan_batch(plan: BodyPlan, db: Database) -> Iterator[Substitution]:
     """Batch twin of :func:`execute_plan` for columnar databases.
 
-    Processes a whole batch of initial substitutions (``bases``, e.g.
-    one semi-naive delta partition) in one call over one compiled
-    register program.  Join keys probe the relation's eq-code indexes,
-    candidate verification compares dictionary codes (ints) instead of
-    decoding fact tuples, and only full matches materialize substitution
-    dicts.  Yields exactly the substitutions the tuple-at-a-time
-    executor yields (possibly in a different enumeration order).
-
-    ``bases`` items must bind exactly ``base_vars``; ``None`` means one
-    empty base (a full evaluation, like ``execute_plan`` without
-    ``initial``).
+    Every match of ``plan`` over one compiled register program: join
+    keys probe the relation's eq-code indexes, candidate verification
+    compares dictionary codes (ints) instead of decoding fact tuples,
+    and only full matches materialize substitution dicts — exactly the
+    substitutions the tuple-at-a-time executor yields.  The full
+    evaluation of a body :func:`execute_plan_vectorized` does not take
+    (conditions, assignments).
     """
     interner = db._interner
     if interner is None:
         raise EvaluationError("execute_plan_batch requires a columnar database")
-    program = _batch_program(plan, tuple(base_vars))
+    program = _batch_program(plan, ())
     steps = program.steps
     n = len(steps)
     eq_of = interner.eq
     value_of = interner.values
     probe_exact = interner.probe
     probe_eq = interner.probe_eq
-
-    # Per-(program, db) step environment: relations and pre-resolved
-    # constant key parts.  Cached on the database because the engine
-    # calls the same compiled program over the same database once per
-    # delta partition — at semi-naive scale that is hundreds of
-    # thousands of tiny calls, so the setup must not be per-call.  The
-    # cache entry pins the program object (so its id is never reused)
-    # and is invalidated when an unresolved constant might have been
-    # interned since resolution (the interner is append-only, so fully
-    # resolved keys stay valid forever).
-    envs = db.__dict__.setdefault("_batch_envs", {})
-    entry = envs.get(id(program))
-    if (
-        entry is not None
-        and entry[0] is program
-        and (entry[3] or entry[4] == len(value_of))
-    ):
-        relations = entry[1]
-        const_keys = entry[2]
-    else:
-        relations = []
-        const_keys = []
-        for bstep in steps:
-            relations.append(db.relation(bstep.predicate))
-            # Constants in the key resolve once (the interner only grows
-            # at commit time, never during a match pass).
-            resolved: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = ((), ())
-            eq_parts: List[int] = []
-            exact_parts: List[int] = []
-            for is_slot, payload in bstep.key_ops:
-                if is_slot:
-                    eq_parts.append(-1)
-                    exact_parts.append(-1)
-                    continue
+    relations = [db.relation(bstep.predicate) for bstep in steps]
+    const_keys: List[Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = []
+    for bstep in steps:
+        # Constants in the key resolve once (the interner only grows at
+        # commit time, never during a match pass).
+        eq_parts: List[int] = []
+        exact_parts: List[int] = []
+        for is_slot, payload in bstep.key_ops:
+            eq_code = exact = -1
+            if not is_slot:
                 eq_code = probe_eq(payload)
                 exact = probe_exact(payload)
                 if eq_code is None or exact is None or payload != payload:
-                    resolved = None  # constant unseen (or NaN): no match
-                    break
-                eq_parts.append(eq_code)
-                exact_parts.append(exact)
-            if resolved is not None:
-                resolved = (tuple(eq_parts), tuple(exact_parts))
-            const_keys.append(resolved)
-        envs[id(program)] = (
-            program,
-            relations,
-            const_keys,
-            all(k is not None for k in const_keys),
-            len(value_of),
-        )
-
-    if excludes:
-        excluded_sets = [excludes.get(b.orig_index) for b in steps]
-    else:
-        excluded_sets = [None] * n
+                    break  # constant unseen (or NaN): no match
+            eq_parts.append(eq_code)
+            exact_parts.append(exact)
+        else:
+            const_keys.append((tuple(eq_parts), tuple(exact_parts)))
+            continue
+        const_keys.append(None)
 
     vals: List[Any] = [_ABSENT] * program.nslots
     codes: List[Optional[int]] = [None] * program.nslots
     view = _RegView(program.slots, vals, codes)
-    base_slots = program.base_slots
-    prefix = program.prefix
     slot_of = program.slots
     out_slots = tuple(slot_of.items())
+    prefix_bound: List[Variable] = []
+    for filt in program.prefix:
+        if not filt.apply(view, db, prefix_bound):
+            return
+    if n == 0:
+        yield {var: vals[slot] for var, slot in out_slots if vals[slot] is not _ABSENT}
+        return
 
-    if bases is None:
-        bases = ({},)
-
-    for base in bases:
-        for slot in range(program.nslots):
-            vals[slot] = _ABSENT
-            codes[slot] = None
-        for var, slot in base_slots:
-            value = base[var]
-            vals[slot] = value
-            codes[slot] = probe_exact(value)
-        failed = False
-        prefix_bound: List[Variable] = []
-        for filt in prefix:
-            if not filt.apply(view, db, prefix_bound):
-                failed = True
-                break
-        if failed:
-            continue
-        if n == 0:
-            yield {
-                var: vals[slot]
-                for var, slot in out_slots
-                if vals[slot] is not _ABSENT
-            }
-            continue
-
-        matchers: List[Optional[Iterator[List[int]]]] = [None] * n
-        undos: List[Optional[List[int]]] = [None] * n
-        last = n - 1
-        depth = 0
-        while True:
-            matcher = matchers[depth]
-            if matcher is None:
-                matcher = _step_matches(
-                    steps[depth],
-                    relations[depth],
-                    vals,
-                    codes,
-                    view,
-                    value_of,
-                    excluded_sets[depth],
-                    db,
-                    slot_of,
-                    const_keys[depth],
-                    eq_of,
-                    probe_exact,
-                )
-                matchers[depth] = matcher
-            undo = next(matcher, None)
-            if undo is None:
-                matchers[depth] = None
-                depth -= 1
-                if depth < 0:
-                    break
-                for slot in undos[depth]:
+    matchers: List[Optional[Iterator[List[int]]]] = [None] * n
+    undos: List[Optional[List[int]]] = [None] * n
+    last = n - 1
+    depth = 0
+    while True:
+        matcher = matchers[depth]
+        if matcher is None:
+            matcher = _step_matches(
+                steps[depth], relations[depth], vals, codes, view, value_of,
+                db, slot_of, const_keys[depth], eq_of, probe_exact,
+            )
+            matchers[depth] = matcher
+        undo = next(matcher, None)
+        if undo is None:
+            matchers[depth] = None
+            depth -= 1
+            if depth < 0:
+                return
+            for slot in undos[depth]:
+                vals[slot] = _ABSENT
+                codes[slot] = None
+        else:
+            undos[depth] = undo
+            if depth == last:
+                yield {
+                    var: vals[slot]
+                    for var, slot in out_slots
+                    if vals[slot] is not _ABSENT
+                }
+                for slot in undo:
                     vals[slot] = _ABSENT
                     codes[slot] = None
             else:
-                undos[depth] = undo
-                if depth == last:
-                    yield {
-                        var: vals[slot]
-                        for var, slot in out_slots
-                        if vals[slot] is not _ABSENT
-                    }
-                    for slot in undo:
-                        vals[slot] = _ABSENT
-                        codes[slot] = None
-                else:
-                    depth += 1
+                depth += 1
 
 
 def _step_matches(
@@ -823,7 +759,6 @@ def _step_matches(
     codes: List[Optional[int]],
     view: _RegView,
     value_of: List[Any],
-    excluded: Optional[Set[Fact]],
     db: Database,
     slot_of: Dict[Variable, int],
     const_key: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]],
@@ -879,10 +814,7 @@ def _step_matches(
     filters = bstep.filters
     bind_ops = bstep.bind_ops
     check_ops = bstep.check_ops
-    decode = relation.decode_row
     for row in rows_iter:
-        if excluded is not None and decode(row) in excluded:
-            continue
         if verify:
             ok = True
             for pos, expected in verify:
@@ -934,17 +866,22 @@ def _step_matches(
 
 
 def execute_plan_vectorized(
-    plan: BodyPlan, db: Database
-) -> Optional[Tuple[int, Dict[Variable, Any]]]:
+    plan: BodyPlan,
+    db: Database,
+    bases: Optional[Tuple[int, Dict[Variable, Any]]] = None,
+) -> Optional[Tuple[int, Dict[Variable, Any], Any]]:
     """Whole-plan sort-merge join over code columns, no per-row Python.
 
-    Handles the full-evaluation case (no initial substitutions) of plans
-    whose steps are pure atom joins — no prefix filters, no step filters
-    (conditions, assignments, negation).  Returns ``(n_matches, columns)``
-    where ``columns`` maps each plan variable to an int64 array of exact
-    codes, one entry per match (multiplicities preserved, enumeration
-    order unspecified).  Returns ``None`` when the plan or environment
-    does not qualify; the caller falls back to the scalar executor.
+    Handles plans of pure atom joins; negations defer to a post-join
+    anti-join.  ``bases`` is ``(count, {variable: exact codes})``, the
+    initial bindings of the plan's bound variables (a delta partition, a
+    head check's frontier); ``None`` is one empty base.
+
+    Returns ``(n_matches, columns, origin)``: exact codes per variable
+    and the base of each match, in the scalar executors' enumeration
+    order — by base, then by row at each step, as every step expands
+    its frontier stably and sorts each key's candidates stably by row.
+    ``None`` when the plan does not qualify (the caller goes per match).
 
     Matches are exactly the scalar executor's: join keys and repeated
     occurrences compare exact codes (``values_equal``), and NaN-coded
@@ -953,9 +890,10 @@ def execute_plan_vectorized(
     interner = db._interner
     if interner is None:
         return None
-    program = _batch_program(plan, ())
+    count, base_codes = bases if bases is not None else (1, {})
+    program = _batch_program(plan, tuple(base_codes))
     steps = program.steps
-    if program.prefix or not steps:
+    if program.prefix or (bases is None and not steps):
         return None
     neg_filters: List[Any] = []
     for bstep in steps:
@@ -965,6 +903,8 @@ def execute_plan_vectorized(
             if type(filt) is not NegFilter or not filt.positions:
                 return None
             neg_filters.append(filt)
+    if not count:
+        return (0, {}, None)
 
     probe_exact = interner.probe
     nan_codes = interner.nan_codes
@@ -974,13 +914,18 @@ def execute_plan_vectorized(
         else None
     )
     nslots = program.nslots
-    slot_cols: List[Optional[Any]] = [None] * nslots
-    n = 1  # implicit single empty frontier row
+    # One register column per slot, plus the base index of each row.
+    slot_cols: List[Optional[Any]] = [None] * nslots + [
+        _np.arange(count, dtype=_np.int64)
+    ]
+    for var, slot in program.base_slots:
+        slot_cols[slot] = base_codes[var]
+    n = count
 
     for bstep in steps:
         relation = db.relation(bstep.predicate)
         if relation.arity != bstep.arity:
-            return (0, {})
+            return (0, {}, None)
         const_ops: List[Tuple[int, int]] = []
         slot_ops: List[Tuple[int, int]] = []
         for i, (is_slot, payload) in enumerate(bstep.key_ops):
@@ -990,11 +935,11 @@ def execute_plan_vectorized(
             else:
                 code = probe_exact(payload)
                 if code is None or payload != payload:
-                    return (0, {})  # unseen or NaN constant: no matches
+                    return (0, {}, None)  # unseen or NaN constant
                 const_ops.append((position, code))
         cols, rows = relation.np_columns()
         if not len(rows):
-            return (0, {})
+            return (0, {}, None)
 
         if slot_ops:
             fcols = []
@@ -1015,7 +960,7 @@ def execute_plan_vectorized(
                     fcols = [arr[fmask] for arr in fcols]
                     n = len(fcols[0])
                     if not n:
-                        return (0, {})
+                        return (0, {}, None)
             kpos = tuple(position for position, _slot in slot_ops)
             skeys, srows = relation.np_join_key(kpos)
             if len(fcols) == 1:
@@ -1030,7 +975,7 @@ def execute_plan_vectorized(
             lens = right - left
             total = int(lens.sum())
             if not total:
-                return (0, {})
+                return (0, {}, None)
             fidx = _np.repeat(_np.arange(n), lens)
             cum = _np.concatenate(([0], _np.cumsum(lens)[:-1]))
             sidx = _np.repeat(left - cum, lens) + _np.arange(total)
@@ -1046,17 +991,15 @@ def execute_plan_vectorized(
             if mask is not None and not mask.all():
                 fidx = fidx[mask]
                 rrows = rrows[mask]
-                if not len(rrows):
-                    return (0, {})
         else:
             rrows = rows
             for position, code in const_ops:
                 rrows = rrows[cols[position][rrows] == code]
-            if not len(rrows):
-                return (0, {})
             m = len(rrows)
             fidx = _np.repeat(_np.arange(n), m)
             rrows = _np.tile(rrows, n)
+        if not len(rrows):
+            return (0, {}, None)
 
         if bstep.check_ops:
             mask = None
@@ -1073,7 +1016,7 @@ def execute_plan_vectorized(
                 fidx = fidx[mask]
                 rrows = rrows[mask]
                 if not len(rrows):
-                    return (0, {})
+                    return (0, {}, None)
 
         slot_cols = [
             arr[fidx] if arr is not None else None for arr in slot_cols
@@ -1093,7 +1036,7 @@ def execute_plan_vectorized(
             return None  # unbound slot — should not happen; be safe
         if keep is not True:
             if not keep.any():
-                return (0, {})
+                return (0, {}, None)
             if not keep.all():
                 slot_cols = [
                     arr[keep] if arr is not None else None
@@ -1108,6 +1051,7 @@ def execute_plan_vectorized(
             for var, slot in program.slots.items()
             if slot_cols[slot] is not None
         },
+        slot_cols[nslots],
     )
 
 
@@ -1233,73 +1177,56 @@ def _vectorized_neg_keep(
     return ~found
 
 
-def vectorized_body_substitutions(
-    plan: BodyPlan, db: Database
-) -> Optional[Iterator[Substitution]]:
-    """Vectorized join, scalar-consumable result.
+class ColumnMatches:
+    """The matches of one join as columns, in enumeration order: per
+    variable exact codes and/or values.  Given values win (a delta
+    fact's ``1.0`` stays ``1.0``, as the per-match path binds it); codes
+    decode on first use, and values without codes are probed."""
 
-    For rules whose bodies qualify for :func:`execute_plan_vectorized`
-    but whose heads need per-match work (Skolem terms, existentials),
-    run the join vectorized and materialize one substitution dict per
-    match.  Enumeration order is unspecified; the dicts are exactly the
-    scalar executor's.  Returns ``None`` when the body does not qualify.
-    """
-    result = execute_plan_vectorized(plan, db)
-    if result is None:
+    __slots__ = ("n", "variables", "_interner", "_codes", "_values")
+
+    def __init__(
+        self, interner: Any, n: int, codes: Dict[Variable, Any],
+        values: Dict[Variable, List[Any]],
+    ):
+        self._interner = interner
+        self.n = n
+        self._codes = codes
+        self._values = dict(values)
+        self.variables = tuple(dict.fromkeys((*codes, *values))) if n else ()
+
+    def values(self, var: Variable) -> List[Any]:
+        column = self._values.get(var)
+        if column is None:
+            decode = self._interner.values.__getitem__
+            column = self._values[var] = list(map(decode, self._codes[var].tolist()))
+        return column
+
+    def codes(self, var: Variable) -> Any:
+        """int64 exact codes of ``var``, -1 for a value never interned."""
+        codes = self._codes.get(var)
+        if codes is None:
+            codes = self._interner.probe_column(self._values[var])
+        return codes.astype(_np.int64, copy=False)
+
+    def substitutions(self) -> Iterator[Substitution]:
+        """One substitution dict per match, in order (for per-match
+        consumers: the scalar executor's dicts, key for key)."""
+        variables = self.variables
+        if not variables:
+            return iter([{} for _ in range(self.n)])
+        rows = zip(*[self.values(var) for var in variables])
+        return (dict(zip(variables, row)) for row in rows)
+
+
+def body_columns(plan: BodyPlan, db: Database) -> Optional[ColumnMatches]:
+    """Every match of ``plan`` from one vectorized join, or ``None``
+    when the plan does not qualify for :func:`execute_plan_vectorized`."""
+    joined = execute_plan_vectorized(plan, db)
+    if joined is None:
         return None
-    n, var_cols = result
-    if not n:
-        return iter(())
-    values = db._interner.values
-    variables = list(var_cols.keys())
-    columns = [
-        [values[c] for c in arr.tolist()] for arr in var_cols.values()
-    ]
-    rows = zip(*columns) if columns else _repeat((), n)
-    return (dict(zip(variables, row)) for row in rows)
-
-
-def vectorized_rule_matches(
-    plans: "RulePlans", db: Database
-) -> Optional[Tuple[int, List[Tuple[str, Fact]]]]:
-    """Vectorized firing of one simple rule: (n_matches, head facts).
-
-    Qualifies rules whose heads are plain substitution templates (no
-    existentials, no Skolem terms) over pure-join bodies; everything
-    else returns ``None`` and takes the scalar path.  The facts list is
-    ready for the engine's pending-commit queue and ``n_matches`` is the
-    exact count the scalar executor would have yielded.
-    """
-    if plans.placeholders or plans.existentials:
-        return None
-    result = execute_plan_vectorized(plans.body_plan(), db)
-    if result is None:
-        return None
-    n, var_cols = result
-    items: List[Tuple[str, Fact]] = []
-    if not n:
-        return (0, items)
-    values = db._interner.values
-    decoded: Dict[Variable, List[Any]] = {}
-    for predicate, slots in plans.head_ops:
-        out_cols: List[List[Any]] = []
-        for kind, payload in slots:
-            if kind == _K_VAR:
-                col = decoded.get(payload)
-                if col is None:
-                    codes = var_cols.get(payload)
-                    if codes is None:
-                        return None  # head variable unbound by the body
-                    col = [values[c] for c in codes.tolist()]
-                    decoded[payload] = col
-                out_cols.append(col)
-            else:  # _K_CONST (placeholders/existentials excluded above)
-                out_cols.append([payload] * n)
-        if out_cols:
-            items.extend(zip(_repeat(predicate), zip(*out_cols)))
-        else:
-            items.extend(_repeat((predicate, ()), n))
-    return (n, items)
+    n, columns, _origin = joined
+    return ColumnMatches(db._interner, n, columns, {})
 
 
 # ---------------------------------------------------------------------------
@@ -1357,6 +1284,90 @@ class DeltaBinder:
 Changes = Dict[str, Dict[Fact, Any]]
 
 
+#: Delta facts from which a semi-naive delta join runs on code columns
+#: (:func:`delta_columns`) instead of once per base: below it the
+#: vectorized join's fixed numpy cost outweighs the per-match work it
+#: saves.  Measured on the control program (DESIGN.md, "Execution
+#: paths").
+COLUMNAR_MIN_BASES = 16
+
+
+def _delta_indexes(body: Sequence[Any], delta: Changes) -> List[int]:
+    """The body atoms a fact of ``delta`` can match, in body order."""
+    return [
+        i
+        for i, literal in enumerate(body)
+        if isinstance(literal, Atom) and delta.get(literal.predicate)
+    ]
+
+
+def _delta_bases(
+    binder: DeltaBinder, facts: Sequence[Fact], interner: Any
+) -> Optional[Tuple[int, Dict[Variable, Any], Dict[Variable, List[Any]]]]:
+    """:meth:`DeltaBinder.match` over ``facts`` on code columns: the
+    ``(count, codes, values)`` of the bases that match, per bound
+    variable; ``None`` when the facts do not fit the atom or a bound
+    value has no code to join on."""
+    if len(facts[0]) != binder.arity:
+        return None
+    columns = list(zip(*facts))
+    codes = {
+        position: interner.probe_column(columns[position])
+        for position, _ in (*binder.verify, *binder.bind, *binder.check)
+    }
+    keep = _np.ones(len(facts), dtype=bool)
+    for position, value in binder.verify:  # -2 matches no code
+        code = interner.probe(value) if value == value else None
+        keep &= codes[position] == (-2 if code is None else code)
+    first = {var: position for position, var in binder.bind}
+    for position, var in binder.check:  # NaN never repeats
+        keep &= codes[position] == codes[first[var]]
+        keep &= ~_np.isin(codes[position], list(interner.nan_codes))
+    chosen = keep.nonzero()[0]
+    bound = {var: codes[position][chosen] for position, var in binder.bind}
+    if any((column < 0).any() for column in bound.values()):
+        return None
+    picked = chosen.tolist()
+    return (len(picked), bound, {
+        var: list(map(columns[position].__getitem__, picked))
+        for position, var in binder.bind
+    })
+
+
+def delta_columns(
+    body: Sequence[Any],
+    binder_of: Callable[[int], DeltaBinder],
+    plan_of: Callable[[int], BodyPlan],
+    db: Database,
+    delta: Changes,
+) -> Optional[ColumnMatches]:
+    """:func:`delta_matches` on code columns: one vectorized join over
+    the bound bases.  ``None`` — the caller joins per base — on a tuple
+    database, below :data:`COLUMNAR_MIN_BASES` delta facts, when several
+    body atoms read the delta (their partitions would need the row ids
+    of old facts), or when the rest plan does not qualify for
+    :func:`execute_plan_vectorized`."""
+    if not db.columnar or sum(map(len, delta.values())) < COLUMNAR_MIN_BASES:
+        return None
+    changed = _delta_indexes(body, delta)
+    if len(changed) != 1:
+        return None
+    (index,) = changed
+    facts = list(delta[body[index].predicate])
+    if len(facts) < COLUMNAR_MIN_BASES:
+        return None
+    bases = _delta_bases(binder_of(index), facts, db._interner)
+    joined = bases and execute_plan_vectorized(plan_of(index), db, bases[:2])
+    if joined is None:
+        return None
+    n, columns, origin = joined
+    picked = origin.tolist() if n else []
+    return ColumnMatches(db._interner, n, columns, {
+        var: list(map(column.__getitem__, picked))
+        for var, column in bases[2].items()
+    })
+
+
 def delta_matches(
     body: Sequence[Any],
     binder_of: Callable[[int], DeltaBinder],
@@ -1372,40 +1383,25 @@ def delta_matches(
     occurrences are restricted to old facts and later ones see the full
     relation — an exact partition of the new matches, with no dedup
     bookkeeping.  ``binder_of`` and ``plan_of`` give the delta binder
-    and the rest-of-body plan of one occurrence.  On a columnar database
-    the rest plan runs once over the bound bases of a partition of more
-    than one fact (:func:`execute_plan_batch`), otherwise once per base.
+    and the rest-of-body plan of one occurrence.  A delta of
+    :data:`COLUMNAR_MIN_BASES` facts or more that one body atom reads
+    joins on code columns (:func:`delta_columns`); otherwise the rest
+    plan runs once per base.
     """
-    delta_indexes = [
-        i
-        for i, literal in enumerate(body)
-        if isinstance(literal, Atom) and delta.get(literal.predicate)
-    ]
+    columns = delta_columns(body, binder_of, plan_of, db, delta)
+    if columns is not None:
+        yield from columns.substitutions()
+        return
+    delta_indexes = _delta_indexes(body, delta)
     for k, index in enumerate(delta_indexes):
-        binder = binder_of(index)
         rest_plan = plan_of(index)
         excludes = {
             earlier: delta[body[earlier].predicate]
             for earlier in delta_indexes[:k]
         } or None
-        bases = [
-            base
-            for base in map(binder.match, delta[body[index].predicate])
-            if base is not None
-        ]
-        # One base does not repay the batch program's per-call set-up
-        # (an update's delta is mostly one fact per predicate).
-        if db.columnar and len(bases) > 1:
-            yield from execute_plan_batch(
-                rest_plan,
-                db,
-                bases=bases,
-                base_vars=tuple(var for _, var in binder.bind),
-                excludes=excludes,
-            )
-            continue
-        for base in bases:
-            yield from execute_plan(rest_plan, db, base, excludes)
+        for base in map(binder_of(index).match, delta[body[index].predicate]):
+            if base is not None:
+                yield from execute_plan(rest_plan, db, base, excludes)
 
 
 # ---------------------------------------------------------------------------
@@ -1543,14 +1539,26 @@ class AggregatePlan:
             return None
         base = state.witnesses[group]
         substitution = {v: base[v] for v in self.group_vars if v in base}
-        substitution[self.target] = evaluate_expression(
-            self.assignment.expression,
-            base,
-            aggregate_value=aggregate(accumulator.function, bucket),
+        try:
+            value = aggregate(accumulator.function, bucket)
+        except TypeError:
+            offending = next(
+                (v for v in bucket.values() if not isinstance(v, (int, float))),
+                None,
+            )
+            raise EvaluationError(
+                f"{accumulator.function} over group {group!r}: contribution "
+                f"{offending!r} is not a number"
+            ) from None
+        expression = self.assignment.expression
+        substitution[self.target] = (
+            value if expression is self.call and value is not None
+            else evaluate_expression(expression, base, aggregate_value=value)
         )
-        if all(check_condition(c, substitution) for c in self.post):
-            return substitution
-        return None
+        for condition in self.post:
+            if not check_condition(condition, substitution):
+                return None
+        return substitution
 
     def evaluate(
         self, state: AggregateState, matches: Iterable[Substitution]
@@ -1575,6 +1583,65 @@ class AggregatePlan:
             emitted = self.emission(state, group)
             if emitted is not None:
                 yield emitted
+
+    def evaluate_columns(
+        self, state: AggregateState, matches: ColumnMatches
+    ) -> Optional[ColumnMatches]:
+        """:meth:`evaluate` over columns: the same contributions in match
+        order, and the touched groups' emissions as columns.  ``None``,
+        contributing nothing, when the body leaves the value unbound."""
+        n = matches.n
+        variables = matches.variables
+        term = self.call.value.term
+        if isinstance(term, Variable):
+            if n and term not in variables:
+                return None
+            values: Iterable[Any] = matches.values(term) if n else ()
+        else:
+            values = _repeat(term, n)
+
+        def rows(names: Sequence[Variable]) -> Iterable[Tuple[Any, ...]]:
+            columns = [
+                matches.values(v) if v in variables else _repeat(None, n)
+                for v in names
+            ]
+            return zip(*columns) if columns else _repeat((), n)
+
+        if self.call.contributors:
+            contributors = rows(self.call.contributors)
+        else:
+            named = sorted(variables, key=lambda v: v.name)
+            contributors = (
+                zip(*[zip(_repeat(v.name), matches.values(v)) for v in named])
+                if named else _repeat((), n)
+            )
+        contribute = state.accumulator.contribute
+        witnesses = state.witnesses
+        touched: Dict[Tuple[Any, ...], None] = {}
+        first: Dict[Tuple[Any, ...], int] = {}
+        try:
+            for i, group, contributor, value in zip(
+                _count(), rows(self.group_vars), contributors, values
+            ):
+                contribute(group, contributor, value)
+                if group not in touched:
+                    touched[group] = None
+                    if group not in witnesses:
+                        first[group] = i
+        finally:
+            kept = [v for v in self.witness_vars if v in variables]
+            for group, i in first.items():
+                witnesses[group] = {v: matches.values(v)[i] for v in kept}
+        emitted = [
+            substitution
+            for substitution in map(partial(self.emission, state), touched)
+            if substitution is not None
+        ]
+        heads = tuple(emitted[0]) if emitted else ()
+        return ColumnMatches(matches._interner, len(emitted), {}, {
+            var: [substitution[var] for substitution in emitted]
+            for var in heads
+        })
 
     def delta_matches(self, db: Database, delta: Changes) -> Iterator[Substitution]:
         """Contribution-body matches that use a fact of ``delta``."""
@@ -1793,6 +1860,123 @@ class RulePlans:
         return self._head_check
 
     # -- the chase step -------------------------------------------------
+    def columns(
+        self,
+        db: Database,
+        delta: Optional[Changes],
+        state: Optional[AggregateState] = None,
+    ) -> Optional[ColumnMatches]:
+        """The matches this rule fires for — the body's, or those using
+        a fact of ``delta`` — on code columns; an aggregate rule's
+        emissions, once they are contributed into ``state``.  ``None``
+        when the rule fires per match (a Skolem head always does)."""
+        if self.placeholders:
+            return None
+        if not self.is_aggregate:
+            if delta is None:
+                return body_columns(self.body_plan(), db)
+            return delta_columns(
+                self.rule.body, self.delta_binder, self.delta_plan, db, delta
+            )
+        plan = self.aggregate_plan()
+        if not isinstance(plan.call.value, TermExpr):
+            return None  # a value expression is evaluated per match
+        if delta is None:
+            contributions = body_columns(plan.pre_plan, db)
+        else:
+            contributions = delta_columns(
+                plan.pre, plan.pre_delta_binder, plan.pre_delta_plan, db, delta
+            )
+        if contributions is None:
+            return None
+        return plan.evaluate_columns(state, contributions)
+
+    def fire_columns(
+        self,
+        matches: ColumnMatches,
+        db: Database,
+        stats: Any,
+        nulls: Any,
+        max_nulls: int,
+    ) -> Optional[List[Tuple[str, Fact]]]:
+        """:meth:`instantiate_head` for every match at once, the facts in
+        its order; ``None`` when the head must fire per match.  The
+        restricted chase's check is one anti-join of the frontier codes
+        against the committed facts; the matches it leaves take nulls in
+        match order, up to the firing where the null budget runs out."""
+        n = matches.n
+        frontier = self.head_bound_vars
+        if n and any(v not in matches.variables for v in frontier):
+            return None
+        fire: Optional[List[int]] = None  # None: every match fires
+        nulls_of: Dict[Variable, List[Any]] = {}
+        if self.existentials and n:
+            check = self.head_check_plan()
+            steps = _batch_program(check, frontier).steps
+            if not all(any(is_slot for is_slot, _ in s.key_ops) for s in steps):
+                return None  # a head atom the frontier does not key
+            joined = execute_plan_vectorized(
+                check, db, (n, {v: matches.codes(v) for v in frontier})
+            )
+            if joined is None:
+                return None
+            satisfied = _np.zeros(n, dtype=bool)
+            if joined[0]:
+                satisfied[joined[2]] = True
+            fire = (~satisfied).nonzero()[0].tolist()
+            width = len(self.existentials)
+            allowed = max(0, (max_nulls - stats.nulls_created) // width)
+            failing = fire[allowed] if len(fire) > allowed else None
+            fire = fire[:allowed]
+
+            def patterns() -> Iterator[List[Tuple[str, List[Any]]]]:
+                for i in fire:
+                    yield [
+                        (predicate, [
+                            matches.values(payload)[i] if kind == _K_VAR
+                            else payload
+                            for kind, payload in slots
+                        ])
+                        for predicate, slots in self.head_ops
+                    ]
+
+            nulls_of = nulls.assign_columns(
+                patterns(), self.existentials, len(fire)
+            )
+            stats.nulls_created += width * len(fire)
+            if failing is not None:
+                stats.rule_firings += failing + 1
+                stats.columnar_firings += failing + 1
+                raise ResourceLimitError(
+                    f"null budget exceeded ({max_nulls}); the program "
+                    "likely falls outside the terminating fragment",
+                    resource="nulls",
+                    limit=max_nulls,
+                    stats=stats,
+                )
+        stats.rule_firings += n
+        stats.columnar_firings += n
+        m = n if fire is None else len(fire)
+        if not m:
+            return []
+
+        def column(kind: int, payload: Any) -> Iterable[Any]:
+            if kind == _K_CONST:
+                return _repeat(payload, m)
+            if kind == _K_EXIST:
+                return nulls_of[payload]
+            values = matches.values(payload)
+            return values if fire is None else map(values.__getitem__, fire)
+
+        atoms = [
+            zip(_repeat(predicate), (
+                zip(*[column(kind, payload) for kind, payload in slots])
+                if slots else _repeat((), m)
+            ))
+            for predicate, slots in self.head_ops
+        ]
+        return list(_chain.from_iterable(zip(*atoms)))
+
     def resolve_head(
         self, substitution: Substitution, skolems: Dict[str, SkolemFunctor]
     ) -> Tuple[List[Tuple[str, List[Any]]], Dict[Variable, Any]]:

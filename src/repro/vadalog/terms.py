@@ -92,6 +92,21 @@ class NullFactory:
             pattern, []).append(assignment)
         return assignment
 
+    def assign_columns(
+        self,
+        heads_of: Iterable[Sequence[Tuple[str, Sequence[Any]]]],
+        variables: Sequence[Any],
+        count: int,
+    ) -> Dict[Any, List[Null]]:
+        """:meth:`assign` for ``count`` firings in order, one column of
+        nulls per variable; ``heads_of`` yields each firing's resolved
+        head atoms, read only by a factory that files ``minted``."""
+        if self.minted is not None:
+            rows = [self.assign(heads, variables) for heads in heads_of]
+        else:
+            rows = [{v: self.fresh(v.name) for v in variables} for _ in range(count)]
+        return {v: [row[v] for row in rows] for v in variables}
+
 
 @dataclass(frozen=True)
 class SkolemValue:

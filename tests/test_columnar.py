@@ -3,13 +3,18 @@ randomized differential, the 52-program columnar-vs-tuple battery (plus
 the incremental chained-delta battery), spill-to-disk, and the
 semantic-equality regression for ``Relation.lookup``."""
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.errors import EvaluationError, ResourceLimitError
+from repro.finkg import programs
+from repro.metalog import parse_metalog
+from repro.ssst import IntensionalMaterializer, RegistryDelta
 from repro.obs import RecordingTracer, ResourceGovernor
 from repro.vadalog import Engine, parse_program
+from repro.vadalog import plan as plan_module
 from repro.vadalog.columnar import ColumnarRelation, SpillStore, ValueInterner
 from repro.vadalog.database import Database, Relation
 
@@ -23,6 +28,11 @@ from tests.test_incremental import (
     _mutated_inputs,
     _mutation,
     _null_occurrences,
+)
+from tests.test_materializer import (
+    kgbench_registry,
+    odd_registry,
+    order_sensitive_digest,
 )
 
 # ---------------------------------------------------------------------------
@@ -1005,3 +1015,349 @@ class TestRowTableMerge:
         )
         assert report.instance.data.edge_count > registry.edge_count
         assert rebuilds == []
+
+
+# ---------------------------------------------------------------------------
+# Columnar firing vs per-match firing: the same run, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _kept_state(state):
+    """A retained state's aggregate buckets and witnesses, and the nulls
+    its factory filed, in insertion order (``repr`` keeps NaN equal to
+    itself and ``1`` apart from ``1.0`` and ``True``)."""
+    if state is None:
+        return None
+    return repr((
+        [
+            (str(rule), kept.accumulator.state(), kept.witnesses)
+            for rule, kept in state.aggregates.items()
+        ],
+        state.nulls.minted,
+    ))
+
+
+def _stats(stats):
+    observed = dataclasses.asdict(stats)
+    del observed["elapsed_seconds"], observed["columnar_firings"]
+    return observed
+
+
+def _chase_outcome(run):
+    """Every relation in row order (nulls by number), the statistics and
+    the retained state of one run — or the error it raised."""
+    try:
+        result = run()
+    except EvaluationError as exc:
+        stats = getattr(exc, "stats", None)
+        return ("raised", type(exc).__name__, str(exc),
+                getattr(exc, "resource", None), getattr(exc, "limit", None),
+                None if stats is None else _stats(stats))
+    db = result.database
+    return (
+        {p: repr(list(db.relation(p))) for p in sorted(db.predicates())},
+        _stats(result.stats),
+        _kept_state(result.state),
+    ), result.stats
+
+
+def _per_match(patch):
+    """Force every rule onto the per-match chase step."""
+    patch.setattr(
+        plan_module.RulePlans, "columns",
+        lambda plans, db, delta, state=None: None,
+    )
+
+
+def firing_differential(monkeypatch, text, inputs, **engine_options):
+    """Columnar firing — at the production threshold and with every
+    delta on columns — against per-match firing, fresh and retained.
+    Returns the statistics of the runs with every delta on columns."""
+    program = parse_program(text)
+    observed = {}
+    for mode in ("columns", "every-delta", "matches"):
+        with monkeypatch.context() as patch:
+            if mode == "every-delta":
+                patch.setattr(plan_module, "COLUMNAR_MIN_BASES", 1)
+            if mode == "matches":
+                _per_match(patch)
+            for retain in (False, True):
+                observed[mode, retain] = _chase_outcome(
+                    lambda: Engine(**engine_options).run(
+                        program, inputs=inputs, retain_state=retain
+                    )
+                )
+    stats = []
+    for retain in (False, True):
+        expected = observed["matches", retain]
+        for mode in ("columns", "every-delta"):
+            outcome = observed[mode, retain]
+            if expected[0] == "raised":
+                assert outcome == expected, (mode, retain)
+            else:
+                assert outcome[0] == expected[0], (mode, retain)
+                if mode == "every-delta":
+                    stats.append(outcome[1])
+    return stats
+
+
+def _odd_triples(rng, count):
+    nodes = ["a", "b", "c", 1, 1.0, True, float("nan")]
+    weights = [0.2, 0.3, 0.6, 1, 1.0, float("nan")]
+    return [
+        (rng.choice(nodes), rng.choice(nodes), rng.choice(weights))
+        for _ in range(count)
+    ]
+
+
+class TestColumnarFiringBattery:
+    """One engine, two chase steps: firing on code columns must give the
+    per-match step's relations row for row, its null numbers, its
+    aggregate buckets, witnesses and filed nulls, and its errors."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_negation_free_recursion(self, monkeypatch, seed):
+        text, _predicates, inputs = _recursion_case(random.Random(1000 + seed))
+        for stats in firing_differential(monkeypatch, text, inputs):
+            if "tc(X, Y), tc(Y, Z)" in text:  # two atoms read each delta
+                assert 0 < stats.columnar_firings < stats.rule_firings
+            else:
+                assert stats.columnar_firings == stats.rule_firings
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_monotonic_aggregates(self, monkeypatch, seed):
+        text, _predicates, inputs = _aggregate_case(random.Random(2000 + seed))
+        for stats in firing_differential(monkeypatch, text, inputs):
+            assert stats.columnar_firings == stats.rule_firings
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_existential_skolem(self, monkeypatch, seed):
+        text, _predicates, inputs = _existential_case(random.Random(3000 + seed))
+        for stats in firing_differential(monkeypatch, text, inputs):
+            if "#" in text:  # a Skolem head fires per match
+                assert stats.columnar_firings < stats.rule_firings
+            else:
+                assert stats.columnar_firings == stats.rule_firings
+
+    @pytest.mark.parametrize("function", ["msum", "mmin", "mmax", "mcount"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_odd_groups_contributors_and_values(self, monkeypatch, function, seed):
+        """``1`` / ``1.0`` / ``True`` share one group or contributor
+        (Python equality) while joins keep ``True`` apart; NaN joins
+        nothing; colliding contributors keep the larger value, the
+        smaller for ``mmin``."""
+        rng = random.Random(seed)
+        inputs = {
+            "own": _odd_triples(rng, 40),
+            "company": [(v,) for v in ("a", "b", "c", 1, True, float("nan"))],
+        }
+        firing_differential(monkeypatch, (
+            "company(X) -> controls(X, X).\n"
+            "controls(X, Z), own(Z, Y, W), V = msum(W, <Z>), V > 0.5"
+            " -> controls(X, Y).\n"
+            f"own(Z, Y, W), V = {function}(W, <Y>) -> total(Z, V).\n"
+            f"controls(X, Z), own(Z, Y, W), V = {function}(W, <Z>) -> by(X, V)."
+        ), inputs)
+
+    def test_colliding_contributors(self, monkeypatch):
+        inputs = {"own": [("z", "y", 0.3), ("z", "y", 0.5), ("q", "y", 0.1)]}
+        for function in ("msum", "mmin"):
+            firing_differential(
+                monkeypatch,
+                f"own(Z, Y, W), V = {function}(W, <Z>) -> total(Y, V).",
+                inputs,
+            )
+        total = lambda function: set(Engine().run(parse_program(
+            f"own(Z, Y, W), V = {function}(W, <Z>) -> total(Y, V)."
+        ), inputs=inputs).facts("total"))
+        assert total("msum") == {("y", 0.6)}
+        assert total("mmin") == {("y", 0.1)}
+
+    def test_existential_rounds_with_odd_values(self, monkeypatch):
+        rng = random.Random(7)
+        inputs = {
+            "own": _odd_triples(rng, 60),
+            "company": [(v,) for v in ("a", "b", "c", 1, True, float("nan"))],
+        }
+        stats = firing_differential(monkeypatch, (
+            "company(X) -> c(C, X, X).\n"
+            "c(C0, X, Z), own(Z, Y, W), V = msum(W, <Z>), V > 0.5"
+            " -> c(C, X, Y)."
+        ), inputs)
+        assert all(s.columnar_firings == s.rule_firings > 0 for s in stats)
+
+    def test_the_rule_span_names_the_path(self):
+        tracer = RecordingTracer()
+        result = Engine(tracer=tracer).run(
+            parse_program("p(X) -> q(X).\np(X) -> s(#f(X))."),
+            inputs={"p": [(1,), (2,)]},
+        )
+        paths = {
+            span.attrs["rule"]: (span.attrs["path"], span.attrs["firings"])
+            for span in tracer.find_spans("engine.rule")
+        }
+        assert sorted(paths.values()) == [("columns", 2), ("matches", 2)]
+        assert result.stats.columnar_firings == 2
+        assert result.stats.rule_firings == 4
+
+    def test_a_delta_fact_keeps_its_own_value(self, monkeypatch):
+        """``r(c, 2.0)`` is stored under the code of ``2`` (an input):
+        the next round's bucket must hold the ``2.0`` the delta fact
+        carries, as the per-match path binds it, not the code's ``2``."""
+        stats = firing_differential(monkeypatch, (
+            "s(X, W) -> r(X, W).\n"
+            "r(X, W), f(X, Y), V = msum(W, <X>) -> r(Y, V)."
+        ), {
+            "z": [(2,)],
+            "s": [("a", 1.5), ("b", 0.5)],
+            "f": [("a", "c"), ("b", "c"), ("c", "d")],
+        })
+        assert all(s.columnar_firings == s.rule_firings for s in stats)
+
+    def test_mprod_below_one_in_recursion_raises(self, monkeypatch):
+        inputs = {
+            "company": [(c,) for c in "abcdefghijklmnopqrst"],
+            "own": [(a, b, 0.9) for a, b in zip("abcdefghijklmnopqrs", "bcdefghijklmnopqrst")],
+        }
+        with pytest.raises(EvaluationError, match="mprod"):
+            Engine().run(parse_program(
+                "company(X) -> controls(X, X).\n"
+                "controls(X, Z), own(Z, Y, W), V = mprod(W, <Z>), V > 0.5"
+                " -> controls(X, Y)."
+            ), inputs=inputs)
+        firing_differential(monkeypatch, (
+            "company(X) -> controls(X, X).\n"
+            "controls(X, Z), own(Z, Y, W), V = mprod(W, <Z>), V > 0.5"
+            " -> controls(X, Y)."
+        ), inputs)
+
+    def test_null_budget_one_below_the_need(self, monkeypatch):
+        text = (
+            "company(X) -> c(C, X, X).\n"
+            "c(C0, X, Z), own(Z, Y, W), V = msum(W, <Z>), V > 0.5"
+            " -> c(C, X, Y)."
+        )
+        companies = [f"n{i}" for i in range(30)]
+        inputs = {
+            "company": [(c,) for c in companies],
+            "own": [(a, b, 0.6) for a, b in zip(companies, companies[1:])],
+        }
+        need = Engine().run(parse_program(text), inputs=inputs).stats.nulls_created
+        for budget in (need - 1, 29, 0):
+            with pytest.raises(ResourceLimitError) as raised:
+                Engine(max_nulls=budget).run(parse_program(text), inputs=inputs)
+            assert raised.value.resource == "nulls"
+            firing_differential(monkeypatch, text, inputs, max_nulls=budget)
+        firing_differential(monkeypatch, text, inputs, max_nulls=need)
+
+
+def _materialize_outcome(schema, data, program, retain):
+    materializer = IntensionalMaterializer()
+    report = materializer.materialize(
+        schema, data.copy(), parse_metalog(program), 9, retain=retain,
+    )
+    kept = materializer.retained.result.state if retain else None
+    return (
+        order_sensitive_digest(report.instance.data),
+        _stats(report.reason_stats),
+        _kept_state(kept),
+    ), report.reason_stats
+
+
+class TestColumnarFiringOnThePaperPrograms:
+    """Algorithm 2 with the paper's programs, both chase steps."""
+
+    @pytest.mark.parametrize("program", [
+        "CONTROL_PROGRAM", "PERSON_CONTROL_PROGRAM", "STAKEHOLDERS_PROGRAM",
+        "FAMILY_PROGRAM", "GROUP_PROGRAM",
+    ])
+    def test_columns_equal_matches(self, company_schema, monkeypatch, program):
+        _businesses, registry = odd_registry(0)
+        if program == "GROUP_PROGRAM":
+            registry = IntensionalMaterializer().materialize(
+                company_schema, registry,
+                parse_metalog(programs.CONTROL_PROGRAM), 9,
+            ).instance.data
+        text = getattr(programs, program)
+        for retain in (False, True):
+            outcomes = {}
+            for mode in ("columns", "every-delta", "matches"):
+                with monkeypatch.context() as patch:
+                    if mode == "every-delta":
+                        patch.setattr(plan_module, "COLUMNAR_MIN_BASES", 1)
+                    if mode == "matches":
+                        _per_match(patch)
+                    outcomes[mode] = _materialize_outcome(
+                        company_schema, registry, text, retain
+                    )
+            expected, oracle = outcomes["matches"]
+            assert outcomes["columns"][0] == expected
+            assert outcomes["every-delta"][0] == expected
+            assert oracle.columnar_firings == 0
+            stats = outcomes["every-delta"][1]
+            if program == "GROUP_PROGRAM":  # a Skolem head
+                assert stats.columnar_firings == 0 < stats.rule_firings
+            elif program == "FAMILY_PROGRAM":  # + a condition, a Skolem head
+                assert 0 < stats.columnar_firings < stats.rule_firings
+            else:
+                assert stats.columnar_firings == stats.rule_firings > 0
+
+    def test_an_update_fires_per_match(self, company_schema):
+        """A fresh control materialization fires on columns only; a
+        one-stake update's firings are per match."""
+        data, registry = kgbench_registry(200, 42)
+        materializer = IntensionalMaterializer()
+        report = materializer.materialize(
+            company_schema, registry, parse_metalog(programs.CONTROL_PROGRAM),
+            9, retain=True,
+        )
+        stats = report.reason_stats
+        assert stats.columnar_firings == stats.rule_firings > 0
+        stats = materializer.retained.result.stats
+        before = dataclasses.replace(stats)
+        owner, target = data.companies[0], data.companies[-1]
+        materializer.update(RegistryDelta(add_edges=[
+            ("x1", owner, target, "OWNS", {"percentage": 0.9}),
+        ]))
+        assert stats.rule_firings > before.rule_firings
+        assert stats.columnar_firings == before.columnar_firings
+
+
+class TestNonNumericContribution:
+    """A contribution an aggregate cannot fold is an EvaluationError that
+    names the function, the group and the value — on every path."""
+
+    TEXT = "own(X, Y, W), V = msum(W, <X>) -> total(Y, V)."
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    @pytest.mark.parametrize("bad", [None, "ten"])
+    def test_fresh_run(self, columnar, bad):
+        inputs = {"own": [("a", "y", 0.5)] + [(f"n{i}", "y", bad) for i in range(20)]}
+        message = rf"msum over group \('y',\): contribution {bad!r} is not a number"
+        with pytest.raises(EvaluationError, match=message):
+            Engine(columnar=columnar).run(parse_program(self.TEXT), inputs=inputs)
+
+    def test_per_match_path(self, monkeypatch):
+        _per_match(monkeypatch)
+        with pytest.raises(EvaluationError, match="contribution None is not a number"):
+            Engine().run(parse_program(self.TEXT), inputs={"own": [("a", "y", None)]})
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_apply_delta(self, columnar):
+        engine = Engine(columnar=columnar)
+        result = engine.run(
+            parse_program(self.TEXT), inputs={"own": [("a", "y", 0.5)]},
+            retain_state=True,
+        )
+        message = r"msum over group \('y',\): contribution 'x' is not a number"
+        with pytest.raises(EvaluationError, match=message):
+            engine.apply_delta(result, added={"own": [("b", "y", "x")]})
+
+    def test_registry_stake_without_percentage(self, company_schema, owns_instance):
+        owns_instance.add_edge("B2", "B1", "OWNS")
+        message = "msum over group .*contribution None is not a number"
+        with pytest.raises(EvaluationError, match=message):
+            IntensionalMaterializer().materialize(
+                company_schema, owns_instance,
+                parse_metalog(programs.CONTROL_PROGRAM), instance_oid=9,
+            )

@@ -358,18 +358,18 @@ class TestEngineWiring:
 
     def test_tracer_does_not_choose_the_executor(self, monkeypatch):
         """A tracer observes the run: the pure-join rule goes through
-        the vectorized executor traced and untraced alike."""
-        import repro.vadalog.engine as engine_module
+        the columnar firing step traced and untraced alike."""
+        from repro.vadalog.plan import RulePlans
 
         calls = []
-        vectorized = engine_module.vectorized_rule_matches
+        columns = RulePlans.columns
 
-        def counting(plans, db):
-            fired = vectorized(plans, db)
+        def counting(plans, db, delta, state=None):
+            fired = columns(plans, db, delta, state)
             calls.append(fired is not None)
             return fired
 
-        monkeypatch.setattr(engine_module, "vectorized_rule_matches", counting)
+        monkeypatch.setattr(RulePlans, "columns", counting)
         program = parse_program("e(X, Y), e(Y, Z) -> two(X, Z).")
         runs = []
         for tracer in (RecordingTracer(), None):
@@ -382,6 +382,7 @@ class TestEngineWiring:
             if tracer is not None:
                 (rule_span,) = tracer.find_spans("engine.rule")
                 assert rule_span.attrs["firings"] == len(_CHAIN["e"]) - 1
+                assert rule_span.attrs["path"] == "columns"
                 assert "probe" not in rule_span.attrs
         assert runs[0] == runs[1]
 
