@@ -4,7 +4,7 @@ Two interchangeable backing stores implement the same graph API:
 
 * :class:`PropertyGraph` — one frozen ``Node``/``Edge`` dataclass per
   element (the original implementation, kept as the differential
-  oracle, mirroring ``Engine(columnar=False)``);
+  oracle);
 * :class:`ColumnarPropertyGraph` — interned code columns + int-indexed
   adjacency with lazy views (the production store at registry scale).
 

@@ -34,9 +34,9 @@ The API yields lazy :class:`NodeView`/:class:`EdgeView` objects whose
 that mutate ``node.properties`` in place (MTV updates, the deploy graph
 store) hit the columns underneath, so algorithms, statistics, the
 materializer, and the deploy backends run unchanged.  The object
-implementation stays selectable as the differential oracle, mirroring
-``Engine(columnar=False)``; ``tests/test_columnar_graph.py`` holds the
-battery proving both backends bit-identical through the full pipeline.
+implementation stays selectable as the differential oracle;
+``tests/test_columnar_graph.py`` holds the battery proving both
+backends bit-identical through the full pipeline.
 """
 
 from __future__ import annotations

@@ -5,8 +5,10 @@ Implements the three-phase translation of Section 4:
 1. **PG-to-relational mapping.**  ``L``-labeled nodes become facts
    ``L(oid, v1, ..., vn)`` (one position per catalog property);
    ``Le``-labeled edges become ``Le(oid, src, tgt, v1, ..., vm)``.
-   :func:`graph_to_database` performs this extraction, and the compiler
-   emits the paper's ``@input`` annotations documenting it (Example 4.4).
+   :func:`graph_to_database` performs this extraction, straight into
+   the chase's one fact store (code columns over the source graph's
+   value dictionary, when it has one), and the compiler emits the
+   paper's ``@input`` annotations documenting it (Example 4.4).
 2. **PG node atoms to relational atoms.**  ``(x: L; K)`` becomes
    ``L(x, ...)`` with named terms placed at their catalog positions and
    anonymous variables elsewhere.
@@ -464,14 +466,10 @@ def graph_to_database(
     catalog: GraphCatalog,
     node_labels: Optional[Iterable[str]] = None,
     edge_labels: Optional[Iterable[str]] = None,
-    columnar: bool = False,
     bulk: bool = True,
 ) -> Database:
-    """Extract a relational instance from a property graph (phase 1).
-
-    ``columnar=True`` loads straight into dictionary-encoded columnar
-    relations, so an engine run with the (default) columnar backend
-    skips the tuple-to-columnar conversion copy.
+    """Extract a relational instance from a property graph (phase 1),
+    straight into the chase's dictionary-encoded fact store.
 
     Labels are processed in sorted order (relation creation order — and
     with it interner code assignment — used to follow nondeterministic
@@ -481,19 +479,17 @@ def graph_to_database(
 
     ``bulk=True`` (the default) moves whole labels at a time: one
     :meth:`~repro.graph.property_graph.PropertyGraph.nodes_table` /
-    ``edges_table`` call per label feeds the backend's column-wise
+    ``edges_table`` call per label feeds the store's column-wise
     insert, so the hot path never builds a per-node property tuple in
     Python.  ``bulk=False`` keeps the per-object loop as a differential
     oracle.
 
     A columnar source graph shares its value dictionary with the
     extraction database (both sides are append-only), so OIDs and
-    property values are interned once instead of twice.
+    property values are interned once instead of twice; an object graph
+    extracts into a fresh one.
     """
-    database = Database(
-        columnar=columnar,
-        interner=getattr(graph, "interner", None) if columnar else None,
-    )
+    database = Database(interner=getattr(graph, "interner", None))
     node_labels = (
         list(node_labels) if node_labels is not None
         else list(catalog.node_properties)
@@ -750,14 +746,11 @@ def run_on_graph(
         engine = Engine(tracer=tracer)
     compiled = compile_metalog(program, catalog, tracer=tracer)
     with obs.span("mtv.extract") as extract_span:
-        # Extract straight into the engine's backend; a mismatch would
-        # be converted wholesale by ``Engine.run``.
         database = graph_to_database(
             graph,
             compiled.catalog,
             node_labels=compiled.input_node_labels,
             edge_labels=compiled.input_edge_labels,
-            columnar=engine.columnar,
         )
         extract_span.set(relations=len(database.predicates()))
     result = engine.run(compiled.program, database=database)

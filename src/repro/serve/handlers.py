@@ -269,18 +269,15 @@ class ServiceHandlers:
         query = parse_query(text)
         started = time.perf_counter()
         if mode == "snapshot":
-            facts = snap.facts.get(query.predicate, frozenset())
-            # Column blocks probe an index for the candidates of the
-            # bound positions, the reference frozensets are scanned;
-            # ``matches`` filters either, so the answers are the scan's.
-            probe = getattr(facts, "matching", None)
-            if probe is not None:
-                facts = probe([
-                    (i, t) for i, t in enumerate(query.terms)
-                    if not is_variable(t)
-                ])
+            block = snap.facts.get(query.predicate)
+            # The column block probes an index for the candidates of the
+            # bound positions; ``matches`` filters them, so the answers
+            # are a scan's.
+            candidates = () if block is None else block.matching([
+                (i, t) for i, t in enumerate(query.terms) if not is_variable(t)
+            ])
             answers = sorted(
-                (fact for fact in facts if query.matches(fact)),
+                (fact for fact in candidates if query.matches(fact)),
                 key=fact_sort_key,
             )
             status, result = 200, {
@@ -368,11 +365,9 @@ class ServiceHandlers:
     @staticmethod
     def _neighbors(facts, position: int, node) -> List[Any]:
         """The other end of every edge of ``facts`` with ``node`` at
-        ``position``, in scan order: a column block probes its index (the
-        request costs its frontier, not the model), the reference
-        frozensets are scanned."""
-        probe = getattr(facts, "matching", None)
-        edges = facts if probe is None else probe([(position, node)])
+        ``position``, in scan order: the column block probes its index, so
+        the request costs its frontier, not the model."""
+        edges = facts.matching([(position, node)])
         return [fact[1 - position] for fact in edges if fact[position] == node]
 
     def neighborhood(self, params):

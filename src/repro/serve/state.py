@@ -15,9 +15,10 @@ are atomic in CPython, so readers grab a coherent epoch with
 Zero-copy epochs
 ----------------
 
-Columnar relations freeze into :class:`FrozenColumnBlock` views, not
-per-fact tuples, which is sound because of three append-only invariants
-of the storage layer (:mod:`repro.vadalog.columnar`):
+The retained database is the chase's one fact store, so every relation
+freezes into a :class:`FrozenColumnBlock` view, not per-fact tuples,
+which is sound because of three append-only invariants of the storage
+layer (:mod:`repro.vadalog.columnar`):
 
 - appends extend the code columns *in place*; a block pins the row
   count at freeze time (``islice``) so later appends stay invisible;
@@ -30,8 +31,7 @@ of the storage layer (:mod:`repro.vadalog.columnar`):
 
 The relation's monotonic ``_version`` counter keys a copy-on-write
 cache: predicates untouched by a delta reuse the previous epoch's
-block outright, so freeze cost tracks the delta, not the model.  The
-tuple backend freezes to frozensets and is the differential oracle.
+block outright, so freeze cost tracks the delta, not the model.
 
 A view that is re-made takes its predecessor's indexes along
 (:func:`~repro.vadalog.columnar.carry_indexes`: a shallow ``dict`` copy
@@ -53,6 +53,14 @@ per index, patched with the rows appended since), under four more:
 - *chain breaks are counted*: where nothing could be carried, or nobody
   had asked, the first reader builds the index and ``serve.index_built``
   moves; ``serve.index_carried`` counts the indexes handed on.
+
+The writer reclaims the retained database's tombstones where
+:meth:`~repro.ssst.materializer.IntensionalMaterializer.update` does:
+once they outnumber the live rows, after a delta and before its freeze.
+Compaction renumbers rows by replacing the column lists, so published
+epochs keep their own columns and answer as they did; the next epoch's
+views carry nothing from them, and their first readers count in
+``serve.index_built``.
 
 The extensional slice freezes as *relations*: ``snapshot.edb[p]`` is a
 frozen ``relation.copy()`` over the retained interner, re-made only for
@@ -92,7 +100,7 @@ from repro.vadalog.columnar import (
     bucket_index,
     carry_indexes,
 )
-from repro.vadalog.database import Database, Fact, Relation
+from repro.vadalog.database import Database, Fact
 from repro.vadalog.engine import Engine, EvaluationResult
 from repro.vadalog.magic import GoalDirectedEvaluator
 from repro.vadalog.parser import parse_program
@@ -251,8 +259,7 @@ class StateSnapshot:
     """One immutable epoch of the materialized model.
 
     ``facts`` holds every predicate of the model (extensional and
-    derived) as immutable fact sets — :class:`FrozenColumnBlock` views
-    for columnar relations, plain frozensets for the tuple backend;
+    derived) as immutable fact sets, :class:`FrozenColumnBlock` views;
     ``edb`` holds the extensional slice as frozen relations (iterable,
     sized, O(1) ``in``) that an engine run reads in place — see
     :meth:`ServeState.edb_database`.
@@ -260,7 +267,7 @@ class StateSnapshot:
 
     epoch: int
     facts: Mapping[str, AbstractSet[Fact]]
-    edb: Mapping[str, Relation]
+    edb: Mapping[str, ColumnarRelation]
     created_at: float = field(default_factory=time.time)
 
     def predicates(self) -> List[str]:
@@ -295,10 +302,7 @@ class ServeState:
         self.program: Program = program
         self.metrics = metrics or ServeMetrics()
         self.engine = engine or Engine(check_wardedness=check_wardedness)
-        # Magic queries must run on the backend the retained state uses.
-        self.evaluator = GoalDirectedEvaluator(
-            program, columnar=self.engine.columnar
-        )
+        self.evaluator = GoalDirectedEvaluator(program)
         self._write_lock = threading.Lock()
         self._listeners: List[Any] = []
         #: COW cache: predicate -> (relation, version, block).  A block
@@ -331,10 +335,6 @@ class ServeState:
         facts: Dict[str, AbstractSet[Fact]] = {}
         for predicate in db.predicates():
             relation = db.relation(predicate)
-            if not isinstance(relation, ColumnarRelation):
-                # Tuple backend: eager frozenset (the oracle path).
-                facts[predicate] = frozenset(relation)
-                continue
             entry = cache.get(predicate)
             if (
                 entry is not None
@@ -357,7 +357,7 @@ class ServeState:
         buckets = state.edb if state is not None else {
             p: f for p, f in facts.items() if p not in idb
         }
-        edb: Dict[str, Relation] = {}
+        edb: Dict[str, ColumnarRelation] = {}
         for predicate, bucket in buckets.items():
             if predicate in prev_edb and predicate not in touched:
                 # Buckets are writer-private and only mutated for the
@@ -369,12 +369,11 @@ class ServeState:
                     # Facts supplied for a derived predicate: the live
                     # relation holds derived rows too, the bucket none.
                     relation.reset(bucket)
-                if isinstance(relation, ColumnarRelation):
-                    relation._on_index_built = self._index_built
-                    if predicate in prev_edb:  # (nothing after a ``reset``)
-                        carried += relation.carry_indexes(prev_edb[predicate])
+                relation._on_index_built = self._index_built
+                if predicate in prev_edb:  # (nothing after a ``reset``)
+                    carried += relation.carry_indexes(prev_edb[predicate])
                 edb[predicate] = relation.freeze()
-        self.metrics.set_gauge("serve.interner_codes", len(db._interner or ()))
+        self.metrics.set_gauge("serve.interner_codes", len(db.interner))
         self.metrics.inc("serve.index_carried", carried)
         return StateSnapshot(epoch=epoch, facts=facts, edb=edb)
 
@@ -398,8 +397,7 @@ class ServeState:
         """``snapshot``'s extensional slice as the ``database=`` of an
         engine run: the epoch's frozen relations themselves, over the
         retained interner (one small dict per request)."""
-        live = self._result.database
-        base = Database(columnar=live.columnar, interner=live._interner)
+        base = Database(interner=self._result.database.interner)
         for predicate, relation in snapshot.edb.items():
             base.share(predicate, relation)
         return base
@@ -425,6 +423,9 @@ class ServeState:
                 removed=dict(removed) if removed else None,
             )
             touched = set(added or ()) | set(removed or ())
+            db = self._result.database
+            if db.dead_rows() > db.total_facts():
+                db.compact()  # a safe point: no index iteration alive
             snapshot = self._freeze(
                 epoch=self._snapshot.epoch + 1, touched=touched
             )

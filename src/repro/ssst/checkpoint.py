@@ -113,10 +113,10 @@ def database_payload(database: Database) -> Dict[str, Any]:
 def restore_database(
     payload: Dict[str, Any], interner: Optional[ValueInterner] = None
 ) -> Database:
-    """The database on the backend the engine runs on, over ``interner``
-    (a fresh one by default), each relation's rows in the payload's
-    canonical order, never in one ``set`` iteration picks."""
-    database = Database(columnar=True, interner=interner)
+    """The database over ``interner`` (a fresh one by default), each
+    relation's rows in the payload's canonical order, never in one
+    ``set`` iteration picks."""
+    database = Database(interner=interner)
     for predicate, entry in payload.items():
         relation = database.relation(predicate)
         relation.arity = entry["arity"]

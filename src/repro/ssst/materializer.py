@@ -306,13 +306,13 @@ def registry_rows(maps: ColumnMaps, data: PropertyGraph, graph: Any, edge: bool,
 
 
 def load_inputs(maps: ColumnMaps, registry: Sequence[List[Tuple[Any, ...]]],
-                database: Database, interner: Any) -> None:
+                database: Database) -> None:
     """Load Sigma's input relations from the registry's label tables
-    (:func:`registry_rows` of nodes and edges, over ``interner``, the
-    database's): one ``add_columns`` call a relation, the code columns
-    as they are — values on the tuple backend — an unset cell ``None``."""
+    (:func:`registry_rows` of nodes and edges, over the database's
+    interner): one ``add_columns`` call a relation, the code columns as
+    they are, an unset cell ``None``."""
     tables = {(bool(edge), t[0]): t for edge in (0, 1) for t in registry[edge]}
-    none = interner.encode(None)
+    none = database.interner.encode(None)
     for relation, edge, members in maps.inputs:
         parts = []
         for label, names, ids, *ends, columns in filter(None, (
@@ -326,16 +326,9 @@ def load_inputs(maps: ColumnMaps, registry: Sequence[List[Tuple[Any, ...]]],
         if not parts:
             continue
         columns = [np.concatenate(column) for column in zip(*parts)]
-        if database.columnar:
-            database.add_columns(relation, [
-                np.where(c < 0, none, c).astype(np.int32).view(Codes) for c in columns
-            ])
-        else:
-            values = interner.values
-            database.add_columns(relation, [
-                [None if code < 0 else values[code] for code in c.tolist()]
-                for c in columns
-            ])
+        database.add_columns(relation, [
+            np.where(c < 0, none, c).astype(np.int32).view(Codes) for c in columns
+        ])
 
 
 def _head_rows(maps: ColumnMaps, database: Database, graph: Any, edge: bool,
@@ -350,7 +343,7 @@ def _head_rows(maps: ColumnMaps, database: Database, graph: Any, edge: bool,
         if ids is not None:
             facts = database.matching(label, 0, ids)
             columns = [interner.encode_column(list(c)) for c in zip(*facts)]
-        elif database.columnar and database.interner is interner:
+        elif database.interner is interner:
             columns = database.code_columns(label)
         else:
             columns = [interner.encode_column(c) for c in database.columns(label) or ()]
@@ -639,8 +632,8 @@ class IntensionalMaterializer:
                 report.resumed_from = "reason"
                 load_span.set(resumed=True, phase="reason")
             else:
-                database = Database(columnar=self.engine.columnar, interner=graph.interner)
-                load_inputs(maps, registry, database, graph.interner)
+                database = Database(interner=graph.interner)
+                load_inputs(maps, registry, database)
         report.load_seconds = load_span.duration
 
         # ---------------- Phase 2: REASON (lines 7-8) ----------------

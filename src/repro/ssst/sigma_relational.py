@@ -302,10 +302,8 @@ def reason_over_relational(
     database = Database()
     for table_name in sorted(compiled.input_tables):
         header = [c.name for c in relational.table(table_name).columns]
-        relation = database.relation(table_name)
-        relation.arity = len(header)
-        for row in engine_db.rows(table_name):
-            relation.add(tuple(row.get(c) for c in header))
+        rows = engine_db.rows(table_name)
+        database.add_columns(table_name, [[row.get(c) for row in rows] for c in header])
 
     reasoner = reasoner or Engine()
     result = reasoner.run(compiled.program, database=database)

@@ -26,7 +26,7 @@ from repro.vadalog.ast import (
     TermExpr,
 )
 from repro.vadalog.columnar import ColumnarRelation, SpillStore, ValueInterner
-from repro.vadalog.database import Database, Relation
+from repro.vadalog.database import Database
 from repro.vadalog.engine import Engine, EvaluationResult, EvaluationStats
 from repro.vadalog.magic import (
     GoalDirectedEvaluator,
@@ -63,7 +63,6 @@ __all__ = [
     "SkolemTerm",
     "TermExpr",
     "Database",
-    "Relation",
     "ColumnarRelation",
     "SpillStore",
     "ValueInterner",

@@ -1,14 +1,15 @@
 """Columnar fact storage: dictionary-encoded columns + row-id indexes.
 
-The tuple backend in :mod:`repro.vadalog.database` stores every fact as a
-Python tuple inside a set, with per-position/composite indexes holding
-fact references.  At registry scale (Section 6 of the paper targets
+A tuple-set relation stores every fact as a Python tuple inside a set,
+with per-position/composite indexes holding fact references (the test
+suite keeps one, ``tests/reference.py``'s ``Relation``, as the storage
+reference of its relation-level differentials).  At registry scale (Section 6 of the paper targets
 national company registries) the per-tuple object overhead dominates:
 each 2-ary fact costs a tuple header, two cell pointers, and a set slot,
 and every index bucket duplicates the references.
 
-This module keeps the same :class:`Relation` facade but stores facts
-column-wise:
+This module keeps the same relation facade but stores facts
+column-wise, and it is the chase's one fact store:
 
 * a per-database :class:`ValueInterner` maps each constant to a small
   integer *code*; columns are ``array('i')`` buffers of codes, so a
@@ -29,8 +30,8 @@ Equality semantics — the subtle part
 ------------------------------------
 
 Python hashes/equates ``1 == 1.0 == True`` while the chase's
-``values_equal`` keeps ``True`` apart from ``1``/``1.0``.  The tuple
-backend inherits Python semantics for storage-level dedup (a set keeps
+``values_equal`` keeps ``True`` apart from ``1``/``1.0``.  A tuple set
+inherits Python semantics for storage-level dedup (a set keeps
 only one of ``(1,)``/``(True,)``) and values_equal for join matching.
 To stay bit-identical the interner issues *two-level* codes:
 
@@ -291,7 +292,7 @@ def _fnv(codes: Iterable[int]) -> int:
 
 
 def refuse_write(self, *args: Any, **kwargs: Any) -> Any:
-    """Every mutator of a frozen relation (both backends)."""
+    """Every mutator of a frozen relation."""
     raise EvaluationError(
         f"relation {self.name!r} is frozen: readers share it, nobody writes it"
     )
@@ -412,7 +413,7 @@ def _file_rows(
 
 
 class ColumnarRelation:
-    """Columnar extension of one predicate, behind the ``Relation`` API."""
+    """Columnar extension of one predicate, behind the relation facade."""
 
     __slots__ = (
         "name",
@@ -981,7 +982,7 @@ class ColumnarRelation:
         Deletion tombstones the row: columns and index buckets keep the
         slot (probes skip dead rows), and :meth:`compact` reclaims space
         at engine safe points.  This keeps every maintenance step O(1)
-        — the tuple backend paid an O(bucket) ``list.remove`` here.
+        — a tuple set's buckets paid an O(bucket) ``list.remove`` here.
         """
         return self._tombstone(fact) >= 0
 
@@ -1277,7 +1278,7 @@ class ColumnarRelation:
     ) -> Iterable[Fact]:
         """Exact-match candidates for values ``key`` at ``positions``.
 
-        Same contract as the tuple backend: buckets are ``==``-keyed, so
+        Same contract as a tuple set's: buckets are ``==``-keyed, so
         callers still apply their own values_equal verification.
         """
         self._ensure_resident()

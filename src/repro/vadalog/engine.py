@@ -29,6 +29,12 @@ dicts per candidate.  ``Engine(use_plans=False)`` selects the original
 interpreted matcher — kept as the differential-testing oracle and the
 ablation baseline.
 
+Both read one fact store: every relation of a
+:class:`~repro.vadalog.database.Database` holds dictionary codes over
+one value interner.  The plans join those code columns (and fire a
+rule on them where its shape allows); the interpreter reads the same
+relations through their decoded-tuple facade.
+
 Typical use::
 
     engine = Engine()
@@ -70,7 +76,6 @@ from repro.vadalog.plan import (
     check_condition as _plan_check_condition,
     evaluate_expression as _plan_evaluate,
     body_columns,
-    execute_plan,
     execute_plan_batch,
     values_equal as _values_equal,
 )
@@ -227,7 +232,6 @@ class Engine:
         use_plans: bool = True,
         tracer: Optional[Tracer] = None,
         governor: Optional[ResourceGovernor] = None,
-        columnar: bool = True,
     ):
         self.max_iterations = max_iterations
         self.max_nulls = max_nulls
@@ -236,10 +240,6 @@ class Engine:
         self.use_plans = use_plans
         self.tracer = tracer
         self.governor = governor
-        # Columnar (dictionary-encoded) fact storage with batch-at-a-time
-        # plan execution; ``columnar=False`` keeps the original tuple-set
-        # backend and tuple-at-a-time executor as a differential oracle.
-        self.columnar = columnar
         # Rule -> RulePlans; rules are frozen dataclasses, so structurally
         # equal rules (across programs) share one compiled plan bundle.
         self._plan_cache: Dict[Any, RulePlans] = {}
@@ -258,9 +258,7 @@ class Engine:
 
         ``copy_database=False`` evaluates in place, mutating the caller's
         ``database`` — for pipeline stages that own their staging database
-        and would otherwise pay a full-extension copy per phase.  A
-        backend mismatch still converts (the conversion is itself a fresh
-        database).
+        and would otherwise pay a full-extension copy per phase.
 
         ``retain_state`` keeps the evaluation state — the stratification,
         the extensional snapshot, saturated aggregate accumulators,
@@ -280,9 +278,7 @@ class Engine:
             check_warded(program).raise_if_violated()
 
         if database is None:
-            db = Database(columnar=self.columnar)
-        elif database.columnar != self.columnar:
-            db = database.to_backend(self.columnar)
+            db = Database()
         elif copy_database:
             db = database.copy()
         else:
@@ -353,7 +349,6 @@ class Engine:
                     governor is not None
                     and governor.max_resident_facts is not None
                     and state is None
-                    and db.columnar
                 ):
                     # Stratum boundaries are safe points: no in-flight
                     # index iteration, so tombstones can be reclaimed and
@@ -605,9 +600,7 @@ class Engine:
                             recursive=in_recursion,
                         )
                     state = aggregates.get(rule)
-                    columns = (
-                        plans.columns(db, delta, state) if db.columnar else None
-                    )
+                    columns = plans.columns(db, delta, state)
                     fired = columns and plans.fire_columns(
                         columns, db, stats, nulls, self.max_nulls
                     )
@@ -621,14 +614,12 @@ class Engine:
                         plan = plans.aggregate_plan()
                         if delta is not None:
                             contributions = plan.delta_matches(db, delta)
-                        elif db.columnar:
-                            contributions = execute_plan_batch(plan.pre_plan, db)
                         else:
-                            contributions = execute_plan(plan.pre_plan, db)
+                            contributions = execute_plan_batch(plan.pre_plan, db)
                         matches = plan.evaluate(state, contributions)
                     elif delta is not None:
                         matches = plans.delta_matches(db, delta)
-                    elif db.columnar:
+                    else:
                         # A Skolem head fires per match, but the join
                         # itself can still run vectorized.
                         body = body_columns(plans.body_plan(), db)
@@ -636,8 +627,6 @@ class Engine:
                             body.substitutions() if body is not None
                             else execute_plan_batch(plans.body_plan(), db)
                         )
-                    else:
-                        matches = execute_plan(plans.body_plan(), db)
                     for substitution in matches:
                         stats.rule_firings += 1
                         for predicate, fact in plans.instantiate_head(
@@ -694,7 +683,7 @@ class Engine:
     ) -> None:
         """Deduplicating insert of the derived facts into the database."""
         added = 0
-        if db.columnar and len(pending) >= 256:
+        if len(pending) >= 256:
             # Bulk path: group by predicate (facts of different
             # predicates dedup independently, so grouping preserves
             # sequential-add semantics) and insert each group in one

@@ -701,12 +701,10 @@ class GoalDirectedEvaluator:
         self,
         program: Program,
         *,
-        columnar: bool = True,
         max_iterations: int = 10_000,
         max_nulls: int = 1_000_000,
     ):
         self.program = program
-        self.columnar = columnar
         self.max_iterations = max_iterations
         self.max_nulls = max_nulls
         self._rewrites: Dict[Tuple[str, str], MagicProgram] = {}
@@ -721,7 +719,6 @@ class GoalDirectedEvaluator:
             check_wardedness=False,
             governor=governor,
             tracer=tracer,
-            columnar=self.columnar,
         )
         # Share compiled plans across requests: dict get/set are atomic
         # under the GIL and plans for structurally-equal rules are

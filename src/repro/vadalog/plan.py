@@ -11,7 +11,7 @@ module compiles each rule body into a :class:`BodyPlan`:
   conditions / assignments / negations first, then the atom with the
   most bound positions, ties broken by body position);
 - per atom, the bound positions become one composite-index probe
-  (:meth:`repro.vadalog.database.Relation.lookup_key`), first
+  (:meth:`repro.vadalog.columnar.ColumnarRelation.lookup_key`), first
   occurrences of novel variables become direct bindings, repeated
   occurrences become equality checks;
 - conditions, assignments and negations are attached as filters to the
@@ -31,7 +31,7 @@ evaluation, and the aggregate pre-body plan.
 recursive stratum's later rounds and by incremental maintenance, and
 :meth:`AggregatePlan.evaluate` the one aggregate evaluator.
 
-A rule fires on one of two paths.  On a columnar database, a rule whose
+A rule fires on one of two paths.  A rule whose
 body :func:`execute_plan_vectorized` takes (atom joins, negations) and
 whose head has no Skolem term fires on code columns:
 :meth:`RulePlans.columns` joins the whole body, or a delta of
@@ -662,7 +662,7 @@ def _batch_program(plan: BodyPlan, base_vars: Tuple[Variable, ...]) -> _BatchPro
 
 
 def execute_plan_batch(plan: BodyPlan, db: Database) -> Iterator[Substitution]:
-    """Batch twin of :func:`execute_plan` for columnar databases.
+    """Batch twin of :func:`execute_plan` for full evaluations.
 
     Every match of ``plan`` over one compiled register program: join
     keys probe the relation's eq-code indexes, candidate verification
@@ -673,8 +673,6 @@ def execute_plan_batch(plan: BodyPlan, db: Database) -> Iterator[Substitution]:
     (conditions, assignments).
     """
     interner = db._interner
-    if interner is None:
-        raise EvaluationError("execute_plan_batch requires a columnar database")
     program = _batch_program(plan, ())
     steps = program.steps
     n = len(steps)
@@ -861,7 +859,7 @@ def _step_matches(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized full-plan evaluation (columnar databases + numpy)
+# Vectorized full-plan evaluation (code columns + numpy)
 # ---------------------------------------------------------------------------
 
 
@@ -888,8 +886,6 @@ def execute_plan_vectorized(
     values never match anything, including themselves.
     """
     interner = db._interner
-    if interner is None:
-        return None
     count, base_codes = bases if bases is not None else (1, {})
     program = _batch_program(plan, tuple(base_codes))
     steps = program.steps
@@ -1342,12 +1338,12 @@ def delta_columns(
     delta: Changes,
 ) -> Optional[ColumnMatches]:
     """:func:`delta_matches` on code columns: one vectorized join over
-    the bound bases.  ``None`` — the caller joins per base — on a tuple
-    database, below :data:`COLUMNAR_MIN_BASES` delta facts, when several
+    the bound bases.  ``None`` — the caller joins per base — below
+    :data:`COLUMNAR_MIN_BASES` delta facts, when several
     body atoms read the delta (their partitions would need the row ids
     of old facts), or when the rest plan does not qualify for
     :func:`execute_plan_vectorized`."""
-    if not db.columnar or sum(map(len, delta.values())) < COLUMNAR_MIN_BASES:
+    if sum(map(len, delta.values())) < COLUMNAR_MIN_BASES:
         return None
     changed = _delta_indexes(body, delta)
     if len(changed) != 1:

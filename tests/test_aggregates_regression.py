@@ -211,23 +211,23 @@ class TestSemiNaiveAggregate:
     the buckets and the facts are the naive recomputation's, for one
     firing per new contribution."""
 
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_one_firing_per_derived_fact_on_a_chain(self, columnar):
-        result = Engine(columnar=columnar).run(
+    def test_one_firing_per_derived_fact_on_a_chain(self):
+        result = Engine().run(
             parse_program(CONTROL), inputs=chain(80)
         )
         stats = result.stats
         assert len(result.facts("controls")) == stats.facts_derived == 80 * 81 // 2
         assert stats.rule_firings <= 3 * stats.facts_derived
 
-    @pytest.mark.parametrize("columnar", [True, False])
+    @pytest.mark.parametrize("retain", [True, False])
     @PROGRAMS
     @pytest.mark.parametrize("seed", range(4))
-    def test_equals_the_naive_references(self, text, predicate, seed, columnar):
+    def test_equals_the_naive_references(self, text, predicate, seed, retain):
+        """With and without the state a retaining run keeps."""
         program = parse_program(text)
         inputs = registry(seed)
         runs = [
-            Engine(columnar=columnar, **options).run(program, inputs=inputs)
+            Engine(**options).run(program, inputs=inputs, retain_state=retain)
             for options in (
                 {}, {"semi_naive": False}, {"use_plans": False},
             )
@@ -239,15 +239,14 @@ class TestSemiNaiveAggregate:
         assert len(semi_naive) > len(inputs["company"])  # something cascades
         assert runs[0].stats.rule_firings < runs[1].stats.rule_firings
 
-    @pytest.mark.parametrize("columnar", [True, False])
     @PROGRAMS
-    def test_retained_accumulator_is_the_naive_one(self, text, predicate, columnar):
+    def test_retained_accumulator_is_the_naive_one(self, text, predicate):
         """The retained state is the one the run used; the naive engines
         rebuild theirs from the final database in their last round."""
         program = parse_program(text)
         inputs = registry(7)
         kept, *references = (
-            Engine(columnar=columnar, **options).run(
+            Engine(**options).run(
                 program, inputs=inputs, retain_state=True
             ).state.aggregates
             for options in ({}, {"semi_naive": False}, {"use_plans": False})

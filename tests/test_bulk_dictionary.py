@@ -22,6 +22,7 @@ from repro.core.instances import (
     encode_instance,
 )
 from repro.core.oid import construct_oid
+from repro.graph import make_graph
 from repro.graph.property_graph import ABSENT, GraphError, PropertyGraph
 from repro.metalog import (
     GraphCatalog,
@@ -70,10 +71,11 @@ def edge_snapshot(graph):
     )
 
 
-def big_mixed_graph(nodes=10_000, seed=99):
-    """~10k nodes over three labels with patchy properties, plus edges."""
+def big_mixed_graph(nodes=10_000, seed=99, columnar=False):
+    """~10k nodes over three labels with patchy properties, plus edges,
+    in the object graph store or the columnar one."""
     rng = random.Random(seed)
-    graph = PropertyGraph("big")
+    graph = make_graph("big", columnar=columnar)
     labels = ("Alpha", "Beta", "Gamma")
     for i in range(nodes):
         label = labels[i % 3]
@@ -142,10 +144,10 @@ class TestGraphBulkAccessors:
 class TestBulkExtraction:
     @pytest.mark.parametrize("columnar", [False, True])
     def test_bulk_extraction_bit_identical_10k(self, columnar):
-        graph = big_mixed_graph()
+        graph = big_mixed_graph(columnar=columnar)
         catalog = GraphCatalog.from_graph(graph)
-        fast = graph_to_database(graph, catalog, columnar=columnar, bulk=True)
-        slow = graph_to_database(graph, catalog, columnar=columnar, bulk=False)
+        fast = graph_to_database(graph, catalog, bulk=True)
+        slow = graph_to_database(graph, catalog, bulk=False)
         assert fast.predicates() == slow.predicates()
         for predicate in fast.predicates():
             assert list(fast.relation(predicate)) == list(

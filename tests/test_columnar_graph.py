@@ -341,9 +341,9 @@ class TestPipelineDifferential:
                 graph, compiled.catalog,
                 node_labels=compiled.input_node_labels,
                 edge_labels=compiled.input_edge_labels,
-                columnar=True, bulk=True,
+                bulk=True,
             )
-            result = Engine(columnar=True).run(
+            result = Engine().run(
                 compiled.program, database=database
             )
             target = graph.copy()
@@ -419,42 +419,35 @@ class TestServeColumnEpochs:
     INPUTS = {"e": [("a", "b"), ("b", "c"), ("x", "y")]}
 
     def test_blocks_equal_frozenset_oracle(self):
-        col = ServeState(TC, inputs=self.INPUTS, check_wardedness=False)
-        obj = ServeState(
-            TC, inputs=self.INPUTS,
-            engine=Engine(columnar=False, check_wardedness=False),
-        )
-        for state in (col, obj):
-            # Magic queries run on the backend of the retained state.
-            assert state.evaluator.columnar == state.engine.columnar
-            handlers = ServiceHandlers(state)
-            answers = [
-                handlers.handle(
-                    "GET", "/query", {"q": 'tc("a", Y)?', "engine": mode}
-                )
-                for mode in ("snapshot", "magic")
-            ]
-            assert [status for status, _ in answers] == [200, 200]
-            assert sorted(answers[0][1]["answers"]) == sorted(
-                answers[1][1]["answers"]
-            ) == [["a", "b"], ["a", "c"]]
-        snap_col, snap_obj = col.snapshot, obj.snapshot
-        assert set(snap_col.facts) == set(snap_obj.facts)
-        for predicate, expected in snap_obj.facts.items():
-            block = snap_col.facts[predicate]
-            assert isinstance(block, FrozenColumnBlock)
-            assert isinstance(expected, frozenset)
-            assert block == expected          # Set-mixin equality
-            assert expected == frozenset(block)
-            assert len(block) == len(expected)
-            for fact in expected:
-                assert fact in block
-        # Stays equal after a delta on both sides.
-        delta = {"added": {"e": [("c", "d")]}, "removed": {"e": [("x", "y")]}}
-        col.apply_delta(**delta)
-        obj.apply_delta(**delta)
-        for predicate, expected in obj.snapshot.facts.items():
-            assert col.snapshot.facts[predicate] == expected
+        """Each block equals the frozenset of a from-scratch run's facts,
+        before and after a delta."""
+        state = ServeState(TC, inputs=self.INPUTS, check_wardedness=False)
+        handlers = ServiceHandlers(state)
+        answers = [
+            handlers.handle("GET", "/query", {"q": 'tc("a", Y)?', "engine": mode})
+            for mode in ("snapshot", "magic")
+        ]
+        assert [status for status, _ in answers] == [200, 200]
+        assert sorted(answers[0][1]["answers"]) == sorted(
+            answers[1][1]["answers"]
+        ) == [["a", "b"], ["a", "c"]]
+
+        def blocks_equal_a_fresh_run(edges):
+            run = Engine(check_wardedness=False).run(state.program, inputs={"e": edges})
+            assert set(state.snapshot.facts) == set(run.database.predicates())
+            for predicate in run.database.predicates():
+                expected = frozenset(run.facts(predicate))
+                block = state.snapshot.facts[predicate]
+                assert isinstance(block, FrozenColumnBlock)
+                assert block == expected          # Set-mixin equality
+                assert expected == frozenset(block)
+                assert len(block) == len(expected)
+                for fact in expected:
+                    assert fact in block
+
+        blocks_equal_a_fresh_run(self.INPUTS["e"])
+        state.apply_delta(added={"e": [("c", "d")]}, removed={"e": [("x", "y")]})
+        blocks_equal_a_fresh_run([("a", "b"), ("b", "c"), ("c", "d")])
 
     def test_cow_reuses_untouched_blocks(self):
         program = TC + "\nu(X) -> v(X)."

@@ -190,7 +190,7 @@ class TestInstances:
         data.add_edge("b2", "b3", "OWNS", edge_id="o2")
         data.add_edge("b1", "b3", "OWNS", edge_id="o3", percentage=0.5)
         company_schema.ensure_attribute_oids()
-        database = Database(columnar=columnar)
+        database = Database()
         encode_instance(company_schema, 5, data, database.add_columns)
         back = decode_instance(company_schema, 5, database.columns).data
         assert [n.id for n in back.nodes()] == ["b1", "b2", "b3"]  # one run

@@ -13,7 +13,7 @@ from repro.graph.algorithms import strongly_connected_components, topological_or
 from repro.graph.property_graph import PropertyGraph
 from repro.vadalog import Engine, parse_program
 from repro.vadalog.ast import Condition
-from repro.vadalog.database import Relation
+from repro.vadalog.columnar import ColumnarRelation, ValueInterner
 from repro.vadalog.plan import (
     AssignFilter,
     CondFilter,
@@ -282,12 +282,12 @@ class TestRandomizedDifferential:
 SEEN = "e(X, Y) -> tc(X, Y).\ntc(X, Y), e(Y, Z) -> tc(X, Z), seen(X, Z, N)."
 
 
-def seen_nulls(columnar):
+def seen_nulls(use_plans):
     """The ``seen`` facts of one batch run over a 12-node graph, in the
     relation's order, with the ordinal of each null."""
     edges = [(f"n{i}", f"n{(i * 5 + 3) % 12}") for i in range(12)]
     edges += [(f"n{i}", f"n{(i + 1) % 12}") for i in range(12)]
-    result = Engine(columnar=columnar).run(
+    result = Engine(use_plans=use_plans).run(
         parse_program(SEEN), inputs={"e": edges}
     )
     return [(x, z, null.ordinal) for x, z, null in result.database.relation("seen")]
@@ -296,7 +296,7 @@ def seen_nulls(columnar):
 def test_batch_nulls_are_hash_seed_independent():
     """A batch run's labeled nulls must not depend on ``set`` iteration
     order: the same ``seen`` facts, nulls and row order under every
-    ``PYTHONHASHSEED``, on both backends."""
+    ``PYTHONHASHSEED``, planned and interpreted."""
     script = (
         "from tests.test_engine_plans import seen_nulls\n"
         "print(seen_nulls(True))\n"
@@ -412,21 +412,25 @@ class TestCompilation:
 # ---------------------------------------------------------------------------
 
 
+def _relation():
+    return ColumnarRelation("r", interner=ValueInterner())
+
+
 class TestCompositeIndex:
     def test_lookup_key_exact_match(self):
-        rel = Relation("r")
+        rel = _relation()
         rel.add_many([(1, "a", 10), (1, "b", 20), (2, "a", 30), (1, "a", 40)])
         facts = set(rel.lookup_key((0, 1), (1, "a")))
         assert facts == {(1, "a", 10), (1, "a", 40)}
         assert set(rel.lookup_key((0, 1), (9, "a"))) == set()
 
     def test_single_position_delegates_to_plain_index(self):
-        rel = Relation("r")
+        rel = _relation()
         rel.add_many([(1, "a"), (2, "b")])
         assert set(rel.lookup_key((1,), ("b",))) == {(2, "b")}
 
     def test_incremental_maintenance_after_build(self):
-        rel = Relation("r")
+        rel = _relation()
         rel.add((1, "a"))
         assert set(rel.lookup_key((0, 1), (1, "a"))) == {(1, "a")}
         rel.add((1, "a"))  # duplicate: no double-count
@@ -435,7 +439,7 @@ class TestCompositeIndex:
         assert set(rel.lookup_key((0, 1), (1, "b"))) == {(1, "b")}
 
     def test_add_many_falls_back_once_indexed(self):
-        rel = Relation("r")
+        rel = _relation()
         rel.add_many([(1, "a")])
         rel.lookup_key((0,), (1,))  # force an index
         added = rel.add_many([(1, "a"), (2, "b")])
@@ -443,7 +447,7 @@ class TestCompositeIndex:
         assert set(rel.lookup_key((0,), (2,))) == {(2, "b")}
 
     def test_copy_is_independent(self):
-        rel = Relation("r")
+        rel = _relation()
         rel.add_many([(1, "a")])
         rel.lookup_key((0, 1), (1, "a"))
         clone = rel.copy()
@@ -454,7 +458,7 @@ class TestCompositeIndex:
     def test_arity_guard_in_bulk_path(self):
         from repro.errors import EvaluationError
 
-        rel = Relation("r")
+        rel = _relation()
         with pytest.raises(EvaluationError):
             rel.add_many([(1, 2), (1, 2, 3)])
 

@@ -237,8 +237,10 @@ class TestDRedEdgeCases:
 # Removals through a monotone aggregate and its existential head
 # ---------------------------------------------------------------------------
 
+#: Planned or interpreted, over a retained state whose base run was
+#: semi-naive or naive.
 ENGINES = pytest.mark.parametrize(
-    "use_plans,columnar",
+    "use_plans,semi_naive",
     [(True, True), (True, False), (False, True), (False, False)],
 )
 
@@ -269,9 +271,9 @@ class _Maintained:
     injective renaming, the accumulators, the remembered firings — and
     no stratum recomputed."""
 
-    def __init__(self, text, use_plans, columnar, **inputs):
+    def __init__(self, text, use_plans, semi_naive, **inputs):
         self.program = parse_program(text)
-        self.backend = dict(use_plans=use_plans, columnar=columnar)
+        self.backend = dict(use_plans=use_plans, semi_naive=semi_naive)
         self.inputs = {p: list(facts) for p, facts in inputs.items()}
         self.engine = Engine(**self.backend)
         self.result = self.engine.run(
@@ -315,12 +317,12 @@ class _Maintained:
 @ENGINES
 @pytest.mark.parametrize("text", [CONTROL, CONTROL_IDS])
 class TestAggregateRetraction:
-    def test_cyclic_ghost(self, text, use_plans, columnar):
+    def test_cyclic_ghost(self, text, use_plans, semi_naive):
         """Group (x, a) still sums 0.6 through b once x's own stake is
         gone — but b is only x's through a: the accumulator is no
         support count, the head goes whatever value remains."""
         run = _Maintained(
-            text, use_plans, columnar,
+            text, use_plans, semi_naive,
             company=[("x",), ("a",), ("b",)],
             own=[("x", "a", 0.6), ("a", "b", 0.6), ("b", "a", 0.6)],
         )
@@ -329,11 +331,11 @@ class TestAggregateRetraction:
         assert run.pairs() == {("a", "b"), ("b", "a")}
         assert delta.overdeleted == 2 and delta.rederived == 0
 
-    def test_parallel_stakes(self, text, use_plans, columnar):
+    def test_parallel_stakes(self, text, use_plans, semi_naive):
         """Two stakes of z in y collide on contributor z; the smaller
         takes the place of the larger when that one is removed."""
         run = _Maintained(
-            text, use_plans, columnar,
+            text, use_plans, semi_naive,
             company=[("z",), ("w",), ("y",)],
             own=[("z", "y", 0.7), ("z", "y", 0.2), ("z", "w", 0.6),
                  ("w", "y", 0.35)],
@@ -350,12 +352,12 @@ class TestAggregateRetraction:
         assert ("z", "y") not in run.pairs()
         assert buckets[("z", "y")] == {("z",): 0.2}
 
-    def test_remove_then_re_add(self, text, use_plans, columnar):
+    def test_remove_then_re_add(self, text, use_plans, semi_naive):
         """What a removal spares keeps its facts, nulls included — the
         re-derived ones too; what it takes comes back on re-adding,
         under fresh nulls, and nothing of it is remembered meanwhile."""
         run = _Maintained(
-            text, use_plans, columnar,
+            text, use_plans, semi_naive,
             company=[("a",), ("b",), ("c",), ("d",)],
             own=[("a", "b", 0.6), ("b", "c", 0.3), ("a", "c", 0.3),
                  ("a", "c", 0.25), ("c", "d", 0.9)],
@@ -380,11 +382,11 @@ class TestAggregateRetraction:
                 if isinstance(t, Null)}
         assert not back & known
 
-    def test_removing_a_seed(self, text, use_plans, columnar):
+    def test_removing_a_seed(self, text, use_plans, semi_naive):
         """controls(a, a) is the seed's; the cycle through b re-derives
         it only from itself."""
         run = _Maintained(
-            text, use_plans, columnar,
+            text, use_plans, semi_naive,
             company=[("x",), ("a",), ("b",)],
             own=[("x", "a", 0.6), ("a", "b", 0.6), ("b", "a", 0.6)],
         )
@@ -396,10 +398,10 @@ class TestAggregateRetraction:
         assert run.pairs() == {("a", "b"), ("b", "a")}
 
     def test_one_delta_adds_to_and_removes_from_a_group(
-        self, text, use_plans, columnar
+        self, text, use_plans, semi_naive
     ):
         run = _Maintained(
-            text, use_plans, columnar,
+            text, use_plans, semi_naive,
             company=[("a",), ("b",), ("c",), ("d",)],
             own=[("a", "b", 0.6), ("a", "c", 0.3), ("b", "c", 0.3),
                  ("c", "d", 0.7)],
@@ -462,7 +464,7 @@ class TestNegationByKey:
     @ENGINES
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("name", sorted(NEGATION_PROGRAMS))
-    def test_battery(self, name, seed, use_plans, columnar):
+    def test_battery(self, name, seed, use_plans, semi_naive):
         """Every extensional predicate, the negated ones included, gains
         and loses facts in one delta; six chained deltas."""
         text, arities, predicates = NEGATION_PROGRAMS[name]
@@ -477,7 +479,7 @@ class TestNegationByKey:
             for p, arity in arities.items()
         }
         program = parse_program(text)
-        engine = Engine(use_plans=use_plans, columnar=columnar)
+        engine = Engine(use_plans=use_plans, semi_naive=semi_naive)
         result = engine.run(
             program, retain_state=True,
             inputs={p: sorted(facts) for p, facts in current.items()},
@@ -497,7 +499,7 @@ class TestNegationByKey:
             for p in arities:
                 current[p] = (current[p] - set(removed.get(p, ()))) | set(
                     added.get(p, ()))
-            oracle = Engine(use_plans=False, columnar=columnar).run(
+            oracle = Engine(use_plans=False, semi_naive=semi_naive).run(
                 program, inputs={p: sorted(f) for p, f in current.items()})
             for predicate in predicates:
                 assert _canon(result.facts(predicate)) == _canon(
@@ -844,9 +846,12 @@ class TestNullStableRecompute:
     PROGRAM = "r(X, Y) -> q(X, Z).\nq(X, Z) -> s(Z)."
 
     @pytest.mark.parametrize("use_plans", [True, False])
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_net_delta_and_one_firing_per_assignment(self, use_plans, columnar):
-        engine = Engine(use_plans=use_plans, columnar=columnar)
+    @pytest.mark.parametrize("compacted", [True, False])
+    def test_net_delta_and_one_firing_per_assignment(self, use_plans, compacted):
+        """``compacted``: the retained database reclaims its tombstones
+        between the two deltas, as the materializer and the serve writer
+        do; the remembered nulls are the same."""
+        engine = Engine(use_plans=use_plans)
         result = engine.run(
             parse_program(self.PROGRAM),
             inputs={"r": [("a", 1), ("a", 2), ("b", 1), ("c", 1)]},
@@ -862,6 +867,10 @@ class TestNullStableRecompute:
         assert delta.removed == {
             "r": {("b", 1)}, "q": {gone}, "s": {(gone[1],)}}
         assert not delta.added
+        if compacted:
+            assert result.database.dead_rows()
+            result.database.compact()
+            assert not result.database.dead_rows()
         # One of the two q(a, Z) firings goes: one of their nulls stays,
         # the other is forgotten; what is new is a fresh ordinal.
         delta = engine.apply_delta(

@@ -250,10 +250,12 @@ def _bound_queries(rng, predicate, answers, arity):
     return queries
 
 
-def goal_differential(text, predicates, columnar, rng, **inputs):
+def goal_differential(text, predicates, use_plans, rng, **inputs):
+    """Magic answers against a full chase: production's, or the
+    interpreter's (``use_plans=False``)."""
     program = parse_program(text)
-    evaluator = GoalDirectedEvaluator(program, columnar=columnar)
-    full = Engine(columnar=columnar).run(program, inputs=inputs)
+    evaluator = GoalDirectedEvaluator(program)
+    full = Engine(use_plans=use_plans).run(program, inputs=inputs)
     cases = []
     for predicate in predicates:
         answers = full.facts(predicate)
@@ -268,7 +270,7 @@ def goal_differential(text, predicates, columnar, rng, **inputs):
     assert cases
     # Second pass: every query of the program against one shared
     # database, read in place by two threads at once.
-    shared = Database(columnar=columnar)
+    shared = Database()
     for predicate, facts in inputs.items():
         shared.add_all(predicate, facts)
     before = {p: shared.facts(p) for p in shared.predicates()}
@@ -296,26 +298,26 @@ def goal_differential(text, predicates, columnar, rng, **inputs):
 
 
 class TestRandomizedGoalDifferential:
-    @pytest.mark.parametrize("columnar", [True, False])
+    @pytest.mark.parametrize("use_plans", [True, False])
     @pytest.mark.parametrize("seed", range(20))
-    def test_negation_free_recursion(self, seed, columnar):
+    def test_negation_free_recursion(self, seed, use_plans):
         rng = random.Random(1000 + seed)
         text, predicates, inputs = _recursion_case(rng)
-        goal_differential(text, predicates, columnar, rng, **inputs)
+        goal_differential(text, predicates, use_plans, rng, **inputs)
 
-    @pytest.mark.parametrize("columnar", [True, False])
+    @pytest.mark.parametrize("use_plans", [True, False])
     @pytest.mark.parametrize("seed", range(16))
-    def test_monotonic_aggregates(self, seed, columnar):
+    def test_monotonic_aggregates(self, seed, use_plans):
         rng = random.Random(2000 + seed)
         text, predicates, inputs = _aggregate_case(rng)
-        goal_differential(text, predicates, columnar, rng, **inputs)
+        goal_differential(text, predicates, use_plans, rng, **inputs)
 
-    @pytest.mark.parametrize("columnar", [True, False])
+    @pytest.mark.parametrize("use_plans", [True, False])
     @pytest.mark.parametrize("seed", range(16))
-    def test_existential_skolem(self, seed, columnar):
+    def test_existential_skolem(self, seed, use_plans):
         rng = random.Random(3000 + seed)
         text, predicates, inputs = _existential_case(rng)
-        goal_differential(text, predicates, columnar, rng, **inputs)
+        goal_differential(text, predicates, use_plans, rng, **inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +365,6 @@ class TestDemandRestriction:
         assert {"Y": "b"} in answer.bindings()
         assert {"Y": "c"} in answer.bindings()
 
-    @pytest.mark.parametrize("columnar", [True, False])
     @pytest.mark.parametrize("inputs,expected", [
         # e has a fact rule besides its supplied facts ...
         ({"e": [("a", "b")]}, {("k", "a"), ("k", "b")}),
@@ -371,11 +372,9 @@ class TestDemandRestriction:
         ({"tc": [("k", "z")], "e": [("z", "q")]},
          {("k", "a"), ("k", "z"), ("k", "q")}),
     ])
-    def test_facts_supplied_for_a_derived_predicate_count(
-        self, inputs, expected, columnar
-    ):
+    def test_facts_supplied_for_a_derived_predicate_count(self, inputs, expected):
         program = parse_program('e("k", "a").\n' + TC)
-        evaluator = GoalDirectedEvaluator(program, columnar=columnar)
+        evaluator = GoalDirectedEvaluator(program)
         for text in ('tc("k", Y)?', 'tc(X, "q")?', 'e("k", Y)?', 'tc("z", Y)?'):
             answer = evaluator.answer(text, inputs=inputs)
             assert answer.mode == "magic"
@@ -406,20 +405,23 @@ class TestDemandRestriction:
         assert set(db.predicates()) == {"e"}
         assert db.count("e") == 2
 
-    @pytest.mark.parametrize("columnar", [True, False])
+    @pytest.mark.parametrize("frozen", [True, False])
     def test_a_pure_edb_query_probes_and_answers_as_the_scan(
-        self, columnar, monkeypatch
+        self, frozen, monkeypatch
     ):
+        """Over a live relation or a frozen one (a served epoch's EDB)."""
         nan = float("nan")
         facts = [("a", 1), ("a", 1.0), ("a", True), ("b", 2), ("b", nan),
                  (1, "a"), (True, "a"), ("c", "c")] + [
             (f"n{i}", i) for i in range(200)
         ]
-        db = Database(columnar=columnar)
+        db = Database()
         db.add_all("e", facts)
         db.add_all("wide", [("a", "b", "c")])
+        if frozen:
+            db.relation("e").freeze()
         stored = sorted(db.facts("e"), key=repr)
-        evaluator = GoalDirectedEvaluator(parse_program(TC), columnar=columnar)
+        evaluator = GoalDirectedEvaluator(parse_program(TC))
         # A probe, not a copy of the relation.
         monkeypatch.setattr(
             Database, "facts",

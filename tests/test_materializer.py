@@ -667,10 +667,11 @@ BUSINESS = {"legalNature": "spa", "shareholdingCapital": 10.0}
 
 @pytest.fixture(params=[True, False], ids=["columnar", "tuples"])
 def checked(request):
-    """A materializer on either engine backend whose every update() is
-    held against ``FlushDelta.diff`` over whole decodes."""
+    """A materializer on either chase — the compiled plans, which fire
+    on code columns, or the tuple-at-a-time interpreter — whose every
+    update() is held against ``FlushDelta.diff`` over whole decodes."""
     return diff_is_the_oracle(
-        IntensionalMaterializer(engine=Engine(columnar=request.param))
+        IntensionalMaterializer(engine=Engine(use_plans=request.param))
     )
 
 
@@ -1127,9 +1128,9 @@ class TestOneDictionary:
     @pytest.mark.parametrize("seed", range(3))
     def test_codes_decode_and_load_as_values_do(self, company_schema, seed):
         """Stored ``None`` next to a missing property, NaN, and ``1`` /
-        ``1.0`` / ``True`` cells: the code path (columnar chase, shared
-        interner, empty columnar store) and the value path (tuple chase,
-        a fresh interner, object store) deploy the same state."""
+        ``1.0`` / ``True`` cells: the code path (the registry's interner
+        shared by an empty columnar store) and the value path (the object
+        graph store) deploy the same state."""
         from repro.deploy.resilience import graph_store_state
 
         rng = random.Random(seed)
@@ -1159,9 +1160,9 @@ class TestOneDictionary:
         sigma = parse_metalog(programs.CONTROL_PROGRAM)
         states = []
         for columnar in (True, False):
-            report = IntensionalMaterializer(
-                engine=Engine(columnar=columnar)
-            ).materialize(company_schema, registry.copy(), sigma, instance_oid=9)
+            report = IntensionalMaterializer().materialize(
+                company_schema, registry.copy(), sigma, instance_oid=9
+            )
             store = deployed_store(company_schema, columnar=columnar)
             load_graph_store(company_schema, report.instance.data, store)
             assert (getattr(store.graph, "interner", None)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import MetaLogError
+from repro.graph import make_graph
 from repro.graph.property_graph import PropertyGraph
 from repro.metalog import (
     GraphCatalog,
@@ -23,7 +24,10 @@ from repro.vadalog.terms import Variable
 
 @pytest.fixture()
 def ownership_graph():
-    g = PropertyGraph("own")
+    return fill_ownership(PropertyGraph("own"))
+
+
+def fill_ownership(g):
     for c in "abc":
         g.add_node(c, "Business", name=c)
     g.add_edge("a", "b", "OWNS", percentage=0.6)
@@ -234,25 +238,25 @@ class TestEndToEnd:
 
     @pytest.mark.parametrize("columnar", [True, False])
     def test_run_on_graph_extracts_into_the_engine_backend(
-        self, ownership_graph, monkeypatch, columnar
+        self, monkeypatch, columnar
     ):
-        """The extracted database is built on the engine's backend, so
-        ``Engine.run`` never converts it wholesale."""
+        """The extracted database is the engine's one fact store, over
+        the source graph's value dictionary when it has one (the
+        columnar graph store) and a fresh one for the object store."""
+        graph = fill_ownership(make_graph("own", columnar=columnar))
         handed = []
         run = Engine.run
 
         def recording(self, program, database=None, **kwargs):
-            handed.append((database.columnar, self.columnar))
+            handed.append(database.interner is getattr(graph, "interner", None))
             return run(self, program, database=database, **kwargs)
 
         monkeypatch.setattr(Engine, "run", recording)
-        engine = None if columnar else Engine(columnar=False)
         outcome = run_on_graph(
             parse_metalog("(x: Business) -> exists c : (x)[c: SELF](x)."),
-            ownership_graph,
-            engine=engine,
+            graph,
         )
-        assert handed == [(columnar, columnar)]
+        assert handed == [columnar]
         assert outcome.new_edges == 3
 
     def test_derived_node_with_attributes(self, ownership_graph):

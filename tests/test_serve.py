@@ -766,9 +766,9 @@ def registry_inputs(companies, seed=7):
     return [c for (c,) in inputs["company"]], inputs
 
 
-def control_state(inputs, columnar):
+def control_state(inputs, use_plans):
     return ServeState(
-        CONTROL, inputs, engine=Engine(columnar=columnar)
+        CONTROL, inputs, engine=Engine(use_plans=use_plans)
     )
 
 
@@ -815,19 +815,19 @@ def built_indexes(snap):
     return found
 
 
-BACKENDS = pytest.mark.parametrize("columnar", [True, False])
+#: The retained state kept by the compiled plans or by the interpreter.
+CHASES = pytest.mark.parametrize("use_plans", [True, False])
 
 
 class TestFrozenEdb:
-    @BACKENDS
+    @CHASES
     def test_a_warm_query_touches_nothing_the_size_of_the_model(
-        self, columnar, monkeypatch
+        self, use_plans, monkeypatch
     ):
         from repro.vadalog.columnar import ColumnarRelation
-        from repro.vadalog.database import Relation
 
         companies, inputs = registry_inputs(500)
-        state = control_state(inputs, columnar)
+        state = control_state(inputs, use_plans)
         handlers = ServiceHandlers(state, cache=ResultCache(0))
         warm, subject = companies[3], companies[11]
         for engine in ("magic", "snapshot"):
@@ -836,13 +836,12 @@ class TestFrozenEdb:
         built = cache_keys(snap)
 
         calls = []
-        for cls in (ColumnarRelation, Relation):
-            for name in ("add_many", "add_columns", "copy"):
-                def counted(self, *args, _real=getattr(cls, name), _name=name):
-                    result = _real(self, *args)
-                    calls.append((_name, self.name, len(self)))
-                    return result
-                monkeypatch.setattr(cls, name, counted)
+        for name in ("add_many", "add_columns", "copy"):
+            def counted(self, *args, _real=getattr(ColumnarRelation, name), _name=name):
+                result = _real(self, *args)
+                calls.append((_name, self.name, len(self)))
+                return result
+            monkeypatch.setattr(ColumnarRelation, name, counted)
         magic = ask(handlers, subject, "magic")
         snapshot = ask(handlers, subject, "snapshot")
         assert magic["answers"] == snapshot["answers"]
@@ -851,8 +850,8 @@ class TestFrozenEdb:
         assert state.snapshot is snap
         assert cache_keys(snap) == built
 
-    @BACKENDS
-    def test_queries_leave_the_epoch_as_it_was(self, columnar):
+    @CHASES
+    def test_queries_leave_the_epoch_as_it_was(self, use_plans):
         from repro.errors import EvaluationError
 
         program = (
@@ -865,7 +864,7 @@ class TestFrozenEdb:
             # e has a fact rule besides its supplied facts, and tc is
             # supplied facts although rules derive it (mixed EDB/IDB).
             {"e": edges, "tc": [("z", "w")], "label": [("n3", "mid")]},
-            check_wardedness=False, engine=Engine(columnar=columnar),
+            check_wardedness=False, engine=Engine(use_plans=use_plans),
         )
         handlers = ServiceHandlers(state, cache=ResultCache(0))
         snap = state.snapshot
@@ -896,19 +895,18 @@ class TestFrozenEdb:
                 relation.remove(next(iter(relation)))
             with pytest.raises(EvaluationError):
                 relation.reset([])
-            if columnar:
-                with pytest.raises(EvaluationError):
-                    relation.compact()
-                with pytest.raises(EvaluationError):
-                    relation.spill()
+            with pytest.raises(EvaluationError):
+                relation.compact()
+            with pytest.raises(EvaluationError):
+                relation.spill()
         assert frozen_rows(snap) == before
 
-    @BACKENDS
-    def test_an_old_epoch_answers_as_the_old_epoch(self, columnar, monkeypatch):
+    @CHASES
+    def test_an_old_epoch_answers_as_the_old_epoch(self, use_plans, monkeypatch):
         import copy
 
         companies, inputs = registry_inputs(120)
-        state = control_state(inputs, columnar)
+        state = control_state(inputs, use_plans)
         handlers = ServiceHandlers(state, cache=ResultCache(0))
         held = state.snapshot
         subjects = companies[:25]
@@ -923,7 +921,7 @@ class TestFrozenEdb:
         held_contents = copy.deepcopy(held_indexes)
         held_buckets = {key: dict(index) for key, index in held_indexes.items()}
         assert ("edb:own", (0,)) in held_indexes
-        assert not columnar or ("block:controls", (0,)) in held_indexes
+        assert ("block:controls", (0,)) in held_indexes
         # A stake that hands companies[0] a company it did not control,
         # then the removal of original stakes (tombstones in place).
         target = next(
@@ -1303,9 +1301,9 @@ class TestEpochIndexes:
         ) == [(companies[1], companies[2]), (companies[1], companies[3])]
 
     @pytest.mark.parametrize("seed", range(3))
-    @BACKENDS
+    @CHASES
     def test_traversals_answer_as_the_whole_predicate_scan_did(
-        self, columnar, seed
+        self, use_plans, seed
     ):
         """/neighborhood and /path probe per frontier node; the payloads
         are, byte for byte, those of the adjacency dicts they used to
@@ -1319,7 +1317,7 @@ class TestEpochIndexes:
         })
         state = ServeState(
             TC, {"e": edges}, check_wardedness=False,
-            engine=Engine(columnar=columnar),
+            engine=Engine(use_plans=use_plans),
         )
         handlers = ServiceHandlers(state)
         gone = rng.sample(edges, 10)
@@ -1395,3 +1393,49 @@ class TestEpochIndexes:
             )
             assert status == 200
             assert payload["path"] == scanned_path(node, other), (node, other)
+
+
+# ---------------------------------------------------------------------------
+# The writer compacts the retained database
+# ---------------------------------------------------------------------------
+
+
+class TestRetainedCompaction:
+    def test_churn_keeps_dead_rows_below_live_rows(self):
+        """One-stake add + remove cycles leave tombstones behind: the
+        writer compacts once they outnumber the live rows.  Every epoch
+        answers as a from-scratch run; an epoch published before a
+        compaction answers as it did, and the next reader of the
+        compacted epoch builds its index (``serve.index_built``)."""
+        companies, inputs = registry_inputs(50, seed=42)
+        program = parse_program(CONTROL)
+        state = ServeState(CONTROL, inputs)
+        handlers = ServiceHandlers(state, cache=ResultCache(0))
+        own = set(map(tuple, inputs["own"]))
+        compactions = 0
+        for i in range(150):
+            stake = (companies[i % 50], companies[(i * 7 + 3) % 50], 0.9)
+            if stake in own or stake[0] == stake[1]:
+                continue
+            for added in (True, False):
+                held = state.snapshot
+                ask(handlers, stake[0], "snapshot")  # indexes ``held``
+                held_facts = set(held.facts["controls"])
+                dead = state.store_rows()["dead_rows"]
+                state.apply_delta(**{"added" if added else "removed": {"own": [stake]}})
+                rows = state.store_rows()
+                assert rows["dead_rows"] <= rows["live_rows"], (i, rows)
+                fresh = Engine().run(program, inputs={
+                    **inputs, "own": sorted(own | ({stake} if added else set()))})
+                assert set(state.snapshot.facts["controls"]) == fresh.facts("controls")
+                if rows["dead_rows"] >= dead:
+                    continue
+                compactions += 1
+                assert set(held.facts["controls"]) == held_facts
+                assert ("block:controls", (0,)) in built_indexes(held)
+                assert ("block:controls", (0,)) not in built_indexes(state.snapshot)
+                built, _ = index_counters(state)
+                now = ask(handlers, stake[0], "snapshot")
+                assert index_counters(state)[0] > built
+                assert now["answers"] == ask(handlers, stake[0], "magic")["answers"]
+        assert compactions

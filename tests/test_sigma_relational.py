@@ -154,3 +154,91 @@ class TestReasoning:
             for r in derived["OWNS"]
         }
         assert relational_owns == dictionary_owns
+
+
+# ---------------------------------------------------------------------------
+# Odd cells: None, 1 / 1.0 / True, "1" and 2.5 in the tables Sigma reads
+# ---------------------------------------------------------------------------
+
+#: Cell values the fact store keeps apart (``"1"``, ``None``, ``True``)
+#: or equates (``1 == 1.0``).
+CELLS = [None, 1, 1.0, True, "1", 2.5]
+
+
+class _Tables:
+    """A deployed instance as ``reason_over_relational`` reads it."""
+
+    def __init__(self, tables):
+        self.tables = tables
+
+    def rows(self, name):
+        return [dict(row) for row in self.tables.get(name, [])]
+
+
+def typed(row):
+    return tuple((type(value).__name__, value) for value in row)
+
+
+N, I, F, S, A = ("NoneType", None), ("int", 1), ("float", 2.5), ("str", "1"), ("str", "a")
+
+
+class TestOddCells:
+    """The rows Sigma derives over cells the store keeps apart or
+    equates, as recorded when both callers loaded tuple relations that
+    ``Engine.run`` converted: the one store loads them to the same rows."""
+
+    def test_reason_over_relational(self, company_schema, relational_schema):
+        business = [
+            {"isA_Business_fiscalCode": cell, "numberOfStakeholders": cell,
+             "shareholdingCapital": cell}
+            for cell in CELLS + ["a"]
+        ]
+        owns = [
+            {"OWNS_src_fiscalCode": src, "OWNS_tgt_fiscalCode": tgt, "percentage": w}
+            for src, tgt, w in [
+                (1, 2.5, 0.6), (True, "1", 0.7), (1.0, "a", 0.9), ("a", None, 0.8),
+                ("1", 1, 0.51), (2.5, True, 1), (None, 1.0, 0.55), ("1", 2.5, 0.3),
+                (1, 2.5, 0.3),
+            ]
+        ]
+        derived = reason_over_relational(
+            parse_metalog(programs.CONTROL_PROGRAM), company_schema,
+            relational_schema, _Tables({"Business": business, "OWNS": owns}),
+            insert=False,
+        )
+        assert {t: [typed(row.values()) for row in rows] for t, rows in derived.items()} == {
+            "CONTROLS": [
+                (N, N), (N, I), (N, F), (N, A), (I, N), (I, I), (I, F), (I, A),
+                (F, F), (S, N), (S, I), (S, F), (S, S), (S, A), (A, N), (A, I),
+                (A, F), (A, A),
+            ]
+        }
+
+    def test_resolve_inputs(self):
+        from repro.vadalog import Engine, parse_program
+        from repro.vadalog.annotations import resolve_inputs
+
+        program = parse_program(
+            '@input("p", "scan").\n@input("e", "edges").\n'
+            "p(X, Y), e(Y, Z) -> q(X, Z).\np(X, X) -> same(X)."
+        )
+
+        class Source:
+            def extract(self, query):
+                if query == "scan":
+                    return [(a, b) for a in CELLS for b in CELLS][::5]
+                return [(cell, f"z{i}") for i, cell in enumerate(CELLS)]
+
+        result = Engine().run(program, database=resolve_inputs(program, {"s": Source()}))
+        B = ("bool", True)
+        z = [("str", f"z{i}") for i in range(6)]
+        assert {
+            p: sorted(map(typed, result.facts(p)), key=repr)
+            for p in ("p", "e", "q", "same")
+        } == {
+            "p": [(N, N), (N, F), (F, N), (F, F), (I, B), (I, S), (S, I)],
+            "e": [(N, z[0]), (B, z[3]), (F, z[5]), (I, z[1]), (I, z[2]), (S, z[4])],
+            "q": [(N, z[0]), (N, z[5]), (F, z[0]), (F, z[5]), (I, z[3]), (I, z[4]),
+                  (S, z[1]), (S, z[2])],
+            "same": [(N,), (F,)],
+        }

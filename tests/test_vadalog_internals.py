@@ -6,7 +6,6 @@ from repro.errors import EvaluationError, VadalogError
 from repro.vadalog import Database, check_piecewise_linear, check_warded, parse_program, stratify
 from repro.vadalog.aggregates import GroupAccumulator, aggregate, is_monotonic
 from repro.vadalog.annotations import resolve_inputs
-from repro.vadalog.database import Relation
 from repro.vadalog.warded import affected_positions, dangerous_variables, harmful_variables
 from repro.vadalog.terms import Variable
 
@@ -25,7 +24,7 @@ class TestDatabase:
             db.add("p", (1,))
 
     def test_indexed_lookup(self):
-        relation = Relation("p")
+        relation = Database().relation("p")
         for i in range(100):
             relation.add((i % 10, i))
         hits = list(relation.lookup([(0, 3)]))
@@ -36,7 +35,7 @@ class TestDatabase:
         assert list(relation.lookup([(0, 3), (1, 14)])) == []
 
     def test_index_stays_fresh_after_adds(self):
-        relation = Relation("p")
+        relation = Database().relation("p")
         relation.add((1, "a"))
         list(relation.lookup([(0, 1)]))  # builds the index
         relation.add((1, "b"))
