@@ -92,11 +92,8 @@ def dictionary_catalog(include_instances: bool = True) -> GraphCatalog:
 class GraphDictionary:
     """A named dictionary of schemas stored as one property graph."""
 
-    def __init__(self, name: str = "super-model-dictionary",
-                 columnar: bool = True):
-        # The production graph store; ``columnar=False`` is the
-        # differential tests' oracle.
-        self.graph = make_graph(name, columnar=columnar)
+    def __init__(self, name: str = "super-model-dictionary"):
+        self.graph = make_graph(name)
         self._schema_names: Dict[Any, str] = {}
 
     def store(self, schema: SuperSchema) -> Any:

@@ -68,11 +68,10 @@ class GraphStore(SavepointMixin):
     necessarily in the same order.
     """
 
-    def __init__(self, name: str = "graph-store", tracer: Optional[Tracer] = None,
-                 columnar: bool = True):
+    def __init__(self, name: str = "graph-store", tracer: Optional[Tracer] = None):
         self.name = name
         self.tracer = tracer
-        self.graph = make_graph(name, columnar=columnar)
+        self.graph = make_graph(name)
         self._schema: Optional[PGSchema] = None
         self._node_properties: Dict[str, Dict[str, Any]] = {}
         self._relationships: Dict[str, List[Tuple[Set[str], Set[str], Dict[str, Any]]]] = {}

@@ -237,15 +237,12 @@ def _split_capital(rng: random.Random, parts: int, dispersed: float) -> List[flo
     ]
 
 
-def generate_shareholding_graph(
-    config: Optional[ShareholdingConfig] = None,
-    columnar: bool = True,
-):
+def generate_shareholding_graph(config: Optional[ShareholdingConfig] = None):
     """The flat Section 2.1 shareholding graph: OWNS edges with
     percentages between shareholder nodes."""
     config = config or ShareholdingConfig()
     data = generate_shareholding_data(config)
-    graph = make_graph("shareholding", columnar=columnar)
+    graph = make_graph("shareholding")
     for person in data.persons:
         graph.add_node(person, "Person")
     for company in data.companies:
@@ -255,10 +252,7 @@ def generate_shareholding_graph(
     return graph
 
 
-def generate_company_kg(
-    config: Optional[ShareholdingConfig] = None,
-    columnar: bool = True,
-):
+def generate_company_kg(config: Optional[ShareholdingConfig] = None):
     """A typed Company KG instance conforming to the Figure 4 schema.
 
     Persons become PhysicalPerson nodes (with surnames for the family
@@ -269,7 +263,7 @@ def generate_company_kg(
     config = config or ShareholdingConfig()
     rng = random.Random(config.seed + 1)
     data = generate_shareholding_data(config)
-    graph = make_graph("company-kg", columnar=columnar)
+    graph = make_graph("company-kg")
     for person in data.persons:
         surname = rng.choice(_SURNAMES)
         first = rng.choice(_FIRST_NAMES)

@@ -5,10 +5,13 @@ Implements the three-phase translation of Section 4:
 1. **PG-to-relational mapping.**  ``L``-labeled nodes become facts
    ``L(oid, v1, ..., vn)`` (one position per catalog property);
    ``Le``-labeled edges become ``Le(oid, src, tgt, v1, ..., vm)``.
-   :func:`graph_to_database` performs this extraction, straight into
-   the chase's one fact store (code columns over the source graph's
-   value dictionary, when it has one), and the compiler emits the
-   paper's ``@input`` annotations documenting it (Example 4.4).
+   :func:`graph_to_database` performs this extraction a label at a
+   time, straight into the chase's one fact store (code columns over
+   the source graph's value dictionary, when it has one), and the
+   compiler emits the paper's ``@input`` annotations documenting it
+   (Example 4.4).  :func:`materialize_into_graph` is the way back, a
+   label at a time too; neither takes an argument that selects another
+   path (the per-object loops they replace are the tests' reference).
 2. **PG node atoms to relational atoms.**  ``(x: L; K)`` becomes
    ``L(x, ...)`` with named terms placed at their catalog positions and
    anonymous variables elsewhere.
@@ -466,7 +469,6 @@ def graph_to_database(
     catalog: GraphCatalog,
     node_labels: Optional[Iterable[str]] = None,
     edge_labels: Optional[Iterable[str]] = None,
-    bulk: bool = True,
 ) -> Database:
     """Extract a relational instance from a property graph (phase 1),
     straight into the chase's dictionary-encoded fact store.
@@ -477,12 +479,12 @@ def graph_to_database(
     edge insertion order; the whole extraction is reproducible across
     runs.
 
-    ``bulk=True`` (the default) moves whole labels at a time: one
+    Whole labels move at a time: one
     :meth:`~repro.graph.property_graph.PropertyGraph.nodes_table` /
     ``edges_table`` call per label feeds the store's column-wise
     insert, so the hot path never builds a per-node property tuple in
-    Python.  ``bulk=False`` keeps the per-object loop as a differential
-    oracle.
+    Python.  The tests hold it to a per-object loop
+    (``tests/reference.py``).
 
     A columnar source graph shares its value dictionary with the
     extraction database (both sides are append-only), so OIDs and
@@ -502,29 +504,16 @@ def graph_to_database(
         names = catalog.node_properties.get(label, [])
         relation = database.relation(label)
         relation.arity = 1 + len(names)
-        if bulk:
-            ids, columns = graph.nodes_table(label, names)
-            if ids:
-                database.add_columns(label, [ids, *columns])
-        else:
-            relation.add_many(
-                (node.id, *(node.properties.get(n) for n in names))
-                for node in graph.nodes(label)
-            )
+        ids, columns = graph.nodes_table(label, names)
+        if ids:
+            database.add_columns(label, [ids, *columns])
     for label in sorted(edge_labels):
         names = catalog.edge_properties.get(label, [])
         relation = database.relation(label)
         relation.arity = 3 + len(names)
-        if bulk:
-            ids, sources, targets, columns = graph.edges_table(label, names)
-            if ids:
-                database.add_columns(label, [ids, sources, targets, *columns])
-        else:
-            relation.add_many(
-                (edge.id, edge.source, edge.target,
-                 *(edge.properties.get(n) for n in names))
-                for edge in graph.edges(label)
-            )
+        ids, sources, targets, columns = graph.edges_table(label, names)
+        if ids:
+            database.add_columns(label, [ids, sources, targets, *columns])
     return database
 
 
@@ -582,7 +571,6 @@ def materialize_into_graph(
     result: EvaluationResult,
     compiled: CompiledMetaLog,
     graph: PropertyGraph,
-    bulk: bool = True,
 ) -> Tuple[int, int]:
     """Write the derived node/edge facts back into ``graph``.
 
@@ -593,13 +581,13 @@ def materialize_into_graph(
     ``compiled.head_properties`` (see :func:`_apply_node_update`).
 
     Facts are applied in :func:`~repro.vadalog.terms.fact_sort_key`
-    order, which is identical across storage backends.  ``bulk=True``
-    (the default) partitions each label's facts into fresh-OID creations
-    (one column-wise ``add_nodes_bulk``/``add_edges_bulk`` per label, no
-    per-fact ``has_node`` probes) and the rare updates, which take the
-    per-object path; ``bulk=False`` keeps the all-per-object loop as a
-    differential oracle.  Both orders of application are equivalent:
-    updates only ever touch their own OID.
+    order, which is identical across storage backends.  Each label's
+    facts split into fresh-OID creations (one column-wise
+    ``add_nodes_bulk``/``add_edges_bulk`` per label, no per-fact
+    ``has_node`` probes) and the rare updates, which take the per-object
+    path.  That equals applying every fact one at a time (the tests'
+    per-object reference, ``tests/reference.py``): updates only ever
+    touch their own OID.
     """
     new_nodes = 0
     new_edges = 0
@@ -611,18 +599,6 @@ def materialize_into_graph(
         if not facts:
             continue
         clearable = head_properties.get(label, ())
-        if not bulk:
-            for fact in facts:
-                oid = fact[0]
-                if graph.has_node(oid):
-                    _apply_node_update(graph, oid, names, fact[1:], clearable)
-                else:
-                    properties = {
-                        n: v for n, v in zip(names, fact[1:]) if v is not None
-                    }
-                    graph.add_node(oid, label, **properties)
-                    new_nodes += 1
-            continue
         existing = graph.existing_node_ids([fact[0] for fact in facts])
         fresh: List[Tuple[Any, ...]] = []
         updates: List[Tuple[Any, ...]] = []
@@ -659,20 +635,6 @@ def materialize_into_graph(
         if not facts:
             continue
         clearable = head_properties.get(label, ())
-        if not bulk:
-            for fact in facts:
-                oid, source, target = fact[0], fact[1], fact[2]
-                if graph.has_edge(oid):
-                    _apply_edge_update(graph, oid, names, fact[3:], clearable)
-                    continue
-                if not graph.has_node(source) or not graph.has_node(target):
-                    continue  # dangling derivation; endpoints not loaded
-                properties = {
-                    n: v for n, v in zip(names, fact[3:]) if v is not None
-                }
-                graph.add_edge(source, target, label, edge_id=oid, **properties)
-                new_edges += 1
-            continue
         existing = graph.existing_edge_ids([fact[0] for fact in facts])
         fresh = []
         updates = []

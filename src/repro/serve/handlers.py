@@ -15,6 +15,7 @@ the CLI's exit-3 convention for truncated runs.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
@@ -110,13 +111,19 @@ def _int_param(params: Mapping[str, str], name: str, default: int,
 
 def _float_param(params: Mapping[str, str], name: str,
                  default: Optional[float]) -> Optional[float]:
+    """A positive, finite number: ``nan`` would never trip a budget (and
+    never equal itself in a cache key), ``inf`` is no budget, and the
+    governor refuses a non-positive one."""
     raw = params.get(name)
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise RequestError(400, f"{name} must be a number") from None
+    if not math.isfinite(value) or value <= 0:
+        raise RequestError(400, f"{name} must be a positive finite number")
+    return value
 
 
 class ServiceHandlers:

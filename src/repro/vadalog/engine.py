@@ -18,22 +18,21 @@ The engine implements the reasoning semantics of Section 4:
   a rule joins only the previous round's new facts, taken in the order
   their relations appended them, and an aggregate rule contributes only their
   matches into the accumulator its first round built, re-emitting the
-  groups they touch.  ``Engine(semi_naive=False)`` re-runs every round
-  whole — the naive reference, aggregates included.
+  groups they touch.
 
 Rule bodies are evaluated through compiled join plans
 (:mod:`repro.vadalog.plan`): the join order, index probes, and binding
 slots are computed once per rule and cached on the engine, and the
 executor backtracks over one mutable substitution instead of copying
-dicts per candidate.  ``Engine(use_plans=False)`` selects the original
-interpreted matcher — kept as the differential-testing oracle and the
-ablation baseline.
+dicts per candidate.  The plans read one fact store — every relation of
+a :class:`~repro.vadalog.database.Database` holds dictionary codes over
+one value interner — join its code columns, and fire a rule on them
+where its shape allows.
 
-Both read one fact store: every relation of a
-:class:`~repro.vadalog.database.Database` holds dictionary codes over
-one value interner.  The plans join those code columns (and fire a
-rule on them where its shape allows); the interpreter reads the same
-relations through their decoded-tuple facade.
+This is the one execution path: no constructor argument selects another.
+The tests hold it to the interpreted matcher and the naive (every round
+whole) chase, kept as ``InterpretedEngine`` and ``NaiveEngine`` in
+``tests/reference.py``.
 
 Typical use::
 
@@ -46,9 +45,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import EvaluationError, ResourceLimitError, VadalogError
+from repro.errors import ResourceLimitError, VadalogError
 from repro.obs.governor import (
     STATUS_BUDGET_EXCEEDED,
     STATUS_FIXPOINT,
@@ -56,39 +55,18 @@ from repro.obs.governor import (
     ResourceGovernor,
 )
 from repro.obs.tracer import Tracer
-from repro.vadalog.ast import (
-    Assignment,
-    Atom,
-    Condition,
-    Expression,
-    NegatedAtom,
-    Program,
-    Rule,
-    SkolemTerm,
-)
+from repro.vadalog.ast import Program, Rule
 from repro.vadalog.database import Database, Fact
 from repro.vadalog.plan import (
-    AggregatePlan,
     AggregateState,
     Changes,
     RulePlans,
-    _hashable,
-    check_condition as _plan_check_condition,
-    evaluate_expression as _plan_evaluate,
     body_columns,
     execute_plan_batch,
-    values_equal as _values_equal,
 )
 from repro.vadalog.stratify import Stratum, stratify
-from repro.vadalog.terms import (
-    NullFactory,
-    SkolemFunctor,
-    Variable,
-    is_variable,
-)
+from repro.vadalog.terms import NullFactory, SkolemFunctor
 from repro.vadalog.warded import check_warded
-
-Substitution = Dict[Variable, Any]
 
 
 @dataclass
@@ -193,7 +171,11 @@ class EvaluationResult:
 
 
 class Engine:
-    """The chase engine.
+    """The chase engine: compiled plans, semi-naive rounds.
+
+    No parameter selects another execution path; the interpreted and
+    naive reference chases override :meth:`_fire_rules` in subclasses
+    the tests keep.
 
     Parameters
     ----------
@@ -205,11 +187,6 @@ class Engine:
         When True (default) the program is statically analyzed and a
         :class:`~repro.errors.WardednessError` is raised for non-warded
         programs, mirroring the Vadalog System's admission control.
-    use_plans:
-        When True (default) rule bodies run through compiled join plans
-        (:mod:`repro.vadalog.plan`), cached across runs of this engine.
-        When False the original interpreted matcher is used — the
-        differential-testing oracle and ablation baseline.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer`.  When set, every run
         emits a root span, one span per stratum, one span per rule
@@ -228,16 +205,12 @@ class Engine:
         max_iterations: int = 100_000,
         max_nulls: int = 1_000_000,
         check_wardedness: bool = True,
-        semi_naive: bool = True,
-        use_plans: bool = True,
         tracer: Optional[Tracer] = None,
         governor: Optional[ResourceGovernor] = None,
     ):
         self.max_iterations = max_iterations
         self.max_nulls = max_nulls
         self.check_wardedness = check_wardedness
-        self.semi_naive = semi_naive
-        self.use_plans = use_plans
         self.tracer = tracer
         self.governor = governor
         # Rule -> RulePlans; rules are frozen dataclasses, so structurally
@@ -508,8 +481,7 @@ class Engine:
                 )
                 if not any(new_delta.values()):
                     return
-                if self.semi_naive:
-                    delta = new_delta
+                delta = new_delta
                 if governor is not None:
                     violation = governor.check(stats)
                     if violation is None and (
@@ -563,14 +535,12 @@ class Engine:
         """Fire every rule once; returns the per-predicate new facts, in
         the order their relations appended them.
 
-        ``delta`` is ``None`` in a stratum's first round (and in every
-        round of a naive run): each rule then joins its whole body and an
-        aggregate rule starts a fresh state in ``aggregates``.  Otherwise
-        it holds the previous round's new facts, and only matches using
-        one of them fire.
+        ``delta`` is ``None`` in a stratum's first round: each rule then
+        joins its whole body and an aggregate rule starts a fresh state in
+        ``aggregates``.  Otherwise it holds the previous round's new
+        facts, and only matches using one of them fire.
         """
         tracer = self.tracer
-        governor = self.governor
         new_facts: Changes = {}
         pending: List[Tuple[str, Fact]] = []
         for rule_index, rule in enumerate(rules):
@@ -586,70 +556,50 @@ class Engine:
                     rule=str(rule),
                 )
             try:
-                plans: Optional[RulePlans] = None
-                if self.use_plans:
-                    plans = self._plans_for(rule, stats)
+                plans = self._plans_for(rule, stats)
                 in_recursion = bool(
                     recursive_predicates
                     and rule.body_predicates() & recursive_predicates
                 )
-                if plans is not None:
-                    if plans.is_aggregate and delta is None:
-                        aggregates[rule] = AggregateState(
-                            plans.aggregate_plan().call.function,
-                            recursive=in_recursion,
-                        )
-                    state = aggregates.get(rule)
-                    columns = plans.columns(db, delta, state)
-                    fired = columns and plans.fire_columns(
-                        columns, db, stats, nulls, self.max_nulls
+                if plans.is_aggregate and delta is None:
+                    aggregates[rule] = AggregateState(
+                        plans.aggregate_plan().call.function,
+                        recursive=in_recursion,
                     )
-                    if fired is not None:
-                        path = "columns"
-                        pending.extend(fired)
-                        matches = ()
-                    elif columns is not None:
-                        matches = columns.substitutions()
-                    elif plans.is_aggregate:
-                        plan = plans.aggregate_plan()
-                        if delta is not None:
-                            contributions = plan.delta_matches(db, delta)
-                        else:
-                            contributions = execute_plan_batch(plan.pre_plan, db)
-                        matches = plan.evaluate(state, contributions)
-                    elif delta is not None:
-                        matches = plans.delta_matches(db, delta)
+                state = aggregates.get(rule)
+                columns = plans.columns(db, delta, state)
+                fired = columns and plans.fire_columns(
+                    columns, db, stats, nulls, self.max_nulls
+                )
+                if fired is not None:
+                    path = "columns"
+                    pending.extend(fired)
+                    matches = ()
+                elif columns is not None:
+                    matches = columns.substitutions()
+                elif plans.is_aggregate:
+                    plan = plans.aggregate_plan()
+                    if delta is not None:
+                        contributions = plan.delta_matches(db, delta)
                     else:
-                        # A Skolem head fires per match, but the join
-                        # itself can still run vectorized.
-                        body = body_columns(plans.body_plan(), db)
-                        matches = (
-                            body.substitutions() if body is not None
-                            else execute_plan_batch(plans.body_plan(), db)
-                        )
-                    for substitution in matches:
-                        stats.rule_firings += 1
-                        for predicate, fact in plans.instantiate_head(
-                            substitution, db, stats, nulls, skolems, self.max_nulls
-                        ):
-                            pending.append((predicate, fact))
+                        contributions = execute_plan_batch(plan.pre_plan, db)
+                    matches = plan.evaluate(state, contributions)
+                elif delta is not None:
+                    matches = plans.delta_matches(db, delta)
                 else:
-                    if rule.has_aggregate():
-                        matches = self._aggregate_matches(
-                            rule, db, aggregates, recursive=in_recursion
-                        )
-                    elif delta is not None and recursive_predicates:
-                        matches = self._semi_naive_matches(
-                            rule, db, delta, recursive_predicates
-                        )
-                    else:
-                        matches = self._match_body(list(rule.body), db, {})
-                    for substitution in matches:
-                        stats.rule_firings += 1
-                        for predicate, fact in self._instantiate_head(
-                            rule, substitution, db, stats, nulls, skolems
-                        ):
-                            pending.append((predicate, fact))
+                    # A Skolem head fires per match, but the join
+                    # itself can still run vectorized.
+                    body = body_columns(plans.body_plan(), db)
+                    matches = (
+                        body.substitutions() if body is not None
+                        else execute_plan_batch(plans.body_plan(), db)
+                    )
+                for substitution in matches:
+                    stats.rule_firings += 1
+                    for predicate, fact in plans.instantiate_head(
+                        substitution, db, stats, nulls, skolems, self.max_nulls
+                    ):
+                        pending.append((predicate, fact))
             finally:
                 if span is not None:
                     firings = stats.rule_firings - before_firings
@@ -663,16 +613,27 @@ class Engine:
                     if invented:
                         tracer.count("engine.nulls_created", invented)
                     span.__exit__(None, None, None)
-            if governor is not None:
-                violation = governor.check_time() or governor.check_nulls(
-                    stats.nulls_created
-                )
-                if violation is not None:
-                    # Keep the work done so far: commit before stopping.
-                    self._commit_pending(pending, db, stats, new_facts)
-                    self._trip(violation, stats)
+            self._check_rule_budget(pending, db, stats, new_facts)
         self._commit_pending(pending, db, stats, new_facts)
         return new_facts
+
+    def _check_rule_budget(
+        self,
+        pending: List[Tuple[str, Fact]],
+        db: Database,
+        stats: EvaluationStats,
+        new_facts: Changes,
+    ) -> None:
+        """The governor's check after each rule: time and nulls."""
+        governor = self.governor
+        if governor is not None:
+            violation = governor.check_time() or governor.check_nulls(
+                stats.nulls_created
+            )
+            if violation is not None:
+                # Keep the work done so far: commit before stopping.
+                self._commit_pending(pending, db, stats, new_facts)
+                self._trip(violation, stats)
 
     def _commit_pending(
         self,
@@ -712,7 +673,7 @@ class Engine:
         pending.clear()
 
     # ------------------------------------------------------------------
-    # Compiled-plan evaluation paths
+    # Compiled plans
     # ------------------------------------------------------------------
     def _plans_for(self, rule: Rule, stats: EvaluationStats) -> RulePlans:
         plans = self._plan_cache.get(rule)
@@ -721,298 +682,3 @@ class Engine:
             self._plan_cache[rule] = plans
             stats.plans_compiled += 1
         return plans
-
-    def _semi_naive_matches(
-        self,
-        rule: Rule,
-        db: Database,
-        delta: Changes,
-        recursive_predicates: Set[str],
-    ) -> Iterator[Substitution]:
-        """Require at least one recursive body atom to match a delta fact."""
-        body = list(rule.body)
-        recursive_atom_indexes = [
-            i
-            for i, literal in enumerate(body)
-            if isinstance(literal, Atom) and literal.predicate in recursive_predicates
-        ]
-        if not recursive_atom_indexes:
-            # The rule does not read the stratum's own predicates: firing it
-            # once in the first round was enough; nothing new can match.
-            return
-        seen: Set[Tuple[Tuple[Variable, Any], ...]] = set()
-        for delta_index in recursive_atom_indexes:
-            atom = body[delta_index]
-            delta_facts = delta.get(atom.predicate)
-            if not delta_facts:
-                continue
-            for fact in delta_facts:
-                base = self._unify_atom(atom, fact, {})
-                if base is None:
-                    continue
-                rest = body[:delta_index] + body[delta_index + 1:]
-                for substitution in self._match_body(rest, db, base):
-                    key = tuple(sorted(
-                        ((v, _hashable(substitution[v])) for v in substitution),
-                        key=lambda item: item[0].name,
-                    ))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    yield substitution
-
-    # ------------------------------------------------------------------
-    # Body matching
-    # ------------------------------------------------------------------
-    def _match_body(
-        self,
-        literals: List[Any],
-        db: Database,
-        substitution: Substitution,
-    ) -> Iterator[Substitution]:
-        """Yield all substitutions satisfying the body conjunction.
-
-        Literals are scheduled greedily: ready assignments and conditions
-        run as soon as their variables are bound; otherwise the atom with
-        the most bound positions is joined next.
-        """
-        remaining = list(literals)
-        return self._match_rec(remaining, db, dict(substitution))
-
-    def _match_rec(
-        self, remaining: List[Any], db: Database, substitution: Substitution
-    ) -> Iterator[Substitution]:
-        if not remaining:
-            yield substitution
-            return
-        index = self._pick_next(remaining, substitution)
-        literal = remaining[index]
-        rest = remaining[:index] + remaining[index + 1:]
-
-        if isinstance(literal, Atom):
-            relation = db.relation(literal.predicate)
-            bound: List[Tuple[int, Any]] = []
-            for i, term in enumerate(literal.terms):
-                if not is_variable(term):
-                    bound.append((i, term))
-                elif term.name != "_" and term in substitution:
-                    bound.append((i, substitution[term]))
-            for fact in list(relation.lookup(bound)):
-                extended = self._unify_atom(literal, fact, substitution)
-                if extended is not None:
-                    yield from self._match_rec(rest, db, extended)
-            return
-
-        if isinstance(literal, NegatedAtom):
-            if self._atom_has_match(literal.atom, db, substitution):
-                return
-            yield from self._match_rec(rest, db, substitution)
-            return
-
-        if isinstance(literal, Condition):
-            if self._check_condition(literal, substitution):
-                yield from self._match_rec(rest, db, substitution)
-            return
-
-        if isinstance(literal, Assignment):
-            value = self._evaluate(literal.expression, substitution)
-            current = substitution.get(literal.target)
-            if literal.target in substitution:
-                if _values_equal(current, value):
-                    yield from self._match_rec(rest, db, substitution)
-                return
-            extended = dict(substitution)
-            extended[literal.target] = value
-            yield from self._match_rec(rest, db, extended)
-            return
-
-        raise EvaluationError(f"unsupported body literal: {literal!r}")
-
-    def _pick_next(self, remaining: List[Any], substitution: Substitution) -> int:
-        """Greedy scheduling: ready non-atoms first, then best-bound atom."""
-        best_atom = None
-        best_score = -1
-        for i, literal in enumerate(remaining):
-            if isinstance(literal, Assignment):
-                needed = literal.expression.variables()
-                if all(v in substitution for v in needed):
-                    return i
-            elif isinstance(literal, Condition):
-                if all(v in substitution for v in literal.variables()):
-                    return i
-            elif isinstance(literal, NegatedAtom):
-                if all(
-                    v in substitution or v.name == "_"
-                    for v in literal.variables()
-                ):
-                    return i
-            elif isinstance(literal, Atom):
-                score = sum(
-                    1
-                    for term in literal.terms
-                    if not is_variable(term) or term in substitution
-                )
-                if score > best_score:
-                    best_score = score
-                    best_atom = i
-        if best_atom is not None:
-            return best_atom
-        # Nothing ready: fall back to the first literal; matching will fail
-        # with a clear error if variables stay unbound.
-        return 0
-
-    def _unify_atom(
-        self, atom: Atom, fact: Fact, substitution: Substitution
-    ) -> Optional[Substitution]:
-        if len(fact) != len(atom.terms):
-            return None
-        extended = dict(substitution)
-        for term, value in zip(atom.terms, fact):
-            if is_variable(term):
-                if term.name == "_":
-                    continue
-                current = extended.get(term, _UNBOUND)
-                if current is _UNBOUND:
-                    extended[term] = value
-                elif not _values_equal(current, value):
-                    return None
-            elif not _values_equal(term, value):
-                return None
-        return extended
-
-    def _atom_has_match(
-        self, atom: Atom, db: Database, substitution: Substitution
-    ) -> bool:
-        relation = db.relation(atom.predicate)
-        bound: List[Tuple[int, Any]] = []
-        for i, term in enumerate(atom.terms):
-            if not is_variable(term):
-                bound.append((i, term))
-            elif term.name != "_" and term in substitution:
-                bound.append((i, substitution[term]))
-        for fact in relation.lookup(bound):
-            if self._unify_atom(atom, fact, substitution) is not None:
-                return True
-        return False
-
-    # ------------------------------------------------------------------
-    # Aggregates
-    # ------------------------------------------------------------------
-    def _aggregate_matches(
-        self,
-        rule: Rule,
-        db: Database,
-        aggregates: Dict[Rule, AggregateState],
-        recursive: bool = False,
-    ) -> Iterator[Substitution]:
-        """The naive aggregate: every round contributes the whole
-        pre-body, matched by the interpreter, into a fresh state."""
-        plan = AggregatePlan(rule)
-        state = aggregates[rule] = AggregateState(
-            plan.call.function, recursive=recursive
-        )
-        return plan.evaluate(state, self._match_body(list(plan.pre), db, {}))
-
-    # ------------------------------------------------------------------
-    # Head instantiation (the chase step)
-    # ------------------------------------------------------------------
-    def _instantiate_head(
-        self,
-        rule: Rule,
-        substitution: Substitution,
-        db: Database,
-        stats: EvaluationStats,
-        nulls: NullFactory,
-        skolems: Dict[str, SkolemFunctor],
-    ) -> Iterator[Tuple[str, Fact]]:
-        existential = {
-            v for v in rule.existential_variables() if v not in substitution
-        }
-        # Resolve Skolem terms first: they are deterministic, so they never
-        # trigger the restricted-chase check.
-        resolved_heads: List[Tuple[str, List[Any]]] = []
-        for atom in rule.head:
-            terms: List[Any] = []
-            for term in atom.terms:
-                if isinstance(term, SkolemTerm):
-                    functor = skolems.get(term.functor)
-                    if functor is None:
-                        functor = SkolemFunctor(term.functor)
-                        skolems[term.functor] = functor
-                    arguments = []
-                    for argument in term.arguments:
-                        if is_variable(argument):
-                            if argument not in substitution:
-                                raise EvaluationError(
-                                    f"Skolem argument {argument!r} unbound in {rule}"
-                                )
-                            arguments.append(substitution[argument])
-                        else:
-                            arguments.append(argument)
-                    terms.append(functor(*arguments))
-                elif is_variable(term):
-                    if term in substitution:
-                        terms.append(substitution[term])
-                    else:
-                        terms.append(term)  # existential, resolved below
-                else:
-                    terms.append(term)
-            resolved_heads.append((atom.predicate, terms))
-
-        remaining_existential = {
-            term
-            for _, terms in resolved_heads
-            for term in terms
-            if is_variable(term)
-        }
-        if remaining_existential:
-            # Restricted chase: skip when the head conjunction is already
-            # satisfied by some assignment of the existential variables.
-            if self._head_satisfied(resolved_heads, db):
-                return
-            if stats.nulls_created + len(remaining_existential) > self.max_nulls:
-                raise ResourceLimitError(
-                    f"null budget exceeded ({self.max_nulls}); the program "
-                    "likely falls outside the terminating fragment",
-                    resource="nulls",
-                    limit=self.max_nulls,
-                    stats=stats,
-                )
-            assignment = nulls.assign(resolved_heads, remaining_existential)
-            stats.nulls_created += len(assignment)
-            for predicate, terms in resolved_heads:
-                yield predicate, tuple(
-                    assignment.get(t, t) if is_variable(t) else t for t in terms
-                )
-            return
-
-        for predicate, terms in resolved_heads:
-            yield predicate, tuple(terms)
-
-    def _head_satisfied(
-        self, resolved_heads: List[Tuple[str, List[Any]]], db: Database
-    ) -> bool:
-        """Conjunctive-match check used by the restricted chase."""
-        atoms = [
-            Atom(predicate, tuple(terms)) for predicate, terms in resolved_heads
-        ]
-        for _ in self._match_body(list(atoms), db, {}):
-            return True
-        return False
-
-    # ------------------------------------------------------------------
-    # Expressions
-    # ------------------------------------------------------------------
-    def _evaluate(
-        self,
-        expression: Expression,
-        substitution: Substitution,
-        aggregate_value: Any = None,
-    ) -> Any:
-        return _plan_evaluate(expression, substitution, aggregate_value)
-
-    def _check_condition(self, condition: Condition, substitution: Substitution) -> bool:
-        return _plan_check_condition(condition, substitution)
-
-
-_UNBOUND = object()

@@ -1,13 +1,13 @@
 """Compiled join plans for the chase engine.
 
-The interpreted matcher in :mod:`repro.vadalog.engine` re-derives the
+An interpreted matcher (the tests' reference chase) re-derives the
 join order for every partial substitution and copies the substitution
 dict on every unification attempt.  Its greedy scheduling heuristic,
 however, depends only on *which* variables are bound — never on their
 values — so the whole literal order can be computed once per rule.  This
 module compiles each rule body into a :class:`BodyPlan`:
 
-- a static join order reproducing the engine's greedy heuristic (ready
+- a static join order reproducing the interpreter's greedy heuristic (ready
   conditions / assignments / negations first, then the atom with the
   most bound positions, ties broken by body position);
 - per atom, the bound positions become one composite-index probe

@@ -12,11 +12,26 @@ The reference relation: :class:`Relation`, a tuple set with positional
 indexes, is the storage semantics the relation-level differentials hold
 :class:`~repro.vadalog.columnar.ColumnarRelation` to (adds, removals,
 probes, 1 / 1.0 / ``True``).  No database holds one.
+
+The reference chases: :class:`InterpretedEngine` (the interpreted rule
+matcher), :class:`NaiveEngine` (every round whole) and their
+combination :class:`NaiveInterpretedEngine`, subclasses of the one
+production :class:`~repro.vadalog.engine.Engine`.
+
+The reference graph boundary: the per-object extraction and write-back
+(:func:`extract_per_object`, :func:`materialize_per_object`) that
+:func:`~repro.metalog.mtv.graph_to_database` and
+:func:`~repro.metalog.mtv.materialize_into_graph` do label by label,
+and :func:`object_graph` / :func:`object_graph_store`, which put the
+object :class:`~repro.graph.property_graph.PropertyGraph` where
+production builds the columnar graph.
+
+No module under ``src/`` imports this one.
 """
 
 from typing import (
     Any, Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
-    Tuple, Union,
+    Set, Tuple, Union,
 )
 
 from repro.core.instances import (
@@ -32,13 +47,44 @@ from repro.core.instances import (
     schema_constructs,
 )
 from repro.core.schema import SuperSchema
-from repro.errors import EvaluationError
-from repro.metalog.mtv import compile_metalog
+from repro.deploy.graph_store import GraphStore
+from repro.errors import EvaluationError, ResourceLimitError
+from repro.graph.property_graph import PropertyGraph
+from repro.metalog.analysis import GraphCatalog
+from repro.metalog.mtv import (
+    CompiledMetaLog,
+    _apply_edge_update,
+    _apply_node_update,
+    compile_metalog,
+)
 from repro.ssst.views import catalog_from_super_schema, input_views, output_views
+from repro.vadalog.ast import (
+    Assignment,
+    Atom,
+    Condition,
+    NegatedAtom,
+    Rule,
+    SkolemTerm,
+)
 from repro.vadalog.columnar import ValueInterner, refuse_write
 from repro.vadalog.database import Database
-from repro.vadalog.engine import Engine
-from repro.vadalog.terms import fact_sort_key, values_equal
+from repro.vadalog.engine import Engine, EvaluationResult, EvaluationStats
+from repro.vadalog.plan import (
+    AggregatePlan,
+    AggregateState,
+    Changes,
+    _hashable,
+    check_condition,
+    evaluate_expression,
+)
+from repro.vadalog.terms import (
+    NullFactory,
+    SkolemFunctor,
+    Variable,
+    fact_sort_key,
+    is_variable,
+    values_equal,
+)
 
 #: Which facts of a relation were loaded (encoded from the source data)
 #: rather than derived: the first ``n`` rows, or the facts in a set.
@@ -188,6 +234,470 @@ def reference_materialize(schema, data, sigma, instance_oid, engine=None):
         schema, instance_oid, CodedSource(source.interner, held.get), "reference"
     )
     return instance, dropped
+
+
+# ---------------------------------------------------------------------------
+# The reference chases
+# ---------------------------------------------------------------------------
+
+Substitution = Dict[Variable, Any]
+_UNBOUND = object()
+
+
+class InterpretedEngine(Engine):
+    """The tuple-at-a-time interpreter the compiled plans replaced.
+
+    Each rule body is matched by greedy backtracking over the database's
+    decoded facts, one substitution dict per candidate; a semi-naive
+    round requires one recursive body atom to match a delta fact; an
+    aggregate rule rebuilds its state from its whole pre-body every
+    round; a head is instantiated under the restricted chase.  It
+    reuses the engine's stratum loop, commit and governor checks; its
+    rounds compile no plan.  On a retained run, ``apply_delta``'s delta
+    passes run the engine's plans and a recomputed stratum runs this
+    matcher.
+    """
+
+    def _fire_rules(
+        self,
+        rules: List[Rule],
+        db: Database,
+        stats: EvaluationStats,
+        nulls: NullFactory,
+        skolems: Dict[str, SkolemFunctor],
+        aggregates: Dict[Rule, AggregateState],
+        delta: Optional[Changes],
+        recursive_predicates: Optional[Set[str]] = None,
+    ) -> Changes:
+        new_facts: Changes = {}
+        pending: List[Tuple[str, Fact]] = []
+        for rule in rules:
+            if rule.has_aggregate():
+                in_recursion = bool(
+                    recursive_predicates
+                    and rule.body_predicates() & recursive_predicates
+                )
+                matches = self._aggregate_matches(
+                    rule, db, aggregates, recursive=in_recursion
+                )
+            elif delta is not None and recursive_predicates:
+                matches = self._semi_naive_matches(
+                    rule, db, delta, recursive_predicates
+                )
+            else:
+                matches = self._match_body(list(rule.body), db, {})
+            for substitution in matches:
+                stats.rule_firings += 1
+                pending.extend(self._instantiate_head(
+                    rule, substitution, db, stats, nulls, skolems
+                ))
+            self._check_rule_budget(pending, db, stats, new_facts)
+        self._commit_pending(pending, db, stats, new_facts)
+        return new_facts
+
+    def _semi_naive_matches(
+        self,
+        rule: Rule,
+        db: Database,
+        delta: Changes,
+        recursive_predicates: Set[str],
+    ) -> Iterator[Substitution]:
+        """Require at least one recursive body atom to match a delta fact."""
+        body = list(rule.body)
+        recursive_atom_indexes = [
+            i
+            for i, literal in enumerate(body)
+            if isinstance(literal, Atom) and literal.predicate in recursive_predicates
+        ]
+        if not recursive_atom_indexes:
+            # The rule does not read the stratum's own predicates: firing it
+            # once in the first round was enough; nothing new can match.
+            return
+        seen: Set[Tuple[Tuple[Variable, Any], ...]] = set()
+        for delta_index in recursive_atom_indexes:
+            atom = body[delta_index]
+            delta_facts = delta.get(atom.predicate)
+            if not delta_facts:
+                continue
+            for fact in delta_facts:
+                base = self._unify_atom(atom, fact, {})
+                if base is None:
+                    continue
+                rest = body[:delta_index] + body[delta_index + 1:]
+                for substitution in self._match_body(rest, db, base):
+                    key = tuple(sorted(
+                        ((v, _hashable(substitution[v])) for v in substitution),
+                        key=lambda item: item[0].name,
+                    ))
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    yield substitution
+
+    def _match_body(
+        self,
+        literals: List[Any],
+        db: Database,
+        substitution: Substitution,
+    ) -> Iterator[Substitution]:
+        """Yield all substitutions satisfying the body conjunction.
+
+        Literals are scheduled greedily: ready assignments and conditions
+        run as soon as their variables are bound; otherwise the atom with
+        the most bound positions is joined next.
+        """
+        remaining = list(literals)
+        return self._match_rec(remaining, db, dict(substitution))
+
+    def _match_rec(
+        self, remaining: List[Any], db: Database, substitution: Substitution
+    ) -> Iterator[Substitution]:
+        if not remaining:
+            yield substitution
+            return
+        index = self._pick_next(remaining, substitution)
+        literal = remaining[index]
+        rest = remaining[:index] + remaining[index + 1:]
+
+        if isinstance(literal, Atom):
+            relation = db.relation(literal.predicate)
+            bound: List[Tuple[int, Any]] = []
+            for i, term in enumerate(literal.terms):
+                if not is_variable(term):
+                    bound.append((i, term))
+                elif term.name != "_" and term in substitution:
+                    bound.append((i, substitution[term]))
+            for fact in list(relation.lookup(bound)):
+                extended = self._unify_atom(literal, fact, substitution)
+                if extended is not None:
+                    yield from self._match_rec(rest, db, extended)
+            return
+
+        if isinstance(literal, NegatedAtom):
+            if self._atom_has_match(literal.atom, db, substitution):
+                return
+            yield from self._match_rec(rest, db, substitution)
+            return
+
+        if isinstance(literal, Condition):
+            if check_condition(literal, substitution):
+                yield from self._match_rec(rest, db, substitution)
+            return
+
+        if isinstance(literal, Assignment):
+            value = evaluate_expression(literal.expression, substitution)
+            current = substitution.get(literal.target)
+            if literal.target in substitution:
+                if values_equal(current, value):
+                    yield from self._match_rec(rest, db, substitution)
+                return
+            extended = dict(substitution)
+            extended[literal.target] = value
+            yield from self._match_rec(rest, db, extended)
+            return
+
+        raise EvaluationError(f"unsupported body literal: {literal!r}")
+
+    def _pick_next(self, remaining: List[Any], substitution: Substitution) -> int:
+        """Greedy scheduling: ready non-atoms first, then best-bound atom."""
+        best_atom = None
+        best_score = -1
+        for i, literal in enumerate(remaining):
+            if isinstance(literal, Assignment):
+                needed = literal.expression.variables()
+                if all(v in substitution for v in needed):
+                    return i
+            elif isinstance(literal, Condition):
+                if all(v in substitution for v in literal.variables()):
+                    return i
+            elif isinstance(literal, NegatedAtom):
+                if all(
+                    v in substitution or v.name == "_"
+                    for v in literal.variables()
+                ):
+                    return i
+            elif isinstance(literal, Atom):
+                score = sum(
+                    1
+                    for term in literal.terms
+                    if not is_variable(term) or term in substitution
+                )
+                if score > best_score:
+                    best_score = score
+                    best_atom = i
+        if best_atom is not None:
+            return best_atom
+        # Nothing ready: fall back to the first literal; matching will fail
+        # with a clear error if variables stay unbound.
+        return 0
+
+    def _unify_atom(
+        self, atom: Atom, fact: Fact, substitution: Substitution
+    ) -> Optional[Substitution]:
+        if len(fact) != len(atom.terms):
+            return None
+        extended = dict(substitution)
+        for term, value in zip(atom.terms, fact):
+            if is_variable(term):
+                if term.name == "_":
+                    continue
+                current = extended.get(term, _UNBOUND)
+                if current is _UNBOUND:
+                    extended[term] = value
+                elif not values_equal(current, value):
+                    return None
+            elif not values_equal(term, value):
+                return None
+        return extended
+
+    def _atom_has_match(
+        self, atom: Atom, db: Database, substitution: Substitution
+    ) -> bool:
+        relation = db.relation(atom.predicate)
+        bound: List[Tuple[int, Any]] = []
+        for i, term in enumerate(atom.terms):
+            if not is_variable(term):
+                bound.append((i, term))
+            elif term.name != "_" and term in substitution:
+                bound.append((i, substitution[term]))
+        for fact in relation.lookup(bound):
+            if self._unify_atom(atom, fact, substitution) is not None:
+                return True
+        return False
+
+    def _aggregate_matches(
+        self,
+        rule: Rule,
+        db: Database,
+        aggregates: Dict[Rule, AggregateState],
+        recursive: bool = False,
+    ) -> Iterator[Substitution]:
+        """The naive aggregate: every round contributes the whole
+        pre-body, matched by the interpreter, into a fresh state."""
+        plan = AggregatePlan(rule)
+        state = aggregates[rule] = AggregateState(
+            plan.call.function, recursive=recursive
+        )
+        return plan.evaluate(state, self._match_body(list(plan.pre), db, {}))
+
+    def _instantiate_head(
+        self,
+        rule: Rule,
+        substitution: Substitution,
+        db: Database,
+        stats: EvaluationStats,
+        nulls: NullFactory,
+        skolems: Dict[str, SkolemFunctor],
+    ) -> Iterator[Tuple[str, Fact]]:
+        existential = {
+            v for v in rule.existential_variables() if v not in substitution
+        }
+        # Resolve Skolem terms first: they are deterministic, so they never
+        # trigger the restricted-chase check.
+        resolved_heads: List[Tuple[str, List[Any]]] = []
+        for atom in rule.head:
+            terms: List[Any] = []
+            for term in atom.terms:
+                if isinstance(term, SkolemTerm):
+                    functor = skolems.get(term.functor)
+                    if functor is None:
+                        functor = SkolemFunctor(term.functor)
+                        skolems[term.functor] = functor
+                    arguments = []
+                    for argument in term.arguments:
+                        if is_variable(argument):
+                            if argument not in substitution:
+                                raise EvaluationError(
+                                    f"Skolem argument {argument!r} unbound in {rule}"
+                                )
+                            arguments.append(substitution[argument])
+                        else:
+                            arguments.append(argument)
+                    terms.append(functor(*arguments))
+                elif is_variable(term):
+                    if term in substitution:
+                        terms.append(substitution[term])
+                    else:
+                        terms.append(term)  # existential, resolved below
+                else:
+                    terms.append(term)
+            resolved_heads.append((atom.predicate, terms))
+
+        remaining_existential = {
+            term
+            for _, terms in resolved_heads
+            for term in terms
+            if is_variable(term)
+        }
+        if remaining_existential:
+            # Restricted chase: skip when the head conjunction is already
+            # satisfied by some assignment of the existential variables.
+            if self._head_satisfied(resolved_heads, db):
+                return
+            if stats.nulls_created + len(remaining_existential) > self.max_nulls:
+                raise ResourceLimitError(
+                    f"null budget exceeded ({self.max_nulls}); the program "
+                    "likely falls outside the terminating fragment",
+                    resource="nulls",
+                    limit=self.max_nulls,
+                    stats=stats,
+                )
+            assignment = nulls.assign(resolved_heads, remaining_existential)
+            stats.nulls_created += len(assignment)
+            for predicate, terms in resolved_heads:
+                yield predicate, tuple(
+                    assignment.get(t, t) if is_variable(t) else t for t in terms
+                )
+            return
+
+        for predicate, terms in resolved_heads:
+            yield predicate, tuple(terms)
+
+    def _head_satisfied(
+        self, resolved_heads: List[Tuple[str, List[Any]]], db: Database
+    ) -> bool:
+        """Conjunctive-match check used by the restricted chase."""
+        atoms = [
+            Atom(predicate, tuple(terms)) for predicate, terms in resolved_heads
+        ]
+        for _ in self._match_body(list(atoms), db, {}):
+            return True
+        return False
+
+
+class NaiveEngine(Engine):
+    """The naive chase: every round of a recursive stratum joins every
+    rule's whole body again, and an aggregate rule rebuilds its state."""
+
+    def _fire_rules(
+        self,
+        rules: List[Rule],
+        db: Database,
+        stats: EvaluationStats,
+        nulls: NullFactory,
+        skolems: Dict[str, SkolemFunctor],
+        aggregates: Dict[Rule, AggregateState],
+        delta: Optional[Changes],
+        recursive_predicates: Optional[Set[str]] = None,
+    ) -> Changes:
+        return super()._fire_rules(
+            rules, db, stats, nulls, skolems, aggregates, None,
+            recursive_predicates,
+        )
+
+
+class NaiveInterpretedEngine(NaiveEngine, InterpretedEngine):
+    """The naive chase over the interpreter."""
+
+
+# ---------------------------------------------------------------------------
+# The reference graph boundary
+# ---------------------------------------------------------------------------
+
+
+def extract_per_object(
+    graph: Any,
+    catalog: GraphCatalog,
+    node_labels: Optional[Iterable[str]] = None,
+    edge_labels: Optional[Iterable[str]] = None,
+) -> Database:
+    """:func:`~repro.metalog.mtv.graph_to_database` one node and one
+    edge at a time: the same relations, in the same order, over the
+    same interner."""
+    database = Database(interner=getattr(graph, "interner", None))
+    node_labels = (
+        list(node_labels) if node_labels is not None
+        else list(catalog.node_properties)
+    )
+    edge_labels = (
+        list(edge_labels) if edge_labels is not None
+        else list(catalog.edge_properties)
+    )
+    for label in sorted(node_labels):
+        names = catalog.node_properties.get(label, [])
+        relation = database.relation(label)
+        relation.arity = 1 + len(names)
+        relation.add_many(
+            (node.id, *(node.properties.get(n) for n in names))
+            for node in graph.nodes(label)
+        )
+    for label in sorted(edge_labels):
+        names = catalog.edge_properties.get(label, [])
+        relation = database.relation(label)
+        relation.arity = 3 + len(names)
+        relation.add_many(
+            (edge.id, edge.source, edge.target,
+             *(edge.properties.get(n) for n in names))
+            for edge in graph.edges(label)
+        )
+    return database
+
+
+def materialize_per_object(
+    result: EvaluationResult,
+    compiled: CompiledMetaLog,
+    graph: Any,
+) -> Tuple[int, int]:
+    """:func:`~repro.metalog.mtv.materialize_into_graph` one fact at a
+    time, in :func:`~repro.vadalog.terms.fact_sort_key` order: a fact
+    whose OID exists updates it, a fresh one is added, an edge with an
+    endpoint not in the graph is dropped.  Returns ``(new_nodes,
+    new_edges)``."""
+    new_nodes = 0
+    new_edges = 0
+    catalog = compiled.catalog
+    head_properties = compiled.head_properties
+    for label in sorted(compiled.derived_node_labels):
+        names = catalog.node_properties.get(label, [])
+        clearable = head_properties.get(label, ())
+        for fact in sorted(result.facts(label), key=fact_sort_key):
+            oid = fact[0]
+            if graph.has_node(oid):
+                _apply_node_update(graph, oid, names, fact[1:], clearable)
+            else:
+                properties = {
+                    n: v for n, v in zip(names, fact[1:]) if v is not None
+                }
+                graph.add_node(oid, label, **properties)
+                new_nodes += 1
+    for label in sorted(compiled.derived_edge_labels):
+        names = catalog.edge_properties.get(label, [])
+        clearable = head_properties.get(label, ())
+        for fact in sorted(result.facts(label), key=fact_sort_key):
+            oid, source, target = fact[0], fact[1], fact[2]
+            if graph.has_edge(oid):
+                _apply_edge_update(graph, oid, names, fact[3:], clearable)
+                continue
+            if not graph.has_node(source) or not graph.has_node(target):
+                continue  # dangling derivation; endpoints not loaded
+            properties = {
+                n: v for n, v in zip(names, fact[3:]) if v is not None
+            }
+            graph.add_edge(source, target, label, edge_id=oid, **properties)
+            new_edges += 1
+    return new_nodes, new_edges
+
+
+def object_graph(graph: Any) -> PropertyGraph:
+    """``graph`` replayed into the object store: its nodes, then its
+    edges with their OIDs, each in the graph's order."""
+    replay = PropertyGraph(graph.name)
+    for node in graph.nodes():
+        replay.add_node(node.id, node.label, **node.properties)
+    for edge in graph.edges():
+        replay.add_edge(
+            edge.source, edge.target, edge.label, edge_id=edge.id,
+            **edge.properties,
+        )
+    return replay
+
+
+def object_graph_store(**kwargs: Any) -> GraphStore:
+    """A :class:`~repro.deploy.graph_store.GraphStore` over the object
+    graph: the store a deploy differential holds the columnar one to."""
+    store = GraphStore(**kwargs)
+    store.graph = PropertyGraph(store.graph.name)
+    return store
 
 
 # ---------------------------------------------------------------------------

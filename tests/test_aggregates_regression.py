@@ -34,6 +34,7 @@ from repro.vadalog.aggregates import (
     is_recursion_safe,
 )
 from repro.vadalog.terms import Null
+from tests.reference import InterpretedEngine, NaiveEngine
 
 
 def run(text, **inputs):
@@ -227,10 +228,8 @@ class TestSemiNaiveAggregate:
         program = parse_program(text)
         inputs = registry(seed)
         runs = [
-            Engine(**options).run(program, inputs=inputs, retain_state=retain)
-            for options in (
-                {}, {"semi_naive": False}, {"use_plans": False},
-            )
+            engine().run(program, inputs=inputs, retain_state=retain)
+            for engine in (Engine, NaiveEngine, InterpretedEngine)
         ]
         semi_naive, naive, interpreted = (
             canon(run.facts(predicate)) for run in runs
@@ -246,10 +245,10 @@ class TestSemiNaiveAggregate:
         program = parse_program(text)
         inputs = registry(7)
         kept, *references = (
-            Engine(**options).run(
+            engine().run(
                 program, inputs=inputs, retain_state=True
             ).state.aggregates
-            for options in ({}, {"semi_naive": False}, {"use_plans": False})
+            for engine in (Engine, NaiveEngine, InterpretedEngine)
         )
         (rule,) = kept
         for reference in references:

@@ -4,7 +4,7 @@ The columnar fast path moves ``graph_to_database`` /
 ``materialize_into_graph`` and the schema ``to_dictionary`` encoder onto
 the bulk graph accessors (``nodes_table`` / ``add_nodes_bulk`` and
 friends).  Those tests pin the bulk path against the per-object oracle
-(``bulk=False``) or against previously observed sequential semantics:
+(``tests/reference.py``) or against previously observed sequential semantics:
 same facts, same graphs, same deterministic order.  The instance codec
 (``repro.core.instances``) has one column-wise encoder and one decoder;
 its tests pin the encoding of a part against its share of the whole and
@@ -33,7 +33,11 @@ from repro.metalog import (
 from repro.metalog.mtv import materialize_into_graph
 from repro.vadalog.database import Database
 from repro.vadalog.engine import Engine
-from tests.reference import instance_facts
+from tests.reference import (
+    extract_per_object,
+    instance_facts,
+    materialize_per_object,
+)
 
 
 def encode_records(schema, instance_oid, nodes, edges):
@@ -75,7 +79,7 @@ def big_mixed_graph(nodes=10_000, seed=99, columnar=False):
     """~10k nodes over three labels with patchy properties, plus edges,
     in the object graph store or the columnar one."""
     rng = random.Random(seed)
-    graph = make_graph("big", columnar=columnar)
+    graph = make_graph("big") if columnar else PropertyGraph("big")
     labels = ("Alpha", "Beta", "Gamma")
     for i in range(nodes):
         label = labels[i % 3]
@@ -146,8 +150,8 @@ class TestBulkExtraction:
     def test_bulk_extraction_bit_identical_10k(self, columnar):
         graph = big_mixed_graph(columnar=columnar)
         catalog = GraphCatalog.from_graph(graph)
-        fast = graph_to_database(graph, catalog, bulk=True)
-        slow = graph_to_database(graph, catalog, bulk=False)
+        fast = graph_to_database(graph, catalog)
+        slow = extract_per_object(graph, catalog)
         assert fast.predicates() == slow.predicates()
         for predicate in fast.predicates():
             assert list(fast.relation(predicate)) == list(
@@ -183,7 +187,8 @@ class TestBulkMaterialize:
         )
         result = Engine().run(compiled.program, database=database)
         target = graph.copy()
-        counts = materialize_into_graph(result, compiled, target, bulk=bulk)
+        write = materialize_into_graph if bulk else materialize_per_object
+        counts = write(result, compiled, target)
         return target, counts
 
     def test_bulk_matches_per_object_on_derivations(self):

@@ -24,6 +24,7 @@ from tests.test_engine_plans import (
     _canon,
     _existential_case,
     _recursion_case,
+    chases,
 )
 from tests.test_incremental import (
     _mutated_inputs,
@@ -35,7 +36,7 @@ from tests.test_materializer import (
     odd_registry,
     order_sensitive_digest,
 )
-from tests.reference import Relation
+from tests.reference import InterpretedEngine, Relation
 
 # ---------------------------------------------------------------------------
 # Value interner
@@ -451,8 +452,9 @@ def columnar_differential(text, predicates, semi_naive=True, **inputs):
     semi-naive run folds aggregates: the interpreter rebuilds an
     aggregate from its whole body every round."""
     program = parse_program(text)
-    fast = Engine(semi_naive=semi_naive).run(program, inputs=inputs)
-    oracle = Engine(semi_naive=semi_naive, use_plans=False).run(program, inputs=inputs)
+    fast, oracle = (
+        engine.run(program, inputs=inputs) for engine in chases(semi_naive)
+    )
     for predicate in predicates:
         assert _canon(fast.facts(predicate)) == _canon(
             oracle.facts(predicate)
@@ -560,7 +562,7 @@ def columnar_delta_differential(text, predicates, inputs, rng, kind):
         added, removed = _mutation(rng, current, templates, kind)
         engine.apply_delta(col, added=added, removed=removed)
         current = _mutated_inputs(current, added, removed)
-        oracle = Engine(use_plans=False).run(program, inputs=current)
+        oracle = InterpretedEngine().run(program, inputs=current)
         for predicate in predicates:
             assert _canon(col.facts(predicate)) == _canon(oracle.facts(predicate)), (
                 f"delta vs oracle mismatch on {predicate} (round {round_no})"
@@ -1302,7 +1304,8 @@ class TestNonNumericContribution:
         inputs = {"own": [("a", "y", 0.5)] + [(f"n{i}", "y", bad) for i in range(20)]}
         message = rf"msum over group \('y',\): contribution {bad!r} is not a number"
         with pytest.raises(EvaluationError, match=message):
-            Engine(use_plans=use_plans).run(parse_program(self.TEXT), inputs=inputs)
+            engine = Engine() if use_plans else InterpretedEngine()
+            engine.run(parse_program(self.TEXT), inputs=inputs)
 
     def test_per_match_path(self, monkeypatch):
         _per_match(monkeypatch)
@@ -1311,7 +1314,7 @@ class TestNonNumericContribution:
 
     @pytest.mark.parametrize("use_plans", [True, False])
     def test_apply_delta(self, use_plans):
-        engine = Engine(use_plans=use_plans)
+        engine = Engine() if use_plans else InterpretedEngine()
         result = engine.run(
             parse_program(self.TEXT), inputs={"own": [("a", "y", 0.5)]},
             retain_state=True,

@@ -40,6 +40,7 @@ from repro.serve import ServeState, ServiceHandlers
 from repro.serve.state import FrozenColumnBlock
 from repro.ssst import SSST, graph_instance_to_relational
 from repro.vadalog import Engine
+from tests.reference import object_graph, object_graph_store
 
 TC = "e(X, Y) -> tc(X, Y).\ntc(X, Y), e(Y, Z) -> tc(X, Z)."
 
@@ -221,7 +222,7 @@ class TestApiParity:
         observably identical."""
         snapshots = []
         for columnar in (False, True):
-            store = GraphStore(columnar=columnar)
+            store = GraphStore() if columnar else object_graph_store()
             build_mixed(store.graph)
             before = graph_store_state(store)
             savepoint = store.savepoint()
@@ -331,7 +332,9 @@ class TestPipelineDifferential:
     def test_control_pipeline(self):
         outputs = {}
         for flag in (False, True):
-            graph = generate_company_kg(self.CONFIG, columnar=flag)
+            graph = generate_company_kg(self.CONFIG)
+            if not flag:
+                graph = object_graph(graph)
             assert isinstance(
                 graph, ColumnarPropertyGraph if flag else PropertyGraph
             )
@@ -341,13 +344,12 @@ class TestPipelineDifferential:
                 graph, compiled.catalog,
                 node_labels=compiled.input_node_labels,
                 edge_labels=compiled.input_edge_labels,
-                bulk=True,
             )
             result = Engine().run(
                 compiled.program, database=database
             )
             target = graph.copy()
-            materialize_into_graph(result, compiled, target, bulk=True)
+            materialize_into_graph(result, compiled, target)
             outputs[flag] = (
                 {
                     predicate: sorted(map(repr, database.relation(predicate)))
@@ -390,9 +392,11 @@ class TestPipelineDifferential:
 
         extractions = []
         for data_flag in (False, True):
-            data = self._tiny(make_graph("tiny", columnar=data_flag))
+            data = self._tiny(
+                make_graph("tiny") if data_flag else PropertyGraph("tiny")
+            )
             for store_flag in (False, True):
-                store = GraphStore(columnar=store_flag)
+                store = GraphStore() if store_flag else object_graph_store()
                 store.deploy(pg_schema.target_schema)
                 load_graph_store(company_schema, data, store)
                 extractions.append([
@@ -599,16 +603,6 @@ class TestBackendFactory:
         ):
             assert isinstance(graph, ColumnarPropertyGraph)
 
-    def test_generator_respects_flag(self):
-        config = ShareholdingConfig(companies=20, seed=3)
-        assert isinstance(
-            generate_company_kg(config, columnar=False), PropertyGraph
-        )
-        assert isinstance(
-            generate_company_kg(config, columnar=True),
-            ColumnarPropertyGraph,
-        )
-
 
 class TestBulkKernels:
     """The bulk writers' column kernels equal one ``add_node`` /
@@ -689,7 +683,7 @@ class TestBulkKernels:
         extra = [f"m{i}" for i in range(100)]
         snapshots, states = [], []
         for columnar in (False, True):
-            store = GraphStore(columnar=columnar)
+            store = GraphStore() if columnar else object_graph_store()
             store.create_nodes(["N"], self.NODES)
             before = graph_store_state(store)
             savepoint = store.savepoint()

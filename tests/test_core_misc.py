@@ -179,7 +179,7 @@ class TestInstances:
     ):
         """One run of the decoder writes a stored ``None`` as a value
         and leaves a missing property missing, on nodes and edges."""
-        data = make_graph("nones", columnar=columnar)
+        data = make_graph("nones") if columnar else PropertyGraph("nones")
         for node_id, website in (("b1", None), ("b2", ABSENT), ("b3", "w")):
             data.add_node(
                 node_id, "Business", fiscalCode=node_id, businessName=node_id,

@@ -22,7 +22,7 @@ from repro.deploy import (
 from repro.errors import DeploymentError, IntegrityError
 from repro.finkg import programs
 from repro.graph import make_graph
-from repro.graph.property_graph import ABSENT
+from repro.graph.property_graph import ABSENT, PropertyGraph
 from repro.metalog import parse_metalog
 from repro.models.relational import Column, ForeignKey, RelationalSchema, Table
 from repro.finkg.company_schema import company_super_schema
@@ -326,9 +326,14 @@ def per_record_policy():
     return RetryPolicy(max_attempts=2, sleep=lambda _seconds: None)
 
 
+def new_graph(name, columnar):
+    """An empty graph: the columnar store or the object one."""
+    return make_graph(name) if columnar else PropertyGraph(name)
+
+
 def on_backend(graph, columnar):
-    """``graph`` rebuilt, element by element, on the other backend."""
-    clone = make_graph(graph.name, columnar=columnar)
+    """``graph`` rebuilt, element by element, on either backend."""
+    clone = new_graph(graph.name, columnar)
     for node in graph.nodes():
         clone.add_node(node.id, node.label, **node.properties)
     for edge in graph.edges():
@@ -424,7 +429,7 @@ class TestBulkLoadEqualsPerRecord:
     def test_interleaved_unlabeled_and_unknown_labels(
         self, company_schema, columnar
     ):
-        data = make_graph("mixed", columnar=columnar)
+        data = new_graph("mixed", columnar)
         for i in range(12):
             if i % 3 == 0:
                 data.add_node(

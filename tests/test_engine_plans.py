@@ -22,10 +22,15 @@ from repro.vadalog.plan import (
     execute_plan,
 )
 from repro.vadalog.terms import Null, Variable
+from tests.reference import (
+    InterpretedEngine,
+    NaiveEngine,
+    NaiveInterpretedEngine,
+)
 
 
 # ---------------------------------------------------------------------------
-# Differential battery: Engine(use_plans=True) vs Engine(use_plans=False)
+# Differential battery: the compiled plans vs the interpreted matcher
 # ---------------------------------------------------------------------------
 
 
@@ -42,11 +47,29 @@ def _canon(facts):
     return multiset, len(distinct_nulls)
 
 
+#: The chase class of each ``(use_plans, semi_naive)`` pair: the
+#: production engine or one of its references.
+CHASE_OF = {
+    (True, True): Engine,
+    (True, False): NaiveEngine,
+    (False, True): InterpretedEngine,
+    (False, False): NaiveInterpretedEngine,
+}
+
+
+def chases(semi_naive):
+    """The planned chase and its interpreted reference: semi-naive, or
+    both of them naive."""
+    return CHASE_OF[True, semi_naive](), CHASE_OF[False, semi_naive]()
+
+
 def differential(text, predicates, semi_naive=True, **inputs):
-    """Run with plans on and off; assert identical output per predicate."""
+    """Run with plans and interpreted; assert identical output per
+    predicate."""
     program = parse_program(text)
-    fast = Engine(semi_naive=semi_naive, use_plans=True).run(program, inputs=inputs)
-    slow = Engine(semi_naive=semi_naive, use_plans=False).run(program, inputs=inputs)
+    fast, slow = (
+        engine.run(program, inputs=inputs) for engine in chases(semi_naive)
+    )
     assert fast.stats.plans_compiled > 0
     assert slow.stats.plans_compiled == 0
     for predicate in predicates:
@@ -287,7 +310,8 @@ def seen_nulls(use_plans):
     relation's order, with the ordinal of each null."""
     edges = [(f"n{i}", f"n{(i * 5 + 3) % 12}") for i in range(12)]
     edges += [(f"n{i}", f"n{(i + 1) % 12}") for i in range(12)]
-    result = Engine(use_plans=use_plans).run(
+    engine = Engine() if use_plans else InterpretedEngine()
+    result = engine.run(
         parse_program(SEEN), inputs={"e": edges}
     )
     return [(x, z, null.ordinal) for x, z, null in result.database.relation("seen")]

@@ -30,12 +30,14 @@ from repro.vadalog.terms import Null
 
 from tests.conftest import diff_is_the_oracle
 from tests.test_engine_plans import (
+    CHASE_OF,
     _aggregate_case,
     _canon,
     _existential_case,
     _recursion_case,
 )
 from tests.test_materializer import kgbench_registry
+from tests.reference import InterpretedEngine
 
 KINDS = ("insert", "delete", "mixed")
 
@@ -108,7 +110,7 @@ def delta_differential(
     labeled-null renaming, after each of six chained updates;
     ``maintained`` programs without recomputing a stratum."""
     program = parse_program(text)
-    engine = Engine(use_plans=use_plans)
+    engine = CHASE_OF[use_plans, True]()
     result = engine.run(program, inputs=inputs, retain_state=True)
     templates = {
         p: sorted(facts, key=repr)[0] for p, facts in inputs.items() if facts
@@ -120,7 +122,7 @@ def delta_differential(
         if maintained:
             assert not delta.recompute_reasons
         current = _mutated_inputs(current, added, removed)
-        oracle = Engine(use_plans=False).run(program, inputs=current)
+        oracle = InterpretedEngine().run(program, inputs=current)
         for predicate in predicates:
             assert _canon(result.facts(predicate)) == _canon(
                 oracle.facts(predicate)
@@ -273,9 +275,9 @@ class _Maintained:
 
     def __init__(self, text, use_plans, semi_naive, **inputs):
         self.program = parse_program(text)
-        self.backend = dict(use_plans=use_plans, semi_naive=semi_naive)
+        self.chase = CHASE_OF[use_plans, semi_naive]
         self.inputs = {p: list(facts) for p, facts in inputs.items()}
-        self.engine = Engine(**self.backend)
+        self.engine = self.chase()
         self.result = self.engine.run(
             self.program, inputs=self.inputs, retain_state=True
         )
@@ -291,7 +293,7 @@ class _Maintained:
         delta = self.engine.apply_delta(self.result, added=added, removed=removed)
         assert delta.strata_recomputed == 0, delta.recompute_reasons
         self.inputs = _mutated_inputs(self.inputs, added or {}, removed or {})
-        oracle = Engine(**self.backend).run(
+        oracle = self.chase().run(
             self.program, inputs=self.inputs, retain_state=True
         )
         for predicate in self.predicates:
@@ -479,7 +481,7 @@ class TestNegationByKey:
             for p, arity in arities.items()
         }
         program = parse_program(text)
-        engine = Engine(use_plans=use_plans, semi_naive=semi_naive)
+        engine = CHASE_OF[use_plans, semi_naive]()
         result = engine.run(
             program, retain_state=True,
             inputs={p: sorted(facts) for p, facts in current.items()},
@@ -499,7 +501,7 @@ class TestNegationByKey:
             for p in arities:
                 current[p] = (current[p] - set(removed.get(p, ()))) | set(
                     added.get(p, ()))
-            oracle = Engine(use_plans=False, semi_naive=semi_naive).run(
+            oracle = CHASE_OF[False, semi_naive]().run(
                 program, inputs={p: sorted(f) for p, f in current.items()})
             for predicate in predicates:
                 assert _canon(result.facts(predicate)) == _canon(
@@ -851,7 +853,7 @@ class TestNullStableRecompute:
         """``compacted``: the retained database reclaims its tombstones
         between the two deltas, as the materializer and the serve writer
         do; the remembered nulls are the same."""
-        engine = Engine(use_plans=use_plans)
+        engine = CHASE_OF[use_plans, True]()
         result = engine.run(
             parse_program(self.PROGRAM),
             inputs={"r": [("a", 1), ("a", 2), ("b", 1), ("c", 1)]},

@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from repro.errors import KGModelError, VadalogError
-from repro.vadalog import Engine, parse_program
+from repro.vadalog import parse_program
 from repro.vadalog.database import Database
 from repro.vadalog.magic import (
     GoalDirectedEvaluator,
@@ -20,6 +20,7 @@ from repro.vadalog.magic import (
 from repro.vadalog.terms import Null, Variable
 
 from tests.test_engine_plans import (
+    CHASE_OF,
     _aggregate_case,
     _canon,
     _existential_case,
@@ -252,10 +253,10 @@ def _bound_queries(rng, predicate, answers, arity):
 
 def goal_differential(text, predicates, use_plans, rng, **inputs):
     """Magic answers against a full chase: production's, or the
-    interpreter's (``use_plans=False``)."""
+    interpreter's (``InterpretedEngine``)."""
     program = parse_program(text)
     evaluator = GoalDirectedEvaluator(program)
-    full = Engine(use_plans=use_plans).run(program, inputs=inputs)
+    full = CHASE_OF[use_plans, True]().run(program, inputs=inputs)
     cases = []
     for predicate in predicates:
         answers = full.facts(predicate)

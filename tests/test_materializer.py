@@ -33,6 +33,7 @@ from repro.ssst.views import input_views, output_views
 from repro.vadalog.engine import Engine
 from repro.vadalog.terms import Null, SkolemValue
 from tests.conftest import diff_is_the_oracle
+from tests.reference import InterpretedEngine, object_graph_store
 
 
 @pytest.fixture()
@@ -671,7 +672,9 @@ def checked(request):
     on code columns, or the tuple-at-a-time interpreter — whose every
     update() is held against ``FlushDelta.diff`` over whole decodes."""
     return diff_is_the_oracle(
-        IntensionalMaterializer(engine=Engine(use_plans=request.param))
+        IntensionalMaterializer(
+            engine=Engine() if request.param else InterpretedEngine()
+        )
     )
 
 
@@ -1078,7 +1081,7 @@ class TestRetainedStates:
 
 
 def deployed_store(schema, columnar=True):
-    store = GraphStore(columnar=columnar)
+    store = GraphStore() if columnar else object_graph_store()
     store.deploy(SSST().translate(schema, "property-graph").target_schema)
     return store
 

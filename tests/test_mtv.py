@@ -243,7 +243,9 @@ class TestEndToEnd:
         """The extracted database is the engine's one fact store, over
         the source graph's value dictionary when it has one (the
         columnar graph store) and a fresh one for the object store."""
-        graph = fill_ownership(make_graph("own", columnar=columnar))
+        graph = fill_ownership(
+            make_graph("own") if columnar else PropertyGraph("own")
+        )
         handed = []
         run = Engine.run
 

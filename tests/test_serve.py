@@ -19,6 +19,7 @@ from repro.serve import (
     build_server,
 )
 from repro.vadalog import Engine, parse_program
+from tests.test_engine_plans import CHASE_OF
 
 TC = "e(X, Y) -> tc(X, Y).\ntc(X, Y), e(Y, Z) -> tc(X, Z)."
 
@@ -253,6 +254,24 @@ class TestHandlers:
         assert get(handlers, "/query", q="tc(X, Y)?", limit="many")[0] == 400
         assert get(handlers, "/nope")[0] == 404
         assert handlers.handle("PUT", "/query", {})[0] == 405
+
+    @pytest.mark.parametrize("budget", ["-5", "0", "nan", "inf"])
+    def test_query_budget_out_of_range_is_400(self, budget):
+        """A budget is a positive, finite number of milliseconds: the
+        governor refuses a non-positive one, NaN never trips and never
+        hits the cache, infinity bounds nothing."""
+        handlers = ServiceHandlers(make_state())
+        for engine in ("snapshot", "magic", "full"):
+            status, payload = get(
+                handlers, "/query", q="tc(X, Y)?", engine=engine,
+                budget_ms=budget,
+            )
+            assert status == 400, (engine, payload)
+            assert payload["error"] == "budget_ms must be a positive finite number"
+        status, payload = get(
+            handlers, "/query", q="tc(X, Y)?", engine="full", budget_ms="5000"
+        )
+        assert status == 200 and payload["status"] == "fixpoint"
 
     def test_neighborhood(self):
         handlers = ServiceHandlers(make_state())
@@ -768,7 +787,7 @@ def registry_inputs(companies, seed=7):
 
 def control_state(inputs, use_plans):
     return ServeState(
-        CONTROL, inputs, engine=Engine(use_plans=use_plans)
+        CONTROL, inputs, engine=CHASE_OF[use_plans, True]()
     )
 
 
@@ -864,7 +883,7 @@ class TestFrozenEdb:
             # e has a fact rule besides its supplied facts, and tc is
             # supplied facts although rules derive it (mixed EDB/IDB).
             {"e": edges, "tc": [("z", "w")], "label": [("n3", "mid")]},
-            check_wardedness=False, engine=Engine(use_plans=use_plans),
+            check_wardedness=False, engine=CHASE_OF[use_plans, True](),
         )
         handlers = ServiceHandlers(state, cache=ResultCache(0))
         snap = state.snapshot
@@ -1317,7 +1336,7 @@ class TestEpochIndexes:
         })
         state = ServeState(
             TC, {"e": edges}, check_wardedness=False,
-            engine=Engine(use_plans=use_plans),
+            engine=CHASE_OF[use_plans, True](),
         )
         handlers = ServiceHandlers(state)
         gone = rng.sample(edges, 10)

@@ -28,6 +28,7 @@ from repro.graph import make_graph
 from repro.models.relational import Column, ForeignKey, RelationalSchema, Table
 from repro.obs import RecordingTracer
 from repro.ssst import SSST
+from tests.reference import object_graph_store
 
 BUSINESS = ["Business", "LegalPerson", "Person"]
 
@@ -61,7 +62,8 @@ def deployed(kind, **kwargs):
         store = TripleStore(**kwargs)
         store.deploy(SSST().translate(company_super_schema(), "rdf").target_schema)
         return store
-    store = GraphStore(columnar=kind == "graph-columnar", **kwargs)
+    make = GraphStore if kind == "graph-columnar" else object_graph_store
+    store = make(**kwargs)
     store.deploy(
         SSST().translate(company_super_schema(), "property-graph").target_schema
     )

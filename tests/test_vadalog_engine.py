@@ -1,13 +1,22 @@
 """Chase-engine tests: joins, recursion, negation, aggregation,
 existentials, Skolem functors, the restricted chase, and guards."""
 
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import EvaluationError, VadalogError, WardednessError
+from repro.errors import (
+    EvaluationError,
+    ResourceLimitError,
+    VadalogError,
+    WardednessError,
+)
+from repro.obs import RecordingTracer, ResourceGovernor
 from repro.vadalog import Database, Engine, parse_program
 from repro.vadalog.terms import Null, SkolemValue
+from tests.reference import NaiveEngine
 
 
 def run(text, **inputs):
@@ -80,8 +89,8 @@ class TestRecursion:
     def test_semi_naive_equals_naive(self):
         edges = [(i, (i * 7 + 3) % 20) for i in range(20)]
         text = "e(X, Y) -> tc(X, Y).\ntc(X, Y), e(Y, Z) -> tc(X, Z)."
-        fast = Engine(semi_naive=True).run(parse_program(text), inputs={"e": edges})
-        slow = Engine(semi_naive=False).run(parse_program(text), inputs={"e": edges})
+        fast = Engine().run(parse_program(text), inputs={"e": edges})
+        slow = NaiveEngine().run(parse_program(text), inputs={"e": edges})
         assert fast.facts("tc") == slow.facts("tc")
 
 
@@ -342,6 +351,137 @@ class TestValidation:
     def test_non_ground_program_fact_rejected(self):
         with pytest.raises(VadalogError):
             run("p(X).")
+
+
+# ---------------------------------------------------------------------------
+# Rejection fuzz: random programs with one defect each
+# ---------------------------------------------------------------------------
+
+NODES = [f"n{i}" for i in range(6)]
+FUZZ_INPUTS = {
+    "e": [(a, b) for a in NODES for b in NODES if (a < b) != (a == "n3")],
+    "node": [(n,) for n in NODES],
+    "p": [(n,) for n in NODES[:3]],
+    "q": [(n,) for n in NODES[3:]],
+}
+
+#: Warded, stratified rules over the inputs: an existential whose ward
+#: joins a harmless variable, and negation of a lower stratum.
+DECOYS = [
+    "p(X) -> own(X, Z).",
+    "own(X, Z) -> held(Z).",
+    "own(X, Z), node(X) -> kept(X, Z).",
+    "e(X, Y) -> reach(X, Y).",
+    "reach(X, Y), e(Y, Z) -> reach(X, Z).",
+    "node(X), not reach(X, X) -> acyclic(X).",
+]
+
+
+def _program(rng, rules, defect):
+    """The rules, a few decoys and the defect, in a random order."""
+    rules = rules + rng.sample(DECOYS, rng.randint(0, len(DECOYS))) + [defect]
+    rng.shuffle(rules)
+    return "\n".join(rules), defect
+
+
+def unstratifiable_program(rng):
+    """A recursive component over ``c*`` (and maybe a helper ``h`` inside
+    it) with a negated dependency between two of its predicates."""
+    cycle = [f"c{i}" for i in range(rng.randint(1, 4))]
+    rules = [f"e(X, Y) -> {cycle[0]}(X, Y)."]
+    for i, predicate in enumerate(cycle):
+        rules.append(
+            f"{predicate}(X, Y), e(Y, Z) -> {cycle[(i + 1) % len(cycle)]}(X, Z)."
+        )
+    for _ in range(rng.randint(0, 2)):
+        rules.append(f"{rng.choice(cycle)}(X, Y) -> {rng.choice(cycle)}(Y, X).")
+    negated = rng.choice(cycle)
+    if rng.random() < 0.5:
+        rules.append(f"{rng.choice(cycle)}(X, Y) -> h(X, Y).")
+        rules.append(f"h(X, Y), node(X) -> {rng.choice(cycle)}(X, Y).")
+        negated = "h"
+    terms = rng.choice(["Y, X", "X, _", "Y, Y", "X, Y"])
+    defect = (
+        f"{rng.choice(cycle)}(X, Y), not {negated}({terms}) -> "
+        f"{rng.choice(cycle)}(X, Y)."
+    )
+    return _program(rng, rules, defect)
+
+
+def _copies(rng, prefix, variables, steps):
+    """Rules copying ``prefix0`` through ``steps`` predicates, each with
+    its own argument order; returns them and the last atom."""
+    order = list(variables)
+    rules = []
+    for i in range(steps):
+        nxt = rng.sample(order, len(order))
+        rules.append(
+            f"{prefix}{i}({', '.join(order)}) -> {prefix}{i + 1}({', '.join(nxt)})."
+        )
+        order = nxt
+    return rules, f"{prefix}{steps}({', '.join(order)})"
+
+
+def non_warded_program(rng):
+    """Existential heads make ``a*`` positions of D and H and the ``b*``
+    position of H affected; the defect joins ``a*`` and ``b*`` on the
+    harmful H, exporting a dangerous variable: no atom can be its ward."""
+    rules = ["p(X) -> a0(X, D, H).", "q(Y) -> b0(H, Y)."]
+    a_rules, a_atom = _copies(rng, "a", ["X", "D", "H"], rng.randint(0, 3))
+    b_rules, b_atom = _copies(rng, "b", ["H", "Y"], rng.randint(0, 3))
+    exported = rng.choice(["X, H", "X, D", "D, Y", "H"])
+    return _program(
+        rng, rules + a_rules + b_rules,
+        f"{a_atom}, {b_atom} -> t({exported}).",
+    )
+
+
+def rejected(text):
+    """The error a guarded run of ``text`` raises, with no span of the
+    engine opened: the program was refused before any stratum ran."""
+    tracer = RecordingTracer()
+    engine = Engine(
+        max_iterations=50, tracer=tracer,
+        governor=ResourceGovernor(
+            budget_seconds=10.0, max_stratum_iterations=50, graceful=False
+        ),
+    )
+    with pytest.raises(VadalogError) as caught:
+        engine.run(parse_program(text), inputs=FUZZ_INPUTS)
+    assert not isinstance(caught.value, ResourceLimitError), caught.value
+    assert not [s.name for s in tracer.spans if s.name.startswith("engine.")]
+    return caught.value
+
+
+def runs_without(text, defect):
+    """Without its defect the program is admitted and saturates."""
+    rules = [rule for rule in text.split("\n") if rule != defect]
+    result = Engine(max_iterations=50).run(
+        parse_program("\n".join(rules)), inputs=FUZZ_INPUTS
+    )
+    assert result.status == "fixpoint"
+
+
+class TestRejectionFuzz:
+    """Seeded random programs with one defect each are refused by the
+    static analyses (stratification, wardedness), never run until an
+    iteration cap or a governor stops them."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_negation_inside_recursion(self, seed):
+        text, defect = unstratifiable_program(random.Random(seed))
+        error = rejected(text)
+        assert not isinstance(error, WardednessError), error
+        assert "not stratifiable" in str(error), error
+        runs_without(text, defect)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_join_of_harmful_variables(self, seed):
+        text, defect = non_warded_program(random.Random(seed))
+        error = rejected(text)
+        assert isinstance(error, WardednessError), error
+        assert "no ward" in str(error), error
+        runs_without(text, defect)
 
 
 @given(
