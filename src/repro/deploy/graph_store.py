@@ -56,6 +56,17 @@ def _unset(column: Any) -> bool:
     )
 
 
+def _require_mandatory(declared: Dict[str, Any], properties, labels) -> None:
+    """Raise :class:`~repro.errors.IntegrityError` when ``properties``
+    lack a mandatory property of ``declared``; optional and intensional
+    ones are exempt (intensional values appear after reasoning)."""
+    for name, prop in declared.items():
+        if not (prop.optional or prop.intensional) and name not in properties:
+            raise IntegrityError(
+                f"mandatory property {name!r} missing for {labels}"
+            )
+
+
 class GraphStore(SavepointMixin):
     """An in-memory graph database enforcing a PG-model schema.
 
@@ -159,13 +170,7 @@ class GraphStore(SavepointMixin):
                 raise IntegrityError(
                     f"property {name!r} not declared for labels {labels}"
                 )
-        for name, prop in declared.items():
-            if prop.optional or prop.intensional:
-                continue  # intensional values appear after reasoning
-            if name not in properties:
-                raise IntegrityError(
-                    f"mandatory property {name!r} missing for {labels}"
-                )
+        _require_mandatory(declared, properties, labels)
         for key, index in self._unique_for(labels, properties):
             value = properties[key[1]]
             if value in index or (taken and value in taken[key]):
@@ -220,54 +225,69 @@ class GraphStore(SavepointMixin):
         have raised for it, with the store unchanged.  Then one bulk
         add, one label-set and one index update.  Returns ``len(ids)``.
         """
-        labels = list(labels)
-        column_of = dict(zip(names, columns))
-        declared = self._declared_properties(labels)
-        uniques = self._unique_for(labels, names)
-        unique_values = {
-            prop_name: self._values(column_of[prop_name])
-            for (_label, prop_name), _index in uniques
-        }
-        if self._schema is not None and len(ids):
-            clear = all(name in declared for name in names) and all(
-                name in column_of and not _unset(column_of[name])
-                for name, prop in declared.items()
-                if not (prop.optional or prop.intensional)
-            )
-            for (_label, prop_name), index in uniques:
-                values = [v for v in unique_values[prop_name] if v is not ABSENT]
-                clear = clear and len(set(values)) == len(values) and (
-                    index.keys().isdisjoint(values)
-                )
-            if not clear:
-                # Row by row, to raise for the first offender exactly
-                # what the per-record path raises.  Rows that lack an
-                # undeclared or a unique property pass, so the scan may
-                # also end without finding one.
-                taken = {key: set() for key, _index in uniques}
-                for properties in property_rows(
-                    len(ids), names, map(self._values, column_of.values())
-                ):
-                    self._check_node(labels, properties, taken)
-                    for key in taken:
-                        if key[1] in properties:
-                            taken[key].add(properties[key[1]])
-        self.graph.add_nodes_bulk(
-            labels[0], ids, names, column_of.values(), keep_none=True
-        )
+        labels, columns = list(labels), list(columns)
         node_ids = self._values(ids)
-        self._labels_by_node.update(zip(node_ids, repeat(frozenset(labels))))
-        for (_label, prop_name), index in uniques:
-            index.update(
-                (value, node_id)
-                for value, node_id in zip(unique_values[prop_name], node_ids)
-                if value is not ABSENT
-            )
+        uniques = self._check_nodes(labels, node_ids, names, columns)
+        self.graph.add_nodes_bulk(
+            labels[0], ids, names, columns, keep_none=True
+        )
+        self._index_nodes(labels, node_ids, uniques)
         if self._undo.active:
             self._undo.record(partial(self._remove_nodes, node_ids))
         if self.tracer is not None:
             self.tracer.count("deploy.nodes_written", len(ids))
         return len(ids)
+
+    def _check_nodes(
+        self, labels: List[str], node_ids: List[Any], names: Tuple[str, ...],
+        columns: List[Any],
+    ) -> List[Tuple[Dict[Any, Any], Dict[Any, Any]]]:
+        """The checks of :meth:`create_nodes` for the nodes ``node_ids``,
+        store unchanged.  Returns ``(index, entries)`` per unique
+        constraint the group binds — ``entries`` maps each value set to
+        its node — for :meth:`_index_nodes`."""
+        column_of = dict(zip(names, columns))
+        declared = self._declared_properties(labels)
+        bound = self._unique_for(labels, names)
+        distinct = True
+        entries_of = {}  # a property several labels constrain is read once
+        for name in dict.fromkeys(key[1] for key, _index in bound):
+            column = column_of[name]
+            rows, count = zip(self._values(column), node_ids), len(node_ids)
+            if _unset(column):
+                rows = [row for row in rows if row[0] is not ABSENT]
+                count = len(rows)
+            entries_of[name] = dict(rows)
+            distinct = distinct and len(entries_of[name]) == count
+        uniques = [(index, entries_of[key[1]]) for key, index in bound]
+        if self._schema is None or not len(node_ids):
+            return uniques
+        clear = distinct and all(name in declared for name in names) and all(
+            name in column_of and not _unset(column_of[name])
+            for name, prop in declared.items()
+            if not (prop.optional or prop.intensional)
+        ) and all(index.keys().isdisjoint(entries) for index, entries in uniques)
+        if not clear:
+            # Row by row, to raise for the first offender exactly what
+            # the per-record path raises.  Rows that lack an undeclared
+            # or a unique property pass, so the scan may also end
+            # without finding one.
+            taken = {key: set() for key, _index in bound}
+            for properties in property_rows(
+                len(node_ids), names, map(self._values, columns)
+            ):
+                self._check_node(labels, properties, taken)
+                for key in taken:
+                    if key[1] in properties:
+                        taken[key].add(properties[key[1]])
+        return uniques
+
+    def _index_nodes(self, labels: List[str], node_ids: List[Any],
+                     uniques: List[Tuple[Dict[Any, Any], Dict[Any, Any]]]) -> None:
+        """Record the label sets and unique-index entries of checked nodes."""
+        self._labels_by_node.update(dict.fromkeys(node_ids, frozenset(labels)))
+        for index, entries in uniques:
+            index.update(entries)
 
     def _values(self, column: Any) -> List[Any]:
         """A value column as it is, a code column decoded."""
@@ -335,26 +355,7 @@ class GraphStore(SavepointMixin):
         the store unchanged.  Returns ``len(sources)``.
         """
         columns = list(columns)
-        if self._schema is not None and len(sources):
-            labels_of = self._labels_by_node.get
-            ends = set(zip(
-                map(labels_of, self._values(sources), repeat(_NO_LABELS)),
-                map(labels_of, self._values(targets), repeat(_NO_LABELS)),
-            ))
-            try:
-                clear = all(
-                    declared.keys() >= set(names) for declared in (
-                        self._relationship_variant(name, *pair) for pair in ends
-                    )
-                )
-            except IntegrityError:
-                clear = False
-            if not clear:  # row by row, for the first offender's error
-                rows = zip(self._values(sources), self._values(targets),
-                           property_rows(len(sources), names,
-                                         map(self._values, columns)))
-                for source, target, properties in rows:
-                    self._check_relationship(source, target, name, properties)
+        self._check_relationships(name, sources, targets, names, columns)
         edge_ids = self.graph.fresh_edge_ids(len(sources))
         self.graph.add_edges_bulk(
             name, edge_ids, sources, targets, names, columns, keep_none=True,
@@ -364,6 +365,88 @@ class GraphStore(SavepointMixin):
         if self.tracer is not None:
             self.tracer.count("deploy.relationships_written", len(sources))
         return len(sources)
+
+    def _check_relationships(
+        self, name: str, sources: Any, targets: Any,
+        names: Tuple[str, ...], columns: List[Any], ends: Optional[set] = None,
+    ) -> None:
+        """The checks of :meth:`create_relationships`, store unchanged.
+        ``ends``, when known, are the distinct pairs of endpoint label
+        sets of the rows."""
+        if self._schema is None or not len(sources):
+            return
+        if ends is None:
+            labels_of = self._labels_by_node.get
+            ends = set(zip(
+                map(labels_of, self._values(sources), repeat(_NO_LABELS)),
+                map(labels_of, self._values(targets), repeat(_NO_LABELS)),
+            ))
+        try:
+            clear = all(
+                declared.keys() >= set(names) for declared in (
+                    self._relationship_variant(name, *pair) for pair in ends
+                )
+            )
+        except IntegrityError:
+            clear = False
+        if not clear:  # row by row, for the first offender's error
+            rows = zip(self._values(sources), self._values(targets),
+                       property_rows(len(sources), names,
+                                     map(self._values, columns)))
+            for source, target, properties in rows:
+                self._check_relationship(source, target, name, properties)
+
+    def adopt(self, graph: Any, node_groups: List[Tuple[Any, ...]],
+              edge_groups: List[Tuple[Any, ...]]) -> bool:
+        """Take over a copy of ``graph`` instead of writing it into an
+        empty store.  A node group holds the arguments of one
+        :meth:`create_nodes` call for the nodes of ``graph`` with label
+        ``labels[0]``, an edge group those of one
+        :meth:`create_relationships` call for the edges with label
+        ``name``, as code columns of ``graph`` (the store's graph shares
+        its codes).
+
+        Every check of those calls runs, group by group in order, and
+        the first that fails raises what the call would have raised,
+        with the store unchanged.  Then the store holds what the calls
+        would have made: label sets and unique indexes filled as they
+        fill them, and the copy's edges under the OIDs they mint
+        (:meth:`~repro.graph.columnar_graph.ColumnarPropertyGraph.adopted`).
+        One undo entry puts back the empty graph, label sets and index
+        entries.  Returns False, with nothing done, when the store
+        holds an element or the groups miss one of ``graph``.
+        """
+        held = self.graph
+        if held.node_count or held.edge_count or (
+            sum(len(group[1]) for group in node_groups) != graph.node_count
+            or sum(len(group[1]) for group in edge_groups) != graph.edge_count
+        ):
+            return False
+        labels_by_node = self._labels_by_node
+        entries = [dict(index) for index in self._unique.values()]
+        self._labels_by_node = dict(labels_by_node)
+        try:
+            for labels, ids, names, columns in node_groups:
+                node_ids = self._values(ids)
+                uniques = self._check_nodes(labels, node_ids, names, columns)
+                self._index_nodes(labels, node_ids, uniques)
+            # A node's label set is its group's: the pairs of an edge
+            # group's ends follow from the labels of ``graph``.
+            label_set = {group[0][0]: frozenset(group[0]) for group in node_groups}
+            for group in edge_groups:
+                self._check_relationships(*group, {
+                    (label_set[source], label_set[target])
+                    for source, target in graph.edge_end_labels(group[0])
+                })
+        except BaseException:
+            self._restore(held, labels_by_node, entries)
+            raise
+        self.graph = held.adopted(graph, [group[0] for group in edge_groups])
+        if self._undo.active:
+            self._undo.record(
+                partial(self._restore, held, labels_by_node, entries)
+            )
+        return True
 
     def delete_relationship(
         self,
@@ -405,7 +488,10 @@ class GraphStore(SavepointMixin):
     def update_node_properties(
         self, node_id: Any, properties: Dict[str, Any]
     ) -> None:
-        """Replace a node's properties in place, revalidating them."""
+        """Replace a node's properties in place, revalidating them: an
+        undeclared property, a missing mandatory one or a value a unique
+        index holds for another node raises
+        :class:`~repro.errors.IntegrityError` with nothing changed."""
         node = self.graph.node(node_id)
         labels = self._labels_by_node.get(node_id, {node.label})
         if self._schema is not None:
@@ -418,6 +504,7 @@ class GraphStore(SavepointMixin):
                         f"property {name!r} not declared for labels "
                         f"{sorted(labels)}"
                     )
+            _require_mandatory(declared, properties, sorted(labels))
         for (label, prop_name), index in self._unique.items():
             new_value = properties.get(prop_name)
             if (
@@ -465,6 +552,15 @@ class GraphStore(SavepointMixin):
                     if index.get(held[prop_name]) == node_id:
                         del index[held[prop_name]]
             self.graph.remove_node(node_id)
+
+    def _restore(self, graph: Any, labels_by_node: Dict[Any, frozenset],
+                 entries: List[Dict[Any, Any]]) -> None:
+        """Put back a graph, its label sets and unique-index entries."""
+        self.graph = graph
+        self._labels_by_node = labels_by_node
+        for index, held in zip(self._unique.values(), entries):
+            index.clear()
+            index.update(held)
 
     def _remove_edges(self, edge_ids: Iterable[Any]) -> None:
         for edge_id in edge_ids:

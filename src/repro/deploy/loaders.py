@@ -11,10 +11,14 @@ idempotent*:
   super-schema (unknown/missing labels are counted and quarantined, no
   longer silently dropped), then applied in batches under store
   savepoints;
-- **one write per label** — the graph loader stages and validates per
-  label, not per element (schema membership, the ancestor labels and
-  the property constraints are functions of the label), reads each
-  label as columns and writes it with one bulk call of the store.  The
+- **one write per label, or none** — the graph loader stages and
+  validates per label, not per element (schema membership, the ancestor
+  labels and the property constraints are functions of the label) and
+  reads each label as columns.  An empty store whose graph can share the
+  instance's codes *adopts* the instance: every check of the writes
+  runs, label group by label group, and the store takes over a copy of
+  the instance's graph instead of writing it a second time.  Otherwise
+  each label is written with one bulk call of the store.  The
   per-record path remains for what it exists for — a store that already
   holds some of the records (replay), a retrying policy or a
   fault-injecting store (faults are per mutation), and the graceful
@@ -215,7 +219,13 @@ def load_graph_store(
     (unpacks as the historical ``(nodes, relationships)`` pair).
 
     The instance is read one label at a time, as columns, node labels
-    first.  A label group is written by one ``store.create_nodes`` /
+    first.  Into an empty store, a columnar instance without boxed
+    values and with every label in the schema is adopted, unless the
+    policy retries: ``store.adopt`` runs the checks of the writes below,
+    group by group, and takes over a copy of the instance's graph — one
+    batch.  A refused check, or any other case, leaves the store
+    untouched for the writes, which raise or quarantine as they always
+    have.  A label group is written by one ``store.create_nodes`` /
     ``create_relationships`` call — one batch, whatever ``batch_size`` —
     unless its records have to go one by one, in batches of
     ``batch_size``, after the bulk groups of their kind:
@@ -229,9 +239,11 @@ def load_graph_store(
       the group was refused, so the group is re-run to quarantine the
       offenders and load the rest.
 
-    The report says which ran (``bulk_groups`` / ``bulk_rows`` /
-    ``per_record``), as do the ``deploy.load_bulk_rows`` /
-    ``deploy.load_per_record`` counters.
+    The report says which ran (``adopted_rows``, ``bulk_groups`` /
+    ``bulk_rows``, ``per_record``), as do the
+    ``deploy.load_adopted_rows`` / ``deploy.load_bulk_rows`` /
+    ``deploy.load_per_record`` counters and the ``deploy.flush`` span's
+    ``path`` (``adopted`` or ``written``).
     """
     _check_mode(mode)
     policy = policy if policy is not None else no_retry()
@@ -264,57 +276,55 @@ def load_graph_store(
             data.edges_table, default=ABSENT
         )
 
-        def node_groups():
-            """``(size, held, bulk write, records)`` per node label."""
-            for label in data.node_labels():
-                if not schema.has_node(label):
-                    continue
-                sm_node = schema.get_node(label)
-                labels = [sm_node.type_name] + [
-                    a.type_name for a in schema.ancestors_of(sm_node)
-                ]
-                names = tuple(data.node_property_names(label))
-                ids, columns = node_table(label, names)
-                yield (
-                    len(ids),
-                    graph.existing_node_ids(ids),
-                    lambda: store.create_nodes(labels, ids, names, columns),
-                    lambda: (
-                        ("node", node_id, labels, properties)
-                        for node_id, properties in zip(*_rows(
-                            data.nodes_table(label, names, default=ABSENT),
-                            names,
-                        ))
-                    ),
-                )
+        def node_group(label: str) -> Tuple[Any, ...]:
+            """The :meth:`create_nodes` arguments of one node label."""
+            sm_node = schema.get_node(label)
+            labels = [sm_node.type_name] + [
+                a.type_name for a in schema.ancestors_of(sm_node)
+            ]
+            names = tuple(data.node_property_names(label))
+            ids, columns = node_table(label, names)
+            return labels, ids, names, columns
 
-        def edge_groups():
-            for label in data.edge_labels():
-                if not schema.has_edge(label):
-                    continue
-                names = tuple(data.edge_property_names(label))
-                ids, sources, targets, columns = edge_table(label, names)
+        def edge_group(label: str) -> Tuple[Any, ...]:
+            """The :meth:`create_relationships` arguments of one edge label."""
+            names = tuple(data.edge_property_names(label))
+            _ids, sources, targets, columns = edge_table(label, names)
+            return label, sources, targets, names, columns
 
-                def records():
-                    for edge_id, source, target, properties in zip(*_rows(
-                        data.edges_table(label, names, default=ABSENT), names,
-                    )):
-                        replay = None
-                        if existing_multiplicity:
-                            key = _replay_key(source, target, label, properties)
-                            replay = (key, edge_multiplicity.get(key, 0))
-                            edge_multiplicity[key] = replay[1] + 1
-                        yield ("edge", edge_id, source, target, label,
-                               properties, replay)
+        node_groups = [
+            node_group(label) for label in data.node_labels()
+            if schema.has_node(label)
+        ]
+        edge_groups = [
+            edge_group(label) for label in data.edge_labels()
+            if schema.has_edge(label)
+        ]
+        # Only the nodes the store held before the load can be replayed:
+        # the data's own ids are distinct.
+        held_nodes = graph.node_count > 0
 
-                yield (
-                    len(ids),
-                    existing_multiplicity,
-                    lambda: store.create_relationships(
-                        label, sources, targets, names, columns
-                    ),
-                    records,
-                )
+        def node_records(group):
+            labels, _ids, names, _columns = group
+            return (
+                ("node", node_id, labels, properties)
+                for node_id, properties in zip(*_rows(
+                    data.nodes_table(labels[0], names, default=ABSENT), names,
+                ))
+            )
+
+        def edge_records(group):
+            label, _sources, _targets, names, _columns = group
+            for edge_id, source, target, properties in zip(*_rows(
+                data.edges_table(label, names, default=ABSENT), names,
+            )):
+                replay = None
+                if existing_multiplicity:
+                    key = _replay_key(source, target, label, properties)
+                    replay = (key, edge_multiplicity.get(key, 0))
+                    edge_multiplicity[key] = replay[1] + 1
+                yield ("edge", edge_id, source, target, label,
+                       properties, replay)
 
         def replay_skipped(counts: Dict[str, int]) -> None:
             counts["replayed"] = counts.get("replayed", 0) + 1
@@ -342,19 +352,24 @@ def load_graph_store(
             counts["written"] = counts.get("written", 0) + 1
 
         def load(
-            kind: str, groups, apply_record, elements, total: int
+            kind: str, groups, held, bulk_write, records, apply_record,
+            elements, total: int,
         ) -> Tuple[int, int]:
             """Write every group of one kind, in bulk where it can be, and
             quarantine the elements no group holds (no label, or one
             outside the schema).  Returns how many of each."""
             staged = written = 0
             pending: List[Tuple[Any, ...]] = []
-            for size, held, bulk_write, records in groups:
+            for group in groups:
+                size = len(group[1])
                 staged += size
-                reason = RETRY_POLICY if per_mutation else REPLAY if held else None
+                reason = (
+                    RETRY_POLICY if per_mutation
+                    else REPLAY if held(group) else None
+                )
                 if reason is None:
                     try:
-                        written += bulk_write()
+                        written += bulk_write(*group)
                     except (IntegrityError, GraphError):
                         if mode != GRACEFUL:
                             raise
@@ -364,7 +379,7 @@ def load_graph_store(
                         report.bulk_groups += 1
                         report.bulk_rows += size
                         continue
-                pending.extend(records())
+                pending.extend(records(group))
                 report.per_record[reason] = report.per_record.get(reason, 0) + size
             for batch in _chunks(pending, batch_size):
                 counts = batcher.run(batch, apply_record)
@@ -377,14 +392,35 @@ def load_graph_store(
                         _reject_unknown_label(report.quarantine, kind, element)
             return written, total - staged
 
+        def adopt() -> bool:
+            """Whether the store took the instance over; it may when the
+            groups are code columns.  A refused check is left to the
+            writes, to raise or quarantine as they do."""
+            try:
+                return coded and store.adopt(data, node_groups, edge_groups)
+            except IntegrityError:
+                return False
+
         load_savepoint = store.savepoint()
         try:
-            report.nodes, report.skipped_nodes = load(
-                "node", node_groups(), apply_node, data.nodes, data.node_count
-            )
-            report.edges, report.skipped_edges = load(
-                "edge", edge_groups(), apply_edge, data.edges, data.edge_count
-            )
+            if adopt():
+                report.nodes, report.edges = data.node_count, data.edge_count
+                report.adopted_rows = report.nodes + report.edges
+                batcher.batches += 1
+            else:
+                report.nodes, report.skipped_nodes = load(
+                    "node", node_groups,
+                    lambda group: held_nodes and graph.existing_node_ids(group[1]),
+                    lambda *group: store.create_nodes(*group),
+                    node_records, apply_node,
+                    data.nodes, data.node_count,
+                )
+                report.edges, report.skipped_edges = load(
+                    "edge", edge_groups, lambda _group: existing_multiplicity,
+                    lambda *group: store.create_relationships(*group),
+                    edge_records, apply_edge,
+                    data.edges, data.edge_count,
+                )
         except (IntegrityError, GraphError):
             # Strict mode: an integrity violation anywhere voids the
             # whole load — committed batches included — before raising.
@@ -400,8 +436,10 @@ def load_graph_store(
         report.quarantine.extend(batcher.rejections)
         if tracer:
             tracer.count("deploy.load_bulk_rows", report.bulk_rows)
+            tracer.count("deploy.load_adopted_rows", report.adopted_rows)
             tracer.count("deploy.load_per_record", sum(report.per_record.values()))
             span.set(
+                path="adopted" if report.adopted_rows else "written",
                 nodes=report.nodes,
                 relationships=report.edges,
                 skipped=report.skipped,
@@ -410,6 +448,7 @@ def load_graph_store(
                 batches=report.batches,
                 retries=report.retries,
                 bulk_rows=report.bulk_rows,
+                adopted_rows=report.adopted_rows,
                 per_record=dict(report.per_record),
             )
     return report

@@ -25,8 +25,8 @@ targets:
 Everything is observable through the usual tracer counters:
 ``deploy.retries``, ``deploy.rollbacks``, ``deploy.quarantined``,
 ``deploy.replay_skipped``, ``deploy.faults_injected``, and, for which
-path a graph load took, ``deploy.load_bulk_rows`` /
-``deploy.load_per_record``.
+path a graph load took, ``deploy.load_adopted_rows`` /
+``deploy.load_bulk_rows`` / ``deploy.load_per_record``.
 """
 
 from __future__ import annotations
@@ -190,8 +190,8 @@ class FaultInjector:
 
     #: Faults are per mutation, so the wrapper offers the per-record
     #: mutators only: a loader that finds no bulk writer on its store
-    #: loads record by record.
-    _BULK_WRITERS = frozenset({"create_nodes", "create_relationships"})
+    #: loads record by record, and adopts nothing.
+    _BULK_WRITERS = frozenset({"create_nodes", "create_relationships", "adopt"})
 
     def __init__(
         self,
@@ -348,6 +348,10 @@ class LoadReport:
     #: them.
     bulk_groups: int = 0
     bulk_rows: int = 0
+    #: Records an empty store took over with the instance's graph
+    #: instead of writing them (:meth:`GraphStore.adopt`); they count
+    #: in ``nodes`` / ``edges`` too.
+    adopted_rows: int = 0
     #: Records that went through the per-record path, by why: ``replay``
     #: (the store already held records of the group), ``retry-policy``
     #: (a retrying policy or a fault-injecting store: faults are per
@@ -375,6 +379,7 @@ class LoadReport:
             f"replayed={self.replayed}",
             f"batches={self.batches}",
             f"retries={self.retries}",
+            f"adopted={self.adopted_rows}",
             f"bulk={self.bulk_rows}",
             f"per-record={sum(self.per_record.values())}",
         ]

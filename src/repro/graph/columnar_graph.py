@@ -225,13 +225,21 @@ class _OidIndex:
         if len(overlay) >= 1024 and 3 * len(overlay) >= len(self._codes):
             self._merge()
 
-    def extend(self, codes: Any, base: int) -> None:
+    def extend(self, codes: Any, dense: Any) -> None:
         """Index the OIDs of the numpy array ``codes`` as the dense ids
-        from ``base`` on.  None of them may be indexed already (the bulk
-        adders check first): one a tombstoned slot holds takes it back,
-        the others join the overlay."""
-        dense = np.arange(base, base + len(codes))
+        of the aligned array ``dense``, or as those from ``dense`` on.
+        None of them may be indexed already (the bulk adders check
+        first).  Into an index that never held one they become the
+        sorted arrays, in one ``argsort``; otherwise one a tombstoned
+        slot holds takes it back, the others join the overlay."""
+        if isinstance(dense, int):
+            dense = np.arange(dense, dense + len(codes))
         self._size += len(codes)
+        if not len(self._codes) and not self._overlay:
+            order = np.argsort(codes)
+            self._codes = array(_IDX, codes[order].astype(np.int32).tobytes())
+            self._ids = array(_IDX, dense[order].astype(np.int32).tobytes())
+            return
         if self._dead:
             table = np.frombuffer(self._codes, dtype=np.int32)
             pos = np.minimum(np.searchsorted(table, codes), len(table) - 1)
@@ -270,6 +278,8 @@ class _OidIndex:
     def intersection(self, oids: Iterable[Any]) -> set:
         """The subset of ``oids`` present in the index (deduplicated);
         :class:`~repro.vadalog.columnar.Codes` give their values."""
+        if not self._size:
+            return set()
         if isinstance(oids, Codes):
             codes = np.asarray(oids)
             oids = list(map(self._interner.values.__getitem__, codes.tolist()))
@@ -678,11 +688,14 @@ class ColumnarPropertyGraph:
 
     def fresh_edge_ids(self, count: int) -> List[str]:
         """The OIDs ``count`` :meth:`add_edge` calls without an
-        ``edge_id`` would generate, for a bulk add."""
+        ``edge_id`` would generate, for a bulk add.  They are interned
+        here, for the add to find, and checked against both indexes by
+        code: one hash of each new string."""
         first = self._auto_id
         candidates = [f"e{number}" for number in range(first, first + count)]
-        if (self._node_index.intersection(candidates)
-                or self._edge_index.intersection(candidates)):
+        codes = self._interner.encode_column(candidates)
+        if ((self._node_index.lookup(codes) >= 0).any()
+                or (self._edge_index.lookup(codes) >= 0).any()):
             return [self._fresh_id("e") for _ in range(count)]
         self._auto_id += count
         return candidates
@@ -1325,14 +1338,15 @@ class ColumnarPropertyGraph:
             list(map(self._interner.values.__getitem__, np.asarray(ids).tolist()))
             if coded else ids
         )
-        clash = (
+        distinct = set(values)
+        clash = len(index) and (
             set(compress(values, (index.lookup(np.asarray(ids)) >= 0).tolist()))
-            if coded else index.intersection(set(ids))
+            if coded else index.intersection(distinct)
         )
         if clash:
             bad = sorted(clash, key=str)[0]
             raise GraphError(f"{kind} {bad!r} already exists in {self.name!r}")
-        if len(set(values)) != len(values):
+        if len(distinct) != len(values):
             raise GraphError(
                 f"duplicate {kind} OID {first_repeat(values)!r} in bulk add "
                 f"to {self.name!r}"
@@ -1481,6 +1495,31 @@ class ColumnarPropertyGraph:
         self._edge_label.frombytes(labels.tobytes())
         self._edge_row.frombytes(rows.tobytes())
 
+    def _live_edges(self, label: str) -> Any:
+        """The eids of the live ``label`` edges, in table order."""
+        table = self._table(self._edge_tables, label)
+        if table is None:
+            return np.empty(0, dtype=np.int64)
+        return np.asarray(self._live_table_rows(
+            table, self._edge_live, self._edge_dead
+        )[0], dtype=np.int64)
+
+    def edge_end_labels(self, label: str) -> set:
+        """The distinct ``(source label, target label)`` pairs of the
+        ``label`` edges, from the label columns: no end is decoded."""
+        eids = self._live_edges(label)
+        node_label = np.frombuffer(self._node_label, dtype=np.int32)
+        sources, targets = (
+            node_label[np.frombuffer(nids, dtype=np.int32)[eids]].astype(np.int64)
+            for nids in (self._edge_src, self._edge_dst)
+        )
+        width = len(self._labels) + 1  # a label code, or _NO_LABEL
+        name = [*self._labels, None]  # name[_NO_LABEL] is None
+        return {
+            (name[pair // width - 1], name[pair % width - 1])
+            for pair in np.unique((sources + 1) * width + targets + 1).tolist()
+        }
+
     def existing_node_ids(self, ids: Iterable[Any]) -> set:
         return self._node_index.intersection(ids)
 
@@ -1532,6 +1571,35 @@ class ColumnarPropertyGraph:
         clone._in_next = array(_IDX, self._in_next)
         clone._in_prev = array(_IDX, self._in_prev)
         clone._auto_id = self._auto_id
+        return clone
+
+    def adopted(self, other: "ColumnarPropertyGraph",
+                edge_labels: Iterable[str]) -> "ColumnarPropertyGraph":
+        """A copy of ``other`` as this graph would hold it after
+        bulk-adding ``other``'s nodes, then its edges without ids, one
+        label of ``edge_labels`` at a time: this graph's name, and each
+        label's edges, in table order, under the OIDs
+        :meth:`fresh_edge_ids` mints from this graph's counter — ``e1``,
+        ``e2``, … skipping one a node holds.  This graph holds no live
+        element and shares ``other``'s codes; every edge of ``other``
+        has one of ``edge_labels``."""
+        clone = other.copy(self.name)
+        eids = np.concatenate(
+            [np.empty(0, dtype=np.int64), *map(clone._live_edges, edge_labels)]
+        )
+        count = len(eids)
+        clone._edge_index = _OidIndex(clone._interner)
+        clone._auto_id = self._auto_id
+        oids = clone.fresh_edge_ids(count)
+        codes = clone._interner.encode_column(oids)
+        where = np.arange(count, count + len(clone._edge_oids))
+        where[eids] = np.arange(count)
+        pool = oids + clone._edge_oids  # a dead edge keeps its OID
+        clone._edge_oids = list(map(pool.__getitem__, where.tolist()))
+        edge_codes = np.frombuffer(clone._edge_codes, dtype=np.int32).copy()
+        edge_codes[eids] = codes
+        clone._edge_codes = array(_IDX, edge_codes.tobytes())
+        clone._edge_index.extend(codes, eids)
         return clone
 
     def to_networkx(self):

@@ -758,3 +758,49 @@ class TestBulkKernels:
                 oracle.get(oid) for oid in probe
             ]
             assert len(index) == len(oracle)
+
+    @pytest.mark.parametrize("size", [1, 63, 64, 3000])
+    def test_one_extend_into_an_empty_index_equals_puts(self, size):
+        """One bulk ``extend`` into an empty index (the sorted arrays in
+        one go) holds what one ``put`` per OID holds, then and after
+        deletes and re-adds."""
+        import random
+
+        from repro.graph.columnar_graph import _OidIndex
+        from repro.vadalog.columnar import ValueInterner
+
+        rng = random.Random(size)
+        interner = ValueInterner()
+        interner.encode_column([f"o{i}" for i in range(0, 2 * size, 2)])
+        oids = [f"o{i}" for i in rng.sample(range(3 * size), size)]
+        dense = np.array(rng.sample(range(5 * size), size))
+        bulk, single = _OidIndex(interner), _OidIndex(interner)
+        bulk.extend(interner.encode_column(oids), dense)
+        for oid, nid in zip(oids, dense.tolist()):
+            single.put(oid, nid)
+        probe = oids + [f"o{i}" for i in range(3 * size, 3 * size + 50)] + [
+            "never-interned", 3, True,
+        ]
+
+        def agree():
+            assert len(bulk) == len(single)
+            assert [bulk.get(oid) for oid in probe] == [
+                single.get(oid) for oid in probe
+            ]
+            codes = interner.probe_column(probe)
+            assert bulk.lookup(codes).tolist() == single.lookup(codes).tolist()
+            assert bulk.intersection(probe) == single.intersection(probe)
+
+        agree()
+        gone = rng.sample(oids, size // 2)
+        for index in (bulk, single):
+            for oid in gone:
+                del index[oid]
+        agree()
+        back = gone[: len(gone) // 2]
+        for index in (bulk, single):
+            for offset, oid in enumerate(back):
+                index.put(oid, 7 * size + offset)
+            index.extend(interner.encode_column(["late"]), 9 * size)
+        probe.append("late")
+        agree()

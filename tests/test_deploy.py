@@ -6,6 +6,7 @@ from repro.deploy import (
     GRACEFUL,
     STRICT,
     CSVDataset,
+    FlushDelta,
     GraphStore,
     RelationalEngine,
     RetryPolicy,
@@ -28,6 +29,7 @@ from repro.models.relational import Column, ForeignKey, RelationalSchema, Table
 from repro.finkg.company_schema import company_super_schema
 from repro.ssst import SSST, IntensionalMaterializer
 from tests.test_materializer import kgbench_registry, with_extra_people
+from tests.reference import WritingGraphStore
 from tests.test_resilience import deployed_graph_store
 
 
@@ -344,47 +346,98 @@ def on_backend(graph, columnar):
     return clone
 
 
-def load_both_ways(schema, data, mode=STRICT, prepare=lambda store: None):
-    """``(outcome, store)`` of a bulk and of a per-record load of
-    ``data`` into equally prepared stores; an outcome is the report or
-    the exception raised."""
+def writing_graph_store():
+    store = WritingGraphStore()
+    store.deploy(deployed_graph_store().schema)
+    return store
+
+
+def load_three_ways(schema, data, mode=STRICT, prepare=lambda store: None):
+    """``(outcome, store)`` of a bulk, a per-record and an adopting load
+    of ``data`` into equally prepared stores; an outcome is the report
+    or the exception raised.  The bulk store never adopts; the adopting
+    one is a plain store, which adopts when it is empty and ``data`` is
+    a clean columnar graph — it then shares ``data``'s interner."""
     results = []
-    for policy in (None, per_record_policy()):
-        store = deployed_graph_store()
+    for make, policy in ((writing_graph_store, None),
+                         (deployed_graph_store, per_record_policy()),
+                         (deployed_graph_store, None)):
+        store = make()
         prepare(store)
-        before = graph_store_state(store)
+        before = graph_store_state(store), store_indexes(store)
         try:
             outcome = load_graph_store(
                 schema, data, store, mode=mode, policy=policy
             )
         except Exception as exc:  # compared below, never swallowed
             outcome = exc
-            assert graph_store_state(store) == before  # pristine
+            # pristine
+            assert (graph_store_state(store), store_indexes(store)) == before
         results.append((outcome, store))
     return results
 
 
-def assert_same_load(bulk, reference, expect_bulk=True):
-    (bulk_report, bulk_store), (report, store) = bulk, reference
-    assert graph_store_state(bulk_store) == graph_store_state(store)
-    for counter in ("nodes", "edges", "skipped_nodes", "skipped_edges",
-                    "quarantined", "replayed"):
-        assert getattr(bulk_report, counter) == getattr(report, counter), counter
+def store_indexes(store):
+    """Every node's label set and every unique index, as plain dicts."""
+    return (
+        {node.id: store.labels_of(node.id) for node in store.graph.nodes()},
+        {key: dict(index) for key, index in store._unique.items()},
+    )
+
+
+def sorted_edges(store):
+    return sorted(
+        (str(edge.id), str(edge.source), str(edge.target), edge.label)
+        for edge in store.graph.edges()
+    )
+
+
+COUNTERS = ("nodes", "edges", "skipped_nodes", "skipped_edges",
+            "quarantined", "replayed")
+
+
+def assert_same_store(one, other):
+    (report, store), (other_report, other_store) = one, other
+    assert graph_store_state(store) == graph_store_state(other_store)
+    assert sorted_edges(store) == sorted_edges(other_store)
+    assert store_indexes(store) == store_indexes(other_store)
+    for counter in COUNTERS:
+        assert getattr(report, counter) == getattr(other_report, counter), counter
     rejections = [
         sorted(
             (r.kind, str(r.record["id"]), r.reason)
             for r in outcome.quarantine.rejections
         )
-        for outcome in (bulk_report, report)
+        for outcome in (report, other_report)
     ]
     assert rejections[0] == rejections[1]
+
+
+def assert_same_load(bulk, reference, adopted, expect_bulk=True,
+                     expect_adopted=False):
+    """The three loads agree; each took the path expected of it.  An
+    adopting store that did not adopt took the bulk store's path."""
+    assert_same_store(bulk, reference)
+    assert_same_store(adopted, reference)
+    (bulk_report, _), (report, _), (adopted_report, _) = bulk, reference, adopted
     total = report.nodes + report.edges + report.replayed + (
         report.quarantined - report.skipped
     )
     assert report.per_record == {"retry-policy": total} and not report.bulk_rows
+    assert not bulk_report.adopted_rows and not report.adopted_rows
     if expect_bulk:
         assert not bulk_report.per_record
         assert bulk_report.bulk_rows == bulk_report.nodes + bulk_report.edges
+    if expect_adopted:
+        assert adopted_report.adopted_rows == report.nodes + report.edges
+        assert not adopted_report.bulk_rows and not adopted_report.per_record
+        assert adopted_report.batches == 1
+    else:
+        assert not adopted_report.adopted_rows
+        for counter in ("bulk_groups", "bulk_rows", "per_record", "batches"):
+            assert getattr(adopted_report, counter) == getattr(
+                bulk_report, counter
+            ), counter
 
 
 def enriched(schema, data, *program_names):
@@ -404,8 +457,8 @@ class TestBulkLoadEqualsPerRecord:
         data = on_backend(
             enriched(company_schema, registry, "CONTROL_PROGRAM"), columnar
         )
-        bulk, reference = load_both_ways(company_schema, data)
-        assert_same_load(bulk, reference)
+        bulk, reference, adopted = load_three_ways(company_schema, data)
+        assert_same_load(bulk, reference, adopted, expect_adopted=columnar)
         assert bulk[0].bulk_groups == 4  # two node types, two edge types
         assert bulk[0].edges == data.edge_count > registry.edge_count
 
@@ -421,8 +474,8 @@ class TestBulkLoadEqualsPerRecord:
             enriched(company_schema, with_extra_people(tiny_instance), *chain),
             columnar,
         )
-        bulk, reference = load_both_ways(company_schema, data)
-        assert_same_load(bulk, reference)
+        bulk, reference, adopted = load_three_ways(company_schema, data)
+        assert_same_load(bulk, reference, adopted, expect_adopted=columnar)
         assert bulk[0].nodes == data.node_count
 
     @pytest.mark.parametrize("columnar", [True, False])
@@ -452,8 +505,10 @@ class TestBulkLoadEqualsPerRecord:
             data.add_edge(f"n{i + 1}", f"n{i}", "OWNS", percentage=0.5)  # twin
             data.add_edge(f"n{i + 1}", f"n{i}", "WARPS" if i % 2 else None)
         for mode in (STRICT, GRACEFUL):
-            bulk, reference = load_both_ways(company_schema, data, mode=mode)
-            assert_same_load(bulk, reference)
+            bulk, reference, adopted = load_three_ways(
+                company_schema, data, mode=mode
+            )
+            assert_same_load(bulk, reference, adopted)  # labels outside
             assert bulk[0].skipped_nodes == 4 and bulk[0].skipped_edges == 3
             assert bulk[1].graph.node("n3")["website"] is None  # stored None
             assert "website" not in bulk[1].graph.node("n0").properties
@@ -523,19 +578,21 @@ class TestBulkLoadEqualsPerRecord:
     @pytest.mark.parametrize("case", CASES)
     def test_strict_failure_is_the_per_record_one(self, case):
         schema, data, prepare = self.dirty(case)
-        (bulk_error, _), (error, _) = load_both_ways(
+        (bulk_error, _), (error, _), (adopted_error, _) = load_three_ways(
             schema, data, prepare=prepare
         )
         assert type(bulk_error) is type(error) is IntegrityError
-        assert str(bulk_error) == str(error)  # same rule, same offender
+        assert type(adopted_error) is IntegrityError
+        # Same rule, same offender.
+        assert str(bulk_error) == str(error) == str(adopted_error)
 
     @pytest.mark.parametrize("case", CASES)
     def test_graceful_quarantine_is_the_per_record_one(self, case):
         schema, data, prepare = self.dirty(case)
-        bulk, reference = load_both_ways(
+        bulk, reference, adopted = load_three_ways(
             schema, data, mode=GRACEFUL, prepare=prepare
         )
-        assert_same_load(bulk, reference, expect_bulk=False)
+        assert_same_load(bulk, reference, adopted, expect_bulk=False)
         report = bulk[0]
         assert report.quarantined >= 1
         # A refused group went record by record, the others in bulk: the
@@ -634,3 +691,181 @@ class TestBulkLoadEqualsPerRecord:
             with pytest.raises(IntegrityError):
                 load_graph_store(company_schema, data, store, policy=policy)
             assert graph_store_state(store) == before
+
+
+# ----------------------------------------------------------------------
+# Adoption: a load into an empty store takes the instance's graph over
+# ----------------------------------------------------------------------
+def graph_snapshot(graph):
+    """Every element of ``graph`` with its id, label and properties."""
+    properties = lambda element: sorted(  # noqa: E731
+        (name, str(value)) for name, value in element.properties.items()
+    )
+    return (
+        sorted((str(n.id), n.label, properties(n)) for n in graph.nodes()),
+        sorted(
+            (str(e.id), str(e.source), str(e.target), e.label, properties(e))
+            for e in graph.edges()
+        ),
+    )
+
+
+def extractions(store):
+    """Every ``extract`` of the store's catalog, in the order it yields."""
+    catalog = store.catalog()
+    return {
+        query: list(store.extract(query)) for query in [
+            f"(n:{label}) return n" for label in catalog.node_properties
+        ] + [
+            f"(a)-[e:{label}]->(b) return (e, a, b)"
+            for label in catalog.edge_properties
+        ]
+    }
+
+
+class TestAdoption:
+    @pytest.mark.parametrize("companies", [500, 2000])
+    @pytest.mark.parametrize("seed", [7, 42])
+    def test_adopted_store_is_the_written_one(
+        self, company_schema, seed, companies
+    ):
+        _, registry = kgbench_registry(companies, seed)
+        data = enriched(company_schema, registry, "CONTROL_PROGRAM")
+        written, adopted = writing_graph_store(), deployed_graph_store()
+        reports = [
+            load_graph_store(company_schema, data, store)
+            for store in (written, adopted)
+        ]
+        assert reports[1].adopted_rows == data.node_count + data.edge_count
+        assert reports[0].bulk_rows == reports[1].adopted_rows
+        assert_same_store((reports[0], written), (reports[1], adopted))
+        assert extractions(adopted) == extractions(written)
+        # The next edge the store mints is the one the written store mints.
+        for store in (written, adopted):
+            source = next(store.nodes_with_label("Business")).id
+            store.create_relationship(source, source, "CONTROLS")
+        assert sorted_edges(adopted) == sorted_edges(written)
+
+    def test_minted_oids_skip_node_oids_and_dead_edges_stay_dead(
+        self, company_schema
+    ):
+        """Edges of a graph that lost some elements, between nodes whose
+        OIDs look minted: the adopted store skips the OIDs the nodes
+        hold, as the written one does, and holds no removed edge."""
+        data = make_graph("tricky")
+        business = TestBulkLoadEqualsPerRecord.business
+        for node_id in ("e2", "e4", "b", "gone"):
+            node_id, label, properties = business(node_id)
+            data.add_node(node_id, label, **properties)
+        for source, target in [("b", "e2"), ("e2", "e4"), ("b", "gone"),
+                               ("e4", "b"), ("b", "e4"), ("e2", "b")]:
+            data.add_edge(source, target, "OWNS", percentage=0.3)
+            data.add_edge(source, target, "CONTROLS")
+        data.remove_node("gone")
+        data.remove_edge("e1")  # the first OWNS, under the graph's own OID
+        written, adopted = writing_graph_store(), deployed_graph_store()
+        reports = [
+            load_graph_store(company_schema, data, store)
+            for store in (written, adopted)
+        ]
+        assert reports[1].adopted_rows == data.node_count + data.edge_count
+        assert_same_store((reports[0], written), (reports[1], adopted))
+        assert {"e2", "e4"}.isdisjoint(edge[0] for edge in sorted_edges(adopted))
+        assert extractions(adopted) == extractions(written)
+
+    def adopted_store(self, company_schema, data):
+        store = deployed_graph_store()
+        report = load_graph_store(company_schema, data, store)
+        assert report.adopted_rows == data.node_count + data.edge_count
+        return store
+
+    def instance(self, company_schema):
+        return enriched(
+            company_schema, kgbench_registry(60, 3)[1], "CONTROL_PROGRAM"
+        )
+
+    def test_the_store_and_the_instance_do_not_alias(self, company_schema):
+        data = self.instance(company_schema)
+        store = self.adopted_store(company_schema, data)
+        stored = graph_store_state(store), sorted_edges(store)
+        business = next(data.nodes("Business")).id
+        data.node(business).properties["businessName"] = "renamed"
+        data.remove_node(next(data.nodes("PhysicalPerson")).id)
+        data.add_node("fresh", "Business", fiscalCode="FC-fresh")
+        assert (graph_store_state(store), sorted_edges(store)) == stored
+        # And the other way round.
+        data = self.instance(company_schema)
+        held = graph_snapshot(data)
+        store = self.adopted_store(company_schema, data)
+        store.update_node_properties(
+            business, dict(store.graph.node(business).properties, website="w")
+        )
+        store.delete_node(next(store.nodes_with_label("PhysicalPerson")).id)
+        store.create_node("fresh", ["Person"], fiscalCode="FC-fresh")
+        store.create_relationship("fresh", business, "OWNS", percentage=0.1)
+        assert graph_snapshot(data) == held
+
+    def test_rollback_leaves_an_empty_store(self, company_schema):
+        data = self.instance(company_schema)
+        store = deployed_graph_store()
+        empty = graph_store_state(store), store_indexes(store)
+        savepoint = store.savepoint()
+        report = load_graph_store(company_schema, data, store)
+        assert report.adopted_rows and store.graph.node_count
+        store.rollback_to(savepoint)
+        store.release(savepoint)
+        assert (graph_store_state(store), store_indexes(store)) == empty
+        assert not store.graph.node_count and not store.graph.edge_count
+        assert not list(store.extract("(n:Business) return n"))
+        again = load_graph_store(company_schema, data, store)
+        assert again.adopted_rows == report.adopted_rows
+        written = writing_graph_store()
+        report = load_graph_store(company_schema, data, written)
+        assert_same_store((again, store), (report, written))
+
+
+class TestUpdateNodeProperties:
+    def store(self):
+        store = deployed_graph_store()
+        for node_id in ("c1", "c2"):
+            store.create_node(
+                node_id, ["Business", "LegalPerson", "Person"],
+                fiscalCode=f"FC-{node_id}", businessName=node_id,
+                legalNature="spa", shareholdingCapital=1.0,
+            )
+        store.create_relationship("c1", "c2", "OWNS", percentage=0.6)
+        return store
+
+    def test_a_replacement_must_keep_the_mandatory_properties(self):
+        store = self.store()
+        before = graph_store_state(store), store_indexes(store)
+        dropped = dict(store.graph.node("c1").properties)
+        del dropped["fiscalCode"]
+        with pytest.raises(IntegrityError, match="mandatory property 'fiscalCode'"):
+            store.update_node_properties("c1", dropped)
+        assert (graph_store_state(store), store_indexes(store)) == before
+        # An optional property may come and go; an intensional one is
+        # exempt until reasoning sets it.
+        kept = dict(store.graph.node("c1").properties, website="w")
+        store.update_node_properties("c1", kept)
+        del kept["website"]
+        store.update_node_properties("c1", kept)
+        assert store.graph.node("c1").properties == kept
+
+    def test_a_flush_delta_dropping_one_is_rolled_back_whole(self):
+        store = self.store()
+        before = graph_store_state(store), store_indexes(store)
+        old = dict(store.graph.node("c2").properties)
+        dropped = {k: v for k, v in old.items() if k != "fiscalCode"}
+        delta = FlushDelta(
+            removed_edges=[("e1", "c1", "c2", "OWNS", {"percentage": 0.6})],
+            updated_nodes=[
+                ("c1", "Business", dict(old, fiscalCode="FC-c1",
+                                        businessName="renamed"), {}),
+                ("c2", "Business", dropped, old),
+            ],
+            added_nodes=[("c3", "Business", dict(old, fiscalCode="FC-c3"))],
+        )
+        with pytest.raises(IntegrityError, match="mandatory property"):
+            store.apply_flush_delta(delta, company_super_schema())
+        assert (graph_store_state(store), store_indexes(store)) == before

@@ -1100,7 +1100,7 @@ class TestOneDictionary:
         )
         store = deployed_store(company_schema)
         load = load_graph_store(company_schema, report.instance.data, store)
-        assert load.bulk_rows == load.nodes + load.edges > 0
+        assert load.adopted_rows == load.nodes + load.edges > 0
         assert registry.interner is report.instance.data.interner
         assert store.graph.interner is registry.interner
         # A store that already holds something keeps its own.

@@ -49,6 +49,7 @@ from repro.ssst import (
 )
 from repro.vadalog.engine import Engine
 from repro.vadalog.terms import Null, SkolemValue
+from tests.reference import WritingGraphStore
 
 
 def fake_sleep(record):
@@ -468,8 +469,15 @@ class TestLoadPathIsReported:
     def counters(self, store):
         return store.tracer.metrics.counters()
 
+    def flush_span(self, store):
+        [span] = [s for s in store.tracer.spans if s.name == "deploy.flush"]
+        return span
+
     def test_fresh_load_is_all_bulk(self, company_schema, small_kg):
-        store = deployed_graph_store(tracer=RecordingTracer())
+        # A store that never adopts: what a plain one writes when it
+        # cannot take the instance over.
+        store = WritingGraphStore(tracer=RecordingTracer())
+        store.deploy(deployed_graph_store().schema)
         report = load_graph_store(company_schema, small_kg, store)
         written = small_kg.node_count + small_kg.edge_count
         assert report.per_record == {}
@@ -482,7 +490,26 @@ class TestLoadPathIsReported:
         assert counters.get("deploy.load_per_record", 0) == 0
         assert counters["deploy.nodes_written"] == small_kg.node_count
         assert counters["deploy.relationships_written"] == small_kg.edge_count
-        assert "bulk=%d per-record=0" % written in report.summary()
+        assert "adopted=0 bulk=%d per-record=0" % written in report.summary()
+        assert self.flush_span(store).attrs["path"] == "written"
+
+    def test_fresh_load_into_an_empty_store_is_adopted(
+        self, company_schema, small_kg
+    ):
+        store = deployed_graph_store(tracer=RecordingTracer())
+        report = load_graph_store(company_schema, small_kg, store)
+        total = small_kg.node_count + small_kg.edge_count
+        assert report.adopted_rows == total == report.nodes + report.edges
+        assert report.per_record == {} and report.batches == 1
+        assert report.bulk_rows == report.bulk_groups == 0
+        counters = self.counters(store)
+        assert counters["deploy.load_adopted_rows"] == total
+        assert counters.get("deploy.load_bulk_rows", 0) == 0
+        assert "deploy.nodes_written" not in counters  # nothing written
+        assert "adopted=%d bulk=0 per-record=0" % total in report.summary()
+        span = self.flush_span(store)
+        assert span.attrs["path"] == "adopted"
+        assert span.attrs["adopted_rows"] == total
 
     def test_replay_goes_per_record_for_the_groups_it_touches(
         self, company_schema, tiny_instance
