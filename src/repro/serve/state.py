@@ -49,7 +49,8 @@ per index, patched with the rows appended since), under four more:
   ``reset()`` and rehydration replace; facts supplied for a derived
   predicate are ``reset`` into their copy and never carry;
 - *buckets may name dead rows*, as a maintained index's do: the engine
-  checks ``live_rows``, :meth:`FrozenColumnBlock.matching` its own mask;
+  checks each row's live flag, :meth:`FrozenColumnBlock.matching` its
+  own mask;
 - *chain breaks are counted*: where nothing could be carried, or nobody
   had asked, the first reader builds the index and ``serve.index_built``
   moves; ``serve.index_carried`` counts the indexes handed on.
@@ -377,6 +378,19 @@ class ServeState:
         self.metrics.inc("serve.index_carried", carried)
         return StateSnapshot(epoch=epoch, facts=facts, edb=edb)
 
+    def _restore(self) -> None:
+        """Re-run the chase from the published epoch's extensional slice,
+        over the retained interner: the frozen ``snapshot.edb`` relations
+        the next freeze aliases stay valid, and none is written to."""
+        interner = self._result.database.interner
+        self._result = self.engine.run(
+            self.program,
+            database=Database(interner=interner),
+            inputs={p: list(r) for p, r in self._snapshot.edb.items()},
+            retain_state=True,
+            copy_database=False,
+        )
+
     def _index_built(self) -> None:
         """A frozen view's first reader built an index from scratch."""
         self.metrics.inc("serve.index_built")
@@ -414,21 +428,29 @@ class ServeState:
         added: Optional[Mapping[str, Iterable[Fact]]] = None,
         removed: Optional[Mapping[str, Iterable[Fact]]] = None,
     ):
-        """Apply an extensional delta and publish the next epoch."""
+        """Apply an extensional delta and publish the next epoch.
+
+        A delta that raises publishes nothing: the retained state goes
+        back to the last published epoch before the error propagates.
+        """
         with self._write_lock:
             start = time.perf_counter()
-            delta = self.engine.apply_delta(
-                self._result,
-                added=dict(added) if added else None,
-                removed=dict(removed) if removed else None,
-            )
-            touched = set(added or ()) | set(removed or ())
-            db = self._result.database
-            if db.dead_rows() > db.total_facts():
-                db.compact()  # a safe point: no index iteration alive
-            snapshot = self._freeze(
-                epoch=self._snapshot.epoch + 1, touched=touched
-            )
+            try:
+                delta = self.engine.apply_delta(
+                    self._result,
+                    added=dict(added) if added else None,
+                    removed=dict(removed) if removed else None,
+                )
+                touched = set(added or ()) | set(removed or ())
+                db = self._result.database
+                if db.dead_rows() > db.total_facts():
+                    db.compact()  # a safe point: no index iteration alive
+                snapshot = self._freeze(
+                    epoch=self._snapshot.epoch + 1, touched=touched
+                )
+            except Exception:
+                self._restore()
+                raise
             self._snapshot = snapshot  # atomic publication
             elapsed_ms = (time.perf_counter() - start) * 1000.0
         self.metrics.observe("serve.delta_ms", elapsed_ms)

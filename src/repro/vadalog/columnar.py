@@ -1223,10 +1223,10 @@ class ColumnarRelation:
     def candidate_rows(
         self, positions: Tuple[int, ...], eq_key: Tuple[int, ...]
     ) -> Sequence[int]:
-        """Row-id bucket for an eq-code key (batch executor fast path).
+        """Row-id bucket for an eq-code key.
 
-        Buckets may contain tombstoned rows; callers must check
-        :attr:`live_rows`.
+        Buckets may contain tombstoned rows; callers must check each
+        row's liveness.
         """
         if self._spilled:
             self._ensure_resident()
@@ -1250,27 +1250,8 @@ class ColumnarRelation:
         return index2.get(eq_key, ())
 
     @property
-    def live_rows(self) -> bytearray:
-        return self._live
-
-    @property
-    def columns(self) -> List[array]:
-        return self._cols
-
-    @property
-    def has_dead_rows(self) -> bool:
-        return self._ndead > 0
-
-    @property
     def dead_rows(self) -> int:
         return self._ndead
-
-    def all_rows(self) -> Iterator[int]:
-        self._ensure_resident()
-        live = self._live
-        if not self._ndead:
-            return iter(range(self._nrows))
-        return (row for row in range(self._nrows) if live[row])
 
     # -- facade lookups ----------------------------------------------------
     def lookup_key(

@@ -62,7 +62,7 @@ from repro.vadalog.plan import (
     Changes,
     RulePlans,
     body_columns,
-    execute_plan_batch,
+    execute_plan,
 )
 from repro.vadalog.stratify import Stratum, stratify
 from repro.vadalog.terms import NullFactory, SkolemFunctor
@@ -582,7 +582,7 @@ class Engine:
                     if delta is not None:
                         contributions = plan.delta_matches(db, delta)
                     else:
-                        contributions = execute_plan_batch(plan.pre_plan, db)
+                        contributions = execute_plan(plan.pre_plan, db)
                     matches = plan.evaluate(state, contributions)
                 elif delta is not None:
                     matches = plans.delta_matches(db, delta)
@@ -592,7 +592,7 @@ class Engine:
                     body = body_columns(plans.body_plan(), db)
                     matches = (
                         body.substitutions() if body is not None
-                        else execute_plan_batch(plans.body_plan(), db)
+                        else execute_plan(plans.body_plan(), db)
                     )
                 for substitution in matches:
                     stats.rule_firings += 1

@@ -20,6 +20,9 @@ module compiles each rule body into a :class:`BodyPlan`:
 :func:`execute_plan` runs a plan with an iterative backtracking loop
 that mutates a single substitution dict with undo trails; a dict copy
 is made only per *successful* full match (the yielded substitution).
+It is the one per-match join loop: the full evaluation of a body that
+:func:`execute_plan_vectorized` refuses (conditions, assignments), an
+aggregate's pre-body, and every per-base delta run on it.
 
 Per-rule plans are grouped in :class:`RulePlans`, which also holds the
 compiled head template (constants / frontier variables / Skolem slots /
@@ -154,7 +157,13 @@ def evaluate_expression(
             evaluate_expression(a, substitution, aggregate_value)
             for a in expression.arguments
         ]
-        return function(*arguments)
+        try:
+            return function(*arguments)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            shown = ", ".join(map(repr, arguments))
+            raise EvaluationError(
+                f"function error: {expression.name}({shown}): {exc}"
+            )
     raise EvaluationError(f"unsupported expression {expression!r}")
 
 
@@ -406,8 +415,9 @@ class BodyPlan:
     def __init__(self, prefix: List[Any], steps: List[AtomStep]):
         self.prefix = prefix
         self.steps = steps
-        # (base variable tuple) -> _BatchProgram, built on first use by
-        # the batch and the vectorized executors.
+        # (base variable tuple) -> _BatchProgram, the slot layout built
+        # on first use by the vectorized executor and the column head
+        # check.
         self.batch_cache: Dict[Tuple[Variable, ...], Any] = {}
 
 
@@ -548,68 +558,22 @@ def execute_plan(
 
 
 # ---------------------------------------------------------------------------
-# Batch-at-a-time execution over columnar storage
+# Register slot layout (the vectorized executor's)
 # ---------------------------------------------------------------------------
-
-#: Register sentinel: slot not bound yet.
-_ABSENT = object()
-
-
-class _RegView:
-    """Mapping view over the batch executor's register arrays.
-
-    Filters (CondFilter/AssignFilter/NegFilter) were written against
-    plain substitution dicts; this view lets them run unchanged over the
-    register-based batch executor.  Assignments store the raw value with
-    an unknown code (``None``) — codes are probed lazily when the value
-    later feeds an index key.
-    """
-
-    __slots__ = ("slots", "vals", "codes")
-
-    def __init__(self, slots: Dict[Variable, int], vals: List[Any], codes: List[Any]):
-        self.slots = slots
-        self.vals = vals
-        self.codes = codes
-
-    def __getitem__(self, var: Variable) -> Any:
-        slot = self.slots.get(var)
-        if slot is None:
-            raise KeyError(var)
-        value = self.vals[slot]
-        if value is _ABSENT:
-            raise KeyError(var)
-        return value
-
-    def __contains__(self, var: Variable) -> bool:
-        slot = self.slots.get(var)
-        return slot is not None and self.vals[slot] is not _ABSENT
-
-    def get(self, var: Variable, default: Any = None) -> Any:
-        slot = self.slots.get(var)
-        if slot is None:
-            return default
-        value = self.vals[slot]
-        return default if value is _ABSENT else value
-
-    def __setitem__(self, var: Variable, value: Any) -> None:
-        slot = self.slots[var]
-        self.vals[slot] = value
-        self.codes[slot] = None
 
 
 class _BatchStep:
-    """An :class:`AtomStep` lowered onto register slots and code columns."""
+    """An :class:`AtomStep` lowered onto register slots: the key, bind
+    and check positions :func:`execute_plan_vectorized` joins on."""
 
     __slots__ = (
-        "predicate", "arity", "orig_index", "positions",
+        "predicate", "arity", "positions",
         "key_ops", "bind_ops", "check_ops", "filters",
     )
 
     def __init__(self, step: AtomStep, slots: Dict[Variable, int]):
         self.predicate = step.predicate
         self.arity = step.arity
-        self.orig_index = step.orig_index
         self.positions = step.positions
         # (is_slot, slot-or-constant) per key position, aligned with
         # ``positions`` (AtomStep builds both in one pass).
@@ -623,7 +587,10 @@ class _BatchStep:
 
 
 class _BatchProgram:
-    """A :class:`BodyPlan` compiled onto a fixed register file."""
+    """A :class:`BodyPlan` laid out on a fixed set of register slots, one
+    per variable; :func:`execute_plan_vectorized` holds one code column
+    per slot, and :meth:`RulePlans.fire_columns` reads the head check's
+    layout to decide whether the check can run on columns."""
 
     __slots__ = ("slots", "nslots", "base_slots", "prefix", "steps")
 
@@ -661,203 +628,6 @@ def _batch_program(plan: BodyPlan, base_vars: Tuple[Variable, ...]) -> _BatchPro
     return program
 
 
-def execute_plan_batch(plan: BodyPlan, db: Database) -> Iterator[Substitution]:
-    """Batch twin of :func:`execute_plan` for full evaluations.
-
-    Every match of ``plan`` over one compiled register program: join
-    keys probe the relation's eq-code indexes, candidate verification
-    compares dictionary codes (ints) instead of decoding fact tuples,
-    and only full matches materialize substitution dicts — exactly the
-    substitutions the tuple-at-a-time executor yields.  The full
-    evaluation of a body :func:`execute_plan_vectorized` does not take
-    (conditions, assignments).
-    """
-    interner = db._interner
-    program = _batch_program(plan, ())
-    steps = program.steps
-    n = len(steps)
-    eq_of = interner.eq
-    value_of = interner.values
-    probe_exact = interner.probe
-    probe_eq = interner.probe_eq
-    relations = [db.relation(bstep.predicate) for bstep in steps]
-    const_keys: List[Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = []
-    for bstep in steps:
-        # Constants in the key resolve once (the interner only grows at
-        # commit time, never during a match pass).
-        eq_parts: List[int] = []
-        exact_parts: List[int] = []
-        for is_slot, payload in bstep.key_ops:
-            eq_code = exact = -1
-            if not is_slot:
-                eq_code = probe_eq(payload)
-                exact = probe_exact(payload)
-                if eq_code is None or exact is None or payload != payload:
-                    break  # constant unseen (or NaN): no match
-            eq_parts.append(eq_code)
-            exact_parts.append(exact)
-        else:
-            const_keys.append((tuple(eq_parts), tuple(exact_parts)))
-            continue
-        const_keys.append(None)
-
-    vals: List[Any] = [_ABSENT] * program.nslots
-    codes: List[Optional[int]] = [None] * program.nslots
-    view = _RegView(program.slots, vals, codes)
-    slot_of = program.slots
-    out_slots = tuple(slot_of.items())
-    prefix_bound: List[Variable] = []
-    for filt in program.prefix:
-        if not filt.apply(view, db, prefix_bound):
-            return
-    if n == 0:
-        yield {var: vals[slot] for var, slot in out_slots if vals[slot] is not _ABSENT}
-        return
-
-    matchers: List[Optional[Iterator[List[int]]]] = [None] * n
-    undos: List[Optional[List[int]]] = [None] * n
-    last = n - 1
-    depth = 0
-    while True:
-        matcher = matchers[depth]
-        if matcher is None:
-            matcher = _step_matches(
-                steps[depth], relations[depth], vals, codes, view, value_of,
-                db, slot_of, const_keys[depth], eq_of, probe_exact,
-            )
-            matchers[depth] = matcher
-        undo = next(matcher, None)
-        if undo is None:
-            matchers[depth] = None
-            depth -= 1
-            if depth < 0:
-                return
-            for slot in undos[depth]:
-                vals[slot] = _ABSENT
-                codes[slot] = None
-        else:
-            undos[depth] = undo
-            if depth == last:
-                yield {
-                    var: vals[slot]
-                    for var, slot in out_slots
-                    if vals[slot] is not _ABSENT
-                }
-                for slot in undo:
-                    vals[slot] = _ABSENT
-                    codes[slot] = None
-            else:
-                depth += 1
-
-
-def _step_matches(
-    bstep: _BatchStep,
-    relation: Any,
-    vals: List[Any],
-    codes: List[Optional[int]],
-    view: _RegView,
-    value_of: List[Any],
-    db: Database,
-    slot_of: Dict[Variable, int],
-    const_key: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]],
-    eq_of: List[int],
-    probe_exact: Any,
-) -> Iterator[List[int]]:
-    """Generator of undo-slot lists, one per accepted row of one step.
-
-    Fuses candidate enumeration and row acceptance for a single step
-    entry so the backtracking loop pays one generator resume per row
-    instead of a fresh many-argument call (the hot path of every batch
-    join).  Candidates come from an eq-keyed bucket; within a bucket,
-    exact-code equality is precisely ``values_equal`` (NaN excluded up
-    front: it never matches).  The caller must reset each yielded undo
-    list's slots to ``_ABSENT`` before resuming.
-    """
-    if relation.arity != bstep.arity:
-        return
-    verify: Optional[List[Tuple[int, int]]] = None
-    if bstep.positions:
-        if const_key is None:
-            return
-        const_eq, const_exact = const_key
-        eq_key: List[int] = []
-        verify = []
-        for i, (is_slot, payload) in enumerate(bstep.key_ops):
-            if is_slot:
-                code = codes[payload]
-                if code is None:
-                    code = probe_exact(vals[payload])
-                    if code is None:
-                        return
-                    codes[payload] = code
-                value = vals[payload]
-                if value != value:  # NaN never values_equal-matches
-                    return
-                eq_key.append(eq_of[code])
-                verify.append((bstep.positions[i], code))
-            else:
-                eq_key.append(const_eq[i])
-                verify.append((bstep.positions[i], const_exact[i]))
-        bucket = relation.candidate_rows(bstep.positions, tuple(eq_key))
-        if not bucket:
-            return
-        if relation.has_dead_rows:
-            live = relation.live_rows
-            rows_iter: Iterable[int] = (row for row in bucket if live[row])
-        else:
-            rows_iter = bucket
-    else:
-        rows_iter = relation.all_rows()
-    cols = relation.columns
-    filters = bstep.filters
-    bind_ops = bstep.bind_ops
-    check_ops = bstep.check_ops
-    for row in rows_iter:
-        if verify:
-            ok = True
-            for pos, expected in verify:
-                if cols[pos][row] != expected:
-                    ok = False
-                    break
-            if not ok:
-                continue
-        undo: List[int] = []
-        for pos, slot in bind_ops:
-            code = cols[pos][row]
-            vals[slot] = value_of[code]
-            codes[slot] = code
-            undo.append(slot)
-        ok = True
-        for pos, slot in check_ops:
-            code = cols[pos][row]
-            expected_code = codes[slot]
-            if expected_code is not None:
-                if code != expected_code:
-                    ok = False
-                    break
-                value = value_of[code]
-                if value != value:  # NaN: same code, still not equal
-                    ok = False
-                    break
-            elif not values_equal(vals[slot], value_of[code]):
-                ok = False
-                break
-        if ok and filters:
-            fbound: List[Variable] = []
-            for filt in filters:
-                if not filt.apply(view, db, fbound):
-                    ok = False
-                    break
-            for var in fbound:
-                undo.append(slot_of[var])
-        if not ok:
-            for slot in undo:
-                vals[slot] = _ABSENT
-                codes[slot] = None
-            continue
-        yield undo
-
-
 # ---------------------------------------------------------------------------
 # Vectorized full-plan evaluation (code columns + numpy)
 # ---------------------------------------------------------------------------
@@ -876,7 +646,7 @@ def execute_plan_vectorized(
     head check's frontier); ``None`` is one empty base.
 
     Returns ``(n_matches, columns, origin)``: exact codes per variable
-    and the base of each match, in the scalar executors' enumeration
+    and the base of each match, in the scalar executor's enumeration
     order — by base, then by row at each step, as every step expands
     its frontier stably and sorts each key's candidates stably by row.
     ``None`` when the plan does not qualify (the caller goes per match).

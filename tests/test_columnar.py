@@ -253,10 +253,10 @@ class TestColumnarRelationFacade:
         for i in range(0, 50, 2):
             assert rel.remove((i, i + 1))
         assert len(rel) == 25
-        assert rel.has_dead_rows
+        assert rel.dead_rows
         assert sorted(rel) == [(i, i + 1) for i in range(1, 50, 2)]
         rel.compact()
-        assert not rel.has_dead_rows
+        assert not rel.dead_rows
         assert len(rel) == 25
         assert sorted(rel.lookup_key((0,), (3,))) == [(3, 4)]
 
@@ -674,7 +674,7 @@ class TestSpill:
                 governor=ResourceGovernor(max_resident_facts=10),
             )
             assert len(answer.facts) == 10
-        assert not relation.spilled and relation.has_dead_rows
+        assert not relation.spilled and relation.dead_rows
         assert relation._version == version
         assert shared.relation("e") is relation and shared.count("tc") == 0
         # Frozen, it is shared the same way and refuses the write paths.
@@ -709,7 +709,7 @@ def _live_index(relation, positions):
         relation._indexes[positions[0]] if single
         else relation._composite[positions]
     )
-    live = relation.live_rows
+    live = relation._live
     kept = {key: [r for r in rows if live[r]] for key, rows in index.items()}
     return {key: rows for key, rows in kept.items() if rows}
 
@@ -844,13 +844,13 @@ class TestSharedStructureCopies:
                 for _ in range(rng.randrange(1, 4)):
                     live.add((f"c{rng.randrange(900)}", f"n{step}", rng.random()))
             elif kind == "remove":
-                fact = live.decode_row(rng.choice(list(live.all_rows())))
+                fact = rng.choice(list(live))
                 assert live.remove(fact)
                 removed.append(fact)
             elif kind == "readd" and removed:
                 live.add(removed.pop())
             elif kind == "compact":
-                renumbered = live.has_dead_rows
+                renumbered = bool(live.dead_rows)
                 live.compact()
             elif kind == "spill":
                 live.attach_store(db._ensure_store())

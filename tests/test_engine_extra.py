@@ -29,6 +29,29 @@ class TestBuiltins:
         result = run(f"p(X), Y = {expr} -> q(Y).", p=[(value,)])
         assert result.facts("q") == {(expected,)}
 
+    #: One bad call per builtin (``concat`` takes any values): a wrong
+    #: type, a wrong value, a zero divisor or a wrong argument count.
+    @pytest.mark.parametrize("expr,value", [
+        ("upper(X, X)", "a"),
+        ("lower(X, X)", "a"),
+        ("strlen(X, X)", "a"),
+        ("abs(X)", "abc"),
+        ("round(X)", "abc"),
+        ("round(2.5, X)", "abc"),
+        ("floor(X)", "abc"),
+        ("floor(X)", float("inf")),
+        ("ceil(X)", "abc"),
+        ("mod(X, 0)", 1),
+        ("min2(X, 1)", "a"),
+        ("max2(X, 1)", "a"),
+        ("tostring(X, X)", "a"),
+        ("tonumber(X)", "abc"),
+    ])
+    def test_bad_argument_is_an_evaluation_error(self, expr, value):
+        name = expr.split("(")[0]
+        with pytest.raises(EvaluationError, match=rf"function error: {name}\("):
+            run(f"p(X), Y = {expr} -> q(X, Y).", p=[(value,)])
+
     def test_string_plus_concatenates(self):
         result = run('p(X), Y = X + "!" -> q(Y).', p=[("hi",)])
         assert result.facts("q") == {("hi!",)}

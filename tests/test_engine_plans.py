@@ -2,6 +2,7 @@
 matcher, plan-compilation unit tests, composite-index tests, and the
 graph fast paths that ride along in the same change."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -9,8 +10,19 @@ import sys
 
 import pytest
 
+from repro.finkg import (
+    ShareholdingConfig,
+    generate_shareholding_graph,
+    run_control_metalog,
+)
+from repro.finkg.programs import (
+    GROUP_PROGRAM,
+    close_links_program,
+    integrated_ownership_program,
+)
 from repro.graph.algorithms import strongly_connected_components, topological_order
 from repro.graph.property_graph import PropertyGraph
+from repro.metalog import parse_metalog, run_on_graph
 from repro.vadalog import Engine, parse_program
 from repro.vadalog.ast import Condition
 from repro.vadalog.columnar import ColumnarRelation, ValueInterner
@@ -341,6 +353,76 @@ def test_batch_nulls_are_hash_seed_independent():
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0] == [repr(seen_nulls(True)), repr(seen_nulls(False))]
     assert seen_nulls(True)
+
+
+def _unlabeled(text):
+    """A finkg program over the flat shareholding graph's labels."""
+    for atom in ("(x: Person)", "(y: Business)", "(z: Business)"):
+        text = text.replace(atom, atom.split(":")[0] + ")")
+    return text
+
+
+def _row_digests(outcome):
+    """(row count, sha256 of the rows in row order, nulls by ordinal)
+    per derived relation of one MetaLog run."""
+    database = outcome.result.database
+    return {
+        predicate: (
+            database.count(predicate),
+            hashlib.sha256(
+                repr(list(database.relation(predicate))).encode()
+            ).hexdigest(),
+        )
+        for predicate in sorted(outcome.compiled.program.idb_predicates())
+    }
+
+
+_EMPTY = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+
+#: Recorded before the register-file join loop was removed: the full
+#: evaluations these programs run per match (IOWN's aggregate pre-body
+#: with its assignment, close links' and groups' conditions, the group
+#: Skolem head) must keep their row order, null ordinals and sums.
+GOLDEN_PER_MATCH_ROWS = {
+    "iown": {
+        "IOWN": (177, "863e60c024a9409aaa24a1dbc817a0755c74f106aaaa9f8e5ca66db095f918d4"),
+        "iown1": (155, "64fef306915afbd9977b7f7180a267c37b20624ebc67007ecf6757284d1a7038"),
+        "iown2": (40, "e36289c471fa24e46e27e9a7031891733eefd86e29ea0f537f5e748575e8355c"),
+        "iown3": (8, "7c80c7299fa3f7e833299fef4fcd66f3dbceea83503db294510b1b12ee4d95f5"),
+        "iown4": (0, _EMPTY),
+        "iown5": (0, _EMPTY),
+        "iown6": (0, _EMPTY),
+        "iownLevel": (203, "7066d13cb19b06447d7ab230117b666e45dafb84618cb0a3f2ca989c263d28f1"),
+    },
+    "close_links": {
+        "CLOSE_LINK": (406, "a92be6dc11ce91b78c777b6a0ba2166ff7dd7acb9105b251892d400192f4777c"),
+    },
+    "groups": {
+        "Group": (6, "4a544d71405e6579ac1c56aba8feb711aade695cf99f028cbd84c3fa47fa7785"),
+        "IN_GROUP": (9, "338bb12943a7306c29fddca887c8c2a734e4051bf257896bcb8b11584cf3b10f"),
+    },
+}
+
+
+def test_per_match_rows_keep_their_golden_order():
+    """IOWN (depth 6) plus close links on the 60-company graph of
+    ``tests/test_finkg.py``, and company groups (a Skolem head behind a
+    condition) over its control output: every derived relation's rows,
+    in row order with null ordinals, equal the recorded digests."""
+    graph = generate_shareholding_graph(
+        ShareholdingConfig(companies=60, seed=29, cycle_probability=0.0)
+    )
+    iown = run_on_graph(
+        parse_metalog(_unlabeled(integrated_ownership_program(depth=6))), graph
+    )
+    links = run_on_graph(parse_metalog(close_links_program()), iown.graph)
+    control = run_control_metalog(graph, node_label="Company")
+    groups = run_on_graph(parse_metalog(_unlabeled(GROUP_PROGRAM)), control.graph)
+    assert {
+        "iown": _row_digests(iown),
+        "close_links": _row_digests(links),
+        "groups": _row_digests(groups),
+    } == GOLDEN_PER_MATCH_ROWS
 
 
 # ---------------------------------------------------------------------------

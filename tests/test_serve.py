@@ -10,6 +10,7 @@ import urllib.request
 
 import pytest
 
+from repro.errors import EvaluationError
 from repro.serve import (
     KGModelServer,
     ResultCache,
@@ -28,6 +29,14 @@ CONTROL = (
     "controls(X, Z), own(Z, Y, W), V = msum(W, <Z>), V > 0.5"
     " -> controls(X, Y)."
 )
+
+
+#: A rule whose builtin refuses some inputs: ``p("abc")`` has no number.
+TONUMBER = "p(X), Y = tonumber(X) -> q(X, Y)."
+
+
+def as_sets(relations):
+    return {predicate: set(facts) for predicate, facts in relations.items()}
 
 
 def make_state(**kwargs):
@@ -769,6 +778,37 @@ class TestDeltaValidation:
         self.post_delta(handlers, {"added": {"e": [["a", "b", "c"]]}})
         assert handlers.state.snapshot.epoch == before
 
+    def test_refused_delta_leaks_nothing_into_the_next_epoch(self):
+        """A delta the chase refuses part-way publishes nothing, and the
+        next epoch equals a from-scratch run over the EDB it names."""
+        state = ServeState(TONUMBER, {"p": [("1",)]})
+        before = state.snapshot
+        with pytest.raises(EvaluationError, match="tonumber"):
+            state.apply_delta(added={"p": [("abc",), ("5",)]})
+        assert state.snapshot is before
+        state.apply_delta(added={"p": [("2",)]})
+        fresh = ServeState(TONUMBER, {"p": [("1",), ("2",)]}).snapshot
+        snap = state.snapshot
+        assert snap.epoch == 1
+        assert as_sets(snap.facts) == as_sets(fresh.facts)
+        assert as_sets(snap.edb) == as_sets(fresh.edb) == {
+            "p": {("1",), ("2",)}
+        }
+
+    def test_refused_delta_is_a_400_over_the_handlers(self):
+        handlers = ServiceHandlers(ServeState(TONUMBER, {"p": [("1",)]}))
+        status, payload = self.post_delta(
+            handlers, {"added": {"p": [["abc"], ["5"]]}}
+        )
+        assert status == 400 and "tonumber" in payload["error"]
+        assert handlers.state.snapshot.epoch == 0
+        status, payload = self.post_delta(handlers, {"added": {"p": [["2"]]}})
+        assert (status, payload["epoch"]) == (200, 1)
+        for mode in ("snapshot", "magic", "full"):
+            status, payload = get(handlers, "/query", q="q(X, Y)?", engine=mode)
+            assert status == 200, (mode, payload)
+            assert sorted(payload["answers"]) == [["1", 1.0], ["2", 2.0]], mode
+
 
 # ---------------------------------------------------------------------------
 # One frozen EDB per epoch: requests read it in place and never write it
@@ -1183,7 +1223,7 @@ class TestEpochIndexes:
                     added = {"controls": [fact]}
             else:
                 if kind == "compact":
-                    breaks += database.relation("own").has_dead_rows
+                    breaks += bool(database.relation("own").dead_rows)
                     database.compact()
                 elif kind == "spill":
                     database._ensure_store()
