@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.graph import make_graph
 from repro.graph.property_graph import PropertyGraph
 
 #: The three meta-construct names.
@@ -76,7 +77,7 @@ def metamodel_dictionary() -> PropertyGraph:
     as node properties in the lollipop spirit); edges are the structural
     links with UML-style cardinality annotations.
     """
-    graph = PropertyGraph("meta-model")
+    graph = make_graph("meta-model")
     for construct in META_MODEL:
         graph.add_node(
             construct.name,

@@ -36,6 +36,7 @@ from repro.core.supermodel import (
     modifier_from_payload,
 )
 from repro.errors import SchemaError
+from repro.graph import make_graph
 from repro.graph.property_graph import PropertyGraph
 
 NodeRef = Union[SMNode, str]
@@ -300,7 +301,7 @@ class SuperSchema:
         constructs, PAPER.md Fig. 4), so there is nothing for a
         column-wise writer to amortize.
         """
-        graph = graph if graph is not None else PropertyGraph("super-model-dictionary")
+        graph = graph if graph is not None else make_graph("super-model-dictionary")
         soid = self.schema_oid
 
         def link(source: str, target: str, label: str) -> None:

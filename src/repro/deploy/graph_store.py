@@ -604,14 +604,16 @@ class GraphStore(SavepointMixin):
         return restore
 
     def apply_flush_delta(
-        self, delta: FlushDelta, schema: Any = None
+        self, delta: FlushDelta, schema: Any = None, instance: Any = None
     ) -> DeltaFlushReport:
         """Bring a previously loaded store up to date with a
         :class:`~repro.deploy.delta.FlushDelta` instead of a full reload.
 
         ``schema`` (a :class:`~repro.core.schema.SuperSchema`) enables
         the same multi-label tagging the full loader applies; without it
-        added nodes get their type name as the only label.  Removals,
+        added nodes get their type name as the only label.  ``instance``,
+        the graph the delta leads to, is not read: the store addresses
+        elements by id, so the records suffice.  Removals,
         in-place updates and inserts run in that order under one
         savepoint: any exception — an integrity violation, a transient
         fault — rolls the whole delta back and re-raises, so a refused

@@ -147,7 +147,7 @@ class TripleStore(SavepointMixin):
             self.tracer.count("deploy.triples_removed", 1)
         return True
 
-    def apply_flush_delta(self, delta, schema: Any = None):
+    def apply_flush_delta(self, delta, schema: Any = None, instance: Any = None):
         """Apply a :class:`~repro.deploy.delta.FlushDelta` transactionally.
 
         Removed and updated records carry their old property values, so
@@ -162,6 +162,8 @@ class TripleStore(SavepointMixin):
         ``schema`` (a super-schema) filters node properties to
         the declared attributes, mirroring the full loader; edge
         properties are dropped as in the full loader (no reification).
+        ``instance``, the graph the delta leads to, is not read: the
+        records carry every triple's subject and values.
         """
         from repro.deploy.delta import DeltaFlushReport
 

@@ -237,6 +237,12 @@ def write_durably(path: str, text: str) -> None:
         os.close(directory)
 
 
+def schema_payload(schema) -> Dict[str, Any]:
+    """A super-schema in its canonical form for fingerprints: its
+    dictionary serialization through the graph codec."""
+    return graph_payload(schema.to_dictionary(make_graph("fingerprint")))
+
+
 def run_fingerprint(schema, data: PropertyGraph, sigma, instance_oid: Any) -> str:
     """Bind a checkpoint to its inputs.
 
@@ -245,10 +251,9 @@ def run_fingerprint(schema, data: PropertyGraph, sigma, instance_oid: Any) -> st
     checkpoints use, and the MetaLog program through its AST repr (frozen
     dataclasses render deterministically).
     """
-    schema_graph = schema.to_dictionary(PropertyGraph("fingerprint"))
     material = json.dumps(
         {
-            "schema": graph_payload(schema_graph),
+            "schema": schema_payload(schema),
             "data": graph_payload(data),
             "sigma": repr(sigma),
             "instance_oid": repr(instance_oid),

@@ -19,129 +19,23 @@ quasi-inverse choice.
 :func:`graph_instance_to_relational` is the forward instance mapping
 (M(M).instance): it deploys a plain typed graph into the in-memory
 relational engine, so round-trip tests and the end-to-end benchmarks can
-drive the full Algorithm 2 loop through a real target system.
+drive the full Algorithm 2 loop through a real target system.  It is
+the :class:`~repro.deploy.delta.FlushDelta` that adds the whole
+instance, so a load and a later delta lay rows out alike, element by
+element (:class:`~repro.deploy.relational_rows.RowLayout`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.schema import SuperSchema
-from repro.core.supermodel import SMEdge, SMNode
+from repro.core.supermodel import SMNode
+from repro.deploy.delta import FlushDelta
 from repro.deploy.relational_engine import RelationalEngine
-from repro.errors import DeploymentError
+from repro.deploy.relational_rows import RowLayout, edge_fk_owner, key_column_names
+from repro.graph import make_graph
 from repro.graph.property_graph import PropertyGraph
-from repro.models.relational import RelationalSchema
-
-
-def _hierarchy_chain(schema: SuperSchema, node: SMNode) -> List[SMNode]:
-    """The node and its ancestors, most specific first."""
-    return [node] + schema.ancestors_of(node)
-
-
-def _entity_key(schema: SuperSchema, node: SMNode, properties: Dict[str, Any]):
-    identifier = schema.identifier_of(node)
-    if not identifier:
-        raise DeploymentError(
-            f"type {node.type_name!r} has no identifier; cannot deploy "
-            "relationally"
-        )
-    return tuple(properties.get(a.name) for a in identifier)
-
-
-def _edge_fk_owner(schema: SuperSchema, edge: SMEdge) -> Optional[Tuple[SMNode, SMNode]]:
-    """(fk-holder declared type, referenced declared type) for non-M:N
-    edges, following the normalization of the relational mapping."""
-    if edge.is_many_to_many:
-        return None
-    if edge.is_fun1:  # many-to-one (or 1:1): FK on the source
-        return edge.source, edge.target
-    return edge.target, edge.source  # one-to-many: flipped
-
-
-def collect_relational_rows(
-    schema: SuperSchema,
-    data: PropertyGraph,
-) -> Dict[str, List[Dict[str, Any]]]:
-    """The complete relational row image of a plain typed instance graph.
-
-    This is the pure half of :func:`graph_instance_to_relational`: the
-    same one-row-per-hierarchy-member layout, FK patches, and bridge
-    tables, computed without touching an engine.  Edge FK patches mutate
-    entity rows in place, so the edge pass must complete before the rows
-    are read — which is why this returns only once everything is merged.
-    The streaming sinks diff two of these images (as per-table row
-    multisets) to maintain a deployed engine incrementally.
-    """
-    # Collect per-entity rows first: one row per hierarchy member.
-    rows: Dict[str, List[Dict[str, Any]]] = {}
-    fk_patches: Dict[Tuple[str, Any], Dict[str, Any]] = {}
-    key_of_node: Dict[Any, Tuple[Any, ...]] = {}
-    type_of_node: Dict[Any, SMNode] = {}
-
-    for node in data.nodes():
-        if node.label is None or not schema.has_node(node.label):
-            continue
-        sm_node = schema.get_node(node.label)
-        key = _entity_key(schema, sm_node, node.properties)
-        key_of_node[node.id] = key
-        type_of_node[node.id] = sm_node
-        chain = _hierarchy_chain(schema, sm_node)
-        id_names = [a.name for a in schema.identifier_of(sm_node)]
-        for member in chain:
-            row: Dict[str, Any] = {}
-            for attribute in member.attributes:
-                if attribute.name in node.properties:
-                    row[attribute.name] = node.properties[attribute.name]
-            if schema.parents_of(member):
-                for name, value in zip(id_names, key):
-                    row[f"isA_{member.type_name}_{name}"] = value
-            else:
-                for name, value in zip(id_names, key):
-                    row.setdefault(name, value)
-            rows.setdefault(member.type_name, []).append(row)
-            fk_patches[(member.type_name, key)] = row
-
-    # Edges: FK columns on entity rows, or bridge-table rows.
-    bridge_rows: Dict[str, List[Dict[str, Any]]] = {}
-    for edge in data.edges():
-        if edge.label is None or not schema.has_edge(edge.label):
-            continue
-        sm_edge = schema.get_edge(edge.label)
-        source_key = key_of_node.get(edge.source)
-        target_key = key_of_node.get(edge.target)
-        if source_key is None or target_key is None:
-            continue
-        owner = _edge_fk_owner(schema, sm_edge)
-        if owner is not None:
-            holder_type, referenced_type = owner
-            holder_key = source_key if holder_type is sm_edge.source else target_key
-            referenced_key = target_key if holder_type is sm_edge.source else source_key
-            row = fk_patches.get((holder_type.type_name, holder_key))
-            if row is None:
-                continue
-            id_names = [a.name for a in schema.identifier_of(referenced_type)]
-            for name, value in zip(id_names, referenced_key):
-                row[f"{sm_edge.type_name}_{name}"] = value
-            for attribute in sm_edge.attributes:
-                if attribute.name in edge.properties:
-                    row[attribute.name] = edge.properties[attribute.name]
-        else:
-            source_ids = [a.name for a in schema.identifier_of(sm_edge.source)]
-            target_ids = [a.name for a in schema.identifier_of(sm_edge.target)]
-            row = {}
-            for name, value in zip(source_ids, source_key):
-                row[f"{sm_edge.type_name}_src_{name}"] = value
-            for name, value in zip(target_ids, target_key):
-                row[f"{sm_edge.type_name}_tgt_{name}"] = value
-            for attribute in sm_edge.attributes:
-                if attribute.name in edge.properties:
-                    row[attribute.name] = edge.properties[attribute.name]
-            bridge_rows.setdefault(sm_edge.type_name, []).append(row)
-
-    for table_name, table_rows in bridge_rows.items():
-        rows.setdefault(table_name, []).extend(table_rows)
-    return rows
 
 
 def graph_instance_to_relational(
@@ -149,17 +43,21 @@ def graph_instance_to_relational(
     data: PropertyGraph,
     engine: RelationalEngine,
 ) -> int:
-    """Deploy a plain typed instance graph into the relational engine.
+    """Deploy a plain typed instance graph into the relational engine:
+    the flush delta that adds every element of ``data``, applied as a
+    deployed engine applies any other.
 
     Returns the number of rows inserted.  The engine must already have
     the translated schema deployed (tables + foreign keys).
     """
-    rows = collect_relational_rows(schema, data)
-    inserted = 0
-    with engine.deferred():
-        for table_name, table_rows in rows.items():
-            inserted += engine.insert_many(table_name, table_rows)
-    return inserted
+    before = sum(engine.count(table) for table in engine.tables())
+    engine.apply_flush_delta(FlushDelta(
+        added_nodes=[(n.id, n.label, n.properties) for n in data.nodes()],
+        added_edges=[
+            (e.id, e.source, e.target, e.label, e.properties) for e in data.edges()
+        ],
+    ), schema, data)
+    return sum(engine.count(table) for table in engine.tables()) - before
 
 
 def relational_instance_to_graph(
@@ -173,7 +71,7 @@ def relational_instance_to_graph(
     joined identifier), labeled with the most specific member table that
     contains them, and merged across the hierarchy.
     """
-    graph = PropertyGraph(name)
+    graph = make_graph(name)
 
     # Depth of each type (root = 0), to pick the most specific member.
     def depth(node: SMNode) -> int:
@@ -183,8 +81,7 @@ def relational_instance_to_graph(
     entity_props: Dict[Tuple[str, Tuple[Any, ...]], Dict[str, Any]] = {}
 
     def root_of(node: SMNode) -> SMNode:
-        chain = _hierarchy_chain(schema, node)
-        return chain[-1]
+        return (schema.ancestors_of(node) or [node])[-1]
 
     for node in sorted(schema.nodes, key=depth):
         if node.type_name not in engine.tables():
@@ -193,9 +90,7 @@ def relational_instance_to_graph(
         if not id_names:
             continue
         is_child = bool(schema.parents_of(node))
-        key_columns = (
-            [f"isA_{node.type_name}_{n}" for n in id_names] if is_child else id_names
-        )
+        key_columns = key_column_names(schema, node)
         root_name = root_of(node).type_name
         for row in engine.rows(node.type_name):
             key = tuple(row.get(c) for c in key_columns)
@@ -223,59 +118,27 @@ def relational_instance_to_graph(
     def entity_id(declared: SMNode, key: Tuple[Any, ...]) -> Optional[Any]:
         return node_id_of.get((root_of(declared).type_name, key))
 
+    layout = RowLayout(schema)
     for edge in schema.edges:
-        owner = _edge_fk_owner(schema, edge)
-        if owner is not None:
-            holder_type, referenced_type = owner
-            if holder_type.type_name not in engine.tables():
+        holder_is_source, table, columns, target_columns, attributes = (
+            layout.edge_layout(edge.type_name)
+        )
+        if table not in engine.tables():
+            continue
+        if holder_is_source is None:  # a bridge row per edge
+            ends = [(edge.source, columns), (edge.target, target_columns)]
+        else:  # the holder's row, which names the referenced key
+            holder, referenced = edge_fk_owner(schema, edge)
+            ends = [(holder, key_column_names(schema, holder)), (referenced, columns)]
+        for row in engine.rows(table):
+            ids = [
+                entity_id(declared, tuple(row.get(c) for c in key_columns))
+                for declared, key_columns in ends
+            ]
+            if None in ids:
                 continue
-            holder_ids = [a.name for a in schema.identifier_of(holder_type)]
-            referenced_ids = [a.name for a in schema.identifier_of(referenced_type)]
-            fk_columns = [f"{edge.type_name}_{n}" for n in referenced_ids]
-            is_child = bool(schema.parents_of(holder_type))
-            key_columns = (
-                [f"isA_{holder_type.type_name}_{n}" for n in holder_ids]
-                if is_child else holder_ids
-            )
-            for row in engine.rows(holder_type.type_name):
-                reference = tuple(row.get(c) for c in fk_columns)
-                if any(v is None for v in reference):
-                    continue
-                holder_key = tuple(row.get(c) for c in key_columns)
-                source_id = entity_id(holder_type, holder_key)
-                target_id = entity_id(referenced_type, reference)
-                if source_id is None or target_id is None:
-                    continue
-                if holder_type is edge.source:
-                    endpoints = (source_id, target_id)
-                else:
-                    endpoints = (target_id, source_id)
-                properties = {
-                    a.name: row[a.name]
-                    for a in edge.attributes
-                    if row.get(a.name) is not None
-                }
-                graph.add_edge(*endpoints, edge.type_name, **properties)
-        else:
-            if edge.type_name not in engine.tables():
-                continue
-            source_ids = [a.name for a in schema.identifier_of(edge.source)]
-            target_ids = [a.name for a in schema.identifier_of(edge.target)]
-            for row in engine.rows(edge.type_name):
-                source_key = tuple(
-                    row.get(f"{edge.type_name}_src_{n}") for n in source_ids
-                )
-                target_key = tuple(
-                    row.get(f"{edge.type_name}_tgt_{n}") for n in target_ids
-                )
-                source_id = entity_id(edge.source, source_key)
-                target_id = entity_id(edge.target, target_key)
-                if source_id is None or target_id is None:
-                    continue
-                properties = {
-                    a.name: row[a.name]
-                    for a in edge.attributes
-                    if row.get(a.name) is not None
-                }
-                graph.add_edge(source_id, target_id, edge.type_name, **properties)
+            if holder_is_source is False:
+                ids.reverse()
+            properties = {a: row[a] for a in attributes if row.get(a) is not None}
+            graph.add_edge(*ids, edge.type_name, **properties)
     return graph

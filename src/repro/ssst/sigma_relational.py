@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.schema import SuperSchema
 from repro.core.supermodel import SMEdge, SMNode
+from repro.deploy.relational_rows import edge_fk_owner
 from repro.errors import TranslationError
 from repro.metalog.ast import (
     GraphPattern,
@@ -36,7 +37,6 @@ from repro.metalog.ast import (
     PathEdge,
 )
 from repro.models.relational import RelationalSchema, Table
-from repro.ssst.inverse import _edge_fk_owner
 from repro.vadalog.ast import Atom, Condition, NegatedAtom, Program, Rule, TermExpr
 from repro.vadalog.database import Database
 from repro.vadalog.engine import Engine
@@ -143,7 +143,7 @@ class _SigmaCompiler:
     ) -> Tuple[List[Atom], List[Condition]]:
         """Body literals realizing one edge traversal."""
         attributes = dict(edge_atom.attributes)
-        owner = _edge_fk_owner(self.schema, edge)
+        owner = edge_fk_owner(self.schema, edge)
         if owner is None:
             # Many-to-many: the bridge table.
             table = self._table(edge.type_name)
@@ -237,7 +237,7 @@ class _SigmaCompiler:
             if not isinstance(path, PathEdge) or path.edge.label is None:
                 raise TranslationError(f"head paths must be labeled edges: {pattern}")
             edge = self.schema.get_edge(path.edge.label)
-            if _edge_fk_owner(self.schema, edge) is not None:
+            if edge_fk_owner(self.schema, edge) is not None:
                 raise TranslationError(
                     f"derived edge {edge.type_name!r} must be many-to-many "
                     "(a bridge table) in the relational target"

@@ -41,7 +41,6 @@ from repro.stream.sinks import (
     ApplyResult,
     FlushDeltaTarget,
     MaterializerSink,
-    RelationalEngineTarget,
     ServeStateSink,
 )
 
@@ -61,7 +60,6 @@ __all__ = [
     "MaterializerSink",
     "parse_record",
     "RawRecord",
-    "RelationalEngineTarget",
     "ServeStateSink",
     "StreamCheckpoint",
     "StreamReport",

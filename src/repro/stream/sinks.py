@@ -41,13 +41,11 @@ Both expose the same protocol to :class:`~repro.stream.pipeline.DeltaStream`:
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.deploy.loaders import load_graph_store, load_triple_store
 from repro.deploy.resilience import QuarantineReport, RetryPolicy, no_retry
-from repro.deploy.transactions import transaction
 from repro.errors import StreamError
 from repro.graph.property_graph import PropertyGraph
 from repro.obs.tracer import NullTracer, Tracer
@@ -56,9 +54,10 @@ from repro.ssst.checkpoint import (
     encode_value,
     graph_payload,
     restore_graph,
+    schema_payload,
 )
 from repro.ssst.incremental import RegistryDelta
-from repro.ssst.inverse import collect_relational_rows
+from repro.ssst.inverse import graph_instance_to_relational
 from repro.ssst.materializer import IntensionalMaterializer
 from repro.stream.coalesce import CoalescedBatch
 from repro.stream.feed import FACT_OPS, REGISTRY_OPS, FeedRecord
@@ -69,7 +68,6 @@ __all__ = [
     "MaterializerSink",
     "ServeStateSink",
     "FlushDeltaTarget",
-    "RelationalEngineTarget",
 ]
 
 
@@ -92,10 +90,12 @@ class ApplyResult:
 # Deployment targets for the registry sink
 # ----------------------------------------------------------------------
 class FlushDeltaTarget:
-    """A deployed store kept current per batch by its own
-    ``apply_flush_delta`` (the graph store and the triple store), fully
-    loaded by ``loader`` (:func:`~repro.deploy.loaders.load_graph_store`
-    or :func:`~repro.deploy.loaders.load_triple_store`)."""
+    """A deployed store — graph store, triple store or relational engine
+    — kept current per batch by its own ``apply_flush_delta`` and fully
+    loaded by ``loader`` (:func:`~repro.deploy.loaders.load_graph_store`,
+    :func:`~repro.deploy.loaders.load_triple_store`,
+    :func:`~repro.ssst.inverse.graph_instance_to_relational`).  It keeps
+    no state: a resumed stream has nothing to rebuild here."""
 
     def __init__(self, store: Any, schema: Any, loader: Callable[..., Any]):
         self.store = store
@@ -107,178 +107,10 @@ class FlushDeltaTarget:
 
     def apply(self, update: Any) -> None:
         if update.flush_delta is not None and update.flush_delta.changed():
-            self.store.apply_flush_delta(update.flush_delta, schema=self.schema)
-
-
-class RelationalEngineTarget:
-    """A deployed relational engine maintained by row-image diffing.
-
-    The relational layout is *not* element-local — one graph node fans
-    out to one row per hierarchy member, edge FKs merge into entity
-    rows, M:N edges become bridge rows — so a :class:`FlushDelta` cannot
-    be applied record-by-record.  Instead the target caches the full row
-    image of the enriched instance (as per-table row multisets) and per
-    batch diffs it against the next image; the delta applies through one
-    ``apply_flush_delta`` call under a savepoint, so transient faults
-    and retries see all-or-nothing batches.
-
-    Two relational-only wrinkles the diff resolves:
-
-    - ``delete`` removes *every* matching row, so a multiset count
-      change ``n -> m`` with ``m > 0`` becomes one delete plus ``m``
-      re-inserts;
-    - per-delete FK RESTRICT checks mean a referenced row cannot be
-      replaced while its referencing rows exist, so removals cascade to
-      the (unchanged, re-inserted) referencing rows, tables are deleted
-      referencing-first, and the inserts run under deferred constraints.
-    """
-
-    def __init__(self, engine: Any, schema: Any):
-        self.engine = engine
-        self.schema = schema
-        #: table -> Counter of canonical row keys (the current image).
-        self._image: Dict[str, Counter] = {}
-        #: (table, key) -> full row dict (every column, None default).
-        self._row_of: Dict[Tuple[str, Tuple[Any, ...]], Dict[str, Any]] = {}
-
-    # -- row canonicalization ------------------------------------------
-    def _columns(self, table: str) -> List[str]:
-        return [c.name for c in self.engine.table_schema(table).columns]
-
-    def _compute_image(self, enriched: PropertyGraph):
-        rows = collect_relational_rows(self.schema, enriched)
-        image: Dict[str, Counter] = {}
-        row_of: Dict[Tuple[str, Tuple[Any, ...]], Dict[str, Any]] = {}
-        for table, table_rows in rows.items():
-            columns = self._columns(table)
-            counter = image.setdefault(table, Counter())
-            for row in table_rows:
-                full = {name: row.get(name) for name in columns}
-                key = tuple(full[name] for name in columns)
-                counter[key] += 1
-                row_of[(table, key)] = full
-        return image, row_of
-
-    def _delete_order(self) -> List[str]:
-        """Tables ordered so FK sources come before their targets."""
-        tables = self.engine.tables()
-        dependents: Dict[str, set] = {t: set() for t in tables}
-        indegree: Dict[str, int] = {t: 0 for t in tables}
-        for fk in self.engine.foreign_keys():
-            if fk.source_table == fk.target_table:
-                continue
-            if fk.target_table not in dependents[fk.source_table]:
-                dependents[fk.source_table].add(fk.target_table)
-                indegree[fk.target_table] += 1
-        order: List[str] = []
-        ready = sorted(t for t in tables if indegree[t] == 0)
-        while ready:
-            table = ready.pop(0)
-            order.append(table)
-            for downstream in sorted(dependents[table]):
-                indegree[downstream] -= 1
-                if indegree[downstream] == 0:
-                    ready.append(downstream)
-            ready.sort()
-        for table in tables:  # FK cycles: fall back to name order
-            if table not in order:
-                order.append(table)
-        return order
-
-    # -- protocol ------------------------------------------------------
-    def load_full(self, enriched: PropertyGraph) -> None:
-        image, row_of = self._compute_image(enriched)
-        with self.engine.deferred():
-            for table in sorted(image):
-                counter = image[table]
-                batch = []
-                for key, count in counter.items():
-                    batch.extend([dict(row_of[(table, key)])] * count)
-                if batch:
-                    self.engine.insert_many(table, batch)
-        self._image, self._row_of = image, row_of
-
-    def apply(self, update: Any) -> None:
-        new_image, new_row_of = self._compute_image(update.instance.data)
-
-        # Keys whose multiset count changed: delete once (removes every
-        # copy), re-insert the surviving count.
-        removed_keys: set = set()
-        inserts: Counter = Counter()  # (table, key) -> copies to insert
-        tables = set(self._image) | set(new_image)
-        for table in tables:
-            old = self._image.get(table, Counter())
-            new = new_image.get(table, Counter())
-            for key in set(old) | set(new):
-                before, after = old.get(key, 0), new.get(key, 0)
-                if before == after:
-                    continue
-                if before:
-                    removed_keys.add((table, key))
-                if after:
-                    inserts[(table, key)] = after
-
-        # Cascade: existing rows whose FK references a removed row must
-        # be removed (and re-inserted unchanged) too, or the per-delete
-        # RESTRICT check rejects the replace.
-        foreign_keys = self.engine.foreign_keys()
-        changed = True
-        while changed:
-            changed = False
-            for fk in foreign_keys:
-                gone = {
-                    tuple(
-                        self._row_of[(t, k)].get(c) for c in fk.target_columns
-                    )
-                    for (t, k) in removed_keys
-                    if t == fk.target_table
-                }
-                gone.discard(tuple([None] * len(fk.target_columns)))
-                if not gone:
-                    continue
-                source_table = fk.source_table
-                for key, count in self._image.get(
-                    source_table, Counter()
-                ).items():
-                    entry = (source_table, key)
-                    if entry in removed_keys:
-                        continue
-                    row = self._row_of[entry]
-                    values = tuple(row.get(c) for c in fk.source_columns)
-                    if values in gone:
-                        removed_keys.add(entry)
-                        survivors = new_image.get(source_table, Counter()).get(
-                            key, 0
-                        )
-                        if survivors:
-                            inserts[entry] = survivors
-                        changed = True
-
-        if not removed_keys and not inserts:
-            self._image, self._row_of = new_image, new_row_of
-            return
-
-        removed: Dict[str, List[Dict[str, Any]]] = {}
-        for table in self._delete_order():
-            batch = [
-                dict(self._row_of[(t, k)])
-                for (t, k) in sorted(removed_keys, key=fact_sort_key)
-                if t == table
-            ]
-            if batch:
-                removed[table] = batch
-        added: Dict[str, List[Dict[str, Any]]] = {}
-        for (table, key), count in sorted(
-            inserts.items(), key=fact_sort_key
-        ):
-            row_source = new_row_of if (table, key) in new_row_of else self._row_of
-            added.setdefault(table, []).extend(
-                dict(row_source[(table, key)]) for _ in range(count)
+            self.store.apply_flush_delta(
+                update.flush_delta, schema=self.schema,
+                instance=update.instance.data,
             )
-
-        with transaction(self.engine), self.engine.deferred():
-            self.engine.apply_flush_delta(added=added, removed=removed)
-        self._image, self._row_of = new_image, new_row_of
 
 
 # ----------------------------------------------------------------------
@@ -335,18 +167,17 @@ class MaterializerSink:
         self.targets.append(target)
         return target
 
-    def attach_relational_engine(self, engine: Any) -> RelationalEngineTarget:
-        target = RelationalEngineTarget(engine, self.schema)
+    def attach_relational_engine(self, engine: Any) -> FlushDeltaTarget:
+        target = FlushDeltaTarget(engine, self.schema, graph_instance_to_relational)
         self.targets.append(target)
         return target
 
     # -- lifecycle -----------------------------------------------------
     def fingerprint_material(self) -> str:
-        schema_graph = self.schema.to_dictionary(PropertyGraph("fingerprint"))
         return json.dumps(
             {
                 "mode": self.mode,
-                "schema": graph_payload(schema_graph),
+                "schema": schema_payload(self.schema),
                 "sigma": repr(self.sigma),
                 "instance_oid": repr(self.instance_oid),
             },

@@ -30,9 +30,15 @@ The reference load: :class:`WritingGraphStore`, a graph store that
 writes every load label group by label group where production's empty
 store adopts the instance's graph.
 
+The reference relational deploy: :class:`ImageDiffRelationalTarget`,
+which diffs the row images of two whole instances
+(:func:`collect_relational_rows`) where production applies the rows of
+a flush delta's records.
+
 No module under ``src/`` imports this one.
 """
 
+from collections import Counter
 from typing import (
     Any, Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
     Set, Tuple, Union,
@@ -51,8 +57,10 @@ from repro.core.instances import (
     schema_constructs,
 )
 from repro.core.schema import SuperSchema
+from repro.core.supermodel import SMEdge, SMNode
 from repro.deploy.graph_store import GraphStore
-from repro.errors import EvaluationError, ResourceLimitError
+from repro.deploy.transactions import transaction
+from repro.errors import DeploymentError, EvaluationError, ResourceLimitError
 from repro.graph.property_graph import PropertyGraph
 from repro.metalog.analysis import GraphCatalog
 from repro.metalog.mtv import (
@@ -712,6 +720,162 @@ class WritingGraphStore(GraphStore):
 
     def adopt(self, graph: Any, node_groups: Any, edge_groups: Any) -> bool:
         return False
+
+
+def _hierarchy_chain(schema: SuperSchema, node: SMNode) -> List[SMNode]:
+    """The node and its ancestors, most specific first."""
+    return [node] + schema.ancestors_of(node)
+
+
+def _entity_key(schema: SuperSchema, node: SMNode, properties: Dict[str, Any]):
+    identifier = schema.identifier_of(node)
+    if not identifier:
+        raise DeploymentError(
+            f"type {node.type_name!r} has no identifier; cannot deploy "
+            "relationally"
+        )
+    return tuple(properties.get(a.name) for a in identifier)
+
+
+def _edge_fk_owner(schema: SuperSchema, edge: SMEdge) -> Optional[Tuple[SMNode, SMNode]]:
+    """(fk-holder declared type, referenced declared type) for non-M:N
+    edges, following the normalization of the relational mapping."""
+    if edge.is_many_to_many:
+        return None
+    if edge.is_fun1:  # many-to-one (or 1:1): FK on the source
+        return edge.source, edge.target
+    return edge.target, edge.source  # one-to-many: flipped
+
+
+def collect_relational_rows(
+    schema: SuperSchema,
+    data: PropertyGraph,
+) -> Dict[str, List[Dict[str, Any]]]:
+    """The complete relational row image of a plain typed instance graph.
+
+    The layout :func:`~repro.ssst.inverse.graph_instance_to_relational`
+    writes — one row per hierarchy member, FK patches, bridge tables —
+    written apart from :class:`~repro.deploy.relational_rows.RowLayout`,
+    so a layout mistake there shows against it.  Edge FK patches mutate
+    entity rows in place, so the edge pass must complete before the rows
+    are read — which is why this returns only once everything is merged.
+    :class:`ImageDiffRelationalTarget` diffs two of these images (as
+    per-table row multisets) to maintain a deployed engine.
+    """
+    # Collect per-entity rows first: one row per hierarchy member.
+    rows: Dict[str, List[Dict[str, Any]]] = {}
+    fk_patches: Dict[Tuple[str, Any], Dict[str, Any]] = {}
+    key_of_node: Dict[Any, Tuple[Any, ...]] = {}
+    type_of_node: Dict[Any, SMNode] = {}
+
+    for node in data.nodes():
+        if node.label is None or not schema.has_node(node.label):
+            continue
+        sm_node = schema.get_node(node.label)
+        key = _entity_key(schema, sm_node, node.properties)
+        key_of_node[node.id] = key
+        type_of_node[node.id] = sm_node
+        chain = _hierarchy_chain(schema, sm_node)
+        id_names = [a.name for a in schema.identifier_of(sm_node)]
+        for member in chain:
+            row: Dict[str, Any] = {}
+            for attribute in member.attributes:
+                if attribute.name in node.properties:
+                    row[attribute.name] = node.properties[attribute.name]
+            if schema.parents_of(member):
+                for name, value in zip(id_names, key):
+                    row[f"isA_{member.type_name}_{name}"] = value
+            else:
+                for name, value in zip(id_names, key):
+                    row.setdefault(name, value)
+            rows.setdefault(member.type_name, []).append(row)
+            fk_patches[(member.type_name, key)] = row
+
+    # Edges: FK columns on entity rows, or bridge-table rows.
+    bridge_rows: Dict[str, List[Dict[str, Any]]] = {}
+    for edge in data.edges():
+        if edge.label is None or not schema.has_edge(edge.label):
+            continue
+        sm_edge = schema.get_edge(edge.label)
+        source_key = key_of_node.get(edge.source)
+        target_key = key_of_node.get(edge.target)
+        if source_key is None or target_key is None:
+            continue
+        owner = _edge_fk_owner(schema, sm_edge)
+        if owner is not None:
+            holder_type, referenced_type = owner
+            holder_key = source_key if holder_type is sm_edge.source else target_key
+            referenced_key = target_key if holder_type is sm_edge.source else source_key
+            row = fk_patches.get((holder_type.type_name, holder_key))
+            if row is None:
+                continue
+            id_names = [a.name for a in schema.identifier_of(referenced_type)]
+            for name, value in zip(id_names, referenced_key):
+                row[f"{sm_edge.type_name}_{name}"] = value
+            for attribute in sm_edge.attributes:
+                if attribute.name in edge.properties:
+                    row[attribute.name] = edge.properties[attribute.name]
+        else:
+            source_ids = [a.name for a in schema.identifier_of(sm_edge.source)]
+            target_ids = [a.name for a in schema.identifier_of(sm_edge.target)]
+            row = {}
+            for name, value in zip(source_ids, source_key):
+                row[f"{sm_edge.type_name}_src_{name}"] = value
+            for name, value in zip(target_ids, target_key):
+                row[f"{sm_edge.type_name}_tgt_{name}"] = value
+            for attribute in sm_edge.attributes:
+                if attribute.name in edge.properties:
+                    row[attribute.name] = edge.properties[attribute.name]
+            bridge_rows.setdefault(sm_edge.type_name, []).append(row)
+
+    for table_name, table_rows in bridge_rows.items():
+        rows.setdefault(table_name, []).extend(table_rows)
+    return rows
+
+
+class ImageDiffRelationalTarget:
+    """A relational engine kept current by diffing whole row images:
+    per batch, the row image of the whole enriched instance
+    (:func:`collect_relational_rows`) as a
+    multiset per table, against the previous one; a row whose count
+    changed is deleted (every copy) and inserted again as often as the
+    new image holds it, under one savepoint with the foreign keys checked
+    at its end.  The stream target's protocol (``load_full`` /
+    ``apply``); the reference the per-record
+    :meth:`~repro.deploy.relational_engine.RelationalEngine.apply_flush_delta`
+    is held to."""
+
+    def __init__(self, engine: Any, schema: Any):
+        self.engine = engine
+        self.schema = schema
+        self._image: Counter = Counter()
+
+    def _compute_image(self, enriched: Any) -> Counter:
+        image: Counter = Counter()
+        for table, rows in collect_relational_rows(self.schema, enriched).items():
+            names = [c.name for c in self.engine.table_schema(table).columns]
+            image.update((table, tuple(row.get(n) for n in names)) for row in rows)
+        return image
+
+    def _write(self, image: Counter) -> None:
+        changed = [key for key in self._image | image if self._image[key] != image[key]]
+        with transaction(self.engine), self.engine.deferred():
+            for table, values in changed:
+                if self._image[(table, values)]:
+                    self.engine.delete(table, **self._row(table, values))
+            for table, values in changed:
+                for _ in range(image[(table, values)]):
+                    self.engine.insert(table, **self._row(table, values))
+        self._image = image
+
+    def _row(self, table: str, values: Tuple[Any, ...]) -> Dict[str, Any]:
+        return dict(zip((c.name for c in self.engine.table_schema(table).columns), values))
+
+    def load_full(self, enriched: Any) -> None:
+        self._write(self._compute_image(enriched))
+
+    def apply(self, update: Any) -> None:
+        self._write(self._compute_image(update.instance.data))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,13 @@ from repro.deploy import FlushDelta, GraphStore, RelationalEngine, TripleStore
 from repro.errors import EvaluationError, IntegrityError, SchemaError
 from repro.finkg import programs
 from repro.finkg.company_schema import company_super_schema
+from repro.graph import make_graph
 from repro.graph.property_graph import PropertyGraph
 from repro.metalog import parse_metalog
 from repro.models.relational import Column, ForeignKey, RelationalSchema, Table
 from repro.ssst import SSST, IntensionalMaterializer, RegistryDelta
+from repro.ssst.inverse import graph_instance_to_relational
+from repro.stream import FlushDeltaTarget
 from repro.obs import RecordingTracer
 from repro.vadalog import Engine, incremental, parse_program, terms
 from repro.vadalog.ast import Rule
@@ -37,7 +40,7 @@ from tests.test_engine_plans import (
     _recursion_case,
 )
 from tests.test_materializer import kgbench_registry
-from tests.reference import InterpretedEngine
+from tests.reference import ImageDiffRelationalTarget, InterpretedEngine
 
 KINDS = ("insert", "delete", "mixed")
 
@@ -1407,36 +1410,368 @@ def rel_engine():
     return engine
 
 
+def relational_engine(schema, instance=None, translated=None):
+    """An engine with the schema's relational translation (``translated``
+    when given) deployed, and ``instance`` loaded in full."""
+    engine = RelationalEngine()
+    engine.deploy(
+        translated or SSST().translate(schema, "relational").target_schema
+    )
+    if instance is not None:
+        graph_instance_to_relational(schema, instance, engine)
+    return engine
+
+
+def engine_rows(engine):
+    """Every table's rows, as a multiset."""
+    return {
+        table: sorted(repr(sorted(row.items())) for row in engine.rows(table))
+        for table in engine.tables()
+    }
+
+
+def _two_businesses():
+    data = make_graph("owns")
+    for code in ("FC1", "FC2"):
+        data.add_node(code, "Business", **_business_props(code, f"{code} SpA"))
+    data.add_edge("FC1", "FC2", "OWNS", edge_id="x", percentage=0.6)
+    return data
+
+
 class TestRelationalDelta:
-    def test_apply_delta(self, rel_engine):
-        counts = rel_engine.apply_flush_delta(
-            added={"person": [{"pid": "p3", "name": "Cyd"}]},
-            removed={"pet": [{"tag": "t1"}]},
+    def test_apply_delta(self, company_schema):
+        """A bridge row out, a node's member rows in, a renamed node's
+        rows updated by key: the rows a fresh load of the new instance
+        holds."""
+        before, after = _two_businesses(), _two_businesses()
+        engine = relational_engine(company_schema, before)
+        after.remove_edge("x")
+        after.add_node("FC3", "Business", **_business_props("FC3", "Three SpA"))
+        after.node("FC1").properties["businessName"] = "One"
+        report = engine.apply_flush_delta(
+            FlushDelta.diff(before, after), company_schema, after
         )
-        assert counts == {"inserted": 1, "deleted": 1}
-        assert rel_engine.count("person") == 3
-        assert rel_engine.count("pet") == 0
+        assert (report.edges_removed, report.nodes_added,
+                report.nodes_updated) == (1, 1, 1)
+        assert engine_rows(engine) == engine_rows(
+            relational_engine(company_schema, after)
+        )
+        assert engine.count("OWNS") == 0 and engine.count("Person") == 3
 
     def test_fk_restrict_on_delete(self, rel_engine):
         with pytest.raises(IntegrityError):
             rel_engine.delete("person", pid="p1")  # referenced by pet t1
         assert rel_engine.count("person") == 2
 
-    def test_failed_delta_rolls_back_everything(self, rel_engine):
-        with pytest.raises(IntegrityError):
-            rel_engine.apply_flush_delta(
-                added={
-                    "person": [{"pid": "p3", "name": "Cyd"}],
-                    "pet": [{"tag": "t2", "owner_pid": "ghost"}],  # bad FK
-                },
+    def test_failed_delta_rolls_back_everything(self, company_schema):
+        before = _two_businesses()
+        engine = relational_engine(company_schema, before)
+        rows = engine_rows(engine)
+        after = _two_businesses()
+        after.add_node("FC3", "Business", **_business_props("FC3", "Three SpA"))
+        after.add_edge("FC1", "FC3", "OWNS", edge_id="y", percentage="most")
+        with pytest.raises(IntegrityError, match="domain"):  # the last insert
+            engine.apply_flush_delta(
+                FlushDelta.diff(before, after), company_schema, after
             )
-        assert rel_engine.count("person") == 2  # p3 rolled back
-        assert rel_engine.count("pet") == 1
+        assert engine_rows(engine) == rows  # FC3's rows rolled back
+
+        # A place removed that a residence the delta does not list still
+        # reaches: RESTRICT, at the end of the block, after the stake's
+        # bridge row went and FC1 was renamed.
+        before.add_node("pl", "Place", **_place(0))
+        before.add_node("p", "PhysicalPerson", **_person("FC-P"))
+        before.add_edge("p", "pl", "RESIDES", edge_id="home")
+        tracer = RecordingTracer()
+        engine = relational_engine(company_schema, before)
+        engine.tracer = tracer
+        rows = engine_rows(engine)
+        fc1 = before.node("FC1")
+        refused = FlushDelta(
+            removed_edges=[("x", "FC1", "FC2", "OWNS", {"percentage": 0.6})],
+            updated_nodes=[("FC1", "Business",
+                            {**fc1.properties, "businessName": "One"},
+                            dict(fc1.properties))],
+            removed_nodes=[("pl", "Place", _place(0))],
+        )
+        after = before.copy()
+        after.remove_edge("x")
+        after.set_node_property("FC1", "businessName", "One")
+        after.remove_node("pl")
+        with pytest.raises(IntegrityError, match="no match"):
+            engine.apply_flush_delta(refused, company_schema, after)
+        assert engine_rows(engine) == rows
+        assert tracer.metrics.counters()["deploy.rollbacks"] == 1
 
     def test_delete_rebuilds_pk_index(self, rel_engine):
-        rel_engine.apply_flush_delta(removed={"pet": [{"tag": "t1"}]})
+        rel_engine.delete("pet", tag="t1")
         assert rel_engine.delete("person", pid="p1") == 1
         assert list(rel_engine.select("person", pid="p2"))[0]["name"] == "Bob"
+
+    def test_delete_row_takes_one_copy(self, company_schema):
+        data = _two_businesses()
+        data.add_edge("FC1", "FC2", "OWNS", edge_id="twin", percentage=0.6)
+        engine = relational_engine(company_schema, data)
+        (row,) = {repr(r): r for r in engine.rows("OWNS")}.values()
+        engine.delete_row("OWNS", row)
+        assert engine.rows("OWNS") == [row]
+        engine.delete_row("OWNS", row)
+        with pytest.raises(IntegrityError, match="no row"):
+            engine.delete_row("OWNS", row)
+        assert engine.count("OWNS") == 0
+
+    def test_update_by_key(self, rel_engine):
+        rel_engine.update("pet", ("t1",), {"owner_pid": "p2"})
+        rel_engine.update("person", ("p1",), {"name": "Ada L."})
+        assert rel_engine.delete("person", pid="p1") == 1  # no pet left on p1
+        for key, values, refusal in [
+            (("t1",), {"owner_pid": "ghost"}, "no match"),
+            (("t1",), {"tag": "t9"}, "cannot change the key"),
+            (("t9",), {"owner_pid": "p2"}, "no row"),
+            (("t1",), {"owner_pid": 7}, "domain"),
+        ]:
+            with pytest.raises(IntegrityError, match=refusal):
+                rel_engine.update("pet", key, values)
+        assert rel_engine.rows("pet") == [{"tag": "t1", "owner_pid": "p2"}]
+
+
+# ---------------------------------------------------------------------------
+# The relational flush, record by record, against the image diff
+# ---------------------------------------------------------------------------
+def _place(number):
+    return {"placeId": f"PL{number}", "street": "Via Roma", "city": "Rome",
+            "postalCode": "00100"}
+
+
+def _person(code):
+    return {"fiscalCode": code, "name": f"N {code}", "gender": "female"}
+
+
+def _battery_registry(rng):
+    """Places, persons and businesses; stakes (some parallel and equal)
+    and residences."""
+    data = make_graph("registry")
+    for number in range(3):
+        data.add_node(f"pl{number}", "Place", **_place(number))
+    for number in range(5):
+        data.add_node(f"p{number}", "PhysicalPerson", **_person(f"FC-P{number}"))
+        if rng.random() < 0.6:
+            data.add_edge(f"p{number}", f"pl{rng.randrange(3)}", "RESIDES",
+                          edge_id=f"home-{number}")
+    for number in range(6):
+        data.add_node(f"b{number}", "Business",
+                      **_business_props(f"FC-B{number}", f"B{number} SpA"))
+    owners = [f"p{n}" for n in range(5)] + [f"b{n}" for n in range(6)]
+    for number in range(14):
+        owner = rng.choice(owners)
+        target = rng.choice([f"b{n}" for n in range(6) if f"b{n}" != owner])
+        data.add_edge(owner, target, "OWNS", edge_id=f"s{number}",
+                      percentage=rng.choice((0.3, 0.6)))
+    return data
+
+
+class _Batches:
+    """Random registry deltas over the live registry: stake additions
+    (a third of them parallel to, and equal with, a live stake) and
+    removals, a node removed with its edges, a node replaced under
+    another type or with another key (its edges re-added unchanged), and
+    a residence added (a second one among them), removed (one of several
+    among them) or moved."""
+
+    def __init__(self, rng, data):
+        self.rng, self.data, self.fresh = rng, data, 0
+
+    def new(self, prefix):
+        self.fresh += 1
+        return f"{prefix}{self.fresh}"
+
+    def labelled(self, *labels):
+        return sorted(n.id for n in self.data.nodes() if n.label in labels)
+
+    def edges(self, label):
+        return sorted((e for e in self.data.edges() if e.label == label),
+                      key=lambda e: e.id)
+
+    def stake_added(self, delta):
+        stakes = self.edges("OWNS")
+        if stakes and self.rng.random() < 0.35:
+            twin = self.rng.choice(stakes)
+            source, target, share = twin.source, twin.target, twin.get("percentage")
+        else:
+            source = self.rng.choice(self.labelled(
+                "PhysicalPerson", "Business", "PublicListedCompany"))
+            target = self.rng.choice(self.labelled("Business", "PublicListedCompany"))
+            share = self.rng.choice((0.3, 0.6))
+        delta.add_edges.append((self.new("s-"), source, target, "OWNS",
+                                {"percentage": share}))
+
+    def stake_removed(self, delta):
+        stakes = self.edges("OWNS")
+        if stakes:
+            delta.remove_edges.append(self.rng.choice(stakes).id)
+
+    def node_removed(self, delta):
+        delta.remove_nodes.append(self.rng.choice(self.labelled(
+            "Place", "PhysicalPerson", "Business", "PublicListedCompany")))
+
+    def node_replaced(self, delta):
+        node = self.data.node(self.rng.choice(self.labelled(
+            "PhysicalPerson", "Business", "PublicListedCompany")))
+        properties = dict(node.properties)
+        if node.label == "PhysicalPerson":
+            label = "PhysicalPerson"
+            properties["name"] = self.new("renamed ")
+        elif self.rng.random() < 0.7:  # re-typed
+            label = ("Business" if node.label == "PublicListedCompany"
+                     else "PublicListedCompany")
+            properties.pop("stockExchange", None)
+            if label == "PublicListedCompany":
+                properties["stockExchange"] = "MTA"
+        else:
+            label = node.label
+            properties["businessName"] = self.new("renamed ")
+        if self.rng.random() < 0.5:  # re-keyed
+            properties["fiscalCode"] = self.new("FC-R")
+        delta.remove_nodes.append(node.id)
+        delta.add_nodes.append((node.id, label, properties))
+        edges = {e.id: e for e in (*self.data.out_edges(node.id),
+                                   *self.data.in_edges(node.id))}
+        for edge in edges.values():
+            delta.add_edges.append((edge.id, edge.source, edge.target,
+                                    edge.label, dict(edge.properties)))
+
+    def residence_changed(self, delta):
+        """One of several residences out, a second one in, or a move
+        (every residence out, perhaps one in)."""
+        person = self.rng.choice(self.labelled("PhysicalPerson"))
+        homes = [e for e in self.edges("RESIDES") if e.source == person]
+        places = self.labelled("Place")
+        kind = self.rng.random()
+        if len(homes) > 1 and kind < 0.6:
+            delta.remove_edges.append(self.rng.choice(homes).id)
+            return
+        if homes and places and kind < 0.6:
+            delta.add_edges.append((self.new("second-"), person,
+                                    self.rng.choice(places), "RESIDES", {}))
+            return
+        for home in homes:
+            delta.remove_edges.append(home.id)
+        if places and (not homes or self.rng.random() < 0.5):
+            delta.add_edges.append((self.new("moved-"), person,
+                                    self.rng.choice(places), "RESIDES", {}))
+
+    def next(self):
+        delta = RegistryDelta()
+        kinds = [self.stake_added, self.stake_removed, self.node_removed,
+                 self.node_replaced, self.residence_changed]
+        self.rng.choices(kinds, weights=(4, 3, 1, 2, 2))[0](delta)
+        return delta
+
+
+class TestRelationalFlushBattery:
+    """After every batch the engine maintained by ``apply_flush_delta``
+    holds the rows of a fresh load of the enriched instance, and those of
+    the image diff."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_chained_batches(self, company_schema, seed):
+        rng = random.Random(seed)
+        materializer = IntensionalMaterializer()
+        report = materializer.materialize(
+            company_schema, _battery_registry(rng), _control_sigma(),
+            instance_oid=7, retain=True,
+        )
+        translated = SSST().translate(company_schema, "relational").target_schema
+        maintained = FlushDeltaTarget(
+            relational_engine(company_schema, translated=translated),
+            company_schema, graph_instance_to_relational,
+        )
+        reference = ImageDiffRelationalTarget(
+            relational_engine(company_schema, translated=translated),
+            company_schema,
+        )
+        for target in (maintained, reference):
+            target.load_full(report.instance.data)
+        batches = _Batches(rng, materializer.retained.data)
+        kinds = set()
+        for _ in range(60):
+            delta = batches.next()
+            update = materializer.update(delta)
+            for target in (maintained, reference):
+                target.apply(update)
+            rows = engine_rows(maintained.store)
+            assert rows == engine_rows(reference.engine)
+            assert rows == engine_rows(relational_engine(
+                company_schema, update.instance.data, translated
+            ))
+            flush = update.flush_delta
+            kinds.update(
+                kind for kind, records in (
+                    ("updated", flush.updated_nodes),
+                    ("re-keyed", [r for r in flush.updated_nodes
+                                  if r[2]["fiscalCode"] != r[3]["fiscalCode"]]),
+                    ("replaced", {r[0] for r in flush.removed_nodes}
+                     & {r[0] for r in flush.added_nodes}),
+                    ("equal stakes", len(rows["OWNS"]) > len(set(rows["OWNS"]))),
+                    ("residence", [r for r in (*flush.added_edges,
+                                               *flush.removed_edges)
+                                   if r[3] == "RESIDES"]),
+                    ("residence left", [
+                        r for r in flush.removed_edges if r[3] == "RESIDES"
+                        and any(update.instance.data.out_edges(r[1], "RESIDES"))
+                    ]),
+                ) if records
+            )
+        assert kinds == {"updated", "re-keyed", "replaced", "equal stakes",
+                         "residence", "residence left"}
+
+    @pytest.mark.parametrize("refusal", ["domain", "no match"])
+    def test_a_refused_delta_leaves_the_engine_unchanged(
+        self, company_schema, refusal
+    ):
+        """A bridge row out, a residence moved and a node renamed, then a
+        refusal: a stake whose share the domain refuses (the last write),
+        or a place removed that an unlisted residence still reaches
+        (RESTRICT, at the end of the block)."""
+        report = IntensionalMaterializer().materialize(
+            company_schema, _battery_registry(random.Random(0)),
+            _control_sigma(), instance_oid=7,
+        )
+        instance = report.instance.data
+        tracer = RecordingTracer()
+        engine = relational_engine(company_schema, instance)
+        engine.tracer = tracer
+        rows = engine_rows(engine)
+        stake = next(e for e in instance.edges() if e.label == "OWNS")
+        home, other = [e for e in instance.edges() if e.label == "RESIDES"][:2]
+        assert other.source != home.source and other.target != "pl2"
+        business = instance.node("b0")
+        renamed = {**business.properties, "businessName": "Renamed SpA"}
+        refused = FlushDelta(
+            removed_edges=[(stake.id, stake.source, stake.target, "OWNS",
+                            dict(stake.properties)),
+                           (home.id, home.source, home.target, "RESIDES", {})],
+            updated_nodes=[("b0", "Business", renamed, dict(business.properties))],
+            added_edges=[("moved", home.source, "pl2", "RESIDES", {})],
+        )
+        after = instance.copy()  # what the refused delta leads to
+        after.remove_edge(stake.id)
+        after.remove_edge(home.id)
+        after.set_node_property("b0", "businessName", "Renamed SpA")
+        after.add_edge(home.source, "pl2", "RESIDES", edge_id="moved")
+        if refusal == "domain":
+            refused.added_edges.append(
+                ("bad", "b1", "b0", "OWNS", {"percentage": "most"}))
+            after.add_edge("b1", "b0", "OWNS", edge_id="bad", percentage="most")
+        else:
+            place = instance.node(other.target)
+            refused.removed_nodes.append(
+                (place.id, "Place", dict(place.properties)))
+            after.remove_node(place.id)  # and the residence, unlisted
+        with pytest.raises(IntegrityError, match=refusal):
+            engine.apply_flush_delta(refused, company_schema, after)
+        assert engine_rows(engine) == rows
+        assert tracer.metrics.counters()["deploy.rollbacks"] == 1
 
 
 class TestTripleStoreDelta:

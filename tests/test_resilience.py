@@ -788,6 +788,36 @@ class TestCheckpointedMaterialization:
             parse_metalog(programs.CONTROL_PROGRAM), 9,
         )
 
+    def test_fingerprints_are_pinned(self):
+        """The run and stream fingerprints, recorded when the schema's
+        dictionary was serialized through the object graph: the columnar
+        graph gives the same payload, byte for byte."""
+        import hashlib
+
+        from repro.graph import make_graph
+        from repro.stream import MaterializerSink
+
+        registry = make_graph("registry")
+        for i in range(3):
+            registry.add_node(f"p{i}", "PhysicalPerson", fiscalCode=f"FC-P{i}",
+                              name=f"N{i}", gender="female")
+            registry.add_node(f"c{i}", "Business", fiscalCode=f"FC-C{i}",
+                              businessName=f"C{i} SpA", legalNature="spa",
+                              shareholdingCapital=1000.0)
+            registry.add_edge(f"p{i}", f"c{i}", "OWNS", edge_id=f"stake-{i}",
+                              percentage=0.6)
+        sink = MaterializerSink(
+            company_super_schema(), parse_metalog(programs.CONTROL_PROGRAM),
+            registry, instance_oid=9,
+        )
+        stream = hashlib.sha256(sink.fingerprint_material().encode()).hexdigest()
+        assert stream == (
+            "59be575de91784a6edc61548d76cbfca5b422caf5e143ff157c5a08113cc015d"
+        )
+        assert self.fingerprint(registry) == (
+            "36df3a2335abfd2939038a58ac45e5f15f3a70f4f0c93a441cb592329dacdf73"
+        )
+
     def test_stale_checkpoint_is_discarded(self, company_schema, owns_instance,
                                            tiny_instance, tmp_path):
         self.run(company_super_schema(), owns_instance,

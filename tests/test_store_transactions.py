@@ -4,8 +4,9 @@
 :class:`~repro.deploy.RelationalEngine` each journal the inverse of every
 mutation on an :class:`~repro.deploy.UndoLog` while a savepoint is open.
 The battery below drives each store through seeded interleavings of
-inserts, bulk writes, deletes and updates inside nested savepoints and
-checks that every rollback restores the store's state; the flush-delta
+inserts, bulk writes, deletes and updates (the relational engine's by
+primary key among them) inside nested savepoints and checks that every
+rollback restores the store's state; the flush-delta
 tests check that a delta a store refuses — on its last insert, after a
 removal and an update — leaves the store as it was.
 """
@@ -218,17 +219,38 @@ class RelationalDriver(Driver):
                 assert self.state() == before
 
     def update(self, rng):
+        """A pet replaced (deleted and inserted again) or re-homed by key,
+        or a person renamed by key; a re-homing to nobody is refused and
+        changes nothing."""
         pets, people = self.rows("pet"), self.rows("person")
-        if pets:
+        kind = rng.random()
+        if pets and kind < 0.35:
             tag = rng.choice(pets)["tag"]
             self.store.delete("pet", tag=tag)
             self.store.insert(
                 "pet", tag=tag, owner_pid=rng.choice(people)["pid"]
             )
+        elif pets and kind < 0.7:
+            owner = rng.choice([*people, {"pid": "nobody"}])["pid"]
+            before = self.state()
+            try:
+                self.store.update(
+                    "pet", (rng.choice(pets)["tag"],), {"owner_pid": owner}
+                )
+            except IntegrityError:
+                assert owner == "nobody" and self.state() == before
+        elif people:
+            self.store.update(
+                "person", (rng.choice(people)["pid"],),
+                {"name": f"renamed {self.new()}"},
+            )
 
     def state(self):
         return {
-            table: sorted(tuple(sorted(row.items())) for row in self.rows(table))
+            table: sorted(
+                (tuple(sorted(row.items())) for row in self.rows(table)),
+                key=repr,
+            )
             for table in self.store.tables()
         }
 
@@ -332,21 +354,46 @@ def test_refused_flush_delta_leaves_the_store_unchanged(kind, last_insert):
 
 
 def test_refused_relational_delta_leaves_the_engine_unchanged():
+    """The relational engine under the same refused delta, refused on its
+    last write — its undeclared relationship written as a stake whose
+    share the domain refuses (an undeclared edge type has no rows to
+    refuse) — or at its end: a place removed that an unlisted residence
+    still reaches (RESTRICT)."""
     tracer = RecordingTracer()
-    engine = deployed("relational", tracer=tracer)
-    engine.insert("person", pid="p1", name="Ada")
-    engine.insert("person", pid="p2", name="Bob")
-    engine.insert("pet", tag="t1", owner_pid="p1")
+    schema = company_super_schema()
+    engine = RelationalEngine(tracer=tracer)
+    engine.deploy(SSST().translate(schema, "relational").target_schema)
+    loaded = make_graph("loaded")
+    for number in (1, 2):
+        loaded.add_node(f"b{number}", "Business", **business(number))
+    loaded.add_node("pl", "Place", placeId="PL1", street="Via Roma",
+                    city="Rome", postalCode="00100")
+    loaded.add_node("p", "PhysicalPerson", fiscalCode="FC-P", name="Ada",
+                    gender="female")
+    loaded.add_edge("b1", "b2", "OWNS", edge_id="o", percentage=0.6)
+    loaded.add_edge("p", "pl", "RESIDES", edge_id="home")
+    engine.apply_flush_delta(
+        FlushDelta.diff(make_graph("empty"), loaded), schema, loaded
+    )
     driver = RelationalDriver(engine)
     before = driver.state()
-    with pytest.raises(IntegrityError):
-        engine.apply_flush_delta(
-            removed={"pet": [{"tag": "t1"}]},
-            added={
-                "person": [{"pid": "p3", "name": "Cyd"}],
-                "pet": [{"tag": "t1", "owner_pid": "p2"},  # the update
-                        {"tag": "t2", "owner_pid": "ghost"}],  # bad FK
-            },
-        )
-    assert driver.state() == before
-    assert tracer.metrics.counters()["deploy.rollbacks"] == 1
+    for rollbacks, refusal in enumerate(("domain", "no match"), start=1):
+        refused = refused_delta("integrity")
+        instance = loaded.copy()  # what the refused delta leads to
+        instance.remove_edge("o")
+        instance.set_node_property("b1", "businessName", "Renamed")
+        instance.add_node("b3", "Business", **business(3))
+        if refusal == "domain":
+            refused.added_edges = [
+                ("w", "b1", "b2", "OWNS", {"percentage": "most"})]
+            instance.add_edge("b1", "b2", "OWNS", edge_id="w",
+                              percentage="most")
+        else:
+            refused.added_edges = []
+            refused.removed_nodes = [("pl", "Place", dict(
+                loaded.node("pl").properties))]
+            instance.remove_node("pl")  # and the residence, unlisted
+        with pytest.raises(IntegrityError, match=refusal):
+            engine.apply_flush_delta(refused, schema, instance)
+        assert driver.state() == before
+        assert tracer.metrics.counters()["deploy.rollbacks"] == rollbacks
