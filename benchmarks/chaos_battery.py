@@ -222,9 +222,11 @@ def main() -> int:
 
     before = target_states()
     refusals = 0
+    after = small.copy()  # what the refused delta leads to
+    refused.apply_to(after)
     for target in (graph_target, triple_target):
         try:
-            target.apply_flush_delta(refused, schema=schema)
+            target.apply_flush_delta(refused, schema, after)
         except IntegrityError:
             refusals += 1
     check(

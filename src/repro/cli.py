@@ -660,7 +660,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", default=200, type=int)
     p.add_argument(
         "--retries", default=5, type=int,
-        help="max attempts per store mutation on transient faults",
+        help="max attempts per store write on transient faults (never "
+             "changes the load path)",
     )
     p.set_defaults(func=cmd_load)
 

@@ -12,7 +12,8 @@ takes it over the elements its change reaches
 (:meth:`FlushDelta.apply_to`); the comparison of two whole graphs is
 what the tests hold that against.
 
-The records carry everything any backend needs to *undo* an element
+The records list every change, the edges a removed node takes along
+included, and carry everything any backend needs to *undo* an element
 (the triple store must retract attribute triples, so removed/updated
 records keep the old property values).  Every store journals the
 inverse of each mutation on its
@@ -86,9 +87,12 @@ class FlushDelta:
         reported as removed + added (stores key constraints off the
         label); one whose properties changed becomes an update.  Edges
         are immutable records in every backend, so any change to an
-        edge's endpoints, label, or properties is removed + added.
+        edge's endpoints, label, or properties is removed + added.  Every
+        edge of ``old`` a removed node touches is listed as removed too,
+        and as added again when ``new`` still holds it.
         """
         delta = cls()
+        edge_ids = dict.fromkeys(edge_ids)
         for node_id in node_ids:
             before = node_record(old, node_id)
             after = node_record(new, node_id)
@@ -98,12 +102,17 @@ class FlushDelta:
                 continue
             if before:
                 delta.removed_nodes.append(before)
+                edge_ids.update(dict.fromkeys(
+                    edge.id for edge in (*old.out_edges(node_id), *old.in_edges(node_id))
+                ))
             if after:
                 delta.added_nodes.append(after)
+        leaving = {record[0] for record in delta.removed_nodes}
         for edge_id in edge_ids:
             before = edge_record(old, edge_id)
             after = edge_record(new, edge_id)
-            if before != after:
+            taken_along = bool(before) and not leaving.isdisjoint(before[1:3])
+            if before != after or taken_along:
                 if before:
                     delta.removed_edges.append(before)
                 if after:
@@ -112,25 +121,18 @@ class FlushDelta:
 
     def apply_to(self, graph: PropertyGraph) -> None:
         """Patch ``graph``, the ``old`` this delta was taken from, into
-        its ``new``.  An edge a removed node takes along without being
-        listed is unchanged (the node is listed as added again under
-        another label), so it is put back."""
+        its ``new``, record by record."""
         for record in self.removed_edges:
             graph.remove_edge(record[0])
-        unchanged: Dict[Any, EdgeRecord] = {}
-        for node_id, _label, _properties in self.removed_nodes:
-            for edge in (*graph.out_edges(node_id), *graph.in_edges(node_id)):
-                unchanged[edge.id] = edge_record(graph, edge.id)
-            graph.remove_node(node_id)
+        for record in self.removed_nodes:
+            graph.remove_node(record[0])
         for node_id, label, properties in self.added_nodes:
             graph.add_node(node_id, label, **properties)
         for node_id, _label, properties, _old in self.updated_nodes:
             held = graph.node(node_id).properties
             held.clear()
             held.update(properties)
-        for edge_id, source, target, label, properties in (
-            *unchanged.values(), *self.added_edges
-        ):
+        for edge_id, source, target, label, properties in self.added_edges:
             graph.add_edge(source, target, label, edge_id=edge_id, **properties)
 
 

@@ -67,6 +67,16 @@ def _require_mandatory(declared: Dict[str, Any], properties, labels) -> None:
             )
 
 
+def node_labels(schema: Any, type_name: str) -> List[str]:
+    """A node's store labels, on the load and the delta alike: its type,
+    then every ancestor type of ``schema`` (a super-schema); the type
+    alone when there is no schema or it lacks the type."""
+    if schema is None or not schema.has_node(type_name):
+        return [type_name]
+    node = schema.get_node(type_name)
+    return [node.type_name, *(a.type_name for a in schema.ancestors_of(node))]
+
+
 class GraphStore(SavepointMixin):
     """An in-memory graph database enforcing a PG-model schema.
 
@@ -609,15 +619,14 @@ class GraphStore(SavepointMixin):
         """Bring a previously loaded store up to date with a
         :class:`~repro.deploy.delta.FlushDelta` instead of a full reload.
 
-        ``schema`` (a :class:`~repro.core.schema.SuperSchema`) enables
-        the same multi-label tagging the full loader applies; without it
-        added nodes get their type name as the only label.  ``instance``,
-        the graph the delta leads to, is not read: the store addresses
-        elements by id, so the records suffice.  Removals,
-        in-place updates and inserts run in that order under one
-        savepoint: any exception — an integrity violation, a transient
-        fault — rolls the whole delta back and re-raises, so a refused
-        delta leaves the store as it was.
+        ``schema`` (a :class:`~repro.core.schema.SuperSchema`) labels an
+        added node as the full loader does (:func:`node_labels`).
+        ``instance``, the graph the delta leads to, is not read: the
+        records list every change, by id.  Removals, in-place updates
+        and inserts run in that order under one savepoint: any exception
+        — an integrity violation, a transient fault — rolls the whole
+        delta back and re-raises, so a refused delta leaves the store as
+        it was.
         """
         report = DeltaFlushReport()
         with transaction(self):
@@ -641,13 +650,7 @@ class GraphStore(SavepointMixin):
                 if self.graph.has_node(node_id):
                     report.skipped += 1
                     continue
-                labels: Any = [label]
-                if schema is not None and schema.has_node(label):
-                    sm_node = schema.get_node(label)
-                    labels = [sm_node.type_name] + [
-                        a.type_name for a in schema.ancestors_of(sm_node)
-                    ]
-                self.create_node(node_id, labels, **properties)
+                self.create_node(node_id, node_labels(schema, label), **properties)
                 report.nodes_added += 1
             for _edge_id, source, target, label, properties in delta.added_edges:
                 self.create_relationship(source, target, label, **properties)

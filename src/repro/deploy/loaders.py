@@ -20,15 +20,17 @@ idempotent*:
   the instance's graph instead of writing it a second time.  Otherwise
   each label is written with one bulk call of the store.  The
   per-record path remains for what it exists for — a store that already
-  holds some of the records (replay), a retrying policy or a
-  fault-injecting store (faults are per mutation), and the graceful
-  re-run of a label group whose bulk write was refused — and is chosen
-  from the store's state and the outcome, never by a switch;
+  holds some of the records (replay), a store that offers no bulk
+  writer (a fault-injecting one: faults are per mutation), and the
+  graceful re-run of a label group whose bulk write was refused — and
+  is chosen from the store, its state and the outcome, never by a
+  switch or a policy;
 - **retry with backoff** — a transient failure
   (:class:`~repro.errors.TransientDeploymentError`, e.g. from a
-  :class:`~repro.deploy.resilience.FaultInjector`) rolls the in-flight
-  batch back and retries it under the caller's
-  :class:`~repro.deploy.resilience.RetryPolicy`;
+  :class:`~repro.deploy.resilience.FaultInjector`) of a write — an
+  adoption, a group write or one mutation — is retried under the
+  caller's :class:`~repro.deploy.resilience.RetryPolicy`, and a batch
+  that fails for good is rolled back;
 - **graceful degradation** — in ``mode="graceful"`` a per-record
   integrity violation lands in the :class:`~repro.deploy.resilience.QuarantineReport`
   instead of aborting; ``mode="strict"`` (the default) preserves the
@@ -49,6 +51,7 @@ from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.schema import SuperSchema
+from repro.deploy.graph_store import node_labels
 from repro.deploy.resilience import (
     GRACEFUL,
     STRICT,
@@ -59,6 +62,7 @@ from repro.deploy.resilience import (
     TripleLoadReport,
     no_retry,
 )
+from repro.deploy.triple_store import TripleLayout
 from repro.errors import DeploymentError, GraphError, IntegrityError
 from repro.graph.property_graph import ABSENT, PropertyGraph, property_rows
 from repro.obs.tracer import Tracer
@@ -92,12 +96,13 @@ class _Batcher:
         self.rejections: List[Rejection] = []
 
     def mutate(self, operation):
-        """Run one store mutation under the retry policy.
+        """Run one store write — an adoption, a group write or one
+        mutation — under the retry policy.
 
-        A transient failure is raised *before* the mutation applies (the
-        record is never half-written), so retrying is simply calling the
-        mutation again after the policy's backoff — no rollback needed at
-        this granularity.
+        A transient failure is raised *before* the write applies (nothing
+        is half-written), so retrying is simply calling the write again
+        after the policy's backoff — no rollback needed at this
+        granularity.
         """
         if self.policy.max_attempts == 1:
             return operation()
@@ -170,7 +175,7 @@ def _chunks(records: List[Any], size: int) -> List[List[Any]]:
 # ----------------------------------------------------------------------
 #: Why a label group went through the per-record path.
 REPLAY = "replay"
-RETRY_POLICY = "retry-policy"
+NO_BULK_WRITER = "no-bulk-writer"
 INTEGRITY_FALLBACK = "integrity-fallback"
 
 
@@ -220,8 +225,8 @@ def load_graph_store(
 
     The instance is read one label at a time, as columns, node labels
     first.  Into an empty store, a columnar instance without boxed
-    values and with every label in the schema is adopted, unless the
-    policy retries: ``store.adopt`` runs the checks of the writes below,
+    values and with every label in the schema is adopted:
+    ``store.adopt`` runs the checks of the writes below,
     group by group, and takes over a copy of the instance's graph — one
     batch.  A refused check, or any other case, leaves the store
     untouched for the writes, which raise or quarantine as they always
@@ -232,7 +237,7 @@ def load_graph_store(
 
     - ``replay``: the store already holds nodes of the group or, for an
       edge group, any edge, so records are matched against it;
-    - ``retry-policy``: ``policy`` retries, or the store (a
+    - ``no-bulk-writer``: the store (a
       :class:`~repro.deploy.resilience.FaultInjector`) offers no bulk
       writer — a fault is injected and retried per mutation;
     - ``integrity-fallback``: ``mode="graceful"`` and the bulk write of
@@ -243,7 +248,8 @@ def load_graph_store(
     ``bulk_rows``, ``per_record``), as do the
     ``deploy.load_adopted_rows`` / ``deploy.load_bulk_rows`` /
     ``deploy.load_per_record`` counters and the ``deploy.flush`` span's
-    ``path`` (``adopted`` or ``written``).
+    ``path`` (``adopted`` or ``written``).  ``policy`` retries each
+    write on a transient fault, whichever path wrote it.
     """
     _check_mode(mode)
     policy = policy if policy is not None else no_retry()
@@ -255,7 +261,7 @@ def load_graph_store(
     with span:
         graph = store.graph
         batcher = _Batcher(store, mode, policy, tracer)
-        per_mutation = policy.max_attempts > 1 or not hasattr(store, "create_nodes")
+        per_mutation = not hasattr(store, "create_nodes")
         # Replay detection compares edge multiplicities against what the
         # store already holds: a fresh load builds no replay key at all.
         existing_multiplicity: Dict[Tuple[Any, ...], int] = {}
@@ -278,10 +284,7 @@ def load_graph_store(
 
         def node_group(label: str) -> Tuple[Any, ...]:
             """The :meth:`create_nodes` arguments of one node label."""
-            sm_node = schema.get_node(label)
-            labels = [sm_node.type_name] + [
-                a.type_name for a in schema.ancestors_of(sm_node)
-            ]
+            labels = node_labels(schema, label)
             names = tuple(data.node_property_names(label))
             ids, columns = node_table(label, names)
             return labels, ids, names, columns
@@ -364,12 +367,12 @@ def load_graph_store(
                 size = len(group[1])
                 staged += size
                 reason = (
-                    RETRY_POLICY if per_mutation
+                    NO_BULK_WRITER if per_mutation
                     else REPLAY if held(group) else None
                 )
                 if reason is None:
                     try:
-                        written += bulk_write(*group)
+                        written += batcher.mutate(partial(bulk_write, *group))
                     except (IntegrityError, GraphError):
                         if mode != GRACEFUL:
                             raise
@@ -397,7 +400,9 @@ def load_graph_store(
             groups are code columns.  A refused check is left to the
             writes, to raise or quarantine as they do."""
             try:
-                return coded and store.adopt(data, node_groups, edge_groups)
+                return coded and batcher.mutate(
+                    partial(store.adopt, data, node_groups, edge_groups)
+                )
             except IntegrityError:
                 return False
 
@@ -483,23 +488,15 @@ def load_triple_store(
     with span:
         # ---- stage -----------------------------------------------------
         records: List[Tuple[str, Any, List[Tuple[Any, str, Any]]]] = []
-        declared_by_label: Dict[str, Any] = {}
+        layout = TripleLayout(schema)
         for node in data.nodes():
             if node.label is None or not schema.has_node(node.label):
                 skipped_nodes += 1
                 _reject_unknown_label(report_quarantine, "node", node)
                 continue
-            triples: List[Tuple[Any, str, Any]] = [(node.id, "rdf:type", node.label)]
-            declared = declared_by_label.get(node.label)
-            if declared is None:
-                declared = declared_by_label[node.label] = {
-                    a.name for a in
-                    schema.inherited_attributes(schema.get_node(node.label))
-                }
-            for name, value in node.properties.items():
-                if name in declared and value is not None:
-                    triples.append((node.id, name, value))
-            records.append(("triples", node.id, triples))
+            records.append(("triples", node.id, layout.node_triples(
+                node.id, node.label, node.properties
+            )))
         for edge in data.edges():
             if edge.label is None or not schema.has_edge(edge.label):
                 skipped_edges += 1

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import count
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.deploy.delta import DeltaFlushReport, FlushDelta
@@ -41,8 +43,27 @@ _TYPE_CHECKS = {
 @dataclass
 class _StoredTable:
     table: Table
-    rows: List[Dict[str, Any]] = field(default_factory=list)
-    pk_index: Dict[Tuple[Any, ...], int] = field(default_factory=dict)
+    #: Rows by row id, in insertion order: deleted in place, appended.
+    rows: Dict[int, Dict[str, Any]] = field(default_factory=dict)
+    #: The row ids of each primary key (one) or, in a table without one,
+    #: of each whole row (one per copy).
+    index: Dict[Tuple[Any, ...], List[int]] = field(default_factory=dict)
+
+    def key(self, row: Dict[str, Any]) -> Tuple[Any, ...]:
+        pk_columns = self.table.primary_key()
+        return tuple(row[c] for c in pk_columns) if pk_columns else tuple(row.values())
+
+    def add(self, row_id: int, row: Dict[str, Any]) -> None:
+        self.rows[row_id] = row
+        self.index.setdefault(self.key(row), []).append(row_id)
+
+    def drop(self, row_id: int) -> Dict[str, Any]:
+        row = self.rows.pop(row_id)
+        ids = self.index[self.key(row)]
+        ids.remove(row_id)
+        if not ids:
+            del self.index[self.key(row)]
+        return row
 
 
 class RelationalEngine(SavepointMixin):
@@ -53,6 +74,7 @@ class RelationalEngine(SavepointMixin):
         self.tracer = tracer
         self._tables: Dict[str, _StoredTable] = {}
         self._foreign_keys: List[ForeignKey] = []
+        self._row_ids = count()
         # Inside deferred(): the rows written (by identity, until deleted
         # or replaced) and the tables deleted from, checked at its end.
         self._written: Optional[Dict[int, Tuple[str, Dict[str, Any]]]] = None
@@ -97,18 +119,15 @@ class RelationalEngine(SavepointMixin):
         stored = self._stored(table_name)
         row = self._checked_row(table_name, stored.table, values)
         pk_key = self._key_of(table_name, row)
-        if pk_key is not None and pk_key in stored.pk_index:
+        if pk_key is not None and pk_key in stored.index:
             raise IntegrityError(
                 f"{table_name}: duplicate primary key {pk_key!r}"
             )
         self._wrote(table_name, row)
-        stored.rows.append(row)
-        if pk_key is not None:
-            stored.pk_index[pk_key] = len(stored.rows) - 1
+        row_id = next(self._row_ids)
+        stored.add(row_id, row)
         if self._undo.active:
-            self._undo.record(
-                lambda s=stored, r=row, k=pk_key: self._undo_insert(s, r, k)
-            )
+            self._undo.record(partial(stored.drop, row_id))
         if self.tracer is not None:
             self.tracer.count("deploy.rows_written", 1)
 
@@ -150,18 +169,6 @@ class RelationalEngine(SavepointMixin):
         pk_columns = self._stored(table_name).table.primary_key()
         return tuple(row[c] for c in pk_columns) if pk_columns else None
 
-    @staticmethod
-    def _undo_insert(
-        stored: _StoredTable, row: Dict[str, Any], pk_key: Optional[Tuple[Any, ...]]
-    ) -> None:
-        # Undo entries run newest-first, so the row is the table's last.
-        if stored.rows and stored.rows[-1] is row:
-            stored.rows.pop()
-        else:  # pragma: no cover - defensive, reverse order guarantees tail
-            stored.rows.remove(row)
-        if pk_key is not None:
-            stored.pk_index.pop(pk_key, None)
-
     def insert_many(self, table_name: str, rows: Iterable[Dict[str, Any]]) -> int:
         count = 0
         for row in rows:
@@ -178,10 +185,10 @@ class RelationalEngine(SavepointMixin):
         delete and an insert), so no reference is orphaned.  Undo-logged.
         """
         stored = self._stored(table_name)
-        position = stored.pk_index.get(tuple(key))
-        if position is None:
+        if not stored.table.primary_key() or tuple(key) not in stored.index:
             raise IntegrityError(f"{table_name}: no row with primary key {key!r}")
-        old = stored.rows[position]
+        row_id = stored.index[tuple(key)][0]
+        old = stored.rows[row_id]
         row = self._checked_row(table_name, stored.table, {**old, **values})
         keys = set(stored.table.primary_key()).union(*(
             fk.target_columns for fk in self._foreign_keys
@@ -194,11 +201,9 @@ class RelationalEngine(SavepointMixin):
         self._wrote(table_name, row)
         if self._written is not None:
             self._written.pop(id(old), None)
-        stored.rows[position] = row
+        stored.rows[row_id] = row
         if self._undo.active:
-            self._undo.record(
-                lambda s=stored, p=position, r=old: s.rows.__setitem__(p, r)
-            )
+            self._undo.record(lambda: stored.rows.__setitem__(row_id, old))
         if self.tracer is not None:
             self.tracer.count("deploy.rows_updated", 1)
 
@@ -208,81 +213,59 @@ class RelationalEngine(SavepointMixin):
         A row left referencing a deleted one through a foreign key raises
         :class:`~repro.errors.IntegrityError` (RESTRICT semantics), so a
         delta cannot silently orphan references.  Deletions are
-        undo-logged — inside a savepoint a rollback restores the rows —
-        and the positional primary-key index is rebuilt after each
-        change.  Returns the number of rows removed.
+        undo-logged — inside a savepoint a rollback restores the rows.
+        Returns the number of rows removed.
         """
         stored = self._stored(table_name)
-        survivors: List[Dict[str, Any]] = []
-        removed: List[Dict[str, Any]] = []
-        for row in stored.rows:
-            if all(row.get(k) == v for k, v in values.items()):
-                removed.append(row)
-            else:
-                survivors.append(row)
-        if removed:
-            self._remove(table_name, stored, survivors, removed)
-        return len(removed)
+        row_ids = [
+            row_id for row_id, row in stored.rows.items()
+            if all(row.get(k) == v for k, v in values.items())
+        ]
+        if row_ids:
+            self._remove(table_name, stored, row_ids)
+        return len(row_ids)
 
     def delete_row(self, table_name: str, row: Dict[str, Any]) -> None:
         """Delete one row equal to ``row`` (an absent column is NULL): one
-        copy of a row a table without a primary key holds several times.
-        Checked and undo-logged as :meth:`delete`; a row the table does
-        not hold raises :class:`~repro.errors.IntegrityError`."""
+        copy of a row a table without a primary key holds several times,
+        found through the table's index, not by a scan.  Checked and
+        undo-logged as :meth:`delete`; a row the table does not hold
+        raises :class:`~repro.errors.IntegrityError`."""
         stored = self._stored(table_name)
         whole = {c.name: row.get(c.name) for c in stored.table.columns}
-        rows = stored.rows
-        try:
-            position = rows.index(whole)
-        except ValueError:
-            raise IntegrityError(f"{table_name}: no row {whole!r} to delete") from None
-        self._remove(
-            table_name, stored, rows[:position] + rows[position + 1:], [rows[position]]
-        )
+        ids = stored.index.get(stored.key(whole), ())
+        if not ids or stored.rows[ids[-1]] != whole:
+            raise IntegrityError(f"{table_name}: no row {whole!r} to delete")
+        self._remove(table_name, stored, [ids[-1]])
 
-    def _remove(self, table_name: str, stored: _StoredTable,
-                survivors: List[Dict[str, Any]], removed: List[Dict[str, Any]]) -> None:
-        previous = stored.rows
-        stored.rows = survivors
-        # Reference checks resolve targets through the pk index, so it
-        # must reflect the removal before RESTRICT is evaluated.
-        self._reindex(stored)
+    def _remove(self, table_name: str, stored: _StoredTable, row_ids: List[int]) -> None:
+        removed = [(row_id, stored.drop(row_id)) for row_id in row_ids]
+        restore = partial(self._undo_delete, stored, removed)
         if self._written is not None:
-            for row in removed:
+            for _row_id, row in removed:
                 self._written.pop(id(row), None)
             self._emptied.add(table_name)
         else:
             try:
                 self._check_referencing(table_name)
             except IntegrityError:
-                stored.rows = previous
-                self._reindex(stored)
+                restore()
                 raise
         if self._undo.active:
-            self._undo.record(
-                lambda s=stored, rows=previous: self._undo_delete(s, rows)
-            )
+            self._undo.record(restore)
         if self.tracer is not None:
             self.tracer.count("deploy.rows_removed", len(removed))
 
-    def _undo_delete(
-        self, stored: _StoredTable, rows: List[Dict[str, Any]]
-    ) -> None:
-        stored.rows = rows
-        self._reindex(stored)
-
     @staticmethod
-    def _reindex(stored: _StoredTable) -> None:
-        """Rebuild the positional primary-key index after a deletion."""
-        pk_columns = stored.table.primary_key()
-        stored.pk_index = (
-            {
-                tuple(row[c] for c in pk_columns): position
-                for position, row in enumerate(stored.rows)
-            }
-            if pk_columns
-            else {}
-        )
+    def _undo_delete(stored: _StoredTable, removed: List[Tuple[int, Dict[str, Any]]]) -> None:
+        """Put deleted rows back where they were: row ids grow in
+        insertion order, so a row going back before the last one held
+        re-sorts the table."""
+        last = next(reversed(stored.rows), -1)
+        for row_id, row in removed:
+            stored.add(row_id, row)
+        if removed[0][0] < last:
+            stored.rows = dict(sorted(stored.rows.items()))
 
     def apply_flush_delta(
         self, delta: FlushDelta, schema: Any, instance: Any
@@ -297,9 +280,11 @@ class RelationalEngine(SavepointMixin):
         rows; a functional edge added or removed rebuilds its holder's
         foreign-key columns from the holder's edges of that type left in
         ``instance``, folded in order as a full load folds them; a node
-        re-typed or re-keyed is deleted and inserted again, with the
-        edges that reach it.  One savepoint, foreign keys checked at its
-        end.
+        re-typed or re-keyed is deleted and inserted again.  The delta
+        lists every edge a re-typed node takes along; a re-keyed node is
+        an update, whose unchanged edges the delta does not list, so the
+        rows of those (``carried``) are written again.  One savepoint,
+        foreign keys checked at its end.
         """
         layout = RowLayout(schema)
         old = {r[0]: r[1:3] for r in delta.removed_nodes}
@@ -315,12 +300,12 @@ class RelationalEngine(SavepointMixin):
         rekeyed = [r[0] for r in delta.updated_nodes if key(r[0], old) != key(r[0], new)]
         leaving = [*(r[0] for r in delta.removed_nodes), *rekeyed]
         arriving = {*(r[0] for r in delta.added_nodes), *rekeyed}
-        # A node that leaves and arrives (re-typed, re-keyed) takes the
-        # rows of the edges reaching it along: write those again.
+        # A re-keyed node takes the rows of the edges reaching it along:
+        # write those the delta does not list again.
         listed = {r[0] for r in (*delta.removed_edges, *delta.added_edges)}
         carried = {
             edge.id: (edge.id, edge.source, edge.target, edge.label, edge.properties)
-            for node_id in new if node_id in arriving and node_id in old
+            for node_id in rekeyed
             for edge in (*instance.out_edges(node_id), *instance.in_edges(node_id))
             if edge.id not in listed
         }
@@ -373,7 +358,7 @@ class RelationalEngine(SavepointMixin):
                     else:
                         self.update(table, pk_key, row)
             for (table, pk_key), columns in patches.items():
-                if pk_key in self._stored(table).pk_index:
+                if pk_key in self._stored(table).index:
                     self.update(table, pk_key, columns)
             for table, row in bridges[True]:
                 self.insert(table, **row)
@@ -426,11 +411,11 @@ class RelationalEngine(SavepointMixin):
             return  # NULL references are permitted (optional edges)
         target = self._stored(foreign_key.target_table)
         pk_columns = target.table.primary_key()
-        if pk_columns == foreign_key.target_columns and target.pk_index:
-            if values in target.pk_index:
+        if pk_columns == foreign_key.target_columns and target.index:
+            if values in target.index:
                 return
         else:
-            for candidate in target.rows:
+            for candidate in target.rows.values():
                 if tuple(candidate.get(c) for c in foreign_key.target_columns) == values:
                     return
         raise IntegrityError(
@@ -443,14 +428,14 @@ class RelationalEngine(SavepointMixin):
         key points from it at still finds its match."""
         for foreign_key in self._foreign_keys:
             if foreign_key.target_table == table_name:
-                for row in self._stored(foreign_key.source_table).rows:
+                for row in self._stored(foreign_key.source_table).rows.values():
                     self._check_reference(foreign_key, row)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def rows(self, table_name: str) -> List[Dict[str, Any]]:
-        return [dict(r) for r in self._stored(table_name).rows]
+        return [dict(r) for r in self._stored(table_name).rows.values()]
 
     def count(self, table_name: str) -> int:
         return len(self._stored(table_name).rows)
@@ -458,7 +443,7 @@ class RelationalEngine(SavepointMixin):
     def select(
         self, table_name: str, **equals: Any
     ) -> Iterator[Dict[str, Any]]:
-        for row in self._stored(table_name).rows:
+        for row in self._stored(table_name).rows.values():
             if all(row.get(k) == v for k, v in equals.items()):
                 yield dict(row)
 
@@ -475,7 +460,7 @@ class RelationalEngine(SavepointMixin):
         stored = self._stored(name.strip())
         if columns is None:
             columns = [c.name for c in stored.table.columns]
-        for row in stored.rows:
+        for row in stored.rows.values():
             yield tuple(row.get(c) for c in columns)
 
     def _stored(self, table_name: str) -> _StoredTable:

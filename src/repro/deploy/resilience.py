@@ -353,10 +353,10 @@ class LoadReport:
     #: in ``nodes`` / ``edges`` too.
     adopted_rows: int = 0
     #: Records that went through the per-record path, by why: ``replay``
-    #: (the store already held records of the group), ``retry-policy``
-    #: (a retrying policy or a fault-injecting store: faults are per
-    #: mutation) or ``integrity-fallback`` (a graceful load re-running a
-    #: group whose bulk write was refused, to quarantine the offenders).
+    #: (the store already held records of the group), ``no-bulk-writer``
+    #: (a fault-injecting store: faults are per mutation) or
+    #: ``integrity-fallback`` (a graceful load re-running a group whose
+    #: bulk write was refused, to quarantine the offenders).
     per_record: Dict[str, int] = field(default_factory=dict)
 
     def __iter__(self):

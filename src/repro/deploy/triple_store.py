@@ -29,6 +29,31 @@ RDF_TYPE = "rdf:type"
 RDFS_SUBCLASS = "rdfs:subClassOf"
 
 
+class TripleLayout:
+    """How a node of a super-schema instance becomes triples, on the
+    full load and on the delta alike: its type triple, plus one triple
+    per attribute its type declares (inherited ones included) and it
+    holds a value for, each label's declared set read off ``schema``
+    once (a label the schema lacks declares none).  An edge is the one
+    triple ``(source, label, target)``: RDF reification is out of scope."""
+
+    def __init__(self, schema: Any):
+        self.schema = schema
+        self._declared: Dict[str, Set[str]] = {}
+
+    def node_triples(self, node_id: Any, label: str, properties: Dict[str, Any]) -> List[Triple]:
+        declared = self._declared.get(label)
+        if declared is None:
+            schema = self.schema
+            declared = self._declared[label] = {
+                a.name for a in schema.inherited_attributes(schema.get_node(label))
+            } if schema.has_node(label) else set()
+        return [(node_id, RDF_TYPE, label), *(
+            (node_id, name, value) for name, value in properties.items()
+            if value is not None and name in declared
+        )]
+
+
 class TripleStore(SavepointMixin):
     """An RDFS-aware triple store."""
 
@@ -147,74 +172,54 @@ class TripleStore(SavepointMixin):
             self.tracer.count("deploy.triples_removed", 1)
         return True
 
-    def apply_flush_delta(self, delta, schema: Any = None, instance: Any = None):
+    def apply_flush_delta(self, delta, schema: Any, instance: Any):
         """Apply a :class:`~repro.deploy.delta.FlushDelta` transactionally.
 
-        Removed and updated records carry their old property values, so
-        the exact previously asserted triples can be retracted.  A node
-        removal also retracts the subject's *entailed* supertype triples
-        (rdfs9): the node's incident edges travel in the same delta, so
-        after the flush no surviving statement supports them — leaving
-        them behind would make a stream-maintained store drift from a
-        full reload.  Assertions
-        and retractions are both undo-logged, so the whole delta applies
-        under one savepoint: any exception rolls everything back.
-        ``schema`` (a super-schema) filters node properties to
-        the declared attributes, mirroring the full loader; edge
-        properties are dropped as in the full loader (no reification).
-        ``instance``, the graph the delta leads to, is not read: the
-        records carry every triple's subject and values.
+        A record maps to triples as the full loader maps its element (a
+        :class:`TripleLayout` of ``schema``, a super-schema); removed and
+        updated records carry their old values, so the exact triples
+        asserted can be retracted.  A node removal also retracts the
+        subject's *entailed* supertype triples (rdfs9): the delta lists
+        every edge the node takes along, so no surviving statement
+        supports them.  Triples are a set: an edge's triple is retracted
+        only when ``instance``, the graph the delta leads to, holds no
+        other edge of its label between the same ends.  Assertions and
+        retractions are undo-logged, so the whole delta applies under
+        one savepoint: any exception rolls everything back.
         """
         from repro.deploy.delta import DeltaFlushReport
 
-        def node_triples(
-            node_id, label, properties, with_entailed: bool = False
-        ) -> List[Triple]:
-            triples: List[Triple] = [(node_id, RDF_TYPE, label)]
-            if with_entailed:
-                triples.extend(
-                    (node_id, RDF_TYPE, ancestor)
-                    for ancestor in sorted(self.superclasses_of(label))
-                    if ancestor != label
-                )
-            declared = None
-            if schema is not None and schema.has_node(label):
-                sm_node = schema.get_node(label)
-                declared = {a.name for a in schema.inherited_attributes(sm_node)}
-            for name, value in properties.items():
-                if declared is not None and name not in declared:
-                    continue
-                if value is not None:
-                    triples.append((node_id, name, value))
-            return triples
+        layout = TripleLayout(schema)
+
+        def held(source: Any, label: str, target: Any) -> bool:
+            return instance.has_node(source) and any(
+                edge.target == target for edge in instance.out_edges(source, label)
+            )
 
         report = DeltaFlushReport()
         with transaction(self):
             for node_id, label, properties in delta.removed_nodes:
-                hits = sum(
-                    self.retract(s, p, o)
-                    for s, p, o in node_triples(
-                        node_id, label, properties, with_entailed=True
-                    )
-                )
-                if hits:
+                triples = layout.node_triples(node_id, label, properties) + [
+                    (node_id, RDF_TYPE, ancestor) for ancestor in self.superclasses_of(label)
+                ]
+                if sum(self.retract(*triple) for triple in triples):
                     report.nodes_removed += 1
                 else:
                     report.skipped += 1
             for _eid, source, target, label, _props in delta.removed_edges:
-                if self.retract(source, label, target):
+                if held(source, label, target) or self.retract(source, label, target):
                     report.edges_removed += 1
                 else:
                     report.skipped += 1
             for node_id, label, new, old in delta.updated_nodes:
-                for triple in node_triples(node_id, label, old):
+                for triple in layout.node_triples(node_id, label, old):
                     self.retract(*triple)
-                for s, p, o in node_triples(node_id, label, new):
-                    self.add(s, p, o)
+                for triple in layout.node_triples(node_id, label, new):
+                    self.add(*triple)
                 report.nodes_updated += 1
             for node_id, label, properties in delta.added_nodes:
-                for s, p, o in node_triples(node_id, label, properties):
-                    self.add(s, p, o)
+                for triple in layout.node_triples(node_id, label, properties):
+                    self.add(*triple)
                 report.nodes_added += 1
             for _eid, source, target, label, _props in delta.added_edges:
                 self.add(source, label, target)

@@ -573,7 +573,6 @@ class IntensionalMaterializer:
         sigma: MetaProgram,
         instance_oid: Any = 1,
         dictionary: Optional[GraphDictionary] = None,
-        strict: bool = False,
         checkpoint=None,
         retain: bool = False,
     ) -> MaterializationReport:
@@ -583,6 +582,8 @@ class IntensionalMaterializer:
         ``schema`` (node labels are type names).  The result's
         ``instance`` holds the enriched plain graph, including the
         derived nodes and edges, over the registry's value dictionary.
+        A node or edge whose label is not a type of ``schema`` raises
+        :class:`~repro.errors.SchemaError` as the registry is read.
 
         ``checkpoint`` (a
         :class:`~repro.ssst.checkpoint.MaterializationCheckpoint`)
@@ -625,7 +626,6 @@ class IntensionalMaterializer:
             # Algorithm 2 reads the schema object, not the dictionary.
             if dictionary is not None and schema.schema_oid not in dictionary.schema_oids():
                 dictionary.store(schema)
-            SuperInstance.from_plain_graph(schema, data, instance_oid, strict=strict)
             registry = [registry_rows(maps, data, graph, edge) for edge in (False, True)]
             if resumed:
                 database, meta = checkpoint.load_phase("reason", graph.interner)

@@ -6,10 +6,10 @@ from repro.deploy import (
     GRACEFUL,
     STRICT,
     CSVDataset,
+    FaultInjector,
     FlushDelta,
     GraphStore,
     RelationalEngine,
-    RetryPolicy,
     TripleStore,
     generate_cypher_constraints,
     generate_ddl,
@@ -323,9 +323,11 @@ class TestCSVModel:
 # ----------------------------------------------------------------------
 # Bulk load == per-record load (the per-record path is the reference)
 # ----------------------------------------------------------------------
-def per_record_policy():
-    """A retrying policy: the loader then writes record by record."""
-    return RetryPolicy(max_attempts=2, sleep=lambda _seconds: None)
+def per_record_store():
+    """A store without bulk writers, a fault-free
+    :class:`~repro.deploy.FaultInjector`: the loader then writes record
+    by record."""
+    return FaultInjector(deployed_graph_store())
 
 
 def new_graph(name, columnar):
@@ -359,16 +361,12 @@ def load_three_ways(schema, data, mode=STRICT, prepare=lambda store: None):
     one is a plain store, which adopts when it is empty and ``data`` is
     a clean columnar graph — it then shares ``data``'s interner."""
     results = []
-    for make, policy in ((writing_graph_store, None),
-                         (deployed_graph_store, per_record_policy()),
-                         (deployed_graph_store, None)):
+    for make in (writing_graph_store, per_record_store, deployed_graph_store):
         store = make()
         prepare(store)
         before = graph_store_state(store), store_indexes(store)
         try:
-            outcome = load_graph_store(
-                schema, data, store, mode=mode, policy=policy
-            )
+            outcome = load_graph_store(schema, data, store, mode=mode)
         except Exception as exc:  # compared below, never swallowed
             outcome = exc
             # pristine
@@ -423,7 +421,7 @@ def assert_same_load(bulk, reference, adopted, expect_bulk=True,
     total = report.nodes + report.edges + report.replayed + (
         report.quarantined - report.skipped
     )
-    assert report.per_record == {"retry-policy": total} and not report.bulk_rows
+    assert report.per_record == {"no-bulk-writer": total} and not report.bulk_rows
     assert not bulk_report.adopted_rows and not report.adopted_rows
     if expect_bulk:
         assert not bulk_report.per_record
@@ -676,11 +674,11 @@ class TestBulkLoadEqualsPerRecord:
         """A delete that interleaves with a failing load is undone with
         the load's writes, on either path: the store ends as it began."""
         _, data, _ = self.dirty("undeclared relationship property")
-        for policy in (None, per_record_policy()):
-            store = deployed_graph_store()
+        for make, writer in ((deployed_graph_store, "create_nodes"),
+                             (per_record_store, "create_node")):
+            store = make()
             self.hold(store, "old")
             before = graph_store_state(store)
-            writer = "create_nodes" if policy is None else "create_node"
             real = getattr(store, writer)
 
             def deleting(*args, _real=real, _store=store, **kwargs):
@@ -689,7 +687,7 @@ class TestBulkLoadEqualsPerRecord:
 
             setattr(store, writer, deleting)
             with pytest.raises(IntegrityError):
-                load_graph_store(company_schema, data, store, policy=policy)
+                load_graph_store(company_schema, data, store)
             assert graph_store_state(store) == before
 
 

@@ -7,7 +7,15 @@ from functools import partial
 
 import pytest
 
-from repro.deploy import FlushDelta, GraphStore, RelationalEngine, TripleStore
+from repro.deploy import (
+    FlushDelta,
+    GraphStore,
+    RelationalEngine,
+    TripleStore,
+    graph_store_state,
+    load_graph_store,
+    load_triple_store,
+)
 from repro.errors import EvaluationError, IntegrityError, SchemaError
 from repro.finkg import programs
 from repro.finkg.company_schema import company_super_schema
@@ -1316,10 +1324,14 @@ class TestFlushDeltaDiff:
         assert {n[0] for n in delta.added_nodes} == {"b", "d"}
         assert {n[0] for n in delta.removed_nodes} == {"b", "c"}
         assert not delta.updated_nodes
-        assert {e[0] for e in delta.added_edges} == {"e3"}
-        assert {e[0] for e in delta.removed_edges} == {"e2"}
-        assert delta.changed() and delta.total_changes == 6
+        # The re-typed b takes e1 along: listed out, and in again.
+        assert {e[0] for e in delta.added_edges} == {"e1", "e3"}
+        assert {e[0] for e in delta.removed_edges} == {"e1", "e2"}
+        assert delta.changed() and delta.total_changes == 8
         assert "+2" in delta.summary()
+        patched = old.copy()
+        delta.apply_to(patched)
+        assert FlushDelta.diff(patched, new).total_changes == 0
 
     def test_property_change_is_update(self):
         old = PropertyGraph("old")
@@ -1668,10 +1680,28 @@ class _Batches:
         return delta
 
 
+def _with_undeclared(delta):
+    """``delta`` with an attribute no type declares on every node record."""
+    noisy = lambda properties: {**properties, "undeclared": 1}  # noqa: E731
+    return FlushDelta(
+        added_nodes=[(i, label, noisy(p)) for i, label, p in delta.added_nodes],
+        added_edges=delta.added_edges,
+        updated_nodes=[(i, label, noisy(new), noisy(old))
+                       for i, label, new, old in delta.updated_nodes],
+        removed_nodes=[(i, label, noisy(p)) for i, label, p in delta.removed_nodes],
+        removed_edges=delta.removed_edges,
+    )
+
+
 class TestRelationalFlushBattery:
-    """After every batch the engine maintained by ``apply_flush_delta``
-    holds the rows of a fresh load of the enriched instance, and those of
-    the image diff."""
+    """After every batch each store maintained by its ``apply_flush_delta``
+    through a :class:`FlushDeltaTarget` — relational engine, graph store,
+    triple store — holds what a fresh load of the enriched instance
+    holds, and the relational engine the rows of the image diff too.  A
+    triple store whose load and deltas carry an attribute no type
+    declares on every node holds the same triples: one element mapping
+    drops it on both paths (the enriched instance itself never carries
+    one)."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_chained_batches(self, company_schema, seed):
@@ -1681,30 +1711,61 @@ class TestRelationalFlushBattery:
             company_schema, _battery_registry(rng), _control_sigma(),
             instance_oid=7, retain=True,
         )
-        translated = SSST().translate(company_schema, "relational").target_schema
-        maintained = FlushDeltaTarget(
-            relational_engine(company_schema, translated=translated),
+        translated = {
+            model: SSST().translate(company_schema, model).target_schema
+            for model in ("relational", "property-graph", "rdf")
+        }
+
+        def store(model):
+            made = {"property-graph": GraphStore, "rdf": TripleStore}[model]()
+            made.deploy(translated[model])
+            return made
+
+        loaders = {"property-graph": load_graph_store, "rdf": load_triple_store}
+        states = {"property-graph": graph_store_state,
+                  "rdf": lambda held: frozenset(held.triples())}
+        maintained = {
+            model: FlushDeltaTarget(store(model), company_schema, loaders[model])
+            for model in states
+        }
+        maintained["relational"] = FlushDeltaTarget(
+            relational_engine(company_schema, translated=translated["relational"]),
             company_schema, graph_instance_to_relational,
         )
+        states["relational"] = engine_rows
         reference = ImageDiffRelationalTarget(
-            relational_engine(company_schema, translated=translated),
+            relational_engine(company_schema, translated=translated["relational"]),
             company_schema,
         )
-        for target in (maintained, reference):
+        for target in (*maintained.values(), reference):
             target.load_full(report.instance.data)
+        noisy = store("rdf")
+        noisy_instance = report.instance.data.copy()
+        for node in report.instance.data.nodes():
+            noisy_instance.set_node_property(node.id, "undeclared", 1)
+        load_triple_store(company_schema, noisy_instance, noisy)
         batches = _Batches(rng, materializer.retained.data)
         kinds = set()
         for _ in range(60):
             delta = batches.next()
             update = materializer.update(delta)
-            for target in (maintained, reference):
+            instance = update.instance.data
+            for target in (*maintained.values(), reference):
                 target.apply(update)
-            rows = engine_rows(maintained.store)
+            noisy.apply_flush_delta(
+                _with_undeclared(update.flush_delta), company_schema, instance)
+            rows = engine_rows(maintained["relational"].store)
             assert rows == engine_rows(reference.engine)
-            assert rows == engine_rows(relational_engine(
-                company_schema, update.instance.data, translated
-            ))
+            fresh = {"relational": relational_engine(
+                company_schema, instance, translated["relational"])}
+            for model, loader in loaders.items():
+                fresh[model] = store(model)
+                loader(company_schema, instance, fresh[model])
+            for model, state in states.items():
+                assert state(maintained[model].store) == state(fresh[model]), model
+            assert states["rdf"](noisy) == states["rdf"](fresh["rdf"])
             flush = update.flush_delta
+            old_labels = {r[0]: r[1] for r in flush.removed_nodes}
             kinds.update(
                 kind for kind, records in (
                     ("updated", flush.updated_nodes),
@@ -1712,18 +1773,20 @@ class TestRelationalFlushBattery:
                                   if r[2]["fiscalCode"] != r[3]["fiscalCode"]]),
                     ("replaced", {r[0] for r in flush.removed_nodes}
                      & {r[0] for r in flush.added_nodes}),
+                    ("re-typed", [r for r in flush.added_nodes
+                                  if old_labels.get(r[0], r[1]) != r[1]]),
                     ("equal stakes", len(rows["OWNS"]) > len(set(rows["OWNS"]))),
                     ("residence", [r for r in (*flush.added_edges,
                                                *flush.removed_edges)
                                    if r[3] == "RESIDES"]),
                     ("residence left", [
                         r for r in flush.removed_edges if r[3] == "RESIDES"
-                        and any(update.instance.data.out_edges(r[1], "RESIDES"))
+                        and any(instance.out_edges(r[1], "RESIDES"))
                     ]),
                 ) if records
             )
-        assert kinds == {"updated", "re-keyed", "replaced", "equal stakes",
-                         "residence", "residence left"}
+        assert kinds == {"updated", "re-keyed", "replaced", "re-typed",
+                         "equal stakes", "residence", "residence left"}
 
     @pytest.mark.parametrize("refusal", ["domain", "no match"])
     def test_a_refused_delta_leaves_the_engine_unchanged(
@@ -1785,13 +1848,23 @@ class TestTripleStoreDelta:
         store.add("B1", "OWNS", "B2")
         return store
 
+    @staticmethod
+    def after(*owns):
+        """The graph a delta leads to: B1, B2, B3 and the stakes ``owns``."""
+        graph = make_graph("after")
+        for node_id in ("B1", "B2", "B3"):
+            graph.add_node(node_id, "Business")
+        for source, target in owns:
+            graph.add_edge(source, target, "OWNS")
+        return graph
+
     def test_apply_delta(self, store, company_schema):
         report = store.apply_flush_delta(FlushDelta(
             added_nodes=[("B3", "Business", {"fiscalCode": "FC3",
                                              "notDeclared": 1})],
             added_edges=[("x", "B2", "B3", "OWNS", {})],
             removed_edges=[("y", "B1", "B2", "OWNS", {})],
-        ), schema=company_schema)
+        ), company_schema, self.after(("B2", "B3")))
         assert report.nodes_added == 1
         assert report.edges_added == 1 and report.edges_removed == 1
         assert store.has("B3", "fiscalCode", "FC3")
@@ -1799,10 +1872,17 @@ class TestTripleStoreDelta:
         assert not store.has("B1", "OWNS", "B2")
         assert store.has("B2", "OWNS", "B3")
 
+    def test_a_parallel_edge_keeps_the_triple(self, store, company_schema):
+        store.apply_flush_delta(FlushDelta(
+            removed_edges=[("y", "B1", "B2", "OWNS", {"percentage": 0.3})],
+        ), company_schema, self.after(("B1", "B2")))
+        assert store.has("B1", "OWNS", "B2")  # its twin still holds it
+
     def test_node_removal_retracts_attributes(self, store, company_schema):
         report = store.apply_flush_delta(FlushDelta(
             removed_nodes=[("B1", "Business", {"fiscalCode": "FC1"})],
-        ), schema=company_schema)
+            removed_edges=[("y", "B1", "B2", "OWNS", {})],
+        ), company_schema, self.after())
         assert report.nodes_removed == 1
         assert not store.has("B1", "rdf:type", "Business")
         assert not store.has("B1", "fiscalCode", "FC1")

@@ -76,6 +76,24 @@ class TestControlMaterialization:
         owns = {(e.source, e.target) for e in enriched.edges("OWNS")}
         assert owns == {("B1", "B2"), ("B2", "B3"), ("B1", "B3")}
 
+    @pytest.mark.parametrize("kind, match", [
+        ("node", "unknown node type 'Martian'"),
+        ("edge", "unknown edge type 'WARPS'"),
+    ])
+    def test_a_label_outside_the_schema_is_refused(
+        self, company_schema, owns_instance, materializer, kind, match
+    ):
+        data = owns_instance.copy()
+        if kind == "node":
+            data.add_node("M1", "Martian", antenna=1)
+        else:
+            data.add_edge("B1", "B2", "WARPS")
+        with pytest.raises(SchemaError, match=match):
+            materializer.materialize(
+                company_schema, data, parse_metalog(programs.CONTROL_PROGRAM),
+                instance_oid=9,
+            )
+
 
 class TestFullSharePipeline:
     def test_owns_then_control(self, company_schema, tiny_instance, materializer):

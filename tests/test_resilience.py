@@ -37,6 +37,7 @@ from repro.errors import (
 )
 from repro.finkg import programs
 from repro.finkg.company_schema import company_super_schema
+from repro.graph import make_graph
 from repro.graph.property_graph import PropertyGraph
 from repro.metalog import parse_metalog
 from repro.obs import RecordingTracer, ResourceGovernor
@@ -541,20 +542,30 @@ class TestLoadPathIsReported:
     def test_fault_injection_and_retrying_policies_go_per_record(
         self, company_schema, tiny_instance
     ):
+        """A store without bulk writers goes per record, whatever the
+        policy; a retrying policy over a plain store adopts a columnar
+        instance."""
         total = tiny_instance.node_count + tiny_instance.edge_count
         injector = FaultInjector(deployed_graph_store())
         assert not hasattr(injector, "create_nodes")
         assert not hasattr(injector, "create_relationships")
-        for store, policy in (
-            (injector, None),
-            (deployed_graph_store(), RetryPolicy(sleep=lambda _s: None)),
-        ):
-            report = load_graph_store(
-                company_schema, tiny_instance, store, policy=policy
-            )
-            assert report.per_record == {"retry-policy": total}
-            assert report.bulk_groups == 0
+        retrying = RetryPolicy(sleep=lambda _s: None)
+        report = load_graph_store(
+            company_schema, tiny_instance, injector, policy=retrying
+        )
+        assert report.per_record == {"no-bulk-writer": total}
+        assert report.bulk_groups == 0
         assert injector.mutations_applied == total  # one fault point each
+        columnar = make_graph("tiny")
+        for node in tiny_instance.nodes():
+            columnar.add_node(node.id, node.label, **node.properties)
+        for edge in tiny_instance.edges():
+            columnar.add_edge(edge.source, edge.target, edge.label,
+                              edge_id=edge.id, **edge.properties)
+        store = deployed_graph_store()
+        report = load_graph_store(company_schema, columnar, store, policy=retrying)
+        assert report.adopted_rows == total and not report.per_record
+        assert graph_store_state(store) == graph_store_state(injector)
 
     def test_integrity_fallback_is_counted(self, company_schema, tiny_instance):
         dirty = tiny_instance.copy()

@@ -339,16 +339,21 @@ def test_refused_flush_delta_leaves_the_store_unchanged(kind, last_insert):
     tracer = RecordingTracer()
     store = deployed(kind, tracer=tracer)
     schema = company_super_schema()
+    loaded = make_graph("loaded")
+    for number in (1, 2):
+        loaded.add_node(f"b{number}", "Business", **business(number))
+    loaded.add_edge("b1", "b2", "OWNS", edge_id="o", percentage=0.6)
     store.apply_flush_delta(FlushDelta(
-        added_nodes=[("b1", "Business", business(1)),
-                     ("b2", "Business", business(2))],
+        added_nodes=[(n.id, n.label, n.properties) for n in loaded.nodes()],
         added_edges=[("o", "b1", "b2", "OWNS", {"percentage": 0.6})],
-    ), schema=schema)
+    ), schema, loaded)
     driver = DRIVERS[kind](store)
     before = driver.state()
     error = IntegrityError if last_insert == "integrity" else TypeError
+    after = loaded.copy()  # as far as a store reads what the delta leads to
+    after.remove_edge("o")
     with pytest.raises(error):
-        store.apply_flush_delta(refused_delta(last_insert), schema=schema)
+        store.apply_flush_delta(refused_delta(last_insert), schema, after)
     assert driver.state() == before
     assert tracer.metrics.counters()["deploy.rollbacks"] == 1
 
