@@ -4,13 +4,15 @@ The incremental materialization path (``IntensionalMaterializer.update``)
 maintains the enriched instance in place instead of re-deriving it, so
 re-loading the whole instance into a deployed store would throw the
 saving away at the last hop.  A :class:`FlushDelta` is the difference
-between two enriched instances expressed at the plain-graph level —
-exactly what each store's ``apply_flush_delta`` method consumes to bring
-a previously loaded store up to date without a full reload.  ``update()``
-takes it over the elements its change reaches
-(:meth:`FlushDelta.between`) and patches its own enriched graph with it
-(:meth:`FlushDelta.apply_to`); the comparison of two whole graphs is
-what the tests hold that against.
+between two versions of an enriched instance expressed at the
+plain-graph level — exactly what each store's ``apply_flush_delta``
+method consumes to bring a previously loaded store up to date without a
+full reload.  ``update()`` builds the new version's record of each
+element its change reaches, one element at a time, sets those records
+against the enriched graph (:meth:`FlushDelta.between`) and patches the
+graph with the result (:meth:`FlushDelta.apply_to`); the comparison of
+two whole graphs (:meth:`FlushDelta.diff`, the same rules over every
+element of both) is what the tests hold that against.
 
 The records list every change, the edges a removed node takes along
 included, and carry everything any backend needs to *undo* an element
@@ -25,7 +27,8 @@ the store refuses leaves it as it was.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.graph.property_graph import PropertyGraph
 
@@ -71,17 +74,21 @@ class FlushDelta:
         into ``new``, every element of both compared (:meth:`between`
         over all their ids)."""
         return cls.between(
-            old, new,
+            old,
             dict.fromkeys(n.id for graph in (new, old) for n in graph.nodes()),
             dict.fromkeys(e.id for graph in (new, old) for e in graph.edges()),
+            partial(node_record, new), partial(edge_record, new),
         )
 
     @classmethod
     def between(
-        cls, old: PropertyGraph, new: PropertyGraph,
-        node_ids: Iterable[Any], edge_ids: Iterable[Any],
+        cls, old: PropertyGraph, node_ids: Iterable[Any], edge_ids: Iterable[Any],
+        new_node: Callable[[Any], Optional[NodeRecord]],
+        new_edge: Callable[[Any], Optional[EdgeRecord]],
     ) -> "FlushDelta":
-        """What turns the listed elements of ``old`` into those of ``new``.
+        """What turns the listed elements of ``old`` into their new
+        versions, whose records ``new_node(id)`` / ``new_edge(id)`` give
+        (None for an element the new version lacks).
 
         Elements are matched by id.  A node whose label changed is
         reported as removed + added (stores key constraints off the
@@ -89,13 +96,13 @@ class FlushDelta:
         are immutable records in every backend, so any change to an
         edge's endpoints, label, or properties is removed + added.  Every
         edge of ``old`` a removed node touches is listed as removed too,
-        and as added again when ``new`` still holds it.
+        and as added again when the new version still holds it.
         """
         delta = cls()
         edge_ids = dict.fromkeys(edge_ids)
         for node_id in node_ids:
             before = node_record(old, node_id)
-            after = node_record(new, node_id)
+            after = new_node(node_id)
             if before and after and before[1] == after[1]:
                 if before[2] != after[2]:
                     delta.updated_nodes.append((*after, before[2]))
@@ -110,7 +117,7 @@ class FlushDelta:
         leaving = {record[0] for record in delta.removed_nodes}
         for edge_id in edge_ids:
             before = edge_record(old, edge_id)
-            after = edge_record(new, edge_id)
+            after = new_edge(edge_id)
             taken_along = bool(before) and not leaving.isdisjoint(before[1:3])
             if before != after or taken_along:
                 if before:

@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.deploy.delta import DeltaFlushReport, FlushDelta
 from repro.deploy.relational_rows import RowLayout
@@ -76,9 +76,9 @@ class RelationalEngine(SavepointMixin):
         self._foreign_keys: List[ForeignKey] = []
         self._row_ids = count()
         # Inside deferred(): the rows written (by identity, until deleted
-        # or replaced) and the tables deleted from, checked at its end.
+        # or replaced) and the rows deleted, per table, checked at its end.
         self._written: Optional[Dict[int, Tuple[str, Dict[str, Any]]]] = None
-        self._emptied: Set[str] = set()
+        self._emptied: Dict[str, List[Dict[str, Any]]] = {}
         self._undo = UndoLog()
 
     # ------------------------------------------------------------------
@@ -208,7 +208,9 @@ class RelationalEngine(SavepointMixin):
             self.tracer.count("deploy.rows_updated", 1)
 
     def delete(self, table_name: str, **values: Any) -> int:
-        """Delete every row matching the given column values exactly.
+        """Delete every row matching the given column values exactly —
+        found through the primary-key index when they hold the key, by a
+        scan otherwise.
 
         A row left referencing a deleted one through a foreign key raises
         :class:`~repro.errors.IntegrityError` (RESTRICT semantics), so a
@@ -217,9 +219,13 @@ class RelationalEngine(SavepointMixin):
         Returns the number of rows removed.
         """
         stored = self._stored(table_name)
+        pk_columns = stored.table.primary_key()
+        candidates = stored.rows.keys()
+        if pk_columns and all(c in values for c in pk_columns):
+            candidates = stored.index.get(tuple(values[c] for c in pk_columns), ())
         row_ids = [
-            row_id for row_id, row in stored.rows.items()
-            if all(row.get(k) == v for k, v in values.items())
+            row_id for row_id in candidates
+            if all(stored.rows[row_id].get(k) == v for k, v in values.items())
         ]
         if row_ids:
             self._remove(table_name, stored, row_ids)
@@ -244,10 +250,10 @@ class RelationalEngine(SavepointMixin):
         if self._written is not None:
             for _row_id, row in removed:
                 self._written.pop(id(row), None)
-            self._emptied.add(table_name)
+            self._emptied.setdefault(table_name, []).extend(row for _, row in removed)
         else:
             try:
-                self._check_referencing(table_name)
+                self._check_referencing(table_name, [row for _, row in removed])
             except IntegrityError:
                 restore()
                 raise
@@ -378,15 +384,15 @@ class RelationalEngine(SavepointMixin):
         if self._written is not None:
             yield self
             return
-        written, emptied = self._written, self._emptied = {}, set()
+        written, emptied = self._written, self._emptied = {}, {}
         try:
             yield self
         finally:
             self._written = None
         for table_name, row in written.values():
             self._check_row_references(table_name, row)
-        for table_name in emptied:
-            self._check_referencing(table_name)
+        for table_name, removed in emptied.items():
+            self._check_referencing(table_name, removed)
 
     # ------------------------------------------------------------------
     # Integrity
@@ -409,27 +415,39 @@ class RelationalEngine(SavepointMixin):
         values = tuple(row.get(c) for c in foreign_key.source_columns)
         if not values or any(v is None for v in values):
             return  # NULL references are permitted (optional edges)
+        if not self._matched(foreign_key, values):
+            raise IntegrityError(
+                f"{foreign_key.source_table}: foreign key {foreign_key.name!r} "
+                f"value {values!r} has no match in {foreign_key.target_table!r}"
+            )
+
+    def _matched(self, foreign_key: ForeignKey, values: Tuple[Any, ...]) -> bool:
+        """Whether the target table holds a row of ``values`` in the
+        columns ``foreign_key`` targets."""
         target = self._stored(foreign_key.target_table)
-        pk_columns = target.table.primary_key()
-        if pk_columns == foreign_key.target_columns and target.index:
-            if values in target.index:
-                return
-        else:
-            for candidate in target.rows.values():
-                if tuple(candidate.get(c) for c in foreign_key.target_columns) == values:
-                    return
-        raise IntegrityError(
-            f"{foreign_key.source_table}: foreign key {foreign_key.name!r} "
-            f"value {values!r} has no match in {foreign_key.target_table!r}"
+        if target.table.primary_key() == foreign_key.target_columns and target.index:
+            return values in target.index
+        return any(
+            tuple(candidate.get(c) for c in foreign_key.target_columns) == values
+            for candidate in target.rows.values()
         )
 
-    def _check_referencing(self, table_name: str) -> None:
-        """RESTRICT after ``table_name`` lost rows: every row a foreign
-        key points from it at still finds its match."""
+    def _check_referencing(self, table_name: str, removed: List[Dict[str, Any]]) -> None:
+        """RESTRICT after ``table_name`` lost the ``removed`` rows: the
+        rows a foreign key points from at a key they held that the table
+        holds no more are checked — none when every such key is back."""
         for foreign_key in self._foreign_keys:
-            if foreign_key.target_table == table_name:
+            if foreign_key.target_table != table_name:
+                continue
+            gone = {
+                values for values in (
+                    tuple(row.get(c) for c in foreign_key.target_columns) for row in removed
+                ) if not self._matched(foreign_key, values)
+            }
+            if gone:
                 for row in self._stored(foreign_key.source_table).rows.values():
-                    self._check_reference(foreign_key, row)
+                    if tuple(row.get(c) for c in foreign_key.source_columns) in gone:
+                        self._check_reference(foreign_key, row)
 
     # ------------------------------------------------------------------
     # Queries

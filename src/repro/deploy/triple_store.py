@@ -61,6 +61,9 @@ class TripleStore(SavepointMixin):
         self.name = name
         self.tracer = tracer
         self._triples: Set[Triple] = set()
+        #: Per subject, the objects of its ``rdf:type`` triples: kept in
+        #: step with ``_triples`` by :meth:`_insert` / :meth:`_discard`.
+        self._types: Dict[Any, Set[Any]] = {}
         self._undo = UndoLog()
         self._schema: Optional[RDFSchema] = None
         self._superclasses: Dict[str, Set[str]] = {}
@@ -126,11 +129,24 @@ class TripleStore(SavepointMixin):
         """
         if triple in self._triples:
             return
-        self._triples.add(triple)
+        self._insert(triple)
         if self._undo.active:
-            self._undo.record(lambda t=triple: self._triples.discard(t))
+            self._undo.record(lambda t=triple: self._discard(t))
         if self.tracer is not None:
             self.tracer.count("deploy.triples_written", 1)
+
+    def _insert(self, triple: Triple) -> None:
+        self._triples.add(triple)
+        if triple[1] == RDF_TYPE:
+            self._types.setdefault(triple[0], set()).add(triple[2])
+
+    def _discard(self, triple: Triple) -> None:
+        self._triples.discard(triple)
+        if triple[1] == RDF_TYPE:
+            types = self._types.get(triple[0])
+            types.discard(triple[2])
+            if not types:
+                del self._types[triple[0]]
 
     def _validate(self, subject: Any, predicate: str, obj: Any) -> None:
         if predicate in (RDF_TYPE, RDFS_SUBCLASS):
@@ -140,9 +156,7 @@ class TripleStore(SavepointMixin):
             return
         if predicate not in self._domains:
             raise IntegrityError(f"undeclared predicate {predicate!r}")
-        declared_types = {
-            o for s, p, o in self._triples if s == subject and p == RDF_TYPE
-        }
+        declared_types = self._types.get(subject, ())
         domain = self._domains[predicate]
         if declared_types and domain not in declared_types:
             # Allow when some declared type is a subclass of the domain.
@@ -165,9 +179,9 @@ class TripleStore(SavepointMixin):
         triple = (subject, predicate, obj)
         if triple not in self._triples:
             return False
-        self._triples.discard(triple)
+        self._discard(triple)
         if self._undo.active:
-            self._undo.record(lambda t=triple: self._triples.add(t))
+            self._undo.record(lambda t=triple: self._insert(t))
         if self.tracer is not None:
             self.tracer.count("deploy.triples_removed", 1)
         return True

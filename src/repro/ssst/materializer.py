@@ -45,6 +45,8 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -140,6 +142,8 @@ class ColumnMaps:
     #: Rank of a derived ``(label, attribute)`` link among an element's
     #: derived links: V_O's ``skOhas`` functor order.
     head_ranks: Dict[Tuple[str, str], int]
+    _modeled: Dict[Tuple[bool, str], Tuple[str, ...]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def compile(cls, schema: SuperSchema, compiled: Any, catalog: Any) -> "ColumnMaps":
@@ -185,9 +189,12 @@ class ColumnMaps:
         """The attributes an element of ``type_name`` carries into the
         instance, in the encoder's order; raises
         :class:`~repro.errors.SchemaError` for a type the schema lacks."""
-        if edge:
-            return tuple(a.name for a in self.schema.get_edge(type_name).attributes)
-        return tuple(a.name for a in self.schema.inherited_attributes(type_name))
+        names = self._modeled.get((edge, type_name))
+        if names is None:
+            names = self._modeled[edge, type_name] = tuple(a.name for a in (
+                self.schema.get_edge(type_name).attributes if edge
+                else self.schema.inherited_attributes(type_name)))
+        return names
 
     def facts(self, nodes: Sequence[Any], edges: Sequence[Any]) -> Dict[str, List[Any]]:
         """The facts of Sigma's input relations ``(id, type, properties)``
@@ -270,38 +277,24 @@ def _codes(interner: Any, values: Sequence[Any]) -> Any:
     return codes
 
 
-def registry_rows(maps: ColumnMaps, data: PropertyGraph, graph: Any, edge: bool,
-                  ids: Optional[List[Any]] = None) -> List[Tuple[Any, ...]]:
+def registry_rows(maps: ColumnMaps, data: PropertyGraph, graph: Any,
+                  edge: bool) -> List[Tuple[Any, ...]]:
     """Per label of the registry's nodes or edges: the label, its
     modeled attributes, and its id, end (None for nodes) and attribute
     code columns over ``graph``'s interner, -1 an unset cell — the
-    registry's own when ``graph`` shares its codes, of every element,
-    or of those of ``ids`` that are there."""
-    interner, tables = graph.interner, []
-    if ids is None:
-        shared = graph.share_codes(data)
-        for label in (data.edge_labels() if edge else data.node_labels()):
-            names = maps.modeled(edge, label)
-            if shared:
-                table = (data.edge_code_table if edge else data.node_code_table)(label, names)
-            else:
-                table = (data.edges_table if edge else data.nodes_table)(
-                    label, names, default=ABSENT)
-                encode = partial(_codes, interner)
-                table = [*map(encode, table[:-1]), list(map(encode, table[-1]))]
-            tables.append((label, names, *(table if edge else (table[0], None, None, table[1]))))
-        return tables
-    grouped: Dict[str, List[Any]] = {}
-    for record in map(partial(edge_record if edge else node_record, data), ids):
-        if record is not None and record[-2] is not None:
-            grouped.setdefault(record[-2], []).append(record)
-    for label, records in sorted(grouped.items()):
+    registry's own when ``graph`` shares its codes."""
+    tables = []
+    shared = graph.share_codes(data)
+    for label in (data.edge_labels() if edge else data.node_labels()):
         names = maps.modeled(edge, label)
-        points = [_codes(interner, [r[i] for r in records]) for i in range(1 + 2 * edge)]
-        tables.append((label, names, *points, *([None] * (2 - 2 * edge)), [
-            _codes(interner, [r[-1].get(name, ABSENT) for r in records])
-            for name in names
-        ]))
+        if shared:
+            table = (data.edge_code_table if edge else data.node_code_table)(label, names)
+        else:
+            table = (data.edges_table if edge else data.nodes_table)(
+                label, names, default=ABSENT)
+            encode = partial(_codes, graph.interner)
+            table = [*map(encode, table[:-1]), list(map(encode, table[-1]))]
+        tables.append((label, names, *(table if edge else (table[0], None, None, table[1]))))
     return tables
 
 
@@ -331,19 +324,15 @@ def load_inputs(maps: ColumnMaps, registry: Sequence[List[Tuple[Any, ...]]],
         ])
 
 
-def _head_rows(maps: ColumnMaps, database: Database, graph: Any, edge: bool,
-               ids: Optional[List[Any]]) -> List[Tuple[int, List[Any]]]:
+def _head_rows(maps: ColumnMaps, database: Database, graph: Any,
+               edge: bool) -> List[Tuple[int, List[Any]]]:
     """Per head relation of one kind: its index in ``maps.heads`` and
-    its code columns over ``graph``'s interner — whole, or the rows of
-    the elements ``ids`` (index probes, no whole read)."""
+    its code columns over ``graph``'s interner."""
     interner, rows = graph.interner, []
     for index, (label, is_edge, _columns) in enumerate(maps.heads):
         if is_edge != edge:
             continue
-        if ids is not None:
-            facts = database.matching(label, 0, ids)
-            columns = [interner.encode_column(list(c)) for c in zip(*facts)]
-        elif database.interner is interner:
+        if database.interner is interner:
             columns = database.code_columns(label)
         else:
             columns = [interner.encode_column(c) for c in database.columns(label) or ()]
@@ -457,7 +446,6 @@ def _derive(elements: _Elements, values: List[Any], eq: Any, none: Optional[int]
 
 def write_instance(maps: ColumnMaps, instance_oid: Any, data: PropertyGraph,
                    database: Database, graph: ColumnarPropertyGraph,
-                   touched: Optional[Tuple[List[Any], List[Any]]] = None,
                    registry: Optional[Sequence[List[Tuple[Any, ...]]]] = None,
                    ) -> Tuple[int, int]:
     """Write the instance the registry ``data`` and Sigma's ``database``
@@ -465,22 +453,14 @@ def write_instance(maps: ColumnMaps, instance_oid: Any, data: PropertyGraph,
     ``I_SM_*`` relations would: nodes, then edges, in ``str`` order of
     their construct OIDs, one :func:`write_elements` pass each, the
     registry's code columns taken as they are (``registry``, when its
-    :func:`registry_rows` are read already).  With ``touched`` —
-    ``(node ids, edge ids)`` — only those elements and the end nodes of
-    those edges are written.  Returns the number of derived elements
-    written and of edge ends missing (see :func:`_derive`)."""
+    :func:`registry_rows` are read already).  Returns the number of
+    derived elements written and of edge ends missing (see
+    :func:`_derive`)."""
     interner = graph.interner
-    node_ids, edge_ids = touched or (None, None)
-    if registry is None:
-        registry = [None, registry_rows(maps, data, graph, True, edge_ids)]
-    edges = (registry[1], _head_rows(maps, database, graph, True, edge_ids))
-    if touched is not None:  # the ends of those edges are nodes to write
-        ends = [*(t[3:5] for t in edges[0]), *(c[1:3] for _, c in edges[1])]
-        node_ids = list(dict.fromkeys([*node_ids, *(
-            interner.values[code] for pair in ends for end in pair for code in end.tolist()
-        )]))
-    nodes = (registry[0] or registry_rows(maps, data, graph, False, node_ids),
-             _head_rows(maps, database, graph, False, node_ids))
+    edges = (registry[1] if registry else registry_rows(maps, data, graph, True),
+             _head_rows(maps, database, graph, True))
+    nodes = (registry[0] if registry else registry_rows(maps, data, graph, False),
+             _head_rows(maps, database, graph, False))
     eq, none = interner.eq_array().view(np.int64), interner.probe(None)
     added = dropped = 0
     node_at = None
@@ -519,6 +499,120 @@ def write_instance(maps: ColumnMaps, instance_oid: Any, data: PropertyGraph,
         )
         node_at = code_map(eq[columns[0]], columns[0])
     return added, dropped
+
+
+def _eq_members(value: Any) -> Tuple[Any, ...]:
+    """``value`` and a value ``==`` to it under another exact code:
+    ``True`` for ``1`` / ``1.0``, ``0`` for ``False``."""
+    if isinstance(value, (bool, int, float)) and value in (0, 1):
+        return value, int(value) if value.__class__ is bool else bool(value)
+    return (value,)
+
+
+class _ElementFlush:
+    """An update's flush, one element at a time: the record an element
+    has in the new instance (:func:`node_record` / :func:`edge_record`
+    form), made by :func:`_derive`'s rules from the registry ``data``
+    and Sigma's head facts for its id alone — index probes, nothing
+    written.  An edge end among the ``touched`` nodes is a node when
+    its new record is there; any other end reads the ``enriched``
+    graph, which holds what the update does not reach as it is.
+    Records are made on demand, once an id (``==``: one eq code);
+    ``dropped`` counts the edge ends that are no node on the way."""
+
+    def __init__(self, maps: ColumnMaps, data: PropertyGraph, database: Database,
+                 enriched: PropertyGraph, touched: Sequence[Any]):
+        self.maps, self.data, self.database, self.enriched = maps, data, database, enriched
+        self.touched = {node_id: node_id for node_id in touched}
+        self.made: Tuple[Dict[Any, Any], Dict[Any, Any]] = ({}, {})
+        self.dropped = 0
+
+    def record(self, edge: bool, element_id: Any) -> Optional[Tuple[Any, ...]]:
+        """The element's record in the new instance; None if it has none."""
+        made = self.made[edge]
+        if element_id not in made:
+            made[element_id] = self._record(edge, element_id)
+        return made[element_id]
+
+    def held(self, edge: bool, ids: Sequence[Any]) -> List[Any]:
+        """``ids`` as the new instance holds them, or else the enriched
+        graph (a graph looks an id up by its exact code), in ``str``
+        order."""
+        has = self.enriched.has_edge if edge else self.enriched.has_node
+        held: Dict[Any, None] = {}
+        for element_id in ids:
+            new = self.record(edge, element_id)
+            held[new[0] if new is not None else next(
+                (v for v in _eq_members(element_id) if has(v)), element_id)] = None
+        return sorted(held, key=str)
+
+    def node_at(self, value: Any) -> Any:
+        """The id of the new instance's node ``== value``; None if none."""
+        if value in self.touched:
+            record = self.record(False, self.touched[value])
+            return None if record is None else record[0]
+        for held in _eq_members(value):
+            if self.enriched.has_node(held):
+                return self.enriched.node(held).id
+        return None
+
+    def _ends(self, values: Sequence[Any]) -> List[Any]:
+        ends = [self.node_at(value) for value in values]
+        self.dropped += sum(end is None for end in ends)
+        return ends
+
+    def _record(self, edge: bool, element_id: Any) -> Optional[Tuple[Any, ...]]:
+        maps, interner = self.maps, self.enriched.interner
+        facts = [(index, fact) for index, (label, is_edge, _names) in enumerate(maps.heads)
+                 if is_edge == edge for fact in self.database.matching(label, 0, [element_id])]
+        loaded = (edge_record if edge else node_record)(self.data, element_id)
+        if loaded is not None and loaded[-2] is not None:
+            ends = self._ends(loaded[1:-2])
+            if None in ends:  # an edge needs both ends in the instance
+                loaded = None
+        else:
+            loaded = None
+        if loaded is not None:  # a loaded element wins: label, ends, attributes
+            held = loaded[-1]
+            element, label = interner.values[interner.encode(loaded[0])], loaded[-2]
+            links = [(rank, name, interner.values[interner.encode(held[name])])
+                     for rank, name in enumerate(maps.modeled(edge, label)) if name in held]
+        elif facts:  # derived only: the smallest head label names it
+            index, first = facts[0]
+            element, label, links = first[0], maps.heads[index][0], []
+            ends = self._derived_ends(facts) if edge else []
+            if None in ends:
+                return None
+        else:
+            return None
+        for index, rows in groupby(facts, key=itemgetter(0)):
+            head, _edge, names = maps.heads[index]
+            columns = list(zip(*(fact for _, fact in rows)))[3 if edge else 1:]
+            for name, column in zip(names, columns):
+                shown = [value for value in column if value is not None]
+                if name is not None and shown:  # of several values the smallest
+                    links.append((1 << 20 | maps.head_ranks[head, name], name,
+                                  min(shown, key=value_sort_key)))
+        properties: Dict[str, Any] = {}
+        for _rank, name, value in sorted(links, key=itemgetter(0)):
+            properties[name] = value  # placed by its first link, valued by its last
+        return (element, *ends, label, properties) if edge else (element, label, properties)
+
+    def _derived_ends(self, facts: List[Tuple[int, Tuple[Any, ...]]]) -> List[Any]:
+        """A derived-only edge's ends: its one fact's, or per end the
+        largest head label's smallest end that is a node."""
+        if len(facts) == 1:
+            return self._ends(facts[0][1][1:3])
+        ends = [None, None]
+        for position in (1, 2):
+            for _index, rows in groupby(facts, key=itemgetter(0)):
+                ranked = sorted((fact[position] for _, fact in rows), key=value_sort_key)
+                hits = [self.node_at(value) for value in ranked]
+                kept = next((k for k, hit in enumerate(hits) if hit is not None), len(hits))
+                self.dropped += kept
+                if kept < len(hits):
+                    ends[position - 1] = hits[kept]
+        return ends
 
 
 class IntensionalMaterializer:
@@ -689,14 +783,17 @@ class IntensionalMaterializer:
         becomes the facts of Sigma's input relations it adds and
         removes, and one :meth:`~repro.vadalog.engine.Engine.apply_delta`
         call maintains Sigma's state; the registry graph is mutated in
-        place.  The elements the delta or a changed head fact reaches —
-        and the derived edges naming a reached node — are written afresh
-        by :func:`write_instance`; what differs from the enriched graph
-        is the :class:`~repro.deploy.delta.FlushDelta` (for bringing
-        deployed stores up to date without a reload), and the enriched
-        graph is patched with it in place — the report's ``instance``
-        wraps that one live graph.  Once Sigma's database holds more
-        tombstoned rows than live ones it is compacted.
+        place.  The flush costs what the change reaches, nothing more:
+        the elements of the delta, the ids of Sigma's net head-fact
+        changes and the derived edges naming a reached node each get
+        their new record, one element at a time, from the registry and
+        their own head facts (:class:`_ElementFlush`, nothing written);
+        set against the enriched graph's records they give the
+        :class:`~repro.deploy.delta.FlushDelta` (for bringing deployed
+        stores up to date without a reload), and the enriched graph is
+        patched with it in place — the report's ``instance`` wraps that
+        one live graph.  Once Sigma's database holds more tombstoned
+        rows than live ones it is compacted.
 
         The result is fact-set-identical (up to labeled-null renaming)
         to re-running :meth:`materialize` from scratch on the mutated
@@ -744,7 +841,7 @@ class IntensionalMaterializer:
                 )
                 # What the change reaches: the delta's elements, those
                 # of changed head facts and derived edges naming a
-                # reached node, written afresh and set against the
+                # reached node, each made anew and set against the
                 # enriched graph, which is then patched in place.
                 touched: List[Dict[Any, None]] = [
                     dict.fromkeys(r[0] for r in (*removed_nodes, *delta.add_nodes)),
@@ -761,13 +858,12 @@ class IntensionalMaterializer:
                         touched[1].update(dict.fromkeys(
                             f[0] for f in database.matching(label, position, nodes)
                         ))
-                after = ColumnarPropertyGraph("touched", interner=retained.enriched.interner)
-                _, dropped = write_instance(maps, retained.instance_oid, data, database,
-                                            after, (nodes, list(touched[1])))
+                flush = _ElementFlush(maps, data, database, retained.enriched, nodes)
                 flush_delta = FlushDelta.between(
-                    retained.enriched, after,
-                    sorted(touched[0], key=str), sorted(touched[1], key=str),
+                    retained.enriched, flush.held(False, nodes), flush.held(True, touched[1]),
+                    partial(flush.record, False), partial(flush.record, True),
                 )
+                dropped = flush.dropped
                 flush_delta.apply_to(retained.enriched)
             except BaseException:
                 self._retained = None

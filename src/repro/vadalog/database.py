@@ -141,14 +141,16 @@ class Database:
         return relation.code_columns()
 
     def matching(self, predicate: str, position: int, values: Iterable[Any]) -> List[Fact]:
-        """The facts of ``predicate`` holding one of ``values`` at
-        ``position``: value by value, each value's in row order — index
-        probes, not a scan."""
+        """The facts of ``predicate`` holding a value ``==`` one of
+        ``values`` at ``position`` (one eq code: ``1``, ``1.0`` and
+        ``True`` match each other): value by value, each value's in row
+        order — index probes, not a scan."""
         relation = self._relations.get(predicate)
         if relation is None:
             return []
         return [
-            fact for value in values for fact in relation.lookup([(position, value)])
+            fact for value in values
+            for fact in relation.lookup_key((position,), (value,))
         ]
 
     def has(self, predicate: str, fact: Tuple[Any, ...]) -> bool:

@@ -118,13 +118,15 @@ def diff_is_the_oracle(materializer):
     ``FlushDelta`` must equal ``FlushDelta.diff(copy, whole)`` record
     for record, and the patched enriched graph must equal the whole
     instance.  During the call itself no whole relation of Sigma's
-    database may be read and ``FlushDelta.diff`` may not run.  Returns
-    ``materializer``.
+    database may be read, ``FlushDelta.diff`` may not run, and no
+    instance may be written: ``write_instance`` may not be called and
+    no ``ColumnarPropertyGraph`` constructed.  Returns ``materializer``.
     """
     from unittest import mock
 
     from repro.deploy.delta import FlushDelta
     from repro.graph import ColumnarPropertyGraph
+    from repro.ssst import materializer as materializer_module
     from repro.ssst.materializer import write_instance
     from repro.vadalog.columnar import ColumnarRelation
     from repro.vadalog.database import Database
@@ -162,11 +164,16 @@ def diff_is_the_oracle(materializer):
         def no_diff(*_args, **_kwargs):
             raise AssertionError("FlushDelta.diff called by update()")
 
+        def no_write(*_args, **_kwargs):
+            raise AssertionError("update() wrote an instance")
+
         with mock.patch.multiple(
             Database, **{name: database_read(name) for name in real_columns}
         ), mock.patch.multiple(
             ColumnarRelation, **{name: relation_read(name) for name in real_relation}
-        ), mock.patch.object(FlushDelta, "diff", no_diff):
+        ), mock.patch.object(FlushDelta, "diff", no_diff), mock.patch.object(
+            materializer_module, "write_instance", no_write
+        ), mock.patch.object(ColumnarPropertyGraph, "__init__", no_write):
             report = real_update(delta)
         assert report.instance.data is retained.enriched
         whole = ColumnarPropertyGraph("whole", interner=retained.enriched.interner)

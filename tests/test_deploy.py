@@ -228,6 +228,37 @@ class TestTripleStore:
         assert set(store.extract("OWNS")) == {("b1", "b2")}
         assert ("b1",) in set(store.extract("rdf:type Business"))
 
+    def test_load_work_is_linear_in_the_triples(self, company_schema):
+        """A validated add reads its subject's types off an index: the
+        triples a load scans plus the index lookups it makes, per triple
+        loaded, do not grow with the registry."""
+        work = [0]
+
+        class Scanned(set):
+            def __iter__(self):
+                for triple in set.__iter__(self):
+                    work[0] += 1
+                    yield triple
+
+        class Probed(dict):
+            def get(self, *args):
+                work[0] += 1
+                return dict.get(self, *args)
+
+            def setdefault(self, *args):
+                work[0] += 1
+                return dict.setdefault(self, *args)
+
+        per_triple = []
+        for companies in (25, 100):
+            store = TripleStore()
+            store.deploy(SSST().translate(company_schema, "rdf").target_schema)
+            store._triples, store._types = Scanned(store._triples), Probed(store._types)
+            work[0] = 0
+            load_triple_store(company_schema, kgbench_registry(companies, 42)[1], store)
+            per_triple.append(work[0] / store.count())
+        assert per_triple[1] <= per_triple[0] * 1.1 and per_triple[1] < 4, per_triple
+
     def test_rdfs_document(self):
         schema = SSST().translate(company_super_schema(), "rdf").target_schema
         doc = generate_rdfs(schema)

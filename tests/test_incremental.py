@@ -1559,9 +1559,9 @@ def _person(code):
     return {"fiscalCode": code, "name": f"N {code}", "gender": "female"}
 
 
-def _battery_registry(rng):
-    """Places, persons and businesses; stakes (some parallel and equal)
-    and residences."""
+def _battery_registry(rng, businesses=6):
+    """Places, persons and ``businesses`` businesses; stakes (some
+    parallel and equal) and residences."""
     data = make_graph("registry")
     for number in range(3):
         data.add_node(f"pl{number}", "Place", **_place(number))
@@ -1570,13 +1570,13 @@ def _battery_registry(rng):
         if rng.random() < 0.6:
             data.add_edge(f"p{number}", f"pl{rng.randrange(3)}", "RESIDES",
                           edge_id=f"home-{number}")
-    for number in range(6):
+    for number in range(businesses):
         data.add_node(f"b{number}", "Business",
                       **_business_props(f"FC-B{number}", f"B{number} SpA"))
-    owners = [f"p{n}" for n in range(5)] + [f"b{n}" for n in range(6)]
-    for number in range(14):
+    owners = [f"p{n}" for n in range(5)] + [f"b{n}" for n in range(businesses)]
+    for number in range(14 * businesses // 6):
         owner = rng.choice(owners)
-        target = rng.choice([f"b{n}" for n in range(6) if f"b{n}" != owner])
+        target = rng.choice([f"b{n}" for n in range(businesses) if f"b{n}" != owner])
         data.add_edge(owner, target, "OWNS", edge_id=f"s{number}",
                       percentage=rng.choice((0.3, 0.6)))
     return data
@@ -1787,6 +1787,59 @@ class TestRelationalFlushBattery:
             )
         assert kinds == {"updated", "re-keyed", "replaced", "re-typed",
                          "equal stakes", "residence", "residence left"}
+
+    def test_retyping_a_node_and_back_reads_what_it_changes(self, company_schema):
+        """A business re-typed as a PublicListedCompany and back, its
+        stakes listed: the rows the engine reads do not grow with the
+        registry — a delete finds its row by the primary key, and no
+        row is checked for a key that is back by the end of the delta."""
+        reads = [0]
+
+        class Counted(dict):
+            def keys(self):
+                for key in dict.keys(self):
+                    reads[0] += 1
+                    yield key
+
+            def values(self):
+                for row in dict.values(self):
+                    reads[0] += 1
+                    yield row
+
+            def items(self):
+                for item in dict.items(self):
+                    reads[0] += 1
+                    yield item
+
+        per_size = []
+        for businesses in (6, 60):
+            materializer = IntensionalMaterializer()
+            report = materializer.materialize(
+                company_schema, _battery_registry(random.Random(0), businesses),
+                _control_sigma(), instance_oid=7, retain=True,
+            )
+            engine = relational_engine(company_schema, report.instance.data)
+            for stored in engine._tables.values():
+                stored.rows = Counted(stored.rows)
+            data, reads[0] = materializer.retained.data, 0
+            for label, extra in (("PublicListedCompany", {"stockExchange": "MIL"}),
+                                 ("Business", {})):
+                node = data.node("b0")
+                properties = {k: v for k, v in node.properties.items()
+                              if k != "stockExchange"}
+                update = materializer.update(RegistryDelta(
+                    remove_nodes=["b0"],
+                    add_nodes=[("b0", label, {**properties, **extra})],
+                    add_edges=[(e.id, e.source, e.target, e.label, dict(e.properties))
+                               for e in (*data.out_edges("b0"), *data.in_edges("b0"))],
+                ))
+                assert [n[:2] for n in update.flush_delta.added_nodes] == [("b0", label)]
+                engine.apply_flush_delta(update.flush_delta, company_schema,
+                                         update.instance.data)
+            per_size.append(reads[0])
+            assert engine_rows(engine) == engine_rows(
+                relational_engine(company_schema, update.instance.data))
+        assert per_size[0] == per_size[1], per_size
 
     @pytest.mark.parametrize("refusal", ["domain", "no match"])
     def test_a_refused_delta_leaves_the_engine_unchanged(

@@ -873,6 +873,143 @@ class TestDeltaDecode:
 
 
 # ----------------------------------------------------------------------
+# The per-element flush: _derive's arbitration, one element at a time
+# ----------------------------------------------------------------------
+#: Heads that meet on one element: a node id taken from a surname cell
+#: (a loaded node wins, under its label, when the surname is its id —
+#: ``1``, ``1.0`` and ``True`` are one), derived under two labels that
+#: write one attribute (the larger label's value wins, and over a
+#: loaded value), a derived ``None`` (the unset birth date), a derived
+#: node under two labels (``skFam``: Family for a female member, Place
+#: always) and a derived edge under two labels (``skR``), whose
+#: REPRESENTS end is a name, no node but for one person (dropped and
+#: counted).
+ARBITRATION_PROGRAM = """
+(p: PhysicalPerson; surname: s, name: n) -> (s: Business; businessName: n).
+(p: PhysicalPerson; surname: s, name: n)
+  -> (s: PublicListedCompany; businessName: s, stockExchange: n).
+(p: PhysicalPerson; surname: s, birthDate: d) -> (s: Business; website: d).
+(p: PhysicalPerson; surname: s, gender: "female")
+  -> exists f = skFam(s) : (f: Family; familyName: s).
+(p: PhysicalPerson; surname: s, name: n)
+  -> exists f = skFam(s) : (f: Place; city: n).
+(p: PhysicalPerson; name: n) -> exists e = skR(p) : (p)[e: REPRESENTS](n).
+(p: PhysicalPerson)[: OWNS; percentage: w](b: Business)
+  -> exists e = skR(p) : (p)[e: HAS_ROLE; role: w](b).
+"""
+
+
+def person(surname, name, gender="male"):
+    return {"fiscalCode": f"PF-{name}", "name": name, "surname": surname,
+            "gender": gender}
+
+
+def arbitration_registry():
+    """An object-graph registry (ids are dict keys: an edge may name node
+    ``1`` as ``True`` or ``1.0``) of people, businesses and stakes."""
+    data = PropertyGraph("arbitration")
+    for pid, surname, name, gender in (
+        ("p1", "Rossi", "Ann", "female"), ("p2", "Rossi", "Bo", "male"),
+        ("p5", 1.0, "Ed", "male"), ("p6", "Nowhere", "Fay", "female"),
+    ):
+        data.add_node(pid, "PhysicalPerson", **person(surname, name, gender))
+    for bid in ("B1", "B2", 1):
+        data.add_node(bid, "Business", fiscalCode=f"FC-{bid}",
+                      businessName=f"{bid} SpA", **BUSINESS)
+    for eid, source, target, share in (
+        ("s1", "p1", "B1", 0.6), ("s2", "p2", 1, 0.3), ("s3", "B2", "B1", 0.4),
+        ("s4", True, "B2", 0.7),
+    ):
+        data.add_edge(source, target, "OWNS", edge_id=eid, percentage=share)
+    return data
+
+
+def arbitration_deltas():
+    """Chained deltas over :func:`arbitration_registry`, each with what
+    it is for."""
+    b1_stakes = [("s1", "p1", "B1", "OWNS", {"percentage": 0.6}),
+                 ("s3", "B2", "B1", "OWNS", {"percentage": 0.4})]
+    yield "a surname naming a loaded node, an edge under two labels", RegistryDelta(
+        add_nodes=[("p3", "PhysicalPerson", person("B1", "B2", "female"))],
+        add_edges=[("x1", "p3", "B1", "OWNS", {"percentage": 0.8})])
+    yield "True and 1.0 naming node 1", RegistryDelta(
+        add_nodes=[("p4", "PhysicalPerson", person(True, "Di"))],
+        add_edges=[("x2", "p4", 1.0, "OWNS", {"percentage": 0.6}),
+                   ("x3", True, "B1", "OWNS", {"percentage": 0.9})])
+    yield "an edge end that is no node", RegistryDelta(
+        add_nodes=[("p7", "PhysicalPerson", person("Elsewhere", "Gil"))])
+    yield "a person and the edges it takes along", RegistryDelta(remove_nodes=["p3"])
+    yield "a re-typed node", RegistryDelta(
+        remove_nodes=["B1"],
+        add_nodes=[("B1", "PublicListedCompany", {
+            "fiscalCode": "FC-B1", "businessName": "B1 SpA", **BUSINESS,
+            "stockExchange": "MIL"})],
+        add_edges=[*b1_stakes, ("x3", True, "B1", "OWNS", {"percentage": 0.9})])
+    yield "a derived node loses its smaller label", RegistryDelta(remove_nodes=["p1"])
+    yield "everything added goes", RegistryDelta(
+        remove_nodes=["p4", "p7"], remove_edges=["x3"])
+
+
+class TestElementFlushArbitration:
+    """Every update held against the whole-instance write (no instance
+    written by update() itself), on programs whose heads meet."""
+
+    @pytest.mark.parametrize("program", [
+        "STAKEHOLDERS_PROGRAM", "FAMILY_PROGRAM", "ARBITRATION_PROGRAM"])
+    def test_chained_deltas_equal_the_whole_write(
+        self, company_schema, checked, program
+    ):
+        text = ARBITRATION_PROGRAM if program == "ARBITRATION_PROGRAM" else getattr(
+            programs, program)
+        checked.materialize(
+            company_schema, arbitration_registry(), parse_metalog(text),
+            instance_oid=9, retain=True,
+        )
+        for what, delta in arbitration_deltas():
+            assert checked.update(delta).instance.data is checked.retained.enriched, what
+
+    def test_what_the_heads_leave(self, company_schema, checked):
+        report = checked.materialize(
+            company_schema, arbitration_registry(),
+            parse_metalog(ARBITRATION_PROGRAM), instance_oid=9, retain=True,
+        )
+        enriched = checked.retained.enriched
+        assert report.flush_dropped_edges == 4  # REPRESENTS Ann / Bo / Ed / Fay
+        # Node 1 (the surname 1.0): a loaded node wins and keeps its
+        # label; of the two labels writing businessName the larger wins
+        # (over the loaded value too); the unset birth date is nothing.
+        assert (enriched.node(1).label, enriched.node(1).properties) == ("Business", {
+            "shareholdingCapital": 10.0, "businessName": 1, "legalNature": "spa",
+            "fiscalCode": "FC-1", "stockExchange": "Ed"})
+        family = SkolemValue("skFam", ("Rossi",))
+        assert (enriched.node(family).label, enriched.node(family).properties) == (
+            "Family", {"familyName": "Rossi", "city": "Ann"})
+        deltas = dict(arbitration_deltas())
+        update = checked.update(deltas[
+            "a surname naming a loaded node, an edge under two labels"])
+        # skR(p3): HAS_ROLE to B1, REPRESENTS to B2 — the smaller label,
+        # the larger label's end.
+        assert (SkolemValue("skR", ("p3",)), "p3", "B2", "HAS_ROLE", {"role": 0.8}) in (
+            update.flush_delta.added_edges)
+        ((b1, label, new, _old),) = update.flush_delta.updated_nodes
+        assert (b1, label, new["businessName"], new["stockExchange"]) == (
+            "B1", "Business", "B1", "B2")
+        update = checked.update(deltas["True and 1.0 naming node 1"])
+        assert ("x3", 1, "B1", "OWNS", {"percentage": 0.9}) in update.flush_delta.added_edges
+        assert [n[0] for n in update.flush_delta.updated_nodes] == [
+            1, SkolemValue("skFam", (1,))]
+        assert checked.update(deltas["an edge end that is no node"]).flush_dropped_edges == 1
+        checked.update(deltas["a person and the edges it takes along"])
+        update = checked.update(deltas["a re-typed node"])
+        assert [n[:2] for n in update.flush_delta.removed_nodes] == [("B1", "Business")]
+        assert [n[:2] for n in update.flush_delta.added_nodes] == [
+            ("B1", "PublicListedCompany")]
+        update = checked.update(deltas["a derived node loses its smaller label"])
+        assert (family, "Place", {"city": "Bo"}) in update.flush_delta.added_nodes
+        assert (family, "Family") in [n[:2] for n in update.flush_delta.removed_nodes]
+
+
+# ----------------------------------------------------------------------
 # A recomputed stratum keeps the nulls of what it derives again
 # ----------------------------------------------------------------------
 @pytest.fixture()
