@@ -174,10 +174,6 @@ class SMAttribute:
                 f"attribute {self.name!r} cannot be both identifying and optional"
             )
 
-    def add_modifier(self, modifier: SMAttributeModifier) -> "SMAttribute":
-        self.modifiers.append(modifier)
-        return self
-
     def __repr__(self) -> str:
         flags = []
         if self.is_id:
@@ -296,14 +292,6 @@ class SMEdge:
     @property
     def is_one_to_many(self) -> bool:
         return not self.is_fun1 and self.is_fun2
-
-    @property
-    def is_many_to_one(self) -> bool:
-        return self.is_fun1 and not self.is_fun2
-
-    @property
-    def is_one_to_one(self) -> bool:
-        return self.is_fun1 and self.is_fun2
 
     def cardinality_labels(self) -> Tuple[str, str]:
         """UML-style labels (source side, target side)."""

@@ -171,6 +171,9 @@ class DeltaFlushReport:
     #: Records skipped because the element (or its label) is absent —
     #: removals of never-loaded elements are counted, not errors.
     skipped: int = 0
+    #: Set attributes of added edges the store cannot hold (the triple
+    #: store: RDF reification is out of scope).
+    edge_attributes_dropped: int = 0
 
     @property
     def applied(self) -> int:

@@ -18,20 +18,14 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.deploy.delta import DeltaFlushReport, FlushDelta
 from repro.deploy.transactions import SavepointMixin, UndoLog, transaction
 from repro.errors import DeploymentError, IntegrityError, ModelError
 from repro.graph import make_graph
-from repro.graph.property_graph import (
-    ABSENT,
-    Edge,
-    Node,
-    PropertyGraph,
-    property_rows,
-)
+from repro.graph.property_graph import ABSENT, Edge, Node, property_rows
 from repro.metalog.analysis import GraphCatalog
 from repro.models.property_graph import PGSchema
 from repro.obs.tracer import Tracer
@@ -215,47 +209,15 @@ class GraphStore(SavepointMixin):
             self.tracer.count("deploy.nodes_written", 1)
         return node
 
-    def create_nodes(
-        self,
-        labels: List[str],
-        ids: Any,
-        names: Tuple[str, ...] = (),
-        columns: Iterable[Any] = (),
-    ) -> int:
-        """Create the nodes ``ids``, all with the same ``labels``, from
-        one aligned value column per property name (an
-        :data:`~repro.graph.property_graph.ABSENT` cell: not set).  Ids
-        and columns may instead be
-        :class:`~repro.vadalog.columnar.Codes` of the store graph's
-        interner (-1: not set); only unique-constrained columns are
-        decoded, for their indexes.
-
-        Every check of :meth:`create_node` runs, a column at a time; the
-        first row that fails one raises what :meth:`create_node` would
-        have raised for it, with the store unchanged.  Then one bulk
-        add, one label-set and one index update.  Returns ``len(ids)``.
-        """
-        labels, columns = list(labels), list(columns)
-        node_ids = self._values(ids)
-        uniques = self._check_nodes(labels, node_ids, names, columns)
-        self.graph.add_nodes_bulk(
-            labels[0], ids, names, columns, keep_none=True
-        )
-        self._index_nodes(labels, node_ids, uniques)
-        if self._undo.active:
-            self._undo.record(partial(self._remove_nodes, node_ids))
-        if self.tracer is not None:
-            self.tracer.count("deploy.nodes_written", len(ids))
-        return len(ids)
-
     def _check_nodes(
         self, labels: List[str], node_ids: List[Any], names: Tuple[str, ...],
         columns: List[Any],
     ) -> List[Tuple[Dict[Any, Any], Dict[Any, Any]]]:
-        """The checks of :meth:`create_nodes` for the nodes ``node_ids``,
-        store unchanged.  Returns ``(index, entries)`` per unique
-        constraint the group binds — ``entries`` maps each value set to
-        its node — for :meth:`_index_nodes`."""
+        """The checks of :meth:`create_node` for the nodes ``node_ids``,
+        all with ``labels``, from one aligned column per property name, a
+        column at a time; store unchanged.  Returns ``(index, entries)``
+        per unique constraint the group binds — ``entries`` maps each
+        value set to its node."""
         column_of = dict(zip(names, columns))
         declared = self._declared_properties(labels)
         bound = self._unique_for(labels, names)
@@ -291,13 +253,6 @@ class GraphStore(SavepointMixin):
                     if key[1] in properties:
                         taken[key].add(properties[key[1]])
         return uniques
-
-    def _index_nodes(self, labels: List[str], node_ids: List[Any],
-                     uniques: List[Tuple[Dict[Any, Any], Dict[Any, Any]]]) -> None:
-        """Record the label sets and unique-index entries of checked nodes."""
-        self._labels_by_node.update(dict.fromkeys(node_ids, frozenset(labels)))
-        for index, entries in uniques:
-            index.update(entries)
 
     def _values(self, column: Any) -> List[Any]:
         """A value column as it is, a code column decoded."""
@@ -346,51 +301,15 @@ class GraphStore(SavepointMixin):
             self.tracer.count("deploy.relationships_written", 1)
         return edge
 
-    def create_relationships(
-        self,
-        name: str,
-        sources: Any,
-        targets: Any,
-        names: Tuple[str, ...] = (),
-        columns: Iterable[Any] = (),
-    ) -> int:
-        """Create one ``name`` relationship per ``(source, target)`` row,
-        with generated ids, from one aligned value column per property
-        name (an ``ABSENT`` cell: not set) — or code columns, as for
-        :meth:`create_nodes`.
-
-        The checks of :meth:`create_relationship` run once per distinct
-        pair of endpoint label sets; the first row that fails one raises
-        what :meth:`create_relationship` would have raised for it, with
-        the store unchanged.  Returns ``len(sources)``.
-        """
-        columns = list(columns)
-        self._check_relationships(name, sources, targets, names, columns)
-        edge_ids = self.graph.fresh_edge_ids(len(sources))
-        self.graph.add_edges_bulk(
-            name, edge_ids, sources, targets, names, columns, keep_none=True,
-        )
-        if self._undo.active:
-            self._undo.record(partial(self._remove_edges, edge_ids))
-        if self.tracer is not None:
-            self.tracer.count("deploy.relationships_written", len(sources))
-        return len(sources)
-
     def _check_relationships(
         self, name: str, sources: Any, targets: Any,
-        names: Tuple[str, ...], columns: List[Any], ends: Optional[set] = None,
+        names: Tuple[str, ...], columns: List[Any], ends: set,
     ) -> None:
-        """The checks of :meth:`create_relationships`, store unchanged.
-        ``ends``, when known, are the distinct pairs of endpoint label
-        sets of the rows."""
+        """The checks of :meth:`create_relationship` for one ``name``
+        relationship per ``(source, target)`` row, once per distinct pair
+        of endpoint label sets in ``ends``; store unchanged."""
         if self._schema is None or not len(sources):
             return
-        if ends is None:
-            labels_of = self._labels_by_node.get
-            ends = set(zip(
-                map(labels_of, self._values(sources), repeat(_NO_LABELS)),
-                map(labels_of, self._values(targets), repeat(_NO_LABELS)),
-            ))
         try:
             clear = all(
                 declared.keys() >= set(names) for declared in (
@@ -409,18 +328,19 @@ class GraphStore(SavepointMixin):
     def adopt(self, graph: Any, node_groups: List[Tuple[Any, ...]],
               edge_groups: List[Tuple[Any, ...]]) -> bool:
         """Take over a copy of ``graph`` instead of writing it into an
-        empty store.  A node group holds the arguments of one
-        :meth:`create_nodes` call for the nodes of ``graph`` with label
-        ``labels[0]``, an edge group those of one
-        :meth:`create_relationships` call for the edges with label
-        ``name``, as code columns of ``graph`` (the store's graph shares
-        its codes).
+        empty store.  A node group ``(labels, ids, names, columns)``
+        holds the nodes of ``graph`` with label ``labels[0]``, an edge
+        group ``(name, sources, targets, names, columns)`` the edges with
+        label ``name``, as code columns of ``graph`` (the store's graph
+        shares its codes).
 
-        Every check of those calls runs, group by group in order, and
-        the first that fails raises what the call would have raised,
-        with the store unchanged.  Then the store holds what the calls
-        would have made: label sets and unique indexes filled as they
-        fill them, and the copy's edges under the OIDs they mint
+        Every check of :meth:`create_node` / :meth:`create_relationship`
+        runs, group by group in order, and the first row that fails
+        raises what writing the groups record by record would have
+        raised, with the store unchanged.  Then the store holds what
+        those writes would have made: label sets and unique indexes
+        filled as they fill them, and the copy's edges under the OIDs
+        they mint
         (:meth:`~repro.graph.columnar_graph.ColumnarPropertyGraph.adopted`).
         One undo entry puts back the empty graph, label sets and index
         entries.  Returns False, with nothing done, when the store
@@ -439,7 +359,11 @@ class GraphStore(SavepointMixin):
             for labels, ids, names, columns in node_groups:
                 node_ids = self._values(ids)
                 uniques = self._check_nodes(labels, node_ids, names, columns)
-                self._index_nodes(labels, node_ids, uniques)
+                self._labels_by_node.update(
+                    dict.fromkeys(node_ids, frozenset(labels))
+                )
+                for index, checked in uniques:
+                    index.update(checked)
             # A node's label set is its group's: the pairs of an edge
             # group's ends follow from the labels of ``graph``.
             label_set = {group[0][0]: frozenset(group[0]) for group in node_groups}

@@ -11,24 +11,21 @@ idempotent*:
   super-schema (unknown/missing labels are counted and quarantined, no
   longer silently dropped), then applied in batches under store
   savepoints;
-- **one write per label, or none** — the graph loader stages and
-  validates per label, not per element (schema membership, the ancestor
-  labels and the property constraints are functions of the label) and
-  reads each label as columns.  An empty store whose graph can share the
-  instance's codes *adopts* the instance: every check of the writes
-  runs, label group by label group, and the store takes over a copy of
-  the instance's graph instead of writing it a second time.  Otherwise
-  each label is written with one bulk call of the store.  The
-  per-record path remains for what it exists for — a store that already
-  holds some of the records (replay), a store that offers no bulk
-  writer (a fault-injecting one: faults are per mutation), and the
-  graceful re-run of a label group whose bulk write was refused — and
-  is chosen from the store, its state and the outcome, never by a
-  switch or a policy;
+- **adopt, or go record by record** — the graph loader has two paths.
+  An empty store whose graph can share the instance's codes *adopts*
+  the instance: every check of the per-record writes runs, label group
+  by label group on code columns, and the store takes over a copy of the
+  instance's graph instead of writing it a second time.  Every other
+  load — into a store that already holds records (replay), a store that
+  offers no ``adopt`` (a fault-injecting one: faults are per mutation),
+  of an instance that cannot be adopted, or the graceful re-run of a
+  refused adoption — writes record by record.  The path is chosen from
+  the store, its state, the instance and the outcome, never by a switch
+  or a policy;
 - **retry with backoff** — a transient failure
   (:class:`~repro.errors.TransientDeploymentError`, e.g. from a
   :class:`~repro.deploy.resilience.FaultInjector`) of a write — an
-  adoption, a group write or one mutation — is retried under the
+  adoption or one mutation — is retried under the
   caller's :class:`~repro.deploy.resilience.RetryPolicy`, and a batch
   that fails for good is rolled back;
 - **graceful degradation** — in ``mode="graceful"`` a per-record
@@ -96,8 +93,8 @@ class _Batcher:
         self.rejections: List[Rejection] = []
 
     def mutate(self, operation):
-        """Run one store write — an adoption, a group write or one
-        mutation — under the retry policy.
+        """Run one store write — an adoption or one mutation — under the
+        retry policy.
 
         A transient failure is raised *before* the write applies (nothing
         is half-written), so retrying is simply calling the write again
@@ -173,9 +170,10 @@ def _chunks(records: List[Any], size: int) -> List[List[Any]]:
 # ----------------------------------------------------------------------
 # Graph store
 # ----------------------------------------------------------------------
-#: Why a label group went through the per-record path.
+#: Why a load went through the per-record path.
 REPLAY = "replay"
 NO_BULK_WRITER = "no-bulk-writer"
+NOT_ADOPTABLE = "not-adoptable"
 INTEGRITY_FALLBACK = "integrity-fallback"
 
 
@@ -223,33 +221,31 @@ def load_graph_store(
     accumulation).  Returns a :class:`~repro.deploy.resilience.LoadReport`
     (unpacks as the historical ``(nodes, relationships)`` pair).
 
-    The instance is read one label at a time, as columns, node labels
-    first.  Into an empty store, a columnar instance without boxed
-    values and with every label in the schema is adopted:
-    ``store.adopt`` runs the checks of the writes below,
-    group by group, and takes over a copy of the instance's graph — one
-    batch.  A refused check, or any other case, leaves the store
-    untouched for the writes, which raise or quarantine as they always
-    have.  A label group is written by one ``store.create_nodes`` /
-    ``create_relationships`` call — one batch, whatever ``batch_size`` —
-    unless its records have to go one by one, in batches of
-    ``batch_size``, after the bulk groups of their kind:
+    A load takes one of two paths.  Into an empty store, a columnar
+    instance without boxed values and with every label in the schema is
+    adopted: ``store.adopt`` runs every check of the per-record writes on
+    the instance's label groups, read as code columns, and takes over a
+    copy of the instance's graph — one batch.  A refused check raises
+    (``mode="strict"``) what the per-record writes would raise, with the
+    store untouched.  Every other load goes record by record, node
+    labels first, in batches of ``batch_size``, for one reason:
 
-    - ``replay``: the store already holds nodes of the group or, for an
-      edge group, any edge, so records are matched against it;
     - ``no-bulk-writer``: the store (a
-      :class:`~repro.deploy.resilience.FaultInjector`) offers no bulk
-      writer — a fault is injected and retried per mutation;
-    - ``integrity-fallback``: ``mode="graceful"`` and the bulk write of
-      the group was refused, so the group is re-run to quarantine the
-      offenders and load the rest.
+      :class:`~repro.deploy.resilience.FaultInjector`) offers no
+      ``adopt`` — a fault is injected and retried per mutation;
+    - ``replay``: the store already holds elements, so records are
+      matched against it;
+    - ``not-adoptable``: the instance does not share the store graph's
+      codes, or holds an element with no label or one outside the schema;
+    - ``integrity-fallback``: ``mode="graceful"`` and the adoption was
+      refused, so the records go one by one to quarantine the offenders
+      and load the rest.
 
-    The report says which ran (``adopted_rows``, ``bulk_groups`` /
-    ``bulk_rows``, ``per_record``), as do the
-    ``deploy.load_adopted_rows`` / ``deploy.load_bulk_rows`` /
-    ``deploy.load_per_record`` counters and the ``deploy.flush`` span's
-    ``path`` (``adopted`` or ``written``).  ``policy`` retries each
-    write on a transient fault, whichever path wrote it.
+    The report says which ran (``adopted_rows``, ``per_record``), as do
+    the ``deploy.load_adopted_rows`` / ``deploy.load_per_record``
+    counters and the ``deploy.flush`` span's ``path`` (``adopted`` or
+    ``written``).  ``policy`` retries each write on a transient fault,
+    whichever path wrote it.
     """
     _check_mode(mode)
     policy = policy if policy is not None else no_retry()
@@ -261,7 +257,6 @@ def load_graph_store(
     with span:
         graph = store.graph
         batcher = _Batcher(store, mode, policy, tracer)
-        per_mutation = not hasattr(store, "create_nodes")
         # Replay detection compares edge multiplicities against what the
         # store already holds: a fresh load builds no replay key at all.
         existing_multiplicity: Dict[Tuple[Any, ...], int] = {}
@@ -269,55 +264,51 @@ def load_graph_store(
             key = _replay_key(held.source, held.target, held.label, held.properties)
             existing_multiplicity[key] = existing_multiplicity.get(key, 0) + 1
         edge_multiplicity: Dict[Tuple[Any, ...], int] = {}
+        node_types = [label for label in data.node_labels() if schema.has_node(label)]
+        edge_types = [label for label in data.edge_labels() if schema.has_edge(label)]
 
-        # Into a graph on the data's value dictionary — an empty store's
-        # takes it over — label tables cross as code columns.
-        coded = not per_mutation and getattr(
-            graph, "share_codes", lambda _data: False
-        )(data)
-        node_table = data.node_code_table if coded else partial(
-            data.nodes_table, default=ABSENT
-        )
-        edge_table = data.edge_code_table if coded else partial(
-            data.edges_table, default=ABSENT
-        )
+        def adopt() -> Optional[str]:
+            """None when the store took the instance over; otherwise why
+            the load goes record by record."""
+            if not hasattr(store, "adopt"):
+                return NO_BULK_WRITER
+            held = graph.node_count or graph.edge_count
+            # Into an empty store's graph, which takes the data's value
+            # dictionary over, label tables cross as code columns.
+            if not held and getattr(graph, "share_codes", lambda _data: False)(data):
+                node_groups = []
+                for label in node_types:
+                    names = tuple(data.node_property_names(label))
+                    ids, columns = data.node_code_table(label, names)
+                    node_groups.append((node_labels(schema, label), ids, names, columns))
+                edge_groups = []
+                for label in edge_types:
+                    names = tuple(data.edge_property_names(label))
+                    _ids, sources, targets, columns = data.edge_code_table(label, names)
+                    edge_groups.append((label, sources, targets, names, columns))
+                try:
+                    if batcher.mutate(
+                        partial(store.adopt, data, node_groups, edge_groups)
+                    ):
+                        return None
+                except IntegrityError:
+                    if mode != GRACEFUL:
+                        raise
+                    return INTEGRITY_FALLBACK
+            return REPLAY if held else NOT_ADOPTABLE
 
-        def node_group(label: str) -> Tuple[Any, ...]:
-            """The :meth:`create_nodes` arguments of one node label."""
+        def node_records(label: str):
             labels = node_labels(schema, label)
             names = tuple(data.node_property_names(label))
-            ids, columns = node_table(label, names)
-            return labels, ids, names, columns
-
-        def edge_group(label: str) -> Tuple[Any, ...]:
-            """The :meth:`create_relationships` arguments of one edge label."""
-            names = tuple(data.edge_property_names(label))
-            _ids, sources, targets, columns = edge_table(label, names)
-            return label, sources, targets, names, columns
-
-        node_groups = [
-            node_group(label) for label in data.node_labels()
-            if schema.has_node(label)
-        ]
-        edge_groups = [
-            edge_group(label) for label in data.edge_labels()
-            if schema.has_edge(label)
-        ]
-        # Only the nodes the store held before the load can be replayed:
-        # the data's own ids are distinct.
-        held_nodes = graph.node_count > 0
-
-        def node_records(group):
-            labels, _ids, names, _columns = group
             return (
                 ("node", node_id, labels, properties)
                 for node_id, properties in zip(*_rows(
-                    data.nodes_table(labels[0], names, default=ABSENT), names,
+                    data.nodes_table(label, names, default=ABSENT), names,
                 ))
             )
 
-        def edge_records(group):
-            label, _sources, _targets, names, _columns = group
+        def edge_records(label: str):
+            names = tuple(data.edge_property_names(label))
             for edge_id, source, target, properties in zip(*_rows(
                 data.edges_table(label, names, default=ABSENT), names,
             )):
@@ -354,78 +345,43 @@ def load_graph_store(
             )
             counts["written"] = counts.get("written", 0) + 1
 
-        def load(
-            kind: str, groups, held, bulk_write, records, apply_record,
-            elements, total: int,
-        ) -> Tuple[int, int]:
-            """Write every group of one kind, in bulk where it can be, and
-            quarantine the elements no group holds (no label, or one
-            outside the schema).  Returns how many of each."""
-            staged = written = 0
-            pending: List[Tuple[Any, ...]] = []
-            for group in groups:
-                size = len(group[1])
-                staged += size
-                reason = (
-                    NO_BULK_WRITER if per_mutation
-                    else REPLAY if held(group) else None
-                )
-                if reason is None:
-                    try:
-                        written += batcher.mutate(partial(bulk_write, *group))
-                    except (IntegrityError, GraphError):
-                        if mode != GRACEFUL:
-                            raise
-                        reason = INTEGRITY_FALLBACK
-                    else:
-                        batcher.batches += 1
-                        report.bulk_groups += 1
-                        report.bulk_rows += size
-                        continue
-                pending.extend(records(group))
-                report.per_record[reason] = report.per_record.get(reason, 0) + size
+        def write(kind: str, labels, records, apply_record, elements,
+                  total: int) -> Tuple[int, int]:
+            """Write every record of one kind one by one, and quarantine
+            the elements of no label or one outside the schema.  Returns
+            how many of each."""
+            pending = [record for label in labels for record in records(label)]
+            written = 0
             for batch in _chunks(pending, batch_size):
                 counts = batcher.run(batch, apply_record)
                 written += counts.get("written", 0)
                 report.replayed += counts.get("replayed", 0)
-            if staged != total:
+            if len(pending) != total:
                 in_schema = schema.has_node if kind == "node" else schema.has_edge
                 for element in elements():
                     if element.label is None or not in_schema(element.label):
                         _reject_unknown_label(report.quarantine, kind, element)
-            return written, total - staged
-
-        def adopt() -> bool:
-            """Whether the store took the instance over; it may when the
-            groups are code columns.  A refused check is left to the
-            writes, to raise or quarantine as they do."""
-            try:
-                return coded and batcher.mutate(
-                    partial(store.adopt, data, node_groups, edge_groups)
-                )
-            except IntegrityError:
-                return False
+            return written, total - len(pending)
 
         load_savepoint = store.savepoint()
         try:
-            if adopt():
+            reason = adopt()
+            if reason is None:
                 report.nodes, report.edges = data.node_count, data.edge_count
                 report.adopted_rows = report.nodes + report.edges
                 batcher.batches += 1
             else:
-                report.nodes, report.skipped_nodes = load(
-                    "node", node_groups,
-                    lambda group: held_nodes and graph.existing_node_ids(group[1]),
-                    lambda *group: store.create_nodes(*group),
-                    node_records, apply_node,
+                report.nodes, report.skipped_nodes = write(
+                    "node", node_types, node_records, apply_node,
                     data.nodes, data.node_count,
                 )
-                report.edges, report.skipped_edges = load(
-                    "edge", edge_groups, lambda _group: existing_multiplicity,
-                    lambda *group: store.create_relationships(*group),
-                    edge_records, apply_edge,
+                report.edges, report.skipped_edges = write(
+                    "edge", edge_types, edge_records, apply_edge,
                     data.edges, data.edge_count,
                 )
+                staged = data.node_count + data.edge_count - report.skipped
+                if staged:
+                    report.per_record[reason] = staged
         except (IntegrityError, GraphError):
             # Strict mode: an integrity violation anywhere voids the
             # whole load — committed batches included — before raising.
@@ -440,7 +396,6 @@ def load_graph_store(
         report.rollbacks = batcher.rollbacks
         report.quarantine.extend(batcher.rejections)
         if tracer:
-            tracer.count("deploy.load_bulk_rows", report.bulk_rows)
             tracer.count("deploy.load_adopted_rows", report.adopted_rows)
             tracer.count("deploy.load_per_record", sum(report.per_record.values()))
             span.set(
@@ -452,7 +407,6 @@ def load_graph_store(
                 replayed=report.replayed,
                 batches=report.batches,
                 retries=report.retries,
-                bulk_rows=report.bulk_rows,
                 adopted_rows=report.adopted_rows,
                 per_record=dict(report.per_record),
             )
@@ -473,8 +427,10 @@ def load_triple_store(
     batch_size: int = DEFAULT_BATCH_SIZE,
     quarantine: Optional[QuarantineReport] = None,
 ) -> TripleLoadReport:
-    """Load a typed instance as triples (edge properties are dropped —
-    RDF reification is out of scope; documented substitution).
+    """Load a typed instance as triples (edge attributes are dropped —
+    RDF reification is out of scope; documented substitution — and the
+    set ones counted in ``edge_attributes_dropped`` and the
+    ``deploy.edge_attributes_dropped`` counter).
 
     Returns a :class:`~repro.deploy.resilience.TripleLoadReport`; it
     compares as the historical asserted-triple count.
@@ -483,7 +439,7 @@ def load_triple_store(
     policy = policy if policy is not None else no_retry()
     tracer = tracer if tracer is not None else getattr(store, "tracer", None)
     report_quarantine = quarantine if quarantine is not None else QuarantineReport()
-    skipped_nodes = skipped_edges = 0
+    skipped_nodes = skipped_edges = dropped = 0
     span = tracer.span("deploy.flush", store=store.name) if tracer else nullcontext()
     with span:
         # ---- stage -----------------------------------------------------
@@ -505,6 +461,7 @@ def load_triple_store(
             records.append(
                 ("triples", edge.source, [(edge.source, edge.label, edge.target)])
             )
+            dropped += layout.dropped(edge.properties)
 
         # ---- apply -----------------------------------------------------
         before = store.count()
@@ -539,6 +496,7 @@ def load_triple_store(
         asserted = store.count() - before
         report_quarantine.extend(batcher.rejections)
         if tracer:
+            tracer.count("deploy.edge_attributes_dropped", dropped)
             span.set(
                 triples=asserted,
                 skipped=skipped_nodes + skipped_edges,
@@ -557,4 +515,5 @@ def load_triple_store(
         rollbacks=batcher.rollbacks,
         quarantine=report_quarantine,
         mode=mode,
+        edge_attributes_dropped=dropped,
     )

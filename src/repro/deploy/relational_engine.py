@@ -48,14 +48,36 @@ class _StoredTable:
     #: The row ids of each primary key (one) or, in a table without one,
     #: of each whole row (one per copy).
     index: Dict[Tuple[Any, ...], List[int]] = field(default_factory=dict)
+    #: Per tuple of columns a foreign key points from, the row ids
+    #: holding each tuple of values in them.
+    referencing: Dict[Tuple[str, ...], Dict[Tuple[Any, ...], Dict[int, None]]] = field(
+        default_factory=dict)
 
     def key(self, row: Dict[str, Any]) -> Tuple[Any, ...]:
         pk_columns = self.table.primary_key()
         return tuple(row[c] for c in pk_columns) if pk_columns else tuple(row.values())
 
+    def refer(self, columns: Tuple[str, ...]) -> None:
+        """Index the rows by the values of ``columns`` from now on."""
+        if columns not in self.referencing:
+            self.referencing[columns] = {}
+            for row_id, row in self.rows.items():
+                self._reference(row_id, row, True)
+
+    def _reference(self, row_id: int, row: Dict[str, Any], held: bool) -> None:
+        for columns, index in self.referencing.items():
+            values = tuple(row.get(c) for c in columns)
+            if held:
+                index.setdefault(values, {})[row_id] = None
+            else:
+                del index[values][row_id]
+                if not index[values]:
+                    del index[values]
+
     def add(self, row_id: int, row: Dict[str, Any]) -> None:
         self.rows[row_id] = row
         self.index.setdefault(self.key(row), []).append(row_id)
+        self._reference(row_id, row, True)
 
     def drop(self, row_id: int) -> Dict[str, Any]:
         row = self.rows.pop(row_id)
@@ -63,7 +85,14 @@ class _StoredTable:
         ids.remove(row_id)
         if not ids:
             del self.index[self.key(row)]
+        self._reference(row_id, row, False)
         return row
+
+    def replace(self, row_id: int, row: Dict[str, Any]) -> None:
+        """Put ``row`` where the row ``row_id`` is, under the same key."""
+        self._reference(row_id, self.rows[row_id], False)
+        self.rows[row_id] = row
+        self._reference(row_id, row, True)
 
 
 class RelationalEngine(SavepointMixin):
@@ -104,6 +133,9 @@ class RelationalEngine(SavepointMixin):
                     f"table {table_name!r}"
                 )
         self._foreign_keys.append(foreign_key)
+        self._tables[foreign_key.source_table].refer(
+            tuple(foreign_key.source_columns)
+        )
 
     def tables(self) -> List[str]:
         return sorted(self._tables)
@@ -201,9 +233,9 @@ class RelationalEngine(SavepointMixin):
         self._wrote(table_name, row)
         if self._written is not None:
             self._written.pop(id(old), None)
-        stored.rows[row_id] = row
+        stored.replace(row_id, row)
         if self._undo.active:
-            self._undo.record(lambda: stored.rows.__setitem__(row_id, old))
+            self._undo.record(partial(stored.replace, row_id, old))
         if self.tracer is not None:
             self.tracer.count("deploy.rows_updated", 1)
 
@@ -434,20 +466,25 @@ class RelationalEngine(SavepointMixin):
 
     def _check_referencing(self, table_name: str, removed: List[Dict[str, Any]]) -> None:
         """RESTRICT after ``table_name`` lost the ``removed`` rows: the
-        rows a foreign key points from at a key they held that the table
-        holds no more are checked — none when every such key is back."""
+        first row a foreign key points from at a key they held that the
+        table holds no more raises — found through the referencing
+        table's index of those values, no row read when every such key
+        is back or nothing points at it."""
         for foreign_key in self._foreign_keys:
             if foreign_key.target_table != table_name:
                 continue
-            gone = {
-                values for values in (
-                    tuple(row.get(c) for c in foreign_key.target_columns) for row in removed
-                ) if not self._matched(foreign_key, values)
-            }
-            if gone:
-                for row in self._stored(foreign_key.source_table).rows.values():
-                    if tuple(row.get(c) for c in foreign_key.source_columns) in gone:
-                        self._check_reference(foreign_key, row)
+            source = self._stored(foreign_key.source_table)
+            referencing = source.referencing[tuple(foreign_key.source_columns)]
+            held = [
+                row_id for values in {
+                    tuple(row.get(c) for c in foreign_key.target_columns)
+                    for row in removed
+                } if None not in values and values in referencing
+                and not self._matched(foreign_key, values)
+                for row_id in referencing[values]
+            ]
+            if held:
+                self._check_reference(foreign_key, source.rows[min(held)])
 
     # ------------------------------------------------------------------
     # Queries

@@ -26,7 +26,7 @@ Everything is observable through the usual tracer counters:
 ``deploy.retries``, ``deploy.rollbacks``, ``deploy.quarantined``,
 ``deploy.replay_skipped``, ``deploy.faults_injected``, and, for which
 path a graph load took, ``deploy.load_adopted_rows`` /
-``deploy.load_bulk_rows`` / ``deploy.load_per_record``.
+``deploy.load_per_record``.
 """
 
 from __future__ import annotations
@@ -189,9 +189,9 @@ class FaultInjector:
     )
 
     #: Faults are per mutation, so the wrapper offers the per-record
-    #: mutators only: a loader that finds no bulk writer on its store
-    #: loads record by record, and adopts nothing.
-    _BULK_WRITERS = frozenset({"create_nodes", "create_relationships", "adopt"})
+    #: mutators only: a loader that finds no ``adopt`` on its store
+    #: loads record by record.
+    _BULK_WRITERS = frozenset({"adopt"})
 
     def __init__(
         self,
@@ -344,19 +344,17 @@ class LoadReport:
     rollbacks: int = 0
     quarantine: QuarantineReport = field(default_factory=QuarantineReport)
     mode: str = STRICT
-    #: Label groups written by one bulk call each, and the records in
-    #: them.
-    bulk_groups: int = 0
-    bulk_rows: int = 0
     #: Records an empty store took over with the instance's graph
     #: instead of writing them (:meth:`GraphStore.adopt`); they count
     #: in ``nodes`` / ``edges`` too.
     adopted_rows: int = 0
-    #: Records that went through the per-record path, by why: ``replay``
-    #: (the store already held records of the group), ``no-bulk-writer``
-    #: (a fault-injecting store: faults are per mutation) or
-    #: ``integrity-fallback`` (a graceful load re-running a group whose
-    #: bulk write was refused, to quarantine the offenders).
+    #: Records that went through the per-record path, under the one
+    #: reason the load gave: ``no-bulk-writer`` (a fault-injecting
+    #: store: faults are per mutation), ``replay`` (the store already
+    #: held records), ``not-adoptable`` (the instance does not share the
+    #: store's codes, or holds elements outside the schema) or
+    #: ``integrity-fallback`` (a graceful load whose adoption was
+    #: refused, to quarantine the offenders).
     per_record: Dict[str, int] = field(default_factory=dict)
 
     def __iter__(self):
@@ -380,7 +378,6 @@ class LoadReport:
             f"batches={self.batches}",
             f"retries={self.retries}",
             f"adopted={self.adopted_rows}",
-            f"bulk={self.bulk_rows}",
             f"per-record={sum(self.per_record.values())}",
         ]
         return f"load[{self.mode}]: " + " ".join(parts)
@@ -403,6 +400,9 @@ class TripleLoadReport(int):
     rollbacks: int
     quarantine: QuarantineReport
     mode: str
+    #: Set edge attributes no triple carries (RDF reification is out of
+    #: scope).
+    edge_attributes_dropped: int
 
     def __new__(
         cls,
@@ -415,6 +415,7 @@ class TripleLoadReport(int):
         rollbacks: int = 0,
         quarantine: Optional[QuarantineReport] = None,
         mode: str = STRICT,
+        edge_attributes_dropped: int = 0,
     ) -> "TripleLoadReport":
         report = super().__new__(cls, triples)
         report.triples = triples
@@ -426,6 +427,7 @@ class TripleLoadReport(int):
         report.rollbacks = rollbacks
         report.quarantine = quarantine if quarantine is not None else QuarantineReport()
         report.mode = mode
+        report.edge_attributes_dropped = edge_attributes_dropped
         return report
 
     @property
@@ -440,7 +442,8 @@ class TripleLoadReport(int):
         return (
             f"load[{self.mode}]: triples={self.triples} "
             f"skipped={self.skipped} quarantined={self.quarantined} "
-            f"batches={self.batches} retries={self.retries}"
+            f"batches={self.batches} retries={self.retries} "
+            f"edge-attributes-dropped={self.edge_attributes_dropped}"
         )
 
 

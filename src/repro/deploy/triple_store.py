@@ -35,7 +35,8 @@ class TripleLayout:
     per attribute its type declares (inherited ones included) and it
     holds a value for, each label's declared set read off ``schema``
     once (a label the schema lacks declares none).  An edge is the one
-    triple ``(source, label, target)``: RDF reification is out of scope."""
+    triple ``(source, label, target)``: RDF reification is out of scope,
+    so its set attributes are dropped, and counted (:meth:`dropped`)."""
 
     def __init__(self, schema: Any):
         self.schema = schema
@@ -52,6 +53,11 @@ class TripleLayout:
             (node_id, name, value) for name, value in properties.items()
             if value is not None and name in declared
         )]
+
+    @staticmethod
+    def dropped(properties: Dict[str, Any]) -> int:
+        """How many set attributes an edge's one triple leaves out."""
+        return sum(value is not None for value in properties.values())
 
 
 class TripleStore(SavepointMixin):
@@ -192,14 +198,15 @@ class TripleStore(SavepointMixin):
         A record maps to triples as the full loader maps its element (a
         :class:`TripleLayout` of ``schema``, a super-schema); removed and
         updated records carry their old values, so the exact triples
-        asserted can be retracted.  A node removal also retracts the
-        subject's *entailed* supertype triples (rdfs9): the delta lists
-        every edge the node takes along, so no surviving statement
-        supports them.  Triples are a set: an edge's triple is retracted
-        only when ``instance``, the graph the delta leads to, holds no
-        other edge of its label between the same ends.  Assertions and
-        retractions are undo-logged, so the whole delta applies under
-        one savepoint: any exception rolls everything back.
+        asserted can be retracted; an added edge's set attributes are
+        counted in ``edge_attributes_dropped``.  A node removal also
+        retracts the subject's *entailed* supertype triples (rdfs9): the
+        delta lists every edge the node takes along, so no surviving
+        statement supports them.  Triples are a set: an edge's triple is
+        retracted only when ``instance``, the graph the delta leads to,
+        holds no other edge of its label between the same ends.
+        Assertions and retractions are undo-logged, so the whole delta
+        applies under one savepoint: any exception rolls everything back.
         """
         from repro.deploy.delta import DeltaFlushReport
 
@@ -235,11 +242,15 @@ class TripleStore(SavepointMixin):
                 for triple in layout.node_triples(node_id, label, properties):
                     self.add(*triple)
                 report.nodes_added += 1
-            for _eid, source, target, label, _props in delta.added_edges:
+            for _eid, source, target, label, properties in delta.added_edges:
                 self.add(source, label, target)
                 report.edges_added += 1
+                report.edge_attributes_dropped += layout.dropped(properties)
         if self.tracer is not None:
             self.tracer.count("incr.flushed_delta", report.applied)
+            self.tracer.count(
+                "deploy.edge_attributes_dropped", report.edge_attributes_dropped
+            )
         return report
 
     # ------------------------------------------------------------------

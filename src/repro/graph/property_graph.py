@@ -190,11 +190,6 @@ class PropertyGraph:
             if candidate not in self._nodes and candidate not in self._edges:
                 return candidate
 
-    def fresh_edge_ids(self, count: int) -> List[str]:
-        """The OIDs ``count`` :meth:`add_edge` calls without an
-        ``edge_id`` would generate, for a bulk add."""
-        return [self._fresh_id("e") for _ in range(count)]
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------

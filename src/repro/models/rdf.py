@@ -11,7 +11,7 @@ construct survives the translation as SUBCLASS_OF links.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ModelError
 from repro.graph.property_graph import PropertyGraph
@@ -55,9 +55,6 @@ class RDFSchema:
     datatype_properties: List[RDFDatatypeProperty] = field(default_factory=list)
     object_properties: List[RDFObjectProperty] = field(default_factory=list)
     subclass_of: List[Tuple[str, str]] = field(default_factory=list)
-
-    def class_names(self) -> Set[str]:
-        return {c.name for c in self.classes}
 
     def summary(self) -> str:
         return (

@@ -155,16 +155,6 @@ def is_variable(term: Any) -> bool:
     return isinstance(term, Variable)
 
 
-def is_null(term: Any) -> bool:
-    """True for labeled nulls."""
-    return isinstance(term, Null)
-
-
-def is_ground(term: Any) -> bool:
-    """True for constants, nulls and Skolem values (anything non-variable)."""
-    return not isinstance(term, Variable)
-
-
 def values_equal(a: Any, b: Any) -> bool:
     """Equality that never mixes bool with 0/1 and tolerates numeric types."""
     if isinstance(a, bool) or isinstance(b, bool):

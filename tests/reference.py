@@ -26,10 +26,6 @@ and :func:`object_graph` / :func:`object_graph_store`, which put the
 object :class:`~repro.graph.property_graph.PropertyGraph` where
 production builds the columnar graph.
 
-The reference load: :class:`WritingGraphStore`, a graph store that
-writes every load label group by label group where production's empty
-store adopts the instance's graph.
-
 The reference relational deploy: :class:`ImageDiffRelationalTarget`,
 which diffs the row images of two whole instances
 (:func:`collect_relational_rows`) where production applies the rows of
@@ -710,16 +706,6 @@ def object_graph_store(**kwargs: Any) -> GraphStore:
     store = GraphStore(**kwargs)
     store.graph = PropertyGraph(store.graph.name)
     return store
-
-
-class WritingGraphStore(GraphStore):
-    """A :class:`~repro.deploy.graph_store.GraphStore` that adopts
-    nothing: a load into it, empty or not, writes the instance through
-    ``create_nodes`` / ``create_relationships``.  The store a deploy
-    differential holds adoption to."""
-
-    def adopt(self, graph: Any, node_groups: Any, edge_groups: Any) -> bool:
-        return False
 
 
 def _hierarchy_chain(schema: SuperSchema, node: SMNode) -> List[SMNode]:

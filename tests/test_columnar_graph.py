@@ -674,38 +674,6 @@ class TestBulkKernels:
             for code, table in scalar._edge_tables.items()
         }
 
-    def test_rollback_after_a_bulk_add(self):
-        """A store savepoint rolls a 300-edge and a 100-node bulk write
-        back (one undo entry each); the same node ids then load again,
-        and both backends end observably identical."""
-        rows = self.rows(300, 7)
-        _ids, sources, targets, _labels, _weights = map(list, zip(*rows))
-        extra = [f"m{i}" for i in range(100)]
-        snapshots, states = [], []
-        for columnar in (False, True):
-            store = GraphStore() if columnar else object_graph_store()
-            store.create_nodes(["N"], self.NODES)
-            before = graph_store_state(store)
-            savepoint = store.savepoint()
-            store.create_relationships("E", sources, targets, ("w",),
-                                       [list(range(300))])
-            store.create_nodes(["M"], extra)
-            assert store.rollback_to(savepoint) == 2
-            store.release(savepoint)
-            assert graph_store_state(store) == before
-            store.create_nodes(["M"], extra)
-            store.create_relationships("E", sources[:70], targets[:70])
-            store.create_relationship("n3", "n4", "E")
-            snapshots.append(snapshot(store.graph))
-            states.append(graph_store_state(store))
-        assert snapshots[0] == snapshots[1]
-        fresh = GraphStore()
-        fresh.create_nodes(["N"], self.NODES)
-        fresh.create_nodes(["M"], extra)
-        fresh.create_relationships("E", sources[:70], targets[:70])
-        fresh.create_relationship("n3", "n4", "E")
-        assert states == [graph_store_state(fresh)] * 2
-
     def test_deletes_then_bulk_readds_over_tombstoned_slots(self):
         ids = [f"n{i}" for i in range(3000)]
 

@@ -20,16 +20,19 @@ from repro.deploy import (
     load_triple_store,
     parse_ddl,
 )
+from repro.cli import main
+from repro.core import to_gsl_text
 from repro.errors import DeploymentError, IntegrityError
 from repro.finkg import programs
 from repro.graph import make_graph
+from repro.graph.io import save_graph
 from repro.graph.property_graph import ABSENT, PropertyGraph
 from repro.metalog import parse_metalog
 from repro.models.relational import Column, ForeignKey, RelationalSchema, Table
+from repro.obs import RecordingTracer
 from repro.finkg.company_schema import company_super_schema
 from repro.ssst import SSST, IntensionalMaterializer
 from tests.test_materializer import kgbench_registry, with_extra_people
-from tests.reference import WritingGraphStore
 from tests.test_resilience import deployed_graph_store
 
 
@@ -259,6 +262,40 @@ class TestTripleStore:
             per_triple.append(work[0] / store.count())
         assert per_triple[1] <= per_triple[0] * 1.1 and per_triple[1] < 4, per_triple
 
+    def test_dropped_edge_attributes_are_counted(
+        self, company_schema, tmp_path, capsys
+    ):
+        """RDF reification is out of scope: the load and the delta count
+        every set edge attribute no triple carries, and ``kgmodel load``
+        prints the count."""
+        data = enriched(
+            company_schema, kgbench_registry(200, 42)[1], "CONTROL_PROGRAM"
+        )
+        expected = sum(
+            value is not None
+            for edge in data.edges() for value in edge.properties.values()
+        )
+        store = TripleStore(tracer=RecordingTracer())
+        store.deploy(SSST().translate(company_schema, "rdf").target_schema)
+        report = load_triple_store(company_schema, data, store)
+        assert report.edge_attributes_dropped == expected > 0
+        counters = store.tracer.metrics.counters()
+        assert counters["deploy.edge_attributes_dropped"] == expected
+        assert f"edge-attributes-dropped={expected}" in report.summary()
+        b0, b1 = [node.id for node in data.nodes("Business")][:2]
+        delta = FlushDelta(added_edges=[
+            ("x1", b0, b1, "OWNS", {"percentage": 0.2}),
+            ("x2", b0, b1, "CONTROLS", {}),
+        ])
+        assert store.apply_flush_delta(
+            delta, company_schema, data
+        ).edge_attributes_dropped == 1
+        (tmp_path / "schema.gsl").write_text(to_gsl_text(company_schema))
+        save_graph(data, str(tmp_path / "data.json"))
+        assert main(["load", str(tmp_path / "schema.gsl"),
+                     str(tmp_path / "data.json"), "--target", "triple-store"]) == 0
+        assert f"edge-attributes-dropped={expected}" in capsys.readouterr().err
+
     def test_rdfs_document(self):
         schema = SSST().translate(company_super_schema(), "rdf").target_schema
         doc = generate_rdfs(schema)
@@ -352,10 +389,10 @@ class TestCSVModel:
 
 
 # ----------------------------------------------------------------------
-# Bulk load == per-record load (the per-record path is the reference)
+# Adopted load == per-record load (the per-record path is the reference)
 # ----------------------------------------------------------------------
 def per_record_store():
-    """A store without bulk writers, a fault-free
+    """A store without ``adopt``, a fault-free
     :class:`~repro.deploy.FaultInjector`: the loader then writes record
     by record."""
     return FaultInjector(deployed_graph_store())
@@ -379,20 +416,14 @@ def on_backend(graph, columnar):
     return clone
 
 
-def writing_graph_store():
-    store = WritingGraphStore()
-    store.deploy(deployed_graph_store().schema)
-    return store
-
-
-def load_three_ways(schema, data, mode=STRICT, prepare=lambda store: None):
-    """``(outcome, store)`` of a bulk, a per-record and an adopting load
-    of ``data`` into equally prepared stores; an outcome is the report
-    or the exception raised.  The bulk store never adopts; the adopting
-    one is a plain store, which adopts when it is empty and ``data`` is
-    a clean columnar graph — it then shares ``data``'s interner."""
+def load_both_ways(schema, data, mode=STRICT, prepare=lambda store: None):
+    """``(outcome, store)`` of a per-record and an adopting load of
+    ``data`` into equally prepared stores; an outcome is the report or
+    the exception raised.  The adopting store is a plain one, which
+    adopts when it is empty and ``data`` is a clean columnar graph — it
+    then shares ``data``'s interner."""
     results = []
-    for make in (writing_graph_store, per_record_store, deployed_graph_store):
+    for make in (per_record_store, deployed_graph_store):
         store = make()
         prepare(store)
         before = graph_store_state(store), store_indexes(store)
@@ -442,31 +473,23 @@ def assert_same_store(one, other):
     assert rejections[0] == rejections[1]
 
 
-def assert_same_load(bulk, reference, adopted, expect_bulk=True,
-                     expect_adopted=False):
-    """The three loads agree; each took the path expected of it.  An
-    adopting store that did not adopt took the bulk store's path."""
-    assert_same_store(bulk, reference)
+def assert_same_load(reference, adopted, reason=None):
+    """The two loads agree; the reference went record by record, and so
+    did the adopting store for ``reason`` unless it adopted (None)."""
     assert_same_store(adopted, reference)
-    (bulk_report, _), (report, _), (adopted_report, _) = bulk, reference, adopted
+    (report, _), (adopted_report, _) = reference, adopted
     total = report.nodes + report.edges + report.replayed + (
         report.quarantined - report.skipped
     )
-    assert report.per_record == {"no-bulk-writer": total} and not report.bulk_rows
-    assert not bulk_report.adopted_rows and not report.adopted_rows
-    if expect_bulk:
-        assert not bulk_report.per_record
-        assert bulk_report.bulk_rows == bulk_report.nodes + bulk_report.edges
-    if expect_adopted:
+    assert report.per_record == {"no-bulk-writer": total}
+    assert not report.adopted_rows
+    if reason is None:
         assert adopted_report.adopted_rows == report.nodes + report.edges
-        assert not adopted_report.bulk_rows and not adopted_report.per_record
-        assert adopted_report.batches == 1
+        assert not adopted_report.per_record and adopted_report.batches == 1
     else:
         assert not adopted_report.adopted_rows
-        for counter in ("bulk_groups", "bulk_rows", "per_record", "batches"):
-            assert getattr(adopted_report, counter) == getattr(
-                bulk_report, counter
-            ), counter
+        assert adopted_report.per_record == {reason: total}
+        assert adopted_report.batches == report.batches
 
 
 def enriched(schema, data, *program_names):
@@ -480,16 +503,20 @@ def enriched(schema, data, *program_names):
 
 
 class TestBulkLoadEqualsPerRecord:
+    """A load the store adopts, or one that goes record by record for
+    another reason, ends as the per-record reference ends."""
+
     @pytest.mark.parametrize("columnar", [True, False])
     def test_kgbench_registry_at_500(self, company_schema, columnar):
         _, registry = kgbench_registry(500, 42)
         data = on_backend(
             enriched(company_schema, registry, "CONTROL_PROGRAM"), columnar
         )
-        bulk, reference, adopted = load_three_ways(company_schema, data)
-        assert_same_load(bulk, reference, adopted, expect_adopted=columnar)
-        assert bulk[0].bulk_groups == 4  # two node types, two edge types
-        assert bulk[0].edges == data.edge_count > registry.edge_count
+        reference, adopted = load_both_ways(company_schema, data)
+        # The object graph shares no codes with the store.
+        assert_same_load(reference, adopted,
+                         None if columnar else "not-adoptable")
+        assert reference[0].edges == data.edge_count > registry.edge_count
 
     @pytest.mark.parametrize("columnar", [True, False])
     @pytest.mark.parametrize("chain", [
@@ -503,9 +530,10 @@ class TestBulkLoadEqualsPerRecord:
             enriched(company_schema, with_extra_people(tiny_instance), *chain),
             columnar,
         )
-        bulk, reference, adopted = load_three_ways(company_schema, data)
-        assert_same_load(bulk, reference, adopted, expect_adopted=columnar)
-        assert bulk[0].nodes == data.node_count
+        reference, adopted = load_both_ways(company_schema, data)
+        assert_same_load(reference, adopted,
+                         None if columnar else "not-adoptable")
+        assert reference[0].nodes == data.node_count
 
     @pytest.mark.parametrize("columnar", [True, False])
     def test_interleaved_unlabeled_and_unknown_labels(
@@ -534,13 +562,15 @@ class TestBulkLoadEqualsPerRecord:
             data.add_edge(f"n{i + 1}", f"n{i}", "OWNS", percentage=0.5)  # twin
             data.add_edge(f"n{i + 1}", f"n{i}", "WARPS" if i % 2 else None)
         for mode in (STRICT, GRACEFUL):
-            bulk, reference, adopted = load_three_ways(
+            reference, adopted = load_both_ways(
                 company_schema, data, mode=mode
             )
-            assert_same_load(bulk, reference, adopted)  # labels outside
-            assert bulk[0].skipped_nodes == 4 and bulk[0].skipped_edges == 3
-            assert bulk[1].graph.node("n3")["website"] is None  # stored None
-            assert "website" not in bulk[1].graph.node("n0").properties
+            # Labels outside the schema: nothing can be adopted.
+            assert_same_load(reference, adopted, "not-adoptable")
+            assert reference[0].skipped_nodes == 4
+            assert reference[0].skipped_edges == 3
+            assert adopted[1].graph.node("n3")["website"] is None  # stored None
+            assert "website" not in adopted[1].graph.node("n0").properties
 
     # -- one case per integrity rule -----------------------------------
     @staticmethod
@@ -607,116 +637,124 @@ class TestBulkLoadEqualsPerRecord:
     @pytest.mark.parametrize("case", CASES)
     def test_strict_failure_is_the_per_record_one(self, case):
         schema, data, prepare = self.dirty(case)
-        (bulk_error, _), (error, _), (adopted_error, _) = load_three_ways(
+        (error, _), (adopted_error, _) = load_both_ways(
             schema, data, prepare=prepare
         )
-        assert type(bulk_error) is type(error) is IntegrityError
-        assert type(adopted_error) is IntegrityError
+        assert type(error) is type(adopted_error) is IntegrityError
         # Same rule, same offender.
-        assert str(bulk_error) == str(error) == str(adopted_error)
+        assert str(error) == str(adopted_error)
 
     @pytest.mark.parametrize("case", CASES)
     def test_graceful_quarantine_is_the_per_record_one(self, case):
         schema, data, prepare = self.dirty(case)
-        bulk, reference, adopted = load_three_ways(
+        reference, adopted = load_both_ways(
             schema, data, mode=GRACEFUL, prepare=prepare
         )
-        assert_same_load(bulk, reference, adopted, expect_bulk=False)
-        report = bulk[0]
-        assert report.quarantined >= 1
-        # A refused group went record by record, the others in bulk: the
-        # Spaceship alone; the three stakes; or the four businesses and,
-        # B2 being quarantined, the stakes that name it.
-        refused = (
-            1 if case == "unknown label"
-            else 3 if "relationship" in case or "endpoints" in case
-            else 7
-        )
-        assert report.per_record == {"integrity-fallback": refused}
-        assert report.bulk_rows == data.node_count + data.edge_count - refused
+        # A store that held a business replays; an empty one refused the
+        # adoption and re-ran every record to quarantine the offender.
+        assert_same_load(reference, adopted, (
+            "replay" if case == "duplicate unique against the store"
+            else "integrity-fallback"
+        ))
+        assert reference[0].quarantined >= 1
 
     @pytest.mark.parametrize("case", CASES)
     def test_first_offender_row_by_row(self, case):
-        """``create_nodes`` / ``create_relationships`` refuse exactly the
-        prefix of rows ``create_node`` / ``create_relationship`` refuse,
-        with the same error, and leave the store unchanged."""
+        """The checks adoption runs on a label group refuse exactly the
+        first row ``create_node`` / ``create_relationship`` refuse, with
+        the same error, pass the rows before it, and leave the store
+        unchanged."""
         schema, data, prepare = self.dirty(case)
-        store, bulk_store = deployed_graph_store(), deployed_graph_store()
-        for target in (store, bulk_store):
-            prepare(target)
+        store = deployed_graph_store()
+        prepare(store)
         ancestors = {"Business": ["Business", "LegalPerson", "Person"]}
+
+        def first_offender(rows, write):
+            """How many ``rows`` the store takes one by one, and the
+            error of the next; the store is left as it was."""
+            savepoint, written, error = store.savepoint(), 0, None
+            try:
+                for row in rows:
+                    write(*row)
+                    written += 1
+            except IntegrityError as exc:
+                error = exc
+            store.rollback_to(savepoint)
+            store.release(savepoint)
+            return written, error
+
+        def checked(check, written, error, columns):
+            before = graph_store_state(store), store_indexes(store)
+            if error is not None:
+                with pytest.raises(IntegrityError) as caught:
+                    check(*(column[:written + 1] for column in columns))
+                assert str(caught.value) == str(error)
+                errors.append(str(error))
+            if written:  # a label outside the schema is refused even empty
+                check(*(column[:written] for column in columns))
+            assert (graph_store_state(store), store_indexes(store)) == before
+
+        def ends(sources, targets):
+            labels = lambda node: frozenset(store.labels_of(node))  # noqa: E731
+            return set(zip(map(labels, sources), map(labels, targets)))
+
         errors = []
         for label in data.node_labels():
             labels = ancestors.get(label, [label])
             names = tuple(data.node_property_names(label))
             ids, columns = data.nodes_table(label, names, default=ABSENT)
-            rows = list(zip(ids, zip(*columns)))
-            written = 0
-            try:
-                for node_id, row in rows:
-                    store.create_node(node_id, labels, **{
-                        n: v for n, v in zip(names, row) if v is not ABSENT
-                    })
-                    written += 1
-            except IntegrityError as exc:
-                errors.append(str(exc))
-                before = graph_store_state(bulk_store)
-                with pytest.raises(IntegrityError) as caught:
-                    bulk_store.create_nodes(
-                        labels, ids[:written + 1], names,
-                        [column[:written + 1] for column in columns],
-                    )
-                assert str(caught.value) == str(exc)
-                assert graph_store_state(bulk_store) == before
-                ids, columns = ids[:written], [c[:written] for c in columns]
-            if written:  # a label outside the schema is refused even empty
-                assert bulk_store.create_nodes(
-                    labels, ids, names, columns
-                ) == written
+            rows = [
+                (node_id, {n: v for n, v in zip(names, row) if v is not ABSENT})
+                for node_id, row in zip(ids, zip(*columns))
+            ]
+            write = lambda node_id, properties: store.create_node(  # noqa: E731
+                node_id, labels, **properties)
+            written, error = first_offender(rows, write)
+            checked(
+                lambda ids, *columns: store._check_nodes(
+                    labels, ids, names, list(columns)),
+                written, error, [ids, *columns],
+            )
+            for row in rows[:written]:
+                write(*row)
         for label in data.edge_labels():
             names = tuple(data.edge_property_names(label))
             _, sources, targets, columns = data.edges_table(
                 label, names, default=ABSENT
             )
-            written = 0
-            try:
-                for source, target, row in zip(sources, targets, zip(*columns)):
-                    store.create_relationship(source, target, label, **{
-                        n: v for n, v in zip(names, row) if v is not ABSENT
-                    })
-                    written += 1
-            except IntegrityError as exc:
-                errors.append(str(exc))
-                with pytest.raises(IntegrityError) as caught:
-                    bulk_store.create_relationships(
-                        label, sources[:written + 1], targets[:written + 1],
-                        names, [column[:written + 1] for column in columns],
-                    )
-                assert str(caught.value) == str(exc)
-                sources, targets = sources[:written], targets[:written]
-                columns = [c[:written] for c in columns]
-            assert bulk_store.create_relationships(
-                label, sources, targets, names, columns
-            ) == written
+            rows = [
+                (source, target,
+                 {n: v for n, v in zip(names, row) if v is not ABSENT})
+                for source, target, row in zip(sources, targets, zip(*columns))
+            ]
+            write = lambda source, target, properties: (  # noqa: E731
+                store.create_relationship(source, target, label, **properties))
+            written, error = first_offender(rows, write)
+            checked(
+                lambda sources, targets, *columns: store._check_relationships(
+                    label, sources, targets, names, list(columns),
+                    ends(sources, targets)),
+                written, error, [sources, targets, *columns],
+            )
+            for row in rows[:written]:
+                write(*row)
         assert len(errors) >= 1
-        assert graph_store_state(bulk_store) == graph_store_state(store)
 
     def test_interleaved_delete_is_rolled_back(self, company_schema):
         """A delete that interleaves with a failing load is undone with
-        the load's writes, on either path: the store ends as it began."""
+        the load's writes, on either store: the store ends as it began."""
         _, data, _ = self.dirty("undeclared relationship property")
-        for make, writer in ((deployed_graph_store, "create_nodes"),
-                             (per_record_store, "create_node")):
+        for make in (deployed_graph_store, per_record_store):
             store = make()
             self.hold(store, "old")
             before = graph_store_state(store)
-            real = getattr(store, writer)
+            real = store.create_node
 
             def deleting(*args, _real=real, _store=store, **kwargs):
                 _store.delete_node("old")
                 return _real(*args, **kwargs)
 
-            setattr(store, writer, deleting)
+            store.create_node = deleting
             with pytest.raises(IntegrityError):
                 load_graph_store(company_schema, data, store)
             assert graph_store_state(store) == before
@@ -760,13 +798,13 @@ class TestAdoption:
     ):
         _, registry = kgbench_registry(companies, seed)
         data = enriched(company_schema, registry, "CONTROL_PROGRAM")
-        written, adopted = writing_graph_store(), deployed_graph_store()
+        written, adopted = per_record_store(), deployed_graph_store()
         reports = [
             load_graph_store(company_schema, data, store)
             for store in (written, adopted)
         ]
         assert reports[1].adopted_rows == data.node_count + data.edge_count
-        assert reports[0].bulk_rows == reports[1].adopted_rows
+        assert reports[0].per_record == {"no-bulk-writer": reports[1].adopted_rows}
         assert_same_store((reports[0], written), (reports[1], adopted))
         assert extractions(adopted) == extractions(written)
         # The next edge the store mints is the one the written store mints.
@@ -792,7 +830,7 @@ class TestAdoption:
             data.add_edge(source, target, "CONTROLS")
         data.remove_node("gone")
         data.remove_edge("e1")  # the first OWNS, under the graph's own OID
-        written, adopted = writing_graph_store(), deployed_graph_store()
+        written, adopted = per_record_store(), deployed_graph_store()
         reports = [
             load_graph_store(company_schema, data, store)
             for store in (written, adopted)
@@ -848,7 +886,7 @@ class TestAdoption:
         assert not list(store.extract("(n:Business) return n"))
         again = load_graph_store(company_schema, data, store)
         assert again.adopted_rows == report.adopted_rows
-        written = writing_graph_store()
+        written = per_record_store()
         report = load_graph_store(company_schema, data, written)
         assert_same_store((again, store), (report, written))
 

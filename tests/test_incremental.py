@@ -1693,6 +1693,32 @@ def _with_undeclared(delta):
     )
 
 
+def _count_row_reads(engine):
+    """Make every table of ``engine`` count the rows a scan reads off
+    it; returns the one-element counter."""
+    reads = [0]
+
+    class Counted(dict):
+        def keys(self):
+            for key in dict.keys(self):
+                reads[0] += 1
+                yield key
+
+        def values(self):
+            for row in dict.values(self):
+                reads[0] += 1
+                yield row
+
+        def items(self):
+            for item in dict.items(self):
+                reads[0] += 1
+                yield item
+
+    for stored in engine._tables.values():
+        stored.rows = Counted(stored.rows)
+    return reads
+
+
 class TestRelationalFlushBattery:
     """After every batch each store maintained by its ``apply_flush_delta``
     through a :class:`FlushDeltaTarget` — relational engine, graph store,
@@ -1793,24 +1819,6 @@ class TestRelationalFlushBattery:
         stakes listed: the rows the engine reads do not grow with the
         registry — a delete finds its row by the primary key, and no
         row is checked for a key that is back by the end of the delta."""
-        reads = [0]
-
-        class Counted(dict):
-            def keys(self):
-                for key in dict.keys(self):
-                    reads[0] += 1
-                    yield key
-
-            def values(self):
-                for row in dict.values(self):
-                    reads[0] += 1
-                    yield row
-
-            def items(self):
-                for item in dict.items(self):
-                    reads[0] += 1
-                    yield item
-
         per_size = []
         for businesses in (6, 60):
             materializer = IntensionalMaterializer()
@@ -1819,9 +1827,8 @@ class TestRelationalFlushBattery:
                 _control_sigma(), instance_oid=7, retain=True,
             )
             engine = relational_engine(company_schema, report.instance.data)
-            for stored in engine._tables.values():
-                stored.rows = Counted(stored.rows)
-            data, reads[0] = materializer.retained.data, 0
+            reads = _count_row_reads(engine)
+            data = materializer.retained.data
             for label, extra in (("PublicListedCompany", {"stockExchange": "MIL"}),
                                  ("Business", {})):
                 node = data.node("b0")
@@ -1836,6 +1843,33 @@ class TestRelationalFlushBattery:
                 assert [n[:2] for n in update.flush_delta.added_nodes] == [("b0", label)]
                 engine.apply_flush_delta(update.flush_delta, company_schema,
                                          update.instance.data)
+            per_size.append(reads[0])
+            assert engine_rows(engine) == engine_rows(
+                relational_engine(company_schema, update.instance.data))
+        assert per_size[0] == per_size[1], per_size
+
+    def test_removing_a_business_reads_what_it_changes(self, company_schema):
+        """A business removed with its stakes: its key is gone for good,
+        and RESTRICT reads only the rows that pointed at it (none are
+        left), so the rows the engine reads do not grow with the
+        registry."""
+        per_size = []
+        for businesses in (6, 60):
+            materializer = IntensionalMaterializer()
+            report = materializer.materialize(
+                company_schema, _battery_registry(random.Random(0), businesses),
+                _control_sigma(), instance_oid=7, retain=True,
+            )
+            engine = relational_engine(company_schema, report.instance.data)
+            reads = _count_row_reads(engine)
+            data = materializer.retained.data
+            stakes = [e.id for e in (*data.out_edges("b1"), *data.in_edges("b1"))]
+            assert stakes
+            update = materializer.update(
+                RegistryDelta(remove_nodes=["b1"], remove_edges=stakes))
+            assert [n[0] for n in update.flush_delta.removed_nodes] == ["b1"]
+            engine.apply_flush_delta(update.flush_delta, company_schema,
+                                     update.instance.data)
             per_size.append(reads[0])
             assert engine_rows(engine) == engine_rows(
                 relational_engine(company_schema, update.instance.data))

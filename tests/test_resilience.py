@@ -50,13 +50,24 @@ from repro.ssst import (
 )
 from repro.vadalog.engine import Engine
 from repro.vadalog.terms import Null, SkolemValue
-from tests.reference import WritingGraphStore
+from tests.reference import object_graph
 
 
 def fake_sleep(record):
     def _sleep(seconds):
         record.append(seconds)
     return _sleep
+
+
+def columnar_copy(graph):
+    """``graph`` replayed into the columnar graph, edge ids kept."""
+    copy = make_graph(graph.name)
+    for node in graph.nodes():
+        copy.add_node(node.id, node.label, **node.properties)
+    for edge in graph.edges():
+        copy.add_edge(edge.source, edge.target, edge.label,
+                      edge_id=edge.id, **edge.properties)
+    return copy
 
 
 def deployed_graph_store(**kwargs):
@@ -474,25 +485,37 @@ class TestLoadPathIsReported:
         [span] = [s for s in store.tracer.spans if s.name == "deploy.flush"]
         return span
 
-    def test_fresh_load_is_all_bulk(self, company_schema, small_kg):
-        # A store that never adopts: what a plain one writes when it
-        # cannot take the instance over.
-        store = WritingGraphStore(tracer=RecordingTracer())
-        store.deploy(deployed_graph_store().schema)
-        report = load_graph_store(company_schema, small_kg, store)
-        written = small_kg.node_count + small_kg.edge_count
-        assert report.per_record == {}
-        assert report.bulk_rows == written == report.nodes + report.edges
-        assert report.bulk_groups == report.batches == len(
-            small_kg.node_labels() + small_kg.edge_labels()
-        )
+    def test_loads_that_cannot_adopt_go_per_record_with_their_reason(
+        self, company_schema, small_kg
+    ):
+        """A fresh load of object-graph data, and a graceful load whose
+        adoption is refused, each write what the per-record reference
+        writes and say why."""
+        total = small_kg.node_count + small_kg.edge_count
+        reference = FaultInjector(deployed_graph_store())
+        load_graph_store(company_schema, small_kg, reference)
+        store = deployed_graph_store(tracer=RecordingTracer())
+        report = load_graph_store(company_schema, object_graph(small_kg), store)
+        assert report.per_record == {"not-adoptable": total}
+        assert not report.adopted_rows and report.nodes + report.edges == total
         counters = self.counters(store)
-        assert counters["deploy.load_bulk_rows"] == written
-        assert counters.get("deploy.load_per_record", 0) == 0
+        assert counters["deploy.load_per_record"] == total
         assert counters["deploy.nodes_written"] == small_kg.node_count
         assert counters["deploy.relationships_written"] == small_kg.edge_count
-        assert "adopted=0 bulk=%d per-record=0" % written in report.summary()
+        assert "adopted=0 per-record=%d" % total in report.summary()
         assert self.flush_span(store).attrs["path"] == "written"
+        assert graph_store_state(store) == graph_store_state(reference)
+
+        dirty = columnar_copy(small_kg)
+        twin = next(dirty.nodes("Business")).properties
+        dirty.add_node("twin", "Business", **twin)  # a duplicate unique value
+        reference = FaultInjector(deployed_graph_store())
+        expected = load_graph_store(company_schema, dirty, reference, mode=GRACEFUL)
+        store = deployed_graph_store()
+        report = load_graph_store(company_schema, dirty, store, mode=GRACEFUL)
+        assert report.per_record == {"integrity-fallback": total + 1}
+        assert report.quarantined == expected.quarantined == 1
+        assert graph_store_state(store) == graph_store_state(reference)
 
     def test_fresh_load_into_an_empty_store_is_adopted(
         self, company_schema, small_kg
@@ -502,81 +525,69 @@ class TestLoadPathIsReported:
         total = small_kg.node_count + small_kg.edge_count
         assert report.adopted_rows == total == report.nodes + report.edges
         assert report.per_record == {} and report.batches == 1
-        assert report.bulk_rows == report.bulk_groups == 0
         counters = self.counters(store)
         assert counters["deploy.load_adopted_rows"] == total
-        assert counters.get("deploy.load_bulk_rows", 0) == 0
+        assert counters.get("deploy.load_per_record", 0) == 0
         assert "deploy.nodes_written" not in counters  # nothing written
-        assert "adopted=%d bulk=0 per-record=0" % total in report.summary()
+        assert "adopted=%d per-record=0" % total in report.summary()
         span = self.flush_span(store)
         assert span.attrs["path"] == "adopted"
         assert span.attrs["adopted_rows"] == total
 
-    def test_replay_goes_per_record_for_the_groups_it_touches(
-        self, company_schema, tiny_instance
-    ):
+    def test_replay_goes_per_record(self, company_schema, tiny_instance):
         store = deployed_graph_store(tracer=RecordingTracer())
-        businesses = tiny_instance.copy()
+        businesses = columnar_copy(tiny_instance)
         for node in list(businesses.nodes()):
             if node.label != "Business":
                 businesses.remove_node(node.id)
-        load_graph_store(company_schema, businesses, store)
+        assert load_graph_store(company_schema, businesses, store).adopted_rows
         report = load_graph_store(company_schema, tiny_instance, store)
-        # The businesses are matched one by one; the other node labels
-        # are new to the store and go in bulk; no edge was held.
-        assert report.per_record == {"replay": businesses.node_count}
+        # The store held the businesses: every record is matched against
+        # it, and only the businesses are found.
+        total = tiny_instance.node_count + tiny_instance.edge_count
+        assert report.per_record == {"replay": total}
         assert report.replayed == businesses.node_count
-        assert report.bulk_rows == (
-            tiny_instance.node_count + tiny_instance.edge_count
-            - businesses.node_count
-        )
-        assert self.counters(store)["deploy.load_per_record"] == (
-            businesses.node_count
-        )
+        assert report.nodes + report.edges == total - businesses.node_count
+        assert self.counters(store)["deploy.load_per_record"] == total
         again = load_graph_store(company_schema, tiny_instance, store)
-        assert again.per_record == {
-            "replay": tiny_instance.node_count + tiny_instance.edge_count
-        }
-        assert again.bulk_rows == 0 and again.nodes == again.edges == 0
+        assert again.per_record == {"replay": total}
+        assert again.nodes == again.edges == 0
 
     def test_fault_injection_and_retrying_policies_go_per_record(
         self, company_schema, tiny_instance
     ):
-        """A store without bulk writers goes per record, whatever the
+        """A store without ``adopt`` goes per record, whatever the
         policy; a retrying policy over a plain store adopts a columnar
         instance."""
         total = tiny_instance.node_count + tiny_instance.edge_count
         injector = FaultInjector(deployed_graph_store())
-        assert not hasattr(injector, "create_nodes")
-        assert not hasattr(injector, "create_relationships")
+        assert not hasattr(injector, "adopt")
         retrying = RetryPolicy(sleep=lambda _s: None)
         report = load_graph_store(
             company_schema, tiny_instance, injector, policy=retrying
         )
         assert report.per_record == {"no-bulk-writer": total}
-        assert report.bulk_groups == 0
+        assert not report.adopted_rows
         assert injector.mutations_applied == total  # one fault point each
-        columnar = make_graph("tiny")
-        for node in tiny_instance.nodes():
-            columnar.add_node(node.id, node.label, **node.properties)
-        for edge in tiny_instance.edges():
-            columnar.add_edge(edge.source, edge.target, edge.label,
-                              edge_id=edge.id, **edge.properties)
         store = deployed_graph_store()
-        report = load_graph_store(company_schema, columnar, store, policy=retrying)
+        report = load_graph_store(
+            company_schema, columnar_copy(tiny_instance), store, policy=retrying
+        )
         assert report.adopted_rows == total and not report.per_record
         assert graph_store_state(store) == graph_store_state(injector)
 
     def test_integrity_fallback_is_counted(self, company_schema, tiny_instance):
-        dirty = tiny_instance.copy()
+        dirty = columnar_copy(tiny_instance)
         dirty.add_node("B4", "Business", fiscalCode="FCB1",  # dup unique
                        businessName="Eve SpA", legalNature="spa",
                        shareholdingCapital=1.0)
         store = deployed_graph_store()
         report = load_graph_store(company_schema, dirty, store, mode=GRACEFUL)
-        assert report.per_record == {"integrity-fallback": 4}  # the businesses
+        assert report.per_record == {
+            "integrity-fallback": dirty.node_count + dirty.edge_count
+        }
         assert report.quarantined == 1
-        assert report.bulk_rows == dirty.node_count + dirty.edge_count - 4
+        assert not report.adopted_rows
 
 
 # ----------------------------------------------------------------------

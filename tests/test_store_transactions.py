@@ -21,6 +21,7 @@ from repro.deploy import (
     RelationalEngine,
     TripleStore,
     graph_store_state,
+    load_graph_store,
     load_triple_store,
 )
 from repro.errors import IntegrityError
@@ -106,20 +107,19 @@ class GraphStoreDriver(Driver):
             self.store.create_node(f"b{number}", BUSINESS, **business(number))
 
     def bulk(self, rng):
+        """A nested :func:`~repro.deploy.load_graph_store` of a few
+        businesses and stakes between them: record by record, or an
+        adoption when the store is empty."""
+        data = make_graph("batch")
         numbers = [self.new() for _ in range(rng.randint(1, 5))]
-        rows = [business(number) for number in numbers]
-        names = tuple(rows[0])
-        self.store.create_nodes(
-            BUSINESS, [f"b{number}" for number in numbers], names,
-            [[row[name] for row in rows] for name in names],
-        )
-        nodes = self.nodes()
-        count = rng.randint(1, 6)
-        self.store.create_relationships(
-            "OWNS", [rng.choice(nodes) for _ in range(count)],
-            [rng.choice(nodes) for _ in range(count)], ("percentage",),
-            [[rng.random() for _ in range(count)]],
-        )
+        for number in numbers:
+            data.add_node(f"b{number}", "Business", **business(number))
+        for _ in range(rng.randint(1, 6)):
+            data.add_edge(
+                f"b{rng.choice(numbers)}", f"b{rng.choice(numbers)}", "OWNS",
+                percentage=rng.random(),
+            )
+        load_graph_store(company_super_schema(), data, self.store)
 
     def delete(self, rng):
         edges = list(self.store.graph.edges())
