@@ -259,7 +259,7 @@ def cmd_update(args) -> int:
         "update phases:",
         {k: f"{v:.3f}s" for k, v in outcome.phase_breakdown().items()},
         f"(strata recomputed: {outcome.strata_recomputed},"
-        f" I_SM_* facts changed: {outcome.flushed})",
+        f" head facts changed: {outcome.flushed})",
         file=sys.stderr,
     )
     for phase, stratum, rule, reason in outcome.recompute_reasons:
@@ -275,13 +275,14 @@ def cmd_update(args) -> int:
             "of the updated elements are no node: their edges were dropped",
             file=sys.stderr,
         )
+    instance = materializer.retained.instance().data
     if args.output:
-        save_graph(outcome.instance.data, args.output)
+        save_graph(instance, args.output)
         print(f"enriched instance written to {args.output}", file=sys.stderr)
     else:
         from repro.graph.io import graph_to_json
 
-        print(graph_to_json(outcome.instance.data))
+        print(graph_to_json(instance))
     return 0
 
 

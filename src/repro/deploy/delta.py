@@ -1,18 +1,18 @@
 """Instance-level flush deltas for the deployment targets.
 
 The incremental materialization path (``IntensionalMaterializer.update``)
-maintains the enriched instance in place instead of re-deriving it, so
+maintains the enriched instance instead of re-deriving it, so
 re-loading the whole instance into a deployed store would throw the
 saving away at the last hop.  A :class:`FlushDelta` is the difference
 between two versions of an enriched instance expressed at the
 plain-graph level — exactly what each store's ``apply_flush_delta``
 method consumes to bring a previously loaded store up to date without a
-full reload.  ``update()`` builds the new version's record of each
-element its change reaches, one element at a time, sets those records
-against the enriched graph (:meth:`FlushDelta.between`) and patches the
-graph with the result (:meth:`FlushDelta.apply_to`); the comparison of
-two whole graphs (:meth:`FlushDelta.diff`, the same rules over every
-element of both) is what the tests hold that against.
+full reload.  ``update()`` keeps no instance graph: it makes the record
+of each element its change reaches in the instance after the update and
+in the one before it, one element at a time, and sets the two against
+each other (:meth:`FlushDelta.between`, over record functions); the
+comparison of two whole graphs (:meth:`FlushDelta.diff`, the same rules
+over every element of both) is what the tests hold that against.
 
 The records list every change, the edges a removed node takes along
 included, and carry everything any backend needs to *undo* an element
@@ -74,34 +74,37 @@ class FlushDelta:
         into ``new``, every element of both compared (:meth:`between`
         over all their ids)."""
         return cls.between(
-            old,
             dict.fromkeys(n.id for graph in (new, old) for n in graph.nodes()),
             dict.fromkeys(e.id for graph in (new, old) for e in graph.edges()),
+            partial(node_record, old), partial(edge_record, old),
             partial(node_record, new), partial(edge_record, new),
         )
 
     @classmethod
     def between(
-        cls, old: PropertyGraph, node_ids: Iterable[Any], edge_ids: Iterable[Any],
+        cls, node_ids: Iterable[Any], edge_ids: Iterable[Any],
+        old_node: Callable[[Any], Optional[NodeRecord]],
+        old_edge: Callable[[Any], Optional[EdgeRecord]],
         new_node: Callable[[Any], Optional[NodeRecord]],
         new_edge: Callable[[Any], Optional[EdgeRecord]],
     ) -> "FlushDelta":
-        """What turns the listed elements of ``old`` into their new
-        versions, whose records ``new_node(id)`` / ``new_edge(id)`` give
-        (None for an element the new version lacks).
+        """What turns the listed elements of an old version into their
+        new versions, the records of each given by ``old_node(id)`` /
+        ``old_edge(id)`` and ``new_node(id)`` / ``new_edge(id)`` (None
+        for an element the version lacks).
 
         Elements are matched by id.  A node whose label changed is
         reported as removed + added (stores key constraints off the
         label); one whose properties changed becomes an update.  Edges
         are immutable records in every backend, so any change to an
-        edge's endpoints, label, or properties is removed + added.  Every
-        edge of ``old`` a removed node touches is listed as removed too,
-        and as added again when the new version still holds it.
+        edge's endpoints, label, or properties is removed + added.  A
+        listed edge a removed node touches is listed as removed too, and
+        as added again when the new version still holds it; the caller
+        lists every old edge of a node that goes.
         """
         delta = cls()
-        edge_ids = dict.fromkeys(edge_ids)
         for node_id in node_ids:
-            before = node_record(old, node_id)
+            before = old_node(node_id)
             after = new_node(node_id)
             if before and after and before[1] == after[1]:
                 if before[2] != after[2]:
@@ -109,14 +112,11 @@ class FlushDelta:
                 continue
             if before:
                 delta.removed_nodes.append(before)
-                edge_ids.update(dict.fromkeys(
-                    edge.id for edge in (*old.out_edges(node_id), *old.in_edges(node_id))
-                ))
             if after:
                 delta.added_nodes.append(after)
         leaving = {record[0] for record in delta.removed_nodes}
         for edge_id in edge_ids:
-            before = edge_record(old, edge_id)
+            before = old_edge(edge_id)
             after = new_edge(edge_id)
             taken_along = bool(before) and not leaving.isdisjoint(before[1:3])
             if before != after or taken_along:

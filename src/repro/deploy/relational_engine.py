@@ -312,8 +312,9 @@ class RelationalEngine(SavepointMixin):
         :class:`~repro.deploy.delta.FlushDelta` by the rows of its records.
 
         ``schema`` lays the rows out (:mod:`repro.deploy.relational_rows`);
-        ``instance``, the enriched graph the delta leads to, keys an edge
-        end the delta does not carry, by one lookup.  A bridge row goes
+        ``instance``, the instance the delta leads to (a graph, or an
+        update's records), keys an edge end the delta does not carry, by
+        one lookup.  A bridge row goes
         one copy at a time; a changed property is an update of its node's
         rows; a functional edge added or removed rebuilds its holder's
         foreign-key columns from the holder's edges of that type left in

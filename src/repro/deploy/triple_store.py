@@ -203,7 +203,7 @@ class TripleStore(SavepointMixin):
         retracts the subject's *entailed* supertype triples (rdfs9): the
         delta lists every edge the node takes along, so no surviving
         statement supports them.  Triples are a set: an edge's triple is
-        retracted only when ``instance``, the graph the delta leads to,
+        retracted only when ``instance``, the instance the delta leads to,
         holds no other edge of its label between the same ends.
         Assertions and retractions are undo-logged, so the whole delta
         applies under one savepoint: any exception rolls everything back.

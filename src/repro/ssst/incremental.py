@@ -92,8 +92,10 @@ class RegistryDelta:
 class UpdateReport:
     """Outcome of one :meth:`IntensionalMaterializer.update` call."""
 
-    #: The enriched SuperInstance over the retained, live graph: every
-    #: report of one materializer wraps the same graph, not a snapshot.
+    #: The new instance's records, one element at a time: what a store
+    #: reads of the instance its ``flush_delta`` leads to (``has_node`` /
+    #: ``node`` / ``out_edges`` / ``in_edges``), until the next update.
+    #: No graph is kept: ``materializer.retained.instance()`` writes one.
     instance: Any
     #: Net changes of Sigma's retained chase state.
     delta_reason: Optional[DeltaResult] = None
@@ -108,8 +110,8 @@ class UpdateReport:
     flush_dropped_edges: int = 0
     #: Chase-maintenance time only (the paper's "reasoning" phase).
     engine_seconds: float = 0.0
-    #: Total wall time of the update: validation, encoding, the chase,
-    #: the decode of the touched constructs and the patch.
+    #: Total wall time of the update: validation, encoding, the chase
+    #: and the records of the touched elements.
     update_seconds: float = 0.0
 
     @property

@@ -48,6 +48,7 @@ from functools import partial
 from itertools import groupby
 from operator import itemgetter
 from time import perf_counter
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -222,18 +223,25 @@ class RetainedMaterialization:
     Built by ``materialize(..., retain=True)``: Sigma's chase result
     (carrying a retained
     :class:`~repro.vadalog.incremental.MaterializedState` over Sigma's
-    relations only), the registry graph it was loaded from, the column
-    maps, and the enriched graph, which every ``update()`` patches in
-    place (new elements come last, not in ``str(oid)`` order).
+    relations only), the registry graph it was loaded from and the
+    column maps.  The instance is held once, as those two sources: no
+    copy of the enriched graph is kept, and :meth:`instance` writes it.
     """
 
     schema: SuperSchema
     instance_oid: Any
     data: PropertyGraph
     result: EvaluationResult
-    enriched: PropertyGraph
     maps: ColumnMaps
     updates_applied: int = 0
+
+    def instance(self) -> SuperInstance:
+        """The whole instance as it stands, written afresh in
+        ``materialize()``'s order (:func:`write_instance`)."""
+        database = self.result.database
+        graph = ColumnarPropertyGraph(f"{self.data.name}+derived", interner=database.interner)
+        write_instance(self.maps, self.instance_oid, self.data, database, graph)
+        return SuperInstance(self.schema, self.instance_oid, graph)
 
 
 #: Compile-cache entries kept per materializer (oldest evicted first).
@@ -245,7 +253,8 @@ def _deferred_full_gc():
     """Defer full (gen-2) garbage collections for a registry-scale run.
 
     A from-scratch materialization allocates millions of long-lived
-    containers (the chase extension, the enriched graph); with the
+    containers (the chase extension, the enriched graph, which a
+    retained materialization does not keep); with the
     default thresholds CPython re-scans that whole heap every few
     thousand surviving allocations, which measures as multiple seconds
     of pause time per 50k-company run.  Almost everything the chase
@@ -324,18 +333,15 @@ def load_inputs(maps: ColumnMaps, registry: Sequence[List[Tuple[Any, ...]]],
         ])
 
 
-def _head_rows(maps: ColumnMaps, database: Database, graph: Any,
+def _head_rows(maps: ColumnMaps, database: Database,
                edge: bool) -> List[Tuple[int, List[Any]]]:
     """Per head relation of one kind: its index in ``maps.heads`` and
-    its code columns over ``graph``'s interner."""
-    interner, rows = graph.interner, []
+    its code columns (Sigma's database has the instance's interner)."""
+    rows = []
     for index, (label, is_edge, _columns) in enumerate(maps.heads):
         if is_edge != edge:
             continue
-        if database.interner is interner:
-            columns = database.code_columns(label)
-        else:
-            columns = [interner.encode_column(c) for c in database.columns(label) or ()]
+        columns = database.code_columns(label)
         if columns:
             rows.append((index, [np.asarray(c, dtype=np.int64) for c in columns]))
     return rows
@@ -458,9 +464,9 @@ def write_instance(maps: ColumnMaps, instance_oid: Any, data: PropertyGraph,
     :func:`_derive`)."""
     interner = graph.interner
     edges = (registry[1] if registry else registry_rows(maps, data, graph, True),
-             _head_rows(maps, database, graph, True))
+             _head_rows(maps, database, True))
     nodes = (registry[0] if registry else registry_rows(maps, data, graph, False),
-             _head_rows(maps, database, graph, False))
+             _head_rows(maps, database, False))
     eq, none = interner.eq_array().view(np.int64), interner.probe(None)
     added = dropped = 0
     node_at = None
@@ -510,73 +516,170 @@ def _eq_members(value: Any) -> Tuple[Any, ...]:
 
 
 class _ElementFlush:
-    """An update's flush, one element at a time: the record an element
-    has in the new instance (:func:`node_record` / :func:`edge_record`
-    form), made by :func:`_derive`'s rules from the registry ``data``
-    and Sigma's head facts for its id alone — index probes, nothing
-    written.  An edge end among the ``touched`` nodes is a node when
-    its new record is there; any other end reads the ``enriched``
-    graph, which holds what the update does not reach as it is.
-    Records are made on demand, once an id (``==``: one eq code);
-    ``dropped`` counts the edge ends that are no node on the way."""
+    """An instance one element at a time: the record an element has
+    (:func:`node_record` / :func:`edge_record` form), made by
+    :func:`_derive`'s rules from the registry's element of its id
+    (``loaded``; a graph looks an id up by its exact code, so by each
+    ``==`` member) and Sigma's head facts for it (``facts``) — index
+    probes, nothing written.  An edge end is a node when a node record
+    ``==`` it is there.  Records are made on demand, once an id (``==``:
+    one eq code); ``dropped`` counts the edge ends that are no node on
+    the way.  Over the registry ``data`` and Sigma's ``database`` it is
+    the instance they hold, and answers the four reads a store makes of
+    the instance a :class:`~repro.deploy.delta.FlushDelta` leads to
+    (edges in :func:`write_instance`'s order)."""
 
-    def __init__(self, maps: ColumnMaps, data: PropertyGraph, database: Database,
-                 enriched: PropertyGraph, touched: Sequence[Any]):
-        self.maps, self.data, self.database, self.enriched = maps, data, database, enriched
-        self.touched = {node_id: node_id for node_id in touched}
+    def __init__(self, maps: ColumnMaps, instance_oid: Any, data: PropertyGraph,
+                 database: Database, loaded: Any = None, facts: Any = None,
+                 shared: Any = None):
+        self.maps, self.instance_oid, self.registry = maps, instance_oid, data
+        self.database, self.shared = database, shared
+        self.loaded = loaded or self._registry
+        self.facts = facts or (
+            lambda label, element_id: database.matching(label, 0, (element_id,)))
         self.made: Tuple[Dict[Any, Any], Dict[Any, Any]] = ({}, {})
+        self.ids: Dict[Any, Any] = {}
         self.dropped = 0
 
-    def record(self, edge: bool, element_id: Any) -> Optional[Tuple[Any, ...]]:
-        """The element's record in the new instance; None if it has none."""
-        made = self.made[edge]
-        if element_id not in made:
-            made[element_id] = self._record(edge, element_id)
-        return made[element_id]
+    def before(self, removed: Sequence[List[Any]], delta: RegistryDelta, sigma: Any,
+               touched: Sequence[Dict[Any, None]]) -> "_ElementFlush":
+        """The instance before an update that turned its registry and
+        Sigma's database into this one's: the delta's ``removed`` node
+        and edge records put back and its added ids hidden, Sigma's head
+        facts less what ``sigma`` (the update's
+        :class:`~repro.vadalog.incremental.DeltaResult`) added plus what
+        it removed.  An id outside ``touched`` (per kind) has one record
+        in both instances, made here."""
+        put_back = [
+            {r[0]: SimpleNamespace(id=r[0], label=r[1], properties=r[2]) for r in removed[0]},
+            {r[0]: SimpleNamespace(id=r[0], source=r[1], target=r[2], label=r[3],
+                                   properties=r[4]) for r in removed[1]}]
+        hidden = [{r[0] for r in records} for records in (delta.add_nodes, delta.add_edges)]
+        lost: Dict[Tuple[str, Any], List[Any]] = {}
+        for label, _edge, _names in self.maps.heads:
+            for fact in sigma.removed.get(label, ()):
+                lost.setdefault((label, fact[0]), []).append(fact)
 
-    def held(self, edge: bool, ids: Sequence[Any]) -> List[Any]:
-        """``ids`` as the new instance holds them, or else the enriched
-        graph (a graph looks an id up by its exact code), in ``str``
-        order."""
-        has = self.enriched.has_edge if edge else self.enriched.has_node
+        def loaded(edge: bool, element_id: Any) -> Any:
+            held = put_back[edge].get(element_id)
+            if held is None and element_id not in hidden[edge]:
+                held = self.loaded(edge, element_id)
+            return held
+
+        def facts(label: str, element_id: Any) -> List[Any]:
+            gained = sigma.added.get(label, ())
+            return [fact for fact in self.facts(label, element_id)
+                    if fact not in gained] + lost.get((label, element_id), [])
+
+        return _ElementFlush(self.maps, self.instance_oid, self.registry, self.database,
+                             loaded, facts, (self, touched))
+
+    def _registry(self, edge: bool, element_id: Any) -> Any:
+        has, get = (self.registry.has_edge, self.registry.edge) if edge else (
+            self.registry.has_node, self.registry.node)
+        for member in _eq_members(element_id):
+            if has(member):
+                return get(member)
+        return None
+
+    def record(self, edge: bool, element_id: Any) -> Optional[Tuple[Any, ...]]:
+        """The element's record; None if it has none."""
+        made = self.made[edge]
+        held = made.get(element_id, made)
+        if held is made:
+            if self.shared is not None and element_id not in self.shared[1][edge]:
+                return self.shared[0].record(edge, element_id)
+            held = made[element_id] = self._record(edge, element_id)
+        return held and held[1]
+
+    def held(self, edge: bool, ids: Sequence[Any], before: "_ElementFlush") -> List[Any]:
+        """``ids`` as this instance holds them, or else the one
+        ``before`` it, in ``str`` order."""
         held: Dict[Any, None] = {}
         for element_id in ids:
-            new = self.record(edge, element_id)
-            held[new[0] if new is not None else next(
-                (v for v in _eq_members(element_id) if has(v)), element_id)] = None
+            record = self.record(edge, element_id) or before.record(edge, element_id)
+            held[element_id if record is None else record[0]] = None
         return sorted(held, key=str)
 
     def node_at(self, value: Any) -> Any:
-        """The id of the new instance's node ``== value``; None if none."""
-        if value in self.touched:
-            record = self.record(False, self.touched[value])
-            return None if record is None else record[0]
-        for held in _eq_members(value):
-            if self.enriched.has_node(held):
-                return self.enriched.node(held).id
-        return None
+        """The id of the node ``== value``, None if none, as its record
+        has it — a registry node with a label wins, else the first head
+        fact naming one — with no property read."""
+        if self.shared is not None and value not in self.shared[1][False]:
+            return self.shared[0].node_at(value)
+        held = self.ids.get(value, self.ids)
+        if held is self.ids:
+            loaded, interner = self.loaded(False, value), self.database.interner
+            held = self.ids[value] = interner.values[interner.encode(loaded.id)] if (
+                loaded is not None and loaded.label is not None) else next((
+                    fact[0] for label, edge, _names in self.maps.heads if not edge
+                    for fact in self.facts(label, value)), None)
+        return held
+
+    def has_node(self, node_id: Any) -> bool:
+        return self.record(False, node_id) is not None
+
+    def node(self, node_id: Any) -> Any:
+        element, label, properties = self.record(False, node_id)
+        return SimpleNamespace(id=element, label=label, properties=properties)
+
+    def out_edges(self, node_id: Any, label: Optional[str] = None) -> List[Any]:
+        return self._incident(1, node_id, label)
+
+    def in_edges(self, node_id: Any, label: Optional[str] = None) -> List[Any]:
+        return self._incident(2, node_id, label)
+
+    def _incident(self, position: int, node_id: Any, label: Optional[str]) -> List[Any]:
+        """The edges with the node ``node_id`` at ``position`` (1: the
+        source), of ``label`` if one is given: of the registry's edges
+        at the node and those Sigma's edge heads name it in, those whose
+        record says so."""
+        node = self.node_at(node_id)
+        adjacent = self.registry.out_edges if position == 1 else self.registry.in_edges
+        ids = dict.fromkeys(edge.id for member in _eq_members(node_id) if node is not None
+                            and self.registry.has_node(member) for edge in adjacent(member))
+        for head, is_edge, _names in self.maps.heads if node is not None else ():
+            if is_edge:
+                ids.update(dict.fromkeys(
+                    fact[0] for fact in self.database.matching(head, position, (node_id,))))
+        found = []  # in instance order: a loaded edge's key is prefixed
+        for edge_id in ids:
+            record = self.record(True, edge_id)
+            if record is not None and record[position] == node and label in (None, record[3]):
+                prefix = f"{self.instance_oid}:i-edge:" if self.made[True][edge_id][0] else ""
+                found.append((prefix + str(record[0]), record))
+        return [SimpleNamespace(id=edge_id, source=source, target=target, label=kind,
+                                properties=properties) for _key, (
+                    edge_id, source, target, kind, properties) in sorted(found, key=itemgetter(0))]
 
     def _ends(self, values: Sequence[Any]) -> List[Any]:
         ends = [self.node_at(value) for value in values]
-        self.dropped += sum(end is None for end in ends)
+        self.dropped += ends.count(None)
         return ends
 
-    def _record(self, edge: bool, element_id: Any) -> Optional[Tuple[Any, ...]]:
-        maps, interner = self.maps, self.enriched.interner
+    def _record(self, edge: bool, element_id: Any) -> Optional[Tuple[bool, Tuple[Any, ...]]]:
+        """Whether the registry's element gives the record (its order key
+        in :func:`write_instance` is prefixed) and the record; None if
+        the element has none."""
+        maps, interner = self.maps, self.database.interner
         facts = [(index, fact) for index, (label, is_edge, _names) in enumerate(maps.heads)
-                 if is_edge == edge for fact in self.database.matching(label, 0, [element_id])]
-        loaded = (edge_record if edge else node_record)(self.data, element_id)
-        if loaded is not None and loaded[-2] is not None:
-            ends = self._ends(loaded[1:-2])
+                 if is_edge == edge for fact in self.facts(label, element_id)]
+        loaded = self.loaded(edge, element_id)
+        if loaded is not None and loaded.label is not None:
+            ends = self._ends((loaded.source, loaded.target)) if edge else []
             if None in ends:  # an edge needs both ends in the instance
                 loaded = None
         else:
             loaded = None
         if loaded is not None:  # a loaded element wins: label, ends, attributes
-            held = loaded[-1]
-            element, label = interner.values[interner.encode(loaded[0])], loaded[-2]
+            held = loaded.properties
+            element, label = interner.values[interner.encode(loaded.id)], loaded.label
             links = [(rank, name, interner.values[interner.encode(held[name])])
                      for rank, name in enumerate(maps.modeled(edge, label)) if name in held]
+            if not facts:  # the registry's attributes alone, in rank order
+                properties = {name: value for _rank, name, value in links}
+                return True, (element, *ends, label, properties) if edge else (
+                    element, label, properties)
         elif facts:  # derived only: the smallest head label names it
             index, first = facts[0]
             element, label, links = first[0], maps.heads[index][0], []
@@ -596,7 +699,8 @@ class _ElementFlush:
         properties: Dict[str, Any] = {}
         for _rank, name, value in sorted(links, key=itemgetter(0)):
             properties[name] = value  # placed by its first link, valued by its last
-        return (element, *ends, label, properties) if edge else (element, label, properties)
+        return loaded is not None, (
+            (element, *ends, label, properties) if edge else (element, label, properties))
 
     def _derived_ends(self, facts: List[Tuple[int, Tuple[Any, ...]]]) -> List[Any]:
         """A derived-only edge's ends: its one fact's, or per end the
@@ -769,7 +873,7 @@ class IntensionalMaterializer:
             # nothing consistent to maintain, so retention is dropped.
             self._retained = None if report.truncated else RetainedMaterialization(
                 schema=schema, instance_oid=instance_oid, data=data,
-                result=result, enriched=graph, maps=maps,
+                result=result, maps=maps,
             )
         return report
 
@@ -786,14 +890,17 @@ class IntensionalMaterializer:
         place.  The flush costs what the change reaches, nothing more:
         the elements of the delta, the ids of Sigma's net head-fact
         changes and the derived edges naming a reached node each get
-        their new record, one element at a time, from the registry and
-        their own head facts (:class:`_ElementFlush`, nothing written);
-        set against the enriched graph's records they give the
-        :class:`~repro.deploy.delta.FlushDelta` (for bringing deployed
-        stores up to date without a reload), and the enriched graph is
-        patched with it in place — the report's ``instance`` wraps that
-        one live graph.  Once Sigma's database holds more tombstoned
-        rows than live ones it is compacted.
+        their record, one element at a time, from the registry and their
+        own head facts (:class:`_ElementFlush`, nothing written), once
+        in the instance after the update and once in the one before it
+        (the delta's removed records and Sigma's removed head facts put
+        back, what it added hidden); set against each other they give
+        the :class:`~repro.deploy.delta.FlushDelta` (for bringing
+        deployed stores up to date without a reload).  No instance graph
+        is kept or patched: the report's ``instance`` is the new
+        instance's records, and ``retained.instance()`` writes the whole
+        graph.  Once Sigma's database holds more tombstoned rows than
+        live ones it is compacted.
 
         The result is fact-set-identical (up to labeled-null renaming)
         to re-running :meth:`materialize` from scratch on the mutated
@@ -841,8 +948,8 @@ class IntensionalMaterializer:
                 )
                 # What the change reaches: the delta's elements, those
                 # of changed head facts and derived edges naming a
-                # reached node, each made anew and set against the
-                # enriched graph, which is then patched in place.
+                # reached node, each made in the instance after the
+                # update and in the one before it.
                 touched: List[Dict[Any, None]] = [
                     dict.fromkeys(r[0] for r in (*removed_nodes, *delta.add_nodes)),
                     dict.fromkeys(r[0] for r in (*removed_edges, *delta.add_edges)),
@@ -858,13 +965,23 @@ class IntensionalMaterializer:
                         touched[1].update(dict.fromkeys(
                             f[0] for f in database.matching(label, position, nodes)
                         ))
-                flush = _ElementFlush(maps, data, database, retained.enriched, nodes)
+                new = _ElementFlush(maps, retained.instance_oid, data, database)
+                old = new.before((removed_nodes, removed_edges), delta, sigma, touched)
+                # A node that comes, goes or is re-typed takes the
+                # registry's edges at it along (Sigma's are reached).
+                node_ids = new.held(False, nodes, old)
+                for node_id in node_ids:
+                    before, after = old.record(False, node_id), new.record(False, node_id)
+                    if (before and before[1]) != (after and after[1]):
+                        touched[1].update(dict.fromkeys(
+                            edge.id for member in _eq_members(node_id) if data.has_node(member)
+                            for edge in (*data.out_edges(member), *data.in_edges(member))))
                 flush_delta = FlushDelta.between(
-                    retained.enriched, flush.held(False, nodes), flush.held(True, touched[1]),
-                    partial(flush.record, False), partial(flush.record, True),
+                    node_ids, new.held(True, touched[1], old),
+                    partial(old.record, False), partial(old.record, True),
+                    partial(new.record, False), partial(new.record, True),
                 )
-                dropped = flush.dropped
-                flush_delta.apply_to(retained.enriched)
+                dropped = new.dropped
             except BaseException:
                 self._retained = None
                 raise
@@ -875,7 +992,7 @@ class IntensionalMaterializer:
             span.set(flushed=flushed, dropped_edges=dropped,
                      strata_recomputed=sigma.strata_recomputed)
         return UpdateReport(
-            instance=SuperInstance(retained.schema, retained.instance_oid, retained.enriched),
+            instance=new,
             delta_reason=sigma,
             flush_delta=flush_delta,
             flushed=flushed,

@@ -47,6 +47,11 @@ from repro.stream.sinks import ApplyResult
 
 __all__ = ["DeltaStream", "StreamReport"]
 
+#: Sequence numbers remembered to drop a record the feed repeats.
+SEQ_WINDOW = 4096
+#: Staleness samples a report keeps; later ones are only counted.
+STALENESS_CAP = 100_000
+
 
 def _percentile(samples: List[float], q: float) -> float:
     if not samples:
@@ -167,8 +172,6 @@ class DeltaStream:
         quarantine: Optional[QuarantineReport] = None,
         segment_records: int = 1024,
         fsync: bool = True,
-        seq_window: int = 4096,
-        staleness_cap: int = 100_000,
         tracer: Optional[Tracer] = None,
         clock: Callable[[], float] = time.time,
         sleep: Callable[[float], None] = time.sleep,
@@ -193,8 +196,6 @@ class DeltaStream:
         self.poll_interval = poll_interval
         self.max_batches = max_batches
         self.quarantine = quarantine if quarantine is not None else QuarantineReport()
-        self.seq_window = seq_window
-        self.staleness_cap = staleness_cap
         self.tracer = tracer or NullTracer()
         self._clock = clock
         self._sleep = sleep
@@ -203,7 +204,7 @@ class DeltaStream:
         self._window: float = float(batch_window)
         #: (log offset, parsed record, arrival time)
         self._pending: Deque[Tuple[int, FeedRecord, float]] = deque()
-        self._recent_seqs: Deque[int] = deque(maxlen=seq_window)
+        self._recent_seqs: Deque[int] = deque(maxlen=SEQ_WINDOW)
         self._recent_set: set = set()
         self._acked_offset = -1
         self._durable_offset = -1  # highest offset covered by a checkpoint
@@ -430,7 +431,7 @@ class DeltaStream:
         for _, _, arrived in window:
             staleness = max(0.0, now - arrived)
             self.tracer.observe("stream.staleness_seconds", staleness)
-            if len(report.staleness_samples) < self.staleness_cap:
+            if len(report.staleness_samples) < STALENESS_CAP:
                 report.staleness_samples.append(staleness)
             else:
                 report.staleness_dropped += 1

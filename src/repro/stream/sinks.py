@@ -109,7 +109,7 @@ class FlushDeltaTarget:
         if update.flush_delta is not None and update.flush_delta.changed():
             self.store.apply_flush_delta(
                 update.flush_delta, schema=self.schema,
-                instance=update.instance.data,
+                instance=update.instance,
             )
 
 

@@ -1008,11 +1008,19 @@ class ColumnarRelation:
         no hashing, no new row.  None when there is nothing to revive:
         the fact was absent, or the row holds another member of its
         ``==`` class (``True`` for ``1``) than an ``add`` would store."""
+        return self.retract(fact)[1]
+
+    def retract(self, fact: Fact) -> Tuple[Fact, Optional[Tuple[Any, int, int]]]:
+        """:meth:`bury`, returning ``fact`` as its row held it (``1``
+        where ``fact`` says ``True``; ``fact`` itself when absent) and
+        the grave."""
         row = self._tombstone(fact)
+        if row < 0:
+            return fact, None
         probe = self._interner.probe
-        if row < 0 or any(c[row] != probe(v) for c, v in zip(self._cols, fact)):
-            return None
-        return self._graves, row, len(self._indexes) + len(self._composite)
+        exact = all(c[row] == probe(v) for c, v in zip(self._cols, fact))
+        grave = self._graves, row, len(self._indexes) + len(self._composite)
+        return self.decode_row(row), grave if exact else None
 
     def unbury(self, grave: Tuple[Any, int, int]) -> bool:
         """Revive a buried row, until :meth:`rebury`; False — the caller

@@ -891,9 +891,7 @@ def _deletion_pass(
     )
     for predicate, facts in marked.items():
         relation = db.relation(predicate)
-        graves = removed_now.setdefault(predicate, {})
-        for fact in facts:
-            graves[fact] = relation.bury(fact)
+        removed_now.setdefault(predicate, {}).update(map(relation.retract, facts))
     result.overdeleted += sum(len(facts) for facts in marked.values())
     nulls = state.nulls
     held = {
@@ -1127,12 +1125,14 @@ def apply_delta(
         # The running net, in row order: the removals as they are
         # buried, the additions as their relations append them.
         plans = state.stratum_plans(engine)
-        pending_remove = {p: graves for p, graves in requested_remove.items() if graves}
-        for predicate, graves in pending_remove.items():
-            relation = db.relation(predicate)
-            for fact in graves:
-                graves[fact] = relation.bury(fact)
-            state.edb[predicate].difference_update(graves)
+        # A removed fact is reported as its row held it (``1`` where the
+        # request or a derivation says ``True``).
+        pending_remove: Changes = {}
+        for predicate, facts in requested_remove.items():
+            if facts:
+                relation = db.relation(predicate)
+                pending_remove[predicate] = dict(map(relation.retract, facts))
+                state.edb[predicate].difference_update(facts)
         pending_add: Changes = {}
         for predicate, facts in requested_add.items():
             state.edb.setdefault(predicate, set()).update(facts)

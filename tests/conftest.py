@@ -112,11 +112,10 @@ def flush_delta_records(delta):
 def diff_is_the_oracle(materializer):
     """Hold every later ``materializer.update()`` against the oracle.
 
-    Before the call the enriched graph is copied; after it the whole
-    instance is written afresh from the registry and Sigma's retained
-    state (``write_instance`` without ``touched``).  The emitted
-    ``FlushDelta`` must equal ``FlushDelta.diff(copy, whole)`` record
-    for record, and the patched enriched graph must equal the whole
+    Before the call and after it the whole instance is written afresh
+    from the registry and Sigma's retained state (``write_instance``).
+    The emitted ``FlushDelta`` must equal ``FlushDelta.diff(before,
+    whole)`` record for record, and patch ``before`` into the whole
     instance.  During the call itself no whole relation of Sigma's
     database may be read, ``FlushDelta.diff`` may not run, and no
     instance may be written: ``write_instance`` may not be called and
@@ -145,7 +144,7 @@ def diff_is_the_oracle(materializer):
         if retained is None:
             return real_update(delta)
         sigma_db = retained.result.database
-        before = retained.enriched.copy()
+        before = retained.instance().data
 
         def database_read(name):
             def read(self, predicate):
@@ -175,15 +174,38 @@ def diff_is_the_oracle(materializer):
             materializer_module, "write_instance", no_write
         ), mock.patch.object(ColumnarPropertyGraph, "__init__", no_write):
             report = real_update(delta)
-        assert report.instance.data is retained.enriched
-        whole = ColumnarPropertyGraph("whole", interner=retained.enriched.interner)
+        whole = ColumnarPropertyGraph("whole", interner=sigma_db.interner)
         write_instance(retained.maps, retained.instance_oid, retained.data,
                        sigma_db, whole)
         assert flush_delta_records(report.flush_delta) == flush_delta_records(
             FlushDelta.diff(before, whole)
         )
-        assert not FlushDelta.diff(retained.enriched, whole).changed()
+        report.flush_delta.apply_to(before)
+        assert not FlushDelta.diff(before, whole).changed()
         return report
 
     materializer.update = checked_update
     return materializer
+
+
+def reads_as_written(instance, whole, ids):
+    """``instance``, an update's new-instance records, answers the four
+    reads a store makes of the instance a ``FlushDelta`` leads to —
+    ``has_node``, ``node``, ``out_edges`` and ``in_edges``, the last two
+    with and without a label — as ``whole``, the instance written
+    afresh, does: for each node id of ``ids``, values and order exact."""
+    def shown(element, *ends):
+        return repr((element.id, *ends, element.label, sorted(element.properties.items())))
+
+    def edges(found):
+        return [shown(edge, edge.source, edge.target) for edge in found]
+
+    for node_id in ids:
+        assert instance.has_node(node_id) == whole.has_node(node_id), node_id
+        if not whole.has_node(node_id):
+            continue
+        assert shown(instance.node(node_id)) == shown(whole.node(node_id))
+        for read in ("out_edges", "in_edges"):
+            for label in (None, *whole.edge_labels()):
+                assert edges(getattr(instance, read)(node_id, label)) == edges(
+                    getattr(whole, read)(node_id, label)), (node_id, read, label)

@@ -36,8 +36,8 @@ No module under ``src/`` imports this one.
 
 from collections import Counter
 from typing import (
-    Any, Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
-    Set, Tuple, Union,
+    Any, Callable, Collection, Dict, Iterable, Iterator, List, Mapping, Optional,
+    Sequence, Set, Tuple, Union,
 )
 
 from repro.core.instances import (
@@ -827,13 +827,15 @@ class ImageDiffRelationalTarget:
     changed is deleted (every copy) and inserted again as often as the
     new image holds it, under one savepoint with the foreign keys checked
     at its end.  The stream target's protocol (``load_full`` /
-    ``apply``); the reference the per-record
+    ``apply``), the whole instance after a batch written by ``written()``;
+    the reference the per-record
     :meth:`~repro.deploy.relational_engine.RelationalEngine.apply_flush_delta`
     is held to."""
 
-    def __init__(self, engine: Any, schema: Any):
+    def __init__(self, engine: Any, schema: Any, written: Callable[[], Any]):
         self.engine = engine
         self.schema = schema
+        self.written = written
         self._image: Counter = Counter()
 
     def _compute_image(self, enriched: Any) -> Counter:
@@ -861,7 +863,7 @@ class ImageDiffRelationalTarget:
         self._write(self._compute_image(enriched))
 
     def apply(self, update: Any) -> None:
-        self._write(self._compute_image(update.instance.data))
+        self._write(self._compute_image(self.written()))
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,8 @@ class TestCLI:
         assert main(argv) == 0
         err = capsys.readouterr().err
         assert "strata recomputed: 0," in err and "\n  recomputed: " not in err
+        # Sigma's net head-fact changes: CONTROLS A -> B and A -> C go.
+        assert "(strata recomputed: 0, head facts changed: 2)\n" in err
         updated = load_graph(str(workspace / "updated.json"))
         assert all(e.source == e.target for e in updated.edges("CONTROLS"))
         # A stratum the engine had to recompute is named, with its reason.

@@ -39,7 +39,7 @@ from repro.vadalog.incremental import (
 from repro.vadalog.plan import _K_EXIST
 from repro.vadalog.terms import Null
 
-from tests.conftest import diff_is_the_oracle
+from tests.conftest import diff_is_the_oracle, reads_as_written
 from tests.test_engine_plans import (
     CHASE_OF,
     _aggregate_case,
@@ -47,7 +47,11 @@ from tests.test_engine_plans import (
     _existential_case,
     _recursion_case,
 )
-from tests.test_materializer import kgbench_registry
+from tests.test_materializer import (
+    arbitration_deltas,
+    arbitration_registry,
+    kgbench_registry,
+)
 from tests.reference import ImageDiffRelationalTarget, InterpretedEngine
 
 KINDS = ("insert", "delete", "mixed")
@@ -226,6 +230,30 @@ class TestDRedEdgeCases:
         assert set(result.facts("tc")) != before
         engine.apply_delta(result, added={"e": [("b", "c")]})
         assert set(result.facts("tc")) == before
+
+    def test_a_removal_is_reported_as_its_row_held_it(self, company_schema):
+        """A retracted fact is reported by the values its row held, not
+        in the ``==`` form of the derivation or request that removed it:
+        ``Family(skFamily(1), 1, 1)``, derived again by the person whose
+        surname is ``True``, goes as ``1``, and so does a stake to
+        ``1.0``."""
+        materializer = IntensionalMaterializer()
+        materializer.materialize(
+            company_schema, arbitration_registry(),
+            parse_metalog(programs.FAMILY_PROGRAM), instance_oid=9, retain=True,
+        )
+        reported = []
+        for what, delta in arbitration_deltas():
+            database = materializer.retained.result.database
+            held = {p: {repr(fact) for fact in database.relation(p)}
+                    for p in database.predicates()}
+            removed = materializer.update(delta).delta_reason.removed
+            for predicate, facts in removed.items():
+                for fact in facts:
+                    assert repr(fact) in held[predicate], (what, predicate, fact)
+                    reported.append((predicate, repr(fact)))
+        family = terms.SkolemValue("skFamily", (1,))
+        assert ("Family", repr((family, 1, 1))) in reported
 
     def test_removing_derived_fact_is_skipped(self):
         program = parse_program("e(X, Y) -> p(X, Y).")
@@ -1032,16 +1060,17 @@ class TestMaterializerUpdate:
         materializer.materialize(
             company_schema, ring, _control_sigma(), instance_oid=9, retain=True,
         )
-        enriched = materializer.retained.enriched
+        enriched = materializer.retained.instance().data
         ids = {(e.source, e.target): e.id for e in enriched.edges("CONTROLS")}
         assert len(ids) == companies ** 2
         outcome = materializer.update(RegistryDelta(remove_edges=["o0"]))
         assert [entry[-1] for entry in outcome.recompute_reasons] == (
             ["over-deletion reached half of the stratum"] * recomputed
         )
-        assert _canon_graph(outcome.instance.data) == _canon_graph(
+        assert _canon_graph(materializer.retained.instance().data) == _canon_graph(
             _reference(ring.copy()).instance.data
         )
+        enriched = materializer.retained.instance().data
         kept = {(e.source, e.target): e.id for e in enriched.edges("CONTROLS")}
         assert len(kept) == companies * (companies + 1) // 2
         assert all(ids[pair] == edge_id for pair, edge_id in kept.items())
@@ -1061,7 +1090,7 @@ class TestMaterializerUpdate:
             legalNature="spa", shareholdingCapital=500.0,
         )
         expected.add_edge("B3", "B4", "OWNS", percentage=0.9, edge_id="o4")
-        assert _canon_graph(outcome.instance.data) == _canon_graph(
+        assert _canon_graph(materializer.retained.instance().data) == _canon_graph(
             _reference(expected).instance.data
         )
         # The registry graph passed to materialize() is maintained in place.
@@ -1081,7 +1110,7 @@ class TestMaterializerUpdate:
             key=lambda e: str(e.id),
         )
         expected.remove_edge(match.id)
-        assert _canon_graph(outcome.instance.data) == _canon_graph(
+        assert _canon_graph(materializer.retained.instance().data) == _canon_graph(
             _reference(expected).instance.data
         )
 
@@ -1090,10 +1119,10 @@ class TestMaterializerUpdate:
         outcome = materializer.update(RegistryDelta(remove_nodes=["B3"]))
         expected = _owns_graph()
         expected.remove_node("B3")
-        assert _canon_graph(outcome.instance.data) == _canon_graph(
+        assert _canon_graph(materializer.retained.instance().data) == _canon_graph(
             _reference(expected).instance.data
         )
-        assert not outcome.instance.data.has_node("B3")
+        assert not materializer.retained.instance().data.has_node("B3")
 
     def test_chained_updates(self, retained):
         materializer, _report = retained
@@ -1103,7 +1132,7 @@ class TestMaterializerUpdate:
             add_edges=[("o4", "B1", "B4", "OWNS", {"percentage": 0.8})],
         ))
         outcome = materializer.update(RegistryDelta(remove_nodes=["B4"]))
-        assert _canon_graph(outcome.instance.data) == _canon_graph(
+        assert _canon_graph(materializer.retained.instance().data) == _canon_graph(
             _reference(_owns_graph()).instance.data
         )
         assert materializer.retained.updates_applied == 2
@@ -1142,7 +1171,7 @@ class TestMaterializerUpdate:
             outcome = materializer.update(delta)
             assert outcome.strata_recomputed == 0, outcome.recompute_reasons
             mutate()
-            assert _canon_graph(outcome.instance.data) == _canon_graph(
+            assert _canon_graph(materializer.retained.instance().data) == _canon_graph(
                 _reference(expected).instance.data
             )
 
@@ -1216,7 +1245,7 @@ class TestMaterializerUpdate:
                     source, target, label, edge_id=edge_id, **properties
                 )
             if step % 8 == 7:
-                assert _canon_graph(outcome.instance.data) == _canon_graph(
+                assert _canon_graph(materializer.retained.instance().data) == _canon_graph(
                     _reference(expected).instance.data
                 )
         assert revived  # the deltas did over-delete: the joins ran
@@ -1761,7 +1790,7 @@ class TestRelationalFlushBattery:
         states["relational"] = engine_rows
         reference = ImageDiffRelationalTarget(
             relational_engine(company_schema, translated=translated["relational"]),
-            company_schema,
+            company_schema, lambda: materializer.retained.instance().data,
         )
         for target in (*maintained.values(), reference):
             target.load_full(report.instance.data)
@@ -1775,11 +1804,14 @@ class TestRelationalFlushBattery:
         for _ in range(60):
             delta = batches.next()
             update = materializer.update(delta)
-            instance = update.instance.data
+            instance = materializer.retained.instance().data
+            reads_as_written(update.instance, instance, [
+                *(n.id for n in instance.nodes()),
+                *(r[0] for r in update.flush_delta.removed_nodes)])
             for target in (*maintained.values(), reference):
                 target.apply(update)
             noisy.apply_flush_delta(
-                _with_undeclared(update.flush_delta), company_schema, instance)
+                _with_undeclared(update.flush_delta), company_schema, update.instance)
             rows = engine_rows(maintained["relational"].store)
             assert rows == engine_rows(reference.engine)
             fresh = {"relational": relational_engine(
@@ -1842,10 +1874,10 @@ class TestRelationalFlushBattery:
                 ))
                 assert [n[:2] for n in update.flush_delta.added_nodes] == [("b0", label)]
                 engine.apply_flush_delta(update.flush_delta, company_schema,
-                                         update.instance.data)
+                                         update.instance)
             per_size.append(reads[0])
             assert engine_rows(engine) == engine_rows(
-                relational_engine(company_schema, update.instance.data))
+                relational_engine(company_schema, materializer.retained.instance().data))
         assert per_size[0] == per_size[1], per_size
 
     def test_removing_a_business_reads_what_it_changes(self, company_schema):
@@ -1869,10 +1901,10 @@ class TestRelationalFlushBattery:
                 RegistryDelta(remove_nodes=["b1"], remove_edges=stakes))
             assert [n[0] for n in update.flush_delta.removed_nodes] == ["b1"]
             engine.apply_flush_delta(update.flush_delta, company_schema,
-                                     update.instance.data)
+                                     update.instance)
             per_size.append(reads[0])
             assert engine_rows(engine) == engine_rows(
-                relational_engine(company_schema, update.instance.data))
+                relational_engine(company_schema, materializer.retained.instance().data))
         assert per_size[0] == per_size[1], per_size
 
     @pytest.mark.parametrize("refusal", ["domain", "no match"])

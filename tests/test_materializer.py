@@ -32,7 +32,7 @@ from repro.ssst.incremental import RegistryDelta
 from repro.ssst.views import input_views, output_views
 from repro.vadalog.engine import Engine
 from repro.vadalog.terms import Null, SkolemValue
-from tests.conftest import diff_is_the_oracle
+from tests.conftest import diff_is_the_oracle, reads_as_written
 from tests.reference import InterpretedEngine, object_graph_store
 
 
@@ -323,19 +323,22 @@ def with_extra_people(data):
 
 #: The fresh run ([0]) was recorded at the commit before the
 #: dictionary-graph round trip was removed (PR 17), with the
-#: graph-mediated flush and decode.  The six updates were re-recorded
-#: when update() began to patch the enriched graph in place and to keep
-#: the nulls of re-derived heads (PR 19): derived edges keep their ids
-#: and new elements come in patch order.  Each step is also held against
-#: a from-scratch run, up to null renaming and element order, below.
+#: graph-mediated flush and decode.  The six updates keep the nulls of
+#: re-derived heads (PR 19): derived edges keep their ids.  They were
+#: re-recorded when the retained materialization stopped keeping a
+#: patched copy of the enriched graph: each step's instance is written
+#: whole, in a fresh run's element order, and holds the same elements,
+#: nulls included, as the patched graph did.  Each step is also held
+#: against a from-scratch run, up to null renaming and element order,
+#: below.
 GOLDEN_CONTROL = [
     "4ffb63bdda5622e5d5cd63cbd3aa0ebd0b320090d92b974bf3f16d712c487711",
-    "5e6bb6c7c3921e05b2c476f6683a7d36642b0edb71925448113f2a29873fc5e2",
-    "eedc5647aff84f5aa3140aa68433ef8d7646241aa0dcd363eaf9b0fe52426a2e",
-    "0bdd51366bd8bfd6168bb2f69a26f7192461190adc16ad68f6c86fb9063b2a6e",
-    "ebf7524655c5248916dedb76d08fbb347499926e65846a16858e7d21c5cf9c9d",
-    "93c0baeb9accd4860cfc6b82b6dcf40d9e3f854eb36b7d79ce3d39c6d4bb6100",
-    "7817bcb38def96135fcee5e93d5328405f696e8b63e01432c55b03ce15c4edf2",
+    "b204d9fb88493cdf4a269352b47744b54625888e1018e6cce8c3aa2d0cf007c6",
+    "d9144fbf31cfe3989f60b5e6148d521857f3149e3ce64150c555abb6ee5911d5",
+    "502bb5db09c24b202477dd77aad0901c38412891365e60820aa836cb796c511b",
+    "a643f175b91ba79b9cd8dea2799944460602157841044045a2c5aff932a66bce",
+    "bf776a80bf86e2736f527883f1151c330361959c64cca35ef102a6a941aa770a",
+    "f5c028388123e061363f6d4f8a74222301dc4d32608dda23bef0294429b12fc8",
 ]
 #: sha256 of ``up_to_nulls_and_order`` at the same seven steps: the same
 #: at the parent of PR 19 and after it, so the re-recorded digests above
@@ -417,11 +420,11 @@ def control_chain(schema, each=lambda registry, graph: None):
             )])
         else:
             delta = RegistryDelta(remove_edges=[live.pop(0)])
-        update = materializer.update(delta)
-        assert update.instance.data is materializer.retained.enriched
-        digests.append(order_sensitive_digest(update.instance.data))
-        renamed_digests.append(renamed(update.instance.data))
-        each(registry, update.instance.data)
+        materializer.update(delta)
+        graph = materializer.retained.instance().data
+        digests.append(order_sensitive_digest(graph))
+        renamed_digests.append(renamed(graph))
+        each(registry, graph)
     return digests, renamed_digests
 
 
@@ -539,7 +542,7 @@ class TestInstanceRelations:
             {"fiscalCode": "FCB9", "businessName": "B9 SpA",
              "legalNature": "spa", "shareholdingCapital": 10.0},
         )]))
-        assert update.instance.data.has_node("B9")
+        assert materializer.retained.instance().data.has_node("B9")
         assert_schemas_only(dictionary, schema_nodes)
 
     def test_one_encoder_one_decoder(
@@ -623,7 +626,7 @@ class TestInstanceRelations:
         )
         retained = materializer.retained
         registry = order_sensitive_digest(owns_instance)
-        enriched = order_sensitive_digest(retained.enriched)
+        enriched = order_sensitive_digest(retained.instance().data)
         if kind == "add_edges":
             delta = RegistryDelta(add_edges=[
                 ("d1", "B1", "B2", "OWNS", {"percentage": 0.1}),
@@ -639,7 +642,7 @@ class TestInstanceRelations:
         assert materializer.retained is retained
         assert retained.updates_applied == 0
         assert order_sensitive_digest(owns_instance) == registry
-        assert order_sensitive_digest(retained.enriched) == enriched
+        assert order_sensitive_digest(retained.instance().data) == enriched
 
     def test_resumed_run_is_hash_seed_independent(self, tmp_path):
         """A resumed run decodes relations restored from a checkpoint;
@@ -753,7 +756,7 @@ class TestDeltaDecode:
                 "fiscalCode": "FCB9", "businessName": "B9 SpA", **BUSINESS})],
             add_edges=[("o10", "p3", "B9", "OWNS", {"percentage": 0.2})],
         ))
-        assert report.instance.data.node("B9")["numberOfStakeholders"] == 1
+        assert checked.retained.instance().data.node("B9")["numberOfStakeholders"] == 1
         assert not report.flush_delta.updated_nodes
 
     def test_derived_nodes_come_and_go_with_their_edges(
@@ -763,7 +766,7 @@ class TestDeltaDecode:
             checked, company_schema, with_extra_people(tiny_instance),
             "FAMILY_PROGRAM",
         )
-        enriched = checked.retained.enriched
+        enriched = checked.retained.instance().data
         assert {f["familyName"] for f in enriched.nodes("Family")} == {
             "Rossi", "Greco"}
         # The last Greco: the family node goes, and its membership edge.
@@ -809,7 +812,7 @@ class TestDeltaDecode:
         assert [n[0] for n in report.flush_delta.removed_nodes] == ["B2"]
         assert not any(
             "B2" in (e.source, e.target)
-            for e in checked.retained.enriched.edges()
+            for e in checked.retained.instance().data.edges()
         )
 
     def test_replacing_an_element_in_one_delta(
@@ -848,7 +851,7 @@ class TestDeltaDecode:
             ("B3", "Business")]
         assert [n[:2] for n in report.flush_delta.added_nodes] == [
             ("B3", "PublicListedCompany")]
-        enriched = checked.retained.enriched
+        enriched = checked.retained.instance().data
         assert {e.id for e in enriched.edges("OWNS")} >= {s[0] for s in stakes}
 
     def test_stored_none_property_round_trips(
@@ -866,7 +869,7 @@ class TestDeltaDecode:
         ))
         assert report.flush_delta.added_nodes == [
             ("p9", "PhysicalPerson", person)]
-        assert checked.retained.enriched.node("p9").properties["surname"] is None
+        assert checked.retained.instance().data.node("p9").properties["surname"] is None
         report = checked.update(RegistryDelta(remove_nodes=["p9"]))
         assert report.flush_delta.removed_nodes == [
             ("p9", "PhysicalPerson", person)]
@@ -965,15 +968,39 @@ class TestElementFlushArbitration:
             company_schema, arbitration_registry(), parse_metalog(text),
             instance_oid=9, retain=True,
         )
-        for what, delta in arbitration_deltas():
-            assert checked.update(delta).instance.data is checked.retained.enriched, what
+        for _what, delta in arbitration_deltas():
+            update = checked.update(delta)
+            whole = checked.retained.instance().data
+            reads_as_written(update.instance, whole, [
+                *(n.id for n in whole.nodes()),
+                *(r[0] for r in update.flush_delta.removed_nodes)])
+
+    def test_a_registry_edge_comes_and_goes_with_a_node_only_sigma_names(
+        self, company_schema, checked
+    ):
+        """A stake in an untyped registry node is no edge until a
+        surname names the node (a derived Business), and goes with it."""
+        checked.materialize(
+            company_schema, arbitration_registry(),
+            parse_metalog(ARBITRATION_PROGRAM), instance_oid=9, retain=True,
+        )
+        stake = ("og", "B2", "ghost", "OWNS", {"percentage": 0.2})
+        update = checked.update(RegistryDelta(
+            add_nodes=[("ghost", None, {})], add_edges=[stake]))
+        assert not update.flush_delta.changed() and update.flush_dropped_edges == 1
+        update = checked.update(RegistryDelta(
+            add_nodes=[("p8", "PhysicalPerson", person("ghost", "Hal"))]))
+        assert ("ghost", "Business") in [n[:2] for n in update.flush_delta.added_nodes]
+        assert stake in update.flush_delta.added_edges
+        update = checked.update(RegistryDelta(remove_nodes=["p8"]))
+        assert stake in update.flush_delta.removed_edges
 
     def test_what_the_heads_leave(self, company_schema, checked):
         report = checked.materialize(
             company_schema, arbitration_registry(),
             parse_metalog(ARBITRATION_PROGRAM), instance_oid=9, retain=True,
         )
-        enriched = checked.retained.enriched
+        enriched = checked.retained.instance().data
         assert report.flush_dropped_edges == 4  # REPRESENTS Ann / Bo / Ed / Fay
         # Node 1 (the surname 1.0): a loaded node wins and keeps its
         # label; of the two labels writing businessName the larger wins
@@ -1054,9 +1081,8 @@ class TestNullStability:
             e for e in registry.edges("OWNS")
             if e["percentage"] > 0.5 and {e.source, e.target} <= businesses
         )
-        enriched = materializer.retained.enriched
         before = baseline()
-        ids_before = edge_ids(store.graph), edge_ids(enriched)
+        ids_before = edge_ids(store.graph), edge_ids(materializer.retained.instance().data)
         update = materializer.update(RegistryDelta(remove_edges=[stake.id]))
         store.apply_flush_delta(update.flush_delta, schema=company_schema)
         after = baseline()
@@ -1066,7 +1092,8 @@ class TestNullStability:
         assert pairs(reason.added.get("CONTROLS", ())) == after - before
         # Every other derived edge keeps its id: the store's own in the
         # deployed store, its labeled null in the enriched graph.
-        for graph, held in zip((store.graph, enriched), ids_before):
+        for graph, held in zip((store.graph, materializer.retained.instance().data),
+                               ids_before):
             assert len(held) > 500
             assert edge_ids(graph) == {
                 pair: edge_id for pair, edge_id in held.items()
@@ -1188,7 +1215,7 @@ class TestRetainedStates:
                     RegistryDelta(add_edges=added, remove_edges=removed)
                 )
                 rows.append((database.total_facts(), database.dead_rows()))
-            return registry_now, materializer.retained.enriched, rows
+            return registry_now, materializer.retained.instance().data, rows
 
         registry_now, compacted, rows = chain(True)
         _, uncompacted, piled = chain(False)
@@ -1437,7 +1464,8 @@ def differential_digests(schema, seed):
         assert report.flush_dropped_edges == dropped
         digests.append(order_sensitive_digest(graph))
         for delta in odd_deltas(seed, businesses) if program != "GROUP_PROGRAM" else ():
-            graph = materializer.update(delta).instance.data
+            materializer.update(delta)
+            graph = materializer.retained.instance().data
             expected, _ = reference_materialize(schema, data.copy(), sigma, 9)
             assert renamed(graph) == renamed(expected.data), program
             assert store_state(schema, graph) == store_state(schema, expected.data)

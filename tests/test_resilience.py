@@ -904,12 +904,12 @@ class TestFlushAccounting:
         ))
         assert update.flush_dropped_edges == 1
         assert not update.flush_delta.changed()
-        assert not update.instance.data.has_edge("og")
+        assert not materializer.retained.instance().data.has_edge("og")
         update = materializer.update(RegistryDelta(
             add_edges=[("o9", "B3", "B1", "OWNS", {"percentage": 0.1})],
         ))
         assert update.flush_dropped_edges == 0
-        assert update.instance.data.has_edge("o9")
+        assert materializer.retained.instance().data.has_edge("o9")
         # The node gets a type while the stake's own facts stay as they
         # are (removed and put back in one delta): the node's row
         # appearing is what brings the edge in.
@@ -924,7 +924,7 @@ class TestFlushAccounting:
         assert ("og", "B1", "ghost", "OWNS", {"percentage": 0.9}) in (
             update.flush_delta.added_edges)
         assert ("B1", "ghost") in {
-            (e.source, e.target) for e in update.instance.data.edges("CONTROLS")}
+            (e.source, e.target) for e in materializer.retained.instance().data.edges("CONTROLS")}
 
 
 # ----------------------------------------------------------------------
