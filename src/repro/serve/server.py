@@ -1,17 +1,20 @@
 """HTTP plumbing for `kgmodel serve` (stdlib only).
 
-:class:`ThreadingHTTPServer` gives one thread per connection; all shared
-state lives behind :class:`~repro.serve.state.ServeState`'s snapshot
-swap and the locked cache/metrics, so handler threads never coordinate
-directly.  :func:`build_server` binds (port 0 picks a free port) without
-serving, which is what the tests and the smoke script use.
+One :class:`socketserver.ThreadingTCPServer` thread per connection
+(shared state sits behind ``ServeState``'s snapshot swap and the locked
+cache/metrics) runs one keep-alive loop: read the request line and the
+headers the service acts on, call :meth:`ServiceHandlers.handle`, answer
+in one write.  A request the loop refuses itself is counted under
+``serve.status.<code>`` and ``serve.requests.refused``.
 """
 
 from __future__ import annotations
 
 import json
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from http import HTTPStatus
 from typing import Optional, Tuple
 from urllib.parse import parse_qsl
 
@@ -20,61 +23,119 @@ from repro.serve.handlers import ServiceHandlers
 __all__ = ["KGModelServer", "build_server"]
 
 _MAX_BODY = 32 * 1024 * 1024
+_MAX_LINE, _MAX_HEADERS = 65536, 100  # http.client's limits
+_READ = (b"content-length", b"transfer-encoding", b"connection", b"expect")
+_STATUS_LINE = {s: b"HTTP/1.1 %d %s\r\n" % (s, s.phrase.encode())
+                for s in HTTPStatus}
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Thin adapter: parse the request, delegate, write JSON."""
+class _Refused(Exception):
+    """A request the loop answers itself; it closes unless ``keep_alive``."""
 
-    handlers: ServiceHandlers  # set on the dynamically-built subclass
-    protocol_version = "HTTP/1.1"
-    # Keep-alive latency: headers and body go out in separate writes;
-    # with Nagle on, the body write stalls behind the client's delayed
-    # ACK (~40ms per request on an otherwise idle connection).
+    def __init__(self, status: int, message: str, keep_alive=False):
+        super().__init__(message)
+        self.status, self.keep_alive = status, keep_alive
+
+
+class _Connection(socketserver.StreamRequestHandler):
+    """One connection: read a request, delegate, write JSON; repeat."""
+
+    # A response is one write; Nagle would hold it behind a delayed ACK.
     disable_nagle_algorithm = True
 
-    def _respond(self, status: int, payload) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def handle(self) -> None:
+        handlers: ServiceHandlers = self.server.handlers
+        keep_alive = True
+        while keep_alive:
+            try:
+                request = self._read_request()
+            except _Refused as refused:
+                handlers.metrics.inc("serve.requests.refused")
+                handlers.metrics.inc(f"serve.status.{refused.status}")
+                self._respond(refused.status, {"error": str(refused)})
+                keep_alive = refused.keep_alive
+                continue
+            if request is None:
+                return
+            method, target, body, keep_alive = request
+            # The target is in origin form: a path and, after the first
+            # "?", a query.  A leading "//" is a path, not an authority.
+            path, _, query = target.partition("?")
+            if path.startswith("//"):
+                path = "/" + path.lstrip("/")
+            try:
+                status, payload = handlers.handle(
+                    method, path, dict(parse_qsl(query)), body
+                )
+            except Exception as exc:  # a handler bug must not drop the socket
+                status, payload = 500, {"error": f"internal error: {exc}"}
+                handlers.metrics.inc("serve.status.500")
+            self._respond(status, payload)
 
-    def _run(self, method: str, body=None) -> None:
-        # The request target is in origin form: a path and, after the
-        # first "?", a query.
-        path, _, query = self.path.partition("?")
-        params = dict(parse_qsl(query))
-        try:
-            status, payload = self.handlers.handle(
-                method, path, params, body
-            )
-        except Exception as exc:  # defensive: a handler bug must not
-            status, payload = 500, {"error": f"internal error: {exc}"}
-        self._respond(status, payload)
+    def _line(self, too_long: int) -> bytes:
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _Refused(too_long, "line too long")
+        return line
 
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        self._run("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > _MAX_BODY:
-            # The unread body would be parsed as the next request on a
-            # kept-alive socket; drop the connection instead of draining
-            # up to _MAX_BODY of garbage.
-            self.close_connection = True
-            self._respond(413, {"error": "body too large"})
-            return
-        raw = self.rfile.read(length) if length else b""
+    def _read_request(self):
+        """``(method, target, body, keep_alive)``; None at end of stream."""
+        line = self._line(414)
+        if not line:
+            return None
+        words = line.decode("latin-1").split()
+        if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+            raise _Refused(400, "bad request line")
+        method, target, version = words
+        fields = {}
+        for count in range(_MAX_HEADERS + 1):
+            line = self._line(431)
+            if line in (b"\r\n", b"\n", b""):
+                break
+            if count == _MAX_HEADERS:
+                raise _Refused(431, "too many headers")
+            name, _, value = line.partition(b":")
+            name = name.strip().lower()
+            if name in _READ:
+                if name == b"content-length" and name in fields:
+                    raise _Refused(400, "repeated Content-Length")
+                fields[name] = value.strip().lower()
+        connection = fields.get(b"connection")
+        keep_alive = connection == b"keep-alive" or (
+            version == "HTTP/1.1" and connection != b"close")
+        if method not in ("GET", "POST"):
+            raise _Refused(501, f"unsupported method {method!r}")
+        if b"transfer-encoding" in fields:
+            raise _Refused(501, "Transfer-Encoding is not supported")
+        length = fields.get(b"content-length", b"0")
+        if not length.isdigit():
+            raise _Refused(400, "Content-Length must be an integer >= 0")
+        length = int(length)
+        if length > _MAX_BODY:  # closing beats draining up to _MAX_BODY
+            raise _Refused(413, "body too large")
+        expects = fields.get(b"expect") == b"100-continue"
+        if length and expects and version == "HTTP/1.1":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        raw = self.rfile.read(length)
         try:
             body = json.loads(raw.decode("utf-8")) if raw else None
         except (UnicodeDecodeError, json.JSONDecodeError):
-            self._respond(400, {"error": "body must be valid JSON"})
-            return
-        self._run("POST", body)
+            raise _Refused(400, "body must be valid JSON", keep_alive)
+        return method, target, body, keep_alive
 
-    def log_message(self, format: str, *args) -> None:
-        """Silence stderr access logs; metrics carry request counts."""
+    def _respond(self, status: int, payload) -> None:
+        body = json.dumps(payload).encode("utf-8")
+        date = time.strftime("%a, %d %b %Y %H:%M:%S GMT", time.gmtime())
+        self.wfile.write(
+            b"%sDate: %s\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n%s"
+            % (_STATUS_LINE[status], date.encode(), len(body), body)
+        )
+
+
+class _Server(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    daemon_threads = True
 
 
 class KGModelServer:
@@ -86,10 +147,9 @@ class KGModelServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ):
-        handler_cls = type("BoundHandler", (_Handler,), {"handlers": handlers})
         self.handlers = handlers
-        self.httpd = ThreadingHTTPServer((host, port), handler_cls)
-        self.httpd.daemon_threads = True
+        self.httpd = _Server((host, port), _Connection)
+        self.httpd.handlers = handlers
         self._thread: Optional[threading.Thread] = None
 
     @property

@@ -3,7 +3,9 @@ cache, resource budgets, the HTTP layer, and the read/write concurrency
 battery (many reader threads racing interleaved delta applications, with
 every response checked against its epoch's exact expected answers)."""
 
+import contextlib
 import json
+import socket
 import threading
 import time
 import urllib.request
@@ -725,6 +727,221 @@ class TestKeepAlive:
                 assert conn.getresponse().status == 200
             finally:
                 conn.close()
+
+
+@contextlib.contextmanager
+def raw_connection(server, timeout=5):
+    """A bare socket to ``server`` and one buffered reader over it."""
+    sock = socket.create_connection(server.address, timeout=timeout)
+    try:
+        yield sock, sock.makefile("rb")
+    finally:
+        sock.close()
+
+
+def read_response(reader):
+    """``(status, headers, payload)`` of the next response, None at EOF."""
+    line = reader.readline()
+    if not line:
+        return None
+    headers = {}
+    while (header := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = header.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    raw = reader.read(int(headers.get("content-length", 0)))
+    if headers.get("content-type") == "application/json":
+        raw = json.loads(raw)
+    return int(line.split()[1]), headers, raw
+
+
+def raw_get(path, version="HTTP/1.1", *headers):
+    return "\r\n".join(
+        [f"GET {path} {version}", "Host: test", *headers, "", ""]
+    ).encode("latin-1")
+
+
+def raw_post(body, *headers):
+    return "\r\n".join(
+        ["POST /delta HTTP/1.1", "Host: test", *headers, "", ""]
+    ).encode("latin-1") + body
+
+
+class TestHTTPProtocol:
+    """The request loop over raw sockets: framing, keep-alive and the
+    requests it refuses itself."""
+
+    DELTA = json.dumps({"added": {"e": [["p", "q"]]}}).encode()
+
+    def test_pipelined_gets_in_one_send(self):
+        with build_server(ServiceHandlers(make_state())) as server:
+            with raw_connection(server) as (sock, reader):
+                sock.sendall(raw_get("/healthz") + raw_get("/schema"))
+                first, second = read_response(reader), read_response(reader)
+                assert (first[0], first[2]["status"]) == (200, "ok")
+                assert second[0] == 200 and "predicates" in json.dumps(
+                    second[2]
+                )
+
+    def test_http10_closes_unless_keep_alive_and_close_closes(self):
+        with build_server(ServiceHandlers(make_state())) as server:
+            with raw_connection(server) as (sock, reader):
+                sock.sendall(raw_get("/healthz", "HTTP/1.0"))
+                assert read_response(reader)[0] == 200
+                assert read_response(reader) is None
+            with raw_connection(server) as (sock, reader):
+                kept = raw_get(
+                    "/healthz", "HTTP/1.0", "Connection: keep-alive"
+                )
+                sock.sendall(kept + kept)
+                assert read_response(reader)[0] == 200
+                assert read_response(reader)[0] == 200
+            with raw_connection(server) as (sock, reader):
+                sock.sendall(
+                    raw_get("/healthz", "HTTP/1.1", "Connection: close")
+                )
+                assert read_response(reader)[0] == 200
+                assert read_response(reader) is None
+
+    def test_expect_100_continue_before_the_body(self):
+        with build_server(ServiceHandlers(make_state())) as server:
+            with raw_connection(server) as (sock, reader):
+                sock.sendall(raw_post(
+                    b"", f"Content-Length: {len(self.DELTA)}",
+                    "Expect: 100-continue",
+                ))
+                assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+                assert reader.readline() == b"\r\n"
+                sock.sendall(self.DELTA)
+                status, _, payload = read_response(reader)
+                assert (status, payload["epoch"]) == (200, 1)
+
+    def test_header_limits_answer_and_close(self):
+        with build_server(ServiceHandlers(make_state())) as server:
+            with raw_connection(server) as (sock, reader):
+                sock.sendall(raw_get("/healthz?x=" + "a" * 65536))
+                assert read_response(reader)[0] == 414
+                assert read_response(reader) is None
+            many = [f"X-Header-{i}: {i}" for i in range(99)]  # + Host: 100
+            with raw_connection(server) as (sock, reader):
+                sock.sendall(raw_get("/healthz", "HTTP/1.1", *many))
+                assert read_response(reader)[0] == 200
+                sock.sendall(
+                    raw_get("/healthz", "HTTP/1.1", *many, "X-Last: 1")
+                )
+                assert read_response(reader)[0] == 431
+                assert read_response(reader) is None
+
+    def test_other_methods_are_501(self):
+        with build_server(ServiceHandlers(make_state())) as server:
+            with raw_connection(server) as (sock, reader):
+                sock.sendall(b"PUT /delta HTTP/1.1\r\nHost: test\r\n\r\n")
+                assert read_response(reader)[0] == 501
+
+    def test_leading_double_slash_is_one_slash(self):
+        with build_server(ServiceHandlers(make_state())) as server:
+            with raw_connection(server) as (sock, reader):
+                sock.sendall(raw_get("//healthz"))
+                assert read_response(reader)[0] == 200
+
+    def test_a_handler_that_raises_is_500_and_the_connection_serves(
+        self, monkeypatch
+    ):
+        handlers = ServiceHandlers(make_state())
+        real = handlers.handle
+
+        def handle(method, path, params, body=None):
+            if path == "/boom":
+                raise RuntimeError("boom")
+            return real(method, path, params, body)
+
+        monkeypatch.setattr(handlers, "handle", handle)
+        with build_server(handlers) as server:
+            with raw_connection(server) as (sock, reader):
+                sock.sendall(raw_get("/boom"))
+                status, _, payload = read_response(reader)
+                assert status == 500 and "boom" in payload["error"]
+                sock.sendall(raw_get("/healthz"))
+                assert read_response(reader)[0] == 200
+        counters = handlers.metrics.snapshot()["counters"]
+        assert counters["serve.status.500"] == 1
+
+    def test_negative_content_length_is_400_and_closes(self):
+        with build_server(ServiceHandlers(make_state())) as server:
+            with raw_connection(server, timeout=2) as (sock, reader):
+                sock.sendall(raw_post(b"{}", "Content-Length: -1"))
+                assert read_response(reader)[0] == 400
+                assert read_response(reader) is None
+
+    @pytest.mark.parametrize("lengths", [
+        ("abc",), ("5, 5",), ("2", "2"),
+    ])
+    def test_a_content_length_that_is_not_one_integer_is_400(self, lengths):
+        with build_server(ServiceHandlers(make_state())) as server:
+            with raw_connection(server, timeout=2) as (sock, reader):
+                sock.sendall(raw_post(
+                    b"{}", *(f"Content-Length: {n}" for n in lengths)
+                ))
+                assert read_response(reader)[0] == 400
+                assert read_response(reader) is None
+
+    def test_a_chunked_body_is_501_and_closes(self):
+        with build_server(ServiceHandlers(make_state())) as server:
+            with raw_connection(server, timeout=2) as (sock, reader):
+                sock.sendall(raw_post(
+                    b"2\r\n{}\r\n0\r\n\r\n", "Transfer-Encoding: chunked"
+                ))
+                assert read_response(reader)[0] == 501
+                assert read_response(reader) is None
+
+    def test_refusals_are_counted_in_stats(self, monkeypatch):
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "_MAX_BODY", 64)
+        with build_server(ServiceHandlers(make_state())) as server:
+            for request in (
+                raw_post(b"x" * 100, "Content-Length: 100"),
+                raw_post(b"{not json", "Content-Length: 9"),
+                b"PUT /delta HTTP/1.1\r\nHost: test\r\n\r\n",
+            ):
+                with raw_connection(server) as (sock, reader):
+                    sock.sendall(request)
+                    read_response(reader)
+            with raw_connection(server) as (sock, reader):
+                sock.sendall(raw_get("/stats"))
+                counters = read_response(reader)[2]["metrics"]["counters"]
+        assert counters["serve.requests.refused"] == 3
+        for status in (413, 400, 501):
+            assert counters[f"serve.status.{status}"] == 1
+
+    def test_one_write_per_response_with_nagle_off(self, monkeypatch):
+        writes, nodelay = [], set()
+        real = socket.socket.sendall
+
+        with build_server(ServiceHandlers(make_state())) as server:
+            port = server.address[1]
+
+            def sendall(sock, data, *args):
+                if sock.getsockname()[1] == port:  # the server's end
+                    writes.append(bytes(data))
+                    nodelay.add(sock.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    ))
+                return real(sock, data, *args)
+
+            monkeypatch.setattr(socket.socket, "sendall", sendall)
+            with raw_connection(server) as (sock, reader):
+                sock.sendall(
+                    raw_get("/healthz") + raw_get("/query?q=tc(X,Y)?")
+                )
+                sock.sendall(raw_post(
+                    self.DELTA, f"Content-Length: {len(self.DELTA)}"
+                ))
+                sock.sendall(raw_post(b"{not json", "Content-Length: 9"))
+                statuses = [read_response(reader)[0] for _ in range(4)]
+        assert statuses == [200, 200, 200, 400]
+        assert len(writes) == 4, [w[:20] for w in writes]
+        assert all(w.startswith(b"HTTP/1.1 ") for w in writes)
+        assert nodelay == {1}
 
 
 class TestDeltaValidation:
