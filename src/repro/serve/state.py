@@ -5,12 +5,13 @@ Thread model
 
 One writer, many readers.  :class:`ServeState` owns the retained chase
 state (which :func:`repro.vadalog.incremental.apply_delta` mutates in
-place — the live database, the ``edb`` buckets, the aggregate
-accumulators are all writer-private).  After the base run and after
-every delta the writer *freezes* the world into a :class:`StateSnapshot`
-and publishes it with a single attribute assignment.  Attribute reads
-are atomic in CPython, so readers grab a coherent epoch with
-``state.snapshot`` and never block, no matter how long a delta takes.
+place — the live database, the facts supplied for a derived predicate,
+the aggregate accumulators are all writer-private).  After the base run
+and after every delta the writer *freezes* the world into a
+:class:`StateSnapshot` and publishes it with a single attribute
+assignment.  Attribute reads are atomic in CPython, so readers grab a
+coherent epoch with ``state.snapshot`` and never block, no matter how
+long a delta takes.
 
 Zero-copy epochs
 ----------------
@@ -64,7 +65,9 @@ views carry nothing from them, and their first readers count in
 ``serve.index_built``.
 
 The extensional slice freezes as *relations*: ``snapshot.edb[p]`` is a
-frozen ``relation.copy()`` over the retained interner, re-made only for
+frozen ``relation.copy()`` over the retained interner — the live
+relation, which is ``p``'s extension where no rule writes ``p``, or
+the facts supplied for a derived predicate — re-made only for
 predicates a delta names.  Engine-backed queries read those in place
 (:meth:`ServeState.edb_database`), re-interning and copying nothing; a
 frozen relation refuses every write, so a stray one is a typed error,
@@ -355,21 +358,23 @@ class ServeState:
         prev_edb = self._snapshot.edb if self._snapshot is not None else {}
         idb = self.program.idb_predicates()
         state = self._result.state  # None after a truncated base run
-        buckets = state.edb if state is not None else {
-            p: f for p, f in facts.items() if p not in idb
-        }
         edb: Dict[str, ColumnarRelation] = {}
-        for predicate, bucket in buckets.items():
+        for predicate in db.predicates():
+            live = db.relation(predicate)
+            extension = (
+                state.extension(predicate) if state is not None
+                else () if predicate in idb else live
+            )
             if predicate in prev_edb and predicate not in touched:
-                # Buckets are writer-private and only mutated for the
-                # predicates a delta names: alias the previous epoch's.
+                # An extension changes only by a delta that names its
+                # predicate: alias the previous epoch's.
                 edb[predicate] = prev_edb[predicate]
-            elif bucket:
-                relation = db.relation(predicate).copy()
-                if predicate in idb:
+            elif extension:
+                relation = live.copy()
+                if extension is not live:
                     # Facts supplied for a derived predicate: the live
-                    # relation holds derived rows too, the bucket none.
-                    relation.reset(bucket)
+                    # relation holds derived rows too.
+                    relation.reset(extension)
                 relation._on_index_built = self._index_built
                 if predicate in prev_edb:  # (nothing after a ``reset``)
                     carried += relation.carry_indexes(prev_edb[predicate])

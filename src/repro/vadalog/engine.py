@@ -234,10 +234,11 @@ class Engine:
         and would otherwise pay a full-extension copy per phase.
 
         ``retain_state`` keeps the evaluation state — the stratification,
-        the extensional snapshot, saturated aggregate accumulators,
-        null/Skolem factories — on ``result.state`` so
-        :meth:`apply_delta` can propagate later insertions and deletions
-        without re-running the chase.
+        saturated aggregate accumulators, null/Skolem factories — on
+        ``result.state`` so :meth:`apply_delta` can propagate later
+        insertions and deletions without re-running the chase.  The
+        extension stays in the database's relations; only facts supplied
+        for a predicate the rules also derive are copied aside.
 
         ``strata`` is ``stratify`` of ``program``'s rules that have a
         body, from a caller that runs one program many times (a cached
@@ -294,10 +295,6 @@ class Engine:
                 skolems=skolems,
             )
             aggregates = state.aggregates
-            state.edb = {
-                predicate: set(db.relation(predicate))
-                for predicate in db.predicates()
-            }
             nulls.minted = {}  # remembered for null-stable recomputes
 
         if governor is not None:

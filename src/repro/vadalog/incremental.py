@@ -60,6 +60,12 @@ change:
   (:data:`DEGENERATE_FLOOR`): rederiving them costs more than a
   recompute.
 
+The extension lives in the retained database: a predicate no rule with
+a body writes has its relation as its extensional set.  Only the facts
+supplied for a derived predicate (inputs, program facts or a delta
+naming it) are kept apart, since its relation holds derived rows too;
+DRed never over-deletes them and a recompute resets to them.
+
 Labeled nulls minted during maintenance continue the retained
 :class:`NullFactory` counter, so incremental ordinals differ from a
 from-scratch run; results are equal **up to null renaming** (the
@@ -87,6 +93,7 @@ from functools import partial
 from itertools import chain
 from typing import (
     Any,
+    Collection,
     Dict,
     Iterable,
     Iterator,
@@ -136,15 +143,17 @@ class MaterializedState:
     """Everything :func:`apply_delta` needs to maintain a chase result.
 
     Built by :meth:`Engine.run` when ``retain_state=True``: the live
-    database, the stratification, the extensional snapshot, saturated
-    aggregate accumulators, and the null/Skolem factories (so
-    maintenance continues their counters), and, from the first update
-    on, the :class:`StratumPlan` of every stratum.
+    database, whose relations hold the extension of every predicate no
+    rule with a body writes (facts supplied for one that rules derive are
+    kept apart, as :meth:`extension` reads and :meth:`record` updates
+    them), the stratification, saturated aggregate accumulators, and the
+    null/Skolem factories (so maintenance continues their counters), and,
+    from the first update on, the :class:`StratumPlan` of every stratum.
     """
 
     __slots__ = (
         "program", "working", "strata", "database", "nulls", "skolems",
-        "edb", "aggregates", "plans",
+        "written", "_supplied", "aggregates", "plans",
     )
 
     def __init__(
@@ -162,11 +171,29 @@ class MaterializedState:
         self.database = database
         self.nulls = nulls
         self.skolems = skolems
-        self.edb: Dict[str, Set[Fact]] = {}
+        self.written = working.idb_predicates()  # heads of rules with a body
+        self._supplied: Dict[str, Set[Fact]] = {
+            p: set(database.relation(p))
+            for p in database.predicates() if p in self.written
+        }
         #: The state of every aggregate rule, as the run (or the last
         #: recompute of its stratum) left it; maintained in place.
         self.aggregates: Dict[Rule, AggregateState] = {}
         self.plans: Optional[List[StratumPlan]] = None
+
+    def extension(self, predicate: str) -> Collection[Fact]:
+        """``predicate``'s extensional facts (``==``-level membership)."""
+        if predicate in self.written:
+            return self._supplied.get(predicate, ())
+        return self.database.relation(predicate)
+
+    def record(self, predicate: str, added: Iterable[Fact] = (),
+               removed: Iterable[Fact] = ()) -> None:
+        """Note extensional adds and removes, made to the relation already."""
+        if predicate in self.written:
+            facts = self._supplied.setdefault(predicate, set())
+            facts.difference_update(removed)
+            facts.update(added)
 
     def stratum_plans(self, engine: Any) -> "List[StratumPlan]":
         """Every stratum's maintenance plan, compiled by the first update."""
@@ -477,7 +504,7 @@ def _existential_safe(
     rules' to decide, once (``RulePlan.gates``); (1) is the update's.
     """
     return rule.gates[removals] and not any(
-        state.edb.get(predicate) or predicate in changed
+        state.extension(predicate) or predicate in changed
         for predicate in rule.written
     )
 
@@ -823,7 +850,7 @@ def _overdelete_joins(
                     for substitution in matches:
                         heads += _held_heads(plans, substitution, state, firings)
                 for predicate, fact in heads:
-                    if fact in state.edb.get(predicate, ()):
+                    if fact in state.extension(predicate):
                         continue
                     if not db.has(predicate, fact):
                         continue
@@ -976,7 +1003,7 @@ def _recompute_stratum(
     }
     nulls = state.nulls
     for predicate in stratum.heads:
-        db.reset(predicate, state.edb.get(predicate, set()))
+        db.reset(predicate, state.extension(predicate))
         if predicate in nulls.minted:
             nulls.reclaim[predicate] = nulls.minted.pop(predicate)
     try:
@@ -1067,7 +1094,7 @@ def apply_delta(
     :class:`DeltaResult` lists every net per-predicate change,
     extensional changes included.
 
-    Removals of facts that are not part of the extensional snapshot are
+    Removals of facts outside :meth:`MaterializedState.extension` are
     ignored (counted in ``skipped_removals``): derived facts cannot be
     retracted, only their extensional premises can.
 
@@ -1108,9 +1135,9 @@ def apply_delta(
         requested_add: Dict[str, List[Fact]] = {}
         requested_remove: Changes = {}
         for predicate, facts in remove_request.items():
-            edb_facts = state.edb.get(predicate, ())
+            extension = state.extension(predicate)
             held = requested_remove[predicate] = {
-                f: None for f in facts if f in edb_facts
+                f: None for f in facts if f in extension
             }
             delta_result.skipped_removals += len(facts) - len(held)
         for predicate, facts in add_request.items():
@@ -1119,7 +1146,7 @@ def apply_delta(
                 if removed_bucket and fact in removed_bucket:
                     # Removed and re-added in one delta: a net no-op.
                     del removed_bucket[fact]
-                elif fact not in state.edb.get(predicate, ()):
+                elif fact not in state.extension(predicate):
                     requested_add.setdefault(predicate, []).append(fact)
 
         # The running net, in row order: the removals as they are
@@ -1132,14 +1159,14 @@ def apply_delta(
             if facts:
                 relation = db.relation(predicate)
                 pending_remove[predicate] = dict(map(relation.retract, facts))
-                state.edb[predicate].difference_update(facts)
+                state.record(predicate, removed=facts)
         pending_add: Changes = {}
         for predicate, facts in requested_add.items():
-            state.edb.setdefault(predicate, set()).update(facts)
             # Facts already derivable need no propagation, but still
             # count as extensional now; only genuinely-new facts seed
             # the chase.
             new = {f: None for f in facts if db.add(predicate, f)}
+            state.record(predicate, added=facts)
             if new:
                 pending_add[predicate] = new
 

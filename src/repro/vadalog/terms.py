@@ -23,7 +23,19 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 class Variable:
     """A regular (universally quantified) variable appearing in rules."""
 
+    # Slotted, with the generated hash of the fields computed once.
+    __slots__ = ("name", "_hash")
     name: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
+        # Rebuilt from the fields: a cached str hash holds in one process.
+        return type(self), tuple(getattr(self, f) for f in self.__dataclass_fields__)
 
     def __repr__(self) -> str:
         return f"?{self.name}"
@@ -41,8 +53,14 @@ class Null:
     makes chase traces readable; ``ordinal`` makes the null unique.
     """
 
+    __slots__ = ("label", "ordinal", "_hash")
     label: str
     ordinal: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.label, self.ordinal)))
+
+    __hash__, __reduce__ = Variable.__hash__, Variable.__reduce__
 
     def __repr__(self) -> str:
         return f"ν{self.ordinal}[{self.label}]"
@@ -118,8 +136,14 @@ class SkolemValue:
     disjoint ranges.
     """
 
+    __slots__ = ("functor", "arguments", "_hash")
     functor: str
     arguments: Tuple[Any, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.functor, self.arguments)))
+
+    __hash__, __reduce__ = Variable.__hash__, Variable.__reduce__
 
     def __repr__(self) -> str:
         args = ",".join(repr(a) for a in self.arguments)

@@ -1,9 +1,13 @@
 """Incremental materialization: delta-chase differential battery,
 DRed edge cases, materializer updates, and store delta-flush appliers."""
 
+import gc
 import random
+import re
 import sys
+import types
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,8 @@ from repro.deploy import (
     load_graph_store,
     load_triple_store,
 )
+import repro
+from repro.cli import demo_serve_inputs
 from repro.errors import EvaluationError, IntegrityError, SchemaError
 from repro.finkg import programs
 from repro.finkg.company_schema import company_super_schema
@@ -24,11 +30,13 @@ from repro.graph.property_graph import PropertyGraph
 from repro.metalog import parse_metalog
 from repro.models.relational import Column, ForeignKey, RelationalSchema, Table
 from repro.ssst import SSST, IntensionalMaterializer, RegistryDelta
+from repro.serve import ServeState
 from repro.ssst.inverse import graph_instance_to_relational
 from repro.stream import FlushDeltaTarget
 from repro.obs import RecordingTracer
 from repro.vadalog import Engine, incremental, parse_program, terms
 from repro.vadalog.ast import Rule
+from repro.vadalog.columnar import ColumnarRelation
 from repro.vadalog.engine import EvaluationStats
 from repro.vadalog.incremental import (
     RECOMPUTE_REASONS,
@@ -272,6 +280,150 @@ class TestDRedEdgeCases:
         result = engine.run(program, inputs={"e": [("a", "b")]})
         with pytest.raises(EvaluationError, match="retain_state"):
             engine.apply_delta(result, added={"e": [("b", "c")]})
+
+
+# ---------------------------------------------------------------------------
+# What is extensional: the supplied facts, for a predicate no rule writes
+# and for one that rules derive too
+# ---------------------------------------------------------------------------
+
+#: ``e`` / ``own`` / ``p`` are read only; ``tc`` is maintained by DRed,
+#: ``low`` (a non-monotone aggregate) recomputed from its boundary, and
+#: ``q`` derived from ``p``.
+EXTENSION = (
+    "e(X, Y) -> tc(X, Y).\n"
+    "tc(X, Y), e(Y, Z) -> tc(X, Z).\n"
+    "own(Z, Y, W), V = min(W, <Z>), V > 0.1 -> low(Y).\n"
+    "p(X) -> q(X)."
+)
+
+
+def _against_a_fresh_run(inputs, deltas, extension):
+    """Apply ``deltas`` to a retained run of :data:`EXTENSION` over
+    ``inputs``; every relation then equals a from-scratch run over
+    ``extension``.  Returns each delta's :class:`DeltaResult`."""
+    program = parse_program(EXTENSION)
+    engine = Engine()
+    result = engine.run(program, inputs=inputs, retain_state=True)
+    outcomes = [engine.apply_delta(result, **delta) for delta in deltas]
+    fresh = Engine().run(program, inputs=extension)
+    for predicate in program.predicates():
+        assert result.facts(predicate) == fresh.facts(predicate), predicate
+    return outcomes
+
+
+class TestExtensionSemantics:
+    """Each case on a predicate no rule writes (``p``, ``e``, ``own``)
+    and on one that rules write (``q``, ``tc``, ``low``), against a
+    from-scratch run over the extension it should leave."""
+
+    @pytest.mark.parametrize("predicate", ["p", "q"])
+    def test_removing_1_takes_the_supplied_true(self, predicate):
+        """``(1,)`` removes ``(True,)``, and a second time finds nothing."""
+        outcome, again = _against_a_fresh_run(
+            {predicate: [(True,)]}, [{"removed": {predicate: [(1,)]}}] * 2, {})
+        assert (outcome.skipped_removals, again.skipped_removals) == (0, 1)
+        assert [(f, type(f[0])) for f in outcome.removed[predicate]] == [
+            ((True,), bool)]
+
+    @pytest.mark.parametrize("predicate", ["p", "q"])
+    def test_a_fact_never_supplied_is_skipped(self, predicate):
+        """``q("a")`` is derived, ``p("b")`` absent: neither was supplied."""
+        fact = ("a",) if predicate == "q" else ("b",)
+        (outcome,) = _against_a_fresh_run(
+            {"p": [("a",)]}, [{"removed": {predicate: [fact]}}],
+            {"p": [("a",)]})
+        assert outcome.skipped_removals == 1 and not outcome.changed()
+
+    @pytest.mark.parametrize("predicate", ["p", "q"])
+    def test_a_fact_added_again_is_extensional_once(self, predicate):
+        """Adding ``q("a")``, derived from ``p("a")``, makes it
+        extensional: it outlives its support.  Adding ``p("a")`` again
+        changes nothing: one removal takes it."""
+        added, removed = _against_a_fresh_run(
+            {"p": [("a",)]},
+            [{"added": {predicate: [("a",)]}}, {"removed": {"p": [("a",)]}}],
+            {"q": [("a",)]} if predicate == "q" else {})
+        assert not added.changed()
+        assert removed.skipped_removals == 0
+        assert ("q" in removed.removed) == (predicate == "p")
+
+    @pytest.mark.parametrize("written", [False, True])
+    def test_supplied_facts_outlive_a_recompute_and_a_dred_pass(self, written):
+        """``own(a, b, 0.6)`` and ``e(a, b)`` — and, where rules write
+        them too, ``low(s)``, ``tc(a, c)`` (derived as well) and
+        ``tc(z, w)`` — stay through a recompute of ``low``'s stratum and
+        a DRed pass over ``tc``'s."""
+        inputs = {"own": [("a", "b", 0.6)], "e": [("a", "b"), ("b", "c")]}
+        if written:
+            inputs.update(low=[("s",)], tc=[("a", "c"), ("z", "w")])
+        extension = {
+            **inputs, "own": [("a", "b", 0.6), ("c", "b", 0.3)], "e": [("a", "b")]}
+        recomputed, dred = _against_a_fresh_run(
+            inputs,
+            [{"added": {"own": [("c", "b", 0.3)]}},
+             {"removed": {"e": [("b", "c")]}}],
+            extension)
+        assert [entry[2] for entry in recomputed.recompute_reasons] == [
+            "non-monotone aggregate"]
+        assert dred.overdeleted >= 1 and not dred.recompute_reasons
+        assert (("a", "c") in dred.removed.get("tc", ())) is not written
+
+
+def set_copies(state):
+    """The predicates no rule writes whose facts a set reachable from the
+    retained ``state`` holds, the relations themselves aside."""
+    db = state.database
+    written = state.working.idb_predicates()
+    unwritten = {p: db.relation(p) for p in db.predicates() if p not in written}
+    skipped = (type, types.ModuleType, types.FunctionType, types.CodeType,
+               types.BuiltinFunctionType, ColumnarRelation)
+    seen, stack, found = set(), [state], set()
+    while stack:
+        held = stack.pop()
+        if id(held) in seen or isinstance(held, skipped):
+            continue
+        seen.add(id(held))
+        if isinstance(held, (set, frozenset)):
+            found |= {p for p, relation in unwritten.items() for fact in held
+                      if isinstance(fact, tuple) and fact in relation}
+        else:
+            stack.extend(gc.get_referents(held))
+    return found
+
+
+class TestExtensionHeldOnce:
+    """A retained chase holds its extension once: a predicate no rule
+    writes has its relation, and no set copy of it."""
+
+    def test_no_set_copies_an_unwritten_relation(self, company_schema):
+        materializer = IntensionalMaterializer()
+        materializer.materialize(
+            company_schema, kgbench_registry(1000, 42)[1],
+            parse_metalog(programs.CONTROL_PROGRAM), instance_oid=7, retain=True,
+        )
+        serve = ServeState(*demo_serve_inputs(1000, 42))
+        for state, unwritten in (
+            (materializer.retained.result.state, {"Business", "OWNS"}),
+            (serve._result.state, {"company", "own"}),
+        ):
+            assert set_copies(state) == set()
+            for predicate in unwritten:
+                assert state.extension(predicate) is state.database.relation(
+                    predicate)
+
+    def test_only_the_maintenance_module_reads_the_representation(self):
+        """Elsewhere a retained state's extension is read through
+        ``MaterializedState.extension``: no module names its sets
+        (``state.edb``, or the supplied facts' ``_supplied``)."""
+        root = Path(repro.__file__).parent
+        readers = [
+            f"{path.relative_to(root)}: {match.group()}"
+            for path in sorted(root.rglob("*.py"))
+            if path.relative_to(root).as_posix() != "vadalog/incremental.py"
+            for match in re.finditer(r"\bstate\.edb\b|\b_supplied\b", path.read_text())
+        ]
+        assert readers == []
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +813,7 @@ def _reference_existential_safe(engine, state, stratum, rule, changed,
         if positions:
             existential_preds.setdefault(predicate, set()).update(positions)
     for predicate, positions in existential_preds.items():
-        if state.edb.get(predicate) or predicate in changed:
+        if state.extension(predicate) or predicate in changed:
             return False
         writers = [
             other for other in state.working.rules

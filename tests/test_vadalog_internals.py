@@ -1,4 +1,11 @@
-"""Database, stratification, wardedness, aggregates, annotations."""
+"""Database, stratification, wardedness, aggregates, annotations, terms."""
+
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -7,7 +14,7 @@ from repro.vadalog import Database, check_piecewise_linear, check_warded, parse_
 from repro.vadalog.aggregates import GroupAccumulator, aggregate, is_monotonic
 from repro.vadalog.annotations import resolve_inputs
 from repro.vadalog.warded import affected_positions, dangerous_variables, harmful_variables
-from repro.vadalog.terms import Variable
+from repro.vadalog.terms import Null, SkolemValue, Variable
 
 
 class TestDatabase:
@@ -142,6 +149,37 @@ class TestWardedness:
             "e(X, Y) -> tc(X, Y).\ntc(X, Y), tc(Y, Z) -> tc(X, Z)."
         )
         assert not check_piecewise_linear(nonlinear)
+
+
+class TestTerms:
+    """Variables, nulls and Skolem values hash their fields once, to the
+    value the dataclass's generated hash gives, and copy by their fields."""
+
+    TERMS = [Variable("X"), Null("x", 3), SkolemValue("f", (1, Null("x", 3)))]
+
+    @pytest.mark.parametrize("term", TERMS, ids=repr)
+    def test_the_hash_is_the_fields_hash_and_copies_keep_it(self, term):
+        fields = tuple(getattr(term, f.name) for f in dataclasses.fields(term))
+        assert hash(term) == hash(fields)
+        for duplicate in (copy.copy(term), copy.deepcopy(term)):
+            assert duplicate == term and hash(duplicate) == hash(term)
+
+    def test_an_unpickled_term_hashes_as_its_process_would(self):
+        """Under another hash seed, an unpickled term hashes like one
+        built there: the cached hash is not carried over."""
+        check = (
+            "import pickle, sys\n"
+            "from repro.vadalog.terms import Null, SkolemValue, Variable\n"
+            "terms = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = [Variable('X'), Null('x', 3), SkolemValue('f', (1, Null('x', 3)))]\n"
+            "print([hash(t) == hash(f) and t == f for t, f in zip(terms, fresh)])\n"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", check], input=pickle.dumps(self.TERMS),
+            env=env, capture_output=True, check=True,
+        )
+        assert out.stdout.decode().strip() == "[True, True, True]"
 
 
 class TestAggregatesModule:
