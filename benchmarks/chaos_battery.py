@@ -259,7 +259,7 @@ def main() -> int:
     )
     saved = MaterializationCheckpoint(directory)
     saved.begin(run_fingerprint(company_super_schema(), chain, sigma, 9))
-    nothing_saved = not saved.completed_phases()
+    nothing_saved = not saved.has_snapshot()
     real_write = materializer_module.write_instance
 
     def crash(*_args, **_kwargs):

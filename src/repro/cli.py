@@ -116,14 +116,10 @@ def cmd_reason(args) -> int:
     if args.trace or args.profile:
         tracer = RecordingTracer()
     governor = None
-    if any(
-        v is not None
-        for v in (args.budget_seconds, args.max_facts, args.max_resident_facts)
-    ):
+    if args.budget_seconds is not None or args.max_facts is not None:
         governor = ResourceGovernor(
             budget_seconds=args.budget_seconds,
             max_facts=args.max_facts,
-            max_resident_facts=args.max_resident_facts,
             graceful=True,
         )
     engine = None
@@ -134,26 +130,19 @@ def cmd_reason(args) -> int:
         raise KGModelError("--resume requires --checkpoint DIR")
     if args.checkpoint:
         from repro.ssst import MaterializationCheckpoint
-        from repro.ssst.checkpoint import run_fingerprint
 
         checkpoint = MaterializationCheckpoint(args.checkpoint, tracer=tracer)
         if not args.resume:
             # Checkpointing without --resume starts fresh: drop any
-            # snapshots a previous (possibly interrupted) run left.
-            checkpoint.begin(
-                run_fingerprint(schema, data, sigma, args.instance_oid)
-            )
+            # snapshot a previous run left.
             checkpoint.clear()
     report = IntensionalMaterializer(engine=engine, tracer=tracer).materialize(
         schema, data, sigma, instance_oid=args.instance_oid,
         checkpoint=checkpoint,
     )
     if report.resumed_from is not None:
-        print(
-            f"resumed from checkpointed phase {report.resumed_from!r}"
-            " (completed phases skipped)",
-            file=sys.stderr,
-        )
+        print("resumed from the checkpointed chase (reasoning skipped)",
+              file=sys.stderr)
     print("derived:", report.derived_counts, file=sys.stderr)
     if report.flush_dropped_edges:
         print(
@@ -595,17 +584,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--checkpoint", default=None, metavar="DIR",
-        help="persist each completed chase phase into this directory",
+        help="persist the completed chase into this directory",
     )
     p.add_argument(
         "--resume", action="store_true",
-        help="resume from the checkpoint's last completed phase "
+        help="resume from the checkpointed chase, if it is of these inputs "
              "(requires --checkpoint)",
-    )
-    p.add_argument(
-        "--max-resident-facts", default=None, type=int, metavar="N",
-        help="spill cold relations to sqlite3-backed column pages when "
-             "more than N facts are resident",
     )
     p.set_defaults(func=cmd_reason)
 

@@ -6,9 +6,9 @@ Two backing stores implement the same graph API:
   adjacency with lazy views: the production store, the one
   :func:`make_graph` builds;
 * :class:`PropertyGraph` — one ``Node``/``Edge`` object per element:
-  what the inverse translations, the checkpoint fingerprint and the
-  public API build directly, and the store the differential tests hold
-  the columnar one to.
+  the reference the differential tests hold the columnar store to, and
+  the type the public API's signatures name (the inverse translations
+  and the checkpoint build their graphs with :func:`make_graph`).
 """
 
 from repro.graph.property_graph import Edge, Node, PropertyGraph

@@ -53,12 +53,6 @@ class ResourceGovernor:
         Cap on labeled nulls invented by the chase.
     max_stratum_iterations:
         Cap on fixpoint iterations within any single stratum.
-    max_resident_facts:
-        Soft cap on facts held in memory.  Unlike the hard budgets above
-        this never truncates the run: when a columnar database exceeds
-        it at a stratum boundary, the engine spills cold relations to
-        the sqlite3-backed column-page store and keeps going (a no-op on
-        tuple-backend databases).
     graceful:
         True (default): the engine returns partial results tagged with
         the violation.  False: the violation raises a
@@ -73,7 +67,6 @@ class ResourceGovernor:
         max_facts: Optional[int] = None,
         max_nulls: Optional[int] = None,
         max_stratum_iterations: Optional[int] = None,
-        max_resident_facts: Optional[int] = None,
         graceful: bool = True,
         clock: Callable[[], float] = time.perf_counter,
     ):
@@ -83,7 +76,6 @@ class ResourceGovernor:
             ("max_facts", max_facts),
             ("max_nulls", max_nulls),
             ("max_stratum_iterations", max_stratum_iterations),
-            ("max_resident_facts", max_resident_facts),
         ):
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -91,7 +83,6 @@ class ResourceGovernor:
         self.max_facts = max_facts
         self.max_nulls = max_nulls
         self.max_stratum_iterations = max_stratum_iterations
-        self.max_resident_facts = max_resident_facts
         self.graceful = graceful
         self._clock = clock
         self._start: Optional[float] = None

@@ -26,7 +26,7 @@ layer (:mod:`repro.vadalog.columnar`):
 - removals only tombstone the live mask in place; a block copies the
   mask bytes (only when dead rows exist — the common all-live case
   shares everything);
-- ``compact()``/``spill()``/``reset()`` *replace* the column list
+- ``compact()``/``reset()`` *replace* the column list
   objects rather than mutating them, so a block holding the old lists
   keeps the old epoch's bytes alive and correct.
 
@@ -46,8 +46,8 @@ per index, patched with the rows appended since), under four more:
 - *same numbering or no carry*: a block carries only if its column
   objects are its predecessor's (whatever renumbers replaces them, the
   invariant above), a frozen copy — its columns are its own — only if
-  both hold the relation's ``_numbering`` mark, which ``compact()``,
-  ``reset()`` and rehydration replace; facts supplied for a derived
+  both hold the relation's ``_numbering`` mark, which ``compact()``
+  and ``reset()`` replace; facts supplied for a derived
   predicate are ``reset`` into their copy and never carry;
 - *buckets may name dead rows*, as a maintained index's do: the engine
   checks each row's live flag, :meth:`FrozenColumnBlock.matching` its
@@ -172,7 +172,6 @@ class FrozenColumnBlock(_AbstractSet):
     )
 
     def __init__(self, relation: ColumnarRelation):
-        relation._ensure_resident()
         self._cols = list(relation._cols)  # snapshot of column *refs*
         self._nrows = relation._nrows
         self._count = relation._nrows - relation._ndead
@@ -351,8 +350,6 @@ class ServeState:
             block._on_index_built = self._index_built
             if entry is not None:
                 carried += block.carry(entry[2])
-            # Read the version *after* construction: rehydrating a
-            # spilled relation bumps it.
             cache[predicate] = (relation, relation._version, block)
             facts[predicate] = block
         prev_edb = self._snapshot.edb if self._snapshot is not None else {}

@@ -2,18 +2,17 @@
 
 Algorithm 2 runs as load / reason / flush, and only reasoning is a
 chase: the paper reports ~160 minutes of it against ~15 minutes of
-load+flush for the Bank of Italy KG, so an interruption (budget trip,
-crash fault, operator kill) after it wastes almost the entire
-investment.
+load+flush for the Bank of Italy KG, so an interruption (crash fault,
+operator kill) after it wastes almost the entire investment.
 
-:class:`MaterializationCheckpoint` is a directory-backed store that the
+:class:`MaterializationCheckpoint` is one snapshot file that the
 :class:`~repro.ssst.materializer.IntensionalMaterializer` writes once
 Sigma's chase reached fixpoint, and reads back on the next run to skip
-it.  The snapshot captures the one mutable artifact of the pipeline —
-Sigma's :class:`~repro.vadalog.database.Database` — encoded as JSON via
-a value codec that round-trips labeled nulls and Skolem values.  (The
-load and the flush only read the registry, an input the fingerprint
-binds, so neither is worth a snapshot.)
+it.  The snapshot holds what the flush reads of the chase — Sigma's
+head relations, encoded as JSON via a value codec that round-trips
+labeled nulls and Skolem values — and the derived counts.  (The load
+and the flush only read the registry, an input the fingerprint binds,
+so neither is worth a snapshot.)
 
 A checkpoint is bound to its inputs by a fingerprint (schema, data,
 program, instance OID): resuming against different inputs silently
@@ -27,7 +26,7 @@ import json
 import os
 from itertools import compress, count, repeat
 from operator import is_
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import CheckpointError
 from repro.graph import make_graph
@@ -37,13 +36,9 @@ from repro.vadalog.columnar import ValueInterner
 from repro.vadalog.database import Database
 from repro.vadalog.terms import Null, SkolemValue
 
-#: Phases eligible for checkpointing: Sigma's chase.  Load and flush
-#: only read the registry and that result, so re-running them is the
-#: simplest way to guarantee a complete instance.
-PHASES: Tuple[str, ...] = ("reason",)
-
-_MANIFEST = "manifest.json"
-_FORMAT_VERSION = 3
+#: The snapshot file in a checkpoint directory.
+_SNAPSHOT = "snapshot.json"
+_FORMAT_VERSION = 4
 
 
 # ----------------------------------------------------------------------
@@ -97,10 +92,16 @@ def _canonical(value: Any) -> str:
 # ----------------------------------------------------------------------
 # Artifact (de)serialization
 # ----------------------------------------------------------------------
-def database_payload(database: Database) -> Dict[str, Any]:
-    """Serialize every relation of a database, deterministically ordered."""
+def database_payload(
+    database: Database, predicates: Optional[Iterable[str]] = None
+) -> Dict[str, Any]:
+    """Serialize the non-empty relations of a database among
+    ``predicates`` (all by default), deterministically ordered."""
     payload: Dict[str, Any] = {}
-    for predicate in sorted(database.predicates()):
+    held = database.predicates()
+    if predicates is not None:
+        held = set(held).intersection(predicates)
+    for predicate in sorted(held):
         relation = database.relation(predicate)
         facts = sorted(
             ([encode_value(term) for term in fact] for fact in relation),
@@ -267,133 +268,91 @@ def run_fingerprint(schema, data: PropertyGraph, sigma, instance_oid: Any) -> st
 # The checkpoint store
 # ----------------------------------------------------------------------
 class MaterializationCheckpoint:
-    """Directory-backed phase snapshots for one materialization run.
+    """One snapshot of Sigma's chase result for one materialization run.
 
     Usage (the materializer does this internally)::
 
         checkpoint = MaterializationCheckpoint("out/ckpt")
         checkpoint.begin(run_fingerprint(schema, data, sigma, oid))
-        phase = checkpoint.resume_phase()       # None or "reason"
+        if checkpoint.has_snapshot():
+            database, derived_counts = checkpoint.load()
         ...
-        checkpoint.save_phase("reason", database=db)
+        checkpoint.save(database, heads, derived_counts)
 
-    Phase files are written to a temporary name and atomically renamed
-    (:func:`write_durably`); the manifest is updated last, so a crash
-    mid-save leaves the previous consistent state intact.
+    The file holds the format version, the run fingerprint, the derived
+    counts and the relations the flush reads; it is written to a
+    temporary name and atomically renamed (:func:`write_durably`), so a
+    crash mid-save leaves the previous snapshot intact.
     """
 
     def __init__(self, directory: str, tracer: Optional[Tracer] = None):
         self.directory = str(directory)
+        self.path = os.path.join(self.directory, _SNAPSHOT)
         self.tracer = tracer or NullTracer()
         self._fingerprint: Optional[str] = None
-        self._manifest: Dict[str, Any] = {}
+        self._payload: Optional[Dict[str, Any]] = None
 
-    # -- lifecycle -----------------------------------------------------
     def begin(self, fingerprint: str) -> None:
-        """Bind to a run; a stale checkpoint (other inputs) is discarded."""
+        """Bind to a run and read its snapshot, if any: one of other
+        inputs or another format is discarded (``deploy.checkpoint_stale``);
+        one that is no JSON raises :class:`~repro.errors.CheckpointError`."""
         os.makedirs(self.directory, exist_ok=True)
         self._fingerprint = fingerprint
-        manifest = self._read_manifest()
-        if manifest.get("fingerprint") == fingerprint and (
-            manifest.get("version") == _FORMAT_VERSION
-        ):
-            self._manifest = manifest
+        self._payload = None
+        if not os.path.exists(self.path):
             return
-        if manifest:
-            self.tracer.count("deploy.checkpoint_stale", 1)
+        try:
+            with open(self.path, "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise CheckpointError(f"unreadable checkpoint {self.path}: {exc}") from exc
+        if payload.get("version") == _FORMAT_VERSION and (
+            payload.get("fingerprint") == fingerprint
+        ):
+            self._payload = payload
+            return
+        self.tracer.count("deploy.checkpoint_stale", 1)
         self.clear()
 
     def clear(self) -> None:
-        """Drop every phase snapshot (keeps the directory)."""
-        if self._fingerprint is None and not os.path.isdir(self.directory):
-            return
-        for phase in PHASES:
-            path = self._phase_path(phase)
-            if os.path.exists(path):
-                os.remove(path)
-        self._manifest = {
-            "version": _FORMAT_VERSION,
-            "fingerprint": self._fingerprint,
-            "phases": {},
-        }
-        if self._fingerprint is not None:
-            self._write_manifest()
+        """Drop the snapshot (keeps the directory)."""
+        self._payload = None
+        if os.path.exists(self.path):
+            os.remove(self.path)
 
-    # -- queries -------------------------------------------------------
-    def completed_phases(self) -> List[str]:
-        phases = self._manifest.get("phases", {})
-        return [p for p in PHASES if p in phases]
+    def has_snapshot(self) -> bool:
+        """Whether :meth:`begin` found a snapshot of this run."""
+        return self._payload is not None
 
-    def has_phase(self, phase: str) -> bool:
-        return phase in self._manifest.get("phases", {})
-
-    def resume_phase(self) -> Optional[str]:
-        """The latest completed phase to restart from, if any."""
-        completed = self.completed_phases()
-        return completed[-1] if completed else None
-
-    # -- persistence ---------------------------------------------------
-    def save_phase(
-        self,
-        phase: str,
-        database: Database,
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        if phase not in PHASES:
-            raise CheckpointError(f"unknown checkpoint phase {phase!r}")
+    def save(self, database: Database, predicates: Iterable[str],
+             derived_counts: Dict[str, int]) -> None:
+        """Snapshot the ``predicates`` of ``database`` and the counts."""
         if self._fingerprint is None:
             raise CheckpointError("checkpoint not bound: call begin() first")
-        payload = {
-            "phase": phase,
-            "database": database_payload(database),
-            "meta": meta or {},
-        }
-        path = self._phase_path(phase)
-        write_durably(path, json.dumps(payload))
-        self._manifest.setdefault("phases", {})[phase] = {
-            "file": os.path.basename(path)
-        }
-        self._write_manifest()
+        write_durably(self.path, json.dumps({
+            "version": _FORMAT_VERSION,
+            "fingerprint": self._fingerprint,
+            "derived_counts": derived_counts,
+            "database": database_payload(database, predicates),
+        }))
         self.tracer.count("deploy.checkpoint_saved", 1)
 
-    def load_phase(
-        self, phase: str, interner: Optional[ValueInterner] = None
-    ) -> Tuple[Database, Dict[str, Any]]:
-        if not self.has_phase(phase):
-            raise CheckpointError(f"no checkpoint for phase {phase!r}")
+    def load(
+        self, interner: Optional[ValueInterner] = None
+    ) -> Tuple[Database, Dict[str, int]]:
+        """The snapshot's relations over ``interner``, and its counts."""
+        if self._payload is None:
+            raise CheckpointError(f"no checkpoint of this run in {self.directory}")
         try:
-            with open(self._phase_path(phase), "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise CheckpointError(
-                f"unreadable checkpoint for phase {phase!r}: {exc}"
-            ) from exc
-        database = restore_database(payload["database"], interner)
+            database = restore_database(self._payload["database"], interner)
+            counts = dict(self._payload["derived_counts"])
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise CheckpointError(f"unreadable checkpoint {self.path}: {exc!r}") from exc
         self.tracer.count("deploy.checkpoint_restored", 1)
-        return database, payload.get("meta", {})
-
-    # -- internals -----------------------------------------------------
-    def _phase_path(self, phase: str) -> str:
-        return os.path.join(self.directory, f"phase-{phase}.json")
-
-    def _write_manifest(self) -> None:
-        write_durably(
-            os.path.join(self.directory, _MANIFEST),
-            json.dumps(self._manifest, indent=2, sort_keys=True),
-        )
-
-    def _read_manifest(self) -> Dict[str, Any]:
-        path = os.path.join(self.directory, _MANIFEST)
-        if not os.path.exists(path):
-            return {}
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return {}
+        return database, counts
 
     def __repr__(self) -> str:
         return (
             f"MaterializationCheckpoint({self.directory!r}, "
-            f"phases={self.completed_phases()})"
+            f"snapshot={self.has_snapshot()})"
         )

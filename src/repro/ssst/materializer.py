@@ -53,7 +53,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.dictionary import GraphDictionary
 from repro.core.instances import SuperInstance, code_map, reduce_links, write_elements
 from repro.core.schema import SuperSchema
 from repro.deploy.delta import FlushDelta, edge_record, node_record
@@ -97,7 +96,7 @@ class MaterializationReport:
     #: edge is dropped (a lossy program, not a bug in the flush), and
     #: each missing end counted instead of silently discarded.
     flush_dropped_edges: int = 0
-    #: Name of the checkpointed phase this run resumed from, if any.
+    #: ``"reason"`` when this run resumed from a checkpointed chase.
     resumed_from: Optional[str] = None
 
     @property
@@ -185,6 +184,11 @@ class ColumnMaps:
             sorted({a.name for c in (*schema.nodes, *schema.edges) for a in c.attributes}),
             {pair: rank for rank, (_functor, pair) in enumerate(links)},
         )
+
+    @property
+    def head_labels(self) -> List[str]:
+        """Sigma's head relations: what the flush reads of its database."""
+        return [label for label, _edge, _columns in self.heads]
 
     def modeled(self, edge: bool, type_name: str) -> Tuple[str, ...]:
         """The attributes an element of ``type_name`` carries into the
@@ -770,7 +774,6 @@ class IntensionalMaterializer:
         data: PropertyGraph,
         sigma: MetaProgram,
         instance_oid: Any = 1,
-        dictionary: Optional[GraphDictionary] = None,
         checkpoint=None,
         retain: bool = False,
     ) -> MaterializationReport:
@@ -785,15 +788,16 @@ class IntensionalMaterializer:
 
         ``checkpoint`` (a
         :class:`~repro.ssst.checkpoint.MaterializationCheckpoint`)
-        persists Sigma's result once it reaches fixpoint; passing the
-        same checkpoint again resumes from it instead of reasoning
-        again.  A checkpoint written for different inputs is discarded,
-        not resumed.
+        persists what the flush reads of Sigma's result once it reaches
+        fixpoint; passing the same checkpoint again resumes from it
+        instead of reasoning again.  A checkpoint written for different
+        inputs is discarded, not resumed.
 
         ``retain=True`` keeps Sigma's chase state alive so later
         registry changes can be applied with :meth:`update` instead of
-        re-running from scratch (off by default — the from-scratch path
-        pays nothing).
+        re-running from scratch.  Without it, Sigma's database keeps
+        only what the flush reads once the chase ends: the head
+        relations, without their indexes.
         """
         report = MaterializationReport(instance=None)  # filled below
         tracer = self.tracer
@@ -808,7 +812,7 @@ class IntensionalMaterializer:
             from repro.ssst.checkpoint import run_fingerprint
 
             checkpoint.begin(run_fingerprint(schema, data, sigma, instance_oid))
-            resumed = checkpoint.resume_phase() == "reason"
+            resumed = checkpoint.has_snapshot()
         # The enriched graph, Sigma's database and the registry share
         # one value dictionary: the registry's, when it has one.
         graph = ColumnarPropertyGraph(
@@ -821,12 +825,9 @@ class IntensionalMaterializer:
             # memoized per (program text, schema, instance OID).
             maps = self._column_maps(schema, sigma, instance_oid)
             compiled = maps.compiled
-            # Algorithm 2 reads the schema object, not the dictionary.
-            if dictionary is not None and schema.schema_oid not in dictionary.schema_oids():
-                dictionary.store(schema)
             registry = [registry_rows(maps, data, graph, edge) for edge in (False, True)]
             if resumed:
-                database, meta = checkpoint.load_phase("reason", graph.interner)
+                database, report.derived_counts = checkpoint.load(graph.interner)
                 report.resumed_from = "reason"
                 load_span.set(resumed=True, phase="reason")
             else:
@@ -837,7 +838,6 @@ class IntensionalMaterializer:
         # ---------------- Phase 2: REASON (lines 7-8) ----------------
         with tracer.span("materialize.reason") as reason_span:
             if resumed:
-                report.derived_counts = dict(meta.get("derived_counts", {}))
                 reason_span.set(resumed=True)
                 tracer.count("deploy.replay_skipped", 1)
             else:
@@ -856,8 +856,11 @@ class IntensionalMaterializer:
                 }
                 reason_span.set(status=result.status, facts_derived=result.stats.facts_derived)
                 if checkpoint is not None and not report.truncated:
-                    checkpoint.save_phase("reason", database=database,
-                                          meta={"derived_counts": report.derived_counts})
+                    checkpoint.save(database, maps.head_labels, report.derived_counts)
+            if not retain:
+                # A retained run's relations are the extension; here the
+                # flush reads the heads' code columns and nothing else.
+                database.release(maps.head_labels)
         report.reason_seconds = reason_span.duration
 
         # ---------------- Phase 3: FLUSH (line 9) ----------------

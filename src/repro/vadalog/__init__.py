@@ -25,7 +25,7 @@ from repro.vadalog.ast import (
     SkolemTerm,
     TermExpr,
 )
-from repro.vadalog.columnar import ColumnarRelation, SpillStore, ValueInterner
+from repro.vadalog.columnar import ColumnarRelation, ValueInterner
 from repro.vadalog.database import Database
 from repro.vadalog.engine import Engine, EvaluationResult, EvaluationStats
 from repro.vadalog.magic import (
@@ -64,7 +64,6 @@ __all__ = [
     "TermExpr",
     "Database",
     "ColumnarRelation",
-    "SpillStore",
     "ValueInterner",
     "Engine",
     "EvaluationResult",

@@ -22,9 +22,7 @@ column-wise, and it is the chase's one fact store:
 * indexes map encoded keys to row-id lists, so buckets hold ints rather
   than fact references;
 * deletion tombstones rows (probes skip dead rows) and compaction runs
-  only at engine safe points, so in-flight index iterators stay valid;
-* relations can spill their (compacted) column pages to a sqlite3 file
-  and rehydrate transparently on next access.
+  only at engine safe points, so in-flight index iterators stay valid.
 
 Equality semantics — the subtle part
 ------------------------------------
@@ -49,9 +47,6 @@ values_equal, see DESIGN.md for the (benign) caveats.
 
 from __future__ import annotations
 
-import os
-import sqlite3
-import tempfile
 import threading
 from bisect import bisect_left
 from array import array
@@ -429,8 +424,6 @@ class ColumnarRelation:
         "_overlay_count",
         "_indexes",
         "_composite",
-        "_store",
-        "_spilled",
         "_version",
         "_npcache",
         "_numbering",
@@ -461,8 +454,6 @@ class ColumnarRelation:
         # position -> eq code -> row-id list; positions -> eq key -> rows.
         self._indexes: Dict[int, Dict[int, List[int]]] = {}
         self._composite: Dict[Tuple[int, ...], Dict[Tuple[int, ...], List[int]]] = {}
-        self._store: Optional["SpillStore"] = None
-        self._spilled = False
         # Monotonic mutation counter + numpy mirror cache for the
         # vectorized join path (columns / sorted join keys per key shape).
         self._version = 0
@@ -498,7 +489,6 @@ class ColumnarRelation:
         return self._nrows - self._ndead
 
     def __iter__(self) -> Iterator[Fact]:
-        self._ensure_resident()
         cols = self._cols
         nrows = self._nrows
         if not cols:  # arity-0 (propositional) extension
@@ -528,7 +518,6 @@ class ColumnarRelation:
     def code_columns(self) -> Optional[List[Any]]:
         """``int32`` numpy code columns of the live extension, in row
         order; None for arity-0 — for a reader on the same interner."""
-        self._ensure_resident()
         if not self._cols:
             return None
         cols = [_np.array(col, dtype=_np.int32) for col in self._cols]
@@ -538,7 +527,6 @@ class ColumnarRelation:
         return cols
 
     def __contains__(self, fact: Fact) -> bool:
-        self._ensure_resident()
         eqrow = self._probe_eqrow(fact)
         return eqrow is not None and self._find(_fnv(eqrow), eqrow) >= 0
 
@@ -592,7 +580,7 @@ class ColumnarRelation:
 
     def _rebuild_table(self) -> None:
         """Re-sort all live rows by hash and drop the overlay: once rows
-        are renumbered (compaction, rehydration); else :meth:`_merge_table`."""
+        are renumbered (compaction); else :meth:`_merge_table`."""
         self._graves = object()
         self._overlay = {}
         self._overlay_count = 0
@@ -672,8 +660,6 @@ class ColumnarRelation:
         :meth:`ValueInterner.encode`.  New rows land in the overlay dict;
         the sorted row table absorbs them at the next amortized merge.
         """
-        if self._spilled:
-            self._ensure_resident()
         fact = tuple(fact)
         if self._arity is None:
             self.arity = len(fact)
@@ -736,8 +722,6 @@ class ColumnarRelation:
         :meth:`_bulk_insert`); small ones fall back to per-fact
         :meth:`add`.
         """
-        if self._spilled:
-            self._ensure_resident()
         fact_list = facts if isinstance(facts, list) else list(facts)
         keep = self._bulk_insert(fact_list)
         if keep is None:
@@ -757,8 +741,6 @@ class ColumnarRelation:
         the engine's commit path, which needs the per-predicate delta
         (the new facts) and not just a count.
         """
-        if self._spilled:
-            self._ensure_resident()
         fact_list = facts if isinstance(facts, list) else list(facts)
         keep = self._bulk_insert(fact_list)
         if keep is None:
@@ -777,8 +759,6 @@ class ColumnarRelation:
         interner is stored as it is.  Small batches fall back to the
         per-fact path.
         """
-        if self._spilled:
-            self._ensure_resident()
         col_list = [c if isinstance(c, (list, Codes)) else list(c) for c in cols]
         if self._arity is None:
             self.arity = len(col_list)
@@ -987,8 +967,6 @@ class ColumnarRelation:
         return self._tombstone(fact) >= 0
 
     def _tombstone(self, fact: Fact) -> int:
-        if self._spilled:
-            self._ensure_resident()
         eqrow = self._probe_eqrow(tuple(fact))
         if eqrow is None:
             return -1
@@ -1062,7 +1040,6 @@ class ColumnarRelation:
         self._overlay_count = 0
         self._indexes = {}
         self._composite = {}
-        self._spilled = False
         self._version += 1
         self._npcache = None
         self._numbering = self._graves = object()
@@ -1073,7 +1050,6 @@ class ColumnarRelation:
         caches (indexes, numpy mirrors) are ever assigned again, each
         built locally and published by one assignment — two first
         readers at worst build the same cache twice."""
-        self._ensure_resident()
         self.__class__ = _FrozenColumnarRelation
         return self
 
@@ -1081,7 +1057,6 @@ class ColumnarRelation:
         """A fresh relation with the same facts; its indexes are built on
         first use or taken from an earlier copy (:meth:`carry_indexes`),
         the row-table overlay's buckets shared copy-on-write."""
-        self._ensure_resident()
         clone = ColumnarRelation(
             self.name,
             self._arity,
@@ -1135,6 +1110,15 @@ class ColumnarRelation:
         self._rebuild_table()
 
     # -- indexes -----------------------------------------------------------
+    def drop_indexes(self) -> None:
+        """Forget the indexes and numpy mirrors built so far; each is
+        built again on its next use.  Graves taken before are void: an
+        index rebuilt while their rows are dead does not name them."""
+        self._indexes = {}
+        self._composite = {}
+        self._npcache = None
+        self._graves = object()
+
     def _ensure_index(self, position: int) -> Dict[int, List[int]]:
         index = self._indexes.get(position)
         if index is None:
@@ -1185,8 +1169,6 @@ class ColumnarRelation:
     # -- vectorized join support (execute_plan_vectorized) ---------------
     def np_columns(self) -> Tuple[List[Any], Any]:
         """(int64 column arrays, live row-id array) — cached per version."""
-        if self._spilled:
-            self._ensure_resident()
         cache = self._npcache
         if cache is None or cache["version"] != self._version:
             cols = [_np.array(col, dtype=_np.int32) for col in self._cols]
@@ -1236,8 +1218,6 @@ class ColumnarRelation:
         Buckets may contain tombstoned rows; callers must check each
         row's liveness.
         """
-        if self._spilled:
-            self._ensure_resident()
         if not self._nrows:
             return ()
         ncols = len(self._cols)
@@ -1270,7 +1250,6 @@ class ColumnarRelation:
         Same contract as a tuple set's: buckets are ``==``-keyed, so
         callers still apply their own values_equal verification.
         """
-        self._ensure_resident()
         probe_eq = self._interner.probe_eq
         eq_key: List[int] = []
         for value in key:
@@ -1291,7 +1270,6 @@ class ColumnarRelation:
         Matching is values_equal-strict (satellite fix: the tuple
         backend's ``==`` filter equated 1/1.0/True).
         """
-        self._ensure_resident()
         if not bound:
             yield from self
             return
@@ -1321,120 +1299,8 @@ class ColumnarRelation:
             else:
                 yield self.decode_row(row)
 
-    # -- spill-to-disk -----------------------------------------------------
-    def attach_store(self, store: "SpillStore") -> None:
-        self._store = store
-
-    @property
-    def spilled(self) -> bool:
-        return self._spilled
-
-    def spill(self) -> int:
-        """Write column pages to the attached store and free memory.
-
-        Returns the number of facts now cold.  ``len`` stays accurate
-        without rehydration; any other access rehydrates transparently.
-        """
-        if self._spilled or self._store is None:
-            return 0
-        if self._arity is None or not self._nrows:
-            return 0
-        self.compact()
-        count = self._nrows
-        self._store.write(self.name, self._arity, self._cols)
-        self._cols = [_code_col() for _ in range(self._arity)]
-        self._ht_sorted = array("Q")
-        self._ht_sorted_rows = array("q")
-        self._overlay = {}
-        self._overlay_count = 0
-        self._indexes = {}
-        self._composite = {}
-        self._spilled = True
-        self._npcache = None
-        return count
-
-    def _ensure_resident(self) -> None:
-        if not self._spilled:
-            return
-        assert self._store is not None
-        cols = self._store.read(self.name, self._arity or 0)
-        self._spilled = False
-        self._cols = cols
-        self._version += 1
-        self._numbering = object()
-        self._rebuild_table()
-
 
 class _FrozenColumnarRelation(ColumnarRelation):
     __slots__ = ()
     add = add_many = add_many_report = add_columns = refuse_write
-    remove = bury = unbury = rebury = reset = compact = spill = refuse_write
-
-
-class SpillStore:
-    """sqlite3-backed cold storage for columnar pages.
-
-    One row per (relation, column, page): codes are packed as raw
-    code-column (``array('i')``) bytes, so round-trips are exact and
-    cheap.  The
-    interner always stays in memory — codes are only meaningful within
-    the owning database's process.
-    """
-
-    PAGE_ROWS = 8192
-
-    def __init__(self, path: Optional[str] = None):
-        if path is None:
-            fd, path = tempfile.mkstemp(prefix="repro-spill-", suffix=".sqlite3")
-            os.close(fd)
-            self._own_file = True
-        else:
-            self._own_file = False
-        self.path = path
-        self._conn = sqlite3.connect(path)
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS pages ("
-            " rel TEXT NOT NULL, col INTEGER NOT NULL, page INTEGER NOT NULL,"
-            " data BLOB NOT NULL, PRIMARY KEY (rel, col, page))"
-        )
-        self._conn.commit()
-
-    def write(self, name: str, arity: int, cols: List[Sequence[int]]) -> None:
-        cur = self._conn.cursor()
-        cur.execute("DELETE FROM pages WHERE rel = ?", (name,))
-        page_rows = self.PAGE_ROWS
-        for col_no in range(arity):
-            col = cols[col_no]
-            for page_no, start in enumerate(range(0, len(col), page_rows)):
-                blob = array(_CODE, col[start : start + page_rows]).tobytes()
-                cur.execute(
-                    "INSERT INTO pages (rel, col, page, data) VALUES (?, ?, ?, ?)",
-                    (name, col_no, page_no, blob),
-                )
-        self._conn.commit()
-
-    def read(self, name: str, arity: int) -> List[array]:
-        cols = [_code_col() for _ in range(arity)]
-        cur = self._conn.execute(
-            "SELECT col, page, data FROM pages WHERE rel = ? ORDER BY col, page",
-            (name,),
-        )
-        for col_no, _page, blob in cur:
-            cols[col_no].frombytes(blob)
-        return cols
-
-    def close(self) -> None:
-        try:
-            self._conn.close()
-        finally:
-            if self._own_file:
-                try:
-                    os.unlink(self.path)
-                except OSError:
-                    pass
-
-    def __del__(self) -> None:  # best-effort cleanup of temp files
-        try:
-            self.close()
-        except Exception:
-            pass
+    remove = bury = unbury = rebury = reset = compact = refuse_write

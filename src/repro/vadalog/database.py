@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.vadalog.columnar import ColumnarRelation, SpillStore, ValueInterner
+from repro.vadalog.columnar import ColumnarRelation, ValueInterner
 
 Fact = Tuple[Any, ...]
 
@@ -27,11 +27,7 @@ class Database:
     """A set of columnar relations over one value dictionary, keyed by
     predicate name."""
 
-    def __init__(
-        self,
-        spill_path: Optional[str] = None,
-        interner: Optional[ValueInterner] = None,
-    ):
+    def __init__(self, interner: Optional[ValueInterner] = None):
         self._relations: Dict[str, ColumnarRelation] = {}
         # An externally supplied interner (e.g. the columnar property
         # graph's, when extracting) is shared, not copied: interners are
@@ -39,10 +35,8 @@ class Database:
         # the same dictionary and values present on either side are
         # stored once.
         self._interner = interner if interner is not None else ValueInterner()
-        self._spill_path = spill_path
-        self._store: Optional[SpillStore] = None
         #: Predicates whose relation is another owner's object (see
-        #: :meth:`share`): read here, never compacted or spilled here.
+        #: :meth:`share`): read here, never compacted here.
         self._borrowed: Set[str] = set()
 
     def share(self, predicate: str, relation: ColumnarRelation) -> None:
@@ -56,7 +50,7 @@ class Database:
         it: private copies of the ``written`` predicates, this one's own
         relation objects, shared, for the rest — and its append-only
         interner, so codes stay comparable and nothing is re-encoded."""
-        clone = Database(self._spill_path, self._interner)
+        clone = Database(self._interner)
         for name, relation in self._relations.items():
             if name in written:
                 clone._relations[name] = relation.copy()
@@ -72,10 +66,9 @@ class Database:
         """Return (creating on demand) the relation for ``predicate``."""
         relation = self._relations.get(predicate)
         if relation is None:
-            relation = ColumnarRelation(predicate, interner=self._interner)
-            if self._store is not None:
-                relation.attach_store(self._store)
-            self._relations[predicate] = relation
+            relation = self._relations[predicate] = ColumnarRelation(
+                predicate, interner=self._interner
+            )
         return relation
 
     def add(self, predicate: str, fact: Iterable[Any]) -> bool:
@@ -170,53 +163,6 @@ class Database:
     def copy(self) -> "Database":
         return self.layer(set(self._relations))
 
-    # -- spill-to-disk ---------------------------------------------------
-    def _ensure_store(self) -> SpillStore:
-        if self._store is None:
-            self._store = SpillStore(self._spill_path)
-            for relation in self._owned():
-                relation.attach_store(self._store)
-        return self._store
-
-    def total_resident_facts(self) -> int:
-        """Facts currently held in memory (spilled relations excluded)."""
-        return sum(
-            len(rel) for rel in self._relations.values() if not rel.spilled
-        )
-
-    def spill_over_budget(
-        self, budget: int, keep: Iterable[str] = ()
-    ) -> List[str]:
-        """Spill cold relations until ≤ ``budget`` facts stay resident.
-
-        Relations named in ``keep`` (needed by upcoming strata) and
-        borrowed ones are never spilled.  Largest-first eviction; returns
-        the spilled names.
-        """
-        if budget < 0:
-            return []
-        resident = self.total_resident_facts()
-        if resident <= budget:
-            return []
-        keep_set = set(keep)
-        self._ensure_store()
-        victims = sorted(
-            (
-                rel
-                for rel in self._owned()
-                if rel.name not in keep_set and not rel.spilled and len(rel)
-            ),
-            key=len,
-            reverse=True,
-        )
-        spilled: List[str] = []
-        for rel in victims:
-            if resident <= budget:
-                break
-            resident -= rel.spill()
-            spilled.append(rel.name)
-        return spilled
-
     def compact(self) -> None:
         """Reclaim tombstoned rows in every relation it owns.
 
@@ -224,18 +170,23 @@ class Database:
         invalidates any in-flight index iteration.
         """
         for relation in self._owned():
-            if not relation.spilled:
-                relation.compact()
+            relation.compact()
+
+    def release(self, keep: Iterable[str]) -> None:
+        """Drop every relation but ``keep``, and the indexes of the kept
+        ones it owns: what a reader of their code columns alone needs."""
+        keep = set(keep)
+        self._relations = {
+            name: relation for name, relation in self._relations.items()
+            if name in keep
+        }
+        self._borrowed &= keep
+        for relation in self._owned():
+            relation.drop_indexes()
 
     def dead_rows(self) -> int:
         """Tombstoned rows its own relations still hold."""
         return sum(r.dead_rows for r in self._owned())
-
-    def close(self) -> None:
-        """Release the spill store (if one was opened)."""
-        if self._store is not None:
-            self._store.close()
-            self._store = None
 
     def merge(self, other: "Database") -> int:
         """Insert every fact of ``other``; returns how many were new."""

@@ -315,30 +315,6 @@ class Engine:
                 self._evaluate_stratum(
                     stratum, index, db, stats, nulls, skolems, aggregates
                 )
-                if (
-                    governor is not None
-                    and governor.max_resident_facts is not None
-                    and state is None
-                ):
-                    # Stratum boundaries are safe points: no in-flight
-                    # index iteration, so tombstones can be reclaimed and
-                    # relations the remaining strata never read can move
-                    # to cold column pages.
-                    needed: Set[str] = set()
-                    for later in strata[index + 1:]:
-                        needed |= later.predicates
-                        for later_rule in later.rules:
-                            needed |= later_rule.body_predicates()
-                    db.compact()
-                    spilled = db.spill_over_budget(
-                        governor.max_resident_facts, keep=needed
-                    )
-                    if spilled and tracer is not None:
-                        tracer.event(
-                            "engine.spilled",
-                            relations=sorted(spilled),
-                            resident=db.total_resident_facts(),
-                        )
         except _BudgetStop as stop:
             status = STATUS_BUDGET_EXCEEDED
             violation = stop.violation

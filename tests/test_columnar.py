@@ -1,7 +1,7 @@
 """Columnar fact storage: interner/relation units, the storage-level
 randomized differential against the tuple reference relation, the
 52-program production-vs-interpreter battery (plus the incremental
-chained-delta battery), spill-to-disk, and the semantic-equality
+chained-delta battery), borrowed relations, and the semantic-equality
 regression for ``lookup``."""
 
 import dataclasses
@@ -13,10 +13,10 @@ from repro.errors import EvaluationError, ResourceLimitError
 from repro.finkg import programs
 from repro.metalog import parse_metalog
 from repro.ssst import IntensionalMaterializer, RegistryDelta
-from repro.obs import RecordingTracer, ResourceGovernor
+from repro.obs import RecordingTracer
 from repro.vadalog import Engine, parse_program
 from repro.vadalog import plan as plan_module
-from repro.vadalog.columnar import ColumnarRelation, SpillStore, ValueInterner
+from repro.vadalog.columnar import ColumnarRelation, ValueInterner
 from repro.vadalog.database import Database
 
 from tests.test_engine_plans import (
@@ -596,68 +596,12 @@ class TestColumnarIncrementalBattery:
 
 
 # ---------------------------------------------------------------------------
-# Spill-to-disk
+# Borrowed relations
 # ---------------------------------------------------------------------------
 
 
-class TestSpill:
-    def test_spill_and_rehydrate_round_trip(self):
-        db = Database()
-        facts = [(f"n{i}", f"n{i + 1}", float(i)) for i in range(500)]
-        db.add_all("e", facts)
-        spilled = db.spill_over_budget(0)
-        assert spilled == ["e"]
-        assert db.total_resident_facts() == 0
-        assert db.count("e") == 500  # len() needs no rehydration
-        # Any access rehydrates transparently.
-        assert sorted(db.relation("e").lookup_key((0,), ("n7",))) == [
-            ("n7", "n8", 7.0)
-        ]
-        assert db.total_resident_facts() == 500
-        db.close()
-
-    def test_keep_set_is_never_spilled(self):
-        db = Database()
-        db.add_all("big", [(i,) for i in range(100)])
-        db.add_all("hot", [(i,) for i in range(50)])
-        spilled = db.spill_over_budget(0, keep=["hot"])
-        assert spilled == ["big"]
-        assert not db.relation("hot").spilled
-        db.close()
-
-    def test_budget_spills_largest_first_until_under(self):
-        db = Database()
-        db.add_all("a", [(i,) for i in range(100)])
-        db.add_all("b", [(i,) for i in range(10)])
-        spilled = db.spill_over_budget(50)
-        assert spilled == ["a"]
-        assert db.total_resident_facts() == 10
-        db.close()
-
-    def test_governor_driven_spill_during_run(self):
-        edges = [(f"n{i}", f"n{(i * 7 + 3) % 40}") for i in range(40)]
-        text = (
-            "e(X, Y) -> tc(X, Y).\n"
-            "tc(X, Y), e(Y, Z) -> tc(X, Z).\n"
-            "tc(X, Y) -> reach(Y).\n"
-        )
-        program = parse_program(text)
-        tracer = RecordingTracer()
-        governor = ResourceGovernor(max_resident_facts=10)
-        spilling = Engine(governor=governor, tracer=tracer).run(
-            program, inputs={"e": edges}
-        )
-        plain = Engine().run(program, inputs={"e": edges})
-        assert spilling.status == "fixpoint"
-        for predicate in ("tc", "reach"):
-            assert spilling.facts(predicate) == plain.facts(predicate)
-        events = [
-            e for e in tracer.events if e.get("name") == "engine.spilled"
-        ]
-        assert events, "expected at least one spill event"
-        spilling.database.close()
-
-    def test_a_layer_never_compacts_or_spills_what_it_borrows(self):
+class TestBorrowedRelations:
+    def test_a_layer_never_compacts_what_it_borrows(self):
         from repro.vadalog.magic import GoalDirectedEvaluator
 
         text = "e(X, Y) -> tc(X, Y).\ntc(X, Y), e(Y, Z) -> tc(X, Z)."
@@ -669,12 +613,13 @@ class TestSpill:
         version = relation._version
         evaluator = GoalDirectedEvaluator(parse_program(text))
         for ask in (evaluator.answer, evaluator.full_answer):
-            answer = ask(
-                'tc("n190", Y)?', database=shared,
-                governor=ResourceGovernor(max_resident_facts=10),
-            )
+            answer = ask('tc("n190", Y)?', database=shared)
             assert len(answer.facts) == 10
-        assert not relation.spilled and relation.dead_rows
+        layer = shared.layer({"tc"})
+        built = relation._indexes
+        layer.compact()
+        layer.release(["e"])
+        assert relation.dead_rows and relation._indexes is built
         assert relation._version == version
         assert shared.relation("e") is relation and shared.count("tc") == 0
         # Frozen, it is shared the same way and refuses the write paths.
@@ -687,13 +632,6 @@ class TestSpill:
             'tc("n190", Y)?', database=shared, inputs={"e": [("n200", "z")]}
         )
         assert len(extended.facts) == 11 and len(relation) == 200
-
-    def test_spill_store_page_round_trip(self):
-        store = SpillStore()
-        cols = [list(range(20000)), [i * 3 for i in range(20000)]]
-        store.write("r", 2, cols)
-        assert [list(col) for col in store.read("r", 2)] == cols
-        store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +776,7 @@ class TestSharedStructureCopies:
                     list(previous.lookup_key(
                         positions, tuple("c1" for _ in positions)
                     ))
-            kind = rng.choice(["add", "add", "remove", "readd", "compact", "spill"])
+            kind = rng.choice(["add", "add", "remove", "readd", "compact"])
             renumbered = False
             if kind == "add":
                 for _ in range(rng.randrange(1, 4)):
@@ -852,9 +790,6 @@ class TestSharedStructureCopies:
             elif kind == "compact":
                 renumbered = bool(live.dead_rows)
                 live.compact()
-            elif kind == "spill":
-                live.attach_store(db._ensure_store())
-                renumbered = bool(live.spill())
             before = _index_contents(previous)
             held = (dict(previous._indexes), dict(previous._composite))
             clone = live.copy()
@@ -882,7 +817,6 @@ class TestSharedStructureCopies:
                 assert sorted(clone, key=repr) == sorted(live, key=repr)
             previous = clone
         assert carried_total > 0
-        db.close()
 
 
 class TestRowTableMerge:

@@ -1,6 +1,8 @@
 """Algorithm 2: intensional-component materialization tests."""
 
 import hashlib
+import itertools
+import json
 import os
 import random
 import subprocess
@@ -212,45 +214,20 @@ class TestViews:
 
 
 class TestDictionaryReuse:
-    def test_shared_dictionary_keeps_schema_once(
-        self, company_schema, owns_instance, materializer
-    ):
-        dictionary = GraphDictionary()
-        first = materializer.materialize(
-            company_schema, owns_instance,
-            parse_metalog(programs.CONTROL_PROGRAM), instance_oid=1,
-            dictionary=dictionary,
-        )
-        nodes_after_first = dictionary.graph.node_count
-        # Second instance against the same dictionary.
-        second = materializer.materialize(
-            company_schema, owns_instance,
-            parse_metalog(programs.CONTROL_PROGRAM), instance_oid=2,
-            dictionary=dictionary,
-        )
-        assert dictionary.schema_oids() == [123]
-        # The instances live in the chase relations, not in the graph.
-        assert dictionary.graph.node_count == nodes_after_first
-        for report, oid in ((first, 1), (second, 2)):
-            assert report.instance.instance_oid == oid
-            assert report.instance.data.node_count == owns_instance.node_count
-            assert len(list(report.instance.data.edges("CONTROLS"))) == 5
-
     def test_resumed_run_stays_on_the_production_graph_store(
         self, company_schema, owns_instance, tmp_path
     ):
-        """A resumed run keeps the dictionary on the store a fresh run
+        """A resumed run writes its instance on the store a fresh run
         builds, and decodes the same instance from restored relations."""
         sigma = parse_metalog(programs.CONTROL_PROGRAM)
 
         def run(checkpoint):
-            dictionary = GraphDictionary()
             report = IntensionalMaterializer().materialize(
                 company_schema, owns_instance, sigma, instance_oid=9,
-                dictionary=dictionary, checkpoint=checkpoint,
+                checkpoint=checkpoint,
             )
             graph = report.instance.data
-            return report, dictionary, (
+            return report, graph, (
                 sorted((str(n.id), n.label, sorted(n.properties.items()))
                        for n in graph.nodes()),
                 sorted((str(e.source), str(e.target), e.label,
@@ -258,13 +235,108 @@ class TestDictionaryReuse:
                        for e in graph.edges()),
             )
 
-        _, fresh_dictionary, uninterrupted = run(None)
+        _, fresh_graph, uninterrupted = run(None)
         run(MaterializationCheckpoint(str(tmp_path)))
-        report, dictionary, resumed = run(MaterializationCheckpoint(str(tmp_path)))
+        report, graph, resumed = run(MaterializationCheckpoint(str(tmp_path)))
         assert report.resumed_from == "reason"
-        assert type(fresh_dictionary.graph) is ColumnarPropertyGraph
-        assert type(dictionary.graph) is ColumnarPropertyGraph
+        assert type(fresh_graph) is ColumnarPropertyGraph
+        assert type(graph) is ColumnarPropertyGraph
         assert resumed == uninterrupted
+
+
+class TestFlushReads:
+    """What a materialization keeps of Sigma's database for its flush:
+    a fresh run the head relations, without indexes; a retained run
+    everything, its relations being the extension it maintains."""
+
+    @staticmethod
+    def flushed(monkeypatch):
+        """Per ``write_instance`` call: the column maps and the relations
+        Sigma's database holds at that moment, by name."""
+        seen = []
+        real = materializer_module.write_instance
+
+        def spy(maps, instance_oid, data, database, graph, **kwargs):
+            seen.append((maps, dict(database._relations)))
+            return real(maps, instance_oid, data, database, graph, **kwargs)
+
+        monkeypatch.setattr(materializer_module, "write_instance", spy)
+        return seen
+
+    @staticmethod
+    def heads(maps):
+        return {label for label, _edge, _columns in maps.heads}
+
+    def test_a_fresh_run_flushes_from_its_heads_only(
+        self, company_schema, monkeypatch
+    ):
+        seen = self.flushed(monkeypatch)
+        sigma = parse_metalog(programs.CONTROL_PROGRAM)
+        _, registry = kgbench_registry(200, 42)
+        report = IntensionalMaterializer().materialize(
+            company_schema, registry, sigma, instance_oid=9,
+        )
+        ((maps, relations),) = seen
+        assert set(relations) <= self.heads(maps)
+        assert len(relations["CONTROLS"]) == report.derived_counts["CONTROLS"] > 0
+        for relation in relations.values():
+            assert not relation._indexes and not relation._composite
+            assert relation._npcache is None
+        retained = IntensionalMaterializer().materialize(
+            company_schema, registry, sigma, instance_oid=9, retain=True,
+        )
+        assert order_sensitive_digest(report.instance.data) == (
+            order_sensitive_digest(retained.instance.data)
+        )
+
+    def test_a_retained_run_keeps_its_inputs(self, company_schema, monkeypatch):
+        seen = self.flushed(monkeypatch)
+        sigma = parse_metalog(programs.CONTROL_PROGRAM)
+        data, registry = kgbench_registry(200, 42)
+        materializer = IntensionalMaterializer()
+        materializer.materialize(
+            company_schema, registry, sigma, instance_oid=9, retain=True,
+        )
+        ((maps, relations),) = seen
+        database = materializer.retained.result.database
+        for name, _edge, _members in maps.inputs:
+            assert len(relations[name]) and database.relation(name) is relations[name]
+        taken = {(stake.owner, stake.company) for stake in data.stakes}
+        owner, target = next(
+            pair for pair in itertools.permutations(sorted(data.companies), 2)
+            if pair not in taken
+        )
+        materializer.update(RegistryDelta(add_edges=[(
+            "churn-0", owner, target, "OWNS", {"percentage": 0.9},
+        )]))
+        scratch = IntensionalMaterializer().materialize(
+            company_schema, registry.copy(), sigma, instance_oid=9,
+        )
+        assert renamed(materializer.retained.instance().data) == (
+            renamed(scratch.instance.data)
+        )
+
+    def test_a_checkpoint_round_trips_what_the_flush_reads(
+        self, company_schema, monkeypatch, tmp_path
+    ):
+        seen = self.flushed(monkeypatch)
+        sigma = parse_metalog(programs.CONTROL_PROGRAM)
+        _, registry = kgbench_registry(200, 42)
+        reports = [
+            IntensionalMaterializer().materialize(
+                company_schema, registry, sigma, instance_oid=9,
+                checkpoint=MaterializationCheckpoint(str(tmp_path)),
+            )
+            for _ in range(2)
+        ]
+        assert [report.resumed_from for report in reports] == [None, "reason"]
+        (maps, fresh), (_, resumed) = seen
+        with open(MaterializationCheckpoint(str(tmp_path)).path) as handle:
+            saved = json.load(handle)["database"]
+        assert set(saved) == set(resumed) == set(fresh) <= self.heads(maps)
+        for name, relation in fresh.items():
+            assert set(resumed[name]) == set(relation)
+            assert len(saved[name]["facts"]) == len(relation)
 
 
 # ----------------------------------------------------------------------
@@ -365,11 +437,6 @@ GOLDEN_CHAINS = {
     ],
 }
 
-GRAPH_WRITERS = (
-    "add_nodes_bulk", "add_edges_bulk", "existing_node_ids", "existing_edge_ids",
-)
-
-
 def up_to_nulls_and_order(graph):
     """Every element of ``graph`` with invented ids blanked, sorted."""
     def plain(value):
@@ -426,26 +493,6 @@ def control_chain(schema, each=lambda registry, graph: None):
         renamed_digests.append(renamed(graph))
         each(registry, graph)
     return digests, renamed_digests
-
-
-def forbid_graph_bulk_access(monkeypatch, graph):
-    """No bulk write to, or OID probe of, this ``graph`` object (the
-    decoded instance is written in bulk: that one is a plain graph)."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError(f"bulk/probe access to {graph!r}")
-
-    for name in GRAPH_WRITERS:
-        monkeypatch.setattr(graph, name, forbidden)
-
-
-def assert_schemas_only(dictionary, schema_nodes):
-    graph = dictionary.graph
-    assert graph.node_count == schema_nodes
-    labels = set(graph.node_labels()) | set(graph.edge_labels())
-    assert not {
-        label for label in labels
-        if label.startswith("I_SM_") or label == "SM_REFERENCES"
-    }
 
 
 class TestInstanceRelations:
@@ -507,43 +554,6 @@ class TestInstanceRelations:
             order_sensitive_digest(first.instance.data),
             order_sensitive_digest(second.instance.data),
         ] == GOLDEN_CHAINS[program]
-
-    @pytest.mark.parametrize(
-        "program",
-        ["CONTROL_PROGRAM", "STAKEHOLDERS_PROGRAM", "FAMILY_PROGRAM"],
-    )
-    def test_dictionary_graph_holds_schemas_only(
-        self, company_schema, tiny_instance, owns_instance, monkeypatch, program
-    ):
-        """materialize() and update() never write an instance construct
-        into a graph, and never probe one for OIDs."""
-        dictionary = GraphDictionary()
-        dictionary.store(company_schema)
-        schema_nodes = dictionary.graph.node_count
-        forbid_graph_bulk_access(monkeypatch, dictionary.graph)
-        materializer = diff_is_the_oracle(IntensionalMaterializer())
-        if program == "CONTROL_PROGRAM":
-            data = owns_instance
-        else:
-            data = materializer.materialize(
-                company_schema, with_extra_people(tiny_instance),
-                parse_metalog(programs.OWNS_PROGRAM), instance_oid=21,
-                dictionary=dictionary,
-            ).instance.data
-            assert_schemas_only(dictionary, schema_nodes)
-        report = materializer.materialize(
-            company_schema, data, parse_metalog(getattr(programs, program)),
-            instance_oid=22, dictionary=dictionary, retain=True,
-        )
-        assert report.instance.data.node_count >= data.node_count
-        assert_schemas_only(dictionary, schema_nodes)
-        update = materializer.update(RegistryDelta(add_nodes=[(
-            "B9", "Business",
-            {"fiscalCode": "FCB9", "businessName": "B9 SpA",
-             "legalNature": "spa", "shareholdingCapital": 10.0},
-        )]))
-        assert materializer.retained.instance().data.has_node("B9")
-        assert_schemas_only(dictionary, schema_nodes)
 
     def test_one_encoder_one_decoder(
         self, company_schema, owns_instance, monkeypatch

@@ -691,8 +691,8 @@ class TestCheckpointCodec:
             encode_value(object())
 
     def test_a_saved_phase_is_durable(self, tmp_path, monkeypatch):
-        """The phase file and the manifest are each synced before their
-        rename and the directory after it."""
+        """The snapshot file is synced before its rename and the
+        directory after it."""
         from repro.vadalog.database import Database
 
         checkpoint = MaterializationCheckpoint(str(tmp_path))
@@ -701,8 +701,8 @@ class TestCheckpointCodec:
         monkeypatch.setattr(
             os, "fsync", lambda fd: synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
         )
-        checkpoint.save_phase("reason", database=Database())
-        assert synced == [False, True, False, True]
+        checkpoint.save(Database(), [], {})
+        assert synced == [False, True]
 
 
 # ----------------------------------------------------------------------
@@ -784,7 +784,7 @@ class TestCheckpointedMaterialization:
                                directory=directory)
         checkpoint = MaterializationCheckpoint(str(directory))
         checkpoint.begin(self.fingerprint(chain))
-        assert interrupted.truncated and checkpoint.completed_phases() == []
+        assert interrupted.truncated and not checkpoint.has_snapshot()
         rerun = self.run(company_super_schema(), chain, directory=directory)
         assert rerun.resumed_from is None and not rerun.truncated
 
@@ -848,6 +848,26 @@ class TestCheckpointedMaterialization:
                           directory=tmp_path / "ckpt")
         assert report.resumed_from is None  # different data: no resume
 
+    def test_a_stale_snapshot_is_counted_and_an_unreadable_one_raises(
+        self, owns_instance, tiny_instance, tmp_path
+    ):
+        from repro.errors import CheckpointError
+        from repro.obs import RecordingTracer
+
+        directory = tmp_path / "ckpt"
+        self.run(company_super_schema(), owns_instance, directory=directory)
+        tracer = RecordingTracer()
+        checkpoint = MaterializationCheckpoint(str(directory), tracer=tracer)
+        assert os.path.exists(checkpoint.path)
+        checkpoint.begin(self.fingerprint(tiny_instance))
+        assert not checkpoint.has_snapshot() and not os.path.exists(checkpoint.path)
+        assert tracer.metrics.counter("deploy.checkpoint_stale").value == 1
+        self.run(company_super_schema(), owns_instance, directory=directory)
+        with open(checkpoint.path, "r+", encoding="utf-8") as handle:
+            handle.truncate(len(handle.read()) // 2)
+        with pytest.raises(CheckpointError, match="unreadable"):
+            self.run(company_super_schema(), owns_instance, directory=directory)
+
     def test_truncated_phase_is_not_checkpointed(self, company_schema,
                                                  owns_instance, tmp_path):
         engine = Engine(governor=ResourceGovernor(max_facts=1, graceful=True))
@@ -855,7 +875,7 @@ class TestCheckpointedMaterialization:
                  directory=tmp_path / "ckpt")
         checkpoint = MaterializationCheckpoint(str(tmp_path / "ckpt"))
         checkpoint.begin(self.fingerprint(owns_instance))
-        assert checkpoint.completed_phases() == []
+        assert not checkpoint.has_snapshot()
 
 
 # ----------------------------------------------------------------------

@@ -1173,8 +1173,6 @@ class TestFrozenEdb:
                 relation.reset([])
             with pytest.raises(EvaluationError):
                 relation.compact()
-            with pytest.raises(EvaluationError):
-                relation.spill()
         assert frozen_rows(snap) == before
 
     @CHASES
@@ -1401,8 +1399,8 @@ class TestEpochIndexes:
 
     def test_chained_epochs_answer_as_indexes_built_from_scratch(self, seed=0):
         """≥50 deltas of every kind that touches a frozen view — adds,
-        removals, remove-then-re-add, a compaction, a spill and its
-        rehydration, facts supplied for a derived predicate: after each
+        removals, remove-then-re-add, a compaction, facts supplied for a
+        derived predicate: after each
         epoch every carried index is, on live rows, the one built from
         scratch, ``matching`` is the scan, and magic ≡ snapshot ≡ the
         tuple backend."""
@@ -1418,7 +1416,7 @@ class TestEpochIndexes:
         live_own = list(inputs["own"])
         removed, breaks = [], 0
         kinds = ["add"] * 4 + ["remove"] * 3 + ["readd"] * 2 + [
-            "compact", "spill", "supplied",
+            "compact", "supplied",
         ]
         for step in range(56):
             kind = kinds[step] if step < len(kinds) else rng.choice(kinds)
@@ -1442,10 +1440,6 @@ class TestEpochIndexes:
                 if kind == "compact":
                     breaks += bool(database.relation("own").dead_rows)
                     database.compact()
-                elif kind == "spill":
-                    database._ensure_store()
-                    victim = database.relation(rng.choice(["own", "controls"]))
-                    breaks += bool(victim.spill())
                 stakes = [
                     (rng.choice(companies), rng.choice(companies),
                      round(rng.uniform(0.2, 0.95), 3))
@@ -1486,7 +1480,6 @@ class TestEpochIndexes:
         assert carried >= 100
         # Every break of the chain was paid for by a first reader, once.
         assert breaks >= 2 and built >= breaks
-        database.close()
 
     def test_an_epoch_re_indexes_nothing_it_did_not_change(self, monkeypatch):
         """After one warm query per engine (and the writer's first add
